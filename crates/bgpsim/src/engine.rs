@@ -61,6 +61,7 @@ use crate::parallel::{self, SweepError};
 use crate::propagate::{
     metrics, ImportPolicy, PolicyView, PropagationConfig, RouteClass, RoutingOutcome, UNREACHED,
 };
+use crate::reliance::RelianceWorkspace;
 use flatnet_asgraph::{AsGraph, NodeId};
 use std::collections::VecDeque;
 
@@ -368,6 +369,15 @@ impl Workspace {
     /// while snapshots come and go behind an `Arc` swap.
     pub fn run(&mut self, snap: &TopologySnapshot, origin: NodeId, cfg: &PropagationConfig) {
         run_into(snap, origin, &cfg.view(), self)
+    }
+
+    /// The per-class distance arrays `(customer, peer, provider)` of the
+    /// most recent run, `UNREACHED` where no such route exists. A peer
+    /// distance may sit beside a customer one (selection prefers the
+    /// customer route); a provider distance only where it is selected.
+    #[inline]
+    pub(crate) fn dists(&self) -> (&[u32], &[u32], &[u32]) {
+        (&self.dist_c, &self.dist_p, &self.dist_d)
     }
 
     /// Clones the run's result into an owned [`RoutingOutcome`].
@@ -699,6 +709,7 @@ impl<'s> Simulation<'s> {
             snap: self.snap,
             cfg: self.cfg.clone(),
             ws: Workspace::for_snapshot(self.snap),
+            rely: RelianceWorkspace::new(),
         }
     }
 
@@ -946,12 +957,14 @@ impl<'s> Simulation<'s> {
 
 /// One worker's state for a sweep: the shared snapshot, a private config
 /// (whose masks may be refilled per origin via
-/// [`PropagationConfig::excluded_mask_mut`]), and a private workspace.
+/// [`PropagationConfig::excluded_mask_mut`]), a private workspace, and a
+/// reliance kernel that stays empty until [`Self::run_reliance`] is used.
 #[derive(Debug)]
 pub struct SweepCtx<'s> {
     snap: &'s TopologySnapshot,
     cfg: PropagationConfig,
     ws: Workspace,
+    rely: RelianceWorkspace,
 }
 
 impl<'s> SweepCtx<'s> {
@@ -981,6 +994,15 @@ impl<'s> SweepCtx<'s> {
     pub fn run(&mut self, origin: NodeId) -> &Workspace {
         run_into(self.snap, origin, &self.cfg.view(), &mut self.ws);
         &self.ws
+    }
+
+    /// Propagates `origin` under the current config and scores
+    /// `rely(origin, ·)` from the run, reusing this worker's buffers;
+    /// returns the kernel holding the scores and the receiver count.
+    pub fn run_reliance(&mut self, origin: NodeId) -> &RelianceWorkspace {
+        run_into(self.snap, origin, &self.cfg.view(), &mut self.ws);
+        self.rely.score(self.snap, &self.ws, &self.cfg);
+        &self.rely
     }
 }
 

@@ -37,7 +37,10 @@
 //! * [`parallel`] — panic-isolated parallel sweeps with per-worker
 //!   contexts (re-exported by `flatnet_core::parallel`).
 //! * [`dag`] — the tied-best next-hop DAG and exact/floating path counting.
-//! * [`mod@reliance`] — `rely(o, a)` (§7.1) in O(E) via a topological DP.
+//! * [`mod@reliance`] — `rely(o, a)` (§7.1) in O(E) via a topological DP:
+//!   the [`RelianceWorkspace`] kernel scores straight off a finished
+//!   [`Workspace`], the [`reliance()`] function over a [`NextHopDag`] is
+//!   its oracle.
 //! * [`leak`] — route-leak competition between a legitimate origin and a
 //!   misconfigured AS (§8), with the erratum-corrected peer-locking rule.
 //! * [`paths`] — tied-best path enumeration (used to check simulated paths
@@ -71,4 +74,4 @@ pub use propagate::{
     propagate, propagate_legacy, ImportPolicy, PropagationConfig, RouteClass, RoutingOutcome,
     UNREACHED,
 };
-pub use reliance::reliance;
+pub use reliance::{reliance, RelianceWorkspace};

@@ -20,8 +20,21 @@
 //! in reverse topological order. `rely(o, u) = W(u)` for every reachable
 //! `u ≠ o` (and `W(o)` is the total number of ASes with routes, a useful
 //! cross-check).
+//!
+//! Two implementations share that recurrence. [`reliance`] scores a
+//! materialized [`NextHopDag`] and is the oracle; [`RelianceWorkspace`]
+//! is the production kernel: it derives the same DAG straight from a
+//! finished [`Workspace`] and its [`TopologySnapshot`] into reused
+//! buffers, visiting nodes and hops in the oracle's order and summing in
+//! the oracle's order, so every score is bit-identical
+//! (`tests/engine_equiv.rs`). Callers that walk the DAG itself (path
+//! enumeration, collectors, traceroute simulation) stay on
+//! [`NextHopDag`].
 
 use crate::dag::NextHopDag;
+use crate::engine::{TopologySnapshot, Workspace};
+use crate::propagate::{PropagationConfig, UNREACHED};
+use flatnet_asgraph::NodeId;
 
 /// Computes `rely(origin, a)` for **every** AS `a` from a next-hop DAG.
 ///
@@ -48,6 +61,202 @@ pub fn reliance(dag: &NextHopDag) -> Vec<f64> {
         }
     }
     w
+}
+
+/// Reusable reliance kernel: scores `rely(origin, ·)` for the run a
+/// [`Workspace`] holds, without building a [`RoutingOutcome`] or a
+/// [`NextHopDag`]. Create one per worker; buffers are sized on the first
+/// [`score`](Self::score) call (a worker that never scores reliance pays
+/// nothing), resize when the snapshot's node count changes, and are
+/// reused afterwards — a run on a warm workspace does not allocate.
+///
+/// Scores are bit-identical to `reliance(&NextHopDag::build(..))` over
+/// the same run:
+///
+/// * nodes are visited in `NextHopDag`'s topological order — reachable
+///   nodes by `(selected distance, node index)` — produced here by a
+///   counting sort over the reach bitset walked in node order;
+/// * each node's tied-best hops are enumerated from its selected class's
+///   CSR slice, which holds the neighbours in the order
+///   [`RoutingOutcome::next_hops`] walks them, under the same
+///   import rules and `keep_ties` truncation;
+/// * path counts and visit mass are accumulated hop by hop in that order
+///   with the oracle's expressions, so no floating-point sum is
+///   reassociated.
+///
+/// [`RoutingOutcome`]: crate::propagate::RoutingOutcome
+/// [`RoutingOutcome::next_hops`]: crate::propagate::RoutingOutcome::next_hops
+#[derive(Debug, Default)]
+pub struct RelianceWorkspace {
+    /// Selected path length per node, `UNREACHED` for unreached nodes.
+    sel: Vec<u32>,
+    /// Tied-best path count per node; only entries of reached nodes are
+    /// meaningful (each is written before any later node reads it).
+    counts: Vec<f64>,
+    /// The result: visit mass per node, `0.0` for unreached nodes.
+    scores: Vec<f64>,
+    /// Reached nodes by `(selected distance, node index)`. Doubles as the
+    /// undo list: the next run clears exactly these `sel`/`scores` slots.
+    topo: Vec<u32>,
+    /// Counting-sort cursors, indexed by distance.
+    starts: Vec<u32>,
+    /// `hops[hop_off[k]..hop_off[k + 1]]` are the next hops of `topo[k]`.
+    hop_off: Vec<u32>,
+    hops: Vec<u32>,
+}
+
+impl RelianceWorkspace {
+    /// An empty workspace; buffers are sized by the first run.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Scores the run `ws` holds — `ws` must have been run over `snap`
+    /// under `cfg` — and returns the per-node reliance vector, exactly
+    /// as [`reliance`] would: `0.0` for unreached nodes, and at the
+    /// origin the number of ASes holding routes.
+    pub fn score(
+        &mut self,
+        snap: &TopologySnapshot,
+        ws: &Workspace,
+        cfg: &PropagationConfig,
+    ) -> &[f64] {
+        let n = snap.len();
+        assert_eq!(ws.len(), n, "workspace was not run over this snapshot");
+        let (dist_c, dist_p, dist_d) = ws.dists();
+        let pol = cfg.view();
+        let keep_ties = cfg.keep_ties();
+        let origin = ws.origin();
+
+        if self.sel.len() == n {
+            for &u in &self.topo {
+                self.sel[u as usize] = UNREACHED;
+                self.scores[u as usize] = 0.0;
+            }
+        } else {
+            self.sel.clear();
+            self.sel.resize(n, UNREACHED);
+            self.scores.clear();
+            self.scores.resize(n, 0.0);
+            self.counts.clear();
+            self.counts.resize(n, 0.0);
+        }
+
+        // Counting sort by selected distance. The bitset is walked in
+        // node order twice (count, then place), so nodes of one distance
+        // keep ascending index: the `(dist, node)` order of `NextHopDag`.
+        self.starts.clear();
+        self.starts.push(0);
+        for_each_set_bit(ws.reach_words(), |i| {
+            let d = if dist_c[i] != UNREACHED {
+                dist_c[i]
+            } else if dist_p[i] != UNREACHED {
+                dist_p[i]
+            } else {
+                dist_d[i]
+            };
+            self.sel[i] = d;
+            let bucket = d as usize + 1;
+            if bucket >= self.starts.len() {
+                self.starts.resize(bucket + 1, 0);
+            }
+            self.starts[bucket] += 1;
+        });
+        for b in 1..self.starts.len() {
+            self.starts[b] += self.starts[b - 1];
+        }
+        let reached = *self.starts.last().expect("starts holds at least one cursor") as usize;
+        self.topo.clear();
+        self.topo.resize(reached, 0);
+        for_each_set_bit(ws.reach_words(), |i| {
+            let cursor = &mut self.starts[self.sel[i] as usize];
+            self.topo[*cursor as usize] = i as u32;
+            *cursor += 1;
+        });
+
+        // Forward pass, origin outward: enumerate each node's tied-best
+        // hops and sum their path counts. Every hop is one step closer to
+        // the origin, so its count is final before it is read.
+        self.hops.clear();
+        self.hop_off.clear();
+        self.hop_off.push(0);
+        for k in 0..reached {
+            let u = self.topo[k];
+            let ui = u as usize;
+            self.scores[ui] = 1.0;
+            if u == origin.0 {
+                self.counts[ui] = 1.0;
+                self.hop_off.push(self.hops.len() as u32);
+                continue;
+            }
+            let first = self.hops.len();
+            let len = self.sel[ui];
+            // Customer and peer routes are learned from a neighbour's
+            // customer route; a provider route from whatever the provider
+            // selected.
+            let (neighbours, via): (&[u32], &[u32]) = if dist_c[ui] != UNREACHED {
+                (snap.customers(u), dist_c)
+            } else if dist_p[ui] != UNREACHED {
+                (snap.peers(u), dist_c)
+            } else {
+                (snap.providers(u), self.sel.as_slice())
+            };
+            for &v in neighbours {
+                let dv = via[v as usize];
+                if dv != UNREACHED && dv + 1 == len && pol.import_ok(origin, NodeId(u), NodeId(v))
+                {
+                    self.hops.push(v);
+                    if !keep_ties {
+                        break;
+                    }
+                }
+            }
+            let mut total = 0.0;
+            for &h in &self.hops[first..] {
+                total += self.counts[h as usize];
+            }
+            self.counts[ui] = total;
+            self.hop_off.push(self.hops.len() as u32);
+        }
+
+        // Reverse pass, farthest first: each node's visit mass is final
+        // before it is split over its hops in proportion to path counts.
+        for k in (0..reached).rev() {
+            let v = self.topo[k] as usize;
+            let wv = self.scores[v];
+            let nv = self.counts[v];
+            if nv == 0.0 {
+                continue;
+            }
+            for &h in &self.hops[self.hop_off[k] as usize..self.hop_off[k + 1] as usize] {
+                self.scores[h as usize] += wv * self.counts[h as usize] / nv;
+            }
+        }
+        &self.scores
+    }
+
+    /// The scores of the most recent [`score`](Self::score) call.
+    pub fn scores(&self) -> &[f64] {
+        &self.scores
+    }
+
+    /// Number of ASes that held routes in the most recently scored run,
+    /// origin included ([`NextHopDag::reachable_len`]).
+    pub fn receivers(&self) -> usize {
+        self.topo.len()
+    }
+}
+
+/// Calls `f` with the index of every set bit, ascending.
+#[inline]
+fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (wi, &word) in words.iter().enumerate() {
+        let mut w = word;
+        while w != 0 {
+            f(wi * 64 + w.trailing_zeros() as usize);
+            w &= w - 1;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -12,18 +12,16 @@
 //! monitored prefixes.
 
 use flatnet_asgraph::{AsGraph, NodeId};
-use flatnet_bgpsim::{
-    propagate, reliance, NextHopDag, PropagationConfig, RoutingOutcome, Simulation,
-    TopologySnapshot,
-};
+use flatnet_bgpsim::{Simulation, SweepCtx, TopologySnapshot};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Turns one origin's routing outcome into its hegemony vector.
-fn hegemony_of(g: &AsGraph, cfg: &PropagationConfig, out: &RoutingOutcome, origin: NodeId) -> Vec<f64> {
-    let dag = NextHopDag::build(g, cfg, out);
-    let receivers = dag.reachable_len().max(1) as f64;
-    let mut h: Vec<f64> = reliance(&dag).into_iter().map(|w| w / receivers).collect();
+/// Runs one origin on the worker's buffers and turns its reliance scores
+/// into its hegemony vector.
+fn hegemony_of(ctx: &mut SweepCtx<'_>, origin: NodeId) -> Vec<f64> {
+    let scored = ctx.run_reliance(origin);
+    let receivers = scored.receivers().max(1) as f64;
+    let mut h: Vec<f64> = scored.scores().iter().map(|w| w / receivers).collect();
     h[origin.idx()] = 0.0;
     h
 }
@@ -35,9 +33,8 @@ fn hegemony_of(g: &AsGraph, cfg: &PropagationConfig, out: &RoutingOutcome, origi
 /// networks' dependence on it, as in Fontugne et al.). Unreachable ASes
 /// score 0.
 pub fn hegemony_for_origin(g: &AsGraph, origin: NodeId) -> Vec<f64> {
-    let cfg = PropagationConfig::default();
-    let out = propagate(g, origin, &cfg);
-    hegemony_of(g, &cfg, &out, origin)
+    let snap = TopologySnapshot::compile(g);
+    hegemony_of(&mut Simulation::over(&snap).ctx(), origin)
 }
 
 /// Global hegemony: the mean per-destination hegemony over `sample_size`
@@ -57,10 +54,7 @@ pub fn global_hegemony(g: &AsGraph, sample_size: usize, seed: u64) -> Vec<f64> {
         return vec![0.0; g.len()];
     }
     let snap = TopologySnapshot::compile(g);
-    let per_origin = Simulation::over(&snap).run_sweep_map(&origins, |ctx, o| {
-        let out = ctx.run(o).to_outcome();
-        hegemony_of(g, ctx.config(), &out, o)
-    });
+    let per_origin = Simulation::over(&snap).run_sweep_map(&origins, hegemony_of);
     let mut acc = vec![0.0f64; g.len()];
     for h in &per_origin {
         for (a, v) in acc.iter_mut().zip(h) {

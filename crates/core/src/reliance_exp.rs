@@ -1,7 +1,7 @@
 //! Reachability reliance experiments (§7, Table 2, Figure 6, Appendix B).
 
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
-use flatnet_bgpsim::{propagate, reliance, NextHopDag, PropagationConfig};
+use flatnet_bgpsim::{propagate, PropagationConfig, Simulation, TopologySnapshot};
 
 /// One AS's reliance value from an origin's perspective.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -84,18 +84,17 @@ fn reliance_excluding(
 ) -> Option<RelianceProfile> {
     let o = g.index_of(origin)?;
     let mask = hierarchy_mask(g, o, tiers, include_t2);
-    let cfg = PropagationConfig::new().with_excluded(mask);
-    let out = propagate(g, o, &cfg);
-    let dag = NextHopDag::build(g, &cfg, &out);
-    let w = reliance(&dag);
-    let receivers = dag.reachable_len();
+    let snap = TopologySnapshot::compile(g);
+    let mut ctx = Simulation::over(&snap).excluded(mask).ctx();
+    let scored = ctx.run_reliance(o);
+    let w = scored.scores();
     let mut entries: Vec<RelianceEntry> = g
         .nodes()
         .filter(|&n| n != o && w[n.idx()] > 0.0)
         .map(|n| RelianceEntry { asn: g.asn(n), rely: w[n.idx()] })
         .collect();
-    entries.sort_by(|a, b| b.rely.partial_cmp(&a.rely).unwrap().then(a.asn.cmp(&b.asn)));
-    Some(RelianceProfile { origin, entries, receivers })
+    entries.sort_by(|a, b| b.rely.total_cmp(&a.rely).then(a.asn.cmp(&b.asn)));
+    Some(RelianceProfile { origin, entries, receivers: scored.receivers() })
 }
 
 /// Appendix-B helper: reachability of `origin` under Tier-1-free

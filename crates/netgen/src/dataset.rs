@@ -171,8 +171,13 @@ mod tests {
     use crate::config::NetGenConfig;
     use crate::internet::generate;
 
+    /// A fresh directory per call: tests run on parallel threads of one
+    /// process, so the process id alone would hand two tests the same
+    /// directory and let each delete the other's files.
     fn tmpdir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("flatnet-dataset-{}", std::process::id()));
+        static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+        let k = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let d = std::env::temp_dir().join(format!("flatnet-dataset-{}-{k}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         fs::create_dir_all(&d).unwrap();
         d

@@ -158,6 +158,18 @@ impl<V> ResultCache<V> {
         }
     }
 
+    /// Calls `f` on every cached entry, one shard at a time under that
+    /// shard's lock — an on-demand walk for diagnostics (what the cache
+    /// retains), so `f` should be cheap. Touches neither recency nor
+    /// the hit/miss counters.
+    pub fn for_each(&self, mut f: impl FnMut(&CacheKey, &V)) {
+        for shard in &self.shards {
+            for (key, (value, _)) in &shard.lock().unwrap().map {
+                f(key, value);
+            }
+        }
+    }
+
     /// Current number of cached entries, summed across shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().unwrap().map.len()).sum()
@@ -241,6 +253,22 @@ mod tests {
             assert_eq!(got.as_deref(), want.as_deref(), "key {i}");
             assert_eq!(got.is_some(), i % 2 == 0, "key {i}");
         }
+    }
+
+    #[test]
+    fn for_each_visits_every_entry() {
+        let cache: ResultCache<Vec<u64>> = ResultCache::new(64);
+        for i in 0..32u32 {
+            cache.put(key(i), Arc::new(vec![0; i as usize]));
+        }
+        let (mut entries, mut words) = (0usize, 0usize);
+        cache.for_each(|k, v| {
+            assert_eq!(v.len(), k.origin as usize);
+            entries += 1;
+            words += v.len();
+        });
+        assert_eq!(entries, cache.len());
+        assert_eq!(words, (0..32).sum::<usize>());
     }
 
     #[test]

@@ -30,13 +30,14 @@
 
 use crate::cache::{policy_fingerprint, CacheKey, ResultCache};
 use crate::http::{read_request, Method, Request, Response};
-use crate::json::{envelope, envelope_prefix, error_envelope, escape, fmt_f64, Json};
+use crate::json::{envelope, envelope_prefix, error_envelope, escape, fmt_f64, push_f64, Json};
 use crate::snapshot::{ServeSnapshot, SnapshotManager};
 use flatnet_asgraph::{AsId, NodeId};
-use flatnet_bgpsim::{reliance, LaneWidth, NextHopDag, PropagationConfig, Simulation, Workspace};
+use flatnet_bgpsim::{LaneWidth, PropagationConfig, RelianceWorkspace, Simulation, Workspace};
 use flatnet_core::leaks::{leak_cdf, Announce, Locking};
 use flatnet_obs::trace::{Stage, TraceCtx, TraceDump, Tracer, STAGES};
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,6 +61,10 @@ pub const MAX_BATCH_ORIGINS: usize = 1024;
 /// Cap on what-if leak queries per batch body (each one is a full
 /// leak-CDF sweep).
 pub const MAX_LEAK_QUERIES: usize = 64;
+
+/// The most `top=` can ask of the reliance endpoint, and so the most
+/// entries a cached reliance answer holds.
+const RELIANCE_TOP_MAX: usize = 1000;
 
 /// One accepted connection waiting for a worker, carrying the trace
 /// context allocated at accept time (so queue wait is part of the
@@ -85,9 +90,23 @@ pub(crate) enum Answer {
     Reliance {
         /// `W(origin)`: ASes holding routes, origin included.
         receivers: f64,
-        /// Top ASes by `rely(o, a)`, as `(asn, score)`, descending.
+        /// Top ASes by `rely(o, a)`, as `(asn, score)`, descending; at
+        /// most [`RELIANCE_TOP_MAX`], allocated at exactly its length.
         top: Vec<(u32, f64)>,
     },
+}
+
+impl Answer {
+    /// Bytes the cache keeps alive for this answer: the value itself
+    /// plus its heap buffer at *capacity*, so an over-allocated payload
+    /// shows in `/healthz`.
+    fn retained_bytes(&self) -> usize {
+        std::mem::size_of::<Answer>()
+            + match self {
+                Answer::Reach { words, .. } => words.capacity() * std::mem::size_of::<u64>(),
+                Answer::Reliance { top, .. } => top.capacity() * std::mem::size_of::<(u32, f64)>(),
+            }
+    }
 }
 
 /// A request-level failure, rendered into the error envelope by the
@@ -373,15 +392,25 @@ pub(crate) fn spawn_warmup(shared: &Arc<Shared>, snap: Arc<ServeSnapshot>) {
     }
 }
 
-/// Per-worker long-lived state.
+/// Per-worker long-lived state. Everything starts empty and is sized by
+/// the first query that needs it, so a worker that never solves a
+/// reliance miss never pays for the reliance buffers.
 struct WorkerCtx {
     ws: Workspace,
     cfg: PropagationConfig,
+    rely: RelianceWorkspace,
+    /// Scratch for ranking one reliance answer's `(asn, score)` pairs.
+    ranked: Vec<(u32, f64)>,
 }
 
 impl WorkerCtx {
     fn new() -> Self {
-        WorkerCtx { ws: Workspace::new(), cfg: PropagationConfig::default() }
+        WorkerCtx {
+            ws: Workspace::new(),
+            cfg: PropagationConfig::default(),
+            rely: RelianceWorkspace::new(),
+            ranked: Vec::new(),
+        }
     }
 }
 
@@ -734,15 +763,28 @@ fn debug_trace_slow(shared: &Arc<Shared>, req: &Request) -> Result<Response, Api
     Ok(Response::json(200, TraceDump { events: shared.tracer.slow(ms * 1000, n) }.to_json()))
 }
 
-/// `GET /debug/queue` — queue depth, capacity, queue-wait percentiles,
-/// per-worker busy time, connection-reuse counters, and
-/// trace-collection counters.
+/// Entries in the result cache and the bytes they keep alive, walked on
+/// demand (`/healthz`, `/debug/queue`).
+fn cache_footprint(shared: &Shared) -> (usize, usize) {
+    let (mut entries, mut bytes) = (0usize, 0usize);
+    shared.cache.for_each(|_, answer| {
+        entries += 1;
+        bytes += answer.retained_bytes();
+    });
+    (entries, bytes)
+}
+
+/// `GET /debug/queue` — queue depth, capacity, the result cache's
+/// footprint, queue-wait percentiles, per-worker busy time,
+/// connection-reuse counters, and trace-collection counters.
 fn debug_queue(shared: &Arc<Shared>) -> Response {
     let wait = &shared.stage_us[Stage::QueueWait as usize];
     let pct = |p: f64| wait.percentile_us(p).unwrap_or(0);
+    let (cache_entries, cache_bytes) = cache_footprint(shared);
     let mut body = format!(
         "{{\"schema\":\"flatnet-serve/v1\",\"endpoint\":\"queue\",\"depth\":{},\
          \"capacity\":{},\"rejected\":{},\"workers\":{},\
+         \"cache_entries\":{},\"cache_bytes\":{},\
          \"connections\":{},\"keepalive_reuse\":{},\"keepalive_idle_closed\":{},\
          \"queue_wait_us\":{{\"count\":{},\"p50\":{},\"p90\":{},\"p99\":{}}},\
          \"traces_recorded\":{},\"worker_busy_us\":[",
@@ -750,6 +792,8 @@ fn debug_queue(shared: &Arc<Shared>) -> Response {
         shared.queue_cap,
         shared.rejected.get(),
         shared.workers,
+        cache_entries,
+        cache_bytes,
         shared.connections.get(),
         shared.keepalive_reuse.get(),
         shared.keepalive_idle_closed.get(),
@@ -961,7 +1005,6 @@ fn stream_reach_asns(
     words: &[u64],
     sink: &mut crate::http::ChunkSink<'_>,
 ) -> std::io::Result<()> {
-    use std::fmt::Write as _;
     // Node indices ascend with ASN order per word-bit order only within
     // the snapshot's indexing; collect + sort ASNs in bounded slabs is
     // wrong for bit-exactness of ordering, so collect indices (cheap,
@@ -1139,6 +1182,35 @@ fn reachability(
     Ok(Response::json(200, envelope(version, trace_id, &data)))
 }
 
+/// Solves one reliance miss on the worker's long-lived buffers: run the
+/// origin over the excluded topology (origin always allowed), score the
+/// run with the reliance kernel, and keep the top [`RELIANCE_TOP_MAX`]
+/// `(asn, score)` pairs — selected first, then only the survivors sorted.
+/// The order is total (scores descending, ASN ascending, ASNs distinct),
+/// so the result is what a full sort and truncate would give.
+fn solve_reliance(snap: &ServeSnapshot, ctx: &mut WorkerCtx, node: NodeId, bits: u64) -> Answer {
+    let mask = ctx.cfg.excluded_mask_mut(snap.graph.len());
+    fill_exclusion_mask(snap, node, bits, mask);
+    ctx.ws.run(&snap.topo, node, &ctx.cfg);
+    let scores = ctx.rely.score(&snap.topo, &ctx.ws, &ctx.cfg);
+    let ranked = &mut ctx.ranked;
+    ranked.clear();
+    ranked.extend(
+        scores
+            .iter()
+            .enumerate()
+            .filter(|&(i, &s)| s > 0.0 && i != node.idx())
+            .map(|(i, &s)| (snap.graph.asn(NodeId(i as u32)).0, s)),
+    );
+    let by_rank = |a: &(u32, f64), b: &(u32, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    if ranked.len() > RELIANCE_TOP_MAX {
+        ranked.select_nth_unstable_by(RELIANCE_TOP_MAX - 1, by_rank);
+        ranked.truncate(RELIANCE_TOP_MAX);
+    }
+    ranked.sort_unstable_by(by_rank);
+    Answer::Reliance { receivers: scores[node.idx()], top: ranked.as_slice().to_vec() }
+}
+
 /// `GET /v1/reliance?origins=a,b[&exclude=…][&top=K]` (single-origin
 /// alias: `origin=ASN`). `exclude=` carries the same
 /// providers/tier1/tier2 semantics as reachability and is part of the
@@ -1154,78 +1226,63 @@ fn reliance_endpoint(
     trace.set_origin(origins[0].0);
     let bits = parse_exclude(req)?;
     let top_k: usize = match req.query_param("top").map(str::parse).transpose() {
-        Ok(k) => k.unwrap_or(20).min(1000),
+        Ok(k) => k.unwrap_or(20).min(RELIANCE_TOP_MAX),
         Err(_) => return Err(ApiError::bad_request("bad 'top' (want a count)")),
     };
     let fingerprint = policy_fingerprint(EP_RELIANCE, bits);
 
+    // Resolve every origin to an answer, in request order (a repeated
+    // origin hits the entry its first occurrence just cached). Stages
+    // add up over the loop: probes to `cache_probe`, solves — and only
+    // solves — to `propagate`; rendering below falls into `serialize`.
     let mut all_cached = true;
-    let mut rendered: Vec<String> = Vec::with_capacity(origins.len());
+    let mut answers: Vec<(u32, Arc<Answer>, bool)> = Vec::with_capacity(origins.len());
     for &(asn, node) in &origins {
         let key = CacheKey { version: snap.version, origin: asn, fingerprint };
         let probe = shared.cache.get(&key);
+        trace.mark(Stage::CacheProbe);
         let cached = probe.is_some();
         all_cached &= cached;
         let answer = match probe {
             Some(hit) => hit,
             None => {
-                // Reliance runs over the excluded topology (origin
-                // always allowed), then scores the next-hop DAG.
-                let mask = ctx.cfg.excluded_mask_mut(snap.graph.len());
-                fill_exclusion_mask(&snap, node, bits, mask);
-                ctx.ws.run(&snap.topo, node, &ctx.cfg);
-                let outcome = ctx.ws.to_outcome();
-                let dag = NextHopDag::build(&snap.graph, &ctx.cfg, &outcome);
-                let scores = reliance(&dag);
-                let receivers = scores[node.idx()];
-                let mut top: Vec<(u32, f64)> = scores
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, &s)| s > 0.0 && i != node.idx())
-                    .map(|(i, &s)| (snap.graph.asn(NodeId(i as u32)).0, s))
-                    .collect();
-                top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-                top.truncate(1000); // cache the most anyone can ask for
-                let answer = Arc::new(Answer::Reliance { receivers, top });
+                let answer = Arc::new(solve_reliance(&snap, ctx, node, bits));
+                trace.mark(Stage::Propagate);
                 shared.cache.put(key, Arc::clone(&answer));
                 answer
             }
         };
-        let Answer::Reliance { receivers, top } = &*answer else {
-            return Err(ApiError::new(500, "internal", "cache type confusion"));
-        };
-        let mut entry = format!(
-            "{{\"origin\":{asn},\"receivers\":{},\"cached\":{cached},\"top\":[",
-            fmt_f64(*receivers),
-        );
-        for (i, (a, s)) in top.iter().take(top_k).enumerate() {
-            if i > 0 {
-                entry.push(',');
-            }
-            entry.push_str(&format!("{{\"asn\":{a},\"rely\":{}}}", fmt_f64(*s)));
-        }
-        entry.push_str("]}");
-        rendered.push(entry);
+        answers.push((asn, answer, cached));
     }
-    trace.mark(Stage::Propagate);
     trace.set_cached(all_cached);
 
-    let excl = exclude_names(bits);
-    let data = if batch {
-        format!(
-            "{{\"endpoint\":\"reliance\",\"exclude\":[{excl}],\"batch\":{},\"results\":[{}]}}",
-            rendered.len(),
-            rendered.join(","),
-        )
-    } else {
-        // Flat single shape: splice the endpoint/exclude fields into the
-        // one rendered entry.
-        format!(
-            "{{\"endpoint\":\"reliance\",\"exclude\":[{excl}],{}",
-            rendered[0].strip_prefix('{').unwrap_or(&rendered[0]),
-        )
-    };
-    Ok(Response::json(200, envelope(snap.version, trace.id(), &data)))
+    // One output string: envelope prefix, data object, envelope close.
+    // The single shape is the batch entry's fields spliced flat into the
+    // data object. Writing to a `String` cannot fail.
+    let mut body = envelope_prefix(snap.version, trace.id());
+    let _ = write!(body, "{{\"endpoint\":\"reliance\",\"exclude\":[{}],", exclude_names(bits));
+    if batch {
+        let _ = write!(body, "\"batch\":{},\"results\":[", answers.len());
+    }
+    for (i, (asn, answer, cached)) in answers.iter().enumerate() {
+        let Answer::Reliance { receivers, top } = &**answer else {
+            return Err(ApiError::new(500, "internal", "cache type confusion"));
+        };
+        if batch {
+            body.push_str(if i > 0 { ",{" } else { "{" });
+        }
+        let _ = write!(body, "\"origin\":{asn},\"receivers\":");
+        push_f64(&mut body, *receivers);
+        let _ = write!(body, ",\"cached\":{cached},\"top\":[");
+        for (j, (a, s)) in top.iter().take(top_k).enumerate() {
+            let _ = write!(body, "{}{{\"asn\":{a},\"rely\":", if j > 0 { "," } else { "" });
+            push_f64(&mut body, *s);
+            body.push('}');
+        }
+        body.push_str(if batch { "]}" } else { "]" });
+    }
+    body.push_str(if batch { "]}}\n" } else { "}}\n" });
+    Ok(Response::json(200, body))
 }
 
 /// One parsed what-if leak query.
@@ -1355,14 +1412,16 @@ fn whatif_leak(
 fn healthz(shared: &Arc<Shared>) -> Response {
     let snap = shared.mgr.current();
     let status = shared.mgr.status();
+    let (cache_entries, cache_bytes) = cache_footprint(shared);
     let mut body = format!(
         "{{\"status\":\"ok\",\"snapshot_version\":{},\"ases\":{},\"workers\":{},\
-         \"cache_entries\":{},\"warm_start\":{},\"store\":{},\
+         \"cache_entries\":{},\"cache_bytes\":{},\"warm_start\":{},\"store\":{},\
          \"reload_failures\":{},\"reload_backoff_ms\":{}",
         snap.version,
         snap.graph.len(),
         shared.workers,
-        shared.cache.len(),
+        cache_entries,
+        cache_bytes,
         status.warm_start,
         status.store_configured,
         status.consecutive_failures,
@@ -1445,4 +1504,167 @@ fn admin_shutdown(shared: &Arc<Shared>) -> Response {
         let _ = TcpStream::connect_timeout(addr, Duration::from_secs(1));
     }
     Response::json(200, "{\"status\":\"shutting-down\"}\n".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::Body;
+    use crate::snapshot::TopologySource;
+    use flatnet_bgpsim::{propagate, reliance, NextHopDag};
+
+    /// A one-worker `Shared` over a generated topology large enough that
+    /// a full-reach reliance answer has more than `RELIANCE_TOP_MAX`
+    /// positive scores.
+    fn shared() -> Arc<Shared> {
+        let mgr = SnapshotManager::new(TopologySource::Generated { ases: 1500, seed: 11 })
+            .expect("generated topology passes the health gate");
+        Arc::new(Shared::new(
+            mgr,
+            64,
+            16,
+            Duration::from_secs(5),
+            None,
+            16,
+            Duration::from_secs(1),
+            1,
+            0,
+            LaneWidth::Auto,
+            None,
+        ))
+    }
+
+    /// Routes `GET /v1/reliance?<query>` on `ctx`; returns the body and
+    /// the finished trace event.
+    fn get_reliance(
+        shared: &Arc<Shared>,
+        ctx: &mut WorkerCtx,
+        query: &str,
+    ) -> (String, flatnet_obs::trace::TraceEvent) {
+        let req = Request {
+            method: Method::Get,
+            path: "/v1/reliance".into(),
+            query: query
+                .split('&')
+                .map(|kv| kv.split_once('=').expect("k=v"))
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            headers: Vec::new(),
+            body: Vec::new(),
+            http10: false,
+        };
+        let mut trace = TraceCtx::new(0xABCD);
+        let resp = route(shared, ctx, &req, &mut trace);
+        assert_eq!(resp.status, 200, "{query}");
+        let Body::Text(body) = resp.body else { panic!("reliance answers are not streamed") };
+        (body, trace.finish(200))
+    }
+
+    /// One result entry exactly as the parent commit computed and
+    /// rendered it: outcome copy, `NextHopDag`, `reliance`, a full sort
+    /// of every positive score, `format!` per row.
+    fn parent_entry(
+        snap: &ServeSnapshot,
+        asn: u32,
+        bits: u64,
+        top_k: usize,
+        cached: bool,
+    ) -> String {
+        let g = &snap.graph;
+        let node = g.index_of(AsId(asn)).unwrap();
+        let mut mask = vec![false; g.len()];
+        fill_exclusion_mask(snap, node, bits, &mut mask);
+        let cfg = PropagationConfig::new().with_excluded(mask);
+        let scores = reliance(&NextHopDag::build(g, &cfg, &propagate(g, node, &cfg)));
+        let mut top: Vec<(u32, f64)> = scores
+            .iter()
+            .enumerate()
+            .filter(|&(i, &s)| s > 0.0 && i != node.idx())
+            .map(|(i, &s)| (g.asn(NodeId(i as u32)).0, s))
+            .collect();
+        top.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        top.truncate(1000);
+        let rows: Vec<String> = top
+            .iter()
+            .take(top_k)
+            .map(|(a, s)| format!("{{\"asn\":{a},\"rely\":{}}}", fmt_f64(*s)))
+            .collect();
+        format!(
+            "{{\"origin\":{asn},\"receivers\":{},\"cached\":{cached},\"top\":[{}]}}",
+            fmt_f64(scores[node.idx()]),
+            rows.join(","),
+        )
+    }
+
+    #[test]
+    fn reliance_answers_match_the_parent_byte_for_byte_and_cache_a_bounded_payload() {
+        let shared = shared();
+        let snap = shared.mgr.current();
+        let mut ctx = WorkerCtx::new();
+        let g = &snap.graph;
+        // Two well-connected origins, so that full reach yields more
+        // positive scores than the cache keeps.
+        let mut by_degree: Vec<NodeId> = g.nodes().collect();
+        by_degree.sort_by_key(|&n| (std::cmp::Reverse(g.degree(n)), n.0));
+        let (a, b) = (g.asn(by_degree[0]).0, g.asn(by_degree[1]).0);
+
+        // Single shape, cold then cached, across `top=` values (the
+        // cached payload must serve every K up to the cap).
+        let single = |asn: u32, bits: u64, top_k: usize, cached: bool| {
+            let entry = parent_entry(&snap, asn, bits, top_k, cached);
+            let data = format!(
+                "{{\"endpoint\":\"reliance\",\"exclude\":[{}],{}",
+                exclude_names(bits),
+                entry.strip_prefix('{').unwrap(),
+            );
+            envelope(snap.version, 0xABCD, &data)
+        };
+        let (cold, cold_ev) = get_reliance(&shared, &mut ctx, &format!("origin={a}"));
+        assert_eq!(cold, single(a, 0, 20, false));
+        assert!(cold_ev.stage_us(Stage::Propagate).is_some(), "a miss is a solve");
+        assert!(cold_ev.stage_us(Stage::CacheProbe).is_some());
+        assert!(!cold_ev.cached);
+        for (query, top_k) in [("", 20), ("&top=0", 0), ("&top=3", 3), ("&top=5000", 1000)] {
+            let (warm, ev) = get_reliance(&shared, &mut ctx, &format!("origin={a}{query}"));
+            assert_eq!(warm, single(a, 0, top_k, true), "cached, {query:?}");
+            assert!(ev.cached);
+            assert_eq!(ev.stage_us(Stage::Propagate), None, "a cached answer solves nothing");
+        }
+
+        // Batch shape with exclusions and a repeated origin: the repeat
+        // hits the entry its first occurrence cached.
+        let bits = EXCL_PROVIDERS;
+        let (batch, ev) = get_reliance(
+            &shared,
+            &mut ctx,
+            &format!("origins={b},{a},{b}&exclude=providers&top=1000"),
+        );
+        let entries = [
+            parent_entry(&snap, b, bits, 1000, false),
+            parent_entry(&snap, a, bits, 1000, false),
+            parent_entry(&snap, b, bits, 1000, true),
+        ];
+        let data = format!(
+            "{{\"endpoint\":\"reliance\",\"exclude\":[{}],\"batch\":3,\"results\":[{}]}}",
+            exclude_names(bits),
+            entries.join(","),
+        );
+        assert_eq!(batch, envelope(snap.version, 0xABCD, &data));
+        assert!(!ev.cached);
+
+        // What the cache retains: at most the cap, at exact capacity.
+        let (mut answers, mut full) = (0, 0);
+        shared.cache.for_each(|_, answer| {
+            let Answer::Reliance { top, .. } = answer else { panic!("only reliance was queried") };
+            assert!(top.len() <= RELIANCE_TOP_MAX, "{} entries cached", top.len());
+            assert_eq!(top.capacity(), top.len(), "cached answer pins unused capacity");
+            answers += 1;
+            full += usize::from(top.len() == RELIANCE_TOP_MAX);
+        });
+        assert_eq!(answers, 3);
+        assert!(full >= 1, "no answer reached the cap; the topology is too small for this test");
+        let (entries, bytes) = cache_footprint(&shared);
+        assert_eq!(entries, 3);
+        assert!(bytes <= 3 * (std::mem::size_of::<Answer>() + RELIANCE_TOP_MAX * 16), "{bytes}");
+    }
 }

@@ -293,11 +293,21 @@ pub fn escape(s: &str) -> String {
 /// fraction, everything else with six significant decimals — enough for
 /// fractions of an AS population, and deterministic across platforms.
 pub fn fmt_f64(x: f64) -> String {
-    if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
-        format!("{}", x as i64)
+    let mut out = String::new();
+    push_f64(&mut out, x);
+    out
+}
+
+/// Appends `x` to `out` in [`fmt_f64`]'s format, without the
+/// intermediate `String` — for renderers that emit many numbers.
+pub fn push_f64(out: &mut String, x: f64) {
+    use std::fmt::Write as _;
+    // Writing to a `String` cannot fail.
+    let _ = if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
+        write!(out, "{}", x as i64)
     } else {
-        format!("{x:.6}")
-    }
+        write!(out, "{x:.6}")
+    };
 }
 
 /// The shared prefix of every `/v1` envelope: schema tag, the snapshot

@@ -3,9 +3,13 @@
 //! bitsets, counts, and tied-best next hops — across many seeded
 //! topologies, origins, and every policy knob; and the bit-parallel
 //! multi-origin kernel must produce reach sets bit-identical to
-//! per-origin [`Workspace`] runs over the same corpus. Plus steady-state
-//! allocation smokes: once a sweep context (or lane workspace) is warm,
-//! further runs (with per-origin mask refills) must not allocate at all.
+//! per-origin [`Workspace`] runs over the same corpus; and the reliance
+//! kernel ([`RelianceWorkspace`]) must score every one of those runs
+//! bit-identically (`f64::to_bits`) to `reliance(&NextHopDag::build(..))`
+//! while one workspace is reused across origins, policies and snapshots
+//! of different size. Plus steady-state allocation smokes: once a sweep
+//! context (or lane workspace, or reliance workspace) is warm, further
+//! runs (with per-origin mask refills) must not allocate at all.
 //!
 //! Everything lives in ONE `#[test]` because the process hosts a global
 //! counting allocator, and interleaving other tests would make the
@@ -13,8 +17,8 @@
 
 use flatnet_asgraph::NodeId;
 use flatnet_bgpsim::{
-    propagate, propagate_legacy, ImportPolicy, LaneWidth, LaneWorkspace, PropagationConfig,
-    Simulation, SweepCtx, TopologySnapshot, Workspace,
+    propagate, propagate_legacy, reliance, ImportPolicy, LaneWidth, LaneWorkspace, NextHopDag,
+    PropagationConfig, RelianceWorkspace, Simulation, SweepCtx, TopologySnapshot, Workspace,
 };
 use flatnet_netgen::{generate, NetGenConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -67,16 +71,43 @@ fn random_policy(rng: &mut u64) -> ImportPolicy {
     }
 }
 
+/// Scores the run `ws` holds with the kernel and with the oracle
+/// (`RoutingOutcome` copy → `NextHopDag` → `reliance`) and requires every
+/// score to agree bit for bit, and the receiver counts to agree.
+fn assert_kernel_matches_oracle(
+    g: &flatnet_asgraph::AsGraph,
+    snap: &TopologySnapshot,
+    ws: &Workspace,
+    rely: &mut RelianceWorkspace,
+    cfg: &PropagationConfig,
+    what: &str,
+) {
+    let dag = NextHopDag::build(g, cfg, &ws.to_outcome());
+    let want = reliance(&dag);
+    let got = rely.score(snap, ws, cfg);
+    assert_eq!(got.len(), want.len(), "{what}: score vector length");
+    for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what} node {i}: kernel {a} vs oracle {b}");
+    }
+    assert_eq!(rely.receivers(), dag.reachable_len(), "{what}: receivers");
+}
+
 #[test]
 fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
     // ---- Part 1: differential equivalence over >= 50 topologies. ----
     let mut compared = 0usize;
+    // One engine workspace and one reliance workspace for the whole
+    // corpus: they are reused across origins, policy variants and
+    // snapshots of different node counts (120..150).
+    let mut rely_ws = Workspace::new();
+    let mut rely = RelianceWorkspace::new();
     for seed in 0..52u64 {
         let mut gen_cfg = NetGenConfig::tiny(seed);
         gen_cfg.n_ases = 120 + (seed as usize % 4) * 10;
         let net = generate(&gen_cfg);
         let g = &net.truth;
         let n = g.len();
+        let snap = TopologySnapshot::compile(g);
         let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
 
         let mut origins = Vec::new();
@@ -136,8 +167,26 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
                 for v in g.nodes().take(16) {
                     assert_eq!(legacy.next_hops(g, &tb, v), engine.next_hops(g, &tb, v));
                 }
+
+                // The reliance kernel against its oracle, ties kept and
+                // ties broken, on the same run.
+                rely_ws.run(&snap, origin, &cfg);
+                for (ties, c) in [("ties", &cfg), ("no ties", &tb)] {
+                    let what = format!("seed {seed} origin {origin:?} variant {variant} {ties}");
+                    assert_kernel_matches_oracle(g, &snap, &rely_ws, &mut rely, c, &what);
+                }
                 compared += 1;
             }
+            // An excluded origin announces nothing: every score is zero,
+            // and nothing of the previous run's scores may survive.
+            let mut mask = vec![false; n];
+            mask[origin.idx()] = true;
+            let cfg = PropagationConfig::new().with_excluded(mask);
+            rely_ws.run(&snap, origin, &cfg);
+            let what = format!("seed {seed} origin {origin:?} excluded");
+            assert_kernel_matches_oracle(g, &snap, &rely_ws, &mut rely, &cfg, &what);
+            assert!(rely.scores().iter().all(|&s| s == 0.0), "{what}");
+            assert_eq!(rely.receivers(), 0, "{what}");
         }
     }
     assert!(compared >= 50 * 5, "only ran {compared} comparisons");
@@ -272,6 +321,33 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
         after - before,
         0,
         "engine allocated {} time(s) during a warm sweep pass",
+        after - before
+    );
+
+    // ---- Part 2a: the reliance kernel is allocation-free once warm —
+    // propagation, DAG derivation and scoring, with the same per-origin
+    // mask refills.
+    let rely_pass = |ctx: &mut SweepCtx<'_>| -> f64 {
+        let mut acc = 0.0;
+        for &o in &origins {
+            let mask = ctx.config_mut().excluded_mask_mut(n);
+            mask.fill(false);
+            mask[(o.idx() + 1) % n] = true;
+            mask[o.idx()] = false;
+            let r = ctx.run_reliance(o);
+            acc += r.scores()[o.idx()] + r.receivers() as f64;
+        }
+        acc
+    };
+    let warm = rely_pass(&mut ctx);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let again = rely_pass(&mut ctx);
+    let after = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(warm.to_bits(), again.to_bits(), "warm reliance pass changed results");
+    assert_eq!(
+        after - before,
+        0,
+        "reliance kernel allocated {} time(s) during a warm pass",
         after - before
     );
 
