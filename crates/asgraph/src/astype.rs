@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::io::BufRead;
 
 /// The raw three-way class from CAIDA's `as2types` dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CaidaClass {
     /// Hosts/serves content.
     Content,
@@ -23,7 +23,7 @@ pub enum CaidaClass {
 }
 
 /// The paper's refined four-way AS type (§4.3, Fig. 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AsType {
     /// Content/hosting network.
     Content,

@@ -14,7 +14,7 @@ use std::fmt;
 ///
 /// The paper works with 16- and 32-bit ASNs from the CAIDA datasets; we store
 /// the full 32-bit space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AsId(pub u32);
 
 impl fmt::Display for AsId {
@@ -28,7 +28,7 @@ impl fmt::Display for AsId {
 /// Node indices are assigned in ascending ASN order, so `NodeId(0)` is the
 /// lowest-numbered AS in the graph. Indices are only meaningful relative to
 /// the graph that produced them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -50,7 +50,7 @@ impl fmt::Display for NodeId {
 /// Orientation matters for [`Relationship::P2c`]: in `add_link(a, b, P2c)`,
 /// `a` is the **provider** and `b` the **customer** (CAIDA's `-1`
 /// annotation). [`Relationship::P2p`] is symmetric (CAIDA's `0`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Relationship {
     /// Provider-to-customer: the left AS sells transit to the right AS.
     P2c,
@@ -365,7 +365,7 @@ impl AsGraphBuilder {
 /// An immutable AS-level topology with relationship-classed adjacency.
 ///
 /// See the [crate docs](crate) for an overview and an example.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AsGraph {
     /// Sorted ASNs; position is the node index.
     asns: Vec<u32>,

@@ -23,8 +23,9 @@
 
 use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_serve::{ServeConfig, Server, TopologySource};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use flatnet_wire::{Client, Conn, Reply};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -36,155 +37,38 @@ struct Sample {
     cached: bool,
 }
 
-/// One-shot fetch over a fresh connection (the close pass and warmup).
-fn fetch(addr: SocketAddr, path: &str) -> Result<(u16, String), String> {
-    let mut s = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
-    s.set_read_timeout(Some(Duration::from_secs(30))).ok();
-    s.set_write_timeout(Some(Duration::from_secs(30))).ok();
-    s.set_nodelay(true).ok();
-    let req = format!("GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n");
-    s.write_all(req.as_bytes()).map_err(|e| format!("write: {e}"))?;
-    s.shutdown(Shutdown::Write).ok();
-    let mut raw = String::new();
-    s.read_to_string(&mut raw).map_err(|e| format!("read: {e}"))?;
-    let status: u16 = raw
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|r| r.split(' ').next())
-        .and_then(|c| c.parse().ok())
-        .ok_or_else(|| format!("bad response: {raw:?}"))?;
-    Ok((status, raw))
-}
-
-/// Reads one framed response off a persistent connection: status line,
-/// headers, then a `Content-Length` or chunked body. Returns the body
-/// and whether the server announced it will close.
-fn read_response<R: BufRead>(r: &mut R) -> Result<(u16, String, bool), String> {
-    let mut line = String::new();
-    if r.read_line(&mut line).map_err(|e| format!("read status: {e}"))? == 0 {
-        return Err("connection closed before response".into());
+/// Writes `paths.len()` pipelined requests on `conn` (dialing when the
+/// server closed the last one — budget exhaustion, a 5xx, or a
+/// transport error), then reads that many responses.
+fn try_group(
+    client: &Client,
+    conn: &mut Option<Conn>,
+    paths: &[String],
+) -> std::io::Result<Vec<Reply>> {
+    let mut live = match conn.take() {
+        Some(live) => live,
+        None => client.dial()?,
+    };
+    let mut req = String::new();
+    for path in paths {
+        use std::fmt::Write as _;
+        let _ = write!(req, "GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n");
     }
-    let status: u16 = line
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|rest| rest.split(' ').next())
-        .and_then(|c| c.parse().ok())
-        .ok_or_else(|| format!("bad status line: {line:?}"))?;
-    let mut content_length = 0usize;
-    let mut chunked = false;
-    let mut close = false;
-    loop {
-        line.clear();
-        if r.read_line(&mut line).map_err(|e| format!("read header: {e}"))? == 0 {
-            return Err("connection closed mid-headers".into());
-        }
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = trimmed.split_once(':') {
-            let v = v.trim();
-            if k.eq_ignore_ascii_case("content-length") {
-                content_length = v.parse().map_err(|e| format!("bad Content-Length: {e}"))?;
-            } else if k.eq_ignore_ascii_case("transfer-encoding") {
-                chunked = v.eq_ignore_ascii_case("chunked");
-            } else if k.eq_ignore_ascii_case("connection") {
-                close = v.eq_ignore_ascii_case("close");
+    live.write_all(req.as_bytes())?;
+    let mut out = Vec::with_capacity(paths.len());
+    for _ in paths {
+        let reply = live.recv()?;
+        let closed = reply.close;
+        out.push(reply);
+        if closed {
+            if out.len() < paths.len() {
+                return Err(std::io::Error::other("server closed mid-pipeline"));
             }
+            return Ok(out);
         }
     }
-    let mut body = String::new();
-    if chunked {
-        loop {
-            line.clear();
-            r.read_line(&mut line).map_err(|e| format!("read chunk size: {e}"))?;
-            let size = usize::from_str_radix(line.trim(), 16)
-                .map_err(|_| format!("bad chunk size {line:?}"))?;
-            let mut chunk = vec![0u8; size + 2]; // payload + CRLF
-            r.read_exact(&mut chunk).map_err(|e| format!("read chunk: {e}"))?;
-            if size == 0 {
-                break;
-            }
-            body.push_str(
-                std::str::from_utf8(&chunk[..size]).map_err(|_| "chunk not UTF-8")?,
-            );
-        }
-    } else if content_length > 0 {
-        let mut buf = vec![0u8; content_length];
-        r.read_exact(&mut buf).map_err(|e| format!("read body: {e}"))?;
-        body = String::from_utf8(buf).map_err(|_| "body not UTF-8")?;
-    }
-    Ok((status, body, close))
-}
-
-/// A client that holds one persistent connection, reconnecting (and
-/// counting it) whenever the server closes — budget exhaustion, a 5xx,
-/// or a transport error.
-struct KeepAliveClient {
-    addr: SocketAddr,
-    stream: Option<BufReader<TcpStream>>,
-    connections: usize,
-}
-
-impl KeepAliveClient {
-    fn new(addr: SocketAddr) -> Self {
-        KeepAliveClient { addr, stream: None, connections: 0 }
-    }
-
-    fn connect(&mut self) -> Result<(), String> {
-        let s = TcpStream::connect(self.addr).map_err(|e| format!("connect: {e}"))?;
-        s.set_read_timeout(Some(Duration::from_secs(30))).ok();
-        s.set_write_timeout(Some(Duration::from_secs(30))).ok();
-        s.set_nodelay(true).ok();
-        self.connections += 1;
-        self.stream = Some(BufReader::new(s));
-        Ok(())
-    }
-
-    /// Writes `paths.len()` pipelined requests, then reads that many
-    /// responses. On a mid-stream failure the connection is dropped and
-    /// the whole group retried once on a fresh one.
-    fn request_group(&mut self, paths: &[String]) -> Result<Vec<(u16, String)>, String> {
-        for attempt in 0..2 {
-            if self.stream.is_none() {
-                self.connect()?;
-            }
-            match self.try_group(paths) {
-                Ok(out) => return Ok(out),
-                Err(e) => {
-                    self.stream = None;
-                    if attempt == 1 {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        unreachable!("retry loop returns");
-    }
-
-    fn try_group(&mut self, paths: &[String]) -> Result<Vec<(u16, String)>, String> {
-        let reader = self.stream.as_mut().expect("connected");
-        let mut req = String::new();
-        for path in paths {
-            use std::fmt::Write as _;
-            let _ = write!(req, "GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n");
-        }
-        reader
-            .get_mut()
-            .write_all(req.as_bytes())
-            .map_err(|e| format!("write: {e}"))?;
-        let mut out = Vec::with_capacity(paths.len());
-        for _ in paths {
-            let (status, body, closed) = read_response(reader)?;
-            out.push((status, body));
-            if closed {
-                self.stream = None;
-                break;
-            }
-        }
-        if out.len() < paths.len() {
-            return Err("server closed mid-pipeline".into());
-        }
-        Ok(out)
-    }
+    *conn = Some(live);
+    Ok(out)
 }
 
 /// What one load pass measured.
@@ -237,11 +121,13 @@ fn run_pass(
             let origins = Arc::clone(origins);
             std::thread::spawn(move || -> Result<(Vec<Sample>, usize), String> {
                 let mut samples = Vec::new();
-                let mut client = KeepAliveClient::new(addr);
+                let client = Client::new(addr.to_string(), Duration::from_secs(30));
+                let mut conn = None;
                 loop {
                     let i = next.fetch_add(group, Ordering::Relaxed);
                     if i >= requests {
-                        return Ok((samples, client.connections));
+                        // One TCP connect per dial, in either mode.
+                        return Ok((samples, client.stats().0 as usize));
                     }
                     let n = group.min(requests - i);
                     let paths: Vec<String> = (i..i + n)
@@ -264,41 +150,25 @@ fn run_pass(
                         })
                         .collect();
                     let t = Instant::now();
-                    if keepalive {
-                        match client.request_group(&paths) {
-                            Ok(responses) => {
-                                let us = t.elapsed().as_micros() as u64 / n as u64;
-                                for (status, body) in responses {
-                                    samples.push(Sample {
-                                        us,
-                                        status,
-                                        cached: body.contains("\"cached\":true")
-                                            && !body.contains("\"cached\":false"),
-                                    });
-                                }
-                            }
-                            Err(_) => {
-                                let us = t.elapsed().as_micros() as u64 / n as u64;
-                                for _ in 0..n {
-                                    samples.push(Sample { us, status: 0, cached: false });
-                                }
-                            }
-                        }
+                    let replies = if keepalive {
+                        // A group that failed mid-stream is retried once,
+                        // on a fresh connection.
+                        try_group(&client, &mut conn, &paths)
+                            .or_else(|_| try_group(&client, &mut conn, &paths))
                     } else {
-                        match fetch(addr, &paths[0]) {
-                            Ok((status, body)) => samples.push(Sample {
-                                us: t.elapsed().as_micros() as u64,
-                                status,
-                                cached: body.contains("\"cached\":true")
-                                    && !body.contains("\"cached\":false"),
-                            }),
-                            Err(_) => samples.push(Sample {
-                                us: t.elapsed().as_micros() as u64,
-                                status: 0,
-                                cached: false,
-                            }),
+                        client.one_shot("GET", &paths[0]).map(|reply| vec![reply])
+                    };
+                    let us = t.elapsed().as_micros() as u64 / n as u64;
+                    match replies {
+                        Ok(replies) => samples.extend(replies.iter().map(|r| Sample {
+                            us,
+                            status: r.status,
+                            cached: r.body.contains("\"cached\":true")
+                                && !r.body.contains("\"cached\":false"),
+                        })),
+                        Err(_) => {
+                            samples.extend((0..n).map(|_| Sample { us, status: 0, cached: false }))
                         }
-                        client.connections += 1; // one TCP connect per request
                     }
                 }
             })
@@ -374,6 +244,7 @@ fn pass_block(name: &str, pass: &PassResult, extra: &str) -> String {
 /// one upstream connection. One client keeps the router at one pooled
 /// connection per shard; more would starve behind the parked worker
 /// and measure the shard's idle timeout instead of the sweep.
+#[allow(clippy::too_many_arguments)] // one per CLI flag of `--router` mode
 fn run_router(
     shards: u32,
     ases: usize,
@@ -605,8 +476,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     // Warm pass: every origin once, so steady state measures the cache.
     let t_warm = Instant::now();
+    let warm_client = Client::new(addr.to_string(), Duration::from_secs(30));
     for &o in &origins {
-        let (status, _) = fetch(addr, &format!("/v1/reachability?origin={o}"))?;
+        let status = warm_client
+            .one_shot("GET", &format!("/v1/reachability?origin={o}"))
+            .map_err(|e| format!("warmup query for AS{o}: {e}"))?
+            .status;
         if status != 200 {
             server.shutdown();
             return Err(format!("warmup query for AS{o} failed with {status}"));

@@ -712,31 +712,15 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     flatnet_serve::serve(cfg).map_err(String::from)
 }
 
-/// One blocking HTTP round trip with no client machinery — enough for
-/// readiness polling and shutdown nudges against our own daemons.
-fn tiny_http(addr: &str, method: &str, path: &str) -> std::io::Result<u16> {
-    use std::io::{BufRead, BufReader, Write};
-    let stream = std::net::TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_secs(5))).ok();
-    stream.set_write_timeout(Some(std::time::Duration::from_secs(5))).ok();
-    let mut reader = BufReader::new(stream);
-    reader.get_mut().write_all(
-        format!("{method} {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n")
-            .as_bytes(),
-    )?;
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    line.split_whitespace().nth(1).and_then(|c| c.parse().ok()).ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("bad status line {line:?}"))
-    })
-}
-
 /// Polls a shard's `/healthz` until it answers 200 (compiling a large
 /// topology can take a while, hence the generous budget).
 fn wait_shard_ready(addr: &str, budget: std::time::Duration) -> Result<(), String> {
     let deadline = std::time::Instant::now() + budget;
+    let shard = flatnet_wire::Client::new(addr.to_string(), std::time::Duration::from_secs(5));
     loop {
-        match tiny_http(addr, "GET", "/healthz") {
+        // One-shot: a parked keep-alive connection would pin one of the
+        // shard's workers.
+        match shard.one_shot("GET", "/healthz").map(|reply| reply.status) {
             Ok(200) => return Ok(()),
             Ok(status) => {
                 if std::time::Instant::now() >= deadline {
@@ -871,7 +855,8 @@ pub fn router(args: &[String]) -> Result<(), String> {
     // The router was told to shut down; take the spawned shards with it.
     // Adopted shards (--shard-addrs) stay up — they are not ours.
     for (child, shard_addr) in children.iter_mut().zip(&shard_addrs) {
-        let _ = tiny_http(shard_addr, "POST", "/admin/shutdown");
+        let shard = flatnet_wire::Client::new(shard_addr.clone(), std::time::Duration::from_secs(5));
+        let _ = shard.one_shot("POST", "/admin/shutdown");
         let _ = child.wait();
     }
     Ok(())

@@ -10,7 +10,7 @@ use flatnet_asgraph::cone::customer_cone_sizes;
 use flatnet_asgraph::{AsGraph, AsId, Tiers};
 
 /// One point of the Fig. 3 scatter.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConePoint {
     /// The AS.
     pub asn: AsId,
@@ -23,7 +23,7 @@ pub struct ConePoint {
 }
 
 /// Fig. 3 marker categories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConeCategory {
     /// One of the four cloud providers.
     Cloud,
@@ -51,7 +51,7 @@ impl ConeCategory {
 /// Summary statistics contrasting the two metrics (§6.6's "8,374 networks
 /// with hierarchy-free reachability ≥ 1,000, but only 51 with a customer
 /// cone ≥ 1,000" claim, at our scale).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConeCompareSummary {
     /// Number of ASes with hierarchy-free reachability ≥ threshold.
     pub high_hfr: usize,

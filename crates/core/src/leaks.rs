@@ -13,7 +13,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// §8.2's announcement configurations for the victim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Announce {
     /// Announce to all neighbors (the clouds' real behaviour).
     ToAll,
@@ -24,7 +24,7 @@ pub enum Announce {
 
 /// §8.2's peer-locking deployments (always subsets of the victim's
 /// neighbors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Locking {
     /// Nobody filters.
     None,
@@ -50,7 +50,7 @@ impl Locking {
 
 /// A CDF over simulated leaks: sorted detour fractions, one per
 /// misconfigured AS.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LeakCdf {
     /// Sorted ascending; `fractions[i]` is the detour fraction of the
     /// (i+1)-th least-damaging leaker.

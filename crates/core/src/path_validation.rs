@@ -13,7 +13,7 @@ use flatnet_tracesim::{traceroute_as_path, Campaign};
 use std::collections::BTreeMap;
 
 /// Appendix-A agreement stats for one cloud.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PathAgreement {
     /// Traceroutes that reached their destination AS and resolved cleanly.
     pub scored: usize,

@@ -8,7 +8,7 @@ use flatnet_asgraph::{AsGraph, AsId};
 use flatnet_bgpsim::{propagate, PropagationConfig};
 
 /// One weighted 1/2/3+ hop split (each row of Fig. 13), in percent.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HopSplit {
     /// % of weight at exactly 1 hop (direct peering/adjacency).
     pub one: f64,
@@ -33,7 +33,7 @@ impl HopSplit {
 }
 
 /// Fig. 13 data for one cloud.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathLengthProfile {
     /// The origin cloud.
     pub asn: AsId,

@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-cloud peer counts, CAIDA-only vs CAIDA+traceroutes (§4.1's
 /// "333 vs. 1,389 peers for Amazon, ..." comparison).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerCountRow {
     /// Cloud name.
     pub name: String,

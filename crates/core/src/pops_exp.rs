@@ -7,7 +7,7 @@ use flatnet_geo::{Continent, GeoPoint, PopulationGrid};
 pub const RADII_KM: [f64; 3] = [500.0, 700.0, 1000.0];
 
 /// Fig. 12 row: population coverage of one footprint at the three radii.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoverageRow {
     /// Network (or cohort) name.
     pub name: String,
@@ -16,7 +16,7 @@ pub struct CoverageRow {
 }
 
 /// Fig. 12a row: per-continent coverage of a cohort at the three radii.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContinentCoverageRow {
     /// Continent.
     pub continent: Continent,
@@ -55,7 +55,7 @@ pub fn continent_coverage(grid: &PopulationGrid, sites: &[GeoPoint]) -> Vec<Cont
 
 /// Fig. 11's city classification: which PoP metros host only the cloud
 /// cohort, only the transit cohort, or both.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeploymentSplit {
     /// Cities with cloud PoPs but no transit PoPs (e.g. Shanghai/Beijing).
     pub cloud_only: Vec<String>,
@@ -92,7 +92,7 @@ pub fn deployment_split(clouds: &[&Footprint], transits: &[&Footprint]) -> Deplo
 }
 
 /// One Table 3 row.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RdnsRow {
     /// Network name.
     pub name: String,

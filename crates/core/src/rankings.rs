@@ -14,7 +14,7 @@ use flatnet_asgraph::cone::{customer_cone_sizes, transit_degree};
 use flatnet_asgraph::{AsGraph, AsId};
 
 /// All metrics for one AS.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricRow {
     /// The AS.
     pub asn: AsId,
@@ -31,7 +31,7 @@ pub struct MetricRow {
 }
 
 /// The full metric table plus pairwise rank correlations.
-#[derive(Debug, Clone, PartialEq, serde::Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricComparison {
     /// Per-AS metric values, in node-index order.
     pub rows: Vec<MetricRow>,

@@ -25,7 +25,7 @@ impl fmt::Display for SweepPanic {
 impl std::error::Error for SweepPanic {}
 
 /// The three reachability levels of one origin (Fig. 2's stacked bars).
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachabilityResult {
     /// The origin AS.
     pub asn: AsId,
@@ -281,7 +281,7 @@ fn collect_sweep<R>(
 }
 
 /// One row of Table 1: an AS ranked by hierarchy-free reachability.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedAs {
     /// 1-based rank.
     pub rank: usize,

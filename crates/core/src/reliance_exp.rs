@@ -4,7 +4,7 @@ use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
 use flatnet_bgpsim::{propagate, PropagationConfig, Simulation, TopologySnapshot};
 
 /// One AS's reliance value from an origin's perspective.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelianceEntry {
     /// The relied-upon AS.
     pub asn: AsId,
@@ -13,7 +13,7 @@ pub struct RelianceEntry {
 }
 
 /// Full reliance picture for one origin under one constraint set.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RelianceProfile {
     /// The origin.
     pub origin: AsId,

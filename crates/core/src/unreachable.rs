@@ -10,7 +10,7 @@ use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
 use flatnet_bgpsim::{Simulation, TopologySnapshot};
 
 /// Fig. 4: one provider's unreachable-AS breakdown.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnreachableBreakdown {
     /// The origin network.
     pub asn: AsId,

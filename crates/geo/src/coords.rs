@@ -6,7 +6,7 @@ use std::fmt;
 pub const EARTH_RADIUS_KM: f64 = 6371.0;
 
 /// A latitude/longitude point in degrees.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude, −90..=90.
     pub lat: f64,
@@ -43,7 +43,7 @@ pub fn haversine_km(a: GeoPoint, b: GeoPoint) -> f64 {
 }
 
 /// The continents used in the paper's Fig. 12 grouping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Continent {
     /// Africa.
     Africa,

@@ -12,7 +12,7 @@ use crate::cities::{City, CITIES};
 use crate::coords::{haversine_km, Continent, GeoPoint};
 
 /// One grid cell.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
     /// Cell centre.
     pub center: GeoPoint,

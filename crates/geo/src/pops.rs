@@ -11,7 +11,7 @@
 use crate::coords::GeoPoint;
 
 /// Where knowledge of a PoP came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SiteSource {
     /// The network's published backbone map.
     NetworkMap,
@@ -36,7 +36,7 @@ impl SiteSource {
 }
 
 /// One city-level PoP site.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopSite {
     /// City code (see [`crate::cities`]).
     pub city: String,
@@ -47,7 +47,7 @@ pub struct PopSite {
 }
 
 /// A network's consolidated city-level PoP footprint.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Footprint {
     /// Display name, e.g. `"Google"`.
     pub name: String,

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 /// A known (or generated) router hostname convention for one network.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostnameConvention {
     /// DNS suffix, e.g. `"gin.ntt.net"`.
     pub domain: String,

@@ -4,7 +4,7 @@
 /// (51,801 ASes, thinner cloud peering) against September 2020 (69,999
 /// ASes, clouds peered out massively). Epochs scale AS counts and
 /// per-cloud peering breadth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Epoch {
     /// September 2015 conditions.
     Y2015,
@@ -25,7 +25,7 @@ impl Epoch {
 /// A cloud (or cloud-like content) provider's peering stance, governing
 /// how much of the edge it peers with (§4.1 lists Google as open, Amazon /
 /// IBM / Microsoft as selective).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PeeringPolicy {
     /// Peer with almost anyone (Google).
     Open,
@@ -36,7 +36,7 @@ pub enum PeeringPolicy {
 }
 
 /// Specification of one cloud-like provider to synthesize.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CloudSpec {
     /// Display name.
     pub name: String,
@@ -78,7 +78,7 @@ pub struct CloudSpec {
 }
 
 /// Full generator configuration.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetGenConfig {
     /// Master seed; everything is deterministic given this.
     pub seed: u64,

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 /// How a cloud peer link is realized (drives traceroute hop addressing and
 /// the inference false-negative model: route-server peers carry little
 /// traffic and are rarely exercised from cloud VMs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PeerKind {
     /// Private network interconnect (dedicated cross-connect).
     Pni,
@@ -34,7 +34,7 @@ impl PeerKind {
 }
 
 /// Ground-truth role of an AS in the synthetic hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AsRole {
     /// Member of the Tier-1 clique.
     Tier1,

@@ -28,10 +28,9 @@
 //! Keys are sorted, maps are emitted in a single canonical form, and all
 //! values are integers, so two snapshots with equal contents serialize to
 //! byte-identical documents — that is what lets CI diff counter sections
-//! across thread counts. The workspace's vendored `serde` is a marker
-//! stub (it derives but never serializes), so this module carries its own
-//! emitter and a matching parser; [`Snapshot::from_json`] accepts exactly
-//! the documents [`Snapshot::to_json`] produces.
+//! across thread counts. This module carries its own emitter;
+//! [`Snapshot::from_json`] reads documents back through `flatnet-wire`'s
+//! JSON tree and accepts exactly what [`Snapshot::to_json`] produces.
 
 use crate::metrics::{
     bucket_bound_us, percentile_exact, percentile_from_buckets, Exemplar, HISTOGRAM_BUCKETS,
@@ -288,58 +287,57 @@ impl Snapshot {
     /// fields (`count`, percentiles) are recomputed from the buckets, so
     /// `from_json(to_json(s)) == s` and re-serializing is byte-identical.
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let value = json::parse(text)?;
-        let top = value.as_object("top level")?;
-        let schema = top.get("schema").ok_or("missing \"schema\"")?;
-        let schema = schema.as_str("schema")?;
+        let top = doc::parse(text)?;
+        doc::object(&top, "top level")?;
+        let schema = doc::string(top.get("schema").ok_or("missing \"schema\"")?, "schema")?;
         if schema != SCHEMA && schema != SCHEMA_V1 {
             return Err(format!("unsupported schema {schema:?} (want {SCHEMA:?})"));
         }
         let mut snap = Snapshot::default();
         if let Some(v) = top.get("counters") {
-            for (k, v) in v.as_object("counters")? {
-                snap.counters.insert(k.clone(), v.as_u64("counter")?);
+            for (k, v) in doc::object(v, "counters")? {
+                snap.counters.insert(k.clone(), doc::uint(v, "counter")?);
             }
         }
         if let Some(v) = top.get("gauges") {
-            for (k, v) in v.as_object("gauges")? {
-                snap.gauges.insert(k.clone(), v.as_i64("gauge")?);
+            for (k, v) in doc::object(v, "gauges")? {
+                snap.gauges.insert(k.clone(), doc::int(v, "gauge")?);
             }
         }
         if let Some(v) = top.get("spans") {
-            for (k, v) in v.as_object("spans")? {
-                let fields = v.as_object("span")?;
-                let count = fields.get("count").ok_or("span missing count")?.as_u64("count")?;
+            for (k, v) in doc::object(v, "spans")? {
+                doc::object(v, "span")?;
+                let count = doc::uint(v.get("count").ok_or("span missing count")?, "count")?;
                 let total_ns =
-                    fields.get("total_ns").ok_or("span missing total_ns")?.as_u64("total_ns")?;
+                    doc::uint(v.get("total_ns").ok_or("span missing total_ns")?, "total_ns")?;
                 snap.spans.insert(k.clone(), SpanStat { count, total_ns });
             }
         }
         if let Some(v) = top.get("histograms") {
-            for (k, v) in v.as_object("histograms")? {
-                let fields = v.as_object("histogram")?;
+            for (k, fields) in doc::object(v, "histograms")? {
+                doc::object(fields, "histogram")?;
                 let mut h = HistogramSnapshot {
-                    sum_us: fields
-                        .get("sum_us")
-                        .ok_or("histogram missing sum_us")?
-                        .as_u64("sum_us")?,
+                    sum_us: doc::uint(
+                        fields.get("sum_us").ok_or("histogram missing sum_us")?,
+                        "sum_us",
+                    )?,
                     ..HistogramSnapshot::default()
                 };
                 let buckets = fields.get("buckets").ok_or("histogram missing buckets")?;
-                for pair in buckets.as_array("buckets")? {
-                    let pair = pair.as_array("bucket pair")?;
+                for pair in doc::array(buckets, "buckets")? {
+                    let pair = doc::array(pair, "bucket pair")?;
                     if pair.len() != 2 {
                         return Err("bucket pair must be [bound_us, count]".into());
                     }
-                    let bound = pair[0].as_u64("bucket bound")?;
-                    let count = pair[1].as_u64("bucket count")?;
+                    let bound = doc::uint(&pair[0], "bucket bound")?;
+                    let count = doc::uint(&pair[1], "bucket count")?;
                     let idx = (0..HISTOGRAM_BUCKETS)
                         .find(|&i| bucket_bound_us(i) == bound)
                         .ok_or_else(|| format!("unknown bucket bound {bound}"))?;
                     h.buckets[idx] = count;
                 }
                 match fields.get("max_us") {
-                    Some(v) => h.max_us = v.as_u64("max_us")?,
+                    Some(v) => h.max_us = doc::uint(v, "max_us")?,
                     // v1 document: the best safe clamp for the top bucket
                     // is its own upper bound (a no-op for interpolation).
                     None => {
@@ -352,28 +350,28 @@ impl Snapshot {
                     }
                 }
                 if let Some(raw) = fields.get("raw") {
-                    for v in raw.as_array("raw")? {
-                        h.raw.push(v.as_u64("raw sample")?);
+                    for v in doc::array(raw, "raw")? {
+                        h.raw.push(doc::uint(v, "raw sample")?);
                     }
                 }
                 if let Some(exs) = fields.get("exemplars") {
-                    for entry in exs.as_array("exemplars")? {
-                        let entry = entry.as_array("exemplar")?;
+                    for entry in doc::array(exs, "exemplars")? {
+                        let entry = doc::array(entry, "exemplar")?;
                         if entry.len() != 4 {
                             return Err(
                                 "exemplar must be [bound_us, trace_id, origin, value_us]".into()
                             );
                         }
-                        let bound = entry[0].as_u64("exemplar bound")?;
+                        let bound = doc::uint(&entry[0], "exemplar bound")?;
                         let idx = (0..HISTOGRAM_BUCKETS)
                             .find(|&i| bucket_bound_us(i) == bound)
                             .ok_or_else(|| format!("unknown exemplar bound {bound}"))?;
                         h.exemplars.push((
                             idx,
                             Exemplar {
-                                trace_id: entry[1].as_u64("exemplar trace_id")?,
-                                origin: entry[2].as_u64("exemplar origin")?,
-                                value_us: entry[3].as_u64("exemplar value_us")?,
+                                trace_id: doc::uint(&entry[1], "exemplar trace_id")?,
+                                origin: doc::uint(&entry[2], "exemplar origin")?,
+                                value_us: doc::uint(&entry[3], "exemplar value_us")?,
                             },
                         ));
                     }
@@ -453,232 +451,55 @@ fn emit_map<'a>(out: &mut String, entries: impl Iterator<Item = (&'a str, String
     }
 }
 
-/// JSON string escaping (metric names are ASCII, but be correct anyway).
+/// A quoted JSON string (metric names are ASCII, but be correct anyway).
 fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", flatnet_wire::json::escape(s))
 }
 
-/// A minimal JSON reader for the subset `to_json` emits: objects, arrays,
-/// integers, and strings (escapes included). Floats, booleans, and null
-/// are rejected — the schema has none. Shared with the trace-dump
-/// documents (`crate::trace`), which use the same integer-only subset.
-pub(crate) mod json {
-    use std::collections::BTreeMap;
+/// Typed reads over `flatnet-wire`'s JSON tree for the two obs document
+/// schemas (this one and `crate::trace`'s), which hold objects, arrays,
+/// integers and strings only.
+pub(crate) mod doc {
+    use flatnet_wire::json::Json;
 
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Object(BTreeMap<String, Value>),
-        Array(Vec<Value>),
-        Int(i128),
-        Str(String),
-    }
-
-    impl Value {
-        pub fn as_object(&self, what: &str) -> Result<&BTreeMap<String, Value>, String> {
-            match self {
-                Value::Object(m) => Ok(m),
-                other => Err(format!("{what}: expected object, got {other:?}")),
+    /// Parses `text`, then rejects floats, booleans and null anywhere in
+    /// the tree — the schemas have none, so one is a corrupt document.
+    pub fn parse(text: &str) -> Result<Json, String> {
+        fn check(v: &Json) -> Result<(), String> {
+            match v {
+                Json::Int(_) | Json::Str(_) => Ok(()),
+                Json::Array(items) => items.iter().try_for_each(check),
+                Json::Object(pairs) => pairs.iter().try_for_each(|(_, v)| check(v)),
+                other => Err(format!("{other:?} is not part of the schema")),
             }
         }
-
-        pub fn as_array(&self, what: &str) -> Result<&[Value], String> {
-            match self {
-                Value::Array(v) => Ok(v),
-                other => Err(format!("{what}: expected array, got {other:?}")),
-            }
-        }
-
-        pub fn as_str(&self, what: &str) -> Result<&str, String> {
-            match self {
-                Value::Str(s) => Ok(s),
-                other => Err(format!("{what}: expected string, got {other:?}")),
-            }
-        }
-
-        pub fn as_u64(&self, what: &str) -> Result<u64, String> {
-            match self {
-                Value::Int(n) => {
-                    u64::try_from(*n).map_err(|_| format!("{what}: {n} out of u64 range"))
-                }
-                other => Err(format!("{what}: expected integer, got {other:?}")),
-            }
-        }
-
-        pub fn as_i64(&self, what: &str) -> Result<i64, String> {
-            match self {
-                Value::Int(n) => {
-                    i64::try_from(*n).map_err(|_| format!("{what}: {n} out of i64 range"))
-                }
-                other => Err(format!("{what}: expected integer, got {other:?}")),
-            }
-        }
+        let v = flatnet_wire::json::parse(text)?;
+        check(&v)?;
+        Ok(v)
     }
 
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(value)
+    fn expected<T>(got: Option<T>, v: &Json, what: &str, kind: &str) -> Result<T, String> {
+        got.ok_or_else(|| format!("{what}: expected {kind}, got {v:?}"))
     }
 
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
+    pub fn object<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
+        expected(v.as_object(), v, what, "object")
     }
 
-    fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, *pos))
-        }
+    pub fn array<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], String> {
+        expected(v.as_array(), v, what, "array")
     }
 
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-            Some(b'-') | Some(b'0'..=b'9') => parse_int(bytes, pos),
-            other => Err(format!("unexpected {other:?} at byte {}", *pos)),
-        }
+    pub fn string<'a>(v: &'a Json, what: &str) -> Result<&'a str, String> {
+        expected(v.as_str(), v, what, "string")
     }
 
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'{')?;
-        let mut map = BTreeMap::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            expect(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
-            map.insert(key, value);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?} at byte {}", *pos)),
-            }
-        }
+    pub fn uint(v: &Json, what: &str) -> Result<u64, String> {
+        expected(v.as_u64(), v, what, "unsigned integer")
     }
 
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                other => return Err(format!("expected ',' or ']', got {other:?} at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(bytes, pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            out.push(
-                                char::from_u32(code).ok_or("surrogate \\u escape unsupported")?,
-                            );
-                            *pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (metric names are ASCII,
-                    // but stay correct for arbitrary strings).
-                    let start = *pos;
-                    *pos += 1;
-                    while *pos < bytes.len() && bytes[*pos] & 0xC0 == 0x80 {
-                        *pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn parse_int(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        if bytes.get(*pos) == Some(&b'-') {
-            *pos += 1;
-        }
-        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-            *pos += 1;
-        }
-        if matches!(bytes.get(*pos), Some(b'.') | Some(b'e') | Some(b'E')) {
-            return Err(format!("floats are not part of the schema (byte {})", *pos));
-        }
-        let text = std::str::from_utf8(&bytes[start..*pos]).unwrap();
-        text.parse::<i128>().map(Value::Int).map_err(|e| format!("bad integer {text:?}: {e}"))
+    pub fn int(v: &Json, what: &str) -> Result<i64, String> {
+        expected(v.as_i64(), v, what, "integer")
     }
 }
 
@@ -736,6 +557,18 @@ mod tests {
         assert!(Snapshot::from_json(negative).is_err());
         let neg_gauge = "{\"schema\": \"flatnet-obs/v1\", \"gauges\": {\"a\": -2}}";
         assert_eq!(Snapshot::from_json(neg_gauge).unwrap().gauges["a"], -2);
+        // Booleans and null parse as JSON but are not part of the schema.
+        for alien in ["true", "null"] {
+            let doc = format!("{{\"schema\": \"flatnet-obs/v2\", \"x\": {alien}}}");
+            assert!(Snapshot::from_json(&doc).is_err(), "{doc}");
+        }
+        // 200 000 levels deep is an error from the reader's depth cap, not
+        // a stack overflow.
+        let deep = "[".repeat(200_000);
+        assert!(Snapshot::from_json(&deep).is_err());
+        assert!(crate::TraceDump::from_json(&deep).is_err());
+        let wrapped = format!("{{\"schema\": \"flatnet-obs/v2\", \"counters\": {deep}");
+        assert!(Snapshot::from_json(&wrapped).is_err());
     }
 
     #[test]

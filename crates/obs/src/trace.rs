@@ -21,7 +21,7 @@
 //! JSON document (`flatnet-trace/v1`) the `flatnet trace top` subcommand
 //! summarizes offline.
 
-use crate::snapshot::json;
+use crate::snapshot::doc;
 use std::cell::UnsafeCell;
 use std::fmt::Write as _;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
@@ -503,35 +503,36 @@ impl TraceDump {
     /// Parses a document produced by [`TraceDump::to_json`];
     /// re-serializing the result is byte-identical.
     pub fn from_json(text: &str) -> Result<TraceDump, String> {
-        let value = json::parse(text)?;
-        let top = value.as_object("top level")?;
-        let schema = top.get("schema").ok_or("missing \"schema\"")?.as_str("schema")?;
+        let top = doc::parse(text)?;
+        doc::object(&top, "top level")?;
+        let schema = doc::string(top.get("schema").ok_or("missing \"schema\"")?, "schema")?;
         if schema != TRACE_SCHEMA {
             return Err(format!("unsupported schema {schema:?} (want {TRACE_SCHEMA:?})"));
         }
         let mut dump = TraceDump::default();
         let events = match top.get("events") {
-            Some(v) => v.as_array("events")?,
+            Some(v) => doc::array(v, "events")?,
             None => return Ok(dump),
         };
         for entry in events {
-            let fields = entry.as_object("event")?;
-            let get = |k: &str| fields.get(k).ok_or_else(|| format!("event missing {k:?}"));
+            doc::object(entry, "event")?;
+            let get = |k: &str| entry.get(k).ok_or_else(|| format!("event missing {k:?}"));
+            let uint = |k: &str| doc::uint(get(k)?, k);
             let mut ev = TraceEvent {
-                trace_id: get("trace_id")?.as_u64("trace_id")?,
-                end_unix_ms: get("end_unix_ms")?.as_u64("end_unix_ms")?,
-                total_us: get("total_us")?.as_u64("total_us")?,
-                origin: get("origin")?.as_u64("origin")? as u32,
-                status: get("status")?.as_u64("status")? as u16,
-                cached: get("cached")?.as_u64("cached")? != 0,
-                panicked: get("panicked")?.as_u64("panicked")? != 0,
+                trace_id: uint("trace_id")?,
+                end_unix_ms: uint("end_unix_ms")?,
+                total_us: uint("total_us")?,
+                origin: uint("origin")? as u32,
+                status: uint("status")? as u16,
+                cached: uint("cached")? != 0,
+                panicked: uint("panicked")? != 0,
                 ..TraceEvent::default()
             };
-            ev.set_tag(get("endpoint")?.as_str("endpoint")?);
-            for (name, us) in get("stages")?.as_object("stages")? {
+            ev.set_tag(doc::string(get("endpoint")?, "endpoint")?);
+            for (name, us) in doc::object(get("stages")?, "stages")? {
                 let stage = Stage::from_name(name)
                     .ok_or_else(|| format!("unknown stage {name:?}"))?;
-                ev.stages_us[stage as usize] = us.as_u64("stage us")?;
+                ev.stages_us[stage as usize] = doc::uint(us, "stage us")?;
                 ev.stage_mask |= 1 << stage as usize;
             }
             dump.events.push(ev);

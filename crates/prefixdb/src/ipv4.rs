@@ -16,7 +16,7 @@ use std::str::FromStr;
 /// assert!(p.contains("10.1.255.255".parse().unwrap()));
 /// assert!(!p.contains("10.2.0.0".parse().unwrap()));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ipv4Prefix {
     /// Network address bits (host bits zero).
     network: u32,

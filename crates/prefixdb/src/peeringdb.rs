@@ -18,15 +18,15 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
 /// Identifier of an IXP record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct IxpId(pub u32);
 
 /// Identifier of a facility record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FacilityId(pub u32);
 
 /// An Internet eXchange Point with its peering LAN prefixes.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ixp {
     /// Display name, e.g. `"NL-IX"`.
     pub name: String,
@@ -37,7 +37,7 @@ pub struct Ixp {
 }
 
 /// A colocation facility.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Facility {
     /// Display name.
     pub name: String,

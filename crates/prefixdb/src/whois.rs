@@ -13,7 +13,7 @@ use flatnet_asgraph::AsId;
 use std::net::Ipv4Addr;
 
 /// One allocation record.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
     /// AS the block is registered to (IXPs register under their own AS).
     pub asn: AsId,

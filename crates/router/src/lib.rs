@@ -12,9 +12,10 @@
 //! * [`ring`] — consistent-hash ownership of the origin space. Every
 //!   shard holds the full topology; ownership partitions CPU and cache
 //!   so an origin's results live on exactly one process.
-//! * [`client`] — the pooled keep-alive HTTP client the router speaks
-//!   to shards (persistent connections, split send/recv halves for
-//!   scatter-gather, retry-once on stale pooled sockets).
+//! * [`Upstream`] — `flatnet-wire`'s pooled keep-alive HTTP client, as
+//!   the router speaks it to shards (persistent connections, split
+//!   send/recv halves for scatter-gather, one replay on a stale pooled
+//!   socket).
 //! * [`shard`] — per-shard health state: a circuit breaker fed by both
 //!   a background `/healthz` prober and data-path failures.
 //! * [`merge`] — text-level JSON surgery that merges shard envelopes
@@ -29,13 +30,12 @@
 //! Trace ids propagate router → shard via `X-Flatnet-Trace-Id`, so one
 //! id stitches the router's view to every shard trace it fanned into.
 
-pub mod client;
 pub mod merge;
 pub mod ring;
 pub mod server;
 pub mod shard;
 
-pub use client::{Upstream, UpstreamResponse};
+pub use flatnet_wire::{Client as Upstream, Reply as UpstreamResponse};
 pub use ring::HashRing;
 pub use server::{Router, RouterConfig, SHARD_UNAVAILABLE};
 pub use shard::{Shard, FAILS_TO_OPEN};

@@ -7,163 +7,12 @@
 //! serve crate (float formatting, key order, escaping); instead the
 //! router never re-renders what a shard rendered — it slices member and
 //! array-element texts out of shard bodies verbatim and splices them
-//! back together. These helpers are the balanced scanner that makes
-//! that safe: they respect strings, escapes, and nesting, and refuse
-//! malformed input instead of guessing.
+//! back together. The slicing is `flatnet-wire`'s span view (re-exported
+//! here), which respects strings, escapes, and nesting, and refuses
+//! malformed input instead of guessing; this module holds what is
+//! specific to the `/v1` envelope.
 
-/// Returns the end (exclusive byte index) of the JSON value starting at
-/// `pos` in `b`. `pos` must point at the first byte of a value.
-fn value_end(b: &[u8], mut pos: usize) -> Result<usize, String> {
-    let start = pos;
-    match b.get(pos) {
-        None => Err("empty value".into()),
-        Some(b'{') | Some(b'[') => {
-            let mut depth = 0usize;
-            let mut in_str = false;
-            let mut esc = false;
-            while pos < b.len() {
-                let c = b[pos];
-                if in_str {
-                    if esc {
-                        esc = false;
-                    } else if c == b'\\' {
-                        esc = true;
-                    } else if c == b'"' {
-                        in_str = false;
-                    }
-                } else {
-                    match c {
-                        b'"' => in_str = true,
-                        b'{' | b'[' => depth += 1,
-                        b'}' | b']' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                return Ok(pos + 1);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                pos += 1;
-            }
-            Err(format!("unbalanced value starting at byte {start}"))
-        }
-        Some(b'"') => {
-            pos += 1;
-            let mut esc = false;
-            while pos < b.len() {
-                let c = b[pos];
-                if esc {
-                    esc = false;
-                } else if c == b'\\' {
-                    esc = true;
-                } else if c == b'"' {
-                    return Ok(pos + 1);
-                }
-                pos += 1;
-            }
-            Err(format!("unterminated string at byte {start}"))
-        }
-        Some(_) => {
-            // Number / true / false / null: runs until a delimiter.
-            while pos < b.len() && !matches!(b[pos], b',' | b'}' | b']' | b' ' | b'\n' | b'\r' | b'\t')
-            {
-                pos += 1;
-            }
-            if pos == start {
-                Err(format!("empty scalar at byte {start}"))
-            } else {
-                Ok(pos)
-            }
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], mut pos: usize) -> usize {
-    while matches!(b.get(pos), Some(b' ' | b'\n' | b'\r' | b'\t')) {
-        pos += 1;
-    }
-    pos
-}
-
-/// Splits the object text `obj` (starting at `{`) into its top-level
-/// members, each as `(key, value text)`, in document order. Value texts
-/// are verbatim slices of `obj`.
-pub fn members(obj: &str) -> Result<Vec<(&str, &str)>, String> {
-    let b = obj.as_bytes();
-    let mut pos = skip_ws(b, 0);
-    if b.get(pos) != Some(&b'{') {
-        return Err("not an object".into());
-    }
-    pos = skip_ws(b, pos + 1);
-    let mut out = Vec::new();
-    if b.get(pos) == Some(&b'}') {
-        return Ok(out);
-    }
-    loop {
-        if b.get(pos) != Some(&b'"') {
-            return Err(format!("expected member key at byte {pos}"));
-        }
-        let key_end = value_end(b, pos)?;
-        let key = &obj[pos + 1..key_end - 1];
-        pos = skip_ws(b, key_end);
-        if b.get(pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        pos = skip_ws(b, pos + 1);
-        let vend = value_end(b, pos)?;
-        out.push((key, &obj[pos..vend]));
-        pos = skip_ws(b, vend);
-        match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
-            Some(b'}') => return Ok(out),
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-/// The verbatim value text of member `key` in object text `obj`.
-pub fn member<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    members(obj).ok()?.into_iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-}
-
-/// Splits the array text `arr` (starting at `[`) into its top-level
-/// element texts, verbatim, in order.
-pub fn array_items(arr: &str) -> Result<Vec<&str>, String> {
-    let b = arr.as_bytes();
-    let mut pos = skip_ws(b, 0);
-    if b.get(pos) != Some(&b'[') {
-        return Err("not an array".into());
-    }
-    pos = skip_ws(b, pos + 1);
-    let mut out = Vec::new();
-    if b.get(pos) == Some(&b']') {
-        return Ok(out);
-    }
-    loop {
-        let vend = value_end(b, pos)?;
-        out.push(&arr[pos..vend]);
-        pos = skip_ws(b, vend);
-        match b.get(pos) {
-            Some(b',') => pos = skip_ws(b, pos + 1),
-            Some(b']') => return Ok(out),
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-/// Member `key` of `obj` parsed as an unsigned integer.
-pub fn member_u64(obj: &str, key: &str) -> Option<u64> {
-    member(obj, key)?.trim().parse().ok()
-}
-
-/// Member `key` of `obj` as the contents of a JSON string (no unescaping
-/// — the serve crate never escapes the fields the router reads: error
-/// kinds, status labels, hex trace ids).
-pub fn member_str<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let v = member(obj, key)?;
-    v.strip_prefix('"')?.strip_suffix('"')
-}
+pub use flatnet_wire::json::{array_items, member, member_str, member_u64, members, value_end};
 
 /// The `data` member of a `/v1` envelope body, verbatim.
 pub fn envelope_data(body: &str) -> Option<&str> {

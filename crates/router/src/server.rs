@@ -1,9 +1,10 @@
 //! The router process: accept loop, shard routing, scatter-gather, and
 //! the aggregated control plane.
 //!
-//! The front reuses `flatnet_serve::http` (same bounded parser, same
-//! response framing, same keep-alive negotiation) so a client cannot
-//! tell a router from a shard by protocol behavior. Routing is
+//! The front speaks through the same `flatnet-wire` codec as the shards
+//! (same bounded parser, same response framing, same keep-alive
+//! negotiation and idle wait) so a client cannot tell a router from a
+//! shard by protocol behavior. Routing is
 //! origin-hash ownership over [`crate::ring::HashRing`]:
 //!
 //! * single-origin `/v1/*` → forwarded verbatim to the owner shard; the
@@ -24,13 +25,16 @@
 //! before touching the next, so a healthy fleet never has two shards
 //! reloading at once.
 
-use crate::client::UpstreamResponse;
 use crate::merge;
 use crate::ring::HashRing;
 use crate::shard::Shard;
+use crate::UpstreamResponse;
 use flatnet_serve::engine::MAX_BATCH_ORIGINS;
-use flatnet_serve::http::{read_request, Method, Request, Response};
+use flatnet_serve::http::{
+    parse_asn, read_request, wait_for_request, Method, NextRequest, Request, Response,
+};
 use flatnet_serve::json::{envelope, error_envelope, escape};
+use flatnet_wire::{Call, Conn};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -193,6 +197,12 @@ impl Router {
         self.inner.shards.iter().map(|s| (s.healthy(), s.snapshot_version())).collect()
     }
 
+    /// Client connections being served right now (embedding tests
+    /// watch it return to zero).
+    pub fn active_conns(&self) -> usize {
+        self.inner.active_conns.load(Ordering::SeqCst)
+    }
+
     /// Blocks until `/admin/shutdown` stops the router.
     pub fn wait(mut self) {
         self.join_all();
@@ -266,8 +276,10 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
                 let spawned = std::thread::Builder::new()
                     .name("router-conn".into())
                     .spawn(move || {
+                        // Released on drop, so a panic while serving the
+                        // connection cannot leak its slot.
+                        let _slot = ConnSlot(&conn_inner);
                         handle_conn(&conn_inner, stream);
-                        conn_inner.active_conns.fetch_sub(1, Ordering::SeqCst);
                     });
                 if spawned.is_err() {
                     inner.active_conns.fetch_sub(1, Ordering::SeqCst);
@@ -284,41 +296,12 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
     }
 }
 
-enum NextData {
-    Data,
-    Gone,
-}
+/// One connection's claim on `max_conns`.
+struct ConnSlot<'a>(&'a Inner);
 
-/// Parks on the connection until bytes arrive, the idle budget runs
-/// out, the peer leaves, or shutdown flips — in shutdown-aware 250 ms
-/// slices, mirroring the serve front.
-fn wait_for_data(
-    inner: &Inner,
-    stream: &TcpStream,
-    reader: &mut BufReader<&TcpStream>,
-) -> NextData {
-    use std::io::BufRead as _;
-    let start = Instant::now();
-    loop {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return NextData::Gone;
-        }
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-        match reader.fill_buf() {
-            Ok([]) => return NextData::Gone,
-            Ok(_) => return NextData::Data,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if start.elapsed() >= inner.keepalive_idle {
-                    return NextData::Gone;
-                }
-            }
-            Err(_) => return NextData::Gone,
-        }
+impl Drop for ConnSlot<'_> {
+    fn drop(&mut self) {
+        self.0.active_conns.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -326,9 +309,9 @@ fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) {
     let mut reader = BufReader::new(&stream);
     let mut served: u64 = 0;
     loop {
-        match wait_for_data(inner, &stream, &mut reader) {
-            NextData::Data => {}
-            NextData::Gone => return,
+        let next = wait_for_request(&mut reader, inner.keepalive_idle, &inner.shutdown);
+        if !matches!(next, NextRequest::Data) {
+            return;
         }
         let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
@@ -340,22 +323,18 @@ fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) {
                 // Adopt a client-sent trace id (the same contract the
                 // shards honor), else allocate; either way the id is
                 // propagated to every sub-request this request fans into.
-                let trace_id = req
-                    .header("x-flatnet-trace-id")
-                    .and_then(|h| u64::from_str_radix(h.trim(), 16).ok())
-                    .filter(|&id| id != 0)
-                    .unwrap_or_else(|| inner.tracer.next_id());
+                let trace_id = req.trace_id().unwrap_or_else(|| inner.tracer.next_id());
                 let keep = served < inner.keepalive_max
                     && req.wants_keep_alive()
                     && !inner.shutdown.load(Ordering::SeqCst);
                 let mut resp = route(inner, &req, trace_id);
+                inner.shards.iter().for_each(Shard::publish_upstream_stats);
                 resp.close = !keep;
                 resp.chunked_ok = !req.http10;
                 (resp, trace_id)
             }
             Err(e) if e.wants_response() => {
-                let kind = parse_kind(e.status);
-                (error_resp(e.status, kind, &e.reason, inner, inner.tracer.next_id()), 0)
+                (error_resp(e.status, e.kind(), &e.reason, inner, inner.tracer.next_id()), 0)
             }
             Err(_) => return,
         };
@@ -367,18 +346,6 @@ fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) {
         if closed {
             return;
         }
-    }
-}
-
-fn parse_kind(status: u16) -> &'static str {
-    match status {
-        400 => "bad-request",
-        405 => "method",
-        408 => "timeout",
-        413 => "payload",
-        414 => "uri-too-long",
-        431 => "headers",
-        _ => "internal",
     }
 }
 
@@ -435,17 +402,13 @@ fn route(inner: &Arc<Inner>, req: &Request, trace_id: u64) -> Response {
 // Data path: ownership, forwarding, scatter-gather.
 // ---------------------------------------------------------------------
 
-/// Mirrors the serve crate's ASN token parsing (`123` / `AS123`).
-fn parse_asn(raw: &str) -> Option<u32> {
-    raw.strip_prefix("AS").or_else(|| raw.strip_prefix("as")).unwrap_or(raw).parse().ok()
-}
-
-/// Percent-encodes a query token conservatively (unreserved + comma
-/// survive; the serve parser decodes everything else back).
-fn enc(s: &str, out: &mut String) {
+/// Percent-encodes conservatively: unreserved characters and `keep`
+/// (`,` in a query token, `/` in a path) survive; the serve parser
+/// decodes everything else back.
+fn enc(s: &str, keep: u8, out: &mut String) {
     for &b in s.as_bytes() {
         match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' | b',' => {
+            b if b.is_ascii_alphanumeric() || b"-._~".contains(&b) || b == keep => {
                 out.push(b as char)
             }
             _ => {
@@ -463,68 +426,42 @@ fn enc(s: &str, out: &mut String) {
 /// preserved in order.
 fn rebuild_target(req: &Request, origins_override: Option<&str>) -> String {
     let mut out = String::new();
-    enc_path(&req.path, &mut out);
+    enc(&req.path, b'/', &mut out);
     let mut sep = '?';
     let mut origins_done = false;
     for (k, v) in &req.query {
-        if origins_override.is_some() && (k == "origins" || k == "origin") {
+        if let (Some(list), "origins" | "origin") = (origins_override, k.as_str()) {
             if !origins_done {
                 out.push(sep);
                 sep = '&';
                 out.push_str("origins=");
-                out.push_str(origins_override.unwrap());
+                out.push_str(list);
                 origins_done = true;
             }
             continue;
         }
         out.push(sep);
         sep = '&';
-        enc(k, &mut out);
+        enc(k, b',', &mut out);
         out.push('=');
-        enc(v, &mut out);
+        enc(v, b',', &mut out);
     }
     out
 }
 
-fn enc_path(path: &str, out: &mut String) {
-    for &b in path.as_bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' | b'/' => {
-                out.push(b as char)
-            }
-            _ => {
-                out.push('%');
-                out.push_str(&format!("{b:02X}"));
-            }
-        }
-    }
-}
-
 /// `GET /v1/reachability` / `GET /v1/reliance`: origin-hash routing.
 fn query_route(inner: &Arc<Inner>, req: &Request, trace_id: u64) -> Response {
-    // Collect origin tokens exactly like the serve parser does (both
-    // aliases, every occurrence, comma-split). Anything the router
-    // cannot interpret — no origins, a bad token, an oversized batch —
-    // is forwarded untouched so the *shard's* validation answers, and
-    // router and single-process behavior can't drift.
-    let mut tokens: Vec<&str> = Vec::new();
-    let mut plural = false;
-    for (k, v) in &req.query {
-        if k == "origins" || k == "origin" {
-            plural |= k == "origins";
-            tokens.extend(v.split(',').filter(|s| !s.is_empty()));
-        }
-    }
+    // Anything the router cannot interpret — no origins, a bad token,
+    // an oversized batch — is forwarded untouched so the *shard's*
+    // validation answers, and router and single-process behavior can't
+    // drift.
+    let (tokens, plural) = req.origin_tokens();
     if tokens.is_empty() || tokens.len() > MAX_BATCH_ORIGINS {
         return forward_any(inner, req, trace_id);
     }
-    let mut asns = Vec::with_capacity(tokens.len());
-    for t in &tokens {
-        match parse_asn(t) {
-            Some(a) => asns.push(a),
-            None => return forward_any(inner, req, trace_id),
-        }
-    }
+    let Some(asns) = tokens.iter().map(|t| parse_asn(t)).collect::<Option<Vec<u32>>>() else {
+        return forward_any(inner, req, trace_id);
+    };
     let batch = plural || asns.len() > 1;
     if !batch {
         let owner = inner.ring.owner(asns[0]) as usize;
@@ -553,18 +490,7 @@ fn forward(
             trace_id,
         );
     }
-    let body_string;
-    let body = if req.body.is_empty() {
-        None
-    } else {
-        match std::str::from_utf8(&req.body) {
-            Ok(s) => {
-                body_string = s.to_string();
-                Some(body_string.as_str())
-            }
-            Err(_) => None,
-        }
-    };
+    let body = std::str::from_utf8(&req.body).ok().filter(|b| !b.is_empty());
     let method = match req.method {
         Method::Get => "GET",
         Method::Post => "POST",
@@ -573,10 +499,7 @@ fn forward(
         Ok(up) => {
             shard.record_ok();
             inner.forwarded.inc();
-            let mut resp = Response::json(up.status, up.body);
-            resp.retry_after = up.retry_after;
-            resp.trace_id = Some(trace_id);
-            resp
+            relay(up, trace_id)
         }
         Err(e) => {
             shard.record_failure(&format!("forward failed: {e}"));
@@ -590,6 +513,15 @@ fn forward(
             )
         }
     }
+}
+
+/// A shard's response, passed through to the client byte-for-byte.
+fn relay(up: UpstreamResponse, trace_id: u64) -> Response {
+    let retry_after = up.header("retry-after").and_then(|secs| secs.parse().ok());
+    let mut resp = Response::json(up.status, up.body);
+    resp.retry_after = retry_after;
+    resp.trace_id = Some(trace_id);
+    resp
 }
 
 /// Forwards to the next healthy shard in round-robin order — used when
@@ -619,120 +551,62 @@ struct SubReq {
     body: Option<String>,
 }
 
-/// The per-sub-request outcome of [`fan_out`].
-enum SubResult {
-    Ok(UpstreamResponse),
-    Failed(String),
+impl SubReq {
+    fn call(&self, trace_id: u64) -> Call<'_> {
+        Call { method: self.method, target: &self.target, body: self.body.as_deref(), trace_id }
+    }
 }
 
-/// Scatter phase: writes every sub-request before reading any response,
-/// so the shards compute in parallel while the router blocks on the
-/// slowest one only once. Transport failures retry once on a fresh
-/// connection (pooled sockets may be idle-closed), then feed the
-/// breaker and fail only their own slice.
+/// The per-sub-request outcome of [`fan_out`].
+type SubResult = Result<UpstreamResponse, String>;
+
+/// Scatter-gather: writes every sub-request before reading any
+/// response, so the shards compute in parallel while the router blocks
+/// on the slowest one only once. A transport failure (after the
+/// client's one replay of a stale pooled socket) feeds the breaker and
+/// fails only its own slice.
 fn fan_out(inner: &Inner, subs: &[SubReq], trace_id: u64) -> Vec<SubResult> {
-    let mut conns: Vec<Option<crate::client::Conn>> = Vec::with_capacity(subs.len());
-    let mut results: Vec<Option<SubResult>> = subs.iter().map(|_| None).collect();
-    for (i, sub) in subs.iter().enumerate() {
-        let shard = &inner.shards[sub.shard];
-        if !shard.healthy() {
-            results[i] = Some(SubResult::Failed("circuit open".into()));
-            conns.push(None);
-            continue;
-        }
-        let sent = shard.upstream.checkout().and_then(|mut conn| {
-            match shard.upstream.send_on(
-                &mut conn,
-                sub.method,
-                &sub.target,
-                sub.body.as_deref(),
-                trace_id,
-            ) {
-                Ok(()) => Ok(conn),
-                Err(e) if conn.reused => {
-                    // Stale pooled socket; replay on a fresh one.
-                    drop(conn);
-                    let mut fresh = shard.upstream.dial().map_err(|d| {
-                        std::io::Error::new(d.kind(), format!("{d} (after stale send: {e})"))
-                    })?;
-                    shard
-                        .upstream
-                        .send_on(&mut fresh, sub.method, &sub.target, sub.body.as_deref(), trace_id)
-                        .map(|()| fresh)
-                }
-                Err(e) => Err(e),
+    let sent: Vec<Result<Conn, String>> = subs
+        .iter()
+        .map(|sub| {
+            let shard = &inner.shards[sub.shard];
+            if !shard.healthy() {
+                return Err("circuit open".into());
             }
-        });
-        match sent {
-            Ok(conn) => conns.push(Some(conn)),
-            Err(e) => {
+            shard.upstream.send(&sub.call(trace_id)).map_err(|e| {
                 shard.record_failure(&format!("scatter send failed: {e}"));
-                results[i] = Some(SubResult::Failed(e.to_string()));
-                conns.push(None);
-            }
-        }
-    }
-    // Gather phase: collect in sub-request order. A read failure gets
-    // one full replay (send + recv) on a fresh connection — the write
-    // above may have landed in a socket the shard had already closed.
-    for (i, sub) in subs.iter().enumerate() {
-        let Some(mut conn) = conns[i].take() else { continue };
-        let shard = &inner.shards[sub.shard];
-        let outcome = match shard.upstream.recv_on(&mut conn) {
-            Ok(resp) => {
-                if resp.close {
-                    drop(conn);
-                } else {
-                    shard.upstream.checkin(conn);
-                }
-                Ok(resp)
-            }
-            Err(first) if conn.reused => {
-                drop(conn);
-                shard
-                    .upstream
-                    .dial()
-                    .and_then(|mut fresh| {
-                        shard
-                            .upstream
-                            .send_on(
-                                &mut fresh,
-                                sub.method,
-                                &sub.target,
-                                sub.body.as_deref(),
-                                trace_id,
-                            )
-                            .and_then(|()| shard.upstream.recv_on(&mut fresh).map(|r| (fresh, r)))
-                    })
-                    .map(|(fresh, resp)| {
-                        if resp.close {
-                            drop(fresh);
-                        } else {
-                            shard.upstream.checkin(fresh);
-                        }
-                        resp
-                    })
-                    .map_err(|e| {
-                        std::io::Error::new(
-                            e.kind(),
-                            format!("{e} (after stale recv: {first})"),
-                        )
-                    })
-            }
-            Err(e) => Err(e),
-        };
-        match outcome {
-            Ok(resp) => {
-                shard.record_ok();
-                results[i] = Some(SubResult::Ok(resp));
-            }
-            Err(e) => {
+                e.to_string()
+            })
+        })
+        .collect();
+    // Gather in sub-request order.
+    subs.iter()
+        .zip(sent)
+        .map(|(sub, conn)| {
+            let shard = &inner.shards[sub.shard];
+            let reply = shard.upstream.recv(conn?, &sub.call(trace_id)).map_err(|e| {
                 shard.record_failure(&format!("scatter recv failed: {e}"));
-                results[i] = Some(SubResult::Failed(e.to_string()));
-            }
+                e.to_string()
+            })?;
+            shard.record_ok();
+            Ok(reply)
+        })
+        .collect()
+}
+
+/// Groups the positions of `asns` by owner shard, groups ordered by
+/// first appearance so the fan-out (and any error passthrough) is
+/// deterministic.
+fn group_by_owner(ring: &HashRing, asns: &[u32]) -> Vec<(usize, Vec<usize>)> {
+    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+    for (pos, &asn) in asns.iter().enumerate() {
+        let owner = ring.owner(asn) as usize;
+        match groups.iter_mut().find(|(s, _)| *s == owner) {
+            Some((_, positions)) => positions.push(pos),
+            None => groups.push((owner, vec![pos])),
         }
     }
-    results.into_iter().map(|r| r.expect("every sub-request resolved")).collect()
+    groups
 }
 
 /// Splits a batch by owner, fans out, and merges the shard envelopes
@@ -740,16 +614,7 @@ fn fan_out(inner: &Inner, subs: &[SubReq], trace_id: u64) -> Vec<SubResult> {
 /// process's answer.
 fn scatter(inner: &Arc<Inner>, req: &Request, asns: &[u32], trace_id: u64) -> Response {
     inner.scatters.inc();
-    // Group positions by owner, groups ordered by first appearance so
-    // the fan-out (and any error passthrough) is deterministic.
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (pos, &asn) in asns.iter().enumerate() {
-        let owner = inner.ring.owner(asn) as usize;
-        match groups.iter_mut().find(|(s, _)| *s == owner) {
-            Some((_, positions)) => positions.push(pos),
-            None => groups.push((owner, vec![pos])),
-        }
-    }
+    let groups = group_by_owner(&inner.ring, asns);
     // Single-owner batches skip the merge entirely: the whole request
     // forwards verbatim and the shard's batch envelope passes through.
     if groups.len() == 1 {
@@ -793,17 +658,14 @@ fn merge_batch(
     let mut failed_shards: Vec<u32> = Vec::new();
     for (sub, result) in subs.iter().zip(results) {
         match result {
-            SubResult::Ok(up) if up.status == 200 => bodies.push(Some(up.body)),
-            SubResult::Ok(up) if (400..500).contains(&up.status) => {
+            Ok(up) if up.status == 200 => bodies.push(Some(up.body)),
+            Ok(up) if (400..500).contains(&up.status) => {
                 // The shard rejected its slice (unknown origin, bad
                 // parameter). A single process would reject the whole
                 // batch the same way; pass its verdict through.
-                let mut resp = Response::json(up.status, up.body);
-                resp.retry_after = up.retry_after;
-                resp.trace_id = Some(trace_id);
-                return resp;
+                return relay(up, trace_id);
             }
-            SubResult::Ok(up) => {
+            Ok(up) => {
                 // 5xx mid-scatter: the shard is alive but its slice got
                 // no answer (reload backoff, queue full). Partial, not
                 // fatal — and not a breaker event.
@@ -816,7 +678,7 @@ fn merge_batch(
                 failed_shards.push(inner.shards[sub.shard].id);
                 bodies.push(None);
             }
-            SubResult::Failed(err) => {
+            Err(err) => {
                 flatnet_obs::warn!(
                     "router: shard {} lost its slice mid-scatter: {err}",
                     inner.shards[sub.shard].id
@@ -956,14 +818,7 @@ fn leak_route(inner: &Arc<Inner>, req: &Request, trace_id: u64) -> Response {
     if victims.is_empty() {
         return forward_any(inner, req, trace_id);
     }
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (pos, &victim) in victims.iter().enumerate() {
-        let owner = inner.ring.owner(victim) as usize;
-        match groups.iter_mut().find(|(s, _)| *s == owner) {
-            Some((_, positions)) => positions.push(pos),
-            None => groups.push((owner, vec![pos])),
-        }
-    }
+    let groups = group_by_owner(&inner.ring, &victims);
     if groups.len() == 1 {
         return forward(inner, groups[0].0, req, &rebuild_target(req, None), trace_id);
     }

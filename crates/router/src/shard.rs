@@ -8,8 +8,8 @@
 //! without dialing — and a single successful probe closes it again, so
 //! a restarted shard rejoins within one probe interval.
 
-use crate::client::{Upstream, UpstreamResponse};
 use crate::merge;
+use crate::{Upstream, UpstreamResponse};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -26,6 +26,9 @@ pub struct Shard {
     pub pid: Option<u32>,
     /// The pooled HTTP client to this shard.
     pub upstream: Upstream,
+    /// How much of `upstream.stats()` the obs counters have seen.
+    published: [AtomicU64; 2],
+    upstream_totals: [flatnet_obs::Counter; 2],
     healthy: AtomicBool,
     fails: AtomicU32,
     version: AtomicU64,
@@ -41,11 +44,29 @@ impl Shard {
             id,
             pid,
             upstream: Upstream::new(addr, timeout),
+            published: [AtomicU64::new(0), AtomicU64::new(0)],
+            upstream_totals: ["router.upstream_connects", "router.upstream_reuse"]
+                .map(|name| flatnet_obs::global().counter(name)),
             healthy: AtomicBool::new(true),
             fails: AtomicU32::new(0),
             version: AtomicU64::new(0),
             last_error: Mutex::new(String::new()),
             failures_total: flatnet_obs::global().counter("router.shard_failures"),
+        }
+    }
+
+    /// Adds what the client (which sits below obs) dialed and reused
+    /// since the last call to `router.upstream_connects` /
+    /// `router.upstream_reuse`. Called after every probe and before
+    /// every client-facing response; `fetch_max` keeps concurrent
+    /// callers from counting the same dial twice.
+    pub fn publish_upstream_stats(&self) {
+        let (connects, reuse) = self.upstream.stats();
+        for (i, now) in [connects, reuse].into_iter().enumerate() {
+            let before = self.published[i].fetch_max(now, Ordering::Relaxed);
+            if now > before {
+                self.upstream_totals[i].add(now - before);
+            }
         }
     }
 
@@ -107,7 +128,9 @@ impl Shard {
     /// and refreshing the shard's snapshot version. Returns whether the
     /// probe succeeded.
     pub fn probe(&self, trace_id: u64) -> bool {
-        match self.upstream.request("GET", "/healthz", None, trace_id) {
+        let reply = self.upstream.request("GET", "/healthz", None, trace_id);
+        self.publish_upstream_stats();
+        match reply {
             Ok(UpstreamResponse { status: 200, body, .. }) => {
                 if let Some(v) = merge::member_u64(&body, "snapshot_version") {
                     self.version.store(v, Ordering::SeqCst);

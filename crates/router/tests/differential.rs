@@ -7,8 +7,9 @@
 use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_router::{merge, HashRing, Router, RouterConfig};
 use flatnet_serve::{ServeConfig, Server, TopologySource};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use flatnet_wire::{Client, Conn};
+use std::io::Write;
+use std::net::SocketAddr;
 use std::time::Duration;
 
 const ASES: usize = 300;
@@ -35,12 +36,7 @@ fn known_origins(n: usize) -> Vec<u32> {
 }
 
 /// One HTTP exchange on a persistent connection.
-fn exchange(
-    conn: &mut BufReader<TcpStream>,
-    method: &str,
-    target: &str,
-    body: Option<&str>,
-) -> (u16, String) {
+fn exchange(conn: &mut Conn, method: &str, target: &str, body: Option<&str>) -> (u16, String) {
     let mut req = format!("{method} {target} HTTP/1.1\r\nHost: t\r\n");
     if let Some(b) = body {
         req.push_str(&format!(
@@ -50,63 +46,17 @@ fn exchange(
     } else {
         req.push_str("\r\n");
     }
-    conn.get_mut().write_all(req.as_bytes()).expect("write request");
-    read_response(conn)
+    conn.write_all(req.as_bytes()).expect("write request");
+    recv(conn)
 }
 
-fn read_response<R: BufRead>(r: &mut R) -> (u16, String) {
-    let mut line = String::new();
-    assert!(r.read_line(&mut line).expect("status line") > 0, "EOF before status line");
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {line:?}"));
-    let mut content_length = 0usize;
-    let mut chunked = false;
-    loop {
-        line.clear();
-        assert!(r.read_line(&mut line).expect("header") > 0, "EOF in headers");
-        let t = line.trim_end();
-        if t.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = t.split_once(':') {
-            let v = v.trim();
-            if k.eq_ignore_ascii_case("content-length") {
-                content_length = v.parse().expect("Content-Length");
-            } else if k.eq_ignore_ascii_case("transfer-encoding") {
-                chunked = v.eq_ignore_ascii_case("chunked");
-            }
-        }
-    }
-    let mut body = String::new();
-    if chunked {
-        loop {
-            line.clear();
-            r.read_line(&mut line).expect("chunk size");
-            let size = usize::from_str_radix(line.trim(), 16)
-                .unwrap_or_else(|_| panic!("bad chunk size {line:?}"));
-            let mut chunk = vec![0u8; size + 2];
-            r.read_exact(&mut chunk).expect("chunk payload");
-            if size == 0 {
-                break;
-            }
-            body.push_str(std::str::from_utf8(&chunk[..size]).expect("chunk utf-8"));
-        }
-    } else if content_length > 0 {
-        let mut buf = vec![0u8; content_length];
-        r.read_exact(&mut buf).expect("body");
-        body = String::from_utf8(buf).expect("body utf-8");
-    }
-    (status, body)
+fn recv(conn: &mut Conn) -> (u16, String) {
+    let reply = conn.recv().expect("framed response");
+    (reply.status, reply.body)
 }
 
-fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
-    let s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    s.set_nodelay(true).ok();
-    BufReader::new(s)
+fn connect(addr: SocketAddr) -> Conn {
+    Client::new(addr.to_string(), Duration::from_secs(60)).dial().expect("connect")
 }
 
 #[test]
@@ -202,16 +152,15 @@ fn trace_id_propagates_to_the_owning_shard() {
     let mut conn = connect(router.addr());
     // Pin the trace id from the client side; the router must adopt it
     // and the shard's envelope must echo it — one id, two processes.
-    conn.get_mut()
-        .write_all(
-            format!(
-                "GET /v1/reachability?origin={origin} HTTP/1.1\r\nHost: t\r\n\
-                 X-Flatnet-Trace-Id: 00000000feedface\r\n\r\n"
-            )
-            .as_bytes(),
+    conn.write_all(
+        format!(
+            "GET /v1/reachability?origin={origin} HTTP/1.1\r\nHost: t\r\n\
+             X-Flatnet-Trace-Id: 00000000feedface\r\n\r\n"
         )
-        .unwrap();
-    let (status, body) = read_response(&mut conn);
+        .as_bytes(),
+    )
+    .unwrap();
+    let (status, body) = recv(&mut conn);
     assert_eq!(status, 200, "{body}");
     assert_eq!(
         merge::member_str(&body, "trace_id"),

@@ -8,8 +8,9 @@
 use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_router::{merge, HashRing, Router, RouterConfig, SHARD_UNAVAILABLE};
 use flatnet_serve::{ServeConfig, Server, TopologySource};
+use flatnet_wire::Client;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
 fn start_shard(id: u32, count: u32) -> Server {
@@ -32,65 +33,13 @@ fn known_origins(n: usize) -> Vec<u32> {
     net.truth.asns().step_by(step).take(n).map(|a| a.0).collect()
 }
 
-fn read_response<R: BufRead>(r: &mut R) -> (u16, String) {
-    let mut line = String::new();
-    assert!(r.read_line(&mut line).expect("status line") > 0, "EOF before status line");
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {line:?}"));
-    let mut content_length = 0usize;
-    let mut chunked = false;
-    loop {
-        line.clear();
-        assert!(r.read_line(&mut line).expect("header") > 0, "EOF in headers");
-        let t = line.trim_end();
-        if t.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = t.split_once(':') {
-            let v = v.trim();
-            if k.eq_ignore_ascii_case("content-length") {
-                content_length = v.parse().expect("Content-Length");
-            } else if k.eq_ignore_ascii_case("transfer-encoding") {
-                chunked = v.eq_ignore_ascii_case("chunked");
-            }
-        }
-    }
-    let mut body = String::new();
-    if chunked {
-        loop {
-            line.clear();
-            r.read_line(&mut line).expect("chunk size");
-            let size = usize::from_str_radix(line.trim(), 16)
-                .unwrap_or_else(|_| panic!("bad chunk size {line:?}"));
-            let mut chunk = vec![0u8; size + 2];
-            r.read_exact(&mut chunk).expect("chunk payload");
-            if size == 0 {
-                break;
-            }
-            body.push_str(std::str::from_utf8(&chunk[..size]).expect("chunk utf-8"));
-        }
-    } else if content_length > 0 {
-        let mut buf = vec![0u8; content_length];
-        r.read_exact(&mut buf).expect("body");
-        body = String::from_utf8(buf).expect("body utf-8");
-    }
-    (status, body)
-}
-
 /// The hang guard: every read on the client side times out after 30s,
 /// so a wedged scatter fails the test instead of stalling CI.
 fn get(addr: SocketAddr, target: &str) -> (u16, String) {
-    let s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    s.set_nodelay(true).ok();
-    let mut conn = BufReader::new(s);
-    conn.get_mut()
-        .write_all(format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes())
-        .expect("write request");
-    read_response(&mut conn)
+    let reply = Client::new(addr.to_string(), Duration::from_secs(30))
+        .one_shot("GET", target)
+        .expect("round trip");
+    (reply.status, reply.body)
 }
 
 /// Origins from `pool` owned by shard `want` on an n-shard ring.
@@ -203,43 +152,35 @@ fn killed_shard_yields_partial_batch_and_slice_scoped_503() {
 }
 
 /// A shard stand-in that speaks just enough keep-alive HTTP to answer
-/// every request with a 503 error envelope — the "up but refusing"
-/// failure mode, distinct from a dead socket.
-fn start_refusing_shard() -> (SocketAddr, std::thread::JoinHandle<()>) {
+/// every request with `response`, verbatim.
+fn start_fake_shard(response: Vec<u8>) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake shard");
     let addr = listener.local_addr().unwrap();
     let handle = std::thread::Builder::new()
-        .name("fake-503-shard".into())
+        .name("fake-shard".into())
         .spawn(move || {
             // Serve a handful of connections then quit; tests never need
             // more, and bounding it lets the thread die on its own.
-            for stream in listener.incoming().take(8) {
+            for stream in listener.incoming().take(32) {
                 let Ok(stream) = stream else { break };
                 stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
                 let mut reader = BufReader::new(stream);
-                loop {
-                    // Consume one request (headers only; the router only
-                    // ever GETs query endpoints here).
+                // Consume one request (headers only; the router only
+                // ever GETs query endpoints here), answer, repeat until
+                // the router hangs up.
+                'requests: loop {
                     let mut saw_any = false;
                     loop {
                         let mut line = String::new();
                         match reader.read_line(&mut line) {
-                            Ok(0) | Err(_) => return,
+                            Ok(0) | Err(_) => break 'requests,
                             Ok(_) if line.trim_end().is_empty() && saw_any => break,
-                            Ok(_) if line.trim_end().is_empty() => return,
+                            Ok(_) if line.trim_end().is_empty() => break 'requests,
                             Ok(_) => saw_any = true,
                         }
                     }
-                    let body = "{\"schema\":\"flatnet-serve/v1\",\"snapshot_version\":0,\
-                                \"trace_id\":\"0000000000000000\",\
-                                \"error\":{\"kind\":\"backoff\",\"message\":\"refusing\"}}";
-                    let resp = format!(
-                        "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
-                         Content-Length: {}\r\nConnection: keep-alive\r\nRetry-After: 1\r\n\r\n{body}",
-                        body.len()
-                    );
-                    if reader.get_mut().write_all(resp.as_bytes()).is_err() {
-                        return;
+                    if reader.get_mut().write_all(&response).is_err() {
+                        break;
                     }
                 }
             }
@@ -251,7 +192,17 @@ fn start_refusing_shard() -> (SocketAddr, std::thread::JoinHandle<()>) {
 #[test]
 fn refusing_shard_yields_partial_batch_never_500() {
     let real: Vec<Server> = (0..2).map(|i| start_shard(i, 3)).collect();
-    let (fake_addr, _fake) = start_refusing_shard();
+    // "Up but refusing", distinct from a dead socket: every request
+    // gets a 503 error envelope.
+    let body = "{\"schema\":\"flatnet-serve/v1\",\"snapshot_version\":0,\
+                \"trace_id\":\"0000000000000000\",\
+                \"error\":{\"kind\":\"backoff\",\"message\":\"refusing\"}}";
+    let refusal = format!(
+        "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: keep-alive\r\nRetry-After: 1\r\n\r\n{body}",
+        body.len()
+    );
+    let (fake_addr, _fake) = start_fake_shard(refusal.into_bytes());
     let mut shard_addrs: Vec<String> = real.iter().map(|s| s.addr().to_string()).collect();
     shard_addrs.push(fake_addr.to_string());
     let router = Router::start(RouterConfig {
@@ -295,4 +246,74 @@ fn refusing_shard_yields_partial_batch_never_500() {
     for s in real {
         s.shutdown();
     }
+}
+
+/// Shards that lie about their framing — a length no server could send,
+/// a chunk size that overflows, a header line that never ends — are a
+/// transport failure of their own slice, not of the router.
+#[test]
+fn lying_shards_fail_their_slice_only_and_never_kill_the_router() {
+    let hostile: [Vec<u8>; 3] = [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999\r\n\r\n{".to_vec(),
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffff\r\n{".to_vec(),
+        [&b"HTTP/1.1 200 OK\r\nX-Pad: "[..], &[b'a'; 1 << 20]].concat(),
+    ];
+    let real = start_shard(0, 4);
+    let mut shard_addrs = vec![real.addr().to_string()];
+    shard_addrs.extend(hostile.into_iter().map(|r| start_fake_shard(r).0.to_string()));
+    let router = Router::start(RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        shard_addrs,
+        probe_interval_ms: 0,
+        upstream_timeout_ms: 5_000,
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+
+    let pool = known_origins(48);
+    let ring = HashRing::new(4);
+    let one_of = |shard: u32| {
+        *owned_by(&pool, &ring, shard, 1).first().expect("origin pool misses a slice; widen it")
+    };
+
+    let list = pool.iter().map(u32::to_string).collect::<Vec<_>>().join(",");
+    let (status, body) = get(router.addr(), &format!("/v1/reachability?origins={list}"));
+    assert_eq!(status, 200, "lying shards must yield a partial 200: {body}");
+    let router_member = merge::member(&body, "router")
+        .unwrap_or_else(|| panic!("missing router partial marker: {body}"));
+    assert_eq!(merge::member(router_member, "partial"), Some("true"), "{body}");
+    let mut failed = merge::array_items(merge::member(router_member, "failed_shards").unwrap())
+        .expect("failed_shards parse");
+    failed.sort_unstable();
+    assert_eq!(failed, ["1", "2", "3"], "{body}");
+    let data = merge::envelope_data(&body).expect("data");
+    let results = merge::array_items(merge::member(data, "results").expect("results")).unwrap();
+    assert_eq!(results.len(), pool.len());
+    for (&origin, entry) in pool.iter().zip(&results) {
+        if ring.owner(origin) == 0 {
+            assert!(merge::member(entry, "error").is_none(), "origin {origin}: {entry}");
+        } else {
+            assert!(entry.contains(SHARD_UNAVAILABLE), "origin {origin}: {entry}");
+        }
+    }
+
+    // Singles to each lying slice: slice-scoped 503, stable kind.
+    for shard in 1..4 {
+        let (status, body) =
+            get(router.addr(), &format!("/v1/reachability?origin={}", one_of(shard)));
+        assert_eq!(status, 503, "shard {shard}: {body}");
+        assert_eq!(merge::envelope_error_kind(&body), Some(SHARD_UNAVAILABLE), "{body}");
+    }
+
+    // The router keeps serving, and no connection slot leaked.
+    let (status, body) = get(router.addr(), &format!("/v1/reachability?origin={}", one_of(0)));
+    assert_eq!(status, 200, "healthy slice must keep answering: {body}");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while router.active_conns() > 0 {
+        assert!(std::time::Instant::now() < deadline, "a router connection slot leaked");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    router.shutdown();
+    real.shutdown();
 }

@@ -7,8 +7,8 @@
 use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_router::{merge, Router, RouterConfig};
 use flatnet_serve::{ServeConfig, Server, TopologySource};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use flatnet_wire::Client;
+use std::net::SocketAddr;
 use std::time::Duration;
 
 fn start_shard(id: u32, count: u32) -> Server {
@@ -24,44 +24,11 @@ fn start_shard(id: u32, count: u32) -> Server {
     .expect("shard starts")
 }
 
-fn read_response<R: BufRead>(r: &mut R) -> (u16, String) {
-    let mut line = String::new();
-    assert!(r.read_line(&mut line).expect("status line") > 0, "EOF before status line");
-    let status: u16 = line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {line:?}"));
-    let mut content_length = 0usize;
-    loop {
-        line.clear();
-        assert!(r.read_line(&mut line).expect("header") > 0, "EOF in headers");
-        let t = line.trim_end();
-        if t.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = t.split_once(':') {
-            if k.eq_ignore_ascii_case("content-length") {
-                content_length = v.trim().parse().expect("Content-Length");
-            }
-        }
-    }
-    let mut buf = vec![0u8; content_length];
-    r.read_exact(&mut buf).expect("body");
-    (status, String::from_utf8(buf).expect("body utf-8"))
-}
-
 fn roundtrip(addr: SocketAddr, method: &str, target: &str) -> (u16, String) {
-    let s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    let mut conn = BufReader::new(s);
-    conn.get_mut()
-        .write_all(
-            format!("{method} {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
-                .as_bytes(),
-        )
-        .expect("write request");
-    read_response(&mut conn)
+    let reply = Client::new(addr.to_string(), Duration::from_secs(30))
+        .one_shot(method, target)
+        .expect("round trip");
+    (reply.status, reply.body)
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! resizes itself if the topology's node count changed.
 //!
 //! A worker holds one connection at a time for that connection's whole
-//! life: after each response it parks in [`wait_for_next`] (sliced
+//! life: after each response it parks in [`wait_for_request`] (sliced
 //! reads, so shutdown is never delayed by more than one slice) until
 //! the next request's bytes arrive, the idle budget runs out, or the
 //! per-connection request budget is spent. Pipelined requests need no
@@ -29,7 +29,9 @@
 //! server's, and name the request defect otherwise.
 
 use crate::cache::{policy_fingerprint, CacheKey, ResultCache};
-use crate::http::{read_request, Method, Request, Response};
+use crate::http::{
+    parse_asn, read_request, wait_for_request, Method, NextRequest, Request, Response,
+};
 use crate::json::{envelope, envelope_prefix, error_envelope, escape, fmt_f64, push_f64, Json};
 use crate::snapshot::{ServeSnapshot, SnapshotManager};
 use flatnet_asgraph::{AsId, NodeId};
@@ -38,7 +40,7 @@ use flatnet_core::leaks::{leak_cdf, Announce, Locking};
 use flatnet_obs::trace::{Stage, TraceCtx, TraceDump, Tracer, STAGES};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -142,22 +144,6 @@ impl ApiError {
         );
         resp.retry_after = self.retry_after;
         resp
-    }
-}
-
-/// The envelope error `kind` for a parse-layer status code.
-fn kind_for_status(status: u16) -> &'static str {
-    match status {
-        400 => "bad-request",
-        404 => "not-found",
-        405 => "method",
-        408 => "timeout",
-        413 => "payload",
-        414 => "uri-too-long",
-        422 => "unprocessable",
-        431 => "headers",
-        503 => "unavailable",
-        _ => "internal",
     }
 }
 
@@ -442,58 +428,6 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, worker: usize) {
     }
 }
 
-/// Why [`wait_for_next`] returned.
-enum NextRequest {
-    /// Bytes are buffered (or just arrived): parse the next request.
-    Data,
-    /// The idle budget ran out with no new request: close cleanly.
-    Idle,
-    /// The peer closed (EOF) or the transport failed.
-    Closed,
-    /// The daemon is shutting down.
-    Shutdown,
-}
-
-/// Slice length for idle waits: an idle keep-alive connection re-checks
-/// the shutdown flag this often, bounding how long a parked worker can
-/// delay a clean shutdown.
-const IDLE_SLICE: Duration = Duration::from_millis(250);
-
-/// Parks on a persistent connection until the next request's bytes
-/// arrive, the idle budget runs out, the peer closes, or shutdown is
-/// flagged. Pipelined bytes already sitting in the `BufReader` return
-/// `Data` immediately without touching the socket timeout.
-fn wait_for_next(
-    shared: &Shared,
-    stream: &TcpStream,
-    reader: &mut BufReader<&TcpStream>,
-) -> NextRequest {
-    let start = Instant::now();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return NextRequest::Shutdown;
-        }
-        let left = shared.keepalive_idle.saturating_sub(start.elapsed());
-        if left.is_zero() {
-            return NextRequest::Idle;
-        }
-        let _ = stream.set_read_timeout(Some(IDLE_SLICE.min(left)));
-        match reader.fill_buf() {
-            Ok([]) => return NextRequest::Closed,
-            Ok(_) => return NextRequest::Data,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-                ) =>
-            {
-                continue
-            }
-            Err(_) => return NextRequest::Closed,
-        }
-    }
-}
-
 /// Serves one connection for its whole life: request loop with
 /// keep-alive negotiation, per-connection request budget, and idle
 /// timeout. Each request gets its own trace context and deadline; the
@@ -530,13 +464,13 @@ fn handle_conn(shared: &Arc<Shared>, ctx: &mut WorkerCtx, worker: usize, job: Jo
             Some(first) => first,
             None => {
                 let mut t = TraceCtx::new(shared.tracer.next_id());
-                match wait_for_next(shared, &stream, &mut reader) {
+                match wait_for_request(&mut reader, shared.keepalive_idle, &shared.shutdown) {
                     NextRequest::Data => t.mark(Stage::KeepaliveIdle),
                     NextRequest::Idle => {
                         shared.keepalive_idle_closed.inc();
                         return;
                     }
-                    NextRequest::Closed | NextRequest::Shutdown => return,
+                    NextRequest::Gone => return,
                 }
                 shared.keepalive_reuse.inc();
                 (t, Duration::ZERO)
@@ -564,12 +498,8 @@ fn handle_conn(shared: &Arc<Shared>, ctx: &mut WorkerCtx, worker: usize, job: Jo
                 // A router in front of this shard propagates its trace id
                 // so the hop's traces stitch to ours; adopt it. Garbage
                 // values are ignored — the locally allocated id stands.
-                if let Some(hex) = req.header("x-flatnet-trace-id") {
-                    if let Ok(id) = u64::from_str_radix(hex.trim(), 16) {
-                        if id != 0 {
-                            t.set_id(id);
-                        }
-                    }
+                if let Some(id) = req.trace_id() {
+                    t.set_id(id);
                 }
                 let keep = budget_left
                     && req.wants_keep_alive()
@@ -608,7 +538,7 @@ fn handle_conn(shared: &Arc<Shared>, ctx: &mut WorkerCtx, worker: usize, job: Jo
                 t.set_tag("parse_error");
                 error_response(
                     e.status,
-                    kind_for_status(e.status),
+                    e.kind(),
                     &e.reason,
                     shared.mgr.current().version,
                     t.id(),
@@ -813,14 +743,6 @@ fn debug_queue(shared: &Arc<Shared>) -> Response {
     Response::json(200, body)
 }
 
-/// Parses one `ASN` / `AS123` token.
-fn parse_asn(raw: &str) -> Result<u32, ApiError> {
-    let digits = raw.strip_prefix("AS").or_else(|| raw.strip_prefix("as")).unwrap_or(raw);
-    digits
-        .parse()
-        .map_err(|_| ApiError::bad_request(format!("bad origin {raw:?} (want an AS number)")))
-}
-
 /// Collects the query's origin list: `origins=a,b,c` (canonical batch
 /// form) and/or `origin=a` (single alias; also accepts a comma list),
 /// every ASN resolved against the snapshot. Returns the resolved list
@@ -830,14 +752,7 @@ fn parse_origins(
     snap: &ServeSnapshot,
     req: &Request,
 ) -> Result<(Vec<(u32, NodeId)>, bool), ApiError> {
-    let mut raw: Vec<&str> = Vec::new();
-    let mut plural = false;
-    for (k, v) in &req.query {
-        if k == "origins" || k == "origin" {
-            plural |= k == "origins";
-            raw.extend(v.split(',').filter(|s| !s.is_empty()));
-        }
-    }
+    let (raw, plural) = req.origin_tokens();
     if raw.is_empty() {
         return Err(ApiError::bad_request(
             "missing required query parameter 'origins' (or 'origin')",
@@ -851,7 +766,9 @@ fn parse_origins(
     }
     let mut out = Vec::with_capacity(raw.len());
     for r in raw {
-        let asn = parse_asn(r)?;
+        let asn = parse_asn(r).ok_or_else(|| {
+            ApiError::bad_request(format!("bad origin {r:?} (want an AS number)"))
+        })?;
         let node = snap
             .graph
             .index_of(AsId(asn))

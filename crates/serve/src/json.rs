@@ -1,293 +1,10 @@
-//! Minimal JSON for the serve crate: parse `POST` bodies, emit response
-//! documents, and let the tests pick responses apart.
-//!
-//! flatnet-obs has its own JSON module, but it is private to that crate
-//! and deliberately integer-only (metric snapshots never carry floats);
-//! the serve API does return floats (reliance scores, leak fractions),
-//! so this is a separate, equally dependency-free implementation.
+//! The `/v1` envelope and number formatting the serve crate writes its
+//! response documents with. Reading JSON — `POST` bodies here, response
+//! documents in the tests — is `flatnet-wire`'s; its tree view and
+//! string escaping are re-exported so `serve::json` stays the one path
+//! callers import.
 
-use std::fmt::Write as _;
-
-/// A parsed JSON value. Objects keep insertion order (handy for
-/// deterministic round-trips in tests).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number; integers survive exactly up to 2^53.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Array(Vec<Json>),
-    /// An object, as ordered key/value pairs.
-    Object(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object; `None` for missing keys or non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a float, if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The value as a non-negative integer, if it is one exactly.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => {
-                Some(*x as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Array(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one JSON document; trailing non-whitespace is an error.
-pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-const MAX_DEPTH: usize = 32;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        if self.depth >= MAX_DEPTH {
-            return Err("nesting too deep".into());
-        }
-        match self.peek() {
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                self.depth += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Array(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            self.depth -= 1;
-                            return Ok(Json::Array(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                self.depth += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Json::Object(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let k = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    self.skip_ws();
-                    let v = self.value()?;
-                    pairs.push((k, v));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            self.depth -= 1;
-                            return Ok(Json::Object(pairs));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected byte at {}", self.pos)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                    .map_err(|_| "bad \\u escape")?;
-                            let cp =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            // Surrogates are rejected rather than paired:
-                            // the serve API never emits astral-plane text.
-                            out.push(char::from_u32(cp).ok_or("bad \\u codepoint")?);
-                            self.pos += 4;
-                        }
-                        _ => return Err("bad escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some(c) if c < 0x20 => return Err("control byte in string".into()),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries
-                    // are valid).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| "bad utf-8")?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
-    }
-}
-
-/// Escapes `s` for inclusion inside a JSON string literal (no quotes
-/// added).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+pub use flatnet_wire::json::{escape, parse, Json};
 
 /// Formats a float for the response documents: integers print without a
 /// fraction, everything else with six significant decimals — enough for
@@ -344,35 +61,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_nested_document() {
-        let doc = r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\ny", "d": true}, "e": null}"#;
-        let v = parse(doc).unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_array().unwrap()[1].as_f64(), Some(2.5));
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(v.get("b").unwrap().get("d").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("e"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in [
-            "", "{", "[1,", "{\"a\":}", "nul", "\"abc", "{\"a\" 1}", "1 2",
-            "{\"a\":1}x", "\u{1}", "[\"\\q\"]", "[\"\\u12\"]",
-        ] {
-            assert!(parse(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn depth_limit_holds() {
-        let deep = "[".repeat(100) + &"]".repeat(100);
-        assert!(parse(&deep).is_err());
-        let ok = "[".repeat(20) + &"]".repeat(20);
-        assert!(parse(&ok).is_ok());
-    }
-
-    #[test]
     fn envelopes_parse_back() {
         let ok = envelope(3, 0xabcd, "{\"x\":1}");
         let doc = parse(ok.trim()).unwrap();
@@ -391,10 +79,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_numbers_and_escapes() {
-        assert_eq!(parse("42").unwrap().as_u64(), Some(42));
-        assert_eq!(parse("-1.5").unwrap().as_f64(), Some(-1.5));
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn floats_format_deterministically() {
         assert_eq!(fmt_f64(3.0), "3");
         assert_eq!(fmt_f64(0.25), "0.250000");
     }

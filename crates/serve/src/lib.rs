@@ -21,8 +21,8 @@
 //!   bounded queue with 503-backpressure, per-request deadlines, and a
 //!   sharded LRU [`cache`] keyed by
 //!   `(snapshot version, origin, policy fingerprint)`.
-//! * [`server`] + [`http`] — the accept loop and a strict, bounded
-//!   request parser hardened against malformed input. Connections are
+//! * [`server`] + [`http`] — the accept loop and the strict, bounded
+//!   codec (`flatnet-wire`'s, re-exported here). Connections are
 //!   keep-alive by default (pipelining works, budgets and idle timeouts
 //!   bound reuse) and large reach sets stream as chunked responses.
 //!
@@ -39,12 +39,12 @@
 pub mod cache;
 pub mod engine;
 pub mod error;
-pub mod http;
 pub mod json;
 pub mod server;
 pub mod snapshot;
 
 pub use cache::{policy_fingerprint, CacheKey, ResultCache};
 pub use error::ServeError;
+pub use flatnet_wire::http;
 pub use server::{serve, ServeConfig, Server};
 pub use snapshot::{ManagerStatus, ServeSnapshot, SnapshotManager, TopologySource};

@@ -9,48 +9,17 @@ use flatnet_bgpsim::{PropagationConfig, Simulation, TopologySnapshot};
 use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_serve::json::{parse, Json};
 use flatnet_serve::{ServeConfig, Server, TopologySource};
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use flatnet_wire::Client;
+use std::net::SocketAddr;
 use std::time::Duration;
 
-/// Reassembles a `Transfer-Encoding: chunked` body (streamed `detail=full`
-/// responses) into the payload text.
-fn dechunk(mut body: &str) -> String {
-    let mut out = String::new();
-    loop {
-        let Some((size_line, rest)) = body.split_once("\r\n") else {
-            panic!("truncated chunked body");
-        };
-        let size = usize::from_str_radix(size_line.trim(), 16)
-            .unwrap_or_else(|_| panic!("bad chunk size line {size_line:?}"));
-        if size == 0 {
-            return out;
-        }
-        out.push_str(&rest[..size]);
-        body = rest[size..].strip_prefix("\r\n").expect("chunk terminator");
-    }
-}
-
+/// One round trip on a fresh connection, closed afterwards.
 fn fetch(addr: SocketAddr, method: &str, path: &str) -> (u16, Json) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    write!(s, "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
-    s.shutdown(Shutdown::Write).unwrap();
-    let mut raw = Vec::new();
-    s.read_to_end(&mut raw).expect("read");
-    let text = String::from_utf8(raw).expect("utf-8 response");
-    let status: u16 = text
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|r| r.split(' ').next())
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {text:?}"));
-    let (head, body) = text.split_once("\r\n\r\n").unwrap_or((text.as_str(), ""));
-    let body = if head.contains("Transfer-Encoding: chunked") {
-        dechunk(body)
-    } else {
-        body.to_string()
-    };
-    (status, parse(&body).unwrap_or_else(|e| panic!("bad JSON body {body:?}: {e}")))
+    let reply = Client::new(addr.to_string(), Duration::from_secs(30))
+        .one_shot(method, path)
+        .expect("round trip");
+    let body = reply.body;
+    (reply.status, parse(&body).unwrap_or_else(|e| panic!("bad JSON body {body:?}: {e}")))
 }
 
 /// The response payload: the `data` member for enveloped `/v1` responses,

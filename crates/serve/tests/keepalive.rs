@@ -8,78 +8,26 @@
 use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_serve::json::{parse, Json};
 use flatnet_serve::{ServeConfig, Server, TopologySource};
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use flatnet_wire::{Client, Conn};
+use std::io::{Read, Write};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-/// Reads one framed response (Content-Length or chunked) off a
-/// persistent connection. Returns (status, headers, body, server will
-/// close).
-fn read_response<R: BufRead>(r: &mut R) -> (u16, String, String, bool) {
-    let mut line = String::new();
-    assert!(r.read_line(&mut line).expect("status line") > 0, "EOF before status line");
-    let status: u16 = line
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|rest| rest.split(' ').next())
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {line:?}"));
-    let mut head = String::new();
-    let mut content_length = 0usize;
-    let mut chunked = false;
-    let mut close = false;
-    loop {
-        line.clear();
-        assert!(r.read_line(&mut line).expect("header line") > 0, "EOF in headers");
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            break;
-        }
-        head.push_str(trimmed);
-        head.push('\n');
-        if let Some((k, v)) = trimmed.split_once(':') {
-            let v = v.trim();
-            if k.eq_ignore_ascii_case("content-length") {
-                content_length = v.parse().expect("Content-Length");
-            } else if k.eq_ignore_ascii_case("transfer-encoding") {
-                chunked = v.eq_ignore_ascii_case("chunked");
-            } else if k.eq_ignore_ascii_case("connection") {
-                close = v.eq_ignore_ascii_case("close");
-            }
-        }
-    }
-    let mut body = String::new();
-    if chunked {
-        loop {
-            line.clear();
-            r.read_line(&mut line).expect("chunk size");
-            let size = usize::from_str_radix(line.trim(), 16)
-                .unwrap_or_else(|_| panic!("bad chunk size {line:?}"));
-            let mut chunk = vec![0u8; size + 2];
-            r.read_exact(&mut chunk).expect("chunk payload");
-            if size == 0 {
-                break;
-            }
-            body.push_str(std::str::from_utf8(&chunk[..size]).expect("chunk utf-8"));
-        }
-    } else if content_length > 0 {
-        let mut buf = vec![0u8; content_length];
-        r.read_exact(&mut buf).expect("body");
-        body = String::from_utf8(buf).expect("body utf-8");
-    }
-    (status, head, body, close)
+/// Reads one framed response off a persistent connection. Returns
+/// (status, headers, body, server will close).
+fn recv(conn: &mut Conn) -> (u16, String, String, bool) {
+    let r = conn.recv().expect("framed response");
+    (r.status, r.head, r.body, r.close)
 }
 
-fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
-    let s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    s.set_nodelay(true).ok();
-    BufReader::new(s)
+fn connect(addr: SocketAddr) -> Conn {
+    Client::new(addr.to_string(), Duration::from_secs(30)).dial().expect("connect")
 }
 
 /// Issues one request on an established keep-alive connection.
-fn request(conn: &mut BufReader<TcpStream>, path: &str) -> (u16, String, String, bool) {
-    write!(conn.get_mut(), "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-    read_response(conn)
+fn request(conn: &mut Conn, path: &str) -> (u16, String, String, bool) {
+    write!(conn, "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    recv(conn)
 }
 
 fn start_server(cfg_tweak: impl FnOnce(&mut ServeConfig)) -> Server {
@@ -147,9 +95,9 @@ fn pipelined_requests_are_answered_in_order() {
         use std::fmt::Write as _;
         let _ = write!(batch, "GET /v1/reachability?origin={o} HTTP/1.1\r\nHost: t\r\n\r\n");
     }
-    conn.get_mut().write_all(batch.as_bytes()).unwrap();
+    conn.write_all(batch.as_bytes()).unwrap();
     for &o in &origins {
-        let (status, _, body, close) = read_response(&mut conn);
+        let (status, _, body, close) = recv(&mut conn);
         assert_eq!(status, 200, "{body}");
         assert!(!close);
         let doc = parse(&body).expect("json");
@@ -170,11 +118,11 @@ fn request_bytes_split_across_syscalls_parse_fine() {
     // enough that the server's reader sees many short reads — but well
     // inside the io timeout, so this must NOT trip the 408 path.
     for piece in req.as_bytes().chunks(7) {
-        conn.get_mut().write_all(piece).unwrap();
-        conn.get_mut().flush().unwrap();
+        conn.write_all(piece).unwrap();
+        conn.flush().unwrap();
         std::thread::sleep(Duration::from_millis(5));
     }
-    let (status, _, body, close) = read_response(&mut conn);
+    let (status, _, body, close) = recv(&mut conn);
     assert_eq!(status, 200, "{body}");
     assert!(!close, "a slow but complete request must keep the connection open");
 
@@ -228,11 +176,11 @@ fn connection_close_mid_stream_is_honored() {
     // Now ask to close: the response must carry `Connection: close` and
     // the server must actually hang up after it.
     write!(
-        conn.get_mut(),
+        conn,
         "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
     )
     .unwrap();
-    let (status, head, _, close) = read_response(&mut conn);
+    let (status, head, _, close) = recv(&mut conn);
     assert_eq!(status, 200);
     assert!(close, "Connection: close must be advertised back: {head}");
     let mut leftover = Vec::new();

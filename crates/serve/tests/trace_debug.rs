@@ -10,29 +10,24 @@ use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_obs::TraceDump;
 use flatnet_serve::json::{parse, Json};
 use flatnet_serve::{ServeConfig, Server, TopologySource};
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use flatnet_wire::Client;
+use std::io::Write;
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
-/// One round trip, returning (status, raw header block, body).
+fn client(addr: SocketAddr) -> Client {
+    Client::new(addr.to_string(), Duration::from_secs(30))
+}
+
+/// One round trip, returning (status, header block, body).
 fn fetch_raw(addr: SocketAddr, method: &str, path: &str) -> (u16, String, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    // Deliberately no `Connection: close` request header: the half-close
-    // below reads as EOF at the server's next request boundary, so the
-    // connection still winds down promptly under keep-alive.
-    write!(s, "{method} {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-    s.shutdown(Shutdown::Write).unwrap();
-    let mut raw = Vec::new();
-    s.read_to_end(&mut raw).expect("read");
-    let text = String::from_utf8(raw).expect("utf-8 response");
-    let status: u16 = text
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|r| r.split(' ').next())
-        .and_then(|c| c.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line: {text:?}"));
-    let (head, body) = text.split_once("\r\n\r\n").unwrap_or((text.as_str(), ""));
-    (status, head.to_string(), body.to_string())
+    // Deliberately no `Connection: close` request header: dropping the
+    // connection below reads as EOF at the server's next request
+    // boundary, so it still winds down promptly under keep-alive.
+    let mut conn = client(addr).dial().expect("connect");
+    write!(conn, "{method} {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    let reply = conn.recv().expect("framed response");
+    (reply.status, reply.head, reply.body)
 }
 
 fn header<'a>(head: &'a str, name: &str) -> Option<&'a str> {
@@ -210,8 +205,7 @@ fn connection_header_follows_keep_alive_negotiation() {
     let addr = server.addr();
     for path in ["/healthz", "/metrics"] {
         // An HTTP/1.1 request without a Connection header negotiates
-        // keep-alive; read_to_end still returns because fetch_raw
-        // half-closes and the server treats the EOF as a clean end.
+        // keep-alive.
         let (status, head, _) = fetch_raw(addr, "GET", path);
         assert_eq!(status, 200, "{path}");
         assert_eq!(
@@ -221,15 +215,9 @@ fn connection_header_follows_keep_alive_negotiation() {
         );
 
         // `Connection: close` is still respected, and advertised back.
-        let mut s = TcpStream::connect(addr).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        write!(s, "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
-        let mut raw = Vec::new();
-        s.read_to_end(&mut raw).expect("read");
-        let text = String::from_utf8(raw).unwrap();
-        let head = text.split_once("\r\n\r\n").map(|(h, _)| h).unwrap_or(&text);
+        let head = client(addr).one_shot("GET", path).expect("round trip").head;
         assert_eq!(
-            header(head, "Connection"),
+            header(&head, "Connection"),
             Some("close"),
             "{path} must honor Connection: close"
         );

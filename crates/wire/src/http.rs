@@ -1,10 +1,14 @@
-//! A strict, bounded HTTP/1.1 request parser and response writer.
+//! The strict, bounded HTTP/1.1 codec: the request parser and response
+//! writer the daemons face the network with, and the response reader
+//! every client in the workspace reads them back through.
 //!
-//! The daemon faces the network, so this parser treats every input as
-//! hostile, in the same spirit as the lenient-mode file ingestion
-//! parsers: every dimension of a request is length-capped *before* any
-//! allocation grows to match it, and any violation maps to a definite
-//! 4xx status rather than a panic or an unbounded read.
+//! Both directions treat every input as hostile, in the same spirit as
+//! the lenient-mode file ingestion parsers: every dimension of a
+//! message is length-capped *before* any allocation grows to match it.
+//! On the request side a violation maps to a definite 4xx status; on
+//! the response side ([`read_response`]) to an `InvalidData` error a
+//! caller treats like any other transport failure. Neither panics and
+//! neither reads without bound.
 //!
 //! Connections are persistent by default: HTTP/1.1 requests keep the
 //! socket open unless the client sends `Connection: close` (HTTP/1.0
@@ -18,19 +22,25 @@
 //! [`ChunkSink`]); chunked *request* bodies and HTTP/2 remain
 //! non-goals.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 /// Cap on the request line (`GET /path?query HTTP/1.1`). Sized so a
-/// full [`MAX_BATCH_ORIGINS`](crate::engine::MAX_BATCH_ORIGINS)-origin
-/// `origins=` list of 10-digit ASNs still fits — the engine's batch cap
-/// is the binding limit, not the transport's.
+/// full 1024-origin `origins=` list of 10-digit ASNs still fits — the
+/// serve engine's batch cap is the binding limit, not the transport's.
 pub const MAX_REQUEST_LINE: usize = 16 * 1024;
-/// Cap on one header line.
+/// Cap on one header line (and on a response's status and chunk-size
+/// lines).
 pub const MAX_HEADER_LINE: usize = 1024;
-/// Cap on the number of headers.
+/// Cap on the number of headers (and of chunked-body trailer lines).
 pub const MAX_HEADERS: usize = 64;
 /// Cap on a declared request body.
 pub const MAX_BODY: usize = 64 * 1024;
+/// Cap on a response body as [`read_response`] accepts it, declared or
+/// accumulated. A `detail=full` batch at paper scale is a few MB.
+pub const MAX_RESPONSE_BODY: usize = 256 * 1024 * 1024;
 
 /// Request methods the daemon understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,6 +79,31 @@ impl Request {
     pub fn header(&self, name: &str) -> Option<&str> {
         let lower = name.to_ascii_lowercase();
         self.headers.iter().find(|(k, _)| *k == lower).map(|(_, v)| v.as_str())
+    }
+
+    /// The trace id a router (or client) propagated in
+    /// `X-Flatnet-Trace-Id`, for the receiving hop to adopt so one id
+    /// stitches both hops' traces. Garbage and zero read as absent.
+    pub fn trace_id(&self) -> Option<u64> {
+        let hex = self.header("x-flatnet-trace-id")?;
+        u64::from_str_radix(hex.trim(), 16).ok().filter(|&id| id != 0)
+    }
+
+    /// The query's origin tokens — `origins=a,b,c` (canonical batch
+    /// form) and/or `origin=a` (single alias; also accepts a comma
+    /// list), every occurrence, comma-split, empties dropped — plus
+    /// whether `origins=` appeared (which forces the batch response
+    /// shape even for one origin).
+    pub fn origin_tokens(&self) -> (Vec<&str>, bool) {
+        let mut tokens = Vec::new();
+        let mut plural = false;
+        for (k, v) in &self.query {
+            if k == "origins" || k == "origin" {
+                plural |= k == "origins";
+                tokens.extend(v.split(',').filter(|s| !s.is_empty()));
+            }
+        }
+        (tokens, plural)
     }
 
     /// Keep-alive negotiation: HTTP/1.1 persists unless the client says
@@ -111,6 +146,24 @@ impl ParseError {
     pub fn wants_response(&self) -> bool {
         self.status != 0
     }
+
+    /// The error-envelope `kind` for this failure's status.
+    pub fn kind(&self) -> &'static str {
+        match self.status {
+            400 => "bad-request",
+            405 => "method",
+            408 => "timeout",
+            413 => "payload",
+            414 => "uri-too-long",
+            431 => "headers",
+            _ => "internal",
+        }
+    }
+}
+
+/// Parses one `123` / `AS123` origin token.
+pub fn parse_asn(raw: &str) -> Option<u32> {
+    raw.strip_prefix("AS").or_else(|| raw.strip_prefix("as")).unwrap_or(raw).parse().ok()
 }
 
 /// Maps a socket read error to the right parse error: a timed-out read
@@ -127,21 +180,30 @@ fn read_error(e: std::io::Error) -> ParseError {
     }
 }
 
+/// The request parser's reading of a [`read_line_limited`] failure;
+/// `too_long` is the status for an over-long line (414 for the request
+/// line, 431 for a header).
+fn line_error(e: std::io::Error, too_long: u16) -> ParseError {
+    match e.kind() {
+        std::io::ErrorKind::InvalidData => ParseError::new(too_long, "line too long"),
+        std::io::ErrorKind::UnexpectedEof => ParseError::new(400, "truncated request"),
+        _ => read_error(e),
+    }
+}
+
 /// Reads one line (terminated by `\n`), enforcing `max` bytes *including*
-/// the terminator. Returns `None` on immediate EOF (peer closed).
-fn read_line_limited<R: BufRead>(
-    r: &mut R,
-    max: usize,
-    too_long_status: u16,
-) -> Result<Option<Vec<u8>>, ParseError> {
+/// the terminator. Returns `None` on immediate EOF (peer closed); a line
+/// past `max` is `InvalidData` and a peer that closes mid-line
+/// `UnexpectedEof`, which no socket read reports by itself.
+fn read_line_limited<R: BufRead>(r: &mut R, max: usize) -> std::io::Result<Option<Vec<u8>>> {
     let mut line = Vec::new();
     loop {
-        let buf = r.fill_buf().map_err(read_error)?;
+        let buf = r.fill_buf()?;
         if buf.is_empty() {
             if line.is_empty() {
                 return Ok(None);
             }
-            return Err(ParseError::new(400, "truncated request"));
+            return Err(eof("connection closed mid-line"));
         }
         let remaining = max.saturating_sub(line.len());
         match buf.iter().take(remaining).position(|&b| b == b'\n') {
@@ -155,7 +217,7 @@ fn read_line_limited<R: BufRead>(
             }
             None => {
                 if buf.len() >= remaining {
-                    return Err(ParseError::new(too_long_status, "line too long"));
+                    return Err(bad_data("line too long"));
                 }
                 line.extend_from_slice(buf);
                 let used = buf.len();
@@ -196,7 +258,9 @@ fn percent_decode(s: &str) -> Result<String, ()> {
 pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, ParseError> {
     // Request line. A too-long line gets 414 (it is almost always a
     // runaway URI).
-    let Some(line) = read_line_limited(r, MAX_REQUEST_LINE, 414)? else {
+    let Some(line) =
+        read_line_limited(r, MAX_REQUEST_LINE).map_err(|e| line_error(e, 414))?
+    else {
         return Ok(None);
     };
     let line = String::from_utf8(line)
@@ -244,7 +308,8 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, ParseError
     // Headers.
     let mut headers = Vec::new();
     loop {
-        let line = read_line_limited(r, MAX_HEADER_LINE, 431)?
+        let line = read_line_limited(r, MAX_HEADER_LINE)
+            .map_err(|e| line_error(e, 431))?
             .ok_or_else(|| ParseError::new(400, "truncated headers"))?;
         if line.is_empty() {
             break;
@@ -273,7 +338,7 @@ pub fn read_request<R: BufRead>(r: &mut R) -> Result<Option<Request>, ParseError
             return Err(ParseError::new(413, "body too large"));
         }
         body.resize(len, 0);
-        std::io::Read::read_exact(r, &mut body).map_err(|e| {
+        r.read_exact(&mut body).map_err(|e| {
             use std::io::ErrorKind;
             match e.kind() {
                 // A client that declared a body and then stalled gets the
@@ -496,6 +561,206 @@ pub fn status_text(status: u16) -> &'static str {
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",
+    }
+}
+
+fn bad_data(msg: impl Into<String>) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
+}
+
+fn eof(msg: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::UnexpectedEof, msg)
+}
+
+/// A fully read response, as a client sees it.
+#[derive(Debug, Clone)]
+pub struct Reply {
+    /// HTTP status code.
+    pub status: u16,
+    /// The header block as the server spelled it: one `Name: value`
+    /// line per header, each `\n`-terminated.
+    pub head: String,
+    /// The complete body (chunked transfer decoded).
+    pub body: String,
+    /// The server asked for (or, with a close-delimited body, implied)
+    /// connection close.
+    pub close: bool,
+}
+
+impl Reply {
+    /// First value of header `name` (case-insensitive).
+    pub fn header(&self, name: &str) -> Option<&str> {
+        self.head
+            .lines()
+            .filter_map(|l| l.split_once(':'))
+            .find(|(k, _)| k.eq_ignore_ascii_case(name))
+            .map(|(_, v)| v.trim())
+    }
+}
+
+/// The most [`read_exactly`] reserves ahead of the bytes it has seen: a
+/// typical body arrives into one allocation, and a peer that declares
+/// a length it never sends costs no more than this.
+const BODY_RESERVE: usize = 64 * 1024;
+
+/// Appends exactly `n` more bytes to `body`, growing it as they arrive
+/// rather than sizing it from the peer's say-so.
+fn read_exactly<R: BufRead>(r: &mut R, n: usize, body: &mut Vec<u8>) -> std::io::Result<()> {
+    body.reserve(n.min(BODY_RESERVE));
+    if r.by_ref().take(n as u64).read_to_end(body)? < n {
+        return Err(eof("connection closed mid-body"));
+    }
+    Ok(())
+}
+
+/// One line of a response's framing, as text; `eof_means` names what an
+/// EOF in its place cut off.
+fn response_line<R: BufRead>(r: &mut R, eof_means: &str) -> std::io::Result<String> {
+    let line = read_line_limited(r, MAX_HEADER_LINE)?.ok_or_else(|| eof(eof_means))?;
+    String::from_utf8(line).map_err(|_| bad_data("response framing is not UTF-8"))
+}
+
+/// Reads one HTTP/1.1 response: status line, headers, then a
+/// `Content-Length`, chunked, or close-delimited body (the last reads
+/// to EOF and marks the connection closed). Consumes exactly one
+/// response's bytes, so pipelined responses behind it stay in `r`.
+///
+/// Every line goes through the same length-capped reader as the request
+/// side, header and trailer counts are capped at [`MAX_HEADERS`], and
+/// the body at [`MAX_RESPONSE_BODY`]; a violation, like any malformed
+/// framing, is an `InvalidData` error, and a peer that closes early an
+/// `UnexpectedEof` — never a short body.
+pub fn read_response<R: BufRead>(r: &mut R) -> std::io::Result<Reply> {
+    let line = response_line(r, "connection closed before status line")?;
+    let status: u16 = line
+        .strip_prefix("HTTP/1.")
+        .and_then(|rest| rest.split(' ').nth(1))
+        .and_then(|code| code.parse().ok())
+        .ok_or_else(|| bad_data(format!("bad status line {line:?}")))?;
+
+    let mut head = String::new();
+    let mut content_length: Option<usize> = None;
+    let mut chunked = false;
+    let mut close = false;
+    for n in 0.. {
+        let line = response_line(r, "connection closed inside headers")?;
+        if line.is_empty() {
+            break;
+        }
+        if n >= MAX_HEADERS {
+            return Err(bad_data("too many headers"));
+        }
+        let (name, value) =
+            line.split_once(':').ok_or_else(|| bad_data("malformed header (missing ':')"))?;
+        let value = value.trim();
+        if name.eq_ignore_ascii_case("content-length") {
+            content_length = Some(value.parse().map_err(|_| bad_data("bad Content-Length"))?);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            chunked = value.eq_ignore_ascii_case("chunked");
+        } else if name.eq_ignore_ascii_case("connection") {
+            close = value.split(',').any(|t| t.trim().eq_ignore_ascii_case("close"));
+        }
+        head.push_str(&line);
+        head.push('\n');
+    }
+
+    let too_large = || bad_data("body too large");
+    let mut body = Vec::new();
+    if chunked {
+        loop {
+            let line = response_line(r, "connection closed before chunk size")?;
+            let hex = line.trim();
+            if hex.is_empty() || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return Err(bad_data("bad chunk size"));
+            }
+            let size = usize::from_str_radix(hex, 16).map_err(|_| bad_data("bad chunk size"))?;
+            if size == 0 {
+                break;
+            }
+            if body.len().checked_add(size).is_none_or(|total| total > MAX_RESPONSE_BODY) {
+                return Err(too_large());
+            }
+            read_exactly(r, size, &mut body)?;
+            let mut crlf = [0u8; 2];
+            r.read_exact(&mut crlf)?;
+            if &crlf != b"\r\n" {
+                return Err(bad_data("chunk not terminated by CRLF"));
+            }
+        }
+        // Trailers (none are ever sent here) run to the blank line.
+        for n in 0.. {
+            if response_line(r, "connection closed inside trailers")?.is_empty() {
+                break;
+            }
+            if n >= MAX_HEADERS {
+                return Err(bad_data("too many trailers"));
+            }
+        }
+    } else if let Some(n) = content_length {
+        if n > MAX_RESPONSE_BODY {
+            return Err(too_large());
+        }
+        read_exactly(r, n, &mut body)?;
+    } else {
+        r.by_ref().take(MAX_RESPONSE_BODY as u64 + 1).read_to_end(&mut body)?;
+        if body.len() > MAX_RESPONSE_BODY {
+            return Err(too_large());
+        }
+        close = true;
+    }
+    let body = String::from_utf8(body).map_err(|_| bad_data("non-UTF-8 body"))?;
+    Ok(Reply { status, head, body, close })
+}
+
+/// Why [`wait_for_request`] returned.
+pub enum NextRequest {
+    /// Bytes are buffered (or just arrived): parse the next request.
+    Data,
+    /// The idle budget ran out with no new request: close cleanly.
+    Idle,
+    /// The peer closed (EOF), the transport failed, or the daemon is
+    /// shutting down.
+    Gone,
+}
+
+/// Slice length for idle waits: an idle keep-alive connection re-checks
+/// the shutdown flag this often, bounding how long a parked connection
+/// can delay a clean shutdown.
+const IDLE_SLICE: Duration = Duration::from_millis(250);
+
+/// Parks on a persistent connection until the next request's bytes
+/// arrive, the `idle` budget runs out, the peer closes, or `shutdown`
+/// is flagged. Pipelined bytes already sitting in the `BufReader` return
+/// `Data` without reading the socket. The read timeout is left at the
+/// last slice's; the caller sets the one it wants for the request.
+pub fn wait_for_request(
+    reader: &mut BufReader<&TcpStream>,
+    idle: Duration,
+    shutdown: &AtomicBool,
+) -> NextRequest {
+    let start = Instant::now();
+    loop {
+        if shutdown.load(Ordering::SeqCst) {
+            return NextRequest::Gone;
+        }
+        let left = idle.saturating_sub(start.elapsed());
+        if left.is_zero() {
+            return NextRequest::Idle;
+        }
+        let _ = reader.get_ref().set_read_timeout(Some(IDLE_SLICE.min(left)));
+        match reader.fill_buf() {
+            Ok([]) => return NextRequest::Gone,
+            Ok(_) => return NextRequest::Data,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
+                ) =>
+            {
+                continue
+            }
+            Err(_) => return NextRequest::Gone,
+        }
     }
 }
 
