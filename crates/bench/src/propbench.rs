@@ -1,19 +1,19 @@
-//! `flatnet bench propagate` — wall-clock benchmark of the batched
-//! propagation engine against the legacy one-shot path.
+//! `flatnet bench propagate` — wall-clock benchmark of the two shipped
+//! propagation paths: the scalar engine and the bit-parallel lane kernel.
 //!
-//! Both passes run the same hierarchy-free reachability workload: for
-//! every sampled origin, exclude its providers plus all Tier-1s and
-//! Tier-2s, propagate, and count reachable ASes. The legacy pass
-//! allocates a fresh exclusion mask and full distance state per origin
-//! (what `propagate()` did before the engine existed); the engine pass
-//! compiles one [`TopologySnapshot`] and reuses a [`SweepCtx`] so the
-//! steady state allocates nothing.
+//! The headline passes run the same hierarchy-free reachability
+//! workload: for every sampled origin, exclude its providers plus all
+//! Tier-1s and Tier-2s ([`flatnet_bgpsim::Exclusion`]), propagate, and
+//! count reachable ASes. The engine pass compiles one
+//! [`TopologySnapshot`] and reuses a [`SweepCtx`] per worker, refilling
+//! the scalar mask per origin, so the steady state allocates nothing.
+//! The kernel pass runs the same workload through the multi-origin
+//! kernel pinned at the narrowest lane width (64 origins per block,
+//! `Simulation::run_sweep_reach_counts_with`), tiers on the shared mask
+//! and providers per lane. The two must agree on total reach.
 //!
-//! A third pass runs the same workload through the bit-parallel
-//! multi-origin kernel pinned at the narrowest lane width (64 origins
-//! per block, `Simulation::run_sweep_reach_counts_with`). A fourth pair
-//! (`kernel_dense` / `kernel_wide`) times the serve batch and
-//! cache-warm workload — an unrestricted full-reach sweep of the same
+//! A further pair (`kernel_dense` / `kernel_wide`) times the serve batch
+//! and cache-warm workload — an unrestricted full-reach sweep of the same
 //! origins, where lanes share most node visits — first in 64-lane
 //! blocks, then at the wide lane width (256 origins per block on AVX2
 //! hardware, or whatever `--lane-width` selects); the
@@ -23,21 +23,21 @@
 //! cores).
 //!
 //! Results go to stdout and to a JSON report (schema
-//! `flatnet-bench-propagate/v1`) consumed by the CI regression gate.
+//! `flatnet-bench-propagate/v2`) consumed by the CI regression gate.
 //! The report records the resolved lane widths, per-pass block lane
 //! occupancy, and the detected CPU SIMD features, so baselines measured
 //! on different runners are comparable.
-//! Every speedup is a within-run ratio (totals measured on the same
-//! machine in the same process), so it is comparable across hosts; the
-//! headline passes default to single-threaded for the same reason —
-//! `--threads N` changes their sweep parallelism. Each pass runs
-//! `--reps` times and keeps its fastest repetition, so the reported
-//! totals describe warm steady state rather than allocator warm-up.
+//! Every ratio is within-run (totals measured on the same machine in the
+//! same process), so it is comparable across hosts; the headline passes
+//! default to single-threaded for the same reason — `--threads N`
+//! changes their sweep parallelism. Each pass runs `--reps` times and
+//! keeps its fastest repetition, so the reported totals describe warm
+//! steady state rather than allocator warm-up.
 
-use flatnet_asgraph::{AsGraph, NodeId, Tiers};
+use flatnet_asgraph::NodeId;
 use flatnet_bgpsim::{
-    cpu_features, propagate_legacy, LaneExcluder, LaneWidth, PropagationConfig, Simulation,
-    SweepCtx, TopologySnapshot, LANES,
+    cpu_features, Exclusion, ExclusionPolicy, LaneWidth, Simulation, SweepCtx, TopologySnapshot,
+    LANES,
 };
 use flatnet_netgen::{generate, NetGenConfig};
 use std::time::Instant;
@@ -66,45 +66,6 @@ fn stats(mut per_origin_us: Vec<u64>, total_ms: f64, total_reach: u64) -> PassSt
         p90_us: percentile(&per_origin_us, 90),
         total_reach,
     }
-}
-
-/// The hierarchy-free exclusion set: the origin's providers, every
-/// Tier-1 and Tier-2, with the origin itself always allowed.
-fn fill_mask(g: &AsGraph, tiers: &Tiers, origin: NodeId, mask: &mut [bool]) {
-    for &p in g.providers(origin) {
-        mask[p.idx()] = true;
-    }
-    for &n in tiers.tier1() {
-        mask[n.idx()] = true;
-    }
-    for &n in tiers.tier2() {
-        mask[n.idx()] = true;
-    }
-    mask[origin.idx()] = false;
-}
-
-/// The origin-dependent part of [`fill_mask`] for one kernel lane: the
-/// tier exclusions are origin-independent, so they ride in the
-/// simulation's shared mask (one broadcast per block) instead of being
-/// refilled into all 64 lanes; see [`tier_mask`].
-fn fill_lane(g: &AsGraph, origin: NodeId, ex: &mut LaneExcluder<'_>) {
-    for &p in g.providers(origin) {
-        ex.exclude(p);
-    }
-    ex.allow(origin);
-}
-
-/// The shared (origin-independent) half of [`fill_mask`]: every Tier-1
-/// and Tier-2 excluded.
-fn tier_mask(tiers: &Tiers, n: usize) -> Vec<bool> {
-    let mut mask = vec![false; n];
-    for &t in tiers.tier1() {
-        mask[t.idx()] = true;
-    }
-    for &t in tiers.tier2() {
-        mask[t.idx()] = true;
-    }
-    mask
 }
 
 /// Peak resident set size in bytes (`VmHWM` from `/proc/self/status`),
@@ -206,24 +167,18 @@ pub fn run(args: &[String]) -> Result<(), String> {
             *best = Some(s);
         }
     };
+    // The same for passes that keep only a total: `(fastest ms, reach)`.
+    let best_total = |pass: &dyn Fn() -> u64| {
+        (0..reps).fold((f64::INFINITY, 0u64), |(ms, _), _| {
+            let t0 = Instant::now();
+            let reach = pass();
+            (ms.min(t0.elapsed().as_secs_f64() * 1e3), reach)
+        })
+    };
+    let total = |counts: Vec<u32>| counts.iter().map(|&c| c as u64).sum::<u64>();
 
-    // ---- Legacy pass: fresh mask + full propagation state per origin. ----
-    let mut legacy_best: Option<PassStats> = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let mut legacy_us = Vec::with_capacity(origins.len());
-        let mut legacy_reach = 0u64;
-        for &o in &origins {
-            let t = Instant::now();
-            let mut mask = vec![false; n];
-            fill_mask(g, &tiers, o, &mut mask);
-            let cfg = PropagationConfig::default().with_excluded(mask);
-            legacy_reach += propagate_legacy(g, o, &cfg).reachable_count() as u64;
-            legacy_us.push(t.elapsed().as_micros() as u64);
-        }
-        best(&mut legacy_best, stats(legacy_us, t0.elapsed().as_secs_f64() * 1e3, legacy_reach));
-    }
-    let legacy = legacy_best.expect("reps >= 1");
+    let excl = Exclusion::new(g, &tiers, ExclusionPolicy::HIERARCHY_FREE)
+        .map_err(|e| e.to_string())?;
 
     // ---- Engine pass: one snapshot, reused workspaces, mask refills. ----
     let tc = Instant::now();
@@ -235,9 +190,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         let t0 = Instant::now();
         let timed: Vec<(u64, u64)> = sim.run_sweep_map(&origins, |ctx: &mut SweepCtx<'_>, o| {
             let t = Instant::now();
-            let mask = ctx.config_mut().excluded_mask_mut(n);
-            mask.fill(false);
-            fill_mask(g, &tiers, o, mask);
+            excl.fill_scalar(o, ctx.config_mut().excluded_mask_mut(n));
             let reach = ctx.run(o).reachable_count() as u64;
             (t.elapsed().as_micros() as u64, reach)
         });
@@ -247,37 +200,25 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
     let engine = engine_best.expect("reps >= 1");
 
-    if legacy.total_reach != engine.total_reach {
-        return Err(format!(
-            "engine disagrees with legacy: total reach {} vs {}",
-            engine.total_reach, legacy.total_reach
-        ));
-    }
-
     // ---- Kernel pass, pinned at the narrowest width (64 origins per
     // block) as the lane-widening baseline; tiers broadcast via the
     // shared mask, providers + origin-allow per lane. ----
     let ksim = Simulation::over(&snap)
         .threads(threads)
-        .excluded(tier_mask(&tiers, n))
+        .config(excl.shared_config())
         .lane_width(LaneWidth::W64);
-    let mut kernel_total_ms = f64::INFINITY;
-    let mut kernel_reach = 0u64;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let counts = ksim.run_sweep_reach_counts_with(&origins, |o, ex| fill_lane(g, o, ex));
-        let total_ms = t0.elapsed().as_secs_f64() * 1e3;
-        kernel_reach = counts.iter().map(|&c| c as u64).sum();
-        kernel_total_ms = kernel_total_ms.min(total_ms);
-    }
+    let hfree = |sim: &Simulation<'_>| {
+        total(sim.run_sweep_reach_counts_with(&origins, |o, ex| excl.fill_lane(o, ex)))
+    };
+    let (kernel_total_ms, kernel_reach) = best_total(&|| hfree(&ksim));
     let kernel_blocks = origins.len().div_ceil(LANES).max(1);
     // Mean origins actually occupying each block (the report used to
     // hardcode 64, wrong for every partial tail block).
     let kernel_occupancy = origins.len() as f64 / kernel_blocks as f64;
-    if kernel_reach != legacy.total_reach {
+    if kernel_reach != engine.total_reach {
         return Err(format!(
-            "kernel disagrees with legacy: total reach {kernel_reach} vs {}",
-            legacy.total_reach
+            "kernel disagrees with engine: total reach {kernel_reach} vs {}",
+            engine.total_reach
         ));
     }
 
@@ -295,25 +236,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
     // ratio isolates lane widening alone. ----
     let wide_lanes = LANES * lane_width.words_for(origins.len());
     let dsim = Simulation::over(&snap).threads(threads).lane_width(LaneWidth::W64);
-    let mut kernel_dense_ms = f64::INFINITY;
-    let mut dense_reach = 0u64;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let counts = dsim.run_sweep_reach_counts(&origins);
-        let total_ms = t0.elapsed().as_secs_f64() * 1e3;
-        dense_reach = counts.iter().map(|&c| c as u64).sum();
-        kernel_dense_ms = kernel_dense_ms.min(total_ms);
-    }
+    let (kernel_dense_ms, dense_reach) =
+        best_total(&|| total(dsim.run_sweep_reach_counts(&origins)));
     let wsim = Simulation::over(&snap).threads(threads).lane_width(lane_width);
-    let mut kernel_wide_ms = f64::INFINITY;
-    let mut kernel_wide_reach = 0u64;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let counts = wsim.run_sweep_reach_counts(&origins);
-        let total_ms = t0.elapsed().as_secs_f64() * 1e3;
-        kernel_wide_reach = counts.iter().map(|&c| c as u64).sum();
-        kernel_wide_ms = kernel_wide_ms.min(total_ms);
-    }
+    let (kernel_wide_ms, kernel_wide_reach) =
+        best_total(&|| total(wsim.run_sweep_reach_counts(&origins)));
     let kernel_wide_blocks = origins.len().div_ceil(wide_lanes).max(1);
     let kernel_wide_occupancy = origins.len() as f64 / kernel_wide_blocks as f64;
     if kernel_wide_reach != dense_reach {
@@ -325,48 +252,32 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     // ---- Multithreaded variants of both sweeps. ----
     let mt_sim = Simulation::over(&snap).threads(mt_threads);
-    let mut engine_mt_ms = f64::INFINITY;
-    let mut mt_reach = 0u64;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let mt_timed: Vec<u64> = mt_sim.run_sweep_map(&origins, |ctx: &mut SweepCtx<'_>, o| {
-            let mask = ctx.config_mut().excluded_mask_mut(n);
-            mask.fill(false);
-            fill_mask(g, &tiers, o, mask);
+    let (engine_mt_ms, mt_reach) = best_total(&|| {
+        let reached = mt_sim.run_sweep_map(&origins, |ctx: &mut SweepCtx<'_>, o| {
+            excl.fill_scalar(o, ctx.config_mut().excluded_mask_mut(n));
             ctx.run(o).reachable_count() as u64
         });
-        engine_mt_ms = engine_mt_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        mt_reach = mt_timed.iter().sum();
-    }
+        reached.iter().sum()
+    });
     let kmt_sim = Simulation::over(&snap)
         .threads(mt_threads)
-        .excluded(tier_mask(&tiers, n))
+        .config(excl.shared_config())
         .lane_width(LaneWidth::W64);
-    let mut kernel_mt_ms = f64::INFINITY;
-    let mut kernel_mt_reach = 0u64;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let mt_counts = kmt_sim.run_sweep_reach_counts_with(&origins, |o, ex| fill_lane(g, o, ex));
-        kernel_mt_ms = kernel_mt_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        kernel_mt_reach = mt_counts.iter().map(|&c| c as u64).sum();
-    }
-    if mt_reach != legacy.total_reach || kernel_mt_reach != legacy.total_reach {
+    let (kernel_mt_ms, kernel_mt_reach) = best_total(&|| hfree(&kmt_sim));
+    if mt_reach != engine.total_reach || kernel_mt_reach != engine.total_reach {
         return Err(format!(
-            "multithreaded passes disagree with legacy: engine {mt_reach}, \
+            "multithreaded passes disagree with the single-threaded ones: engine {mt_reach}, \
              kernel {kernel_mt_reach}, want {}",
-            legacy.total_reach
+            engine.total_reach
         ));
     }
 
-    let speedup = legacy.total_ms / engine.total_ms.max(1e-9);
-    let speedup_kernel = legacy.total_ms / kernel_total_ms.max(1e-9);
     let kernel_vs_engine = engine.total_ms / kernel_total_ms.max(1e-9);
     // Within-pair ratio: both legs run the dense full-reach sweep, so
     // this isolates what lane widening alone buys (the CI gate).
     let kernel_wide_vs_kernel = kernel_dense_ms / kernel_wide_ms.max(1e-9);
     let features = cpu_features();
     let rss = peak_rss_bytes();
-    println!("legacy : {:9.1} ms total, p50 {:6} us, p90 {:6} us", legacy.total_ms, legacy.p50_us, legacy.p90_us);
     println!(
         "engine : {:9.1} ms total, p50 {:6} us, p90 {:6} us (+ {:.1} ms snapshot compile)",
         engine.total_ms, engine.p50_us, engine.p90_us, compile_ms
@@ -389,7 +300,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
          (threads: {mt_threads}, 0 = all cores)"
     );
     println!(
-        "speedup: {speedup:.2}x   cpu: [{}]   peak RSS: {:.1} MiB",
+        "cpu: [{}]   peak RSS: {:.1} MiB",
         features.join(" "),
         rss as f64 / (1 << 20) as f64
     );
@@ -397,7 +308,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema\": \"flatnet-bench-propagate/v1\",\n",
+            "  \"schema\": \"flatnet-bench-propagate/v2\",\n",
             "  \"ases\": {},\n",
             "  \"seed\": {},\n",
             "  \"origins\": {},\n",
@@ -406,7 +317,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
             "  \"reps\": {},\n",
             "  \"lane_width\": \"{}\",\n",
             "  \"cpu_features\": [{}],\n",
-            "  \"legacy\": {{ \"total_ms\": {:.3}, \"p50_us\": {}, \"p90_us\": {} }},\n",
             "  \"engine\": {{ \"total_ms\": {:.3}, \"p50_us\": {}, \"p90_us\": {}, \"compile_ms\": {:.3} }},\n",
             "  \"kernel\": {{ \"total_ms\": {:.3}, \"blocks\": {}, \"lanes\": {}, \"occupancy\": {:.2} }},\n",
             "  \"kernel_dense\": {{ \"total_ms\": {:.3}, \"total_reach\": {} }},\n",
@@ -414,8 +324,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
             "  \"engine_mt\": {{ \"total_ms\": {:.3} }},\n",
             "  \"kernel_mt\": {{ \"total_ms\": {:.3} }},\n",
             "  \"total_reach\": {},\n",
-            "  \"speedup\": {:.4},\n",
-            "  \"speedup_kernel\": {:.4},\n",
             "  \"kernel_vs_engine\": {:.4},\n",
             "  \"kernel_wide_vs_kernel\": {:.4},\n",
             "  \"peak_rss_bytes\": {}\n",
@@ -429,9 +337,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         reps,
         lane_width_flag,
         features.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", "),
-        legacy.total_ms,
-        legacy.p50_us,
-        legacy.p90_us,
         engine.total_ms,
         engine.p50_us,
         engine.p90_us,
@@ -449,8 +354,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         engine_mt_ms,
         kernel_mt_ms,
         engine.total_reach,
-        speedup,
-        speedup_kernel,
         kernel_vs_engine,
         kernel_wide_vs_kernel,
         rss,
@@ -488,11 +391,10 @@ mod tests {
         .collect();
         run(&args).unwrap();
         let body = std::fs::read_to_string(&out).unwrap();
-        assert!(body.contains("\"schema\": \"flatnet-bench-propagate/v1\""));
-        assert!(body.contains("\"speedup\""));
+        assert!(body.contains("\"schema\": \"flatnet-bench-propagate/v2\""));
+        assert!(!body.contains("legacy") && !body.contains("speedup"));
         assert!(body.contains("\"total_reach\""));
         assert!(body.contains("\"kernel\""));
-        assert!(body.contains("\"speedup_kernel\""));
         assert!(body.contains("\"kernel_vs_engine\""));
         assert!(body.contains("\"kernel_mt\""));
         assert!(body.contains("\"reps\""));

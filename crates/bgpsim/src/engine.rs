@@ -1,8 +1,8 @@
 //! Batched propagation engine: compile the topology once, sweep many
 //! origins with zero steady-state allocation.
 //!
-//! The per-call [`crate::propagate`] path allocates four arrays and a
-//! queue per origin; a whole-Internet sweep (hierarchy-free reachability,
+//! The per-call [`crate::propagate()`] shim allocates a workspace per
+//! origin; a whole-Internet sweep (hierarchy-free reachability,
 //! leak CDFs) runs it tens of thousands of times, so those allocations
 //! and the pointer-chasing adjacency walks dominate the profile. This
 //! module splits the work into three pieces:
@@ -16,8 +16,10 @@
 //!   no heap allocation at all.
 //! * [`Simulation`] — a builder tying the two together:
 //!   `Simulation::over(&snap).keep_ties(true).run(origin)` for one origin,
-//!   [`Simulation::run_sweep`] / [`Simulation::run_sweep_map`] for batches
-//!   (fanned out over [`crate::parallel`], one workspace per worker).
+//!   [`Simulation::run_sweep_map`] for batches (fanned out over
+//!   [`crate::parallel`], one workspace per worker), and the
+//!   `run_sweep_reach*` family for reach-set-only sweeps through the
+//!   lane kernel ([`crate::lanes`]).
 //!
 //! ## Snapshot layout
 //!
@@ -34,13 +36,14 @@
 //! peer/provider-learned routes only to the customer prefix
 //! `adj[off[u]..cust_end[u]]` — exactly the slices the three phases walk.
 //!
-//! The provider phase replaces the legacy `BinaryHeap` with a bucket
+//! The provider phase replaces the reference implementation's
+//! (`crate::oracle`, test-only) `BinaryHeap` with a bucket
 //! queue (`Vec<Vec<u32>>` indexed by distance): edges all have weight 1,
 //! so distances are dense small integers and each push/pop is O(1). Pop
 //! and push counts are identical to the heap's — every pushed entry is
 //! popped exactly once and relaxation uses the same strict `<` test — so
 //! the `propagate.dijkstra_pops` / `propagate.export_checks` counters
-//! stay bit-identical to the legacy path (asserted by
+//! stay bit-identical to the reference's (asserted by
 //! `tests/engine_equiv.rs` and `tests/metrics.rs`).
 //!
 //! The run itself is output-sensitive: a touched-node list doubles as
@@ -50,7 +53,7 @@
 //! work is exactly the work whose counters are computable arithmetically
 //! (phase 2's per-receiver export checks come from precompiled peer
 //! degrees) or order-normalized (phase 3 seeds from the touched list
-//! sorted into the legacy's ascending node order, keeping the bucket
+//! sorted into the reference's ascending node order, keeping the bucket
 //! push/pop sequence identical).
 
 use crate::lanes::{
@@ -59,7 +62,7 @@ use crate::lanes::{
 };
 use crate::parallel::{self, SweepError};
 use crate::propagate::{
-    metrics, ImportPolicy, PolicyView, PropagationConfig, RouteClass, RoutingOutcome, UNREACHED,
+    metrics, PolicyView, PropagationConfig, RouteClass, RoutingOutcome, UNREACHED,
 };
 use crate::reliance::RelianceWorkspace;
 use flatnet_asgraph::{AsGraph, NodeId};
@@ -396,8 +399,8 @@ impl Workspace {
 /// Runs one origin's propagation over `snap` into `ws`.
 ///
 /// This is the engine's hot loop; semantics and observability counters
-/// are bit-identical to [`crate::propagate::propagate_legacy`] (see the
-/// module docs for the bucket-queue parity argument).
+/// are bit-identical to the test-only reference in `crate::oracle` (see
+/// the module docs for the bucket-queue parity argument).
 pub(crate) fn run_into(
     snap: &TopologySnapshot,
     origin: NodeId,
@@ -439,7 +442,7 @@ pub(crate) fn run_into(
     // instead of scanning all n receivers — p2p adjacency is symmetric,
     // so pushing sender→peers visits exactly the (receiver, sender)
     // pairs the receiver-side scan would have found routes on. The
-    // legacy loop counts an export check for every peer edge of every
+    // reference loop counts an export check for every peer edge of every
     // non-excluded non-origin receiver, reached or not, so that count is
     // reproduced arithmetically from the precompiled peer degrees.
     let mut peer_checks = snap.total_peer - snap.peer_deg(origin.0);
@@ -471,7 +474,7 @@ pub(crate) fn run_into(
     // from strictly smaller distances, so a single ascending scan drains
     // everything. Every node with a customer or peer route is on the
     // touched list; seeding must scan them in ascending node order (the
-    // legacy iteration order) so the bucket push/pop sequence — and with
+    // reference's iteration order) so the bucket push/pop sequence — and with
     // it `propagate.dijkstra_pops` — stays bit-identical, hence the sort.
     ws.touched.sort_unstable();
     let seeds = ws.touched.len();
@@ -655,21 +658,9 @@ impl<'s> Simulation<'s> {
         self
     }
 
-    /// Sets per-node import policies (peer locking).
-    pub fn policy(mut self, policies: Vec<ImportPolicy>) -> Self {
-        self.cfg = self.cfg.with_import(policies);
-        self
-    }
-
     /// Sets the excluded-node mask (`true` = removed from the topology).
     pub fn excluded(mut self, mask: Vec<bool>) -> Self {
         self.cfg = self.cfg.with_excluded(mask);
-        self
-    }
-
-    /// Restricts the origin to announcing only to neighbors flagged `true`.
-    pub fn origin_export(mut self, mask: Vec<bool>) -> Self {
-        self.cfg = self.cfg.with_origin_export(mask);
         self
     }
 
@@ -679,18 +670,20 @@ impl<'s> Simulation<'s> {
         self
     }
 
-    /// Worker threads for [`Self::run_sweep`] and friends; `0` (default)
-    /// uses the available parallelism.
+    /// Worker threads for [`Self::run_sweep_map`] and the lane sweeps;
+    /// `0` (default) uses the available parallelism.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// Kernel lane width for [`Self::run_sweep_reach`] and friends:
-    /// origins per bit-parallel block (64/128/256, or [`LaneWidth::Auto`]
-    /// — the default — to pick from detected CPU features). The width
-    /// never changes results, only throughput; whatever is selected is
-    /// clamped down for sweeps whose origin count fits a narrower block
+    /// Pins the kernel lane width for [`Self::run_sweep_reach`] and
+    /// friends (origins per bit-parallel block: 64/128/256) — for
+    /// benchmarks and differential tests that compare widths. Everything
+    /// shipped leaves the default [`LaneWidth::Auto`], which derives the
+    /// width from detected CPU features. The width never changes
+    /// results, only throughput; whatever is selected is clamped down
+    /// for sweeps whose origin count fits a narrower block
     /// ([`LaneWidth::words_for`]).
     pub fn lane_width(mut self, width: LaneWidth) -> Self {
         self.lane_width = width;
@@ -720,41 +713,17 @@ impl<'s> Simulation<'s> {
         ws.to_outcome()
     }
 
-    /// Propagates every origin (in parallel, one workspace per worker),
-    /// returning owned outcomes in input order.
-    pub fn run_sweep(&self, origins: &[NodeId]) -> Vec<RoutingOutcome> {
-        self.run_sweep_map(origins, |ctx, o| {
-            ctx.run(o);
-            ctx.workspace().to_outcome()
-        })
-    }
-
     /// Sweeps `origins`, reducing each run inside the worker via `f` —
     /// the zero-copy form: `f` reads the worker's [`Workspace`] and
     /// returns only what the caller keeps (a count, a fraction, ...).
     ///
-    /// A panic in `f` aborts the sweep naming the offending item; use
-    /// [`Self::try_run_sweep_map`] for per-item errors instead.
+    /// A panic in `f` aborts the sweep naming the offending item.
     pub fn run_sweep_map<R, F>(&self, origins: &[NodeId], f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut SweepCtx<'s>, NodeId) -> R + Sync,
     {
         parallel::parallel_map_ctx(origins, self.threads, || self.ctx(), |ctx, &o| f(ctx, o))
-    }
-
-    /// Like [`Self::run_sweep_map`], but a panic in `f` becomes a
-    /// per-item [`SweepError`] while every other origin still completes.
-    pub fn try_run_sweep_map<R, F>(
-        &self,
-        origins: &[NodeId],
-        f: F,
-    ) -> Vec<Result<R, SweepError>>
-    where
-        R: Send,
-        F: Fn(&mut SweepCtx<'s>, NodeId) -> R + Sync,
-    {
-        parallel::try_parallel_map_ctx(origins, self.threads, || self.ctx(), |ctx, &o| f(ctx, o))
     }
 
     /// Sweeps `origins` through the bit-parallel kernel
@@ -776,51 +745,15 @@ impl<'s> Simulation<'s> {
     /// `fill` runs once per origin and installs that origin's exclusions
     /// through a [`LaneExcluder`] (on top of the shared config mask) —
     /// the word-parallel analogue of refilling
-    /// [`PropagationConfig::excluded_mask_mut`] per origin.
+    /// [`PropagationConfig::excluded_mask_mut`] per origin. A panic in
+    /// `fill` aborts the sweep (after every block has run) naming the
+    /// offending origin's index.
     pub fn run_sweep_reach_with<F>(&self, origins: &[NodeId], fill: F) -> SweepReach
     where
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
-        match self.lane_width.words_for(origins.len()) {
-            1 => self.sweep_reach_w::<1, F>(origins, fill),
-            2 => self.sweep_reach_w::<2, F>(origins, fill),
-            _ => self.sweep_reach_w::<4, F>(origins, fill),
-        }
-    }
-
-    /// [`Self::run_sweep_reach_with`] monomorphized at lane width `W`.
-    fn sweep_reach_w<const W: usize, F>(&self, origins: &[NodeId], fill: F) -> SweepReach
-    where
-        Lanes<W>: LaneArity,
-        [NodeWords<W>]: AsExclusionLanes,
-        LaneWorkspace<W>: PooledLaneWs,
-        F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
-    {
-        let wp = self.snap.len().div_ceil(64);
-        let blocks: Vec<&[NodeId]> = origins.chunks(LaneWorkspace::<W>::BLOCK_LANES).collect();
-        let parts: Vec<(Vec<u64>, Vec<u32>)> = parallel::parallel_map_ctx(
-            &blocks,
-            self.threads,
-            || self.lane_ws::<LaneWorkspace<W>>(),
-            |pw, block| {
-                let ws = pw.get();
-                ws.run_block_inner(self.snap, block, &self.cfg, |o, ex| fill(o, ex), true);
-                let mut words = Vec::with_capacity(block.len() * wp);
-                let mut counts = Vec::with_capacity(block.len());
-                for k in 0..block.len() {
-                    words.extend_from_slice(ws.lane_reach_words(k));
-                    counts.push(ws.lane_reachable_count(k) as u32);
-                }
-                (words, counts)
-            },
-        );
-        let mut words = Vec::with_capacity(origins.len() * wp);
-        let mut counts = Vec::with_capacity(origins.len());
-        for (w, c) in parts {
-            words.extend_from_slice(&w);
-            counts.extend_from_slice(&c);
-        }
-        SweepReach::from_parts(self.snap.len(), origins.to_vec(), words, counts)
+        let sweep = self.sweep_lanes(origins, fill, true).or_panic();
+        SweepReach::from_parts(self.snap.len(), origins.to_vec(), sweep.words, sweep.counts)
     }
 
     /// The counts-only form of [`Self::run_sweep_reach`]: per-origin
@@ -837,39 +770,12 @@ impl<'s> Simulation<'s> {
     where
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
-        match self.lane_width.words_for(origins.len()) {
-            1 => self.sweep_counts_w::<1, F>(origins, fill),
-            2 => self.sweep_counts_w::<2, F>(origins, fill),
-            _ => self.sweep_counts_w::<4, F>(origins, fill),
-        }
-    }
-
-    /// [`Self::run_sweep_reach_counts_with`] monomorphized at width `W`.
-    fn sweep_counts_w<const W: usize, F>(&self, origins: &[NodeId], fill: F) -> Vec<u32>
-    where
-        Lanes<W>: LaneArity,
-        [NodeWords<W>]: AsExclusionLanes,
-        LaneWorkspace<W>: PooledLaneWs,
-        F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
-    {
-        let blocks: Vec<&[NodeId]> = origins.chunks(LaneWorkspace::<W>::BLOCK_LANES).collect();
-        let parts: Vec<Vec<u32>> = parallel::parallel_map_ctx(
-            &blocks,
-            self.threads,
-            || self.lane_ws::<LaneWorkspace<W>>(),
-            |pw, block| {
-                let ws = pw.get();
-                ws.run_block_inner(self.snap, block, &self.cfg, |o, ex| fill(o, ex), false);
-                (0..block.len()).map(|k| ws.lane_reachable_count(k) as u32).collect()
-            },
-        );
-        parts.into_iter().flatten().collect()
+        self.sweep_lanes(origins, fill, false).or_panic().counts
     }
 
     /// Like [`Self::run_sweep_reach_counts_with`], but a panic in `fill`
     /// becomes a per-origin [`SweepError`] (indexed into `origins`)
-    /// while every other lane of the block still completes — the kernel
-    /// analogue of [`Self::try_run_sweep_map`].
+    /// while every other lane of the block still completes.
     pub fn try_run_sweep_reach_counts_with<F>(
         &self,
         origins: &[NodeId],
@@ -878,80 +784,128 @@ impl<'s> Simulation<'s> {
     where
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
+        let sweep = self.sweep_lanes(origins, fill, false);
+        let mut out: Vec<Result<u32, SweepError>> = sweep.counts.into_iter().map(Ok).collect();
+        for e in sweep.errors {
+            let i = e.index;
+            out[i] = Err(e);
+        }
+        out
+    }
+
+    /// The one lane-sweep driver every `run_sweep_reach*` entry point
+    /// reduces, and the only place the lane width is dispatched on.
+    fn sweep_lanes<F>(&self, origins: &[NodeId], fill: F, materialize: bool) -> LaneSweep
+    where
+        F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
+    {
         match self.lane_width.words_for(origins.len()) {
-            1 => self.try_sweep_counts_w::<1, F>(origins, fill),
-            2 => self.try_sweep_counts_w::<2, F>(origins, fill),
-            _ => self.try_sweep_counts_w::<4, F>(origins, fill),
+            1 => self.sweep_lanes_w::<1, F>(origins, fill, materialize),
+            2 => self.sweep_lanes_w::<2, F>(origins, fill, materialize),
+            _ => self.sweep_lanes_w::<4, F>(origins, fill, materialize),
         }
     }
 
-    /// [`Self::try_run_sweep_reach_counts_with`] monomorphized at `W`.
-    fn try_sweep_counts_w<const W: usize, F>(
+    /// [`Self::sweep_lanes`] at width `W`: chunk the origins into blocks,
+    /// run each on a pooled [`LaneWorkspace<W>`] with every lane's `fill`
+    /// under its own `catch_unwind`, and flatten the blocks' counts (and,
+    /// when `materialize`, reach words) into origin order. A lane whose
+    /// fill panicked is killed — an excluded origin yields the empty
+    /// outcome, so a half-run fill's exclusions cannot leak into a result
+    /// — and reported; a panic in the kernel itself fails its whole block.
+    fn sweep_lanes_w<const W: usize, F>(
         &self,
         origins: &[NodeId],
         fill: F,
-    ) -> Vec<Result<u32, SweepError>>
+        materialize: bool,
+    ) -> LaneSweep
     where
         Lanes<W>: LaneArity,
         [NodeWords<W>]: AsExclusionLanes,
         LaneWorkspace<W>: PooledLaneWs,
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
-        let block_lanes = LaneWorkspace::<W>::BLOCK_LANES;
-        let blocks: Vec<&[NodeId]> = origins.chunks(block_lanes).collect();
+        let wp = if materialize { self.snap.len().div_ceil(64) } else { 0 };
+        let blocks: Vec<&[NodeId]> = origins.chunks(LaneWorkspace::<W>::BLOCK_LANES).collect();
         let parts = parallel::try_parallel_map_ctx(
             &blocks,
             self.threads,
             || self.lane_ws::<LaneWorkspace<W>>(),
             |pw, block| {
                 let ws = pw.get();
-                let mut lane_errs: Vec<(usize, String)> = Vec::new();
+                let mut part = LaneSweep::with_capacity(block.len(), wp);
                 let mut lane = 0usize;
-                ws.run_block_inner(
-                    self.snap,
-                    block,
-                    &self.cfg,
-                    |o, ex| {
-                        let k = lane;
-                        lane += 1;
-                        let caught = std::panic::catch_unwind(
-                            std::panic::AssertUnwindSafe(|| fill(o, &mut *ex)),
-                        );
-                        if let Err(payload) = caught {
-                            lane_errs.push((k, parallel::panic_message(payload.as_ref())));
-                            // Kill the lane: an excluded origin yields the
-                            // empty outcome, so partial exclusions from the
-                            // half-run fill cannot leak into the result.
-                            ex.exclude(o);
-                        }
-                    },
-                    false,
-                );
-                let counts: Vec<u32> =
-                    (0..block.len()).map(|k| ws.lane_reachable_count(k) as u32).collect();
-                (counts, lane_errs)
+                let guarded = |o: NodeId, ex: &mut LaneExcluder<'_>| {
+                    let run = std::panic::AssertUnwindSafe(|| fill(o, &mut *ex));
+                    if let Err(payload) = std::panic::catch_unwind(run) {
+                        let message = parallel::panic_message(payload.as_ref());
+                        part.errors.push(SweepError { index: lane, message });
+                        ex.exclude(o);
+                    }
+                    lane += 1;
+                };
+                ws.run_block_inner(self.snap, block, &self.cfg, guarded, materialize);
+                for k in 0..block.len() {
+                    if materialize {
+                        part.words.extend_from_slice(ws.lane_reach_words(k));
+                    }
+                    part.counts.push(ws.lane_reachable_count(k) as u32);
+                }
+                part
             },
         );
-        let mut out = Vec::with_capacity(origins.len());
-        for (bi, part) in parts.into_iter().enumerate() {
-            let base = bi * block_lanes;
+        let mut out = LaneSweep::with_capacity(origins.len(), wp);
+        for (block, part) in blocks.iter().zip(parts) {
+            let base = out.counts.len();
             match part {
-                Ok((counts, errs)) => {
-                    let start = out.len();
-                    out.extend(counts.into_iter().map(Ok));
-                    for (lane, message) in errs {
-                        out[start + lane] = Err(SweepError { index: base + lane, message });
-                    }
+                Ok(part) => {
+                    out.words.extend_from_slice(&part.words);
+                    out.counts.extend_from_slice(&part.counts);
+                    out.errors.extend(
+                        part.errors
+                            .into_iter()
+                            .map(|e| SweepError { index: base + e.index, ..e }),
+                    );
                 }
                 Err(e) => {
-                    let blk_len = origins.len().min(base + block_lanes) - base;
-                    out.extend((0..blk_len).map(|k| {
-                        Err(SweepError { index: base + k, message: e.message.clone() })
+                    out.words.resize(out.words.len() + block.len() * wp, 0);
+                    out.counts.resize(base + block.len(), 0);
+                    out.errors.extend((0..block.len()).map(|lane| SweepError {
+                        index: base + lane,
+                        message: e.message.clone(),
                     }));
                 }
             }
         }
         out
+    }
+}
+
+/// A lane sweep (or one block of it) in origin order.
+struct LaneSweep {
+    /// Origin-major reach words; empty for counts-only sweeps.
+    words: Vec<u64>,
+    /// Reachable counts, origin excluded; 0 where `errors` names the origin.
+    counts: Vec<u32>,
+    /// Origins whose lane failed, ascending by index.
+    errors: Vec<SweepError>,
+}
+
+impl LaneSweep {
+    fn with_capacity(origins: usize, words_per: usize) -> Self {
+        LaneSweep {
+            words: Vec::with_capacity(origins * words_per),
+            counts: Vec::with_capacity(origins),
+            errors: Vec::new(),
+        }
+    }
+
+    /// The plain entry points' contract: re-raise the first failure.
+    fn or_panic(self) -> Self {
+        if let Some(e) = self.errors.first() {
+            panic!("{e}");
+        }
+        self
     }
 }
 
@@ -1009,7 +963,7 @@ impl<'s> SweepCtx<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagate::propagate_legacy;
+    use crate::oracle::propagate_legacy;
     use flatnet_asgraph::{AsGraphBuilder, AsId, Relationship};
 
     fn diamond() -> AsGraph {
@@ -1068,18 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn run_sweep_returns_owned_outcomes_in_order() {
-        let g = diamond();
-        let snap = TopologySnapshot::compile(&g);
-        let origins: Vec<NodeId> = g.nodes().collect();
-        let outs = Simulation::over(&snap).threads(1).run_sweep(&origins);
-        assert_eq!(outs.len(), origins.len());
-        for (o, out) in origins.iter().zip(&outs) {
-            assert_eq!(out.origin(), *o);
-        }
-    }
-
-    #[test]
     fn ctx_mask_refill_equals_fresh_configs() {
         let g = diamond();
         let snap = TopologySnapshot::compile(&g);
@@ -1099,24 +1041,43 @@ mod tests {
         assert!(with_excl < clean);
     }
 
+    /// The lane driver isolates a panicking `fill` to its own origin at
+    /// every width: `try_` reports it per origin while every other lane
+    /// completes untouched by the half-run fill; the plain entry points
+    /// re-raise the first one, naming the origin's index in the sweep.
     #[test]
-    fn try_sweep_isolates_panics_per_origin() {
+    fn lane_sweep_attributes_fill_panics_to_their_origin() {
         let g = diamond();
         let snap = TopologySnapshot::compile(&g);
-        let origins: Vec<NodeId> = g.nodes().collect();
-        let out = Simulation::over(&snap).threads(2).try_run_sweep_map(&origins, |ctx, o| {
-            if o.0 == 3 {
-                panic!("bad origin {o}");
+        // 70 origins: a full 64-lane block plus a tail at the narrowest
+        // width, one partial block at the wider ones.
+        let origins: Vec<NodeId> = (0..70).map(|i| NodeId(i % 6)).collect();
+        let fill = |panics: bool| {
+            move |o: NodeId, ex: &mut LaneExcluder<'_>| {
+                ex.exclude(NodeId((o.0 + 1) % 6));
+                assert!(!(panics && o.0 == 3), "bad origin {o}");
+                ex.allow(o);
             }
-            ctx.run(o).reachable_count()
-        });
-        assert_eq!(out.len(), origins.len());
-        for (i, r) in out.iter().enumerate() {
-            if i == 3 {
-                assert!(r.as_ref().unwrap_err().message.contains("bad origin"));
-            } else {
-                assert!(r.is_ok());
+        };
+        for width in [LaneWidth::W64, LaneWidth::W128, LaneWidth::W256] {
+            let sim = Simulation::over(&snap).threads(2).lane_width(width);
+            let want = sim.run_sweep_reach_counts_with(&origins, fill(false));
+            let got = sim.try_run_sweep_reach_counts_with(&origins, fill(true));
+            for (i, r) in got.iter().enumerate() {
+                match r {
+                    Ok(count) => assert_eq!((*count, origins[i].0 != 3), (want[i], true), "{width:?} #{i}"),
+                    Err(e) => {
+                        assert_eq!((e.index, origins[i].0), (i, 3), "{width:?}");
+                        assert!(e.message.contains("bad origin"), "{width:?}: {e}");
+                    }
+                }
             }
+            assert!(got[3].is_err() && got[69].is_err(), "{width:?}");
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sim.run_sweep_reach_with(&origins, fill(true));
+            }));
+            let msg = parallel::panic_message(caught.unwrap_err().as_ref());
+            assert!(msg.contains("sweep item 3 panicked: bad origin"), "{width:?}: {msg}");
         }
     }
 }

@@ -19,9 +19,10 @@
 //!   lanes (`W = 4`, one AVX2 vector per mask op) when the CPU reports
 //!   AVX2, and 128-bit lanes otherwise — two `u64` words autovectorize
 //!   to one SSE2/NEON vector on every supported target.
-//! * `--lane-width {auto,64,128,256}` overrides the choice end-to-end
-//!   (CLI `serve`/`router`, `bench propagate`); programmatic callers use
-//!   [`Simulation::lane_width`](crate::engine::Simulation::lane_width).
+//! * Nothing shipped overrides it: the daemons always run `Auto`.
+//!   [`Simulation::lane_width`](crate::engine::Simulation::lane_width)
+//!   pins a width for benchmarks and differential tests (`flatnet bench
+//!   propagate --lane-width`, `tests/engine_equiv.rs`).
 //! * A sweep never runs wider than its origin count needs: the selected
 //!   width is clamped so a 40-origin sweep uses one-word lanes and a
 //!   100-origin sweep two-word lanes even when 256-bit lanes are
@@ -38,8 +39,7 @@
 //! hierarchy-free workload) have almost no visits to share — every
 //! width does essentially the same traversal work, and the wider
 //! per-node state only adds memory traffic. Lane width never changes
-//! answers, so `Auto` stays the right default; pin `--lane-width 64`
-//! only for workloads known to be sparse.
+//! answers, so `Auto` stays the right default.
 //!
 //! The hot loops are straight-line word-parallel code (`for j in 0..W`
 //! over fixed-size arrays) that LLVM autovectorizes for the compile
@@ -137,8 +137,8 @@ pub const MAX_LANES: usize = LANES * MAX_LANE_WORDS;
 
 /// Runtime-selectable kernel lane width (origins per kernel block).
 ///
-/// This is the type `--lane-width` parses into and
-/// [`Simulation::lane_width`](crate::engine::Simulation::lane_width)
+/// This is the type `flatnet bench propagate --lane-width` parses into
+/// and [`Simulation::lane_width`](crate::engine::Simulation::lane_width)
 /// accepts; see the [module docs](self) for the selection policy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LaneWidth {
@@ -391,6 +391,17 @@ pub struct LaneExcluder<'w> {
 }
 
 impl LaneExcluder<'_> {
+    /// `node`'s `blocked` lane words, whatever the block's width.
+    #[inline]
+    fn blocked(&mut self, node: NodeId) -> &mut [u64] {
+        let i = node.idx();
+        match &mut self.lanes {
+            ExclusionLanes::W1(w) => &mut w[i].blocked,
+            ExclusionLanes::W2(w) => &mut w[i].blocked,
+            ExclusionLanes::W4(w) => &mut w[i].blocked,
+        }
+    }
+
     /// Excludes `node` for this lane's origin (like setting its bit in a
     /// scalar exclusion mask). Excluding the origin itself makes the
     /// lane empty, matching the scalar engine's excluded-origin outcome;
@@ -398,26 +409,12 @@ impl LaneExcluder<'_> {
     /// blanket exclusion.
     #[inline]
     pub fn exclude(&mut self, node: NodeId) {
-        let i = node.idx();
-        match &mut self.lanes {
-            ExclusionLanes::W1(w) => {
-                if or_all(&w[i].blocked) == 0 {
-                    self.blocked_touched.push(node.0);
-                }
-                w[i].blocked[self.word] |= self.bit;
-            }
-            ExclusionLanes::W2(w) => {
-                if or_all(&w[i].blocked) == 0 {
-                    self.blocked_touched.push(node.0);
-                }
-                w[i].blocked[self.word] |= self.bit;
-            }
-            ExclusionLanes::W4(w) => {
-                if or_all(&w[i].blocked) == 0 {
-                    self.blocked_touched.push(node.0);
-                }
-                w[i].blocked[self.word] |= self.bit;
-            }
+        let (word, bit) = (self.word, self.bit);
+        let blocked = self.blocked(node);
+        let first = blocked.iter().all(|&w| w == 0);
+        blocked[word] |= bit;
+        if first {
+            self.blocked_touched.push(node.0);
         }
     }
 
@@ -425,12 +422,8 @@ impl LaneExcluder<'_> {
     /// sweeps' `mask[origin] = false` after a blanket tier fill).
     #[inline]
     pub fn allow(&mut self, node: NodeId) {
-        let i = node.idx();
-        match &mut self.lanes {
-            ExclusionLanes::W1(w) => w[i].blocked[self.word] &= !self.bit,
-            ExclusionLanes::W2(w) => w[i].blocked[self.word] &= !self.bit,
-            ExclusionLanes::W4(w) => w[i].blocked[self.word] &= !self.bit,
-        }
+        let (word, bit) = (self.word, self.bit);
+        self.blocked(node)[word] &= !bit;
     }
 }
 
@@ -602,17 +595,13 @@ where
         W
     }
 
-    /// Runs one block of up to `64·W` origins over `snap` under `cfg`;
-    /// results are read through [`LaneWorkspace::lane_reach_words`] and
+    /// Runs one block of up to `64·W` origins over `snap` under `cfg`
+    /// with a per-origin exclusion fill: `fill` runs once per lane and
+    /// installs that origin's exclusions through the [`LaneExcluder`]
+    /// (on top of any shared `cfg` exclusion mask, which applies to every
+    /// lane). Results are read through
+    /// [`LaneWorkspace::lane_reach_words`] and
     /// [`LaneWorkspace::lane_reachable_count`].
-    pub fn run_block(&mut self, snap: &TopologySnapshot, origins: &[NodeId], cfg: &PropagationConfig) {
-        self.run_block_inner(snap, origins, cfg, |_, _| {}, true);
-    }
-
-    /// Like [`LaneWorkspace::run_block`], with a per-origin exclusion
-    /// fill: `fill` runs once per lane and installs that origin's
-    /// exclusions through the [`LaneExcluder`] (on top of any shared
-    /// `cfg` exclusion mask, which applies to every lane).
     pub fn run_block_masked(
         &mut self,
         snap: &TopologySnapshot,
@@ -1505,7 +1494,7 @@ mod tests {
                 let origins: Vec<NodeId> = g.nodes().collect();
                 let mut ws = Workspace::for_snapshot(snap);
                 for block in origins.chunks(LANES * W) {
-                    lanes.run_block(snap, block, &cfg);
+                    lanes.run_block_masked(snap, block, &cfg, |_, _| {});
                     for (k, &o) in block.iter().enumerate() {
                         ws.run(snap, o, &cfg);
                         assert_eq!(

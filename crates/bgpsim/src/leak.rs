@@ -17,8 +17,8 @@
 //! Leak CDFs run thousands of scenarios over one topology; [`LeakSim`]
 //! holds two engine workspaces plus the per-scenario policy buffers and
 //! refills them in place, so a sweep of scenarios does zero steady-state
-//! allocation. [`simulate_leak`] / [`simulate_subprefix_hijack`] remain
-//! as one-shot conveniences that compile a snapshot per call.
+//! allocation. [`simulate_leak`] remains as a one-shot convenience that
+//! compiles a snapshot per call.
 
 use crate::engine::{run_into, Simulation, TopologySnapshot, Workspace};
 use crate::propagate::{ImportPolicy, PolicyView, PropagationConfig};
@@ -117,29 +117,16 @@ impl LeakOutcome {
     /// Fraction of all ASes in the topology that are detoured — the
     /// quantity on the x-axis of Figures 7, 8, and 10.
     pub fn fraction_detoured(&self) -> f64 {
-        if self.states.is_empty() {
-            return 0.0;
-        }
-        self.detoured_count() as f64 / self.states.len() as f64
+        detour_fraction(self.states.len(), None, |t| self.state(t) == DetourState::Detoured)
     }
 
     /// Weighted detour fraction: share of `weights` mass (e.g. estimated
     /// user population per AS, Fig. 9) sitting in detoured ASes. Zero when
     /// the total weight is zero.
     pub fn weighted_fraction_detoured(&self, weights: &[f64]) -> f64 {
-        assert_eq!(weights.len(), self.states.len(), "weights must cover every node");
-        let total: f64 = weights.iter().sum();
-        if total == 0.0 {
-            return 0.0;
-        }
-        let detoured: f64 = self
-            .states
-            .iter()
-            .zip(weights)
-            .filter(|(s, _)| **s == DetourState::Detoured)
-            .map(|(_, w)| *w)
-            .sum();
-        detoured / total
+        detour_fraction(self.states.len(), Some(weights), |t| {
+            self.state(t) == DetourState::Detoured
+        })
     }
 }
 
@@ -276,10 +263,21 @@ impl<'s> LeakSim<'s> {
     /// `Some(w)` is [`LeakOutcome::weighted_fraction_detoured`].
     pub fn fraction(&mut self, scenario: &LeakScenario, weights: Option<&[f64]>) -> f64 {
         self.propagate_pair(scenario);
-        self.fraction_of_states(scenario, weights)
+        detour_fraction(self.snap.len(), weights, |t| {
+            self.state_of(scenario, t) == DetourState::Detoured
+        })
     }
 
-    /// Runs a sub-prefix hijack scenario (see [`simulate_subprefix_hijack`]).
+    /// Runs a **more-specific (sub-prefix) hijack**: the leaker announces
+    /// a longer prefix inside the victim's space, so longest-prefix-match
+    /// — not BGP preference — decides, and *every* AS holding the leaked
+    /// route is detoured regardless of its legitimate route.
+    ///
+    /// §8 deliberately studies same-length leaks ("the leaked routes have
+    /// the same prefix length as the legitimate routes"); this extension
+    /// quantifies the nastier variant. Peer locking is the only defence
+    /// the model offers: under [`LockingSemantics::Corrected`], deployers
+    /// drop the sub-prefix entirely, so it cannot spread through them.
     pub fn run_subprefix(&mut self, scenario: &LeakScenario) -> LeakOutcome {
         assert_ne!(scenario.victim, scenario.leaker, "victim cannot leak its own prefix");
         self.propagate_leaker(scenario);
@@ -298,34 +296,9 @@ impl<'s> LeakSim<'s> {
     ) -> f64 {
         assert_ne!(scenario.victim, scenario.leaker, "victim cannot leak its own prefix");
         self.propagate_leaker(scenario);
-        let n = self.snap.len();
-        match weights {
-            None => {
-                if n == 0 {
-                    return 0.0;
-                }
-                let detoured = (0..n as u32)
-                    .filter(|&i| {
-                        self.subprefix_state_of(scenario, NodeId(i)) == DetourState::Detoured
-                    })
-                    .count();
-                detoured as f64 / n as f64
-            }
-            Some(w) => {
-                assert_eq!(w.len(), n, "weights must cover every node");
-                let total: f64 = w.iter().sum();
-                if total == 0.0 {
-                    return 0.0;
-                }
-                let detoured: f64 = (0..n as u32)
-                    .filter(|&i| {
-                        self.subprefix_state_of(scenario, NodeId(i)) == DetourState::Detoured
-                    })
-                    .map(|i| w[i as usize])
-                    .sum();
-                detoured / total
-            }
-        }
+        detour_fraction(self.snap.len(), weights, |t| {
+            self.subprefix_state_of(scenario, t) == DetourState::Detoured
+        })
     }
 
     #[inline]
@@ -342,31 +315,30 @@ impl<'s> LeakSim<'s> {
             DetourState::Legit
         }
     }
+}
 
-    fn fraction_of_states(&self, scenario: &LeakScenario, weights: Option<&[f64]>) -> f64 {
-        let n = self.snap.len();
-        match weights {
-            None => {
-                if n == 0 {
-                    return 0.0;
-                }
-                let detoured = (0..n as u32)
-                    .filter(|&i| self.state_of(scenario, NodeId(i)) == DetourState::Detoured)
-                    .count();
-                detoured as f64 / n as f64
+/// The (optionally weighted) share of an `n`-node topology whose nodes
+/// satisfy `detoured`, scanned in ascending node order: the node count
+/// over `n` without weights ([`LeakOutcome::fraction_detoured`]), the
+/// weight mass over the total with them
+/// ([`LeakOutcome::weighted_fraction_detoured`]). Zero for an empty
+/// topology or zero total weight.
+fn detour_fraction(
+    n: usize,
+    weights: Option<&[f64]>,
+    detoured: impl Fn(NodeId) -> bool,
+) -> f64 {
+    let hit = (0..n as u32).filter(|&i| detoured(NodeId(i)));
+    match weights {
+        None if n == 0 => 0.0,
+        None => hit.count() as f64 / n as f64,
+        Some(w) => {
+            assert_eq!(w.len(), n, "weights must cover every node");
+            let total: f64 = w.iter().sum();
+            if total == 0.0 {
+                return 0.0;
             }
-            Some(w) => {
-                assert_eq!(w.len(), n, "weights must cover every node");
-                let total: f64 = w.iter().sum();
-                if total == 0.0 {
-                    return 0.0;
-                }
-                let detoured: f64 = (0..n as u32)
-                    .filter(|&i| self.state_of(scenario, NodeId(i)) == DetourState::Detoured)
-                    .map(|i| w[i as usize])
-                    .sum();
-                detoured / total
-            }
+            hit.map(|i| w[i as usize]).sum::<f64>() / total
         }
     }
 }
@@ -416,35 +388,10 @@ pub fn subprefix_detour_fractions(
         .config(PropagationConfig::new().with_import(import))
         .threads(threads);
     let reach = sim.run_sweep_reach(leakers);
-    match weights {
-        None => (0..leakers.len())
-            // Every AS holding the sub-prefix is detoured; the leaker's
-            // own origin bit is set (its traffic terminates locally), and
-            // the victim's import policy keeps its bit clear.
-            .map(|i| (reach.reachable_count(i) + 1) as f64 / n as f64)
-            .collect(),
-        Some(w) => {
-            assert_eq!(w.len(), n, "weights must cover every node");
-            let total: f64 = w.iter().sum();
-            (0..leakers.len())
-                .map(|i| {
-                    if total == 0.0 {
-                        return 0.0;
-                    }
-                    let mut detoured = 0.0;
-                    for (wi, &word) in reach.reach_words(i).iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            let b = bits.trailing_zeros() as usize;
-                            detoured += w[wi * 64 + b];
-                            bits &= bits - 1;
-                        }
-                    }
-                    detoured / total
-                })
-                .collect()
-        }
-    }
+    // Every AS holding the sub-prefix is detoured; the leaker's own
+    // origin bit is set (its traffic terminates locally), and the
+    // victim's import policy keeps its bit clear.
+    (0..leakers.len()).map(|i| detour_fraction(n, weights, |t| reach.reachable(i, t))).collect()
 }
 
 /// Runs one leak scenario over `g` (compiling a fresh snapshot; sweeps
@@ -455,21 +402,6 @@ pub fn subprefix_detour_fractions(
 pub fn simulate_leak(g: &AsGraph, scenario: &LeakScenario) -> LeakOutcome {
     let snap = TopologySnapshot::compile(g);
     LeakSim::new(&snap).run(scenario)
-}
-
-/// Simulates a **more-specific (sub-prefix) hijack**: the leaker announces
-/// a longer prefix inside the victim's space, so longest-prefix-match —
-/// not BGP preference — decides, and *every* AS holding the leaked route
-/// is detoured regardless of its legitimate route.
-///
-/// §8 deliberately studies same-length leaks ("the leaked routes have the
-/// same prefix length as the legitimate routes"); this extension
-/// quantifies the nastier variant. Peer locking is the only defence the
-/// model offers: under [`LockingSemantics::Corrected`], deployers drop the
-/// sub-prefix entirely, so it cannot spread through them.
-pub fn simulate_subprefix_hijack(g: &AsGraph, scenario: &LeakScenario) -> LeakOutcome {
-    let snap = TopologySnapshot::compile(g);
-    LeakSim::new(&snap).run_subprefix(scenario)
 }
 
 #[cfg(test)]
@@ -491,7 +423,9 @@ mod tests {
         let g = b.build();
         let same = simulate_leak(&g, &LeakScenario::simple(node(&g, 10), node(&g, 30)));
         assert_eq!(same.state(node(&g, 40)), DetourState::Legit);
-        let out = simulate_subprefix_hijack(&g, &LeakScenario::simple(node(&g, 10), node(&g, 30)));
+        let snap = TopologySnapshot::compile(&g);
+        let out = LeakSim::new(&snap)
+            .run_subprefix(&LeakScenario::simple(node(&g, 10), node(&g, 30)));
         assert_eq!(out.state(node(&g, 1)), DetourState::Detoured);
         assert_eq!(out.state(node(&g, 20)), DetourState::Detoured);
         assert_eq!(out.state(node(&g, 40)), DetourState::Detoured);
@@ -510,7 +444,8 @@ mod tests {
             locking: g.neighbors(victim).map(|(n, _)| n).collect(),
             semantics: LockingSemantics::Corrected,
         };
-        let out = simulate_subprefix_hijack(&g, &scenario);
+        let snap = TopologySnapshot::compile(&g);
+        let out = LeakSim::new(&snap).run_subprefix(&scenario);
         // The locking transit drops the sub-prefix: only the leaker
         // itself is detoured.
         assert_eq!(out.detoured_count(), 1);

@@ -19,7 +19,7 @@
 //! The module map follows the paper's analyses:
 //!
 //! * [`mod@propagate`] — the three-phase propagation semantics, the owned
-//!   [`PropagationConfig`], and the single-origin [`propagate`] shim, with
+//!   [`PropagationConfig`], and the single-origin [`propagate()`] shim, with
 //!   support for *node exclusion* (the `I \ P_o \ T1 \ T2` subgraphs
 //!   behind hierarchy-free reachability), *origin export restriction*
 //!   (§8's "announce to Tier-1/Tier-2/providers only"), and *import
@@ -27,7 +27,11 @@
 //! * [`engine`] — the batched propagation engine: a compiled
 //!   [`TopologySnapshot`], reusable per-worker [`Workspace`]s, and the
 //!   builder-style [`Simulation`] sweep API every whole-Internet
-//!   experiment runs on.
+//!   experiment runs on, including the one lane-sweep driver in front of
+//!   the kernel below.
+//! * [`exclusion`] — the paper's `I \ P_o \ T1 \ T2` rule, spelled once:
+//!   an [`ExclusionPolicy`] and its three renderings (shared tier mask,
+//!   per-lane fill, scalar mask) for every constrained analysis.
 //! * [`lanes`] — the bit-parallel multi-origin kernel: 64/128/256
 //!   origins per block (one to four `u64` lane words per node, width
 //!   picked at runtime from CPU features via [`LaneWidth`], AVX2 path
@@ -47,12 +51,17 @@
 //!   against traceroute-observed paths, Appendix A).
 //! * [`collectors`] — RouteViews-style RIB collection at monitor ASes,
 //!   the raw input AS-relationship datasets are inferred from.
+//! * [`oracle`] — **test-only**: the original per-call implementation,
+//!   kept as the differential reference for [`engine`]. Not re-exported;
+//!   nothing shipped calls it.
 
 pub mod collectors;
 pub mod dag;
 pub mod engine;
+pub mod exclusion;
 pub mod lanes;
 pub mod leak;
+pub mod oracle;
 pub mod parallel;
 pub mod paths;
 pub mod propagate;
@@ -61,17 +70,17 @@ pub mod reliance;
 pub use collectors::{collect_ribs, visible_links, RibEntry};
 pub use dag::NextHopDag;
 pub use engine::{Simulation, SweepCtx, TopologySnapshot, Workspace};
+pub use exclusion::{Exclusion, ExclusionError, ExclusionPolicy};
 pub use lanes::{
     cpu_features, detected_lane_words, LaneExcluder, LaneWidth, LaneWorkspace, SweepReach, LANES,
     MAX_LANES, MAX_LANE_WORDS,
 };
 pub use leak::{
-    simulate_leak, simulate_subprefix_hijack, subprefix_detour_fractions, DetourState,
-    LeakOutcome, LeakScenario, LeakSim, LockingSemantics,
+    simulate_leak, subprefix_detour_fractions, DetourState, LeakOutcome, LeakScenario, LeakSim,
+    LockingSemantics,
 };
-pub use parallel::{parallel_map, parallel_map_ctx, try_parallel_map, try_parallel_map_ctx, SweepError};
+pub use parallel::{parallel_map_ctx, try_parallel_map_ctx, SweepError};
 pub use propagate::{
-    propagate, propagate_legacy, ImportPolicy, PropagationConfig, RouteClass, RoutingOutcome,
-    UNREACHED,
+    propagate, ImportPolicy, PropagationConfig, RouteClass, RoutingOutcome, UNREACHED,
 };
 pub use reliance::{reliance, RelianceWorkspace};

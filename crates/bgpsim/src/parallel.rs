@@ -5,18 +5,17 @@
 //! fans the map out over scoped threads with a static partition, so the
 //! result is deterministic regardless of thread count.
 //!
-//! [`try_parallel_map`] additionally isolates panics: a closure that
-//! panics on one item produces a per-item [`SweepError`] carrying the
-//! panic message, while every other item still completes. The error
-//! layout is identical for any thread count, including the sequential
-//! fast path.
+//! [`try_parallel_map_ctx`] isolates panics: a closure that panics on
+//! one item produces a per-item [`SweepError`] carrying the panic
+//! message, while every other item still completes. The error layout is
+//! identical for any thread count, including the sequential fast path.
+//! [`parallel_map_ctx`] is the same sweep with the first error re-raised.
 //!
-//! The `_ctx` variants ([`parallel_map_ctx`] / [`try_parallel_map_ctx`])
-//! additionally give every worker thread a private mutable context built
-//! by a factory closure — the hook the batched engine uses to hand each
-//! worker its own [`crate::engine::Workspace`] so a sweep does zero
-//! steady-state allocation. The context never crosses threads, so it
-//! needs neither `Send` nor `Sync`.
+//! Every worker thread gets a private mutable context built by a factory
+//! closure — the hook the batched engine uses to hand each worker its
+//! own [`crate::engine::Workspace`] so a sweep does zero steady-state
+//! allocation. The context never crosses threads, so it needs neither
+//! `Send` nor `Sync`; stateless callers pass `|| ()`.
 
 use flatnet_obs::{Counter, Gauge, Histogram};
 use std::any::Any;
@@ -180,41 +179,6 @@ where
         .collect()
 }
 
-/// Applies `f` to every item, in parallel, preserving order; a panic in
-/// `f` becomes a per-item `Err` instead of tearing down the sweep.
-///
-/// `f` must be cheap to call from multiple threads concurrently (it gets
-/// `&T` and may not mutate shared state). Uses `threads` workers, or the
-/// available parallelism when `threads == 0`.
-pub fn try_parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<Result<R, SweepError>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    try_parallel_map_ctx(items, threads, || (), |_ctx, item| f(item))
-}
-
-/// Applies `f` to every item, in parallel, preserving order.
-///
-/// A panic in `f` aborts the whole sweep (after all items have run) with
-/// a message naming the first offending item; use [`try_parallel_map`]
-/// to keep per-item results instead.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    try_parallel_map(items, threads, f)
-        .into_iter()
-        .map(|r| match r {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,7 +186,7 @@ mod tests {
     #[test]
     fn preserves_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = parallel_map(&items, 4, |&x| x * x);
+        let out = parallel_map_ctx(&items, 4, || (), |_, &x| x * x);
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, (i * i) as u64);
         }
@@ -231,9 +195,9 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let items: Vec<u64> = (0..257).collect();
-        let a = parallel_map(&items, 1, |&x| x.wrapping_mul(0x9E3779B9));
-        let b = parallel_map(&items, 7, |&x| x.wrapping_mul(0x9E3779B9));
-        let c = parallel_map(&items, 0, |&x| x.wrapping_mul(0x9E3779B9));
+        let a = parallel_map_ctx(&items, 1, || (), |_, &x| x.wrapping_mul(0x9E3779B9));
+        let b = parallel_map_ctx(&items, 7, || (), |_, &x| x.wrapping_mul(0x9E3779B9));
+        let c = parallel_map_ctx(&items, 0, || (), |_, &x| x.wrapping_mul(0x9E3779B9));
         assert_eq!(a, b);
         assert_eq!(a, c);
     }
@@ -241,20 +205,20 @@ mod tests {
     #[test]
     fn handles_empty_and_single() {
         let empty: Vec<u32> = vec![];
-        assert!(parallel_map(&empty, 4, |&x| x).is_empty());
-        assert_eq!(parallel_map(&[42u32], 4, |&x| x + 1), vec![43]);
+        assert!(parallel_map_ctx(&empty, 4, || (), |_, &x| x).is_empty());
+        assert_eq!(parallel_map_ctx(&[42u32], 4, || (), |_, &x| x + 1), vec![43]);
     }
 
     #[test]
     fn more_threads_than_items() {
         let items = vec![1u32, 2, 3];
-        assert_eq!(parallel_map(&items, 64, |&x| x * 2), vec![2, 4, 6]);
+        assert_eq!(parallel_map_ctx(&items, 64, || (), |_, &x| x * 2), vec![2, 4, 6]);
     }
 
     #[test]
     fn panic_becomes_per_item_error() {
         let items: Vec<u32> = (0..100).collect();
-        let out = try_parallel_map(&items, 4, |&x| {
+        let out = try_parallel_map_ctx(&items, 4, || (), |_, &x| {
             if x == 13 {
                 panic!("unlucky origin {x}");
             }
@@ -276,7 +240,7 @@ mod tests {
     fn panic_isolation_identical_across_thread_counts() {
         let items: Vec<u32> = (0..61).collect();
         let run = |threads| {
-            try_parallel_map(&items, threads, |&x| {
+            try_parallel_map_ctx(&items, threads, || (), |_, &x| {
                 if x % 17 == 5 {
                     panic!("bad item {x}");
                 }
@@ -294,7 +258,7 @@ mod tests {
     fn strict_map_names_offending_item() {
         let items = vec![1u32, 2, 3];
         let caught = std::panic::catch_unwind(|| {
-            parallel_map(&items, 1, |&x| {
+            parallel_map_ctx(&items, 1, || (), |_, &x| {
                 if x == 2 {
                     panic!("boom");
                 }

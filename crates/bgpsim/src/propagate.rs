@@ -26,13 +26,11 @@
 //! [`crate::engine::TopologySnapshot`] and runs one origin through a fresh
 //! [`crate::engine::Workspace`]. Sweeps should build the snapshot once and
 //! use [`crate::engine::Simulation`] instead. The original per-call
-//! implementation survives as [`propagate_legacy`], the reference the
-//! engine is differentially tested against.
+//! implementation lives on only as the test-only reference in
+//! [`crate::oracle`].
 
 use flatnet_asgraph::{AsGraph, NodeId};
 use flatnet_obs::Counter;
-use std::collections::BinaryHeap;
-use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 /// Pre-resolved handles into the global metric registry; propagation is
@@ -128,7 +126,7 @@ pub enum ImportPolicy {
 
 /// A borrowed view of the policy inputs of one propagation run; the single
 /// place the exclusion / origin-export / import rules are interpreted, so
-/// the engine, the legacy implementation, and `next_hops` cannot drift.
+/// the engine, the test oracle, and `next_hops` cannot drift.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PolicyView<'a> {
     pub(crate) excluded: Option<&'a [bool]>,
@@ -251,7 +249,7 @@ impl PropagationConfig {
         mask
     }
 
-    /// The borrowed policy view shared by both propagation implementations.
+    /// The borrowed policy view the engine and the test oracle interpret.
     pub(crate) fn view(&self) -> PolicyView<'_> {
         PolicyView {
             excluded: self.excluded.as_deref(),
@@ -428,10 +426,8 @@ impl RoutingOutcome {
 ///
 /// Convenience shim over the batched engine: compiles a
 /// [`crate::engine::TopologySnapshot`] and runs the origin through a fresh
-/// [`crate::engine::Workspace`]. Semantics, determinism, and observability
-/// counters are identical to [`propagate_legacy`]; for sweeps over many
-/// origins, compile the snapshot once and use
-/// [`crate::engine::Simulation`] instead.
+/// [`crate::engine::Workspace`]. For sweeps over many origins, compile
+/// the snapshot once and use [`crate::engine::Simulation`] instead.
 pub fn propagate(g: &AsGraph, origin: NodeId, cfg: &PropagationConfig) -> RoutingOutcome {
     let snap = crate::engine::TopologySnapshot::compile(g);
     let mut ws = crate::engine::Workspace::for_snapshot(&snap);
@@ -439,144 +435,10 @@ pub fn propagate(g: &AsGraph, origin: NodeId, cfg: &PropagationConfig) -> Routin
     ws.to_outcome()
 }
 
-/// The original, self-contained three-phase implementation.
-///
-/// Runs in O(V + E log V) (the log from the provider-phase binary heap)
-/// and is deterministic: adjacency lists are sorted and ties never depend
-/// on iteration order. Kept verbatim as the reference the engine is
-/// differentially tested against (`tests/engine_equiv.rs`); production
-/// paths go through [`propagate`] / [`crate::engine::Simulation`].
-pub fn propagate_legacy(g: &AsGraph, origin: NodeId, cfg: &PropagationConfig) -> RoutingOutcome {
-    let n = g.len();
-    let pol = cfg.view();
-    let obs = metrics();
-    obs.runs.inc();
-    let mut export_checks = 0u64;
-    let mut dijkstra_pops = 0u64;
-    let mut out = RoutingOutcome {
-        origin,
-        dist_c: vec![UNREACHED; n],
-        dist_p: vec![UNREACHED; n],
-        dist_d: vec![UNREACHED; n],
-        reach: vec![0u64; n.div_ceil(64)],
-        reached: 0,
-    };
-    if n == 0 || pol.is_excluded(origin) {
-        return out;
-    }
-
-    // Phase 1: customer routes spread up provider edges (plain BFS, all
-    // edges weight 1). The origin's own route behaves like a customer route.
-    out.dist_c[origin.idx()] = 0;
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    queue.push_back(origin);
-    while let Some(u) = queue.pop_front() {
-        let du = out.dist_c[u.idx()];
-        for &p in g.providers(u) {
-            export_checks += 1;
-            if out.dist_c[p.idx()] == UNREACHED && pol.import_ok(origin, p, u) {
-                out.dist_c[p.idx()] = du + 1;
-                queue.push_back(p);
-            }
-        }
-    }
-
-    // Phase 2: peers export customer/origin routes; a single relaxation.
-    for i in 0..n as u32 {
-        let u = NodeId(i);
-        if pol.is_excluded(u) || u == origin {
-            continue;
-        }
-        let mut best = UNREACHED;
-        for &v in g.peers(u) {
-            export_checks += 1;
-            if out.dist_c[v.idx()] != UNREACHED && pol.import_ok(origin, u, v) {
-                best = best.min(out.dist_c[v.idx()] + 1);
-            }
-        }
-        out.dist_p[u.idx()] = best;
-    }
-
-    // Phase 3: providers export their selected best to customers; distances
-    // chain downward, so run Dijkstra seeded from every AS that already
-    // holds a customer or peer route.
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u32, u32)>> = BinaryHeap::new();
-    let sel_static = |o: &RoutingOutcome, w: NodeId| -> u32 {
-        if o.dist_c[w.idx()] != UNREACHED {
-            o.dist_c[w.idx()]
-        } else {
-            o.dist_p[w.idx()]
-        }
-    };
-    for i in 0..n as u32 {
-        let w = NodeId(i);
-        if out.dist_c[w.idx()] != UNREACHED || out.dist_p[w.idx()] != UNREACHED {
-            let s = sel_static(&out, w);
-            for &u in g.customers(w) {
-                export_checks += 1;
-                // A node with a customer/peer route already prefers it over
-                // any provider route; still record dist_d for completeness
-                // of tie information at equal class only — the selection
-                // function ignores dist_d when a better class exists.
-                if pol.import_ok(origin, u, w) && u != origin && s + 1 < out.dist_d[u.idx()] {
-                    out.dist_d[u.idx()] = s + 1;
-                    heap.push(std::cmp::Reverse((s + 1, u.0)));
-                }
-            }
-        }
-    }
-    while let Some(std::cmp::Reverse((d, ui))) = heap.pop() {
-        dijkstra_pops += 1;
-        let u = NodeId(ui);
-        if d != out.dist_d[u.idx()] {
-            continue; // stale entry
-        }
-        // `u` only *exports* its provider route if that is its selection.
-        if out.dist_c[u.idx()] != UNREACHED || out.dist_p[u.idx()] != UNREACHED {
-            continue;
-        }
-        for &x in g.customers(u) {
-            export_checks += 1;
-            if x == origin {
-                continue;
-            }
-            if pol.import_ok(origin, x, u) && d + 1 < out.dist_d[x.idx()] {
-                out.dist_d[x.idx()] = d + 1;
-                heap.push(std::cmp::Reverse((d + 1, x.0)));
-            }
-        }
-    }
-
-    // A node that selects a customer or peer route never uses its provider
-    // route; clear dist_d there so `selection` and `next_hops` agree and
-    // downstream consumers (DAG, reliance) see only selected routes.
-    let (mut sel_c, mut sel_p, mut sel_d) = (0u64, 0u64, 0u64);
-    for i in 0..n {
-        if out.dist_c[i] != UNREACHED {
-            sel_c += 1;
-            out.dist_d[i] = UNREACHED;
-        } else if out.dist_p[i] != UNREACHED {
-            sel_p += 1;
-            out.dist_d[i] = UNREACHED;
-        } else if out.dist_d[i] == UNREACHED {
-            continue;
-        } else {
-            sel_d += 1;
-        }
-        out.reach[i >> 6] |= 1u64 << (i & 63);
-        out.reached += 1;
-    }
-    obs.routes_customer.add(sel_c);
-    obs.routes_peer.add(sel_p);
-    obs.routes_provider.add(sel_d);
-    obs.export_checks.add(export_checks);
-    obs.dijkstra_pops.add(dijkstra_pops);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::propagate_legacy;
     use flatnet_asgraph::{AsGraphBuilder, AsId, Relationship};
 
     fn node(g: &AsGraph, asn: u32) -> NodeId {

@@ -666,7 +666,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
             "tier2",
             "shard-id",
             "shard-count",
-            "lane-width",
         ],
     )?;
     let shard = match (opts.get("shard-id"), opts.get("shard-count")) {
@@ -705,7 +704,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         keepalive_max: opts.num_or("keepalive-max", 1024u64)?,
         keepalive_idle_ms: opts.num_or("keepalive-idle-ms", 5000u64)?,
         store: opts.get("store").map(str::to_string),
-        lane_width: flatnet_bgpsim::LaneWidth::parse(opts.get("lane-width").unwrap_or("auto"))?,
         shard,
         source,
     };
@@ -759,7 +757,6 @@ pub fn router(args: &[String]) -> Result<(), String> {
             "tier2",
             "workers",
             "cache",
-            "lane-width",
             "probe-ms",
             "upstream-timeout-ms",
         ],
@@ -785,9 +782,7 @@ pub fn router(args: &[String]) -> Result<(), String> {
         let base: u16 = opts.num_or("base-port", 8180u16)?;
         let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
         let mut common: Vec<String> = Vec::new();
-        for flag in
-            ["store", "as-rel", "ases", "seed", "tier1", "tier2", "workers", "cache", "lane-width"]
-        {
+        for flag in ["store", "as-rel", "ases", "seed", "tier1", "tier2", "workers", "cache"] {
             if let Some(v) = opts.get(flag) {
                 common.push(format!("--{flag}"));
                 common.push(v.to_string());

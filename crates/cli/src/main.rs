@@ -62,7 +62,7 @@ USAGE:
                  [--workers N] [--queue N] [--cache N] [--deadline-ms MS]
                  [--io-timeout-ms MS] [--keepalive-max N]
                  [--keepalive-idle-ms MS] [--store FILE]
-                 [--lane-width auto|64|128|256] [--tier1 .. --tier2 ..]
+                 [--tier1 .. --tier2 ..]
       Run the query daemon: reachability/reliance/what-if answers over
       HTTP from a compiled snapshot. Endpoints: /v1/reachability,
       /v1/reliance (origin= or a comma-separated origins= batch),
@@ -80,15 +80,12 @@ USAGE:
       --shard-id I --shard-count N mark the daemon as one slice of a
       `flatnet router` fleet (surfaced in /healthz; normally set by the
       router when it spawns shards, not by hand).
-      --lane-width picks the kernel lane width for origins= batches and
-      cache warming (origins per bit-parallel block; default auto = 256
-      on AVX2 hardware). Width never changes answers, only throughput.
 
   flatnet router [--shards N [--base-port P] | --shard-addrs A:P,..]
                  [--addr HOST:PORT] [--probe-ms MS]
                  [--upstream-timeout-ms MS] [--store FILE]
                  [--as-rel FILE | --ases N --seed S] [--tier1 .. --tier2 ..]
-                 [--workers N] [--cache N] [--lane-width auto|64|128|256]
+                 [--workers N] [--cache N]
       Front a sharded serving tier: either spawn --shards N child
       `flatnet serve` processes (default 3, listening from --base-port
       8180 up, topology flags forwarded to each) or adopt running shards
@@ -126,12 +123,12 @@ USAGE:
 
   flatnet bench propagate [--ases N] [--seed S] [--origins K]
                  [--threads N] [--lane-width auto|64|128|256] [--out PATH]
-      Benchmark the batched propagation engine against the legacy
-      one-shot path on a hierarchy-free reachability sweep, plus the
-      bit-parallel kernel at 64 lanes and at the wide --lane-width
-      (default auto = 256 on AVX2) on a dense full-reach sweep; writes a
-      flatnet-bench-propagate/v1 JSON report (default
-      BENCH_propagate.json).
+      Benchmark the batched propagation engine and the 64-lane
+      bit-parallel kernel on a hierarchy-free reachability sweep (the
+      two must agree on total reach), plus the kernel at 64 lanes and at
+      the wide --lane-width (default auto = 256 on AVX2) on a dense
+      full-reach sweep; writes a flatnet-bench-propagate/v2 JSON report
+      (default BENCH_propagate.json).
 
   flatnet bench serve [--ases N] [--seed S] [--conc C] [--requests R]
                  [--pool P] [--workers W] [--pipeline D] [--batch B]

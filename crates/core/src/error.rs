@@ -2,14 +2,14 @@
 //!
 //! The crates below `flatnet-core` each carry a narrow error enum
 //! ([`GraphError`] for topology parsing/building, [`SweepError`] for
-//! per-item sweep failures) and the pipeline adds its own pre-flight
-//! refusal. [`FlatnetError`] folds them into one type with `From`
+//! per-item sweep failures, [`ExclusionError`] for tier sets applied to
+//! the wrong graph) and the pipeline adds its own pre-flight refusal. [`FlatnetError`] folds them into one type with `From`
 //! conversions, so the pipeline and the CLI can use `?` end-to-end
 //! instead of stringifying at every crate boundary.
 
 use crate::parallel::SweepError;
-use crate::reachability::SweepPanic;
 use flatnet_asgraph::{GraphError, HealthReport, Severity};
+use flatnet_bgpsim::ExclusionError;
 use std::fmt;
 
 /// Any failure on the measurement/simulation path.
@@ -22,8 +22,8 @@ pub enum FlatnetError {
     UnhealthyTopology(HealthReport),
     /// A single sweep item failed (panic isolated to one origin).
     Sweep(SweepError),
-    /// A reachability sweep worker panicked, attributed to its origin AS.
-    SweepPanic(SweepPanic),
+    /// The tier sets handed to an exclusion do not belong to the graph.
+    Exclusion(ExclusionError),
     /// An I/O failure, annotated with the path involved.
     Io {
         /// The file or directory the operation touched.
@@ -49,7 +49,7 @@ impl fmt::Display for FlatnetError {
                 )
             }
             FlatnetError::Sweep(e) => write!(f, "{e}"),
-            FlatnetError::SweepPanic(e) => write!(f, "{e}"),
+            FlatnetError::Exclusion(e) => write!(f, "{e}"),
             FlatnetError::Io { path, message } => write!(f, "{path}: {message}"),
             FlatnetError::Invalid(msg) => write!(f, "{msg}"),
         }
@@ -61,7 +61,7 @@ impl std::error::Error for FlatnetError {
         match self {
             FlatnetError::Graph(e) => Some(e),
             FlatnetError::Sweep(e) => Some(e),
-            FlatnetError::SweepPanic(e) => Some(e),
+            FlatnetError::Exclusion(e) => Some(e),
             _ => None,
         }
     }
@@ -79,9 +79,9 @@ impl From<SweepError> for FlatnetError {
     }
 }
 
-impl From<SweepPanic> for FlatnetError {
-    fn from(e: SweepPanic) -> Self {
-        FlatnetError::SweepPanic(e)
+impl From<ExclusionError> for FlatnetError {
+    fn from(e: ExclusionError) -> Self {
+        FlatnetError::Exclusion(e)
     }
 }
 
@@ -109,8 +109,8 @@ mod tests {
         assert!(s.contains("boom"));
 
         let e: FlatnetError =
-            SweepPanic { asn: flatnet_asgraph::AsId(7), message: "oops".into() }.into();
-        assert!(e.to_string().contains("origin AS7"), "{e}");
+            ExclusionError { node: flatnet_asgraph::NodeId(7), graph_len: 3 }.into();
+        assert!(e.to_string().contains("3-node graph"), "{e}");
 
         let e = FlatnetError::Io { path: "as-rel.txt".into(), message: "missing".into() };
         assert_eq!(e.to_string(), "as-rel.txt: missing");

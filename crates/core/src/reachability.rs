@@ -1,28 +1,9 @@
 //! Provider-free, Tier-1-free, and hierarchy-free reachability
 //! (§6.1-6.4; Figure 2, Table 1).
 
-use crate::parallel::SweepError;
+use crate::error::FlatnetError;
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
-use flatnet_bgpsim::{LaneExcluder, Simulation, TopologySnapshot};
-use std::fmt;
-
-/// A worker panic in a fault-isolated reachability sweep, tied back to the
-/// origin AS whose computation blew up.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepPanic {
-    /// The origin AS whose worker panicked.
-    pub asn: AsId,
-    /// The panic payload, downcast to text where possible.
-    pub message: String,
-}
-
-impl fmt::Display for SweepPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "reachability worker for origin {} panicked: {}", self.asn, self.message)
-    }
-}
-
-impl std::error::Error for SweepPanic {}
+use flatnet_bgpsim::{Exclusion, ExclusionPolicy, Simulation, TopologySnapshot};
 
 /// The three reachability levels of one origin (Fig. 2's stacked bars).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,61 +38,27 @@ impl ReachabilityResult {
     }
 }
 
-/// Shared exclusion mask for one constraint level. The tier sets are
-/// origin-independent, so they ride in the simulation's config — the
-/// kernel broadcasts them once per 64-lane block instead of re-installing
-/// them lane by lane.
-fn tier_mask(tiers: &Tiers, include_t2: bool, n: usize) -> Vec<bool> {
-    let mut mask = vec![false; n];
-    for &t in tiers.tier1() {
-        mask[t.idx()] = true;
-    }
-    if include_t2 {
-        for &t in tiers.tier2() {
-            mask[t.idx()] = true;
-        }
-    }
-    mask
-}
-
-/// Installs the per-origin remainder of the exclusions into a kernel
-/// lane: the origin's transit providers, with the origin itself allowed
-/// even where the shared tier mask covers it (a Tier-1 computing its
-/// Tier-1-free reachability bypasses the *other* clique members).
-fn fill_lane_providers(g: &AsGraph, origin: NodeId, ex: &mut LaneExcluder<'_>) {
-    for &p in g.providers(origin) {
-        ex.exclude(p);
-    }
-    ex.allow(origin);
-}
-
-/// The all-in-lane form [`fill_lane_providers`] + tiers, used by the
-/// `try_*` variants only: their contract attributes any fill panic (e.g.
-/// a `Tiers` built against a different graph indexing out of bounds) to
-/// the offending origin, which requires the tier indexing to happen
-/// inside the panic-isolated per-lane fill rather than up front in
-/// [`tier_mask`].
-fn fill_lane_exclusions(
+/// One bit-parallel counts sweep of `sweep` under `policy`: the tier
+/// exclusions ride the sweep's shared config (broadcast once per kernel
+/// block), the origin's providers go in per lane. Fails with the typed
+/// exclusion error when `tiers` do not belong to `g`, or with the first
+/// origin whose lane panicked.
+fn counts_under(
     g: &AsGraph,
-    origin: NodeId,
-    tiers: Option<&Tiers>,
-    include_t2: bool,
-    ex: &mut LaneExcluder<'_>,
-) {
-    for &p in g.providers(origin) {
-        ex.exclude(p);
-    }
-    if let Some(t) = tiers {
-        for &n in t.tier1() {
-            ex.exclude(n);
-        }
-        if include_t2 {
-            for &n in t.tier2() {
-                ex.exclude(n);
-            }
-        }
-    }
-    ex.allow(origin);
+    tiers: &Tiers,
+    snap: &TopologySnapshot,
+    sweep: &[NodeId],
+    policy: ExclusionPolicy,
+    threads: usize,
+) -> Result<Vec<u32>, FlatnetError> {
+    let excl = Exclusion::new(g, tiers, policy)?;
+    Simulation::over(snap)
+        .threads(threads)
+        .config(excl.shared_config())
+        .try_run_sweep_reach_counts_with(sweep, |o, ex| excl.fill_lane(o, ex))
+        .into_iter()
+        .map(|r| r.map_err(FlatnetError::from))
+        .collect()
 }
 
 /// Computes the full three-level profile for a list of origins
@@ -124,12 +71,27 @@ pub fn reachability_profile(g: &AsGraph, tiers: &Tiers, origins: &[AsId]) -> Vec
 
 /// [`reachability_profile`] with an explicit worker-thread count
 /// (`0` = available parallelism). Results are identical for any count.
+/// Panics where [`try_reachability_profile_t`] returns an error.
 pub fn reachability_profile_t(
     g: &AsGraph,
     tiers: &Tiers,
     origins: &[AsId],
     threads: usize,
 ) -> Vec<ReachabilityResult> {
+    try_reachability_profile_t(g, tiers, origins, threads).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`reachability_profile_t`] with failures as values: tier sets that do
+/// not belong to `g` are a typed [`FlatnetError::Exclusion`], and a
+/// worker panic is a [`FlatnetError::Sweep`] naming the offending
+/// origin's index among the known `origins`, instead of tearing down
+/// the process.
+pub fn try_reachability_profile_t(
+    g: &AsGraph,
+    tiers: &Tiers,
+    origins: &[AsId],
+    threads: usize,
+) -> Result<Vec<ReachabilityResult>, FlatnetError> {
     let _span = flatnet_obs::span_root("propagate");
     let nodes: Vec<(AsId, NodeId)> = origins
         .iter()
@@ -138,20 +100,13 @@ pub fn reachability_profile_t(
     let sweep: Vec<NodeId> = nodes.iter().map(|&(_, n)| n).collect();
     let snap = TopologySnapshot::compile(g);
     // One bit-parallel counts sweep per constraint level; the kernel packs
-    // 64 origins per block, so this is three passes instead of 3·|origins|.
-    // Each level's tier exclusions are shared config, not per-lane fills.
-    let pf = Simulation::over(&snap)
-        .threads(threads)
-        .run_sweep_reach_counts_with(&sweep, |n, ex| fill_lane_providers(g, n, ex));
-    let t1 = Simulation::over(&snap)
-        .threads(threads)
-        .excluded(tier_mask(tiers, false, g.len()))
-        .run_sweep_reach_counts_with(&sweep, |n, ex| fill_lane_providers(g, n, ex));
-    let hf = Simulation::over(&snap)
-        .threads(threads)
-        .excluded(tier_mask(tiers, true, g.len()))
-        .run_sweep_reach_counts_with(&sweep, |n, ex| fill_lane_providers(g, n, ex));
-    nodes
+    // up to 256 origins per block, so this is three passes instead of
+    // 3·|origins|.
+    let level = |policy| counts_under(g, tiers, &snap, &sweep, policy, threads);
+    let pf = level(ExclusionPolicy::PROVIDER_FREE)?;
+    let t1 = level(ExclusionPolicy::TIER1_FREE)?;
+    let hf = level(ExclusionPolicy::HIERARCHY_FREE)?;
+    Ok(nodes
         .iter()
         .enumerate()
         .map(|(i, &(asn, _))| ReachabilityResult {
@@ -161,64 +116,7 @@ pub fn reachability_profile_t(
             hierarchy_free: hf[i] as usize,
             max_possible: g.len() - 1,
         })
-        .collect()
-}
-
-/// [`reachability_profile`] with panic isolation: a worker panic aborts
-/// the sweep with the offending origin's ASN and the panic message instead
-/// of tearing down the process.
-pub fn try_reachability_profile(
-    g: &AsGraph,
-    tiers: &Tiers,
-    origins: &[AsId],
-) -> Result<Vec<ReachabilityResult>, SweepPanic> {
-    try_reachability_profile_t(g, tiers, origins, 0)
-}
-
-/// [`try_reachability_profile`] with an explicit worker-thread count.
-pub fn try_reachability_profile_t(
-    g: &AsGraph,
-    tiers: &Tiers,
-    origins: &[AsId],
-    threads: usize,
-) -> Result<Vec<ReachabilityResult>, SweepPanic> {
-    let _span = flatnet_obs::span_root("propagate");
-    let nodes: Vec<(AsId, NodeId)> = origins
-        .iter()
-        .filter_map(|&a| g.index_of(a).map(|n| (a, n)))
-        .collect();
-    let sweep: Vec<NodeId> = nodes.iter().map(|&(_, n)| n).collect();
-    let snap = TopologySnapshot::compile(g);
-    let sim = Simulation::over(&snap).threads(threads);
-    let pf = sim.try_run_sweep_reach_counts_with(&sweep, |n, ex| {
-        fill_lane_exclusions(g, n, None, false, ex);
-    });
-    let t1 = sim.try_run_sweep_reach_counts_with(&sweep, |n, ex| {
-        fill_lane_exclusions(g, n, Some(tiers), false, ex);
-    });
-    let hf = sim.try_run_sweep_reach_counts_with(&sweep, |n, ex| {
-        fill_lane_exclusions(g, n, Some(tiers), true, ex);
-    });
-    let mut out = Vec::with_capacity(nodes.len());
-    // Scan origins in sweep order so the reported panic is the first
-    // failing origin (checking its three levels in level order), matching
-    // the per-origin scalar sweep's attribution.
-    for (i, &(asn, _)) in nodes.iter().enumerate() {
-        let level = |r: &Result<u32, SweepError>| -> Result<usize, SweepPanic> {
-            match r {
-                Ok(v) => Ok(*v as usize),
-                Err(e) => Err(SweepPanic { asn, message: e.message.clone() }),
-            }
-        };
-        out.push(ReachabilityResult {
-            asn,
-            provider_free: level(&pf[i])?,
-            tier1_free: level(&t1[i])?,
-            hierarchy_free: level(&hf[i])?,
-            max_possible: g.len() - 1,
-        });
-    }
-    Ok(out)
+        .collect())
 }
 
 /// Hierarchy-free reachability of **every** AS in the graph (the paper
@@ -230,54 +128,22 @@ pub fn hierarchy_free_all(g: &AsGraph, tiers: &Tiers) -> Vec<u32> {
 
 /// [`hierarchy_free_all`] with an explicit worker-thread count
 /// (`0` = available parallelism). Results are identical for any count.
+/// Panics where [`try_hierarchy_free_all_t`] returns an error.
 pub fn hierarchy_free_all_t(g: &AsGraph, tiers: &Tiers, threads: usize) -> Vec<u32> {
-    let _span = flatnet_obs::span_root("propagate");
-    let nodes: Vec<NodeId> = g.nodes().collect();
-    let snap = TopologySnapshot::compile(g);
-    Simulation::over(&snap)
-        .threads(threads)
-        .excluded(tier_mask(tiers, true, g.len()))
-        .run_sweep_reach_counts_with(&nodes, |n, ex| fill_lane_providers(g, n, ex))
+    try_hierarchy_free_all_t(g, tiers, threads).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`hierarchy_free_all`] with panic isolation (see
-/// [`try_reachability_profile`]).
-pub fn try_hierarchy_free_all(g: &AsGraph, tiers: &Tiers) -> Result<Vec<u32>, SweepPanic> {
-    try_hierarchy_free_all_t(g, tiers, 0)
-}
-
-/// [`try_hierarchy_free_all`] with an explicit worker-thread count.
+/// [`hierarchy_free_all_t`] with failures as values (see
+/// [`try_reachability_profile_t`]).
 pub fn try_hierarchy_free_all_t(
     g: &AsGraph,
     tiers: &Tiers,
     threads: usize,
-) -> Result<Vec<u32>, SweepPanic> {
+) -> Result<Vec<u32>, FlatnetError> {
     let _span = flatnet_obs::span_root("propagate");
     let nodes: Vec<NodeId> = g.nodes().collect();
     let snap = TopologySnapshot::compile(g);
-    let results = Simulation::over(&snap).threads(threads).try_run_sweep_reach_counts_with(
-        &nodes,
-        |n, ex| {
-            fill_lane_exclusions(g, n, Some(tiers), true, ex);
-        },
-    );
-    collect_sweep(results, |i| g.asn(nodes[i]))
-}
-
-/// Collects per-item sweep results, converting the first failure into a
-/// [`SweepPanic`] naming the origin the item index maps to.
-fn collect_sweep<R>(
-    results: Vec<Result<R, SweepError>>,
-    origin_of: impl Fn(usize) -> AsId,
-) -> Result<Vec<R>, SweepPanic> {
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(v) => out.push(v),
-            Err(e) => return Err(SweepPanic { asn: origin_of(e.index), message: e.message }),
-        }
-    }
-    Ok(out)
+    counts_under(g, tiers, &snap, &nodes, ExclusionPolicy::HIERARCHY_FREE, threads)
 }
 
 /// One row of Table 1: an AS ranked by hierarchy-free reachability.
@@ -527,32 +393,25 @@ mod tests {
     }
 
     #[test]
-    fn try_variants_agree_with_plain_ones() {
-        let (g, tiers) = fig1();
-        assert_eq!(try_hierarchy_free_all(&g, &tiers).unwrap(), hierarchy_free_all(&g, &tiers));
-        let origins = [AsId(10), AsId(2)];
-        assert_eq!(
-            try_reachability_profile(&g, &tiers, &origins).unwrap(),
-            reachability_profile(&g, &tiers, &origins)
-        );
-    }
-
-    #[test]
-    fn sweep_panic_names_the_offending_origin() {
+    fn tiers_of_another_graph_are_a_typed_error_not_a_panic() {
         let (g, _) = fig1();
         // Tiers built against a *larger* graph hold node ids that are out
-        // of bounds for `g`, so every worker panics on the mask indexing;
-        // the reported origin must be the first swept AS.
+        // of bounds for `g`; the check runs once, before any sweep.
         let mut b = AsGraphBuilder::new();
         for i in 1..200u32 {
             b.add_link(AsId(1000), AsId(1000 + i), Relationship::P2c);
         }
         let big = b.build();
         let bad_tiers = Tiers::from_lists(&big, &[AsId(1199)], &[]);
-        let err = try_hierarchy_free_all(&g, &bad_tiers).unwrap_err();
-        assert_eq!(err.asn, g.asn(g.nodes().next().unwrap()));
-        assert!(err.message.contains("index out of bounds"), "{err}");
-        assert!(err.to_string().contains(&format!("origin {}", err.asn)), "{err}");
+        let bad_node = big.index_of(AsId(1199)).unwrap();
+        for err in [
+            try_hierarchy_free_all_t(&g, &bad_tiers, 0).unwrap_err(),
+            try_reachability_profile_t(&g, &bad_tiers, &[AsId(10)], 0).unwrap_err(),
+        ] {
+            let FlatnetError::Exclusion(e) = &err else { panic!("want an exclusion error: {err}") };
+            assert_eq!((e.node, e.graph_len), (bad_node, g.len()));
+            assert!(err.to_string().contains("out of range"), "{err}");
+        }
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Reachability reliance experiments (§7, Table 2, Figure 6, Appendix B).
 
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
-use flatnet_bgpsim::{propagate, PropagationConfig, Simulation, TopologySnapshot};
+use flatnet_bgpsim::{
+    propagate, Exclusion, ExclusionPolicy, PropagationConfig, Simulation, TopologySnapshot,
+};
 
 /// One AS's reliance value from an origin's perspective.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,23 +45,12 @@ impl RelianceProfile {
     }
 }
 
-/// Builds the exclusion mask for hierarchy-free constraints.
-fn hierarchy_mask(g: &AsGraph, o: NodeId, tiers: Option<&Tiers>, include_t2: bool) -> Vec<bool> {
+/// The scalar exclusion mask of `o` under `policy`. Panics when `tiers`
+/// were built against a different graph.
+fn scalar_mask(g: &AsGraph, tiers: &Tiers, o: NodeId, policy: ExclusionPolicy) -> Vec<bool> {
+    let excl = Exclusion::new(g, tiers, policy).unwrap_or_else(|e| panic!("{e}"));
     let mut mask = vec![false; g.len()];
-    for &p in g.providers(o) {
-        mask[p.idx()] = true;
-    }
-    if let Some(t) = tiers {
-        for &n in t.tier1() {
-            mask[n.idx()] = true;
-        }
-        if include_t2 {
-            for &n in t.tier2() {
-                mask[n.idx()] = true;
-            }
-        }
-    }
-    mask[o.idx()] = false;
+    excl.fill_scalar(o, &mut mask);
     mask
 }
 
@@ -67,23 +58,23 @@ fn hierarchy_mask(g: &AsGraph, o: NodeId, tiers: Option<&Tiers>, include_t2: boo
 /// constraints (§7.2's setting: the origin bypasses its providers, the
 /// Tier-1s, and the Tier-2s).
 pub fn reliance_under_hierarchy_free(g: &AsGraph, tiers: &Tiers, origin: AsId) -> Option<RelianceProfile> {
-    reliance_excluding(g, origin, Some(tiers), true)
+    reliance_excluding(g, tiers, origin, ExclusionPolicy::HIERARCHY_FREE)
 }
 
 /// Reliance under **Tier-1-free** constraints (Appendix B's setting for
 /// the Sprint / Deutsche Telekom case study).
 pub fn reliance_under_tier1_free(g: &AsGraph, tiers: &Tiers, origin: AsId) -> Option<RelianceProfile> {
-    reliance_excluding(g, origin, Some(tiers), false)
+    reliance_excluding(g, tiers, origin, ExclusionPolicy::TIER1_FREE)
 }
 
 fn reliance_excluding(
     g: &AsGraph,
+    tiers: &Tiers,
     origin: AsId,
-    tiers: Option<&Tiers>,
-    include_t2: bool,
+    policy: ExclusionPolicy,
 ) -> Option<RelianceProfile> {
     let o = g.index_of(origin)?;
-    let mask = hierarchy_mask(g, o, tiers, include_t2);
+    let mask = scalar_mask(g, tiers, o, policy);
     let snap = TopologySnapshot::compile(g);
     let mut ctx = Simulation::over(&snap).excluded(mask).ctx();
     let scored = ctx.run_reliance(o);
@@ -108,7 +99,7 @@ pub fn tier1_free_reach_also_excluding(
     also: &[AsId],
 ) -> Option<usize> {
     let o = g.index_of(origin)?;
-    let mut mask = hierarchy_mask(g, o, Some(tiers), false);
+    let mut mask = scalar_mask(g, tiers, o, ExclusionPolicy::TIER1_FREE);
     for a in also {
         if let Some(n) = g.index_of(*a) {
             if n != o {

@@ -7,7 +7,7 @@
 
 use flatnet_asgraph::astype::AsType;
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
-use flatnet_bgpsim::{Simulation, TopologySnapshot};
+use flatnet_bgpsim::{Exclusion, ExclusionPolicy, Simulation, TopologySnapshot};
 
 /// Fig. 4: one provider's unreachable-AS breakdown.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,8 +44,8 @@ pub fn unreachable_breakdown(
     unreachable_breakdowns(g, tiers, &[origin], type_of, 1).pop().unwrap()
 }
 
-/// Computes Fig. 4 for many origins in one bit-parallel sweep (64 origins
-/// per kernel block). Unknown ASNs yield `None` at their slot.
+/// Computes Fig. 4 for many origins in one bit-parallel sweep (up to 256
+/// origins per kernel block). Unknown ASNs yield `None` at their slot.
 pub fn unreachable_breakdowns(
     g: &AsGraph,
     tiers: &Tiers,
@@ -60,51 +60,30 @@ pub fn unreachable_breakdowns(
         .collect();
     let sweep: Vec<NodeId> = known.iter().map(|&(_, _, n)| n).collect();
     let snap = TopologySnapshot::compile(g);
-    // The Tier-1/Tier-2 exclusions are origin-independent, so they ride in
-    // the simulation's shared config (broadcast once per 64-lane block);
-    // the per-lane fill installs only the origin's own providers.
-    let mut hier = vec![false; g.len()];
-    for &n in tiers.tier1() {
-        hier[n.idx()] = true;
-    }
-    for &n in tiers.tier2() {
-        hier[n.idx()] = true;
-    }
+    let excl = Exclusion::new(g, tiers, ExclusionPolicy::HIERARCHY_FREE)
+        .unwrap_or_else(|e| panic!("{e}"));
     let reach = Simulation::over(&snap)
         .threads(threads)
-        .excluded(hier.clone())
-        .run_sweep_reach_with(&sweep, |o, ex| {
-            for &p in g.providers(o) {
-                ex.exclude(p);
-            }
-            ex.allow(o);
-        });
+        .config(excl.shared_config())
+        .run_sweep_reach_with(&sweep, |o, ex| excl.fill_lane(o, ex));
 
-    // `hier` doubles as the aggregation filter below: the excluded
-    // hierarchy itself is not counted as "unreachable".
-    let mut prov = vec![false; g.len()];
-
+    let mut excluded = vec![false; g.len()];
     let mut out: Vec<Option<UnreachableBreakdown>> = vec![None; origins.len()];
     for (i, &(slot, asn, o)) in known.iter().enumerate() {
-        for &p in g.providers(o) {
-            prov[p.idx()] = true;
-        }
+        excl.fill_scalar(o, &mut excluded);
         let mut by_type = [0usize; 4];
         let mut total = 0usize;
         for n in g.nodes() {
             // The excluded hierarchy itself isn't "unreachable"; the
             // origin's own reach bit is always set, so `reachable` also
             // skips the origin.
-            if reach.reachable(i, n) || hier[n.idx()] || prov[n.idx()] {
+            if reach.reachable(i, n) || excluded[n.idx()] {
                 continue;
             }
             let ty = type_of(n);
             let ti = AsType::ALL.iter().position(|&t| t == ty).unwrap();
             by_type[ti] += 1;
             total += 1;
-        }
-        for &p in g.providers(o) {
-            prov[p.idx()] = false;
         }
         out[slot] = Some(UnreachableBreakdown { asn, total, by_type });
     }

@@ -35,10 +35,13 @@ use crate::http::{
 use crate::json::{envelope, envelope_prefix, error_envelope, escape, fmt_f64, push_f64, Json};
 use crate::snapshot::{ServeSnapshot, SnapshotManager};
 use flatnet_asgraph::{AsId, NodeId};
-use flatnet_bgpsim::{LaneWidth, PropagationConfig, RelianceWorkspace, Simulation, Workspace};
+use flatnet_bgpsim::{
+    Exclusion, ExclusionPolicy, LaneWidth, PropagationConfig, RelianceWorkspace, Simulation,
+    Workspace,
+};
 use flatnet_core::leaks::{leak_cdf, Announce, Locking};
 use flatnet_obs::trace::{Stage, TraceCtx, TraceDump, Tracer, STAGES};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
@@ -47,14 +50,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Endpoint discriminants for cache fingerprints.
-const EP_REACHABILITY: u8 = 1;
-const EP_RELIANCE: u8 = 2;
-
-/// `exclude=` flag bits (also the policy bits of the fingerprint).
-const EXCL_PROVIDERS: u64 = 1;
-const EXCL_TIER1: u64 = 2;
-const EXCL_TIER2: u64 = 4;
+/// The two cached analyses; the discriminant is the endpoint byte of
+/// the cache fingerprint.
+#[derive(Clone, Copy)]
+enum Endpoint {
+    Reachability = 1,
+    Reliance = 2,
+}
 
 /// Cap on origins per batch query (4 kernel blocks at 256-lane width,
 /// 16 at the narrowest).
@@ -202,9 +204,6 @@ pub(crate) struct Shared {
     /// How many top-degree origins to pre-warm after load/reload; 0 = off.
     warm: usize,
     warmed: flatnet_obs::Counter,
-    /// Kernel lane width for batch sweeps and cache warming (the
-    /// `--lane-width` override; `Auto` picks from CPU features).
-    lane_width: LaneWidth,
     /// `(id, count)` when this process is one shard of a routed layout;
     /// rendered in `/healthz` so the process can identify itself.
     shard: Option<(u32, u32)>,
@@ -226,7 +225,6 @@ impl Shared {
         keepalive_idle: Duration,
         workers: usize,
         warm: usize,
-        lane_width: LaneWidth,
         shard: Option<(u32, u32)>,
     ) -> Self {
         let reg = flatnet_obs::global();
@@ -264,7 +262,6 @@ impl Shared {
             tracer: Tracer::new(workers + 1, TRACE_RING_CAP),
             warm,
             warmed: reg.counter("serve.cache_warmed"),
-            lane_width,
             shard,
         }
     }
@@ -329,13 +326,12 @@ impl Shared {
 /// Spawns the background cache warm-up for one snapshot version (a no-op
 /// when warming is configured off).
 ///
-/// The "serve-warm" thread sweeps the configured number of highest-degree
-/// origins through the bit-parallel kernel — whole blocks at the
-/// configured lane width, so warming 1024 origins at 256-lane width is 4
-/// sweeps instead of 16 — and pre-fills the reachability cache with the
-/// default-policy (no exclusions) answer for each, so the first client
-/// query for a popular origin after startup or a hot-reload is a cache
-/// hit. The thread bails between blocks if the daemon shuts down or the
+/// The "serve-warm" thread resolves the configured number of
+/// highest-degree origins through [`resolve`] under the default policy
+/// (no exclusions), one kernel block's worth at a time — so warming 1024
+/// origins on AVX2 hardware is 4 lane sweeps — and the first client query
+/// for a popular origin after startup or a hot-reload is a cache hit.
+/// The thread bails between blocks if the daemon shuts down or the
 /// snapshot version moves on, and it only ever *adds* entries for its
 /// own version, so it can never resurrect stale answers.
 pub(crate) fn spawn_warmup(shared: &Arc<Shared>, snap: Arc<ServeSnapshot>) {
@@ -346,31 +342,27 @@ pub(crate) fn spawn_warmup(shared: &Arc<Shared>, snap: Arc<ServeSnapshot>) {
     let shared = Arc::clone(shared);
     let spawned = std::thread::Builder::new().name("serve-warm".into()).spawn(move || {
         let g = &snap.graph;
-        let mut origins: Vec<NodeId> = g.nodes().collect();
-        origins.sort_by_key(|&n| (std::cmp::Reverse(g.degree(n)), n.0));
-        origins.truncate(top_n);
-        let fingerprint = policy_fingerprint(EP_REACHABILITY, 0);
-        let sim = Simulation::over(&snap.topo).threads(1).lane_width(shared.lane_width);
-        for block in origins.chunks(shared.lane_width.lanes()) {
+        let mut by_degree: Vec<NodeId> = g.nodes().collect();
+        by_degree.sort_by_key(|&n| (std::cmp::Reverse(g.degree(n)), n.0));
+        by_degree.truncate(top_n);
+        let origins: Vec<(u32, NodeId)> = by_degree.iter().map(|&n| (g.asn(n).0, n)).collect();
+        let mut ctx = WorkerCtx::new();
+        // Stage marks of a warm-up belong to no request; never recorded.
+        let mut trace = TraceCtx::new(0);
+        for block in origins.chunks(LaneWidth::Auto.lanes()) {
             if shared.shutdown.load(Ordering::SeqCst)
                 || shared.mgr.current().version != snap.version
             {
                 return;
             }
-            let reach = sim.run_sweep_reach(block);
-            for i in 0..reach.len() {
-                let key = CacheKey {
-                    version: snap.version,
-                    origin: g.asn(reach.origin(i)).0,
-                    fingerprint,
-                };
-                let answer = Arc::new(Answer::Reach {
-                    words: reach.reach_words(i).to_vec(),
-                    reached: reach.reachable_count(i),
-                });
-                shared.cache.put(key, answer);
-                shared.warmed.inc();
+            let none = ExclusionPolicy::NONE;
+            if let Err(e) =
+                resolve(&shared, &mut ctx, &snap, Endpoint::Reachability, none, block, &mut trace)
+            {
+                flatnet_obs::warn!("cache warm-up stopped: {}", e.message);
+                return;
             }
+            shared.warmed.add(block.len() as u64);
         }
     });
     if let Err(e) = spawned {
@@ -779,25 +771,22 @@ fn parse_origins(
     Ok((out, batch))
 }
 
-/// Parses `exclude=providers,tier1,tier2` into flag bits (same
-/// semantics on every endpoint that accepts it).
-fn parse_exclude(req: &Request) -> Result<u64, ApiError> {
+/// The `exclude=` tokens and the policy bit each one sets.
+const EXCLUDE_TOKENS: [(&str, u64); 3] = [("providers", 1), ("tier1", 2), ("tier2", 4)];
+
+/// Parses `exclude=providers,tier1,tier2` into the exclusion policy
+/// (same semantics on every endpoint that accepts it).
+fn parse_exclude(req: &Request) -> Result<ExclusionPolicy, ApiError> {
     let mut bits = 0u64;
-    if let Some(list) = req.query_param("exclude") {
-        for token in list.split(',').filter(|t| !t.is_empty()) {
-            bits |= match token {
-                "providers" => EXCL_PROVIDERS,
-                "tier1" => EXCL_TIER1,
-                "tier2" => EXCL_TIER2,
-                other => {
-                    return Err(ApiError::bad_request(format!(
-                        "unknown exclude token {other:?} (want providers|tier1|tier2)"
-                    )))
-                }
-            };
-        }
+    for token in req.query_param("exclude").unwrap_or("").split(',').filter(|t| !t.is_empty()) {
+        let Some((_, bit)) = EXCLUDE_TOKENS.iter().find(|(name, _)| *name == token) else {
+            return Err(ApiError::bad_request(format!(
+                "unknown exclude token {token:?} (want providers|tier1|tier2)"
+            )));
+        };
+        bits |= bit;
     }
-    Ok(bits)
+    Ok(ExclusionPolicy::from_bits(bits))
 }
 
 /// `detail=full|summary` (canonical), with the legacy `full=1|true`
@@ -815,91 +804,112 @@ fn parse_detail(req: &Request) -> Result<bool, ApiError> {
     Ok(matches!(req.query_param("full"), Some("1") | Some("true")))
 }
 
-fn exclude_names(bits: u64) -> String {
-    let mut names = Vec::new();
-    if bits & EXCL_PROVIDERS != 0 {
-        names.push("\"providers\"");
-    }
-    if bits & EXCL_TIER1 != 0 {
-        names.push("\"tier1\"");
-    }
-    if bits & EXCL_TIER2 != 0 {
-        names.push("\"tier2\"");
-    }
-    names.join(",")
+fn exclude_names(policy: ExclusionPolicy) -> String {
+    let set = EXCLUDE_TOKENS.iter().filter(|(_, bit)| policy.bits() & bit != 0);
+    set.map(|(name, _)| format!("\"{name}\"")).collect::<Vec<_>>().join(",")
 }
 
-/// Fills the scalar exclusion mask for one origin the same way every
-/// reachability sweep does: providers of the origin, then the tier
-/// sets, with the origin itself never excluded.
-fn fill_exclusion_mask(snap: &ServeSnapshot, node: NodeId, bits: u64, mask: &mut [bool]) {
-    mask.fill(false);
-    if bits & EXCL_PROVIDERS != 0 {
-        for &p in snap.graph.providers(node) {
-            mask[p.idx()] = true;
-        }
-    }
-    if bits & EXCL_TIER1 != 0 {
-        for &t in snap.tiers.tier1() {
-            mask[t.idx()] = true;
-        }
-    }
-    if bits & EXCL_TIER2 != 0 {
-        for &t in snap.tiers.tier2() {
-            mask[t.idx()] = true;
-        }
-    }
-    mask[node.idx()] = false;
-}
-
-/// Solves the cache-missing origins of a reachability batch in one
-/// bit-parallel sweep — whole lane blocks (up to 256 origins each at the
-/// configured width) straight into the kernel, so a full 1024-origin
-/// batch is 4 block runs on AVX2 hardware instead of 16. The tier
-/// exclusions are origin-independent, so they ride the
-/// shared config mask (broadcast once per block); the per-lane fill
-/// installs the origin's providers and carves the origin itself back
-/// out, exactly mirroring [`fill_exclusion_mask`] — which is what keeps
-/// batch answers bit-identical to the scalar single-origin path.
-fn solve_reach_misses(
+/// The one solve path behind `/v1/reachability`, `/v1/reliance` and the
+/// cache warm-up, and the only code that builds an [`Answer`]: probe
+/// every origin's key, solve each distinct missing origin once, cache
+/// what was solved. Returns one `(answer, cached)` per origin in request
+/// order, where `cached` means "was in the cache when this request
+/// probed" — a repeated origin reports one value at every occurrence.
+///
+/// A single is a batch of one; the engine is chosen from what is
+/// observable here. Exactly one reachability miss runs on the worker's
+/// long-lived scalar [`Workspace`] (no steady-state allocation — the
+/// cold-single fast path); more run as one lane sweep, tier exclusions
+/// broadcast once per block, the origin's providers per lane. Reliance
+/// needs distances, so each miss takes a scalar run plus the
+/// [`RelianceWorkspace`] kernel. All three read the rule from one
+/// [`Exclusion`], which keeps single, batch and warmed answers
+/// bit-identical. Marks `cache_probe` after the probes and `propagate`
+/// after the solves (only when something was solved).
+fn resolve(
+    shared: &Shared,
+    ctx: &mut WorkerCtx,
     snap: &ServeSnapshot,
-    misses: &[NodeId],
-    bits: u64,
-    lane_width: LaneWidth,
-) -> Vec<(NodeId, Arc<Answer>)> {
-    let g = &snap.graph;
-    let mut cfg = PropagationConfig::default();
-    if bits & (EXCL_TIER1 | EXCL_TIER2) != 0 {
-        let mask = cfg.excluded_mask_mut(g.len());
-        if bits & EXCL_TIER1 != 0 {
-            for &t in snap.tiers.tier1() {
-                mask[t.idx()] = true;
+    endpoint: Endpoint,
+    policy: ExclusionPolicy,
+    origins: &[(u32, NodeId)],
+    trace: &mut TraceCtx,
+) -> Result<Vec<(Arc<Answer>, bool)>, ApiError> {
+    let fingerprint = policy_fingerprint(endpoint as u8, policy.bits());
+    let key = |asn: u32| CacheKey { version: snap.version, origin: asn, fingerprint };
+    let keys: Vec<CacheKey> = origins.iter().map(|&(asn, _)| key(asn)).collect();
+    let probes = match keys.as_slice() {
+        [one] => vec![shared.cache.get(one)],
+        many => shared.cache.probe_many(many),
+    };
+    trace.mark(Stage::CacheProbe);
+    trace.set_cached(probes.iter().all(Option::is_some));
+
+    // Distinct missing origins in first-occurrence order; every origin
+    // is either its hit or the slot of its miss.
+    let mut misses: Vec<(u32, NodeId)> = Vec::new();
+    let mut miss_slot: HashMap<NodeId, usize> = HashMap::new();
+    let pending: Vec<Result<Arc<Answer>, usize>> = origins
+        .iter()
+        .zip(probes)
+        .map(|(&(asn, node), probe)| {
+            probe.ok_or_else(|| {
+                *miss_slot.entry(node).or_insert_with(|| {
+                    misses.push((asn, node));
+                    misses.len() - 1
+                })
+            })
+        })
+        .collect();
+
+    let mut solved: Vec<Arc<Answer>> = Vec::with_capacity(misses.len());
+    if !misses.is_empty() {
+        let excl = Exclusion::new(&snap.graph, &snap.tiers, policy)
+            .map_err(|e| ApiError::new(500, "internal", e.to_string()))?;
+        let n = snap.graph.len();
+        let reach_answer = |words: &[u64], reached: usize| {
+            Arc::new(Answer::Reach { words: words.to_vec(), reached })
+        };
+        match (endpoint, misses.as_slice()) {
+            (Endpoint::Reachability, &[(_, node)]) => {
+                excl.fill_scalar(node, ctx.cfg.excluded_mask_mut(n));
+                ctx.ws.run(&snap.topo, node, &ctx.cfg);
+                solved.push(reach_answer(ctx.ws.reach_words(), ctx.ws.reachable_count()));
+            }
+            (Endpoint::Reachability, _) => {
+                let nodes: Vec<NodeId> = misses.iter().map(|&(_, node)| node).collect();
+                let reach = Simulation::over(&snap.topo)
+                    .threads(1)
+                    .config(excl.shared_config())
+                    .run_sweep_reach_with(&nodes, |o, ex| excl.fill_lane(o, ex));
+                solved.extend(
+                    (0..reach.len())
+                        .map(|i| reach_answer(reach.reach_words(i), reach.reachable_count(i))),
+                );
+            }
+            (Endpoint::Reliance, _) => {
+                for &(_, node) in &misses {
+                    excl.fill_scalar(node, ctx.cfg.excluded_mask_mut(n));
+                    ctx.ws.run(&snap.topo, node, &ctx.cfg);
+                    let scores = ctx.rely.score(&snap.topo, &ctx.ws, &ctx.cfg);
+                    let top = rank_reliance(snap, node, scores, &mut ctx.ranked);
+                    solved.push(Arc::new(Answer::Reliance { receivers: scores[node.idx()], top }));
+                }
             }
         }
-        if bits & EXCL_TIER2 != 0 {
-            for &t in snap.tiers.tier2() {
-                mask[t.idx()] = true;
-            }
+        trace.mark(Stage::Propagate);
+        for (&(asn, _), answer) in misses.iter().zip(&solved) {
+            shared.cache.put(key(asn), Arc::clone(answer));
         }
     }
-    let sim = Simulation::over(&snap.topo).threads(1).config(cfg).lane_width(lane_width);
-    let reach = sim.run_sweep_reach_with(misses, |o, ex| {
-        if bits & EXCL_PROVIDERS != 0 {
-            for &p in g.providers(o) {
-                ex.exclude(p);
-            }
-        }
-        ex.allow(o);
-    });
-    (0..reach.len())
-        .map(|i| {
-            let answer = Arc::new(Answer::Reach {
-                words: reach.reach_words(i).to_vec(),
-                reached: reach.reachable_count(i),
-            });
-            (reach.origin(i), answer)
+
+    Ok(pending
+        .into_iter()
+        .map(|p| match p {
+            Ok(hit) => (hit, true),
+            Err(slot) => (Arc::clone(&solved[slot]), false),
         })
-        .collect()
+        .collect())
 }
 
 /// Renders one origin's reachability summary fields (shared by the flat
@@ -913,20 +923,19 @@ fn reach_summary_fields(asn: u32, reached: usize, max_possible: usize, cached: b
     )
 }
 
-/// Streams one origin's sorted reach-set ASNs into the sink as a JSON
-/// array body (no brackets), never materializing the whole list as one
-/// string.
-fn stream_reach_asns(
+/// Where rendered response text goes: a chunked stream or a `String`.
+type Emit<'a> = &'a mut dyn FnMut(&str) -> std::io::Result<()>;
+
+/// Emits one origin's sorted reach-set ASNs as a JSON array body (no
+/// brackets), never materializing the whole list as one string.
+fn emit_reach_asns(
     snap: &ServeSnapshot,
     node: NodeId,
     words: &[u64],
-    sink: &mut crate::http::ChunkSink<'_>,
+    emit: Emit<'_>,
 ) -> std::io::Result<()> {
-    // Node indices ascend with ASN order per word-bit order only within
-    // the snapshot's indexing; collect + sort ASNs in bounded slabs is
-    // wrong for bit-exactness of ordering, so collect indices (cheap,
-    // u32 each) and sort once — the *rendered text* streams out in
-    // chunks regardless.
+    // Node-index order is not ASN order, so the ASNs (a u32 each) are
+    // collected and sorted once; only the rendered text streams.
     let mut asns: Vec<u32> = Vec::new();
     for (wi, &word) in words.iter().enumerate() {
         let mut w = word;
@@ -947,18 +956,54 @@ fn stream_reach_asns(
             numbuf.push(',');
         }
         let _ = write!(numbuf, "{a}");
-        sink.push(&numbuf)?;
+        emit(&numbuf)?;
     }
     Ok(())
+}
+
+/// Emits the reachability `data` object: the batch shape, or for a
+/// single the entry's fields spliced flat into the object; `full` adds
+/// each origin's sorted reach set.
+fn emit_reachability(
+    snap: &ServeSnapshot,
+    policy: ExclusionPolicy,
+    origins: &[(u32, NodeId)],
+    answers: &[(Arc<Answer>, bool)],
+    batch: bool,
+    full: bool,
+    emit: Emit<'_>,
+) -> std::io::Result<()> {
+    let max_possible = snap.graph.len().saturating_sub(1);
+    emit(&format!("{{\"endpoint\":\"reachability\",\"exclude\":[{}],", exclude_names(policy)))?;
+    if batch {
+        emit(&format!("\"batch\":{},\"results\":[", answers.len()))?;
+    }
+    for (i, (&(asn, node), (answer, cached))) in origins.iter().zip(answers).enumerate() {
+        let Answer::Reach { words, reached } = &**answer else { continue };
+        if batch {
+            emit(if i > 0 { ",{" } else { "{" })?;
+        }
+        emit(&reach_summary_fields(asn, *reached, max_possible, *cached))?;
+        if full {
+            emit(",\"reach\":[")?;
+            emit_reach_asns(snap, node, words, emit)?;
+            emit("]")?;
+        }
+        if batch {
+            emit("}")?;
+        }
+    }
+    emit(if batch { "]}" } else { "}" })
 }
 
 /// `GET /v1/reachability?origins=a,b,c[&exclude=…][&detail=full]`
 /// (single-origin alias: `origin=ASN`; legacy `full=1` still honored).
 ///
-/// Batch queries probe the cache per origin, solve all misses in one
-/// lane-kernel sweep, and insert each origin's answer under the same
-/// cache key a single-origin query would use — so batch and single
-/// answers are the same `Answer` values, bit for bit.
+/// Every origin resolves through [`resolve`] under the same cache key a
+/// single-origin query would use, so batch and single answers are the
+/// same `Answer` values, bit for bit; this handler only renders —
+/// `detail=full` as chunked frames, so a large graph never materializes
+/// a multi-MB body.
 fn reachability(
     shared: &Arc<Shared>,
     ctx: &mut WorkerCtx,
@@ -968,149 +1013,41 @@ fn reachability(
     let snap = shared.mgr.current();
     let (origins, batch) = parse_origins(&snap, req)?;
     trace.set_origin(origins[0].0);
-    let bits = parse_exclude(req)?;
+    let policy = parse_exclude(req)?;
     let full = parse_detail(req)?;
-    let fingerprint = policy_fingerprint(EP_REACHABILITY, bits);
-
-    let keys: Vec<CacheKey> = origins
-        .iter()
-        .map(|&(asn, _)| CacheKey { version: snap.version, origin: asn, fingerprint })
-        .collect();
-    let probes = if keys.len() == 1 {
-        vec![shared.cache.get(&keys[0])]
-    } else {
-        shared.cache.probe_many(&keys)
-    };
-    trace.mark(Stage::CacheProbe);
-    trace.set_cached(probes.iter().all(Option::is_some));
-
-    // Resolve every origin to an `Answer`, solving misses in one sweep.
-    let mut results: Vec<(u32, NodeId, Arc<Answer>, bool)> = Vec::with_capacity(origins.len());
-    let mut miss_nodes: Vec<NodeId> = Vec::new();
-    for (&(asn, node), probe) in origins.iter().zip(&probes) {
-        match probe {
-            Some(hit) => results.push((asn, node, Arc::clone(hit), true)),
-            None => {
-                if !miss_nodes.contains(&node) {
-                    miss_nodes.push(node);
-                }
-                // Placeholder; filled from the sweep below.
-                results.push((asn, node, Arc::new(Answer::Reach { words: Vec::new(), reached: 0 }), false));
-            }
-        }
-    }
-    if !miss_nodes.is_empty() {
-        let solved: Vec<(NodeId, Arc<Answer>)> = if !batch && miss_nodes.len() == 1 {
-            // Single-origin scalar path: reuse the worker's long-lived
-            // workspace (zero steady-state allocation on the hot path).
-            let node = miss_nodes[0];
-            let mask = ctx.cfg.excluded_mask_mut(snap.graph.len());
-            fill_exclusion_mask(&snap, node, bits, mask);
-            ctx.ws.run(&snap.topo, node, &ctx.cfg);
-            let answer = Arc::new(Answer::Reach {
-                words: ctx.ws.reach_words().to_vec(),
-                reached: ctx.ws.reachable_count(),
-            });
-            vec![(node, answer)]
-        } else {
-            solve_reach_misses(&snap, &miss_nodes, bits, shared.lane_width)
-        };
-        trace.mark(Stage::Propagate);
-        for (node, answer) in solved {
-            for slot in results.iter_mut().filter(|(_, n, _, cached)| *n == node && !cached) {
-                slot.2 = Arc::clone(&answer);
-            }
-            let asn = snap.graph.asn(node).0;
-            shared.cache.put(
-                CacheKey { version: snap.version, origin: asn, fingerprint },
-                answer,
-            );
-        }
-    }
-
-    let max_possible = snap.graph.len().saturating_sub(1);
-    let version = snap.version;
-    let trace_id = trace.id();
-    let excl = exclude_names(bits);
-
+    let answers = resolve(shared, ctx, &snap, Endpoint::Reachability, policy, &origins, trace)?;
+    let prefix = envelope_prefix(snap.version, trace.id());
     if full {
-        // Streamed: the reach arrays go out as chunked frames, so a
-        // large graph never materializes a multi-MB body.
-        let snap2 = Arc::clone(&snap);
         let producer: crate::http::BodyProducer = Box::new(move |sink| {
-            sink.push(&envelope_prefix(version, trace_id))?;
-            if batch {
-                sink.push(&format!(
-                    "{{\"endpoint\":\"reachability\",\"exclude\":[{excl}],\"batch\":{},\
-                     \"results\":[",
-                    results.len()
-                ))?;
-            }
-            for (i, (asn, node, answer, cached)) in results.iter().enumerate() {
-                let Answer::Reach { words, reached } = &**answer else { continue };
-                if batch {
-                    if i > 0 {
-                        sink.push(",")?;
-                    }
-                    sink.push("{")?;
-                } else {
-                    sink.push("{\"endpoint\":\"reachability\",")?;
-                    sink.push(&format!("\"exclude\":[{excl}],"))?;
-                }
-                sink.push(&reach_summary_fields(*asn, *reached, max_possible, *cached))?;
-                sink.push(",\"reach\":[")?;
-                stream_reach_asns(&snap2, *node, words, sink)?;
-                sink.push("]}")?;
-            }
-            if batch {
-                sink.push("]}")?;
-            }
+            sink.push(&prefix)?;
+            let emit: Emit<'_> = &mut |s| sink.push(s);
+            emit_reachability(&snap, policy, &origins, &answers, batch, true, emit)?;
             sink.push("}\n")
         });
         return Ok(Response::stream(200, producer));
     }
-
-    let data = if batch {
-        let mut data = format!(
-            "{{\"endpoint\":\"reachability\",\"exclude\":[{excl}],\"batch\":{},\"results\":[",
-            results.len()
-        );
-        for (i, (asn, _, answer, cached)) in results.iter().enumerate() {
-            let Answer::Reach { reached, .. } = &**answer else { continue };
-            if i > 0 {
-                data.push(',');
-            }
-            data.push('{');
-            data.push_str(&reach_summary_fields(*asn, *reached, max_possible, *cached));
-            data.push('}');
-        }
-        data.push_str("]}");
-        data
-    } else {
-        let (asn, _, answer, cached) = &results[0];
-        let Answer::Reach { reached, .. } = &**answer else {
-            return Err(ApiError::new(500, "internal", "cache type confusion"));
-        };
-        format!(
-            "{{\"endpoint\":\"reachability\",\"exclude\":[{excl}],{}}}",
-            reach_summary_fields(*asn, *reached, max_possible, *cached),
-        )
+    let mut body = prefix;
+    let emit: Emit<'_> = &mut |s| {
+        body.push_str(s);
+        Ok(())
     };
-    Ok(Response::json(200, envelope(version, trace_id, &data)))
+    emit_reachability(&snap, policy, &origins, &answers, batch, false, emit)
+        .expect("writing to a String cannot fail");
+    body.push_str("}\n");
+    Ok(Response::json(200, body))
 }
 
-/// Solves one reliance miss on the worker's long-lived buffers: run the
-/// origin over the excluded topology (origin always allowed), score the
-/// run with the reliance kernel, and keep the top [`RELIANCE_TOP_MAX`]
-/// `(asn, score)` pairs — selected first, then only the survivors sorted.
-/// The order is total (scores descending, ASN ascending, ASNs distinct),
-/// so the result is what a full sort and truncate would give.
-fn solve_reliance(snap: &ServeSnapshot, ctx: &mut WorkerCtx, node: NodeId, bits: u64) -> Answer {
-    let mask = ctx.cfg.excluded_mask_mut(snap.graph.len());
-    fill_exclusion_mask(snap, node, bits, mask);
-    ctx.ws.run(&snap.topo, node, &ctx.cfg);
-    let scores = ctx.rely.score(&snap.topo, &ctx.ws, &ctx.cfg);
-    let ranked = &mut ctx.ranked;
+/// Ranks one reliance run: the top [`RELIANCE_TOP_MAX`] `(asn, score)`
+/// pairs with a positive score, origin omitted — selected first, then
+/// only the survivors sorted. The order is total (scores descending, ASN
+/// ascending, ASNs distinct), so the result is what a full sort and
+/// truncate would give. `ranked` is the worker's reusable scratch.
+fn rank_reliance(
+    snap: &ServeSnapshot,
+    node: NodeId,
+    scores: &[f64],
+    ranked: &mut Vec<(u32, f64)>,
+) -> Vec<(u32, f64)> {
     ranked.clear();
     ranked.extend(
         scores
@@ -1125,7 +1062,7 @@ fn solve_reliance(snap: &ServeSnapshot, ctx: &mut WorkerCtx, node: NodeId, bits:
         ranked.truncate(RELIANCE_TOP_MAX);
     }
     ranked.sort_unstable_by(by_rank);
-    Answer::Reliance { receivers: scores[node.idx()], top: ranked.as_slice().to_vec() }
+    ranked.as_slice().to_vec()
 }
 
 /// `GET /v1/reliance?origins=a,b[&exclude=…][&top=K]` (single-origin
@@ -1141,47 +1078,22 @@ fn reliance_endpoint(
     let snap = shared.mgr.current();
     let (origins, batch) = parse_origins(&snap, req)?;
     trace.set_origin(origins[0].0);
-    let bits = parse_exclude(req)?;
+    let policy = parse_exclude(req)?;
     let top_k: usize = match req.query_param("top").map(str::parse).transpose() {
         Ok(k) => k.unwrap_or(20).min(RELIANCE_TOP_MAX),
         Err(_) => return Err(ApiError::bad_request("bad 'top' (want a count)")),
     };
-    let fingerprint = policy_fingerprint(EP_RELIANCE, bits);
-
-    // Resolve every origin to an answer, in request order (a repeated
-    // origin hits the entry its first occurrence just cached). Stages
-    // add up over the loop: probes to `cache_probe`, solves — and only
-    // solves — to `propagate`; rendering below falls into `serialize`.
-    let mut all_cached = true;
-    let mut answers: Vec<(u32, Arc<Answer>, bool)> = Vec::with_capacity(origins.len());
-    for &(asn, node) in &origins {
-        let key = CacheKey { version: snap.version, origin: asn, fingerprint };
-        let probe = shared.cache.get(&key);
-        trace.mark(Stage::CacheProbe);
-        let cached = probe.is_some();
-        all_cached &= cached;
-        let answer = match probe {
-            Some(hit) => hit,
-            None => {
-                let answer = Arc::new(solve_reliance(&snap, ctx, node, bits));
-                trace.mark(Stage::Propagate);
-                shared.cache.put(key, Arc::clone(&answer));
-                answer
-            }
-        };
-        answers.push((asn, answer, cached));
-    }
-    trace.set_cached(all_cached);
+    let answers = resolve(shared, ctx, &snap, Endpoint::Reliance, policy, &origins, trace)?;
 
     // One output string: envelope prefix, data object, envelope close.
     // The single shape is the batch entry's fields spliced flat into the
     // data object. Writing to a `String` cannot fail.
     let mut body = envelope_prefix(snap.version, trace.id());
-    let _ = write!(body, "{{\"endpoint\":\"reliance\",\"exclude\":[{}],", exclude_names(bits));
+    let _ = write!(body, "{{\"endpoint\":\"reliance\",\"exclude\":[{}],", exclude_names(policy));
     if batch {
         let _ = write!(body, "\"batch\":{},\"results\":[", answers.len());
     }
-    for (i, (asn, answer, cached)) in answers.iter().enumerate() {
+    for (i, (&(asn, _), (answer, cached))) in origins.iter().zip(&answers).enumerate() {
         let Answer::Reliance { receivers, top } = &**answer else {
             return Err(ApiError::new(500, "internal", "cache type confusion"));
         };
@@ -1446,7 +1358,6 @@ mod tests {
             Duration::from_secs(1),
             1,
             0,
-            LaneWidth::Auto,
             None,
         ))
     }
@@ -1483,14 +1394,14 @@ mod tests {
     fn parent_entry(
         snap: &ServeSnapshot,
         asn: u32,
-        bits: u64,
+        policy: ExclusionPolicy,
         top_k: usize,
         cached: bool,
     ) -> String {
         let g = &snap.graph;
         let node = g.index_of(AsId(asn)).unwrap();
         let mut mask = vec![false; g.len()];
-        fill_exclusion_mask(snap, node, bits, &mut mask);
+        Exclusion::new(g, &snap.tiers, policy).unwrap().fill_scalar(node, &mut mask);
         let cfg = PropagationConfig::new().with_excluded(mask);
         let scores = reliance(&NextHopDag::build(g, &cfg, &propagate(g, node, &cfg)));
         let mut top: Vec<(u32, f64)> = scores
@@ -1527,30 +1438,31 @@ mod tests {
 
         // Single shape, cold then cached, across `top=` values (the
         // cached payload must serve every K up to the cap).
-        let single = |asn: u32, bits: u64, top_k: usize, cached: bool| {
-            let entry = parent_entry(&snap, asn, bits, top_k, cached);
+        let single = |asn: u32, policy: ExclusionPolicy, top_k: usize, cached: bool| {
+            let entry = parent_entry(&snap, asn, policy, top_k, cached);
             let data = format!(
                 "{{\"endpoint\":\"reliance\",\"exclude\":[{}],{}",
-                exclude_names(bits),
+                exclude_names(policy),
                 entry.strip_prefix('{').unwrap(),
             );
             envelope(snap.version, 0xABCD, &data)
         };
         let (cold, cold_ev) = get_reliance(&shared, &mut ctx, &format!("origin={a}"));
-        assert_eq!(cold, single(a, 0, 20, false));
+        assert_eq!(cold, single(a, ExclusionPolicy::NONE, 20, false));
         assert!(cold_ev.stage_us(Stage::Propagate).is_some(), "a miss is a solve");
         assert!(cold_ev.stage_us(Stage::CacheProbe).is_some());
         assert!(!cold_ev.cached);
         for (query, top_k) in [("", 20), ("&top=0", 0), ("&top=3", 3), ("&top=5000", 1000)] {
             let (warm, ev) = get_reliance(&shared, &mut ctx, &format!("origin={a}{query}"));
-            assert_eq!(warm, single(a, 0, top_k, true), "cached, {query:?}");
+            assert_eq!(warm, single(a, ExclusionPolicy::NONE, top_k, true), "cached, {query:?}");
             assert!(ev.cached);
             assert_eq!(ev.stage_us(Stage::Propagate), None, "a cached answer solves nothing");
         }
 
-        // Batch shape with exclusions and a repeated origin: the repeat
-        // hits the entry its first occurrence cached.
-        let bits = EXCL_PROVIDERS;
+        // Batch shape with exclusions and a repeated origin: `cached` is
+        // "was in the cache when this request probed", so the repeat
+        // reports the same miss as its first occurrence.
+        let bits = ExclusionPolicy::PROVIDER_FREE;
         let (batch, ev) = get_reliance(
             &shared,
             &mut ctx,
@@ -1559,7 +1471,7 @@ mod tests {
         let entries = [
             parent_entry(&snap, b, bits, 1000, false),
             parent_entry(&snap, a, bits, 1000, false),
-            parent_entry(&snap, b, bits, 1000, true),
+            parent_entry(&snap, b, bits, 1000, false),
         ];
         let data = format!(
             "{{\"endpoint\":\"reliance\",\"exclude\":[{}],\"batch\":3,\"results\":[{}]}}",

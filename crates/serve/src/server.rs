@@ -46,11 +46,6 @@ pub struct ServeConfig {
     /// when not, persist every successful reload to it. `None` = no
     /// persistence.
     pub store: Option<String>,
-    /// Kernel lane width for batch sweeps and cache warming
-    /// (`--lane-width`): origins per bit-parallel block. The default
-    /// `Auto` picks the widest width the CPU runs well (256 lanes on
-    /// AVX2); the width never changes answers, only throughput.
-    pub lane_width: flatnet_bgpsim::LaneWidth,
     /// Shard identity as `(id, count)` when this process is one slice of
     /// a sharded layout behind `flatnet router`; surfaced in `/healthz`
     /// so the router (and an operator) can tell shards apart. `None` =
@@ -73,7 +68,6 @@ impl Default for ServeConfig {
             keepalive_max: 1024,
             keepalive_idle_ms: 5000,
             store: None,
-            lane_width: flatnet_bgpsim::LaneWidth::Auto,
             shard: None,
             source: TopologySource::Generated { ases: 4000, seed: 2020 },
         }
@@ -121,7 +115,6 @@ impl Server {
             Duration::from_millis(cfg.keepalive_idle_ms),
             n_workers,
             cfg.warm,
-            cfg.lane_width,
             cfg.shard,
         ));
         let _ = shared.local_addr.set(addr);

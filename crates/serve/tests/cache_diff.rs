@@ -3,12 +3,17 @@
 //! fresh `Simulation` run over the same snapshot with the same exclusion
 //! mask; `/admin/reload` must bump the version and invalidate every
 //! cached entry; and a reload under concurrent query load must never
-//! produce an error or a wrong answer.
+//! produce an error or a wrong answer. Every way of asking — single,
+//! `origins=X`, a member of a block-crossing batch, a lone miss inside a
+//! batch, a warmed entry — must give the byte-identical answer on both
+//! cached endpoints under every `exclude=` mask, and a repeated origin
+//! must report one `cached` value.
 
 use flatnet_bgpsim::{PropagationConfig, Simulation, TopologySnapshot};
 use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_serve::json::{parse, Json};
 use flatnet_serve::{ServeConfig, Server, TopologySource};
+use flatnet_wire::json::{array_items, member, members};
 use flatnet_wire::Client;
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -273,5 +278,173 @@ fn cached_answers_are_bit_identical_and_reload_invalidates() {
     assert_eq!(data_of(&second).get("cached").and_then(Json::as_bool), Some(true));
     assert_eq!(data_of(&second).get("receivers").and_then(Json::as_f64), Some(receivers));
 
+    server.shutdown();
+}
+
+/// One round trip; the verbatim text of the envelope's `data` member.
+fn fetch_data(addr: SocketAddr, path: &str) -> String {
+    let reply = Client::new(addr.to_string(), Duration::from_secs(60))
+        .one_shot("GET", path)
+        .expect("round trip");
+    assert_eq!(reply.status, 200, "{path}: {}", reply.body);
+    member(&reply.body, "data").unwrap_or_else(|| panic!("{path}: no data")).to_string()
+}
+
+/// One origin's answer as verbatim `(key, value text)` pairs plus its
+/// `cached` flag — from a single's flat `data` object or one batch
+/// `results` entry. `endpoint`/`exclude` belong to the response shape,
+/// not the answer, and are dropped.
+fn answer_of(obj: &str) -> (Vec<(String, String)>, bool) {
+    let mut cached = None;
+    let mut fields = Vec::new();
+    for (k, v) in members(obj).expect("an object") {
+        match k {
+            "endpoint" | "exclude" => {}
+            "cached" => cached = Some(v == "true"),
+            _ => fields.push((k.to_string(), v.to_string())),
+        }
+    }
+    (fields, cached.expect("cached flag"))
+}
+
+/// The `results` entries of a batch-shaped `data` object.
+fn batch_answers(data: &str) -> Vec<(Vec<(String, String)>, bool)> {
+    let results = member(data, "results").expect("results array");
+    array_items(results).expect("array").into_iter().map(answer_of).collect()
+}
+
+#[rustfmt::skip]
+const EXCLUDE_MASKS: [&str; 8] = [
+    "", "providers", "tier1", "providers,tier1",
+    "tier2", "providers,tier2", "tier1,tier2", "providers,tier1,tier2",
+];
+
+#[test]
+fn every_way_of_asking_gives_the_byte_identical_answer() {
+    let net = generate(&NetGenConfig::paper_2020(500, 23));
+    let g = &net.truth;
+    let tiers = net.tiers_for(g);
+    let start = |warm: usize| {
+        Server::start(ServeConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 2,
+            warm,
+            source: TopologySource::Preloaded { graph: g.clone(), tiers: tiers.clone() },
+            ..ServeConfig::default()
+        })
+        .expect("server starts")
+    };
+    let server = start(0);
+    let addr = server.addr();
+    // Everything pre-warmed (default policy, reachability) on a second daemon.
+    let warmed = start(g.len());
+    wait_for_warmed(warmed.addr(), g.len() as u64);
+
+    // A Tier-1 (the shared tier mask covers the origin itself), a stub,
+    // and a mid-tier AS with both providers and customers.
+    let in_tiers = |n| tiers.is_tier1(n) || tiers.is_tier2(n);
+    let tier1 = tiers.tier1()[0];
+    let stub = g
+        .nodes()
+        .find(|&n| g.customers(n).is_empty() && !g.providers(n).is_empty())
+        .expect("a stub");
+    let mid = g
+        .nodes()
+        .find(|&n| !in_tiers(n) && !g.customers(n).is_empty() && !g.providers(n).is_empty())
+        .expect("a mid-tier AS");
+    let probes = [tier1, stub, mid].map(|n| g.asn(n).0);
+    // A 300-origin batch (two kernel blocks at the widest lane width)
+    // with the probes in the first block, across the boundary, and last.
+    let mut batch: Vec<u32> = g
+        .nodes()
+        .map(|n| g.asn(n).0)
+        .filter(|a| !probes.contains(a))
+        .take(297)
+        .collect();
+    batch.insert(0, probes[0]);
+    batch.insert(256, probes[1]);
+    batch.push(probes[2]);
+    assert_eq!(batch.len(), 300);
+    let list = |asns: &[u32]| asns.iter().map(u32::to_string).collect::<Vec<_>>().join(",");
+    let reload = || assert_eq!(fetch(addr, "POST", "/admin/reload").0, 200);
+
+    for (endpoint, detail) in [("reachability", "&detail=full"), ("reliance", "&top=1000")] {
+        for mask in EXCLUDE_MASKS {
+            let what = format!("{endpoint} exclude={mask:?}");
+            let url =
+                |origins: &str| format!("/v1/{endpoint}?{origins}&exclude={mask}{detail}");
+            // Single: one scalar solve each.
+            let single: Vec<_> = probes
+                .iter()
+                .map(|x| {
+                    let (fields, cached) = answer_of(&fetch_data(addr, &url(&format!("origin={x}"))));
+                    assert!(!cached, "{what}: first single of AS{x}");
+                    fields
+                })
+                .collect();
+            // ... and again, from the cache.
+            for (x, want) in probes.iter().zip(&single) {
+                let (fields, cached) = answer_of(&fetch_data(addr, &url(&format!("origin={x}"))));
+                assert!(cached, "{what}: second single of AS{x}");
+                assert_eq!(&fields, want, "{what}: cached single of AS{x}");
+            }
+            // `origins=X`: the batch shape around a batch of one.
+            reload();
+            for (x, want) in probes.iter().zip(&single) {
+                let got = batch_answers(&fetch_data(addr, &url(&format!("origins={x}"))));
+                assert_eq!(got, vec![(want.clone(), false)], "{what}: origins={x}");
+            }
+            // A member of a batch that crosses a 256-lane block.
+            reload();
+            let got = batch_answers(&fetch_data(addr, &url(&format!("origins={}", list(&batch)))));
+            assert_eq!(got.len(), batch.len());
+            for (i, want) in [(0, &single[0]), (256, &single[1]), (299, &single[2])] {
+                assert_eq!(got[i], (want.clone(), false), "{what}: batch slot {i}");
+            }
+            // The only miss of an otherwise cached batch.
+            reload();
+            fetch_data(addr, &url(&format!("origins={}", list(&batch[..299]))));
+            let got = batch_answers(&fetch_data(addr, &url(&format!("origins={}", list(&batch)))));
+            assert!(got[..299].iter().all(|(_, cached)| *cached), "{what}: primed slots");
+            assert_eq!(got[299], (single[2].clone(), false), "{what}: lone miss in a batch");
+            // The warm-up thread's entry.
+            if endpoint == "reachability" && mask.is_empty() {
+                for (x, want) in probes.iter().zip(&single) {
+                    let path = url(&format!("origin={x}"));
+                    let (fields, cached) = answer_of(&fetch_data(warmed.addr(), &path));
+                    assert!(cached, "{what}: AS{x} was warmed");
+                    assert_eq!(&fields, want, "{what}: warmed AS{x}");
+                }
+            }
+        }
+    }
+    server.shutdown();
+    warmed.shutdown();
+}
+
+/// `cached` means "was in the cache when this request probed", on both
+/// endpoints: a repeated origin reports a miss at every occurrence of a
+/// cold request and a hit at every occurrence of the next.
+#[test]
+fn a_repeated_origin_reports_one_cached_value_on_both_endpoints() {
+    let net = generate(&NetGenConfig::paper_2020(300, 5));
+    let tiers = net.tiers_for(&net.truth);
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        source: TopologySource::Preloaded { graph: net.truth.clone(), tiers },
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let (a, b) = (net.clouds[0].asn.0, net.clouds[1].asn.0);
+    for endpoint in ["reachability", "reliance"] {
+        let path = format!("/v1/{endpoint}?origins={a},{b},{a}");
+        for want in [false, true] {
+            let got = batch_answers(&fetch_data(server.addr(), &path));
+            let flags: Vec<bool> = got.iter().map(|(_, cached)| *cached).collect();
+            assert_eq!(flags, [want; 3], "{path}");
+            assert_eq!(got[0].0, got[2].0, "{path}: the repeat is the same answer");
+        }
+    }
     server.shutdown();
 }

@@ -3,7 +3,9 @@
 //! bitsets, counts, and tied-best next hops — across many seeded
 //! topologies, origins, and every policy knob; and the bit-parallel
 //! multi-origin kernel must produce reach sets bit-identical to
-//! per-origin [`Workspace`] runs over the same corpus; and the reliance
+//! per-origin [`Workspace`] runs over the same corpus; and the exclusion
+//! rule's lane rendering (shared tier mask + per-lane fill) must equal
+//! its scalar rendering for every origin and policy; and the reliance
 //! kernel ([`RelianceWorkspace`]) must score every one of those runs
 //! bit-identically (`f64::to_bits`) to `reliance(&NextHopDag::build(..))`
 //! while one workspace is reused across origins, policies and snapshots
@@ -15,10 +17,12 @@
 //! counting allocator, and interleaving other tests would make the
 //! allocation delta meaningless.
 
-use flatnet_asgraph::NodeId;
+use flatnet_asgraph::{AsId, NodeId, Tiers};
+use flatnet_bgpsim::oracle::propagate_legacy;
 use flatnet_bgpsim::{
-    propagate, propagate_legacy, reliance, ImportPolicy, LaneWidth, LaneWorkspace, NextHopDag,
-    PropagationConfig, RelianceWorkspace, Simulation, SweepCtx, TopologySnapshot, Workspace,
+    propagate, reliance, Exclusion, ExclusionPolicy, ImportPolicy, LaneWidth, LaneWorkspace,
+    NextHopDag, PropagationConfig, RelianceWorkspace, Simulation, SweepCtx, TopologySnapshot,
+    Workspace,
 };
 use flatnet_netgen::{generate, NetGenConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -285,6 +289,60 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
         }
     }
     assert!(kernel_compared >= 50 * 5, "only ran {kernel_compared} kernel comparisons");
+
+    // ---- Part 1c: one exclusion rule, two renderings. For every origin
+    // of every corpus topology and every 3-bit policy, a lane sweep under
+    // `shared_config` + `fill_lane` reaches exactly what a scalar run
+    // under `fill_scalar` reaches. Sweeping every node includes the
+    // Tier-1 and Tier-2 origins, whose own bit the shared mask covers and
+    // the lane fill must carve back out.
+    let mut exclusion_compared = 0usize;
+    for seed in 0..52u64 {
+        let mut gen_cfg = NetGenConfig::tiny(seed);
+        gen_cfg.n_ases = 120 + (seed as usize % 4) * 10;
+        let net = generate(&gen_cfg);
+        let g = &net.truth;
+        let tiers = net.tiers_for(g);
+        let snap = TopologySnapshot::compile(g);
+        let origins: Vec<NodeId> = g.nodes().collect();
+        let mut ws = Workspace::for_snapshot(&snap);
+        let mut scalar_cfg = PropagationConfig::new();
+        for bits in 0..8u64 {
+            let policy = ExclusionPolicy::from_bits(bits);
+            assert_eq!(policy.bits(), bits);
+            let excl = Exclusion::new(g, &tiers, policy).expect("generator tiers match the graph");
+            let reach = Simulation::over(&snap)
+                .threads(1)
+                .config(excl.shared_config())
+                .run_sweep_reach_with(&origins, |o, ex| excl.fill_lane(o, ex));
+            for (i, &o) in origins.iter().enumerate() {
+                excl.fill_scalar(o, scalar_cfg.excluded_mask_mut(g.len()));
+                ws.run(&snap, o, &scalar_cfg);
+                assert_eq!(
+                    reach.reach_words(i),
+                    ws.reach_words(),
+                    "seed {seed} policy {policy:?} origin {o:?}: lane vs scalar exclusion"
+                );
+                assert!(reach.reachable(i, o), "seed {seed} policy {policy:?}: origin {o:?} excluded itself");
+            }
+            exclusion_compared += 1;
+        }
+        assert!(!tiers.tier1().is_empty(), "seed {seed}: corpus topology without a Tier-1 origin");
+
+        // Tiers built against a different (larger) graph are refused up
+        // front with a typed error, under every policy.
+        if seed == 0 {
+            let big = generate(&NetGenConfig::tiny(1000 + seed)).truth;
+            assert!(big.len() > g.len());
+            let last = big.asn(NodeId(big.len() as u32 - 1));
+            let foreign = Tiers::from_lists(&big, &[last], &[AsId(u32::MAX)]);
+            for bits in 0..8u64 {
+                let err = Exclusion::new(g, &foreign, ExclusionPolicy::from_bits(bits)).unwrap_err();
+                assert_eq!((err.node.idx(), err.graph_len), (big.len() - 1, g.len()));
+            }
+        }
+    }
+    assert_eq!(exclusion_compared, 52 * 8);
 
     // ---- Part 2: zero steady-state allocation. ----
     let mut gen_cfg = NetGenConfig::tiny(999);
