@@ -27,7 +27,11 @@ use crate::{Lab, Scale};
 use flatnet_asgraph::astype::{refine, AsType};
 use flatnet_asgraph::AsId;
 use flatnet_core::cone_compare::{cone_vs_hfr, correlation_other, summarize};
-use flatnet_core::leaks::{average_resilience_cdf, leak_cdf, leak_cdf_with_semantics, subprefix_hijack_cdf, Announce, LeakCdf, Locking};
+use flatnet_bgpsim::{LockingSemantics, TopologySnapshot};
+use flatnet_core::leaks::{
+    average_resilience_cdf_on, leak_cdf, leak_cdf_on, subprefix_hijack_cdf, Announce, LeakCdf,
+    Locking,
+};
 use flatnet_core::path_validation::validate_paths;
 use flatnet_core::pathlen::path_length_profile;
 use flatnet_core::pipeline::methodology_iterations;
@@ -475,17 +479,30 @@ fn leak_configs() -> [(&'static str, Announce, Locking); 5] {
     ]
 }
 
-fn leak_figure(lab: &Lab, victim: AsId, weights: Option<&[f64]>, label: &str) {
+/// One victim's leak figure over `snap`, the caller's compile of the 2020
+/// graph: every announce × lock configuration and the average-resilience
+/// baseline run on it.
+fn leak_figure(
+    lab: &Lab,
+    snap: &TopologySnapshot,
+    victim: AsId,
+    weights: Option<&[f64]>,
+    label: &str,
+) {
     let g = lab.graph2020();
     let tiers = lab.tiers2020();
+    let (n_leakers, n_avg, seed) = (lab.scale.n_leakers, lab.scale.n_avg, lab.scale.seed);
     println!("victim: {} — {label}", lab.name(victim));
     println!("{:<38} {:>7} {:>7} {:>7}  cdf 0..100%", "configuration", "median", "p90", "worst");
     for (name, a, l) in leak_configs() {
-        if let Some(cdf) = leak_cdf(g, &tiers, victim, a, l, lab.scale.n_leakers, lab.scale.seed, weights) {
+        let corrected = LockingSemantics::Corrected;
+        if let Some(cdf) =
+            leak_cdf_on(snap, g, &tiers, victim, a, l, corrected, n_leakers, seed, weights)
+        {
             print_leak_line(name, &cdf);
         }
     }
-    let avg = average_resilience_cdf(g, lab.scale.n_avg, lab.scale.n_avg, lab.scale.seed, weights);
+    let avg = average_resilience_cdf_on(snap, g, n_avg, n_avg, seed, weights);
     print_leak_line("average resilience", &avg);
 }
 
@@ -503,6 +520,7 @@ fn print_leak_line(name: &str, cdf: &LeakCdf) {
 /// Fig. 7a-d: Microsoft, Amazon, IBM, Facebook.
 fn fig7(lab: &Lab) {
     println!("## Fig. 7 — route-leak resilience: Microsoft / Amazon / IBM / Facebook\n");
+    let snap = TopologySnapshot::compile(lab.graph2020());
     for name in ["Microsoft", "Amazon", "IBM", "Facebook"] {
         let asn = lab
             .net2020()
@@ -511,7 +529,7 @@ fn fig7(lab: &Lab) {
             .find(|c| c.spec.name == name)
             .map(|c| c.asn)
             .expect("provider exists");
-        leak_figure(lab, asn, None, "% of ASes detoured");
+        leak_figure(lab, &snap, asn, None, "% of ASes detoured");
         println!();
     }
 }
@@ -520,7 +538,8 @@ fn fig7(lab: &Lab) {
 fn fig8(lab: &Lab) {
     println!("## Fig. 8 — route-leak resilience: Google\n");
     let google = lab.net2020().clouds[0].asn;
-    leak_figure(lab, google, None, "% of ASes detoured");
+    let snap = TopologySnapshot::compile(lab.graph2020());
+    leak_figure(lab, &snap, google, None, "% of ASes detoured");
     println!("\nextension — more-specific (sub-prefix) hijacks, where LPM always prefers the hijacker:");
     let g = lab.graph2020();
     let tiers = lab.tiers2020();
@@ -537,7 +556,9 @@ fn fig8(lab: &Lab) {
 fn fig9(lab: &Lab) {
     println!("## Fig. 9 — route-leak resilience: Google, weighted by user population\n");
     let weights = lab.user_weights_2020();
-    leak_figure(lab, lab.net2020().clouds[0].asn, Some(&weights), "% of users detoured");
+    let snap = TopologySnapshot::compile(lab.graph2020());
+    let google = lab.net2020().clouds[0].asn;
+    leak_figure(lab, &snap, google, Some(&weights), "% of users detoured");
 }
 
 /// Fig. 10: Google 2015 vs 2020.
@@ -821,16 +842,17 @@ fn erratum(lab: &Lab) {
     println!("## Erratum ablation — original vs corrected peer-locking semantics");
     println!("(the published erratum: the original simulation let leaks re-enter locking");
     println!(" ASes via non-deploying intermediaries, underestimating peer locking)\n");
-    use flatnet_bgpsim::LockingSemantics;
     let g = lab.graph2020();
     let tiers = lab.tiers2020();
     let google = lab.net2020().clouds[0].asn;
+    let snap = TopologySnapshot::compile(g);
     for locking in [Locking::Tier1, Locking::Tier12, Locking::Global] {
         for (label, semantics) in [
             ("pre-erratum", LockingSemantics::PreErratum),
             ("corrected  ", LockingSemantics::Corrected),
         ] {
-            if let Some(cdf) = leak_cdf_with_semantics(
+            if let Some(cdf) = leak_cdf_on(
+                &snap,
                 g,
                 &tiers,
                 google,

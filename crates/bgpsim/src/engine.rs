@@ -57,14 +57,15 @@
 //! push/pop sequence identical).
 
 use crate::lanes::{
-    AsExclusionLanes, LaneArity, LaneExcluder, LanePools, LaneWidth, LaneWorkspace, Lanes,
-    NodeWords, PooledLaneWs, SweepReach,
+    AsExclusionLanes, LaneArity, LaneExcluder, LaneWidth, LaneWorkspace, Lanes, NodeWords,
+    PooledLaneWs, SweepReach,
 };
 use crate::parallel::{self, SweepError};
 use crate::propagate::{
     metrics, PolicyView, PropagationConfig, RouteClass, RoutingOutcome, UNREACHED,
 };
 use crate::reliance::RelianceWorkspace;
+use crate::scratch::Scratch;
 use flatnet_asgraph::{AsGraph, NodeId};
 use std::collections::VecDeque;
 
@@ -73,7 +74,13 @@ use std::collections::VecDeque;
 /// relationship class (customers, then peers, then providers).
 ///
 /// Compile once per topology with [`TopologySnapshot::compile`]; the
-/// snapshot is cheap to share across threads and never mutated.
+/// snapshot is cheap to share across threads and its topology is never
+/// mutated. It also owns the scratch sized for it (`crate::scratch`):
+/// lane-kernel workspaces and leak-simulator buffers that sweeps check
+/// out and return, so every [`Simulation`] and
+/// [`LeakSim`](crate::leak::LeakSim) over one snapshot runs on warm
+/// buffers, and the buffers are freed with the snapshot. A clone starts
+/// with none.
 #[derive(Debug, Clone)]
 pub struct TopologySnapshot {
     n: u32,
@@ -87,6 +94,8 @@ pub struct TopologySnapshot {
     adj: Vec<u32>,
     /// Total peer adjacency entries, for the phase-2 counter arithmetic.
     total_peer: u64,
+    /// Pooled per-run buffers sized for this topology.
+    scratch: Scratch,
 }
 
 impl TopologySnapshot {
@@ -96,7 +105,7 @@ impl TopologySnapshot {
         let mut off = Vec::with_capacity(n + 1);
         let mut cust_end = Vec::with_capacity(n);
         let mut peer_end = Vec::with_capacity(n);
-        let mut adj = Vec::new();
+        let mut adj = Vec::with_capacity(2 * g.edge_count());
         off.push(0u32);
         for u in g.nodes() {
             for &c in g.customers(u) {
@@ -117,7 +126,8 @@ impl TopologySnapshot {
             .zip(&peer_end)
             .map(|(&c, &p)| (p - c) as u64)
             .sum();
-        TopologySnapshot { n: n as u32, off, cust_end, peer_end, adj, total_peer }
+        let scratch = Scratch::default();
+        TopologySnapshot { n: n as u32, off, cust_end, peer_end, adj, total_peer, scratch }
     }
 
     /// Number of nodes.
@@ -197,7 +207,20 @@ impl TopologySnapshot {
         if let Some(&bad) = adj.iter().find(|&&v| v as usize >= n) {
             return Err(format!("adjacency entry {bad} out of range (n = {n})"));
         }
-        Ok(TopologySnapshot { n: n as u32, off, cust_end, peer_end, adj, total_peer })
+        let scratch = Scratch::default();
+        Ok(TopologySnapshot { n: n as u32, off, cust_end, peer_end, adj, total_peer, scratch })
+    }
+
+    /// The pooled buffers sized for this topology.
+    pub(crate) fn scratch(&self) -> &Scratch {
+        &self.scratch
+    }
+
+    /// Bytes of idle pooled scratch this snapshot currently holds (lane
+    /// workspaces and leak buffers, at capacity) — what dropping the
+    /// snapshot frees beyond the topology itself.
+    pub fn scratch_bytes(&self) -> usize {
+        self.scratch.bytes()
     }
 
     #[inline]
@@ -285,6 +308,9 @@ impl Workspace {
             self.dist_d.resize(n, UNREACHED);
             self.reach.clear();
             self.reach.resize(n.div_ceil(64), 0);
+            // A node is touched at most once per run: sized to the graph
+            // here, the list never grows during one.
+            self.touched = Vec::with_capacity(n);
         }
         self.touched.clear();
         self.queue.clear();
@@ -381,6 +407,20 @@ impl Workspace {
     #[inline]
     pub(crate) fn dists(&self) -> (&[u32], &[u32], &[u32]) {
         (&self.dist_c, &self.dist_p, &self.dist_d)
+    }
+
+    /// Heap bytes this workspace holds, every buffer at capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.dist_c.capacity()
+            + self.dist_p.capacity()
+            + self.dist_d.capacity()
+            + self.touched.capacity()
+            + self.queue.capacity()
+            + self.buckets.iter().map(Vec::capacity).sum::<usize>())
+            * size_of::<u32>()
+            + self.reach.capacity() * size_of::<u64>()
+            + self.buckets.capacity() * size_of::<Vec<u32>>()
     }
 
     /// Clones the run's result into an owned [`RoutingOutcome`].
@@ -579,7 +619,7 @@ pub(crate) fn run_into(
 /// let out = Simulation::over(&snap).keep_ties(true).run(origin);
 /// assert_eq!(out.reachable_count(), 1);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Simulation<'s> {
     snap: &'s TopologySnapshot,
     cfg: PropagationConfig,
@@ -588,57 +628,9 @@ pub struct Simulation<'s> {
     /// (default) picks the widest width the CPU runs well and clamps to
     /// the sweep's origin count (see [`LaneWidth`]).
     lane_width: LaneWidth,
-    /// Checked-out-and-returned pools of kernel workspaces, one pool per
-    /// lane width: repeated reach sweeps on one `Simulation` (per-block
-    /// cache warming, multi-pass profiles, benchmark reps) reuse buffers
-    /// instead of paying allocation plus first-touch page faults every
-    /// sweep, and a width change draws from a different pool without
-    /// discarding the others' warm workspaces.
-    lane_pool: LanePools,
-}
-
-impl Clone for Simulation<'_> {
-    fn clone(&self) -> Self {
-        // Pooled workspaces are transient scratch; a clone starts empty.
-        Simulation {
-            snap: self.snap,
-            cfg: self.cfg.clone(),
-            threads: self.threads,
-            lane_width: self.lane_width,
-            lane_pool: LanePools::default(),
-        }
-    }
-}
-
-/// A [`LaneWorkspace`] checked out of a [`Simulation`]'s width-matched
-/// pool; returned on drop (including when a sweep worker unwinds).
-struct PooledLanes<'p, T: PooledLaneWs> {
-    ws: Option<T>,
-    pool: &'p LanePools,
-}
-
-impl<T: PooledLaneWs> PooledLanes<'_, T> {
-    fn get(&mut self) -> &mut T {
-        self.ws.as_mut().expect("workspace present until drop")
-    }
-}
-
-impl<T: PooledLaneWs> Drop for PooledLanes<'_, T> {
-    fn drop(&mut self) {
-        if let Some(ws) = self.ws.take() {
-            T::put(self.pool, ws);
-        }
-    }
 }
 
 impl<'s> Simulation<'s> {
-    /// Checks a kernel workspace of the requested width out of its pool
-    /// (or sizes a fresh one for the snapshot); the guard returns it on
-    /// drop.
-    fn lane_ws<T: PooledLaneWs>(&self) -> PooledLanes<'_, T> {
-        let ws = T::take(&self.lane_pool).unwrap_or_else(|| T::for_snapshot(self.snap));
-        PooledLanes { ws: Some(ws), pool: &self.lane_pool }
-    }
     /// Starts a simulation over a compiled snapshot with default config
     /// (no restrictions, all ties kept, auto thread count for sweeps,
     /// auto lane width).
@@ -648,7 +640,6 @@ impl<'s> Simulation<'s> {
             cfg: PropagationConfig::default(),
             threads: 0,
             lane_width: LaneWidth::Auto,
-            lane_pool: LanePools::default(),
         }
     }
 
@@ -753,7 +744,7 @@ impl<'s> Simulation<'s> {
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
         let sweep = self.sweep_lanes(origins, fill, true).or_panic();
-        SweepReach::from_parts(self.snap.len(), origins.to_vec(), sweep.words, sweep.counts)
+        SweepReach::from_parts(self.snap.len(), origins.to_vec(), sweep.sets, sweep.counts)
     }
 
     /// The counts-only form of [`Self::run_sweep_reach`]: per-origin
@@ -807,9 +798,11 @@ impl<'s> Simulation<'s> {
     }
 
     /// [`Self::sweep_lanes`] at width `W`: chunk the origins into blocks,
-    /// run each on a pooled [`LaneWorkspace<W>`] with every lane's `fill`
-    /// under its own `catch_unwind`, and flatten the blocks' counts (and,
-    /// when `materialize`, reach words) into origin order. A lane whose
+    /// run each on a [`LaneWorkspace<W>`] checked out of the snapshot's
+    /// pool with every lane's `fill` under its own `catch_unwind`, and
+    /// string the blocks' counts (and, when `materialize`, reach sets)
+    /// together in origin order. A reach set is copied once, out of the
+    /// workspace into the `Vec` the caller ends up owning. A lane whose
     /// fill panicked is killed — an excluded origin yields the empty
     /// outcome, so a half-run fill's exclusions cannot leak into a result
     /// — and reported; a panic in the kernel itself fails its whole block.
@@ -825,15 +818,16 @@ impl<'s> Simulation<'s> {
         LaneWorkspace<W>: PooledLaneWs,
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
-        let wp = if materialize { self.snap.len().div_ceil(64) } else { 0 };
         let blocks: Vec<&[NodeId]> = origins.chunks(LaneWorkspace::<W>::BLOCK_LANES).collect();
         let parts = parallel::try_parallel_map_ctx(
             &blocks,
             self.threads,
-            || self.lane_ws::<LaneWorkspace<W>>(),
-            |pw, block| {
-                let ws = pw.get();
-                let mut part = LaneSweep::with_capacity(block.len(), wp);
+            || {
+                LaneWorkspace::<W>::pool(self.snap.scratch())
+                    .checkout(|| LaneWorkspace::for_snapshot(self.snap))
+            },
+            |ws, block| {
+                let mut part = LaneSweep::with_capacity(block.len(), materialize);
                 let mut lane = 0usize;
                 let guarded = |o: NodeId, ex: &mut LaneExcluder<'_>| {
                     let run = std::panic::AssertUnwindSafe(|| fill(o, &mut *ex));
@@ -847,35 +841,23 @@ impl<'s> Simulation<'s> {
                 ws.run_block_inner(self.snap, block, &self.cfg, guarded, materialize);
                 for k in 0..block.len() {
                     if materialize {
-                        part.words.extend_from_slice(ws.lane_reach_words(k));
+                        part.sets.push(ws.lane_reach_words(k).to_vec());
                     }
                     part.counts.push(ws.lane_reachable_count(k) as u32);
                 }
                 part
             },
         );
-        let mut out = LaneSweep::with_capacity(origins.len(), wp);
+        // The common sweep is one block (a serve batch): it is the result.
+        let parts = match <[_; 1]>::try_from(parts) {
+            Ok([Ok(only)]) => return only,
+            Ok([failed]) => vec![failed],
+            Err(parts) => parts,
+        };
+        let words_per = if materialize { self.snap.len().div_ceil(64) } else { 0 };
+        let mut out = LaneSweep::with_capacity(origins.len(), materialize);
         for (block, part) in blocks.iter().zip(parts) {
-            let base = out.counts.len();
-            match part {
-                Ok(part) => {
-                    out.words.extend_from_slice(&part.words);
-                    out.counts.extend_from_slice(&part.counts);
-                    out.errors.extend(
-                        part.errors
-                            .into_iter()
-                            .map(|e| SweepError { index: base + e.index, ..e }),
-                    );
-                }
-                Err(e) => {
-                    out.words.resize(out.words.len() + block.len() * wp, 0);
-                    out.counts.resize(base + block.len(), 0);
-                    out.errors.extend((0..block.len()).map(|lane| SweepError {
-                        index: base + lane,
-                        message: e.message.clone(),
-                    }));
-                }
-            }
+            out.append(block, part, words_per);
         }
         out
     }
@@ -883,8 +865,8 @@ impl<'s> Simulation<'s> {
 
 /// A lane sweep (or one block of it) in origin order.
 struct LaneSweep {
-    /// Origin-major reach words; empty for counts-only sweeps.
-    words: Vec<u64>,
+    /// One reach bitset per origin; empty for counts-only sweeps.
+    sets: Vec<Vec<u64>>,
     /// Reachable counts, origin excluded; 0 where `errors` names the origin.
     counts: Vec<u32>,
     /// Origins whose lane failed, ascending by index.
@@ -892,11 +874,38 @@ struct LaneSweep {
 }
 
 impl LaneSweep {
-    fn with_capacity(origins: usize, words_per: usize) -> Self {
+    fn with_capacity(origins: usize, materialize: bool) -> Self {
         LaneSweep {
-            words: Vec::with_capacity(origins * words_per),
+            sets: Vec::with_capacity(if materialize { origins } else { 0 }),
             counts: Vec::with_capacity(origins),
             errors: Vec::new(),
+        }
+    }
+
+    /// Appends one block's outcome: its results moved in with its lane
+    /// errors re-indexed, or, for a block whose kernel run failed, empty
+    /// results (`words_per` zero words each; 0 in a counts-only sweep)
+    /// with the failure reported for every origin of the block.
+    fn append(&mut self, block: &[NodeId], part: Result<LaneSweep, SweepError>, words_per: usize) {
+        let base = self.counts.len();
+        match part {
+            Ok(part) => {
+                self.sets.extend(part.sets);
+                self.counts.extend(part.counts);
+                self.errors.extend(
+                    part.errors.into_iter().map(|e| SweepError { index: base + e.index, ..e }),
+                );
+            }
+            Err(e) => {
+                if words_per > 0 {
+                    self.sets.extend(block.iter().map(|_| vec![0; words_per]));
+                }
+                self.counts.resize(base + block.len(), 0);
+                self.errors.extend((0..block.len()).map(|lane| SweepError {
+                    index: base + lane,
+                    message: e.message.clone(),
+                }));
+            }
         }
     }
 

@@ -117,14 +117,15 @@
 //! The sweep front ends live on [`Simulation`](crate::engine::Simulation)
 //! (`run_sweep_reach` & friends): origins are chunked into
 //! `64 × W`-lane blocks and the blocks fan out over [`crate::parallel`],
-//! one [`LaneWorkspace`] per worker (pooled per width), preserving the
-//! engine's zero steady-state allocation property (asserted by the
-//! counting-allocator smoke in `tests/engine_equiv.rs`).
+//! one [`LaneWorkspace`] per worker, checked out of the snapshot's
+//! per-width pool (`crate::scratch`), preserving the engine's zero
+//! steady-state allocation property (asserted by the counting-allocator
+//! smoke in `tests/engine_equiv.rs`).
 
 use crate::engine::TopologySnapshot;
 use crate::propagate::{metrics, ImportPolicy, PropagationConfig};
+use crate::scratch::{Pool, Scratch};
 use flatnet_asgraph::NodeId;
-use std::sync::Mutex;
 
 /// Origins per lane *word*: one bit lane per origin per `u64`.
 pub const LANES: usize = 64;
@@ -559,8 +560,11 @@ where
             self.queued.resize(n, false);
             self.sat.clear();
             self.sat.resize(n, 0);
-            self.frontier.clear();
-            self.next.clear();
+            // A node enters each of these lists at most once per block, so
+            // sized to the graph here they never grow during a run.
+            for list in [&mut self.touched, &mut self.frontier, &mut self.next] {
+                *list = Vec::with_capacity(n);
+            }
         }
         self.touched.clear();
         self.blocked_touched.clear();
@@ -588,6 +592,21 @@ where
     /// Number of origins in the most recent block.
     pub fn block_len(&self) -> usize {
         self.block_len
+    }
+
+    /// Heap bytes this workspace holds, every buffer at capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.words.capacity() * size_of::<NodeWords<W>>()
+            + (self.touched.capacity()
+                + self.blocked_touched.capacity()
+                + self.origin_touched.capacity()
+                + self.frontier.capacity()
+                + self.next.capacity())
+                * size_of::<u32>()
+            + self.queued.capacity()
+            + self.sat.capacity()
+            + self.out.capacity() * size_of::<u64>()
     }
 
     /// Lane words per node at this workspace's width.
@@ -1093,45 +1112,30 @@ where
     }
 }
 
-/// Width-segregated pools of warm [`LaneWorkspace`]s, held by
-/// [`Simulation`](crate::engine::Simulation): repeated sweeps reuse
-/// buffers (and their faulted-in pages) instead of reallocating, and a
-/// width change simply draws from a different pool — earlier widths'
-/// workspaces stay warm for the next sweep at their width.
-#[derive(Debug, Default)]
-pub(crate) struct LanePools {
-    w1: Mutex<Vec<LaneWorkspace<1>>>,
-    w2: Mutex<Vec<LaneWorkspace<2>>>,
-    w4: Mutex<Vec<LaneWorkspace<4>>>,
-}
-
-/// Checkout/return of a width's workspace from [`LanePools`];
-/// implemented per supported width so width-generic engine code can pool
-/// without naming its own `W`.
+/// Selects a width's pool in a snapshot's [`Scratch`], implemented per
+/// supported width so the width-generic sweep driver can check a
+/// workspace out without naming its own `W`.
 pub(crate) trait PooledLaneWs: Sized {
-    fn take(pools: &LanePools) -> Option<Self>;
-    fn put(pools: &LanePools, ws: Self);
-    fn for_snapshot(snap: &TopologySnapshot) -> Self;
+    fn pool(scratch: &Scratch) -> &Pool<Self>;
 }
 
-macro_rules! impl_pooled {
-    ($w:literal, $field:ident) => {
-        impl PooledLaneWs for LaneWorkspace<$w> {
-            fn take(pools: &LanePools) -> Option<Self> {
-                pools.$field.lock().unwrap_or_else(|e| e.into_inner()).pop()
-            }
-            fn put(pools: &LanePools, ws: Self) {
-                pools.$field.lock().unwrap_or_else(|e| e.into_inner()).push(ws);
-            }
-            fn for_snapshot(snap: &TopologySnapshot) -> Self {
-                LaneWorkspace::for_snapshot(snap)
-            }
-        }
-    };
+impl PooledLaneWs for LaneWorkspace<1> {
+    fn pool(scratch: &Scratch) -> &Pool<Self> {
+        &scratch.lanes1
+    }
 }
-impl_pooled!(1, w1);
-impl_pooled!(2, w2);
-impl_pooled!(4, w4);
+
+impl PooledLaneWs for LaneWorkspace<2> {
+    fn pool(scratch: &Scratch) -> &Pool<Self> {
+        &scratch.lanes2
+    }
+}
+
+impl PooledLaneWs for LaneWorkspace<4> {
+    fn pool(scratch: &Scratch) -> &Pool<Self> {
+        &scratch.lanes4
+    }
+}
 
 /// In-place 64×64 bit-matrix transpose (Hacker's Delight 7-3 scaled to
 /// 64 bits): afterwards, bit `i` of `a[j]` is what bit `j` of `a[i]` was.
@@ -1159,10 +1163,11 @@ pub(crate) fn transpose64(a: &mut [u64; 64]) {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepReach {
     n: usize,
-    words_per: usize,
     origins: Vec<NodeId>,
-    /// Origin-major reach words: origin `i` at `[i*words_per .. (i+1)*words_per]`.
-    words: Vec<u64>,
+    /// One reach bitset per origin, each its own allocation, so a
+    /// consumer that keeps the sets ([`Self::into_reach_sets`]) takes
+    /// them as they are instead of copying them out of one big buffer.
+    sets: Vec<Vec<u64>>,
     /// Per-origin reachable counts, origin excluded.
     counts: Vec<u32>,
 }
@@ -1171,13 +1176,13 @@ impl SweepReach {
     pub(crate) fn from_parts(
         n: usize,
         origins: Vec<NodeId>,
-        words: Vec<u64>,
+        sets: Vec<Vec<u64>>,
         counts: Vec<u32>,
     ) -> Self {
-        let words_per = n.div_ceil(64);
-        debug_assert_eq!(words.len(), origins.len() * words_per);
+        debug_assert_eq!(sets.len(), origins.len());
+        debug_assert!(sets.iter().all(|s| s.len() == n.div_ceil(64)));
         debug_assert_eq!(counts.len(), origins.len());
-        SweepReach { n, words_per, origins, words, counts }
+        SweepReach { n, origins, sets, counts }
     }
 
     /// Number of origins swept.
@@ -1205,7 +1210,14 @@ impl SweepReach {
     /// [`Workspace::reach_words`](crate::engine::Workspace::reach_words).
     pub fn reach_words(&self, i: usize) -> &[u64] {
         assert!(i < self.origins.len(), "origin index {i} out of sweep (len {})", self.origins.len());
-        &self.words[i * self.words_per..(i + 1) * self.words_per]
+        &self.sets[i]
+    }
+
+    /// Every origin's `(reach bitset, reachable count)` in input order,
+    /// moved out of the sweep: each bitset is the buffer
+    /// [`Self::reach_words`] showed, at exactly its length.
+    pub fn into_reach_sets(self) -> impl Iterator<Item = (Vec<u64>, usize)> {
+        self.sets.into_iter().zip(self.counts.into_iter().map(|c| c as usize))
     }
 
     /// Whether `node` received origin `i`'s announcement.

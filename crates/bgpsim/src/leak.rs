@@ -17,11 +17,15 @@
 //! Leak CDFs run thousands of scenarios over one topology; [`LeakSim`]
 //! holds two engine workspaces plus the per-scenario policy buffers and
 //! refills them in place, so a sweep of scenarios does zero steady-state
-//! allocation. [`simulate_leak`] remains as a one-shot convenience that
-//! compiles a snapshot per call.
+//! allocation. The buffers are checked out of the snapshot's scratch and
+//! returned when the simulator drops, so a caller that builds a
+//! `LeakSim` per query (the serve daemon) still runs on warm buffers.
+//! [`simulate_leak`] remains as a one-shot convenience that compiles a
+//! snapshot per call.
 
 use crate::engine::{run_into, Simulation, TopologySnapshot, Workspace};
 use crate::propagate::{ImportPolicy, PolicyView, PropagationConfig};
+use crate::scratch::Checkout;
 use flatnet_asgraph::{AsGraph, NodeId};
 
 /// How one AS routes the contested prefix.
@@ -132,13 +136,21 @@ impl LeakOutcome {
 
 /// A reusable leak simulator over a compiled topology snapshot.
 ///
-/// Holds the victim's and leaker's propagation workspaces plus the three
-/// per-scenario policy buffers; running another scenario refills them in
-/// place. Leak CDF sweeps create one `LeakSim` per worker thread (via
-/// `parallel_map_ctx`) and run every sampled leaker through it.
+/// Runs on the victim's and leaker's propagation workspaces plus the
+/// three per-scenario policy buffers — checked out of the snapshot's
+/// scratch for the simulator's lifetime; running another scenario refills
+/// them in place. Leak CDF sweeps create one `LeakSim` per worker thread
+/// (via `parallel_map_ctx`) and run every sampled leaker through it.
 #[derive(Debug)]
 pub struct LeakSim<'s> {
     snap: &'s TopologySnapshot,
+    buf: Checkout<'s, LeakBuffers>,
+}
+
+/// What a [`LeakSim`] computes on, sized for one snapshot. Every run
+/// refills what it reads, so nothing carries over between simulators.
+#[derive(Debug)]
+pub(crate) struct LeakBuffers {
     victim_ws: Workspace,
     leak_ws: Workspace,
     victim_import: Vec<ImportPolicy>,
@@ -146,12 +158,10 @@ pub struct LeakSim<'s> {
     export_mask: Vec<bool>,
 }
 
-impl<'s> LeakSim<'s> {
-    /// A simulator with buffers sized for `snap`.
-    pub fn new(snap: &'s TopologySnapshot) -> Self {
+impl LeakBuffers {
+    fn for_snapshot(snap: &TopologySnapshot) -> Self {
         let n = snap.len();
-        LeakSim {
-            snap,
+        LeakBuffers {
             victim_ws: Workspace::for_snapshot(snap),
             leak_ws: Workspace::for_snapshot(snap),
             victim_import: vec![ImportPolicy::Normal; n],
@@ -160,35 +170,53 @@ impl<'s> LeakSim<'s> {
         }
     }
 
+    /// Heap bytes these buffers hold, at capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.victim_ws.heap_bytes()
+            + self.leak_ws.heap_bytes()
+            + (self.victim_import.capacity() + self.leak_import.capacity())
+                * std::mem::size_of::<ImportPolicy>()
+            + self.export_mask.capacity()
+    }
+}
+
+impl<'s> LeakSim<'s> {
+    /// A simulator over `snap`, on pooled buffers sized for it.
+    pub fn new(snap: &'s TopologySnapshot) -> Self {
+        let buf = snap.scratch().leak.checkout(|| LeakBuffers::for_snapshot(snap));
+        LeakSim { snap, buf }
+    }
+
     /// Propagates the victim's announcement under the scenario's locking
     /// and export configuration.
     fn propagate_victim(&mut self, scenario: &LeakScenario) {
         // Victim propagation: under corrected semantics, locking neighbors
         // accept only the direct route. Under the pre-erratum semantics the
         // legitimate propagation was unrestricted.
-        self.victim_import.fill(ImportPolicy::Normal);
+        let buf = &mut *self.buf;
+        buf.victim_import.fill(ImportPolicy::Normal);
         if scenario.semantics == LockingSemantics::Corrected {
             for &l in &scenario.locking {
                 if l != scenario.victim {
-                    self.victim_import[l.idx()] = ImportPolicy::OnlyDirectFromOrigin;
+                    buf.victim_import[l.idx()] = ImportPolicy::OnlyDirectFromOrigin;
                 }
             }
         }
         let origin_export = if let Some(list) = &scenario.victim_export {
-            self.export_mask.fill(false);
+            buf.export_mask.fill(false);
             for &x in list {
-                self.export_mask[x.idx()] = true;
+                buf.export_mask[x.idx()] = true;
             }
-            Some(self.export_mask.as_slice())
+            Some(buf.export_mask.as_slice())
         } else {
             None
         };
         let pol = PolicyView {
             excluded: None,
             origin_export,
-            import: Some(&self.victim_import),
+            import: Some(&buf.victim_import),
         };
-        run_into(self.snap, scenario.victim, &pol, &mut self.victim_ws);
+        run_into(self.snap, scenario.victim, &pol, &mut buf.victim_ws);
     }
 
     /// Propagates the leaker's announcement under the scenario's locking
@@ -198,18 +226,19 @@ impl<'s> LeakSim<'s> {
         // copy, so it cannot pass through them either; under pre-erratum
         // semantics they only filter the copy announced to them directly
         // by the leaker.
-        self.leak_import.fill(ImportPolicy::Normal);
+        let buf = &mut *self.buf;
+        buf.leak_import.fill(ImportPolicy::Normal);
         for &l in &scenario.locking {
-            self.leak_import[l.idx()] = match scenario.semantics {
+            buf.leak_import[l.idx()] = match scenario.semantics {
                 LockingSemantics::Corrected => ImportPolicy::Never,
                 LockingSemantics::PreErratum => ImportPolicy::RejectDirectFromOrigin,
             };
         }
         // The victim itself never accepts the leaked route for its own prefix.
-        self.leak_import[scenario.victim.idx()] = ImportPolicy::Never;
+        buf.leak_import[scenario.victim.idx()] = ImportPolicy::Never;
         let pol =
-            PolicyView { excluded: None, origin_export: None, import: Some(&self.leak_import) };
-        run_into(self.snap, scenario.leaker, &pol, &mut self.leak_ws);
+            PolicyView { excluded: None, origin_export: None, import: Some(&buf.leak_import) };
+        run_into(self.snap, scenario.leaker, &pol, &mut buf.leak_ws);
     }
 
     fn propagate_pair(&mut self, scenario: &LeakScenario) {
@@ -227,7 +256,7 @@ impl<'s> LeakSim<'s> {
         if t == scenario.leaker {
             return DetourState::Detoured;
         }
-        match (self.victim_ws.selection(t), self.leak_ws.selection(t)) {
+        match (self.buf.victim_ws.selection(t), self.buf.leak_ws.selection(t)) {
             (None, None) => DetourState::NoRoute,
             (Some(_), None) => DetourState::Legit,
             (None, Some(_)) => DetourState::Detoured,
@@ -305,7 +334,7 @@ impl<'s> LeakSim<'s> {
     fn subprefix_state_of(&self, scenario: &LeakScenario, t: NodeId) -> DetourState {
         if t == scenario.victim {
             DetourState::Legit
-        } else if t == scenario.leaker || self.leak_ws.reachable(t) {
+        } else if t == scenario.leaker || self.buf.leak_ws.reachable(t) {
             // LPM: any AS with the sub-prefix routes to the hijacker.
             DetourState::Detoured
         } else {
@@ -401,7 +430,8 @@ pub fn subprefix_detour_fractions(
 /// expected to avoid when sampling misconfigured ASes).
 pub fn simulate_leak(g: &AsGraph, scenario: &LeakScenario) -> LeakOutcome {
     let snap = TopologySnapshot::compile(g);
-    LeakSim::new(&snap).run(scenario)
+    let mut sim = LeakSim::new(&snap);
+    sim.run(scenario)
 }
 
 #[cfg(test)]

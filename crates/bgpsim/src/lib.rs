@@ -28,7 +28,9 @@
 //!   [`TopologySnapshot`], reusable per-worker [`Workspace`]s, and the
 //!   builder-style [`Simulation`] sweep API every whole-Internet
 //!   experiment runs on, including the one lane-sweep driver in front of
-//!   the kernel below.
+//!   the kernel below. The snapshot also owns the pooled scratch sized
+//!   for it (lane workspaces, leak buffers), so repeated sweeps over one
+//!   topology reuse warm buffers whoever runs them.
 //! * [`exclusion`] — the paper's `I \ P_o \ T1 \ T2` rule, spelled once:
 //!   an [`ExclusionPolicy`] and its three renderings (shared tier mask,
 //!   per-lane fill, scalar mask) for every constrained analysis.
@@ -66,6 +68,7 @@ pub mod parallel;
 pub mod paths;
 pub mod propagate;
 pub mod reliance;
+mod scratch;
 
 pub use collectors::{collect_ribs, visible_links, RibEntry};
 pub use dag::NextHopDag;

@@ -148,6 +148,9 @@ fn scenario_for(
 /// Runs the leak CDF for one victim and configuration over `n_leakers`
 /// random misconfigured ASes. Set `user_weights` to weight detoured ASes
 /// by estimated users (Fig. 9) instead of counting ASes (Figs. 7/8/10).
+///
+/// Compiles `g` for the call; a caller with several configurations or
+/// victims on one topology compiles once and uses [`leak_cdf_on`].
 #[allow(clippy::too_many_arguments)] // mirrors the paper's experiment knobs
 pub fn leak_cdf(
     g: &AsGraph,
@@ -187,16 +190,44 @@ pub fn leak_cdf_with_semantics(
     seed: u64,
     user_weights: Option<&[f64]>,
 ) -> Option<LeakCdf> {
+    let snap = TopologySnapshot::compile(g);
+    leak_cdf_on(&snap, g, tiers, victim, announce, locking, semantics, n_leakers, seed, user_weights)
+}
+
+/// [`leak_cdf_with_semantics`] on a snapshot the caller already compiled
+/// from `g` — the form for repeated queries against one topology (the
+/// figures' announce × lock loops, the serve daemon): nothing is
+/// compiled, and the simulators run on the snapshot's pooled buffers.
+/// Bit-identical to the compiling forms.
+///
+/// Panics if `snap` does not cover `g`'s nodes.
+#[allow(clippy::too_many_arguments)]
+pub fn leak_cdf_on(
+    snap: &TopologySnapshot,
+    g: &AsGraph,
+    tiers: &Tiers,
+    victim: AsId,
+    announce: Announce,
+    locking: Locking,
+    semantics: LockingSemantics,
+    n_leakers: usize,
+    seed: u64,
+    user_weights: Option<&[f64]>,
+) -> Option<LeakCdf> {
+    assert_eq!(snap.len(), g.len(), "snapshot was not compiled from this graph");
     let v = g.index_of(victim)?;
     let leakers = sample_leakers(g, Some(v), n_leakers, seed);
-    let snap = TopologySnapshot::compile(g);
+    // Everything but the leaker is the same for the whole CDF: build the
+    // scenario once and let each worker restamp its own copy (until then
+    // its leaker is the victim, a pair `LeakSim` refuses to run).
+    let base = scenario_for(g, tiers, v, v, announce, locking, semantics);
     let mut fractions = parallel_map_ctx(
         &leakers,
         0,
-        || LeakSim::new(&snap),
-        |sim, &m| {
-            let sc = scenario_for(g, tiers, v, m, announce, locking, semantics);
-            sim.fraction(&sc, user_weights)
+        || (LeakSim::new(snap), base.clone()),
+        |(sim, sc), &m| {
+            sc.leaker = m;
+            sim.fraction(sc, user_weights)
         },
     );
     fractions.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -246,12 +277,26 @@ pub fn average_resilience_cdf(
     seed: u64,
     user_weights: Option<&[f64]>,
 ) -> LeakCdf {
-    let leakers = sample_leakers(g, None, n_leakers, seed);
     let snap = TopologySnapshot::compile(g);
+    average_resilience_cdf_on(&snap, g, n_leakers, n_victims, seed, user_weights)
+}
+
+/// [`average_resilience_cdf`] on a snapshot the caller already compiled
+/// from `g` (see [`leak_cdf_on`]).
+pub fn average_resilience_cdf_on(
+    snap: &TopologySnapshot,
+    g: &AsGraph,
+    n_leakers: usize,
+    n_victims: usize,
+    seed: u64,
+    user_weights: Option<&[f64]>,
+) -> LeakCdf {
+    assert_eq!(snap.len(), g.len(), "snapshot was not compiled from this graph");
+    let leakers = sample_leakers(g, None, n_leakers, seed);
     let mut fractions = parallel_map_ctx(
         &leakers,
         0,
-        || LeakSim::new(&snap),
+        || LeakSim::new(snap),
         |sim, &m| {
             let victims = sample_leakers(g, Some(m), n_victims, seed ^ m.0 as u64 ^ 0xF00D);
             if victims.is_empty() {
@@ -400,6 +445,43 @@ mod tests {
                 expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
                 assert_eq!(cdf.fractions, expect, "{locking:?} weighted={}", weights.is_some());
             }
+        }
+    }
+
+    /// The compiled-snapshot forms equal the compiling ones bit for bit
+    /// over the differential corpus (`tests/engine_equiv.rs`' 52
+    /// topologies) × every locking × both announcements — with ONE
+    /// snapshot per topology, so each configuration runs on simulator
+    /// buffers the previous one left its policies in.
+    #[test]
+    fn compiled_snapshot_forms_match_the_compiling_forms_bit_for_bit() {
+        use flatnet_netgen::{generate, NetGenConfig};
+        let bits = |cdf: &LeakCdf| cdf.fractions.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for seed in 0..52u64 {
+            let mut cfg = NetGenConfig::tiny(seed);
+            cfg.n_ases = 120 + (seed as usize % 4) * 10;
+            let net = generate(&cfg);
+            let (g, tiers) = (&net.truth, net.tiers_for(&net.truth));
+            let victim = net.clouds[seed as usize % net.clouds.len()].asn;
+            let weights = net.user_weights();
+            let snap = TopologySnapshot::compile(g);
+            for locking in [Locking::None, Locking::Tier1, Locking::Tier12, Locking::Global] {
+                for announce in [Announce::ToAll, Announce::ToTier12AndProviders] {
+                    let weights = (locking == Locking::Tier12).then_some(weights.as_slice());
+                    let semantics = LockingSemantics::Corrected;
+                    let want = leak_cdf(g, &tiers, victim, announce, locking, 12, seed, weights);
+                    let got = leak_cdf_on(
+                        &snap, g, &tiers, victim, announce, locking, semantics, 12, seed, weights,
+                    );
+                    let (want, got) = (want.expect("victim exists"), got.expect("victim exists"));
+                    assert_eq!(got.fractions.len(), 12);
+                    assert_eq!(bits(&got), bits(&want), "seed {seed} {locking:?} {announce:?}");
+                }
+            }
+            let want = average_resilience_cdf(g, 6, 4, seed, None);
+            let got = average_resilience_cdf_on(&snap, g, 6, 4, seed, None);
+            assert_eq!(bits(&got), bits(&want), "seed {seed} average resilience");
+            assert!(snap.scratch_bytes() > 0, "the simulators' buffers stayed with the snapshot");
         }
     }
 

@@ -7,10 +7,16 @@
 //! whole lifetime, so the zero-steady-state-allocation property of the
 //! batched engine carries straight into the daemon: a cache-missing
 //! reachability query costs one propagation run over buffers that were
-//! allocated when the worker was born. Snapshots arrive per-request via
-//! `Arc` (see [`crate::snapshot::SnapshotManager`]), which is what lets
-//! a worker keep its workspace across hot-reloads — the workspace
-//! resizes itself if the topology's node count changed.
+//! allocated when the worker was born. The scratch of the other solve
+//! paths — lane workspaces for `origins=` batches, leak-simulator
+//! buffers for `/v1/whatif/leak` — is pooled on the snapshot's compiled
+//! topology (DESIGN.md § Scratch ownership), so a steady-state miss of
+//! any kind allocates its answer and its response and nothing else, and
+//! a hot-reload frees the old snapshot's scratch with it. Snapshots
+//! arrive per-request via `Arc` (see
+//! [`crate::snapshot::SnapshotManager`]), which is what lets a worker
+//! keep its workspace across hot-reloads — the workspace resizes itself
+//! if the topology's node count changed.
 //!
 //! A worker holds one connection at a time for that connection's whole
 //! life: after each response it parks in [`wait_for_request`] (sliced
@@ -36,10 +42,10 @@ use crate::json::{envelope, envelope_prefix, error_envelope, escape, fmt_f64, pu
 use crate::snapshot::{ServeSnapshot, SnapshotManager};
 use flatnet_asgraph::{AsId, NodeId};
 use flatnet_bgpsim::{
-    Exclusion, ExclusionPolicy, LaneWidth, PropagationConfig, RelianceWorkspace, Simulation,
-    Workspace,
+    Exclusion, ExclusionPolicy, LaneWidth, LockingSemantics, PropagationConfig,
+    RelianceWorkspace, Simulation, Workspace,
 };
-use flatnet_core::leaks::{leak_cdf, Announce, Locking};
+use flatnet_core::leaks::{leak_cdf_on, Announce, Locking};
 use flatnet_obs::trace::{Stage, TraceCtx, TraceDump, Tracer, STAGES};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -191,6 +197,10 @@ pub(crate) struct Shared {
     status_4xx: flatnet_obs::Counter,
     status_5xx: flatnet_obs::Counter,
     queue_depth: flatnet_obs::Gauge,
+    /// Idle pooled scratch of the current snapshot, read when one of the
+    /// endpoints that report it is asked (`/healthz`, `/debug/queue`,
+    /// `/metrics`).
+    scratch_bytes: flatnet_obs::Gauge,
     request_us: Arc<flatnet_obs::Histogram>,
     /// Per-stage latency histograms, indexed by `Stage as usize`; the
     /// label-embedded names export as one `serve_stage_seconds` family.
@@ -252,6 +262,7 @@ impl Shared {
             status_4xx: reg.counter("serve.http_4xx"),
             status_5xx: reg.counter("serve.http_5xx"),
             queue_depth: reg.gauge("serve.queue_depth"),
+            scratch_bytes: reg.gauge("serve.scratch_bytes"),
             request_us: flatnet_obs::histogram("serve.request_us"),
             stage_us: std::array::from_fn(|i| {
                 reg.histogram(&format!("serve.stage_us{{stage=\"{}\"}}", Stage::ALL[i].name()))
@@ -279,6 +290,14 @@ impl Shared {
         }
         self.request_us.record_us_tagged(ev.total_us, ev.trace_id, ev.origin as u64);
         self.tracer.record(writer, ev);
+    }
+
+    /// Reads the current snapshot's pooled scratch (lane workspaces and
+    /// leak buffers, at capacity) into the `serve.scratch_bytes` gauge.
+    fn refresh_scratch_bytes(&self) -> usize {
+        let bytes = self.mgr.current().topo.scratch_bytes();
+        self.scratch_bytes.set(bytes as i64);
+        bytes
     }
 
     /// Hands an accepted connection to the pool, or answers
@@ -606,6 +625,7 @@ fn route_inner(
         }
         (Method::Get, "/metrics") => {
             trace.set_tag("metrics");
+            shared.refresh_scratch_bytes();
             metrics(req)
         }
         (Method::Get, "/debug/trace/recent") => {
@@ -697,8 +717,9 @@ fn cache_footprint(shared: &Shared) -> (usize, usize) {
 }
 
 /// `GET /debug/queue` — queue depth, capacity, the result cache's
-/// footprint, queue-wait percentiles, per-worker busy time,
-/// connection-reuse counters, and trace-collection counters.
+/// footprint, the current snapshot's pooled scratch, queue-wait
+/// percentiles, per-worker busy time, connection-reuse counters, and
+/// trace-collection counters.
 fn debug_queue(shared: &Arc<Shared>) -> Response {
     let wait = &shared.stage_us[Stage::QueueWait as usize];
     let pct = |p: f64| wait.percentile_us(p).unwrap_or(0);
@@ -706,7 +727,7 @@ fn debug_queue(shared: &Arc<Shared>) -> Response {
     let mut body = format!(
         "{{\"schema\":\"flatnet-serve/v1\",\"endpoint\":\"queue\",\"depth\":{},\
          \"capacity\":{},\"rejected\":{},\"workers\":{},\
-         \"cache_entries\":{},\"cache_bytes\":{},\
+         \"cache_entries\":{},\"cache_bytes\":{},\"scratch_bytes\":{},\
          \"connections\":{},\"keepalive_reuse\":{},\"keepalive_idle_closed\":{},\
          \"queue_wait_us\":{{\"count\":{},\"p50\":{},\"p90\":{},\"p99\":{}}},\
          \"traces_recorded\":{},\"worker_busy_us\":[",
@@ -716,6 +737,7 @@ fn debug_queue(shared: &Arc<Shared>) -> Response {
         shared.workers,
         cache_entries,
         cache_bytes,
+        shared.refresh_scratch_bytes(),
         shared.connections.get(),
         shared.keepalive_reuse.get(),
         shared.keepalive_idle_closed.get(),
@@ -867,14 +889,12 @@ fn resolve(
         let excl = Exclusion::new(&snap.graph, &snap.tiers, policy)
             .map_err(|e| ApiError::new(500, "internal", e.to_string()))?;
         let n = snap.graph.len();
-        let reach_answer = |words: &[u64], reached: usize| {
-            Arc::new(Answer::Reach { words: words.to_vec(), reached })
-        };
         match (endpoint, misses.as_slice()) {
             (Endpoint::Reachability, &[(_, node)]) => {
                 excl.fill_scalar(node, ctx.cfg.excluded_mask_mut(n));
                 ctx.ws.run(&snap.topo, node, &ctx.cfg);
-                solved.push(reach_answer(ctx.ws.reach_words(), ctx.ws.reachable_count()));
+                let words = ctx.ws.reach_words().to_vec();
+                solved.push(Arc::new(Answer::Reach { words, reached: ctx.ws.reachable_count() }));
             }
             (Endpoint::Reachability, _) => {
                 let nodes: Vec<NodeId> = misses.iter().map(|&(_, node)| node).collect();
@@ -882,9 +902,11 @@ fn resolve(
                     .threads(1)
                     .config(excl.shared_config())
                     .run_sweep_reach_with(&nodes, |o, ex| excl.fill_lane(o, ex));
+                // The sweep's per-origin sets become the answers as they are.
                 solved.extend(
-                    (0..reach.len())
-                        .map(|i| reach_answer(reach.reach_words(i), reach.reachable_count(i))),
+                    reach
+                        .into_reach_sets()
+                        .map(|(words, reached)| Arc::new(Answer::Reach { words, reached })),
                 );
             }
             (Endpoint::Reliance, _) => {
@@ -927,36 +949,33 @@ fn reach_summary_fields(asn: u32, reached: usize, max_possible: usize, cached: b
 type Emit<'a> = &'a mut dyn FnMut(&str) -> std::io::Result<()>;
 
 /// Emits one origin's sorted reach-set ASNs as a JSON array body (no
-/// brackets), never materializing the whole list as one string.
+/// brackets), straight off the bitset: an [`flatnet_asgraph::AsGraph`]
+/// numbers its nodes in ascending ASN order (`index_of` is a binary search
+/// over that table), so walking the set bits upwards already is the
+/// sorted order, and neither the list nor its text is ever materialized.
 fn emit_reach_asns(
     snap: &ServeSnapshot,
     node: NodeId,
     words: &[u64],
     emit: Emit<'_>,
 ) -> std::io::Result<()> {
-    // Node-index order is not ASN order, so the ASNs (a u32 each) are
-    // collected and sorted once; only the rendered text streams.
-    let mut asns: Vec<u32> = Vec::new();
+    let mut numbuf = String::with_capacity(16);
+    let mut first = true;
     for (wi, &word) in words.iter().enumerate() {
         let mut w = word;
         while w != 0 {
-            let bit = w.trailing_zeros();
-            let idx = (wi as u32) * 64 + bit;
-            if idx != node.0 {
-                asns.push(snap.graph.asn(NodeId(idx)).0);
-            }
+            let idx = (wi as u32) * 64 + w.trailing_zeros();
             w &= w - 1;
+            if idx == node.0 {
+                continue;
+            }
+            numbuf.clear();
+            if !std::mem::take(&mut first) {
+                numbuf.push(',');
+            }
+            let _ = write!(numbuf, "{}", snap.graph.asn(NodeId(idx)).0);
+            emit(&numbuf)?;
         }
-    }
-    asns.sort_unstable();
-    let mut numbuf = String::with_capacity(16);
-    for (i, a) in asns.iter().enumerate() {
-        numbuf.clear();
-        if i > 0 {
-            numbuf.push(',');
-        }
-        let _ = write!(numbuf, "{a}");
-        emit(&numbuf)?;
     }
     Ok(())
 }
@@ -1156,15 +1175,19 @@ fn parse_leak_query(doc: &Json) -> Result<LeakQuery, ApiError> {
     Ok(LeakQuery { victim, leakers, seed, lock_name, locking, announce_name, announce })
 }
 
-/// Runs one leak query against the snapshot and renders its result
-/// object (shared by the flat single shape and batch entries).
+/// Runs one leak query on the snapshot's compiled topology — nothing is
+/// compiled per request, and the simulators run on its pooled buffers —
+/// and renders the result object (shared by the flat single shape and
+/// batch entries).
 fn run_leak_query(snap: &ServeSnapshot, q: &LeakQuery) -> Result<String, ApiError> {
-    let Some(cdf) = leak_cdf(
+    let Some(cdf) = leak_cdf_on(
+        &snap.topo,
         &snap.graph,
         &snap.tiers,
         AsId(q.victim as u32),
         q.announce,
         q.locking,
+        LockingSemantics::Corrected,
         q.leakers,
         q.seed,
         None,
@@ -1188,8 +1211,10 @@ fn run_leak_query(snap: &ServeSnapshot, q: &LeakQuery) -> Result<String, ApiErro
 /// `POST /v1/whatif/leak` with a JSON body — either one query object
 /// `{"victim": ASN, "leakers": K, "lock": "none|t1|t12|global",
 /// "seed": S, "announce": "all|t12p"}` (victim required), or a batch
-/// `{"queries": [{…}, …]}` (at most [`MAX_LEAK_QUERIES`]) that
-/// amortizes snapshot access across the whole list.
+/// `{"queries": [{…}, …]}` (at most [`MAX_LEAK_QUERIES`]). Every query
+/// of the list runs on the one snapshot this request grabbed, on its
+/// compiled topology and pooled simulator buffers, so a batch pays for
+/// snapshot access and scratch once.
 fn whatif_leak(
     shared: &Arc<Shared>,
     req: &Request,
@@ -1244,13 +1269,15 @@ fn healthz(shared: &Arc<Shared>) -> Response {
     let (cache_entries, cache_bytes) = cache_footprint(shared);
     let mut body = format!(
         "{{\"status\":\"ok\",\"snapshot_version\":{},\"ases\":{},\"workers\":{},\
-         \"cache_entries\":{},\"cache_bytes\":{},\"warm_start\":{},\"store\":{},\
+         \"cache_entries\":{},\"cache_bytes\":{},\"scratch_bytes\":{},\
+         \"warm_start\":{},\"store\":{},\
          \"reload_failures\":{},\"reload_backoff_ms\":{}",
         snap.version,
         snap.graph.len(),
         shared.workers,
         cache_entries,
         cache_bytes,
+        shared.refresh_scratch_bytes(),
         status.warm_start,
         status.store_configured,
         status.consecutive_failures,
@@ -1362,30 +1389,43 @@ mod tests {
         ))
     }
 
-    /// Routes `GET /v1/reliance?<query>` on `ctx`; returns the body and
-    /// the finished trace event.
+    /// Routes one request on `ctx`; returns the 200 response's text body
+    /// and the finished trace event.
+    fn call(
+        shared: &Arc<Shared>,
+        ctx: &mut WorkerCtx,
+        method: Method,
+        path: &str,
+        query: &str,
+        body: &str,
+    ) -> (String, flatnet_obs::trace::TraceEvent) {
+        let req = Request {
+            method,
+            path: path.into(),
+            query: query
+                .split('&')
+                .filter(|kv| !kv.is_empty())
+                .map(|kv| kv.split_once('=').expect("k=v"))
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+            http10: false,
+        };
+        let mut trace = TraceCtx::new(0xABCD);
+        let resp = route(shared, ctx, &req, &mut trace);
+        assert_eq!(resp.status, 200, "{path}?{query}");
+        let Body::Text(body) = resp.body else { panic!("{path} answers are not streamed") };
+        (body, trace.finish(200))
+    }
+
+    /// Routes `GET /v1/reliance?<query>` on `ctx`.
     fn get_reliance(
         shared: &Arc<Shared>,
         ctx: &mut WorkerCtx,
         query: &str,
     ) -> (String, flatnet_obs::trace::TraceEvent) {
-        let req = Request {
-            method: Method::Get,
-            path: "/v1/reliance".into(),
-            query: query
-                .split('&')
-                .map(|kv| kv.split_once('=').expect("k=v"))
-                .map(|(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
-            headers: Vec::new(),
-            body: Vec::new(),
-            http10: false,
-        };
-        let mut trace = TraceCtx::new(0xABCD);
-        let resp = route(shared, ctx, &req, &mut trace);
-        assert_eq!(resp.status, 200, "{query}");
-        let Body::Text(body) = resp.body else { panic!("reliance answers are not streamed") };
-        (body, trace.finish(200))
+        call(shared, ctx, Method::Get, "/v1/reliance", query, "")
     }
 
     /// One result entry exactly as the parent commit computed and
@@ -1495,5 +1535,47 @@ mod tests {
         let (entries, bytes) = cache_footprint(&shared);
         assert_eq!(entries, 3);
         assert!(bytes <= 3 * (std::mem::size_of::<Answer>() + RELIANCE_TOP_MAX * 16), "{bytes}");
+    }
+
+    /// The `scratch_bytes` member of a `/healthz` or `/debug/queue` body.
+    fn scratch_bytes_of(body: &str) -> u64 {
+        let doc = crate::json::parse(body).expect("a JSON body");
+        doc.get("scratch_bytes").and_then(Json::as_u64).expect("a scratch_bytes member")
+    }
+
+    /// Solves pool their scratch on the snapshot's compiled topology,
+    /// `/healthz` and `/debug/queue` report it beside `cache_bytes`, and
+    /// `/admin/reload` frees it with the old snapshot: the successor
+    /// starts with none.
+    #[test]
+    fn reload_frees_the_old_snapshots_scratch() {
+        let shared = shared();
+        let mut ctx = WorkerCtx::new();
+        let old = Arc::downgrade(&shared.mgr.current());
+        let health = |ctx: &mut WorkerCtx| call(&shared, ctx, Method::Get, "/healthz", "", "").0;
+        assert_eq!(scratch_bytes_of(&health(&mut ctx)), 0, "nothing has been solved yet");
+
+        // A batch of misses sizes a lane workspace, a leak query the
+        // simulators' buffers; both stay with the snapshot.
+        let snap = shared.mgr.current();
+        let asns: Vec<String> = snap.graph.asns().take(70).map(|a| a.0.to_string()).collect();
+        let n = snap.graph.len() as u64;
+        drop(snap);
+        let query = format!("origins={}", asns.join(","));
+        call(&shared, &mut ctx, Method::Get, "/v1/reachability", &query, "");
+        let lanes = scratch_bytes_of(&health(&mut ctx));
+        assert!(lanes >= 64 * n, "a 128-lane workspace is at least 64 B a node, got {lanes}");
+        let leak = format!("{{\"victim\":{},\"leakers\":3}}", asns[0]);
+        call(&shared, &mut ctx, Method::Post, "/v1/whatif/leak", "", &leak);
+        let both = scratch_bytes_of(&health(&mut ctx));
+        assert!(both >= lanes + 2 * 12 * n, "two workspaces of 12 B a node, got {both} after {lanes}");
+        let queue = call(&shared, &mut ctx, Method::Get, "/debug/queue", "", "").0;
+        assert_eq!(scratch_bytes_of(&queue), both);
+        assert_eq!(shared.mgr.current().topo.scratch_bytes() as u64, both);
+
+        call(&shared, &mut ctx, Method::Post, "/admin/reload", "", "");
+        assert!(old.upgrade().is_none(), "the old snapshot outlived its reload");
+        assert_eq!(shared.mgr.current().version, 2);
+        assert_eq!(scratch_bytes_of(&health(&mut ctx)), 0, "the new snapshot starts with no scratch");
     }
 }

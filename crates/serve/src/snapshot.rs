@@ -40,7 +40,7 @@ use flatnet_asgraph::{caida, validate_topology, AsGraph, AsId, Tiers, ValidateOp
 use flatnet_bgpsim::TopologySnapshot;
 use flatnet_core::error::FlatnetError;
 use flatnet_netgen::{generate, NetGenConfig};
-use flatnet_store::StoredSnapshot;
+use flatnet_store::SnapshotParts;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -320,13 +320,13 @@ impl SnapshotManager {
     /// never fatal.
     fn persist(&self, snap: &ServeSnapshot) {
         let Some(path) = &self.store_path else { return };
-        let stored = StoredSnapshot {
+        let parts = SnapshotParts {
             version: snap.version,
-            graph: snap.graph.clone(),
-            tiers: snap.tiers.clone(),
-            topo: snap.topo.clone(),
+            graph: &snap.graph,
+            tiers: &snap.tiers,
+            topo: &snap.topo,
         };
-        match flatnet_store::save_atomic(path, &stored) {
+        match flatnet_store::save_atomic_parts(path, parts) {
             Ok(()) => {
                 self.store_writes.inc();
                 flatnet_obs::info!("store written: {path} v{}", snap.version);

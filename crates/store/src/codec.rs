@@ -29,6 +29,33 @@ pub struct StoredSnapshot {
     pub topo: TopologySnapshot,
 }
 
+/// A [`StoredSnapshot`] by reference: what encoding reads, for a caller
+/// that holds the parts elsewhere (the serve daemon's `ServeSnapshot`)
+/// and should not deep-copy a topology just to write it out.
+#[derive(Debug, Clone, Copy)]
+pub struct SnapshotParts<'a> {
+    /// The serve-side snapshot version.
+    pub version: u64,
+    /// The AS graph.
+    pub graph: &'a AsGraph,
+    /// Tier-1/Tier-2 sets over `graph`'s node ids.
+    pub tiers: &'a Tiers,
+    /// The compiled propagation snapshot of `graph`.
+    pub topo: &'a TopologySnapshot,
+}
+
+impl StoredSnapshot {
+    /// This snapshot's parts, borrowed.
+    pub fn parts(&self) -> SnapshotParts<'_> {
+        SnapshotParts {
+            version: self.version,
+            graph: &self.graph,
+            tiers: &self.tiers,
+            topo: &self.topo,
+        }
+    }
+}
+
 /// Hard cap on node/edge counts read from a file, so a corrupted count
 /// field cannot provoke a multi-gigabyte allocation before validation.
 /// Generous: ~30× the current full CAIDA topology.
@@ -42,12 +69,17 @@ fn malformed(section: SectionId) -> impl FnOnce(String) -> StoreError {
 
 /// Encodes a snapshot into a complete container image.
 pub fn encode(snap: &StoredSnapshot) -> Vec<u8> {
+    encode_parts(snap.parts())
+}
+
+/// [`encode`] from borrowed parts.
+pub(crate) fn encode_parts(snap: SnapshotParts<'_>) -> Vec<u8> {
     // Meta: version of the serve snapshot.
     let mut meta = Enc::new();
     meta.u64(snap.version);
 
     // Graph: n, m, sorted ASNs, canonical edges as (a, b, rel) node ids.
-    let g = &snap.graph;
+    let g = snap.graph;
     let mut graph = Enc::new();
     graph.u32(g.len() as u32);
     graph.u32(g.edge_count() as u32);

@@ -37,7 +37,7 @@ pub mod fault;
 pub mod format;
 pub mod store;
 
-pub use codec::{decode, encode, topo_identical, StoredSnapshot};
+pub use codec::{decode, encode, topo_identical, SnapshotParts, StoredSnapshot};
 pub use error::{SectionId, StoreError};
 pub use fault::{corruption_corpus, run_corpus, run_corpus_checked, FaultOutcome, FaultResult};
-pub use store::{load, save_atomic, verify, VerifyReport};
+pub use store::{load, save_atomic, save_atomic_parts, verify, VerifyReport};

@@ -8,7 +8,7 @@
 //! temp file is harmless; it is re-created and renamed on the next
 //! save).
 
-use crate::codec::{decode, encode, topo_identical, StoredSnapshot};
+use crate::codec::{decode, encode_parts, topo_identical, SnapshotParts, StoredSnapshot};
 use crate::error::StoreError;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -34,8 +34,17 @@ fn temp_path(path: &Path) -> PathBuf {
 /// Atomically writes `snap` to `path`: temp file → fsync → rename →
 /// directory fsync.
 pub fn save_atomic(path: impl AsRef<Path>, snap: &StoredSnapshot) -> Result<(), StoreError> {
+    save_atomic_parts(path, snap.parts())
+}
+
+/// [`save_atomic`] from borrowed parts, for a caller whose graph, tiers
+/// and compiled topology live in a structure of its own.
+pub fn save_atomic_parts(
+    path: impl AsRef<Path>,
+    snap: SnapshotParts<'_>,
+) -> Result<(), StoreError> {
     let path = path.as_ref();
-    let bytes = encode(snap);
+    let bytes = encode_parts(snap);
     let tmp = temp_path(path);
     {
         let mut f = OpenOptions::new()
