@@ -1,6 +1,7 @@
 #![warn(missing_docs)]
 
-//! Shared scaffolding for the `repro` harness and the Criterion benches.
+//! The `repro` paper harness, the `bench propagate` speed bench, and the
+//! scaffolding they share.
 //!
 //! The [`Lab`] caches the expensive shared artifacts — the 2020 and 2015
 //! synthetic Internets, the measured (augmented) topology, tier sets, and
@@ -16,8 +17,16 @@ use std::cell::OnceCell;
 
 pub mod propbench;
 pub mod repro;
-pub mod restartbench;
-pub mod servebench;
+
+/// Parses a flag's value, reporting the flag name and the offending value
+/// instead of panicking.
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = value.ok_or_else(|| format!("{flag} requires a value"))?;
+    v.parse().map_err(|e| format!("bad value {v:?} for {flag}: {e}"))
+}
 
 /// Experiment scale knobs (see `repro --help`).
 #[derive(Debug, Clone, Copy)]

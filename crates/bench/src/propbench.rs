@@ -34,6 +34,7 @@
 //! keeps its fastest repetition, so the reported totals describe warm
 //! steady state rather than allocator warm-up.
 
+use crate::flag_value;
 use flatnet_asgraph::NodeId;
 use flatnet_bgpsim::{
     cpu_features, Exclusion, ExclusionPolicy, LaneWidth, Simulation, SweepCtx, TopologySnapshot,
@@ -84,14 +85,6 @@ fn peak_rss_bytes() -> u64 {
         }
     }
     0
-}
-
-fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let v = value.ok_or_else(|| format!("{flag} requires a value"))?;
-    v.parse().map_err(|e| format!("bad value {v:?} for {flag}: {e}"))
 }
 
 /// Runs the propagation benchmark with CLI-style `args` (the `bench

@@ -1,29 +1,29 @@
 //! The repro harness — regenerates every table and figure of "Cloud
 //! Provider Connectivity in the Flat Internet" (IMC 2020) on the
-//! synthetic substrate, as text. Reachable as the `repro` binary of this
-//! crate and as `flatnet repro`.
+//! synthetic substrate, as text. Reached as `flatnet repro`.
 //!
 //! ```sh
-//! cargo run --release -p flatnet-bench --bin repro -- all
-//! cargo run --release -p flatnet-bench --bin repro -- fig2 table1 --ases 2000
-//! cargo run --release -p flatnet-cli --bin flatnet -- repro fig2 --fast --metrics out.json
+//! flatnet repro all
+//! flatnet repro fig2 table1 --ases 2000
+//! flatnet repro fig2 --fast --metrics out.json
 //! ```
 //!
-//! Experiments: peers validation fig2 table1 fig3 fig4 table2 fig6 fig7
-//! fig8 fig9 fig10 fig11 fig12 fig13 table3 appendix_a appendix_b
-//! appendix_d | all. Flags: `--ases N` `--seed S` `--leakers K` `--fast`
-//! `--checkpoint DIR` `--threads N` `--metrics PATH` `--log-level LEVEL`.
+//! The `EXPERIMENTS` table is the experiment list; `all` (or no name)
+//! runs it in order. Flags: `--ases N` `--seed S` `--leakers K` `--fast`
+//! `--checkpoint DIR` `--threads N`, plus the CLI's global `--metrics
+//! PATH` and `--log-level LEVEL`.
 //!
-//! Experiments are panic-isolated: one blowing up doesn't kill the run, it
-//! is reported and the remaining experiments still execute (exit code 1 at
-//! the end). With `--checkpoint DIR`, each completed experiment drops a
-//! `DIR/<name>.done` marker and an interrupted `all` run resumes where it
-//! left off, skipping experiments already marked done; each completed
-//! experiment also writes a `DIR/<name>.metrics.json` delta snapshot of
-//! the metrics it alone recorded. `--metrics PATH` writes the whole run's
-//! final `flatnet-obs/v1` snapshot to PATH on exit.
+//! Every requested name is checked before anything runs: an unknown one
+//! is a usage error. Experiments are panic-isolated: one blowing up
+//! doesn't kill the run, it is reported and the remaining experiments
+//! still execute (the run then fails at the end). With `--checkpoint DIR`,
+//! each completed experiment drops a `DIR/<name>.done` marker and an
+//! interrupted `all` run resumes where it left off, skipping experiments
+//! already marked done; each completed experiment also writes a
+//! `DIR/<name>.metrics.json` delta snapshot of the metrics it alone
+//! recorded.
 
-use crate::{Lab, Scale};
+use crate::{flag_value, Lab, Scale};
 use flatnet_asgraph::astype::{refine, AsType};
 use flatnet_asgraph::AsId;
 use flatnet_core::cone_compare::{cone_vs_hfr, correlation_other, summarize};
@@ -48,27 +48,80 @@ use flatnet_geo::geolocate::{fiber_rtt_ms, geolocate};
 use flatnet_geo::pops::{union_footprints, Footprint};
 use flatnet_tracesim::CampaignOptions;
 
-/// Parses a flag's value, reporting the flag name and the offending value
-/// instead of panicking.
-fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let v = value.ok_or_else(|| format!("{flag} requires a value"))?;
-    v.parse().map_err(|e| format!("bad value {v:?} for {flag}: {e}"))
+/// One runnable experiment: its command-line name and its body.
+type Experiment = (&'static str, fn(&Lab));
+
+/// Every experiment, in `all` order. `--help`, the `all` expansion and the
+/// name lookup all read this one table.
+const EXPERIMENTS: &[Experiment] = &[
+    ("peers", peers),
+    ("validation", validation),
+    ("fig2", fig2),
+    ("table1", table1),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("table2", table2),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("table3", table3),
+    ("appendix_a", appendix_a),
+    ("appendix_b", appendix_b),
+    ("appendix_d", appendix_d),
+    ("erratum", erratum),
+    ("ablation_topology", ablation_topology),
+    ("rankings", rankings),
+    ("feeds", feeds),
+];
+
+fn names(experiments: &[Experiment]) -> Vec<&'static str> {
+    experiments.iter().map(|&(name, _)| name).collect()
+}
+
+/// The `--help` text; the experiment names come from [`EXPERIMENTS`].
+fn help() -> String {
+    format!(
+        "usage: flatnet repro [EXPERIMENT...] [--ases N] [--seed S] [--leakers K] [--fast]
+                     [--checkpoint DIR] [--threads N]
+experiments: {} all
+--checkpoint DIR: drop a DIR/<name>.done marker per finished experiment
+                  (plus a DIR/<name>.metrics.json metric delta)
+                  and skip already-marked experiments on the next run
+--threads N:      worker threads for parallel sweeps (0 = all cores)
+--metrics PATH, --log-level L: the global flags of `flatnet help`",
+        names(EXPERIMENTS).join(" ")
+    )
+}
+
+/// Resolves the requested names against [`EXPERIMENTS`]; no name, or `all`
+/// among them, selects the whole table. An unknown name is an error.
+fn select(wanted: &[String]) -> Result<Vec<Experiment>, String> {
+    let mut picked = Vec::new();
+    let mut all = wanted.is_empty();
+    for w in wanted {
+        match EXPERIMENTS.iter().find(|(name, _)| name == w) {
+            Some(&e) => picked.push(e),
+            None if w == "all" => all = true,
+            None => return Err(format!("unknown experiment {w:?} (see --help)")),
+        }
+    }
+    Ok(if all { EXPERIMENTS.to_vec() } else { picked })
 }
 
 /// Runs the repro harness with CLI-style `args` (flags + experiment
-/// names, program name already stripped). Returns the number of failed
-/// experiments, or an error message for unusable arguments.
-pub fn run(args: &[String]) -> Result<usize, String> {
-    flatnet_obs::log::init_from_env();
+/// names, `flatnet repro` already stripped). Fails on unusable arguments
+/// before running anything, and after the run if any experiment panicked.
+pub fn run(args: &[String]) -> Result<(), String> {
     let mut scale = Scale::default_scale();
     let mut wanted: Vec<String> = Vec::new();
     let mut checkpoint: Option<std::path::PathBuf> = None;
-    let mut metrics_path: Option<std::path::PathBuf> = None;
     let mut threads = 0usize;
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--ases" => scale.n_ases = flag_value("--ases", it.next())?,
@@ -80,29 +133,9 @@ pub fn run(args: &[String]) -> Result<usize, String> {
                 let dir = it.next().ok_or("--checkpoint requires a directory")?;
                 checkpoint = Some(std::path::PathBuf::from(dir));
             }
-            "--metrics" => {
-                let path = it.next().ok_or("--metrics requires a file path")?;
-                metrics_path = Some(std::path::PathBuf::from(path));
-            }
-            "--log-level" => {
-                let name = it.next().ok_or("--log-level requires error|warn|info|debug")?;
-                let level = flatnet_obs::log::parse_level(name)
-                    .ok_or_else(|| format!("bad value {name:?} for --log-level"))?;
-                flatnet_obs::log::set_level(level);
-            }
             "--help" | "-h" => {
-                println!("usage: repro [EXPERIMENT...] [--ases N] [--seed S] [--leakers K] [--fast]");
-                println!("             [--checkpoint DIR] [--threads N] [--metrics PATH] [--log-level LEVEL]");
-                println!("experiments: peers validation fig2 table1 fig3 fig4 table2 fig6 fig7 fig8");
-                println!("             fig9 fig10 fig11 fig12 fig13 table3 appendix_a appendix_b");
-                println!("             appendix_d erratum ablation_topology rankings feeds all");
-                println!("--checkpoint DIR: drop a DIR/<name>.done marker per finished experiment");
-                println!("                  (plus a DIR/<name>.metrics.json metric delta)");
-                println!("                  and skip already-marked experiments on the next run");
-                println!("--threads N:      worker threads for parallel sweeps (0 = all cores)");
-                println!("--metrics PATH:   write the run's flatnet-obs/v1 metrics snapshot to PATH");
-                println!("--log-level L:    stderr verbosity: error|warn|info|debug (or $FLATNET_LOG)");
-                return Ok(0);
+                println!("{}", help());
+                return Ok(());
             }
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag {other:?}"));
@@ -111,20 +144,11 @@ pub fn run(args: &[String]) -> Result<usize, String> {
         }
     }
     scale.threads = threads;
+    let wanted = select(&wanted)?;
     // Preregister the parser counters so every snapshot carries the full
     // per-parser counter set, even for experiments that parse nothing.
     for format in ["caida", "mrt", "scamper", "warts", "prefixdb"] {
         flatnet_obs::record_parse(format, 0, 0);
-    }
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = [
-            "peers", "validation", "fig2", "table1", "fig3", "fig4", "table2", "fig6", "fig7",
-            "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "table3", "appendix_a",
-            "appendix_b", "appendix_d", "erratum", "ablation_topology", "rankings", "feeds",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
     }
     if let Some(dir) = &checkpoint {
         std::fs::create_dir_all(dir)
@@ -137,7 +161,7 @@ pub fn run(args: &[String]) -> Result<usize, String> {
         scale.n_ases, scale.seed, scale.n_leakers
     );
     let mut failed = 0usize;
-    for w in &wanted {
+    for &(w, experiment) in &wanted {
         let marker = checkpoint.as_ref().map(|dir| dir.join(format!("{w}.done")));
         if let Some(m) = &marker {
             if m.exists() {
@@ -151,10 +175,10 @@ pub fn run(args: &[String]) -> Result<usize, String> {
         // the rest of an `all` run (or an existing checkpoint trail).
         let outcome = {
             let _span = flatnet_obs::span_root("report");
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_experiment(w, &lab)))
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| experiment(&lab)))
         };
         match outcome {
-            Ok(true) => {
+            Ok(()) => {
                 let elapsed = t0.elapsed();
                 if let Some(m) = &marker {
                     let note = format!(
@@ -175,7 +199,6 @@ pub fn run(args: &[String]) -> Result<usize, String> {
                 }
                 println!("[{w} took {elapsed:.1?}]\n");
             }
-            Ok(false) => flatnet_obs::warn!("unknown experiment {w:?} (see --help)"),
             Err(payload) => {
                 failed += 1;
                 flatnet_obs::error!(
@@ -186,45 +209,11 @@ pub fn run(args: &[String]) -> Result<usize, String> {
             }
         }
     }
-    let snap = flatnet_obs::snapshot();
-    if let Some(path) = &metrics_path {
-        std::fs::write(path, snap.to_json())
-            .map_err(|e| format!("cannot write metrics {}: {e}", path.display()))?;
-        flatnet_obs::info!("metrics snapshot written to {}", path.display());
+    flatnet_obs::debug!("metrics summary:\n{}", flatnet_obs::snapshot().render_table());
+    if failed > 0 {
+        return Err(format!("{failed} experiment(s) failed"));
     }
-    flatnet_obs::debug!("metrics summary:\n{}", snap.render_table());
-    Ok(failed)
-}
-
-/// Dispatches one experiment; false means the name is unknown.
-fn run_experiment(name: &str, lab: &Lab) -> bool {
-    match name {
-        "peers" => peers(lab),
-        "validation" => validation(lab),
-        "fig2" => fig2(lab),
-        "table1" => table1(lab),
-        "fig3" => fig3(lab),
-        "fig4" => fig4(lab),
-        "table2" => table2(lab),
-        "fig6" => fig6(lab),
-        "fig7" => fig7(lab),
-        "fig8" => fig8(lab),
-        "fig9" => fig9(lab),
-        "fig10" => fig10(lab),
-        "fig11" => fig11(lab),
-        "fig12" => fig12(lab),
-        "fig13" => fig13(lab),
-        "table3" => table3(lab),
-        "appendix_a" => appendix_a(lab),
-        "appendix_b" => appendix_b(lab),
-        "appendix_d" => appendix_d(lab),
-        "erratum" => erratum(lab),
-        "ablation_topology" => ablation_topology(lab),
-        "rankings" => rankings(lab),
-        "feeds" => feeds(lab),
-        _ => return false,
-    }
-    true
+    Ok(())
 }
 
 /// §4.1: peer counts, BGP feeds alone vs augmented with traceroutes.
@@ -985,5 +974,45 @@ fn human_bytes(n: usize) -> String {
         format!("{:.1} KiB", n as f64 / (1 << 10) as f64)
     } else {
         format!("{n} B")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(s: &[&str]) -> Vec<String> {
+        s.iter().map(|x| x.to_string()).collect()
+    }
+
+    #[test]
+    fn an_unknown_name_is_rejected_before_any_work() {
+        let dir = std::env::temp_dir().join(format!("flatnet-repro-typo-{}", std::process::id()));
+        let err = run(&argv(&["fig2", "fig99", "--fast", "--checkpoint", dir.to_str().unwrap()]))
+            .unwrap_err();
+        assert!(err.contains("fig99"), "{err}");
+        // The checkpoint directory is made before the first experiment
+        // runs, so its absence shows the run never got that far.
+        assert!(!dir.exists());
+        assert!(select(&argv(&["all", "fig99"])).is_err(), "`all` does not excuse a typo");
+    }
+
+    #[test]
+    fn all_is_the_table_and_names_are_unique() {
+        let table = names(EXPERIMENTS);
+        assert_eq!(names(&select(&[]).unwrap()), table);
+        assert_eq!(names(&select(&argv(&["fig2", "all"])).unwrap()), table);
+        assert_eq!(names(&select(&argv(&["table1", "fig2"])).unwrap()), ["table1", "fig2"]);
+        let unique: std::collections::BTreeSet<_> = table.iter().collect();
+        assert_eq!(unique.len(), table.len(), "duplicate experiment name");
+        assert!(!unique.contains(&"all"), "`all` is the expansion, not an entry");
+    }
+
+    #[test]
+    fn help_prints_every_table_entry() {
+        let help = help();
+        let line = help.lines().find_map(|l| l.strip_prefix("experiments: ")).unwrap();
+        let listed: Vec<&str> = line.split(' ').collect();
+        assert_eq!(listed, [names(EXPERIMENTS), vec!["all"]].concat());
     }
 }

@@ -20,13 +20,11 @@
 //! allocation. The buffers are checked out of the snapshot's scratch and
 //! returned when the simulator drops, so a caller that builds a
 //! `LeakSim` per query (the serve daemon) still runs on warm buffers.
-//! [`simulate_leak`] remains as a one-shot convenience that compiles a
-//! snapshot per call.
 
 use crate::engine::{run_into, Simulation, TopologySnapshot, Workspace};
 use crate::propagate::{ImportPolicy, PolicyView, PropagationConfig};
 use crate::scratch::Checkout;
-use flatnet_asgraph::{AsGraph, NodeId};
+use flatnet_asgraph::NodeId;
 
 /// How one AS routes the contested prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -423,21 +421,15 @@ pub fn subprefix_detour_fractions(
     (0..leakers.len()).map(|i| detour_fraction(n, weights, |t| reach.reachable(i, t))).collect()
 }
 
-/// Runs one leak scenario over `g` (compiling a fresh snapshot; sweeps
-/// should reuse a [`LeakSim`] instead).
-///
-/// Panics if `victim == leaker` (a meaningless configuration callers are
-/// expected to avoid when sampling misconfigured ASes).
-pub fn simulate_leak(g: &AsGraph, scenario: &LeakScenario) -> LeakOutcome {
-    let snap = TopologySnapshot::compile(g);
-    let mut sim = LeakSim::new(&snap);
-    sim.run(scenario)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flatnet_asgraph::{AsGraphBuilder, AsId, Relationship};
+    use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, Relationship};
+
+    /// One scenario on a fresh compile of `g`.
+    fn simulate(g: &AsGraph, scenario: &LeakScenario) -> LeakOutcome {
+        LeakSim::new(&TopologySnapshot::compile(g)).run(scenario)
+    }
 
     #[test]
     fn subprefix_hijack_detours_everything_reachable() {
@@ -451,7 +443,7 @@ mod tests {
         b.add_link(AsId(10), AsId(1), Relationship::P2p);
         b.add_link(AsId(10), AsId(40), Relationship::P2p);
         let g = b.build();
-        let same = simulate_leak(&g, &LeakScenario::simple(node(&g, 10), node(&g, 30)));
+        let same = simulate(&g, &LeakScenario::simple(node(&g, 10), node(&g, 30)));
         assert_eq!(same.state(node(&g, 40)), DetourState::Legit);
         let snap = TopologySnapshot::compile(&g);
         let out = LeakSim::new(&snap)
@@ -502,7 +494,7 @@ mod tests {
     #[test]
     fn customer_preference_attracts_transit() {
         let g = topology();
-        let out = simulate_leak(&g, &LeakScenario::simple(node(&g, 10), node(&g, 30)));
+        let out = simulate(&g, &LeakScenario::simple(node(&g, 10), node(&g, 30)));
         // T prefers the leaked *customer* route from 30 over the peer route
         // from the victim.
         assert_eq!(out.state(node(&g, 1)), DetourState::Detoured);
@@ -548,7 +540,7 @@ mod tests {
             locking: vec![node(&g, 1)],
             semantics: LockingSemantics::Corrected,
         };
-        let out = simulate_leak(&g, &scenario);
+        let out = simulate(&g, &scenario);
         // T discards the leaked route (peer lock) and keeps the direct
         // peer route from the victim.
         assert_eq!(out.state(node(&g, 1)), DetourState::Legit);
@@ -578,7 +570,7 @@ mod tests {
             locking: vec![node(&g, 1)],
             semantics: LockingSemantics::PreErratum,
         };
-        let out = simulate_leak(&g, &scenario);
+        let out = simulate(&g, &scenario);
         assert_eq!(out.state(node(&g, 1)), DetourState::Detoured);
         assert_eq!(out.state(node(&g, 2)), DetourState::Detoured);
         // (AS 20 compares the two independently propagated routes — the
@@ -586,7 +578,7 @@ mod tests {
         // comparison the paper's simulator makes.)
         // Corrected semantics: the locking AS is immune again.
         scenario.semantics = LockingSemantics::Corrected;
-        let out = simulate_leak(&g, &scenario);
+        let out = simulate(&g, &scenario);
         assert_eq!(out.state(node(&g, 1)), DetourState::Legit);
         assert_eq!(out.state(node(&g, 20)), DetourState::Legit);
     }
@@ -603,7 +595,7 @@ mod tests {
                 locking: vec![node(&g, 1)],
                 semantics,
             };
-            let out = simulate_leak(&g, &scenario);
+            let out = simulate(&g, &scenario);
             assert_eq!(out.state(node(&g, 1)), DetourState::Legit, "{semantics:?}");
             assert_eq!(out.state(node(&g, 20)), DetourState::Legit, "{semantics:?}");
         }
@@ -628,7 +620,7 @@ mod tests {
             locking: vec![node(&g, 1)],
             semantics: LockingSemantics::Corrected,
         };
-        let out = simulate_leak(&g, &scenario);
+        let out = simulate(&g, &scenario);
         // Without locking, T would hear the leak from peer 2 (customer
         // route at 2, exportable to peers) and pass it to customer 20
         // tying/beating the legit peer route. With locking, 20 is safe.
@@ -652,7 +644,7 @@ mod tests {
             locking: vec![],
             semantics: LockingSemantics::Corrected,
         };
-        let out = simulate_leak(&g, &scenario);
+        let out = simulate(&g, &scenario);
         assert_eq!(out.state(node(&g, 40)), DetourState::NoRoute);
         // T still prefers the leaked customer route.
         assert_eq!(out.state(node(&g, 1)), DetourState::Detoured);
@@ -676,7 +668,7 @@ mod tests {
         let _ = sim.run(&locked);
         let plain = LeakScenario::simple(node(&g, 10), node(&g, 30));
         let reused = sim.run(&plain);
-        let fresh = simulate_leak(&g, &plain);
+        let fresh = simulate(&g, &plain);
         assert_eq!(reused.states(), fresh.states());
     }
 
@@ -690,14 +682,14 @@ mod tests {
         b.add_link(AsId(2), AsId(5), Relationship::P2c);
         b.add_link(AsId(3), AsId(5), Relationship::P2c);
         let g = b.build();
-        let out = simulate_leak(&g, &LeakScenario::simple(node(&g, 10), node(&g, 30)));
+        let out = simulate(&g, &LeakScenario::simple(node(&g, 10), node(&g, 30)));
         assert_eq!(out.state(node(&g, 5)), DetourState::Detoured);
     }
 
     #[test]
     fn weighted_fraction_uses_population_mass() {
         let g = topology();
-        let out = simulate_leak(&g, &LeakScenario::simple(node(&g, 10), node(&g, 30)));
+        let out = simulate(&g, &LeakScenario::simple(node(&g, 10), node(&g, 30)));
         // Put all weight on a legit AS: weighted fraction 0.
         let mut w = vec![0.0; g.len()];
         w[node(&g, 40).idx()] = 100.0;
@@ -715,7 +707,7 @@ mod tests {
     #[should_panic(expected = "victim cannot leak")]
     fn victim_equals_leaker_panics() {
         let g = topology();
-        simulate_leak(&g, &LeakScenario::simple(node(&g, 10), node(&g, 10)));
+        simulate(&g, &LeakScenario::simple(node(&g, 10), node(&g, 10)));
     }
 
     #[test]
@@ -780,7 +772,7 @@ mod tests {
         b.add_link(AsId(1), AsId(10), Relationship::P2c);
         b.add_link(AsId(1), AsId(30), Relationship::P2c);
         let g = b.build();
-        let out = simulate_leak(&g, &LeakScenario::simple(node(&g, 10), node(&g, 30)));
+        let out = simulate(&g, &LeakScenario::simple(node(&g, 10), node(&g, 30)));
         assert_eq!(out.state(node(&g, 10)), DetourState::Legit);
         assert_eq!(out.victim(), node(&g, 10));
         assert_eq!(out.leaker(), node(&g, 30));

@@ -79,7 +79,7 @@ pub use lanes::{
     MAX_LANES, MAX_LANE_WORDS,
 };
 pub use leak::{
-    simulate_leak, subprefix_detour_fractions, DetourState, LeakOutcome, LeakScenario, LeakSim,
+    subprefix_detour_fractions, DetourState, LeakOutcome, LeakScenario, LeakSim,
     LockingSemantics,
 };
 pub use parallel::{parallel_map_ctx, try_parallel_map_ctx, SweepError};

@@ -1049,6 +1049,35 @@ mod obs_tests {
     }
 }
 
+/// `flatnet bench propagate` — the one speed bench outside `benchmark/`,
+/// the package that measures serving, fleet, restart and sweeps at paper
+/// scale.
+pub fn bench(args: &[String]) -> Result<(), String> {
+    match args.split_first() {
+        Some((sub, rest)) if sub == "propagate" => flatnet_bench::propbench::run(rest),
+        _ => Err("bench takes one subcommand, `propagate`; serving, fleet, restart and \
+                  sweep numbers come from the benchmark/ package (benchmark/README.md)"
+            .into()),
+    }
+}
+
+#[cfg(test)]
+mod bench_tests {
+    use super::*;
+
+    #[test]
+    fn bench_has_one_subcommand_and_names_the_benchmark_package() {
+        for args in [&["serve"][..], &["restart"], &["serve", "--router", "3"], &[]] {
+            let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let err = bench(&argv).unwrap_err();
+            assert!(err.contains("benchmark/") && err.contains("propagate"), "{err}");
+        }
+        // `propagate` still dispatches: its own parser rejects the flag.
+        let err = bench(&["propagate".to_string(), "--bogus".to_string()]).unwrap_err();
+        assert!(err.contains("--bogus"), "{err}");
+    }
+}
+
 #[cfg(test)]
 mod dot_tests {
     use super::*;

@@ -53,14 +53,15 @@ USAGE:
   flatnet dot    --as-rel FILE --focus ASN [--out FILE.dot]
       Graphviz export of an AS and its direct neighborhood.
 
-  flatnet repro  [EXPERIMENT...] [--ases N] [--seed S] [--fast]
-                 [--checkpoint DIR] [--threads N]
+  flatnet repro  [EXPERIMENT...] [--ases N] [--seed S] [--leakers K]
+                 [--fast] [--checkpoint DIR] [--threads N]
       Regenerate the paper's tables and figures on the synthetic
       substrate (see `flatnet repro --help` for the experiment list).
+      An unknown experiment name is an error; nothing runs.
 
   flatnet serve  [--as-rel FILE | --ases N --seed S] [--addr HOST:PORT]
                  [--workers N] [--queue N] [--cache N] [--deadline-ms MS]
-                 [--io-timeout-ms MS] [--keepalive-max N]
+                 [--warm N] [--io-timeout-ms MS] [--keepalive-max N]
                  [--keepalive-idle-ms MS] [--store FILE]
                  [--tier1 .. --tier2 ..]
       Run the query daemon: reachability/reliance/what-if answers over
@@ -73,6 +74,8 @@ USAGE:
       X-Flatnet-Trace-Id header. Connections are keep-alive by default:
       --keepalive-max (1024) bounds requests per connection,
       --keepalive-idle-ms (5000) closes quiet ones.
+      --warm N pre-fills the reachability cache for the N highest-degree
+      origins after startup and every reload (default 0 = off).
       Without --as-rel, serves a synthetic topology.
       With --store, warm-starts from the snapshot store when it is valid
       (skipping the compile), self-heals it when it is corrupt, and
@@ -122,27 +125,17 @@ USAGE:
       breakdown, slowest origins, and the N slowest requests.
 
   flatnet bench propagate [--ases N] [--seed S] [--origins K]
-                 [--threads N] [--lane-width auto|64|128|256] [--out PATH]
+                 [--threads N] [--mt-threads N] [--reps R]
+                 [--lane-width auto|64|128|256] [--out PATH]
       Benchmark the batched propagation engine and the 64-lane
       bit-parallel kernel on a hierarchy-free reachability sweep (the
       two must agree on total reach), plus the kernel at 64 lanes and at
       the wide --lane-width (default auto = 256 on AVX2) on a dense
       full-reach sweep; writes a flatnet-bench-propagate/v2 JSON report
-      (default BENCH_propagate.json).
-
-  flatnet bench serve [--ases N] [--seed S] [--conc C] [--requests R]
-                 [--pool P] [--workers W] [--pipeline D] [--batch B]
-                 [--out PATH]
-      Closed-loop load benchmark against an in-process `flatnet serve`
-      daemon: three passes (close-per-request, keep-alive with
-      --pipeline depth, origins= batch) with per-connection reuse stats
-      and the keepalive-vs-close throughput ratio; writes a
-      flatnet-bench-serve/v1 JSON report (default BENCH_serve.json).
-
-  flatnet bench restart [--ases N] [--seed S] [--reps R] [--out PATH]
-      Cold start (generate + compile) vs warm start (snapshot-store
-      load) with a bit-identical-CSR check; writes a
-      flatnet-bench-restart/v1 JSON report (default BENCH_restart.json).
+      (default BENCH_propagate.json). Each pass keeps the fastest of
+      --reps (7) repetitions; --mt-threads (0 = all cores) sizes the
+      extra multithreaded passes. This is the only bench here: serving,
+      fleet, restart and sweep numbers come from the benchmark/ package.
 
   flatnet help
       This message.
@@ -170,8 +163,7 @@ Fault tolerance (every command that reads a file):
 
 /// Pulls the global `--metrics PATH` / `--log-level LEVEL` flags out of
 /// the argument list (applying the log level immediately) so subcommand
-/// parsers, which reject unknown flags, never see them. The `repro`
-/// subcommand handles both itself, so its args pass through untouched.
+/// parsers, which reject unknown flags, never see them.
 fn strip_global_flags(args: Vec<String>) -> Result<(Vec<String>, Option<String>), String> {
     let mut rest = Vec::with_capacity(args.len());
     let mut metrics = None;
@@ -196,16 +188,11 @@ fn strip_global_flags(args: Vec<String>) -> Result<(Vec<String>, Option<String>)
 fn main() -> ExitCode {
     flatnet_obs::log::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let repro = args.first().map(|c| c == "repro").unwrap_or(false);
-    let (args, metrics) = if repro {
-        (args, None)
-    } else {
-        match strip_global_flags(args) {
-            Ok(split) => split,
-            Err(e) => {
-                flatnet_obs::error!("flatnet: {e}");
-                return ExitCode::FAILURE;
-            }
+    let (args, metrics) = match strip_global_flags(args) {
+        Ok(split) => split,
+        Err(e) => {
+            flatnet_obs::error!("flatnet: {e}");
+            return ExitCode::FAILURE;
         }
     };
     let Some((cmd, rest)) = args.split_first() else {
@@ -227,31 +214,8 @@ fn main() -> ExitCode {
         "snapshot" => commands::snapshot(rest),
         "metrics" => commands::metrics(rest),
         "trace" => commands::trace(rest),
-        "bench" => match rest.split_first() {
-            Some((sub, bench_rest)) if sub == "propagate" => {
-                flatnet_bench::propbench::run(bench_rest)
-            }
-            Some((sub, bench_rest)) if sub == "serve" => {
-                flatnet_bench::servebench::run(bench_rest)
-            }
-            Some((sub, bench_rest)) if sub == "restart" => {
-                flatnet_bench::restartbench::run(bench_rest)
-            }
-            Some((sub, _)) => Err(format!(
-                "unknown bench {sub:?} (try `bench propagate`, `bench serve`, or `bench restart`)"
-            )),
-            None => Err(
-                "bench requires a subcommand (try `bench propagate`, `bench serve`, or `bench restart`)"
-                    .to_string(),
-            ),
-        },
-        "repro" => flatnet_bench::repro::run(rest).and_then(|failed| {
-            if failed == 0 {
-                Ok(())
-            } else {
-                Err(format!("{failed} experiment(s) failed"))
-            }
-        }),
+        "bench" => commands::bench(rest),
+        "repro" => flatnet_bench::repro::run(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
