@@ -14,8 +14,9 @@
 //! everything else, and report 1-based line numbers on error.
 
 use crate::error::GraphError;
-use crate::graph::{AsGraphBuilder, AsId, Relationship};
+use crate::graph::{AsGraph, AsGraphBuilder, AsId, Relationship};
 use crate::ingest::{ParseDiagnostics, ParseOptions, RecordLocation};
+use std::fmt::Write as _;
 use std::io::BufRead;
 
 /// One parsed relationship record.
@@ -29,11 +30,8 @@ pub struct RelRecord {
     pub rel: Relationship,
 }
 
-fn parse_rel_line(line: &str, lineno: usize, fields: usize) -> Result<Option<RelRecord>, GraphError> {
-    let line = line.trim();
-    if line.is_empty() || line.starts_with('#') {
-        return Ok(None);
-    }
+/// Parses one data line: already trimmed, neither empty nor a comment.
+fn parse_rel_line(line: &str, lineno: usize, fields: usize) -> Result<RelRecord, GraphError> {
     let mut parts = line.split('|');
     let err = |message: String| GraphError::Parse { line: lineno, message };
     let a: u32 = parts
@@ -66,17 +64,17 @@ fn parse_rel_line(line: &str, lineno: usize, fields: usize) -> Result<Option<Rel
     if a == b {
         return Err(err(format!("self-loop on AS{a}")));
     }
-    Ok(Some(RelRecord { a: AsId(a), b: AsId(b), rel }))
+    Ok(RelRecord { a: AsId(a), b: AsId(b), rel })
 }
 
 /// Parses a CAIDA **serial-1** AS-relationship file (3 fields per line).
 pub fn parse_serial1<R: BufRead>(reader: R) -> Result<AsGraphBuilder, GraphError> {
-    parse_with_fields(reader, 3, &ParseOptions::strict()).map(|(b, _)| b)
+    parse_with_fields(reader, Some(3), &ParseOptions::strict()).map(|(b, _)| b)
 }
 
 /// Parses a CAIDA **serial-2** AS-relationship file (4 fields per line).
 pub fn parse_serial2<R: BufRead>(reader: R) -> Result<AsGraphBuilder, GraphError> {
-    parse_with_fields(reader, 4, &ParseOptions::strict()).map(|(b, _)| b)
+    parse_with_fields(reader, Some(4), &ParseOptions::strict()).map(|(b, _)| b)
 }
 
 /// [`parse_serial1`] with explicit strictness; lenient mode skips
@@ -86,7 +84,7 @@ pub fn parse_serial1_with<R: BufRead>(
     reader: R,
     opts: &ParseOptions,
 ) -> Result<(AsGraphBuilder, ParseDiagnostics), GraphError> {
-    parse_with_fields(reader, 3, opts)
+    parse_with_fields(reader, Some(3), opts)
 }
 
 /// [`parse_serial2`] with explicit strictness (see [`parse_serial1_with`]).
@@ -94,34 +92,65 @@ pub fn parse_serial2_with<R: BufRead>(
     reader: R,
     opts: &ParseOptions,
 ) -> Result<(AsGraphBuilder, ParseDiagnostics), GraphError> {
-    parse_with_fields(reader, 4, opts)
+    parse_with_fields(reader, Some(4), opts)
 }
 
+/// Parses an as-rel file of either serial, told apart by the field count
+/// of the first data line: four fields are serial-2, anything else is
+/// held to serial-1. (Trying one format and falling back would let a
+/// lenient parse of the wrong format "succeed" by dropping every line.)
+/// A file with no data line at all parses as an empty serial-1 file.
+pub fn parse_auto(
+    bytes: &[u8],
+    opts: &ParseOptions,
+) -> Result<(AsGraphBuilder, ParseDiagnostics), GraphError> {
+    parse_with_fields(bytes, None, opts)
+}
+
+/// The one as-rel reader. `fields` is the serial's field count, or `None`
+/// to take it from the first data line ([`parse_auto`]). Lines are read
+/// into one reused buffer, so a clean parse allocates for the builder's
+/// links and nothing else.
 fn parse_with_fields<R: BufRead>(
-    reader: R,
-    fields: usize,
+    mut reader: R,
+    mut fields: Option<usize>,
     opts: &ParseOptions,
 ) -> Result<(AsGraphBuilder, ParseDiagnostics), GraphError> {
     let mut b = AsGraphBuilder::new();
     let mut diag = ParseDiagnostics::new();
-    for (i, line) in reader.lines().enumerate() {
-        // I/O errors are not per-record problems; always fatal.
-        let line = line.map_err(|e| GraphError::Parse { line: i + 1, message: e.to_string() })?;
-        match parse_rel_line(&line, i + 1, fields) {
-            Ok(Some(rec)) => {
+    let mut buf = String::new();
+    let mut lineno = 0usize;
+    loop {
+        buf.clear();
+        lineno += 1;
+        // I/O errors (a line that is not UTF-8 among them) are not
+        // per-record problems; always fatal.
+        let read = reader
+            .read_line(&mut buf)
+            .map_err(|e| GraphError::Parse { line: lineno, message: e.to_string() })?;
+        if read == 0 {
+            break;
+        }
+        let line = buf.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let fields =
+            *fields.get_or_insert_with(|| if line.split('|').count() == 4 { 4 } else { 3 });
+        match parse_rel_line(line, lineno, fields) {
+            Ok(rec) => {
                 diag.record_ok();
                 b.add_link(rec.a, rec.b, rec.rel);
             }
-            Ok(None) => {}
             Err(e) => {
                 if opts.budget_allows(diag.dropped()) {
-                    diag.record_dropped(RecordLocation::Line(i + 1), e.to_string());
+                    diag.record_dropped(RecordLocation::Line(lineno), e.to_string());
                 } else if opts.strict {
                     return Err(e);
                 } else {
-                    diag.record_dropped(RecordLocation::Line(i + 1), e.to_string());
+                    diag.record_dropped(RecordLocation::Line(lineno), e.to_string());
                     return Err(GraphError::Parse {
-                        line: i + 1,
+                        line: lineno,
                         message: opts.budget_exhausted_message(diag.issues.last().unwrap()),
                     });
                 }
@@ -136,31 +165,31 @@ fn parse_with_fields<R: BufRead>(
 ///
 /// The output round-trips through [`parse_serial1`]. Isolated ASes cannot be
 /// represented by the format and are dropped, matching CAIDA's own files.
-pub fn write_serial1(g: &crate::graph::AsGraph) -> String {
-    let mut out = String::new();
-    out.push_str("# flatnet serial-1 export\n");
-    for &(x, y, rel) in g.edges() {
-        let (a, b) = (g.asn(x).0, g.asn(y).0);
-        let code = match rel {
-            Relationship::P2c => -1,
-            Relationship::P2p => 0,
-        };
-        out.push_str(&format!("{a}|{b}|{code}\n"));
-    }
-    out
+pub fn write_serial1(g: &AsGraph) -> String {
+    write_rel(g, "# flatnet serial-1 export\n", "")
 }
 
 /// Serializes a graph in serial-2 format with a uniform `bgp` source tag.
-pub fn write_serial2(g: &crate::graph::AsGraph) -> String {
-    let mut out = String::new();
-    out.push_str("# flatnet serial-2 export\n");
+pub fn write_serial2(g: &AsGraph) -> String {
+    write_rel(g, "# flatnet serial-2 export\n", "|bgp")
+}
+
+/// Bytes reserved per link: `a|b|rel` with two six-digit ASNs, plus the
+/// source field and the newline. Longer ASNs grow the buffer as usual.
+const RESERVE_PER_LINK: usize = 22;
+
+/// The one as-rel writer; the serials differ in the header line and in
+/// the source field that ends each record (none in serial-1).
+fn write_rel(g: &AsGraph, header: &str, source_field: &str) -> String {
+    let mut out = String::with_capacity(header.len() + g.edge_count() * RESERVE_PER_LINK);
+    out.push_str(header);
     for &(x, y, rel) in g.edges() {
-        let (a, b) = (g.asn(x).0, g.asn(y).0);
         let code = match rel {
-            Relationship::P2c => -1,
-            Relationship::P2p => 0,
+            Relationship::P2c => "-1",
+            Relationship::P2p => "0",
         };
-        out.push_str(&format!("{a}|{b}|{code}|bgp\n"));
+        writeln!(out, "{}|{}|{code}{source_field}", g.asn(x).0, g.asn(y).0)
+            .expect("writing to a String cannot fail");
     }
     out
 }

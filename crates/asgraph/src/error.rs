@@ -33,6 +33,13 @@ pub enum GraphError {
         /// The missing AS.
         asn: u32,
     },
+    /// An ASN table or edge list handed to
+    /// [`AsGraph::from_canonical_edges`](crate::AsGraph::from_canonical_edges)
+    /// is not in the canonical form that constructor documents.
+    NotCanonical {
+        /// Which rule was broken, and where.
+        detail: String,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -47,6 +54,7 @@ impl fmt::Display for GraphError {
             ),
             GraphError::SelfLoop { asn } => write!(f, "self-loop on AS{asn}"),
             GraphError::UnknownAs { asn } => write!(f, "AS{asn} is not in the graph"),
+            GraphError::NotCanonical { detail } => write!(f, "graph not in canonical form: {detail}"),
         }
     }
 }

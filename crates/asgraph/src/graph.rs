@@ -256,109 +256,43 @@ impl AsGraphBuilder {
 
     /// Finalizes the builder into an immutable [`AsGraph`].
     pub fn build(&self) -> AsGraph {
-        // Collect the node universe: every AS mentioned by a link plus
-        // explicitly declared isolated ASes, in ascending ASN order.
-        let mut asns: Vec<u32> = self
-            .links
-            .keys()
-            .flat_map(|&(a, b)| [a, b])
-            .chain(self.isolated.iter().copied())
-            .collect();
+        // The node universe: every AS mentioned by a link plus explicitly
+        // declared isolated ASes, in ascending ASN order. Low endpoints
+        // arrive sorted with the keys, so each run of them is entered once.
+        let mut asns: Vec<u32> = Vec::with_capacity(self.links.len() + self.isolated.len());
+        let mut run = None;
+        for &(lo, hi) in self.links.keys() {
+            if run != Some(lo) {
+                run = Some(lo);
+                asns.push(lo);
+            }
+            asns.push(hi);
+        }
+        asns.extend_from_slice(&self.isolated);
         asns.sort_unstable();
         asns.dedup();
+        asns.shrink_to_fit();
 
-        let n = asns.len();
-        let index_of = |asn: u32| -> u32 {
-            asns.binary_search(&asn).expect("asn collected above") as u32
-        };
-
-        // Count per-node degrees per class, then fill CSR arrays.
-        let mut prov_cnt = vec![0u32; n];
-        let mut cust_cnt = vec![0u32; n];
-        let mut peer_cnt = vec![0u32; n];
-        for (&(lo, hi), &rel) in &self.links {
-            let li = index_of(lo) as usize;
-            let hi_i = index_of(hi) as usize;
-            match rel {
-                CanonRel::Peer => {
-                    peer_cnt[li] += 1;
-                    peer_cnt[hi_i] += 1;
-                }
-                CanonRel::LowProvidesHigh => {
-                    cust_cnt[li] += 1;
-                    prov_cnt[hi_i] += 1;
-                }
-                CanonRel::HighProvidesLow => {
-                    prov_cnt[li] += 1;
-                    cust_cnt[hi_i] += 1;
-                }
-            }
-        }
-
-        fn offsets(counts: &[u32]) -> Vec<u32> {
-            let mut off = Vec::with_capacity(counts.len() + 1);
-            let mut acc = 0u32;
-            off.push(0);
-            for &c in counts {
-                acc += c;
-                off.push(acc);
-            }
-            off
-        }
-        let prov_off = offsets(&prov_cnt);
-        let cust_off = offsets(&cust_cnt);
-        let peer_off = offsets(&peer_cnt);
-
-        let mut providers = vec![NodeId(0); *prov_off.last().unwrap() as usize];
-        let mut customers = vec![NodeId(0); *cust_off.last().unwrap() as usize];
-        let mut peers = vec![NodeId(0); *peer_off.last().unwrap() as usize];
-        let mut prov_fill = prov_off.clone();
-        let mut cust_fill = cust_off.clone();
-        let mut peer_fill = peer_off.clone();
-
+        // Map each link's endpoints to node ids once. The low endpoint
+        // advances monotonically with the sorted keys; the high endpoint
+        // lies above it and is the one search per link.
         let mut edges = Vec::with_capacity(self.links.len());
+        let mut li = 0usize;
         for (&(lo, hi), &rel) in &self.links {
-            let li = index_of(lo);
-            let hi_i = index_of(hi);
-            let (provider, customer) = match rel {
-                CanonRel::Peer => {
-                    peers[peer_fill[li as usize] as usize] = NodeId(hi_i);
-                    peer_fill[li as usize] += 1;
-                    peers[peer_fill[hi_i as usize] as usize] = NodeId(li);
-                    peer_fill[hi_i as usize] += 1;
-                    edges.push((NodeId(li), NodeId(hi_i), Relationship::P2p));
-                    continue;
-                }
-                CanonRel::LowProvidesHigh => (li, hi_i),
-                CanonRel::HighProvidesLow => (hi_i, li),
-            };
-            customers[cust_fill[provider as usize] as usize] = NodeId(customer);
-            cust_fill[provider as usize] += 1;
-            providers[prov_fill[customer as usize] as usize] = NodeId(provider);
-            prov_fill[customer as usize] += 1;
-            edges.push((NodeId(provider), NodeId(customer), Relationship::P2c));
-        }
-
-        // Adjacency lists must be sorted for deterministic iteration.
-        let sort_ranges = |adj: &mut [NodeId], off: &[u32]| {
-            for w in off.windows(2) {
-                adj[w[0] as usize..w[1] as usize].sort_unstable();
+            while asns[li] < lo {
+                li += 1;
             }
-        };
-        sort_ranges(&mut providers, &prov_off);
-        sort_ranges(&mut customers, &cust_off);
-        sort_ranges(&mut peers, &peer_off);
-
-        AsGraph {
-            asns,
-            prov_off,
-            cust_off,
-            peer_off,
-            providers,
-            customers,
-            peers,
-            edges,
+            let above = li + 1;
+            let hi_i = above + asns[above..].binary_search(&hi).expect("asn collected above");
+            let (li, hi_i) = (NodeId(li as u32), NodeId(hi_i as u32));
+            edges.push(match rel {
+                CanonRel::Peer => (li, hi_i, Relationship::P2p),
+                CanonRel::LowProvidesHigh => (li, hi_i, Relationship::P2c),
+                CanonRel::HighProvidesLow => (hi_i, li, Relationship::P2c),
+            });
         }
+        AsGraph::from_canonical_edges(asns, edges)
+            .expect("an ordered map of distinct (low, high) keys yields canonical edges")
     }
 }
 
@@ -383,7 +317,121 @@ pub struct AsGraph {
 impl AsGraph {
     /// An empty graph.
     pub fn empty() -> Self {
-        AsGraphBuilder::new().build()
+        Self::from_canonical_edges(Vec::new(), Vec::new()).expect("no input to reject")
+    }
+
+    /// Builds the graph from its canonical form: the ASN table and the
+    /// edge list exactly as [`AsGraph::edges`] reports it. This is the one
+    /// place the CSR arrays are filled — [`AsGraphBuilder::build`], the
+    /// snapshot store's decoder and netgen's public view all end here —
+    /// in one counting pass and one fill pass, `O(V + E)`.
+    ///
+    /// The form is checked, once and here, because the store decoder hands
+    /// in bytes from outside the program. `Err`
+    /// ([`GraphError::NotCanonical`] or [`GraphError::SelfLoop`]) unless
+    /// all of these hold:
+    ///
+    /// * `asns` is strictly ascending (position is the node id);
+    /// * both endpoints of every edge are `< asns.len()` and distinct;
+    /// * the `(min, max)` endpoint pairs are strictly ascending, which is
+    ///   also what rules out a duplicate link;
+    /// * a `P2p` edge is stored low endpoint first (a `P2c` edge is
+    ///   provider first, whichever end that is).
+    pub fn from_canonical_edges(
+        asns: Vec<u32>,
+        edges: Vec<(NodeId, NodeId, Relationship)>,
+    ) -> Result<AsGraph, GraphError> {
+        let not_canonical = |detail: String| GraphError::NotCanonical { detail };
+        if let Some(w) = asns.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(not_canonical(format!(
+                "asn table not strictly ascending at {} >= {}",
+                w[0], w[1]
+            )));
+        }
+        let n = asns.len();
+        // Node ids and CSR offsets are u32; a peer link takes two entries.
+        if n > u32::MAX as usize || edges.len() > (u32::MAX / 2) as usize {
+            return Err(not_canonical(format!(
+                "{n} nodes / {} edges exceed the 32-bit index space",
+                edges.len()
+            )));
+        }
+
+        // Counting pass, validating as it goes: `off[v + 1]` holds v's
+        // count until the prefix sum turns it into v's end offset.
+        let mut prov_off = vec![0u32; n + 1];
+        let mut cust_off = vec![0u32; n + 1];
+        let mut peer_off = vec![0u32; n + 1];
+        let mut prev: Option<(NodeId, NodeId)> = None;
+        for (i, &(a, b, rel)) in edges.iter().enumerate() {
+            if a.idx() >= n || b.idx() >= n {
+                return Err(not_canonical(format!(
+                    "edge {i}: endpoints ({}, {}) out of range for {n} nodes",
+                    a.0, b.0
+                )));
+            }
+            if a == b {
+                return Err(GraphError::SelfLoop { asn: asns[a.idx()] });
+            }
+            let key = (a.min(b), a.max(b));
+            if prev >= Some(key) {
+                return Err(not_canonical(format!(
+                    "edge {i}: pair ({}, {}) is a duplicate or out of canonical order",
+                    key.0 .0, key.1 .0
+                )));
+            }
+            prev = Some(key);
+            match rel {
+                Relationship::P2p => {
+                    if a > b {
+                        return Err(not_canonical(format!(
+                            "edge {i}: p2p pair ({}, {}) stored high endpoint first",
+                            a.0, b.0
+                        )));
+                    }
+                    peer_off[a.idx() + 1] += 1;
+                    peer_off[b.idx() + 1] += 1;
+                }
+                Relationship::P2c => {
+                    cust_off[a.idx() + 1] += 1;
+                    prov_off[b.idx() + 1] += 1;
+                }
+            }
+        }
+        for off in [&mut prov_off, &mut cust_off, &mut peer_off] {
+            for v in 0..n {
+                off[v + 1] += off[v];
+            }
+        }
+
+        // Fill pass. In canonical order a node first meets its lower
+        // neighbors (as the high end of their pairs, ascending) and then
+        // its higher ones (as the low end of its own, ascending), so every
+        // adjacency range comes out sorted without sorting it.
+        let mut providers = vec![NodeId(0); prov_off[n] as usize];
+        let mut customers = vec![NodeId(0); cust_off[n] as usize];
+        let mut peers = vec![NodeId(0); peer_off[n] as usize];
+        let mut prov_fill = prov_off.clone();
+        let mut cust_fill = cust_off.clone();
+        let mut peer_fill = peer_off.clone();
+        fn put(adj: &mut [NodeId], fill: &mut [u32], at: NodeId, neighbor: NodeId) {
+            adj[fill[at.idx()] as usize] = neighbor;
+            fill[at.idx()] += 1;
+        }
+        for &(a, b, rel) in &edges {
+            match rel {
+                Relationship::P2p => {
+                    put(&mut peers, &mut peer_fill, a, b);
+                    put(&mut peers, &mut peer_fill, b, a);
+                }
+                Relationship::P2c => {
+                    put(&mut customers, &mut cust_fill, a, b);
+                    put(&mut providers, &mut prov_fill, b, a);
+                }
+            }
+        }
+
+        Ok(AsGraph { asns, prov_off, cust_off, peer_off, providers, customers, peers, edges })
     }
 
     /// Number of ASes.

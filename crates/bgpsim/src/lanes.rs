@@ -1241,9 +1241,9 @@ mod tests {
     fn transpose_naive(a: &[u64; 64]) -> [u64; 64] {
         let mut b = [0u64; 64];
         for (i, &w) in a.iter().enumerate() {
-            for j in 0..64 {
+            for (j, col) in b.iter_mut().enumerate() {
                 if (w >> j) & 1 == 1 {
-                    b[j] |= 1 << i;
+                    *col |= 1 << i;
                 }
             }
         }
@@ -1559,8 +1559,9 @@ mod tests {
         let sim = Simulation::over(&snap).threads(2);
         let reach = sim.run_sweep_reach(&origins);
         let counts = sim.run_sweep_reach_counts(&origins);
-        for i in 0..origins.len() {
-            assert_eq!(counts[i] as usize, reach.reachable_count(i));
+        for (i, &count) in counts.iter().enumerate() {
+            assert_eq!(count as usize, reach.reachable_count(i));
         }
+        assert_eq!(counts.len(), origins.len());
     }
 }

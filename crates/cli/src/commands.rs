@@ -47,21 +47,8 @@ fn load_graph_full(
     mode: &ParseOptions,
 ) -> Result<(AsGraph, Vec<RelConflict>), String> {
     let data = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    // Sniff the format from the first data line: serial-2 has 4 fields.
-    // (Trying one format and falling back would let a lenient parse of the
-    // wrong format "succeed" by dropping every line.)
-    let fields = data
-        .lines()
-        .map(str::trim)
-        .find(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| l.split('|').count())
-        .unwrap_or(3);
-    let result = if fields == 4 {
-        caida::parse_serial2_with(data.as_bytes(), mode)
-    } else {
-        caida::parse_serial1_with(data.as_bytes(), mode)
-    };
-    let (b, diag) = result.map_err(|e| format!("{path}: not a CAIDA as-rel file: {e}"))?;
+    let (b, diag) = caida::parse_auto(data.as_bytes(), mode)
+        .map_err(|e| format!("{path}: not a CAIDA as-rel file: {e}"))?;
     note_diag(path, &diag);
     let conflicts = b.conflicts().to_vec();
     Ok((b.build(), conflicts))

@@ -477,26 +477,33 @@ pub fn build(cfg: &NetGenConfig) -> Topology {
     }
 
     let truth_graph = truth.build();
-    // Public view: same links minus the hidden set.
-    let mut public = AsGraphBuilder::new();
-    let hidden_set: std::collections::BTreeSet<(u32, u32)> = hidden
+    // Public view: the truth's canonical edges minus the hidden set, over
+    // the same node universe so indices line up across views. Node ids
+    // ascend with ASNs, so the sorted hidden pairs meet the edges in order.
+    let mut hidden: Vec<(AsId, AsId)> =
+        hidden.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+    hidden.sort_unstable();
+    let mut hidden = hidden.iter().peekable();
+    let public_edges = truth_graph
+        .edges()
         .iter()
-        .map(|&(a, b)| (a.0.min(b.0), a.0.max(b.0)))
+        .filter(|&&(x, y, _)| {
+            let (a, b) = (truth_graph.asn(x), truth_graph.asn(y));
+            let pair = (a.min(b), a.max(b));
+            while hidden.next_if(|&&h| h < pair).is_some() {}
+            hidden.peek() != Some(&&pair)
+        })
+        .copied()
         .collect();
-    for &(x, y, rel) in truth_graph.edges() {
-        let (a, b) = (truth_graph.asn(x), truth_graph.asn(y));
-        if !hidden_set.contains(&(a.0.min(b.0), a.0.max(b.0))) {
-            public.add_link(a, b, rel);
-        }
-    }
-    // Keep the node universes identical so indices line up across views.
-    for n in truth_graph.nodes() {
-        public.add_isolated(truth_graph.asn(n));
-    }
+    let public = AsGraph::from_canonical_edges(
+        truth_graph.asns().map(|a| a.0).collect(),
+        public_edges,
+    )
+    .expect("a subset of a graph's canonical edges is canonical");
 
     Topology {
         truth: truth_graph,
-        public: public.build(),
+        public,
         tier1,
         tier2,
         transit,

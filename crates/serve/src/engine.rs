@@ -1270,7 +1270,7 @@ fn healthz(shared: &Arc<Shared>) -> Response {
     let mut body = format!(
         "{{\"status\":\"ok\",\"snapshot_version\":{},\"ases\":{},\"workers\":{},\
          \"cache_entries\":{},\"cache_bytes\":{},\"scratch_bytes\":{},\
-         \"warm_start\":{},\"store\":{},\
+         \"warm_start\":{},\"snapshot_ready_ms\":{},\"store\":{},\
          \"reload_failures\":{},\"reload_backoff_ms\":{}",
         snap.version,
         snap.graph.len(),
@@ -1279,6 +1279,7 @@ fn healthz(shared: &Arc<Shared>) -> Response {
         cache_bytes,
         shared.refresh_scratch_bytes(),
         status.warm_start,
+        status.snapshot_ready_ms,
         status.store_configured,
         status.consecutive_failures,
         status.backoff_remaining_ms,

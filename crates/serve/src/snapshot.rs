@@ -31,6 +31,16 @@
 //! Reload persists the new version on success and keeps serving the old
 //! `Arc` on failure; repeated failures arm an exponential backoff
 //! surfaced in `/healthz`.
+//!
+//! ## Where a start or reload spends its time
+//!
+//! Every step on the way to a snapshot is timed into a
+//! `serve.snapshot_us{phase="…"}` histogram — `read`, `parse`, `build`
+//! (the graph out of the parsed links, or out of the generator), `tiers`,
+//! `validate`, `compile`, `persist`, and `store_load` on a warm start —
+//! and summed up in one `info` line per snapshot; `/healthz` reports the
+//! serving snapshot's total as `snapshot_ready_ms`. A warm start records
+//! `store_load` and `validate` and nothing else.
 
 use crate::error::ServeError;
 use flatnet_asgraph::graph::RelConflict;
@@ -41,6 +51,7 @@ use flatnet_bgpsim::TopologySnapshot;
 use flatnet_core::error::FlatnetError;
 use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_store::SnapshotParts;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -90,6 +101,40 @@ pub struct ServeSnapshot {
     pub topo: TopologySnapshot,
 }
 
+/// Times the phases of one snapshot's way into service: each goes into
+/// its `serve.snapshot_us{phase="…"}` histogram as it ends, and the split
+/// is kept for the one log line the snapshot gets once it is ready.
+struct PhaseClock {
+    started: Instant,
+    split: String,
+}
+
+impl PhaseClock {
+    fn start() -> Self {
+        PhaseClock { started: Instant::now(), split: String::new() }
+    }
+
+    fn time<T>(&mut self, phase: &str, f: impl FnOnce() -> T) -> T {
+        let t = Instant::now();
+        let out = f();
+        let took = t.elapsed();
+        flatnet_obs::histogram(&format!("serve.snapshot_us{{phase=\"{phase}\"}}")).record(took);
+        let _ = write!(self.split, " {phase}={:.1}ms", took.as_secs_f64() * 1e3);
+        out
+    }
+
+    /// Logs the split and returns the total, in milliseconds.
+    fn ready(&self, how: &str, version: u64) -> u64 {
+        let total = self.started.elapsed();
+        flatnet_obs::info!(
+            "snapshot v{version} ready ({how}) in {:.1} ms:{}",
+            total.as_secs_f64() * 1e3,
+            self.split
+        );
+        total.as_millis() as u64
+    }
+}
+
 /// First-failure backoff; doubles per consecutive failure.
 const BACKOFF_BASE: Duration = Duration::from_millis(250);
 /// Backoff ceiling.
@@ -104,6 +149,8 @@ struct ReloadState {
     consecutive_failures: u32,
     /// Reloads are refused until this instant (exponential backoff).
     not_before: Option<Instant>,
+    /// What the serving snapshot took from start (or reload) to ready.
+    ready_ms: u64,
 }
 
 /// A point-in-time copy of the reload/store health for `/healthz`.
@@ -119,6 +166,9 @@ pub struct ManagerStatus {
     pub backoff_remaining_ms: u64,
     /// Whether the first snapshot came from the store without a compile.
     pub warm_start: bool,
+    /// Milliseconds the serving snapshot took from the beginning of its
+    /// start or reload until it was ready, store write included.
+    pub snapshot_ready_ms: u64,
     /// Whether a store path is configured.
     pub store_configured: bool,
 }
@@ -155,10 +205,11 @@ impl SnapshotManager {
         let store_faults = reg.counter("serve.store_rejected");
         let warm_starts = reg.counter("serve.store_warm_start");
 
+        let mut clock = PhaseClock::start();
         let mut warm = None;
         if let Some(path) = &store_path {
             if std::path::Path::new(path).exists() {
-                match try_warm_start(path) {
+                match try_warm_start(path, &mut clock) {
                     Ok(snap) => {
                         warm_starts.inc();
                         flatnet_obs::info!(
@@ -184,7 +235,7 @@ impl SnapshotManager {
         let warm_start = warm.is_some();
         let first = match warm {
             Some(snap) => snap,
-            None => load(&source, 1)?,
+            None => load(&source, 1, &mut clock)?,
         };
         let mgr = SnapshotManager {
             source,
@@ -201,8 +252,10 @@ impl SnapshotManager {
         if !warm_start {
             // Fresh compile (or fallback after a rejected store): rewrite
             // the store so the next restart is warm.
-            mgr.persist(&mgr.current());
+            mgr.persist(&mgr.current(), &mut clock);
         }
+        let how = if warm_start { "warm start" } else { "cold start" };
+        mgr.lock_state().ready_ms = clock.ready(how, mgr.current().version);
         Ok(mgr)
     }
 
@@ -239,6 +292,7 @@ impl SnapshotManager {
             consecutive_failures: state.consecutive_failures,
             backoff_remaining_ms,
             warm_start: self.warm_start,
+            snapshot_ready_ms: state.ready_ms,
             store_configured: self.store_path.is_some(),
         }
     }
@@ -268,10 +322,11 @@ impl SnapshotManager {
         }
 
         let next_version = self.current().version + 1;
-        match load(&self.source, next_version) {
+        let mut clock = PhaseClock::start();
+        match load(&self.source, next_version, &mut clock) {
             Ok(fresh) => {
                 let fresh = Arc::new(fresh);
-                self.persist(&fresh);
+                self.persist(&fresh, &mut clock);
                 match self.current.write() {
                     Ok(mut cur) => *cur = Arc::clone(&fresh),
                     Err(poisoned) => {
@@ -284,6 +339,7 @@ impl SnapshotManager {
                 state.last_error = None;
                 state.consecutive_failures = 0;
                 state.not_before = None;
+                state.ready_ms = clock.ready("reload", fresh.version);
                 Ok(fresh)
             }
             Err(e) => {
@@ -318,7 +374,7 @@ impl SnapshotManager {
 
     /// Best-effort atomic store rewrite; failure is counted and logged,
     /// never fatal.
-    fn persist(&self, snap: &ServeSnapshot) {
+    fn persist(&self, snap: &ServeSnapshot, clock: &mut PhaseClock) {
         let Some(path) = &self.store_path else { return };
         let parts = SnapshotParts {
             version: snap.version,
@@ -326,7 +382,7 @@ impl SnapshotManager {
             tiers: &snap.tiers,
             topo: &snap.topo,
         };
-        match flatnet_store::save_atomic_parts(path, parts) {
+        match clock.time("persist", || flatnet_store::save_atomic_parts(path, parts)) {
             Ok(()) => {
                 self.store_writes.inc();
                 flatnet_obs::info!("store written: {path} v{}", snap.version);
@@ -343,15 +399,20 @@ impl SnapshotManager {
 /// a typed [`flatnet_store::StoreError`]; a stored graph that no longer
 /// passes the health gate is reported as a malformed store (it must not
 /// be served, and rewriting it from source is the right recovery).
-fn try_warm_start(path: &str) -> Result<ServeSnapshot, flatnet_store::StoreError> {
-    let stored = flatnet_store::load(path)?;
-    let report = validate_topology(
-        &stored.graph,
-        &tier_asns(&stored.graph, stored.tiers.tier1()),
-        &tier_asns(&stored.graph, stored.tiers.tier2()),
-        &[],
-        &ValidateOptions::default(),
-    );
+fn try_warm_start(
+    path: &str,
+    clock: &mut PhaseClock,
+) -> Result<ServeSnapshot, flatnet_store::StoreError> {
+    let stored = clock.time("store_load", || flatnet_store::load(path))?;
+    let report = clock.time("validate", || {
+        validate_topology(
+            &stored.graph,
+            &tier_asns(&stored.graph, stored.tiers.tier1()),
+            &tier_asns(&stored.graph, stored.tiers.tier2()),
+            &[],
+            &ValidateOptions::default(),
+        )
+    });
     if !report.is_usable() {
         return Err(flatnet_store::StoreError::Malformed {
             section: flatnet_store::SectionId::Graph,
@@ -373,21 +434,27 @@ fn tier_asns(g: &AsGraph, nodes: &[flatnet_asgraph::NodeId]) -> Vec<AsId> {
 /// Ingest + health gate + compile, shared by startup and reload. The
 /// `serve.snapshot_compile` counter makes "did we compile?" observable —
 /// warm starts must leave it untouched.
-fn load(source: &TopologySource, version: u64) -> Result<ServeSnapshot, ServeError> {
+fn load(
+    source: &TopologySource,
+    version: u64,
+    clock: &mut PhaseClock,
+) -> Result<ServeSnapshot, ServeError> {
     let _span = flatnet_obs::span("serve.snapshot_load");
     let (graph, tiers, conflicts) = match source {
         TopologySource::CaidaFile { path, tier1, tier2, lenient } => {
-            let (graph, conflicts) = load_caida(path, *lenient)?;
-            let tiers = if tier1.is_empty() {
-                infer_tiers(&graph, 32, 28)
-            } else {
-                Tiers::from_lists(&graph, tier1, tier2)
-            };
+            let (graph, conflicts) = load_caida(path, *lenient, clock)?;
+            let tiers = clock.time("tiers", || {
+                if tier1.is_empty() {
+                    infer_tiers(&graph, 32, 28)
+                } else {
+                    Tiers::from_lists(&graph, tier1, tier2)
+                }
+            });
             (graph, tiers, conflicts)
         }
         TopologySource::Generated { ases, seed } => {
-            let net = generate(&NetGenConfig::paper_2020(*ases, *seed));
-            let tiers = net.tiers_for(&net.truth);
+            let net = clock.time("build", || generate(&NetGenConfig::paper_2020(*ases, *seed)));
+            let tiers = clock.time("tiers", || net.tiers_for(&net.truth));
             (net.truth, tiers, Vec::new())
         }
         TopologySource::Preloaded { graph, tiers } => (graph.clone(), tiers.clone(), Vec::new()),
@@ -396,13 +463,15 @@ fn load(source: &TopologySource, version: u64) -> Result<ServeSnapshot, ServeErr
     // The PR-1 health gate: a daemon serving answers from a topology with
     // a broken Tier-1 clique or an empty graph would be confidently wrong
     // for every query, so critical findings refuse the snapshot.
-    let report = validate_topology(
-        &graph,
-        &tier_asns(&graph, tiers.tier1()),
-        &tier_asns(&graph, tiers.tier2()),
-        &conflicts,
-        &ValidateOptions::default(),
-    );
+    let report = clock.time("validate", || {
+        validate_topology(
+            &graph,
+            &tier_asns(&graph, tiers.tier1()),
+            &tier_asns(&graph, tiers.tier2()),
+            &conflicts,
+            &ValidateOptions::default(),
+        )
+    });
     if !report.is_usable() {
         return Err(ServeError::HealthGate { report: report.render() });
     }
@@ -411,7 +480,7 @@ fn load(source: &TopologySource, version: u64) -> Result<ServeSnapshot, ServeErr
     }
 
     flatnet_obs::counter("serve.snapshot_compile").inc();
-    let topo = TopologySnapshot::compile(&graph);
+    let topo = clock.time("compile", || TopologySnapshot::compile(&graph));
     flatnet_obs::info!(
         "snapshot v{version}: {} ASes, {} links, {} Tier-1s, {} Tier-2s",
         graph.len(),
@@ -422,34 +491,29 @@ fn load(source: &TopologySource, version: u64) -> Result<ServeSnapshot, ServeErr
     Ok(ServeSnapshot { version, graph, tiers, topo })
 }
 
-/// Reads an as-rel file, sniffing serial-1 vs serial-2 from the field
-/// count of the first data line (same logic as the CLI loader).
-fn load_caida(path: &str, lenient: bool) -> Result<(AsGraph, Vec<RelConflict>), ServeError> {
-    let data = std::fs::read_to_string(path).map_err(|e| {
+/// Reads and parses an as-rel file of either serial
+/// ([`caida::parse_auto`]) and builds its graph.
+fn load_caida(
+    path: &str,
+    lenient: bool,
+    clock: &mut PhaseClock,
+) -> Result<(AsGraph, Vec<RelConflict>), ServeError> {
+    let data = clock.time("read", || std::fs::read_to_string(path)).map_err(|e| {
         ServeError::Ingest(FlatnetError::Io { path: path.into(), message: e.to_string() })
     })?;
     let mode = if lenient { ParseOptions::lenient() } else { ParseOptions::strict() };
-    let fields = data
-        .lines()
-        .map(str::trim)
-        .find(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| l.split('|').count())
-        .unwrap_or(3);
-    let result = if fields == 4 {
-        caida::parse_serial2_with(data.as_bytes(), &mode)
-    } else {
-        caida::parse_serial1_with(data.as_bytes(), &mode)
-    };
-    let (b, diag) = result.map_err(|e| {
+    let (b, diag) = clock.time("parse", || caida::parse_auto(data.as_bytes(), &mode)).map_err(|e| {
         ServeError::Ingest(FlatnetError::Invalid(format!(
             "{path}: not a CAIDA as-rel file: {e}"
         )))
     })?;
+    // The text is dead weight from here on; the graph is built without it.
+    drop(data);
     if !diag.is_clean() {
         flatnet_obs::warn!("{path}: {}", diag.summary());
     }
-    let conflicts = b.conflicts().to_vec();
-    Ok((b.build(), conflicts))
+    let graph = clock.time("build", || b.build());
+    Ok((graph, b.conflicts().to_vec()))
 }
 
 #[cfg(test)]
@@ -507,6 +571,29 @@ mod tests {
     }
 
     #[test]
+    fn a_file_with_no_data_lines_is_refused_by_the_health_gate() {
+        // Nothing to sniff a serial from: serial-1 is assumed, the graph
+        // is empty, and the gate — not the parser — says no.
+        let dir = std::env::temp_dir().join(format!("flatnet-serve-empty-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, text) in [("empty.txt", ""), ("comments.txt", "# as1|as2|rel\n\n# nothing\n")] {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            let err = SnapshotManager::new(TopologySource::CaidaFile {
+                path: path.display().to_string(),
+                tier1: vec![],
+                tier2: vec![],
+                lenient: false,
+            })
+            .err()
+            .expect("an empty topology must not be served");
+            assert_eq!(err.kind(), "health-gate", "{name}: {err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn failed_reload_keeps_serving_the_old_snapshot() {
         // A Preloaded empty graph fails the health gate ("empty-graph" is
         // critical)…
@@ -555,7 +642,7 @@ mod tests {
         // The healed store must verify and match a from-source compile.
         let report = flatnet_store::verify(&path, true).expect("store rewritten after corruption");
         assert_eq!(report.nodes, mgr.current().graph.len());
-        let direct = load(&tiny_source(), 1).unwrap();
+        let direct = load(&tiny_source(), 1, &mut PhaseClock::start()).unwrap();
         assert!(flatnet_store::topo_identical(&mgr.current().topo, &direct.topo));
     }
 

@@ -1,16 +1,17 @@
 //! Section codecs: [`StoredSnapshot`] ⇄ the container's four payloads.
 //!
 //! The graph is stored as its canonical edge list plus the sorted ASN
-//! table and rebuilt through [`AsGraphBuilder`] — the same deterministic
-//! constructor every ingestion path uses — so a decoded graph is
-//! structurally identical to the one that was encoded. The CSR arrays
-//! are stored verbatim and revalidated by
+//! table and handed to [`AsGraph::from_canonical_edges`] — the one
+//! constructor every ingestion path ends in — which checks the canonical
+//! form instead of restoring it: an image whose edges are out of order
+//! is malformed, so whatever decodes re-encodes to the same bytes. The
+//! CSR arrays are stored verbatim and revalidated by
 //! [`TopologySnapshot::from_raw_parts`], so a warm start skips the
 //! compile entirely without ever trusting unvalidated offsets.
 
 use crate::error::{SectionId, StoreError};
-use crate::format::{pack, unpack, Cursor, Enc};
-use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, Relationship, Tiers};
+use crate::format::{unpack, Cursor, Enc, REQUIRED_SECTIONS};
+use flatnet_asgraph::{AsGraph, AsId, NodeId, Relationship, Tiers};
 use flatnet_bgpsim::TopologySnapshot;
 
 /// Everything the serve daemon needs to warm-start: the graph, the tier
@@ -72,57 +73,61 @@ pub fn encode(snap: &StoredSnapshot) -> Vec<u8> {
     encode_parts(snap.parts())
 }
 
+/// Bytes of one stored edge: two `u32` node ids and the relationship tag.
+pub(crate) const EDGE_RECORD: usize = 9;
+
 /// [`encode`] from borrowed parts.
 pub(crate) fn encode_parts(snap: SnapshotParts<'_>) -> Vec<u8> {
+    let g = snap.graph;
+    let (t1, t2) = (snap.tiers.tier1(), snap.tiers.tier2());
+    let (off, cust_end, peer_end, adj, total_peer) = snap.topo.raw_parts();
+    // Every section's length is arithmetic in the counts it starts with,
+    // so the image is sized once and written in place.
+    let payload_bytes = 8
+        + (8 + 4 * g.len() + EDGE_RECORD * g.edge_count())
+        + (8 + 4 * (t1.len() + t2.len()))
+        + (16 + 4 * (off.len() + cust_end.len() + peer_end.len() + adj.len()));
+    let mut enc = Enc::new(REQUIRED_SECTIONS.len(), payload_bytes);
+
     // Meta: version of the serve snapshot.
-    let mut meta = Enc::new();
-    meta.u64(snap.version);
+    enc.section(SectionId::Meta);
+    enc.u64(snap.version);
 
     // Graph: n, m, sorted ASNs, canonical edges as (a, b, rel) node ids.
-    let g = snap.graph;
-    let mut graph = Enc::new();
-    graph.u32(g.len() as u32);
-    graph.u32(g.edge_count() as u32);
+    enc.section(SectionId::Graph);
+    enc.u32(g.len() as u32);
+    enc.u32(g.edge_count() as u32);
     for asn in g.asns() {
-        graph.u32(asn.0);
+        enc.u32(asn.0);
     }
     for &(a, b, rel) in g.edges() {
-        graph.u32(a.0);
-        graph.u32(b.0);
-        graph.u8(match rel {
+        enc.u32(a.0);
+        enc.u32(b.0);
+        enc.u8(match rel {
             Relationship::P2c => 0,
             Relationship::P2p => 1,
         });
     }
 
     // Tiers: node-id lists (already sorted and disjoint by construction).
-    let mut tiers = Enc::new();
-    tiers.u32(snap.tiers.tier1().len() as u32);
-    tiers.u32(snap.tiers.tier2().len() as u32);
-    for &n in snap.tiers.tier1() {
-        tiers.u32(n.0);
-    }
-    for &n in snap.tiers.tier2() {
-        tiers.u32(n.0);
+    enc.section(SectionId::Tiers);
+    enc.u32(t1.len() as u32);
+    enc.u32(t2.len() as u32);
+    for &n in t1.iter().chain(t2) {
+        enc.u32(n.0);
     }
 
     // CSR: the compiled arrays, verbatim.
-    let (off, cust_end, peer_end, adj, total_peer) = snap.topo.raw_parts();
-    let mut csr = Enc::new();
-    csr.u32(snap.topo.len() as u32);
-    csr.u32(adj.len() as u32);
-    csr.u64(total_peer);
-    csr.u32s(off);
-    csr.u32s(cust_end);
-    csr.u32s(peer_end);
-    csr.u32s(adj);
+    enc.section(SectionId::Csr);
+    enc.u32(snap.topo.len() as u32);
+    enc.u32(adj.len() as u32);
+    enc.u64(total_peer);
+    enc.u32s(off);
+    enc.u32s(cust_end);
+    enc.u32s(peer_end);
+    enc.u32s(adj);
 
-    pack(&[
-        (SectionId::Meta, meta.finish()),
-        (SectionId::Graph, graph.finish()),
-        (SectionId::Tiers, tiers.finish()),
-        (SectionId::Csr, csr.finish()),
-    ])
+    enc.finish()
 }
 
 fn decode_meta(payload: &[u8]) -> Result<u64, StoreError> {
@@ -151,21 +156,13 @@ fn decode_graph(payload: &[u8]) -> Result<AsGraph, StoreError> {
         });
     }
     let asns = c.u32s(n as usize, "asn table").map_err(malformed(section))?;
-    if let Some(w) = asns.windows(2).find(|w| w[0] >= w[1]) {
-        return Err(StoreError::Malformed {
-            section,
-            detail: format!("asn table not strictly ascending at {} >= {}", w[0], w[1]),
-        });
-    }
-    let mut b = AsGraphBuilder::new();
-    for &asn in &asns {
-        b.add_isolated(AsId(asn));
-    }
-    for i in 0..m {
-        let a = c.u32("edge endpoint").map_err(malformed(section))?;
-        let z = c.u32("edge endpoint").map_err(malformed(section))?;
-        let rel = c.u8("edge relationship").map_err(malformed(section))?;
-        let rel = match rel {
+    let records = c.records(m as usize, EDGE_RECORD, "edge list").map_err(malformed(section))?;
+    c.expect_end("graph").map_err(malformed(section))?;
+    let mut edges = Vec::with_capacity(m as usize);
+    for (i, r) in records.chunks_exact(EDGE_RECORD).enumerate() {
+        let a = u32::from_le_bytes([r[0], r[1], r[2], r[3]]);
+        let z = u32::from_le_bytes([r[4], r[5], r[6], r[7]]);
+        let rel = match r[8] {
             0 => Relationship::P2c,
             1 => Relationship::P2p,
             other => {
@@ -175,32 +172,12 @@ fn decode_graph(payload: &[u8]) -> Result<AsGraph, StoreError> {
                 })
             }
         };
-        if a >= n || z >= n || a == z {
-            return Err(StoreError::Malformed {
-                section,
-                detail: format!("edge {i}: endpoints ({a}, {z}) invalid for {n} nodes"),
-            });
-        }
-        if !b.add_link(AsId(asns[a as usize]), AsId(asns[z as usize]), rel) {
-            return Err(StoreError::Malformed {
-                section,
-                detail: format!("edge {i}: duplicate or conflicting link ({a}, {z})"),
-            });
-        }
+        edges.push((NodeId(a), NodeId(z), rel));
     }
-    c.expect_end("graph").map_err(malformed(section))?;
-    let g = b.build();
-    if g.len() != n as usize || g.edge_count() != m as usize {
-        return Err(StoreError::Malformed {
-            section,
-            detail: format!(
-                "rebuilt graph has {} nodes / {} edges, header said {n} / {m}",
-                g.len(),
-                g.edge_count()
-            ),
-        });
-    }
-    Ok(g)
+    // Ascending ASNs, endpoints in range, no self-loop, no duplicate, and
+    // the canonical order itself are the constructor's checks.
+    AsGraph::from_canonical_edges(asns, edges)
+        .map_err(|e| StoreError::Malformed { section, detail: e.to_string() })
 }
 
 fn decode_tiers(payload: &[u8], graph: &AsGraph) -> Result<Tiers, StoreError> {
@@ -240,9 +217,8 @@ fn decode_tiers(payload: &[u8], graph: &AsGraph) -> Result<Tiers, StoreError> {
             detail: format!("node {dup} appears in both tier sets"),
         });
     }
-    let to_asids = |ids: &[u32]| -> Vec<AsId> {
-        ids.iter().map(|&i| graph.asn(flatnet_asgraph::NodeId(i))).collect()
-    };
+    let to_asids =
+        |ids: &[u32]| -> Vec<AsId> { ids.iter().map(|&i| graph.asn(NodeId(i))).collect() };
     Ok(Tiers::from_lists(graph, &to_asids(&t1), &to_asids(&t2)))
 }
 
@@ -293,6 +269,7 @@ pub fn topo_identical(a: &TopologySnapshot, b: &TopologySnapshot) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flatnet_asgraph::AsGraphBuilder;
 
     fn diamond_snapshot() -> StoredSnapshot {
         let mut b = AsGraphBuilder::new();

@@ -6,12 +6,16 @@
 //! three bit-flips per non-empty section plus flips in every header
 //! field, a zeroed header, swapped section ids and checksums (with the
 //! header checksum recomputed so the *semantic* check is what trips,
-//! not the checksum), a format-version skew, and trailing garbage.
+//! not the checksum), a format-version skew, trailing garbage, and a
+//! family of *checksum-valid* payload edits (section and header CRCs
+//! recomputed) that only the semantic validators behind the checksums
+//! can catch: non-canonical edge lists, out-of-range ids, overlapping
+//! tier sets, broken CSR offsets.
 //! This mirrors how PR 3/5 pinned the propagation engines: the decoder
 //! is pinned against the full corpus in CI, so a refactor that makes
 //! any corruption panic — or worse, load — fails the build.
 
-use crate::codec::decode;
+use crate::codec::{decode, EDGE_RECORD};
 use crate::crc32::crc32;
 use crate::format::{FIXED_HEADER, TABLE_ENTRY};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -44,6 +48,99 @@ fn fix_header_crc(bytes: &mut [u8]) {
         let crc = crc32(&bytes[..table_end]);
         bytes[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
     }
+}
+
+/// Recomputes section `index`'s CRC in the table after a deliberate
+/// payload mutation, then the header CRC over the changed table: the
+/// image passes every checksum and only the section's own validation
+/// can refuse it.
+fn fix_section_crc(bytes: &mut [u8], index: usize) {
+    let at = FIXED_HEADER + index * TABLE_ENTRY;
+    let start = read_u64(bytes, at + 8) as usize;
+    let len = read_u64(bytes, at + 16) as usize;
+    let crc = crc32(&bytes[start..start + len]);
+    bytes[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+    fix_header_crc(bytes);
+}
+
+fn write_u32(b: &mut [u8], at: usize, v: u32) {
+    b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Checksum-valid semantic faults: each edits a few payload bytes of one
+/// section of a valid image and re-fixes both CRCs. Offsets follow the
+/// section layouts `codec` writes; an edit whose precondition the image
+/// does not meet (too few edges, an empty tier set) is left out.
+fn semantic_faults(valid: &[u8], extents: &[(String, usize, usize)]) -> Vec<Fault> {
+    const GRAPH: usize = 1;
+    const TIERS: usize = 2;
+    const CSR: usize = 3;
+    let mut out = Vec::new();
+    let mut edit = |name: &str, section: usize, f: &dyn Fn(&mut [u8])| {
+        let mut bytes = valid.to_vec();
+        f(&mut bytes);
+        fix_section_crc(&mut bytes, section);
+        out.push(Fault { name: format!("checksum-valid: {name}"), bytes });
+    };
+
+    // Graph: n, m, asns[n], then m records of (a u32, b u32, rel u8).
+    let g = extents[GRAPH].1;
+    let n = read_u32(valid, g);
+    let m = read_u32(valid, g + 4) as usize;
+    let asn_at = |i: usize| g + 8 + 4 * i;
+    let edge_at = |i: usize| g + 8 + 4 * n as usize + EDGE_RECORD * i;
+    if m >= 2 {
+        edit("duplicate edge", GRAPH, &|b| b.copy_within(edge_at(0)..edge_at(1), edge_at(1)));
+        edit("adjacent edges swapped", GRAPH, &|b| {
+            let (first, second) = b[edge_at(0)..edge_at(2)].split_at_mut(EDGE_RECORD);
+            first.swap_with_slice(second);
+        });
+    }
+    if let Some(peer) = (0..m).find(|&i| valid[edge_at(i) + 8] == 1) {
+        edit("p2p edge stored high endpoint first", GRAPH, &|b| {
+            let at = edge_at(peer);
+            let (a, z) = b[at..at + 8].split_at_mut(4);
+            a.swap_with_slice(z);
+        });
+    }
+    if m >= 1 {
+        edit("edge endpoint == n", GRAPH, &|b| write_u32(b, edge_at(0) + 4, n));
+        edit("self-loop", GRAPH, &|b| b.copy_within(edge_at(0)..edge_at(0) + 4, edge_at(0) + 4));
+    }
+    if n >= 2 {
+        edit("asn table entries swapped", GRAPH, &|b| {
+            let (x, y) = (read_u32(b, asn_at(0)), read_u32(b, asn_at(1)));
+            write_u32(b, asn_at(0), y);
+            write_u32(b, asn_at(1), x);
+        });
+    }
+
+    // Tiers: |t1|, |t2|, t1 ids, t2 ids (each strictly ascending).
+    let t = extents[TIERS].1;
+    let (t1, t2) = (read_u32(valid, t) as usize, read_u32(valid, t + 4) as usize);
+    let tier_at = |i: usize| t + 8 + 4 * i;
+    if t1 + t2 >= 1 {
+        // The last id of a set may grow without breaking its order.
+        let last = if t1 >= 1 { t1 - 1 } else { t2 - 1 };
+        edit("tier id == n", TIERS, &|b| write_u32(b, tier_at(last), n));
+    }
+    if t1 >= 1 && t2 >= 1 {
+        // Lowering a set's first id keeps it ascending too.
+        let low = read_u32(valid, tier_at(0)).min(read_u32(valid, tier_at(t1)));
+        edit("tier member in both sets", TIERS, &|b| {
+            write_u32(b, tier_at(0), low);
+            write_u32(b, tier_at(t1), low);
+        });
+    }
+
+    // Csr: n, |adj|, total_peer u64, off[n + 1], …
+    let c = extents[CSR].1;
+    edit("csr node count != graph's", CSR, &|b| write_u32(b, c, n + 1));
+    if n >= 2 {
+        let adj_len = read_u32(valid, c + 4);
+        edit("csr off non-monotone", CSR, &|b| write_u32(b, c + 16 + 4, adj_len + 1));
+    }
+    out
 }
 
 /// Section boundaries of a valid image: `(name, start, end)` per
@@ -173,6 +270,9 @@ pub fn corruption_corpus(valid: &[u8]) -> Vec<Fault> {
     let mut bytes = valid.to_vec();
     bytes.extend_from_slice(b"\0garbage");
     push("trailing garbage".into(), bytes);
+
+    // --- Checksum-valid payload edits. ---
+    corpus.extend(semantic_faults(valid, &extents));
 
     corpus
 }

@@ -34,32 +34,6 @@ pub const TABLE_ENTRY: usize = 24;
 pub const REQUIRED_SECTIONS: [SectionId; 4] =
     [SectionId::Meta, SectionId::Graph, SectionId::Tiers, SectionId::Csr];
 
-/// Assembles a container from the section payloads, in order.
-pub fn pack(payloads: &[(SectionId, Vec<u8>)]) -> Vec<u8> {
-    let table_len = payloads.len() * TABLE_ENTRY;
-    let header_len = FIXED_HEADER + table_len;
-    let mut out = Vec::with_capacity(
-        header_len + 4 + payloads.iter().map(|(_, p)| p.len()).sum::<usize>(),
-    );
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
-    let mut offset = (header_len + 4) as u64;
-    for (id, payload) in payloads {
-        out.extend_from_slice(&id.wire().to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        out.extend_from_slice(&offset.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        offset += payload.len() as u64;
-    }
-    let header_crc = crc32(&out);
-    out.extend_from_slice(&header_crc.to_le_bytes());
-    for (_, payload) in payloads {
-        out.extend_from_slice(payload);
-    }
-    out
-}
-
 fn read_u32(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
 }
@@ -170,19 +144,35 @@ pub fn unpack(bytes: &[u8]) -> Result<Vec<(SectionId, &[u8])>, StoreError> {
 }
 
 // ---------------------------------------------------------------------
-// Payload primitives: a little-endian writer and a bounds-checked reader.
+// The image writer and a bounds-checked payload reader.
 // ---------------------------------------------------------------------
 
-/// Appends little-endian fields to a section payload.
-#[derive(Default)]
+/// Writes a container image into one buffer. The header and the section
+/// table are laid out first and filled in by [`Enc::finish`]; each
+/// section's little-endian fields are appended straight behind them, so
+/// no payload is built somewhere else and copied in.
 pub struct Enc {
     buf: Vec<u8>,
+    /// Table slots laid out in the header.
+    slots: usize,
+    /// The sections begun so far, with where each payload starts.
+    sections: Vec<(SectionId, usize)>,
 }
 
 impl Enc {
-    /// An empty payload writer.
-    pub fn new() -> Self {
-        Enc { buf: Vec::new() }
+    /// An image of `sections` sections whose payloads total
+    /// `payload_bytes` (a reservation: the buffer grows if it was short).
+    pub fn new(sections: usize, payload_bytes: usize) -> Self {
+        let header_end = FIXED_HEADER + sections * TABLE_ENTRY + 4;
+        let mut buf = Vec::with_capacity(header_end + payload_bytes);
+        buf.resize(header_end, 0);
+        Enc { buf, slots: sections, sections: Vec::with_capacity(sections) }
+    }
+
+    /// Ends the current section, if any, and begins section `id`.
+    pub fn section(&mut self, id: SectionId) {
+        assert!(self.sections.len() < self.slots, "more sections than the table was laid out for");
+        self.sections.push((id, self.buf.len()));
     }
 
     /// Appends a `u8`.
@@ -200,17 +190,38 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a `u32` slice, element-wise LE (no length prefix; the
-    /// caller writes counts explicitly).
+    /// Appends a `u32` slice as LE words (no length prefix; the caller
+    /// writes counts explicitly). The buffer is extended once and the
+    /// words stored into it, which compiles to a block copy on
+    /// little-endian targets.
     pub fn u32s(&mut self, vs: &[u32]) {
-        self.buf.reserve(vs.len() * 4);
-        for &v in vs {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+        let start = self.buf.len();
+        self.buf.resize(start + vs.len() * 4, 0);
+        for (dst, v) in self.buf[start..].chunks_exact_mut(4).zip(vs) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
     }
 
-    /// The finished payload.
-    pub fn finish(self) -> Vec<u8> {
+    /// Fills in the header, the section table and the checksums, and
+    /// returns the finished image.
+    pub fn finish(mut self) -> Vec<u8> {
+        assert_eq!(self.sections.len(), self.slots, "fewer sections than the table was laid out for");
+        let table_end = FIXED_HEADER + self.slots * TABLE_ENTRY;
+        self.buf[..8].copy_from_slice(MAGIC);
+        self.buf[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+        self.buf[12..16].copy_from_slice(&(self.slots as u32).to_le_bytes());
+        for i in 0..self.slots {
+            let (id, start) = self.sections[i];
+            let end = self.sections.get(i + 1).map_or(self.buf.len(), |&(_, next)| next);
+            let crc = crc32(&self.buf[start..end]);
+            let entry = &mut self.buf[FIXED_HEADER + i * TABLE_ENTRY..][..TABLE_ENTRY];
+            entry[..4].copy_from_slice(&id.wire().to_le_bytes());
+            entry[4..8].copy_from_slice(&crc.to_le_bytes());
+            entry[8..16].copy_from_slice(&(start as u64).to_le_bytes());
+            entry[16..].copy_from_slice(&((end - start) as u64).to_le_bytes());
+        }
+        let header_crc = crc32(&self.buf[..table_end]);
+        self.buf[table_end..table_end + 4].copy_from_slice(&header_crc.to_le_bytes());
         self.buf
     }
 }
@@ -263,9 +274,16 @@ impl<'a> Cursor<'a> {
     /// Reads `count` `u32`s. The count has already been validated
     /// against the payload length by the time the allocation happens.
     pub fn u32s(&mut self, count: usize, what: &str) -> Result<Vec<u32>, String> {
-        let n = count.checked_mul(4).ok_or_else(|| format!("{what}: count overflows"))?;
-        let b = self.take(n, what)?;
+        let b = self.records(count, 4, what)?;
         Ok(b.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
+    }
+
+    /// Reads `count` fixed-size records of `size` bytes each, as one
+    /// slice: the bounds check happens once, before the caller allocates
+    /// anything for them.
+    pub fn records(&mut self, count: usize, size: usize, what: &str) -> Result<&'a [u8], String> {
+        let n = count.checked_mul(size).ok_or_else(|| format!("{what}: count overflows"))?;
+        self.take(n, what)
     }
 
     /// Fails unless the whole payload was consumed (catches payloads
@@ -286,12 +304,31 @@ mod tests {
     use super::*;
 
     fn tiny() -> Vec<u8> {
-        pack(&[
-            (SectionId::Meta, vec![1, 2, 3]),
-            (SectionId::Graph, vec![4, 5]),
-            (SectionId::Tiers, vec![]),
-            (SectionId::Csr, vec![6; 10]),
-        ])
+        let payloads: [(SectionId, &[u8]); 4] = [
+            (SectionId::Meta, &[1, 2, 3]),
+            (SectionId::Graph, &[4, 5]),
+            (SectionId::Tiers, &[]),
+            (SectionId::Csr, &[6; 10]),
+        ];
+        let mut enc = Enc::new(payloads.len(), 15);
+        for (id, payload) in payloads {
+            enc.section(id);
+            payload.iter().for_each(|&b| enc.u8(b));
+        }
+        enc.finish()
+    }
+
+    #[test]
+    fn u32s_move_as_little_endian_words() {
+        let words = [1u32, 0x0403_0201, u32::MAX];
+        let mut enc = Enc::new(4, 0);
+        REQUIRED_SECTIONS[..3].iter().for_each(|&id| enc.section(id));
+        enc.section(SectionId::Csr);
+        enc.u32s(&words);
+        let bytes = enc.finish();
+        let csr = unpack(&bytes).unwrap()[3].1;
+        assert_eq!(csr, [1, 0, 0, 0, 1, 2, 3, 4, 255, 255, 255, 255]);
+        assert_eq!(Cursor::new(csr).u32s(3, "words").unwrap(), words);
     }
 
     #[test]

@@ -59,9 +59,45 @@ fn every_injected_fault_yields_a_typed_error_and_never_a_panic() {
     // The distinct failure modes must be distinguishable — the fallback
     // ladder logs them separately.
     for want in ["bad-magic", "truncated-header", "header-checksum", "section-checksum",
-        "unsupported-version", "bad-section-table", "trailing-bytes"]
+        "unsupported-version", "bad-section-table", "trailing-bytes", "malformed-section"]
     {
         assert!(kinds.contains_key(want), "no fault exercised kind {want:?}: {kinds:?}");
+    }
+}
+
+#[test]
+fn checksum_valid_faults_are_refused_by_the_section_they_break() {
+    // These images pass every CRC; only the semantic validation behind
+    // the checksums stands between them and a served snapshot. While the
+    // decoder re-sorted the edge list instead of checking its order, the
+    // second and third were accepted and re-encoded to different bytes.
+    let bytes = encode(&sample_snapshot(300, 11));
+    let got: Vec<(String, FaultOutcome, String)> = run_corpus(&bytes)
+        .into_iter()
+        .filter_map(|r| {
+            let name = r.name.strip_prefix("checksum-valid: ")?.to_string();
+            Some((name, r.outcome, r.detail))
+        })
+        .collect();
+    let want = [
+        ("duplicate edge", "graph"),
+        ("adjacent edges swapped", "graph"),
+        ("p2p edge stored high endpoint first", "graph"),
+        ("edge endpoint == n", "graph"),
+        ("self-loop", "graph"),
+        ("asn table entries swapped", "graph"),
+        ("tier id == n", "tiers"),
+        ("tier member in both sets", "tiers"),
+        ("csr node count != graph's", "csr"),
+        ("csr off non-monotone", "csr"),
+    ];
+    assert_eq!(
+        got.iter().map(|(name, ..)| name.as_str()).collect::<Vec<_>>(),
+        want.map(|(name, _)| name)
+    );
+    for ((name, outcome, detail), (_, section)) in got.iter().zip(want) {
+        assert_eq!(*outcome, FaultOutcome::TypedError("malformed-section"), "{name}: {detail}");
+        assert!(detail.starts_with(&format!("malformed section '{section}'")), "{name}: {detail}");
     }
 }
 
@@ -102,6 +138,8 @@ fn checked_in_tiny_store_still_decodes_and_survives_the_corpus() {
     let snap = decode(&bytes).expect("the committed fixture must decode");
     assert_eq!(snap.graph.len(), 120);
     assert!(topo_identical(&snap.topo, &TopologySnapshot::compile(&snap.graph)));
+    // …and the encoder still writes it byte for byte.
+    assert_eq!(encode(&snap), bytes);
     for r in run_corpus(&bytes) {
         assert!(
             matches!(r.outcome, FaultOutcome::TypedError(_)),
