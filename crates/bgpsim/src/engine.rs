@@ -73,11 +73,12 @@ use std::collections::VecDeque;
 /// for propagation: one contiguous `u32` slice per node, split by
 /// relationship class (customers, then peers, then providers).
 ///
-/// Compile once per topology with [`TopologySnapshot::compile`]; the
-/// snapshot is cheap to share across threads and its topology is never
-/// mutated. It also owns the scratch sized for it (`crate::scratch`):
-/// lane-kernel workspaces and leak-simulator buffers that sweeps check
-/// out and return, so every [`Simulation`] and
+/// Compile once per topology with [`TopologySnapshot::compile`], the
+/// only constructor (so every snapshot is some graph's adjacency, laid
+/// out right); the snapshot is cheap to share across threads and its
+/// topology is never mutated. It also owns the scratch sized for it
+/// (`crate::scratch`): lane-kernel workspaces and leak-simulator buffers
+/// that sweeps check out and return, so every [`Simulation`] and
 /// [`LeakSim`](crate::leak::LeakSim) over one snapshot runs on warm
 /// buffers, and the buffers are freed with the snapshot. A clone starts
 /// with none.
@@ -143,72 +144,6 @@ impl TopologySnapshot {
     /// Number of directed adjacency entries (2× the undirected link count).
     pub fn edge_entries(&self) -> usize {
         self.adj.len()
-    }
-
-    /// The raw CSR arrays, for external serialization (the snapshot
-    /// store): `(off, cust_end, peer_end, adj, total_peer)`. The layout
-    /// contract is the one documented on this type; rebuild with
-    /// [`TopologySnapshot::from_raw_parts`].
-    pub fn raw_parts(&self) -> (&[u32], &[u32], &[u32], &[u32], u64) {
-        (&self.off, &self.cust_end, &self.peer_end, &self.adj, self.total_peer)
-    }
-
-    /// Reconstructs a snapshot from raw CSR arrays, validating every
-    /// structural invariant the propagation kernels rely on — offsets
-    /// monotone and in bounds, the customer/peer split ordered within
-    /// each node's range, every adjacency entry a real node, and the
-    /// peer-entry total consistent. Returns a description of the first
-    /// violation instead of ever building a snapshot that could make a
-    /// kernel index out of bounds.
-    pub fn from_raw_parts(
-        n: usize,
-        off: Vec<u32>,
-        cust_end: Vec<u32>,
-        peer_end: Vec<u32>,
-        adj: Vec<u32>,
-        total_peer: u64,
-    ) -> Result<Self, String> {
-        if n > u32::MAX as usize {
-            return Err(format!("node count {n} exceeds u32 range"));
-        }
-        if off.len() != n + 1 {
-            return Err(format!("off has {} entries, want n+1 = {}", off.len(), n + 1));
-        }
-        if cust_end.len() != n || peer_end.len() != n {
-            return Err(format!(
-                "cust_end/peer_end have {}/{} entries, want n = {n}",
-                cust_end.len(),
-                peer_end.len()
-            ));
-        }
-        if off[0] != 0 {
-            return Err(format!("off[0] = {}, want 0", off[0]));
-        }
-        if off[n] as usize != adj.len() {
-            return Err(format!("off[n] = {} but adj has {} entries", off[n], adj.len()));
-        }
-        let mut checked_peer: u64 = 0;
-        for u in 0..n {
-            let (lo, hi) = (off[u], off[u + 1]);
-            if lo > hi {
-                return Err(format!("off not monotone at node {u}: {lo} > {hi}"));
-            }
-            let (c, p) = (cust_end[u], peer_end[u]);
-            if c < lo || p < c || hi < p {
-                return Err(format!(
-                    "class split out of order at node {u}: off {lo} cust_end {c} peer_end {p} end {hi}"
-                ));
-            }
-            checked_peer += (p - c) as u64;
-        }
-        if checked_peer != total_peer {
-            return Err(format!("total_peer = {total_peer} but ranges sum to {checked_peer}"));
-        }
-        if let Some(&bad) = adj.iter().find(|&&v| v as usize >= n) {
-            return Err(format!("adjacency entry {bad} out of range (n = {n})"));
-        }
-        let scratch = Scratch::default();
-        Ok(TopologySnapshot { n: n as u32, off, cust_end, peer_end, adj, total_peer, scratch })
     }
 
     /// The pooled buffers sized for this topology.

@@ -119,8 +119,8 @@ impl<T> Drop for Checkout<'_, T> {
 }
 
 /// The scratch one compiled topology owns. Starts empty — after
-/// `compile`, `clone` and a store decode alike — and fills as sweeps
-/// return what they sized.
+/// `compile` and `clone` alike — and fills as sweeps return what they
+/// sized.
 #[derive(Debug)]
 pub(crate) struct Scratch {
     pub(crate) lanes1: Pool<LaneWorkspace<1>>,
@@ -225,19 +225,8 @@ mod tests {
         assert_eq!(snap.scratch().lanes1.idle(), cores(), "one per core is kept, the rest dropped");
         assert_eq!((snap.scratch().lanes2.idle(), snap.scratch().lanes4.idle()), (0, 0));
         assert!(snap.scratch_bytes() > 0);
-        // Nothing follows a clone, a recompile or a rebuild from parts.
+        // Nothing follows a clone.
         assert_eq!(snap.clone().scratch_bytes(), 0);
-        let (off, cust_end, peer_end, adj, total_peer) = snap.raw_parts();
-        let rebuilt = TopologySnapshot::from_raw_parts(
-            snap.len(),
-            off.to_vec(),
-            cust_end.to_vec(),
-            peer_end.to_vec(),
-            adj.to_vec(),
-            total_peer,
-        )
-        .unwrap();
-        assert_eq!(rebuilt.scratch_bytes(), 0);
     }
 
     #[test]

@@ -67,15 +67,26 @@ fn run_validation(g: &AsGraph, tiers: &Tiers, conflicts: &[RelConflict]) -> Resu
     Ok(())
 }
 
+/// Explicit Tier-1 and Tier-2 ASNs.
+type TierLists = (Vec<AsId>, Vec<AsId>);
+
+/// The explicit `--tier1`/`--tier2` lists, `None` when tiers are to be
+/// inferred. `--tier2` alone is a usage error in every command that takes
+/// the pair: an explicit Tier-2 list means nothing beside inferred Tier-1s.
+fn tier_flags(opts: &Opts) -> Result<Option<TierLists>, String> {
+    match (opts.as_list("tier1")?, opts.as_list("tier2")?) {
+        (Some(t1), t2) => Ok(Some((t1, t2.unwrap_or_default()))),
+        (None, Some(_)) => Err("--tier2 requires --tier1".into()),
+        (None, None) => Ok(None),
+    }
+}
+
 /// Resolves tier sets: explicit lists when given, AS-Rank-style inference
 /// otherwise.
 fn tiers_for(g: &AsGraph, opts: &Opts) -> Result<Tiers, String> {
-    let t1 = opts.as_list("tier1")?;
-    let t2 = opts.as_list("tier2")?;
-    match (t1, t2) {
-        (Some(t1), t2) => Ok(Tiers::from_lists(g, &t1, &t2.unwrap_or_default())),
-        (None, Some(_)) => Err("--tier2 requires --tier1".into()),
-        (None, None) => {
+    match tier_flags(opts)? {
+        Some((t1, t2)) => Ok(Tiers::from_lists(g, &t1, &t2)),
+        None => {
             let tiers = flatnet_asgraph::tiers::infer_tiers(g, 32, 28);
             flatnet_obs::info!(
                 "inferred {} Tier-1s and {} Tier-2s (pass --tier1/--tier2 to override)",
@@ -429,6 +440,49 @@ mod tests {
     }
 
     #[test]
+    fn tier2_without_tier1_is_refused_before_a_daemon_loads_or_spawns_anything() {
+        // The address cannot be bound, so a command that gets as far as
+        // building its topology fails on that instead.
+        let err = serve(&argv(&["--tier2", "174", "--ases", "200", "--addr", "not-an-address"]))
+            .unwrap_err();
+        assert_eq!(err, "--tier2 requires --tier1");
+        for fleet in [&["--shards", "2"][..], &["--shard-addrs", "127.0.0.1:1"]] {
+            let mut args = argv(&["--tier2", "174", "--ases", "200", "--addr", "not-an-address"]);
+            args.extend(argv(fleet));
+            assert_eq!(router(&args).unwrap_err(), "--tier2 requires --tier1");
+        }
+    }
+
+    #[test]
+    fn snapshot_save_holds_the_topology_to_the_daemons_health_gate() {
+        let dir = tmpdir("save-gate");
+        let rel = dir.join("rel.txt");
+        let out = dir.join("snap.store");
+        let (rel_s, out_s) = (rel.to_str().unwrap(), out.to_str().unwrap());
+        let nothing_written = || {
+            assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "only the as-rel file");
+        };
+        // No data lines: an empty graph, which the daemon refuses to serve.
+        fs::write(&rel, "# as1|as2|rel\n").unwrap();
+        let err = snapshot(&argv(&["save", "--out", out_s, "--as-rel", rel_s])).unwrap_err();
+        assert!(err.contains("health"), "{err}");
+        nothing_written();
+        // A Tier-1 "clique" whose third member peers with nobody.
+        fs::write(&rel, "1|2|0|bgp\n1|3|-1|bgp\n2|3|-1|bgp\n").unwrap();
+        let broken = ["save", "--out", out_s, "--as-rel", rel_s, "--tier1", "1,2,3"];
+        let err = snapshot(&argv(&broken)).unwrap_err();
+        assert!(err.contains("health"), "{err}");
+        nothing_written();
+        // The same file with the real clique is written, and verifies.
+        snapshot(&argv(&["save", "--out", out_s, "--as-rel", rel_s, "--tier1", "1,2"])).unwrap();
+        snapshot(&argv(&["verify", "--store", out_s])).unwrap();
+        let stored = flatnet_store::load(out_s).unwrap();
+        assert_eq!((stored.graph.len(), stored.tiers.tier1().len()), (3, 2));
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 2, "the store and no temp file");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn leak_lock_validation() {
         let dir = tmpdir("lock");
         let f = dir.join("rel.txt");
@@ -668,11 +722,12 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         }
         _ => return Err("--shard-id and --shard-count go together".into()),
     };
+    let (tier1, tier2) = tier_flags(&opts)?.unwrap_or_default();
     let source = match opts.get("as-rel") {
         Some(path) => flatnet_serve::TopologySource::CaidaFile {
             path: path.to_string(),
-            tier1: opts.as_list("tier1")?.unwrap_or_default(),
-            tier2: opts.as_list("tier2")?.unwrap_or_default(),
+            tier1,
+            tier2,
             lenient: opts.switch("lenient"),
         },
         None => flatnet_serve::TopologySource::Generated {
@@ -749,6 +804,9 @@ pub fn router(args: &[String]) -> Result<(), String> {
         ],
     )?;
     let addr = opts.get("addr").unwrap_or("127.0.0.1:8070").to_string();
+    // The pair is forwarded verbatim to every spawned shard; refuse here
+    // what each of them would refuse.
+    tier_flags(&opts)?;
 
     let mut children: Vec<std::process::Child> = Vec::new();
     let shard_addrs: Vec<String> = if let Some(list) = opts.get("shard-addrs") {
@@ -858,8 +916,10 @@ pub fn snapshot(args: &[String]) -> Result<(), String> {
 }
 
 /// `flatnet snapshot save --out FILE [--as-rel FILE | --ases N --seed S]`
-/// — compile a topology and persist it atomically, so a later
-/// `flatnet serve --store FILE` warm-starts without compiling.
+/// — build a topology, hold it to the health gate the daemon applies, and
+/// persist it atomically, so a later `flatnet serve --store FILE`
+/// warm-starts without reading the source. A topology the daemon would
+/// refuse is refused here, and nothing is written.
 fn snapshot_save(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
@@ -867,12 +927,12 @@ fn snapshot_save(args: &[String]) -> Result<(), String> {
         &["out", "as-rel", "ases", "seed", "tier1", "tier2", "max-errors"],
     )?;
     let out = opts.required("out")?;
-    let (graph, tiers) = match opts.get("as-rel") {
+    let (graph, tiers, conflicts) = match opts.get("as-rel") {
         Some(path) => {
             let mode = parse_mode(&opts)?;
-            let g = load_graph(path, &mode)?;
+            let (g, conflicts) = load_graph_full(path, &mode)?;
             let tiers = tiers_for(&g, &opts)?;
-            (g, tiers)
+            (g, tiers, conflicts)
         }
         None => {
             let net = generate(&NetGenConfig::paper_2020(
@@ -880,9 +940,10 @@ fn snapshot_save(args: &[String]) -> Result<(), String> {
                 opts.num_or("seed", 2020u64)?,
             ));
             let tiers = net.tiers_for(&net.truth);
-            (net.truth, tiers)
+            (net.truth, tiers, Vec::new())
         }
     };
+    run_validation(&graph, &tiers, &conflicts)?;
     let topo = flatnet_bgpsim::TopologySnapshot::compile(&graph);
     let stored = flatnet_store::StoredSnapshot { version: 1, graph, tiers, topo };
     flatnet_store::save_atomic(out, &stored).map_err(|e| e.to_string())?;
@@ -897,22 +958,20 @@ fn snapshot_save(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `flatnet snapshot verify --store FILE [--deep]` — decode and
-/// checksum-check a store; `--deep` also recompiles the stored graph and
-/// demands a bit-identical CSR.
+/// `flatnet snapshot verify --store FILE` — decode and checksum-check a
+/// store, exactly as a warm start would.
 fn snapshot_verify(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &["deep"], &["store"])?;
+    let opts = Opts::parse(args, &[], &["store"])?;
     let path = opts.required("store")?;
-    let report = flatnet_store::verify(path, opts.switch("deep")).map_err(|e| e.to_string())?;
+    let report = flatnet_store::verify(path, false).map_err(|e| e.to_string())?;
     println!(
-        "{path}: ok (v{}, {} ASes, {} links, tiers {}/{}, {} bytes{})",
+        "{path}: ok (v{}, {} ASes, {} links, tiers {}/{}, {} bytes)",
         report.version,
         thousands(report.nodes as u64),
         thousands(report.links as u64),
         report.tier_sizes.0,
         report.tier_sizes.1,
         thousands(report.file_bytes),
-        if report.deep { ", deep: recompiled CSR is bit-identical" } else { "" },
     );
     Ok(())
 }
@@ -945,7 +1004,7 @@ fn snapshot_fuzz(args: &[String]) -> Result<(), String> {
 }
 
 /// `flatnet metrics [--in PATH] [--prom]` — render an obs snapshot (a
-/// `flatnet-obs/v1|v2` JSON file, or the live in-process registry when
+/// `flatnet-obs/v2` JSON file, or the live in-process registry when
 /// `--in` is omitted) as the summary table or the Prometheus text
 /// exposition.
 pub fn metrics(args: &[String]) -> Result<(), String> {

@@ -78,8 +78,9 @@ USAGE:
       origins after startup and every reload (default 0 = off).
       Without --as-rel, serves a synthetic topology.
       With --store, warm-starts from the snapshot store when it is valid
-      (skipping the compile), self-heals it when it is corrupt, and
-      persists every successful reload to it.
+      (the source is not read, parsed or tier-inferred), rebuilds from
+      the source and rewrites the store when it is corrupt or of an older
+      format, and persists every successful reload to it.
       --shard-id I --shard-count N mark the daemon as one slice of a
       `flatnet router` fleet (surfaced in /healthz; normally set by the
       router when it spawns shards, not by hand).
@@ -105,19 +106,20 @@ USAGE:
 
   flatnet snapshot save   --out FILE [--as-rel FILE | --ases N --seed S]
                           [--tier1 .. --tier2 ..]
-  flatnet snapshot verify --store FILE [--deep]
+  flatnet snapshot verify --store FILE
   flatnet snapshot fuzz   --store FILE
-      Manage crash-safe snapshot stores: `save` compiles a topology and
-      writes it atomically; `verify` checksum-checks it (--deep also
-      recompiles and compares bit-for-bit); `fuzz` injects the
-      deterministic corruption corpus and fails unless every fault
-      degrades to a typed error.
+      Manage crash-safe snapshot stores (graph + tier sets; the compiled
+      topology is rebuilt on load): `save` builds a topology, refuses it
+      if it fails the daemon's health gate, and writes it atomically;
+      `verify` decodes and checksum-checks it as a warm start would;
+      `fuzz` injects the deterministic corruption corpus and fails
+      unless every fault degrades to a typed error.
 
   flatnet metrics [--in PATH] [--prom]
-      Render an obs snapshot — from a file written with `--metrics PATH`
-      (or scraped from /metrics) when --in is given, else the live
-      process registry — as a text table, or as Prometheus text
-      exposition with --prom.
+      Render an obs snapshot — from a flatnet-obs/v2 file written with
+      `--metrics PATH` (or scraped from /metrics) when --in is given,
+      else the live process registry — as a text table, or as
+      Prometheus text exposition with --prom.
 
   flatnet trace top --in DUMP.json [--top N]
       Summarize a flatnet-trace/v1 dump (as returned by

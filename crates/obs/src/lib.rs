@@ -10,7 +10,7 @@
 //! - **Histograms** ([`histogram`]) bucket microsecond latencies into
 //!   powers of two and report p50/p90/p99.
 //! - A [`Snapshot`] freezes the registry and exports as a deterministic
-//!   JSON document (`flatnet-obs/v1`) or a human-readable table.
+//!   JSON document (`flatnet-obs/v2`) or a human-readable table.
 //!
 //! Library code records into the process-wide [`global()`] registry;
 //! binaries snapshot it at exit (or diff two snapshots with
@@ -33,7 +33,7 @@ pub use log::Level;
 pub use metrics::{bucket_bound_us, Counter, Exemplar, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use prom::to_prometheus;
 pub use registry::{global, Registry};
-pub use snapshot::{HistogramSnapshot, Snapshot, SCHEMA, SCHEMA_V1};
+pub use snapshot::{HistogramSnapshot, Snapshot, SCHEMA};
 pub use span::{SpanGuard, SpanStat};
 pub use trace::{Stage, TraceCtx, TraceDump, TraceEvent, TraceRing, Tracer};
 

@@ -22,8 +22,8 @@
 //!
 //! v2 added `max_us`, `p999_us`, and the optional `raw` (exact sample
 //! set, present while complete) and `exemplars`
-//! (`[bucket bound, trace id, origin AS, value]`) histogram fields;
-//! v1 documents still parse (the additions default to empty).
+//! (`[bucket bound, trace id, origin AS, value]`) histogram fields; a
+//! v1 document is an unsupported schema.
 //!
 //! Keys are sorted, maps are emitted in a single canonical form, and all
 //! values are integers, so two snapshots with equal contents serialize to
@@ -91,14 +91,9 @@ pub struct Snapshot {
     pub spans: BTreeMap<String, SpanStat>,
 }
 
-/// Schema identifier emitted in every JSON document. v2 added
-/// `max_us`, `p999_us`, and the optional `raw` / `exemplars` histogram
-/// fields; [`Snapshot::from_json`] still accepts v1 documents (the new
-/// fields default to empty).
+/// Schema identifier emitted in every JSON document, and the only one
+/// [`Snapshot::from_json`] accepts.
 pub const SCHEMA: &str = "flatnet-obs/v2";
-
-/// The previous schema identifier, still accepted on input.
-pub const SCHEMA_V1: &str = "flatnet-obs/v1";
 
 impl Snapshot {
     /// The change from `earlier` to `self`: counters, span tallies, and
@@ -290,7 +285,7 @@ impl Snapshot {
         let top = doc::parse(text)?;
         doc::object(&top, "top level")?;
         let schema = doc::string(top.get("schema").ok_or("missing \"schema\"")?, "schema")?;
-        if schema != SCHEMA && schema != SCHEMA_V1 {
+        if schema != SCHEMA {
             return Err(format!("unsupported schema {schema:?} (want {SCHEMA:?})"));
         }
         let mut snap = Snapshot::default();
@@ -321,6 +316,10 @@ impl Snapshot {
                         fields.get("sum_us").ok_or("histogram missing sum_us")?,
                         "sum_us",
                     )?,
+                    max_us: doc::uint(
+                        fields.get("max_us").ok_or("histogram missing max_us")?,
+                        "max_us",
+                    )?,
                     ..HistogramSnapshot::default()
                 };
                 let buckets = fields.get("buckets").ok_or("histogram missing buckets")?;
@@ -335,19 +334,6 @@ impl Snapshot {
                         .find(|&i| bucket_bound_us(i) == bound)
                         .ok_or_else(|| format!("unknown bucket bound {bound}"))?;
                     h.buckets[idx] = count;
-                }
-                match fields.get("max_us") {
-                    Some(v) => h.max_us = doc::uint(v, "max_us")?,
-                    // v1 document: the best safe clamp for the top bucket
-                    // is its own upper bound (a no-op for interpolation).
-                    None => {
-                        h.max_us = h
-                            .buckets
-                            .iter()
-                            .rposition(|&c| c != 0)
-                            .map(bucket_bound_us)
-                            .unwrap_or(0);
-                    }
                 }
                 if let Some(raw) = fields.get("raw") {
                     for v in doc::array(raw, "raw")? {
@@ -550,12 +536,15 @@ mod tests {
         assert!(Snapshot::from_json("").is_err());
         assert!(Snapshot::from_json("{}").is_err()); // missing schema
         assert!(Snapshot::from_json("{\"schema\": \"other/v9\"}").is_err());
-        assert!(Snapshot::from_json("{\"schema\": \"flatnet-obs/v1\"} x").is_err());
-        let float = "{\"schema\": \"flatnet-obs/v1\", \"counters\": {\"a\": 1.5}}";
+        // Nothing has written v1 since the exemplar work; it is not read.
+        let err = Snapshot::from_json("{\"schema\": \"flatnet-obs/v1\"}").unwrap_err();
+        assert!(err.contains("unsupported schema"), "{err}");
+        assert!(Snapshot::from_json("{\"schema\": \"flatnet-obs/v2\"} x").is_err());
+        let float = "{\"schema\": \"flatnet-obs/v2\", \"counters\": {\"a\": 1.5}}";
         assert!(Snapshot::from_json(float).is_err());
-        let negative = "{\"schema\": \"flatnet-obs/v1\", \"counters\": {\"a\": -2}}";
+        let negative = "{\"schema\": \"flatnet-obs/v2\", \"counters\": {\"a\": -2}}";
         assert!(Snapshot::from_json(negative).is_err());
-        let neg_gauge = "{\"schema\": \"flatnet-obs/v1\", \"gauges\": {\"a\": -2}}";
+        let neg_gauge = "{\"schema\": \"flatnet-obs/v2\", \"gauges\": {\"a\": -2}}";
         assert_eq!(Snapshot::from_json(neg_gauge).unwrap().gauges["a"], -2);
         // Booleans and null parse as JSON but are not part of the schema.
         for alien in ["true", "null"] {
@@ -599,19 +588,6 @@ mod tests {
         assert_eq!(delta.histograms["h"].sum_us, 105);
         assert_eq!(delta.spans["phase"].count, 1);
         assert_eq!(delta.gauges["g"], 2);
-    }
-
-    #[test]
-    fn v1_documents_still_parse() {
-        let doc = "{\"schema\": \"flatnet-obs/v1\", \"histograms\": {\"h\": \
-                   {\"count\": 2, \"sum_us\": 10, \"p50_us\": 4, \"p90_us\": 8, \
-                   \"p99_us\": 8, \"buckets\": [[4, 1], [8, 1]]}}}";
-        let snap = Snapshot::from_json(doc).unwrap();
-        let h = &snap.histograms["h"];
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max_us, 8, "v1 max synthesizes to the top occupied bucket bound");
-        assert!(h.raw.is_empty());
-        assert!(h.exemplars.is_empty());
     }
 
     #[test]

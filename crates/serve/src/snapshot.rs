@@ -3,7 +3,9 @@
 //!
 //! A [`ServeSnapshot`] bundles everything a query needs — the graph, the
 //! tier sets, and the compiled [`TopologySnapshot`] — under one version
-//! number. The manager holds the current snapshot behind
+//! number; it is the store's [`flatnet_store::StoredSnapshot`], so what
+//! the store loads is what the daemon serves and what the daemon serves
+//! is what it persists. The manager holds the current snapshot behind
 //! `RwLock<Arc<..>>`: a query grabs the `Arc` once (one refcount bump)
 //! and keeps computing against it even if `/admin/reload` swaps in a
 //! successor mid-flight; the old snapshot is freed when the last
@@ -17,11 +19,13 @@
 //! always lands on a healthy snapshot or a typed error — never a panic,
 //! never a silently wrong snapshot:
 //!
-//! 1. **Warm start** — load + checksum-verify the store, re-run the
-//!    health gate on the stored graph, and serve it without compiling
-//!    (the `serve.snapshot_compile` counter stays at 0).
-//! 2. **Recompile fallback** — on *any* store corruption, truncation,
-//!    or version mismatch, log a structured diagnostic, count it, and
+//! 1. **Warm start** — load + checksum-verify the store (which compiles
+//!    the stored graph), re-run the health gate on the stored graph, and
+//!    serve it without reading, parsing or building from the source and
+//!    without inferring tiers (`serve.store_warm_start` increments).
+//! 2. **Rebuild fallback** — on *any* store corruption, truncation,
+//!    or version mismatch (an image of an earlier format included), log
+//!    a structured diagnostic, count it (`serve.store_rejected`), and
 //!    rebuild from the source exactly as a store-less start would.
 //! 3. **Rewrite** — after a fallback (or a fresh start), atomically
 //!    rewrite the store so the next restart is warm again. A failed
@@ -40,7 +44,8 @@
 //! `validate`, `compile`, `persist`, and `store_load` on a warm start —
 //! and summed up in one `info` line per snapshot; `/healthz` reports the
 //! serving snapshot's total as `snapshot_ready_ms`. A warm start records
-//! `store_load` and `validate` and nothing else.
+//! `store_load` (the file read, the decode and the compile of the stored
+//! graph) and `validate` and nothing else.
 
 use crate::error::ServeError;
 use flatnet_asgraph::graph::RelConflict;
@@ -50,7 +55,6 @@ use flatnet_asgraph::{caida, validate_topology, AsGraph, AsId, Tiers, ValidateOp
 use flatnet_bgpsim::TopologySnapshot;
 use flatnet_core::error::FlatnetError;
 use flatnet_netgen::{generate, NetGenConfig};
-use flatnet_store::SnapshotParts;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -88,18 +92,9 @@ pub enum TopologySource {
     },
 }
 
-/// One immutable, health-gated, compiled topology version.
-#[derive(Debug)]
-pub struct ServeSnapshot {
-    /// Monotonic version, starting at 1; part of every cache key.
-    pub version: u64,
-    /// The AS graph queries resolve ASNs against.
-    pub graph: AsGraph,
-    /// Tier-1/Tier-2 sets for exclusion masks and leak locking.
-    pub tiers: Tiers,
-    /// The compiled CSR snapshot the engine runs on.
-    pub topo: TopologySnapshot,
-}
+/// One immutable, health-gated, compiled topology version: the struct
+/// the store loads and saves.
+pub use flatnet_store::StoredSnapshot as ServeSnapshot;
 
 /// Times the phases of one snapshot's way into service: each goes into
 /// its `serve.snapshot_us{phase="…"}` histogram as it ends, and the split
@@ -164,7 +159,7 @@ pub struct ManagerStatus {
     pub consecutive_failures: u32,
     /// Milliseconds until the next reload attempt will be accepted.
     pub backoff_remaining_ms: u64,
-    /// Whether the first snapshot came from the store without a compile.
+    /// Whether the first snapshot came from the store, not the source.
     pub warm_start: bool,
     /// Milliseconds the serving snapshot took from the beginning of its
     /// start or reload until it was ready, store write included.
@@ -194,9 +189,9 @@ impl SnapshotManager {
     }
 
     /// As [`SnapshotManager::new`], with an optional snapshot-store path.
-    /// A valid store warm-starts without compiling; any corruption,
-    /// truncation, or version mismatch degrades to recompile-and-rewrite
-    /// (see the module docs for the full ladder).
+    /// A valid store warm-starts without touching the source; any
+    /// corruption, truncation, or version mismatch degrades to
+    /// rebuild-and-rewrite (see the module docs for the full ladder).
     pub fn with_store(
         source: TopologySource,
         store_path: Option<String>,
@@ -213,7 +208,7 @@ impl SnapshotManager {
                     Ok(snap) => {
                         warm_starts.inc();
                         flatnet_obs::info!(
-                            "store warm start: {path} v{} ({} ASes, {} links) — no compile",
+                            "store warm start: {path} v{} ({} ASes, {} links) — source not read",
                             snap.version,
                             snap.graph.len(),
                             snap.graph.edge_count()
@@ -224,7 +219,7 @@ impl SnapshotManager {
                         store_faults.inc();
                         flatnet_obs::warn!(
                             "store rejected: path={path} kind={} detail={e}; \
-                             falling back to recompile from source",
+                             falling back to a rebuild from source",
                             e.kind()
                         );
                     }
@@ -250,8 +245,8 @@ impl SnapshotManager {
             store_write_failures: reg.counter("serve.store_write_failures"),
         };
         if !warm_start {
-            // Fresh compile (or fallback after a rejected store): rewrite
-            // the store so the next restart is warm.
+            // Built from the source (first start, or fallback after a
+            // rejected store): rewrite the store so the next restart is warm.
             mgr.persist(&mgr.current(), &mut clock);
         }
         let how = if warm_start { "warm start" } else { "cold start" };
@@ -376,13 +371,7 @@ impl SnapshotManager {
     /// never fatal.
     fn persist(&self, snap: &ServeSnapshot, clock: &mut PhaseClock) {
         let Some(path) = &self.store_path else { return };
-        let parts = SnapshotParts {
-            version: snap.version,
-            graph: &snap.graph,
-            tiers: &snap.tiers,
-            topo: &snap.topo,
-        };
-        match clock.time("persist", || flatnet_store::save_atomic_parts(path, parts)) {
+        match clock.time("persist", || flatnet_store::save_atomic(path, snap)) {
             Ok(()) => {
                 self.store_writes.inc();
                 flatnet_obs::info!("store written: {path} v{}", snap.version);
@@ -403,7 +392,7 @@ fn try_warm_start(
     path: &str,
     clock: &mut PhaseClock,
 ) -> Result<ServeSnapshot, flatnet_store::StoreError> {
-    let stored = clock.time("store_load", || flatnet_store::load(path))?;
+    let mut stored = clock.time("store_load", || flatnet_store::load(path))?;
     let report = clock.time("validate", || {
         validate_topology(
             &stored.graph,
@@ -419,21 +408,15 @@ fn try_warm_start(
             detail: format!("stored topology fails the health gate:\n{}", report.render()),
         });
     }
-    Ok(ServeSnapshot {
-        version: stored.version.max(1),
-        graph: stored.graph,
-        tiers: stored.tiers,
-        topo: stored.topo,
-    })
+    stored.version = stored.version.max(1);
+    Ok(stored)
 }
 
 fn tier_asns(g: &AsGraph, nodes: &[flatnet_asgraph::NodeId]) -> Vec<AsId> {
     nodes.iter().map(|&n| g.asn(n)).collect()
 }
 
-/// Ingest + health gate + compile, shared by startup and reload. The
-/// `serve.snapshot_compile` counter makes "did we compile?" observable —
-/// warm starts must leave it untouched.
+/// Ingest + health gate + compile, shared by startup and reload.
 fn load(
     source: &TopologySource,
     version: u64,
@@ -479,7 +462,6 @@ fn load(
         flatnet_obs::warn!("snapshot v{version} health findings:\n{}", report.render());
     }
 
-    flatnet_obs::counter("serve.snapshot_compile").inc();
     let topo = clock.time("compile", || TopologySnapshot::compile(&graph));
     flatnet_obs::info!(
         "snapshot v{version}: {} ASes, {} links, {} Tier-1s, {} Tier-2s",
@@ -530,6 +512,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir.join("snap.store").display().to_string()
+    }
+
+    /// Same graph, same tiers; the compiled topology follows from the
+    /// graph, since `compile` is the only way to make one.
+    fn assert_same_topology(a: &ServeSnapshot, b: &ServeSnapshot) {
+        assert!(a.graph.asns().eq(b.graph.asns()));
+        assert_eq!(a.graph.edges(), b.graph.edges());
+        assert_eq!(a.tiers, b.tiers);
+        assert_eq!(a.topo.len(), b.topo.len());
+        assert_eq!(a.topo.edge_entries(), b.topo.edge_entries());
     }
 
     #[test]
@@ -618,10 +610,7 @@ mod tests {
         let warm = mgr2.current();
         assert!(mgr2.status().warm_start, "second start must be warm");
         assert_eq!(warm.version, cold.version);
-        assert!(
-            flatnet_store::topo_identical(&warm.topo, &cold.topo),
-            "warm-start snapshot must be bit-identical"
-        );
+        assert_same_topology(&warm, &cold);
     }
 
     #[test]
@@ -639,11 +628,12 @@ mod tests {
         let mgr = SnapshotManager::with_store(tiny_source(), Some(path.clone())).unwrap();
         let status = mgr.status();
         assert!(!status.warm_start, "corrupted store must not warm-start");
-        // The healed store must verify and match a from-source compile.
-        let report = flatnet_store::verify(&path, true).expect("store rewritten after corruption");
+        // The healed store must verify and hold the from-source topology.
+        let report = flatnet_store::verify(&path, false).expect("store rewritten after corruption");
         assert_eq!(report.nodes, mgr.current().graph.len());
         let direct = load(&tiny_source(), 1, &mut PhaseClock::start()).unwrap();
-        assert!(flatnet_store::topo_identical(&mgr.current().topo, &direct.topo));
+        assert_same_topology(&flatnet_store::load(&path).unwrap(), &direct);
+        assert_same_topology(&mgr.current(), &direct);
     }
 
     #[test]

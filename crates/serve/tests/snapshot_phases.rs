@@ -1,9 +1,11 @@
 //! The snapshot lifecycle is legible from `/metrics` alone: a cold start
 //! records `read`/`parse`/`build`/`tiers`/`validate`/`compile`/`persist`
 //! once each in `serve.snapshot_us{phase=…}`, a warm start records
-//! `store_load` and `validate` and *nothing else* — no `parse`, no
-//! `compile` — a reload is a cold start again, and `/healthz` says how
-//! long the serving snapshot took.
+//! `store_load` and `validate` and *nothing else* — no `read`, `parse`,
+//! `build` or `tiers`, and no `compile` sample of its own: the stored
+//! graph is compiled inside `flatnet_store::load`, under `store_load` —
+//! a reload is a cold start again, and `/healthz` says how long the
+//! serving snapshot took.
 //!
 //! ONE `#[test]`, alone in its binary: the registry is process-global and
 //! the assertions are exact counts, which any other test starting a

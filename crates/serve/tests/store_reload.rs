@@ -1,8 +1,9 @@
 //! The self-healing store and the reload path, end to end: warm starts
-//! must skip the compile and answer bit-identically, corruption must
-//! degrade to recompile-and-rewrite, and a daemon whose reloads keep
-//! failing must keep answering queries from the old snapshot with zero
-//! 5xx and monotonically non-decreasing versions.
+//! must leave the source alone and answer byte-identically, corruption —
+//! and an image of the previous format — must degrade to
+//! rebuild-and-rewrite, and a daemon whose reloads keep failing must keep
+//! answering queries from the old snapshot with zero 5xx and
+//! monotonically non-decreasing versions.
 
 use flatnet_asgraph::caida;
 use flatnet_netgen::{generate, NetGenConfig};
@@ -41,8 +42,36 @@ fn counter(name: &str) -> u64 {
     flatnet_obs::global().counter(name).get()
 }
 
+/// Samples in one `serve.snapshot_us{phase=…}` histogram.
+fn phase(name: &str) -> u64 {
+    flatnet_obs::histogram(&format!("serve.snapshot_us{{phase=\"{name}\"}}")).count()
+}
+
+/// The tests that start a daemon on a store hold this, so their deltas on
+/// the store counters are exact.
+static STORE_COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// The `data` member, as sent, of one answer per `/v1` endpoint. The
+/// envelope before it carries the per-request trace id.
+fn answers(addr: SocketAddr, origin: u32) -> [String; 3] {
+    let client = Client::new(addr.to_string(), Duration::from_secs(30));
+    let leak = format!("{{\"victim\":{origin},\"lock\":\"t12\",\"leakers\":8}}");
+    [
+        ("GET", format!("/v1/reachability?origin={origin}&full=1"), None),
+        ("GET", format!("/v1/reliance?origin={origin}&top=50"), None),
+        ("POST", "/v1/whatif/leak".to_string(), Some(leak.as_str())),
+    ]
+    .map(|(method, target, body)| {
+        let reply = client.request(method, &target, body, 0).expect("round trip");
+        assert_eq!(reply.status, 200, "{target}: {}", reply.body);
+        let data = reply.body.find("\"data\":").expect("an enveloped answer");
+        reply.body[data..].to_string()
+    })
+}
+
 #[test]
-fn warm_start_skips_the_compile_and_answers_identically() {
+fn warm_start_leaves_the_source_alone_and_answers_identically() {
+    let _exact = STORE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("warm");
     let store = dir.join("snap.store").display().to_string();
     let source = TopologySource::Generated { ases: 400, seed: 21 };
@@ -69,11 +98,14 @@ fn warm_start_skips_the_compile_and_answers_identically() {
     let (status, cold_doc) = fetch(server.addr(), "GET", &probe);
     assert_eq!(status, 200, "{cold_doc:?}");
     let cold_reach = data_of(&cold_doc).get("reach").and_then(Json::as_array).unwrap().len();
+    let cold_answers = answers(server.addr(), origin);
     server.shutdown();
 
-    // Warm start: no compile, at least one warm start, identical answer.
-    let compiles_before = counter("serve.snapshot_compile");
+    // Warm start: counted, timed as a store load and a health gate, and
+    // the same answers. (That it times no read, parse, build or tier
+    // inference is `snapshot_phases.rs`, alone in its binary.)
     let warm_before = counter("serve.store_warm_start");
+    let (loads_before, gates_before) = (phase("store_load"), phase("validate"));
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
@@ -82,12 +114,9 @@ fn warm_start_skips_the_compile_and_answers_identically() {
         ..ServeConfig::default()
     })
     .expect("warm start");
-    assert_eq!(
-        counter("serve.snapshot_compile"),
-        compiles_before,
-        "a warm start must not compile"
-    );
     assert_eq!(counter("serve.store_warm_start"), warm_before + 1);
+    assert_eq!(phase("store_load"), loads_before + 1);
+    assert!(phase("validate") > gates_before, "a warm start re-runs the health gate");
     let (status, health) = fetch(server.addr(), "GET", "/healthz");
     assert_eq!(status, 200);
     assert_eq!(health.get("warm_start").and_then(Json::as_bool), Some(true));
@@ -102,12 +131,14 @@ fn warm_start_skips_the_compile_and_answers_identically() {
         data_of(&warm_doc).get("reachable").and_then(Json::as_u64),
         data_of(&cold_doc).get("reachable").and_then(Json::as_u64),
     );
+    assert_eq!(answers(server.addr(), origin), cold_answers);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn corrupted_store_recompiles_and_heals_the_file() {
+    let _exact = STORE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = temp_dir("heal");
     let store = dir.join("snap.store").display().to_string();
     let source = TopologySource::Generated { ases: 300, seed: 5 };
@@ -121,12 +152,12 @@ fn corrupted_store_recompiles_and_heals_the_file() {
     .shutdown();
 
     // Truncate the store mid-file: the next start must reject it, count
-    // the rejection, recompile, and rewrite a valid store.
+    // the rejection, rebuild from the source, and rewrite a valid store.
     let bytes = std::fs::read(&store).unwrap();
     std::fs::write(&store, &bytes[..bytes.len() / 2]).unwrap();
 
     let rejected_before = counter("serve.store_rejected");
-    let compiles_before = counter("serve.snapshot_compile");
+    let builds_before = phase("build");
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         store: Some(store.clone()),
@@ -135,15 +166,62 @@ fn corrupted_store_recompiles_and_heals_the_file() {
     })
     .expect("corruption must not prevent startup");
     assert_eq!(counter("serve.store_rejected"), rejected_before + 1);
-    assert!(counter("serve.snapshot_compile") > compiles_before, "fallback must compile");
+    assert!(phase("build") > builds_before, "the fallback builds from the source");
     let (status, health) = fetch(server.addr(), "GET", "/healthz");
     assert_eq!(status, 200);
     assert_eq!(health.get("warm_start").and_then(Json::as_bool), Some(false));
     server.shutdown();
 
-    // Self-healed: the rewritten store passes a deep verify.
-    let report = flatnet_store::verify(&store, true).expect("store must be healed");
+    // Self-healed: the rewritten store verifies.
+    let report = flatnet_store::verify(&store, false).expect("store must be healed");
     assert_eq!(report.nodes, 300);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_v1_store_is_rejected_rewritten_as_v2_and_warm_from_then_on() {
+    let _exact = STORE_COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = temp_dir("v1");
+    let store = dir.join("snap.store").display().to_string();
+    // What a deployment upgrading across the format bump has on disk.
+    let v1 = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/../store/tests/data/tiny.v1.store"))
+        .expect("the v1 fixture is checked in");
+    std::fs::write(&store, &v1).unwrap();
+    let err = flatnet_store::load(&store).expect_err("format v1 is not read");
+    assert_eq!(err.kind(), "unsupported-version", "{err}");
+
+    let config = || ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        store: Some(store.clone()),
+        source: TopologySource::Generated { ases: 300, seed: 5 },
+        ..ServeConfig::default()
+    };
+    let origin = generate(&NetGenConfig::paper_2020(300, 5)).truth.asn(flatnet_asgraph::NodeId(0)).0;
+
+    // First start: like any rejected store — counted once, rebuilt from
+    // the source, rewritten.
+    let rejected_before = counter("serve.store_rejected");
+    let server = Server::start(config()).expect("an old store must not prevent startup");
+    assert_eq!(counter("serve.store_rejected"), rejected_before + 1);
+    let (_, health) = fetch(server.addr(), "GET", "/healthz");
+    assert_eq!(health.get("warm_start").and_then(Json::as_bool), Some(false));
+    let cold_answers = answers(server.addr(), origin);
+    server.shutdown();
+    let rewritten = std::fs::read(&store).unwrap();
+    assert_ne!(rewritten, v1);
+    assert_eq!(flatnet_store::verify(&store, false).expect("rewritten as v2").nodes, 300);
+
+    // Second start: warm, from the rewritten file, with the same answers.
+    let warm_before = counter("serve.store_warm_start");
+    let server = Server::start(config()).expect("warm start");
+    assert_eq!(counter("serve.store_rejected"), rejected_before + 1);
+    assert_eq!(counter("serve.store_warm_start"), warm_before + 1);
+    let (_, health) = fetch(server.addr(), "GET", "/healthz");
+    assert_eq!(health.get("warm_start").and_then(Json::as_bool), Some(true));
+    assert_eq!(answers(server.addr(), origin), cold_answers);
+    server.shutdown();
+    assert_eq!(std::fs::read(&store).unwrap(), rewritten, "a warm start does not rewrite");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

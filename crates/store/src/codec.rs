@@ -1,92 +1,61 @@
-//! Section codecs: [`StoredSnapshot`] ⇄ the container's four payloads.
+//! Section codecs: [`StoredSnapshot`] ⇄ the container's three payloads.
 //!
 //! The graph is stored as its canonical edge list plus the sorted ASN
 //! table and handed to [`AsGraph::from_canonical_edges`] — the one
 //! constructor every ingestion path ends in — which checks the canonical
 //! form instead of restoring it: an image whose edges are out of order
-//! is malformed, so whatever decodes re-encodes to the same bytes. The
-//! CSR arrays are stored verbatim and revalidated by
-//! [`TopologySnapshot::from_raw_parts`], so a warm start skips the
-//! compile entirely without ever trusting unvalidated offsets.
+//! is malformed, so whatever decodes re-encodes to the same bytes.
+//! Nothing derived is stored: [`decode`] ends in
+//! [`TopologySnapshot::compile`] of the graph it just validated, so the
+//! compiled snapshot a warm start serves cannot disagree with its graph.
 
 use crate::error::{SectionId, StoreError};
 use crate::format::{unpack, Cursor, Enc, REQUIRED_SECTIONS};
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Relationship, Tiers};
 use flatnet_bgpsim::TopologySnapshot;
 
-/// Everything the serve daemon needs to warm-start: the graph, the tier
-/// sets, the compiled CSR snapshot, and the snapshot version the daemon
-/// had reached when the store was written (so versions stay monotonic
-/// across restarts).
+/// One topology version with everything a query needs: the graph, the
+/// tier sets, the propagation snapshot compiled from the graph, and the
+/// snapshot version the daemon had reached (so versions stay monotonic
+/// across restarts). The store persists `version`, `graph` and `tiers`;
+/// `topo` is recompiled on load.
 #[derive(Debug, Clone)]
 pub struct StoredSnapshot {
-    /// The serve-side snapshot version this store captures.
+    /// Monotonic serve-side version, starting at 1; part of every cache key.
     pub version: u64,
-    /// The AS graph.
+    /// The AS graph queries resolve ASNs against.
     pub graph: AsGraph,
-    /// Tier-1/Tier-2 sets over `graph`'s node ids.
+    /// Tier-1/Tier-2 sets over `graph`'s node ids, for exclusion masks and
+    /// leak locking.
     pub tiers: Tiers,
-    /// The compiled propagation snapshot of `graph`.
+    /// `TopologySnapshot::compile(&graph)`, which the engine runs on.
     pub topo: TopologySnapshot,
-}
-
-/// A [`StoredSnapshot`] by reference: what encoding reads, for a caller
-/// that holds the parts elsewhere (the serve daemon's `ServeSnapshot`)
-/// and should not deep-copy a topology just to write it out.
-#[derive(Debug, Clone, Copy)]
-pub struct SnapshotParts<'a> {
-    /// The serve-side snapshot version.
-    pub version: u64,
-    /// The AS graph.
-    pub graph: &'a AsGraph,
-    /// Tier-1/Tier-2 sets over `graph`'s node ids.
-    pub tiers: &'a Tiers,
-    /// The compiled propagation snapshot of `graph`.
-    pub topo: &'a TopologySnapshot,
-}
-
-impl StoredSnapshot {
-    /// This snapshot's parts, borrowed.
-    pub fn parts(&self) -> SnapshotParts<'_> {
-        SnapshotParts {
-            version: self.version,
-            graph: &self.graph,
-            tiers: &self.tiers,
-            topo: &self.topo,
-        }
-    }
 }
 
 /// Hard cap on node/edge counts read from a file, so a corrupted count
 /// field cannot provoke a multi-gigabyte allocation before validation.
 /// Generous: ~30× the current full CAIDA topology.
 const MAX_NODES: u32 = 16_000_000;
-/// Cap on adjacency/edge entries (directed), same rationale.
+/// Cap on the edge count, same rationale.
 const MAX_ENTRIES: u32 = 512_000_000;
 
 fn malformed(section: SectionId) -> impl FnOnce(String) -> StoreError {
     move |detail| StoreError::Malformed { section, detail }
 }
 
-/// Encodes a snapshot into a complete container image.
-pub fn encode(snap: &StoredSnapshot) -> Vec<u8> {
-    encode_parts(snap.parts())
-}
-
 /// Bytes of one stored edge: two `u32` node ids and the relationship tag.
 pub(crate) const EDGE_RECORD: usize = 9;
 
-/// [`encode`] from borrowed parts.
-pub(crate) fn encode_parts(snap: SnapshotParts<'_>) -> Vec<u8> {
-    let g = snap.graph;
+/// Encodes a snapshot into a complete container image. `snap.topo` is not
+/// read: the image holds only what [`decode`] cannot recompute.
+pub fn encode(snap: &StoredSnapshot) -> Vec<u8> {
+    let g = &snap.graph;
     let (t1, t2) = (snap.tiers.tier1(), snap.tiers.tier2());
-    let (off, cust_end, peer_end, adj, total_peer) = snap.topo.raw_parts();
     // Every section's length is arithmetic in the counts it starts with,
     // so the image is sized once and written in place.
     let payload_bytes = 8
         + (8 + 4 * g.len() + EDGE_RECORD * g.edge_count())
-        + (8 + 4 * (t1.len() + t2.len()))
-        + (16 + 4 * (off.len() + cust_end.len() + peer_end.len() + adj.len()));
+        + (8 + 4 * (t1.len() + t2.len()));
     let mut enc = Enc::new(REQUIRED_SECTIONS.len(), payload_bytes);
 
     // Meta: version of the serve snapshot.
@@ -116,16 +85,6 @@ pub(crate) fn encode_parts(snap: SnapshotParts<'_>) -> Vec<u8> {
     for &n in t1.iter().chain(t2) {
         enc.u32(n.0);
     }
-
-    // CSR: the compiled arrays, verbatim.
-    enc.section(SectionId::Csr);
-    enc.u32(snap.topo.len() as u32);
-    enc.u32(adj.len() as u32);
-    enc.u64(total_peer);
-    enc.u32s(off);
-    enc.u32s(cust_end);
-    enc.u32s(peer_end);
-    enc.u32s(adj);
 
     enc.finish()
 }
@@ -222,33 +181,6 @@ fn decode_tiers(payload: &[u8], graph: &AsGraph) -> Result<Tiers, StoreError> {
     Ok(Tiers::from_lists(graph, &to_asids(&t1), &to_asids(&t2)))
 }
 
-fn decode_csr(payload: &[u8], graph: &AsGraph) -> Result<TopologySnapshot, StoreError> {
-    let section = SectionId::Csr;
-    let mut c = Cursor::new(payload);
-    let n = c.u32("csr node count").map_err(malformed(section))?;
-    let adj_len = c.u32("adjacency length").map_err(malformed(section))?;
-    let total_peer = c.u64("total peer entries").map_err(malformed(section))?;
-    if n as usize != graph.len() {
-        return Err(StoreError::Malformed {
-            section,
-            detail: format!("csr covers {n} nodes but the graph has {}", graph.len()),
-        });
-    }
-    if adj_len > MAX_ENTRIES {
-        return Err(StoreError::Malformed {
-            section,
-            detail: format!("adjacency length {adj_len} exceeds the sanity cap {MAX_ENTRIES}"),
-        });
-    }
-    let off = c.u32s(n as usize + 1, "off array").map_err(malformed(section))?;
-    let cust_end = c.u32s(n as usize, "cust_end array").map_err(malformed(section))?;
-    let peer_end = c.u32s(n as usize, "peer_end array").map_err(malformed(section))?;
-    let adj = c.u32s(adj_len as usize, "adjacency array").map_err(malformed(section))?;
-    c.expect_end("csr").map_err(malformed(section))?;
-    TopologySnapshot::from_raw_parts(n as usize, off, cust_end, peer_end, adj, total_peer)
-        .map_err(|detail| StoreError::Malformed { section, detail })
-}
-
 /// Decodes a complete container image. Never panics; every corruption,
 /// truncation, or version mismatch is a typed [`StoreError`].
 pub fn decode(bytes: &[u8]) -> Result<StoredSnapshot, StoreError> {
@@ -257,19 +189,15 @@ pub fn decode(bytes: &[u8]) -> Result<StoredSnapshot, StoreError> {
     let version = decode_meta(sections[0].1)?;
     let graph = decode_graph(sections[1].1)?;
     let tiers = decode_tiers(sections[2].1, &graph)?;
-    let topo = decode_csr(sections[3].1, &graph)?;
+    let topo = TopologySnapshot::compile(&graph);
     Ok(StoredSnapshot { version, graph, tiers, topo })
-}
-
-/// Whether two compiled snapshots are bit-identical (same CSR arrays).
-pub fn topo_identical(a: &TopologySnapshot, b: &TopologySnapshot) -> bool {
-    a.len() == b.len() && a.raw_parts() == b.raw_parts()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use flatnet_asgraph::AsGraphBuilder;
+    use flatnet_bgpsim::{PropagationConfig, RouteClass, Workspace};
 
     fn diamond_snapshot() -> StoredSnapshot {
         let mut b = AsGraphBuilder::new();
@@ -295,20 +223,55 @@ mod tests {
         assert_eq!(back.graph.edges(), snap.graph.edges());
         assert!(back.graph.asns().eq(snap.graph.asns()));
         assert_eq!(back.tiers, snap.tiers);
-        assert!(topo_identical(&back.topo, &snap.topo));
+        assert_eq!(
+            (back.topo.len(), back.topo.edge_entries()),
+            (snap.topo.len(), snap.topo.edge_entries())
+        );
         // Encoding the decoded snapshot reproduces the exact same bytes.
         assert_eq!(encode(&back), bytes);
     }
 
+    /// Every node's selected `(class, length)`, from every origin.
+    fn selections(topo: &TopologySnapshot, g: &AsGraph) -> Vec<Vec<Option<(RouteClass, u32)>>> {
+        let mut ws = Workspace::for_snapshot(topo);
+        let cfg = PropagationConfig::default();
+        g.nodes()
+            .map(|origin| {
+                ws.run(topo, origin, &cfg);
+                g.nodes().map(|t| ws.selection(t)).collect()
+            })
+            .collect()
+    }
+
     #[test]
-    fn csr_must_match_the_graph_dimension() {
-        let snap = diamond_snapshot();
-        let mut other = snap.clone();
-        let mut b = AsGraphBuilder::new();
-        b.add_link(AsId(1), AsId(2), Relationship::P2p);
-        other.topo = TopologySnapshot::compile(&b.build());
-        let bytes = encode(&other);
-        let err = decode(&bytes).unwrap_err();
-        assert!(matches!(err, StoreError::Malformed { section: SectionId::Csr, .. }), "{err}");
+    fn what_decode_returns_propagates_like_a_compile_of_the_stored_graph() {
+        // Graph A: AS1 → AS2 → AS3 with AS4 isolated. Graph B has the
+        // same four ASes, with AS4 a customer of AS1. The snapshot holds
+        // A beside B's compiled topology. An image that carried compiled
+        // arrays would hand B's back — structurally sound for four nodes,
+        // every checksum valid — and AS3 would reach AS4 through a link
+        // the stored graph does not have.
+        let build = |with_as4_link: bool| {
+            let mut b = AsGraphBuilder::new();
+            b.add_link(AsId(1), AsId(2), Relationship::P2c);
+            b.add_link(AsId(2), AsId(3), Relationship::P2c);
+            if with_as4_link {
+                b.add_link(AsId(1), AsId(4), Relationship::P2c);
+            } else {
+                b.add_isolated(AsId(4));
+            }
+            b.build()
+        };
+        let (a, b) = (build(false), build(true));
+        assert!(a.asns().eq(b.asns()));
+        let tiers = Tiers::from_lists(&a, &[AsId(1)], &[]);
+        let mixed =
+            StoredSnapshot { version: 1, graph: a, tiers, topo: TopologySnapshot::compile(&b) };
+        let back = decode(&encode(&mixed)).unwrap();
+        assert_eq!(back.graph.edges(), mixed.graph.edges());
+        let want = selections(&TopologySnapshot::compile(&back.graph), &back.graph);
+        assert_eq!(selections(&back.topo, &back.graph), want);
+        let as3 = back.graph.index_of(AsId(3)).unwrap();
+        assert_eq!(want[as3.idx()].iter().flatten().count(), 3, "AS3 reaches AS1, AS2 and itself");
     }
 }

@@ -17,8 +17,6 @@ pub enum SectionId {
     Graph,
     /// The Tier-1 / Tier-2 node sets.
     Tiers,
-    /// The compiled CSR arrays of the propagation snapshot.
-    Csr,
 }
 
 impl SectionId {
@@ -28,17 +26,16 @@ impl SectionId {
             SectionId::Meta => 1,
             SectionId::Graph => 2,
             SectionId::Tiers => 3,
-            SectionId::Csr => 4,
         }
     }
 
-    /// Parses a wire id.
+    /// Parses a wire id. Id 4 (format v1's compiled-adjacency section)
+    /// stays unassigned.
     pub fn from_wire(id: u32) -> Option<Self> {
         match id {
             1 => Some(SectionId::Meta),
             2 => Some(SectionId::Graph),
             3 => Some(SectionId::Tiers),
-            4 => Some(SectionId::Csr),
             _ => None,
         }
     }
@@ -49,7 +46,6 @@ impl SectionId {
             SectionId::Meta => "meta",
             SectionId::Graph => "graph",
             SectionId::Tiers => "tiers",
-            SectionId::Csr => "csr",
         }
     }
 }
@@ -105,10 +101,6 @@ pub enum StoreError {
         /// Unaccounted-for byte count.
         extra: usize,
     },
-    /// Deep verification found the stored CSR differs from a fresh
-    /// compile of the stored graph (the file is internally inconsistent
-    /// even though every checksum passes).
-    CsrMismatch,
 }
 
 impl StoreError {
@@ -125,7 +117,6 @@ impl StoreError {
             StoreError::SectionChecksum { .. } => "section-checksum",
             StoreError::Malformed { .. } => "malformed-section",
             StoreError::TrailingBytes { .. } => "trailing-bytes",
-            StoreError::CsrMismatch => "csr-mismatch",
         }
     }
 }
@@ -151,9 +142,6 @@ impl fmt::Display for StoreError {
             }
             StoreError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes after the last section")
-            }
-            StoreError::CsrMismatch => {
-                write!(f, "stored CSR arrays differ from a fresh compile of the stored graph")
             }
         }
     }

@@ -10,7 +10,7 @@
 //! family of *checksum-valid* payload edits (section and header CRCs
 //! recomputed) that only the semantic validators behind the checksums
 //! can catch: non-canonical edge lists, out-of-range ids, overlapping
-//! tier sets, broken CSR offsets.
+//! tier sets.
 //! This mirrors how PR 3/5 pinned the propagation engines: the decoder
 //! is pinned against the full corpus in CI, so a refactor that makes
 //! any corruption panic — or worse, load — fails the build.
@@ -74,7 +74,6 @@ fn write_u32(b: &mut [u8], at: usize, v: u32) {
 fn semantic_faults(valid: &[u8], extents: &[(String, usize, usize)]) -> Vec<Fault> {
     const GRAPH: usize = 1;
     const TIERS: usize = 2;
-    const CSR: usize = 3;
     let mut out = Vec::new();
     let mut edit = |name: &str, section: usize, f: &dyn Fn(&mut [u8])| {
         let mut bytes = valid.to_vec();
@@ -131,14 +130,6 @@ fn semantic_faults(valid: &[u8], extents: &[(String, usize, usize)]) -> Vec<Faul
             write_u32(b, tier_at(0), low);
             write_u32(b, tier_at(t1), low);
         });
-    }
-
-    // Csr: n, |adj|, total_peer u64, off[n + 1], …
-    let c = extents[CSR].1;
-    edit("csr node count != graph's", CSR, &|b| write_u32(b, c, n + 1));
-    if n >= 2 {
-        let adj_len = read_u32(valid, c + 4);
-        edit("csr off non-monotone", CSR, &|b| write_u32(b, c + 16 + 4, adj_len + 1));
     }
     out
 }

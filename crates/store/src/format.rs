@@ -4,7 +4,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"FNSNAP\r\n"  (the \r\n catches newline mangling)
-//! 8       4     format version, u32 LE (currently 1)
+//! 8       4     format version, u32 LE (currently 2)
 //! 12      4     section count, u32 LE
 //! 16      24*k  section table: { id u32, crc32 u32, offset u64, len u64 }
 //! 16+24k  4     crc32 over bytes [0, 16+24k)
@@ -24,15 +24,15 @@ use crate::error::{SectionId, StoreError};
 /// The 8-byte file magic.
 pub const MAGIC: &[u8; 8] = b"FNSNAP\r\n";
 /// The format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 /// Fixed header bytes before the section table.
 pub const FIXED_HEADER: usize = 16;
 /// Bytes per section-table entry.
 pub const TABLE_ENTRY: usize = 24;
 
 /// The sections every store file must contain, in table order.
-pub const REQUIRED_SECTIONS: [SectionId; 4] =
-    [SectionId::Meta, SectionId::Graph, SectionId::Tiers, SectionId::Csr];
+pub const REQUIRED_SECTIONS: [SectionId; 3] =
+    [SectionId::Meta, SectionId::Graph, SectionId::Tiers];
 
 fn read_u32(b: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
@@ -190,18 +190,6 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a `u32` slice as LE words (no length prefix; the caller
-    /// writes counts explicitly). The buffer is extended once and the
-    /// words stored into it, which compiles to a block copy on
-    /// little-endian targets.
-    pub fn u32s(&mut self, vs: &[u32]) {
-        let start = self.buf.len();
-        self.buf.resize(start + vs.len() * 4, 0);
-        for (dst, v) in self.buf[start..].chunks_exact_mut(4).zip(vs) {
-            dst.copy_from_slice(&v.to_le_bytes());
-        }
-    }
-
     /// Fills in the header, the section table and the checksums, and
     /// returns the finished image.
     pub fn finish(mut self) -> Vec<u8> {
@@ -304,13 +292,12 @@ mod tests {
     use super::*;
 
     fn tiny() -> Vec<u8> {
-        let payloads: [(SectionId, &[u8]); 4] = [
+        let payloads: [(SectionId, &[u8]); 3] = [
             (SectionId::Meta, &[1, 2, 3]),
-            (SectionId::Graph, &[4, 5]),
-            (SectionId::Tiers, &[]),
-            (SectionId::Csr, &[6; 10]),
+            (SectionId::Graph, &[]),
+            (SectionId::Tiers, &[6; 10]),
         ];
-        let mut enc = Enc::new(payloads.len(), 15);
+        let mut enc = Enc::new(payloads.len(), 13);
         for (id, payload) in payloads {
             enc.section(id);
             payload.iter().for_each(|&b| enc.u8(b));
@@ -321,23 +308,23 @@ mod tests {
     #[test]
     fn u32s_move_as_little_endian_words() {
         let words = [1u32, 0x0403_0201, u32::MAX];
-        let mut enc = Enc::new(4, 0);
-        REQUIRED_SECTIONS[..3].iter().for_each(|&id| enc.section(id));
-        enc.section(SectionId::Csr);
-        enc.u32s(&words);
+        let mut enc = Enc::new(REQUIRED_SECTIONS.len(), 0);
+        REQUIRED_SECTIONS.iter().for_each(|&id| enc.section(id));
+        words.iter().for_each(|&w| enc.u32(w));
         let bytes = enc.finish();
-        let csr = unpack(&bytes).unwrap()[3].1;
-        assert_eq!(csr, [1, 0, 0, 0, 1, 2, 3, 4, 255, 255, 255, 255]);
-        assert_eq!(Cursor::new(csr).u32s(3, "words").unwrap(), words);
+        let last = unpack(&bytes).unwrap()[2].1;
+        assert_eq!(last, [1, 0, 0, 0, 1, 2, 3, 4, 255, 255, 255, 255]);
+        assert_eq!(Cursor::new(last).u32s(3, "words").unwrap(), words);
     }
 
     #[test]
     fn pack_unpack_round_trip() {
         let bytes = tiny();
         let sections = unpack(&bytes).unwrap();
-        assert_eq!(sections.len(), 4);
+        assert_eq!(sections.len(), 3);
         assert_eq!(sections[0], (SectionId::Meta, &[1u8, 2, 3][..]));
-        assert_eq!(sections[3].1, &[6u8; 10][..]);
+        assert_eq!(sections[1].1, &[0u8; 0][..]);
+        assert_eq!(sections[2].1, &[6u8; 10][..]);
     }
 
     #[test]

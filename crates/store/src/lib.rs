@@ -1,21 +1,24 @@
 #![warn(missing_docs)]
 
-//! # flatnet-store — crash-safe persistence for compiled snapshots
+//! # flatnet-store — crash-safe persistence for serve snapshots
 //!
-//! The serve daemon compiles a [`flatnet_bgpsim::TopologySnapshot`]
-//! from raw CAIDA/netgen input on every start; this crate gives that
-//! compile a durable, integrity-checked home so a restart costs a file
-//! read instead of a recompile, and a corrupted file costs a recompile
-//! instead of a wrong answer.
+//! The serve daemon reads, parses, builds and tier-infers its topology
+//! from raw CAIDA/netgen input on every start; this crate gives the
+//! result — the graph and the tier sets, nothing derived from them — a
+//! durable, integrity-checked home, so a restart costs a file read and a
+//! [`flatnet_bgpsim::TopologySnapshot::compile`] instead of a re-ingest,
+//! and a corrupted file costs a rebuild from the source instead of a
+//! wrong answer.
 //!
 //! Three guarantees, one per layer:
 //!
 //! * **Format** ([`format`], [`codec`]) — a versioned binary container
 //!   (magic + format version + section table) with length-prefixed,
-//!   individually CRC-32-checksummed sections for the AS graph, the
-//!   tier sets, and the CSR arrays. Every length and offset is
+//!   individually CRC-32-checksummed sections for the snapshot version,
+//!   the AS graph and the tier sets. Every length and offset is
 //!   bounds-checked with checked arithmetic; [`decode`] never panics on
-//!   any input.
+//!   any input, and the compiled topology it returns is compiled from
+//!   the graph it just validated.
 //! * **Durability** ([`store`]) — [`save_atomic`] writes temp file →
 //!   fsync → rename → directory fsync, so a crash mid-write can never
 //!   leave a half-valid store under the real name; [`load`] verifies
@@ -27,8 +30,8 @@
 //!   a silent accept" in CI.
 //!
 //! The serve daemon's fallback ladder on top of this lives in
-//! `flatnet-serve`: warm-start from a valid store, recompile-and-rewrite
-//! on any [`StoreError`].
+//! `flatnet-serve`: warm-start from a valid store, rebuild from the source
+//! and rewrite on any [`StoreError`].
 
 pub mod codec;
 pub mod crc32;
@@ -37,7 +40,7 @@ pub mod fault;
 pub mod format;
 pub mod store;
 
-pub use codec::{decode, encode, topo_identical, SnapshotParts, StoredSnapshot};
+pub use codec::{decode, encode, StoredSnapshot};
 pub use error::{SectionId, StoreError};
 pub use fault::{corruption_corpus, run_corpus, run_corpus_checked, FaultOutcome, FaultResult};
-pub use store::{load, save_atomic, save_atomic_parts, verify, VerifyReport};
+pub use store::{load, save_atomic, verify, VerifyReport};

@@ -1,7 +1,7 @@
 //! The corruption corpus, pinned: every systematic mutation of a valid
 //! store image must yield a clean typed error — zero panics, zero
-//! silent accepts — and a pristine image must round-trip bit-identical
-//! to a from-source compile. This is the same differential-pinning
+//! silent accepts — and a pristine image must round-trip to the bytes it
+//! was read from. This is the same differential-pinning
 //! discipline the propagation engines use (PR 3/5), applied to the
 //! persistence layer.
 
@@ -9,7 +9,7 @@ use flatnet_asgraph::tiers::infer_tiers;
 use flatnet_bgpsim::TopologySnapshot;
 use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_store::{
-    corruption_corpus, decode, encode, run_corpus, topo_identical, FaultOutcome, StoredSnapshot,
+    corruption_corpus, decode, encode, run_corpus, FaultOutcome, StoreError, StoredSnapshot,
 };
 
 fn sample_snapshot(ases: usize, seed: u64) -> StoredSnapshot {
@@ -28,11 +28,10 @@ fn valid_image_round_trips_bit_identical_to_a_fresh_compile() {
     assert_eq!(back.graph.edges(), snap.graph.edges());
     assert!(back.graph.asns().eq(snap.graph.asns()));
     assert_eq!(back.tiers, snap.tiers);
-    // The stored CSR must be bit-identical both to what was encoded and
-    // to a compile of the decoded graph — the warm-start correctness
-    // property.
-    assert!(topo_identical(&back.topo, &snap.topo));
-    assert!(topo_identical(&back.topo, &TopologySnapshot::compile(&back.graph)));
+    // The topology a warm start serves is compiled from the decoded
+    // graph, so it covers exactly that graph.
+    assert_eq!(back.topo.len(), back.graph.len());
+    assert_eq!(back.topo.edge_entries(), 2 * back.graph.edge_count());
     // Encoding is deterministic and stable through a round trip.
     assert_eq!(encode(&back), bytes);
 }
@@ -43,7 +42,7 @@ fn every_injected_fault_yields_a_typed_error_and_never_a_panic() {
     let bytes = encode(&snap);
     let results = run_corpus(&bytes);
     // The corpus must actually cover the layout: truncations at each of
-    // the four section boundaries, flips in each section, the header
+    // the three section boundaries, flips in each section, the header
     // mutations, and the semantic mutations.
     assert!(results.len() >= 30, "suspiciously small corpus: {}", results.len());
     let mut kinds = std::collections::BTreeMap::new();
@@ -88,8 +87,6 @@ fn checksum_valid_faults_are_refused_by_the_section_they_break() {
         ("asn table entries swapped", "graph"),
         ("tier id == n", "tiers"),
         ("tier member in both sets", "tiers"),
-        ("csr node count != graph's", "csr"),
-        ("csr off non-monotone", "csr"),
     ];
     assert_eq!(
         got.iter().map(|(name, ..)| name.as_str()).collect::<Vec<_>>(),
@@ -106,7 +103,7 @@ fn corpus_covers_every_section_with_flips_and_boundary_truncations() {
     let snap = sample_snapshot(120, 3);
     let bytes = encode(&snap);
     let corpus = corruption_corpus(&bytes);
-    for section in 1..=4u32 {
+    for section in 1..=3u32 {
         let flips = corpus
             .iter()
             .filter(|f| f.name.starts_with("bitflip") && f.name.contains(&format!("section{section} ")))
@@ -132,12 +129,10 @@ fn checked_in_tiny_store_still_decodes_and_survives_the_corpus() {
     // The committed fixture pins the on-disk format: if an encoder
     // change silently breaks compatibility with existing stores, this
     // fails before any deployment does. CI also runs `snapshot fuzz`
-    // and `snapshot verify --deep` against the same file.
-    let bytes = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/tiny.store"))
-        .expect("tests/data/tiny.store is checked in");
+    // and `snapshot verify` against the same file.
+    let bytes = fixture("tiny.store");
     let snap = decode(&bytes).expect("the committed fixture must decode");
     assert_eq!(snap.graph.len(), 120);
-    assert!(topo_identical(&snap.topo, &TopologySnapshot::compile(&snap.graph)));
     // …and the encoder still writes it byte for byte.
     assert_eq!(encode(&snap), bytes);
     for r in run_corpus(&bytes) {
@@ -147,6 +142,47 @@ fn checked_in_tiny_store_still_decodes_and_survives_the_corpus() {
             r.name
         );
     }
+}
+
+fn fixture(name: &str) -> Vec<u8> {
+    let path = format!("{}/tests/data/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read(&path).unwrap_or_else(|e| panic!("{path} is checked in: {e}"))
+}
+
+/// Rewrites the header CRC after a deliberate header edit, so the check
+/// behind the checksum is what trips.
+fn fix_header_crc(bytes: &mut [u8]) {
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let table_end = 16 + 24 * count;
+    let crc = flatnet_store::crc32::crc32(&bytes[..table_end]);
+    bytes[table_end..table_end + 4].copy_from_slice(&crc.to_le_bytes());
+}
+
+#[test]
+fn the_v1_fixture_is_refused_as_a_version_and_as_a_layout() {
+    // The image format v1 wrote for the same 120-AS topology: graph,
+    // tiers, and the compiled adjacency as a fourth section.
+    let v1 = fixture("tiny.v1.store");
+    assert!(matches!(decode(&v1), Err(StoreError::UnsupportedVersion { found: 1 })));
+    // v2 is that image without the fourth section: its payload of two
+    // counts, a u64 total and 3n + 1 + 2m words, and its 24-byte table entry.
+    let v2 = fixture("tiny.store");
+    let snap = decode(&v2).expect("the v2 fixture decodes");
+    let (n, m) = (snap.graph.len(), snap.graph.edge_count());
+    assert_eq!(v2.len(), v1.len() - (16 + 4 * (3 * n + 1 + 2 * m)) - 24);
+    // Relabelling does not bring the layout back: four sections are one
+    // too many, and wire id 4 names nothing.
+    let mut relabelled = v1.clone();
+    relabelled[8..12].copy_from_slice(&2u32.to_le_bytes());
+    fix_header_crc(&mut relabelled);
+    let err = decode(&relabelled).unwrap_err();
+    assert_eq!(err.kind(), "bad-section-table", "{err}");
+    let mut renamed = v2.clone();
+    renamed[16 + 2 * 24..][..4].copy_from_slice(&4u32.to_le_bytes());
+    fix_header_crc(&mut renamed);
+    let err = decode(&renamed).unwrap_err();
+    assert_eq!(err.kind(), "bad-section-table", "{err}");
+    assert!(err.to_string().contains("has id 4"), "{err}");
 }
 
 #[test]
