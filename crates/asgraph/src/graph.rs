@@ -28,7 +28,7 @@ impl fmt::Display for AsId {
 /// Node indices are assigned in ascending ASN order, so `NodeId(0)` is the
 /// lowest-numbered AS in the graph. Indices are only meaningful relative to
 /// the graph that produced them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

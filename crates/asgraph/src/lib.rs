@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # flatnet-asgraph — AS-level Internet topology substrate
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! The `repro` paper harness, the `bench propagate` speed bench, and the
 //! scaffolding they share.
@@ -8,8 +9,8 @@
 //! whole-Internet hierarchy-free reachability — so each experiment only
 //! pays for what it uniquely needs.
 
-use flatnet_asgraph::{AsGraph, AsId, Tiers};
-use flatnet_core::pipeline::{measure_checked, HealthPolicy, Measured, PreflightOptions};
+use flatnet_asgraph::{validate_topology, AsGraph, AsId, Tiers, ValidateOptions};
+use flatnet_core::pipeline::{measure, Measured};
 use flatnet_core::reachability::hierarchy_free_all_t;
 use flatnet_netgen::{generate, NetGenConfig, SyntheticInternet};
 use flatnet_tracesim::{CampaignOptions, Methodology};
@@ -98,21 +99,20 @@ impl Lab {
         CampaignOptions { dest_sample: 1.0, ..Default::default() }
     }
 
-    /// Runs the pipeline behind a Warn-policy preflight health check:
-    /// problems are logged, never fatal — the generator's topologies are
-    /// healthy by construction, and an experiment run should not die on a
-    /// degraded-but-usable graph.
+    /// Runs the pipeline behind a preflight health check of the public
+    /// view whose findings are logged, never fatal — the generator's
+    /// topologies are healthy by construction, and an experiment run
+    /// should not die on a degraded-but-usable graph.
     fn measure_warned(net: &SyntheticInternet) -> Measured {
-        let pre = PreflightOptions { policy: HealthPolicy::Warn, ..Default::default() };
-        let (m, report) =
-            measure_checked(net, &Self::campaign_opts(), &Methodology::final_methodology(), &pre)
-                .expect("Warn policy never refuses to run");
-        if let Some(r) = report {
-            if !r.is_usable() {
-                flatnet_obs::warn!("topology preflight found critical problems:\n{}", r.render());
+        {
+            let _span = flatnet_obs::span_root("preflight");
+            let opts = ValidateOptions::default();
+            let report = validate_topology(&net.public, &net.tier1, &net.tier2, &[], &opts);
+            if !report.is_usable() {
+                flatnet_obs::warn!("topology preflight found critical problems:\n{}", report.render());
             }
         }
-        m
+        measure(net, &Self::campaign_opts(), &Methodology::final_methodology())
     }
 
     /// The 2020 measurement pipeline output (campaign + inference +

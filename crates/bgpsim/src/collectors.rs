@@ -43,8 +43,7 @@ pub fn collect_ribs(g: &AsGraph, monitors: &[NodeId], origins: &[NodeId]) -> Vec
     let mut ctx = sim.ctx();
     let mut out = Vec::new();
     for &o in origins {
-        let outcome = ctx.run(o).to_outcome();
-        let dag = NextHopDag::build(g, &cfg, &outcome);
+        let dag = NextHopDag::build(g, &cfg, ctx.run(o));
         for &m in monitors {
             if m == o || dag.path_count(m) == 0.0 {
                 continue;

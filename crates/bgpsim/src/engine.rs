@@ -10,10 +10,12 @@
 //! * [`TopologySnapshot`] — an immutable compressed-sparse-row copy of an
 //!   [`AsGraph`], compiled once per topology and shared (it is `Sync`) by
 //!   every worker of a sweep.
-//! * [`Workspace`] — the mutable per-run state (distance arrays, BFS
-//!   queue, bucket queue, reach bitset). Allocated once per worker and
+//! * [`Workspace`] — the mutable per-run state: the
+//!   [`RoutingOutcome`] a run fills in place (distance arrays, reach
+//!   bitset) and the queues that fill it. Allocated once per worker and
 //!   reused for every origin; after the first few runs a sweep performs
-//!   no heap allocation at all.
+//!   no heap allocation at all, and a finished run is read through the
+//!   workspace, not copied out of it.
 //! * [`Simulation`] — a builder tying the two together:
 //!   `Simulation::over(&snap).keep_ties(true).run(origin)` for one origin,
 //!   [`Simulation::run_sweep_map`] for batches (fanned out over
@@ -39,31 +41,25 @@
 //! The provider phase replaces the reference implementation's
 //! (`crate::oracle`, test-only) `BinaryHeap` with a bucket
 //! queue (`Vec<Vec<u32>>` indexed by distance): edges all have weight 1,
-//! so distances are dense small integers and each push/pop is O(1). Pop
-//! and push counts are identical to the heap's — every pushed entry is
-//! popped exactly once and relaxation uses the same strict `<` test — so
-//! the `propagate.dijkstra_pops` / `propagate.export_checks` counters
-//! stay bit-identical to the reference's (asserted by
-//! `tests/engine_equiv.rs` and `tests/metrics.rs`).
+//! so distances are dense small integers and each push/pop is O(1).
 //!
 //! The run itself is output-sensitive: a touched-node list doubles as
 //! the reach set and the reset undo log, so a run costs O(reached +
 //! edges-of-reached) rather than O(V + E), and resets clear only what
-//! the previous run wrote. Counter parity survives because the skipped
-//! work is exactly the work whose counters are computable arithmetically
-//! (phase 2's per-receiver export checks come from precompiled peer
-//! degrees) or order-normalized (phase 3 seeds from the touched list
-//! sorted into the reference's ascending node order, keeping the bucket
-//! push/pop sequence identical).
+//! the previous run wrote. The `propagate.export_checks` and
+//! `propagate.dijkstra_pops` counters count this run's own work — one
+//! export check per adjacency entry a phase examines, one pop per bucket
+//! entry — so they are exact functions of (topology, origin, config),
+//! but not the reference's numbers: the oracle scans every receiver's
+//! peer edges and seeds its heap in node order. The two are compared on
+//! *results* (`tests/engine_equiv.rs`).
 
 use crate::lanes::{
     AsExclusionLanes, LaneArity, LaneExcluder, LaneWidth, LaneWorkspace, Lanes, NodeWords,
     PooledLaneWs, SweepReach,
 };
 use crate::parallel::{self, SweepError};
-use crate::propagate::{
-    metrics, PolicyView, PropagationConfig, RouteClass, RoutingOutcome, UNREACHED,
-};
+use crate::propagate::{metrics, PolicyView, PropagationConfig, RoutingOutcome, UNREACHED};
 use crate::reliance::RelianceWorkspace;
 use crate::scratch::Scratch;
 use flatnet_asgraph::{AsGraph, NodeId};
@@ -93,8 +89,6 @@ pub struct TopologySnapshot {
     peer_end: Vec<u32>,
     /// All adjacency, class-contiguous per node, sorted within each class.
     adj: Vec<u32>,
-    /// Total peer adjacency entries, for the phase-2 counter arithmetic.
-    total_peer: u64,
     /// Pooled per-run buffers sized for this topology.
     scratch: Scratch,
 }
@@ -122,13 +116,8 @@ impl TopologySnapshot {
             }
             off.push(adj.len() as u32);
         }
-        let total_peer = cust_end
-            .iter()
-            .zip(&peer_end)
-            .map(|(&c, &p)| (p - c) as u64)
-            .sum();
         let scratch = Scratch::default();
-        TopologySnapshot { n: n as u32, off, cust_end, peer_end, adj, total_peer, scratch }
+        TopologySnapshot { n: n as u32, off, cust_end, peer_end, adj, scratch }
     }
 
     /// Number of nodes.
@@ -172,36 +161,35 @@ impl TopologySnapshot {
     pub(crate) fn providers(&self, u: u32) -> &[u32] {
         &self.adj[self.peer_end[u as usize] as usize..self.off[u as usize + 1] as usize]
     }
-
-    #[inline]
-    fn peer_deg(&self, u: u32) -> u64 {
-        (self.peer_end[u as usize] - self.cust_end[u as usize]) as u64
-    }
 }
 
-/// Reusable per-run propagation state: three distance arrays, the BFS
-/// frontier, the provider-phase bucket queue, and the word-packed reach
-/// bitset. Create once (per worker thread), run many origins through it.
+/// Reusable per-run propagation state: the [`RoutingOutcome`] a run
+/// fills in place, plus the scratch that fills it (the touched list, the
+/// BFS frontier, the provider-phase bucket queue). Create once (per
+/// worker thread), run many origins through it.
 ///
-/// After [`run_into`] the workspace *is* the result; the accessors mirror
-/// [`RoutingOutcome`] without copying, and [`Workspace::to_outcome`]
-/// clones into an owned outcome when one must outlive the workspace.
+/// After a run the workspace dereferences to the finished outcome, so a
+/// result is read where it lies — `ws.selection(n)`, `ws.reach_words()`,
+/// `NextHopDag::build(g, &cfg, &ws)` — and [`Workspace::to_outcome`]
+/// clones it only when one must outlive the workspace.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    dist_c: Vec<u32>,
-    dist_p: Vec<u32>,
-    dist_d: Vec<u32>,
-    reach: Vec<u64>,
+    out: RoutingOutcome,
     /// Nodes with any distance entry set this run — the undo list that
     /// makes [`Workspace::reset`] O(reached) instead of O(n), and the
     /// iteration domain for the phases that only care about routed nodes.
     touched: Vec<u32>,
     queue: VecDeque<u32>,
     buckets: Vec<Vec<u32>>,
-    max_bucket: usize,
-    origin: u32,
-    reached: u32,
-    n: usize,
+}
+
+impl std::ops::Deref for Workspace {
+    type Target = RoutingOutcome;
+
+    /// The most recent run's result (empty before the first run).
+    fn deref(&self) -> &RoutingOutcome {
+        &self.out
+    }
 }
 
 impl Workspace {
@@ -224,25 +212,24 @@ impl Workspace {
     /// for a fixed topology a reset costs O(previously reached), not
     /// O(n), and never allocates after the first call.
     fn reset(&mut self, n: usize, origin: NodeId) {
-        if self.dist_c.len() == n {
+        let out = &mut self.out;
+        if out.dist_c.len() == n {
             // Every set reach bit belongs to a touched node, so clearing
             // whole words per touched node clears the bitset exactly.
-            for t in 0..self.touched.len() {
-                let i = self.touched[t] as usize;
-                self.dist_c[i] = UNREACHED;
-                self.dist_p[i] = UNREACHED;
-                self.dist_d[i] = UNREACHED;
-                self.reach[i >> 6] = 0;
+            for &t in &self.touched {
+                let i = t as usize;
+                out.dist_c[i] = UNREACHED;
+                out.dist_p[i] = UNREACHED;
+                out.dist_d[i] = UNREACHED;
+                out.reach[i >> 6] = 0;
             }
         } else {
-            self.dist_c.clear();
-            self.dist_c.resize(n, UNREACHED);
-            self.dist_p.clear();
-            self.dist_p.resize(n, UNREACHED);
-            self.dist_d.clear();
-            self.dist_d.resize(n, UNREACHED);
-            self.reach.clear();
-            self.reach.resize(n.div_ceil(64), 0);
+            for dist in [&mut out.dist_c, &mut out.dist_p, &mut out.dist_d] {
+                dist.clear();
+                dist.resize(n, UNREACHED);
+            }
+            out.reach.clear();
+            out.reach.resize(n.div_ceil(64), 0);
             // A node is touched at most once per run: sized to the graph
             // here, the list never grows during one.
             self.touched = Vec::with_capacity(n);
@@ -252,10 +239,8 @@ impl Workspace {
         for b in &mut self.buckets {
             b.clear();
         }
-        self.max_bucket = 0;
-        self.origin = origin.0;
-        self.reached = 0;
-        self.n = n;
+        out.origin = origin;
+        out.reached = 0;
     }
 
     /// First-touch bookkeeping: sets `i`'s reach bit, records it on the
@@ -264,66 +249,24 @@ impl Workspace {
     fn mark(&mut self, i: u32) {
         let w = (i >> 6) as usize;
         let bit = 1u64 << (i & 63);
-        if self.reach[w] & bit == 0 {
-            self.reach[w] |= bit;
+        if self.out.reach[w] & bit == 0 {
+            self.out.reach[w] |= bit;
             self.touched.push(i);
-            self.reached += 1;
+            self.out.reached += 1;
         }
     }
 
-    /// The origin of the most recent run.
-    pub fn origin(&self) -> NodeId {
-        NodeId(self.origin)
-    }
-
-    /// Number of nodes covered by the most recent run.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the workspace has not been sized yet.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// The selected best route of `n` after the most recent run (see
-    /// [`RoutingOutcome::selection`]).
+    /// Files `i` under provider-route distance `d` for phase 3.
     #[inline]
-    pub fn selection(&self, n: NodeId) -> Option<(RouteClass, u32)> {
-        let i = n.idx();
-        if self.dist_c[i] != UNREACHED {
-            Some((RouteClass::Customer, self.dist_c[i]))
-        } else if self.dist_p[i] != UNREACHED {
-            Some((RouteClass::Peer, self.dist_p[i]))
-        } else if self.dist_d[i] != UNREACHED {
-            Some((RouteClass::Provider, self.dist_d[i]))
-        } else {
-            None
+    fn push_bucket(&mut self, d: usize, i: u32) {
+        if d >= self.buckets.len() {
+            self.buckets.resize_with(d + 1, Vec::new);
         }
-    }
-
-    /// Whether `n` received the announcement in the most recent run.
-    #[inline]
-    pub fn reachable(&self, n: NodeId) -> bool {
-        let i = n.idx();
-        (self.reach[i >> 6] >> (i & 63)) & 1 == 1
-    }
-
-    /// Number of ASes reached by the most recent run, origin excluded.
-    /// O(1): the bitset popcount is maintained during the run.
-    pub fn reachable_count(&self) -> usize {
-        (self.reached as usize).saturating_sub(1)
-    }
-
-    /// The word-packed reach bitset of the most recent run (bit = node
-    /// index, origin bit set). Borrowed — the zero-allocation replacement
-    /// for [`RoutingOutcome::reach_set`] in hot loops.
-    pub fn reach_words(&self) -> &[u64] {
-        &self.reach
+        self.buckets[d].push(i);
     }
 
     /// Runs one origin over `snap` under `cfg`, leaving the result in the
-    /// workspace accessors — the long-lived-reuse entry point for callers
+    /// workspace — the long-lived-reuse entry point for callers
     /// that hold a workspace across many runs (and possibly across
     /// *different* snapshots: the buffers resize automatically when the
     /// snapshot's node count changes, as during a hot-reload).
@@ -335,47 +278,37 @@ impl Workspace {
         run_into(snap, origin, &cfg.view(), self)
     }
 
-    /// The per-class distance arrays `(customer, peer, provider)` of the
-    /// most recent run, `UNREACHED` where no such route exists. A peer
-    /// distance may sit beside a customer one (selection prefers the
-    /// customer route); a provider distance only where it is selected.
-    #[inline]
-    pub(crate) fn dists(&self) -> (&[u32], &[u32], &[u32]) {
-        (&self.dist_c, &self.dist_p, &self.dist_d)
-    }
-
     /// Heap bytes this workspace holds, every buffer at capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.dist_c.capacity()
-            + self.dist_p.capacity()
-            + self.dist_d.capacity()
+        let out = &self.out;
+        (out.dist_c.capacity()
+            + out.dist_p.capacity()
+            + out.dist_d.capacity()
             + self.touched.capacity()
             + self.queue.capacity()
             + self.buckets.iter().map(Vec::capacity).sum::<usize>())
             * size_of::<u32>()
-            + self.reach.capacity() * size_of::<u64>()
+            + out.reach.capacity() * size_of::<u64>()
             + self.buckets.capacity() * size_of::<Vec<u32>>()
     }
 
     /// Clones the run's result into an owned [`RoutingOutcome`].
     pub fn to_outcome(&self) -> RoutingOutcome {
-        RoutingOutcome::from_parts(
-            NodeId(self.origin),
-            self.dist_c.clone(),
-            self.dist_p.clone(),
-            self.dist_d.clone(),
-            self.reach.clone(),
-            self.reached,
-        )
+        self.out.clone()
+    }
+
+    /// The run's result, moved out of a workspace nobody runs again.
+    pub(crate) fn into_outcome(self) -> RoutingOutcome {
+        self.out
     }
 }
 
 /// Runs one origin's propagation over `snap` into `ws`.
 ///
-/// This is the engine's hot loop; semantics and observability counters
-/// are bit-identical to the test-only reference in `crate::oracle` (see
-/// the module docs for the bucket-queue parity argument).
+/// This is the engine's hot loop; results are bit-identical to the
+/// test-only reference in `crate::oracle`, the `propagate.*` work
+/// counters are the engine's own (see the module docs).
 pub(crate) fn run_into(
     snap: &TopologySnapshot,
     origin: NodeId,
@@ -395,16 +328,17 @@ pub(crate) fn run_into(
 
     // Phase 1: customer routes spread up provider edges (plain BFS, all
     // edges weight 1). The origin's own route behaves like a customer route.
-    ws.dist_c[origin.idx()] = 0;
+    ws.out.dist_c[origin.idx()] = 0;
     ws.mark(origin.0);
     ws.queue.push_back(origin.0);
     while let Some(ui) = ws.queue.pop_front() {
-        let du = ws.dist_c[ui as usize];
+        let du = ws.out.dist_c[ui as usize];
         for &pi in snap.providers(ui) {
             export_checks += 1;
-            if ws.dist_c[pi as usize] == UNREACHED && pol.import_ok(origin, NodeId(pi), NodeId(ui))
+            if ws.out.dist_c[pi as usize] == UNREACHED
+                && pol.import_ok(origin, NodeId(pi), NodeId(ui))
             {
-                ws.dist_c[pi as usize] = du + 1;
+                ws.out.dist_c[pi as usize] = du + 1;
                 ws.mark(pi);
                 ws.queue.push_back(pi);
             }
@@ -416,28 +350,17 @@ pub(crate) fn run_into(
     // driven from the customer-reached frontier (the touched prefix)
     // instead of scanning all n receivers — p2p adjacency is symmetric,
     // so pushing sender→peers visits exactly the (receiver, sender)
-    // pairs the receiver-side scan would have found routes on. The
-    // reference loop counts an export check for every peer edge of every
-    // non-excluded non-origin receiver, reached or not, so that count is
-    // reproduced arithmetically from the precompiled peer degrees.
-    let mut peer_checks = snap.total_peer - snap.peer_deg(origin.0);
-    if let Some(mask) = pol.excluded {
-        for (i, &ex) in mask.iter().enumerate() {
-            if ex {
-                peer_checks -= snap.peer_deg(i as u32);
-            }
-        }
-    }
-    export_checks += peer_checks;
+    // pairs a receiver-side scan would find routes on.
     for t in 0..customer_reached {
         let vi = ws.touched[t];
-        let dv = ws.dist_c[vi as usize] + 1;
+        let dv = ws.out.dist_c[vi as usize] + 1;
         for &ui in snap.peers(vi) {
+            export_checks += 1;
             if ui != origin.0
                 && pol.import_ok(origin, NodeId(ui), NodeId(vi))
-                && dv < ws.dist_p[ui as usize]
+                && dv < ws.out.dist_p[ui as usize]
             {
-                ws.dist_p[ui as usize] = dv;
+                ws.out.dist_p[ui as usize] = dv;
                 ws.mark(ui);
             }
         }
@@ -448,15 +371,15 @@ pub(crate) fn run_into(
     // by distance replaces the heap; each bucket only receives pushes
     // from strictly smaller distances, so a single ascending scan drains
     // everything. Every node with a customer or peer route is on the
-    // touched list; seeding must scan them in ascending node order (the
-    // reference's iteration order) so the bucket push/pop sequence — and with
-    // it `propagate.dijkstra_pops` — stays bit-identical, hence the sort.
-    ws.touched.sort_unstable();
+    // touched list and seeds in the order it was reached: that order
+    // shapes the push/pop sequence (which entries go stale), never a
+    // distance — the relaxation is a strict `<` and a bucket holds one
+    // distance.
     let seeds = ws.touched.len();
     for t in 0..seeds {
         let i = ws.touched[t];
         let w = NodeId(i);
-        let (dc, dp) = (ws.dist_c[i as usize], ws.dist_p[i as usize]);
+        let (dc, dp) = (ws.out.dist_c[i as usize], ws.out.dist_p[i as usize]);
         let s = if dc != UNREACHED { dc } else { dp };
         for &uj in snap.customers(i) {
             export_checks += 1;
@@ -465,31 +388,26 @@ pub(crate) fn run_into(
             // any provider route; still record dist_d for completeness
             // of tie information at equal class only — the selection
             // function ignores dist_d when a better class exists.
-            if pol.import_ok(origin, u, w) && u != origin && s + 1 < ws.dist_d[uj as usize] {
-                ws.dist_d[uj as usize] = s + 1;
+            if pol.import_ok(origin, u, w) && u != origin && s + 1 < ws.out.dist_d[uj as usize] {
+                ws.out.dist_d[uj as usize] = s + 1;
                 ws.mark(uj);
-                let b = (s + 1) as usize;
-                if b >= ws.buckets.len() {
-                    ws.buckets.resize_with(b + 1, Vec::new);
-                }
-                ws.buckets[b].push(uj);
-                ws.max_bucket = ws.max_bucket.max(b);
+                ws.push_bucket((s + 1) as usize, uj);
             }
         }
     }
-    // `buckets.len()` can exceed `max_bucket` when a previous run on this
-    // workspace reached farther; the extra buckets are empty and cost one
-    // `pop() == None` each.
+    // `buckets.len()` can exceed this run's farthest distance when a
+    // previous run on this workspace reached farther; the extra buckets
+    // are empty and cost one `pop() == None` each.
     let mut d = 0usize;
     while d < ws.buckets.len() {
         while let Some(ui) = ws.buckets[d].pop() {
             dijkstra_pops += 1;
             let iu = ui as usize;
-            if d as u32 != ws.dist_d[iu] {
+            if d as u32 != ws.out.dist_d[iu] {
                 continue; // stale entry
             }
             // `ui` only *exports* its provider route if that is its selection.
-            if ws.dist_c[iu] != UNREACHED || ws.dist_p[iu] != UNREACHED {
+            if ws.out.dist_c[iu] != UNREACHED || ws.out.dist_p[iu] != UNREACHED {
                 continue;
             }
             let nd = d as u32 + 1;
@@ -499,15 +417,10 @@ pub(crate) fn run_into(
                 if x == origin {
                     continue;
                 }
-                if pol.import_ok(origin, x, NodeId(ui)) && nd < ws.dist_d[xi as usize] {
-                    ws.dist_d[xi as usize] = nd;
+                if pol.import_ok(origin, x, NodeId(ui)) && nd < ws.out.dist_d[xi as usize] {
+                    ws.out.dist_d[xi as usize] = nd;
                     ws.mark(xi);
-                    let b = d + 1;
-                    if b >= ws.buckets.len() {
-                        ws.buckets.resize_with(b + 1, Vec::new);
-                    }
-                    ws.buckets[b].push(xi);
-                    ws.max_bucket = ws.max_bucket.max(b);
+                    ws.push_bucket(d + 1, xi);
                 }
             }
         }
@@ -520,14 +433,14 @@ pub(crate) fn run_into(
     // reach bitset and its popcount were maintained incrementally by
     // `mark` — the touched list IS the reach set, so only it is scanned.
     let (mut sel_c, mut sel_p, mut sel_d) = (0u64, 0u64, 0u64);
-    for t in 0..ws.touched.len() {
-        let i = ws.touched[t] as usize;
-        if ws.dist_c[i] != UNREACHED {
+    for &t in &ws.touched {
+        let i = t as usize;
+        if ws.out.dist_c[i] != UNREACHED {
             sel_c += 1;
-            ws.dist_d[i] = UNREACHED;
-        } else if ws.dist_p[i] != UNREACHED {
+            ws.out.dist_d[i] = UNREACHED;
+        } else if ws.out.dist_p[i] != UNREACHED {
             sel_p += 1;
-            ws.dist_d[i] = UNREACHED;
+            ws.out.dist_d[i] = UNREACHED;
         } else {
             sel_d += 1;
         }
@@ -636,7 +549,7 @@ impl<'s> Simulation<'s> {
     pub fn run(&self, origin: NodeId) -> RoutingOutcome {
         let mut ws = Workspace::for_snapshot(self.snap);
         run_into(self.snap, origin, &self.cfg.view(), &mut ws);
-        ws.to_outcome()
+        ws.into_outcome()
     }
 
     /// Sweeps `origins`, reducing each run inside the worker via `f` —
@@ -880,11 +793,6 @@ impl<'s> SweepCtx<'s> {
     /// exclusion mask for the next origin without reallocating.
     pub fn config_mut(&mut self) -> &mut PropagationConfig {
         &mut self.cfg
-    }
-
-    /// The workspace holding the most recent run's result.
-    pub fn workspace(&self) -> &Workspace {
-        &self.ws
     }
 
     /// Propagates `origin` under the current config, reusing this

@@ -805,8 +805,10 @@ where
     ) -> u64 {
         #[cfg(target_arch = "x86_64")]
         if W >= 2 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 presence is verified at runtime; the wrapper
-            // only widens codegen of portable word-parallel loops.
+            // SAFETY: AVX2 presence is checked at runtime on the line
+            // above; the callee is the portable function recompiled, so
+            // the target feature is all that calling it requires.
+            #[allow(unsafe_code)] // the crate's one `unsafe`
             return unsafe { self.run_phases_avx2::<POL>(snap, imp, oe) };
         }
         self.run_phases::<POL>(snap, imp, oe)
@@ -818,7 +820,7 @@ where
     /// untouched — it is the same portable code, recompiled.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn run_phases_avx2<const POL: bool>(
+    fn run_phases_avx2<const POL: bool>(
         &mut self,
         snap: &TopologySnapshot,
         imp: Option<&[ImportPolicy]>,

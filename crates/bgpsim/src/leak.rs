@@ -14,12 +14,16 @@
 //! announcement and [`ImportPolicy::Never`] for the leaker's, so leaked
 //! routes never propagate *through* a locking AS.
 //!
-//! Leak CDFs run thousands of scenarios over one topology; [`LeakSim`]
-//! holds two engine workspaces plus the per-scenario policy buffers and
-//! refills them in place, so a sweep of scenarios does zero steady-state
-//! allocation. The buffers are checked out of the snapshot's scratch and
-//! returned when the simulator drops, so a caller that builds a
-//! `LeakSim` per query (the serve daemon) still runs on warm buffers.
+//! The experiment has one victim side and many leakers, and so has the
+//! API: [`VictimSide`] is the legitimate announcement of one scenario,
+//! propagated once, and each [`LeakerSide`] drawn from it runs any number
+//! of leakers against that finished run on buffers of its own — a leak
+//! CDF over `k` leakers is `k + 1` propagations, its workers sharing the
+//! victim side by reference. [`LeakSim`] is the two steps in sequence for
+//! one scenario at a time. Every side computes on a workspace and policy
+//! arrays checked out of the snapshot's scratch and returned on drop, so
+//! a caller that simulates per query (the serve daemon) still runs on
+//! warm buffers and a sweep does no steady-state allocation.
 
 use crate::engine::{run_into, Simulation, TopologySnapshot, Workspace};
 use crate::propagate::{ImportPolicy, PolicyView, PropagationConfig};
@@ -132,129 +136,160 @@ impl LeakOutcome {
     }
 }
 
-/// A reusable leak simulator over a compiled topology snapshot.
-///
-/// Runs on the victim's and leaker's propagation workspaces plus the
-/// three per-scenario policy buffers — checked out of the snapshot's
-/// scratch for the simulator's lifetime; running another scenario refills
-/// them in place. Leak CDF sweeps create one `LeakSim` per worker thread
-/// (via `parallel_map_ctx`) and run every sampled leaker through it.
+/// What one side of a leak competition computes on, sized for one
+/// snapshot: the workspace of its announcement's run and the policy
+/// arrays a run reads (a leaker side uses the workspace alone). Every
+/// run refills what it reads, so nothing carries over between the sides
+/// that check one out.
 #[derive(Debug)]
-pub struct LeakSim<'s> {
-    snap: &'s TopologySnapshot,
-    buf: Checkout<'s, LeakBuffers>,
-}
-
-/// What a [`LeakSim`] computes on, sized for one snapshot. Every run
-/// refills what it reads, so nothing carries over between simulators.
-#[derive(Debug)]
-pub(crate) struct LeakBuffers {
-    victim_ws: Workspace,
-    leak_ws: Workspace,
-    victim_import: Vec<ImportPolicy>,
-    leak_import: Vec<ImportPolicy>,
+pub(crate) struct LeakSide {
+    ws: Workspace,
+    import: Vec<ImportPolicy>,
     export_mask: Vec<bool>,
 }
 
-impl LeakBuffers {
-    fn for_snapshot(snap: &TopologySnapshot) -> Self {
-        let n = snap.len();
-        LeakBuffers {
-            victim_ws: Workspace::for_snapshot(snap),
-            leak_ws: Workspace::for_snapshot(snap),
-            victim_import: vec![ImportPolicy::Normal; n],
-            leak_import: vec![ImportPolicy::Normal; n],
-            export_mask: vec![false; n],
-        }
+impl LeakSide {
+    fn checkout(snap: &TopologySnapshot) -> Checkout<'_, LeakSide> {
+        snap.scratch().leak.checkout(|| LeakSide {
+            ws: Workspace::for_snapshot(snap),
+            import: vec![ImportPolicy::Normal; snap.len()],
+            export_mask: vec![false; snap.len()],
+        })
     }
 
     /// Heap bytes these buffers hold, at capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.victim_ws.heap_bytes()
-            + self.leak_ws.heap_bytes()
-            + (self.victim_import.capacity() + self.leak_import.capacity())
-                * std::mem::size_of::<ImportPolicy>()
+        self.ws.heap_bytes()
+            + self.import.capacity() * std::mem::size_of::<ImportPolicy>()
             + self.export_mask.capacity()
     }
 }
 
-impl<'s> LeakSim<'s> {
-    /// A simulator over `snap`, on pooled buffers sized for it.
-    pub fn new(snap: &'s TopologySnapshot) -> Self {
-        let buf = snap.scratch().leak.checkout(|| LeakBuffers::for_snapshot(snap));
-        LeakSim { snap, buf }
+/// Fills `import` with the policy any leaker's announcement of `victim`'s
+/// prefix meets — it depends on the victim and the locking set only.
+fn fill_leak_import(
+    import: &mut [ImportPolicy],
+    victim: NodeId,
+    locking: &[NodeId],
+    semantics: LockingSemantics,
+) {
+    // Under corrected semantics locking ASes never accept the leaked
+    // copy, so it cannot pass through them either; under pre-erratum
+    // semantics they only filter the copy announced to them directly
+    // by the leaker.
+    import.fill(ImportPolicy::Normal);
+    for &l in locking {
+        import[l.idx()] = match semantics {
+            LockingSemantics::Corrected => ImportPolicy::Never,
+            LockingSemantics::PreErratum => ImportPolicy::RejectDirectFromOrigin,
+        };
     }
+    // The victim itself never accepts the leaked route for its own prefix.
+    import[victim.idx()] = ImportPolicy::Never;
+}
 
-    /// Propagates the victim's announcement under the scenario's locking
-    /// and export configuration.
-    fn propagate_victim(&mut self, scenario: &LeakScenario) {
-        // Victim propagation: under corrected semantics, locking neighbors
-        // accept only the direct route. Under the pre-erratum semantics the
-        // legitimate propagation was unrestricted.
-        let buf = &mut *self.buf;
-        buf.victim_import.fill(ImportPolicy::Normal);
-        if scenario.semantics == LockingSemantics::Corrected {
-            for &l in &scenario.locking {
-                if l != scenario.victim {
-                    buf.victim_import[l.idx()] = ImportPolicy::OnlyDirectFromOrigin;
+/// Propagates `leaker`'s announcement of `victim`'s prefix into `ws`
+/// under a policy from [`fill_leak_import`].
+fn run_leaker(
+    snap: &TopologySnapshot,
+    victim: NodeId,
+    leaker: NodeId,
+    import: &[ImportPolicy],
+    ws: &mut Workspace,
+) {
+    assert_ne!(victim, leaker, "victim cannot leak its own prefix");
+    let pol = PolicyView { excluded: None, origin_export: None, import: Some(import) };
+    run_into(snap, leaker, &pol, ws);
+}
+
+/// The victim's half of a leak experiment, propagated: the legitimate
+/// announcement under one export and locking configuration — everything
+/// a [`LeakScenario`] fixes except who leaks. Build it once, then draw a
+/// [`LeakerSide`] per worker and run any number of leakers against it.
+///
+/// The side owns its finished run and the import policy its leakers
+/// meet, both made from one configuration, and has no `&mut` method; a
+/// leaker run names a leaker and nothing else. So a leaker cannot be
+/// compared with a stale victim run or another scenario's: there is
+/// nothing to pass one through.
+#[derive(Debug)]
+pub struct VictimSide<'s> {
+    snap: &'s TopologySnapshot,
+    victim: NodeId,
+    /// The victim's run, and in `import` the leakers' policy.
+    side: Checkout<'s, LeakSide>,
+}
+
+impl<'s> VictimSide<'s> {
+    /// Propagates `victim`'s announcement over `snap`: to the neighbors
+    /// in `victim_export` (`None` = all of them), with the ASes of
+    /// `locking` deploying peer locking under `semantics`.
+    pub fn propagate(
+        snap: &'s TopologySnapshot,
+        victim: NodeId,
+        victim_export: Option<&[NodeId]>,
+        locking: &[NodeId],
+        semantics: LockingSemantics,
+    ) -> Self {
+        let mut checkout = LeakSide::checkout(snap);
+        let side = &mut *checkout;
+        // Under corrected semantics, locking neighbors accept only the
+        // direct route. Under the pre-erratum semantics the legitimate
+        // propagation was unrestricted.
+        side.import.fill(ImportPolicy::Normal);
+        if semantics == LockingSemantics::Corrected {
+            for &l in locking {
+                if l != victim {
+                    side.import[l.idx()] = ImportPolicy::OnlyDirectFromOrigin;
                 }
             }
         }
-        let origin_export = if let Some(list) = &scenario.victim_export {
-            buf.export_mask.fill(false);
+        let origin_export = victim_export.map(|list| {
+            side.export_mask.fill(false);
             for &x in list {
-                buf.export_mask[x.idx()] = true;
+                side.export_mask[x.idx()] = true;
             }
-            Some(buf.export_mask.as_slice())
-        } else {
-            None
-        };
-        let pol = PolicyView {
-            excluded: None,
-            origin_export,
-            import: Some(&buf.victim_import),
-        };
-        run_into(self.snap, scenario.victim, &pol, &mut buf.victim_ws);
+            side.export_mask.as_slice()
+        });
+        let pol = PolicyView { excluded: None, origin_export, import: Some(&side.import) };
+        run_into(snap, victim, &pol, &mut side.ws);
+        // The run is finished and only its selections are read from here
+        // on: the policy array now serves the leakers.
+        fill_leak_import(&mut side.import, victim, locking, semantics);
+        VictimSide { snap, victim, side: checkout }
     }
 
-    /// Propagates the leaker's announcement under the scenario's locking
-    /// configuration.
-    fn propagate_leaker(&mut self, scenario: &LeakScenario) {
-        // Under corrected semantics locking ASes never accept the leaked
-        // copy, so it cannot pass through them either; under pre-erratum
-        // semantics they only filter the copy announced to them directly
-        // by the leaker.
-        let buf = &mut *self.buf;
-        buf.leak_import.fill(ImportPolicy::Normal);
-        for &l in &scenario.locking {
-            buf.leak_import[l.idx()] = match scenario.semantics {
-                LockingSemantics::Corrected => ImportPolicy::Never,
-                LockingSemantics::PreErratum => ImportPolicy::RejectDirectFromOrigin,
-            };
-        }
-        // The victim itself never accepts the leaked route for its own prefix.
-        buf.leak_import[scenario.victim.idx()] = ImportPolicy::Never;
-        let pol =
-            PolicyView { excluded: None, origin_export: None, import: Some(&buf.leak_import) };
-        run_into(self.snap, scenario.leaker, &pol, &mut buf.leak_ws);
+    /// A leaker half over this victim side, on a pooled workspace of its
+    /// own: one per worker thread of a sweep, each reading the shared side.
+    pub fn leakers(&self) -> LeakerSide<'_> {
+        LeakerSide { victim: self, side: LeakSide::checkout(self.snap) }
+    }
+}
+
+/// The leaker's half of a leak experiment: runs one leaker after another
+/// against the [`VictimSide`] it was drawn from.
+#[derive(Debug)]
+pub struct LeakerSide<'v> {
+    victim: &'v VictimSide<'v>,
+    side: Checkout<'v, LeakSide>,
+}
+
+impl LeakerSide<'_> {
+    fn propagate(&mut self, leaker: NodeId) {
+        let v = self.victim;
+        run_leaker(v.snap, v.victim, leaker, &v.side.import, &mut self.side.ws);
     }
 
-    fn propagate_pair(&mut self, scenario: &LeakScenario) {
-        assert_ne!(scenario.victim, scenario.leaker, "victim cannot leak its own prefix");
-        self.propagate_victim(scenario);
-        self.propagate_leaker(scenario);
-    }
-
-    /// State of node `t` after [`Self::propagate_pair`].
+    /// State of node `t` after [`Self::propagate`] ran `leaker`.
     #[inline]
-    fn state_of(&self, scenario: &LeakScenario, t: NodeId) -> DetourState {
-        if t == scenario.victim {
+    fn state_of(&self, leaker: NodeId, t: NodeId) -> DetourState {
+        if t == self.victim.victim {
             return DetourState::Legit;
         }
-        if t == scenario.leaker {
+        if t == leaker {
             return DetourState::Detoured;
         }
-        match (self.buf.victim_ws.selection(t), self.buf.leak_ws.selection(t)) {
+        match (self.victim.side.ws.selection(t), self.side.ws.selection(t)) {
             (None, None) => DetourState::NoRoute,
             (Some(_), None) => DetourState::Legit,
             (None, Some(_)) => DetourState::Detoured,
@@ -270,29 +305,80 @@ impl<'s> LeakSim<'s> {
         }
     }
 
+    /// Runs `leaker` against the victim side, returning the full
+    /// per-node outcome.
+    ///
+    /// Panics if `leaker` is the victim (a meaningless configuration
+    /// callers are expected to avoid when sampling misconfigured ASes).
+    pub fn run(&mut self, leaker: NodeId) -> LeakOutcome {
+        self.propagate(leaker);
+        let n = self.victim.snap.len();
+        let states = (0..n as u32).map(|i| self.state_of(leaker, NodeId(i))).collect();
+        LeakOutcome { victim: self.victim.victim, leaker, states }
+    }
+
+    /// Runs `leaker` against the victim side and returns only the
+    /// (optionally weighted) detour fraction, without materializing the
+    /// per-node state vector — the zero-allocation form the CDF sweeps
+    /// use.
+    ///
+    /// `weights: None` is [`LeakOutcome::fraction_detoured`];
+    /// `Some(w)` is [`LeakOutcome::weighted_fraction_detoured`].
+    pub fn fraction(&mut self, leaker: NodeId, weights: Option<&[f64]>) -> f64 {
+        self.propagate(leaker);
+        detour_fraction(self.victim.snap.len(), weights, |t| {
+            self.state_of(leaker, t) == DetourState::Detoured
+        })
+    }
+}
+
+impl LeakScenario {
+    /// Propagates this scenario's victim side over `snap` (its `leaker`
+    /// is not read).
+    pub fn victim_side<'s>(&self, snap: &'s TopologySnapshot) -> VictimSide<'s> {
+        let export = self.victim_export.as_deref();
+        VictimSide::propagate(snap, self.victim, export, &self.locking, self.semantics)
+    }
+}
+
+/// A leak simulator over a compiled topology snapshot for one scenario
+/// at a time: each call is a [`VictimSide`] and one leaker run against
+/// it. Sweeps over many leakers of one scenario hold the victim side
+/// themselves and pay for it once.
+#[derive(Debug)]
+pub struct LeakSim<'s> {
+    snap: &'s TopologySnapshot,
+}
+
+impl<'s> LeakSim<'s> {
+    /// A simulator over `snap`, on the snapshot's pooled buffers.
+    pub fn new(snap: &'s TopologySnapshot) -> Self {
+        LeakSim { snap }
+    }
+
     /// Runs one scenario, returning the full per-node outcome.
     ///
     /// Panics if `victim == leaker` (a meaningless configuration callers
     /// are expected to avoid when sampling misconfigured ASes).
     pub fn run(&mut self, scenario: &LeakScenario) -> LeakOutcome {
-        self.propagate_pair(scenario);
-        let n = self.snap.len();
-        let states =
-            (0..n as u32).map(|i| self.state_of(scenario, NodeId(i))).collect();
-        LeakOutcome { victim: scenario.victim, leaker: scenario.leaker, states }
+        scenario.victim_side(self.snap).leakers().run(scenario.leaker)
     }
 
     /// Runs one scenario and returns only the (optionally weighted) detour
-    /// fraction, without materializing the per-node state vector — the
-    /// zero-allocation form the CDF sweeps use.
-    ///
-    /// `weights: None` is [`LeakOutcome::fraction_detoured`];
-    /// `Some(w)` is [`LeakOutcome::weighted_fraction_detoured`].
+    /// fraction (see [`LeakerSide::fraction`]).
     pub fn fraction(&mut self, scenario: &LeakScenario, weights: Option<&[f64]>) -> f64 {
-        self.propagate_pair(scenario);
-        detour_fraction(self.snap.len(), weights, |t| {
-            self.state_of(scenario, t) == DetourState::Detoured
-        })
+        scenario.victim_side(self.snap).leakers().fraction(scenario.leaker, weights)
+    }
+
+    /// Propagates the scenario's leaker alone, as a sub-prefix hijack
+    /// needs: no route competes with a more specific prefix.
+    fn subprefix_side(&self, scenario: &LeakScenario) -> Checkout<'s, LeakSide> {
+        let mut checkout = LeakSide::checkout(self.snap);
+        let side = &mut *checkout;
+        let LeakScenario { victim, leaker, locking, semantics, .. } = scenario;
+        fill_leak_import(&mut side.import, *victim, locking, *semantics);
+        run_leaker(self.snap, *victim, *leaker, &side.import, &mut side.ws);
+        checkout
     }
 
     /// Runs a **more-specific (sub-prefix) hijack**: the leaker announces
@@ -306,12 +392,10 @@ impl<'s> LeakSim<'s> {
     /// the model offers: under [`LockingSemantics::Corrected`], deployers
     /// drop the sub-prefix entirely, so it cannot spread through them.
     pub fn run_subprefix(&mut self, scenario: &LeakScenario) -> LeakOutcome {
-        assert_ne!(scenario.victim, scenario.leaker, "victim cannot leak its own prefix");
-        self.propagate_leaker(scenario);
+        let side = self.subprefix_side(scenario);
         let n = self.snap.len();
-        let states = (0..n as u32)
-            .map(|i| self.subprefix_state_of(scenario, NodeId(i)))
-            .collect();
+        let states =
+            (0..n as u32).map(|i| subprefix_state_of(&side.ws, scenario, NodeId(i))).collect();
         LeakOutcome { victim: scenario.victim, leaker: scenario.leaker, states }
     }
 
@@ -321,26 +405,27 @@ impl<'s> LeakSim<'s> {
         scenario: &LeakScenario,
         weights: Option<&[f64]>,
     ) -> f64 {
-        assert_ne!(scenario.victim, scenario.leaker, "victim cannot leak its own prefix");
-        self.propagate_leaker(scenario);
+        let side = self.subprefix_side(scenario);
         detour_fraction(self.snap.len(), weights, |t| {
-            self.subprefix_state_of(scenario, t) == DetourState::Detoured
+            subprefix_state_of(&side.ws, scenario, t) == DetourState::Detoured
         })
     }
+}
 
-    #[inline]
-    fn subprefix_state_of(&self, scenario: &LeakScenario, t: NodeId) -> DetourState {
-        if t == scenario.victim {
-            DetourState::Legit
-        } else if t == scenario.leaker || self.buf.leak_ws.reachable(t) {
-            // LPM: any AS with the sub-prefix routes to the hijacker.
-            DetourState::Detoured
-        } else {
-            // The covering legitimate prefix still serves everyone else;
-            // treat "no sub-prefix route" as staying legit (the victim's
-            // announcement configuration is irrelevant under LPM).
-            DetourState::Legit
-        }
+/// State of node `t` under a sub-prefix hijack whose leaker run `leak_ws`
+/// holds.
+#[inline]
+fn subprefix_state_of(leak_ws: &Workspace, scenario: &LeakScenario, t: NodeId) -> DetourState {
+    if t == scenario.victim {
+        DetourState::Legit
+    } else if t == scenario.leaker || leak_ws.reachable(t) {
+        // LPM: any AS with the sub-prefix routes to the hijacker.
+        DetourState::Detoured
+    } else {
+        // The covering legitimate prefix still serves everyone else;
+        // treat "no sub-prefix route" as staying legit (the victim's
+        // announcement configuration is irrelevant under LPM).
+        DetourState::Legit
     }
 }
 
@@ -403,14 +488,7 @@ pub fn subprefix_detour_fractions(
         return vec![0.0; leakers.len()];
     }
     let mut import = vec![ImportPolicy::Normal; n];
-    for &l in locking {
-        import[l.idx()] = match semantics {
-            LockingSemantics::Corrected => ImportPolicy::Never,
-            LockingSemantics::PreErratum => ImportPolicy::RejectDirectFromOrigin,
-        };
-    }
-    // The victim itself never accepts the leaked route for its own prefix.
-    import[victim.idx()] = ImportPolicy::Never;
+    fill_leak_import(&mut import, victim, locking, semantics);
     let sim = Simulation::over(snap)
         .config(PropagationConfig::new().with_import(import))
         .threads(threads);

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! # flatnet-bgpsim — valley-free BGP route propagation, all ties kept
 //!
@@ -48,7 +49,9 @@
 //!   [`Workspace`], the [`reliance()`] function over a [`NextHopDag`] is
 //!   its oracle.
 //! * [`leak`] — route-leak competition between a legitimate origin and a
-//!   misconfigured AS (§8), with the erratum-corrected peer-locking rule.
+//!   misconfigured AS (§8), with the erratum-corrected peer-locking rule:
+//!   a [`VictimSide`] propagated once, any number of leakers run against
+//!   it.
 //! * [`paths`] — tied-best path enumeration (used to check simulated paths
 //!   against traceroute-observed paths, Appendix A).
 //! * [`collectors`] — RouteViews-style RIB collection at monitor ASes,
@@ -79,8 +82,8 @@ pub use lanes::{
     MAX_LANES, MAX_LANE_WORDS,
 };
 pub use leak::{
-    subprefix_detour_fractions, DetourState, LeakOutcome, LeakScenario, LeakSim,
-    LockingSemantics,
+    subprefix_detour_fractions, DetourState, LeakOutcome, LeakScenario, LeakSim, LeakerSide,
+    LockingSemantics, VictimSide,
 };
 pub use parallel::{parallel_map_ctx, try_parallel_map_ctx, SweepError};
 pub use propagate::{

@@ -17,9 +17,12 @@ use std::collections::{BinaryHeap, VecDeque};
 ///
 /// Runs in O(V + E log V) (the log from the provider-phase binary heap)
 /// and is deterministic: adjacency lists are sorted and ties never depend
-/// on iteration order. Selections, reach sets, tie sets and the
-/// `propagate.*` counters of [`crate::propagate()`] are asserted
-/// identical to this function's.
+/// on iteration order. Selections, reach sets and tie sets of
+/// [`crate::propagate()`] are asserted identical to this function's. It
+/// is compared on results only: its `propagate.export_checks` and
+/// `propagate.dijkstra_pops` count this implementation's work (every
+/// receiver's peer edges, a heap seeded in node order), the engine's
+/// count the engine's.
 pub fn propagate_legacy(g: &AsGraph, origin: NodeId, cfg: &PropagationConfig) -> RoutingOutcome {
     let n = g.len();
     let pol = cfg.view();
@@ -33,7 +36,7 @@ pub fn propagate_legacy(g: &AsGraph, origin: NodeId, cfg: &PropagationConfig) ->
     let mut reach = vec![0u64; n.div_ceil(64)];
     let mut reached = 0u32;
     if n == 0 || pol.is_excluded(origin) {
-        return RoutingOutcome::from_parts(origin, dist_c, dist_p, dist_d, reach, reached);
+        return RoutingOutcome { origin, dist_c, dist_p, dist_d, reach, reached };
     }
 
     // Phase 1: customer routes spread up provider edges (plain BFS, all
@@ -135,5 +138,5 @@ pub fn propagate_legacy(g: &AsGraph, origin: NodeId, cfg: &PropagationConfig) ->
     obs.routes_provider.add(sel_d);
     obs.export_checks.add(export_checks);
     obs.dijkstra_pops.add(dijkstra_pops);
-    RoutingOutcome::from_parts(origin, dist_c, dist_p, dist_d, reach, reached)
+    RoutingOutcome { origin, dist_c, dist_p, dist_d, reach, reached }
 }

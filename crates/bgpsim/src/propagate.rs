@@ -264,32 +264,23 @@ impl PropagationConfig {
 /// Holds, for every node, the shortest distance per route class plus a
 /// word-packed reachability bitset; selection and tied-best next hops are
 /// derived views.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RoutingOutcome {
-    origin: NodeId,
-    dist_c: Vec<u32>,
-    dist_p: Vec<u32>,
-    dist_d: Vec<u32>,
+    pub(crate) origin: NodeId,
+    /// The per-class distance arrays, `UNREACHED` where no such route
+    /// exists. A peer distance may sit beside a customer one (selection
+    /// prefers the customer route); a provider distance only where it is
+    /// selected.
+    pub(crate) dist_c: Vec<u32>,
+    pub(crate) dist_p: Vec<u32>,
+    pub(crate) dist_d: Vec<u32>,
     /// Bit `i` set iff node `i` received the announcement (origin included).
-    reach: Vec<u64>,
-    /// Popcount of `reach`, cached at propagation time.
-    reached: u32,
+    pub(crate) reach: Vec<u64>,
+    /// Popcount of `reach`, maintained as the bitset is filled.
+    pub(crate) reached: u32,
 }
 
 impl RoutingOutcome {
-    /// Assembles an outcome from engine-computed parts. The caller
-    /// guarantees `reach`/`reached` are consistent with the distances.
-    pub(crate) fn from_parts(
-        origin: NodeId,
-        dist_c: Vec<u32>,
-        dist_p: Vec<u32>,
-        dist_d: Vec<u32>,
-        reach: Vec<u64>,
-        reached: u32,
-    ) -> Self {
-        RoutingOutcome { origin, dist_c, dist_p, dist_d, reach, reached }
-    }
-
     /// The announcing AS.
     pub fn origin(&self) -> NodeId {
         self.origin
@@ -370,14 +361,7 @@ impl RoutingOutcome {
     /// origin and for unreachable nodes. Sorted by node index. With
     /// `keep_ties(false)` only the lowest-index tied hop is returned.
     pub fn next_hops(&self, g: &AsGraph, cfg: &PropagationConfig, n: NodeId) -> Vec<NodeId> {
-        let mut out = self.next_hops_view(g, &cfg.view(), n);
-        if !cfg.keep_ties {
-            out.truncate(1);
-        }
-        out
-    }
-
-    fn next_hops_view(&self, g: &AsGraph, pol: &PolicyView<'_>, n: NodeId) -> Vec<NodeId> {
+        let pol = cfg.view();
         let mut out = Vec::new();
         if n == self.origin {
             return out;
@@ -418,6 +402,9 @@ impl RoutingOutcome {
                 }
             }
         }
+        if !cfg.keep_ties {
+            out.truncate(1);
+        }
         out
     }
 }
@@ -432,7 +419,7 @@ pub fn propagate(g: &AsGraph, origin: NodeId, cfg: &PropagationConfig) -> Routin
     let snap = crate::engine::TopologySnapshot::compile(g);
     let mut ws = crate::engine::Workspace::for_snapshot(&snap);
     crate::engine::run_into(&snap, origin, &cfg.view(), &mut ws);
-    ws.to_outcome()
+    ws.into_outcome()
 }
 
 #[cfg(test)]

@@ -123,7 +123,7 @@ impl RelianceWorkspace {
     ) -> &[f64] {
         let n = snap.len();
         assert_eq!(ws.len(), n, "workspace was not run over this snapshot");
-        let (dist_c, dist_p, dist_d) = ws.dists();
+        let (dist_c, dist_p, dist_d) = (&ws.dist_c[..], &ws.dist_p[..], &ws.dist_d[..]);
         let pol = cfg.view();
         let keep_ties = cfg.keep_ties();
         let origin = ws.origin();

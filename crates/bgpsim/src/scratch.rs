@@ -3,16 +3,22 @@
 //! it was sized for.
 //!
 //! The lane kernel's [`LaneWorkspace`]s (one pool per width) and the leak
-//! simulator's [`LeakBuffers`] are sized by the topology's node count and
+//! simulator's [`LeakSide`]s are sized by the topology's node count and
 //! are expensive to create — 174 B/node for a 256-lane workspace, all of
 //! it first-touch page faults — but carry no result between runs. They
 //! used to belong to whoever ran the sweep (a `Simulation` value, a
 //! `LeakSim`), so a caller that builds those per request, as the serve
 //! daemon does, paid for fresh buffers every time. Hanging the pools off
 //! the compiled topology instead gives them exactly the lifetime of the
-//! thing they are sized for: every `Simulation` and `LeakSim` over one
-//! snapshot shares them, and they are freed with the snapshot (on a serve
-//! hot-reload, when the last in-flight query drops the old `Arc`).
+//! thing they are sized for: every `Simulation` and leak simulation over
+//! one snapshot shares them, and they are freed with the snapshot (on a
+//! serve hot-reload, when the last in-flight query drops the old `Arc`).
+//!
+//! The one exception to "one owner": the serve daemon's per-worker
+//! `WorkerCtx` keeps a scalar `Workspace`, a `RelianceWorkspace` and a
+//! `PropagationConfig` of its own across snapshots (pooling them here
+//! would need the pooled config's masks lent and returned per request).
+//! Those buffers are not in [`Scratch::bytes`].
 //!
 //! Each pool keeps a bounded number of idle items, so a burst of
 //! concurrent sweeps cannot pin more scratch than steady parallel use
@@ -20,15 +26,17 @@
 //! every return did before the pools existed. Lane workspaces are bounded
 //! at one per core ([`cores`]): a sweep fans its blocks out over at most
 //! that many workers, and a daemon that sweeps single-threaded per
-//! request runs at most that many request workers. Leak buffers are
-//! bounded at cores²: a leak CDF fans out one simulator per core *inside*
-//! each calling thread, so a daemon with one request worker per core
-//! holds cores × cores of them in steady use (at cores, one leak query in
-//! eleven on the 2-core reference box found the pool empty and sized
-//! 2.8 MB of fresh buffers, +25 MB of resident allocator slack).
+//! request runs at most that many request workers. Leak sides are
+//! bounded at cores × (cores + 1): a leak CDF holds one victim side on
+//! its calling thread and fans out one leaker side per core beneath it,
+//! so a daemon with one request worker per core holds that many in
+//! steady use. A bound one step too small is not harmless: with leak
+//! buffers bounded at cores, one leak query in eleven on the 2-core
+//! reference box found the pool empty and sized fresh buffers, +25 MB of
+//! resident allocator slack.
 
 use crate::lanes::LaneWorkspace;
-use crate::leak::LeakBuffers;
+use crate::leak::LeakSide;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -126,7 +134,7 @@ pub(crate) struct Scratch {
     pub(crate) lanes1: Pool<LaneWorkspace<1>>,
     pub(crate) lanes2: Pool<LaneWorkspace<2>>,
     pub(crate) lanes4: Pool<LaneWorkspace<4>>,
-    pub(crate) leak: Pool<LeakBuffers>,
+    pub(crate) leak: Pool<LeakSide>,
 }
 
 impl Default for Scratch {
@@ -135,7 +143,7 @@ impl Default for Scratch {
             lanes1: Pool::with_bound(cores()),
             lanes2: Pool::with_bound(cores()),
             lanes4: Pool::with_bound(cores()),
-            leak: Pool::with_bound(cores() * cores()),
+            leak: Pool::with_bound(cores() * (cores() + 1)),
         }
     }
 }
@@ -154,7 +162,7 @@ impl Scratch {
         self.lanes1.bytes(LaneWorkspace::heap_bytes)
             + self.lanes2.bytes(LaneWorkspace::heap_bytes)
             + self.lanes4.bytes(LaneWorkspace::heap_bytes)
-            + self.leak.bytes(LeakBuffers::heap_bytes)
+            + self.leak.bytes(LeakSide::heap_bytes)
     }
 }
 
@@ -284,20 +292,26 @@ mod tests {
             ..LeakScenario::simple(node(10), node(31))
         };
         let plain = LeakScenario::simple(node(20), node(41));
+        let bound = cores() * (cores() + 1);
         {
-            let (mut a, mut b) = (LeakSim::new(&snap), LeakSim::new(&snap));
-            a.run(&locked);
-            b.run_subprefix(&locked);
-            assert_eq!(snap.scratch().leak.idle(), 0, "both sets of buffers are out");
+            // One victim side and a leaker side per worker: three sides
+            // are out, and no idle workspace is parked beside any.
+            let victim = locked.victim_side(&snap);
+            let (mut a, mut b) = (victim.leakers(), victim.leakers());
+            a.run(node(31));
+            b.run(node(41));
+            assert_eq!(snap.scratch().leak.idle(), 0, "all three sides are out");
         }
-        assert_eq!(snap.scratch().leak.idle(), 2.min(cores() * cores()));
+        assert_eq!(snap.scratch().leak.idle(), 3.min(bound));
+        LeakSim::new(&snap).run_subprefix(&locked);
+        assert_eq!(snap.scratch().leak.idle(), 3.min(bound), "a simulator keeps nothing");
         let bytes = snap.scratch_bytes();
-        // A simulator on returned buffers — the locked scenario's
+        // A simulator on returned sides — the locked scenario's
         // policies still in them — equals one on fresh buffers.
         let reused = LeakSim::new(&snap).run(&plain);
         let fresh = snap.clone();
         assert_eq!(reused.states(), LeakSim::new(&fresh).run(&plain).states());
-        assert_eq!(snap.scratch().leak.idle(), 2.min(cores() * cores()));
-        assert!(snap.scratch_bytes() < bytes + bytes / 2, "no third set of buffers was sized");
+        assert_eq!(snap.scratch().leak.idle(), 3.min(bound));
+        assert!(snap.scratch_bytes() < bytes + bytes / 4, "no fourth side was sized");
     }
 }

@@ -3,6 +3,8 @@
 //! Works on real CAIDA AS-relationship files or on datasets produced by
 //! `flatnet gen`. See `flatnet help` for the full command set.
 
+#![forbid(unsafe_code)]
+
 mod commands;
 mod opts;
 

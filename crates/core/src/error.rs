@@ -3,12 +3,12 @@
 //! The crates below `flatnet-core` each carry a narrow error enum
 //! ([`GraphError`] for topology parsing/building, [`SweepError`] for
 //! per-item sweep failures, [`ExclusionError`] for tier sets applied to
-//! the wrong graph) and the pipeline adds its own pre-flight refusal. [`FlatnetError`] folds them into one type with `From`
+//! the wrong graph). [`FlatnetError`] folds them into one type with `From`
 //! conversions, so the pipeline and the CLI can use `?` end-to-end
 //! instead of stringifying at every crate boundary.
 
 use crate::parallel::SweepError;
-use flatnet_asgraph::{GraphError, HealthReport, Severity};
+use flatnet_asgraph::GraphError;
 use flatnet_bgpsim::ExclusionError;
 use std::fmt;
 
@@ -17,9 +17,6 @@ use std::fmt;
 pub enum FlatnetError {
     /// Topology parsing or construction failed.
     Graph(GraphError),
-    /// Pre-flight validation found critical problems (see
-    /// [`crate::pipeline::measure_checked`]).
-    UnhealthyTopology(HealthReport),
     /// A single sweep item failed (panic isolated to one origin).
     Sweep(SweepError),
     /// The tier sets handed to an exclusion do not belong to the graph.
@@ -39,15 +36,6 @@ impl fmt::Display for FlatnetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FlatnetError::Graph(e) => write!(f, "{e}"),
-            FlatnetError::UnhealthyTopology(report) => {
-                let crit = report.at(Severity::Critical).count();
-                write!(
-                    f,
-                    "topology failed pre-flight validation ({crit} critical finding{}):\n{}",
-                    if crit == 1 { "" } else { "s" },
-                    report.render()
-                )
-            }
             FlatnetError::Sweep(e) => write!(f, "{e}"),
             FlatnetError::Exclusion(e) => write!(f, "{e}"),
             FlatnetError::Io { path, message } => write!(f, "{path}: {message}"),

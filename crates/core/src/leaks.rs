@@ -8,6 +8,7 @@ use crate::parallel::parallel_map_ctx;
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
 use flatnet_bgpsim::{
     subprefix_detour_fractions, LeakScenario, LeakSim, LockingSemantics, TopologySnapshot,
+    VictimSide,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -119,20 +120,18 @@ fn locking_set_for(g: &AsGraph, tiers: &Tiers, victim: NodeId, locking: Locking)
     }
 }
 
-/// Builds one [`LeakScenario`] for a victim under the given configuration.
-fn scenario_for(
+/// The neighbors the victim announces to under `announce` (`None` = all
+/// of them; leaker-independent).
+fn victim_export_for(
     g: &AsGraph,
     tiers: &Tiers,
     victim: NodeId,
-    leaker: NodeId,
     announce: Announce,
-    locking: Locking,
-    semantics: LockingSemantics,
-) -> LeakScenario {
-    let victim_export = match announce {
+) -> Option<Vec<NodeId>> {
+    match announce {
         Announce::ToAll => None,
         Announce::ToTier12AndProviders => {
-            let providers: Vec<NodeId> = g.providers(victim).to_vec();
+            let providers = g.providers(victim);
             Some(
                 g.neighbors(victim)
                     .map(|(n, _)| n)
@@ -140,9 +139,7 @@ fn scenario_for(
                     .collect(),
             )
         }
-    };
-    let locking_set = locking_set_for(g, tiers, victim, locking);
-    LeakScenario { victim, leaker, victim_export, locking: locking_set, semantics }
+    }
 }
 
 /// Runs the leak CDF for one victim and configuration over `n_leakers`
@@ -217,20 +214,18 @@ pub fn leak_cdf_on(
     assert_eq!(snap.len(), g.len(), "snapshot was not compiled from this graph");
     let v = g.index_of(victim)?;
     let leakers = sample_leakers(g, Some(v), n_leakers, seed);
-    // Everything but the leaker is the same for the whole CDF: build the
-    // scenario once and let each worker restamp its own copy (until then
-    // its leaker is the victim, a pair `LeakSim` refuses to run).
-    let base = scenario_for(g, tiers, v, v, announce, locking, semantics);
+    // Everything but the leaker is the same for the whole CDF: the victim
+    // side is propagated once, here, and the workers only read it.
+    let export = victim_export_for(g, tiers, v, announce);
+    let locking_set = locking_set_for(g, tiers, v, locking);
+    let victim = VictimSide::propagate(snap, v, export.as_deref(), &locking_set, semantics);
     let mut fractions = parallel_map_ctx(
         &leakers,
         0,
-        || (LeakSim::new(snap), base.clone()),
-        |(sim, sc), &m| {
-            sc.leaker = m;
-            sim.fraction(sc, user_weights)
-        },
+        || victim.leakers(),
+        |side, &m| side.fraction(m, user_weights),
     );
-    fractions.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    fractions.sort_by(f64::total_cmp);
     Some(LeakCdf { fractions })
 }
 
@@ -263,7 +258,7 @@ pub fn subprefix_hijack_cdf(
         user_weights,
         0,
     );
-    fractions.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    fractions.sort_by(f64::total_cmp);
     Some(LeakCdf { fractions })
 }
 
@@ -309,7 +304,7 @@ pub fn average_resilience_cdf_on(
             acc / victims.len() as f64
         },
     );
-    fractions.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    fractions.sort_by(f64::total_cmp);
     LeakCdf { fractions }
 }
 
@@ -331,6 +326,25 @@ mod tests {
         let g = b.build();
         let tiers = Tiers::from_lists(&g, &[AsId(1)], &[]);
         (g, tiers)
+    }
+
+    /// The full per-leaker scenario a CDF's configuration stands for.
+    fn scenario_for(
+        g: &AsGraph,
+        tiers: &Tiers,
+        victim: NodeId,
+        leaker: NodeId,
+        announce: Announce,
+        locking: Locking,
+        semantics: LockingSemantics,
+    ) -> LeakScenario {
+        LeakScenario {
+            victim,
+            leaker,
+            victim_export: victim_export_for(g, tiers, victim, announce),
+            locking: locking_set_for(g, tiers, victim, locking),
+            semantics,
+        }
     }
 
     #[test]
@@ -442,17 +456,26 @@ mod tests {
                         sim.subprefix_fraction(&sc, weights)
                     })
                     .collect();
-                expect.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                expect.sort_by(f64::total_cmp);
                 assert_eq!(cdf.fractions, expect, "{locking:?} weighted={}", weights.is_some());
             }
         }
     }
 
-    /// The compiled-snapshot forms equal the compiling ones bit for bit
-    /// over the differential corpus (`tests/engine_equiv.rs`' 52
-    /// topologies) × every locking × both announcements — with ONE
-    /// snapshot per topology, so each configuration runs on simulator
-    /// buffers the previous one left its policies in.
+    /// The victim-once CDF (`leak_cdf_on`: one victim side per CDF, shared
+    /// by its workers) equals a per-leaker [`LeakSim::fraction`] over full
+    /// scenarios bit for bit, and so do the compiling forms, over the
+    /// differential corpus (`tests/engine_equiv.rs`' 52 topologies) ×
+    /// every locking × both announcements × both semantics, weighted and
+    /// unweighted — with ONE snapshot per topology, so each configuration
+    /// runs on sides the previous one left its policies in. Ties are in:
+    /// the generated topologies are full of equal-length competing routes,
+    /// and the worst-case tie rule is part of what must match.
+    ///
+    /// A victim side built for scenario A cannot be asked about scenario
+    /// B: that does not compile. A leaker run takes a leaker and nothing
+    /// else, and the side owns its run and its leakers' policy, with no
+    /// `&mut` method to change either.
     #[test]
     fn compiled_snapshot_forms_match_the_compiling_forms_bit_for_bit() {
         use flatnet_netgen::{generate, NetGenConfig};
@@ -463,19 +486,41 @@ mod tests {
             let net = generate(&cfg);
             let (g, tiers) = (&net.truth, net.tiers_for(&net.truth));
             let victim = net.clouds[seed as usize % net.clouds.len()].asn;
-            let weights = net.user_weights();
+            let v = g.index_of(victim).expect("victim exists");
+            let user_weights = net.user_weights();
             let snap = TopologySnapshot::compile(g);
+            let mut sim = LeakSim::new(&snap);
             for locking in [Locking::None, Locking::Tier1, Locking::Tier12, Locking::Global] {
                 for announce in [Announce::ToAll, Announce::ToTier12AndProviders] {
-                    let weights = (locking == Locking::Tier12).then_some(weights.as_slice());
-                    let semantics = LockingSemantics::Corrected;
-                    let want = leak_cdf(g, &tiers, victim, announce, locking, 12, seed, weights);
-                    let got = leak_cdf_on(
-                        &snap, g, &tiers, victim, announce, locking, semantics, 12, seed, weights,
-                    );
-                    let (want, got) = (want.expect("victim exists"), got.expect("victim exists"));
-                    assert_eq!(got.fractions.len(), 12);
-                    assert_eq!(bits(&got), bits(&want), "seed {seed} {locking:?} {announce:?}");
+                    for semantics in [LockingSemantics::Corrected, LockingSemantics::PreErratum] {
+                        for weights in [None, Some(user_weights.as_slice())] {
+                            let what = format!(
+                                "seed {seed} {locking:?} {announce:?} {semantics:?} weighted={}",
+                                weights.is_some()
+                            );
+                            let got = leak_cdf_on(
+                                &snap, g, &tiers, victim, announce, locking, semantics, 12, seed,
+                                weights,
+                            )
+                            .expect("victim exists");
+                            assert_eq!(got.fractions.len(), 12);
+                            let mut want: Vec<f64> = sample_leakers(g, Some(v), 12, seed)
+                                .into_iter()
+                                .map(|m| {
+                                    let sc =
+                                        scenario_for(g, &tiers, v, m, announce, locking, semantics);
+                                    sim.fraction(&sc, weights)
+                                })
+                                .collect();
+                            want.sort_by(f64::total_cmp);
+                            assert_eq!(bits(&got), bits(&LeakCdf { fractions: want }), "{what}");
+                            let compiling = leak_cdf_with_semantics(
+                                g, &tiers, victim, announce, locking, semantics, 12, seed, weights,
+                            )
+                            .expect("victim exists");
+                            assert_eq!(bits(&got), bits(&compiling), "{what} (compiling form)");
+                        }
+                    }
                 }
             }
             let want = average_resilience_cdf(g, 6, 4, seed, None);

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # flatnet-core — hierarchy-free reachability and the IMC 2020 "Flat
 //! Internet" experiment suite

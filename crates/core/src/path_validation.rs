@@ -66,10 +66,7 @@ pub fn validate_paths(
             continue;
         };
         let dag = dag_cache.entry(t.dst_asn.0).or_insert_with(|| {
-            g.index_of(t.dst_asn).map(|d| {
-                let out = ctx.run(d).to_outcome();
-                NextHopDag::build(g, &cfg, &out)
-            })
+            g.index_of(t.dst_asn).map(|d| NextHopDag::build(g, &cfg, ctx.run(d)))
         });
         let Some(dag) = dag else { continue };
         stats.scored += 1;

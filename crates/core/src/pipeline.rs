@@ -5,10 +5,7 @@
 //! plus a traceroute campaign into the *augmented* topology every §6-§8
 //! experiment runs on — exactly the paper's data flow.
 
-use crate::error::FlatnetError;
-use flatnet_asgraph::{
-    augment_many, validate_topology, AsGraph, AsId, AugmentReport, HealthReport, ValidateOptions,
-};
+use flatnet_asgraph::{augment_many, AsGraph, AsId, AugmentReport};
 use flatnet_netgen::SyntheticInternet;
 use flatnet_tracesim::{
     infer_neighbors, run_campaign, validate_neighbors, Campaign, CampaignOptions, Methodology,
@@ -47,65 +44,6 @@ pub struct Measured {
     pub validation: BTreeMap<u32, ValidationReport>,
     /// §4.1's peer-count comparison rows (in `net.clouds` order).
     pub peer_counts: Vec<PeerCountRow>,
-}
-
-/// How the pipeline reacts to topology health problems found before a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HealthPolicy {
-    /// Skip validation entirely.
-    Off,
-    /// Validate and attach the report, but never block the run.
-    Warn,
-    /// Refuse to run when any critical check fires (unless
-    /// [`PreflightOptions::degrade`] is set, which downgrades the refusal
-    /// to a best-effort run with the report attached).
-    #[default]
-    Enforce,
-}
-
-/// Pre-flight configuration for [`measure_checked`].
-#[derive(Debug, Clone, Default)]
-pub struct PreflightOptions {
-    /// What to do with health findings.
-    pub policy: HealthPolicy,
-    /// With [`HealthPolicy::Enforce`], degrade gracefully: proceed with the
-    /// measurement anyway and let the caller inspect the attached report,
-    /// instead of refusing to run.
-    pub degrade: bool,
-    /// Thresholds for the individual checks.
-    pub validate: ValidateOptions,
-}
-
-/// Runs pre-flight topology validation for a synthetic Internet's public
-/// view. Returns `None` when the policy is [`HealthPolicy::Off`].
-pub fn preflight(net: &SyntheticInternet, opts: &PreflightOptions) -> Option<HealthReport> {
-    let _span = flatnet_obs::span_root("preflight");
-    if opts.policy == HealthPolicy::Off {
-        return None;
-    }
-    Some(validate_topology(&net.public, &net.tier1, &net.tier2, &[], &opts.validate))
-}
-
-/// [`measure`] behind a pre-flight health gate.
-///
-/// With [`HealthPolicy::Enforce`] (the default) a topology with critical
-/// problems — a broken Tier-1 clique, self-loops, an empty graph — is
-/// rejected before any campaign runs, unless `degrade` asks for a
-/// best-effort run. The health report, when validation ran, is returned
-/// alongside the measurement so callers can surface warnings.
-pub fn measure_checked(
-    net: &SyntheticInternet,
-    opts: &CampaignOptions,
-    methodology: &Methodology,
-    pre: &PreflightOptions,
-) -> Result<(Measured, Option<HealthReport>), FlatnetError> {
-    let report = preflight(net, pre);
-    if let Some(r) = &report {
-        if pre.policy == HealthPolicy::Enforce && !r.is_usable() && !pre.degrade {
-            return Err(FlatnetError::UnhealthyTopology(r.clone()));
-        }
-    }
-    Ok((measure(net, opts, methodology), report))
 }
 
 /// Ground-truth neighbor set of a cloud (peers + providers).
@@ -259,62 +197,6 @@ mod tests {
                 assert!((64_600..64_700).contains(&asn.0), "unexpected new node {asn}");
             }
         }
-    }
-
-    #[test]
-    fn preflight_passes_a_healthy_topology() {
-        let net = net();
-        let pre = PreflightOptions::default(); // Enforce
-        let (m, report) =
-            measure_checked(&net, &opts(), &Methodology::final_methodology(), &pre).unwrap();
-        let report = report.expect("enforce policy must validate");
-        assert!(report.is_usable(), "{}", report.render());
-        assert!(!m.peer_counts.is_empty());
-        // Off policy skips validation entirely.
-        let pre = PreflightOptions { policy: HealthPolicy::Off, ..Default::default() };
-        let (_, report) =
-            measure_checked(&net, &opts(), &Methodology::final_methodology(), &pre).unwrap();
-        assert!(report.is_none());
-    }
-
-    /// A net whose tier-1 list claims an AS that never peers with the real
-    /// clique — the broken-clique check must grade this critical.
-    fn broken_net() -> SyntheticInternet {
-        let mut net = net();
-        net.tier1.push(net.transit[0]);
-        net
-    }
-
-    #[test]
-    fn preflight_enforce_refuses_broken_tier1_clique() {
-        let net = broken_net();
-        let err = measure_checked(
-            &net,
-            &opts(),
-            &Methodology::final_methodology(),
-            &PreflightOptions::default(),
-        )
-        .unwrap_err();
-        let FlatnetError::UnhealthyTopology(report) = &err else {
-            panic!("expected UnhealthyTopology, got {err:?}");
-        };
-        assert!(!report.is_usable());
-        assert!(report.checks.iter().any(|c| c.name == "tier1-clique"), "{}", report.render());
-        assert!(err.to_string().contains("pre-flight"), "{err}");
-    }
-
-    #[test]
-    fn preflight_degrades_or_warns_when_asked() {
-        let net = broken_net();
-        // Enforce + degrade: runs anyway, report attached.
-        let pre = PreflightOptions { degrade: true, ..Default::default() };
-        let (m, report) =
-            measure_checked(&net, &opts(), &Methodology::final_methodology(), &pre).unwrap();
-        assert!(!report.unwrap().is_usable());
-        assert!(!m.peer_counts.is_empty());
-        // Warn: never blocks.
-        let pre = PreflightOptions { policy: HealthPolicy::Warn, ..Default::default() };
-        assert!(measure_checked(&net, &opts(), &Methodology::final_methodology(), &pre).is_ok());
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! Everything here is plain `std` — no crates.io dependencies — so the
 //! crate is safe to pull into every workspace member.
 
+#![forbid(unsafe_code)]
+
 pub mod log;
 pub mod metrics;
 pub mod prom;
@@ -35,7 +37,7 @@ pub use prom::to_prometheus;
 pub use registry::{global, Registry};
 pub use snapshot::{HistogramSnapshot, Snapshot, SCHEMA};
 pub use span::{SpanGuard, SpanStat};
-pub use trace::{Stage, TraceCtx, TraceDump, TraceEvent, TraceRing, Tracer};
+pub use trace::{Stage, TraceCtx, TraceDump, TraceEvent, Tracer};
 
 /// The counter named `name` in the global registry.
 pub fn counter(name: &str) -> Counter {

@@ -1,5 +1,6 @@
-//! Request-scoped tracing: per-request stage timings, lock-free trace
-//! rings, a slowest-K reservoir, and the `flatnet-trace/v1` dump format.
+//! Request-scoped tracing: per-request stage timings, a bounded ring of
+//! recent requests, a slowest-K reservoir, and the `flatnet-trace/v1`
+//! dump format.
 //!
 //! The serve path allocates a [`TraceCtx`] at accept time and carries it
 //! through HTTP parse → bounded queue → worker → cache probe → engine →
@@ -8,24 +9,23 @@
 //! finishes the context into a fixed-size [`TraceEvent`] and hands it to
 //! the [`Tracer`], which:
 //!
-//! - appends it to that worker's [`TraceRing`] — a seqlock ring with one
-//!   designated writer, so the hot path is two atomic stores and a
-//!   48-byte copy, never a lock;
+//! - appends it to the ring of the most recent events — one bounded
+//!   queue behind a mutex that any thread may write, held for a 112-byte
+//!   copy (34–40 ns a push uncontended, against requests of ≥ 16 µs);
 //! - offers it to a global slowest-K reservoir (small `Mutex`, guarded
 //!   by an atomic floor so the common fast request never takes it).
 //!
-//! Readers ([`Tracer::recent`], [`Tracer::slow`], `/debug/trace/*`)
-//! drain the rings without stopping writers; a slot overwritten mid-read
-//! is detected by its sequence number and skipped rather than returned
-//! torn. Drained events serialize as a [`TraceDump`] — an integer-only
-//! JSON document (`flatnet-trace/v1`) the `flatnet trace top` subcommand
+//! Readers ([`Tracer::recent`], [`Tracer::slow`], `/debug/trace/*`) copy
+//! out under the same locks, so an event is read whole or not at all.
+//! Drained events serialize as a [`TraceDump`] — an integer-only JSON
+//! document (`flatnet-trace/v1`) the `flatnet trace top` subcommand
 //! summarizes offline.
 
 use crate::snapshot::doc;
-use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Instant, SystemTime};
 
 /// The pipeline stages a request passes through, in order. `Panic` is
@@ -91,7 +91,7 @@ impl Stage {
 pub const TAG_BYTES: usize = 12;
 
 /// One finished request, fixed-size and `Copy` so ring slots never
-/// allocate and a seqlock copy is a plain memcpy.
+/// allocate and a push is a plain memcpy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceEvent {
     /// Nonzero request id (also in the `X-Flatnet-Trace-Id` header).
@@ -227,101 +227,6 @@ impl TraceCtx {
     }
 }
 
-/// One seqlock slot: an even sequence number means the payload is
-/// stable; odd means a write is in flight.
-struct Slot {
-    seq: AtomicU64,
-    ev: UnsafeCell<TraceEvent>,
-}
-
-/// A fixed-capacity ring of trace events with ONE designated writer
-/// thread and any number of concurrent readers.
-///
-/// The writer protocol (odd seq → payload → even seq) and the reader
-/// protocol (seq, volatile copy, fence, seq again — discard on change)
-/// follow the classic seqlock: readers never block the writer, and a
-/// torn slot is detected and skipped instead of surfacing garbage.
-/// Pushing from two threads concurrently would break the odd/even
-/// protocol, hence one ring per worker (plus one for the accept
-/// thread) — [`Tracer`] enforces the partitioning.
-pub struct TraceRing {
-    slots: Box<[Slot]>,
-    /// Total pushes ever; `head % capacity` is the next slot.
-    head: AtomicU64,
-}
-
-// Safety: the UnsafeCell payload is only written under the seqlock
-// protocol by the single designated writer; readers copy via
-// read_volatile and validate the sequence number afterwards.
-unsafe impl Sync for TraceRing {}
-unsafe impl Send for TraceRing {}
-
-impl TraceRing {
-    /// A ring holding the last `capacity` events (rounded up to a power
-    /// of two, minimum 2).
-    pub fn new(capacity: usize) -> TraceRing {
-        let capacity = capacity.max(2).next_power_of_two();
-        let slots = (0..capacity)
-            .map(|_| Slot { seq: AtomicU64::new(0), ev: UnsafeCell::new(TraceEvent::default()) })
-            .collect();
-        TraceRing { slots, head: AtomicU64::new(0) }
-    }
-
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total events ever pushed (reads may see up to `capacity()` of
-    /// the most recent ones).
-    pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Appends `ev`, overwriting the oldest slot when full. MUST only be
-    /// called by this ring's designated writer thread.
-    pub fn push(&self, ev: TraceEvent) {
-        let head = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(head % self.slots.len() as u64) as usize];
-        let seq = slot.seq.load(Ordering::Relaxed);
-        slot.seq.store(seq + 1, Ordering::Relaxed);
-        fence(Ordering::Release); // odd seq visible before the payload write
-        unsafe { std::ptr::write_volatile(slot.ev.get(), ev) };
-        slot.seq.store(seq + 2, Ordering::Release);
-        self.head.store(head + 1, Ordering::Release);
-    }
-
-    /// Copies every currently stable event into `out`, oldest first.
-    /// Slots being overwritten during the read are skipped. Safe from
-    /// any thread.
-    pub fn drain_into(&self, out: &mut Vec<TraceEvent>) {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        for k in head.saturating_sub(cap)..head {
-            let slot = &self.slots[(k % cap) as usize];
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 || s1 & 1 == 1 {
-                continue; // never written, or a write is in flight
-            }
-            let ev = unsafe { std::ptr::read_volatile(slot.ev.get()) };
-            fence(Ordering::Acquire); // copy completes before revalidation
-            let s2 = slot.seq.load(Ordering::Relaxed);
-            if s1 == s2 {
-                out.push(ev);
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for TraceRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceRing")
-            .field("capacity", &self.slots.len())
-            .field("pushed", &self.head.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
 /// SplitMix64 — the id mixer; full-period, so ids never collide within
 /// a process lifetime.
 fn splitmix64(mut x: u64) -> u64 {
@@ -331,11 +236,16 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Process-wide trace collection: one [`TraceRing`] per designated
-/// writer, a slowest-K reservoir, and the trace-id generator.
+/// Process-wide trace collection: the ring of recent events, a
+/// slowest-K reservoir, and the trace-id generator. Every method is safe
+/// from any thread.
 #[derive(Debug)]
 pub struct Tracer {
-    rings: Vec<TraceRing>,
+    /// The most recent `capacity` events, oldest first.
+    ring: Mutex<VecDeque<TraceEvent>>,
+    capacity: usize,
+    /// Events ever recorded; bumped under the ring's lock.
+    recorded: AtomicU64,
     /// Slowest events ever recorded, sorted by `total_us` descending,
     /// truncated to [`Tracer::SLOW_K`].
     slow: Mutex<Vec<TraceEvent>>,
@@ -350,23 +260,25 @@ impl Tracer {
     /// Capacity of the slowest-K reservoir.
     pub const SLOW_K: usize = 64;
 
-    /// A tracer with `writers` rings of `ring_capacity` events each.
-    /// Serve allocates workers + 1 rings: one per worker plus the last
-    /// one for the accept thread (so queue-full 503s are traceable).
-    pub fn new(writers: usize, ring_capacity: usize) -> Tracer {
+    /// A tracer whose ring holds the last `capacity` events (at least
+    /// one).
+    pub fn new(capacity: usize) -> Tracer {
         let seed = SystemTime::now()
             .duration_since(SystemTime::UNIX_EPOCH)
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0x5eed)
             | 1;
-        Tracer::with_seed(writers, ring_capacity, seed)
+        Tracer::with_seed(capacity, seed)
     }
 
     /// Like [`Tracer::new`] with a fixed id seed, for deterministic
     /// tests.
-    pub fn with_seed(writers: usize, ring_capacity: usize, seed: u64) -> Tracer {
+    pub fn with_seed(capacity: usize, seed: u64) -> Tracer {
+        let capacity = capacity.max(1);
         Tracer {
-            rings: (0..writers.max(1)).map(|_| TraceRing::new(ring_capacity)).collect(),
+            ring: Mutex::new(VecDeque::with_capacity(capacity)),
+            capacity,
+            recorded: AtomicU64::new(0),
             slow: Mutex::new(Vec::new()),
             slow_floor: AtomicU64::new(0),
             next: AtomicU64::new(0),
@@ -374,9 +286,10 @@ impl Tracer {
         }
     }
 
-    /// Number of rings (designated writers).
-    pub fn writers(&self) -> usize {
-        self.rings.len()
+    /// The ring. A push or pop leaves it valid at every step, so a lock
+    /// poisoned by a panicking holder is safe to keep using.
+    fn ring(&self) -> MutexGuard<'_, VecDeque<TraceEvent>> {
+        self.ring.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// A fresh nonzero trace id. Thread-safe.
@@ -390,18 +303,17 @@ impl Tracer {
         }
     }
 
-    /// The ring owned by writer `writer` (for capacity introspection;
-    /// recording goes through [`Tracer::record`]).
-    pub fn ring(&self, writer: usize) -> &TraceRing {
-        &self.rings[writer % self.rings.len()]
-    }
-
-    /// Records a finished event from designated writer `writer`: pushes
-    /// to that writer's ring and offers the event to the slowest-K
-    /// reservoir. Must only be called with a given `writer` index from
-    /// that one thread.
-    pub fn record(&self, writer: usize, ev: TraceEvent) {
-        self.rings[writer % self.rings.len()].push(ev);
+    /// Records a finished event: appends it to the ring, dropping the
+    /// oldest one when full, and offers it to the slowest-K reservoir.
+    pub fn record(&self, ev: TraceEvent) {
+        {
+            let mut ring = self.ring();
+            if ring.len() == self.capacity {
+                ring.pop_front();
+            }
+            ring.push_back(ev);
+            self.recorded.fetch_add(1, Ordering::Relaxed);
+        }
         if ev.total_us >= self.slow_floor.load(Ordering::Relaxed) {
             let mut slow = self.slow.lock().unwrap();
             slow.push(ev);
@@ -415,18 +327,9 @@ impl Tracer {
         }
     }
 
-    /// The most recent `n` stable events across all rings, newest
-    /// first (by completion wall-clock, then id).
+    /// The most recent `n` events in the ring, newest first.
     pub fn recent(&self, n: usize) -> Vec<TraceEvent> {
-        let mut all = Vec::new();
-        for ring in &self.rings {
-            ring.drain_into(&mut all);
-        }
-        all.sort_by(|a, b| {
-            b.end_unix_ms.cmp(&a.end_unix_ms).then(b.trace_id.cmp(&a.trace_id))
-        });
-        all.truncate(n);
-        all
+        self.ring().iter().rev().take(n).copied().collect()
     }
 
     /// Up to `n` reservoir events at least `min_us` slow, slowest
@@ -436,10 +339,10 @@ impl Tracer {
         slow.iter().filter(|ev| ev.total_us >= min_us).take(n).copied().collect()
     }
 
-    /// Total events pushed across all rings (including overwritten
-    /// ones).
+    /// Total events ever recorded (including those the ring has since
+    /// dropped).
     pub fn recorded(&self) -> u64 {
-        self.rings.iter().map(|r| r.pushed()).sum()
+        self.recorded.load(Ordering::Relaxed)
     }
 }
 
@@ -667,41 +570,109 @@ mod tests {
 
     #[test]
     fn ring_keeps_the_newest_events() {
-        let ring = TraceRing::new(4);
+        let tracer = Tracer::with_seed(4, 1);
         for i in 1..=10u64 {
-            ring.push(event(i, i * 100));
+            tracer.record(event(i, i * 100));
         }
-        let mut out = Vec::new();
-        ring.drain_into(&mut out);
-        assert_eq!(out.iter().map(|e| e.trace_id).collect::<Vec<_>>(), vec![7, 8, 9, 10]);
-        assert_eq!(ring.pushed(), 10);
+        let ids = |n| tracer.recent(n).iter().map(|e| e.trace_id).collect::<Vec<_>>();
+        assert_eq!(ids(100), vec![10, 9, 8, 7]);
+        assert_eq!(ids(2), vec![10, 9]);
+        assert_eq!(tracer.recorded(), 10);
     }
 
+    /// An event every field of which is a function of its id.
+    fn derived(writer: u64, k: u64) -> TraceEvent {
+        let id = (writer << 32) | (k + 1);
+        let h = splitmix64(id);
+        let mut ev = TraceEvent {
+            trace_id: id,
+            end_unix_ms: h,
+            total_us: h >> 7,
+            stages_us: std::array::from_fn(|i| h.rotate_left(i as u32 * 8)),
+            stage_mask: h as u32 & 0xff,
+            origin: (h >> 32) as u32,
+            status: h as u16,
+            cached: h & 1 == 1,
+            panicked: h & 2 == 2,
+            ..TraceEvent::default()
+        };
+        ev.set_tag(&format!("{:012x}", h >> 16));
+        ev
+    }
+
+    /// The ring under attack (CI runs this crate's tests in `--release`
+    /// too): 8 threads write 50 000 events each through one `Tracer`
+    /// while two readers keep copying the ring out. Every event read is
+    /// whole, every window read is a window of the push sequence — each
+    /// writer's events in it are consecutive and in order — `recorded()`
+    /// is exact, and what is left at the end are the last `capacity`
+    /// pushes.
     #[test]
-    fn ring_survives_concurrent_read_and_write() {
-        let ring = TraceRing::new(8);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for i in 1..=20_000u64 {
-                    ring.push(event(i, i));
+    fn ring_survives_eight_writers_and_concurrent_readers() {
+        const WRITERS: u64 = 8;
+        const EVENTS: u64 = 50_000;
+        const CAPACITY: usize = 768;
+        let tracer = Tracer::with_seed(CAPACITY, 1);
+        // `window` is newest first. Returns each writer's newest `k` in it.
+        let check = |window: &[TraceEvent]| {
+            let mut newest = [None::<u64>; WRITERS as usize];
+            let mut oldest = [0u64; WRITERS as usize];
+            for ev in window {
+                let (w, k) = (ev.trace_id >> 32, (ev.trace_id & 0xffff_ffff) - 1);
+                assert_eq!(*ev, derived(w, k), "torn or foreign event");
+                match newest[w as usize] {
+                    None => newest[w as usize] = Some(k),
+                    Some(_) => assert_eq!(k + 1, oldest[w as usize], "writer {w}: gap or reorder"),
                 }
-            });
-            for _ in 0..200 {
-                let mut out = Vec::new();
-                ring.drain_into(&mut out);
-                for ev in &out {
-                    // A torn slot would mix fields from two events.
-                    assert_eq!(ev.total_us, ev.trace_id, "torn read: {ev:?}");
-                    assert_eq!(ev.tag_str(), "reachability");
-                }
+                oldest[w as usize] = k;
             }
+            newest
+        };
+        let writing = std::sync::atomic::AtomicBool::new(true);
+        let start = std::sync::Barrier::new(WRITERS as usize + 2);
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|w| {
+                    let (tracer, start) = (&tracer, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for k in 0..EVENTS {
+                            tracer.record(derived(w, k));
+                        }
+                    })
+                })
+                .collect();
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    let mut reads = 0u64;
+                    while writing.load(Ordering::SeqCst) || reads == 0 {
+                        let before = tracer.recorded();
+                        let window = tracer.recent(CAPACITY);
+                        assert!(window.len() as u64 >= before.min(CAPACITY as u64));
+                        check(&window);
+                        reads += 1;
+                    }
+                });
+            }
+            for w in writers {
+                w.join().expect("writer finished");
+            }
+            writing.store(false, Ordering::SeqCst);
         });
-        assert_eq!(ring.pushed(), 20_000);
+        assert_eq!(tracer.recorded(), WRITERS * EVENTS);
+        let last = tracer.recent(usize::MAX);
+        assert_eq!(last.len(), CAPACITY);
+        // The last pushes: whoever is in the final window is there with
+        // its own last event, and the very last push is some writer's.
+        let newest = check(&last);
+        assert!(newest.iter().flatten().all(|&k| k == EVENTS - 1), "{newest:?}");
+        assert_eq!(last[0].trace_id & 0xffff_ffff, EVENTS);
     }
 
     #[test]
     fn tracer_ids_are_nonzero_and_unique() {
-        let tracer = Tracer::with_seed(2, 8, 0xfeed);
+        let tracer = Tracer::with_seed(8, 0xfeed);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..10_000 {
             let id = tracer.next_id();
@@ -712,25 +683,15 @@ mod tests {
 
     #[test]
     fn slow_reservoir_keeps_the_slowest_k() {
-        let tracer = Tracer::with_seed(1, 4, 1);
+        let tracer = Tracer::with_seed(4, 1);
         for i in 1..=200u64 {
-            tracer.record(0, event(i, i * 10));
+            tracer.record(event(i, i * 10));
         }
         let slow = tracer.slow(0, 3);
         assert_eq!(slow.iter().map(|e| e.total_us).collect::<Vec<_>>(), vec![2000, 1990, 1980]);
         assert!(tracer.slow(1_995, 10).len() == 1);
         assert_eq!(tracer.slow(0, 1000).len(), Tracer::SLOW_K);
         assert_eq!(tracer.recorded(), 200);
-    }
-
-    #[test]
-    fn recent_merges_rings_newest_first() {
-        let tracer = Tracer::with_seed(2, 8, 1);
-        tracer.record(0, event(1, 10));
-        tracer.record(1, event(3, 10));
-        tracer.record(0, event(2, 10));
-        let recent = tracer.recent(2);
-        assert_eq!(recent.iter().map(|e| e.trace_id).collect::<Vec<_>>(), vec![3, 2]);
     }
 
     #[test]

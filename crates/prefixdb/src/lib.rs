@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # flatnet-prefixdb — IPv4 prefixes and the paper's IP→ASN resolution stack
 //!

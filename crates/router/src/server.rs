@@ -152,7 +152,7 @@ impl Router {
             active_conns: AtomicUsize::new(0),
             any_cursor: AtomicUsize::new(0),
             reload_lock: Mutex::new(()),
-            tracer: flatnet_obs::Tracer::new(1, 16),
+            tracer: flatnet_obs::Tracer::new(16),
             requests: reg.counter("router.requests"),
             forwarded: reg.counter("router.forwarded"),
             scatters: reg.counter("router.scatter"),
@@ -787,19 +787,25 @@ fn merge_batch(
     resp
 }
 
+/// The `victim` of one leak-query object, when it is a 32-bit AS number.
+fn leak_victim(query: &str) -> Option<u32> {
+    merge::member_u64(query, "victim").and_then(|v| u32::try_from(v).ok())
+}
+
 /// `POST /v1/whatif/leak`: routed by victim; batch bodies split by
-/// victim owner.
+/// victim owner. A body no owner can be read from — unparsable, or a
+/// victim that is missing or out of range — goes to any shard for its
+/// authoritative 4xx.
 fn leak_route(inner: &Arc<Inner>, req: &Request, trace_id: u64) -> Response {
     let Ok(body) = std::str::from_utf8(&req.body) else {
         return forward_any(inner, req, trace_id);
     };
     let queries = merge::member(body, "queries");
     let Some(queries) = queries else {
-        // Single query: route by its victim; anything unparsable gets
-        // the shard's authoritative 4xx.
-        return match merge::member_u64(body, "victim") {
+        // Single query: route by its victim.
+        return match leak_victim(body) {
             Some(victim) => {
-                let owner = inner.ring.owner(victim as u32) as usize;
+                let owner = inner.ring.owner(victim) as usize;
                 forward(inner, owner, req, &rebuild_target(req, None), trace_id)
             }
             None => forward_any(inner, req, trace_id),
@@ -810,9 +816,9 @@ fn leak_route(inner: &Arc<Inner>, req: &Request, trace_id: u64) -> Response {
     };
     let mut victims = Vec::with_capacity(items.len());
     for item in &items {
-        match merge::member_u64(item, "victim") {
-            Some(v) if v <= u32::MAX as u64 => victims.push(v as u32),
-            _ => return forward_any(inner, req, trace_id),
+        match leak_victim(item) {
+            Some(v) => victims.push(v),
+            None => return forward_any(inner, req, trace_id),
         }
     }
     if victims.is_empty() {

@@ -173,3 +173,35 @@ fn trace_id_propagates_to_the_owning_shard() {
         s.shutdown();
     }
 }
+
+/// A leak victim above `u32::MAX` has no owner: the router forwards the
+/// body to a shard as it is, and the answer is that shard's 422 naming
+/// the field — single and `queries` form — not the numbers of whichever
+/// AS shares the victim's low 32 bits.
+#[test]
+fn an_out_of_range_leak_victim_gets_the_shards_422() {
+    let shards: Vec<Server> = (0..2).map(|i| start_shard(i, 2)).collect();
+    let router = Router::start(RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        shard_addrs: shards.iter().map(|s| s.addr().to_string()).collect(),
+        probe_interval_ms: 0,
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+
+    let real = known_origins(1)[0];
+    let bogus = (1u64 << 32) + u64::from(real);
+    let single = format!("{{\"victim\":{bogus},\"leakers\":2}}");
+    let batch = format!("{{\"queries\":[{{\"victim\":{real},\"leakers\":2}},{{\"victim\":{bogus}}}]}}");
+    let mut conn = connect(router.addr());
+    for body in [single, batch] {
+        let (status, reply) = exchange(&mut conn, "POST", "/v1/whatif/leak", Some(&body));
+        assert_eq!(status, 422, "{body} -> {reply}");
+        assert!(reply.contains("unprocessable") && reply.contains("'victim'"), "{reply}");
+    }
+
+    router.shutdown();
+    for s in shards {
+        s.shutdown();
+    }
+}

@@ -208,8 +208,9 @@ pub(crate) struct Shared {
     /// Per-worker busy-time counters (µs handling requests), for the
     /// `/debug/queue` utilization view.
     busy_us: Vec<flatnet_obs::Counter>,
-    /// Trace rings (one per worker + one for the accept thread), the
-    /// slowest-K reservoir, and the id generator.
+    /// The ring of recent requests (workers and the accept thread's
+    /// queue-full 503s alike), the slowest-K reservoir, and the id
+    /// generator.
     pub(crate) tracer: Tracer,
     /// How many top-degree origins to pre-warm after load/reload; 0 = off.
     warm: usize,
@@ -219,8 +220,9 @@ pub(crate) struct Shared {
     shard: Option<(u32, u32)>,
 }
 
-/// Ring capacity per designated writer; `/debug/trace/recent` can see at
-/// most `workers + 1` times this many events.
+/// Trace-ring slots per request-handling thread (the workers and the
+/// accept thread); `/debug/trace/recent` can see at most `workers + 1`
+/// times this many events.
 const TRACE_RING_CAP: usize = 256;
 
 impl Shared {
@@ -270,18 +272,18 @@ impl Shared {
             busy_us: (0..workers)
                 .map(|i| reg.counter(&format!("serve.worker_busy_us{{worker=\"{i}\"}}")))
                 .collect(),
-            tracer: Tracer::new(workers + 1, TRACE_RING_CAP),
+            tracer: Tracer::new((workers + 1) * TRACE_RING_CAP),
             warm,
             warmed: reg.counter("serve.cache_warmed"),
             shard,
         }
     }
 
-    /// Records a finished trace: the event goes to writer `writer`'s
-    /// ring and the slow reservoir, and every stage the request entered
-    /// lands in its stage histogram, tagged so the histogram buckets can
-    /// exemplar this exact request.
-    fn record_trace(&self, writer: usize, trace: &mut TraceCtx, status: u16) {
+    /// Records a finished trace: the event goes to the trace ring and
+    /// the slow reservoir, and every stage the request entered lands in
+    /// its stage histogram, tagged so the histogram buckets can exemplar
+    /// this exact request.
+    fn record_trace(&self, trace: &mut TraceCtx, status: u16) {
         let ev = trace.finish(status);
         for stage in Stage::ALL {
             if let Some(us) = ev.stage_us(stage) {
@@ -289,7 +291,7 @@ impl Shared {
             }
         }
         self.request_us.record_us_tagged(ev.total_us, ev.trace_id, ev.origin as u64);
-        self.tracer.record(writer, ev);
+        self.tracer.record(ev);
     }
 
     /// Reads the current snapshot's pooled scratch (lane workspaces and
@@ -303,8 +305,7 @@ impl Shared {
     /// Hands an accepted connection to the pool, or answers
     /// `503 + Retry-After` right here when the queue is full —
     /// backpressure must not itself consume a worker. Allocates the
-    /// request's trace context; rejected requests are traced too, on
-    /// the accept thread's own ring (writer index `workers`).
+    /// request's trace context; rejected requests are traced too.
     pub(crate) fn submit(&self, stream: TcpStream, accepted: Instant) {
         let mut trace = TraceCtx::new(self.tracer.next_id());
         let mut q = self.queue.lock().unwrap();
@@ -325,7 +326,7 @@ impl Shared {
             let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
             let _ = resp.write_to(&mut &stream);
             trace.mark(Stage::Write);
-            self.record_trace(self.workers, &mut trace, 503);
+            self.record_trace(&mut trace, 503);
             return;
         }
         q.push_back(Job { stream, accepted, trace });
@@ -414,8 +415,7 @@ impl WorkerCtx {
 /// The worker thread body: pop a connection, serve every request on it
 /// (keep-alive), loop. Returns when shutdown is flagged *and* the queue
 /// is empty, so accepted requests are never dropped by a clean shutdown.
-/// `worker` is this thread's index — its trace-ring writer slot and its
-/// utilization counter.
+/// `worker` is this thread's index, naming its utilization counter.
 pub(crate) fn worker_loop(shared: Arc<Shared>, worker: usize) {
     let mut ctx = WorkerCtx::new();
     loop {
@@ -434,7 +434,7 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, worker: usize) {
         };
         let Some(job) = job else { return };
         let started = Instant::now();
-        handle_conn(&shared, &mut ctx, worker, job);
+        handle_conn(&shared, &mut ctx, job);
         shared.busy_us[worker].add(started.elapsed().as_micros() as u64);
     }
 }
@@ -445,7 +445,7 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, worker: usize) {
 /// first request's context was allocated at accept time (its queue wait
 /// is real), later ones are born when their bytes arrive (their idle
 /// wait lands in the `keepalive_idle` stage).
-fn handle_conn(shared: &Arc<Shared>, ctx: &mut WorkerCtx, worker: usize, job: Job) {
+fn handle_conn(shared: &Arc<Shared>, ctx: &mut WorkerCtx, job: Job) {
     let Job { stream, accepted, mut trace } = job;
     trace.mark(Stage::QueueWait);
     shared.connections.inc();
@@ -463,7 +463,7 @@ fn handle_conn(shared: &Arc<Shared>, ctx: &mut WorkerCtx, worker: usize, job: Jo
             trace.id(),
         );
         resp.retry_after = Some(1);
-        finish(shared, &stream, resp, worker, &mut trace);
+        finish(shared, &stream, resp, &mut trace);
         return;
     }
 
@@ -557,7 +557,7 @@ fn handle_conn(shared: &Arc<Shared>, ctx: &mut WorkerCtx, worker: usize, job: Jo
             }
             Err(_) => return,
         };
-        let closed = finish(shared, &stream, resp, worker, &mut t);
+        let closed = finish(shared, &stream, resp, &mut t);
         if closed {
             return;
         }
@@ -572,7 +572,6 @@ fn finish(
     shared: &Shared,
     stream: &TcpStream,
     mut resp: Response,
-    worker: usize,
     trace: &mut TraceCtx,
 ) -> bool {
     let status = resp.status;
@@ -585,7 +584,7 @@ fn finish(
     trace.mark(Stage::Serialize); // header assembly + body built since the last mark
     let closed = resp.write_to(&mut &*stream).unwrap_or(true);
     trace.mark(Stage::Write);
-    shared.record_trace(worker, trace, status);
+    shared.record_trace(trace, status);
     closed
 }
 
@@ -1135,7 +1134,7 @@ fn reliance_endpoint(
 
 /// One parsed what-if leak query.
 struct LeakQuery {
-    victim: u64,
+    victim: u32,
     leakers: usize,
     seed: u64,
     lock_name: String,
@@ -1149,6 +1148,11 @@ struct LeakQuery {
 fn parse_leak_query(doc: &Json) -> Result<LeakQuery, ApiError> {
     let Some(victim) = doc.get("victim").and_then(Json::as_u64) else {
         return Err(ApiError::unprocessable("missing required field 'victim' (an AS number)"));
+    };
+    let Ok(victim) = u32::try_from(victim) else {
+        return Err(ApiError::unprocessable(format!(
+            "field 'victim' out of range: {victim} is not a 32-bit AS number"
+        )));
     };
     let leakers = doc.get("leakers").and_then(Json::as_u64).unwrap_or(50).min(5000) as usize;
     let seed = doc.get("seed").and_then(Json::as_u64).unwrap_or(1);
@@ -1184,7 +1188,7 @@ fn run_leak_query(snap: &ServeSnapshot, q: &LeakQuery) -> Result<String, ApiErro
         &snap.topo,
         &snap.graph,
         &snap.tiers,
-        AsId(q.victim as u32),
+        AsId(q.victim),
         q.announce,
         q.locking,
         LockingSemantics::Corrected,
@@ -1390,16 +1394,16 @@ mod tests {
         ))
     }
 
-    /// Routes one request on `ctx`; returns the 200 response's text body
-    /// and the finished trace event.
-    fn call(
+    /// Routes one request on `ctx`; returns the response's status and
+    /// text body and the finished trace event.
+    fn respond(
         shared: &Arc<Shared>,
         ctx: &mut WorkerCtx,
         method: Method,
         path: &str,
         query: &str,
         body: &str,
-    ) -> (String, flatnet_obs::trace::TraceEvent) {
+    ) -> (u16, String, flatnet_obs::trace::TraceEvent) {
         let req = Request {
             method,
             path: path.into(),
@@ -1415,9 +1419,23 @@ mod tests {
         };
         let mut trace = TraceCtx::new(0xABCD);
         let resp = route(shared, ctx, &req, &mut trace);
-        assert_eq!(resp.status, 200, "{path}?{query}");
         let Body::Text(body) = resp.body else { panic!("{path} answers are not streamed") };
-        (body, trace.finish(200))
+        (resp.status, body, trace.finish(resp.status))
+    }
+
+    /// [`respond`] for a request that must succeed: the 200 response's
+    /// text body and the finished trace event.
+    fn call(
+        shared: &Arc<Shared>,
+        ctx: &mut WorkerCtx,
+        method: Method,
+        path: &str,
+        query: &str,
+        body: &str,
+    ) -> (String, flatnet_obs::trace::TraceEvent) {
+        let (status, text, ev) = respond(shared, ctx, method, path, query, body);
+        assert_eq!(status, 200, "{path}?{query}: {text}");
+        (text, ev)
     }
 
     /// Routes `GET /v1/reliance?<query>` on `ctx`.
@@ -1536,6 +1554,26 @@ mod tests {
         let (entries, bytes) = cache_footprint(&shared);
         assert_eq!(entries, 3);
         assert!(bytes <= 3 * (std::mem::size_of::<Answer>() + RELIANCE_TOP_MAX * 16), "{bytes}");
+    }
+
+    /// A leak victim above `u32::MAX` is refused naming the field, in both
+    /// body shapes — not truncated onto whichever AS shares its low bits.
+    #[test]
+    fn an_out_of_range_leak_victim_is_unprocessable() {
+        let shared = shared();
+        let mut ctx = WorkerCtx::new();
+        let real = shared.mgr.current().graph.asns().next().expect("a first AS").0;
+        let bogus = (1u64 << 32) + u64::from(real);
+        let single = format!("{{\"victim\":{bogus},\"leakers\":2}}");
+        let batch =
+            format!("{{\"queries\":[{{\"victim\":{real},\"leakers\":2}},{{\"victim\":{bogus}}}]}}");
+        for body in [single, batch] {
+            let (status, text, _) =
+                respond(&shared, &mut ctx, Method::Post, "/v1/whatif/leak", "", &body);
+            assert_eq!(status, 422, "{body} -> {text}");
+            assert!(text.contains("unprocessable") && text.contains("'victim'"), "{text}");
+            assert!(text.contains(&bogus.to_string()), "{text}");
+        }
     }
 
     /// The `scratch_bytes` member of a `/healthz` or `/debug/queue` body.

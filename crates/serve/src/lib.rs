@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # flatnet-serve — a std-only query daemon over compiled snapshots
 //!

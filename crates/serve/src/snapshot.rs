@@ -175,6 +175,9 @@ pub struct SnapshotManager {
     warm_start: bool,
     current: RwLock<Arc<ServeSnapshot>>,
     state: Mutex<ReloadState>,
+    /// Held by a reload from its version read to its swap. Not `state`:
+    /// `/healthz` reads that and must not wait behind a rebuild.
+    reload_turn: Mutex<()>,
     reloads: flatnet_obs::Counter,
     reload_failures: flatnet_obs::Counter,
     lock_poisoned: flatnet_obs::Counter,
@@ -238,6 +241,7 @@ impl SnapshotManager {
             warm_start,
             current: RwLock::new(Arc::new(first)),
             state: Mutex::new(ReloadState::default()),
+            reload_turn: Mutex::new(()),
             reloads: reg.counter("serve.reloads"),
             reload_failures: reg.counter("serve.reload_failures"),
             lock_poisoned: reg.counter("serve.lock_poisoned"),
@@ -298,7 +302,11 @@ impl SnapshotManager {
     /// `/healthz`, and repeated failures arm an exponential backoff that
     /// refuses further attempts until it expires. On success the new
     /// version is persisted to the store (best-effort) before the swap.
+    /// Concurrent callers take turns, so no two snapshots ever share a
+    /// version (the result cache keys on it).
     pub fn reload(&self) -> Result<Arc<ServeSnapshot>, ServeError> {
+        // The guard protects no data, so a poisoned turn is still a turn.
+        let _turn = self.reload_turn.lock().unwrap_or_else(|e| e.into_inner());
         {
             let state = self.lock_state();
             if let Some(not_before) = state.not_before {
@@ -649,6 +657,30 @@ mod tests {
         let mgr2 = SnapshotManager::with_store(tiny_source(), Some(path)).unwrap();
         assert_eq!(mgr2.current().version, 2);
         assert!(mgr2.status().warm_start);
+    }
+
+    /// Two reloads released together take turns: the versions are 2 and
+    /// 3, never 2 twice, and the store ends on the last one.
+    #[test]
+    fn concurrent_reloads_mint_distinct_versions() {
+        let path = temp_store("concurrent-reload");
+        let mgr = SnapshotManager::with_store(tiny_source(), Some(path.clone())).unwrap();
+        let go = std::sync::Barrier::new(2);
+        let mut versions: Vec<u64> = std::thread::scope(|s| {
+            let reloads: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        go.wait();
+                        mgr.reload().map(|snap| snap.version)
+                    })
+                })
+                .collect();
+            reloads.into_iter().map(|r| r.join().unwrap().unwrap()).collect()
+        });
+        versions.sort_unstable();
+        assert_eq!(versions, [2, 3]);
+        assert_eq!(mgr.current().version, 3);
+        assert_eq!(flatnet_store::verify(&path, false).unwrap().version, 3);
     }
 
     #[test]

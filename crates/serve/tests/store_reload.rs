@@ -287,17 +287,32 @@ fn reload_under_fire_never_5xxes_queries_and_versions_stay_monotonic() {
         let (status, _) = fetch(addr, "POST", "/admin/reload");
         assert_eq!(status, 503, "round {round}: backoff must refuse the retry");
 
-        // Heal the source, wait out the backoff, reload for real.
+        // Heal the source, wait out the backoff, reload for real — from
+        // two connections at once: the reloads take turns, each minting
+        // a version of its own.
         std::fs::write(&rel, &valid).unwrap();
         std::thread::sleep(Duration::from_millis(700));
-        let (status, doc) = fetch(addr, "POST", "/admin/reload");
-        assert_eq!(status, 200, "round {round}: healed reload must succeed: {doc:?}");
-        expected_version += 1;
+        let go = std::sync::Barrier::new(2);
+        let mut versions: Vec<Option<u64>> = std::thread::scope(|s| {
+            let reloads: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        go.wait();
+                        let (status, doc) = fetch(addr, "POST", "/admin/reload");
+                        assert_eq!(status, 200, "round {round}: healed reload must succeed: {doc:?}");
+                        doc.get("snapshot_version").and_then(Json::as_u64)
+                    })
+                })
+                .collect();
+            reloads.into_iter().map(|r| r.join().expect("reload thread")).collect()
+        });
+        versions.sort_unstable();
         assert_eq!(
-            doc.get("snapshot_version").and_then(Json::as_u64),
-            Some(expected_version),
-            "round {round}: versions must be monotonic with no gaps"
+            versions,
+            [Some(expected_version + 1), Some(expected_version + 2)],
+            "round {round}: one version per reload, monotonic with no gaps"
         );
+        expected_version += 2;
     }
 
     stop.store(true, std::sync::atomic::Ordering::Relaxed);

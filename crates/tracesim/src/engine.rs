@@ -159,8 +159,7 @@ pub fn run_campaign(net: &SyntheticInternet, opts: &CampaignOptions) -> Campaign
             continue;
         };
         let dst_ip = dst_prefix.addr(80);
-        let outcome = pctx.run(d).to_outcome();
-        let dag = NextHopDag::build(&net.truth, &popts, &outcome);
+        let dag = NextHopDag::build(&net.truth, &popts, pctx.run(d));
         for ctx in &clouds {
             if ctx.node == d || dag.path_count(ctx.node) == 0.0 {
                 continue;

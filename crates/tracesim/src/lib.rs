@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # flatnet-tracesim — traceroute campaigns and cloud-neighbor inference
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # flatnet-wire — the two byte boundaries, once
 //!

@@ -9,9 +9,13 @@
 //! kernel ([`RelianceWorkspace`]) must score every one of those runs
 //! bit-identically (`f64::to_bits`) to `reliance(&NextHopDag::build(..))`
 //! while one workspace is reused across origins, policies and snapshots
-//! of different size. Plus steady-state allocation smokes: once a sweep
+//! of different size; and a finished run read where it lies (the
+//! `RoutingOutcome` a [`Workspace`] dereferences to) must equal its
+//! `to_outcome()` clone and the oracle's outcome, down to the DAG built
+//! from it. Plus steady-state allocation smokes: once a sweep
 //! context (or lane workspace, or reliance workspace) is warm, further
-//! runs (with per-origin mask refills) must not allocate at all.
+//! runs (with per-origin mask refills) must not allocate at all, and
+//! reading a run through the borrow allocates nothing of its own.
 //!
 //! Everything lives in ONE `#[test]` because the process hosts a global
 //! counting allocator, and interleaving other tests would make the
@@ -21,8 +25,8 @@ use flatnet_asgraph::{AsId, NodeId, Tiers};
 use flatnet_bgpsim::oracle::propagate_legacy;
 use flatnet_bgpsim::{
     propagate, reliance, Exclusion, ExclusionPolicy, ImportPolicy, LaneWidth, LaneWorkspace,
-    NextHopDag, PropagationConfig, RelianceWorkspace, Simulation, SweepCtx, TopologySnapshot,
-    Workspace,
+    NextHopDag, PropagationConfig, RelianceWorkspace, RoutingOutcome, Simulation, SweepCtx,
+    TopologySnapshot, Workspace,
 };
 use flatnet_netgen::{generate, NetGenConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -75,6 +79,37 @@ fn random_policy(rng: &mut u64) -> ImportPolicy {
     }
 }
 
+/// Requires two outcomes to read the same through every accessor:
+/// origin, reach words and count, selections, tied-best next hops.
+fn assert_same_outcome(
+    g: &flatnet_asgraph::AsGraph,
+    cfg: &PropagationConfig,
+    a: &RoutingOutcome,
+    b: &RoutingOutcome,
+    what: &str,
+) {
+    assert_eq!((a.origin(), a.len()), (b.origin(), b.len()), "{what}: origin, length");
+    assert_eq!(a.reach_words(), b.reach_words(), "{what}: reach words");
+    assert_eq!(a.reachable_count(), b.reachable_count(), "{what}: reach count");
+    for v in g.nodes() {
+        assert_eq!(a.selection(v), b.selection(v), "{what} node {v:?}: selection");
+        assert_eq!(a.next_hops(g, cfg, v), b.next_hops(g, cfg, v), "{what} node {v:?}: tie set");
+    }
+}
+
+/// Requires two DAGs to agree on order, hops and path counts (by bits).
+fn assert_same_dag(g: &flatnet_asgraph::AsGraph, a: &NextHopDag, b: &NextHopDag, what: &str) {
+    assert_eq!(a.topo_order(), b.topo_order(), "{what}: topological order");
+    for v in g.nodes() {
+        assert_eq!(a.next_hops(v), b.next_hops(v), "{what} node {v:?}: DAG hops");
+        assert_eq!(
+            a.path_count(v).to_bits(),
+            b.path_count(v).to_bits(),
+            "{what} node {v:?}: path count"
+        );
+    }
+}
+
 /// Scores the run `ws` holds with the kernel and with the oracle
 /// (`RoutingOutcome` copy → `NextHopDag` → `reliance`) and requires every
 /// score to agree bit for bit, and the receiver counts to agree.
@@ -87,6 +122,7 @@ fn assert_kernel_matches_oracle(
     what: &str,
 ) {
     let dag = NextHopDag::build(g, cfg, &ws.to_outcome());
+    assert_same_dag(g, &NextHopDag::build(g, cfg, ws), &dag, what);
     let want = reliance(&dag);
     let got = rely.score(snap, ws, cfg);
     assert_eq!(got.len(), want.len(), "{what}: score vector length");
@@ -175,6 +211,10 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
                 // The reliance kernel against its oracle, ties kept and
                 // ties broken, on the same run.
                 rely_ws.run(&snap, origin, &cfg);
+                // The run read where it lies, its clone, and the oracle.
+                let what = format!("seed {seed} origin {origin:?} variant {variant}");
+                assert_same_outcome(g, &cfg, &rely_ws, &legacy, &format!("{what}: borrowed vs oracle"));
+                assert_same_outcome(g, &cfg, &rely_ws.to_outcome(), &legacy, &format!("{what}: clone vs oracle"));
                 for (ties, c) in [("ties", &cfg), ("no ties", &tb)] {
                     let what = format!("seed {seed} origin {origin:?} variant {variant} {ties}");
                     assert_kernel_matches_oracle(g, &snap, &rely_ws, &mut rely, c, &what);
@@ -408,6 +448,37 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
         "reliance kernel allocated {} time(s) during a warm pass",
         after - before
     );
+
+    // ---- Part 2c: reading a run copies nothing. On the warm context a
+    // run still allocates nothing with a DAG built from the borrowed
+    // outcome after each one, and that DAG costs exactly its own
+    // allocations — what building it from an owned copy costs, without
+    // the copy's four arrays.
+    let dag_cfg = {
+        ctx.config_mut().excluded_mask_mut(n).fill(false);
+        ctx.config().clone()
+    };
+    let allocs = || ALLOCS.load(Ordering::SeqCst);
+    let (mut run, mut borrowed, mut copy, mut from_copy) = (0u64, 0u64, 0u64, 0u64);
+    for &o in &origins {
+        let start = allocs();
+        let ws = ctx.run(o);
+        let ran = allocs();
+        let dag = NextHopDag::build(g, &dag_cfg, ws);
+        let built = allocs();
+        let owned = ws.to_outcome();
+        let copied = allocs();
+        let dag_of_copy = NextHopDag::build(g, &dag_cfg, &owned);
+        let rebuilt = allocs();
+        run += ran - start;
+        borrowed += built - ran;
+        copy += copied - built;
+        from_copy += rebuilt - copied;
+        assert_same_dag(g, &dag, &dag_of_copy, &format!("origin {o:?}: borrowed vs copied"));
+    }
+    assert_eq!(run, 0, "runs allocated with borrowed DAG builds between them");
+    assert_eq!(borrowed, from_copy, "the borrowed form allocated beyond the DAG's own buffers");
+    assert_eq!(copy, 4 * origins.len() as u64, "a copy is three distance arrays and the bitset");
 
     // ---- Part 2b: the lane workspace is allocation-free once warm,
     // including the per-lane exclusion refills — the property that makes
