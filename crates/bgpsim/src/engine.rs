@@ -45,14 +45,18 @@
 //!
 //! The run itself is output-sensitive: a touched-node list doubles as
 //! the reach set and the reset undo log, so a run costs O(reached +
-//! edges-of-reached) rather than O(V + E), and resets clear only what
-//! the previous run wrote. The `propagate.export_checks` and
+//! edges-of-reached) rather than O(V + E). Phase 3 queues a node only to
+//! export to its customers, so a node without any — most of the Internet
+//! — is given its route and never queued. A reset undoes what the
+//! previous run wrote, or fills the arrays when that run reached an
+//! eighth of the graph or more. The `propagate.export_checks` and
 //! `propagate.dijkstra_pops` counters count this run's own work — one
-//! export check per adjacency entry a phase examines, one pop per bucket
-//! entry — so they are exact functions of (topology, origin, config),
-//! but not the reference's numbers: the oracle scans every receiver's
-//! peer edges and seeds its heap in node order. The two are compared on
-//! *results* (`tests/engine_equiv.rs`).
+//! export check per adjacency entry a phase examines, one pop per node
+//! drained from a bucket to export — so they are exact functions of
+//! (topology, origin, config), but not the reference's numbers: the
+//! oracle scans every receiver's peer edges, seeds its heap in node order
+//! and pops stubs. The two are compared on *results*
+//! (`tests/engine_equiv.rs`, `crates/bgpsim/tests/scalar_prop.rs`).
 
 use crate::lanes::{
     AsExclusionLanes, LaneArity, LaneExcluder, LaneWidth, LaneWorkspace, Lanes, NodeWords,
@@ -89,6 +93,9 @@ pub struct TopologySnapshot {
     peer_end: Vec<u32>,
     /// All adjacency, class-contiguous per node, sorted within each class.
     adj: Vec<u32>,
+    /// Bit `u` set iff node `u` has a customer — the only nodes phase 3
+    /// can ever export from, so the only ones it queues.
+    has_customers: Vec<u64>,
     /// Pooled per-run buffers sized for this topology.
     scratch: Scratch,
 }
@@ -101,8 +108,12 @@ impl TopologySnapshot {
         let mut cust_end = Vec::with_capacity(n);
         let mut peer_end = Vec::with_capacity(n);
         let mut adj = Vec::with_capacity(2 * g.edge_count());
+        let mut has_customers = vec![0u64; n.div_ceil(64)];
         off.push(0u32);
         for u in g.nodes() {
+            if !g.customers(u).is_empty() {
+                has_customers[u.idx() >> 6] |= 1 << (u.idx() & 63);
+            }
             for &c in g.customers(u) {
                 adj.push(c.0);
             }
@@ -117,7 +128,7 @@ impl TopologySnapshot {
             off.push(adj.len() as u32);
         }
         let scratch = Scratch::default();
-        TopologySnapshot { n: n as u32, off, cust_end, peer_end, adj, scratch }
+        TopologySnapshot { n: n as u32, off, cust_end, peer_end, adj, has_customers, scratch }
     }
 
     /// Number of nodes.
@@ -161,6 +172,12 @@ impl TopologySnapshot {
     pub(crate) fn providers(&self, u: u32) -> &[u32] {
         &self.adj[self.peer_end[u as usize] as usize..self.off[u as usize + 1] as usize]
     }
+
+    /// Whether `u` has any customer to export to.
+    #[inline]
+    pub(crate) fn has_customers(&self, u: u32) -> bool {
+        (self.has_customers[(u >> 6) as usize] >> (u & 63)) & 1 == 1
+    }
 }
 
 /// Reusable per-run propagation state: the [`RoutingOutcome`] a run
@@ -175,9 +192,11 @@ impl TopologySnapshot {
 #[derive(Debug, Default)]
 pub struct Workspace {
     out: RoutingOutcome,
-    /// Nodes with any distance entry set this run — the undo list that
-    /// makes [`Workspace::reset`] O(reached) instead of O(n), and the
-    /// iteration domain for the phases that only care about routed nodes.
+    /// Nodes with any distance entry set this run, in the order they were
+    /// reached: customer-routed, then peer-routed, then provider-routed.
+    /// The undo list that keeps [`Workspace::reset`] O(reached) after a
+    /// small run, and the iteration domain for the phases that only care
+    /// about routed nodes.
     touched: Vec<u32>,
     queue: VecDeque<u32>,
     buckets: Vec<Vec<u32>>,
@@ -207,23 +226,15 @@ impl Workspace {
     }
 
     /// Clears all per-run state and sizes the buffers for an `n`-node
-    /// graph. Reuses existing capacity, and when the size is unchanged
-    /// only undoes the previous run's writes (via the touched list), so
-    /// for a fixed topology a reset costs O(previously reached), not
-    /// O(n), and never allocates after the first call.
+    /// graph. Reuses existing capacity and never allocates after the first
+    /// call for a fixed topology. When the size is unchanged, a previous
+    /// run that reached under an eighth of the graph is undone write by
+    /// write (via the touched list), so a hierarchy-free sweep's reset
+    /// costs O(previously reached); one that reached more is cleared by
+    /// filling the arrays, which beats that many scattered writes.
     fn reset(&mut self, n: usize, origin: NodeId) {
         let out = &mut self.out;
-        if out.dist_c.len() == n {
-            // Every set reach bit belongs to a touched node, so clearing
-            // whole words per touched node clears the bitset exactly.
-            for &t in &self.touched {
-                let i = t as usize;
-                out.dist_c[i] = UNREACHED;
-                out.dist_p[i] = UNREACHED;
-                out.dist_d[i] = UNREACHED;
-                out.reach[i >> 6] = 0;
-            }
-        } else {
+        if out.dist_c.len() != n {
             for dist in [&mut out.dist_c, &mut out.dist_p, &mut out.dist_d] {
                 dist.clear();
                 dist.resize(n, UNREACHED);
@@ -233,6 +244,21 @@ impl Workspace {
             // A node is touched at most once per run: sized to the graph
             // here, the list never grows during one.
             self.touched = Vec::with_capacity(n);
+        } else if self.touched.len() >= n / 8 {
+            out.dist_c.fill(UNREACHED);
+            out.dist_p.fill(UNREACHED);
+            out.dist_d.fill(UNREACHED);
+            out.reach.fill(0);
+        } else {
+            // Every set reach bit belongs to a touched node, so clearing
+            // whole words per touched node clears the bitset exactly.
+            for &t in &self.touched {
+                let i = t as usize;
+                out.dist_c[i] = UNREACHED;
+                out.dist_p[i] = UNREACHED;
+                out.dist_d[i] = UNREACHED;
+                out.reach[i >> 6] = 0;
+            }
         }
         self.touched.clear();
         self.queue.clear();
@@ -256,9 +282,15 @@ impl Workspace {
         }
     }
 
-    /// Files `i` under provider-route distance `d` for phase 3.
+    /// Files `i` under provider-route distance `d` for phase 3, to export
+    /// to its customers when bucket `d` drains — so a node without any is
+    /// never filed: most of the Internet is stubs, and a stub's pop would
+    /// walk an empty slice.
     #[inline]
-    fn push_bucket(&mut self, d: usize, i: u32) {
+    fn push_bucket(&mut self, snap: &TopologySnapshot, d: usize, i: u32) {
+        if !snap.has_customers(i) {
+            return;
+        }
         if d >= self.buckets.len() {
             self.buckets.resize_with(d + 1, Vec::new);
         }
@@ -374,7 +406,8 @@ pub(crate) fn run_into(
     // touched list and seeds in the order it was reached: that order
     // shapes the push/pop sequence (which entries go stale), never a
     // distance — the relaxation is a strict `<` and a bucket holds one
-    // distance.
+    // distance. A node without customers gets its distance, reach bit and
+    // touched entry like any other; `push_bucket` leaves it unqueued.
     let seeds = ws.touched.len();
     for t in 0..seeds {
         let i = ws.touched[t];
@@ -391,7 +424,7 @@ pub(crate) fn run_into(
             if pol.import_ok(origin, u, w) && u != origin && s + 1 < ws.out.dist_d[uj as usize] {
                 ws.out.dist_d[uj as usize] = s + 1;
                 ws.mark(uj);
-                ws.push_bucket((s + 1) as usize, uj);
+                ws.push_bucket(snap, (s + 1) as usize, uj);
             }
         }
     }
@@ -420,7 +453,7 @@ pub(crate) fn run_into(
                 if pol.import_ok(origin, x, NodeId(ui)) && nd < ws.out.dist_d[xi as usize] {
                     ws.out.dist_d[xi as usize] = nd;
                     ws.mark(xi);
-                    ws.push_bucket(d + 1, xi);
+                    ws.push_bucket(snap, d + 1, xi);
                 }
             }
         }
@@ -429,22 +462,17 @@ pub(crate) fn run_into(
 
     // A node that selects a customer or peer route never uses its provider
     // route; clear dist_d there so `selection` and `next_hops` agree and
-    // downstream consumers (DAG, reliance) see only selected routes. The
-    // reach bitset and its popcount were maintained incrementally by
-    // `mark` — the touched list IS the reach set, so only it is scanned.
-    let (mut sel_c, mut sel_p, mut sel_d) = (0u64, 0u64, 0u64);
-    for &t in &ws.touched {
-        let i = t as usize;
-        if ws.out.dist_c[i] != UNREACHED {
-            sel_c += 1;
-            ws.out.dist_d[i] = UNREACHED;
-        } else if ws.out.dist_p[i] != UNREACHED {
-            sel_p += 1;
-            ws.out.dist_d[i] = UNREACHED;
-        } else {
-            sel_d += 1;
-        }
+    // downstream consumers (DAG, reliance) see only selected routes. Those
+    // nodes are the first `seeds` entries of the touched list — phase 1
+    // marked the customer-routed ones, phase 2 the peer-routed rest — and
+    // everything phase 3 marked after them selects its provider route, so
+    // the three class counts are lengths and only the prefix is walked.
+    for &t in &ws.touched[..seeds] {
+        ws.out.dist_d[t as usize] = UNREACHED;
     }
+    let sel_c = customer_reached as u64;
+    let sel_p = (seeds - customer_reached) as u64;
+    let sel_d = (ws.touched.len() - seeds) as u64;
     obs.routes_customer.add(sel_c);
     obs.routes_peer.add(sel_p);
     obs.routes_provider.add(sel_d);

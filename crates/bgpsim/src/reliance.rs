@@ -35,6 +35,8 @@ use crate::dag::NextHopDag;
 use crate::engine::{TopologySnapshot, Workspace};
 use crate::propagate::{PropagationConfig, UNREACHED};
 use flatnet_asgraph::NodeId;
+use flatnet_obs::{Counter, Histogram};
+use std::sync::{Arc, OnceLock};
 
 /// Computes `rely(origin, a)` for **every** AS `a` from a next-hop DAG.
 ///
@@ -76,13 +78,24 @@ pub fn reliance(dag: &NextHopDag) -> Vec<f64> {
 /// * nodes are visited in `NextHopDag`'s topological order — reachable
 ///   nodes by `(selected distance, node index)` — produced here by a
 ///   counting sort over the reach bitset walked in node order;
-/// * each node's tied-best hops are enumerated from its selected class's
-///   CSR slice, which holds the neighbours in the order
-///   [`RoutingOutcome::next_hops`] walks them, under the same
-///   import rules and `keep_ties` truncation;
+/// * each node's tied-best hops are listed in the order
+///   [`RoutingOutcome::next_hops`] walks them, under the same import
+///   rules and `keep_ties` truncation. A provider-routed node pulls them
+///   from its own provider slice. Customer- and peer-routed nodes never
+///   scan theirs (a hub's thousands of customers, every peer of every
+///   peer-routed AS): their hops are all customer-routed *senders*, so
+///   each sender offers itself to its providers and peers — the entries
+///   phases 1–2 of the run examined. A receiver's hops all sit exactly
+///   one level below it and senders are visited by `(distance, node)`,
+///   so each receiver's hops arrive in ascending node order, which is
+///   the order of its CSR slice;
 /// * path counts and visit mass are accumulated hop by hop in that order
 ///   with the oracle's expressions, so no floating-point sum is
 ///   reassociated.
+///
+/// `reliance.runs`, `reliance.hop_checks` (adjacency entries examined
+/// while deriving hops) and the `reliance.score_us` histogram record the
+/// kernel's own work, flushed once per call.
 ///
 /// [`RoutingOutcome`]: crate::propagate::RoutingOutcome
 /// [`RoutingOutcome::next_hops`]: crate::propagate::RoutingOutcome::next_hops
@@ -96,13 +109,21 @@ pub struct RelianceWorkspace {
     /// The result: visit mass per node, `0.0` for unreached nodes.
     scores: Vec<f64>,
     /// Reached nodes by `(selected distance, node index)`. Doubles as the
-    /// undo list: the next run clears exactly these `sel`/`scores` slots.
+    /// undo list: the next run clears exactly these per-node slots.
     topo: Vec<u32>,
     /// Counting-sort cursors, indexed by distance.
     starts: Vec<u32>,
     /// `hops[hop_off[k]..hop_off[k + 1]]` are the next hops of `topo[k]`.
     hop_off: Vec<u32>,
     hops: Vec<u32>,
+    /// Customer-routed nodes by `(distance, node index)`.
+    senders: Vec<u32>,
+    /// `(receiver, sender)` per sender-derived hop, in sender order.
+    offers: Vec<(u32, u32)>,
+    /// Per customer- or peer-routed receiver: its number of offers, then
+    /// (once its `hops` range is reserved) the next slot to fill. Zero
+    /// for every other node.
+    slot: Vec<u32>,
 }
 
 impl RelianceWorkspace {
@@ -123,23 +144,36 @@ impl RelianceWorkspace {
     ) -> &[f64] {
         let n = snap.len();
         assert_eq!(ws.len(), n, "workspace was not run over this snapshot");
+        let obs = metrics();
+        obs.runs.inc();
+        let started = std::time::Instant::now();
+        let mut hop_checks = 0u64;
         let (dist_c, dist_p, dist_d) = (&ws.dist_c[..], &ws.dist_p[..], &ws.dist_d[..]);
         let pol = cfg.view();
         let keep_ties = cfg.keep_ties();
         let origin = ws.origin();
 
-        if self.sel.len() == n {
-            for &u in &self.topo {
-                self.sel[u as usize] = UNREACHED;
-                self.scores[u as usize] = 0.0;
-            }
-        } else {
+        // Same rule as `Workspace::reset`: undo a small previous run
+        // write by write, fill after one that reached much of the graph.
+        if self.sel.len() != n {
             self.sel.clear();
             self.sel.resize(n, UNREACHED);
             self.scores.clear();
             self.scores.resize(n, 0.0);
             self.counts.clear();
             self.counts.resize(n, 0.0);
+            self.slot.clear();
+            self.slot.resize(n, 0);
+        } else if self.topo.len() >= n / 8 {
+            self.sel.fill(UNREACHED);
+            self.scores.fill(0.0);
+            self.slot.fill(0);
+        } else {
+            for &u in &self.topo {
+                self.sel[u as usize] = UNREACHED;
+                self.scores[u as usize] = 0.0;
+                self.slot[u as usize] = 0;
+            }
         }
 
         // Counting sort by selected distance. The bitset is walked in
@@ -147,8 +181,10 @@ impl RelianceWorkspace {
         // keep ascending index: the `(dist, node)` order of `NextHopDag`.
         self.starts.clear();
         self.starts.push(0);
+        self.senders.clear();
         for_each_set_bit(ws.reach_words(), |i| {
             let d = if dist_c[i] != UNREACHED {
+                self.senders.push(i as u32);
                 dist_c[i]
             } else if dist_p[i] != UNREACHED {
                 dist_p[i]
@@ -174,9 +210,47 @@ impl RelianceWorkspace {
             *cursor += 1;
         });
 
-        // Forward pass, origin outward: enumerate each node's tied-best
-        // hops and sum their path counts. Every hop is one step closer to
-        // the origin, so its count is final before it is read.
+        // Customer and peer routes are learned from a neighbour's customer
+        // route, so the senders offer themselves, origin outward: a
+        // sender's own path count is final once every sender one level
+        // below it has been visited, and each receiver's count is summed
+        // in its hop order (the first offer assigns: `0.0 + c == c`).
+        self.senders.sort_unstable_by_key(|&v| (dist_c[v as usize], v));
+        self.offers.clear();
+        if reached > 0 {
+            self.counts[origin.idx()] = 1.0;
+        }
+        for &v in &self.senders {
+            let len = dist_c[v as usize] + 1;
+            let paths = self.counts[v as usize];
+            let (providers, peers) = (snap.providers(v), snap.peers(v));
+            hop_checks += (providers.len() + peers.len()) as u64;
+            let takers = providers
+                .iter()
+                .filter(|&&u| dist_c[u as usize] == len)
+                .chain(peers.iter().filter(|&&u| {
+                    dist_c[u as usize] == UNREACHED && dist_p[u as usize] == len
+                }));
+            for &u in takers {
+                let offered = &mut self.slot[u as usize];
+                if (*offered > 0 && !keep_ties) || !pol.import_ok(origin, NodeId(u), NodeId(v)) {
+                    continue;
+                }
+                if *offered == 0 {
+                    self.counts[u as usize] = paths;
+                } else {
+                    self.counts[u as usize] += paths;
+                }
+                *offered += 1;
+                self.offers.push((u, v));
+            }
+        }
+
+        // Forward pass, origin outward: lay out every node's hop range. A
+        // customer- or peer-routed node reserves room for its offers; a
+        // provider-routed one pulls from its providers' selections, each
+        // one step closer to the origin, so its count is final before it
+        // is read.
         self.hops.clear();
         self.hop_off.clear();
         self.hop_off.push(0);
@@ -184,39 +258,40 @@ impl RelianceWorkspace {
             let u = self.topo[k];
             let ui = u as usize;
             self.scores[ui] = 1.0;
-            if u == origin.0 {
-                self.counts[ui] = 1.0;
-                self.hop_off.push(self.hops.len() as u32);
-                continue;
-            }
             let first = self.hops.len();
-            let len = self.sel[ui];
-            // Customer and peer routes are learned from a neighbour's
-            // customer route; a provider route from whatever the provider
-            // selected.
-            let (neighbours, via): (&[u32], &[u32]) = if dist_c[ui] != UNREACHED {
-                (snap.customers(u), dist_c)
-            } else if dist_p[ui] != UNREACHED {
-                (snap.peers(u), dist_c)
+            if dist_d[ui] == UNREACHED {
+                // The origin reserves nothing: it has no offers. Every
+                // other such node learned its route from a sender, so it
+                // has at least one and its count is set.
+                self.hops.resize(first + self.slot[ui] as usize, 0);
+                self.slot[ui] = first as u32;
             } else {
-                (snap.providers(u), self.sel.as_slice())
-            };
-            for &v in neighbours {
-                let dv = via[v as usize];
-                if dv != UNREACHED && dv + 1 == len && pol.import_ok(origin, NodeId(u), NodeId(v))
-                {
-                    self.hops.push(v);
-                    if !keep_ties {
-                        break;
+                let len = self.sel[ui];
+                for &v in snap.providers(u) {
+                    hop_checks += 1;
+                    let dv = self.sel[v as usize];
+                    if dv != UNREACHED
+                        && dv + 1 == len
+                        && pol.import_ok(origin, NodeId(u), NodeId(v))
+                    {
+                        self.hops.push(v);
+                        if !keep_ties {
+                            break;
+                        }
                     }
                 }
+                let mut total = 0.0;
+                for &h in &self.hops[first..] {
+                    total += self.counts[h as usize];
+                }
+                self.counts[ui] = total;
             }
-            let mut total = 0.0;
-            for &h in &self.hops[first..] {
-                total += self.counts[h as usize];
-            }
-            self.counts[ui] = total;
             self.hop_off.push(self.hops.len() as u32);
+        }
+        for &(u, v) in &self.offers {
+            let at = &mut self.slot[u as usize];
+            self.hops[*at as usize] = v;
+            *at += 1;
         }
 
         // Reverse pass, farthest first: each node's visit mass is final
@@ -232,6 +307,8 @@ impl RelianceWorkspace {
                 self.scores[h as usize] += wv * self.counts[h as usize] / nv;
             }
         }
+        obs.hop_checks.add(hop_checks);
+        obs.score_us.record_us(started.elapsed().as_micros() as u64);
         &self.scores
     }
 
@@ -245,6 +322,27 @@ impl RelianceWorkspace {
     pub fn receivers(&self) -> usize {
         self.topo.len()
     }
+}
+
+/// Pre-resolved handles for the kernel's own work, tallied in locals and
+/// flushed once per [`RelianceWorkspace::score`].
+struct RelianceMetrics {
+    runs: Counter,
+    /// Adjacency entries examined while deriving hops.
+    hop_checks: Counter,
+    score_us: Arc<Histogram>,
+}
+
+fn metrics() -> &'static RelianceMetrics {
+    static METRICS: OnceLock<RelianceMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let reg = flatnet_obs::global();
+        RelianceMetrics {
+            runs: reg.counter("reliance.runs"),
+            hop_checks: reg.counter("reliance.hop_checks"),
+            score_us: reg.histogram("reliance.score_us"),
+        }
+    })
 }
 
 /// Calls `f` with the index of every set bit, ascending.

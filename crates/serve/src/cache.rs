@@ -18,7 +18,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Number of independently locked shards.
 pub const SHARDS: usize = 8;
@@ -78,16 +78,25 @@ impl<V> ResultCache<V> {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard<V>> {
+    /// Index of the shard `key` lives in.
+    fn shard_of(key: &CacheKey) -> usize {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() % SHARDS as u64) as usize]
+        (h.finish() % SHARDS as u64) as usize
+    }
+
+    /// Locks shard `si`. A map insert, remove or stamp write leaves the
+    /// shard valid at every step, so a lock poisoned by a panicking
+    /// holder is safe to keep using: one worker's panic must not turn
+    /// every later request hashing here into another.
+    fn lock(&self, si: usize) -> MutexGuard<'_, Shard<V>> {
+        self.shards[si].lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Looks up `key`, bumping its recency. Counts a hit or miss.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<V>> {
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(key).lock().unwrap();
+        let mut shard = self.lock(Self::shard_of(key));
         match shard.map.get_mut(key) {
             Some((v, last)) => {
                 *last = stamp;
@@ -111,15 +120,13 @@ impl<V> ResultCache<V> {
         out.resize_with(keys.len(), || None);
         let mut by_shard: [Vec<usize>; SHARDS] = std::array::from_fn(|_| Vec::new());
         for (i, key) in keys.iter().enumerate() {
-            let mut h = DefaultHasher::new();
-            key.hash(&mut h);
-            by_shard[(h.finish() % SHARDS as u64) as usize].push(i);
+            by_shard[Self::shard_of(key)].push(i);
         }
         for (si, indices) in by_shard.iter().enumerate() {
             if indices.is_empty() {
                 continue;
             }
-            let mut shard = self.shards[si].lock().unwrap();
+            let mut shard = self.lock(si);
             for &i in indices {
                 let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
                 match shard.map.get_mut(&keys[i]) {
@@ -139,7 +146,7 @@ impl<V> ResultCache<V> {
     /// used entry if it is full.
     pub fn put(&self, key: CacheKey, value: Arc<V>) {
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(&key).lock().unwrap();
+        let mut shard = self.lock(Self::shard_of(&key));
         if shard.map.len() >= self.per_shard && !shard.map.contains_key(&key) {
             if let Some(oldest) =
                 shard.map.iter().min_by_key(|(_, (_, last))| *last).map(|(k, _)| *k)
@@ -153,8 +160,8 @@ impl<V> ResultCache<V> {
 
     /// Drops every entry (used by `/admin/reload`).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap().map.clear();
+        for si in 0..SHARDS {
+            self.lock(si).map.clear();
         }
     }
 
@@ -163,8 +170,8 @@ impl<V> ResultCache<V> {
     /// retains), so `f` should be cheap. Touches neither recency nor
     /// the hit/miss counters.
     pub fn for_each(&self, mut f: impl FnMut(&CacheKey, &V)) {
-        for shard in &self.shards {
-            for (key, (value, _)) in &shard.lock().unwrap().map {
+        for si in 0..SHARDS {
+            for (key, (value, _)) in &self.lock(si).map {
                 f(key, value);
             }
         }
@@ -172,7 +179,7 @@ impl<V> ResultCache<V> {
 
     /// Current number of cached entries, summed across shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().map.len()).sum()
+        (0..SHARDS).map(|si| self.lock(si).map.len()).sum()
     }
 
     /// Whether the cache is empty.
@@ -187,6 +194,13 @@ mod tests {
 
     fn key(origin: u32) -> CacheKey {
         CacheKey { version: 1, origin, fingerprint: policy_fingerprint(1, 0) }
+    }
+
+    /// Two keys that hash to the same shard.
+    fn two_keys_in_one_shard() -> [CacheKey; 2] {
+        let shard_of = ResultCache::<u32>::shard_of;
+        let other = (1..64).map(key).find(|k| shard_of(k) == shard_of(&key(0)));
+        [key(0), other.expect("64 keys over 8 shards collide")]
     }
 
     #[test]
@@ -217,27 +231,39 @@ mod tests {
         // Capacity 8 = one entry per shard; inserting two keys that land
         // in the same shard must evict the stale one.
         let cache: ResultCache<u32> = ResultCache::new(SHARDS);
-        // Find two keys in the same shard.
-        let mut same_shard = Vec::new();
-        'outer: for a in 0..64u32 {
-            for b in (a + 1)..64u32 {
-                let (ka, kb) = (key(a), key(b));
-                let shard_of = |k: &CacheKey| {
-                    let mut h = DefaultHasher::new();
-                    k.hash(&mut h);
-                    h.finish() % SHARDS as u64
-                };
-                if shard_of(&ka) == shard_of(&kb) {
-                    same_shard = vec![ka, kb];
-                    break 'outer;
-                }
-            }
-        }
-        let [ka, kb]: [CacheKey; 2] = same_shard.try_into().unwrap();
+        let [ka, kb] = two_keys_in_one_shard();
         cache.put(ka, Arc::new(1));
         cache.put(kb, Arc::new(2));
         assert!(cache.get(&ka).is_none(), "older entry should have been evicted");
         assert_eq!(cache.get(&kb).as_deref(), Some(&2));
+    }
+
+    /// A holder that panics poisons its shard's mutex; the shard keeps
+    /// serving — hits, inserts, evictions, bulk probes and walks.
+    #[test]
+    fn a_poisoned_shard_keeps_serving() {
+        let cache: ResultCache<u32> = ResultCache::new(SHARDS);
+        let [ka, kb] = two_keys_in_one_shard();
+        cache.put(ka, Arc::new(1));
+        let walker = std::thread::scope(|s| {
+            s.spawn(|| cache.for_each(|_, _| panic!("a worker panics holding the shard"))).join()
+        });
+        assert!(walker.is_err());
+        let si = ResultCache::<u32>::shard_of(&ka);
+        assert!(cache.shards[si].is_poisoned(), "the panic did not poison the shard");
+
+        assert_eq!(cache.get(&ka).as_deref(), Some(&1));
+        assert_eq!(cache.probe_many(&[kb, ka]), vec![None, Some(Arc::new(1))]);
+        // One entry per shard: the insert evicts through the poisoned lock.
+        cache.put(kb, Arc::new(2));
+        assert!(cache.get(&ka).is_none(), "older entry should have been evicted");
+        assert_eq!(cache.get(&kb).as_deref(), Some(&2));
+        assert_eq!(cache.len(), 1);
+        let mut seen = Vec::new();
+        cache.for_each(|k, v| seen.push((*k, *v)));
+        assert_eq!(seen, vec![(kb, 2)]);
+        cache.clear();
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -397,7 +397,7 @@ struct WorkerCtx {
     ws: Workspace,
     cfg: PropagationConfig,
     rely: RelianceWorkspace,
-    /// Scratch for ranking one reliance answer's `(asn, score)` pairs.
+    /// Scratch for ranking one reliance answer's `(node index, score)` pairs.
     ranked: Vec<(u32, f64)>,
 }
 
@@ -1056,31 +1056,48 @@ fn reachability(
 }
 
 /// Ranks one reliance run: the top [`RELIANCE_TOP_MAX`] `(asn, score)`
-/// pairs with a positive score, origin omitted — selected first, then
-/// only the survivors sorted. The order is total (scores descending, ASN
-/// ascending, ASNs distinct), so the result is what a full sort and
-/// truncate would give. `ranked` is the worker's reusable scratch.
+/// pairs with a positive score, origin omitted. The order is total
+/// (scores descending, ASN ascending, ASNs distinct), so the result is
+/// what a full sort and truncate would give. `ranked` is the worker's
+/// reusable scratch.
 fn rank_reliance(
     snap: &ServeSnapshot,
     node: NodeId,
     scores: &[f64],
     ranked: &mut Vec<(u32, f64)>,
 ) -> Vec<(u32, f64)> {
-    ranked.clear();
-    ranked.extend(
-        scores
-            .iter()
-            .enumerate()
-            .filter(|&(i, &s)| s > 0.0 && i != node.idx())
-            .map(|(i, &s)| (snap.graph.asn(NodeId(i as u32)).0, s)),
-    );
+    select_top(scores, node.idx(), RELIANCE_TOP_MAX, ranked);
+    // Nodes are numbered in ascending ASN order, so ranking by node index
+    // ranked by ASN; only the survivors are looked up.
+    ranked.iter().map(|&(i, s)| (snap.graph.asn(NodeId(i)).0, s)).collect()
+}
+
+/// Leaves in `ranked` the `cap` best `(index, score)` pairs of `scores`
+/// — positive scores only, `skip` omitted, scores descending then index
+/// ascending — without ever holding more than `2 * cap` candidates: when
+/// the buffer fills, a selection keeps its better half, and from then on
+/// a candidate must beat the worst survivor to enter. A tie with that
+/// survivor loses, as it should: the scan ascends, so the candidate's
+/// index is the higher one.
+fn select_top(scores: &[f64], skip: usize, cap: usize, ranked: &mut Vec<(u32, f64)>) {
     let by_rank = |a: &(u32, f64), b: &(u32, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
-    if ranked.len() > RELIANCE_TOP_MAX {
-        ranked.select_nth_unstable_by(RELIANCE_TOP_MAX - 1, by_rank);
-        ranked.truncate(RELIANCE_TOP_MAX);
+    ranked.clear();
+    let mut floor = 0.0;
+    for (i, &s) in scores.iter().enumerate() {
+        if s > floor && i != skip {
+            ranked.push((i as u32, s));
+            if ranked.len() == 2 * cap {
+                ranked.select_nth_unstable_by(cap - 1, by_rank);
+                ranked.truncate(cap);
+                floor = ranked[cap - 1].1;
+            }
+        }
+    }
+    if ranked.len() > cap {
+        ranked.select_nth_unstable_by(cap - 1, by_rank);
+        ranked.truncate(cap);
     }
     ranked.sort_unstable_by(by_rank);
-    ranked.as_slice().to_vec()
 }
 
 /// `GET /v1/reliance?origins=a,b[&exclude=…][&top=K]` (single-origin
@@ -1616,5 +1633,37 @@ mod tests {
         assert!(old.upgrade().is_none(), "the old snapshot outlived its reload");
         assert_eq!(shared.mgr.current().version, 2);
         assert_eq!(scratch_bytes_of(&health(&mut ctx)), 0, "the new snapshot starts with no scratch");
+    }
+    /// The bounded selection is a full sort and truncate, whatever the
+    /// cap, however often the buffer compacts and wherever the ties fall.
+    #[test]
+    fn select_top_matches_sort_and_truncate() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut ranked = Vec::new();
+        for round in 0..200 {
+            let len = (next() % 400) as usize;
+            // Few distinct values, zeros included: ties on every boundary.
+            // Even rounds ascend, the worst case for the running floor.
+            let mut scores: Vec<f64> = (0..len).map(|_| (next() % 7) as f64 * 0.5).collect();
+            if round % 2 == 0 {
+                scores.sort_by(f64::total_cmp);
+            }
+            let skip = (next() % (len as u64 + 1)) as usize;
+            let cap = 1 + (next() % 40) as usize;
+            let mut want: Vec<(u32, f64)> = (0..len)
+                .filter(|&i| scores[i] > 0.0 && i != skip)
+                .map(|i| (i as u32, scores[i]))
+                .collect();
+            want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            want.truncate(cap);
+            select_top(&scores, skip, cap, &mut ranked);
+            assert_eq!(ranked, want, "round {round}: len {len}, skip {skip}, cap {cap}");
+        }
+        // At most 2 × 40 candidates were ever held, however long the scan.
+        assert!(ranked.capacity() <= 4 * 40, "the scratch grew to {}", ranked.capacity());
     }
 }

@@ -1,6 +1,7 @@
 //! The allocation budget of a steady-state miss: once one request of each
 //! kind has sized the long-lived scratch (the worker's scalar workspace,
-//! the snapshot's pooled lane workspaces and leak buffers), a miss
+//! reliance kernel and ranking buffer, the snapshot's pooled lane
+//! workspaces and leak buffers), a miss
 //! allocates the answer the cache keeps, the response it writes, and a
 //! small constant of per-request bookkeeping — nothing that grows with
 //! the topology. The same constants hold at two node counts a factor of
@@ -73,6 +74,8 @@ struct Cost {
     allocated: u64,
     /// Growth of `/healthz` `cache_bytes`: the new answers' retained bytes.
     retained: u64,
+    /// Growth of `/healthz` `cache_entries`: how many origins were misses.
+    misses: u64,
     /// Bytes of the response body.
     response: u64,
 }
@@ -121,12 +124,13 @@ impl Daemon {
     }
 
     fn measure(&self, method: &str, target: &str, body: Option<&str>) -> Cost {
-        let cache_before = self.health("cache_bytes");
+        let (cache_before, entries_before) = (self.health("cache_bytes"), self.health("cache_entries"));
         let before = BYTES.load(Ordering::Relaxed);
         let response = self.request(method, target, body).len() as u64;
         let allocated = BYTES.load(Ordering::Relaxed) - before;
         let retained = self.health("cache_bytes") - cache_before;
-        Cost { allocated, retained, response }
+        let misses = self.health("cache_entries") - entries_before;
+        Cost { allocated, retained, misses, response }
     }
 }
 
@@ -156,6 +160,9 @@ const SINGLE_OVERHEAD: u64 = 24 << 10;
 /// and never holds its text, so its budget does not even include the
 /// response: the answer plus this.
 const STREAM_OVERHEAD: u64 = 64 << 10;
+/// What the cache keeps of one reliance answer at most: the 1 000 best
+/// `(asn, score)` pairs and the value holding them.
+const RELIANCE_ANSWER_MAX: u64 = 1_000 * 16 + 64;
 
 #[test]
 fn a_steady_state_miss_allocates_its_answer_and_its_response_and_no_scratch() {
@@ -163,10 +170,11 @@ fn a_steady_state_miss_allocates_its_answer_and_its_response_and_no_scratch() {
     for ases in [3_000usize, 12_000] {
         let net = generate(&NetGenConfig::paper_2020(ases, 15));
         let asns: Vec<u32> = net.truth.asns().map(|a| a.0).collect();
-        assert!(asns.len() >= 1_100, "topology too small for four disjoint batches");
+        assert!(asns.len() >= 1_300, "topology too small for every disjoint batch below");
         let words_bytes = (asns.len().div_ceil(64) * 8) as u64;
         let daemon = Daemon::start(ases);
         let reach = |query: String| format!("/v1/reachability?{query}");
+        let rely = |query: String| format!("/v1/reliance?{query}");
         let leak = format!("{{\"victim\":{},\"leakers\":4,\"lock\":\"t12\",\"seed\":3}}", asns[7]);
 
         // One request of each kind sizes every long-lived buffer.
@@ -174,7 +182,7 @@ fn a_steady_state_miss_allocates_its_answer_and_its_response_and_no_scratch() {
         daemon.request("GET", &reach(format!("origins={}", csv(&batches[..256]))), None);
         daemon.request("GET", &reach(format!("origin={}", singles[0])), None);
         daemon.request("GET", &reach(format!("origin={}&detail=full", singles[1])), None);
-        daemon.request("GET", &format!("/v1/reliance?origin={}", singles[2]), None);
+        daemon.request("GET", &rely(format!("origin={}", singles[2])), None);
         daemon.request("POST", "/v1/whatif/leak", Some(&leak));
 
         // 256-origin batches of misses: one lane sweep each.
@@ -239,13 +247,47 @@ fn a_steady_state_miss_allocates_its_answer_and_its_response_and_no_scratch() {
             leaked.response
         );
 
+        // Reliance misses, one and 32 to a request: a scalar run, the
+        // kernel and the ranking on the worker's own buffers (the kernel's
+        // per-node arrays were sized by the warm-up), so what is allocated
+        // is the ranked pairs the cache keeps.
+        let (rely_singles, rely_batches) = singles[11..112].split_at(5);
+        let rely_single = typical(
+            rely_singles
+                .iter()
+                .map(|o| daemon.measure("GET", &rely(format!("origin={o}")), None))
+                .collect(),
+        );
+        let rely_batch = typical(
+            rely_batches
+                .chunks(32)
+                .map(|b| daemon.measure("GET", &rely(format!("origins={}", csv(b))), None))
+                .collect(),
+        );
+        for (cost, origins, budget, what) in [
+            (&rely_single, 1, SINGLE_OVERHEAD, "reliance single"),
+            (&rely_batch, 32, BATCH_OVERHEAD, "reliance batch"),
+        ] {
+            assert_eq!(cost.misses, origins, "{what}: every origin was a miss");
+            assert!(cost.retained <= origins * RELIANCE_ANSWER_MAX, "{what} kept {}", cost.retained);
+            assert!(
+                cost.overhead() <= budget,
+                "{ases} ASes, {what}: {} B allocated for {} B of answers and a {} B response",
+                cost.allocated,
+                cost.retained,
+                cost.response
+            );
+        }
+
         println!(
             "{ases} ASes, bytes beyond answers + response: batch {}, single {}, full {} \
-             (response not credited), leak {}",
+             (response not credited), leak {}, reliance single {}, reliance batch of 32 {}",
             batch.overhead(),
             single.overhead(),
             full.allocated - full.retained,
-            leaked.overhead()
+            leaked.overhead(),
+            rely_single.overhead(),
+            rely_batch.overhead()
         );
         daemon.server.shutdown();
     }
