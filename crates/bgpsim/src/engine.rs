@@ -64,6 +64,7 @@ use crate::lanes::{
 };
 use crate::parallel::{self, SweepError};
 use crate::propagate::{metrics, PolicyView, PropagationConfig, RoutingOutcome, UNREACHED};
+use crate::reachset::ReachSet;
 use crate::reliance::RelianceWorkspace;
 use crate::scratch::Scratch;
 use flatnet_asgraph::{AsGraph, NodeId};
@@ -619,8 +620,25 @@ impl<'s> Simulation<'s> {
     where
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
-        let sweep = self.sweep_lanes(origins, fill, true).or_panic();
+        let sweep = self.sweep_lanes(origins, fill, Some(|words, _| words.to_vec())).or_panic();
         SweepReach::from_parts(self.snap.len(), origins.to_vec(), sweep.sets, sweep.counts)
+    }
+
+    /// [`Self::run_sweep_reach_with`] for a caller that keeps the sets:
+    /// one `(reach set, reachable count)` per origin (origin bit set,
+    /// count origin excluded), each lane encoded as a [`ReachSet`]
+    /// straight off the lane workspace, so a block of full-reach origins
+    /// never exists as a block of bitsets.
+    pub fn run_sweep_reach_sets_with<F>(
+        &self,
+        origins: &[NodeId],
+        fill: F,
+    ) -> Vec<(ReachSet, usize)>
+    where
+        F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
+    {
+        let sweep = self.sweep_lanes(origins, fill, Some(ReachSet::from_words)).or_panic();
+        sweep.sets.into_iter().zip(sweep.counts.into_iter().map(|c| c as usize)).collect()
     }
 
     /// The counts-only form of [`Self::run_sweep_reach`]: per-origin
@@ -637,7 +655,7 @@ impl<'s> Simulation<'s> {
     where
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
-        self.sweep_lanes(origins, fill, false).or_panic().counts
+        self.sweep_lanes(origins, fill, COUNTS_ONLY).or_panic().counts
     }
 
     /// Like [`Self::run_sweep_reach_counts_with`], but a panic in `fill`
@@ -651,7 +669,7 @@ impl<'s> Simulation<'s> {
     where
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
-        let sweep = self.sweep_lanes(origins, fill, false);
+        let sweep = self.sweep_lanes(origins, fill, COUNTS_ONLY);
         let mut out: Vec<Result<u32, SweepError>> = sweep.counts.into_iter().map(Ok).collect();
         for e in sweep.errors {
             let i = e.index;
@@ -662,38 +680,42 @@ impl<'s> Simulation<'s> {
 
     /// The one lane-sweep driver every `run_sweep_reach*` entry point
     /// reduces, and the only place the lane width is dispatched on.
-    fn sweep_lanes<F>(&self, origins: &[NodeId], fill: F, materialize: bool) -> LaneSweep
+    fn sweep_lanes<S, F>(&self, origins: &[NodeId], fill: F, keep: Keep<S>) -> LaneSweep<S>
     where
+        S: Send,
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
         match self.lane_width.words_for(origins.len()) {
-            1 => self.sweep_lanes_w::<1, F>(origins, fill, materialize),
-            2 => self.sweep_lanes_w::<2, F>(origins, fill, materialize),
-            _ => self.sweep_lanes_w::<4, F>(origins, fill, materialize),
+            1 => self.sweep_lanes_w::<1, S, F>(origins, fill, keep),
+            2 => self.sweep_lanes_w::<2, S, F>(origins, fill, keep),
+            _ => self.sweep_lanes_w::<4, S, F>(origins, fill, keep),
         }
     }
 
     /// [`Self::sweep_lanes`] at width `W`: chunk the origins into blocks,
     /// run each on a [`LaneWorkspace<W>`] checked out of the snapshot's
     /// pool with every lane's `fill` under its own `catch_unwind`, and
-    /// string the blocks' counts (and, when `materialize`, reach sets)
-    /// together in origin order. A reach set is copied once, out of the
-    /// workspace into the `Vec` the caller ends up owning. A lane whose
-    /// fill panicked is killed — an excluded origin yields the empty
-    /// outcome, so a half-run fill's exclusions cannot leak into a result
-    /// — and reported; a panic in the kernel itself fails its whole block.
-    fn sweep_lanes_w<const W: usize, F>(
+    /// string the blocks' counts (and, when `keep` is given, what it
+    /// makes of each reach set) together in origin order. A reach set
+    /// leaves the workspace once, as the value the caller ends up
+    /// owning. A lane whose fill panicked is killed — an excluded origin
+    /// yields the empty outcome, so a half-run fill's exclusions cannot
+    /// leak into a result — and reported; a panic in the kernel itself
+    /// fails its whole block.
+    fn sweep_lanes_w<const W: usize, S, F>(
         &self,
         origins: &[NodeId],
         fill: F,
-        materialize: bool,
-    ) -> LaneSweep
+        keep: Keep<S>,
+    ) -> LaneSweep<S>
     where
         Lanes<W>: LaneArity,
         [NodeWords<W>]: AsExclusionLanes,
         LaneWorkspace<W>: PooledLaneWs,
+        S: Send,
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
+        let n = self.snap.len();
         let blocks: Vec<&[NodeId]> = origins.chunks(LaneWorkspace::<W>::BLOCK_LANES).collect();
         let parts = parallel::try_parallel_map_ctx(
             &blocks,
@@ -703,7 +725,7 @@ impl<'s> Simulation<'s> {
                     .checkout(|| LaneWorkspace::for_snapshot(self.snap))
             },
             |ws, block| {
-                let mut part = LaneSweep::with_capacity(block.len(), materialize);
+                let mut part = LaneSweep::with_capacity(block.len(), keep.is_some());
                 let mut lane = 0usize;
                 let guarded = |o: NodeId, ex: &mut LaneExcluder<'_>| {
                     let run = std::panic::AssertUnwindSafe(|| fill(o, &mut *ex));
@@ -714,10 +736,10 @@ impl<'s> Simulation<'s> {
                     }
                     lane += 1;
                 };
-                ws.run_block_inner(self.snap, block, &self.cfg, guarded, materialize);
+                ws.run_block_inner(self.snap, block, &self.cfg, guarded, keep.is_some());
                 for k in 0..block.len() {
-                    if materialize {
-                        part.sets.push(ws.lane_reach_words(k).to_vec());
+                    if let Some(keep) = keep {
+                        part.sets.push(keep(ws.lane_reach_words(k), n));
                     }
                     part.counts.push(ws.lane_reachable_count(k) as u32);
                 }
@@ -730,26 +752,31 @@ impl<'s> Simulation<'s> {
             Ok([failed]) => vec![failed],
             Err(parts) => parts,
         };
-        let words_per = if materialize { self.snap.len().div_ceil(64) } else { 0 };
-        let mut out = LaneSweep::with_capacity(origins.len(), materialize);
+        let mut out = LaneSweep::with_capacity(origins.len(), keep.is_some());
         for (block, part) in blocks.iter().zip(parts) {
-            out.append(block, part, words_per);
+            out.append(block, part, keep, n);
         }
         out
     }
 }
 
+/// What a lane sweep makes of one origin's reach bitset (its words and
+/// the node count) to keep it; `None` keeps counts only.
+type Keep<S> = Option<fn(&[u64], usize) -> S>;
+
+const COUNTS_ONLY: Keep<()> = None;
+
 /// A lane sweep (or one block of it) in origin order.
-struct LaneSweep {
-    /// One reach bitset per origin; empty for counts-only sweeps.
-    sets: Vec<Vec<u64>>,
+struct LaneSweep<S> {
+    /// One kept reach set per origin; empty for counts-only sweeps.
+    sets: Vec<S>,
     /// Reachable counts, origin excluded; 0 where `errors` names the origin.
     counts: Vec<u32>,
     /// Origins whose lane failed, ascending by index.
     errors: Vec<SweepError>,
 }
 
-impl LaneSweep {
+impl<S> LaneSweep<S> {
     fn with_capacity(origins: usize, materialize: bool) -> Self {
         LaneSweep {
             sets: Vec::with_capacity(if materialize { origins } else { 0 }),
@@ -760,9 +787,15 @@ impl LaneSweep {
 
     /// Appends one block's outcome: its results moved in with its lane
     /// errors re-indexed, or, for a block whose kernel run failed, empty
-    /// results (`words_per` zero words each; 0 in a counts-only sweep)
-    /// with the failure reported for every origin of the block.
-    fn append(&mut self, block: &[NodeId], part: Result<LaneSweep, SweepError>, words_per: usize) {
+    /// results (what `keep` makes of the empty set over `n` nodes) with
+    /// the failure reported for every origin of the block.
+    fn append(
+        &mut self,
+        block: &[NodeId],
+        part: Result<LaneSweep<S>, SweepError>,
+        keep: Keep<S>,
+        n: usize,
+    ) {
         let base = self.counts.len();
         match part {
             Ok(part) => {
@@ -773,8 +806,9 @@ impl LaneSweep {
                 );
             }
             Err(e) => {
-                if words_per > 0 {
-                    self.sets.extend(block.iter().map(|_| vec![0; words_per]));
+                if let Some(keep) = keep {
+                    let empty = vec![0; n.div_ceil(64)];
+                    self.sets.extend(block.iter().map(|_| keep(&empty, n)));
                 }
                 self.counts.resize(base + block.len(), 0);
                 self.errors.extend((0..block.len()).map(|lane| SweepError {

@@ -1166,9 +1166,7 @@ pub(crate) fn transpose64(a: &mut [u64; 64]) {
 pub struct SweepReach {
     n: usize,
     origins: Vec<NodeId>,
-    /// One reach bitset per origin, each its own allocation, so a
-    /// consumer that keeps the sets ([`Self::into_reach_sets`]) takes
-    /// them as they are instead of copying them out of one big buffer.
+    /// One reach bitset per origin, as the sweep's blocks produced them.
     sets: Vec<Vec<u64>>,
     /// Per-origin reachable counts, origin excluded.
     counts: Vec<u32>,
@@ -1215,13 +1213,6 @@ impl SweepReach {
         &self.sets[i]
     }
 
-    /// Every origin's `(reach bitset, reachable count)` in input order,
-    /// moved out of the sweep: each bitset is the buffer
-    /// [`Self::reach_words`] showed, at exactly its length.
-    pub fn into_reach_sets(self) -> impl Iterator<Item = (Vec<u64>, usize)> {
-        self.sets.into_iter().zip(self.counts.into_iter().map(|c| c as usize))
-    }
-
     /// Whether `node` received origin `i`'s announcement.
     pub fn reachable(&self, i: usize, node: NodeId) -> bool {
         let w = self.reach_words(i);
@@ -1238,6 +1229,7 @@ impl SweepReach {
 mod tests {
     use super::*;
     use crate::engine::{Simulation, Workspace};
+    use crate::reachset::ReachSet;
     use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, Relationship};
 
     fn transpose_naive(a: &[u64; 64]) -> [u64; 64] {
@@ -1450,11 +1442,14 @@ mod tests {
             let sim = Simulation::over(&snap).threads(1).lane_width(width);
             let reach = sim.run_sweep_reach(&origins);
             let counts = sim.run_sweep_reach_counts(&origins);
+            let kept = sim.run_sweep_reach_sets_with(&origins, |_, _| {});
             for (i, &o) in origins.iter().enumerate() {
                 ws.run(&snap, o, &cfg);
                 assert_eq!(reach.reach_words(i), ws.reach_words(), "{width:?} origin {o:?}");
                 assert_eq!(reach.reachable_count(i), ws.reachable_count(), "{width:?} origin {o:?}");
                 assert_eq!(counts[i] as usize, ws.reachable_count(), "{width:?} origin {o:?}");
+                let encoded = ReachSet::from_words(ws.reach_words(), g.len());
+                assert_eq!(kept[i], (encoded, ws.reachable_count()), "{width:?} origin {o:?}");
             }
         }
     }

@@ -41,6 +41,9 @@
 //!   included), one frontier expansion advancing all of them, reach
 //!   sets bit-identical to per-origin [`Workspace`] runs at every width
 //!   (the `Simulation::run_sweep_reach` family).
+//! * [`reachset`] — [`ReachSet`], a reach set kept by its shorter side
+//!   (missing nodes, reached nodes or the bitset) for consumers that hold
+//!   many of them (`Simulation::run_sweep_reach_sets_with`).
 //! * [`parallel`] — panic-isolated parallel sweeps with per-worker
 //!   contexts (re-exported by `flatnet_core::parallel`).
 //! * [`dag`] — the tied-best next-hop DAG and exact/floating path counting.
@@ -70,6 +73,7 @@ pub mod oracle;
 pub mod parallel;
 pub mod paths;
 pub mod propagate;
+pub mod reachset;
 pub mod reliance;
 mod scratch;
 
@@ -89,4 +93,5 @@ pub use parallel::{parallel_map_ctx, try_parallel_map_ctx, SweepError};
 pub use propagate::{
     propagate, ImportPolicy, PropagationConfig, RouteClass, RoutingOutcome, UNREACHED,
 };
+pub use reachset::{ReachForm, ReachIter, ReachSet};
 pub use reliance::{reliance, RelianceWorkspace};

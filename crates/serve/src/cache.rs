@@ -13,11 +13,18 @@
 //! linked-list O(1), but shards hold at most a few hundred entries and
 //! the scan only runs when a *miss* inserts into a full shard — misses
 //! already paid for a full propagation, so the scan is noise.
+//!
+//! The cache knows its own weight: a weight function given at
+//! construction prices each value, and running `entries` and `bytes`
+//! totals move with every insert, replace, evict and clear, so
+//! `/healthz` reads them in O(1) instead of walking every shard. The
+//! same deltas feed the process-wide `serve.cache_entries` /
+//! `serve.cache_bytes` gauges (the sum over the process's live caches).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Number of independently locked shards.
@@ -58,24 +65,52 @@ pub struct ResultCache<V> {
     shards: Vec<Mutex<Shard<V>>>,
     per_shard: usize,
     tick: AtomicU64,
+    /// Bytes one value keeps alive; a pure function of the value, so an
+    /// entry leaving the cache is priced as it was when it entered.
+    weight: fn(&V) -> usize,
+    /// Running totals over every shard, moved under the shard's lock.
+    entries: AtomicI64,
+    bytes: AtomicI64,
     hits: flatnet_obs::Counter,
     misses: flatnet_obs::Counter,
     evictions: flatnet_obs::Counter,
+    entries_gauge: flatnet_obs::Gauge,
+    bytes_gauge: flatnet_obs::Gauge,
 }
 
 impl<V> ResultCache<V> {
     /// A cache holding at most `capacity` entries (split across shards;
-    /// tiny capacities are rounded up to one entry per shard).
+    /// tiny capacities are rounded up to one entry per shard) whose
+    /// values weigh nothing: [`Self::bytes`] stays 0.
     pub fn new(capacity: usize) -> Self {
+        Self::weighted(capacity, |_| 0)
+    }
+
+    /// [`Self::new`] with the function that prices a value in bytes.
+    pub fn weighted(capacity: usize, weight: fn(&V) -> usize) -> Self {
         let reg = flatnet_obs::global();
         ResultCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard { map: HashMap::new() })).collect(),
             per_shard: capacity.div_ceil(SHARDS).max(1),
             tick: AtomicU64::new(0),
+            weight,
+            entries: AtomicI64::new(0),
+            bytes: AtomicI64::new(0),
             hits: reg.counter("serve.cache_hit"),
             misses: reg.counter("serve.cache_miss"),
             evictions: reg.counter("serve.cache_evictions"),
+            entries_gauge: reg.gauge("serve.cache_entries"),
+            bytes_gauge: reg.gauge("serve.cache_bytes"),
         }
+    }
+
+    /// Moves the running totals and the process-wide gauges by one
+    /// shard-local change.
+    fn account(&self, entries: i64, bytes: i64) {
+        self.entries.fetch_add(entries, Ordering::Relaxed);
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.entries_gauge.add(entries);
+        self.bytes_gauge.add(bytes);
     }
 
     /// Index of the shard `key` lives in.
@@ -146,45 +181,59 @@ impl<V> ResultCache<V> {
     /// used entry if it is full.
     pub fn put(&self, key: CacheKey, value: Arc<V>) {
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
+        let (mut entries, mut bytes) = (1, (self.weight)(&value) as i64);
         let mut shard = self.lock(Self::shard_of(&key));
         if shard.map.len() >= self.per_shard && !shard.map.contains_key(&key) {
             if let Some(oldest) =
                 shard.map.iter().min_by_key(|(_, (_, last))| *last).map(|(k, _)| *k)
             {
-                shard.map.remove(&oldest);
+                if let Some((evicted, _)) = shard.map.remove(&oldest) {
+                    entries -= 1;
+                    bytes -= (self.weight)(&evicted) as i64;
+                }
                 self.evictions.inc();
             }
         }
-        shard.map.insert(key, (value, stamp));
+        if let Some((replaced, _)) = shard.map.insert(key, (value, stamp)) {
+            entries -= 1;
+            bytes -= (self.weight)(&replaced) as i64;
+        }
+        self.account(entries, bytes);
     }
 
     /// Drops every entry (used by `/admin/reload`).
     pub fn clear(&self) {
         for si in 0..SHARDS {
-            self.lock(si).map.clear();
+            let mut shard = self.lock(si);
+            let bytes: usize = shard.map.values().map(|(v, _)| (self.weight)(v)).sum();
+            self.account(-(shard.map.len() as i64), -(bytes as i64));
+            shard.map.clear();
         }
     }
 
-    /// Calls `f` on every cached entry, one shard at a time under that
-    /// shard's lock — an on-demand walk for diagnostics (what the cache
-    /// retains), so `f` should be cheap. Touches neither recency nor
-    /// the hit/miss counters.
-    pub fn for_each(&self, mut f: impl FnMut(&CacheKey, &V)) {
-        for si in 0..SHARDS {
-            for (key, (value, _)) in &self.lock(si).map {
-                f(key, value);
-            }
-        }
-    }
-
-    /// Current number of cached entries, summed across shards.
+    /// Current number of cached entries (the running total).
     pub fn len(&self) -> usize {
-        (0..SHARDS).map(|si| self.lock(si).map.len()).sum()
+        self.entries.load(Ordering::Relaxed) as usize
+    }
+
+    /// Bytes the cached values keep alive, by the weight function (the
+    /// running total).
+    pub fn bytes(&self) -> usize {
+        self.bytes.load(Ordering::Relaxed) as usize
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// The process-wide gauges are sums over live caches: a cache that goes
+/// away takes its share with it.
+impl<V> Drop for ResultCache<V> {
+    fn drop(&mut self) {
+        self.entries_gauge.add(-self.entries.load(Ordering::Relaxed));
+        self.bytes_gauge.add(-self.bytes.load(Ordering::Relaxed));
     }
 }
 
@@ -239,17 +288,21 @@ mod tests {
     }
 
     /// A holder that panics poisons its shard's mutex; the shard keeps
-    /// serving — hits, inserts, evictions, bulk probes and walks.
+    /// serving — hits, inserts, evictions, bulk probes and clears.
     #[test]
     fn a_poisoned_shard_keeps_serving() {
         let cache: ResultCache<u32> = ResultCache::new(SHARDS);
         let [ka, kb] = two_keys_in_one_shard();
         cache.put(ka, Arc::new(1));
-        let walker = std::thread::scope(|s| {
-            s.spawn(|| cache.for_each(|_, _| panic!("a worker panics holding the shard"))).join()
-        });
-        assert!(walker.is_err());
         let si = ResultCache::<u32>::shard_of(&ka);
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = cache.shards[si].lock().unwrap();
+                panic!("a worker panics holding the shard");
+            })
+            .join()
+        });
+        assert!(holder.is_err());
         assert!(cache.shards[si].is_poisoned(), "the panic did not poison the shard");
 
         assert_eq!(cache.get(&ka).as_deref(), Some(&1));
@@ -259,9 +312,6 @@ mod tests {
         assert!(cache.get(&ka).is_none(), "older entry should have been evicted");
         assert_eq!(cache.get(&kb).as_deref(), Some(&2));
         assert_eq!(cache.len(), 1);
-        let mut seen = Vec::new();
-        cache.for_each(|k, v| seen.push((*k, *v)));
-        assert_eq!(seen, vec![(kb, 2)]);
         cache.clear();
         assert!(cache.is_empty());
     }
@@ -281,20 +331,57 @@ mod tests {
         }
     }
 
+    /// `(entries, bytes)` by walking every shard.
+    fn recount(cache: &ResultCache<Vec<u64>>) -> (usize, usize) {
+        let (mut entries, mut bytes) = (0, 0);
+        for si in 0..SHARDS {
+            for (value, _) in cache.lock(si).map.values() {
+                entries += 1;
+                bytes += (cache.weight)(value);
+            }
+        }
+        (entries, bytes)
+    }
+
+    /// Inserts, overwrites of a live key by a value of another size,
+    /// evictions and a clear: after every step the running totals are
+    /// what a walk over every shard counts.
     #[test]
-    fn for_each_visits_every_entry() {
+    fn running_totals_equal_a_full_recount() {
+        let cache: ResultCache<Vec<u64>> = ResultCache::weighted(32, |v| 24 + 8 * v.len());
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut overwrites, evictions_before) = (0, cache.evictions.get());
+        for step in 0..2_000 {
+            // 96 keys over 32 slots: most puts evict, many hit a live key.
+            let k = key((next() % 96) as u32);
+            let si = ResultCache::<Vec<u64>>::shard_of(&k);
+            overwrites += usize::from(cache.lock(si).map.contains_key(&k));
+            cache.put(k, Arc::new(vec![0; (next() % 50) as usize]));
+            assert_eq!((cache.len(), cache.bytes()), recount(&cache), "after put {step}");
+            if step % 700 == 699 {
+                cache.clear();
+                assert_eq!((cache.len(), cache.bytes()), (0, 0), "after a clear");
+                assert_eq!(recount(&cache), (0, 0));
+            }
+        }
+        assert!(overwrites > 100, "only {overwrites} puts replaced a live key");
+        assert!(cache.evictions.get() - evictions_before > 100, "too few evictions to count");
+        assert!(cache.bytes() > 0);
+    }
+
+    #[test]
+    fn an_unweighted_cache_counts_entries_and_no_bytes() {
         let cache: ResultCache<Vec<u64>> = ResultCache::new(64);
         for i in 0..32u32 {
             cache.put(key(i), Arc::new(vec![0; i as usize]));
         }
-        let (mut entries, mut words) = (0usize, 0usize);
-        cache.for_each(|k, v| {
-            assert_eq!(v.len(), k.origin as usize);
-            entries += 1;
-            words += v.len();
-        });
-        assert_eq!(entries, cache.len());
-        assert_eq!(words, (0..32).sum::<usize>());
+        assert_eq!((cache.len(), cache.bytes()), (32, 0));
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! [`crate::error::ServeError::kind`] labels where the failure is the
 //! server's, and name the request defect otherwise.
 
+use crate::answer::{Answer, RELIANCE_TOP_MAX};
 use crate::cache::{policy_fingerprint, CacheKey, ResultCache};
 use crate::http::{
     parse_asn, read_request, wait_for_request, Method, NextRequest, Request, Response,
@@ -42,8 +43,8 @@ use crate::json::{envelope, envelope_prefix, error_envelope, escape, fmt_f64, pu
 use crate::snapshot::{ServeSnapshot, SnapshotManager};
 use flatnet_asgraph::{AsId, NodeId};
 use flatnet_bgpsim::{
-    Exclusion, ExclusionPolicy, LaneWidth, LockingSemantics, PropagationConfig,
-    RelianceWorkspace, Simulation, Workspace,
+    Exclusion, ExclusionPolicy, LaneWidth, LockingSemantics, PropagationConfig, ReachForm,
+    ReachSet, RelianceWorkspace, Simulation, Workspace,
 };
 use flatnet_core::leaks::{leak_cdf_on, Announce, Locking};
 use flatnet_obs::trace::{Stage, TraceCtx, TraceDump, Tracer, STAGES};
@@ -53,7 +54,7 @@ use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The two cached analyses; the discriminant is the endpoint byte of
@@ -72,10 +73,6 @@ pub const MAX_BATCH_ORIGINS: usize = 1024;
 /// leak-CDF sweep).
 pub const MAX_LEAK_QUERIES: usize = 64;
 
-/// The most `top=` can ask of the reliance endpoint, and so the most
-/// entries a cached reliance answer holds.
-const RELIANCE_TOP_MAX: usize = 1000;
-
 /// One accepted connection waiting for a worker, carrying the trace
 /// context allocated at accept time (so queue wait is part of the
 /// trace, not invisible pre-history).
@@ -83,40 +80,6 @@ pub(crate) struct Job {
     pub(crate) stream: TcpStream,
     pub(crate) accepted: Instant,
     pub(crate) trace: TraceCtx,
-}
-
-/// A cached answer: the expensive-to-compute core of a response, without
-/// per-request presentation choices (`detail=full` re-renders from the
-/// words).
-pub(crate) enum Answer {
-    /// Word-packed reach bitset + count, exactly as the engine produced it.
-    Reach {
-        /// Bitset over node indices, origin bit set.
-        words: Vec<u64>,
-        /// Reached ASes, origin excluded.
-        reached: usize,
-    },
-    /// Reliance summary for one origin.
-    Reliance {
-        /// `W(origin)`: ASes holding routes, origin included.
-        receivers: f64,
-        /// Top ASes by `rely(o, a)`, as `(asn, score)`, descending; at
-        /// most [`RELIANCE_TOP_MAX`], allocated at exactly its length.
-        top: Vec<(u32, f64)>,
-    },
-}
-
-impl Answer {
-    /// Bytes the cache keeps alive for this answer: the value itself
-    /// plus its heap buffer at *capacity*, so an over-allocated payload
-    /// shows in `/healthz`.
-    fn retained_bytes(&self) -> usize {
-        std::mem::size_of::<Answer>()
-            + match self {
-                Answer::Reach { words, .. } => words.capacity() * std::mem::size_of::<u64>(),
-                Answer::Reliance { top, .. } => top.capacity() * std::mem::size_of::<(u32, f64)>(),
-            }
-    }
 }
 
 /// A request-level failure, rendered into the error envelope by the
@@ -196,6 +159,9 @@ pub(crate) struct Shared {
     status_2xx: flatnet_obs::Counter,
     status_4xx: flatnet_obs::Counter,
     status_5xx: flatnet_obs::Counter,
+    /// Reach answers cached, by the form their set took
+    /// (`ReachForm as usize`): the traffic mix the three forms serve.
+    cache_put_form: [flatnet_obs::Counter; 3],
     queue_depth: flatnet_obs::Gauge,
     /// Idle pooled scratch of the current snapshot, read when one of the
     /// endpoints that report it is asked (`/healthz`, `/debug/queue`,
@@ -242,7 +208,7 @@ impl Shared {
         let reg = flatnet_obs::global();
         Shared {
             mgr,
-            cache: ResultCache::new(cache_capacity),
+            cache: ResultCache::weighted(cache_capacity, Answer::retained_bytes),
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -263,6 +229,8 @@ impl Shared {
             status_2xx: reg.counter("serve.http_2xx"),
             status_4xx: reg.counter("serve.http_4xx"),
             status_5xx: reg.counter("serve.http_5xx"),
+            cache_put_form: ReachForm::ALL
+                .map(|f| reg.counter(&format!("serve.cache_put{{form=\"{}\"}}", f.name()))),
             queue_depth: reg.gauge("serve.queue_depth"),
             scratch_bytes: reg.gauge("serve.scratch_bytes"),
             request_us: flatnet_obs::histogram("serve.request_us"),
@@ -302,13 +270,21 @@ impl Shared {
         bytes
     }
 
+    /// Locks the job queue. A `VecDeque` push or pop leaves it valid at
+    /// every step, so a lock poisoned by a panicking holder is safe to
+    /// keep using: one panic must not take the accept thread and every
+    /// worker's next pop down with it.
+    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<Job>> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Hands an accepted connection to the pool, or answers
     /// `503 + Retry-After` right here when the queue is full —
     /// backpressure must not itself consume a worker. Allocates the
     /// request's trace context; rejected requests are traced too.
     pub(crate) fn submit(&self, stream: TcpStream, accepted: Instant) {
         let mut trace = TraceCtx::new(self.tracer.next_id());
-        let mut q = self.queue.lock().unwrap();
+        let mut q = self.lock_queue();
         if q.len() >= self.queue_cap {
             drop(q);
             self.rejected.inc();
@@ -420,7 +396,7 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, worker: usize) {
     let mut ctx = WorkerCtx::new();
     loop {
         let job = {
-            let mut q = shared.queue.lock().unwrap();
+            let mut q = shared.lock_queue();
             loop {
                 if let Some(j) = q.pop_front() {
                     shared.queue_depth.set(q.len() as i64);
@@ -429,7 +405,7 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, worker: usize) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                q = shared.ready.wait(q).unwrap();
+                q = shared.ready.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
         let Some(job) = job else { return };
@@ -704,17 +680,6 @@ fn debug_trace_slow(shared: &Arc<Shared>, req: &Request) -> Result<Response, Api
     Ok(Response::json(200, TraceDump { events: shared.tracer.slow(ms * 1000, n) }.to_json()))
 }
 
-/// Entries in the result cache and the bytes they keep alive, walked on
-/// demand (`/healthz`, `/debug/queue`).
-fn cache_footprint(shared: &Shared) -> (usize, usize) {
-    let (mut entries, mut bytes) = (0usize, 0usize);
-    shared.cache.for_each(|_, answer| {
-        entries += 1;
-        bytes += answer.retained_bytes();
-    });
-    (entries, bytes)
-}
-
 /// `GET /debug/queue` — queue depth, capacity, the result cache's
 /// footprint, the current snapshot's pooled scratch, queue-wait
 /// percentiles, per-worker busy time, connection-reuse counters, and
@@ -722,7 +687,6 @@ fn cache_footprint(shared: &Shared) -> (usize, usize) {
 fn debug_queue(shared: &Arc<Shared>) -> Response {
     let wait = &shared.stage_us[Stage::QueueWait as usize];
     let pct = |p: f64| wait.percentile_us(p).unwrap_or(0);
-    let (cache_entries, cache_bytes) = cache_footprint(shared);
     let mut body = format!(
         "{{\"schema\":\"flatnet-serve/v1\",\"endpoint\":\"queue\",\"depth\":{},\
          \"capacity\":{},\"rejected\":{},\"workers\":{},\
@@ -734,8 +698,8 @@ fn debug_queue(shared: &Arc<Shared>) -> Response {
         shared.queue_cap,
         shared.rejected.get(),
         shared.workers,
-        cache_entries,
-        cache_bytes,
+        shared.cache.len(),
+        shared.cache.bytes(),
         shared.refresh_scratch_bytes(),
         shared.connections.get(),
         shared.keepalive_reuse.get(),
@@ -892,20 +856,18 @@ fn resolve(
             (Endpoint::Reachability, &[(_, node)]) => {
                 excl.fill_scalar(node, ctx.cfg.excluded_mask_mut(n));
                 ctx.ws.run(&snap.topo, node, &ctx.cfg);
-                let words = ctx.ws.reach_words().to_vec();
-                solved.push(Arc::new(Answer::Reach { words, reached: ctx.ws.reachable_count() }));
+                let set = ReachSet::from_words(ctx.ws.reach_words(), n);
+                solved.push(Arc::new(Answer::Reach { set, reached: ctx.ws.reachable_count() }));
             }
             (Endpoint::Reachability, _) => {
                 let nodes: Vec<NodeId> = misses.iter().map(|&(_, node)| node).collect();
-                let reach = Simulation::over(&snap.topo)
+                let sets = Simulation::over(&snap.topo)
                     .threads(1)
                     .config(excl.shared_config())
-                    .run_sweep_reach_with(&nodes, |o, ex| excl.fill_lane(o, ex));
+                    .run_sweep_reach_sets_with(&nodes, |o, ex| excl.fill_lane(o, ex));
                 // The sweep's per-origin sets become the answers as they are.
                 solved.extend(
-                    reach
-                        .into_reach_sets()
-                        .map(|(words, reached)| Arc::new(Answer::Reach { words, reached })),
+                    sets.into_iter().map(|(set, reached)| Arc::new(Answer::Reach { set, reached })),
                 );
             }
             (Endpoint::Reliance, _) => {
@@ -920,6 +882,9 @@ fn resolve(
         }
         trace.mark(Stage::Propagate);
         for (&(asn, _), answer) in misses.iter().zip(&solved) {
+            if let Answer::Reach { set, .. } = &**answer {
+                shared.cache_put_form[set.form() as usize].inc();
+            }
             shared.cache.put(key(asn), Arc::clone(answer));
         }
     }
@@ -948,33 +913,25 @@ fn reach_summary_fields(asn: u32, reached: usize, max_possible: usize, cached: b
 type Emit<'a> = &'a mut dyn FnMut(&str) -> std::io::Result<()>;
 
 /// Emits one origin's sorted reach-set ASNs as a JSON array body (no
-/// brackets), straight off the bitset: an [`flatnet_asgraph::AsGraph`]
+/// brackets), straight off the set: an [`flatnet_asgraph::AsGraph`]
 /// numbers its nodes in ascending ASN order (`index_of` is a binary search
-/// over that table), so walking the set bits upwards already is the
-/// sorted order, and neither the list nor its text is ever materialized.
+/// over that table), so walking the set upwards already is the sorted
+/// order, and neither the list nor its text is ever materialized.
 fn emit_reach_asns(
     snap: &ServeSnapshot,
     node: NodeId,
-    words: &[u64],
+    set: &ReachSet,
     emit: Emit<'_>,
 ) -> std::io::Result<()> {
     let mut numbuf = String::with_capacity(16);
     let mut first = true;
-    for (wi, &word) in words.iter().enumerate() {
-        let mut w = word;
-        while w != 0 {
-            let idx = (wi as u32) * 64 + w.trailing_zeros();
-            w &= w - 1;
-            if idx == node.0 {
-                continue;
-            }
-            numbuf.clear();
-            if !std::mem::take(&mut first) {
-                numbuf.push(',');
-            }
-            let _ = write!(numbuf, "{}", snap.graph.asn(NodeId(idx)).0);
-            emit(&numbuf)?;
+    for reached in set.iter().filter(|&reached| reached != node) {
+        numbuf.clear();
+        if !std::mem::take(&mut first) {
+            numbuf.push(',');
         }
+        let _ = write!(numbuf, "{}", snap.graph.asn(reached).0);
+        emit(&numbuf)?;
     }
     Ok(())
 }
@@ -997,14 +954,14 @@ fn emit_reachability(
         emit(&format!("\"batch\":{},\"results\":[", answers.len()))?;
     }
     for (i, (&(asn, node), (answer, cached))) in origins.iter().zip(answers).enumerate() {
-        let Answer::Reach { words, reached } = &**answer else { continue };
+        let Answer::Reach { set, reached } = &**answer else { continue };
         if batch {
             emit(if i > 0 { ",{" } else { "{" })?;
         }
         emit(&reach_summary_fields(asn, *reached, max_possible, *cached))?;
         if full {
             emit(",\"reach\":[")?;
-            emit_reach_asns(snap, node, words, emit)?;
+            emit_reach_asns(snap, node, set, emit)?;
             emit("]")?;
         }
         if batch {
@@ -1287,7 +1244,6 @@ fn whatif_leak(
 fn healthz(shared: &Arc<Shared>) -> Response {
     let snap = shared.mgr.current();
     let status = shared.mgr.status();
-    let (cache_entries, cache_bytes) = cache_footprint(shared);
     let mut body = format!(
         "{{\"status\":\"ok\",\"snapshot_version\":{},\"ases\":{},\"workers\":{},\
          \"cache_entries\":{},\"cache_bytes\":{},\"scratch_bytes\":{},\
@@ -1296,8 +1252,8 @@ fn healthz(shared: &Arc<Shared>) -> Response {
         snap.version,
         snap.graph.len(),
         shared.workers,
-        cache_entries,
-        cache_bytes,
+        shared.cache.len(),
+        shared.cache.bytes(),
         shared.refresh_scratch_bytes(),
         status.warm_start,
         status.snapshot_ready_ms,
@@ -1558,19 +1514,59 @@ mod tests {
         assert!(!ev.cached);
 
         // What the cache retains: at most the cap, at exact capacity.
-        let (mut answers, mut full) = (0, 0);
-        shared.cache.for_each(|_, answer| {
-            let Answer::Reliance { top, .. } = answer else { panic!("only reliance was queried") };
+        let cached = |asn: u32, policy: ExclusionPolicy| {
+            let fingerprint = policy_fingerprint(Endpoint::Reliance as u8, policy.bits());
+            let key = CacheKey { version: snap.version, origin: asn, fingerprint };
+            shared.cache.get(&key).expect("the answer was cached")
+        };
+        let mut full = 0;
+        for answer in [cached(a, ExclusionPolicy::NONE), cached(a, bits), cached(b, bits)] {
+            let Answer::Reliance { top, .. } = &*answer else {
+                panic!("only reliance was queried")
+            };
             assert!(top.len() <= RELIANCE_TOP_MAX, "{} entries cached", top.len());
             assert_eq!(top.capacity(), top.len(), "cached answer pins unused capacity");
-            answers += 1;
             full += usize::from(top.len() == RELIANCE_TOP_MAX);
-        });
-        assert_eq!(answers, 3);
+        }
         assert!(full >= 1, "no answer reached the cap; the topology is too small for this test");
-        let (entries, bytes) = cache_footprint(&shared);
-        assert_eq!(entries, 3);
+        assert_eq!(shared.cache.len(), 3);
+        let bytes = shared.cache.bytes();
         assert!(bytes <= 3 * (std::mem::size_of::<Answer>() + RELIANCE_TOP_MAX * 16), "{bytes}");
+    }
+
+    /// A thread that panics holding the job queue poisons its mutex; the
+    /// accept path still queues a connection and a worker still pops and
+    /// answers it.
+    #[test]
+    fn a_poisoned_job_queue_keeps_serving() {
+        use std::io::{Read as _, Write as _};
+        let shared = shared();
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = shared.queue.lock().unwrap();
+                panic!("a thread panics holding the job queue");
+            })
+            .join()
+        });
+        assert!(holder.is_err());
+        assert!(shared.queue.is_poisoned(), "the panic did not poison the queue");
+
+        let worker = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || worker_loop(shared, 0))
+        };
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        shared.submit(accepted, Instant::now());
+        client.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").expect("write");
+        let mut reply = String::new();
+        client.read_to_string(&mut reply).expect("read");
+        assert!(reply.starts_with("HTTP/1.1 200 "), "{reply}");
+        assert!(reply.contains("\"status\":\"ok\""), "{reply}");
+
+        shared.begin_shutdown();
+        worker.join().expect("the worker exits cleanly");
     }
 
     /// A leak victim above `u32::MAX` is refused naming the field, in both

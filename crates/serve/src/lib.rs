@@ -37,6 +37,7 @@
 //! "trace_id":…,"data"|"error":…}` envelope — see DESIGN.md § API
 //! reference.
 
+mod answer;
 pub mod cache;
 pub mod engine;
 pub mod error;

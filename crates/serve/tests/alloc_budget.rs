@@ -12,7 +12,11 @@
 //! allocates (the test thread mutes itself, so its client-side buffers do
 //! not count), one worker serves one keep-alive connection, and the
 //! answers' retained bytes are read off `/healthz` (`cache_bytes` is the
-//! sum of the cached answers' `retained_bytes`).
+//! sum of the cached answers' `retained_bytes`). That a request was a
+//! miss is read off its own body (`"cached":false`), never inferred from
+//! how much it kept: a reach answer is kept by its shorter side, so a
+//! full-reach miss keeps a few dozen bytes at any node count and only an
+//! answer that is neither nearly full nor nearly empty keeps the bitset.
 //!
 //! ONE `#[test]`: the process hosts a global counting allocator, and a
 //! second test's daemon would allocate into the same counter.
@@ -74,7 +78,7 @@ struct Cost {
     allocated: u64,
     /// Growth of `/healthz` `cache_bytes`: the new answers' retained bytes.
     retained: u64,
-    /// Growth of `/healthz` `cache_entries`: how many origins were misses.
+    /// Origins the response reports as `"cached":false`.
     misses: u64,
     /// Bytes of the response body.
     response: u64,
@@ -124,13 +128,13 @@ impl Daemon {
     }
 
     fn measure(&self, method: &str, target: &str, body: Option<&str>) -> Cost {
-        let (cache_before, entries_before) = (self.health("cache_bytes"), self.health("cache_entries"));
+        let cache_before = self.health("cache_bytes");
         let before = BYTES.load(Ordering::Relaxed);
-        let response = self.request(method, target, body).len() as u64;
+        let response = self.request(method, target, body);
         let allocated = BYTES.load(Ordering::Relaxed) - before;
         let retained = self.health("cache_bytes") - cache_before;
-        let misses = self.health("cache_entries") - entries_before;
-        Cost { allocated, retained, misses, response }
+        let misses = response.matches("\"cached\":false").count() as u64;
+        Cost { allocated, retained, misses, response: response.len() as u64 }
     }
 }
 
@@ -163,6 +167,10 @@ const STREAM_OVERHEAD: u64 = 64 << 10;
 /// What the cache keeps of one reliance answer at most: the 1 000 best
 /// `(asn, score)` pairs and the value holding them.
 const RELIANCE_ANSWER_MAX: u64 = 1_000 * 16 + 64;
+/// What the cache keeps of one no-exclusion reach answer at most: the
+/// value and the handful of nodes the origin does *not* reach, whatever
+/// the node count.
+const FULL_REACH_ANSWER_MAX: u64 = 256;
 
 #[test]
 fn a_steady_state_miss_allocates_its_answer_and_its_response_and_no_scratch() {
@@ -192,7 +200,10 @@ fn a_steady_state_miss_allocates_its_answer_and_its_response_and_no_scratch() {
                 .map(|b| daemon.measure("GET", &reach(format!("origins={}", csv(b))), None))
                 .collect(),
         );
-        assert!(batch.retained >= 256 * words_bytes, "all 256 origins were misses");
+        assert_eq!(batch.misses, 256, "all 256 origins were misses");
+        assert!(batch.retained <= 256 * FULL_REACH_ANSWER_MAX, "the batch kept {}", batch.retained);
+        // Which holds only while the sweep encodes each lane as it reads
+        // it: 256 bitsets first would be 376 KB at 12 000 ASes.
         assert!(
             batch.overhead() <= BATCH_OVERHEAD,
             "{ases} ASes, batch: {} B allocated for {} B of answers and a {} B response",
@@ -208,7 +219,8 @@ fn a_steady_state_miss_allocates_its_answer_and_its_response_and_no_scratch() {
                 .map(|o| daemon.measure("GET", &reach(format!("origin={o}")), None))
                 .collect(),
         );
-        assert!(single.retained >= words_bytes, "the single was a miss");
+        assert_eq!(single.misses, 1, "the single was a miss");
+        assert!(single.retained <= FULL_REACH_ANSWER_MAX, "the single kept {}", single.retained);
         assert!(
             single.overhead() <= SINGLE_OVERHEAD,
             "{ases} ASes, single: {} B allocated for a {} B answer and a {} B response",
@@ -217,14 +229,33 @@ fn a_steady_state_miss_allocates_its_answer_and_its_response_and_no_scratch() {
             single.response
         );
 
-        // `detail=full` misses: the answer, then a stream off its bitset.
+        // A cloud reaches most of the graph without the hierarchy and
+        // misses much of it: neither side of its set is short, so the
+        // answer is the bitset.
+        let hfree = daemon.measure(
+            "GET",
+            &reach(format!("origin={}&exclude=providers,tier1,tier2", net.clouds[0].asn.0)),
+            None,
+        );
+        assert_eq!(hfree.misses, 1, "the hierarchy-free single was a miss");
+        assert!(hfree.retained >= words_bytes, "the hierarchy-free answer kept {}", hfree.retained);
+        assert!(
+            hfree.overhead() <= SINGLE_OVERHEAD,
+            "{ases} ASes, hierarchy-free: {} B allocated for a {} B answer and a {} B response",
+            hfree.allocated,
+            hfree.retained,
+            hfree.response
+        );
+
+        // `detail=full` misses: the answer, then a stream off its set.
         let full = typical(
             singles[8..11]
                 .iter()
                 .map(|o| daemon.measure("GET", &reach(format!("origin={o}&detail=full")), None))
                 .collect(),
         );
-        assert!(full.retained >= words_bytes, "the streamed origin was a miss");
+        assert_eq!(full.misses, 1, "the streamed origin was a miss");
+        assert!(full.retained <= FULL_REACH_ANSWER_MAX, "the streamed answer kept {}", full.retained);
         assert!(full.response > 2 * asns.len() as u64, "most of the graph is streamed");
         assert!(
             full.allocated <= full.retained + STREAM_OVERHEAD,

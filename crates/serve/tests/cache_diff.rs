@@ -448,3 +448,105 @@ fn a_repeated_origin_reports_one_cached_value_on_both_endpoints() {
     }
     server.shutdown();
 }
+
+/// One origin's `detail=full` `data` object as the parent commit rendered
+/// it: the summary fields, then the sorted reach set walked bit by bit
+/// off the engine's words.
+fn parent_full_data(
+    g: &flatnet_asgraph::AsGraph,
+    origin: flatnet_asgraph::NodeId,
+    exclude_names: &str,
+    words: &[u64],
+    reached: usize,
+    cached: bool,
+) -> String {
+    let max_possible = g.len() - 1;
+    let pct = 100.0 * reached as f64 / max_possible as f64;
+    let mut data = format!(
+        "{{\"endpoint\":\"reachability\",\"exclude\":[{exclude_names}],\"origin\":{},\
+         \"reachable\":{reached},\"max_possible\":{max_possible},\"pct\":{},\"cached\":{cached},\
+         \"reach\":[",
+        g.asn(origin).0,
+        flatnet_serve::json::fmt_f64((pct * 1e4).round() / 1e4),
+    );
+    let mut first = true;
+    for (wi, &word) in words.iter().enumerate() {
+        let mut w = word;
+        while w != 0 {
+            let idx = (wi as u32) * 64 + w.trailing_zeros();
+            w &= w - 1;
+            if idx == origin.0 {
+                continue;
+            }
+            if !std::mem::take(&mut first) {
+                data.push(',');
+            }
+            data.push_str(&g.asn(flatnet_asgraph::NodeId(idx)).0.to_string());
+        }
+    }
+    data.push_str("]}");
+    data
+}
+
+/// A cached reach set is kept as its missing nodes, its reached nodes or
+/// its bitset; whichever it is, `detail=full` streams the bytes the
+/// parent's bit-walking emitter produced, as a miss and again as a hit.
+#[test]
+fn full_detail_bodies_are_the_parents_bytes_in_every_form() {
+    use flatnet_bgpsim::{Exclusion, ExclusionPolicy, ReachForm, ReachSet, Workspace};
+    let net = generate(&NetGenConfig::paper_2020(1500, 23));
+    let tiers = net.tiers_for(&net.truth);
+    let snap = TopologySnapshot::compile(&net.truth);
+    let g = &net.truth;
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        // One for the keep-alive client below, one for the `/metrics` read.
+        workers: 2,
+        source: TopologySource::Preloaded { graph: g.clone(), tiers: tiers.clone() },
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let client = Client::new(server.addr().to_string(), Duration::from_secs(30));
+
+    // With the hierarchy a cloud reaches everyone (its missing nodes are
+    // the short side); without it a cloud keeps most of the graph and
+    // loses much of it (the bitset), a stub keeps a handful of peers
+    // or nobody (its reached nodes).
+    let cloud = g.index_of(net.clouds[0].asn).unwrap();
+    let stub = g.nodes().find(|&n| g.customers(n).is_empty() && g.peers(n).len() <= 2).unwrap();
+    let hfree = ("providers,tier1,tier2", "\"providers\",\"tier1\",\"tier2\"");
+    let cases = [
+        (cloud, ("", ""), ExclusionPolicy::NONE, ReachForm::Except),
+        (cloud, hfree, ExclusionPolicy::HIERARCHY_FREE, ReachForm::Bits),
+        (stub, hfree, ExclusionPolicy::HIERARCHY_FREE, ReachForm::Only),
+    ];
+    let mut ws = Workspace::for_snapshot(&snap);
+    for (origin, (exclude, names), policy, form) in cases {
+        let mut mask = vec![false; g.len()];
+        Exclusion::new(g, &tiers, policy).unwrap().fill_scalar(origin, &mut mask);
+        ws.run(&snap, origin, &PropagationConfig::default().with_excluded(mask));
+        let kept = ReachSet::from_words(ws.reach_words(), g.len());
+        assert_eq!(kept.form(), form, "{} exclude={exclude}: the topology drifted", g.asn(origin));
+
+        let target =
+            format!("/v1/reachability?origin={}&exclude={exclude}&detail=full", g.asn(origin).0);
+        for cached in [false, true] {
+            let reply = client.request("GET", &target, None, 0).expect("round trip");
+            assert_eq!(reply.status, 200, "{target}: {}", reply.body);
+            let data = &reply.body[reply.body.find("\"data\":").expect("an enveloped body") + 7..];
+            let want =
+                parent_full_data(g, origin, names, ws.reach_words(), ws.reachable_count(), cached);
+            assert_eq!(data, format!("{want}}}\n"), "{target}, cached {cached}, kept as {form:?}");
+        }
+    }
+
+    // The mix is visible from `/metrics`, one counter a form.
+    let (status, metrics) = fetch(server.addr(), "GET", "/metrics");
+    assert_eq!(status, 200);
+    for form in ReachForm::ALL {
+        let name = format!("serve.cache_put{{form=\"{}\"}}", form.name());
+        let puts = metrics.get("counters").and_then(|c| c.get(&name)).and_then(Json::as_u64);
+        assert!(puts >= Some(1), "{name} reads {puts:?}");
+    }
+    server.shutdown();
+}
