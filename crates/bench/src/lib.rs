@@ -1,8 +1,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-//! The `repro` paper harness, the `bench propagate` speed bench, and the
-//! scaffolding they share.
+//! The `repro` paper harness and the [`Lab`] its experiments share.
 //!
 //! The [`Lab`] caches the expensive shared artifacts — the 2020 and 2015
 //! synthetic Internets, the measured (augmented) topology, tier sets, and
@@ -16,18 +15,7 @@ use flatnet_netgen::{generate, NetGenConfig, SyntheticInternet};
 use flatnet_tracesim::{CampaignOptions, Methodology};
 use std::cell::OnceCell;
 
-pub mod propbench;
 pub mod repro;
-
-/// Parses a flag's value, reporting the flag name and the offending value
-/// instead of panicking.
-fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let v = value.ok_or_else(|| format!("{flag} requires a value"))?;
-    v.parse().map_err(|e| format!("bad value {v:?} for {flag}: {e}"))
-}
 
 /// Experiment scale knobs (see `repro --help`).
 #[derive(Debug, Clone, Copy)]

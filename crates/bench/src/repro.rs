@@ -23,7 +23,7 @@
 //! `DIR/<name>.metrics.json` delta snapshot of the metrics it alone
 //! recorded.
 
-use crate::{flag_value, Lab, Scale};
+use crate::{Lab, Scale};
 use flatnet_asgraph::astype::{refine, AsType};
 use flatnet_asgraph::AsId;
 use flatnet_core::cone_compare::{cone_vs_hfr, correlation_other, summarize};
@@ -96,6 +96,16 @@ experiments: {} all
 --metrics PATH, --log-level L: the global flags of `flatnet help`",
         names(EXPERIMENTS).join(" ")
     )
+}
+
+/// Parses a flag's value, reporting the flag name and the offending value
+/// instead of panicking.
+fn flag_value<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let v = value.ok_or_else(|| format!("{flag} requires a value"))?;
+    v.parse().map_err(|e| format!("bad value {v:?} for {flag}: {e}"))
 }
 
 /// Resolves the requested names against [`EXPERIMENTS`]; no name, or `all`

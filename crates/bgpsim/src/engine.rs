@@ -17,7 +17,7 @@
 //!   no heap allocation at all, and a finished run is read through the
 //!   workspace, not copied out of it.
 //! * [`Simulation`] — a builder tying the two together:
-//!   `Simulation::over(&snap).keep_ties(true).run(origin)` for one origin,
+//!   `Simulation::over(&snap).run(origin)` for one origin,
 //!   [`Simulation::run_sweep_map`] for batches (fanned out over
 //!   [`crate::parallel`], one workspace per worker), and the
 //!   `run_sweep_reach*` family for reach-set-only sweeps through the
@@ -493,7 +493,7 @@ pub(crate) fn run_into(
 /// let g = b.build();
 /// let snap = TopologySnapshot::compile(&g);
 /// let origin = g.index_of(AsId(2)).unwrap();
-/// let out = Simulation::over(&snap).keep_ties(true).run(origin);
+/// let out = Simulation::over(&snap).run(origin);
 /// assert_eq!(out.reachable_count(), 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -509,7 +509,7 @@ pub struct Simulation<'s> {
 
 impl<'s> Simulation<'s> {
     /// Starts a simulation over a compiled snapshot with default config
-    /// (no restrictions, all ties kept, auto thread count for sweeps,
+    /// (no restrictions, auto thread count for sweeps,
     /// auto lane width).
     pub fn over(snap: &'s TopologySnapshot) -> Self {
         Simulation {
@@ -529,12 +529,6 @@ impl<'s> Simulation<'s> {
     /// Sets the excluded-node mask (`true` = removed from the topology).
     pub fn excluded(mut self, mask: Vec<bool>) -> Self {
         self.cfg = self.cfg.with_excluded(mask);
-        self
-    }
-
-    /// Whether `next_hops` keeps every tied-best hop (default `true`).
-    pub fn keep_ties(mut self, keep: bool) -> Self {
-        self.cfg = self.cfg.with_keep_ties(keep);
         self
     }
 

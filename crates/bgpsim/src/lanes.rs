@@ -21,20 +21,25 @@
 //!   to one SSE2/NEON vector on every supported target.
 //! * Nothing shipped overrides it: the daemons always run `Auto`.
 //!   [`Simulation::lane_width`](crate::engine::Simulation::lane_width)
-//!   pins a width for benchmarks and differential tests (`flatnet bench
-//!   propagate --lane-width`, `tests/engine_equiv.rs`).
+//!   pins a width for benchmarks and differential tests (the
+//!   `benchmark/` package's 64-lane leg, `tests/engine_equiv.rs`).
 //! * A sweep never runs wider than its origin count needs: the selected
 //!   width is clamped so a 40-origin sweep uses one-word lanes and a
 //!   100-origin sweep two-word lanes even when 256-bit lanes are
 //!   selected ([`LaneWidth::words_for`]) — upper words would only add
-//!   per-node memory traffic for permanently-empty lanes.
+//!   per-node memory traffic for permanently-empty lanes. Measured at
+//!   69 487 ASes on a 100-origin dense sweep (five alternating runs,
+//!   the clamp lifted on a scratch copy for the 256-lane side): one
+//!   128-lane block 4.9–5.4 ms, one 256-lane block 5.4–6.4 ms, two
+//!   64-lane blocks 6.3–7.3 ms — each width wins its regime.
 //!
 //! What widening buys depends on the workload's *reach density*. Wide
 //! blocks win by sharing node visits between lanes: a full-reach sweep
 //! (the serve batch and cache-warm paths) walks the whole graph once
 //! per block instead of once per 64 origins, and measures ~2x faster at
-//! 256 lanes than at 64 on AVX2 (`flatnet bench propagate`, the
-//! `kernel_wide_vs_kernel` ratio). Exclusion-heavy sweeps whose
+//! 256 lanes than at 64 on AVX2 (the benchmark's `sweep` workload:
+//! `bgpsim.kernel_dense64_ns_per_origin` over
+//! `bgpsim.kernel_dense_ns_per_origin`). Exclusion-heavy sweeps whose
 //! per-origin reach sets are small and nearly disjoint (the
 //! hierarchy-free workload) have almost no visits to share — every
 //! width does essentially the same traversal work, and the wider
@@ -138,8 +143,7 @@ pub const MAX_LANES: usize = LANES * MAX_LANE_WORDS;
 
 /// Runtime-selectable kernel lane width (origins per kernel block).
 ///
-/// This is the type `flatnet bench propagate --lane-width` parses into
-/// and [`Simulation::lane_width`](crate::engine::Simulation::lane_width)
+/// What [`Simulation::lane_width`](crate::engine::Simulation::lane_width)
 /// accepts; see the [module docs](self) for the selection policy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LaneWidth {
@@ -156,17 +160,6 @@ pub enum LaneWidth {
 }
 
 impl LaneWidth {
-    /// Parses a `--lane-width` value: `auto`, `64`, `128`, or `256`.
-    pub fn parse(s: &str) -> Result<LaneWidth, String> {
-        match s {
-            "auto" => Ok(LaneWidth::Auto),
-            "64" => Ok(LaneWidth::W64),
-            "128" => Ok(LaneWidth::W128),
-            "256" => Ok(LaneWidth::W256),
-            other => Err(format!("bad lane width {other:?} (expected auto, 64, 128, or 256)")),
-        }
-    }
-
     /// Lane words per node at this width; `Auto` resolves via
     /// [`detected_lane_words`].
     pub fn words(self) -> usize {
@@ -216,8 +209,8 @@ pub fn detected_lane_words() -> usize {
 }
 
 /// SIMD features relevant to the kernel, as detected at runtime.
-/// Recorded in `flatnet bench propagate` reports so baselines measured
-/// on different runners are comparable.
+/// Printed in the benchmark's header so figures measured on different
+/// machines are comparable.
 pub fn cpu_features() -> Vec<&'static str> {
     #[allow(unused_mut)]
     let mut f: Vec<&'static str> = Vec::new();
@@ -607,11 +600,6 @@ where
             + self.queued.capacity()
             + self.sat.capacity()
             + self.out.capacity() * size_of::<u64>()
-    }
-
-    /// Lane words per node at this workspace's width.
-    pub fn lane_words(&self) -> usize {
-        W
     }
 
     /// Runs one block of up to `64·W` origins over `snap` under `cfg`
@@ -1164,7 +1152,6 @@ pub(crate) fn transpose64(a: &mut [u64; 64]) {
 /// would produce — regardless of the lane width that computed it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepReach {
-    n: usize,
     origins: Vec<NodeId>,
     /// One reach bitset per origin, as the sweep's blocks produced them.
     sets: Vec<Vec<u64>>,
@@ -1182,7 +1169,7 @@ impl SweepReach {
         debug_assert_eq!(sets.len(), origins.len());
         debug_assert!(sets.iter().all(|s| s.len() == n.div_ceil(64)));
         debug_assert_eq!(counts.len(), origins.len());
-        SweepReach { n, origins, sets, counts }
+        SweepReach { origins, sets, counts }
     }
 
     /// Number of origins swept.
@@ -1193,11 +1180,6 @@ impl SweepReach {
     /// Whether the sweep covered no origins.
     pub fn is_empty(&self) -> bool {
         self.origins.is_empty()
-    }
-
-    /// Number of nodes in the swept topology.
-    pub fn nodes_len(&self) -> usize {
-        self.n
     }
 
     /// The `i`-th swept origin.
@@ -1278,11 +1260,6 @@ mod tests {
 
     #[test]
     fn lane_width_parse_and_clamp() {
-        assert_eq!(LaneWidth::parse("auto").unwrap(), LaneWidth::Auto);
-        assert_eq!(LaneWidth::parse("64").unwrap(), LaneWidth::W64);
-        assert_eq!(LaneWidth::parse("128").unwrap(), LaneWidth::W128);
-        assert_eq!(LaneWidth::parse("256").unwrap(), LaneWidth::W256);
-        assert!(LaneWidth::parse("512").is_err());
         assert_eq!(LaneWidth::W256.lanes(), 256);
         // Clamp: a sweep never runs wider than its origin count needs.
         assert_eq!(LaneWidth::W256.words_for(1), 1);

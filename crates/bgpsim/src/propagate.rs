@@ -175,29 +175,21 @@ impl PolicyView<'_> {
 }
 
 /// Owned per-run propagation knobs: node exclusion, origin export
-/// restriction, per-node import policies, and tie handling.
+/// restriction and per-node import policies.
 ///
 /// The config owns its masks, so it can be stored in builders and worker
 /// contexts without lifetime plumbing, and its buffers can be refilled in
 /// place between runs of a sweep
 /// (see [`PropagationConfig::excluded_mask_mut`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PropagationConfig {
     excluded: Option<Vec<bool>>,
     origin_export: Option<Vec<bool>>,
     import: Option<Vec<ImportPolicy>>,
-    keep_ties: bool,
-}
-
-impl Default for PropagationConfig {
-    /// Full graph, no restrictions, all tied-best routes kept.
-    fn default() -> Self {
-        PropagationConfig { excluded: None, origin_export: None, import: None, keep_ties: true }
-    }
 }
 
 impl PropagationConfig {
-    /// Config with no restrictions (same as `Default`).
+    /// Config with no restrictions (same as `Default`): the full graph.
     pub fn new() -> Self {
         Self::default()
     }
@@ -219,19 +211,6 @@ impl PropagationConfig {
     pub fn with_import(mut self, policies: Vec<ImportPolicy>) -> Self {
         self.import = Some(policies);
         self
-    }
-
-    /// Whether [`RoutingOutcome::next_hops`] reports every tied-best next
-    /// hop (`true`, the paper's model and the default) or deterministically
-    /// breaks ties by lowest node index (`false`).
-    pub fn with_keep_ties(mut self, keep: bool) -> Self {
-        self.keep_ties = keep;
-        self
-    }
-
-    /// Whether tied-best routes are all kept (see [`Self::with_keep_ties`]).
-    pub fn keep_ties(&self) -> bool {
-        self.keep_ties
     }
 
     /// Mutable access to the exclusion mask, sized for an `n`-node graph.
@@ -358,8 +337,8 @@ impl RoutingOutcome {
 
     /// The tied-best next hops of `n` toward the origin, under the same
     /// graph and config the outcome was computed with. Empty for the
-    /// origin and for unreachable nodes. Sorted by node index. With
-    /// `keep_ties(false)` only the lowest-index tied hop is returned.
+    /// origin and for unreachable nodes. Sorted by node index. Every tied
+    /// hop is returned: the paper's model (§6.1) breaks no ties.
     pub fn next_hops(&self, g: &AsGraph, cfg: &PropagationConfig, n: NodeId) -> Vec<NodeId> {
         let pol = cfg.view();
         let mut out = Vec::new();
@@ -401,9 +380,6 @@ impl RoutingOutcome {
                     }
                 }
             }
-        }
-        if !cfg.keep_ties {
-            out.truncate(1);
         }
         out
     }
@@ -574,22 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn keep_ties_false_breaks_ties_by_lowest_index() {
-        let mut b = AsGraphBuilder::new();
-        b.add_link(AsId(2), AsId(1), Relationship::P2c);
-        b.add_link(AsId(3), AsId(1), Relationship::P2c);
-        b.add_link(AsId(4), AsId(2), Relationship::P2c);
-        b.add_link(AsId(4), AsId(3), Relationship::P2c);
-        let g = b.build();
-        let cfg = PropagationConfig::default().with_keep_ties(false);
-        let out = propagate(&g, node(&g, 1), &cfg);
-        let all = out.next_hops(&g, &PropagationConfig::default(), node(&g, 4));
-        let first = out.next_hops(&g, &cfg, node(&g, 4));
-        assert_eq!(first.len(), 1);
-        assert_eq!(first[0], all[0]);
-    }
-
-    #[test]
     fn origin_export_restriction_limits_spread() {
         let g = fig1();
         let cloud = node(&g, 10);
@@ -708,7 +668,6 @@ mod tests {
         for n in g.nodes() {
             assert_eq!(via_engine.selection(n), via_legacy.selection(n));
         }
-        assert!(cfg.keep_ties());
     }
 
     #[test]

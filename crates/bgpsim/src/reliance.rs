@@ -80,10 +80,10 @@ pub fn reliance(dag: &NextHopDag) -> Vec<f64> {
 ///   counting sort over the reach bitset walked in node order;
 /// * each node's tied-best hops are listed in the order
 ///   [`RoutingOutcome::next_hops`] walks them, under the same import
-///   rules and `keep_ties` truncation. A provider-routed node pulls them
-///   from its own provider slice. Customer- and peer-routed nodes never
-///   scan theirs (a hub's thousands of customers, every peer of every
-///   peer-routed AS): their hops are all customer-routed *senders*, so
+///   rules. A provider-routed node pulls them from its own provider
+///   slice. Customer- and peer-routed nodes never scan theirs (a hub's
+///   thousands of customers, every peer of every peer-routed AS):
+///   their hops are all customer-routed *senders*, so
 ///   each sender offers itself to its providers and peers — the entries
 ///   phases 1–2 of the run examined. A receiver's hops all sit exactly
 ///   one level below it and senders are visited by `(distance, node)`,
@@ -150,7 +150,6 @@ impl RelianceWorkspace {
         let mut hop_checks = 0u64;
         let (dist_c, dist_p, dist_d) = (&ws.dist_c[..], &ws.dist_p[..], &ws.dist_d[..]);
         let pol = cfg.view();
-        let keep_ties = cfg.keep_ties();
         let origin = ws.origin();
 
         // Same rule as `Workspace::reset`: undo a small previous run
@@ -233,7 +232,7 @@ impl RelianceWorkspace {
                 }));
             for &u in takers {
                 let offered = &mut self.slot[u as usize];
-                if (*offered > 0 && !keep_ties) || !pol.import_ok(origin, NodeId(u), NodeId(v)) {
+                if !pol.import_ok(origin, NodeId(u), NodeId(v)) {
                     continue;
                 }
                 if *offered == 0 {
@@ -275,9 +274,6 @@ impl RelianceWorkspace {
                         && pol.import_ok(origin, NodeId(u), NodeId(v))
                     {
                         self.hops.push(v);
-                        if !keep_ties {
-                            break;
-                        }
                     }
                 }
                 let mut total = 0.0;

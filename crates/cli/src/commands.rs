@@ -684,6 +684,25 @@ pub fn dot(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The daemon's topology source from the flags `serve` and `snapshot save`
+/// share: `--as-rel FILE [--tier1 .. --tier2 ..] [--lenient]`, or the
+/// generator's `--ases N --seed S`.
+fn topology_source(opts: &Opts) -> Result<flatnet_serve::TopologySource, String> {
+    let (tier1, tier2) = tier_flags(opts)?.unwrap_or_default();
+    Ok(match opts.get("as-rel") {
+        Some(path) => flatnet_serve::TopologySource::CaidaFile {
+            path: path.to_string(),
+            tier1,
+            tier2,
+            lenient: opts.switch("lenient"),
+        },
+        None => flatnet_serve::TopologySource::Generated {
+            ases: opts.num_or("ases", 4000usize)?,
+            seed: opts.num_or("seed", 2020u64)?,
+        },
+    })
+}
+
 /// `flatnet serve`: run the query daemon until `/admin/shutdown`.
 pub fn serve(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
@@ -722,19 +741,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         }
         _ => return Err("--shard-id and --shard-count go together".into()),
     };
-    let (tier1, tier2) = tier_flags(&opts)?.unwrap_or_default();
-    let source = match opts.get("as-rel") {
-        Some(path) => flatnet_serve::TopologySource::CaidaFile {
-            path: path.to_string(),
-            tier1,
-            tier2,
-            lenient: opts.switch("lenient"),
-        },
-        None => flatnet_serve::TopologySource::Generated {
-            ases: opts.num_or("ases", 4000usize)?,
-            seed: opts.num_or("seed", 2020u64)?,
-        },
-    };
+    let source = topology_source(&opts)?;
     let cfg = flatnet_serve::ServeConfig {
         addr: opts.get("addr").unwrap_or("127.0.0.1:8080").to_string(),
         workers: opts.num_or("workers", 0usize)?,
@@ -803,22 +810,30 @@ pub fn router(args: &[String]) -> Result<(), String> {
             "upstream-timeout-ms",
         ],
     )?;
-    let addr = opts.get("addr").unwrap_or("127.0.0.1:8070").to_string();
+    // Every flag is read before the first shard is spawned: a bad value
+    // must not leave healthy children behind.
+    let mut cfg = flatnet_router::RouterConfig {
+        addr: opts.get("addr").unwrap_or("127.0.0.1:8070").to_string(),
+        probe_interval_ms: opts.num_or("probe-ms", 200u64)?,
+        upstream_timeout_ms: opts.num_or("upstream-timeout-ms", 10_000u64)?,
+        ..flatnet_router::RouterConfig::default()
+    };
     // The pair is forwarded verbatim to every spawned shard; refuse here
     // what each of them would refuse.
     tier_flags(&opts)?;
 
-    let mut children: Vec<std::process::Child> = Vec::new();
-    let shard_addrs: Vec<String> = if let Some(list) = opts.get("shard-addrs") {
+    // Adopted shards (--shard-addrs) stay up when the router goes — they
+    // are not ours; spawned ones go down with `spawned`, on every path.
+    let mut spawned = SpawnedShards(Vec::new());
+    if let Some(list) = opts.get("shard-addrs") {
         if opts.get("shards").is_some() {
             return Err("--shard-addrs (adopt) and --shards (spawn) are mutually exclusive".into());
         }
-        let addrs: Vec<String> =
+        cfg.shard_addrs =
             list.split(',').map(str::trim).filter(|s| !s.is_empty()).map(str::to_string).collect();
-        if addrs.is_empty() {
+        if cfg.shard_addrs.is_empty() {
             return Err("--shard-addrs: no addresses given".into());
         }
-        addrs
     } else {
         let n: u32 = opts.num_or("shards", 3u32)?;
         if n == 0 {
@@ -849,14 +864,14 @@ pub fn router(args: &[String]) -> Result<(), String> {
         if opts.switch("lenient") {
             common.push("--lenient".into());
         }
-        let addrs: Vec<String> = (0..n)
+        cfg.shard_addrs = (0..n)
             .map(|i| {
                 base.checked_add(i as u16)
                     .map(|p| format!("127.0.0.1:{p}"))
                     .ok_or_else(|| format!("--base-port {base} + {n} shards overflows a port"))
             })
             .collect::<Result<_, _>>()?;
-        for (i, shard_addr) in addrs.iter().enumerate() {
+        for (i, shard_addr) in cfg.shard_addrs.iter().enumerate() {
             let child = std::process::Command::new(&exe)
                 .arg("serve")
                 .args(["--addr", shard_addr])
@@ -866,40 +881,49 @@ pub fn router(args: &[String]) -> Result<(), String> {
                 .spawn()
                 .map_err(|e| format!("spawning shard {i}: {e}"))?;
             flatnet_obs::info!("spawned shard {i} (pid {}) on {shard_addr}", child.id());
-            children.push(child);
+            cfg.shard_pids.push(child.id());
+            spawned.0.push((child, shard_addr.clone()));
         }
-        for (i, shard_addr) in addrs.iter().enumerate() {
-            if let Err(e) = wait_shard_ready(shard_addr, std::time::Duration::from_secs(120)) {
-                for c in &mut children {
-                    let _ = c.kill();
-                    let _ = c.wait();
-                }
-                return Err(format!("shard {i} on {shard_addr} never became healthy ({e})"));
-            }
+        for (i, shard_addr) in cfg.shard_addrs.iter().enumerate() {
+            wait_shard_ready(shard_addr, std::time::Duration::from_secs(120))
+                .map_err(|e| format!("shard {i} on {shard_addr} never became healthy ({e})"))?;
         }
-        addrs
-    };
+    }
 
-    let cfg = flatnet_router::RouterConfig {
-        addr,
-        shard_addrs: shard_addrs.clone(),
-        shard_pids: children.iter().map(std::process::Child::id).collect(),
-        probe_interval_ms: opts.num_or("probe-ms", 200u64)?,
-        upstream_timeout_ms: opts.num_or("upstream-timeout-ms", 10_000u64)?,
-        ..flatnet_router::RouterConfig::default()
-    };
     let router = flatnet_router::Router::start(cfg)
         .map_err(|e| format!("router failed to start: {e}"))?;
     router.wait();
-
-    // The router was told to shut down; take the spawned shards with it.
-    // Adopted shards (--shard-addrs) stay up — they are not ours.
-    for (child, shard_addr) in children.iter_mut().zip(&shard_addrs) {
-        let shard = flatnet_wire::Client::new(shard_addr.clone(), std::time::Duration::from_secs(5));
-        let _ = shard.one_shot("POST", "/admin/shutdown");
-        let _ = child.wait();
-    }
     Ok(())
+}
+
+/// The `flatnet serve` children of `flatnet router --shards N`, each with
+/// its address. Dropping it takes them down, so no way out of `router` —
+/// a later shard that fails to spawn, one that never turns healthy, a
+/// taken `--addr`, the clean shutdown — leaves a child holding its port.
+struct SpawnedShards(Vec<(std::process::Child, String)>);
+
+impl Drop for SpawnedShards {
+    fn drop(&mut self) {
+        let grace = std::time::Duration::from_secs(5);
+        for (child, addr) in &mut self.0 {
+            // A child that already exited is not asked: whatever answers
+            // on its port now is not ours. A live one gets the chance to
+            // leave by itself (exit 0) before it is killed.
+            if matches!(child.try_wait(), Ok(None)) {
+                let shard = flatnet_wire::Client::new(addr.clone(), grace);
+                if shard.one_shot("POST", "/admin/shutdown").is_ok() {
+                    let deadline = std::time::Instant::now() + grace;
+                    while matches!(child.try_wait(), Ok(None))
+                        && std::time::Instant::now() < deadline
+                    {
+                        std::thread::sleep(std::time::Duration::from_millis(10));
+                    }
+                }
+            }
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
 }
 
 /// `flatnet snapshot save|verify|fuzz`: the crash-safe snapshot store.
@@ -916,37 +940,20 @@ pub fn snapshot(args: &[String]) -> Result<(), String> {
 }
 
 /// `flatnet snapshot save --out FILE [--as-rel FILE | --ases N --seed S]`
-/// — build a topology, hold it to the health gate the daemon applies, and
-/// persist it atomically, so a later `flatnet serve --store FILE`
-/// warm-starts without reading the source. A topology the daemon would
-/// refuse is refused here, and nothing is written.
+/// — build the snapshot the daemon would serve from these flags
+/// ([`flatnet_serve::TopologySource::build`]: ingest, health gate,
+/// compile) and persist it atomically, so a later `flatnet serve --store
+/// FILE` warm-starts without reading the source. A topology the daemon
+/// would refuse is refused here, and nothing is written.
 fn snapshot_save(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
         &["lenient"],
-        &["out", "as-rel", "ases", "seed", "tier1", "tier2", "max-errors"],
+        &["out", "as-rel", "ases", "seed", "tier1", "tier2"],
     )?;
     let out = opts.required("out")?;
-    let (graph, tiers, conflicts) = match opts.get("as-rel") {
-        Some(path) => {
-            let mode = parse_mode(&opts)?;
-            let (g, conflicts) = load_graph_full(path, &mode)?;
-            let tiers = tiers_for(&g, &opts)?;
-            (g, tiers, conflicts)
-        }
-        None => {
-            let net = generate(&NetGenConfig::paper_2020(
-                opts.num_or("ases", 4000usize)?,
-                opts.num_or("seed", 2020u64)?,
-            ));
-            let tiers = net.tiers_for(&net.truth);
-            (net.truth, tiers, Vec::new())
-        }
-    };
-    run_validation(&graph, &tiers, &conflicts)?;
-    let topo = flatnet_bgpsim::TopologySnapshot::compile(&graph);
-    let stored = flatnet_store::StoredSnapshot { version: 1, graph, tiers, topo };
-    flatnet_store::save_atomic(out, &stored).map_err(|e| e.to_string())?;
+    let snap = topology_source(&opts)?.build(1)?;
+    flatnet_store::save_atomic(out, &snap).map_err(|e| e.to_string())?;
     let report = flatnet_store::verify(out, false).map_err(|e| e.to_string())?;
     println!(
         "wrote {out}: v{} {} ASes, {} links, {} bytes",
@@ -1092,35 +1099,6 @@ mod obs_tests {
         assert!(trace(&["bogus".to_string()]).is_err());
         assert!(trace(&[]).is_err());
         let _ = fs::remove_dir_all(&dir);
-    }
-}
-
-/// `flatnet bench propagate` — the one speed bench outside `benchmark/`,
-/// the package that measures serving, fleet, restart and sweeps at paper
-/// scale.
-pub fn bench(args: &[String]) -> Result<(), String> {
-    match args.split_first() {
-        Some((sub, rest)) if sub == "propagate" => flatnet_bench::propbench::run(rest),
-        _ => Err("bench takes one subcommand, `propagate`; serving, fleet, restart and \
-                  sweep numbers come from the benchmark/ package (benchmark/README.md)"
-            .into()),
-    }
-}
-
-#[cfg(test)]
-mod bench_tests {
-    use super::*;
-
-    #[test]
-    fn bench_has_one_subcommand_and_names_the_benchmark_package() {
-        for args in [&["serve"][..], &["restart"], &["serve", "--router", "3"], &[]] {
-            let argv: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            let err = bench(&argv).unwrap_err();
-            assert!(err.contains("benchmark/") && err.contains("propagate"), "{err}");
-        }
-        // `propagate` still dispatches: its own parser rejects the flag.
-        let err = bench(&["propagate".to_string(), "--bogus".to_string()]).unwrap_err();
-        assert!(err.contains("--bogus"), "{err}");
     }
 }
 

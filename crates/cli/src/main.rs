@@ -128,19 +128,6 @@ USAGE:
       /debug/trace/recent or /debug/trace/slow): per-stage time
       breakdown, slowest origins, and the N slowest requests.
 
-  flatnet bench propagate [--ases N] [--seed S] [--origins K]
-                 [--threads N] [--mt-threads N] [--reps R]
-                 [--lane-width auto|64|128|256] [--out PATH]
-      Benchmark the batched propagation engine and the 64-lane
-      bit-parallel kernel on a hierarchy-free reachability sweep (the
-      two must agree on total reach), plus the kernel at 64 lanes and at
-      the wide --lane-width (default auto = 256 on AVX2) on a dense
-      full-reach sweep; writes a flatnet-bench-propagate/v2 JSON report
-      (default BENCH_propagate.json). Each pass keeps the fastest of
-      --reps (7) repetitions; --mt-threads (0 = all cores) sizes the
-      extra multithreaded passes. This is the only bench here: serving,
-      fleet, restart and sweep numbers come from the benchmark/ package.
-
   flatnet help
       This message.
 
@@ -218,7 +205,6 @@ fn main() -> ExitCode {
         "snapshot" => commands::snapshot(rest),
         "metrics" => commands::metrics(rest),
         "trace" => commands::trace(rest),
-        "bench" => commands::bench(rest),
         "repro" => flatnet_bench::repro::run(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");

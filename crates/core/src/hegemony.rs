@@ -17,24 +17,19 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Runs one origin on the worker's buffers and turns its reliance scores
-/// into its hegemony vector.
+/// into its per-destination hegemony vector: `hegemony[a] = rely(o, a) /
+/// receivers`.
+///
+/// Entries are in `[0, 1]`. The origin's own entry is zeroed (a network
+/// trivially lies on every path toward itself; hegemony measures *other*
+/// networks' dependence on it, as in Fontugne et al.). Unreachable ASes
+/// score 0.
 fn hegemony_of(ctx: &mut SweepCtx<'_>, origin: NodeId) -> Vec<f64> {
     let scored = ctx.run_reliance(origin);
     let receivers = scored.receivers().max(1) as f64;
     let mut h: Vec<f64> = scored.scores().iter().map(|w| w / receivers).collect();
     h[origin.idx()] = 0.0;
     h
-}
-
-/// Per-destination hegemony: `hegemony[a] = rely(o, a) / receivers`.
-///
-/// Entries are in `[0, 1]`. The origin's own entry is zeroed (a network
-/// trivially lies on every path toward itself; hegemony measures *other*
-/// networks' dependence on it, as in Fontugne et al.). Unreachable ASes
-/// score 0.
-pub fn hegemony_for_origin(g: &AsGraph, origin: NodeId) -> Vec<f64> {
-    let snap = TopologySnapshot::compile(g);
-    hegemony_of(&mut Simulation::over(&snap).ctx(), origin)
 }
 
 /// Global hegemony: the mean per-destination hegemony over `sample_size`
@@ -72,6 +67,11 @@ pub fn global_hegemony(g: &AsGraph, sample_size: usize, seed: u64) -> Vec<f64> {
 mod tests {
     use super::*;
     use flatnet_asgraph::{AsGraphBuilder, AsId, Relationship};
+
+    fn hegemony_for_origin(g: &AsGraph, origin: NodeId) -> Vec<f64> {
+        let snap = TopologySnapshot::compile(g);
+        hegemony_of(&mut Simulation::over(&snap).ctx(), origin)
+    }
 
     /// Pure chain: o=1 under 2 under 3; plus stub 4 under 3.
     fn chain() -> AsGraph {

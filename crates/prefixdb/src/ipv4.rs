@@ -85,11 +85,6 @@ impl Ipv4Prefix {
         self.len
     }
 
-    /// Whether the prefix is `/0` (matches everything).
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// Whether `ip` falls inside this prefix.
     #[inline]
     pub fn contains(&self, ip: Ipv4Addr) -> bool {

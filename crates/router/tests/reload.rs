@@ -16,7 +16,9 @@ fn start_shard(id: u32, count: u32) -> Server {
     let tiers = net.tiers_for(&net.truth);
     Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 2,
+        // `flatnet router`'s floor for a spawned shard: pooled data-plane
+        // connections, a probe and a reload each hold a worker at once.
+        workers: 8,
         shard: Some((id, count)),
         source: TopologySource::Preloaded { graph: net.truth, tiers },
         ..ServeConfig::default()
@@ -49,7 +51,28 @@ fn rolling_reload_bumps_every_shard_behind_the_health_gate() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    let (status, body) = roundtrip(router.addr(), "POST", "/admin/reload");
+    // Two clients query through the router for as long as the roll takes.
+    let rolling = std::sync::atomic::AtomicBool::new(true);
+    let (status, body) = std::thread::scope(|s| {
+        let hammers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| loop {
+                    let (status, body) =
+                        roundtrip(router.addr(), "GET", "/v1/reachability?origin=15169");
+                    assert!(status < 500, "{status} during the rolling reload: {body}");
+                    if !rolling.load(std::sync::atomic::Ordering::SeqCst) {
+                        break;
+                    }
+                })
+            })
+            .collect();
+        let rolled = roundtrip(router.addr(), "POST", "/admin/reload");
+        rolling.store(false, std::sync::atomic::Ordering::SeqCst);
+        for h in hammers {
+            h.join().expect("no 5xx");
+        }
+        rolled
+    });
     assert_eq!(status, 200, "rolling reload failed: {body}");
     assert_eq!(merge::member_str(&body, "status"), Some("reloaded"), "{body}");
     assert_eq!(merge::member_u64(&body, "reloaded"), Some(3), "{body}");

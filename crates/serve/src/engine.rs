@@ -774,19 +774,15 @@ fn parse_exclude(req: &Request) -> Result<ExclusionPolicy, ApiError> {
     Ok(ExclusionPolicy::from_bits(bits))
 }
 
-/// `detail=full|summary` (canonical), with the legacy `full=1|true`
-/// spelling still honored.
+/// `detail=full|summary`; absent means `summary`.
 fn parse_detail(req: &Request) -> Result<bool, ApiError> {
-    if let Some(d) = req.query_param("detail") {
-        return match d {
-            "full" => Ok(true),
-            "summary" => Ok(false),
-            other => {
-                Err(ApiError::bad_request(format!("bad detail {other:?} (want full|summary)")))
-            }
-        };
+    match req.query_param("detail") {
+        Some("full") => Ok(true),
+        Some("summary") | None => Ok(false),
+        Some(other) => {
+            Err(ApiError::bad_request(format!("bad detail {other:?} (want full|summary)")))
+        }
     }
-    Ok(matches!(req.query_param("full"), Some("1") | Some("true")))
 }
 
 fn exclude_names(policy: ExclusionPolicy) -> String {
@@ -972,7 +968,7 @@ fn emit_reachability(
 }
 
 /// `GET /v1/reachability?origins=a,b,c[&exclude=…][&detail=full]`
-/// (single-origin alias: `origin=ASN`; legacy `full=1` still honored).
+/// (single-origin alias: `origin=ASN`).
 ///
 /// Every origin resolves through [`resolve`] under the same cache key a
 /// single-origin query would use, so batch and single answers are the

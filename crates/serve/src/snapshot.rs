@@ -424,7 +424,17 @@ fn tier_asns(g: &AsGraph, nodes: &[flatnet_asgraph::NodeId]) -> Vec<AsId> {
     nodes.iter().map(|&n| g.asn(n)).collect()
 }
 
-/// Ingest + health gate + compile, shared by startup and reload.
+impl TopologySource {
+    /// Ingest, health gate, compile: the one way a source becomes a
+    /// snapshot. Startup and reload go through it, and so does `flatnet
+    /// snapshot save`, so a store is only ever written from a topology
+    /// the daemon would serve.
+    pub fn build(&self, version: u64) -> Result<ServeSnapshot, ServeError> {
+        load(self, version, &mut PhaseClock::start())
+    }
+}
+
+/// [`TopologySource::build`] on the caller's clock.
 fn load(
     source: &TopologySource,
     version: u64,
@@ -639,7 +649,7 @@ mod tests {
         // The healed store must verify and hold the from-source topology.
         let report = flatnet_store::verify(&path, false).expect("store rewritten after corruption");
         assert_eq!(report.nodes, mgr.current().graph.len());
-        let direct = load(&tiny_source(), 1, &mut PhaseClock::start()).unwrap();
+        let direct = tiny_source().build(1).unwrap();
         assert_same_topology(&flatnet_store::load(&path).unwrap(), &direct);
         assert_same_topology(&mgr.current(), &direct);
     }

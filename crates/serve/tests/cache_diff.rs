@@ -138,7 +138,7 @@ fn warmup_prefills_cache_with_bit_identical_answers() {
     for &n in [order[0], order[63], order[warm - 1]].iter() {
         let origin = g.asn(n).0;
         let (want_count, want_asns) = direct_reach(&net, &snap, &tiers, origin, "");
-        let path = format!("/v1/reachability?origin={origin}&full=1");
+        let path = format!("/v1/reachability?origin={origin}&detail=full");
         let (status, doc) = fetch(addr, "GET", &path);
         assert_eq!(status, 200, "{path}: {doc:?}");
         let (count, asns, cached, _) = reach_of(&doc);
@@ -149,7 +149,7 @@ fn warmup_prefills_cache_with_bit_identical_answers() {
 
     // An origin outside the warm set still misses on first query.
     let cold = g.asn(order[warm]).0;
-    let (status, doc) = fetch(addr, "GET", &format!("/v1/reachability?origin={cold}&full=1"));
+    let (status, doc) = fetch(addr, "GET", &format!("/v1/reachability?origin={cold}&detail=full"));
     assert_eq!(status, 200);
     assert!(!data_of(&doc).get("cached").and_then(Json::as_bool).unwrap(), "AS{cold} was not warmed");
 
@@ -159,7 +159,7 @@ fn warmup_prefills_cache_with_bit_identical_answers() {
     assert_eq!(status, 200, "{reloaded:?}");
     wait_for_warmed(addr, before + warm as u64);
     let hot = g.asn(order[0]).0;
-    let (status, doc) = fetch(addr, "GET", &format!("/v1/reachability?origin={hot}&full=1"));
+    let (status, doc) = fetch(addr, "GET", &format!("/v1/reachability?origin={hot}&detail=full"));
     assert_eq!(status, 200);
     assert_eq!(doc.get("snapshot_version").and_then(Json::as_u64), Some(2));
     assert!(
@@ -197,7 +197,7 @@ fn cached_answers_are_bit_identical_and_reload_invalidates() {
     for &origin in &origins {
         for variant in variants {
             let (want_count, want_asns) = direct_reach(&net, &snap, &tiers, origin, variant);
-            let path = format!("/v1/reachability?origin={origin}&exclude={variant}&full=1");
+            let path = format!("/v1/reachability?origin={origin}&exclude={variant}&detail=full");
             let (status, first) = fetch(addr, "GET", &path);
             assert_eq!(status, 200, "{path}: {first:?}");
             let (count1, asns1, cached1, v1) = reach_of(&first);
@@ -226,7 +226,7 @@ fn cached_answers_are_bit_identical_and_reload_invalidates() {
     assert!(hits >= (origins.len() * variants.len()) as u64, "only {hits} cache hits");
 
     // ---- Reload invalidates: version bumps, first query misses. ----
-    let probe = format!("/v1/reachability?origin={}&exclude=providers&full=1", origins[0]);
+    let probe = format!("/v1/reachability?origin={}&exclude=providers&detail=full", origins[0]);
     let (status, reloaded) = fetch(addr, "POST", "/admin/reload");
     assert_eq!(status, 200, "{reloaded:?}");
     assert_eq!(reloaded.get("snapshot_version").and_then(Json::as_u64), Some(2));

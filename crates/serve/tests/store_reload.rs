@@ -57,7 +57,7 @@ fn answers(addr: SocketAddr, origin: u32) -> [String; 3] {
     let client = Client::new(addr.to_string(), Duration::from_secs(30));
     let leak = format!("{{\"victim\":{origin},\"lock\":\"t12\",\"leakers\":8}}");
     [
-        ("GET", format!("/v1/reachability?origin={origin}&full=1"), None),
+        ("GET", format!("/v1/reachability?origin={origin}&detail=full"), None),
         ("GET", format!("/v1/reliance?origin={origin}&top=50"), None),
         ("POST", "/v1/whatif/leak".to_string(), Some(leak.as_str())),
     ]
@@ -94,7 +94,7 @@ fn warm_start_leaves_the_source_alone_and_answers_identically() {
     // topology the daemon built and take its first node's ASN.
     let origin =
         generate(&NetGenConfig::paper_2020(400, 21)).truth.asn(flatnet_asgraph::NodeId(0)).0;
-    let probe = format!("/v1/reachability?origin={origin}&full=1");
+    let probe = format!("/v1/reachability?origin={origin}&detail=full");
     let (status, cold_doc) = fetch(server.addr(), "GET", &probe);
     assert_eq!(status, 200, "{cold_doc:?}");
     let cold_reach = data_of(&cold_doc).get("reach").and_then(Json::as_array).unwrap().len();

@@ -142,6 +142,8 @@ fn metrics_speaks_prometheus_when_asked() {
         "missing queue_wait series"
     );
     assert!(body.contains("le=\"+Inf\""), "missing overflow bucket");
+    assert!(body.contains("# TYPE serve_cache_bytes gauge"), "missing the cache gauge");
+    assert!(body.contains(" # {trace_id="), "no bucket line carries an exemplar");
 
     // Unknown formats are rejected; default stays JSON.
     let (status, _, _) = fetch_raw(addr, "GET", "/metrics?format=xml");

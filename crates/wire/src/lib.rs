@@ -4,7 +4,7 @@
 //! # flatnet-wire — the two byte boundaries, once
 //!
 //! Every answer the serving tier gives crosses HTTP/1.1 framing and a
-//! JSON envelope on its way through `serve`, `router`, `flatnet bench`
+//! JSON envelope on its way through `serve`, `router`, the benchmark
 //! and the CLI. This std-only leaf crate owns both, so each is read in
 //! exactly one place and bounded in exactly one place:
 //!
