@@ -142,19 +142,9 @@ fn parse_with_fields<R: BufRead>(
                 diag.record_ok();
                 b.add_link(rec.a, rec.b, rec.rel);
             }
-            Err(e) => {
-                if opts.budget_allows(diag.dropped()) {
-                    diag.record_dropped(RecordLocation::Line(lineno), e.to_string());
-                } else if opts.strict {
-                    return Err(e);
-                } else {
-                    diag.record_dropped(RecordLocation::Line(lineno), e.to_string());
-                    return Err(GraphError::Parse {
-                        line: lineno,
-                        message: opts.budget_exhausted_message(diag.issues.last().unwrap()),
-                    });
-                }
-            }
+            Err(e) => diag.malformed(opts, RecordLocation::Line(lineno), e, |message| {
+                GraphError::Parse { line: lineno, message }
+            })?,
         }
     }
     diag.publish("caida");
@@ -183,7 +173,7 @@ const RESERVE_PER_LINK: usize = 22;
 fn write_rel(g: &AsGraph, header: &str, source_field: &str) -> String {
     let mut out = String::with_capacity(header.len() + g.edge_count() * RESERVE_PER_LINK);
     out.push_str(header);
-    for &(x, y, rel) in g.edges() {
+    for (x, y, rel) in g.edges() {
         let code = match rel {
             Relationship::P2c => "-1",
             Relationship::P2p => "0",
@@ -272,7 +262,7 @@ mod tests {
         let g = parse_serial1(SERIAL1.as_bytes()).unwrap().build();
         let text = write_serial1(&g);
         let g2 = parse_serial1(text.as_bytes()).unwrap().build();
-        assert_eq!(g.edges(), g2.edges());
+        assert!(g.edges().eq(g2.edges()));
     }
 
     #[test]
@@ -280,7 +270,7 @@ mod tests {
         let g = parse_serial2(SERIAL2.as_bytes()).unwrap().build();
         let text = write_serial2(&g);
         let g2 = parse_serial2(text.as_bytes()).unwrap().build();
-        assert_eq!(g.edges(), g2.edges());
+        assert!(g.edges().eq(g2.edges()));
     }
 
     #[test]

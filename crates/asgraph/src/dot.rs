@@ -49,7 +49,7 @@ pub fn to_dot(g: &AsGraph, opts: &DotOptions) -> String {
         };
         let _ = writeln!(out, "  n{} [label=\"{}\"{}];", asn.0, escape(&label), style);
     }
-    for &(x, y, rel) in g.edges() {
+    for (x, y, rel) in g.edges() {
         if !included(x) || !included(y) {
             continue;
         }

@@ -1,14 +1,19 @@
 //! The immutable, index-compressed AS-level topology graph.
 //!
 //! [`AsGraph`] stores, for every AS, its neighbors split into the three sets
-//! that valley-free routing cares about — *providers*, *customers*, and
-//! *peers* — in CSR (compressed sparse row) layout. All adjacency lists are
-//! sorted by node index so that every traversal over the graph is
-//! deterministic.
+//! that valley-free routing cares about — *customers*, *peers*, and
+//! *providers* — in one compressed-sparse-row block, laid out the way the
+//! propagation engine walks it. All adjacency lists are sorted by node
+//! index so that every traversal over the graph is deterministic. The
+//! block is the process's only copy of the links: an [`AsGraph`] is an
+//! `Arc` on it, so the graph's clones — the one inside `flatnet-bgpsim`'s
+//! compiled snapshot among them — share it, and the canonical edge list
+//! ([`AsGraph::edges`]) is read off it rather than stored beside it.
 
 use crate::error::GraphError;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An Autonomous System number.
 ///
@@ -296,22 +301,40 @@ impl AsGraphBuilder {
     }
 }
 
-/// An immutable AS-level topology with relationship-classed adjacency.
+/// What an [`AsGraph`] holds, once per topology: the ASN table and every
+/// link in the layout every traversal walks — per node, one contiguous
+/// run of `adj` split by relationship class, customers first, each class
+/// sorted by node index.
 ///
-/// See the [crate docs](crate) for an overview and an example.
-#[derive(Debug, Clone)]
-pub struct AsGraph {
+/// ```text
+/// adj:  [ customers(u) | peers(u) | providers(u) | customers(u+1) | ... ]
+///        ^off[u]        ^cust_end[u]^peer_end[u]  ^off[u+1]
+/// ```
+///
+/// The customers-first split is also the export rule of valley-free
+/// routing: an AS exports a customer-learned route to its whole run, any
+/// other route to the customer prefix only.
+#[derive(Debug)]
+struct Topology {
     /// Sorted ASNs; position is the node index.
     asns: Vec<u32>,
-    prov_off: Vec<u32>,
-    cust_off: Vec<u32>,
-    peer_off: Vec<u32>,
-    providers: Vec<NodeId>,
-    customers: Vec<NodeId>,
-    peers: Vec<NodeId>,
-    /// Canonical edge list (provider-first for `P2c`), sorted by canonical
-    /// `(min_asn, max_asn)` pair.
-    edges: Vec<(NodeId, NodeId, Relationship)>,
+    /// `off[u]..off[u + 1]` is node `u`'s run in `adj`.
+    off: Vec<u32>,
+    /// End (exclusive) of node `u`'s customers within its run.
+    cust_end: Vec<u32>,
+    /// End (exclusive) of node `u`'s peers within its run.
+    peer_end: Vec<u32>,
+    adj: Vec<NodeId>,
+}
+
+/// An immutable AS-level topology with relationship-classed adjacency.
+///
+/// See the [crate docs](crate) for an overview and an example. The arrays
+/// are written once, by [`AsGraph::from_canonical_edges`], and shared from
+/// then on: a clone is a handle on the same topology, not a copy of it.
+#[derive(Debug, Clone)]
+pub struct AsGraph {
+    t: Arc<Topology>,
 }
 
 impl AsGraph {
@@ -322,9 +345,10 @@ impl AsGraph {
 
     /// Builds the graph from its canonical form: the ASN table and the
     /// edge list exactly as [`AsGraph::edges`] reports it. This is the one
-    /// place the CSR arrays are filled — [`AsGraphBuilder::build`], the
+    /// place the arrays are filled — [`AsGraphBuilder::build`], the
     /// snapshot store's decoder and netgen's public view all end here —
-    /// in one counting pass and one fill pass, `O(V + E)`.
+    /// in one counting pass and one fill pass, `O(V + E)`. The list itself
+    /// is not kept.
     ///
     /// The form is checked, once and here, because the store decoder hands
     /// in bytes from outside the program. `Err`
@@ -349,7 +373,7 @@ impl AsGraph {
             )));
         }
         let n = asns.len();
-        // Node ids and CSR offsets are u32; a peer link takes two entries.
+        // Node ids and offsets are u32; a link takes two entries.
         if n > u32::MAX as usize || edges.len() > (u32::MAX / 2) as usize {
             return Err(not_canonical(format!(
                 "{n} nodes / {} edges exceed the 32-bit index space",
@@ -357,11 +381,12 @@ impl AsGraph {
             )));
         }
 
-        // Counting pass, validating as it goes: `off[v + 1]` holds v's
-        // count until the prefix sum turns it into v's end offset.
-        let mut prov_off = vec![0u32; n + 1];
-        let mut cust_off = vec![0u32; n + 1];
-        let mut peer_off = vec![0u32; n + 1];
+        // Counting pass, validating as it goes: `cust_end[v]`, `peer_end[v]`
+        // and `off[v + 1]` first hold v's customer, peer and provider
+        // counts.
+        let mut off = vec![0u32; n + 1];
+        let mut cust_end = vec![0u32; n];
+        let mut peer_end = vec![0u32; n];
         let mut prev: Option<(NodeId, NodeId)> = None;
         for (i, &(a, b, rel)) in edges.iter().enumerate() {
             if a.idx() >= n || b.idx() >= n {
@@ -389,104 +414,106 @@ impl AsGraph {
                             a.0, b.0
                         )));
                     }
-                    peer_off[a.idx() + 1] += 1;
-                    peer_off[b.idx() + 1] += 1;
+                    peer_end[a.idx()] += 1;
+                    peer_end[b.idx()] += 1;
                 }
                 Relationship::P2c => {
-                    cust_off[a.idx() + 1] += 1;
-                    prov_off[b.idx() + 1] += 1;
+                    cust_end[a.idx()] += 1;
+                    off[b.idx() + 1] += 1;
                 }
             }
         }
-        for off in [&mut prov_off, &mut cust_off, &mut peer_off] {
-            for v in 0..n {
-                off[v + 1] += off[v];
-            }
+        // Prefix sum: each count becomes where its class starts. That is
+        // the cursor the fill pass advances, and it comes to rest where
+        // the class ends — the value each array is named for.
+        let mut at = 0u32;
+        for v in 0..n {
+            at += std::mem::replace(&mut cust_end[v], at);
+            at += std::mem::replace(&mut peer_end[v], at);
+            at += std::mem::replace(&mut off[v + 1], at);
         }
 
         // Fill pass. In canonical order a node first meets its lower
         // neighbors (as the high end of their pairs, ascending) and then
         // its higher ones (as the low end of its own, ascending), so every
-        // adjacency range comes out sorted without sorting it.
-        let mut providers = vec![NodeId(0); prov_off[n] as usize];
-        let mut customers = vec![NodeId(0); cust_off[n] as usize];
-        let mut peers = vec![NodeId(0); peer_off[n] as usize];
-        let mut prov_fill = prov_off.clone();
-        let mut cust_fill = cust_off.clone();
-        let mut peer_fill = peer_off.clone();
-        fn put(adj: &mut [NodeId], fill: &mut [u32], at: NodeId, neighbor: NodeId) {
-            adj[fill[at.idx()] as usize] = neighbor;
-            fill[at.idx()] += 1;
-        }
+        // class comes out sorted without sorting it.
+        let mut adj = vec![NodeId(0); at as usize];
+        let mut put = |cursor: &mut [u32], at: NodeId, neighbor: NodeId| {
+            adj[cursor[at.idx()] as usize] = neighbor;
+            cursor[at.idx()] += 1;
+        };
         for &(a, b, rel) in &edges {
             match rel {
                 Relationship::P2p => {
-                    put(&mut peers, &mut peer_fill, a, b);
-                    put(&mut peers, &mut peer_fill, b, a);
+                    put(&mut peer_end, a, b);
+                    put(&mut peer_end, b, a);
                 }
                 Relationship::P2c => {
-                    put(&mut customers, &mut cust_fill, a, b);
-                    put(&mut providers, &mut prov_fill, b, a);
+                    put(&mut cust_end, a, b);
+                    put(&mut off[1..], b, a);
                 }
             }
         }
 
-        Ok(AsGraph { asns, prov_off, cust_off, peer_off, providers, customers, peers, edges })
+        Ok(AsGraph { t: Arc::new(Topology { asns, off, cust_end, peer_end, adj }) })
     }
 
     /// Number of ASes.
     pub fn len(&self) -> usize {
-        self.asns.len()
+        self.t.asns.len()
     }
 
     /// Whether the graph has no ASes.
     pub fn is_empty(&self) -> bool {
-        self.asns.is_empty()
+        self.t.asns.is_empty()
     }
 
     /// Number of inter-AS links.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.t.adj.len() / 2
     }
 
     /// The ASN of a node.
     #[inline]
     pub fn asn(&self, n: NodeId) -> AsId {
-        AsId(self.asns[n.idx()])
+        AsId(self.t.asns[n.idx()])
     }
 
     /// Looks up the node index of an ASN, if present.
     #[inline]
     pub fn index_of(&self, asn: AsId) -> Option<NodeId> {
-        self.asns.binary_search(&asn.0).ok().map(|i| NodeId(i as u32))
+        self.t.asns.binary_search(&asn.0).ok().map(|i| NodeId(i as u32))
     }
 
     /// Iterates all node indices in ascending order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.asns.len() as u32).map(NodeId)
+        (0..self.t.asns.len() as u32).map(NodeId)
     }
 
     /// Iterates all ASNs in ascending order.
     pub fn asns(&self) -> impl Iterator<Item = AsId> + '_ {
-        self.asns.iter().map(|&a| AsId(a))
+        self.t.asns.iter().map(|&a| AsId(a))
     }
 
     /// The providers of `n` (ASes `n` buys transit from), sorted.
     #[inline]
     pub fn providers(&self, n: NodeId) -> &[NodeId] {
-        &self.providers[self.prov_off[n.idx()] as usize..self.prov_off[n.idx() + 1] as usize]
+        let t = &*self.t;
+        &t.adj[t.peer_end[n.idx()] as usize..t.off[n.idx() + 1] as usize]
     }
 
     /// The customers of `n` (ASes buying transit from `n`), sorted.
     #[inline]
     pub fn customers(&self, n: NodeId) -> &[NodeId] {
-        &self.customers[self.cust_off[n.idx()] as usize..self.cust_off[n.idx() + 1] as usize]
+        let t = &*self.t;
+        &t.adj[t.off[n.idx()] as usize..t.cust_end[n.idx()] as usize]
     }
 
     /// The settlement-free peers of `n`, sorted.
     #[inline]
     pub fn peers(&self, n: NodeId) -> &[NodeId] {
-        &self.peers[self.peer_off[n.idx()] as usize..self.peer_off[n.idx() + 1] as usize]
+        let t = &*self.t;
+        &t.adj[t.cust_end[n.idx()] as usize..t.peer_end[n.idx()] as usize]
     }
 
     /// All neighbors of `n` with how `n` sees each of them.
@@ -516,16 +543,39 @@ impl AsGraph {
         }
     }
 
-    /// The canonical edge list: `(provider, customer, P2c)` or
-    /// `(a, b, P2p)`, in deterministic order.
-    pub fn edges(&self) -> &[(NodeId, NodeId, Relationship)] {
-        &self.edges
+    /// The canonical edge list — `(provider, customer, P2c)` or
+    /// `(low, high, P2p)`, ascending by `(min, max)` endpoint pair — read
+    /// off the adjacency: node by node, a three-way merge of the
+    /// neighbors above it.
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, Relationship)> + '_ {
+        fn above(class: &[NodeId], u: NodeId) -> &[NodeId] {
+            &class[class.partition_point(|&v| v < u)..]
+        }
+        self.nodes().flat_map(move |u| {
+            let mut customers = above(self.customers(u), u);
+            let mut peers = above(self.peers(u), u);
+            let mut providers = above(self.providers(u), u);
+            std::iter::from_fn(move || {
+                let heads = [customers.first(), peers.first(), providers.first()];
+                let &v = heads.into_iter().flatten().min()?;
+                Some(if customers.first() == Some(&v) {
+                    customers = &customers[1..];
+                    (u, v, Relationship::P2c)
+                } else if peers.first() == Some(&v) {
+                    peers = &peers[1..];
+                    (u, v, Relationship::P2p)
+                } else {
+                    providers = &providers[1..];
+                    (v, u, Relationship::P2c)
+                })
+            })
+        })
     }
 
     /// Re-opens the graph as a builder (used by topology augmentation).
     pub fn to_builder(&self) -> AsGraphBuilder {
         let mut b = AsGraphBuilder::new();
-        for &(x, y, rel) in &self.edges {
+        for (x, y, rel) in self.edges() {
             b.add_link(self.asn(x), self.asn(y), rel);
         }
         // Preserve isolated nodes.
@@ -650,7 +700,7 @@ mod tests {
         let g = diamond();
         let g2 = g.to_builder().build();
         assert_eq!(g.len(), g2.len());
-        assert_eq!(g.edges(), g2.edges());
+        assert!(g.edges().eq(g2.edges()));
     }
 
     #[test]

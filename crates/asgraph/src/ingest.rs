@@ -90,12 +90,12 @@ impl ParseOptions {
 
     /// Whether a parse that has already dropped `dropped` records may
     /// drop one more.
-    pub fn budget_allows(&self, dropped: usize) -> bool {
+    fn budget_allows(&self, dropped: usize) -> bool {
         !self.strict && dropped < self.max_errors
     }
 
     /// Standard message for an exhausted error budget.
-    pub fn budget_exhausted_message(&self, last: &ParseIssue) -> String {
+    fn budget_exhausted_message(&self, last: &ParseIssue) -> String {
         format!(
             "error budget exhausted after {} malformed records (max {}); last: {}",
             self.max_errors + 1,
@@ -128,6 +128,32 @@ impl ParseDiagnostics {
     /// Notes one skipped record.
     pub fn record_dropped(&mut self, location: RecordLocation, message: impl Into<String>) {
         self.issues.push(ParseIssue { location, message: message.into() });
+    }
+
+    /// The lenient-ingest rule, for every loader: what to do about the
+    /// record at `location` that failed to parse with `err`. `Ok` means
+    /// it was dropped and tallied and the parse goes on. `Err` ends the
+    /// parse: with the record's own error when `opts` is strict, or, when
+    /// this record is the one that exhausts the budget, with the budget
+    /// text (the record tallied all the same) wrapped into the loader's
+    /// error type by `exhausted`.
+    pub fn malformed<E: fmt::Display>(
+        &mut self,
+        opts: &ParseOptions,
+        location: RecordLocation,
+        err: E,
+        exhausted: impl FnOnce(String) -> E,
+    ) -> Result<(), E> {
+        if opts.strict {
+            return Err(err);
+        }
+        let within_budget = opts.budget_allows(self.dropped());
+        self.record_dropped(location, err.to_string());
+        if within_budget {
+            return Ok(());
+        }
+        let last = self.issues.last().expect("tallied just above");
+        Err(exhausted(opts.budget_exhausted_message(last)))
     }
 
     /// Number of records dropped.

@@ -197,7 +197,7 @@ impl RelAccuracy {
 pub fn score_inference(inferred: &AsGraph, truth: &AsGraph) -> RelAccuracy {
     use crate::graph::NeighborKind;
     let mut acc = RelAccuracy::default();
-    for &(x, y, rel) in truth.edges() {
+    for (x, y, rel) in truth.edges() {
         let a = truth.asn(x); // provider for P2c
         let b = truth.asn(y);
         let inferred_kind = match (inferred.index_of(a), inferred.index_of(b)) {

@@ -224,7 +224,7 @@ pub fn validate_topology(
     // self-loops: impossible after parsing, so finding one means memory
     // corruption or a hand-built graph gone wrong.
     let loops: Vec<AsId> =
-        g.edges().iter().filter(|(x, y, _)| x == y).map(|&(x, _, _)| g.asn(x)).collect();
+        g.edges().filter(|(x, y, _)| x == y).map(|(x, _, _)| g.asn(x)).collect();
     if !loops.is_empty() {
         report.push(
             "self-loops",

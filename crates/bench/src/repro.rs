@@ -214,7 +214,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 flatnet_obs::error!(
                     "[{w} FAILED after {:.1?}: {}]",
                     t0.elapsed(),
-                    flatnet_core::parallel::panic_message(payload.as_ref())
+                    flatnet_bgpsim::parallel::panic_message(payload.as_ref())
                 );
             }
         }

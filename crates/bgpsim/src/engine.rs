@@ -1,15 +1,15 @@
-//! Batched propagation engine: compile the topology once, sweep many
+//! Batched propagation engine: take the topology once, sweep many
 //! origins with zero steady-state allocation.
 //!
 //! The per-call [`crate::propagate()`] shim allocates a workspace per
 //! origin; a whole-Internet sweep (hierarchy-free reachability,
 //! leak CDFs) runs it tens of thousands of times, so those allocations
-//! and the pointer-chasing adjacency walks dominate the profile. This
-//! module splits the work into three pieces:
+//! dominate the profile. This module splits the work into three pieces:
 //!
-//! * [`TopologySnapshot`] — an immutable compressed-sparse-row copy of an
-//!   [`AsGraph`], compiled once per topology and shared (it is `Sync`) by
-//!   every worker of a sweep.
+//! * [`TopologySnapshot`] — a handle on the [`AsGraph`] (its links are
+//!   shared, not copied) plus the per-topology state a run needs; made
+//!   once per topology and shared (it is `Sync`) by every worker of a
+//!   sweep.
 //! * [`Workspace`] — the mutable per-run state: the
 //!   [`RoutingOutcome`] a run fills in place (distance arrays, reach
 //!   bitset) and the queues that fill it. Allocated once per worker and
@@ -25,8 +25,11 @@
 //!
 //! ## Snapshot layout
 //!
-//! Per node `u`, all three relationship classes live in one contiguous
-//! slice of `adj`, customers first:
+//! The links are the graph's own block — one array, filled once by
+//! `AsGraph::from_canonical_edges` and held by `Arc`: the graph, its
+//! clones and every snapshot compiled from it read the same memory. Per
+//! node `u`, all three relationship classes live in one contiguous slice
+//! of it, customers first:
 //!
 //! ```text
 //! adj:  [ customers(u) | peers(u) | providers(u) | customers(u+1) | ... ]
@@ -37,6 +40,8 @@
 //! mask: an AS exports customer-learned routes to its whole range, but
 //! peer/provider-learned routes only to the customer prefix
 //! `adj[off[u]..cust_end[u]]` — exactly the slices the three phases walk.
+//! [`TopologySnapshot::compile`] therefore does nothing per link: it
+//! clones the handle and marks, one bit per node, who has a customer.
 //!
 //! The provider phase replaces the reference implementation's
 //! (`crate::oracle`, test-only) `BinaryHeap` with a bucket
@@ -70,30 +75,22 @@ use crate::scratch::Scratch;
 use flatnet_asgraph::{AsGraph, NodeId};
 use std::collections::VecDeque;
 
-/// An immutable, compiled copy of an [`AsGraph`]'s adjacency, laid out
-/// for propagation: one contiguous `u32` slice per node, split by
-/// relationship class (customers, then peers, then providers).
+/// An [`AsGraph`] made ready for propagation: a handle on the graph
+/// itself — the same arrays, not a copy — plus what only a run needs.
 ///
 /// Compile once per topology with [`TopologySnapshot::compile`], the
-/// only constructor (so every snapshot is some graph's adjacency, laid
-/// out right); the snapshot is cheap to share across threads and its
-/// topology is never mutated. It also owns the scratch sized for it
-/// (`crate::scratch`): lane-kernel workspaces and leak-simulator buffers
-/// that sweeps check out and return, so every [`Simulation`] and
-/// [`LeakSim`](crate::leak::LeakSim) over one snapshot runs on warm
-/// buffers, and the buffers are freed with the snapshot. A clone starts
-/// with none.
+/// only constructor (so every snapshot walks some graph's adjacency, the
+/// very arrays that graph reads); the snapshot is cheap to share across
+/// threads and its topology is never mutated. It also owns the scratch
+/// sized for it (`crate::scratch`): lane-kernel workspaces and
+/// leak-simulator buffers that sweeps check out and return, so every
+/// [`Simulation`] and [`LeakSim`](crate::leak::LeakSim) over one snapshot
+/// runs on warm buffers, and the buffers are freed with the snapshot. A
+/// clone starts with none.
 #[derive(Debug, Clone)]
 pub struct TopologySnapshot {
-    n: u32,
-    /// `off[u]..off[u+1]` is node `u`'s full adjacency range in `adj`.
-    off: Vec<u32>,
-    /// End (exclusive) of node `u`'s customer prefix within its range.
-    cust_end: Vec<u32>,
-    /// End (exclusive) of node `u`'s peer segment within its range.
-    peer_end: Vec<u32>,
-    /// All adjacency, class-contiguous per node, sorted within each class.
-    adj: Vec<u32>,
+    /// The graph: its links lie in the layout the module docs draw.
+    graph: AsGraph,
     /// Bit `u` set iff node `u` has a customer — the only nodes phase 3
     /// can ever export from, so the only ones it queues.
     has_customers: Vec<u64>,
@@ -102,49 +99,29 @@ pub struct TopologySnapshot {
 }
 
 impl TopologySnapshot {
-    /// Compiles `g` into the CSR layout. O(V + E).
+    /// Takes a handle on `g` and marks who has customers: O(V), nothing
+    /// per link.
     pub fn compile(g: &AsGraph) -> Self {
-        let n = g.len();
-        let mut off = Vec::with_capacity(n + 1);
-        let mut cust_end = Vec::with_capacity(n);
-        let mut peer_end = Vec::with_capacity(n);
-        let mut adj = Vec::with_capacity(2 * g.edge_count());
-        let mut has_customers = vec![0u64; n.div_ceil(64)];
-        off.push(0u32);
-        for u in g.nodes() {
-            if !g.customers(u).is_empty() {
-                has_customers[u.idx() >> 6] |= 1 << (u.idx() & 63);
-            }
-            for &c in g.customers(u) {
-                adj.push(c.0);
-            }
-            cust_end.push(adj.len() as u32);
-            for &p in g.peers(u) {
-                adj.push(p.0);
-            }
-            peer_end.push(adj.len() as u32);
-            for &w in g.providers(u) {
-                adj.push(w.0);
-            }
-            off.push(adj.len() as u32);
+        let mut has_customers = vec![0u64; g.len().div_ceil(64)];
+        for u in g.nodes().filter(|&u| !g.customers(u).is_empty()) {
+            has_customers[u.idx() >> 6] |= 1 << (u.idx() & 63);
         }
-        let scratch = Scratch::default();
-        TopologySnapshot { n: n as u32, off, cust_end, peer_end, adj, has_customers, scratch }
+        TopologySnapshot { graph: g.clone(), has_customers, scratch: Scratch::default() }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.n as usize
+        self.graph.len()
     }
 
     /// Whether the snapshot covers an empty graph.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.graph.is_empty()
     }
 
     /// Number of directed adjacency entries (2× the undirected link count).
     pub fn edge_entries(&self) -> usize {
-        self.adj.len()
+        2 * self.graph.edge_count()
     }
 
     /// The pooled buffers sized for this topology.
@@ -160,18 +137,18 @@ impl TopologySnapshot {
     }
 
     #[inline]
-    pub(crate) fn customers(&self, u: u32) -> &[u32] {
-        &self.adj[self.off[u as usize] as usize..self.cust_end[u as usize] as usize]
+    pub(crate) fn customers(&self, u: u32) -> &[NodeId] {
+        self.graph.customers(NodeId(u))
     }
 
     #[inline]
-    pub(crate) fn peers(&self, u: u32) -> &[u32] {
-        &self.adj[self.cust_end[u as usize] as usize..self.peer_end[u as usize] as usize]
+    pub(crate) fn peers(&self, u: u32) -> &[NodeId] {
+        self.graph.peers(NodeId(u))
     }
 
     #[inline]
-    pub(crate) fn providers(&self, u: u32) -> &[u32] {
-        &self.adj[self.peer_end[u as usize] as usize..self.off[u as usize + 1] as usize]
+    pub(crate) fn providers(&self, u: u32) -> &[NodeId] {
+        self.graph.providers(NodeId(u))
     }
 
     /// Whether `u` has any customer to export to.
@@ -366,7 +343,7 @@ pub(crate) fn run_into(
     ws.queue.push_back(origin.0);
     while let Some(ui) = ws.queue.pop_front() {
         let du = ws.out.dist_c[ui as usize];
-        for &pi in snap.providers(ui) {
+        for &NodeId(pi) in snap.providers(ui) {
             export_checks += 1;
             if ws.out.dist_c[pi as usize] == UNREACHED
                 && pol.import_ok(origin, NodeId(pi), NodeId(ui))
@@ -387,7 +364,7 @@ pub(crate) fn run_into(
     for t in 0..customer_reached {
         let vi = ws.touched[t];
         let dv = ws.out.dist_c[vi as usize] + 1;
-        for &ui in snap.peers(vi) {
+        for &NodeId(ui) in snap.peers(vi) {
             export_checks += 1;
             if ui != origin.0
                 && pol.import_ok(origin, NodeId(ui), NodeId(vi))
@@ -415,7 +392,7 @@ pub(crate) fn run_into(
         let w = NodeId(i);
         let (dc, dp) = (ws.out.dist_c[i as usize], ws.out.dist_p[i as usize]);
         let s = if dc != UNREACHED { dc } else { dp };
-        for &uj in snap.customers(i) {
+        for &NodeId(uj) in snap.customers(i) {
             export_checks += 1;
             let u = NodeId(uj);
             // A node with a customer/peer route already prefers it over
@@ -445,7 +422,7 @@ pub(crate) fn run_into(
                 continue;
             }
             let nd = d as u32 + 1;
-            for &xi in snap.customers(ui) {
+            for &NodeId(xi) in snap.customers(ui) {
                 export_checks += 1;
                 let x = NodeId(xi);
                 if x == origin {
@@ -874,29 +851,57 @@ mod tests {
     use crate::oracle::propagate_legacy;
     use flatnet_asgraph::{AsGraphBuilder, AsId, Relationship};
 
+    /// `(a, b, rel)`: for `P2c`, `a` provides transit to `b`.
+    const DIAMOND: [(u32, u32, Relationship); 6] = [
+        (2, 1, Relationship::P2c),
+        (3, 1, Relationship::P2c),
+        (4, 2, Relationship::P2c),
+        (4, 3, Relationship::P2c),
+        (4, 5, Relationship::P2p),
+        (5, 6, Relationship::P2c),
+    ];
+
     fn diamond() -> AsGraph {
         let mut b = AsGraphBuilder::new();
-        b.add_link(AsId(2), AsId(1), Relationship::P2c);
-        b.add_link(AsId(3), AsId(1), Relationship::P2c);
-        b.add_link(AsId(4), AsId(2), Relationship::P2c);
-        b.add_link(AsId(4), AsId(3), Relationship::P2c);
-        b.add_link(AsId(4), AsId(5), Relationship::P2p);
-        b.add_link(AsId(5), AsId(6), Relationship::P2c);
+        for (x, y, rel) in DIAMOND {
+            b.add_link(AsId(x), AsId(y), rel);
+        }
         b.build()
     }
 
+    /// The snapshot's ranges are the graph's: one block, not two copies
+    /// that agree.
     #[test]
     fn snapshot_ranges_match_graph_adjacency() {
         let g = diamond();
         let snap = TopologySnapshot::compile(&g);
-        assert_eq!(snap.len(), g.len());
+        assert_eq!((snap.len(), snap.edge_entries()), (g.len(), 2 * g.edge_count()));
+        let (snap2, g2) = (snap.clone(), g.clone());
+        let same = |a: &[NodeId], b: &[NodeId]| std::ptr::eq(a, b);
+        // Each class against the declared links, filtered naively.
+        let node = |asn: u32| g.index_of(AsId(asn)).unwrap();
         for u in g.nodes() {
-            let custs: Vec<u32> = g.customers(u).iter().map(|n| n.0).collect();
-            let peers: Vec<u32> = g.peers(u).iter().map(|n| n.0).collect();
-            let provs: Vec<u32> = g.providers(u).iter().map(|n| n.0).collect();
-            assert_eq!(snap.customers(u.0), custs.as_slice(), "customers of {u}");
-            assert_eq!(snap.peers(u.0), peers.as_slice(), "peers of {u}");
-            assert_eq!(snap.providers(u.0), provs.as_slice(), "providers of {u}");
+            let class = |pick: &dyn Fn(NodeId, NodeId, Relationship) -> Option<NodeId>| {
+                let mut v: Vec<NodeId> =
+                    DIAMOND.iter().filter_map(|&(a, b, rel)| pick(node(a), node(b), rel)).collect();
+                v.sort_unstable();
+                v
+            };
+            let custs = class(&|a, b, rel| (rel == Relationship::P2c && a == u).then_some(b));
+            let provs = class(&|a, b, rel| (rel == Relationship::P2c && b == u).then_some(a));
+            let peers = class(&|a, b, rel| match rel {
+                Relationship::P2p if a == u => Some(b),
+                Relationship::P2p if b == u => Some(a),
+                _ => None,
+            });
+            assert_eq!(snap.customers(u.0), custs, "customers of {u}");
+            assert_eq!(snap.peers(u.0), peers, "peers of {u}");
+            assert_eq!(snap.providers(u.0), provs, "providers of {u}");
+            assert_eq!(snap.has_customers(u.0), !custs.is_empty(), "customer bit of {u}");
+            // One block: the snapshot's slices, the graph's and their
+            // clones' are the same memory.
+            assert!(same(snap.customers(u.0), g.customers(u)) && same(snap2.peers(u.0), g2.peers(u)));
+            assert!(same(snap.providers(u.0), g2.providers(u)), "providers of {u}");
         }
     }
 

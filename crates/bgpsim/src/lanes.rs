@@ -856,7 +856,7 @@ where
                 if or_all(&send) == 0 {
                     continue;
                 }
-                for &pi in snap.providers(u) {
+                for &NodeId(pi) in snap.providers(u) {
                     let pu = pi as usize;
                     // Borrow the receiver in place: a by-value copy here
                     // would move 32*W bytes per edge visit (128 B at the
@@ -935,7 +935,7 @@ where
             if or_all(&send) == 0 {
                 continue;
             }
-            for &ui in snap.peers(v) {
+            for &NodeId(ui) in snap.peers(v) {
                 let uu = ui as usize;
                 // Saturated receivers can never take another bit; the
                 // one-byte flag spares the two-cache-line struct load.
@@ -1017,7 +1017,7 @@ where
                 if or_all(&send) == 0 {
                     continue;
                 }
-                for &xi in snap.customers(u) {
+                for &NodeId(xi) in snap.customers(u) {
                     let xu = xi as usize;
                     // Same one-byte skip as the peer phase: in dense
                     // sweeps most late-round visits land on saturated
@@ -1085,7 +1085,7 @@ where
 
     /// Lane `k`'s reach bitset from the most recent **materializing**
     /// block run, in the same word-packed layout as
-    /// [`Workspace::reach_words`](crate::engine::Workspace::reach_words)
+    /// [`RoutingOutcome::reach_words`](crate::RoutingOutcome::reach_words)
     /// (bit = node index, origin bit set, tail bits zero).
     pub fn lane_reach_words(&self, lane: usize) -> &[u64] {
         assert!(lane < self.block_len, "lane {lane} out of block (len {})", self.block_len);
@@ -1095,7 +1095,7 @@ where
 
     /// Number of ASes reached in lane `k`, origin excluded — the kernel
     /// analogue of
-    /// [`Workspace::reachable_count`](crate::engine::Workspace::reachable_count).
+    /// [`RoutingOutcome::reachable_count`](crate::RoutingOutcome::reachable_count).
     pub fn lane_reachable_count(&self, lane: usize) -> usize {
         assert!(lane < self.block_len, "lane {lane} out of block (len {})", self.block_len);
         (self.counts[lane] as usize).saturating_sub(1)
@@ -1189,7 +1189,7 @@ impl SweepReach {
 
     /// Origin `i`'s word-packed reach bitset (bit = node index, origin
     /// bit set, tail bits zero) — same layout as
-    /// [`Workspace::reach_words`](crate::engine::Workspace::reach_words).
+    /// [`RoutingOutcome::reach_words`](crate::RoutingOutcome::reach_words).
     pub fn reach_words(&self, i: usize) -> &[u64] {
         assert!(i < self.origins.len(), "origin index {i} out of sweep (len {})", self.origins.len());
         &self.sets[i]

@@ -29,9 +29,11 @@
 //!   [`TopologySnapshot`], reusable per-worker [`Workspace`]s, and the
 //!   builder-style [`Simulation`] sweep API every whole-Internet
 //!   experiment runs on, including the one lane-sweep driver in front of
-//!   the kernel below. The snapshot also owns the pooled scratch sized
-//!   for it (lane workspaces, leak buffers), so repeated sweeps over one
-//!   topology reuse warm buffers whoever runs them.
+//!   the kernel below. The snapshot holds no links of its own: it is a
+//!   handle on the graph, whose adjacency is already in the layout the
+//!   kernels walk, plus a who-has-customers bitset and the pooled scratch
+//!   sized for the topology (lane workspaces, leak buffers), so repeated
+//!   sweeps over one topology reuse warm buffers whoever runs them.
 //! * [`exclusion`] — the paper's `I \ P_o \ T1 \ T2` rule, spelled once:
 //!   an [`ExclusionPolicy`] and its three renderings (shared tier mask,
 //!   per-lane fill, scalar mask) for every constrained analysis.
@@ -45,7 +47,7 @@
 //!   (missing nodes, reached nodes or the bitset) for consumers that hold
 //!   many of them (`Simulation::run_sweep_reach_sets_with`).
 //! * [`parallel`] — panic-isolated parallel sweeps with per-worker
-//!   contexts (re-exported by `flatnet_core::parallel`).
+//!   contexts.
 //! * [`dag`] — the tied-best next-hop DAG and exact/floating path counting.
 //! * [`mod@reliance`] — `rely(o, a)` (§7.1) in O(E) via a topological DP:
 //!   the [`RelianceWorkspace`] kernel scores straight off a finished

@@ -63,7 +63,7 @@ pub struct ReachSet {
 
 impl ReachSet {
     /// Encodes the set whose bits are `words` (bit = node index, tail
-    /// bits past `n` zero), as [`Workspace::reach_words`](crate::Workspace::reach_words)
+    /// bits past `n` zero), as [`RoutingOutcome::reach_words`](crate::RoutingOutcome::reach_words)
     /// and [`LaneWorkspace::lane_reach_words`](crate::LaneWorkspace::lane_reach_words)
     /// show it.
     pub fn from_words(words: &[u64], n: usize) -> ReachSet {

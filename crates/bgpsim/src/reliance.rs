@@ -226,11 +226,11 @@ impl RelianceWorkspace {
             hop_checks += (providers.len() + peers.len()) as u64;
             let takers = providers
                 .iter()
-                .filter(|&&u| dist_c[u as usize] == len)
-                .chain(peers.iter().filter(|&&u| {
-                    dist_c[u as usize] == UNREACHED && dist_p[u as usize] == len
+                .filter(|u| dist_c[u.idx()] == len)
+                .chain(peers.iter().filter(|u| {
+                    dist_c[u.idx()] == UNREACHED && dist_p[u.idx()] == len
                 }));
-            for &u in takers {
+            for &NodeId(u) in takers {
                 let offered = &mut self.slot[u as usize];
                 if !pol.import_ok(origin, NodeId(u), NodeId(v)) {
                     continue;
@@ -266,7 +266,7 @@ impl RelianceWorkspace {
                 self.slot[ui] = first as u32;
             } else {
                 let len = self.sel[ui];
-                for &v in snap.providers(u) {
+                for &NodeId(v) in snap.providers(u) {
                     hop_checks += 1;
                     let dv = self.sel[v as usize];
                     if dv != UNREACHED

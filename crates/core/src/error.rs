@@ -7,8 +7,8 @@
 //! conversions, so the pipeline and the CLI can use `?` end-to-end
 //! instead of stringifying at every crate boundary.
 
-use crate::parallel::SweepError;
 use flatnet_asgraph::GraphError;
+use flatnet_bgpsim::parallel::SweepError;
 use flatnet_bgpsim::ExclusionError;
 use std::fmt;
 

@@ -4,8 +4,8 @@
 //! fraction of ASes (or users, Fig. 9) detoured when the victim announces
 //! under a given configuration.
 
-use crate::parallel::parallel_map_ctx;
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
+use flatnet_bgpsim::parallel::parallel_map_ctx;
 use flatnet_bgpsim::{
     subprefix_detour_fractions, LeakScenario, LeakSim, LockingSemantics, TopologySnapshot,
     VictimSide,

@@ -63,7 +63,6 @@ pub mod error;
 pub mod feeds;
 pub mod hegemony;
 pub mod leaks;
-pub mod parallel;
 pub mod path_validation;
 pub mod pathlen;
 pub mod pipeline;

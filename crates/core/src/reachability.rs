@@ -64,28 +64,17 @@ fn counts_under(
 /// Computes the full three-level profile for a list of origins
 /// (regenerates Figure 2 when given the clouds + Tier-1s + Tier-2s).
 /// Unknown ASNs are skipped. Runs origins in parallel over the available
-/// cores; use [`reachability_profile_t`] to pick the thread count.
+/// cores. Panics where [`try_reachability_profile_t`] returns an error.
 pub fn reachability_profile(g: &AsGraph, tiers: &Tiers, origins: &[AsId]) -> Vec<ReachabilityResult> {
-    reachability_profile_t(g, tiers, origins, 0)
+    try_reachability_profile_t(g, tiers, origins, 0).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`reachability_profile`] with an explicit worker-thread count
-/// (`0` = available parallelism). Results are identical for any count.
-/// Panics where [`try_reachability_profile_t`] returns an error.
-pub fn reachability_profile_t(
-    g: &AsGraph,
-    tiers: &Tiers,
-    origins: &[AsId],
-    threads: usize,
-) -> Vec<ReachabilityResult> {
-    try_reachability_profile_t(g, tiers, origins, threads).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`reachability_profile_t`] with failures as values: tier sets that do
-/// not belong to `g` are a typed [`FlatnetError::Exclusion`], and a
-/// worker panic is a [`FlatnetError::Sweep`] naming the offending
-/// origin's index among the known `origins`, instead of tearing down
-/// the process.
+/// (`0` = available parallelism; results are identical for any count)
+/// and failures as values: tier sets that do not belong to `g` are a
+/// typed [`FlatnetError::Exclusion`], and a worker panic is a
+/// [`FlatnetError::Sweep`] naming the offending origin's index among the
+/// known `origins`, instead of tearing down the process.
 pub fn try_reachability_profile_t(
     g: &AsGraph,
     tiers: &Tiers,

@@ -380,17 +380,10 @@ pub fn parse_mrt_with(
                 if let Some(v) = view_before {
                     rib.view_name = v;
                 }
-                if opts.budget_allows(diag.dropped()) {
-                    diag.record_dropped(RecordLocation::Record(record_no), e.to_string());
-                } else if opts.strict {
-                    return Err(e);
-                } else {
-                    diag.record_dropped(RecordLocation::Record(record_no), e.to_string());
-                    return Err(MrtError {
-                        offset: body_start,
-                        message: opts.budget_exhausted_message(diag.issues.last().unwrap()),
-                    });
-                }
+                diag.malformed(opts, RecordLocation::Record(record_no), e, |message| MrtError {
+                    offset: body_start,
+                    message,
+                })?;
             }
         }
         record_no += 1;

@@ -3,7 +3,7 @@
 //!
 //! Four primitives, one registry, two exporters:
 //!
-//! - **Spans** ([`span`], [`span_root`]) time a scope via an RAII guard
+//! - **Spans** ([`span()`], [`span_root`]) time a scope via an RAII guard
 //!   and nest hierarchically per thread (`"measure/campaign"`).
 //! - **Counters** ([`counter`]) and **gauges** ([`gauge`]) are atomic and
 //!   commute, so totals are bit-identical across thread counts.

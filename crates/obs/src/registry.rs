@@ -11,7 +11,15 @@ use crate::snapshot::{HistogramSnapshot, Snapshot};
 use crate::span::{SpanGuard, SpanStat};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+/// Locks one of the crate's metric tables. An insert, a tally or a push
+/// leaves a table valid at every step, so a lock poisoned by a panicking
+/// holder is safe to keep using — and must be: recording runs outside the
+/// daemon's per-request `catch_unwind`.
+pub(crate) fn lock<T>(table: &Mutex<T>) -> MutexGuard<'_, T> {
+    table.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A thread-safe collection of named metrics.
 #[derive(Debug, Default)]
@@ -30,24 +38,24 @@ impl Registry {
 
     /// The counter named `name`, created at zero on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock().unwrap();
+        let mut map = lock(&self.counters);
         map.entry(name.to_string()).or_default().clone()
     }
 
     /// The gauge named `name`, created at zero on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.gauges.lock().unwrap();
+        let mut map = lock(&self.gauges);
         map.entry(name.to_string()).or_default().clone()
     }
 
     /// The histogram named `name`, created empty on first use.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap();
+        let mut map = lock(&self.histograms);
         map.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::new())).clone()
     }
 
     /// Opens a timed span that nests under the thread's innermost open
-    /// span (see [`crate::span`]). Records on guard drop.
+    /// span (see [`mod@crate::span`]). Records on guard drop.
     pub fn span(&self, name: &str) -> SpanGuard<'_> {
         SpanGuard::enter(self, name, false)
     }
@@ -60,7 +68,7 @@ impl Registry {
     }
 
     pub(crate) fn record_span(&self, path: &str, elapsed_ns: u64) {
-        let mut spans = self.spans.lock().unwrap();
+        let mut spans = lock(&self.spans);
         let stat = spans.entry(path.to_string()).or_default();
         stat.count += 1;
         stat.total_ns = stat.total_ns.saturating_add(elapsed_ns);
@@ -70,19 +78,9 @@ impl Registry {
     /// reads are individually atomic; the snapshot as a whole is not a
     /// cross-metric transaction.
     pub fn snapshot(&self) -> Snapshot {
-        let counters = self
-            .counters
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect();
-        let gauges =
-            self.gauges.lock().unwrap().iter().map(|(k, v)| (k.clone(), v.get())).collect();
-        let histograms = self
-            .histograms
-            .lock()
-            .unwrap()
+        let counters = lock(&self.counters).iter().map(|(k, v)| (k.clone(), v.get())).collect();
+        let gauges = lock(&self.gauges).iter().map(|(k, v)| (k.clone(), v.get())).collect();
+        let histograms = lock(&self.histograms)
             .iter()
             .map(|(k, h)| {
                 let mut buckets = [0u64; HISTOGRAM_BUCKETS];
@@ -111,7 +109,7 @@ impl Registry {
                 )
             })
             .collect();
-        let spans = self.spans.lock().unwrap().clone();
+        let spans = lock(&self.spans).clone();
         Snapshot { counters, gauges, histograms, spans }
     }
 }
@@ -125,8 +123,21 @@ pub fn global() -> &'static Registry {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Poisons `table` the way a crashing request would: a thread panics
+    /// while holding it.
+    pub(crate) fn poison<T: Send>(table: &Mutex<T>) {
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _held = table.lock();
+                panic!("poisoning the lock on purpose");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(table.is_poisoned());
+    }
 
     #[test]
     fn handles_are_shared_by_name() {
@@ -143,6 +154,23 @@ mod tests {
         assert_eq!(snap.gauges["g"], -4);
         assert_eq!(snap.histograms["h"].count(), 2);
         assert_eq!(snap.histograms["h"].sum_us, 30);
+    }
+
+    #[test]
+    fn a_poisoned_table_keeps_recording_and_snapshotting() {
+        let reg = Registry::new();
+        reg.counter("a").inc();
+        poison(&reg.counters);
+        poison(&reg.gauges);
+        poison(&reg.histograms);
+        poison(&reg.spans);
+        reg.counter("a").inc();
+        reg.gauge("g").set(3);
+        reg.histogram("h").record_us(10);
+        drop(reg.span("s"));
+        let snap = reg.snapshot();
+        assert_eq!((snap.counters["a"], snap.gauges["g"]), (2, 3));
+        assert_eq!((snap.histograms["h"].count(), snap.spans["s"].count), (1, 1));
     }
 
     #[test]

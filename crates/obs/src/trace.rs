@@ -21,11 +21,12 @@
 //! document (`flatnet-trace/v1`) the `flatnet trace top` subcommand
 //! summarizes offline.
 
+use crate::registry::lock;
 use crate::snapshot::doc;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 use std::time::{Instant, SystemTime};
 
 /// The pipeline stages a request passes through, in order. `Panic` is
@@ -286,12 +287,6 @@ impl Tracer {
         }
     }
 
-    /// The ring. A push or pop leaves it valid at every step, so a lock
-    /// poisoned by a panicking holder is safe to keep using.
-    fn ring(&self) -> MutexGuard<'_, VecDeque<TraceEvent>> {
-        self.ring.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// A fresh nonzero trace id. Thread-safe.
     pub fn next_id(&self) -> u64 {
         loop {
@@ -307,7 +302,7 @@ impl Tracer {
     /// oldest one when full, and offers it to the slowest-K reservoir.
     pub fn record(&self, ev: TraceEvent) {
         {
-            let mut ring = self.ring();
+            let mut ring = lock(&self.ring);
             if ring.len() == self.capacity {
                 ring.pop_front();
             }
@@ -315,7 +310,7 @@ impl Tracer {
             self.recorded.fetch_add(1, Ordering::Relaxed);
         }
         if ev.total_us >= self.slow_floor.load(Ordering::Relaxed) {
-            let mut slow = self.slow.lock().unwrap();
+            let mut slow = lock(&self.slow);
             slow.push(ev);
             slow.sort_by(|a, b| {
                 b.total_us.cmp(&a.total_us).then(a.trace_id.cmp(&b.trace_id))
@@ -329,13 +324,13 @@ impl Tracer {
 
     /// The most recent `n` events in the ring, newest first.
     pub fn recent(&self, n: usize) -> Vec<TraceEvent> {
-        self.ring().iter().rev().take(n).copied().collect()
+        lock(&self.ring).iter().rev().take(n).copied().collect()
     }
 
     /// Up to `n` reservoir events at least `min_us` slow, slowest
     /// first.
     pub fn slow(&self, min_us: u64, n: usize) -> Vec<TraceEvent> {
-        let slow = self.slow.lock().unwrap();
+        let slow = lock(&self.slow);
         slow.iter().filter(|ev| ev.total_us >= min_us).take(n).copied().collect()
     }
 
@@ -538,6 +533,20 @@ mod tests {
         ev.stages_us[Stage::QueueWait as usize] = total_us / 2;
         ev.stage_mask = 1 << Stage::QueueWait as usize;
         ev
+    }
+
+    /// `record` runs outside the daemon's `catch_unwind`: a lock some
+    /// request died under must not kill every later one.
+    #[test]
+    fn a_poisoned_tracer_keeps_recording() {
+        let t = Tracer::with_seed(4, 1);
+        t.record(event(1, 500));
+        crate::registry::tests::poison(&t.ring);
+        crate::registry::tests::poison(&t.slow);
+        t.record(event(2, 900));
+        let ids = |evs: Vec<TraceEvent>| evs.iter().map(|e| e.trace_id).collect::<Vec<_>>();
+        assert_eq!(ids(t.slow(0, 8)), [2, 1]);
+        assert_eq!(ids(t.recent(8)), [2, 1]);
     }
 
     #[test]

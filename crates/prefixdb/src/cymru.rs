@@ -88,20 +88,9 @@ impl AnnouncedDb {
                     diag.record_ok();
                     db.announce(prefix, origin);
                 }
-                Err(e) => {
-                    if opts.budget_allows(diag.dropped()) {
-                        diag.record_dropped(RecordLocation::Line(i + 1), e);
-                    } else if opts.strict {
-                        return Err(e);
-                    } else {
-                        diag.record_dropped(RecordLocation::Line(i + 1), e);
-                        return Err(format!(
-                            "line {}: {}",
-                            i + 1,
-                            opts.budget_exhausted_message(diag.issues.last().unwrap())
-                        ));
-                    }
-                }
+                Err(e) => diag.malformed(opts, RecordLocation::Line(i + 1), e, |message| {
+                    format!("line {}: {message}", i + 1)
+                })?,
             }
         }
         diag.publish("prefixdb");

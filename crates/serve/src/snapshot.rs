@@ -2,7 +2,8 @@
 //! hot-reload, and the crash-safe store integration.
 //!
 //! A [`ServeSnapshot`] bundles everything a query needs — the graph, the
-//! tier sets, and the compiled [`TopologySnapshot`] — under one version
+//! tier sets, and the compiled [`TopologySnapshot`], which walks the
+//! graph's own adjacency block rather than a copy — under one version
 //! number; it is the store's [`flatnet_store::StoredSnapshot`], so what
 //! the store loads is what the daemon serves and what the daemon serves
 //! is what it persists. The manager holds the current snapshot behind
@@ -20,7 +21,7 @@
 //! never a silently wrong snapshot:
 //!
 //! 1. **Warm start** — load + checksum-verify the store (which compiles
-//!    the stored graph), re-run the health gate on the stored graph, and
+//!    the stored graph: a handle on its links and a bit per node), re-run the health gate on the stored graph, and
 //!    serve it without reading, parsing or building from the source and
 //!    without inferring tiers (`serve.store_warm_start` increments).
 //! 2. **Rebuild fallback** — on *any* store corruption, truncation,
@@ -536,7 +537,7 @@ mod tests {
     /// graph, since `compile` is the only way to make one.
     fn assert_same_topology(a: &ServeSnapshot, b: &ServeSnapshot) {
         assert!(a.graph.asns().eq(b.graph.asns()));
-        assert_eq!(a.graph.edges(), b.graph.edges());
+        assert!(a.graph.edges().eq(b.graph.edges()));
         assert_eq!(a.tiers, b.tiers);
         assert_eq!(a.topo.len(), b.topo.len());
         assert_eq!(a.topo.edge_entries(), b.topo.edge_entries());

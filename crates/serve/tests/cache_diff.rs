@@ -91,6 +91,12 @@ fn reach_of(doc: &Json) -> (usize, Vec<u32>, bool, u64) {
 
 /// Polls `/metrics` until `serve.cache_warmed` reaches `want` (the warm
 /// thread runs in the background; give it ample time under load).
+///
+/// The counter is the process's, not the daemon's: a test that warms a
+/// daemon holds [`warming`] from before the daemon starts until it has
+/// read the counter for the last time, and waits for the count it found
+/// plus its own — or another test's warm-up is taken for its own (the
+/// parent failed one run in fifteen that way).
 fn wait_for_warmed(addr: SocketAddr, want: u64) -> u64 {
     let deadline = std::time::Instant::now() + Duration::from_secs(60);
     loop {
@@ -109,8 +115,17 @@ fn wait_for_warmed(addr: SocketAddr, want: u64) -> u64 {
     }
 }
 
+/// One warm-up at a time in this process: the guard, and what
+/// `serve.cache_warmed` read when it was taken. See [`wait_for_warmed`].
+fn warming() -> (std::sync::MutexGuard<'static, ()>, u64) {
+    static WARMING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let guard = WARMING.lock().unwrap_or_else(|e| e.into_inner());
+    (guard, flatnet_obs::global().counter("serve.cache_warmed").get())
+}
+
 #[test]
 fn warmup_prefills_cache_with_bit_identical_answers() {
+    let (_one_at_a_time, warmed_before) = warming();
     let net = generate(&NetGenConfig::paper_2020(400, 7));
     let tiers = net.tiers_for(&net.truth);
     let snap = TopologySnapshot::compile(&net.truth);
@@ -125,7 +140,7 @@ fn warmup_prefills_cache_with_bit_identical_answers() {
     })
     .expect("server starts");
     let addr = server.addr();
-    wait_for_warmed(addr, warm as u64);
+    wait_for_warmed(addr, warmed_before + warm as u64);
 
     // The warm set is the top-`warm` origins by degree (node id breaking
     // ties) — the same ordering the server computes.
@@ -154,7 +169,7 @@ fn warmup_prefills_cache_with_bit_identical_answers() {
     assert!(!data_of(&doc).get("cached").and_then(Json::as_bool).unwrap(), "AS{cold} was not warmed");
 
     // Reload re-warms for the new version.
-    let before = wait_for_warmed(addr, warm as u64);
+    let before = wait_for_warmed(addr, warmed_before + warm as u64);
     let (status, reloaded) = fetch(addr, "POST", "/admin/reload");
     assert_eq!(status, 200, "{reloaded:?}");
     wait_for_warmed(addr, before + warm as u64);
@@ -337,8 +352,12 @@ fn every_way_of_asking_gives_the_byte_identical_answer() {
     let server = start(0);
     let addr = server.addr();
     // Everything pre-warmed (default policy, reachability) on a second daemon.
-    let warmed = start(g.len());
-    wait_for_warmed(warmed.addr(), g.len() as u64);
+    let warmed = {
+        let (_one_at_a_time, warmed_before) = warming();
+        let warmed = start(g.len());
+        wait_for_warmed(warmed.addr(), warmed_before + g.len() as u64);
+        warmed
+    };
 
     // A Tier-1 (the shared tier mask covers the origin itself), a stub,
     // and a mid-tier AS with both providers and customers.

@@ -5,9 +5,12 @@
 //! constructor every ingestion path ends in — which checks the canonical
 //! form instead of restoring it: an image whose edges are out of order
 //! is malformed, so whatever decodes re-encodes to the same bytes.
-//! Nothing derived is stored: [`decode`] ends in
-//! [`TopologySnapshot::compile`] of the graph it just validated, so the
-//! compiled snapshot a warm start serves cannot disagree with its graph.
+//! The constructor fills the one adjacency block the process will hold
+//! for this topology and drops the decoded list. Nothing derived is
+//! stored: [`decode`] ends in [`TopologySnapshot::compile`] of the graph
+//! it just validated, which keeps a handle on that block and copies no
+//! link, so the snapshot a warm start serves cannot disagree with its
+//! graph — they read the same arrays.
 
 use crate::error::{SectionId, StoreError};
 use crate::format::{unpack, Cursor, Enc, REQUIRED_SECTIONS};
@@ -18,7 +21,8 @@ use flatnet_bgpsim::TopologySnapshot;
 /// tier sets, the propagation snapshot compiled from the graph, and the
 /// snapshot version the daemon had reached (so versions stay monotonic
 /// across restarts). The store persists `version`, `graph` and `tiers`;
-/// `topo` is recompiled on load.
+/// `topo` is recompiled on load. `graph` and `topo` share one adjacency
+/// block: `topo` adds a bit per node and its scratch pools, no links.
 #[derive(Debug, Clone)]
 pub struct StoredSnapshot {
     /// Monotonic serve-side version, starting at 1; part of every cache key.
@@ -28,7 +32,8 @@ pub struct StoredSnapshot {
     /// Tier-1/Tier-2 sets over `graph`'s node ids, for exclusion masks and
     /// leak locking.
     pub tiers: Tiers,
-    /// `TopologySnapshot::compile(&graph)`, which the engine runs on.
+    /// `TopologySnapshot::compile(&graph)`, which the engine runs on:
+    /// `graph`'s links by handle, never a second copy of them.
     pub topo: TopologySnapshot,
 }
 
@@ -69,7 +74,7 @@ pub fn encode(snap: &StoredSnapshot) -> Vec<u8> {
     for asn in g.asns() {
         enc.u32(asn.0);
     }
-    for &(a, b, rel) in g.edges() {
+    for (a, b, rel) in g.edges() {
         enc.u32(a.0);
         enc.u32(b.0);
         enc.u8(match rel {
@@ -220,7 +225,7 @@ mod tests {
         let back = decode(&bytes).unwrap();
         assert_eq!(back.version, 7);
         assert_eq!(back.graph.len(), snap.graph.len());
-        assert_eq!(back.graph.edges(), snap.graph.edges());
+        assert!(back.graph.edges().eq(snap.graph.edges()));
         assert!(back.graph.asns().eq(snap.graph.asns()));
         assert_eq!(back.tiers, snap.tiers);
         assert_eq!(
@@ -268,7 +273,7 @@ mod tests {
         let mixed =
             StoredSnapshot { version: 1, graph: a, tiers, topo: TopologySnapshot::compile(&b) };
         let back = decode(&encode(&mixed)).unwrap();
-        assert_eq!(back.graph.edges(), mixed.graph.edges());
+        assert!(back.graph.edges().eq(mixed.graph.edges()));
         let want = selections(&TopologySnapshot::compile(&back.graph), &back.graph);
         assert_eq!(selections(&back.topo, &back.graph), want);
         let as3 = back.graph.index_of(AsId(3)).unwrap();

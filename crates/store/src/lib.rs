@@ -13,13 +13,13 @@
 //!
 //! Three guarantees, one per layer:
 //!
-//! * **Format** ([`format`], [`codec`]) — a versioned binary container
+//! * **Format** ([`mod@format`], [`codec`]) — a versioned binary container
 //!   (magic + format version + section table) with length-prefixed,
 //!   individually CRC-32-checksummed sections for the snapshot version,
 //!   the AS graph and the tier sets. Every length and offset is
 //!   bounds-checked with checked arithmetic; [`decode`] never panics on
-//!   any input, and the compiled topology it returns is compiled from
-//!   the graph it just validated.
+//!   any input, and the compiled topology it returns shares the links
+//!   of the graph it just validated.
 //! * **Durability** ([`store`]) — [`save_atomic`] writes temp file →
 //!   fsync → rename → directory fsync, so a crash mid-write can never
 //!   leave a half-valid store under the real name; [`load`] verifies

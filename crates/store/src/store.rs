@@ -138,7 +138,7 @@ mod tests {
         assert!(!temp_path(&path).exists());
         let back = load(&path).unwrap();
         assert_eq!(back.version, 3);
-        assert_eq!(back.graph.edges(), snap.graph.edges());
+        assert!(back.graph.edges().eq(snap.graph.edges()));
         let report = verify(&path, true).unwrap();
         assert_eq!(report.nodes, 3);
         assert_eq!(report.links, 3);

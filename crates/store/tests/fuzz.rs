@@ -67,13 +67,16 @@ fn peak_heap<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// The most heap `decode` may hold for `len` input bytes. A node is 4
-/// bytes of image and 28 of heap at the peak (the ASN table twice, the
-/// graph's and the compiled topology's per-node offsets), an edge 9 and
-/// about 30: measured 7.0× the image on 5 000 nodes without edges, 3.3×
-/// on the 120-AS fixture, 3.7× on a 5 000-node chain. The constant covers
-/// the section list and the error strings.
+/// bytes of image and 16 of heap (the ASN table and the adjacency
+/// block's three per-node offsets, which double as its fill cursors); an
+/// edge is 9 bytes of image and 20 of heap at the peak (12 in the decoded
+/// edge list, dropped once the block is filled, and the two 4-byte
+/// entries the block keeps). The compiled topology adds a bit per node
+/// and no copy of either. Measured 4.0× the image on 5 000 nodes without
+/// edges, 2.3× on the 120-AS fixture, 2.8× on a 5 000-node chain. The
+/// constant covers the section list and the error strings.
 fn heap_cap(len: usize) -> usize {
-    4096 + 8 * len
+    4096 + 5 * len
 }
 
 /// The property every input is held to. Returns whether it decoded.

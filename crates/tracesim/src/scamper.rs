@@ -163,19 +163,9 @@ pub fn parse_traces_with(
         };
         match result {
             Ok(()) => diag.record_ok(),
-            Err(e) => {
-                if opts.budget_allows(diag.dropped()) {
-                    diag.record_dropped(RecordLocation::Line(lineno), e);
-                } else if opts.strict {
-                    return Err(e);
-                } else {
-                    diag.record_dropped(RecordLocation::Line(lineno), e);
-                    return Err(format!(
-                        "line {lineno}: {}",
-                        opts.budget_exhausted_message(diag.issues.last().unwrap())
-                    ));
-                }
-            }
+            Err(e) => diag.malformed(opts, RecordLocation::Line(lineno), e, |message| {
+                format!("line {lineno}: {message}")
+            })?,
         }
     }
     diag.publish("scamper");

@@ -214,19 +214,9 @@ pub fn parse_warts_with(
                 out.push(t);
                 diag.record_ok();
             }
-            Err(e) => {
-                if opts.budget_allows(diag.dropped()) {
-                    diag.record_dropped(RecordLocation::Record(record_no), e.to_string());
-                } else if opts.strict {
-                    return Err(e);
-                } else {
-                    diag.record_dropped(RecordLocation::Record(record_no), e.to_string());
-                    return Err(WartsError {
-                        offset: body_start,
-                        message: opts.budget_exhausted_message(diag.issues.last().unwrap()),
-                    });
-                }
-            }
+            Err(e) => diag.malformed(opts, RecordLocation::Record(record_no), e, |message| {
+                WartsError { offset: body_start, message }
+            })?,
         }
         record_no += 1;
     }

@@ -15,7 +15,9 @@
 //! from it. Plus steady-state allocation smokes: once a sweep
 //! context (or lane workspace, or reliance workspace) is warm, further
 //! runs (with per-origin mask refills) must not allocate at all, and
-//! reading a run through the borrow allocates nothing of its own.
+//! reading a run through the borrow allocates nothing of its own. And a
+//! byte budget on holding a topology twice: compiling a snapshot of a
+//! graph, or cloning the graph, allocates per node and nothing per link.
 //!
 //! Everything lives in ONE `#[test]` because the process hosts a global
 //! counting allocator, and interleaving other tests would make the
@@ -33,24 +35,31 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts every allocation (alloc/alloc_zeroed/realloc) made by the
-/// process; deallocations are free and not counted.
+/// process and sums their bytes (a `realloc` counts what it grows by);
+/// deallocations are free and not counted.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size.saturating_sub(layout.size()));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -497,4 +506,24 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
         "lane kernel allocated {} time(s) during a warm block",
         after - before
     );
+
+    // ---- Part 3: a topology's links are held once. Compiling a snapshot
+    // of a graph, or cloning the graph, shares the adjacency the graph
+    // already holds: what either allocates is bounded per node (compile:
+    // the who-has-customers bitset; clone: a refcount bump) with no term
+    // in the link count. A copy of the links alone would be 8 bytes per
+    // link.
+    let net = generate(&NetGenConfig::paper_2020(50_000, 7));
+    let g = &net.truth;
+    let (nodes, links) = (g.len() as u64, g.edge_count() as u64);
+    assert!(links > 4 * nodes, "{links} links over {nodes} nodes: too sparse to tell the terms apart");
+    let bytes = || BYTES.load(Ordering::SeqCst);
+    let start = bytes();
+    let snap = TopologySnapshot::compile(g);
+    let compiled = bytes();
+    let twin = g.clone();
+    let cloned = bytes();
+    assert!(compiled - start < 8 * nodes, "compile allocated {} bytes", compiled - start);
+    assert!(cloned - compiled < 8 * nodes, "AsGraph::clone allocated {} bytes", cloned - compiled);
+    assert_eq!((snap.len(), snap.edge_entries()), (twin.len(), 2 * twin.edge_count()));
 }

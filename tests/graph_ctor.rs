@@ -48,8 +48,15 @@ fn naive(links: &[Link], isolated: &[u32]) -> (Vec<u32>, Vec<Link>, usize) {
 fn assert_graph_is(g: &AsGraph, asns: &[u32], edges: &[Link], what: &str) {
     assert_eq!(g.asns().map(|a| a.0).collect::<Vec<_>>(), asns, "{what}: asn table");
     let in_asns = |nodes: &[NodeId]| nodes.iter().map(|&v| g.asn(v).0).collect::<Vec<u32>>();
-    let got: Vec<Link> = g.edges().iter().map(|&(x, y, rel)| (g.asn(x).0, g.asn(y).0, rel)).collect();
+    let got: Vec<Link> = g.edges().map(|(x, y, rel)| (g.asn(x).0, g.asn(y).0, rel)).collect();
     assert_eq!(got, edges, "{what}: canonical edges");
+    // The list is read off the adjacency, not stored: handed back to the
+    // constructor, it must come out of the new graph unchanged.
+    let listed: Vec<Edge> = g.edges().collect();
+    assert_eq!(g.edge_count(), listed.len(), "{what}: edge count");
+    let again = AsGraph::from_canonical_edges(asns.to_vec(), listed.clone()).expect("canonical");
+    assert_eq!(again.edges().collect::<Vec<Edge>>(), listed, "{what}: edges of the edges");
+    assert_eq!(again.edge_count(), listed.len(), "{what}: edge count rebuilt");
     for n in g.nodes() {
         let me = g.asn(n).0;
         let neighbors = |pick: &dyn Fn(&Link) -> Option<u32>| {
@@ -98,7 +105,7 @@ fn generated_topologies_equal_the_naive_reference_in_both_views() {
             // second time with the relationship flipped (a conflict the
             // first declaration must win).
             let mut links: Vec<Link> =
-                g.edges().iter().map(|&(x, y, rel)| (g.asn(x).0, g.asn(y).0, rel)).collect();
+                g.edges().map(|(x, y, rel)| (g.asn(x).0, g.asn(y).0, rel)).collect();
             let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
             for i in (1..links.len()).rev() {
                 links.swap(i, (xorshift(&mut rng) % (i as u64 + 1)) as usize);
@@ -157,7 +164,7 @@ fn the_constructor_refuses_each_malformed_input_it_documents() {
     // The well-formed baseline: P2c may be stored high endpoint first.
     let good = vec![e(1, 0, P2c), e(0, 2, P2p), e(3, 1, P2c), e(2, 3, P2p)];
     let g = AsGraph::from_canonical_edges(asns(), good.clone()).expect("canonical input");
-    assert_eq!(g.edges(), &good[..]);
+    assert_eq!(g.edges().collect::<Vec<Edge>>(), good);
     assert_eq!(g.providers(NodeId(0)), &[NodeId(1)]);
     assert_eq!(g.providers(NodeId(1)), &[NodeId(3)]);
 
