@@ -192,13 +192,14 @@ fn snapshot_verify_refuses_format_v1_and_fuzz_finds_no_mishandled_fault() {
     assert_eq!(run(&["bench", "propagate"]).0, 1);
 }
 
-#[test]
-fn router_spawns_its_shards_and_takes_them_down_with_it() {
-    let base = free_ports(3);
+/// Starts `flatnet router --shards 2 ARGS` on `base` (router) and the
+/// two ports above it (shards); returns once the router answers.
+fn fleet(base: u16, args: &[&str]) -> (Proc, Client) {
     let addr = format!("127.0.0.1:{base}");
     let fleet = ["router", "--shards", "2", "--ases", "300", "--seed", "5"];
     let ports = ["--addr", &addr, "--base-port", &(base + 1).to_string()];
-    let proc = Proc(flatnet(&[&fleet[..], &ports].concat()).stdout(Stdio::null()).spawn().unwrap());
+    let args = [&fleet[..], &ports, args].concat();
+    let proc = Proc(flatnet(&args).stdout(Stdio::null()).spawn().unwrap());
     let router = client(&addr);
     // The front port is bound only once both shards are healthy.
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -206,6 +207,16 @@ fn router_spawns_its_shards_and_takes_them_down_with_it() {
         assert!(Instant::now() < deadline, "router never listened");
         std::thread::sleep(Duration::from_millis(20));
     }
+    (proc, router)
+}
+
+#[test]
+fn router_spawns_its_shards_and_takes_them_down_with_it() {
+    let dir = scratch("fleet");
+    let store = dir.join("fleet.store").to_str().unwrap().to_string();
+    let base = free_ports(3);
+    // Both shards start cold from the one store path and persist at once.
+    let (proc, router) = fleet(base, &["--store", &store]);
     let health = get(&router, "/healthz").body;
     assert!(health.contains(r#""status":"ok","router":true,"shards":2,"#), "{health}");
     let shards = flatnet_wire::json::parse(&get(&router, "/debug/shards").body).unwrap();
@@ -219,6 +230,20 @@ fn router_spawns_its_shards_and_takes_them_down_with_it() {
     assert!(batch.status == 200 && batch.body.contains(r#""batch":3"#), "{}", batch.body);
     assert_eq!(shut_down(proc, &router), 0);
     assert!((base..base + 3).all(refuses_connections), "a port outlived the router");
+
+    // The racing saves left one complete image and no temp file.
+    assert_eq!(run(&["snapshot", "verify", "--store", &store]).0, 0);
+    let files: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(files, ["fleet.store"]);
+    // And both shards of the next fleet start warm from it.
+    let base = free_ports(3);
+    let (proc, router) = fleet(base, &["--store", &store]);
+    for shard in [base + 1, base + 2] {
+        let health = get(&client(&format!("127.0.0.1:{shard}")), "/healthz").body;
+        assert!(health.contains(r#""warm_start":true"#), "shard on {shard}: {health}");
+    }
+    assert_eq!(shut_down(proc, &router), 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -22,14 +22,16 @@
 //! * [`merge`] — text-level JSON surgery that merges shard envelopes
 //!   into one response **byte-identical in `data`** to a single
 //!   process's answer (nothing a shard rendered is ever re-rendered).
-//! * [`server`] — the router front itself: single-origin forwarding,
+//! * [`server`] — the router itself: single-origin forwarding,
 //!   parallel scatter-gather for `origins=` batches, slice-scoped
 //!   `503 shard-unavailable` with partial batch envelopes, rolling
 //!   `/admin/reload` behind per-shard health gates, and aggregated
-//!   `/healthz`, `/metrics`, `/debug/shards`.
+//!   `/healthz`, `/metrics`, `/debug/shards`, behind the shards' own
+//!   connection loop ([`flatnet_serve::front`]).
 //!
 //! Trace ids propagate router → shard via `X-Flatnet-Trace-Id`, so one
-//! id stitches the router's view to every shard trace it fanned into.
+//! id stitches the router's view to every shard trace it fanned into;
+//! the router records its side as `router.request_us`, `router.stage_us`.
 
 pub mod merge;
 pub mod ring;

@@ -1,11 +1,9 @@
-//! The router process: accept loop, shard routing, scatter-gather, and
-//! the aggregated control plane.
-//!
-//! The front speaks through the same `flatnet-wire` codec as the shards
-//! (same bounded parser, same response framing, same keep-alive
-//! negotiation and idle wait) so a client cannot tell a router from a
-//! shard by protocol behavior. Routing is
-//! origin-hash ownership over [`crate::ring::HashRing`]:
+//! The router process: shard routing, scatter-gather, and the aggregated
+//! control plane, as the [`Handler`] of the HTTP front the shards run
+//! ([`flatnet_serve::front`]), so a client cannot tell a router from a
+//! shard by protocol behaviour; the one difference is that each client
+//! connection gets a thread of its own. Routing is origin-hash ownership
+//! over [`crate::ring::HashRing`]:
 //!
 //! * single-origin `/v1/*` → forwarded verbatim to the owner shard; the
 //!   shard's envelope passes through byte-for-byte (the router's trace
@@ -29,16 +27,15 @@ use crate::merge;
 use crate::ring::HashRing;
 use crate::shard::Shard;
 use crate::UpstreamResponse;
+use flatnet_obs::trace::{Stage, TraceCtx};
 use flatnet_serve::engine::MAX_BATCH_ORIGINS;
-use flatnet_serve::http::{
-    parse_asn, read_request, wait_for_request, Method, NextRequest, Request, Response,
-};
-use flatnet_serve::json::{envelope, error_envelope, escape};
+use flatnet_serve::front::{error_response, Front, Handler, Limits};
+use flatnet_serve::http::{parse_asn, Method, Request, Response};
+use flatnet_serve::json::{envelope, escape};
 use flatnet_wire::{Call, Conn};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -59,16 +56,6 @@ pub struct RouterConfig {
     pub upstream_timeout_ms: u64,
     /// Health-probe period; 0 disables the background prober (tests).
     pub probe_interval_ms: u64,
-    /// Client-facing keep-alive idle timeout.
-    pub keepalive_idle_ms: u64,
-    /// Requests per client connection before the router closes it.
-    pub keepalive_max: u64,
-    /// How long a rolling reload waits for a shard to pass its health
-    /// gate before aborting the roll.
-    pub reload_health_timeout_ms: u64,
-    /// Concurrent client connections beyond which new ones are bounced
-    /// with 503.
-    pub max_conns: usize,
 }
 
 impl Default for RouterConfig {
@@ -79,36 +66,42 @@ impl Default for RouterConfig {
             shard_pids: Vec::new(),
             upstream_timeout_ms: 10_000,
             probe_interval_ms: 200,
-            keepalive_idle_ms: 5000,
-            keepalive_max: 1024,
-            reload_health_timeout_ms: 10_000,
-            max_conns: 256,
         }
     }
 }
 
+/// Serve's default keep-alive budget and idle timeout, one socket timeout.
+const FRONT_LIMITS: Limits = Limits {
+    read_timeout: Duration::from_secs(10),
+    write_timeout: Duration::from_secs(10),
+    keepalive_max: 1024,
+    keepalive_idle: Duration::from_secs(5),
+};
+
+/// Concurrent client connections beyond which new ones are bounced.
+const MAX_CONNS: usize = 256;
+
+/// How long a rolling reload waits for a shard to pass its health gate
+/// before aborting the roll.
+const RELOAD_HEALTH_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Events the router's trace ring keeps.
+const TRACE_RING_CAP: usize = 1024;
+
 struct Inner {
+    front: Front,
     shards: Vec<Shard>,
     ring: HashRing,
-    shutdown: AtomicBool,
-    local_addr: OnceLock<SocketAddr>,
-    keepalive_idle: Duration,
-    keepalive_max: u64,
-    reload_health_timeout: Duration,
-    max_conns: usize,
     active_conns: AtomicUsize,
     /// Round-robin cursor for requests with no owner (unparsable
     /// origins forwarded for an authoritative 4xx).
     any_cursor: AtomicUsize,
     /// Serializes rolling reloads.
     reload_lock: Mutex<()>,
-    tracer: flatnet_obs::Tracer,
-    requests: flatnet_obs::Counter,
     forwarded: flatnet_obs::Counter,
     scatters: flatnet_obs::Counter,
     partials: flatnet_obs::Counter,
     unavailable: flatnet_obs::Counter,
-    connections: flatnet_obs::Counter,
 }
 
 /// A running router. Same lifecycle contract as
@@ -137,35 +130,27 @@ impl Router {
                 Shard::new(i as u32, addr.clone(), cfg.shard_pids.get(i).copied(), timeout)
             })
             .collect();
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
         let reg = flatnet_obs::global();
         let inner = Arc::new(Inner {
+            front: Front::new("router", FRONT_LIMITS, TRACE_RING_CAP),
             ring: HashRing::new(shards.len() as u32),
             shards,
-            shutdown: AtomicBool::new(false),
-            local_addr: OnceLock::new(),
-            keepalive_idle: Duration::from_millis(cfg.keepalive_idle_ms.max(1)),
-            keepalive_max: cfg.keepalive_max.max(1),
-            reload_health_timeout: Duration::from_millis(cfg.reload_health_timeout_ms.max(1)),
-            max_conns: cfg.max_conns.max(1),
             active_conns: AtomicUsize::new(0),
             any_cursor: AtomicUsize::new(0),
             reload_lock: Mutex::new(()),
-            tracer: flatnet_obs::Tracer::new(16),
-            requests: reg.counter("router.requests"),
             forwarded: reg.counter("router.forwarded"),
             scatters: reg.counter("router.scatter"),
             partials: reg.counter("router.partial"),
             unavailable: reg.counter("router.shard_unavailable"),
-            connections: reg.counter("router.connections"),
         });
-        let _ = inner.local_addr.set(addr);
+        let (listener, addr) = inner.front.listen(&cfg.addr)?;
 
         let accept_inner = Arc::clone(&inner);
         let accept_thread = std::thread::Builder::new()
             .name("router-accept".into())
-            .spawn(move || accept_loop(listener, accept_inner))?;
+            .spawn(move || {
+                accept_inner.front.accept(listener, |stream| admit(&accept_inner, stream))
+            })?;
 
         let prober = if cfg.probe_interval_ms > 0 {
             let probe_inner = Arc::clone(&inner);
@@ -210,16 +195,16 @@ impl Router {
 
     /// Stops the router from the embedding process.
     pub fn shutdown(mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
+        self.inner.front.stop();
         self.join_all();
     }
 
     fn join_all(&mut self) {
+        // The accept loop returns only once shutdown is flagged, which
+        // also stops the prober.
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        self.inner.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.prober.take() {
             let _ = t.join();
         }
@@ -234,15 +219,15 @@ impl Router {
 }
 
 fn prober_loop(inner: Arc<Inner>, period: Duration) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
+    while !inner.front.stopping() {
         for shard in &inner.shards {
-            if inner.shutdown.load(Ordering::SeqCst) {
+            if inner.front.stopping() {
                 return;
             }
-            shard.probe(inner.tracer.next_id());
+            shard.probe(inner.front.tracer.next_id());
         }
         let mut slept = Duration::ZERO;
-        while slept < period && !inner.shutdown.load(Ordering::SeqCst) {
+        while slept < period && !inner.front.stopping() {
             let slice = (period - slept).min(Duration::from_millis(50));
             std::thread::sleep(slice);
             slept += slice;
@@ -250,53 +235,34 @@ fn prober_loop(inner: Arc<Inner>, period: Duration) {
     }
 }
 
-fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    drop(stream);
-                    return;
-                }
-                stream.set_nodelay(true).ok();
-                if inner.active_conns.load(Ordering::SeqCst) >= inner.max_conns {
-                    let resp = error_resp(
-                        503,
-                        "unavailable",
-                        "router connection limit reached",
-                        &inner,
-                        inner.tracer.next_id(),
-                    );
-                    let _ = resp.write_to(&mut &stream);
-                    continue;
-                }
-                inner.connections.inc();
-                inner.active_conns.fetch_add(1, Ordering::SeqCst);
-                let conn_inner = Arc::clone(&inner);
-                let spawned = std::thread::Builder::new()
-                    .name("router-conn".into())
-                    .spawn(move || {
-                        // Released on drop, so a panic while serving the
-                        // connection cannot leak its slot.
-                        let _slot = ConnSlot(&conn_inner);
-                        handle_conn(&conn_inner, stream);
-                    });
-                if spawned.is_err() {
-                    inner.active_conns.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(e) => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                flatnet_obs::warn!("router accept error: {e}");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
+/// Gives an accepted client a thread running the front's connection
+/// loop, or bounces it with `503` when [`MAX_CONNS`] are open.
+fn admit(inner: &Arc<Inner>, stream: TcpStream) {
+    if inner.active_conns.load(Ordering::SeqCst) >= MAX_CONNS {
+        let mut trace = TraceCtx::new(inner.front.tracer.next_id());
+        trace.set_tag("rejected");
+        let message = "router connection limit reached";
+        let resp = error_resp(503, "unavailable", message, inner, trace.id());
+        let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+        inner.front.finish(&stream, resp, &mut trace);
+        return;
+    }
+    inner.active_conns.fetch_add(1, Ordering::SeqCst);
+    let conn_inner = Arc::clone(inner);
+    let spawned = std::thread::Builder::new().name("router-conn".into()).spawn(move || {
+        // Released on drop, so a panic while serving the connection
+        // cannot leak its slot.
+        let _slot = ConnSlot(&conn_inner);
+        let first = TraceCtx::new(conn_inner.front.tracer.next_id());
+        // No queue before the first read: the read timeout is its budget.
+        conn_inner.front.serve_connection(&stream, first, Duration::MAX, &mut &*conn_inner);
+    });
+    if spawned.is_err() {
+        inner.active_conns.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// One connection's claim on `max_conns`.
+/// One connection's claim on [`MAX_CONNS`].
 struct ConnSlot<'a>(&'a Inner);
 
 impl Drop for ConnSlot<'_> {
@@ -305,47 +271,18 @@ impl Drop for ConnSlot<'_> {
     }
 }
 
-fn handle_conn(inner: &Arc<Inner>, stream: TcpStream) {
-    let mut reader = BufReader::new(&stream);
-    let mut served: u64 = 0;
-    loop {
-        let next = wait_for_request(&mut reader, inner.keepalive_idle, &inner.shutdown);
-        if !matches!(next, NextRequest::Data) {
-            return;
-        }
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-        let (resp, trace_id) = match read_request(&mut reader) {
-            Ok(None) => return,
-            Ok(Some(req)) => {
-                served += 1;
-                inner.requests.inc();
-                // Adopt a client-sent trace id (the same contract the
-                // shards honor), else allocate; either way the id is
-                // propagated to every sub-request this request fans into.
-                let trace_id = req.trace_id().unwrap_or_else(|| inner.tracer.next_id());
-                let keep = served < inner.keepalive_max
-                    && req.wants_keep_alive()
-                    && !inner.shutdown.load(Ordering::SeqCst);
-                let mut resp = route(inner, &req, trace_id);
-                inner.shards.iter().for_each(Shard::publish_upstream_stats);
-                resp.close = !keep;
-                resp.chunked_ok = !req.http10;
-                (resp, trace_id)
-            }
-            Err(e) if e.wants_response() => {
-                (error_resp(e.status, e.kind(), &e.reason, inner, inner.tracer.next_id()), 0)
-            }
-            Err(_) => return,
-        };
-        let mut resp = resp;
-        if resp.trace_id.is_none() && trace_id != 0 {
-            resp.trace_id = Some(trace_id);
-        }
-        let closed = resp.write_to(&mut &stream).unwrap_or(true);
-        if closed {
-            return;
-        }
+/// The router's answer to one client request.
+impl Handler for &Inner {
+    fn route(&mut self, req: &Request, trace: &mut TraceCtx) -> Response {
+        let resp = route(self, req, trace.id());
+        self.shards.iter().for_each(Shard::publish_upstream_stats);
+        // The upstream exchange and any merge: the router's compute.
+        trace.mark(Stage::Propagate);
+        resp
+    }
+
+    fn version(&self) -> u64 {
+        fleet_version(self)
     }
 }
 
@@ -362,16 +299,14 @@ fn error_resp(
     inner: &Inner,
     trace_id: u64,
 ) -> Response {
-    let mut resp =
-        Response::json(status, error_envelope(fleet_version(inner), trace_id, kind, message));
+    let mut resp = error_response(status, kind, message, fleet_version(inner), trace_id);
     if status == 503 {
         resp.retry_after = Some(1);
     }
-    resp.trace_id = Some(trace_id);
     resp
 }
 
-fn route(inner: &Arc<Inner>, req: &Request, trace_id: u64) -> Response {
+fn route(inner: &Inner, req: &Request, trace_id: u64) -> Response {
     match (req.method, req.path.as_str()) {
         (Method::Get, "/v1/reachability") | (Method::Get, "/v1/reliance") => {
             query_route(inner, req, trace_id)
@@ -382,10 +317,7 @@ fn route(inner: &Arc<Inner>, req: &Request, trace_id: u64) -> Response {
         (Method::Get, "/debug/shards") => debug_shards(inner, trace_id),
         (Method::Post, "/admin/reload") => rolling_reload(inner, trace_id),
         (Method::Post, "/admin/shutdown") => {
-            inner.shutdown.store(true, Ordering::SeqCst);
-            if let Some(addr) = inner.local_addr.get() {
-                let _ = TcpStream::connect_timeout(addr, Duration::from_secs(1));
-            }
+            inner.front.stop();
             Response::json(200, "{\"status\":\"shutting-down\"}\n".to_string())
         }
         (method, path) => {
@@ -450,7 +382,7 @@ fn rebuild_target(req: &Request, origins_override: Option<&str>) -> String {
 }
 
 /// `GET /v1/reachability` / `GET /v1/reliance`: origin-hash routing.
-fn query_route(inner: &Arc<Inner>, req: &Request, trace_id: u64) -> Response {
+fn query_route(inner: &Inner, req: &Request, trace_id: u64) -> Response {
     // Anything the router cannot interpret — no origins, a bad token,
     // an oversized batch — is forwarded untouched so the *shard's*
     // validation answers, and router and single-process behavior can't
@@ -473,7 +405,7 @@ fn query_route(inner: &Arc<Inner>, req: &Request, trace_id: u64) -> Response {
 /// Forwards `req` verbatim to shard `owner`, passing the shard's
 /// response through byte-for-byte.
 fn forward(
-    inner: &Arc<Inner>,
+    inner: &Inner,
     owner: usize,
     req: &Request,
     target: &str,
@@ -499,7 +431,7 @@ fn forward(
         Ok(up) => {
             shard.record_ok();
             inner.forwarded.inc();
-            relay(up, trace_id)
+            relay(up)
         }
         Err(e) => {
             shard.record_failure(&format!("forward failed: {e}"));
@@ -516,18 +448,17 @@ fn forward(
 }
 
 /// A shard's response, passed through to the client byte-for-byte.
-fn relay(up: UpstreamResponse, trace_id: u64) -> Response {
+fn relay(up: UpstreamResponse) -> Response {
     let retry_after = up.header("retry-after").and_then(|secs| secs.parse().ok());
     let mut resp = Response::json(up.status, up.body);
     resp.retry_after = retry_after;
-    resp.trace_id = Some(trace_id);
     resp
 }
 
 /// Forwards to the next healthy shard in round-robin order — used when
 /// the router has no opinion about ownership (no parsable origin) and
 /// only wants an authoritative answer.
-fn forward_any(inner: &Arc<Inner>, req: &Request, trace_id: u64) -> Response {
+fn forward_any(inner: &Inner, req: &Request, trace_id: u64) -> Response {
     let n = inner.shards.len();
     let start = inner.any_cursor.fetch_add(1, Ordering::Relaxed);
     for off in 0..n {
@@ -612,7 +543,7 @@ fn group_by_owner(ring: &HashRing, asns: &[u32]) -> Vec<(usize, Vec<usize>)> {
 /// Splits a batch by owner, fans out, and merges the shard envelopes
 /// into one response whose `data` is byte-identical to a single
 /// process's answer.
-fn scatter(inner: &Arc<Inner>, req: &Request, asns: &[u32], trace_id: u64) -> Response {
+fn scatter(inner: &Inner, req: &Request, asns: &[u32], trace_id: u64) -> Response {
     inner.scatters.inc();
     let groups = group_by_owner(&inner.ring, asns);
     // Single-owner batches skip the merge entirely: the whole request
@@ -646,7 +577,7 @@ fn scatter(inner: &Arc<Inner>, req: &Request, asns: &[u32], trace_id: u64) -> Re
 /// (`origin` for reachability/reliance, `victim` for what-if leaks),
 /// and `ids[pos]` is its value at each position.
 fn merge_batch(
-    inner: &Arc<Inner>,
+    inner: &Inner,
     subs: &[SubReq],
     results: Vec<SubResult>,
     total: usize,
@@ -663,7 +594,7 @@ fn merge_batch(
                 // The shard rejected its slice (unknown origin, bad
                 // parameter). A single process would reject the whole
                 // batch the same way; pass its verdict through.
-                return relay(up, trace_id);
+                return relay(up);
             }
             Ok(up) => {
                 // 5xx mid-scatter: the shard is alive but its slice got
@@ -764,7 +695,7 @@ fn merge_batch(
             )
         }
     };
-    let mut resp = if failed_shards.is_empty() {
+    if failed_shards.is_empty() {
         Response::json(200, envelope(version, trace_id, &data))
     } else {
         // The documented partial envelope: same framing fields, plus a
@@ -782,9 +713,7 @@ fn merge_batch(
                  \"data\":{data}}}\n"
             ),
         )
-    };
-    resp.trace_id = Some(trace_id);
-    resp
+    }
 }
 
 /// The `victim` of one leak-query object, when it is a 32-bit AS number.
@@ -796,7 +725,7 @@ fn leak_victim(query: &str) -> Option<u32> {
 /// victim owner. A body no owner can be read from — unparsable, or a
 /// victim that is missing or out of range — goes to any shard for its
 /// authoritative 4xx.
-fn leak_route(inner: &Arc<Inner>, req: &Request, trace_id: u64) -> Response {
+fn leak_route(inner: &Inner, req: &Request, trace_id: u64) -> Response {
     let Ok(body) = std::str::from_utf8(&req.body) else {
         return forward_any(inner, req, trace_id);
     };
@@ -853,12 +782,12 @@ fn leak_route(inner: &Arc<Inner>, req: &Request, trace_id: u64) -> Response {
 // Control plane: health, metrics, debug, rolling reload.
 // ---------------------------------------------------------------------
 
-fn healthz(inner: &Arc<Inner>) -> Response {
+fn healthz(inner: &Inner) -> Response {
     let healthy = inner.shards.iter().filter(|s| s.healthy()).count();
     let status = if healthy == inner.shards.len() { "ok" } else { "degraded" };
     let addr = inner
-        .local_addr
-        .get()
+        .front
+        .local_addr()
         .map(|a| format!("\"{a}\""))
         .unwrap_or_else(|| "null".into());
     Response::json(
@@ -876,7 +805,7 @@ fn healthz(inner: &Arc<Inner>) -> Response {
 /// Aggregated `/metrics`: the router's own registry plus every
 /// reachable shard's scrape, merged with [`flatnet_obs::Snapshot::merge`]
 /// (counters and spans sum, histograms merge bucket-wise).
-fn metrics(inner: &Arc<Inner>, req: &Request, trace_id: u64) -> Response {
+fn metrics(inner: &Inner, req: &Request, trace_id: u64) -> Response {
     let mut acc = flatnet_obs::snapshot();
     for shard in &inner.shards {
         if !shard.healthy() {
@@ -900,7 +829,7 @@ fn metrics(inner: &Arc<Inner>, req: &Request, trace_id: u64) -> Response {
     }
 }
 
-fn debug_shards(inner: &Arc<Inner>, trace_id: u64) -> Response {
+fn debug_shards(inner: &Inner, trace_id: u64) -> Response {
     let mut entries = String::new();
     for (i, shard) in inner.shards.iter().enumerate() {
         if i > 0 {
@@ -934,7 +863,7 @@ fn debug_shards(inner: &Arc<Inner>, trace_id: u64) -> Response {
 /// version) before touching the next. A shard that fails its gate
 /// aborts the roll (the rest keep serving the old snapshot); a shard
 /// that refuses the reload (backoff) is recorded and skipped.
-fn rolling_reload(inner: &Arc<Inner>, trace_id: u64) -> Response {
+fn rolling_reload(inner: &Inner, trace_id: u64) -> Response {
     let _guard = inner.reload_lock.lock().unwrap_or_else(|e| e.into_inner());
     let mut entries: Vec<String> = Vec::new();
     let mut reloaded = 0usize;
@@ -951,7 +880,7 @@ fn rolling_reload(inner: &Arc<Inner>, trace_id: u64) -> Response {
         match shard.upstream.request("POST", "/admin/reload", None, trace_id) {
             Ok(up) if up.status == 200 => {
                 let new_version = merge::member_u64(&up.body, "snapshot_version");
-                if wait_health_gate(inner, shard, new_version, trace_id) {
+                if wait_health_gate(shard, new_version, trace_id) {
                     reloaded += 1;
                     entries.push(format!(
                         "{{\"id\":{},\"status\":\"reloaded\",\"snapshot_version\":{}}}",
@@ -1007,13 +936,8 @@ fn rolling_reload(inner: &Arc<Inner>, trace_id: u64) -> Response {
 
 /// Polls one shard's `/healthz` until it answers 200 at (or past) the
 /// expected snapshot version, or the reload health budget runs out.
-fn wait_health_gate(
-    inner: &Inner,
-    shard: &Shard,
-    expect_version: Option<u64>,
-    trace_id: u64,
-) -> bool {
-    let deadline = Instant::now() + inner.reload_health_timeout;
+fn wait_health_gate(shard: &Shard, expect_version: Option<u64>, trace_id: u64) -> bool {
+    let deadline = Instant::now() + RELOAD_HEALTH_TIMEOUT;
     loop {
         if let Ok(up) = shard.upstream.request("GET", "/healthz", None, trace_id) {
             if up.status == 200 {

@@ -1,7 +1,6 @@
 //! The query engine: a fixed worker pool with per-worker propagation
-//! state, a bounded queue with backpressure, persistent (keep-alive)
-//! connections with per-connection request budgets and idle timeouts,
-//! per-request deadlines, and the endpoint handlers themselves.
+//! state, a bounded queue with backpressure, per-request deadlines, and
+//! the endpoint handlers themselves.
 //!
 //! Each worker owns a [`Workspace`] and a [`PropagationConfig`] for its
 //! whole lifetime, so the zero-steady-state-allocation property of the
@@ -19,13 +18,11 @@
 //! if the topology's node count changed.
 //!
 //! A worker holds one connection at a time for that connection's whole
-//! life: after each response it parks in [`wait_for_request`] (sliced
-//! reads, so shutdown is never delayed by more than one slice) until
-//! the next request's bytes arrive, the idle budget runs out, or the
-//! per-connection request budget is spent. Pipelined requests need no
-//! special handling — the parser consumes exactly one request's bytes,
-//! so back-to-back requests are already sitting in the connection's
-//! `BufReader` when the previous response is written.
+//! life: a connection whose first request waited out its deadline in the
+//! queue is answered `503 deadline` here, every other one runs
+//! [`Front::serve_connection`] — the keep-alive loop the router runs too
+//! — with the endpoints below as its [`Handler`], and a worker whose
+//! route panicked replaces its context.
 //!
 //! Every `/v1` response, success or failure, wears the same envelope:
 //! `{"schema":…,"snapshot_version":…,"trace_id":…,"data":{…}}` on
@@ -36,10 +33,10 @@
 
 use crate::answer::{Answer, RELIANCE_TOP_MAX};
 use crate::cache::{policy_fingerprint, CacheKey, ResultCache};
-use crate::http::{
-    parse_asn, read_request, wait_for_request, Method, NextRequest, Request, Response,
-};
-use crate::json::{envelope, envelope_prefix, error_envelope, escape, fmt_f64, push_f64, Json};
+use crate::front::{error_response, Front, Handler, Limits};
+use crate::http::{parse_asn, Method, Request, Response};
+use crate::json::{envelope, envelope_prefix, escape, fmt_f64, push_f64, Json};
+use crate::server::ServeConfig;
 use crate::snapshot::{ServeSnapshot, SnapshotManager};
 use flatnet_asgraph::{AsId, NodeId};
 use flatnet_bgpsim::{
@@ -47,14 +44,11 @@ use flatnet_bgpsim::{
     ReachSet, RelianceWorkspace, Simulation, Workspace,
 };
 use flatnet_core::leaks::{leak_cdf_on, Announce, Locking};
-use flatnet_obs::trace::{Stage, TraceCtx, TraceDump, Tracer, STAGES};
+use flatnet_obs::trace::{Stage, TraceCtx, TraceDump, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::net::TcpStream;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// The two cached analyses; the discriminant is the endpoint byte of
@@ -109,56 +103,26 @@ impl ApiError {
     }
 
     fn into_response(self, version: u64, trace_id: u64) -> Response {
-        let mut resp = Response::json(
-            self.status,
-            error_envelope(version, trace_id, self.kind, &self.message),
-        );
+        let mut resp = error_response(self.status, self.kind, &self.message, version, trace_id);
         resp.retry_after = self.retry_after;
         resp
     }
-}
-
-/// Builds a ready-to-write error-envelope response outside the
-/// dispatcher (accept-path 503s, parse errors, panics).
-fn error_response(
-    status: u16,
-    kind: &'static str,
-    message: &str,
-    version: u64,
-    trace_id: u64,
-) -> Response {
-    Response::json(status, error_envelope(version, trace_id, kind, message))
 }
 
 /// Everything the accept loop and the workers share.
 pub(crate) struct Shared {
     pub(crate) mgr: SnapshotManager,
     pub(crate) cache: ResultCache<Answer>,
+    /// The connection loop the workers run, with its counters and ring.
+    pub(crate) front: Front,
     queue: Mutex<VecDeque<Job>>,
     ready: Condvar,
-    pub(crate) shutdown: AtomicBool,
     queue_cap: usize,
+    /// Read budget of a request, for a first request counted from accept.
     deadline: Duration,
-    /// Per-connection socket read/write cap; `None` = deadline only.
-    io_timeout: Option<Duration>,
-    /// Requests served per connection before the server closes it.
-    keepalive_max: u64,
-    /// How long a persistent connection may sit idle between requests.
-    keepalive_idle: Duration,
     pub(crate) workers: usize,
-    /// Bound address, set once the listener exists; `/admin/shutdown`
-    /// self-connects here to unblock the accept loop.
-    pub(crate) local_addr: OnceLock<SocketAddr>,
-    requests: flatnet_obs::Counter,
-    connections: flatnet_obs::Counter,
-    keepalive_reuse: flatnet_obs::Counter,
-    keepalive_idle_closed: flatnet_obs::Counter,
     rejected: flatnet_obs::Counter,
     expired: flatnet_obs::Counter,
-    panics: flatnet_obs::Counter,
-    status_2xx: flatnet_obs::Counter,
-    status_4xx: flatnet_obs::Counter,
-    status_5xx: flatnet_obs::Counter,
     /// Reach answers cached, by the form their set took
     /// (`ReachForm as usize`): the traffic mix the three forms serve.
     cache_put_form: [flatnet_obs::Counter; 3],
@@ -167,17 +131,9 @@ pub(crate) struct Shared {
     /// endpoints that report it is asked (`/healthz`, `/debug/queue`,
     /// `/metrics`).
     scratch_bytes: flatnet_obs::Gauge,
-    request_us: Arc<flatnet_obs::Histogram>,
-    /// Per-stage latency histograms, indexed by `Stage as usize`; the
-    /// label-embedded names export as one `serve_stage_seconds` family.
-    stage_us: [Arc<flatnet_obs::Histogram>; STAGES],
     /// Per-worker busy-time counters (µs handling requests), for the
     /// `/debug/queue` utilization view.
     busy_us: Vec<flatnet_obs::Counter>,
-    /// The ring of recent requests (workers and the accept thread's
-    /// queue-full 503s alike), the slowest-K reservoir, and the id
-    /// generator.
-    pub(crate) tracer: Tracer,
     /// How many top-degree origins to pre-warm after load/reload; 0 = off.
     warm: usize,
     warmed: flatnet_obs::Counter,
@@ -192,74 +148,41 @@ pub(crate) struct Shared {
 const TRACE_RING_CAP: usize = 256;
 
 impl Shared {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        mgr: SnapshotManager,
-        cache_capacity: usize,
-        queue_cap: usize,
-        deadline: Duration,
-        io_timeout: Option<Duration>,
-        keepalive_max: u64,
-        keepalive_idle: Duration,
-        workers: usize,
-        warm: usize,
-        shard: Option<(u32, u32)>,
-    ) -> Self {
+    /// The daemon's shared state for `workers` workers under `cfg`.
+    pub(crate) fn new(mgr: SnapshotManager, cfg: &ServeConfig, workers: usize) -> Self {
         let reg = flatnet_obs::global();
+        let deadline = Duration::from_millis(cfg.deadline_ms.max(1));
+        // The io timeout caps how long a stalled client can pin a worker
+        // inside the deadline; 0 leaves the deadline alone.
+        let io_timeout = (cfg.io_timeout_ms > 0).then(|| Duration::from_millis(cfg.io_timeout_ms));
+        let limits = Limits {
+            read_timeout: io_timeout.map_or(deadline, |io| io.min(deadline)),
+            write_timeout: io_timeout.unwrap_or(deadline),
+            keepalive_max: cfg.keepalive_max,
+            keepalive_idle: Duration::from_millis(cfg.keepalive_idle_ms),
+        };
         Shared {
             mgr,
-            cache: ResultCache::weighted(cache_capacity, Answer::retained_bytes),
+            cache: ResultCache::weighted(cfg.cache_cap, Answer::retained_bytes),
+            front: Front::new("serve", limits, (workers + 1) * TRACE_RING_CAP),
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            queue_cap,
+            queue_cap: cfg.queue_cap,
             deadline,
-            io_timeout,
-            keepalive_max: keepalive_max.max(1),
-            keepalive_idle,
             workers,
-            local_addr: OnceLock::new(),
-            requests: reg.counter("serve.requests"),
-            connections: reg.counter("serve.connections"),
-            keepalive_reuse: reg.counter("serve.keepalive_reuse"),
-            keepalive_idle_closed: reg.counter("serve.keepalive_idle_closed"),
             rejected: reg.counter("serve.queue_rejected"),
             expired: reg.counter("serve.deadline_expired"),
-            panics: reg.counter("serve.worker_panics"),
-            status_2xx: reg.counter("serve.http_2xx"),
-            status_4xx: reg.counter("serve.http_4xx"),
-            status_5xx: reg.counter("serve.http_5xx"),
             cache_put_form: ReachForm::ALL
                 .map(|f| reg.counter(&format!("serve.cache_put{{form=\"{}\"}}", f.name()))),
             queue_depth: reg.gauge("serve.queue_depth"),
             scratch_bytes: reg.gauge("serve.scratch_bytes"),
-            request_us: flatnet_obs::histogram("serve.request_us"),
-            stage_us: std::array::from_fn(|i| {
-                reg.histogram(&format!("serve.stage_us{{stage=\"{}\"}}", Stage::ALL[i].name()))
-            }),
             busy_us: (0..workers)
                 .map(|i| reg.counter(&format!("serve.worker_busy_us{{worker=\"{i}\"}}")))
                 .collect(),
-            tracer: Tracer::new((workers + 1) * TRACE_RING_CAP),
-            warm,
+            warm: cfg.warm,
             warmed: reg.counter("serve.cache_warmed"),
-            shard,
+            shard: cfg.shard,
         }
-    }
-
-    /// Records a finished trace: the event goes to the trace ring and
-    /// the slow reservoir, and every stage the request entered lands in
-    /// its stage histogram, tagged so the histogram buckets can exemplar
-    /// this exact request.
-    fn record_trace(&self, trace: &mut TraceCtx, status: u16) {
-        let ev = trace.finish(status);
-        for stage in Stage::ALL {
-            if let Some(us) = ev.stage_us(stage) {
-                self.stage_us[stage as usize].record_us_tagged(us, ev.trace_id, ev.origin as u64);
-            }
-        }
-        self.request_us.record_us_tagged(ev.total_us, ev.trace_id, ev.origin as u64);
-        self.tracer.record(ev);
     }
 
     /// Reads the current snapshot's pooled scratch (lane workspaces and
@@ -282,27 +205,20 @@ impl Shared {
     /// `503 + Retry-After` right here when the queue is full —
     /// backpressure must not itself consume a worker. Allocates the
     /// request's trace context; rejected requests are traced too.
-    pub(crate) fn submit(&self, stream: TcpStream, accepted: Instant) {
-        let mut trace = TraceCtx::new(self.tracer.next_id());
+    pub(crate) fn submit(&self, stream: TcpStream) {
+        let accepted = Instant::now();
+        let mut trace = TraceCtx::new(self.front.tracer.next_id());
         let mut q = self.lock_queue();
         if q.len() >= self.queue_cap {
             drop(q);
             self.rejected.inc();
-            self.status_5xx.inc();
             trace.set_tag("rejected");
-            let mut resp = error_response(
-                503,
-                "queue-full",
-                "request queue full",
-                self.mgr.current().version,
-                trace.id(),
-            );
+            let version = self.mgr.current().version;
+            let mut resp =
+                error_response(503, "queue-full", "request queue full", version, trace.id());
             resp.retry_after = Some(1);
-            resp.trace_id = Some(trace.id());
             let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-            let _ = resp.write_to(&mut &stream);
-            trace.mark(Stage::Write);
-            self.record_trace(&mut trace, 503);
+            self.front.finish(&stream, resp, &mut trace);
             return;
         }
         q.push_back(Job { stream, accepted, trace });
@@ -311,10 +227,10 @@ impl Shared {
         self.ready.notify_one();
     }
 
-    /// Flags shutdown and wakes every parked worker. Queued jobs are
-    /// still drained before workers exit.
+    /// Flags shutdown, wakes the accept loop and every parked worker.
+    /// Queued jobs are still drained before workers exit.
     pub(crate) fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.front.stop();
         self.ready.notify_all();
     }
 }
@@ -346,9 +262,7 @@ pub(crate) fn spawn_warmup(shared: &Arc<Shared>, snap: Arc<ServeSnapshot>) {
         // Stage marks of a warm-up belong to no request; never recorded.
         let mut trace = TraceCtx::new(0);
         for block in origins.chunks(LaneWidth::Auto.lanes()) {
-            if shared.shutdown.load(Ordering::SeqCst)
-                || shared.mgr.current().version != snap.version
-            {
+            if shared.front.stopping() || shared.mgr.current().version != snap.version {
                 return;
             }
             let none = ExclusionPolicy::NONE;
@@ -402,7 +316,7 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, worker: usize) {
                     shared.queue_depth.set(q.len() as i64);
                     break Some(j);
                 }
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shared.front.stopping() {
                     break None;
                 }
                 q = shared.ready.wait(q).unwrap_or_else(|e| e.into_inner());
@@ -415,153 +329,46 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, worker: usize) {
     }
 }
 
-/// Serves one connection for its whole life: request loop with
-/// keep-alive negotiation, per-connection request budget, and idle
-/// timeout. Each request gets its own trace context and deadline; the
-/// first request's context was allocated at accept time (its queue wait
-/// is real), later ones are born when their bytes arrive (their idle
-/// wait lands in the `keepalive_idle` stage).
+/// Serves one dequeued connection: a first request that expired in the
+/// queue is answered `503 deadline` without reading it; otherwise the
+/// front's connection loop runs on this worker's context, with the
+/// first request's read budget what the deadline left, and the worker
+/// replaces its context if a route panicked.
 fn handle_conn(shared: &Arc<Shared>, ctx: &mut WorkerCtx, job: Job) {
     let Job { stream, accepted, mut trace } = job;
     trace.mark(Stage::QueueWait);
-    shared.connections.inc();
-
-    // The first request's deadline clock started at accept.
-    if accepted.elapsed() >= shared.deadline {
-        shared.requests.inc();
+    let budget = shared.deadline.saturating_sub(accepted.elapsed());
+    if budget.is_zero() {
+        shared.front.connections.inc();
+        shared.front.requests.inc();
         shared.expired.inc();
         trace.set_tag("expired");
-        let mut resp = error_response(
-            503,
-            "deadline",
-            "deadline expired while queued",
-            shared.mgr.current().version,
-            trace.id(),
-        );
+        let version = shared.mgr.current().version;
+        let mut resp =
+            error_response(503, "deadline", "deadline expired while queued", version, trace.id());
         resp.retry_after = Some(1);
-        finish(shared, &stream, resp, &mut trace);
+        shared.front.finish(&stream, resp, &mut trace);
         return;
     }
-
-    let mut reader = BufReader::new(&stream);
-    let mut pending = Some((trace, accepted.elapsed()));
-    let mut served: u64 = 0;
-    loop {
-        let (mut t, queued) = match pending.take() {
-            Some(first) => first,
-            None => {
-                let mut t = TraceCtx::new(shared.tracer.next_id());
-                match wait_for_request(&mut reader, shared.keepalive_idle, &shared.shutdown) {
-                    NextRequest::Data => t.mark(Stage::KeepaliveIdle),
-                    NextRequest::Idle => {
-                        shared.keepalive_idle_closed.inc();
-                        return;
-                    }
-                    NextRequest::Gone => return,
-                }
-                shared.keepalive_reuse.inc();
-                (t, Duration::ZERO)
-            }
-        };
-        shared.requests.inc();
-        // The read budget is whatever deadline budget the queue left
-        // (later requests on the connection get the full deadline),
-        // capped by the per-connection io timeout so a stalled client
-        // can't pin a worker for the whole deadline. The parser maps a
-        // timed-out read to a 408 (see `crate::http`).
-        let mut budget = shared.deadline.saturating_sub(queued);
-        if let Some(io) = shared.io_timeout {
-            budget = budget.min(io);
-        }
-        let _ = stream.set_read_timeout(Some(budget));
-        let _ = stream.set_write_timeout(Some(shared.io_timeout.unwrap_or(shared.deadline)));
-
-        served += 1;
-        let budget_left = served < shared.keepalive_max;
-        let resp = match read_request(&mut reader) {
-            Ok(None) => return, // peer connected and left; nothing to answer
-            Ok(Some(req)) => {
-                t.mark(Stage::Parse);
-                // A router in front of this shard propagates its trace id
-                // so the hop's traces stitch to ours; adopt it. Garbage
-                // values are ignored — the locally allocated id stands.
-                if let Some(id) = req.trace_id() {
-                    t.set_id(id);
-                }
-                let keep = budget_left
-                    && req.wants_keep_alive()
-                    && !shared.shutdown.load(Ordering::SeqCst);
-                match catch_unwind(AssertUnwindSafe(|| route(shared, ctx, &req, &mut t))) {
-                    Ok(mut resp) => {
-                        resp.close = !keep;
-                        resp.chunked_ok = !req.http10;
-                        resp
-                    }
-                    Err(_) => {
-                        // Isolate the panic to this request: count it,
-                        // answer 500, discard possibly-inconsistent
-                        // worker state, close the connection (its
-                        // framing state is suspect too) — and still emit
-                        // a terminal trace event, with the time since
-                        // the last marked boundary attributed to the
-                        // `panic` stage.
-                        shared.panics.inc();
-                        *ctx = WorkerCtx::new();
-                        t.mark(Stage::Panic);
-                        error_response(
-                            500,
-                            "panic",
-                            "internal error",
-                            shared.mgr.current().version,
-                            t.id(),
-                        )
-                    }
-                }
-            }
-            Err(e) if e.wants_response() => {
-                // Framing is unknown after a parse error, so the
-                // response closes the connection (`close` defaults on).
-                t.mark(Stage::Parse);
-                t.set_tag("parse_error");
-                error_response(
-                    e.status,
-                    e.kind(),
-                    &e.reason,
-                    shared.mgr.current().version,
-                    t.id(),
-                )
-            }
-            Err(_) => return,
-        };
-        let closed = finish(shared, &stream, resp, &mut t);
-        if closed {
-            return;
-        }
+    if shared.front.serve_connection(&stream, trace, budget, &mut Worker { shared, ctx }) {
+        *ctx = WorkerCtx::new();
     }
 }
 
-/// Stamps the trace id onto the response, writes it (best-effort — the
-/// peer may have gone), and records the request's status class, its
-/// end-to-end latency, and the finished trace event. Returns whether
-/// the connection closed (negotiated, forced, or write failure).
-fn finish(
-    shared: &Shared,
-    stream: &TcpStream,
-    mut resp: Response,
-    trace: &mut TraceCtx,
-) -> bool {
-    let status = resp.status;
-    match status {
-        200..=299 => shared.status_2xx.inc(),
-        400..=499 => shared.status_4xx.inc(),
-        _ => shared.status_5xx.inc(),
+/// A worker serving one connection: the endpoints, on its own context.
+struct Worker<'a> {
+    shared: &'a Arc<Shared>,
+    ctx: &'a mut WorkerCtx,
+}
+
+impl Handler for Worker<'_> {
+    fn route(&mut self, req: &Request, trace: &mut TraceCtx) -> Response {
+        route(self.shared, self.ctx, req, trace)
     }
-    resp.trace_id = Some(trace.id());
-    trace.mark(Stage::Serialize); // header assembly + body built since the last mark
-    let closed = resp.write_to(&mut &*stream).unwrap_or(true);
-    trace.mark(Stage::Write);
-    shared.record_trace(trace, status);
-    closed
+
+    fn version(&self) -> u64 {
+        self.shared.mgr.current().version
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -617,8 +424,8 @@ fn route_inner(
         }
         (Method::Get, "/debug/panic") => {
             // Deliberate: exercises the worker panic-isolation path
-            // end-to-end (tests, drills). The catch_unwind in
-            // handle_conn turns this into a traced 500.
+            // end-to-end (tests, drills). The front's connection loop
+            // turns this into a traced 500.
             trace.set_tag("panic");
             panic!("debug-panic endpoint hit");
         }
@@ -669,7 +476,7 @@ fn query_u64(req: &Request, name: &str, default: u64, max: u64) -> Result<u64, A
 /// events, newest first, as a `flatnet-trace/v1` document.
 fn debug_trace_recent(shared: &Arc<Shared>, req: &Request) -> Result<Response, ApiError> {
     let n = query_u64(req, "n", 64, 4096)? as usize;
-    Ok(Response::json(200, TraceDump { events: shared.tracer.recent(n) }.to_json()))
+    Ok(Response::json(200, TraceDump { events: shared.front.tracer.recent(n) }.to_json()))
 }
 
 /// `GET /debug/trace/slow[?ms=N][&n=K]` — the slowest-K reservoir,
@@ -677,7 +484,7 @@ fn debug_trace_recent(shared: &Arc<Shared>, req: &Request) -> Result<Response, A
 fn debug_trace_slow(shared: &Arc<Shared>, req: &Request) -> Result<Response, ApiError> {
     let ms = query_u64(req, "ms", 0, u64::MAX / 1000)?;
     let n = query_u64(req, "n", Tracer::SLOW_K as u64, 4096)? as usize;
-    Ok(Response::json(200, TraceDump { events: shared.tracer.slow(ms * 1000, n) }.to_json()))
+    Ok(Response::json(200, TraceDump { events: shared.front.tracer.slow(ms * 1000, n) }.to_json()))
 }
 
 /// `GET /debug/queue` — queue depth, capacity, the result cache's
@@ -685,7 +492,8 @@ fn debug_trace_slow(shared: &Arc<Shared>, req: &Request) -> Result<Response, Api
 /// percentiles, per-worker busy time, connection-reuse counters, and
 /// trace-collection counters.
 fn debug_queue(shared: &Arc<Shared>) -> Response {
-    let wait = &shared.stage_us[Stage::QueueWait as usize];
+    let front = &shared.front;
+    let wait = &front.stage_us[Stage::QueueWait as usize];
     let pct = |p: f64| wait.percentile_us(p).unwrap_or(0);
     let mut body = format!(
         "{{\"schema\":\"flatnet-serve/v1\",\"endpoint\":\"queue\",\"depth\":{},\
@@ -701,14 +509,14 @@ fn debug_queue(shared: &Arc<Shared>) -> Response {
         shared.cache.len(),
         shared.cache.bytes(),
         shared.refresh_scratch_bytes(),
-        shared.connections.get(),
-        shared.keepalive_reuse.get(),
-        shared.keepalive_idle_closed.get(),
+        front.connections.get(),
+        front.keepalive_reuse.get(),
+        front.keepalive_idle_closed.get(),
         wait.count(),
         pct(50.0),
         pct(90.0),
         pct(99.0),
-        shared.tracer.recorded(),
+        front.tracer.recorded(),
     );
     for (i, busy) in shared.busy_us.iter().enumerate() {
         if i > 0 {
@@ -1261,7 +1069,7 @@ fn healthz(shared: &Arc<Shared>) -> Response {
     // must be discoverable by what it actually listens on, not what it
     // was asked to bind — port 0 resolves here), its shard slot when it
     // serves a slice of a sharded layout, and the pid for operators.
-    match shared.local_addr.get() {
+    match shared.front.local_addr() {
         Some(addr) => body.push_str(&format!(",\"addr\":\"{addr}\"")),
         None => body.push_str(",\"addr\":null"),
     }
@@ -1328,11 +1136,6 @@ fn admin_reload(shared: &Arc<Shared>) -> Result<Response, ApiError> {
 
 fn admin_shutdown(shared: &Arc<Shared>) -> Response {
     shared.begin_shutdown();
-    // Unblock the accept loop with a throwaway connection; it checks the
-    // flag before dispatching.
-    if let Some(addr) = shared.local_addr.get() {
-        let _ = TcpStream::connect_timeout(addr, Duration::from_secs(1));
-    }
     Response::json(200, "{\"status\":\"shutting-down\"}\n".to_string())
 }
 
@@ -1349,18 +1152,15 @@ mod tests {
     fn shared() -> Arc<Shared> {
         let mgr = SnapshotManager::new(TopologySource::Generated { ases: 1500, seed: 11 })
             .expect("generated topology passes the health gate");
-        Arc::new(Shared::new(
-            mgr,
-            64,
-            16,
-            Duration::from_secs(5),
-            None,
-            16,
-            Duration::from_secs(1),
-            1,
-            0,
-            None,
-        ))
+        let cfg = ServeConfig {
+            cache_cap: 64,
+            queue_cap: 16,
+            io_timeout_ms: 0,
+            keepalive_max: 16,
+            keepalive_idle_ms: 1000,
+            ..ServeConfig::default()
+        };
+        Arc::new(Shared::new(mgr, &cfg, 1))
     }
 
     /// Routes one request on `ctx`; returns the response's status and
@@ -1547,14 +1347,18 @@ mod tests {
         assert!(holder.is_err());
         assert!(shared.queue.is_poisoned(), "the panic did not poison the queue");
 
-        let worker = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || worker_loop(shared, 0))
-        };
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
-        let (accepted, _) = listener.accept().expect("accept");
-        shared.submit(accepted, Instant::now());
+        let (listener, addr) = shared.front.listen("127.0.0.1:0").expect("bind");
+        let threads = [
+            std::thread::spawn({
+                let shared = Arc::clone(&shared);
+                move || worker_loop(shared, 0)
+            }),
+            std::thread::spawn({
+                let shared = Arc::clone(&shared);
+                move || shared.front.accept(listener, |stream| shared.submit(stream))
+            }),
+        ];
+        let mut client = TcpStream::connect(addr).expect("connect");
         client.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n").expect("write");
         let mut reply = String::new();
         client.read_to_string(&mut reply).expect("read");
@@ -1562,7 +1366,9 @@ mod tests {
         assert!(reply.contains("\"status\":\"ok\""), "{reply}");
 
         shared.begin_shutdown();
-        worker.join().expect("the worker exits cleanly");
+        for thread in threads {
+            thread.join().expect("the accept loop and the worker exit cleanly");
+        }
     }
 
     /// A leak victim above `u32::MAX` is refused naming the field, in both

@@ -22,10 +22,13 @@
 //!   bounded queue with 503-backpressure, per-request deadlines, and a
 //!   sharded LRU [`cache`] keyed by
 //!   `(snapshot version, origin, policy fingerprint)`.
-//! * [`server`] + [`http`] — the accept loop and the strict, bounded
-//!   codec (`flatnet-wire`'s, re-exported here). Connections are
-//!   keep-alive by default (pipelining works, budgets and idle timeouts
-//!   bound reuse) and large reach sets stream as chunked responses.
+//! * [`front`] + [`http`] — the HTTP front this daemon and
+//!   `flatnet-router` both run (one accept loop, one keep-alive
+//!   connection loop with its counters, stage histograms and trace ring)
+//!   over the strict, bounded codec (`flatnet-wire`'s, re-exported
+//!   here). Connections are keep-alive by default (pipelining works,
+//!   budgets and idle timeouts bound reuse) and large reach sets stream
+//!   as chunked responses; [`server`] is the daemon's lifecycle handle.
 //!
 //! Endpoints: `GET /v1/reachability`, `GET /v1/reliance` (both take
 //! `origin=` or a comma-separated `origins=` batch fed to the lane
@@ -41,6 +44,7 @@ mod answer;
 pub mod cache;
 pub mod engine;
 pub mod error;
+pub mod front;
 pub mod json;
 pub mod server;
 pub mod snapshot;

@@ -1,17 +1,15 @@
-//! The TCP front: listener, accept loop, and the server lifecycle
-//! handle. All protocol work happens in the workers (`crate::engine`);
-//! the accept loop only hands sockets to the bounded queue — or writes
-//! the backpressure rejection itself, so a full queue can never stall
-//! `accept()`.
+//! The daemon's lifecycle handle: ingest, bind, spawn the worker pool
+//! and the accept loop ([`crate::front::Front::accept`], which hands
+//! each socket to the bounded queue; a full queue writes its `503`
+//! itself, so it can never stall `accept()`), and stop. All protocol
+//! work happens in the workers.
 
 use crate::engine::{spawn_warmup, worker_loop, Shared};
 use crate::error::ServeError;
 use crate::snapshot::{SnapshotManager, TopologySource};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Daemon configuration; see field docs for defaults.
 #[derive(Debug, Clone)]
@@ -91,33 +89,16 @@ impl Server {
     /// worker pool.
     pub fn start(cfg: ServeConfig) -> Result<Server, ServeError> {
         let mgr = SnapshotManager::with_store(cfg.source.clone(), cfg.store.clone())?;
-        let listener = TcpListener::bind(&cfg.addr)
-            .map_err(|e| ServeError::Bind { addr: cfg.addr.clone(), message: e.to_string() })?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| ServeError::Bind { addr: cfg.addr.clone(), message: e.to_string() })?;
         let n_workers = if cfg.workers == 0 {
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(16)
         } else {
             cfg.workers
         };
-        let io_timeout = match cfg.io_timeout_ms {
-            0 => None,
-            ms => Some(Duration::from_millis(ms)),
-        };
-        let shared = Arc::new(Shared::new(
-            mgr,
-            cfg.cache_cap,
-            cfg.queue_cap,
-            Duration::from_millis(cfg.deadline_ms.max(1)),
-            io_timeout,
-            cfg.keepalive_max,
-            Duration::from_millis(cfg.keepalive_idle_ms),
-            n_workers,
-            cfg.warm,
-            cfg.shard,
-        ));
-        let _ = shared.local_addr.set(addr);
+        let shared = Arc::new(Shared::new(mgr, &cfg, n_workers));
+        let (listener, addr) = shared
+            .front
+            .listen(&cfg.addr)
+            .map_err(|e| ServeError::Bind { addr: cfg.addr.clone(), message: e.to_string() })?;
         spawn_warmup(&shared, shared.mgr.current());
 
         let workers: Vec<JoinHandle<()>> = (0..n_workers)
@@ -133,7 +114,9 @@ impl Server {
         let accept_shared = Arc::clone(&shared);
         let accept_thread = std::thread::Builder::new()
             .name("serve-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared))
+            .spawn(move || {
+                accept_shared.front.accept(listener, |stream| accept_shared.submit(stream))
+            })
             .map_err(|e| ServeError::Spawn { what: "accept loop", message: e.to_string() })?;
 
         flatnet_obs::info!("flatnet-serve listening on http://{addr} ({n_workers} workers)");
@@ -155,7 +138,6 @@ impl Server {
     /// unblocks the accept loop, drains the queue, joins every thread.
     pub fn shutdown(mut self) {
         self.shared.begin_shutdown();
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
         self.join_all();
     }
 
@@ -163,40 +145,12 @@ impl Server {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        // Workers park on the queue condvar; shutdown has been flagged by
-        // the accept loop's exit path (or by `shutdown`), and
-        // `begin_shutdown` notifies all.
+        // Workers park on the queue condvar; the accept loop only returns
+        // once shutdown is flagged, and a second notify wakes any worker
+        // that checked the flag just before the first.
         self.shared.begin_shutdown();
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-    }
-}
-
-/// Accepts until the shutdown flag flips; every accepted socket is
-/// stamped and queued (or bounced with 503) without any protocol work.
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    // The wake-up connection (or a late client); drop it.
-                    drop(stream);
-                    return;
-                }
-                // Responses go out in one write; Nagle only adds latency.
-                stream.set_nodelay(true).ok();
-                shared.submit(stream, Instant::now());
-            }
-            Err(e) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Transient accept errors (EMFILE, ECONNABORTED) must not
-                // kill the daemon.
-                flatnet_obs::warn!("accept error: {e}");
-                std::thread::sleep(Duration::from_millis(10));
-            }
         }
     }
 }

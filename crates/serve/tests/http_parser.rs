@@ -1,9 +1,12 @@
 //! Socket-level hardening test: the daemon must answer every entry of a
 //! malformed-request corpus with a clean 4xx (or silently close), never
 //! panic, and still be fully healthy afterwards — in the spirit of the
-//! ingestion-parser corpus in `tests/formats.rs`, but over real TCP.
+//! ingestion-parser corpus in `tests/formats.rs`, but over real TCP. A
+//! router over that daemon runs the same front, so it must answer every
+//! entry with the daemon's status.
 
 use flatnet_netgen::{generate, NetGenConfig};
+use flatnet_router::{Router, RouterConfig};
 use flatnet_serve::{ServeConfig, Server, TopologySource};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -41,7 +44,13 @@ fn daemon_survives_malformed_request_corpus() {
         ..ServeConfig::default()
     })
     .expect("server starts");
-    let addr = server.addr();
+    let router = Router::start(RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        shard_addrs: vec![server.addr().to_string()],
+        probe_interval_ms: 0,
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
 
     let corpus: &[(&[u8], &[u16])] = &[
         // (raw request, acceptable statuses; empty slice = silent close ok)
@@ -93,7 +102,7 @@ fn daemon_survives_malformed_request_corpus() {
         .map(|(r, w)| (r.to_vec(), w.to_vec()))
         .chain(extra)
     {
-        let response = raw_roundtrip(addr, &raw);
+        let response = raw_roundtrip(server.addr(), &raw);
         match status_of(&response) {
             Some(status) => {
                 assert!(
@@ -115,12 +124,23 @@ fn daemon_survives_malformed_request_corpus() {
                 );
             }
         }
-        // The daemon must still answer a clean request after every blow.
-        let health = raw_roundtrip(addr, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
-        assert_eq!(status_of(&health), Some(200), "daemon unhealthy after {raw:?}");
+        let routed = raw_roundtrip(router.addr(), &raw);
+        assert_eq!(
+            status_of(&routed),
+            status_of(&response),
+            "the router answered {:?} unlike its shard: {}",
+            String::from_utf8_lossy(&raw),
+            routed.lines().next().unwrap_or("")
+        );
+        // Both fronts must still answer a clean request after every blow.
+        for addr in [server.addr(), router.addr()] {
+            let health = raw_roundtrip(addr, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+            assert_eq!(status_of(&health), Some(200), "{addr} unhealthy after {raw:?}");
+        }
         checked += 1;
     }
     assert!(checked >= 20, "corpus shrank to {checked} cases");
 
+    router.shutdown();
     server.shutdown();
 }

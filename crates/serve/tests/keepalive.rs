@@ -1,11 +1,14 @@
 //! Keep-alive connection lifecycle over real TCP: pipelined
 //! back-to-back requests through the bounded parser, request bytes
 //! split across syscalls, the idle timeout closing quiet connections,
-//! `Connection: close` honored mid-stream, the per-connection request
-//! budget, and the batch/singles differential that pins `origins=`
-//! batch answers bit-identical to N separate `origin=` queries.
+//! a stalled request answered 408, `Connection: close` honored
+//! mid-stream, the per-connection request budget, and the batch/singles
+//! differential that pins `origins=` batch answers bit-identical to N
+//! separate `origin=` queries. The cases that hold at the router's fixed
+//! limits run against a router over one daemon too: both run one front.
 
 use flatnet_netgen::{generate, NetGenConfig};
+use flatnet_router::{Router, RouterConfig};
 use flatnet_serve::json::{parse, Json};
 use flatnet_serve::{ServeConfig, Server, TopologySource};
 use flatnet_wire::{Client, Conn};
@@ -43,6 +46,23 @@ fn start_server(cfg_tweak: impl FnOnce(&mut ServeConfig)) -> Server {
     Server::start(cfg).expect("server starts")
 }
 
+/// Runs `check` against both fronts: a lone daemon, then a router whose
+/// one shard is that daemon.
+fn on_both_fronts(check: impl Fn(SocketAddr)) {
+    let server = start_server(|_| {});
+    check(server.addr());
+    let router = Router::start(RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        shard_addrs: vec![server.addr().to_string()],
+        probe_interval_ms: 0,
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+    check(router.addr());
+    router.shutdown();
+    server.shutdown();
+}
+
 /// Some origins that actually exist in the seed-17 topology.
 fn known_origins(n: usize) -> Vec<u32> {
     let net = generate(&NetGenConfig::paper_2020(300, 17));
@@ -57,79 +77,73 @@ fn data_of(doc: &Json) -> &Json {
 
 #[test]
 fn many_requests_reuse_one_connection_and_responses_stay_ordered() {
-    let server = start_server(|_| {});
-    let addr = server.addr();
     let origins = known_origins(6);
-
-    let mut conn = connect(addr);
-    for (i, &o) in origins.iter().enumerate().cycle().take(24) {
-        let (status, head, body, close) =
-            request(&mut conn, &format!("/v1/reachability?origin={o}"));
-        assert_eq!(status, 200, "request {i}: {body}");
-        assert!(!close, "request {i} must not close a healthy keep-alive connection");
-        assert!(head.contains("Connection: keep-alive"), "request {i}: {head}");
-        let doc = parse(&body).expect("json");
-        // Responses arrive in request order: the answer names the
-        // origin we just asked for, not a neighbor's.
-        assert_eq!(
-            data_of(&doc).get("origin").and_then(Json::as_u64),
-            Some(o as u64),
-            "request {i} got another request's answer"
-        );
-    }
-    server.shutdown();
+    on_both_fronts(|addr| {
+        let mut conn = connect(addr);
+        for (i, &o) in origins.iter().enumerate().cycle().take(24) {
+            let (status, head, body, close) =
+                request(&mut conn, &format!("/v1/reachability?origin={o}"));
+            assert_eq!(status, 200, "request {i}: {body}");
+            assert!(!close, "request {i} must not close a healthy keep-alive connection");
+            assert!(head.contains("Connection: keep-alive"), "request {i}: {head}");
+            let doc = parse(&body).expect("json");
+            // Responses arrive in request order: the answer names the
+            // origin we just asked for, not a neighbor's.
+            assert_eq!(
+                data_of(&doc).get("origin").and_then(Json::as_u64),
+                Some(o as u64),
+                "request {i} got another request's answer"
+            );
+        }
+    });
 }
 
 #[test]
 fn pipelined_requests_are_answered_in_order() {
-    let server = start_server(|_| {});
-    let addr = server.addr();
     let origins = known_origins(5);
-
     // Write all requests before reading anything: the parser must
     // consume exactly one request's bytes per iteration, leaving the
     // rest buffered for the next loop turn.
-    let mut conn = connect(addr);
     let mut batch = String::new();
     for &o in &origins {
         use std::fmt::Write as _;
         let _ = write!(batch, "GET /v1/reachability?origin={o} HTTP/1.1\r\nHost: t\r\n\r\n");
     }
-    conn.write_all(batch.as_bytes()).unwrap();
-    for &o in &origins {
-        let (status, _, body, close) = recv(&mut conn);
-        assert_eq!(status, 200, "{body}");
-        assert!(!close);
-        let doc = parse(&body).expect("json");
-        assert_eq!(data_of(&doc).get("origin").and_then(Json::as_u64), Some(o as u64));
-    }
-    server.shutdown();
+    on_both_fronts(|addr| {
+        let mut conn = connect(addr);
+        conn.write_all(batch.as_bytes()).unwrap();
+        for &o in &origins {
+            let (status, _, body, close) = recv(&mut conn);
+            assert_eq!(status, 200, "{body}");
+            assert!(!close);
+            let doc = parse(&body).expect("json");
+            assert_eq!(data_of(&doc).get("origin").and_then(Json::as_u64), Some(o as u64));
+        }
+    });
 }
 
 #[test]
 fn request_bytes_split_across_syscalls_parse_fine() {
-    let server = start_server(|_| {});
-    let addr = server.addr();
     let origin = known_origins(1)[0];
-
-    let mut conn = connect(addr);
     let req = format!("GET /v1/reachability?origin={origin} HTTP/1.1\r\nHost: t\r\n\r\n");
-    // Dribble the request a few bytes per write, with pauses long
-    // enough that the server's reader sees many short reads — but well
-    // inside the io timeout, so this must NOT trip the 408 path.
-    for piece in req.as_bytes().chunks(7) {
-        conn.write_all(piece).unwrap();
-        conn.flush().unwrap();
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let (status, _, body, close) = recv(&mut conn);
-    assert_eq!(status, 200, "{body}");
-    assert!(!close, "a slow but complete request must keep the connection open");
+    on_both_fronts(|addr| {
+        let mut conn = connect(addr);
+        // Dribble the request a few bytes per write, with pauses long
+        // enough that the server's reader sees many short reads — but
+        // well inside the io timeout, so this must NOT trip the 408 path.
+        for piece in req.as_bytes().chunks(7) {
+            conn.write_all(piece).unwrap();
+            conn.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let (status, _, body, close) = recv(&mut conn);
+        assert_eq!(status, 200, "{body}");
+        assert!(!close, "a slow but complete request must keep the connection open");
 
-    // The connection is still usable afterwards.
-    let (status, _, _, _) = request(&mut conn, "/healthz");
-    assert_eq!(status, 200);
-    server.shutdown();
+        // The connection is still usable afterwards.
+        let (status, _, _, _) = request(&mut conn, "/healthz");
+        assert_eq!(status, 200);
+    });
 }
 
 #[test]
@@ -161,32 +175,46 @@ fn idle_connections_are_closed_cleanly_after_the_idle_timeout() {
 }
 
 #[test]
-fn connection_close_mid_stream_is_honored() {
-    let server = start_server(|_| {});
-    let addr = server.addr();
-    let origin = known_origins(1)[0];
-
-    let mut conn = connect(addr);
-    for _ in 0..3 {
-        let (status, _, _, close) =
-            request(&mut conn, &format!("/v1/reachability?origin={origin}"));
-        assert_eq!(status, 200);
-        assert!(!close);
-    }
-    // Now ask to close: the response must carry `Connection: close` and
-    // the server must actually hang up after it.
-    write!(
-        conn,
-        "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let (status, head, _, close) = recv(&mut conn);
-    assert_eq!(status, 200);
-    assert!(close, "Connection: close must be advertised back: {head}");
-    let mut leftover = Vec::new();
-    conn.read_to_end(&mut leftover).expect("clean close");
-    assert!(leftover.is_empty());
+fn a_stalled_request_is_answered_408_once_the_io_timeout_runs_out() {
+    let server = start_server(|cfg| cfg.io_timeout_ms = 300);
+    let mut conn = connect(server.addr());
+    // Half a request line, then silence: the worker must not wait out
+    // the whole 5 s deadline, nor drop the client without a word.
+    let t0 = Instant::now();
+    conn.write_all(b"GET /healthz HT").unwrap();
+    let (status, _, body, close) = recv(&mut conn);
+    let waited = t0.elapsed();
+    assert_eq!(status, 408, "{body}");
+    assert!(close, "a timed-out request closes its connection");
+    let kind = parse(&body).ok().and_then(|doc| {
+        doc.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str).map(str::to_string)
+    });
+    assert_eq!(kind.as_deref(), Some("timeout"), "{body}");
+    assert!(waited < Duration::from_secs(2), "the 408 took {waited:?}, the io timeout is 300ms");
     server.shutdown();
+}
+
+#[test]
+fn connection_close_mid_stream_is_honored() {
+    let origin = known_origins(1)[0];
+    on_both_fronts(|addr| {
+        let mut conn = connect(addr);
+        for _ in 0..3 {
+            let (status, _, _, close) =
+                request(&mut conn, &format!("/v1/reachability?origin={origin}"));
+            assert_eq!(status, 200);
+            assert!(!close);
+        }
+        // Now ask to close: the response must carry `Connection: close`
+        // and the server must actually hang up after it.
+        write!(conn, "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
+        let (status, head, _, close) = recv(&mut conn);
+        assert_eq!(status, 200);
+        assert!(close, "Connection: close must be advertised back: {head}");
+        let mut leftover = Vec::new();
+        conn.read_to_end(&mut leftover).expect("clean close");
+        assert!(leftover.is_empty());
+    });
 }
 
 #[test]
@@ -299,8 +327,6 @@ fn batch_answers_are_bit_identical_to_singles() {
 /// to account for everything else.
 #[test]
 fn router_pools_upstream_connections() {
-    use flatnet_router::{Router, RouterConfig};
-
     let reg = flatnet_obs::global();
     let reuse_before = reg.counter("router.upstream_reuse").get();
     let connects_before = reg.counter("router.upstream_connects").get();

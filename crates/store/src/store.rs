@@ -4,15 +4,19 @@
 //! sibling temp file, `fsync` the file, `rename` over the target, then
 //! `fsync` the containing directory so the rename itself is durable. A
 //! crash at any point leaves either the old store intact or the new one
-//! complete — never a half-written file under the real name (a stray
-//! temp file is harmless; it is re-created and renamed on the next
-//! save).
+//! complete — never a half-written file under the real name. Each save
+//! writes through a temp name of its own, so saves racing on one path
+//! (the shards of one `flatnet router --store P`, rebuilding at once)
+//! each install a complete image and the last rename wins. A temp file
+//! a crash leaves behind stays until removed by hand: the next save
+//! writes under a new name.
 
 use crate::codec::{decode, encode, StoredSnapshot};
 use crate::error::StoreError;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn io_err(path: &Path, e: std::io::Error) -> StoreError {
     StoreError::Io { path: path.display().to_string(), message: e.to_string() }
@@ -23,31 +27,36 @@ fn io_err(path: &Path, e: std::io::Error) -> StoreError {
 /// starts). 4 GiB holds a CAIDA-scale snapshot ~400× over.
 const MAX_FILE_BYTES: u64 = 4 << 30;
 
-/// The temp-file path a save uses: `<store>.tmp` in the same directory
-/// (same filesystem, so the rename is atomic).
+/// A temp-file path no other save shares: `<store>.<pid>-<seq>.tmp` in
+/// the same directory (same filesystem, so the rename is atomic).
 fn temp_path(path: &Path) -> PathBuf {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
+    name.push(format!(".{}-{seq}.tmp", std::process::id()));
     path.with_file_name(name)
 }
 
+/// Writes `bytes` to the file at `tmp` and fsyncs it.
+fn write_synced(tmp: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut f = OpenOptions::new().write(true).create(true).truncate(true).open(tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()
+}
+
 /// Atomically writes `snap` to `path`: temp file → fsync → rename →
-/// directory fsync.
+/// directory fsync. A failed save removes its temp file.
 pub fn save_atomic(path: impl AsRef<Path>, snap: &StoredSnapshot) -> Result<(), StoreError> {
     let path = path.as_ref();
     let bytes = encode(snap);
     let tmp = temp_path(path);
-    {
-        let mut f = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)
-            .map_err(|e| io_err(&tmp, e))?;
-        f.write_all(&bytes).map_err(|e| io_err(&tmp, e))?;
-        f.sync_all().map_err(|e| io_err(&tmp, e))?;
+    let installed = write_synced(&tmp, &bytes)
+        .map_err(|e| io_err(&tmp, e))
+        .and_then(|()| fs::rename(&tmp, path).map_err(|e| io_err(path, e)));
+    if installed.is_err() {
+        let _ = fs::remove_file(&tmp);
     }
-    fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
+    installed?;
     // Make the rename durable: fsync the directory entry's parent.
     // Directory fsync is a Unix-ism; on platforms where opening a
     // directory fails, the rename alone is the best available.
@@ -135,7 +144,7 @@ mod tests {
         let snap = sample();
         save_atomic(&path, &snap).unwrap();
         // No temp file left behind.
-        assert!(!temp_path(&path).exists());
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
         let back = load(&path).unwrap();
         assert_eq!(back.version, 3);
         assert!(back.graph.edges().eq(snap.graph.edges()));
