@@ -14,8 +14,7 @@
 //! customer cones, so edge peering (cloud peering in particular) is
 //! invisible to feeds built this way.
 
-use crate::dag::NextHopDag;
-use crate::engine::{Simulation, TopologySnapshot};
+use crate::engine::{TopologySnapshot, Workspace};
 use crate::propagate::PropagationConfig;
 use flatnet_asgraph::{AsGraph, AsId, NodeId};
 
@@ -35,25 +34,25 @@ pub struct RibEntry {
 /// Collects, for each origin in `origins`, the best path each monitor
 /// holds (one deterministic representative among ties: the lexicographically
 /// smallest next-hop at each step). Unreachable monitor/origin pairs yield
-/// no entry. O(|origins| · E).
+/// no entry. O(|origins| · E); each origin's run is read in place, and a
+/// path costs only its own hops.
 pub fn collect_ribs(g: &AsGraph, monitors: &[NodeId], origins: &[NodeId]) -> Vec<RibEntry> {
     let cfg = PropagationConfig::default();
     let snap = TopologySnapshot::compile(g);
-    let sim = Simulation::over(&snap);
-    let mut ctx = sim.ctx();
+    let mut ws = Workspace::for_snapshot(&snap);
     let mut out = Vec::new();
     for &o in origins {
-        let dag = NextHopDag::build(g, &cfg, ctx.run(o));
+        ws.run(&snap, o, &cfg);
         for &m in monitors {
-            if m == o || dag.path_count(m) == 0.0 {
+            if m == o || !ws.reachable(m) {
                 continue;
             }
             // Deterministic representative path: smallest next hop (the
-            // DAG's lists are sorted) at every step.
+            // lists are sorted) at every step.
             let mut path = vec![g.asn(m)];
             let mut cur = m;
             while cur != o {
-                let next = dag.next_hops(cur)[0];
+                let next = ws.next_hops(g, &cfg, cur)[0];
                 path.push(g.asn(next));
                 cur = next;
             }

@@ -1,10 +1,10 @@
 //! Batched propagation engine: take the topology once, sweep many
 //! origins with zero steady-state allocation.
 //!
-//! The per-call [`crate::propagate()`] shim allocates a workspace per
-//! origin; a whole-Internet sweep (hierarchy-free reachability,
-//! leak CDFs) runs it tens of thousands of times, so those allocations
-//! dominate the profile. This module splits the work into three pieces:
+//! A run that allocates its arrays per origin pays for them tens of
+//! thousands of times in a whole-Internet sweep (hierarchy-free
+//! reachability, leak CDFs), so those allocations would dominate the
+//! profile. This module splits the work into three pieces:
 //!
 //! * [`TopologySnapshot`] — a handle on the [`AsGraph`] (its links are
 //!   shared, not copied) plus the per-topology state a run needs; made
@@ -165,7 +165,7 @@ impl TopologySnapshot {
 ///
 /// After a run the workspace dereferences to the finished outcome, so a
 /// result is read where it lies — `ws.selection(n)`, `ws.reach_words()`,
-/// `NextHopDag::build(g, &cfg, &ws)` — and [`Workspace::to_outcome`]
+/// `ws.next_hops(g, &cfg, n)` — and [`Workspace::to_outcome`]
 /// clones it only when one must outlive the workspace.
 #[derive(Debug, Default)]
 pub struct Workspace {

@@ -19,9 +19,10 @@
 //!
 //! The module map follows the paper's analyses:
 //!
-//! * [`mod@propagate`] — the three-phase propagation semantics, the owned
-//!   [`PropagationConfig`], and the single-origin [`propagate()`] shim, with
-//!   support for *node exclusion* (the `I \ P_o \ T1 \ T2` subgraphs
+//! * [`propagate`] — the three-phase propagation semantics, the owned
+//!   [`PropagationConfig`] and the [`RoutingOutcome`] a run leaves (its
+//!   selections, tied-best next hops and path membership, read in place),
+//!   with support for *node exclusion* (the `I \ P_o \ T1 \ T2` subgraphs
 //!   behind hierarchy-free reachability), *origin export restriction*
 //!   (§8's "announce to Tier-1/Tier-2/providers only"), and *import
 //!   policies* (§8's peer locking).
@@ -48,22 +49,27 @@
 //!   many of them (`Simulation::run_sweep_reach_sets_with`).
 //! * [`parallel`] — panic-isolated parallel sweeps with per-worker
 //!   contexts.
-//! * [`dag`] — the tied-best next-hop DAG and exact/floating path counting.
 //! * [`mod@reliance`] — `rely(o, a)` (§7.1) in O(E) via a topological DP:
 //!   the [`RelianceWorkspace`] kernel scores straight off a finished
-//!   [`Workspace`], the [`reliance()`] function over a [`NextHopDag`] is
-//!   its oracle.
+//!   [`Workspace`].
 //! * [`leak`] — route-leak competition between a legitimate origin and a
 //!   misconfigured AS (§8), with the erratum-corrected peer-locking rule:
 //!   a [`VictimSide`] propagated once, any number of leakers run against
 //!   it.
-//! * [`paths`] — tied-best path enumeration (used to check simulated paths
-//!   against traceroute-observed paths, Appendix A).
 //! * [`collectors`] — RouteViews-style RIB collection at monitor ASes,
 //!   the raw input AS-relationship datasets are inferred from.
-//! * [`oracle`] — **test-only**: the original per-call implementation,
-//!   kept as the differential reference for [`engine`]. Not re-exported;
-//!   nothing shipped calls it.
+//!
+//! Reference code, which nothing shipped calls (CI refuses a non-test
+//! line under `crates/*/src` or `examples/` that names it):
+//!
+//! * [`oracle`] — the original per-call implementation, kept as the
+//!   differential reference for [`engine`]. Not re-exported.
+//! * [`dag`] — [`NextHopDag`], the tied-best next-hop DAG materialised
+//!   with exact/floating path counts, and [`reliance()`] over it: the
+//!   oracles of [`RelianceWorkspace`] and of the shipped walks that read
+//!   next hops off a run in place (`tests/engine_equiv.rs`). `paths`, the
+//!   exponential tied-best path enumeration, is compiled for the unit
+//!   tests alone.
 
 pub mod collectors;
 pub mod dag;
@@ -73,7 +79,8 @@ pub mod lanes;
 pub mod leak;
 pub mod oracle;
 pub mod parallel;
-pub mod paths;
+#[cfg(test)]
+mod paths;
 pub mod propagate;
 pub mod reachset;
 pub mod reliance;
@@ -92,8 +99,6 @@ pub use leak::{
     LockingSemantics, VictimSide,
 };
 pub use parallel::{parallel_map_ctx, try_parallel_map_ctx, SweepError};
-pub use propagate::{
-    propagate, ImportPolicy, PropagationConfig, RouteClass, RoutingOutcome, UNREACHED,
-};
+pub use propagate::{ImportPolicy, PropagationConfig, RouteClass, RoutingOutcome, UNREACHED};
 pub use reachset::{ReachForm, ReachIter, ReachSet};
 pub use reliance::{reliance, RelianceWorkspace};

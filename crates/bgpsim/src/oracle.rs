@@ -18,7 +18,8 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Runs in O(V + E log V) (the log from the provider-phase binary heap)
 /// and is deterministic: adjacency lists are sorted and ties never depend
 /// on iteration order. Selections, reach sets and tie sets of
-/// [`crate::propagate()`] are asserted identical to this function's. It
+/// [`crate::engine::Simulation`] runs are asserted identical to this
+/// function's. It
 /// is compared on results only: its `propagate.export_checks` and
 /// `propagate.dijkstra_pops` count this implementation's work (every
 /// receiver's peer edges, a heap seeded in node order), the engine's

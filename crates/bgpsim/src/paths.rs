@@ -1,9 +1,10 @@
-//! Tied-best path enumeration over the next-hop DAG.
+//! Test-only: tied-best path enumeration over the next-hop DAG.
 //!
-//! Appendix A of the paper validates the simulator by checking whether the
-//! AS path observed in each traceroute appears among the simulated paths
-//! tied for best. These helpers enumerate (bounded) and test membership
-//! without enumerating.
+//! Listing every tied-best path is exponential in the ties, so nothing
+//! shipped does it. It stays as the brute force the reliance recurrence
+//! is checked against (`reliance`'s `matches_brute_force_path_enumeration`)
+//! and as the reference for the membership rule shipped code uses,
+//! `RoutingOutcome::is_tied_best_path`.
 
 use crate::dag::NextHopDag;
 use flatnet_asgraph::NodeId;
@@ -20,8 +21,6 @@ impl std::fmt::Display for TooManyPaths {
         write!(f, "more than {} tied-best paths", self.limit)
     }
 }
-
-impl std::error::Error for TooManyPaths {}
 
 /// Enumerates every tied-best path from `t` to the origin, each written
 /// `[t, ..., origin]`. Fails once more than `limit` paths accumulate (tie
@@ -62,26 +61,16 @@ fn walk(
     Ok(())
 }
 
-/// Whether `path` (written `[t, ..., origin]`) is one of the tied-best
-/// paths — i.e. every consecutive hop is a tied-best next hop. O(|path|).
-pub fn contains_path(dag: &NextHopDag, path: &[NodeId]) -> bool {
-    if path.is_empty() || *path.last().unwrap() != dag.origin() {
-        return false;
-    }
-    path.windows(2).all(|w| dag.next_hops(w[0]).binary_search(&w[1]).is_ok())
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagate::{propagate, PropagationConfig};
+    use crate::propagate::{propagate, PropagationConfig, RoutingOutcome};
     use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, Relationship};
 
     fn node(g: &AsGraph, asn: u32) -> NodeId {
         g.index_of(AsId(asn)).unwrap()
     }
 
-    fn diamond() -> (AsGraph, NextHopDag) {
+    fn diamond() -> (AsGraph, RoutingOutcome, NextHopDag) {
         // origin 1; 2 and 3 providers of 1; 4 provider of both.
         let mut b = AsGraphBuilder::new();
         b.add_link(AsId(2), AsId(1), Relationship::P2c);
@@ -93,12 +82,12 @@ mod tests {
         let opts = PropagationConfig::default();
         let out = propagate(&g, node(&g, 1), &opts);
         let dag = NextHopDag::build(&g, &opts, &out);
-        (g, dag)
+        (g, out, dag)
     }
 
     #[test]
     fn enumerates_both_diamond_paths() {
-        let (g, dag) = diamond();
+        let (g, _, dag) = diamond();
         let mut paths = enumerate_paths(&dag, node(&g, 4), 100).unwrap();
         paths.sort();
         assert_eq!(paths.len(), 2);
@@ -108,7 +97,7 @@ mod tests {
 
     #[test]
     fn limit_is_enforced() {
-        let (g, dag) = diamond();
+        let (g, _, dag) = diamond();
         let err = enumerate_paths(&dag, node(&g, 4), 1).unwrap_err();
         assert_eq!(err, TooManyPaths { limit: 1 });
         assert!(err.to_string().contains("more than 1"));
@@ -116,26 +105,38 @@ mod tests {
 
     #[test]
     fn unreachable_enumerates_empty() {
-        let (g, dag) = diamond();
+        let (g, _, dag) = diamond();
         assert!(enumerate_paths(&dag, node(&g, 9), 10).unwrap().is_empty());
     }
 
     #[test]
     fn origin_has_the_trivial_path() {
-        let (g, dag) = diamond();
+        let (g, _, dag) = diamond();
         let paths = enumerate_paths(&dag, node(&g, 1), 10).unwrap();
         assert_eq!(paths, vec![vec![node(&g, 1)]]);
     }
 
+    /// The shipped membership rule, read off the run in place, accepts
+    /// every enumerated path and nothing else on the diamond.
     #[test]
     fn contains_path_agrees_with_enumeration() {
-        let (g, dag) = diamond();
-        assert!(contains_path(&dag, &[node(&g, 4), node(&g, 2), node(&g, 1)]));
-        assert!(contains_path(&dag, &[node(&g, 4), node(&g, 3), node(&g, 1)]));
+        let (g, out, dag) = diamond();
+        let cfg = PropagationConfig::default();
+        let holds = |asns: &[u32]| {
+            let path: Vec<NodeId> = asns.iter().map(|&a| node(&g, a)).collect();
+            out.is_tied_best_path(&g, &cfg, &path)
+        };
+        for t in g.nodes() {
+            for p in enumerate_paths(&dag, t, 100).unwrap() {
+                assert!(out.is_tied_best_path(&g, &cfg, &p), "{p:?}");
+            }
+        }
+        assert!(holds(&[4, 2, 1]));
+        assert!(holds(&[4, 3, 1]));
         // Wrong order / non-best / not ending at origin.
-        assert!(!contains_path(&dag, &[node(&g, 4), node(&g, 1)]));
-        assert!(!contains_path(&dag, &[node(&g, 4), node(&g, 2)]));
-        assert!(!contains_path(&dag, &[]));
-        assert!(contains_path(&dag, &[node(&g, 1)]));
+        assert!(!holds(&[4, 1]));
+        assert!(!holds(&[4, 2]));
+        assert!(!holds(&[]));
+        assert!(holds(&[1]));
     }
 }

@@ -22,12 +22,10 @@
 //! [`PropagationConfig`]: node exclusion (reachability subgraphs), origin
 //! export restriction, and per-node import policies (peer locking).
 //!
-//! [`propagate`] is a convenience shim over [`crate::engine`]: it compiles a
-//! [`crate::engine::TopologySnapshot`] and runs one origin through a fresh
-//! [`crate::engine::Workspace`]. Sweeps should build the snapshot once and
-//! use [`crate::engine::Simulation`] instead. The original per-call
-//! implementation lives on only as the test-only reference in
-//! [`crate::oracle`].
+//! Runs go through [`crate::engine`]: `Simulation::over(&snap).run(o)` for
+//! one origin, a [`crate::engine::Workspace`] read in place for many. The
+//! original per-call implementation lives on only as the test-only
+//! reference in [`crate::oracle`].
 
 use flatnet_asgraph::{AsGraph, NodeId};
 use flatnet_obs::Counter;
@@ -383,19 +381,24 @@ impl RoutingOutcome {
         }
         out
     }
+
+    /// Whether `path`, written `[t, ..., origin]`, is one of `t`'s
+    /// tied-best paths: it ends at the origin and each hop is among the
+    /// [`Self::next_hops`] of the one before. O(|path| · degree), nothing
+    /// materialised; the origin alone is its own path, the empty path is
+    /// nobody's.
+    pub fn is_tied_best_path(&self, g: &AsGraph, cfg: &PropagationConfig, path: &[NodeId]) -> bool {
+        path.last() == Some(&self.origin)
+            && path.windows(2).all(|w| self.next_hops(g, cfg, w[0]).contains(&w[1]))
+    }
 }
 
-/// Propagates `origin`'s announcement over `g` under `cfg`.
-///
-/// Convenience shim over the batched engine: compiles a
-/// [`crate::engine::TopologySnapshot`] and runs the origin through a fresh
-/// [`crate::engine::Workspace`]. For sweeps over many origins, compile
-/// the snapshot once and use [`crate::engine::Simulation`] instead.
-pub fn propagate(g: &AsGraph, origin: NodeId, cfg: &PropagationConfig) -> RoutingOutcome {
+/// One origin on a fresh snapshot: the unit tests' shorthand for
+/// `Simulation::over(&snap).config(cfg).run(origin)`.
+#[cfg(test)]
+pub(crate) fn propagate(g: &AsGraph, origin: NodeId, cfg: &PropagationConfig) -> RoutingOutcome {
     let snap = crate::engine::TopologySnapshot::compile(g);
-    let mut ws = crate::engine::Workspace::for_snapshot(&snap);
-    crate::engine::run_into(&snap, origin, &cfg.view(), &mut ws);
-    ws.into_outcome()
+    crate::engine::Simulation::over(&snap).config(cfg.clone()).run(origin)
 }
 
 #[cfg(test)]
@@ -760,7 +763,7 @@ mod tests {
         }
 
         proptest! {
-            /// The *engine* path (via the `propagate` shim) must equal the
+            /// The *engine* path (a `Simulation` run) must equal the
             /// Jacobi fixpoint of the raw export rules — and the legacy
             /// implementation must agree node-for-node too.
             #[test]

@@ -27,9 +27,12 @@
 //! finished [`Workspace`] and its [`TopologySnapshot`] into reused
 //! buffers, visiting nodes and hops in the oracle's order and summing in
 //! the oracle's order, so every score is bit-identical
-//! (`tests/engine_equiv.rs`). Callers that walk the DAG itself (path
-//! enumeration, collectors, traceroute simulation) stay on
-//! [`NextHopDag`].
+//! (`tests/engine_equiv.rs`). Nothing shipped builds a [`NextHopDag`]:
+//! callers that walk tied next hops (collectors, traceroute simulation,
+//! Appendix A's path check) read [`RoutingOutcome::next_hops`] off the
+//! run in place.
+//!
+//! [`RoutingOutcome::next_hops`]: crate::RoutingOutcome::next_hops
 
 use crate::dag::NextHopDag;
 use crate::engine::{TopologySnapshot, Workspace};

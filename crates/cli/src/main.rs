@@ -6,7 +6,9 @@
 #![forbid(unsafe_code)]
 
 mod commands;
+mod lab;
 mod opts;
+mod repro;
 
 use std::process::ExitCode;
 
@@ -205,7 +207,7 @@ fn main() -> ExitCode {
         "snapshot" => commands::snapshot(rest),
         "metrics" => commands::metrics(rest),
         "trace" => commands::trace(rest),
-        "repro" => flatnet_bench::repro::run(rest),
+        "repro" => repro::run(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())

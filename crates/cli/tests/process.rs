@@ -127,6 +127,26 @@ fn repro_metrics_file_holds_the_four_phases_and_the_parser_counters() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--fast` picks the base scale; `--ases`, `--seed` and `--leakers` hold
+/// on top of it on either side of it.
+#[test]
+fn repro_scale_flags_hold_on_either_side_of_fast() {
+    let header = "# flatnet repro — 300 ASes (2020 epoch), seed 7, 9 leak sims/config";
+    for args in [
+        ["table3", "--ases", "300", "--seed", "7", "--leakers", "9", "--fast"],
+        ["table3", "--fast", "--ases", "300", "--seed", "7", "--leakers", "9"],
+    ] {
+        let (code, out, err) = run(&[&["repro"], &args[..]].concat());
+        assert_eq!(code, 0, "{args:?}: {err}");
+        assert_eq!(out.lines().next(), Some(header), "{args:?}");
+    }
+    // The flags not given keep `--fast`'s values.
+    let (code, out, _) = run(&["repro", "table3", "--ases", "300", "--fast"]);
+    assert_eq!(code, 0);
+    let header = "# flatnet repro — 300 ASes (2020 epoch), seed 2020, 60 leak sims/config";
+    assert_eq!(out.lines().next(), Some(header));
+}
+
 #[test]
 fn serve_takes_its_flags_answers_and_exits_zero_on_shutdown() {
     let (proc, daemon) = serve(&["--ases", "300", "--seed", "5", "--workers", "3"]);

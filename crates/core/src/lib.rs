@@ -81,7 +81,5 @@ pub mod prelude {
     pub use crate::reachability::{hierarchy_free_all, reachability_profile, ReachabilityResult};
     pub use crate::reliance_exp::{reliance_under_hierarchy_free, RelianceEntry};
     pub use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
-    pub use flatnet_bgpsim::{
-        propagate, PropagationConfig, RouteClass, Simulation, TopologySnapshot,
-    };
+    pub use flatnet_bgpsim::{PropagationConfig, RouteClass, Simulation, TopologySnapshot};
 }

@@ -6,8 +6,7 @@
 //! paper reports 73.3% (Amazon) to 91.9% (Google) agreement.
 
 use flatnet_asgraph::{AsGraph, AsId, NodeId};
-use flatnet_bgpsim::paths::contains_path;
-use flatnet_bgpsim::{NextHopDag, PropagationConfig, Simulation, TopologySnapshot};
+use flatnet_bgpsim::{PropagationConfig, TopologySnapshot, Workspace};
 use flatnet_prefixdb::{ResolutionOrder, Resolver};
 use flatnet_tracesim::{traceroute_as_path, Campaign};
 use std::collections::BTreeMap;
@@ -35,9 +34,9 @@ impl PathAgreement {
 /// Scores a campaign's traceroutes against simulated paths on `g` (the
 /// graph the simulation used — typically the augmented topology).
 ///
-/// Returns per-cloud agreement. Destination propagations are cached, so
-/// cost is one propagation per distinct destination AS plus O(path) per
-/// trace.
+/// Returns per-cloud agreement. Traces are visited grouped by destination,
+/// so the cost is one propagation per distinct destination AS, read in
+/// place and kept no longer than its group, plus O(path) per trace.
 pub fn validate_paths(
     g: &AsGraph,
     resolver: &Resolver,
@@ -48,30 +47,30 @@ pub fn validate_paths(
         clouds.iter().map(|c| (c.0, PathAgreement { scored: 0, matching: 0 })).collect();
     let cfg = PropagationConfig::default();
     let snap = TopologySnapshot::compile(g);
-    let sim = Simulation::over(&snap);
-    let mut ctx = sim.ctx();
-    let mut dag_cache: BTreeMap<u32, Option<NextHopDag>> = BTreeMap::new();
+    let mut ws = Workspace::for_snapshot(&snap);
+    let traces = &campaign.traces;
+    let mut order: Vec<usize> = (0..traces.len()).collect();
+    order.sort_by_key(|&i| traces[i].dst_asn);
 
-    for t in &campaign.traces {
-        let Some(stats) = per_cloud.get_mut(&t.vp.cloud.0) else { continue };
-        let Some(as_path) = traceroute_as_path(t, resolver, ResolutionOrder::PeeringDbFirst) else {
-            continue;
-        };
-        // Map to node ids; paths touching unknown ASes can't be scored.
-        let Some(node_path) = as_path
-            .iter()
-            .map(|&a| g.index_of(a))
-            .collect::<Option<Vec<NodeId>>>()
-        else {
-            continue;
-        };
-        let dag = dag_cache.entry(t.dst_asn.0).or_insert_with(|| {
-            g.index_of(t.dst_asn).map(|d| NextHopDag::build(g, &cfg, ctx.run(d)))
-        });
-        let Some(dag) = dag else { continue };
-        stats.scored += 1;
-        if contains_path(dag, &node_path) {
-            stats.matching += 1;
+    for group in order.chunk_by(|&a, &b| traces[a].dst_asn == traces[b].dst_asn) {
+        let Some(d) = g.index_of(traces[group[0]].dst_asn) else { continue };
+        ws.run(&snap, d, &cfg);
+        for t in group.iter().map(|&i| &traces[i]) {
+            let Some(stats) = per_cloud.get_mut(&t.vp.cloud.0) else { continue };
+            let Some(as_path) = traceroute_as_path(t, resolver, ResolutionOrder::PeeringDbFirst)
+            else {
+                continue;
+            };
+            // Map to node ids; paths touching unknown ASes can't be scored.
+            let Some(node_path) =
+                as_path.iter().map(|&a| g.index_of(a)).collect::<Option<Vec<NodeId>>>()
+            else {
+                continue;
+            };
+            stats.scored += 1;
+            if ws.is_tied_best_path(g, &cfg, &node_path) {
+                stats.matching += 1;
+            }
         }
     }
     per_cloud

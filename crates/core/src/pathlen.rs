@@ -5,7 +5,7 @@
 //! ways: by AS count, by eyeball ASes only, and by estimated users.
 
 use flatnet_asgraph::{AsGraph, AsId};
-use flatnet_bgpsim::{propagate, PropagationConfig};
+use flatnet_bgpsim::{Simulation, TopologySnapshot};
 
 /// One weighted 1/2/3+ hop split (each row of Fig. 13), in percent.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,7 +51,7 @@ pub struct PathLengthProfile {
 /// indexed by node (APNIC-style user estimates).
 pub fn path_length_profile(g: &AsGraph, origin: AsId, users: &[f64]) -> Option<PathLengthProfile> {
     let o = g.index_of(origin)?;
-    let out = propagate(g, o, &PropagationConfig::default());
+    let out = Simulation::over(&TopologySnapshot::compile(g)).run(o);
     let mut all = [0f64; 3];
     let mut eyeball = [0f64; 3];
     let mut pop = [0f64; 3];

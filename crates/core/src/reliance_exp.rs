@@ -1,9 +1,7 @@
 //! Reachability reliance experiments (§7, Table 2, Figure 6, Appendix B).
 
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
-use flatnet_bgpsim::{
-    propagate, Exclusion, ExclusionPolicy, PropagationConfig, Simulation, TopologySnapshot,
-};
+use flatnet_bgpsim::{Exclusion, ExclusionPolicy, Simulation, TopologySnapshot};
 
 /// One AS's reliance value from an origin's perspective.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,8 +105,8 @@ pub fn tier1_free_reach_also_excluding(
             }
         }
     }
-    let cfg = PropagationConfig::new().with_excluded(mask);
-    Some(propagate(g, o, &cfg).reachable_count())
+    let snap = TopologySnapshot::compile(g);
+    Some(Simulation::over(&snap).excluded(mask).run(o).reachable_count())
 }
 
 #[cfg(test)]

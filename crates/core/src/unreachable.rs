@@ -121,11 +121,11 @@ mod tests {
         assert!((bd.pct(AsType::Content) - 0.0).abs() < 1e-12);
     }
 
-    /// The kernel-backed batch agrees with a scalar `propagate` + mask
-    /// reference for every origin (including `None` slots for unknowns).
+    /// The kernel-backed batch agrees with a scalar run + mask reference
+    /// for every origin (including `None` slots for unknowns).
     #[test]
     fn batch_matches_scalar_propagate() {
-        use flatnet_bgpsim::{propagate, PropagationConfig};
+        use flatnet_bgpsim::{Simulation, TopologySnapshot};
         let mut b = AsGraphBuilder::new();
         b.add_link(AsId(1), AsId(10), Relationship::P2c);
         b.add_link(AsId(1), AsId(2), Relationship::P2p);
@@ -136,6 +136,7 @@ mod tests {
         let g = b.build();
         let tiers = Tiers::from_lists(&g, &[AsId(1), AsId(2)], &[AsId(3)]);
         let type_of = |n: NodeId| AsType::ALL[n.idx() % 4];
+        let snap = TopologySnapshot::compile(&g);
 
         let mut origins: Vec<AsId> = g.asns().collect();
         origins.push(AsId(777)); // unknown
@@ -156,8 +157,7 @@ mod tests {
                 mask[n.idx()] = true;
             }
             mask[o.idx()] = false;
-            let cfg = PropagationConfig::new().with_excluded(mask.clone());
-            let out = propagate(&g, o, &cfg);
+            let out = Simulation::over(&snap).excluded(mask.clone()).run(o);
             let mut by_type = [0usize; 4];
             let mut total = 0usize;
             for n in g.nodes() {

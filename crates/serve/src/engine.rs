@@ -1144,7 +1144,7 @@ mod tests {
     use super::*;
     use crate::http::Body;
     use crate::snapshot::TopologySource;
-    use flatnet_bgpsim::{propagate, reliance, NextHopDag};
+    use flatnet_bgpsim::{reliance, NextHopDag};
 
     /// A one-worker `Shared` over a generated topology large enough that
     /// a full-reach reliance answer has more than `RELIANCE_TOP_MAX`
@@ -1231,7 +1231,8 @@ mod tests {
         let mut mask = vec![false; g.len()];
         Exclusion::new(g, &snap.tiers, policy).unwrap().fill_scalar(node, &mut mask);
         let cfg = PropagationConfig::new().with_excluded(mask);
-        let scores = reliance(&NextHopDag::build(g, &cfg, &propagate(g, node, &cfg)));
+        let out = Simulation::over(&snap.topo).config(cfg.clone()).run(node);
+        let scores = reliance(&NextHopDag::build(g, &cfg, &out));
         let mut top: Vec<(u32, f64)> = scores
             .iter()
             .enumerate()

@@ -15,7 +15,7 @@
 
 use crate::model::{Hop, Traceroute, VantagePoint};
 use flatnet_asgraph::{AsId, NodeId};
-use flatnet_bgpsim::{NextHopDag, PropagationConfig, Simulation, TopologySnapshot};
+use flatnet_bgpsim::{PropagationConfig, RoutingOutcome, TopologySnapshot, Workspace};
 use flatnet_geo::cities::CITIES;
 use flatnet_geo::haversine_km;
 use flatnet_geo::GeoPoint;
@@ -146,8 +146,7 @@ pub fn run_campaign(net: &SyntheticInternet, opts: &CampaignOptions) -> Campaign
 
     let popts = PropagationConfig::default();
     let snap = TopologySnapshot::compile(&net.truth);
-    let sim = Simulation::over(&snap);
-    let mut pctx = sim.ctx();
+    let mut ws = Workspace::for_snapshot(&snap);
     let mut traces = Vec::new();
     for d in net.truth.nodes() {
         let dst_asn = net.truth.asn(d);
@@ -159,14 +158,14 @@ pub fn run_campaign(net: &SyntheticInternet, opts: &CampaignOptions) -> Campaign
             continue;
         };
         let dst_ip = dst_prefix.addr(80);
-        let dag = NextHopDag::build(&net.truth, &popts, pctx.run(d));
+        ws.run(&snap, d, &popts);
         for ctx in &clouds {
-            if ctx.node == d || dag.path_count(ctx.node) == 0.0 {
+            if ctx.node == d || !ws.reachable(ctx.node) {
                 continue;
             }
             for &vp_city in &ctx.vps {
                 let vp = VantagePoint { cloud: ctx.info.asn, city: vp_city };
-                let path = select_path(net, ctx, &dag, vp_city, dst_asn, opts.seed);
+                let path = select_path(net, ctx, &popts, &ws, vp_city, dst_asn, opts.seed);
                 traces.push(synthesize(net, ctx, vp, dst_ip, dst_asn, &path, opts));
             }
         }
@@ -174,11 +173,13 @@ pub fn run_campaign(net: &SyntheticInternet, opts: &CampaignOptions) -> Campaign
     Campaign { traces }
 }
 
-/// Picks one concrete AS path from the tied-best DAG for a given VM.
+/// Picks one concrete AS path among the tied-best routes `routes` (the
+/// destination's run over `net.truth` under `cfg`) for a given VM.
 fn select_path(
     net: &SyntheticInternet,
     ctx: &CloudCtx<'_>,
-    dag: &NextHopDag,
+    cfg: &PropagationConfig,
+    routes: &RoutingOutcome,
     vp_city: usize,
     dst: AsId,
     seed: u64,
@@ -187,13 +188,13 @@ fn select_path(
     let mut path = vec![ctx.node];
     let mut cur = ctx.node;
     let mut first = true;
-    while cur != dag.origin() {
-        let hops = dag.next_hops(cur);
+    while cur != routes.origin() {
+        let hops = routes.next_hops(&net.truth, cfg, cur);
         debug_assert!(!hops.is_empty());
         let next = if first {
             // Egress selection: score every tied-best first hop.
             let mut best: Option<(f64, u64, NodeId)> = None;
-            for &h in hops {
+            for &h in &hops {
                 let asn = net.truth.asn(h);
                 let mut w;
                 if let Some(&(kind, city)) = ctx.links.get(&asn.0) {

@@ -26,7 +26,7 @@
 use flatnet_asgraph::{AsId, NodeId, Tiers};
 use flatnet_bgpsim::oracle::propagate_legacy;
 use flatnet_bgpsim::{
-    propagate, reliance, Exclusion, ExclusionPolicy, ImportPolicy, LaneWidth, LaneWorkspace,
+    reliance, Exclusion, ExclusionPolicy, ImportPolicy, LaneWidth, LaneWorkspace,
     NextHopDag, PropagationConfig, RelianceWorkspace, RoutingOutcome, Simulation, SweepCtx,
     TopologySnapshot, Workspace,
 };
@@ -190,7 +190,7 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
                 }
 
                 let legacy = propagate_legacy(g, origin, &cfg);
-                let engine = propagate(g, origin, &cfg);
+                let engine = Simulation::over(&snap).config(cfg.clone()).run(origin);
 
                 assert_eq!(
                     legacy.reachable_count(),
