@@ -208,6 +208,18 @@ pub fn detected_lane_words() -> usize {
     }
 }
 
+/// Whether a block of two or more lane words takes the AVX2 phase
+/// runner: where the CPU reports AVX2, unless a test has sent this
+/// thread's blocks to the portable runner to compare the two.
+#[cfg(target_arch = "x86_64")]
+fn takes_avx2() -> bool {
+    #[cfg(test)]
+    if tests::PORTABLE_ONLY.get() {
+        return false;
+    }
+    std::arch::is_x86_feature_detected!("avx2")
+}
+
 /// SIMD features relevant to the kernel, as detected at runtime.
 /// Printed in the benchmark's header so figures measured on different
 /// machines are comparable.
@@ -792,10 +804,11 @@ where
         oe: Option<&[bool]>,
     ) -> u64 {
         #[cfg(target_arch = "x86_64")]
-        if W >= 2 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 presence is checked at runtime on the line
-            // above; the callee is the portable function recompiled, so
-            // the target feature is all that calling it requires.
+        if W >= 2 && takes_avx2() {
+            // SAFETY: `takes_avx2` is true only where the CPU reports
+            // AVX2 at runtime; the callee is the portable function
+            // recompiled, so the target feature is all that calling it
+            // requires.
             #[allow(unsafe_code)] // the crate's one `unsafe`
             return unsafe { self.run_phases_avx2::<POL>(snap, imp, oe) };
         }
@@ -1214,6 +1227,13 @@ mod tests {
     use crate::reachset::ReachSet;
     use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, Relationship};
 
+    thread_local! {
+        /// Sends this thread's blocks to the portable phase runner even
+        /// where the CPU has AVX2 (see `takes_avx2`).
+        pub(super) static PORTABLE_ONLY: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+    }
+
     fn transpose_naive(a: &[u64; 64]) -> [u64; 64] {
         let mut b = [0u64; 64];
         for (i, &w) in a.iter().enumerate() {
@@ -1537,5 +1557,95 @@ mod tests {
             assert_eq!(count as usize, reach.reachable_count(i));
         }
         assert_eq!(counts.len(), origins.len());
+    }
+
+    /// SplitMix64, for the random graphs, policies and blocks below.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// 24–95 ASes and three random links per AS: peerings, and
+    /// provider links from the lower-numbered end.
+    fn random_graph(rng: &mut u64) -> AsGraph {
+        let n = 24 + next(rng) % 72;
+        let mut b = AsGraphBuilder::new();
+        for _ in 0..3 * n {
+            let (x, y) = (next(rng) % n, next(rng) % n);
+            let rel = if next(rng).is_multiple_of(4) { Relationship::P2p } else { Relationship::P2c };
+            b.add_link(AsId(1 + x.min(y) as u32), AsId(1 + x.max(y) as u32), rel);
+        }
+        b.build()
+    }
+
+    /// One full block of random origins (repeats allowed) through `lanes`
+    /// twice — by dispatch, which takes the AVX2 runner at `W ≥ 2` on
+    /// this CPU, then by the portable runner — each lane excluding a
+    /// random node of its own. Returns whether the two agree by bits.
+    fn runners_agree<const W: usize>(
+        lanes: &mut LaneWorkspace<W>,
+        snap: &TopologySnapshot,
+        cfg: &PropagationConfig,
+        rng: &mut u64,
+    ) -> bool
+    where
+        Lanes<W>: LaneArity,
+        [NodeWords<W>]: AsExclusionLanes,
+    {
+        let n = snap.len() as u64;
+        let origins: Vec<NodeId> = (0..64 * W).map(|_| NodeId((next(rng) % n) as u32)).collect();
+        let salt = next(rng);
+        let mut reach = |portable: bool| {
+            PORTABLE_ONLY.set(portable);
+            lanes.run_block_masked(snap, &origins, cfg, |o, ex| {
+                ex.exclude(NodeId(((o.0 as u64 ^ salt) % n) as u32));
+                ex.allow(o);
+            });
+            PORTABLE_ONLY.set(false);
+            (0..origins.len())
+                .map(|k| (lanes.lane_reach_words(k).to_vec(), lanes.lane_reachable_count(k)))
+                .collect::<Vec<_>>()
+        };
+        reach(false) == reach(true)
+    }
+
+    /// The AVX2 runner is the portable one recompiled, and only this
+    /// holds it to that: on an AVX2 CPU every block of two or more lane
+    /// words takes it, so nothing else runs the portable runner at
+    /// `W = 2` or `4`. Random small graphs, each under the mask-only
+    /// policy (`POL = false`) and under random import and origin-export
+    /// policies (`POL = true`).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_and_portable_phase_runners_reach_the_same_bits() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            eprintln!("skipped: this CPU has no AVX2, so blocks only ever take the portable runner");
+            return;
+        }
+        let mut rng = 0x5EED_u64;
+        let (mut w2, mut w4) = (LaneWorkspace::<2>::new(), LaneWorkspace::<4>::new());
+        for _ in 0..40 {
+            let g = random_graph(&mut rng);
+            let snap = TopologySnapshot::compile(&g);
+            let n = g.len();
+            let mask_only = PropagationConfig::new()
+                .with_excluded((0..n).map(|_| next(&mut rng).is_multiple_of(8)).collect());
+            let policies = [
+                ImportPolicy::Normal,
+                ImportPolicy::OnlyDirectFromOrigin,
+                ImportPolicy::RejectDirectFromOrigin,
+                ImportPolicy::Never,
+            ];
+            let with_policies = PropagationConfig::new()
+                .with_import((0..n).map(|_| policies[(next(&mut rng) % 8).saturating_sub(4) as usize]).collect())
+                .with_origin_export((0..n).map(|_| !next(&mut rng).is_multiple_of(4)).collect());
+            for cfg in [&mask_only, &with_policies] {
+                assert!(runners_agree(&mut w2, &snap, cfg, &mut rng), "W = 2, {n} ASes");
+                assert!(runners_agree(&mut w4, &snap, cfg, &mut rng), "W = 4, {n} ASes");
+            }
+        }
     }
 }

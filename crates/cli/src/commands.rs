@@ -926,16 +926,15 @@ impl Drop for SpawnedShards {
     }
 }
 
-/// `flatnet snapshot save|verify|fuzz`: the crash-safe snapshot store.
+/// `flatnet snapshot save|verify`: the crash-safe snapshot store.
 pub fn snapshot(args: &[String]) -> Result<(), String> {
     let Some((sub, rest)) = args.split_first() else {
-        return Err("snapshot requires a subcommand (save|verify|fuzz)".into());
+        return Err("snapshot requires a subcommand (save|verify)".into());
     };
     match sub.as_str() {
         "save" => snapshot_save(rest),
         "verify" => snapshot_verify(rest),
-        "fuzz" => snapshot_fuzz(rest),
-        other => Err(format!("unknown snapshot subcommand {other:?} (want save|verify|fuzz)")),
+        other => Err(format!("unknown snapshot subcommand {other:?} (want save|verify)")),
     }
 }
 
@@ -980,33 +979,6 @@ fn snapshot_verify(args: &[String]) -> Result<(), String> {
         report.tier_sizes.1,
         thousands(report.file_bytes),
     );
-    Ok(())
-}
-
-/// `flatnet snapshot fuzz --store FILE` — run the deterministic
-/// corruption corpus against a valid store image and fail unless every
-/// fault degrades to a typed error (the CI robustness gate).
-fn snapshot_fuzz(args: &[String]) -> Result<(), String> {
-    let opts = Opts::parse(args, &[], &["store"])?;
-    let path = opts.required("store")?;
-    flatnet_store::verify(path, false)
-        .map_err(|e| format!("{path}: fuzz needs a valid store image: {e}"))?;
-    let bytes = fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    let (total, failures) = flatnet_store::run_corpus_checked(&bytes, |r| match &r.outcome {
-        flatnet_store::FaultOutcome::TypedError(kind) => {
-            flatnet_obs::debug!("ok   {:<48} -> {kind}", r.name);
-        }
-        flatnet_store::FaultOutcome::Panicked => {
-            flatnet_obs::error!("FAIL {:<48} -> decoder panicked", r.name);
-        }
-        flatnet_store::FaultOutcome::Accepted => {
-            flatnet_obs::error!("FAIL {:<48} -> corrupted image accepted", r.name);
-        }
-    });
-    println!("{path}: {total} injected faults, {failures} failures");
-    if failures > 0 {
-        return Err(format!("{failures} of {total} injected faults were mishandled"));
-    }
     Ok(())
 }
 

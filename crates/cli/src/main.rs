@@ -111,13 +111,10 @@ USAGE:
   flatnet snapshot save   --out FILE [--as-rel FILE | --ases N --seed S]
                           [--tier1 .. --tier2 ..]
   flatnet snapshot verify --store FILE
-  flatnet snapshot fuzz   --store FILE
       Manage crash-safe snapshot stores (graph + tier sets; the compiled
       topology is rebuilt on load): `save` builds a topology, refuses it
       if it fails the daemon's health gate, and writes it atomically;
-      `verify` decodes and checksum-checks it as a warm start would;
-      `fuzz` injects the deterministic corruption corpus and fails
-      unless every fault degrades to a typed error.
+      `verify` decodes and checksum-checks it as a warm start would.
 
   flatnet metrics [--in PATH] [--prom]
       Render an obs snapshot — from a flatnet-obs/v2 file written with

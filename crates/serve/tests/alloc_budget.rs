@@ -7,12 +7,13 @@
 //! the topology. The same constants hold at two node counts a factor of
 //! four apart, which is what "independent of node count" means here.
 //!
-//! Measured from outside, over the daemon's real request path: a counting
-//! `#[global_allocator]` sums the bytes every thread but the test's own
-//! allocates (the test thread mutes itself, so its client-side buffers do
-//! not count), one worker serves one keep-alive connection, and the
-//! answers' retained bytes are read off `/healthz` (`cache_bytes` is the
-//! sum of the cached answers' `retained_bytes`). That a request was a
+//! Measured from outside, over the daemon's real request path: the
+//! `flatnet-testkit` counting `#[global_allocator]` sums the bytes every
+//! thread but the test's own allocates (the test thread mutes itself, so
+//! its client-side buffers do not count), one worker serves one
+//! keep-alive connection, and the answers' retained bytes are read off
+//! `/healthz` (`cache_bytes` is the sum of the cached answers'
+//! `retained_bytes`). That a request was a
 //! miss is read off its own body (`"cached":false`), never inferred from
 //! how much it kept: a reach answer is kept by its shorter side, so a
 //! full-reach miss keeps a few dozen bytes at any node count and only an
@@ -24,53 +25,12 @@
 use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_serve::json::{parse, Json};
 use flatnet_serve::{ServeConfig, Server, TopologySource};
+use flatnet_testkit::{mute_this_thread, process, Counting};
 use flatnet_wire::Client;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Sums allocated bytes (a `realloc` counts what it grows by) on every
-/// thread that has not muted itself.
-struct CountingAlloc;
-
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Const-initialized and without a destructor, so reading it from
-    /// inside the allocator neither allocates nor registers anything.
-    static MUTED: Cell<bool> = const { Cell::new(false) };
-}
-
-fn count(bytes: usize) {
-    if !MUTED.try_with(Cell::get).unwrap_or(true) {
-        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size.saturating_sub(layout.size()));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static ALLOC: Counting = Counting;
 
 /// What one request cost the daemon.
 struct Cost {
@@ -129,9 +89,9 @@ impl Daemon {
 
     fn measure(&self, method: &str, target: &str, body: Option<&str>) -> Cost {
         let cache_before = self.health("cache_bytes");
-        let before = BYTES.load(Ordering::Relaxed);
+        let before = process().bytes;
         let response = self.request(method, target, body);
-        let allocated = BYTES.load(Ordering::Relaxed) - before;
+        let allocated = process().bytes - before;
         let retained = self.health("cache_bytes") - cache_before;
         let misses = response.matches("\"cached\":false").count() as u64;
         Cost { allocated, retained, misses, response: response.len() as u64 }
@@ -174,7 +134,7 @@ const FULL_REACH_ANSWER_MAX: u64 = 256;
 
 #[test]
 fn a_steady_state_miss_allocates_its_answer_and_its_response_and_no_scratch() {
-    MUTED.with(|m| m.set(true));
+    mute_this_thread();
     for ases in [3_000usize, 12_000] {
         let net = generate(&NetGenConfig::paper_2020(ases, 15));
         let asns: Vec<u32> = net.truth.asns().map(|a| a.0).collect();

@@ -11,24 +11,21 @@
 //! and a corrupted file costs a rebuild from the source instead of a
 //! wrong answer.
 //!
-//! Three guarantees, one per layer:
+//! Two guarantees, one per layer:
 //!
 //! * **Format** ([`mod@format`], [`codec`]) — a versioned binary container
 //!   (magic + format version + section table) with length-prefixed,
 //!   individually CRC-32-checksummed sections for the snapshot version,
 //!   the AS graph and the tier sets. Every length and offset is
 //!   bounds-checked with checked arithmetic; [`decode`] never panics on
-//!   any input, and the compiled topology it returns shares the links
-//!   of the graph it just validated.
+//!   any input (`tests/fuzz.rs` attacks it with arbitrary bytes, and
+//!   `tests/fault_injection.rs` with one fault per error kind), and the
+//!   compiled topology it returns shares the links of the graph it just
+//!   validated.
 //! * **Durability** ([`store`]) — [`save_atomic`] writes temp file →
 //!   fsync → rename → directory fsync, so a crash mid-write can never
 //!   leave a half-valid store under the real name; [`load`] verifies
 //!   every checksum before constructing anything.
-//! * **Fault injection** ([`fault`]) — a deterministic corruption
-//!   corpus (truncation at every section boundary, bit-flips in every
-//!   section, zeroed header, swapped sections, version skew) and a
-//!   runner pinning the decoder to "typed error, never a panic, never
-//!   a silent accept" in CI.
 //!
 //! The serve daemon's fallback ladder on top of this lives in
 //! `flatnet-serve`: warm-start from a valid store, rebuild from the source
@@ -37,11 +34,9 @@
 pub mod codec;
 pub mod crc32;
 pub mod error;
-pub mod fault;
 pub mod format;
 pub mod store;
 
 pub use codec::{decode, encode, StoredSnapshot};
 pub use error::{SectionId, StoreError};
-pub use fault::{corruption_corpus, run_corpus, run_corpus_checked, FaultOutcome, FaultResult};
 pub use store::{load, save_atomic, verify, VerifyReport};

@@ -9,65 +9,18 @@
 //! Generation is the vendored fixed-seed `proptest`, so every run
 //! explores the same inputs and a failure reproduces.
 
+use flatnet_testkit::{soup, Counting, Dribble, Target};
 use flatnet_wire::http::{
-    read_request, read_response, ChunkSink, Response, CHUNK_FLUSH, MAX_BODY, MAX_HEADER_LINE,
-    MAX_REQUEST_LINE,
+    read_request, read_response, ChunkSink, Reply, Request, Response, CHUNK_FLUSH, MAX_BODY,
+    MAX_HEADER_LINE, MAX_REQUEST_LINE,
 };
 use flatnet_wire::json::{self, Json};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::io::{BufReader, Read};
-
-// ---------------------------------------------------------------------
-// Allocation accounting: per-thread live and peak heap bytes, so tests
-// running in parallel do not see each other.
-// ---------------------------------------------------------------------
-
-struct Counting;
-
-thread_local! {
-    // Const-initialized and drop-free, so touching them never allocates.
-    static LIVE: Cell<usize> = const { Cell::new(0) };
-    static PEAK: Cell<usize> = const { Cell::new(0) };
-}
-
-fn grew(bytes: usize) {
-    let live = LIVE.get() + bytes;
-    LIVE.set(live);
-    PEAK.set(PEAK.get().max(live));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract (`realloc` defaults to `alloc` + copy +
-// `dealloc`); the bookkeeping around it touches only plain thread-local
-// integers.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.set(LIVE.get().saturating_sub(layout.size()));
-        // SAFETY: `ptr` came from `System.alloc` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use std::io::BufReader;
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
-
-/// Runs `f` and returns the most heap it held at once beyond what was
-/// live when it started.
-fn peak_heap<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.get();
-    PEAK.set(base);
-    let out = f();
-    (out, PEAK.get().saturating_sub(base))
-}
 
 // ---------------------------------------------------------------------
 // Inputs.
@@ -112,12 +65,11 @@ const FRAGMENTS: &[&[u8]] = &[
 ];
 
 /// Byte soup: maybe a start line, a few header lines and the blank
-/// line, then fragments and short random runs (an out-of-range pick is
-/// "none" or "random" respectively).
-fn soup() -> impl Strategy<Value = Vec<u8>> {
+/// line (an out-of-range pick is "none"), then fragments and short random
+/// runs.
+fn http_soup() -> impl Strategy<Value = Vec<u8>> {
     let head = (0..=START_LINES.len(), vec(0..=HEADERS.len(), 0..4), any::<bool>());
-    let rest = vec((0..=FRAGMENTS.len(), vec(any::<u8>(), 0..16)), 0..16);
-    (head, rest).prop_map(|((start, headers, blank_line), rest)| {
+    (head, soup(FRAGMENTS, 0..16, 16)).prop_map(|((start, headers, blank_line), rest)| {
         let mut out = START_LINES.get(start).map_or(Vec::new(), |line| line.to_vec());
         for pick in headers {
             out.extend_from_slice(HEADERS.get(pick).copied().unwrap_or(b""));
@@ -125,23 +77,29 @@ fn soup() -> impl Strategy<Value = Vec<u8>> {
         if blank_line {
             out.extend_from_slice(b"\r\n");
         }
-        for (pick, random) in rest {
-            out.extend_from_slice(FRAGMENTS.get(pick).copied().unwrap_or(&random));
-        }
+        out.extend(rest);
         out
     })
 }
 
-/// A transport that hands over one byte per `read`.
-struct Dribble<'a>(&'a [u8]);
+/// The request parser, within a buffer, the largest body and two
+/// request lines of what the input declares.
+fn request_parser() -> Target<'static, Option<Request>, String> {
+    let cap = |len| 8192 + MAX_BODY + 2 * MAX_REQUEST_LINE + 4 * len;
+    Target::new(cap, |b| read_request(&mut BufReader::new(b)).map_err(|e| e.reason))
+}
 
-impl Read for Dribble<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.0.len().min(buf.len()).min(1);
-        buf[..n].copy_from_slice(&self.0[..n]);
-        self.0 = &self.0[n..];
-        Ok(n)
-    }
+/// The response reader, over a 16-byte buffer fed at once or one byte
+/// per `read`: a body grows only as its bytes arrive.
+fn response_reader(dribble: bool) -> Target<'static, Reply, std::io::Error> {
+    let cap = |len| 64 * 1024 + 4 * MAX_HEADER_LINE + 4 * len;
+    Target::new(cap, move |b| {
+        if dribble {
+            read_response(&mut BufReader::with_capacity(16, Dribble(b)))
+        } else {
+            read_response(&mut BufReader::with_capacity(16, b))
+        }
+    })
 }
 
 /// Drives the recursive generators a flat strategy cannot (a 64-bit
@@ -248,36 +206,25 @@ proptest! {
     /// No input panics a reader, and none makes one hold more heap than
     /// its caps allow — whatever lengths the input declares.
     #[test]
-    fn arbitrary_bytes_never_panic_and_stay_within_the_caps(input in soup()) {
-        let (_, peak) = peak_heap(|| {
-            let _ = read_request(&mut BufReader::new(&input[..]));
-        });
-        let cap = 8192 + MAX_BODY + 2 * MAX_REQUEST_LINE + 4 * input.len();
-        prop_assert!(peak <= cap, "request parser held {peak} bytes");
-
-        for transport in [false, true] {
-            let (_, peak) = peak_heap(|| {
-                let _ = if transport {
-                    read_response(&mut BufReader::with_capacity(16, Dribble(&input)))
-                } else {
-                    read_response(&mut BufReader::with_capacity(16, &input[..]))
-                };
-            });
-            let cap = 64 * 1024 + 4 * MAX_HEADER_LINE + 4 * input.len();
-            prop_assert!(peak <= cap, "response reader held {peak} bytes");
+    fn arbitrary_bytes_never_panic_and_stay_within_the_caps(input in http_soup()) {
+        let _ = request_parser().check(&input);
+        for dribble in [false, true] {
+            let _ = response_reader(dribble).check(&input);
         }
 
         let text = String::from_utf8_lossy(&input);
-        let (_, peak) = peak_heap(|| {
-            let _ = json::parse(&text);
-            let _ = json::members(&text);
-            let _ = json::array_items(&text);
-            let _ = json::member_u64(&text, "victim");
+        let json_views = Target::new(|len| 4096 + 64 * len, |text: &[u8]| {
+            let text = std::str::from_utf8(text).expect("lossy text is UTF-8");
+            let _ = json::parse(text);
+            let _ = json::members(text);
+            let _ = json::array_items(text);
+            let _ = json::member_u64(text, "victim");
             for pos in 0..input.len().min(8) {
                 let _ = json::value_end(&input, pos);
             }
+            Ok::<(), std::convert::Infallible>(())
         });
-        prop_assert!(peak <= 4096 + 64 * text.len(), "JSON reader held {peak} bytes");
+        let _ = json_views.check(text.as_bytes());
     }
 
     /// Every span the borrowed view returns re-parses to the subtree
@@ -361,12 +308,11 @@ proptest! {
         let fixed = wire_bytes(Response::json(200, body.clone()));
         let chunked = wire_bytes(streamed(&body, piece));
         for bytes in [fixed, chunked] {
-            let whole = read_response(&mut BufReader::new(&bytes[..])).expect("whole");
+            let whole = response_reader(false).check(&bytes).expect("whole");
             prop_assert_eq!(whole.body, &body[..]);
-            for cut in 0..bytes.len() {
-                let at_once = read_response(&mut BufReader::new(&bytes[..cut]));
-                let dribbled = read_response(&mut BufReader::new(Dribble(&bytes[..cut])));
-                prop_assert!(at_once.is_err() && dribbled.is_err(), "cut at {cut} read as whole");
+            for dribble in [false, true] {
+                let read = response_reader(dribble).truncations(&bytes);
+                prop_assert!(read.is_empty(), "cuts at {read:?} read as whole");
             }
         }
     }

@@ -31,45 +31,10 @@ use flatnet_bgpsim::{
     TopologySnapshot, Workspace,
 };
 use flatnet_netgen::{generate, NetGenConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Counts every allocation (alloc/alloc_zeroed/realloc) made by the
-/// process and sums their bytes (a `realloc` counts what it grows by);
-/// deallocations are free and not counted.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-fn count(bytes: usize) {
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size.saturating_sub(layout.size()));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use flatnet_testkit::{process, Counting};
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static ALLOC: Counting = Counting;
 
 /// Deterministic xorshift; keeps the test free of RNG-crate coupling.
 fn next(rng: &mut u64) -> u64 {
@@ -411,9 +376,9 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
 
     // Warm pass: buckets deepen, the mask allocates once, counters resolve.
     let warm = pass(&mut ctx);
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = process().allocations;
     let again = pass(&mut ctx);
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = process().allocations;
     assert_eq!(warm, again, "steady-state pass changed results");
     assert_eq!(
         after - before,
@@ -438,9 +403,9 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
         acc
     };
     let warm = rely_pass(&mut ctx);
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = process().allocations;
     let again = rely_pass(&mut ctx);
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = process().allocations;
     assert_eq!(warm.to_bits(), again.to_bits(), "warm reliance pass changed results");
     assert_eq!(
         after - before,
@@ -458,7 +423,7 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
         ctx.config_mut().excluded_mask_mut(n).fill(false);
         ctx.config().clone()
     };
-    let allocs = || ALLOCS.load(Ordering::SeqCst);
+    let allocs = || process().allocations;
     let (mut run, mut borrowed, mut copy, mut from_copy) = (0u64, 0u64, 0u64, 0u64);
     for &o in &origins {
         let start = allocs();
@@ -496,9 +461,9 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
         (0..origins.len()).map(|k| lanes.lane_reachable_count(k)).sum()
     };
     let warm = lane_pass(&mut lanes);
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = process().allocations;
     let again = lane_pass(&mut lanes);
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = process().allocations;
     assert_eq!(warm, again, "warm lane pass changed results");
     assert_eq!(
         after - before,
@@ -517,7 +482,7 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
     let g = &net.truth;
     let (nodes, links) = (g.len() as u64, g.edge_count() as u64);
     assert!(links > 4 * nodes, "{links} links over {nodes} nodes: too sparse to tell the terms apart");
-    let bytes = || BYTES.load(Ordering::SeqCst);
+    let bytes = || process().bytes;
     let start = bytes();
     let snap = TopologySnapshot::compile(g);
     let compiled = bytes();
