@@ -88,13 +88,11 @@ impl Lab {
     /// topologies are healthy by construction, and an experiment run
     /// should not die on a degraded-but-usable graph.
     fn measure_warned(net: &SyntheticInternet) -> Measured {
-        {
-            let _span = flatnet_obs::span_root("preflight");
-            let opts = ValidateOptions::default();
-            let report = validate_topology(&net.public, &net.tier1, &net.tier2, &[], &opts);
-            if !report.is_usable() {
-                flatnet_obs::warn!("topology preflight found critical problems:\n{}", report.render());
-            }
+        let report = flatnet_obs::PhaseTimer::PIPELINE.time("preflight", || {
+            validate_topology(&net.public, &net.tier1, &net.tier2, &[], &ValidateOptions::default())
+        });
+        if !report.is_usable() {
+            flatnet_obs::warn!("topology preflight found critical problems:\n{}", report.render());
         }
         measure(net, &Self::campaign_opts(), &Methodology::final_methodology())
     }

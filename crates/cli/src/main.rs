@@ -135,7 +135,8 @@ tables to stdout and are deterministic.
 
 Observability (any command):
   --metrics PATH   On exit, write a flatnet-obs/v2 JSON snapshot of the
-                   process's spans, counters, and histograms to PATH.
+                   process's counters, gauges, and histograms (phase
+                   times included) to PATH.
   --log-level L    Stderr verbosity: error|warn|info|debug (default
                    info; $FLATNET_LOG is read first).
   --threads N      (repro) Worker threads for parallel sweeps; 0 = all

@@ -192,10 +192,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
         let before = flatnet_obs::snapshot();
         // Panic isolation: one experiment blowing up must not take down
         // the rest of an `all` run (or an existing checkpoint trail).
-        let outcome = {
-            let _span = flatnet_obs::span_root("report");
+        let outcome = flatnet_obs::PhaseTimer::PIPELINE.time("report", || {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| experiment(&lab)))
-        };
+        });
         match outcome {
             Ok(()) => {
                 let elapsed = t0.elapsed();

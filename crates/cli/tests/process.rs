@@ -109,7 +109,7 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 #[test]
-fn repro_metrics_file_holds_the_four_phases_and_the_parser_counters() {
+fn repro_metrics_file_holds_the_pipeline_phases_and_the_parser_counters() {
     let dir = scratch("metrics");
     let file = dir.join("m.json");
     let (code, _, err) =
@@ -117,8 +117,9 @@ fn repro_metrics_file_holds_the_four_phases_and_the_parser_counters() {
     assert_eq!(code, 0, "{err}");
     // `from_json` refuses any schema but flatnet-obs/v2.
     let snap = flatnet_obs::Snapshot::from_json(&std::fs::read_to_string(&file).unwrap()).unwrap();
-    for phase in ["preflight", "propagate", "measure", "report"] {
-        assert!(snap.spans.get(phase).is_some_and(|s| s.count > 0), "phase {phase} never entered");
+    for phase in ["preflight", "measure", "campaign", "infer", "augment", "propagate", "report"] {
+        let name = format!("pipeline.phase_us{{phase=\"{phase}\"}}");
+        assert!(snap.histograms.get(&name).is_some_and(|h| h.count() > 0), "{name} never timed");
     }
     for format in ["caida", "mrt", "scamper", "warts", "prefixdb"] {
         let name = format!("parse.{format}.records_ok");

@@ -7,6 +7,7 @@
 
 use flatnet_asgraph::{augment_many, AsGraph, AsId, AugmentReport};
 use flatnet_netgen::SyntheticInternet;
+use flatnet_obs::PhaseTimer;
 use flatnet_tracesim::{
     infer_neighbors, run_campaign, validate_neighbors, Campaign, CampaignOptions, Methodology,
     ValidationReport,
@@ -54,19 +55,21 @@ pub fn true_neighbors(net: &SyntheticInternet, cloud_idx: usize) -> BTreeSet<AsI
     set
 }
 
-/// Runs the full §4.1/§5 pipeline over a synthetic Internet.
+/// Runs the full §4.1/§5 pipeline over a synthetic Internet, timed as
+/// the `measure` pipeline phase around its `campaign`, `infer` and
+/// `augment` steps.
 pub fn measure(net: &SyntheticInternet, opts: &CampaignOptions, methodology: &Methodology) -> Measured {
-    let _span = flatnet_obs::span_root("measure");
-    let campaign = {
-        let _s = flatnet_obs::span("campaign");
-        run_campaign(net, opts)
-    };
+    PhaseTimer::PIPELINE.time("measure", || measure_steps(net, opts, methodology))
+}
+
+fn measure_steps(net: &SyntheticInternet, opts: &CampaignOptions, methodology: &Methodology) -> Measured {
+    let phases = PhaseTimer::PIPELINE;
+    let campaign = phases.time("campaign", || run_campaign(net, opts));
     let mut inferred = BTreeMap::new();
     let mut validation = BTreeMap::new();
     let mut peer_counts = Vec::new();
     let mut augment_sets = Vec::new();
-    {
-        let _s = flatnet_obs::span("infer");
+    phases.time("infer", || {
         for (ci, cloud) in net.clouds.iter().enumerate() {
             let neighbors = infer_neighbors(
                 campaign.for_cloud(cloud.asn),
@@ -79,11 +82,9 @@ pub fn measure(net: &SyntheticInternet, opts: &CampaignOptions, methodology: &Me
             augment_sets.push((cloud.asn, neighbors.iter().copied().collect::<Vec<_>>()));
             inferred.insert(cloud.asn.0, neighbors);
         }
-    }
-    let (augmented, augment_reports) = {
-        let _s = flatnet_obs::span("augment");
-        augment_many(&net.public, &augment_sets)
-    };
+    });
+    let (augmented, augment_reports) =
+        phases.time("augment", || augment_many(&net.public, &augment_sets));
     for (ci, cloud) in net.clouds.iter().enumerate() {
         let bgp_only = net
             .public

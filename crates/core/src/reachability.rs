@@ -4,6 +4,7 @@
 use crate::error::FlatnetError;
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
 use flatnet_bgpsim::{Exclusion, ExclusionPolicy, Simulation, TopologySnapshot};
+use flatnet_obs::PhaseTimer;
 
 /// The three reachability levels of one origin (Fig. 2's stacked bars).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,31 +82,32 @@ pub fn try_reachability_profile_t(
     origins: &[AsId],
     threads: usize,
 ) -> Result<Vec<ReachabilityResult>, FlatnetError> {
-    let _span = flatnet_obs::span_root("propagate");
-    let nodes: Vec<(AsId, NodeId)> = origins
-        .iter()
-        .filter_map(|&a| g.index_of(a).map(|n| (a, n)))
-        .collect();
-    let sweep: Vec<NodeId> = nodes.iter().map(|&(_, n)| n).collect();
-    let snap = TopologySnapshot::compile(g);
-    // One bit-parallel counts sweep per constraint level; the kernel packs
-    // up to 256 origins per block, so this is three passes instead of
-    // 3·|origins|.
-    let level = |policy| counts_under(g, tiers, &snap, &sweep, policy, threads);
-    let pf = level(ExclusionPolicy::PROVIDER_FREE)?;
-    let t1 = level(ExclusionPolicy::TIER1_FREE)?;
-    let hf = level(ExclusionPolicy::HIERARCHY_FREE)?;
-    Ok(nodes
-        .iter()
-        .enumerate()
-        .map(|(i, &(asn, _))| ReachabilityResult {
-            asn,
-            provider_free: pf[i] as usize,
-            tier1_free: t1[i] as usize,
-            hierarchy_free: hf[i] as usize,
-            max_possible: g.len() - 1,
-        })
-        .collect())
+    PhaseTimer::PIPELINE.time("propagate", || {
+        let nodes: Vec<(AsId, NodeId)> = origins
+            .iter()
+            .filter_map(|&a| g.index_of(a).map(|n| (a, n)))
+            .collect();
+        let sweep: Vec<NodeId> = nodes.iter().map(|&(_, n)| n).collect();
+        let snap = TopologySnapshot::compile(g);
+        // One bit-parallel counts sweep per constraint level; the kernel
+        // packs up to 256 origins per block, so this is three passes
+        // instead of 3·|origins|.
+        let level = |policy| counts_under(g, tiers, &snap, &sweep, policy, threads);
+        let pf = level(ExclusionPolicy::PROVIDER_FREE)?;
+        let t1 = level(ExclusionPolicy::TIER1_FREE)?;
+        let hf = level(ExclusionPolicy::HIERARCHY_FREE)?;
+        Ok(nodes
+            .iter()
+            .enumerate()
+            .map(|(i, &(asn, _))| ReachabilityResult {
+                asn,
+                provider_free: pf[i] as usize,
+                tier1_free: t1[i] as usize,
+                hierarchy_free: hf[i] as usize,
+                max_possible: g.len() - 1,
+            })
+            .collect())
+    })
 }
 
 /// Hierarchy-free reachability of **every** AS in the graph (the paper
@@ -129,10 +131,11 @@ pub fn try_hierarchy_free_all_t(
     tiers: &Tiers,
     threads: usize,
 ) -> Result<Vec<u32>, FlatnetError> {
-    let _span = flatnet_obs::span_root("propagate");
-    let nodes: Vec<NodeId> = g.nodes().collect();
-    let snap = TopologySnapshot::compile(g);
-    counts_under(g, tiers, &snap, &nodes, ExclusionPolicy::HIERARCHY_FREE, threads)
+    PhaseTimer::PIPELINE.time("propagate", || {
+        let nodes: Vec<NodeId> = g.nodes().collect();
+        let snap = TopologySnapshot::compile(g);
+        counts_under(g, tiers, &snap, &nodes, ExclusionPolicy::HIERARCHY_FREE, threads)
+    })
 }
 
 /// One row of Table 1: an AS ranked by hierarchy-free reachability.

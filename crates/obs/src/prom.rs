@@ -1,6 +1,6 @@
 //! Prometheus text exposition for [`crate::Snapshot`].
 //!
-//! Renders every counter, gauge, histogram, and span tally of a snapshot
+//! Renders every counter, gauge, and histogram of a snapshot
 //! in the Prometheus text format (v0.0.4, with OpenMetrics-style
 //! exemplars on histogram bucket lines), so `flatnet serve` is scrapeable
 //! by standard tooling via `/metrics?format=prom` and any obs JSON
@@ -18,9 +18,7 @@
 //! - Histogram families ending in `_us` are exported in **seconds**
 //!   (the Prometheus base unit) under `<base>_seconds`; bucket `le`
 //!   bounds convert accordingly and the overflow bucket becomes `+Inf`.
-//! - Counters gain the conventional `_total` suffix; spans export as the
-//!   `flatnet_span_total` / `flatnet_span_seconds_total` pair labeled by
-//!   span path.
+//! - Counters gain the conventional `_total` suffix.
 //! - A bucket with an exemplar appends
 //!   `# {trace_id="<hex>",origin_as="<asn>"} <exact value>` so the series
 //!   behind a p99 names the concrete request that produced it.
@@ -66,11 +64,6 @@ fn us_as_seconds(us: u64) -> String {
     format!("{}.{:06}", us / 1_000_000, us % 1_000_000)
 }
 
-/// Fixed-point nanoseconds → seconds.
-fn ns_as_seconds(ns: u64) -> String {
-    format!("{}.{:09}", ns / 1_000_000_000, ns % 1_000_000_000)
-}
-
 #[derive(Default)]
 struct Family {
     kind: &'static str,
@@ -109,20 +102,6 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
         let (fam, labels) = split_name(name);
         let line = format!("{fam}{} {value}", join_labels(labels, ""));
         push(fam, "gauge", line);
-    }
-
-    for (path, stat) in &snap.spans {
-        let label = format!("span=\"{}\"", path.replace('\\', "\\\\").replace('"', "\\\""));
-        push(
-            "flatnet_span_total".into(),
-            "counter",
-            format!("flatnet_span_total{{{label}}} {}", stat.count),
-        );
-        push(
-            "flatnet_span_seconds_total".into(),
-            "counter",
-            format!("flatnet_span_seconds_total{{{label}}} {}", ns_as_seconds(stat.total_ns)),
-        );
     }
 
     for (name, h) in &snap.histograms {
@@ -204,9 +183,7 @@ mod tests {
             5000, 0xabcd, 15169,
         );
         reg.histogram("store.load_bytes").record_us(2048);
-        {
-            let _g = reg.span("measure");
-        }
+        reg.histogram("pipeline.phase_us{phase=\"measure\"}").record_us(1_500_000);
         to_prometheus(&reg.snapshot())
     }
 
@@ -245,7 +222,9 @@ mod tests {
         assert!(text.contains("parse_caida_records_ok_total 41"), "{text}");
         assert!(text.contains("# TYPE serve_queue_depth gauge"), "{text}");
         assert!(text.contains("serve_queue_depth 3"), "{text}");
-        assert!(text.contains("flatnet_span_total{span=\"measure\"} 1"), "{text}");
+        // A timed phase is a seconds histogram labelled by its phase.
+        assert!(text.contains("pipeline_phase_seconds_count{phase=\"measure\"} 1"), "{text}");
+        assert!(text.contains("pipeline_phase_seconds_sum{phase=\"measure\"} 1.500000"), "{text}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The thread-safe metric registry and the process-wide default instance.
 //!
-//! A [`Registry`] owns every counter, gauge, histogram, and span tally.
+//! A [`Registry`] owns every counter, gauge, and histogram.
 //! Lookup by name takes a short lock and hands back an `Arc`-based handle
 //! that records lock-free afterwards; hot paths should look a handle up
 //! once, outside their loop. Library code records into [`global()`];
@@ -8,7 +8,6 @@
 
 use crate::metrics::{Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 use crate::snapshot::{HistogramSnapshot, Snapshot};
-use crate::span::{SpanGuard, SpanStat};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -27,7 +26,6 @@ pub struct Registry {
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    spans: Mutex<BTreeMap<String, SpanStat>>,
 }
 
 impl Registry {
@@ -52,26 +50,6 @@ impl Registry {
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut map = lock(&self.histograms);
         map.entry(name.to_string()).or_insert_with(|| Arc::new(Histogram::new())).clone()
-    }
-
-    /// Opens a timed span that nests under the thread's innermost open
-    /// span (see [`mod@crate::span`]). Records on guard drop.
-    pub fn span(&self, name: &str) -> SpanGuard<'_> {
-        SpanGuard::enter(self, name, false)
-    }
-
-    /// Opens a timed span that always records under `name` itself,
-    /// ignoring any ambient span — for pipeline phases whose path must be
-    /// stable wherever they are invoked from.
-    pub fn span_root(&self, name: &str) -> SpanGuard<'_> {
-        SpanGuard::enter(self, name, true)
-    }
-
-    pub(crate) fn record_span(&self, path: &str, elapsed_ns: u64) {
-        let mut spans = lock(&self.spans);
-        let stat = spans.entry(path.to_string()).or_default();
-        stat.count += 1;
-        stat.total_ns = stat.total_ns.saturating_add(elapsed_ns);
     }
 
     /// A point-in-time copy of every metric. Counter/gauge/histogram
@@ -109,8 +87,7 @@ impl Registry {
                 )
             })
             .collect();
-        let spans = lock(&self.spans).clone();
-        Snapshot { counters, gauges, histograms, spans }
+        Snapshot { counters, gauges, histograms }
     }
 }
 
@@ -163,14 +140,12 @@ pub(crate) mod tests {
         poison(&reg.counters);
         poison(&reg.gauges);
         poison(&reg.histograms);
-        poison(&reg.spans);
         reg.counter("a").inc();
         reg.gauge("g").set(3);
         reg.histogram("h").record_us(10);
-        drop(reg.span("s"));
         let snap = reg.snapshot();
         assert_eq!((snap.counters["a"], snap.gauges["g"]), (2, 3));
-        assert_eq!((snap.histograms["h"].count(), snap.spans["s"].count), (1, 1));
+        assert_eq!(snap.histograms["h"].count(), 1);
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //! JSON document and a human-readable summary table.
 //!
 //! The JSON schema (`flatnet-obs/v2`) is the machine-readable contract
-//! for benchmark trajectories (`BENCH_*.json`) and the CI metrics
-//! artifact:
+//! between a process and whatever reads its metrics: `--metrics` files,
+//! `repro`'s per-experiment checkpoint deltas, `/metrics` scrapes (a
+//! router merges its shards' through it) and `flatnet metrics --in`:
 //!
 //! ```json
 //! {
 //!   "schema": "flatnet-obs/v2",
 //!   "counters": {"parse.caida.records_ok": 4},
 //!   "gauges": {"sweep.threads": 8},
-//!   "spans": {"measure": {"count": 1, "total_ns": 12345}},
 //!   "histograms": {"sweep.item_us": {
 //!       "count": 10, "sum_us": 50, "max_us": 7,
 //!       "p50_us": 4, "p90_us": 7, "p99_us": 7, "p999_us": 7,
@@ -23,7 +23,10 @@
 //! v2 added `max_us`, `p999_us`, and the optional `raw` (exact sample
 //! set, present while complete) and `exemplars`
 //! (`[bucket bound, trace id, origin AS, value]`) histogram fields; a
-//! v1 document is an unsupported schema.
+//! v1 document is an unsupported schema. Every section is optional and
+//! an unknown member is ignored, so a v2 document an older binary wrote
+//! with a `spans` section (timed phases before they were histograms)
+//! still parses, without it.
 //!
 //! Keys are sorted, maps are emitted in a single canonical form, and all
 //! values are integers, so two snapshots with equal contents serialize to
@@ -35,7 +38,6 @@
 use crate::metrics::{
     bucket_bound_us, percentile_exact, percentile_from_buckets, Exemplar, HISTOGRAM_BUCKETS,
 };
-use crate::span::SpanStat;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -87,8 +89,6 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, i64>,
     /// Histogram states by name.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Span tallies by path.
-    pub spans: BTreeMap<String, SpanStat>,
 }
 
 /// Schema identifier emitted in every JSON document, and the only one
@@ -96,29 +96,15 @@ pub struct Snapshot {
 pub const SCHEMA: &str = "flatnet-obs/v2";
 
 impl Snapshot {
-    /// The change from `earlier` to `self`: counters, span tallies, and
-    /// histogram buckets subtract entry-wise (entries absent from
-    /// `earlier` count from zero; negative deltas clamp to zero); gauges
-    /// are instantaneous, so the later value is kept as-is.
+    /// The change from `earlier` to `self`: counters and histogram
+    /// buckets subtract entry-wise (entries absent from `earlier` count
+    /// from zero; negative deltas clamp to zero); gauges are
+    /// instantaneous, so the later value is kept as-is.
     pub fn delta_since(&self, earlier: &Snapshot) -> Snapshot {
         let counters = self
             .counters
             .iter()
             .map(|(k, &v)| (k.clone(), v.saturating_sub(earlier.counters.get(k).copied().unwrap_or(0))))
-            .collect();
-        let spans = self
-            .spans
-            .iter()
-            .map(|(k, v)| {
-                let e = earlier.spans.get(k).copied().unwrap_or_default();
-                (
-                    k.clone(),
-                    SpanStat {
-                        count: v.count.saturating_sub(e.count),
-                        total_ns: v.total_ns.saturating_sub(e.total_ns),
-                    },
-                )
-            })
             .collect();
         let histograms = self
             .histograms
@@ -145,12 +131,12 @@ impl Snapshot {
                 (k.clone(), out)
             })
             .collect();
-        Snapshot { counters, gauges: self.gauges.clone(), histograms, spans }
+        Snapshot { counters, gauges: self.gauges.clone(), histograms }
     }
 
     /// Folds `other` into `self`, entry-wise — the aggregation a router
     /// needs to present N shard processes as one `/metrics` document.
-    /// Counters, gauges, and span tallies add; histograms add
+    /// Counters and gauges add; histograms add
     /// bucket-wise (`sum_us` adds, `max_us` takes the max). The raw
     /// sample sets merge (re-sorted) only while both sides were complete
     /// — otherwise the merged reservoir would misrepresent the union and
@@ -163,11 +149,6 @@ impl Snapshot {
         }
         for (k, v) in &other.gauges {
             *self.gauges.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.spans {
-            let s = self.spans.entry(k.clone()).or_default();
-            s.count += v.count;
-            s.total_ns += v.total_ns;
         }
         for (k, h) in &other.histograms {
             let mine = self.histograms.entry(k.clone()).or_default();
@@ -207,13 +188,6 @@ impl Snapshot {
         emit_map(&mut out, self.counters.iter().map(|(k, v)| (k.as_str(), v.to_string())));
         out.push_str("},\n  \"gauges\": {");
         emit_map(&mut out, self.gauges.iter().map(|(k, v)| (k.as_str(), v.to_string())));
-        out.push_str("},\n  \"spans\": {");
-        emit_map(
-            &mut out,
-            self.spans.iter().map(|(k, s)| {
-                (k.as_str(), format!("{{\"count\": {}, \"total_ns\": {}}}", s.count, s.total_ns))
-            }),
-        );
         out.push_str("},\n  \"histograms\": {");
         emit_map(
             &mut out,
@@ -299,15 +273,6 @@ impl Snapshot {
                 snap.gauges.insert(k.clone(), doc::int(v, "gauge")?);
             }
         }
-        if let Some(v) = top.get("spans") {
-            for (k, v) in doc::object(v, "spans")? {
-                doc::object(v, "span")?;
-                let count = doc::uint(v.get("count").ok_or("span missing count")?, "count")?;
-                let total_ns =
-                    doc::uint(v.get("total_ns").ok_or("span missing total_ns")?, "total_ns")?;
-                snap.spans.insert(k.clone(), SpanStat { count, total_ns });
-            }
-        }
         if let Some(v) = top.get("histograms") {
             for (k, fields) in doc::object(v, "histograms")? {
                 doc::object(fields, "histogram")?;
@@ -371,19 +336,6 @@ impl Snapshot {
     /// Renders the human-readable summary table.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
-        if !self.spans.is_empty() {
-            out.push_str("spans:\n");
-            let width = self.spans.keys().map(|k| k.len()).max().unwrap_or(0);
-            for (path, s) in &self.spans {
-                let ms = s.total_ns as f64 / 1e6;
-                let _ = writeln!(
-                    out,
-                    "  {path:<width$}  {:>8} calls  {ms:>12.2} ms total  {:>10.3} ms/call",
-                    s.count,
-                    if s.count == 0 { 0.0 } else { ms / s.count as f64 },
-                );
-            }
-        }
         if !self.counters.is_empty() {
             out.push_str("counters:\n");
             let width = self.counters.keys().map(|k| k.len()).max().unwrap_or(0);
@@ -405,8 +357,9 @@ impl Snapshot {
                 let pct = |p: f64| h.percentile_us(p).unwrap_or(0);
                 let _ = writeln!(
                     out,
-                    "  {name:<width$}  {:>8} obs  p50 {:>8}  p90 {:>8}  p99 {:>8}",
+                    "  {name:<width$}  {:>8} obs  total {:>12}  p50 {:>8}  p90 {:>8}  p99 {:>8}",
                     h.count(),
+                    h.sum_us,
                     pct(50.0),
                     pct(90.0),
                     pct(99.0),
@@ -503,10 +456,7 @@ mod tests {
         for us in [1, 3, 3, 900, 70_000_000_000] {
             h.record_us(us);
         }
-        {
-            let _outer = reg.span("measure");
-            let _inner = reg.span("campaign");
-        }
+        reg.histogram("pipeline.phase_us{phase=\"measure\"}").record_us(1234);
         reg.snapshot()
     }
 
@@ -523,10 +473,11 @@ mod tests {
     fn json_contains_the_schema_and_sections() {
         let json = sample().to_json();
         assert!(json.contains("\"schema\": \"flatnet-obs/v2\""));
-        for section in ["counters", "gauges", "spans", "histograms"] {
+        for section in ["counters", "gauges", "histograms"] {
             assert!(json.contains(&format!("\"{section}\"")), "{json}");
         }
-        assert!(json.contains("\"measure/campaign\""));
+        assert!(!json.contains("\"spans\""), "{json}");
+        assert!(json.contains("\"pipeline.phase_us{phase=\\\"measure\\\"}\""), "{json}");
         // The overflow bucket bound survives the trip.
         assert!(json.contains(&u64::MAX.to_string()));
     }
@@ -560,6 +511,17 @@ mod tests {
         assert!(Snapshot::from_json(&wrapped).is_err());
     }
 
+    /// A document from before phases were histograms still reads: the
+    /// `spans` member is ignored, the rest is kept.
+    #[test]
+    fn a_v2_document_with_a_spans_section_still_parses() {
+        let old = "{\"schema\": \"flatnet-obs/v2\", \"counters\": {\"a\": 3}, \
+                   \"spans\": {\"measure\": {\"count\": 1, \"total_ns\": 12345}}}";
+        let snap = Snapshot::from_json(old).unwrap();
+        assert_eq!(snap.counters["a"], 3);
+        assert!(!snap.to_json().contains("spans"));
+    }
+
     #[test]
     fn empty_snapshot_round_trips() {
         let empty = Snapshot::default();
@@ -578,15 +540,13 @@ mod tests {
         reg.histogram("h").record_us(5);
         reg.histogram("h").record_us(100);
         reg.gauge("g").set(2);
-        {
-            let _s = reg.span("phase");
-        }
+        reg.histogram("phase_us{phase=\"new\"}").record_us(9);
         let delta = reg.snapshot().delta_since(&before);
         assert_eq!(delta.counters["c"], 4);
         assert_eq!(delta.counters["new"], 1);
         assert_eq!(delta.histograms["h"].count(), 2);
         assert_eq!(delta.histograms["h"].sum_us, 105);
-        assert_eq!(delta.spans["phase"].count, 1);
+        assert_eq!(delta.histograms["phase_us{phase=\"new\"}"].sum_us, 9);
         assert_eq!(delta.gauges["g"], 2);
     }
 
@@ -610,9 +570,12 @@ mod tests {
     #[test]
     fn summary_table_lists_every_section() {
         let table = sample().render_table();
-        for needle in ["spans:", "counters:", "gauges:", "histograms", "sweep.item_us", "measure"] {
+        for needle in ["counters:", "gauges:", "histograms", "sweep.item_us", "measure"] {
             assert!(table.contains(needle), "missing {needle} in:\n{table}");
         }
+        // A histogram row carries its count and its total.
+        let row = table.lines().find(|l| l.contains("phase=\"measure\"")).unwrap();
+        assert!(row.contains("1 obs  total         1234"), "{row}");
         assert!(Snapshot::default().render_table().contains("no metrics"));
     }
 }

@@ -804,7 +804,7 @@ fn healthz(inner: &Inner) -> Response {
 
 /// Aggregated `/metrics`: the router's own registry plus every
 /// reachable shard's scrape, merged with [`flatnet_obs::Snapshot::merge`]
-/// (counters and spans sum, histograms merge bucket-wise).
+/// (counters and gauges sum, histograms merge bucket-wise).
 fn metrics(inner: &Inner, req: &Request, trace_id: u64) -> Response {
     let mut acc = flatnet_obs::snapshot();
     for shard in &inner.shards {

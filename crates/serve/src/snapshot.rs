@@ -56,6 +56,7 @@ use flatnet_asgraph::{caida, validate_topology, AsGraph, AsId, Tiers, ValidateOp
 use flatnet_bgpsim::TopologySnapshot;
 use flatnet_core::error::FlatnetError;
 use flatnet_netgen::{generate, NetGenConfig};
+use flatnet_obs::PhaseTimer;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -97,9 +98,9 @@ pub enum TopologySource {
 /// the store loads and saves.
 pub use flatnet_store::StoredSnapshot as ServeSnapshot;
 
-/// Times the phases of one snapshot's way into service: each goes into
-/// its `serve.snapshot_us{phase="…"}` histogram as it ends, and the split
-/// is kept for the one log line the snapshot gets once it is ready.
+/// The phases of one snapshot's way into service, each timed into its
+/// `serve.snapshot_us{phase="…"}` histogram, with the split kept for the
+/// one log line the snapshot gets once it is ready.
 struct PhaseClock {
     started: Instant,
     split: String,
@@ -111,10 +112,7 @@ impl PhaseClock {
     }
 
     fn time<T>(&mut self, phase: &str, f: impl FnOnce() -> T) -> T {
-        let t = Instant::now();
-        let out = f();
-        let took = t.elapsed();
-        flatnet_obs::histogram(&format!("serve.snapshot_us{{phase=\"{phase}\"}}")).record(took);
+        let (out, took) = PhaseTimer::new("serve.snapshot_us").timed(phase, f);
         let _ = write!(self.split, " {phase}={:.1}ms", took.as_secs_f64() * 1e3);
         out
     }
@@ -441,7 +439,6 @@ fn load(
     version: u64,
     clock: &mut PhaseClock,
 ) -> Result<ServeSnapshot, ServeError> {
-    let _span = flatnet_obs::span("serve.snapshot_load");
     let (graph, tiers, conflicts) = match source {
         TopologySource::CaidaFile { path, tier1, tier2, lenient } => {
             let (graph, conflicts) = load_caida(path, *lenient, clock)?;

@@ -1,7 +1,8 @@
 //! Keep-alive connection lifecycle over real TCP: pipelined
 //! back-to-back requests through the bounded parser, request bytes
 //! split across syscalls, the idle timeout closing quiet connections,
-//! a stalled request answered 408, `Connection: close` honored
+//! a stalled request answered 408, the two backpressure 503s (a full
+//! queue, a deadline spent queued), `Connection: close` honored
 //! mid-stream, the per-connection request budget, and the batch/singles
 //! differential that pins `origins=` batch answers bit-identical to N
 //! separate `origin=` queries. The cases that hold at the router's fixed
@@ -73,6 +74,24 @@ fn known_origins(n: usize) -> Vec<u32> {
 
 fn data_of(doc: &Json) -> &Json {
     doc.get("data").expect("enveloped /v1 response")
+}
+
+/// The `error.kind` of an error envelope.
+fn error_kind(body: &str) -> Option<String> {
+    let doc = parse(body).ok()?;
+    doc.get("error")?.get("kind")?.as_str().map(str::to_string)
+}
+
+/// A one-worker daemon whose worker is bound to the returned idle
+/// keep-alive connection (a worker serves its connection for life).
+fn held_server(cfg_tweak: impl FnOnce(&mut ServeConfig)) -> (Server, Conn) {
+    let server = start_server(|cfg| {
+        cfg.workers = 1;
+        cfg_tweak(cfg);
+    });
+    let mut holder = connect(server.addr());
+    assert_eq!(request(&mut holder, "/healthz").0, 200);
+    (server, holder)
 }
 
 #[test]
@@ -186,11 +205,45 @@ fn a_stalled_request_is_answered_408_once_the_io_timeout_runs_out() {
     let waited = t0.elapsed();
     assert_eq!(status, 408, "{body}");
     assert!(close, "a timed-out request closes its connection");
-    let kind = parse(&body).ok().and_then(|doc| {
-        doc.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str).map(str::to_string)
-    });
-    assert_eq!(kind.as_deref(), Some("timeout"), "{body}");
+    assert_eq!(error_kind(&body).as_deref(), Some("timeout"), "{body}");
     assert!(waited < Duration::from_secs(2), "the 408 took {waited:?}, the io timeout is 300ms");
+    server.shutdown();
+}
+
+/// With the one worker held, a second connection waits in the queue and
+/// a third finds it full: the accept thread answers it `503 queue-full`.
+#[test]
+fn a_connection_beyond_the_queue_cap_is_answered_503_queue_full() {
+    let rejected = flatnet_obs::counter("serve.queue_rejected");
+    let before = rejected.get();
+    let (server, holder) = held_server(|cfg| cfg.queue_cap = 1);
+    let queued = connect(server.addr());
+    let mut third = connect(server.addr());
+    let (status, head, body, _) = recv(&mut third);
+    assert_eq!(status, 503, "{body}");
+    assert_eq!(error_kind(&body).as_deref(), Some("queue-full"), "{body}");
+    assert!(head.contains("Retry-After: 1\n"), "{head}");
+    assert_eq!(rejected.get() - before, 1);
+    // The queued connection leaves first, so the freed worker finds it gone.
+    drop((queued, third, holder));
+    server.shutdown();
+}
+
+/// A connection that waits in the queue past the deadline is answered
+/// `503 deadline` by the worker that finally pops it, without a read.
+#[test]
+fn a_connection_queued_past_the_deadline_is_answered_503_deadline() {
+    let expired = flatnet_obs::counter("serve.deadline_expired");
+    let before = expired.get();
+    let (server, holder) = held_server(|cfg| cfg.deadline_ms = 200);
+    let mut queued = connect(server.addr());
+    std::thread::sleep(Duration::from_millis(400));
+    drop(holder);
+    let (status, head, body, _) = recv(&mut queued);
+    assert_eq!(status, 503, "{body}");
+    assert_eq!(error_kind(&body).as_deref(), Some("deadline"), "{body}");
+    assert!(head.contains("Retry-After: 1\n"), "{head}");
+    assert_eq!(expired.get() - before, 1);
     server.shutdown();
 }
 

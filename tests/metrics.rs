@@ -9,11 +9,6 @@
 use flatnet_core::reachability::hierarchy_free_all_t;
 use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_obs::Snapshot;
-use std::collections::BTreeMap;
-
-fn span_counts(s: &Snapshot) -> BTreeMap<String, u64> {
-    s.spans.iter().map(|(path, stat)| (path.clone(), stat.count)).collect()
-}
 
 #[test]
 fn counters_are_thread_count_invariant() {
@@ -45,9 +40,10 @@ fn counters_are_thread_count_invariant() {
         serial.counters
     );
 
-    // Span *counts* are deterministic too (durations of course are not).
-    assert_eq!(span_counts(&serial), span_counts(&parallel));
-    assert!(serial.spans.contains_key("propagate"), "spans: {:?}", serial.spans);
+    // Phase *counts* are deterministic too (durations of course are not):
+    // one `propagate` sample per call, whatever the thread count.
+    let propagate = |s: &Snapshot| s.histograms["pipeline.phase_us{phase=\"propagate\"}"].count();
+    assert_eq!((propagate(&serial), propagate(&parallel)), (1, 1));
 
     // Gauges are explicitly allowed to differ: they record environment,
     // not work (e.g. `sweep.threads` is the resolved worker count —
