@@ -12,10 +12,10 @@
 //!   sweep.
 //! * [`Workspace`] — the mutable per-run state: the
 //!   [`RoutingOutcome`] a run fills in place (distance arrays, reach
-//!   bitset) and the queues that fill it. Allocated once per worker and
-//!   reused for every origin; after the first few runs a sweep performs
-//!   no heap allocation at all, and a finished run is read through the
-//!   workspace, not copied out of it.
+//!   bitset) and the queues that fill it. Checked out of the snapshot's
+//!   pool once per worker and reused for every origin; after the first
+//!   few runs a sweep performs no heap allocation at all, and a finished
+//!   run is read through the workspace, not copied out of it.
 //! * [`Simulation`] — a builder tying the two together:
 //!   `Simulation::over(&snap).run(origin)` for one origin,
 //!   [`Simulation::run_sweep_map`] for batches (fanned out over
@@ -71,7 +71,7 @@ use crate::parallel::{self, SweepError};
 use crate::propagate::{metrics, PolicyView, PropagationConfig, RoutingOutcome, UNREACHED};
 use crate::reachset::ReachSet;
 use crate::reliance::RelianceWorkspace;
-use crate::scratch::Scratch;
+use crate::scratch::{cap_bytes, Checkout, Scratch};
 use flatnet_asgraph::{AsGraph, NodeId};
 use std::collections::VecDeque;
 
@@ -82,11 +82,11 @@ use std::collections::VecDeque;
 /// only constructor (so every snapshot walks some graph's adjacency, the
 /// very arrays that graph reads); the snapshot is cheap to share across
 /// threads and its topology is never mutated. It also owns the scratch
-/// sized for it (`crate::scratch`): lane-kernel workspaces and
-/// leak-simulator buffers that sweeps check out and return, so every
-/// [`Simulation`] and [`LeakSim`](crate::leak::LeakSim) over one snapshot
-/// runs on warm buffers, and the buffers are freed with the snapshot. A
-/// clone starts with none.
+/// sized for it (`crate::scratch`): lane-kernel workspaces, scalar
+/// contexts and reliance kernels that sweeps check out and return, so
+/// every [`Simulation`] and [`LeakSim`](crate::leak::LeakSim) over one
+/// snapshot runs on warm buffers, and the buffers are freed with the
+/// snapshot. A clone starts with none.
 #[derive(Debug, Clone)]
 pub struct TopologySnapshot {
     /// The graph: its links lie in the layout the module docs draw.
@@ -130,8 +130,8 @@ impl TopologySnapshot {
     }
 
     /// Bytes of idle pooled scratch this snapshot currently holds (lane
-    /// workspaces and leak buffers, at capacity) — what dropping the
-    /// snapshot frees beyond the topology itself.
+    /// workspaces, scalar contexts and reliance kernels, at capacity) —
+    /// what dropping the snapshot frees beyond the topology itself.
     pub fn scratch_bytes(&self) -> usize {
         self.scratch.bytes()
     }
@@ -160,8 +160,9 @@ impl TopologySnapshot {
 
 /// Reusable per-run propagation state: the [`RoutingOutcome`] a run
 /// fills in place, plus the scratch that fills it (the touched list, the
-/// BFS frontier, the provider-phase bucket queue). Create once (per
-/// worker thread), run many origins through it.
+/// BFS frontier, the provider-phase bucket queue). Create once, run many
+/// origins through it; the snapshot pools the ones its
+/// [`SweepCtx`]s run on.
 ///
 /// After a run the workspace dereferences to the finished outcome, so a
 /// result is read where it lies — `ws.selection(n)`, `ws.reach_words()`,
@@ -282,35 +283,25 @@ impl Workspace {
     /// snapshot's node count changes, as during a hot-reload).
     ///
     /// Unlike [`Simulation`], which borrows its snapshot, this takes the
-    /// snapshot per call, so a daemon can keep one workspace per worker
-    /// while snapshots come and go behind an `Arc` swap.
+    /// snapshot per call, so one workspace can serve snapshots that come
+    /// and go behind an `Arc` swap.
     pub fn run(&mut self, snap: &TopologySnapshot, origin: NodeId, cfg: &PropagationConfig) {
         run_into(snap, origin, &cfg.view(), self)
     }
 
     /// Heap bytes this workspace holds, every buffer at capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
         let out = &self.out;
-        (out.dist_c.capacity()
-            + out.dist_p.capacity()
-            + out.dist_d.capacity()
-            + self.touched.capacity()
-            + self.queue.capacity()
-            + self.buckets.iter().map(Vec::capacity).sum::<usize>())
-            * size_of::<u32>()
-            + out.reach.capacity() * size_of::<u64>()
-            + self.buckets.capacity() * size_of::<Vec<u32>>()
+        [&out.dist_c, &out.dist_p, &out.dist_d, &self.touched].map(cap_bytes).iter().sum::<usize>()
+            + self.buckets.iter().map(cap_bytes).sum::<usize>()
+            + cap_bytes(&out.reach)
+            + cap_bytes(&self.buckets)
+            + self.queue.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Clones the run's result into an owned [`RoutingOutcome`].
     pub fn to_outcome(&self) -> RoutingOutcome {
         self.out.clone()
-    }
-
-    /// The run's result, moved out of a workspace nobody runs again.
-    pub(crate) fn into_outcome(self) -> RoutingOutcome {
-        self.out
     }
 }
 
@@ -534,22 +525,17 @@ impl<'s> Simulation<'s> {
         &self.cfg
     }
 
-    /// A fresh worker context (own config clone + workspace) for manual
-    /// batching; [`Self::run_sweep_map`] creates one per worker itself.
+    /// A worker context for manual batching, checked out of the
+    /// snapshot's pool with this simulation's config copied in;
+    /// [`Self::run_sweep_map`] checks out one per worker itself.
     pub fn ctx(&self) -> SweepCtx<'s> {
-        SweepCtx {
-            snap: self.snap,
-            cfg: self.cfg.clone(),
-            ws: Workspace::for_snapshot(self.snap),
-            rely: RelianceWorkspace::new(),
-        }
+        SweepCtx::lend(self.snap, &self.cfg)
     }
 
-    /// Propagates a single origin, returning an owned outcome.
+    /// Propagates a single origin on a pooled context, returning an
+    /// owned copy of the outcome.
     pub fn run(&self, origin: NodeId) -> RoutingOutcome {
-        let mut ws = Workspace::for_snapshot(self.snap);
-        run_into(self.snap, origin, &self.cfg.view(), &mut ws);
-        ws.into_outcome()
+        self.ctx().run(origin).to_outcome()
     }
 
     /// Sweeps `origins`, reducing each run inside the worker via `f` —
@@ -799,19 +785,40 @@ impl<S> LaneSweep<S> {
     }
 }
 
-/// One worker's state for a sweep: the shared snapshot, a private config
-/// (whose masks may be refilled per origin via
-/// [`PropagationConfig::excluded_mask_mut`]), a private workspace, and a
-/// reliance kernel that stays empty until [`Self::run_reliance`] is used.
+/// What one scalar run computes on, pooled on the snapshot: a workspace
+/// and the config it runs under.
+#[derive(Debug)]
+pub(crate) struct ScalarCtx {
+    pub(crate) ws: Workspace,
+    pub(crate) cfg: PropagationConfig,
+}
+
+/// One worker's state for a sweep: the shared snapshot and a scalar
+/// context checked out of its pool — a private config (whose masks may
+/// be refilled per origin via [`PropagationConfig::excluded_mask_mut`])
+/// and a private workspace — plus a reliance kernel, checked out of its
+/// own pool on the first [`Self::run_reliance`]. Both go back to the
+/// snapshot on drop.
 #[derive(Debug)]
 pub struct SweepCtx<'s> {
     snap: &'s TopologySnapshot,
-    cfg: PropagationConfig,
-    ws: Workspace,
-    rely: RelianceWorkspace,
+    scalar: Checkout<'s, ScalarCtx>,
+    rely: Option<Checkout<'s, RelianceWorkspace>>,
 }
 
 impl<'s> SweepCtx<'s> {
+    /// Checks a context out of `snap`'s pool with exactly `cfg`'s policy:
+    /// copied into the lent config's buffers, so nothing an earlier
+    /// holder installed survives and, once warm, nothing is allocated.
+    pub(crate) fn lend(snap: &'s TopologySnapshot, cfg: &PropagationConfig) -> Self {
+        let mut scalar = snap.scratch().scalar.checkout(|| ScalarCtx {
+            ws: Workspace::for_snapshot(snap),
+            cfg: PropagationConfig::default(),
+        });
+        scalar.cfg.clone_from(cfg);
+        SweepCtx { snap, scalar, rely: None }
+    }
+
     /// The shared compiled topology.
     pub fn snapshot(&self) -> &'s TopologySnapshot {
         self.snap
@@ -819,29 +826,40 @@ impl<'s> SweepCtx<'s> {
 
     /// This worker's propagation config.
     pub fn config(&self) -> &PropagationConfig {
-        &self.cfg
+        &self.scalar.cfg
     }
 
     /// Mutable access to this worker's config, e.g. to refill the
     /// exclusion mask for the next origin without reallocating.
     pub fn config_mut(&mut self) -> &mut PropagationConfig {
-        &mut self.cfg
+        &mut self.scalar.cfg
+    }
+
+    /// The workspace holding the most recent run.
+    pub(crate) fn workspace(&self) -> &Workspace {
+        &self.scalar.ws
     }
 
     /// Propagates `origin` under the current config, reusing this
     /// worker's buffers; returns the workspace holding the result.
     pub fn run(&mut self, origin: NodeId) -> &Workspace {
-        run_into(self.snap, origin, &self.cfg.view(), &mut self.ws);
-        &self.ws
+        let ScalarCtx { ws, cfg } = &mut *self.scalar;
+        run_into(self.snap, origin, &cfg.view(), ws);
+        ws
     }
 
     /// Propagates `origin` under the current config and scores
     /// `rely(origin, ·)` from the run, reusing this worker's buffers;
-    /// returns the kernel holding the scores and the receiver count.
-    pub fn run_reliance(&mut self, origin: NodeId) -> &RelianceWorkspace {
-        run_into(self.snap, origin, &self.cfg.view(), &mut self.ws);
-        self.rely.score(self.snap, &self.ws, &self.cfg);
-        &self.rely
+    /// returns the kernel holding the scores, the receiver count and the
+    /// ranking buffer ([`RelianceWorkspace::top`]).
+    pub fn run_reliance(&mut self, origin: NodeId) -> &mut RelianceWorkspace {
+        let snap = self.snap;
+        self.run(origin);
+        let rely = self
+            .rely
+            .get_or_insert_with(|| snap.scratch().reliance.checkout(RelianceWorkspace::new));
+        rely.score(snap, &self.scalar.ws, &self.scalar.cfg);
+        rely
     }
 }
 

@@ -129,7 +129,7 @@
 
 use crate::engine::TopologySnapshot;
 use crate::propagate::{metrics, ImportPolicy, PropagationConfig};
-use crate::scratch::{Pool, Scratch};
+use crate::scratch::{cap_bytes, Pool, Scratch};
 use flatnet_asgraph::NodeId;
 
 /// Origins per lane *word*: one bit lane per origin per `u64`.
@@ -601,17 +601,12 @@ where
 
     /// Heap bytes this workspace holds, every buffer at capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.words.capacity() * size_of::<NodeWords<W>>()
-            + (self.touched.capacity()
-                + self.blocked_touched.capacity()
-                + self.origin_touched.capacity()
-                + self.frontier.capacity()
-                + self.next.capacity())
-                * size_of::<u32>()
-            + self.queued.capacity()
-            + self.sat.capacity()
-            + self.out.capacity() * size_of::<u64>()
+        let lists = [&self.touched, &self.blocked_touched, &self.origin_touched, &self.frontier];
+        lists.into_iter().chain([&self.next]).map(cap_bytes).sum::<usize>()
+            + cap_bytes(&self.words)
+            + cap_bytes(&self.queued)
+            + cap_bytes(&self.sat)
+            + cap_bytes(&self.out)
     }
 
     /// Runs one block of up to `64·W` origins over `snap` under `cfg`

@@ -20,14 +20,14 @@
 //! of leakers against that finished run on buffers of its own — a leak
 //! CDF over `k` leakers is `k + 1` propagations, its workers sharing the
 //! victim side by reference. [`LeakSim`] is the two steps in sequence for
-//! one scenario at a time. Every side computes on a workspace and policy
-//! arrays checked out of the snapshot's scratch and returned on drop, so
-//! a caller that simulates per query (the serve daemon) still runs on
-//! warm buffers and a sweep does no steady-state allocation.
+//! one scenario at a time. Every side computes on a [`SweepCtx`] — a
+//! workspace and the config it runs under, checked out of the snapshot's
+//! scratch and returned on drop — so a caller that simulates per query
+//! (the serve daemon) still runs on warm buffers and a sweep does no
+//! steady-state allocation.
 
-use crate::engine::{run_into, Simulation, TopologySnapshot, Workspace};
-use crate::propagate::{ImportPolicy, PolicyView, PropagationConfig};
-use crate::scratch::Checkout;
+use crate::engine::{Simulation, SweepCtx, TopologySnapshot, Workspace};
+use crate::propagate::{ImportPolicy, PropagationConfig};
 use flatnet_asgraph::NodeId;
 
 /// How one AS routes the contested prefix.
@@ -136,35 +136,6 @@ impl LeakOutcome {
     }
 }
 
-/// What one side of a leak competition computes on, sized for one
-/// snapshot: the workspace of its announcement's run and the policy
-/// arrays a run reads (a leaker side uses the workspace alone). Every
-/// run refills what it reads, so nothing carries over between the sides
-/// that check one out.
-#[derive(Debug)]
-pub(crate) struct LeakSide {
-    ws: Workspace,
-    import: Vec<ImportPolicy>,
-    export_mask: Vec<bool>,
-}
-
-impl LeakSide {
-    fn checkout(snap: &TopologySnapshot) -> Checkout<'_, LeakSide> {
-        snap.scratch().leak.checkout(|| LeakSide {
-            ws: Workspace::for_snapshot(snap),
-            import: vec![ImportPolicy::Normal; snap.len()],
-            export_mask: vec![false; snap.len()],
-        })
-    }
-
-    /// Heap bytes these buffers hold, at capacity.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.ws.heap_bytes()
-            + self.import.capacity() * std::mem::size_of::<ImportPolicy>()
-            + self.export_mask.capacity()
-    }
-}
-
 /// Fills `import` with the policy any leaker's announcement of `victim`'s
 /// prefix meets — it depends on the victim and the locking set only.
 fn fill_leak_import(
@@ -188,20 +159,6 @@ fn fill_leak_import(
     import[victim.idx()] = ImportPolicy::Never;
 }
 
-/// Propagates `leaker`'s announcement of `victim`'s prefix into `ws`
-/// under a policy from [`fill_leak_import`].
-fn run_leaker(
-    snap: &TopologySnapshot,
-    victim: NodeId,
-    leaker: NodeId,
-    import: &[ImportPolicy],
-    ws: &mut Workspace,
-) {
-    assert_ne!(victim, leaker, "victim cannot leak its own prefix");
-    let pol = PolicyView { excluded: None, origin_export: None, import: Some(import) };
-    run_into(snap, leaker, &pol, ws);
-}
-
 /// The victim's half of a leak experiment, propagated: the legitimate
 /// announcement under one export and locking configuration — everything
 /// a [`LeakScenario`] fixes except who leaks. Build it once, then draw a
@@ -214,10 +171,9 @@ fn run_leaker(
 /// nothing to pass one through.
 #[derive(Debug)]
 pub struct VictimSide<'s> {
-    snap: &'s TopologySnapshot,
     victim: NodeId,
-    /// The victim's run, and in `import` the leakers' policy.
-    side: Checkout<'s, LeakSide>,
+    /// The victim's run, and in its config the leakers' policy.
+    ctx: SweepCtx<'s>,
 }
 
 impl<'s> VictimSide<'s> {
@@ -231,38 +187,44 @@ impl<'s> VictimSide<'s> {
         locking: &[NodeId],
         semantics: LockingSemantics,
     ) -> Self {
-        let mut checkout = LeakSide::checkout(snap);
-        let side = &mut *checkout;
+        let n = snap.len();
+        let mut ctx = SweepCtx::lend(snap, &PropagationConfig::default());
+        let cfg = ctx.config_mut();
         // Under corrected semantics, locking neighbors accept only the
         // direct route. Under the pre-erratum semantics the legitimate
         // propagation was unrestricted.
-        side.import.fill(ImportPolicy::Normal);
+        let import = cfg.import_mut(n);
+        import.fill(ImportPolicy::Normal);
         if semantics == LockingSemantics::Corrected {
             for &l in locking {
                 if l != victim {
-                    side.import[l.idx()] = ImportPolicy::OnlyDirectFromOrigin;
+                    import[l.idx()] = ImportPolicy::OnlyDirectFromOrigin;
                 }
             }
         }
-        let origin_export = victim_export.map(|list| {
-            side.export_mask.fill(false);
+        if let Some(list) = victim_export {
+            let mask = cfg.origin_export_mut(n);
+            mask.fill(false);
             for &x in list {
-                side.export_mask[x.idx()] = true;
+                mask[x.idx()] = true;
             }
-            side.export_mask.as_slice()
-        });
-        let pol = PolicyView { excluded: None, origin_export, import: Some(&side.import) };
-        run_into(snap, victim, &pol, &mut side.ws);
+        }
+        ctx.run(victim);
         // The run is finished and only its selections are read from here
-        // on: the policy array now serves the leakers.
-        fill_leak_import(&mut side.import, victim, locking, semantics);
-        VictimSide { snap, victim, side: checkout }
+        // on: the config now holds the leakers' policy, import alone
+        // (every mask switched off first, its buffer kept).
+        let cfg = ctx.config_mut();
+        cfg.clone_from(&PropagationConfig::default());
+        fill_leak_import(cfg.import_mut(n), victim, locking, semantics);
+        VictimSide { victim, ctx }
     }
 
-    /// A leaker half over this victim side, on a pooled workspace of its
-    /// own: one per worker thread of a sweep, each reading the shared side.
+    /// A leaker half over this victim side, on a pooled context of its
+    /// own under the leakers' policy: one per worker thread of a sweep,
+    /// each reading the shared side.
     pub fn leakers(&self) -> LeakerSide<'_> {
-        LeakerSide { victim: self, side: LeakSide::checkout(self.snap) }
+        let ctx = SweepCtx::lend(self.ctx.snapshot(), self.ctx.config());
+        LeakerSide { victim: self, ctx }
     }
 }
 
@@ -271,13 +233,13 @@ impl<'s> VictimSide<'s> {
 #[derive(Debug)]
 pub struct LeakerSide<'v> {
     victim: &'v VictimSide<'v>,
-    side: Checkout<'v, LeakSide>,
+    ctx: SweepCtx<'v>,
 }
 
 impl LeakerSide<'_> {
     fn propagate(&mut self, leaker: NodeId) {
-        let v = self.victim;
-        run_leaker(v.snap, v.victim, leaker, &v.side.import, &mut self.side.ws);
+        assert_ne!(self.victim.victim, leaker, "victim cannot leak its own prefix");
+        self.ctx.run(leaker);
     }
 
     /// State of node `t` after [`Self::propagate`] ran `leaker`.
@@ -289,7 +251,7 @@ impl LeakerSide<'_> {
         if t == leaker {
             return DetourState::Detoured;
         }
-        match (self.victim.side.ws.selection(t), self.side.ws.selection(t)) {
+        match (self.victim.ctx.workspace().selection(t), self.ctx.workspace().selection(t)) {
             (None, None) => DetourState::NoRoute,
             (Some(_), None) => DetourState::Legit,
             (None, Some(_)) => DetourState::Detoured,
@@ -312,7 +274,7 @@ impl LeakerSide<'_> {
     /// callers are expected to avoid when sampling misconfigured ASes).
     pub fn run(&mut self, leaker: NodeId) -> LeakOutcome {
         self.propagate(leaker);
-        let n = self.victim.snap.len();
+        let n = self.ctx.snapshot().len();
         let states = (0..n as u32).map(|i| self.state_of(leaker, NodeId(i))).collect();
         LeakOutcome { victim: self.victim.victim, leaker, states }
     }
@@ -326,7 +288,7 @@ impl LeakerSide<'_> {
     /// `Some(w)` is [`LeakOutcome::weighted_fraction_detoured`].
     pub fn fraction(&mut self, leaker: NodeId, weights: Option<&[f64]>) -> f64 {
         self.propagate(leaker);
-        detour_fraction(self.victim.snap.len(), weights, |t| {
+        detour_fraction(self.ctx.snapshot().len(), weights, |t| {
             self.state_of(leaker, t) == DetourState::Detoured
         })
     }
@@ -372,13 +334,14 @@ impl<'s> LeakSim<'s> {
 
     /// Propagates the scenario's leaker alone, as a sub-prefix hijack
     /// needs: no route competes with a more specific prefix.
-    fn subprefix_side(&self, scenario: &LeakScenario) -> Checkout<'s, LeakSide> {
-        let mut checkout = LeakSide::checkout(self.snap);
-        let side = &mut *checkout;
+    fn subprefix_side(&self, scenario: &LeakScenario) -> SweepCtx<'s> {
+        let mut ctx = SweepCtx::lend(self.snap, &PropagationConfig::default());
         let LeakScenario { victim, leaker, locking, semantics, .. } = scenario;
-        fill_leak_import(&mut side.import, *victim, locking, *semantics);
-        run_leaker(self.snap, *victim, *leaker, &side.import, &mut side.ws);
-        checkout
+        let import = ctx.config_mut().import_mut(self.snap.len());
+        fill_leak_import(import, *victim, locking, *semantics);
+        assert_ne!(victim, leaker, "victim cannot leak its own prefix");
+        ctx.run(*leaker);
+        ctx
     }
 
     /// Runs a **more-specific (sub-prefix) hijack**: the leaker announces
@@ -394,8 +357,8 @@ impl<'s> LeakSim<'s> {
     pub fn run_subprefix(&mut self, scenario: &LeakScenario) -> LeakOutcome {
         let side = self.subprefix_side(scenario);
         let n = self.snap.len();
-        let states =
-            (0..n as u32).map(|i| subprefix_state_of(&side.ws, scenario, NodeId(i))).collect();
+        let ws = side.workspace();
+        let states = (0..n as u32).map(|i| subprefix_state_of(ws, scenario, NodeId(i))).collect();
         LeakOutcome { victim: scenario.victim, leaker: scenario.leaker, states }
     }
 
@@ -407,7 +370,7 @@ impl<'s> LeakSim<'s> {
     ) -> f64 {
         let side = self.subprefix_side(scenario);
         detour_fraction(self.snap.len(), weights, |t| {
-            subprefix_state_of(&side.ws, scenario, t) == DetourState::Detoured
+            subprefix_state_of(side.workspace(), scenario, t) == DetourState::Detoured
         })
     }
 }

@@ -27,14 +27,16 @@
 //!   (§8's "announce to Tier-1/Tier-2/providers only"), and *import
 //!   policies* (§8's peer locking).
 //! * [`engine`] — the batched propagation engine: a compiled
-//!   [`TopologySnapshot`], reusable per-worker [`Workspace`]s, and the
+//!   [`TopologySnapshot`], reusable [`Workspace`]s, and the
 //!   builder-style [`Simulation`] sweep API every whole-Internet
 //!   experiment runs on, including the one lane-sweep driver in front of
 //!   the kernel below. The snapshot holds no links of its own: it is a
 //!   handle on the graph, whose adjacency is already in the layout the
 //!   kernels walk, plus a who-has-customers bitset and the pooled scratch
-//!   sized for the topology (lane workspaces, leak buffers), so repeated
-//!   sweeps over one topology reuse warm buffers whoever runs them.
+//!   sized for the topology (lane workspaces, the scalar contexts a
+//!   [`SweepCtx`] or leak side checks out, reliance kernels), so
+//!   repeated sweeps over one topology reuse warm buffers whoever runs
+//!   them.
 //! * [`exclusion`] — the paper's `I \ P_o \ T1 \ T2` rule, spelled once:
 //!   an [`ExclusionPolicy`] and its three renderings (shared tier mask,
 //!   per-lane fill, scalar mask) for every constrained analysis.

@@ -176,14 +176,45 @@ impl PolicyView<'_> {
 /// restriction and per-node import policies.
 ///
 /// The config owns its masks, so it can be stored in builders and worker
-/// contexts without lifetime plumbing, and its buffers can be refilled in
-/// place between runs of a sweep
-/// (see [`PropagationConfig::excluded_mask_mut`]).
-#[derive(Debug, Clone, Default)]
+/// contexts without lifetime plumbing. An empty mask is no mask, so a
+/// mask switched off keeps its buffer: refilling one in place between
+/// runs of a sweep (see [`PropagationConfig::excluded_mask_mut`]) or
+/// copying another config over this one with [`Clone::clone_from`]
+/// allocates nothing once the buffers are sized.
+#[derive(Debug, Default)]
 pub struct PropagationConfig {
-    excluded: Option<Vec<bool>>,
-    origin_export: Option<Vec<bool>>,
-    import: Option<Vec<ImportPolicy>>,
+    excluded: Vec<bool>,
+    origin_export: Vec<bool>,
+    import: Vec<ImportPolicy>,
+}
+
+impl Clone for PropagationConfig {
+    fn clone(&self) -> Self {
+        PropagationConfig {
+            excluded: self.excluded.clone(),
+            origin_export: self.origin_export.clone(),
+            import: self.import.clone(),
+        }
+    }
+
+    /// Copies `source`'s policy into the buffers already here: a present
+    /// mask is copied in place, an absent one is switched off without
+    /// being freed — how a pooled context takes on its caller's policy.
+    fn clone_from(&mut self, source: &Self) {
+        self.excluded.clone_from(&source.excluded);
+        self.origin_export.clone_from(&source.origin_export);
+        self.import.clone_from(&source.import);
+    }
+}
+
+/// `mask` sized for an `n`-node graph in its own buffer; one of another
+/// size (an absent one included) is refilled with `fill` first.
+fn sized<T: Copy>(mask: &mut Vec<T>, n: usize, fill: T) -> &mut [T] {
+    if mask.len() != n {
+        mask.clear();
+        mask.resize(n, fill);
+    }
+    mask
 }
 
 impl PropagationConfig {
@@ -194,46 +225,62 @@ impl PropagationConfig {
 
     /// Sets the excluded-node mask (`true` = removed from the topology).
     pub fn with_excluded(mut self, mask: Vec<bool>) -> Self {
-        self.excluded = Some(mask);
+        self.excluded = mask;
         self
     }
 
     /// Sets the origin-export mask: the origin announces only to neighbors
     /// flagged `true`.
     pub fn with_origin_export(mut self, mask: Vec<bool>) -> Self {
-        self.origin_export = Some(mask);
+        self.origin_export = mask;
         self
     }
 
     /// Sets per-node import policies (peer locking).
     pub fn with_import(mut self, policies: Vec<ImportPolicy>) -> Self {
-        self.import = Some(policies);
+        self.import = policies;
         self
     }
 
     /// Mutable access to the exclusion mask, sized for an `n`-node graph.
     ///
-    /// Allocates a cleared mask on first use and reuses it afterwards, so
+    /// Sizes a cleared mask on first use and reuses it afterwards, so
     /// a sweep that re-fills the mask per origin does no steady-state
     /// allocation. The caller is responsible for clearing stale entries
     /// (`mask.fill(false)`) before writing the next origin's exclusions.
     pub fn excluded_mask_mut(&mut self, n: usize) -> &mut [bool] {
-        let mask = self.excluded.get_or_insert_with(|| vec![false; n]);
-        if mask.len() != n {
-            mask.clear();
-            mask.resize(n, false);
-        }
-        mask
+        sized(&mut self.excluded, n, false)
+    }
+
+    /// The origin-export mask, sized like [`Self::excluded_mask_mut`].
+    pub(crate) fn origin_export_mut(&mut self, n: usize) -> &mut [bool] {
+        sized(&mut self.origin_export, n, false)
+    }
+
+    /// The import policies, sized like [`Self::excluded_mask_mut`].
+    pub(crate) fn import_mut(&mut self, n: usize) -> &mut [ImportPolicy] {
+        sized(&mut self.import, n, ImportPolicy::Normal)
+    }
+
+    /// Heap bytes the masks hold, at capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use crate::scratch::cap_bytes;
+        cap_bytes(&self.excluded) + cap_bytes(&self.origin_export) + cap_bytes(&self.import)
     }
 
     /// The borrowed policy view the engine and the test oracle interpret.
     pub(crate) fn view(&self) -> PolicyView<'_> {
         PolicyView {
-            excluded: self.excluded.as_deref(),
-            origin_export: self.origin_export.as_deref(),
-            import: self.import.as_deref(),
+            excluded: present(&self.excluded),
+            origin_export: present(&self.origin_export),
+            import: present(&self.import),
         }
     }
+}
+
+/// A mask as the view reads it: `None` when switched off (empty).
+fn present<T>(mask: &[T]) -> Option<&[T]> {
+    (!mask.is_empty()).then_some(mask)
 }
 
 /// The result of propagating one origin's announcement.
@@ -671,6 +718,24 @@ mod tests {
         for n in g.nodes() {
             assert_eq!(via_engine.selection(n), via_legacy.selection(n));
         }
+    }
+
+    /// A pooled context takes on its caller's policy in place: every
+    /// mask the source has is copied into the buffer already there, every
+    /// one it lacks is switched off, and no buffer is freed.
+    #[test]
+    fn clone_from_lends_masks_without_freeing_them() {
+        let mut lent = PropagationConfig::new()
+            .with_excluded(vec![true; 4])
+            .with_origin_export(vec![true; 4])
+            .with_import(vec![ImportPolicy::Never; 4]);
+        let before = lent.heap_bytes();
+        let caller = PropagationConfig::new().with_excluded(vec![false, true, false, false]);
+        lent.clone_from(&caller);
+        let view = lent.view();
+        assert_eq!(view.excluded, Some(&[false, true, false, false][..]));
+        assert!(view.origin_export.is_none() && view.import.is_none());
+        assert_eq!(lent.heap_bytes(), before, "a switched-off mask keeps its buffer");
     }
 
     #[test]

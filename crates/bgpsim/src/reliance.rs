@@ -37,6 +37,7 @@
 use crate::dag::NextHopDag;
 use crate::engine::{TopologySnapshot, Workspace};
 use crate::propagate::{PropagationConfig, UNREACHED};
+use crate::scratch::cap_bytes;
 use flatnet_asgraph::NodeId;
 use flatnet_obs::{Counter, Histogram};
 use std::sync::{Arc, OnceLock};
@@ -70,10 +71,11 @@ pub fn reliance(dag: &NextHopDag) -> Vec<f64> {
 
 /// Reusable reliance kernel: scores `rely(origin, ·)` for the run a
 /// [`Workspace`] holds, without building a [`RoutingOutcome`] or a
-/// [`NextHopDag`]. Create one per worker; buffers are sized on the first
-/// [`score`](Self::score) call (a worker that never scores reliance pays
-/// nothing), resize when the snapshot's node count changes, and are
-/// reused afterwards — a run on a warm workspace does not allocate.
+/// [`NextHopDag`]. The snapshot pools them for
+/// [`SweepCtx::run_reliance`](crate::SweepCtx::run_reliance); buffers
+/// are sized on the first [`score`](Self::score) call, resize when the
+/// snapshot's node count changes, and are reused afterwards — a run on a
+/// warm workspace does not allocate.
 ///
 /// Scores are bit-identical to `reliance(&NextHopDag::build(..))` over
 /// the same run:
@@ -127,6 +129,8 @@ pub struct RelianceWorkspace {
     /// (once its `hops` range is reserved) the next slot to fill. Zero
     /// for every other node.
     slot: Vec<u32>,
+    /// The ranking [`Self::top`] leaves: `(node index, score)` pairs.
+    ranked: Vec<(u32, f64)>,
 }
 
 impl RelianceWorkspace {
@@ -321,6 +325,56 @@ impl RelianceWorkspace {
     pub fn receivers(&self) -> usize {
         self.topo.len()
     }
+
+    /// The `cap` (at least 1) best `(node index, score)` pairs of the most
+    /// recent run — positive scores only, the origin omitted, scores
+    /// descending then index ascending — ranked in a buffer this
+    /// workspace keeps, so a warm ranking allocates nothing.
+    pub fn top(&mut self, cap: usize) -> &[(u32, f64)] {
+        // The origin is the one node at distance 0, first in `topo`; a run
+        // that reached nothing has no positive score to skip.
+        let origin = self.topo.first().map_or(usize::MAX, |&o| o as usize);
+        select_top(&self.scores, origin, cap, &mut self.ranked);
+        &self.ranked
+    }
+
+    /// Heap bytes this workspace holds, every buffer at capacity.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let u32s = [&self.sel, &self.topo, &self.starts, &self.hop_off, &self.hops, &self.senders];
+        u32s.into_iter().chain([&self.slot]).map(cap_bytes).sum::<usize>()
+            + cap_bytes(&self.counts)
+            + cap_bytes(&self.scores)
+            + cap_bytes(&self.offers)
+            + cap_bytes(&self.ranked)
+    }
+}
+
+/// Leaves in `ranked` the `cap` best `(index, score)` pairs of `scores`
+/// — positive scores only, `skip` omitted, scores descending then index
+/// ascending — without ever holding more than `2 * cap` candidates: when
+/// the buffer fills, a selection keeps its better half, and from then on
+/// a candidate must beat the worst survivor to enter. A tie with that
+/// survivor loses, as it should: the scan ascends, so the candidate's
+/// index is the higher one.
+fn select_top(scores: &[f64], skip: usize, cap: usize, ranked: &mut Vec<(u32, f64)>) {
+    let by_rank = |a: &(u32, f64), b: &(u32, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    ranked.clear();
+    let mut floor = 0.0;
+    for (i, &s) in scores.iter().enumerate() {
+        if s > floor && i != skip {
+            ranked.push((i as u32, s));
+            if ranked.len() == 2 * cap {
+                ranked.select_nth_unstable_by(cap - 1, by_rank);
+                ranked.truncate(cap);
+                floor = ranked[cap - 1].1;
+            }
+        }
+    }
+    if ranked.len() > cap {
+        ranked.select_nth_unstable_by(cap - 1, by_rank);
+        ranked.truncate(cap);
+    }
+    ranked.sort_unstable_by(by_rank);
 }
 
 /// Pre-resolved handles for the kernel's own work, tallied in locals and
@@ -413,10 +467,9 @@ mod tests {
         assert!((w[node(&g, 5).idx()] - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn fig5_fractional_reliance() {
-        // Origin 1; providers 2, 3, 4; 5 above {2,3}; 6 above {4};
-        // 7 above {5,6}. From 7 there are 3 tied paths: 5-2, 5-3, 6-4.
+    /// Origin 1; providers 2, 3, 4; 5 above {2,3}; 6 above {4};
+    /// 7 above {5,6}. From 7 there are 3 tied paths: 5-2, 5-3, 6-4.
+    fn fig5() -> AsGraph {
         let mut b = AsGraphBuilder::new();
         for p in [2, 3, 4] {
             b.add_link(AsId(p), AsId(1), Relationship::P2c);
@@ -426,7 +479,12 @@ mod tests {
         b.add_link(AsId(6), AsId(4), Relationship::P2c);
         b.add_link(AsId(7), AsId(5), Relationship::P2c);
         b.add_link(AsId(7), AsId(6), Relationship::P2c);
-        let g = b.build();
+        b.build()
+    }
+
+    #[test]
+    fn fig5_fractional_reliance() {
+        let g = fig5();
         let (_, w) = rely_of(&g, 1);
         // W(5): itself 1 + from 7: 2/3 of 7's paths go via 5 = 5/3.
         assert!((w[node(&g, 5).idx()] - (1.0 + 2.0 / 3.0)).abs() < 1e-12);
@@ -466,6 +524,51 @@ mod tests {
             .map(|&u| (dag.dist(u).unwrap() + 1) as f64)
             .sum();
         assert!((total_w - expected).abs() < 1e-9, "{total_w} vs {expected}");
+    }
+
+    /// The bounded selection is a full sort and truncate, whatever the
+    /// cap, however often the buffer compacts and wherever the ties fall.
+    #[test]
+    fn select_top_matches_sort_and_truncate() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut ranked = Vec::new();
+        for round in 0..200 {
+            let len = (next() % 400) as usize;
+            // Few distinct values, zeros included: ties on every boundary.
+            // Even rounds ascend, the worst case for the running floor.
+            let mut scores: Vec<f64> = (0..len).map(|_| (next() % 7) as f64 * 0.5).collect();
+            if round % 2 == 0 {
+                scores.sort_by(f64::total_cmp);
+            }
+            let skip = (next() % (len as u64 + 1)) as usize;
+            let cap = 1 + (next() % 40) as usize;
+            let mut want: Vec<(u32, f64)> = (0..len)
+                .filter(|&i| scores[i] > 0.0 && i != skip)
+                .map(|i| (i as u32, scores[i]))
+                .collect();
+            want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            want.truncate(cap);
+            select_top(&scores, skip, cap, &mut ranked);
+            assert_eq!(ranked, want, "round {round}: len {len}, skip {skip}, cap {cap}");
+        }
+        // At most 2 × 40 candidates were ever held, however long the scan.
+        assert!(ranked.capacity() <= 4 * 40, "the scratch grew to {}", ranked.capacity());
+    }
+
+    /// `top` ranks the latest run and leaves its origin out.
+    #[test]
+    fn top_skips_the_origin_of_the_latest_run() {
+        let (g, w) = rely_of(&fig5(), 1);
+        let snap = crate::engine::TopologySnapshot::compile(&g);
+        let mut ctx = crate::engine::Simulation::over(&snap).ctx();
+        let origin = node(&g, 1);
+        let top = ctx.run_reliance(origin).top(3).to_vec();
+        let ranked = |asn| (node(&g, asn).0, w[node(&g, asn).idx()]);
+        assert_eq!(top, [ranked(4), ranked(2), ranked(3)]);
     }
 
     /// Brute-force cross-check on random DAG-inducing topologies.

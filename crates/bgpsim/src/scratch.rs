@@ -2,23 +2,18 @@
 //! has one owner, the [`TopologySnapshot`](crate::engine::TopologySnapshot)
 //! it was sized for.
 //!
-//! The lane kernel's [`LaneWorkspace`]s (one pool per width) and the leak
-//! simulator's [`LeakSide`]s are sized by the topology's node count and
-//! are expensive to create — 174 B/node for a 256-lane workspace, all of
-//! it first-touch page faults — but carry no result between runs. They
-//! used to belong to whoever ran the sweep (a `Simulation` value, a
-//! `LeakSim`), so a caller that builds those per request, as the serve
-//! daemon does, paid for fresh buffers every time. Hanging the pools off
-//! the compiled topology instead gives them exactly the lifetime of the
-//! thing they are sized for: every `Simulation` and leak simulation over
-//! one snapshot shares them, and they are freed with the snapshot (on a
-//! serve hot-reload, when the last in-flight query drops the old `Arc`).
-//!
-//! The one exception to "one owner": the serve daemon's per-worker
-//! `WorkerCtx` keeps a scalar `Workspace`, a `RelianceWorkspace` and a
-//! `PropagationConfig` of its own across snapshots (pooling them here
-//! would need the pooled config's masks lent and returned per request).
-//! Those buffers are not in [`Scratch::bytes`].
+//! The lane kernel's [`LaneWorkspace`]s (one pool per width), the
+//! [`ScalarCtx`]s (a workspace and its config) every
+//! [`SweepCtx`](crate::engine::SweepCtx) and leak side runs on, and the
+//! [`RelianceWorkspace`]s are sized by the topology's node count and are
+//! expensive to create — 174 B/node for a 256-lane workspace, all of it
+//! first-touch page faults — but carry no result between runs. Owned by
+//! whoever ran the sweep (a `Simulation`, a `LeakSim`, a serve worker),
+//! they were paid for per request or kept past the topology they were
+//! sized for. Hung off the compiled topology, they live exactly as long
+//! as what they are sized for: every sweep, leak simulation and serve
+//! request over one snapshot shares them, and they are freed with it (on
+//! a serve hot-reload, when the last in-flight query drops the old `Arc`).
 //!
 //! Each pool keeps a bounded number of idle items, so a burst of
 //! concurrent sweeps cannot pin more scratch than steady parallel use
@@ -26,17 +21,20 @@
 //! every return did before the pools existed. Lane workspaces are bounded
 //! at one per core ([`cores`]): a sweep fans its blocks out over at most
 //! that many workers, and a daemon that sweeps single-threaded per
-//! request runs at most that many request workers. Leak sides are
+//! request runs at most that many request workers. Scalar contexts are
 //! bounded at cores × (cores + 1): a leak CDF holds one victim side on
 //! its calling thread and fans out one leaker side per core beneath it,
 //! so a daemon with one request worker per core holds that many in
 //! steady use. A bound one step too small is not harmless: with leak
 //! buffers bounded at cores, one leak query in eleven on the 2-core
 //! reference box found the pool empty and sized fresh buffers, +25 MB of
-//! resident allocator slack.
+//! resident allocator slack. Reliance workspaces have the same bound in
+//! a pool of their own, so the idle ones never outnumber the most
+//! reliance solves that ran at once.
 
+use crate::engine::ScalarCtx;
 use crate::lanes::LaneWorkspace;
-use crate::leak::LeakSide;
+use crate::reliance::RelianceWorkspace;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -58,6 +56,11 @@ impl<T> fmt::Debug for Pool<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Pool({} idle of at most {})", self.lock().len(), self.bound)
     }
+}
+
+/// Heap bytes `v` holds at capacity.
+pub(crate) fn cap_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
 }
 
 impl<T> Pool<T> {
@@ -96,9 +99,10 @@ impl<T> Pool<T> {
 }
 
 /// An item checked out of a [`Pool`]; dereferences to it and returns it
-/// on drop, including when the holder unwinds. Items reset themselves at
-/// the start of their next run, so one returned mid-run is still clean
-/// to reuse.
+/// on drop — unless the thread is panicking, when the item is dropped
+/// with it. Items reset themselves at the start of their next run, so
+/// one returned after a caught panic inside a run is still clean to
+/// reuse.
 #[derive(Debug)]
 pub(crate) struct Checkout<'p, T> {
     item: Option<T>,
@@ -120,7 +124,7 @@ impl<T> DerefMut for Checkout<'_, T> {
 
 impl<T> Drop for Checkout<'_, T> {
     fn drop(&mut self) {
-        if let Some(item) = self.item.take() {
+        if let Some(item) = self.item.take().filter(|_| !std::thread::panicking()) {
             self.pool.put(item);
         }
     }
@@ -134,7 +138,8 @@ pub(crate) struct Scratch {
     pub(crate) lanes1: Pool<LaneWorkspace<1>>,
     pub(crate) lanes2: Pool<LaneWorkspace<2>>,
     pub(crate) lanes4: Pool<LaneWorkspace<4>>,
-    pub(crate) leak: Pool<LeakSide>,
+    pub(crate) scalar: Pool<ScalarCtx>,
+    pub(crate) reliance: Pool<RelianceWorkspace>,
 }
 
 impl Default for Scratch {
@@ -143,7 +148,8 @@ impl Default for Scratch {
             lanes1: Pool::with_bound(cores()),
             lanes2: Pool::with_bound(cores()),
             lanes4: Pool::with_bound(cores()),
-            leak: Pool::with_bound(cores() * (cores() + 1)),
+            scalar: Pool::with_bound(cores() * (cores() + 1)),
+            reliance: Pool::with_bound(cores() * (cores() + 1)),
         }
     }
 }
@@ -162,7 +168,8 @@ impl Scratch {
         self.lanes1.bytes(LaneWorkspace::heap_bytes)
             + self.lanes2.bytes(LaneWorkspace::heap_bytes)
             + self.lanes4.bytes(LaneWorkspace::heap_bytes)
-            + self.leak.bytes(LeakSide::heap_bytes)
+            + self.scalar.bytes(|c| c.ws.heap_bytes() + c.cfg.heap_bytes())
+            + self.reliance.bytes(RelianceWorkspace::heap_bytes)
     }
 }
 
@@ -191,6 +198,25 @@ mod tests {
         // The next checkout is one of the returned items, not a new one.
         let again = pool.checkout(|| unreachable!("an idle item exists"));
         assert_eq!(again.len(), 1);
+    }
+
+    #[test]
+    fn a_checkout_dropped_while_unwinding_is_not_returned() {
+        let pool: Pool<Vec<u8>> = Pool::with_bound(4);
+        drop(pool.checkout(Vec::new));
+        assert_eq!(pool.idle(), 1);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut half_run = pool.checkout(|| unreachable!("an idle item exists"));
+            half_run.push(7);
+            panic!("the run is cut short");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(pool.idle(), 0, "the half-run item was dropped, not returned");
+        // A checkout that outlives a caught panic goes back as usual.
+        let held = pool.checkout(Vec::new);
+        assert!(std::panic::catch_unwind(|| panic!("caught inside the run")).is_err());
+        drop(held);
+        assert_eq!(pool.idle(), 1);
     }
 
     /// A two-level hierarchy with a peering mesh on top: 4 transit ASes
@@ -300,18 +326,40 @@ mod tests {
             let (mut a, mut b) = (victim.leakers(), victim.leakers());
             a.run(node(31));
             b.run(node(41));
-            assert_eq!(snap.scratch().leak.idle(), 0, "all three sides are out");
+            assert_eq!(snap.scratch().scalar.idle(), 0, "all three sides are out");
         }
-        assert_eq!(snap.scratch().leak.idle(), 3.min(bound));
+        assert_eq!(snap.scratch().scalar.idle(), 3.min(bound));
         LeakSim::new(&snap).run_subprefix(&locked);
-        assert_eq!(snap.scratch().leak.idle(), 3.min(bound), "a simulator keeps nothing");
+        assert_eq!(snap.scratch().scalar.idle(), 3.min(bound), "a simulator keeps nothing");
         let bytes = snap.scratch_bytes();
         // A simulator on returned sides — the locked scenario's
         // policies still in them — equals one on fresh buffers.
         let reused = LeakSim::new(&snap).run(&plain);
         let fresh = snap.clone();
         assert_eq!(reused.states(), LeakSim::new(&fresh).run(&plain).states());
-        assert_eq!(snap.scratch().leak.idle(), 3.min(bound));
+        assert_eq!(snap.scratch().scalar.idle(), 3.min(bound));
         assert!(snap.scratch_bytes() < bytes + bytes / 4, "no fourth side was sized");
+        // A sweep context takes a returned side, with none of its policy.
+        let ctx_reach = Simulation::over(&snap).ctx().run(node(10)).reach_words().to_vec();
+        assert_eq!(ctx_reach, Simulation::over(&fresh).run(node(10)).reach_words());
+        assert_eq!(snap.scratch().scalar.idle(), 3.min(bound));
+        assert_eq!(snap.scratch().reliance.idle(), 0, "no reliance kernel sized for a leak");
+    }
+
+    #[test]
+    fn reliance_kernels_are_pooled_apart_from_scalar_contexts() {
+        let g = graph();
+        let snap = TopologySnapshot::compile(&g);
+        let sim = Simulation::over(&snap).threads(1);
+        let mut plain = sim.ctx();
+        plain.run(NodeId(0));
+        drop(plain);
+        assert_eq!((snap.scratch().scalar.idle(), snap.scratch().reliance.idle()), (1, 0));
+        let scalar_bytes = snap.scratch_bytes();
+        let origins: Vec<NodeId> = g.nodes().collect();
+        let receivers = sim.run_sweep_map(&origins, |ctx, o| ctx.run_reliance(o).receivers());
+        assert_eq!(receivers.len(), g.len());
+        assert_eq!((snap.scratch().scalar.idle(), snap.scratch().reliance.idle()), (1, 1));
+        assert!(snap.scratch_bytes() > scalar_bytes + 24 * g.len(), "the kernel is counted");
     }
 }

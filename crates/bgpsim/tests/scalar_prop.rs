@@ -14,12 +14,20 @@
 //! with runs that reach almost nothing, so all three reset branches
 //! (resize, fill, undo) and the switches between them are taken with
 //! stale state to trip over.
+//!
+//! Every step also runs through the snapshot's pooled contexts, which
+//! one world's steps and leak competitions under random lockings share:
+//! a [`SweepCtx`](flatnet_bgpsim::SweepCtx) must start with exactly its
+//! caller's policy, however the previous holder left the lent masks, and
+//! a [`VictimSide`] must equal one on a fresh snapshot. And every step
+//! runs a lane block holding its origin and at least eight others under
+//! the step's policy, each lane's reach set equal to a scalar run.
 
 use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, NodeId, Relationship};
 use flatnet_bgpsim::oracle::propagate_legacy;
 use flatnet_bgpsim::{
-    reliance, ImportPolicy, NextHopDag, PropagationConfig, RelianceWorkspace, TopologySnapshot,
-    Workspace,
+    reliance, ImportPolicy, LaneWidth, LockingSemantics, NextHopDag, PropagationConfig,
+    RelianceWorkspace, Simulation, TopologySnapshot, VictimSide, Workspace,
 };
 use proptest::prelude::*;
 
@@ -65,12 +73,13 @@ fn arb_graph() -> impl Strategy<Value = AsGraph> {
 struct Step {
     origin: u32,
     seed: u64,
-    /// Bit 0: exclusion mask, 1: origin-export mask, 2: import policies.
+    /// Bit 0: exclusion mask, 1: origin-export mask, 2: import policies,
+    /// 3: a leak competition runs on the pool before the step.
     knobs: u8,
 }
 
 fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
-    proptest::collection::vec((any::<u32>(), any::<u64>(), 0u8..8), 8..14).prop_map(|steps| {
+    proptest::collection::vec((any::<u32>(), any::<u64>(), 0u8..16), 8..14).prop_map(|steps| {
         steps.into_iter().map(|(origin, seed, knobs)| Step { origin, seed, knobs }).collect()
     })
 }
@@ -105,6 +114,38 @@ fn config_for(step: &Step, k: usize, n: usize, origin: NodeId) -> PropagationCon
         cfg = cfg.with_import(policies);
     }
     cfg
+}
+
+/// A leak competition on `snap`'s pool with a random victim export and
+/// locking set drawn from `rng`; its outcome must equal the same
+/// competition on a fresh snapshot, whose pools are empty.
+fn leak_on_the_pool(snap: &TopologySnapshot, g: &AsGraph, rng: &mut u64, what: &str) {
+    let n = g.len() as u64;
+    let victim = NodeId((next(rng) % n) as u32);
+    let leaker = NodeId(((victim.0 as u64 + 1 + next(rng) % (n - 1)) % n) as u32);
+    let neighbors: Vec<NodeId> = g.neighbors(victim).map(|(x, _)| x).collect();
+    let locking: Vec<NodeId> =
+        neighbors.iter().copied().filter(|_| next(rng).is_multiple_of(2)).collect();
+    let export: Option<Vec<NodeId>> = next(rng)
+        .is_multiple_of(2)
+        .then(|| neighbors.iter().copied().filter(|_| !next(rng).is_multiple_of(3)).collect());
+    let semantics = if next(rng).is_multiple_of(4) {
+        LockingSemantics::PreErratum
+    } else {
+        LockingSemantics::Corrected
+    };
+    let fresh = snap.clone();
+    let run = |snap: &TopologySnapshot| {
+        let side = VictimSide::propagate(snap, victim, export.as_deref(), &locking, semantics);
+        let outcome = side.leakers().run(leaker);
+        outcome.states().to_vec()
+    };
+    prop_assert_eq!(
+        run(snap),
+        run(&fresh),
+        "{}: leak {}->{} (locking {:?}, export {:?}, {:?}), pooled vs fresh",
+        what, victim, leaker, locking, export, semantics
+    );
 }
 
 proptest! {
@@ -156,6 +197,37 @@ proptest! {
                     );
                 }
                 prop_assert_eq!(rely.receivers(), dag.reachable_len(), "{}: receivers", what);
+
+                // The same run on a pooled context: whatever the last
+                // holder (a step, a leak side) left in the lent config,
+                // this one runs under `cfg` alone.
+                if step.knobs & 8 != 0 {
+                    leak_on_the_pool(&snap, g, &mut (step.seed ^ 0x5EED), &what);
+                }
+                let sim = Simulation::over(&snap).config(cfg.clone()).threads(1);
+                let mut ctx = sim.ctx();
+                let pooled = ctx.run(origin);
+                prop_assert_eq!(pooled.reach_words(), want.reach_words(), "{}: pooled reach", what);
+                for v in g.nodes() {
+                    prop_assert_eq!(pooled.selection(v), want.selection(v), "{}: pooled at {}", what, v);
+                }
+                let pooled = ctx.run_reliance(origin).scores();
+                for (i, (a, b)) in pooled.iter().zip(&oracle).enumerate() {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "{}: pooled rely of {}", what, i);
+                }
+
+                // A lane block under the step's whole policy: the origin
+                // and 8–15 others, each lane against a scalar run.
+                let mut lane_rng = step.seed ^ 0x1A4E;
+                let others = 8 + next(&mut lane_rng) % 8;
+                let block: Vec<NodeId> = std::iter::once(origin)
+                    .chain((0..others).map(|_| NodeId((next(&mut lane_rng) % n as u64) as u32)))
+                    .collect();
+                let lanes = sim.clone().lane_width(LaneWidth::W64).run_sweep_reach(&block);
+                for (i, &o) in block.iter().enumerate() {
+                    let scalar = ctx.run(o).reach_words();
+                    prop_assert_eq!(lanes.reach_words(i), scalar, "{}: lane {} ({})", what, i, o);
+                }
 
                 let is_wide = dag.reachable_len() >= n / 8;
                 wide += usize::from(is_wide);

@@ -105,8 +105,9 @@ USAGE:
       \"shard-unavailable\"; batches return a partial envelope flagged
       with a router.partial marker). POST /admin/reload rolls the fleet
       one shard at a time behind a health gate; /healthz, /metrics, and
-      /debug/shards aggregate across shards. Trace ids propagate to
-      shards via X-Flatnet-Trace-Id.
+      /debug/shards aggregate across shards, /debug/trace/recent and
+      /debug/trace/slow serve the router's own trace ring. Trace ids
+      propagate to shards via X-Flatnet-Trace-Id.
 
   flatnet snapshot save   --out FILE [--as-rel FILE | --ases N --seed S]
                           [--tier1 .. --tier2 ..]
@@ -144,8 +145,10 @@ Observability (any command):
 
 Fault tolerance (every command that reads a file):
   --lenient        Skip malformed records instead of aborting; dropped
-                   record counts are reported on stderr.
-  --max-errors N   Cap on skipped records in lenient mode (implies
+                   record counts are reported on stderr. serve, router
+                   and snapshot save take it with the default budget.
+  --max-errors N   (reach/rank/cone/leak/infer/collect/relinfer/dot) Cap
+                   on skipped records in lenient mode (implies
                    --lenient; default 1000). Parsing aborts once the
                    budget is exhausted.
   --validate       (reach/rank/leak) Run topology health checks before

@@ -70,7 +70,8 @@ mod tests {
 
     fn hegemony_for_origin(g: &AsGraph, origin: NodeId) -> Vec<f64> {
         let snap = TopologySnapshot::compile(g);
-        hegemony_of(&mut Simulation::over(&snap).ctx(), origin)
+        let mut ctx = Simulation::over(&snap).ctx();
+        hegemony_of(&mut ctx, origin)
     }
 
     /// Pure chain: o=1 under 2 under 3; plus stub 4 under 3.

@@ -315,18 +315,20 @@ fn route(inner: &Inner, req: &Request, trace_id: u64) -> Response {
         (Method::Get, "/healthz") => healthz(inner),
         (Method::Get, "/metrics") => metrics(inner, req, trace_id),
         (Method::Get, "/debug/shards") => debug_shards(inner, trace_id),
+        // The router's own ring: what this hop recorded, not a shard's.
+        (Method::Get, "/debug/trace/recent" | "/debug/trace/slow") => inner
+            .front
+            .trace_dump(req)
+            .unwrap_or_else(|e| error_resp(400, "bad-request", &e, inner, trace_id)),
         (Method::Post, "/admin/reload") => rolling_reload(inner, trace_id),
         (Method::Post, "/admin/shutdown") => {
             inner.front.stop();
             Response::json(200, "{\"status\":\"shutting-down\"}\n".to_string())
         }
-        (method, path) => {
-            // Anything else (including /debug/trace/*) is answered by a
-            // healthy shard — debug state is per-process, and forwarding
-            // beats a router-side 404 for operator muscle memory.
-            let _ = (method, path);
-            forward_any(inner, req, trace_id)
-        }
+        // Anything else (`/debug/queue`, say) is answered by a healthy
+        // shard: that state is per-process, and forwarding beats a
+        // router-side 404 for operator muscle memory.
+        _ => forward_any(inner, req, trace_id),
     }
 }
 

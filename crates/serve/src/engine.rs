@@ -1,28 +1,26 @@
-//! The query engine: a fixed worker pool with per-worker propagation
-//! state, a bounded queue with backpressure, per-request deadlines, and
-//! the endpoint handlers themselves.
+//! The query engine: a fixed pool of stateless workers, a bounded queue
+//! with backpressure, per-request deadlines, and the endpoint handlers
+//! themselves.
 //!
-//! Each worker owns a [`Workspace`] and a [`PropagationConfig`] for its
-//! whole lifetime, so the zero-steady-state-allocation property of the
-//! batched engine carries straight into the daemon: a cache-missing
-//! reachability query costs one propagation run over buffers that were
-//! allocated when the worker was born. The scratch of the other solve
-//! paths — lane workspaces for `origins=` batches, leak-simulator
-//! buffers for `/v1/whatif/leak` — is pooled on the snapshot's compiled
-//! topology (DESIGN.md § Scratch ownership), so a steady-state miss of
-//! any kind allocates its answer and its response and nothing else, and
-//! a hot-reload frees the old snapshot's scratch with it. Snapshots
-//! arrive per-request via `Arc` (see
-//! [`crate::snapshot::SnapshotManager`]), which is what lets a worker
-//! keep its workspace across hot-reloads — the workspace resizes itself
-//! if the topology's node count changed.
+//! Every buffer a solve computes on — the scalar context (a `Workspace`
+//! and the `PropagationConfig` it runs under) of a single miss, the
+//! reliance kernel and its ranking buffer, the lane workspaces of an
+//! `origins=` batch, the leak simulators' contexts of
+//! `/v1/whatif/leak` — is checked out of the pools on the snapshot's
+//! compiled topology (DESIGN.md § Scratch ownership) for the request and
+//! returned after it, so a steady-state miss of any kind allocates its
+//! answer and its response and nothing else, `scratch_bytes` counts all
+//! of it, and a hot-reload frees the old snapshot's scratch with it.
+//! Snapshots arrive per-request via `Arc` (see
+//! [`crate::snapshot::SnapshotManager`]); a worker keeps nothing across
+//! requests.
 //!
 //! A worker holds one connection at a time for that connection's whole
 //! life: a connection whose first request waited out its deadline in the
 //! queue is answered `503 deadline` here, every other one runs
 //! [`Front::serve_connection`] — the keep-alive loop the router runs too
-//! — with the endpoints below as its [`Handler`], and a worker whose
-//! route panicked replaces its context.
+//! — with the endpoints below as its [`Handler`]. A route that panics
+//! drops the buffers it had checked out instead of returning them.
 //!
 //! Every `/v1` response, success or failure, wears the same envelope:
 //! `{"schema":…,"snapshot_version":…,"trace_id":…,"data":{…}}` on
@@ -40,11 +38,10 @@ use crate::server::ServeConfig;
 use crate::snapshot::{ServeSnapshot, SnapshotManager};
 use flatnet_asgraph::{AsId, NodeId};
 use flatnet_bgpsim::{
-    Exclusion, ExclusionPolicy, LaneWidth, LockingSemantics, PropagationConfig, ReachForm,
-    ReachSet, RelianceWorkspace, Simulation, Workspace,
+    Exclusion, ExclusionPolicy, LaneWidth, LockingSemantics, ReachForm, ReachSet, Simulation,
 };
 use flatnet_core::leaks::{leak_cdf_on, Announce, Locking};
-use flatnet_obs::trace::{Stage, TraceCtx, TraceDump, Tracer};
+use flatnet_obs::trace::{Stage, TraceCtx};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::net::TcpStream;
@@ -185,8 +182,8 @@ impl Shared {
         }
     }
 
-    /// Reads the current snapshot's pooled scratch (lane workspaces and
-    /// leak buffers, at capacity) into the `serve.scratch_bytes` gauge.
+    /// Reads the current snapshot's pooled scratch (every buffer a solve
+    /// computes on, at capacity) into the `serve.scratch_bytes` gauge.
     fn refresh_scratch_bytes(&self) -> usize {
         let bytes = self.mgr.current().topo.scratch_bytes();
         self.scratch_bytes.set(bytes as i64);
@@ -258,7 +255,6 @@ pub(crate) fn spawn_warmup(shared: &Arc<Shared>, snap: Arc<ServeSnapshot>) {
         by_degree.sort_by_key(|&n| (std::cmp::Reverse(g.degree(n)), n.0));
         by_degree.truncate(top_n);
         let origins: Vec<(u32, NodeId)> = by_degree.iter().map(|&n| (g.asn(n).0, n)).collect();
-        let mut ctx = WorkerCtx::new();
         // Stage marks of a warm-up belong to no request; never recorded.
         let mut trace = TraceCtx::new(0);
         for block in origins.chunks(LaneWidth::Auto.lanes()) {
@@ -266,9 +262,8 @@ pub(crate) fn spawn_warmup(shared: &Arc<Shared>, snap: Arc<ServeSnapshot>) {
                 return;
             }
             let none = ExclusionPolicy::NONE;
-            if let Err(e) =
-                resolve(&shared, &mut ctx, &snap, Endpoint::Reachability, none, block, &mut trace)
-            {
+            let solved = resolve(&shared, &snap, Endpoint::Reachability, none, block, &mut trace);
+            if let Err(e) = solved {
                 flatnet_obs::warn!("cache warm-up stopped: {}", e.message);
                 return;
             }
@@ -280,34 +275,11 @@ pub(crate) fn spawn_warmup(shared: &Arc<Shared>, snap: Arc<ServeSnapshot>) {
     }
 }
 
-/// Per-worker long-lived state. Everything starts empty and is sized by
-/// the first query that needs it, so a worker that never solves a
-/// reliance miss never pays for the reliance buffers.
-struct WorkerCtx {
-    ws: Workspace,
-    cfg: PropagationConfig,
-    rely: RelianceWorkspace,
-    /// Scratch for ranking one reliance answer's `(node index, score)` pairs.
-    ranked: Vec<(u32, f64)>,
-}
-
-impl WorkerCtx {
-    fn new() -> Self {
-        WorkerCtx {
-            ws: Workspace::new(),
-            cfg: PropagationConfig::default(),
-            rely: RelianceWorkspace::new(),
-            ranked: Vec::new(),
-        }
-    }
-}
-
 /// The worker thread body: pop a connection, serve every request on it
 /// (keep-alive), loop. Returns when shutdown is flagged *and* the queue
 /// is empty, so accepted requests are never dropped by a clean shutdown.
 /// `worker` is this thread's index, naming its utilization counter.
 pub(crate) fn worker_loop(shared: Arc<Shared>, worker: usize) {
-    let mut ctx = WorkerCtx::new();
     loop {
         let job = {
             let mut q = shared.lock_queue();
@@ -324,17 +296,16 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, worker: usize) {
         };
         let Some(job) = job else { return };
         let started = Instant::now();
-        handle_conn(&shared, &mut ctx, job);
+        handle_conn(&shared, job);
         shared.busy_us[worker].add(started.elapsed().as_micros() as u64);
     }
 }
 
 /// Serves one dequeued connection: a first request that expired in the
 /// queue is answered `503 deadline` without reading it; otherwise the
-/// front's connection loop runs on this worker's context, with the
-/// first request's read budget what the deadline left, and the worker
-/// replaces its context if a route panicked.
-fn handle_conn(shared: &Arc<Shared>, ctx: &mut WorkerCtx, job: Job) {
+/// front's connection loop runs the endpoints, with the first request's
+/// read budget what the deadline left.
+fn handle_conn(shared: &Arc<Shared>, job: Job) {
     let Job { stream, accepted, mut trace } = job;
     trace.mark(Stage::QueueWait);
     let budget = shared.deadline.saturating_sub(accepted.elapsed());
@@ -350,24 +321,17 @@ fn handle_conn(shared: &Arc<Shared>, ctx: &mut WorkerCtx, job: Job) {
         shared.front.finish(&stream, resp, &mut trace);
         return;
     }
-    if shared.front.serve_connection(&stream, trace, budget, &mut Worker { shared, ctx }) {
-        *ctx = WorkerCtx::new();
-    }
+    shared.front.serve_connection(&stream, trace, budget, &mut &*shared);
 }
 
-/// A worker serving one connection: the endpoints, on its own context.
-struct Worker<'a> {
-    shared: &'a Arc<Shared>,
-    ctx: &'a mut WorkerCtx,
-}
-
-impl Handler for Worker<'_> {
+/// The endpoints, as a worker's connection loop calls them.
+impl Handler for &Arc<Shared> {
     fn route(&mut self, req: &Request, trace: &mut TraceCtx) -> Response {
-        route(self.shared, self.ctx, req, trace)
+        route(self, req, trace).unwrap_or_else(|e| e.into_response(self.version(), trace.id()))
     }
 
     fn version(&self) -> u64 {
-        self.shared.mgr.current().version
+        self.mgr.current().version
     }
 }
 
@@ -375,25 +339,15 @@ impl Handler for Worker<'_> {
 // Routing and endpoint handlers (the HTTP front's dispatch table).
 // ---------------------------------------------------------------------
 
-fn route(shared: &Arc<Shared>, ctx: &mut WorkerCtx, req: &Request, trace: &mut TraceCtx) -> Response {
-    route_inner(shared, ctx, req, trace)
-        .unwrap_or_else(|e| e.into_response(shared.mgr.current().version, trace.id()))
-}
-
-fn route_inner(
-    shared: &Arc<Shared>,
-    ctx: &mut WorkerCtx,
-    req: &Request,
-    trace: &mut TraceCtx,
-) -> Result<Response, ApiError> {
+fn route(shared: &Arc<Shared>, req: &Request, trace: &mut TraceCtx) -> Result<Response, ApiError> {
     match (req.method, req.path.as_str()) {
         (Method::Get, "/v1/reachability") => {
             trace.set_tag("reachability");
-            reachability(shared, ctx, req, trace)
+            reachability(shared, req, trace)
         }
         (Method::Get, "/v1/reliance") => {
             trace.set_tag("reliance");
-            reliance_endpoint(shared, ctx, req, trace)
+            reliance_endpoint(shared, req, trace)
         }
         (Method::Post, "/v1/whatif/leak") => {
             trace.set_tag("whatif_leak");
@@ -410,13 +364,9 @@ fn route_inner(
             shared.refresh_scratch_bytes();
             metrics(req)
         }
-        (Method::Get, "/debug/trace/recent") => {
-            trace.set_tag("trace_recent");
-            debug_trace_recent(shared, req)
-        }
-        (Method::Get, "/debug/trace/slow") => {
-            trace.set_tag("trace_slow");
-            debug_trace_slow(shared, req)
+        (Method::Get, path @ ("/debug/trace/recent" | "/debug/trace/slow")) => {
+            trace.set_tag(if path.ends_with("slow") { "trace_slow" } else { "trace_recent" });
+            shared.front.trace_dump(req).map_err(ApiError::bad_request)
         }
         (Method::Get, "/debug/queue") => {
             trace.set_tag("queue");
@@ -461,30 +411,6 @@ fn metrics(req: &Request) -> Result<Response, ApiError> {
         Some("json") | None => Ok(Response::json(200, flatnet_obs::snapshot().to_json())),
         Some(other) => Err(ApiError::bad_request(format!("bad format {other:?} (want json|prom)"))),
     }
-}
-
-/// Parses a bounded positive integer query parameter.
-fn query_u64(req: &Request, name: &str, default: u64, max: u64) -> Result<u64, ApiError> {
-    match req.query_param(name).map(str::parse) {
-        None => Ok(default),
-        Some(Ok(v)) => Ok(std::cmp::min(v, max)),
-        Some(Err(_)) => Err(ApiError::bad_request(format!("bad '{name}' (want a number)"))),
-    }
-}
-
-/// `GET /debug/trace/recent[?n=K]` — the most recent stable trace
-/// events, newest first, as a `flatnet-trace/v1` document.
-fn debug_trace_recent(shared: &Arc<Shared>, req: &Request) -> Result<Response, ApiError> {
-    let n = query_u64(req, "n", 64, 4096)? as usize;
-    Ok(Response::json(200, TraceDump { events: shared.front.tracer.recent(n) }.to_json()))
-}
-
-/// `GET /debug/trace/slow[?ms=N][&n=K]` — the slowest-K reservoir,
-/// optionally floored at `ms` milliseconds, slowest first.
-fn debug_trace_slow(shared: &Arc<Shared>, req: &Request) -> Result<Response, ApiError> {
-    let ms = query_u64(req, "ms", 0, u64::MAX / 1000)?;
-    let n = query_u64(req, "n", Tracer::SLOW_K as u64, 4096)? as usize;
-    Ok(Response::json(200, TraceDump { events: shared.front.tracer.slow(ms * 1000, n) }.to_json()))
 }
 
 /// `GET /debug/queue` — queue depth, capacity, the result cache's
@@ -606,18 +532,18 @@ fn exclude_names(policy: ExclusionPolicy) -> String {
 /// probed" — a repeated origin reports one value at every occurrence.
 ///
 /// A single is a batch of one; the engine is chosen from what is
-/// observable here. Exactly one reachability miss runs on the worker's
-/// long-lived scalar [`Workspace`] (no steady-state allocation — the
-/// cold-single fast path); more run as one lane sweep, tier exclusions
-/// broadcast once per block, the origin's providers per lane. Reliance
-/// needs distances, so each miss takes a scalar run plus the
-/// [`RelianceWorkspace`] kernel. All three read the rule from one
+/// observable here. Exactly one reachability miss runs on a scalar
+/// context checked out of the snapshot's pool (no steady-state
+/// allocation — the cold-single fast path); more run as one lane sweep,
+/// tier exclusions broadcast once per block, the origin's providers per
+/// lane. Reliance needs distances, so the misses take one scalar context
+/// and each a run plus the reliance kernel, which also ranks the
+/// answer's top pairs in its own buffer. All three read the rule from one
 /// [`Exclusion`], which keeps single, batch and warmed answers
 /// bit-identical. Marks `cache_probe` after the probes and `propagate`
 /// after the solves (only when something was solved).
 fn resolve(
     shared: &Shared,
-    ctx: &mut WorkerCtx,
     snap: &ServeSnapshot,
     endpoint: Endpoint,
     policy: ExclusionPolicy,
@@ -658,10 +584,11 @@ fn resolve(
         let n = snap.graph.len();
         match (endpoint, misses.as_slice()) {
             (Endpoint::Reachability, &[(_, node)]) => {
-                excl.fill_scalar(node, ctx.cfg.excluded_mask_mut(n));
-                ctx.ws.run(&snap.topo, node, &ctx.cfg);
-                let set = ReachSet::from_words(ctx.ws.reach_words(), n);
-                solved.push(Arc::new(Answer::Reach { set, reached: ctx.ws.reachable_count() }));
+                let mut ctx = Simulation::over(&snap.topo).ctx();
+                excl.fill_scalar(node, ctx.config_mut().excluded_mask_mut(n));
+                let ws = ctx.run(node);
+                let set = ReachSet::from_words(ws.reach_words(), n);
+                solved.push(Arc::new(Answer::Reach { set, reached: ws.reachable_count() }));
             }
             (Endpoint::Reachability, _) => {
                 let nodes: Vec<NodeId> = misses.iter().map(|&(_, node)| node).collect();
@@ -675,12 +602,17 @@ fn resolve(
                 );
             }
             (Endpoint::Reliance, _) => {
+                let mut ctx = Simulation::over(&snap.topo).ctx();
                 for &(_, node) in &misses {
-                    excl.fill_scalar(node, ctx.cfg.excluded_mask_mut(n));
-                    ctx.ws.run(&snap.topo, node, &ctx.cfg);
-                    let scores = ctx.rely.score(&snap.topo, &ctx.ws, &ctx.cfg);
-                    let top = rank_reliance(snap, node, scores, &mut ctx.ranked);
-                    solved.push(Arc::new(Answer::Reliance { receivers: scores[node.idx()], top }));
+                    excl.fill_scalar(node, ctx.config_mut().excluded_mask_mut(n));
+                    let rely = ctx.run_reliance(node);
+                    let receivers = rely.scores()[node.idx()];
+                    // Nodes are numbered in ascending ASN order, so ranking
+                    // by node index ranked by ASN; only the survivors are
+                    // looked up.
+                    let top = rely.top(RELIANCE_TOP_MAX);
+                    let top = top.iter().map(|&(i, s)| (snap.graph.asn(NodeId(i)).0, s)).collect();
+                    solved.push(Arc::new(Answer::Reliance { receivers, top }));
                 }
             }
         }
@@ -785,7 +717,6 @@ fn emit_reachability(
 /// a multi-MB body.
 fn reachability(
     shared: &Arc<Shared>,
-    ctx: &mut WorkerCtx,
     req: &Request,
     trace: &mut TraceCtx,
 ) -> Result<Response, ApiError> {
@@ -794,7 +725,7 @@ fn reachability(
     trace.set_origin(origins[0].0);
     let policy = parse_exclude(req)?;
     let full = parse_detail(req)?;
-    let answers = resolve(shared, ctx, &snap, Endpoint::Reachability, policy, &origins, trace)?;
+    let answers = resolve(shared, &snap, Endpoint::Reachability, policy, &origins, trace)?;
     let prefix = envelope_prefix(snap.version, trace.id());
     if full {
         let producer: crate::http::BodyProducer = Box::new(move |sink| {
@@ -816,58 +747,12 @@ fn reachability(
     Ok(Response::json(200, body))
 }
 
-/// Ranks one reliance run: the top [`RELIANCE_TOP_MAX`] `(asn, score)`
-/// pairs with a positive score, origin omitted. The order is total
-/// (scores descending, ASN ascending, ASNs distinct), so the result is
-/// what a full sort and truncate would give. `ranked` is the worker's
-/// reusable scratch.
-fn rank_reliance(
-    snap: &ServeSnapshot,
-    node: NodeId,
-    scores: &[f64],
-    ranked: &mut Vec<(u32, f64)>,
-) -> Vec<(u32, f64)> {
-    select_top(scores, node.idx(), RELIANCE_TOP_MAX, ranked);
-    // Nodes are numbered in ascending ASN order, so ranking by node index
-    // ranked by ASN; only the survivors are looked up.
-    ranked.iter().map(|&(i, s)| (snap.graph.asn(NodeId(i)).0, s)).collect()
-}
-
-/// Leaves in `ranked` the `cap` best `(index, score)` pairs of `scores`
-/// — positive scores only, `skip` omitted, scores descending then index
-/// ascending — without ever holding more than `2 * cap` candidates: when
-/// the buffer fills, a selection keeps its better half, and from then on
-/// a candidate must beat the worst survivor to enter. A tie with that
-/// survivor loses, as it should: the scan ascends, so the candidate's
-/// index is the higher one.
-fn select_top(scores: &[f64], skip: usize, cap: usize, ranked: &mut Vec<(u32, f64)>) {
-    let by_rank = |a: &(u32, f64), b: &(u32, f64)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
-    ranked.clear();
-    let mut floor = 0.0;
-    for (i, &s) in scores.iter().enumerate() {
-        if s > floor && i != skip {
-            ranked.push((i as u32, s));
-            if ranked.len() == 2 * cap {
-                ranked.select_nth_unstable_by(cap - 1, by_rank);
-                ranked.truncate(cap);
-                floor = ranked[cap - 1].1;
-            }
-        }
-    }
-    if ranked.len() > cap {
-        ranked.select_nth_unstable_by(cap - 1, by_rank);
-        ranked.truncate(cap);
-    }
-    ranked.sort_unstable_by(by_rank);
-}
-
 /// `GET /v1/reliance?origins=a,b[&exclude=…][&top=K]` (single-origin
 /// alias: `origin=ASN`). `exclude=` carries the same
 /// providers/tier1/tier2 semantics as reachability and is part of the
 /// cache fingerprint.
 fn reliance_endpoint(
     shared: &Arc<Shared>,
-    ctx: &mut WorkerCtx,
     req: &Request,
     trace: &mut TraceCtx,
 ) -> Result<Response, ApiError> {
@@ -879,7 +764,7 @@ fn reliance_endpoint(
         Ok(k) => k.unwrap_or(20).min(RELIANCE_TOP_MAX),
         Err(_) => return Err(ApiError::bad_request("bad 'top' (want a count)")),
     };
-    let answers = resolve(shared, ctx, &snap, Endpoint::Reliance, policy, &origins, trace)?;
+    let answers = resolve(shared, &snap, Endpoint::Reliance, policy, &origins, trace)?;
 
     // One output string: envelope prefix, data object, envelope close.
     // The single shape is the batch entry's fields spliced flat into the
@@ -1144,7 +1029,7 @@ mod tests {
     use super::*;
     use crate::http::Body;
     use crate::snapshot::TopologySource;
-    use flatnet_bgpsim::{reliance, NextHopDag};
+    use flatnet_bgpsim::{reliance, NextHopDag, PropagationConfig};
 
     /// A one-worker `Shared` over a generated topology large enough that
     /// a full-reach reliance answer has more than `RELIANCE_TOP_MAX`
@@ -1163,11 +1048,10 @@ mod tests {
         Arc::new(Shared::new(mgr, &cfg, 1))
     }
 
-    /// Routes one request on `ctx`; returns the response's status and
+    /// Routes one request; returns the response's status and
     /// text body and the finished trace event.
     fn respond(
         shared: &Arc<Shared>,
-        ctx: &mut WorkerCtx,
         method: Method,
         path: &str,
         query: &str,
@@ -1187,7 +1071,7 @@ mod tests {
             http10: false,
         };
         let mut trace = TraceCtx::new(0xABCD);
-        let resp = route(shared, ctx, &req, &mut trace);
+        let resp = Handler::route(&mut &*shared, &req, &mut trace);
         let Body::Text(body) = resp.body else { panic!("{path} answers are not streamed") };
         (resp.status, body, trace.finish(resp.status))
     }
@@ -1196,24 +1080,22 @@ mod tests {
     /// text body and the finished trace event.
     fn call(
         shared: &Arc<Shared>,
-        ctx: &mut WorkerCtx,
         method: Method,
         path: &str,
         query: &str,
         body: &str,
     ) -> (String, flatnet_obs::trace::TraceEvent) {
-        let (status, text, ev) = respond(shared, ctx, method, path, query, body);
+        let (status, text, ev) = respond(shared, method, path, query, body);
         assert_eq!(status, 200, "{path}?{query}: {text}");
         (text, ev)
     }
 
-    /// Routes `GET /v1/reliance?<query>` on `ctx`.
+    /// Routes `GET /v1/reliance?<query>`.
     fn get_reliance(
         shared: &Arc<Shared>,
-        ctx: &mut WorkerCtx,
         query: &str,
     ) -> (String, flatnet_obs::trace::TraceEvent) {
-        call(shared, ctx, Method::Get, "/v1/reliance", query, "")
+        call(shared, Method::Get, "/v1/reliance", query, "")
     }
 
     /// One result entry exactly as the parent commit computed and
@@ -1257,7 +1139,6 @@ mod tests {
     fn reliance_answers_match_the_parent_byte_for_byte_and_cache_a_bounded_payload() {
         let shared = shared();
         let snap = shared.mgr.current();
-        let mut ctx = WorkerCtx::new();
         let g = &snap.graph;
         // Two well-connected origins, so that full reach yields more
         // positive scores than the cache keeps.
@@ -1276,13 +1157,13 @@ mod tests {
             );
             envelope(snap.version, 0xABCD, &data)
         };
-        let (cold, cold_ev) = get_reliance(&shared, &mut ctx, &format!("origin={a}"));
+        let (cold, cold_ev) = get_reliance(&shared, &format!("origin={a}"));
         assert_eq!(cold, single(a, ExclusionPolicy::NONE, 20, false));
         assert!(cold_ev.stage_us(Stage::Propagate).is_some(), "a miss is a solve");
         assert!(cold_ev.stage_us(Stage::CacheProbe).is_some());
         assert!(!cold_ev.cached);
         for (query, top_k) in [("", 20), ("&top=0", 0), ("&top=3", 3), ("&top=5000", 1000)] {
-            let (warm, ev) = get_reliance(&shared, &mut ctx, &format!("origin={a}{query}"));
+            let (warm, ev) = get_reliance(&shared, &format!("origin={a}{query}"));
             assert_eq!(warm, single(a, ExclusionPolicy::NONE, top_k, true), "cached, {query:?}");
             assert!(ev.cached);
             assert_eq!(ev.stage_us(Stage::Propagate), None, "a cached answer solves nothing");
@@ -1294,7 +1175,6 @@ mod tests {
         let bits = ExclusionPolicy::PROVIDER_FREE;
         let (batch, ev) = get_reliance(
             &shared,
-            &mut ctx,
             &format!("origins={b},{a},{b}&exclude=providers&top=1000"),
         );
         let entries = [
@@ -1377,7 +1257,6 @@ mod tests {
     #[test]
     fn an_out_of_range_leak_victim_is_unprocessable() {
         let shared = shared();
-        let mut ctx = WorkerCtx::new();
         let real = shared.mgr.current().graph.asns().next().expect("a first AS").0;
         let bogus = (1u64 << 32) + u64::from(real);
         let single = format!("{{\"victim\":{bogus},\"leakers\":2}}");
@@ -1385,7 +1264,7 @@ mod tests {
             format!("{{\"queries\":[{{\"victim\":{real},\"leakers\":2}},{{\"victim\":{bogus}}}]}}");
         for body in [single, batch] {
             let (status, text, _) =
-                respond(&shared, &mut ctx, Method::Post, "/v1/whatif/leak", "", &body);
+                respond(&shared, Method::Post, "/v1/whatif/leak", "", &body);
             assert_eq!(status, 422, "{body} -> {text}");
             assert!(text.contains("unprocessable") && text.contains("'victim'"), "{text}");
             assert!(text.contains(&bogus.to_string()), "{text}");
@@ -1398,71 +1277,50 @@ mod tests {
         doc.get("scratch_bytes").and_then(Json::as_u64).expect("a scratch_bytes member")
     }
 
-    /// Solves pool their scratch on the snapshot's compiled topology,
-    /// `/healthz` and `/debug/queue` report it beside `cache_bytes`, and
+    /// Every solve pools its scratch on the snapshot's compiled topology —
+    /// a single's scalar context and a reliance kernel as much as a
+    /// batch's lane workspace and a leak query's simulators — `/healthz`
+    /// and `/debug/queue` report all of it beside `cache_bytes`, and
     /// `/admin/reload` frees it with the old snapshot: the successor
     /// starts with none.
     #[test]
     fn reload_frees_the_old_snapshots_scratch() {
         let shared = shared();
-        let mut ctx = WorkerCtx::new();
         let old = Arc::downgrade(&shared.mgr.current());
-        let health = |ctx: &mut WorkerCtx| call(&shared, ctx, Method::Get, "/healthz", "", "").0;
-        assert_eq!(scratch_bytes_of(&health(&mut ctx)), 0, "nothing has been solved yet");
+        let health = || scratch_bytes_of(&call(&shared, Method::Get, "/healthz", "", "").0);
+        assert_eq!(health(), 0, "nothing has been solved yet");
 
-        // A batch of misses sizes a lane workspace, a leak query the
-        // simulators' buffers; both stay with the snapshot.
         let snap = shared.mgr.current();
-        let asns: Vec<String> = snap.graph.asns().take(70).map(|a| a.0.to_string()).collect();
+        let asns: Vec<String> = snap.graph.asns().take(72).map(|a| a.0.to_string()).collect();
         let n = snap.graph.len() as u64;
         drop(snap);
-        let query = format!("origins={}", asns.join(","));
-        call(&shared, &mut ctx, Method::Get, "/v1/reachability", &query, "");
-        let lanes = scratch_bytes_of(&health(&mut ctx));
-        assert!(lanes >= 64 * n, "a 128-lane workspace is at least 64 B a node, got {lanes}");
+        // A single reach miss leaves its scalar context: three distance
+        // arrays alone are 12 B a node.
+        call(&shared, Method::Get, "/v1/reachability", &format!("origin={}", asns[0]), "");
+        let single = health();
+        assert!(single >= 12 * n, "a scalar context is at least 12 B a node, got {single}");
+        // A reliance miss reuses that context and adds its kernel.
+        call(&shared, Method::Get, "/v1/reliance", &format!("origin={}", asns[1]), "");
+        let rely = health();
+        assert!(rely >= single + 28 * n, "a reliance kernel is 28 B a node or more: {single} → {rely}");
+        // A batch of misses sizes a lane workspace, a leak query the
+        // simulators' contexts beyond the one idle; all stay with the
+        // snapshot.
+        let query = format!("origins={}", asns[2..].join(","));
+        call(&shared, Method::Get, "/v1/reachability", &query, "");
+        let lanes = health();
+        assert!(lanes >= rely + 64 * n, "a 128-lane workspace is 64 B a node or more: {rely} → {lanes}");
         let leak = format!("{{\"victim\":{},\"leakers\":3}}", asns[0]);
-        call(&shared, &mut ctx, Method::Post, "/v1/whatif/leak", "", &leak);
-        let both = scratch_bytes_of(&health(&mut ctx));
-        assert!(both >= lanes + 2 * 12 * n, "two workspaces of 12 B a node, got {both} after {lanes}");
-        let queue = call(&shared, &mut ctx, Method::Get, "/debug/queue", "", "").0;
-        assert_eq!(scratch_bytes_of(&queue), both);
-        assert_eq!(shared.mgr.current().topo.scratch_bytes() as u64, both);
+        call(&shared, Method::Post, "/v1/whatif/leak", "", &leak);
+        let all = health();
+        assert!(all >= lanes + 12 * n, "a victim side and a leaker side, got {all} after {lanes}");
+        let queue = call(&shared, Method::Get, "/debug/queue", "", "").0;
+        assert_eq!(scratch_bytes_of(&queue), all);
+        assert_eq!(shared.mgr.current().topo.scratch_bytes() as u64, all);
 
-        call(&shared, &mut ctx, Method::Post, "/admin/reload", "", "");
+        call(&shared, Method::Post, "/admin/reload", "", "");
         assert!(old.upgrade().is_none(), "the old snapshot outlived its reload");
         assert_eq!(shared.mgr.current().version, 2);
-        assert_eq!(scratch_bytes_of(&health(&mut ctx)), 0, "the new snapshot starts with no scratch");
-    }
-    /// The bounded selection is a full sort and truncate, whatever the
-    /// cap, however often the buffer compacts and wherever the ties fall.
-    #[test]
-    fn select_top_matches_sort_and_truncate() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let mut ranked = Vec::new();
-        for round in 0..200 {
-            let len = (next() % 400) as usize;
-            // Few distinct values, zeros included: ties on every boundary.
-            // Even rounds ascend, the worst case for the running floor.
-            let mut scores: Vec<f64> = (0..len).map(|_| (next() % 7) as f64 * 0.5).collect();
-            if round % 2 == 0 {
-                scores.sort_by(f64::total_cmp);
-            }
-            let skip = (next() % (len as u64 + 1)) as usize;
-            let cap = 1 + (next() % 40) as usize;
-            let mut want: Vec<(u32, f64)> = (0..len)
-                .filter(|&i| scores[i] > 0.0 && i != skip)
-                .map(|i| (i as u32, scores[i]))
-                .collect();
-            want.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            want.truncate(cap);
-            select_top(&scores, skip, cap, &mut ranked);
-            assert_eq!(ranked, want, "round {round}: len {len}, skip {skip}, cap {cap}");
-        }
-        // At most 2 × 40 candidates were ever held, however long the scan.
-        assert!(ranked.capacity() <= 4 * 40, "the scratch grew to {}", ranked.capacity());
+        assert_eq!(health(), 0, "the new snapshot starts with no scratch");
     }
 }

@@ -6,7 +6,8 @@
 //! everything between it and the socket — timeouts, idle parking,
 //! parsing, trace-id adoption, keep-alive negotiation, the parse-error
 //! and panic envelopes, status counters, stage histograms, the trace ring
-//! — is here, so a client cannot tell a router from a shard.
+//! and the `/debug/trace/*` views of it — is here, so a client cannot
+//! tell a router from a shard.
 //!
 //! A connection's first request is read against the budget its caller
 //! passes in, capped by the read timeout; a stall is answered `408
@@ -19,7 +20,7 @@
 
 use crate::http::{read_request, wait_for_request, NextRequest, Request, Response};
 use crate::json::error_envelope;
-use flatnet_obs::trace::{Stage, TraceCtx, Tracer, STAGES};
+use flatnet_obs::trace::{Stage, TraceCtx, TraceDump, Tracer, STAGES};
 use flatnet_obs::{Counter, Histogram};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -162,16 +163,15 @@ impl Front {
     /// Serves one connection for its whole life. `first` is the first
     /// request's trace context, opened at accept, and `first_budget` what
     /// is left of its read budget; later requests open their own context
-    /// when their bytes arrive. Returns whether a route panicked (answered
-    /// `500`, connection closed): the caller drops whatever state the
-    /// panic may have left half-updated.
+    /// when their bytes arrive. A route that panics is answered `500` and
+    /// closes the connection.
     pub fn serve_connection<H: Handler>(
         &self,
         stream: &TcpStream,
         first: TraceCtx,
         first_budget: Duration,
         handler: &mut H,
-    ) -> bool {
+    ) {
         self.connections.inc();
         let mut reader = BufReader::new(stream);
         let mut pending = Some((first, first_budget));
@@ -186,9 +186,9 @@ impl Front {
                         NextRequest::Data => trace.mark(Stage::KeepaliveIdle),
                         NextRequest::Idle => {
                             self.keepalive_idle_closed.inc();
-                            return false;
+                            return;
                         }
-                        NextRequest::Gone => return false,
+                        NextRequest::Gone => return,
                     }
                     self.keepalive_reuse.inc();
                     (trace, self.limits.read_timeout)
@@ -199,9 +199,8 @@ impl Front {
             let _ = stream.set_read_timeout(Some(budget.min(self.limits.read_timeout)));
             let _ = stream.set_write_timeout(Some(self.limits.write_timeout));
             served += 1;
-            let mut panicked = false;
             let resp = match read_request(&mut reader) {
-                Ok(None) => return false, // peer connected and left; nothing to answer
+                Ok(None) => return, // peer connected and left; nothing to answer
                 Ok(Some(req)) => {
                     trace.mark(Stage::Parse);
                     // Adopt a router's (or client's) trace id so the hops'
@@ -222,7 +221,6 @@ impl Front {
                             // Answer, close (the framing is suspect too) and
                             // still trace it, the rest charged to `panic`.
                             self.panics.inc();
-                            panicked = true;
                             trace.mark(Stage::Panic);
                             let version = handler.version();
                             error_response(500, "panic", "internal error", version, trace.id())
@@ -236,12 +234,27 @@ impl Front {
                     trace.set_tag("parse_error");
                     error_response(e.status, e.kind(), &e.reason, handler.version(), trace.id())
                 }
-                Err(_) => return false,
+                Err(_) => return,
             };
             if self.finish(stream, resp, &mut trace) {
-                return panicked;
+                return;
             }
         }
+    }
+
+    /// `GET /debug/trace/recent[?n=K]` — the most recent stable trace
+    /// events, newest first — or `GET /debug/trace/slow[?ms=N][&n=K]` —
+    /// the slowest-K reservoir, optionally floored at `ms` milliseconds,
+    /// slowest first — as a `flatnet-trace/v1` document of this front's
+    /// ring. `Err` is a bad parameter, for the caller's `400`.
+    pub fn trace_dump(&self, req: &Request) -> Result<Response, String> {
+        let events = if req.path == "/debug/trace/slow" {
+            let ms = query_u64(req, "ms", 0, u64::MAX / 1000)?;
+            self.tracer.slow(ms * 1000, query_u64(req, "n", Tracer::SLOW_K as u64, 4096)? as usize)
+        } else {
+            self.tracer.recent(query_u64(req, "n", 64, 4096)? as usize)
+        };
+        Ok(Response::json(200, TraceDump { events }.to_json()))
     }
 
     /// Stamps the trace id onto `resp`, writes it (best effort), counts
@@ -274,6 +287,15 @@ impl Front {
     }
 }
 
+/// Parses a bounded positive integer query parameter.
+fn query_u64(req: &Request, name: &str, default: u64, max: u64) -> Result<u64, String> {
+    match req.query_param(name).map(str::parse) {
+        None => Ok(default),
+        Some(Ok(v)) => Ok(std::cmp::min(v, max)),
+        Some(Err(_)) => Err(format!("bad '{name}' (want a number)")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,8 +318,8 @@ mod tests {
 
     /// A route that panics on a live keep-alive connection is answered
     /// with a `500 panic` envelope that names the request's trace id in
-    /// its body and header, the connection closes behind it, the panic
-    /// counter moves by one, and the loop tells its caller.
+    /// its body and header, the connection closes behind it, and the
+    /// panic counter moves by one.
     #[test]
     fn a_panicking_route_is_a_traced_500_that_closes_its_connection() {
         let limits = Limits {
@@ -310,14 +332,11 @@ mod tests {
         let front = Front::new("front_test", limits, 16);
         let (listener, addr) = front.listen("127.0.0.1:0").expect("bind");
         let panics_before = front.panics.get();
-        let reported = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
                 front.accept(listener, |stream| {
                     let first = TraceCtx::new(front.tracer.next_id());
-                    let panicked =
-                        front.serve_connection(&stream, first, Duration::MAX, &mut Panicky);
-                    reported.fetch_or(panicked, Ordering::SeqCst);
+                    front.serve_connection(&stream, first, Duration::MAX, &mut Panicky);
                 })
             });
             let mut conn = flatnet_wire::Client::new(addr.to_string(), Duration::from_secs(10))
@@ -342,7 +361,6 @@ mod tests {
             front.stop();
         });
         assert_eq!(front.panics.get() - panics_before, 1);
-        assert!(reported.load(Ordering::SeqCst), "the loop did not report the panic");
         let ev = front.tracer.recent(1)[0];
         assert!(ev.panicked && ev.status == 500, "{ev:?}");
         assert!(ev.stage_us(Stage::Panic).is_some(), "{ev:?}");

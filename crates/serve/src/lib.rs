@@ -17,10 +17,10 @@
 //!   [`flatnet_bgpsim::TopologySnapshot`], and versioned hot-reload
 //!   behind an `Arc` swap so in-flight queries finish on the snapshot
 //!   they started with.
-//! * [`mod@engine`] — a fixed worker pool with per-worker
-//!   [`flatnet_bgpsim::Workspace`]s (zero steady-state allocation), a
-//!   bounded queue with 503-backpressure, per-request deadlines, and a
-//!   sharded LRU [`cache`] keyed by
+//! * [`mod@engine`] — a fixed pool of stateless workers whose solves
+//!   check their buffers out of the snapshot's pools (zero steady-state
+//!   allocation), a bounded queue with 503-backpressure, per-request
+//!   deadlines, and a sharded LRU [`cache`] keyed by
 //!   `(snapshot version, origin, policy fingerprint)`.
 //! * [`front`] + [`http`] — the HTTP front this daemon and
 //!   `flatnet-router` both run (one accept loop, one keep-alive

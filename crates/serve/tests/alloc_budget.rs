@@ -1,7 +1,7 @@
 //! The allocation budget of a steady-state miss: once one request of each
-//! kind has sized the long-lived scratch (the worker's scalar workspace,
-//! reliance kernel and ranking buffer, the snapshot's pooled lane
-//! workspaces and leak buffers), a miss
+//! kind has sized the long-lived scratch (the snapshot's pooled scalar
+//! contexts, reliance kernel with its ranking buffer, and lane
+//! workspaces), a miss
 //! allocates the answer the cache keeps, the response it writes, and a
 //! small constant of per-request bookkeeping — nothing that grows with
 //! the topology. The same constants hold at two node counts a factor of
