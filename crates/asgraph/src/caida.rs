@@ -16,7 +16,6 @@
 use crate::error::GraphError;
 use crate::graph::{AsGraph, AsGraphBuilder, AsId, Relationship};
 use crate::ingest::{ParseDiagnostics, ParseOptions, RecordLocation};
-use std::fmt::Write as _;
 use std::io::BufRead;
 
 /// One parsed relationship record.
@@ -110,7 +109,10 @@ pub fn parse_auto(
 /// The one as-rel reader. `fields` is the serial's field count, or `None`
 /// to take it from the first data line ([`parse_auto`]). Lines are read
 /// into one reused buffer, so a clean parse allocates for the builder's
-/// links and nothing else.
+/// links and nothing else. Records are appended to the builder as they
+/// are read and settled into distinct, first-declared links in bulk (see
+/// `AsGraphBuilder::settle`), so [`AsGraphBuilder::conflicts`] is complete
+/// when this returns.
 fn parse_with_fields<R: BufRead>(
     mut reader: R,
     mut fields: Option<usize>,
@@ -140,13 +142,15 @@ fn parse_with_fields<R: BufRead>(
         match parse_rel_line(line, lineno, fields) {
             Ok(rec) => {
                 diag.record_ok();
-                b.add_link(rec.a, rec.b, rec.rel);
+                b.append(rec.a, rec.b, rec.rel)
+                    .map_err(|message| GraphError::Parse { line: lineno, message })?;
             }
             Err(e) => diag.malformed(opts, RecordLocation::Line(lineno), e, |message| {
                 GraphError::Parse { line: lineno, message }
             })?,
         }
     }
+    b.finish_reading();
     diag.publish("caida");
     Ok((b, diag))
 }
@@ -174,14 +178,33 @@ fn write_rel(g: &AsGraph, header: &str, source_field: &str) -> String {
     let mut out = String::with_capacity(header.len() + g.edge_count() * RESERVE_PER_LINK);
     out.push_str(header);
     for (x, y, rel) in g.edges() {
-        let code = match rel {
-            Relationship::P2c => "-1",
-            Relationship::P2p => "0",
-        };
-        writeln!(out, "{}|{}|{code}{source_field}", g.asn(x).0, g.asn(y).0)
-            .expect("writing to a String cannot fail");
+        push_decimal(&mut out, g.asn(x).0);
+        out.push('|');
+        push_decimal(&mut out, g.asn(y).0);
+        out.push_str(match rel {
+            Relationship::P2c => "|-1",
+            Relationship::P2p => "|0",
+        });
+        out.push_str(source_field);
+        out.push('\n');
     }
     out
+}
+
+/// Appends `v` in decimal, as `Display` writes it, without going through
+/// `fmt`.
+fn push_decimal(out: &mut String, mut v: u32) {
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 #[cfg(test)]
@@ -271,6 +294,15 @@ mod tests {
         let text = write_serial2(&g);
         let g2 = parse_serial2(text.as_bytes()).unwrap().build();
         assert!(g.edges().eq(g2.edges()));
+    }
+
+    #[test]
+    fn writer_digits_match_display() {
+        for v in [0, 1, 9, 10, 99, 100, 15169, 65535, 4_199_999_999, u32::MAX] {
+            let mut s = String::new();
+            push_decimal(&mut s, v);
+            assert_eq!(s, v.to_string());
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! ([`AsGraph::edges`]) is read off it rather than stored beside it.
 
 use crate::error::GraphError;
-use std::collections::BTreeMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::fmt;
 use std::sync::Arc;
 
@@ -95,19 +96,26 @@ impl NeighborKind {
     }
 }
 
-/// Internal canonical edge record: `(low_asn, high_asn)` key with the
-/// relationship expressed relative to that orientation.
+/// A link's relationship relative to its `(low ASN, high ASN)` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CanonRel {
+    /// Peering.
+    Peer,
     /// The lower-numbered AS is the provider.
     LowProvidesHigh,
     /// The higher-numbered AS is the provider.
     HighProvidesLow,
-    /// Peering.
-    Peer,
 }
 
 impl CanonRel {
+    fn of(a: u32, b: u32, rel: Relationship) -> CanonRel {
+        match rel {
+            Relationship::P2p => CanonRel::Peer,
+            Relationship::P2c if a < b => CanonRel::LowProvidesHigh,
+            Relationship::P2c => CanonRel::HighProvidesLow,
+        }
+    }
+
     fn name(self) -> &'static str {
         match self {
             CanonRel::Peer => "p2p",
@@ -126,8 +134,49 @@ impl CanonRel {
     }
 }
 
+/// One link as the builder holds it, 12 bytes: the pair, low ASN first,
+/// and a tag whose low two bits are the [`CanonRel`] and whose high bits
+/// are the declaration's sequence number while the CAIDA reader has not
+/// settled it yet (0 once settled, and always for `add_link`).
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    lo: u32,
+    hi: u32,
+    tag: u32,
+}
+
+impl Link {
+    fn new(a: u32, b: u32, rel: Relationship, seq: u32) -> Link {
+        let rel = CanonRel::of(a, b, rel) as u32;
+        Link { lo: a.min(b), hi: a.max(b), tag: seq << 2 | rel }
+    }
+
+    /// The pair as one integer, low ASN in the high half: what the index
+    /// hashes and what `build` sorts by.
+    fn pair(&self) -> u64 {
+        (self.lo as u64) << 32 | self.hi as u64
+    }
+
+    /// The order a settle sorts in — pair, then sequence — as one integer.
+    fn settle_key(&self) -> u128 {
+        (self.pair() as u128) << 32 | self.tag as u128
+    }
+
+    fn rel(&self) -> CanonRel {
+        match self.tag & 3 {
+            0 => CanonRel::Peer,
+            1 => CanonRel::LowProvidesHigh,
+            _ => CanonRel::HighProvidesLow,
+        }
+    }
+
+    fn conflict(&self, kept: CanonRel) -> RelConflict {
+        RelConflict { a: AsId(self.lo), b: AsId(self.hi), kept: kept.describe(), dropped: self.rel().describe() }
+    }
+}
+
 /// A conflicting re-declaration of a link's relationship, recorded (not
-/// applied) by [`AsGraphBuilder::add_link`].
+/// applied) by [`AsGraphBuilder::add_link`] and the CAIDA reader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelConflict {
     /// Lower-numbered AS of the pair.
@@ -146,6 +195,56 @@ impl fmt::Display for RelConflict {
     }
 }
 
+/// An empty slot of [`LinkIndex`].
+const EMPTY: u32 = u32::MAX;
+
+/// The builder's open-addressing index: linear probing over positions
+/// into its link vector, keyed by pair through SipHash with a per-index
+/// random key (the pairs can come from a file), at most half full.
+/// Empty — no slots at all — until the first `add_link`.
+#[derive(Debug, Default, Clone)]
+struct LinkIndex {
+    hasher: RandomState,
+    slots: Vec<u32>,
+}
+
+impl LinkIndex {
+    /// `Ok(position)` of the link with this pair, or `Err(slot)` where it
+    /// would go.
+    fn find(&self, links: &[Link], pair: u64) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut i = self.hasher.hash_one(pair) as usize & mask;
+        loop {
+            match self.slots[i] {
+                EMPTY => return Err(i),
+                at if links[at as usize].pair() == pair => return Ok(at as usize),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Makes room for one more link, indexing `links` afresh when the
+    /// table is missing or would pass half full.
+    fn reserve_one(&mut self, links: &[Link]) {
+        if 2 * (links.len() + 1) <= self.slots.len() {
+            return;
+        }
+        self.slots.clear();
+        self.slots.resize((4 * (links.len() + 1)).next_power_of_two(), EMPTY);
+        for (at, l) in links.iter().enumerate() {
+            let slot = self.find(links, l.pair()).expect_err("the builder's links are distinct");
+            self.slots[slot] = at as u32;
+        }
+    }
+}
+
+/// Links the CAIDA reader makes room for before its first settle.
+const FIRST_CAPACITY: usize = 256;
+
+/// Declarations the reader may hold unsettled: the sequence number has
+/// 30 bits of the tag.
+const MAX_UNSETTLED: usize = 1 << 30;
+
 /// Incremental builder for [`AsGraph`].
 ///
 /// Links may be added in any order; duplicates are ignored and conflicting
@@ -155,12 +254,19 @@ impl fmt::Display for RelConflict {
 /// [`AsGraphBuilder::conflicts`] so topology health checks can surface
 /// them. Use [`AsGraphBuilder::add_link_strict`] to treat conflicts as
 /// errors instead.
+///
+/// The links are one vector of distinct pairs. Until the first `add_link`
+/// it is sorted by pair (as the CAIDA reader and
+/// [`AsGraph::to_builder`] leave it) and `contains_link` searches it; the
+/// first `add_link` builds an index over it, and links are appended from
+/// then on.
 #[derive(Debug, Default, Clone)]
 pub struct AsGraphBuilder {
-    links: BTreeMap<(u32, u32), CanonRel>,
+    links: Vec<Link>,
+    index: LinkIndex,
     /// ASes declared with no links (isolated nodes still count as ASes).
     isolated: Vec<u32>,
-    /// Conflicting re-declarations seen by `add_link` (first one kept).
+    /// Conflicting re-declarations, in declaration order (first one kept).
     conflicts: Vec<RelConflict>,
 }
 
@@ -180,14 +286,15 @@ impl AsGraphBuilder {
         self.isolated.push(asn.0);
     }
 
-    fn canon(a: u32, b: u32, rel: Relationship) -> ((u32, u32), CanonRel) {
-        let key = (a.min(b), a.max(b));
-        let canon = match rel {
-            Relationship::P2p => CanonRel::Peer,
-            Relationship::P2c if a < b => CanonRel::LowProvidesHigh,
-            Relationship::P2c => CanonRel::HighProvidesLow,
-        };
-        (key, canon)
+    /// The position of `link`'s pair, or the index slot it would take.
+    fn find(&mut self, link: &Link) -> Result<usize, usize> {
+        self.index.reserve_one(&self.links);
+        self.index.find(&self.links, link.pair())
+    }
+
+    fn insert(&mut self, slot: usize, link: Link) {
+        self.index.slots[slot] = self.links.len() as u32;
+        self.links.push(link);
     }
 
     /// Adds a link, first declaration winning on conflict.
@@ -200,21 +307,16 @@ impl AsGraphBuilder {
         if a == b {
             return false;
         }
-        let (key, canon) = Self::canon(a.0, b.0, rel);
-        match self.links.entry(key) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(canon);
+        let link = Link::new(a.0, b.0, rel, 0);
+        match self.find(&link) {
+            Err(slot) => {
+                self.insert(slot, link);
                 true
             }
-            std::collections::btree_map::Entry::Occupied(o) => {
-                let existing = *o.get();
-                if existing != canon {
-                    self.conflicts.push(RelConflict {
-                        a: AsId(key.0),
-                        b: AsId(key.1),
-                        kept: existing.describe(),
-                        dropped: canon.describe(),
-                    });
+            Ok(at) => {
+                let kept = self.links[at].rel();
+                if kept != link.rel() {
+                    self.conflicts.push(link.conflict(kept));
                 }
                 false
             }
@@ -222,7 +324,8 @@ impl AsGraphBuilder {
     }
 
     /// Conflicting re-declarations recorded by [`AsGraphBuilder::add_link`]
-    /// (the first declaration won each time).
+    /// or the CAIDA reader (the first declaration won each time), in the
+    /// order they were declared.
     pub fn conflicts(&self) -> &[RelConflict] {
         &self.conflicts
     }
@@ -232,46 +335,116 @@ impl AsGraphBuilder {
         if a == b {
             return Err(GraphError::SelfLoop { asn: a.0 });
         }
-        let (key, canon) = Self::canon(a.0, b.0, rel);
-        match self.links.entry(key) {
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(canon);
+        let link = Link::new(a.0, b.0, rel, 0);
+        match self.find(&link) {
+            Err(slot) => {
+                self.insert(slot, link);
                 Ok(())
             }
-            std::collections::btree_map::Entry::Occupied(o) => {
-                let existing = *o.get();
-                if existing == canon {
-                    Ok(())
-                } else {
-                    Err(GraphError::ConflictingRelationship {
-                        a: key.0,
-                        b: key.1,
-                        first: existing.name(),
-                        second: canon.name(),
-                    })
-                }
-            }
+            Ok(at) if self.links[at].rel() == link.rel() => Ok(()),
+            Ok(at) => Err(GraphError::ConflictingRelationship {
+                a: link.lo,
+                b: link.hi,
+                first: self.links[at].rel().name(),
+                second: link.rel().name(),
+            }),
         }
     }
 
     /// Returns whether a link between the two ASes has been declared.
     pub fn contains_link(&self, a: AsId, b: AsId) -> bool {
-        self.links.contains_key(&(a.0.min(b.0), a.0.max(b.0)))
+        let pair = Link::new(a.0, b.0, Relationship::P2p, 0).pair();
+        if self.index.slots.is_empty() {
+            self.links.binary_search_by_key(&pair, Link::pair).is_ok()
+        } else {
+            self.index.find(&self.links, pair).is_ok()
+        }
+    }
+
+    /// The CAIDA reader's way in: appends a declaration without asking
+    /// whether its pair is known. When the vector would grow it settles
+    /// first, and grows only if that left it more than half full; the
+    /// reader settles once more before it hands the builder out. `Err`
+    /// only past [`MAX_UNSETTLED`] distinct links.
+    pub(crate) fn append(&mut self, a: AsId, b: AsId, rel: Relationship) -> Result<(), String> {
+        debug_assert!(self.index.slots.is_empty(), "the reader's builder is never indexed");
+        if self.links.len() == self.links.capacity() {
+            self.settle();
+            let cap = self.links.capacity();
+            if 2 * self.links.len() > cap || cap == 0 {
+                self.links.reserve_exact(cap.max(FIRST_CAPACITY));
+            }
+        }
+        if self.links.len() >= MAX_UNSETTLED {
+            return Err(format!("more than {MAX_UNSETTLED} distinct links"));
+        }
+        let seq = self.links.len() as u32;
+        self.links.push(Link::new(a.0, b.0, rel, seq));
+        Ok(())
+    }
+
+    /// Brings appended declarations to the builder's invariant: sorted by
+    /// pair, each pair's first declaration kept with its sequence number
+    /// cleared, one [`RelConflict`] per later contradicting declaration,
+    /// recorded in declaration order. Everything settled before was
+    /// declared before the unsettled tail, and carries sequence 0, so it
+    /// sorts first in its pair; the tail's sequence numbers are its
+    /// positions, so the in-place unstable sort orders each pair's
+    /// declarations as they were made without scratch memory.
+    fn settle(&mut self) {
+        self.links.sort_unstable_by_key(Link::settle_key);
+        let mut later = Vec::new();
+        let mut kept = 0usize;
+        for at in 0..self.links.len() {
+            let link = self.links[at];
+            match kept.checked_sub(1).map(|k| self.links[k]) {
+                Some(first) if first.pair() == link.pair() => {
+                    if first.rel() != link.rel() {
+                        later.push((link.tag >> 2, link.conflict(first.rel())));
+                    }
+                }
+                _ => {
+                    self.links[kept] = Link { tag: link.tag & 3, ..link };
+                    kept += 1;
+                }
+            }
+        }
+        self.links.truncate(kept);
+        later.sort_unstable_by_key(|&(seq, _)| seq);
+        self.conflicts.extend(later.into_iter().map(|(_, c)| c));
+    }
+
+    /// The reader's last step: settles and gives back the growth room.
+    pub(crate) fn finish_reading(&mut self) {
+        self.settle();
+        self.links.shrink_to_fit();
     }
 
     /// Finalizes the builder into an immutable [`AsGraph`].
     pub fn build(&self) -> AsGraph {
+        // Sorted by pair: as the reader leaves the links, or a sorted copy
+        // of the ones `add_link` appended.
+        let sorted;
+        let links = if self.links.is_sorted_by_key(Link::pair) {
+            &self.links
+        } else {
+            let mut copy = self.links.clone();
+            copy.sort_unstable_by_key(Link::pair);
+            sorted = copy;
+            &sorted
+        };
+
         // The node universe: every AS mentioned by a link plus explicitly
         // declared isolated ASes, in ascending ASN order. Low endpoints
-        // arrive sorted with the keys, so each run of them is entered once.
-        let mut asns: Vec<u32> = Vec::with_capacity(self.links.len() + self.isolated.len());
+        // arrive in runs, and each run is entered once.
+        let mut asns: Vec<u32> = Vec::with_capacity(links.len() + self.isolated.len());
         let mut run = None;
-        for &(lo, hi) in self.links.keys() {
-            if run != Some(lo) {
-                run = Some(lo);
-                asns.push(lo);
+        for l in links {
+            if run != Some(l.lo) {
+                run = Some(l.lo);
+                asns.push(l.lo);
             }
-            asns.push(hi);
+            asns.push(l.hi);
         }
         asns.extend_from_slice(&self.isolated);
         asns.sort_unstable();
@@ -279,25 +452,25 @@ impl AsGraphBuilder {
         asns.shrink_to_fit();
 
         // Map each link's endpoints to node ids once. The low endpoint
-        // advances monotonically with the sorted keys; the high endpoint
-        // lies above it and is the one search per link.
-        let mut edges = Vec::with_capacity(self.links.len());
+        // advances monotonically with the pairs; the high endpoint lies
+        // above it and is the one search per link.
+        let mut edges = Vec::with_capacity(links.len());
         let mut li = 0usize;
-        for (&(lo, hi), &rel) in &self.links {
-            while asns[li] < lo {
+        for l in links {
+            while asns[li] < l.lo {
                 li += 1;
             }
             let above = li + 1;
-            let hi_i = above + asns[above..].binary_search(&hi).expect("asn collected above");
+            let hi_i = above + asns[above..].binary_search(&l.hi).expect("asn collected above");
             let (li, hi_i) = (NodeId(li as u32), NodeId(hi_i as u32));
-            edges.push(match rel {
+            edges.push(match l.rel() {
                 CanonRel::Peer => (li, hi_i, Relationship::P2p),
                 CanonRel::LowProvidesHigh => (li, hi_i, Relationship::P2c),
                 CanonRel::HighProvidesLow => (hi_i, li, Relationship::P2c),
             });
         }
         AsGraph::from_canonical_edges(asns, edges)
-            .expect("an ordered map of distinct (low, high) keys yields canonical edges")
+            .expect("distinct (low, high) pairs, sorted, yield canonical edges")
     }
 }
 
@@ -573,17 +746,13 @@ impl AsGraph {
     }
 
     /// Re-opens the graph as a builder (used by topology augmentation).
+    /// The canonical edges are distinct and sorted by pair, which is the
+    /// order a builder without an index keeps.
     pub fn to_builder(&self) -> AsGraphBuilder {
         let mut b = AsGraphBuilder::new();
-        for (x, y, rel) in self.edges() {
-            b.add_link(self.asn(x), self.asn(y), rel);
-        }
+        b.links = self.edges().map(|(x, y, rel)| Link::new(self.asn(x).0, self.asn(y).0, rel, 0)).collect();
         // Preserve isolated nodes.
-        for n in self.nodes() {
-            if self.degree(n) == 0 {
-                b.add_isolated(self.asn(n));
-            }
-        }
+        b.isolated = self.nodes().filter(|&n| self.degree(n) == 0).map(|n| self.asn(n).0).collect();
         b
     }
 
@@ -686,6 +855,21 @@ mod tests {
         let g2 = g.to_builder().build();
         assert_eq!(g2.len(), 3);
         assert_eq!(g2.edge_count(), 1);
+    }
+
+    #[test]
+    fn contains_link_answers_before_and_after_the_index_exists() {
+        // `to_builder` leaves the links sorted and unindexed: searched.
+        let mut b = diamond().to_builder();
+        assert!(b.contains_link(AsId(3), AsId(1)) && !b.contains_link(AsId(1), AsId(5)));
+        // The first `add_link` indexes them; old and new answer alike.
+        assert!(b.add_link(AsId(5), AsId(1), Relationship::P2c));
+        assert!(!b.add_link(AsId(1), AsId(3), Relationship::P2c));
+        assert!(b.contains_link(AsId(3), AsId(1)) && b.contains_link(AsId(1), AsId(5)));
+        assert!(b.conflicts().is_empty());
+        let g = b.build();
+        assert_eq!(g.edge_count(), 7);
+        assert_eq!(g.kind_between(g.index_of(AsId(5)).unwrap(), g.index_of(AsId(1)).unwrap()), Some(NeighborKind::Customer));
     }
 
     #[test]

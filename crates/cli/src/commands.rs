@@ -129,7 +129,7 @@ pub fn gen(args: &[String]) -> Result<(), String> {
     println!(
         "wrote dataset to {out}: {} ASes, {} public links, {} truth links, {} traces",
         net.truth.len(),
-        net.public.edge_count(),
+        net.public().edge_count(),
         net.truth.edge_count(),
         campaign.len()
     );

@@ -89,7 +89,7 @@ impl Lab {
     /// should not die on a degraded-but-usable graph.
     fn measure_warned(net: &SyntheticInternet) -> Measured {
         let report = flatnet_obs::PhaseTimer::PIPELINE.time("preflight", || {
-            validate_topology(&net.public, &net.tier1, &net.tier2, &[], &ValidateOptions::default())
+            validate_topology(net.public(), &net.tier1, &net.tier2, &[], &ValidateOptions::default())
         });
         if !report.is_usable() {
             flatnet_obs::warn!("topology preflight found critical problems:\n{}", report.render());

@@ -763,7 +763,7 @@ fn appendix_a(lab: &Lab) {
     let net = lab.net2020();
     let m = lab.measured2020();
     let clouds: Vec<AsId> = net.clouds.iter().map(|c| c.asn).collect();
-    let agreement = validate_paths(&m.augmented, &net.addressing.resolver, &m.campaign, &clouds);
+    let agreement = validate_paths(&m.augmented, &net.addressing().resolver, &m.campaign, &clouds);
     let mut t = TextTable::new(["cloud", "scored traces", "agreement"]);
     for cloud in &net.clouds {
         let a = &agreement[&cloud.asn.0];
@@ -885,7 +885,7 @@ fn ablation_topology(lab: &Lab) {
     let clouds: Vec<AsId> = net.cloud_providers().map(|c| c.asn).collect();
     let mut t = TextTable::new(["cloud", "BGP feeds only", "augmented (measured)", "ground truth"]);
     let views: [(&str, &flatnet_asgraph::AsGraph); 3] = [
-        ("public", &net.public),
+        ("public", net.public()),
         ("augmented", lab.graph2020()),
         ("truth", &net.truth),
     ];

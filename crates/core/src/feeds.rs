@@ -102,7 +102,7 @@ pub fn run_feed_experiment(
 
     // MRT round-trip: encode, decode, and continue with the decoded data —
     // so the binary path is exercised end to end.
-    let mrt = from_rib_entries(&ribs, |origin| net.addressing.origin_prefix(origin));
+    let mrt = from_rib_entries(&ribs, |origin| net.addressing().origin_prefix(origin));
     let bytes = write_mrt(&mrt, 1_600_000_000);
     let decoded = parse_mrt(&bytes).expect("self-written MRT must parse");
     let ribs = to_rib_entries(&decoded);

@@ -95,7 +95,7 @@ mod tests {
         // Against the *ground-truth* graph (which generated the paths),
         // agreement should be very high — only resolution noise
         // (third-party addresses, collapsed unresponsive hops) misses.
-        let agreement = validate_paths(&net.truth, &net.addressing.resolver, &campaign, &clouds);
+        let agreement = validate_paths(&net.truth, &net.addressing().resolver, &campaign, &clouds);
         for (asn, a) in &agreement {
             assert!(a.scored > 20, "AS{asn} scored only {}", a.scored);
             assert!(a.pct() > 60.0, "AS{asn} agreement {:.1}%", a.pct());
@@ -108,7 +108,7 @@ mod tests {
         let net = generate(&cfg);
         let campaign = Campaign { traces: vec![] };
         let agreement =
-            validate_paths(&net.truth, &net.addressing.resolver, &campaign, &[net.clouds[0].asn]);
+            validate_paths(&net.truth, &net.addressing().resolver, &campaign, &[net.clouds[0].asn]);
         assert_eq!(agreement[&net.clouds[0].asn.0].scored, 0);
         assert_eq!(agreement[&net.clouds[0].asn.0].pct(), 0.0);
     }

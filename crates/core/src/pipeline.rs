@@ -73,7 +73,7 @@ fn measure_steps(net: &SyntheticInternet, opts: &CampaignOptions, methodology: &
         for (ci, cloud) in net.clouds.iter().enumerate() {
             let neighbors = infer_neighbors(
                 campaign.for_cloud(cloud.asn),
-                &net.addressing.resolver,
+                &net.addressing().resolver,
                 methodology,
                 cloud.asn,
             );
@@ -84,12 +84,12 @@ fn measure_steps(net: &SyntheticInternet, opts: &CampaignOptions, methodology: &
         }
     });
     let (augmented, augment_reports) =
-        phases.time("augment", || augment_many(&net.public, &augment_sets));
+        phases.time("augment", || augment_many(net.public(), &augment_sets));
     for (ci, cloud) in net.clouds.iter().enumerate() {
         let bgp_only = net
-            .public
+            .public()
             .index_of(cloud.asn)
-            .map(|n| net.public.degree(n))
+            .map(|n| net.public().degree(n))
             .unwrap_or(0);
         let after = augmented
             .index_of(cloud.asn)
@@ -125,7 +125,7 @@ pub fn methodology_iterations(
             let mut per_cloud = BTreeMap::new();
             for (ci, cloud) in net.clouds.iter().enumerate() {
                 let neighbors =
-                    infer_neighbors(campaign.for_cloud(cloud.asn), &net.addressing.resolver, m, cloud.asn);
+                    infer_neighbors(campaign.for_cloud(cloud.asn), &net.addressing().resolver, m, cloud.asn);
                 per_cloud.insert(cloud.asn.0, validate_neighbors(&neighbors, &true_neighbors(net, ci)));
             }
             (*name, per_cloud)
@@ -155,7 +155,7 @@ mod tests {
         // Augmentation must add links for the poorly-visible clouds.
         let google = &m.peer_counts[0];
         assert!(google.augmented > google.bgp_only, "{:?}", google);
-        assert!(m.augmented.edge_count() > net.public.edge_count());
+        assert!(m.augmented.edge_count() > net.public().edge_count());
         // And inferred sets should be mostly correct.
         let v = &m.validation[&net.clouds[0].asn.0];
         assert!(v.fdr() < 0.3, "google FDR {}", v.fdr());
@@ -189,12 +189,12 @@ mod tests {
         // Most inferred neighbors are existing ASes; a handful of false
         // positives resolve to IXP route-server ASes (64600+), which are
         // new nodes — exactly what would happen with real CAIDA data.
-        assert!(m.augmented.len() >= net.public.len());
-        let growth = m.augmented.len() - net.public.len();
-        assert!(growth <= net.addressing.ixps.len(), "grew by {growth}");
+        assert!(m.augmented.len() >= net.public().len());
+        let growth = m.augmented.len() - net.public().len();
+        assert!(growth <= net.addressing().ixps.len(), "grew by {growth}");
         for n in m.augmented.nodes() {
             let asn = m.augmented.asn(n);
-            if net.public.index_of(asn).is_none() {
+            if net.public().index_of(asn).is_none() {
                 assert!((64_600..64_700).contains(&asn.0), "unexpected new node {asn}");
             }
         }

@@ -10,8 +10,8 @@
 //! * a few member addresses are **missing from PeeringDB** (netixlan
 //!   coverage is imperfect), leaving whois as the last resort.
 
-use crate::config::NetGenConfig;
-use crate::topology::{PeerKind, Topology};
+use crate::internet::SyntheticInternet;
+use crate::topology::{AsRole, CloudPeerLink, PeerKind};
 use flatnet_asgraph::AsId;
 use flatnet_geo::cities::CITIES;
 use flatnet_geo::Continent;
@@ -81,8 +81,12 @@ impl Addressing {
     }
 }
 
-/// Builds the address plan for a topology.
-pub fn build(cfg: &NetGenConfig, topo: &Topology) -> Addressing {
+/// Builds the address plan of a synthetic Internet from its truth graph,
+/// roles, regions and cloud peer links. It draws from a random stream of
+/// its own, so it comes out the same whenever it is built;
+/// [`SyntheticInternet::addressing`] builds it on first read.
+pub(crate) fn build(net: &SyntheticInternet) -> Addressing {
+    let cfg = &net.config;
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x0A11_0CA7_0A11_0CA7);
     let mut announced = AnnouncedDb::new();
     let mut whois = WhoisDb::new();
@@ -104,23 +108,13 @@ pub fn build(cfg: &NetGenConfig, topo: &Topology) -> Addressing {
         }
         out
     };
-    // Set-indexed role lookup (Topology::role scans lists; too slow here).
-    let big: std::collections::BTreeMap<u32, crate::topology::AsRole> = topo
-        .tier1
-        .iter()
-        .map(|a| (a.0, crate::topology::AsRole::Tier1))
-        .chain(topo.tier2.iter().map(|a| (a.0, crate::topology::AsRole::Tier2)))
-        .chain(topo.transit.iter().map(|a| (a.0, crate::topology::AsRole::Transit)))
-        .chain(topo.clouds.iter().map(|c| (c.asn.0, crate::topology::AsRole::Cloud)))
-        .collect();
-    for n in topo.truth.nodes() {
-        let asn = topo.truth.asn(n);
-        let role = big.get(&asn.0).copied().unwrap_or(crate::topology::AsRole::Edge);
-        let (bits, count) = match role {
-            crate::topology::AsRole::Cloud => (16, 4),
-            crate::topology::AsRole::Tier1 | crate::topology::AsRole::Tier2 => (16, 2),
-            crate::topology::AsRole::Transit => (16, 1),
-            crate::topology::AsRole::Edge => (20, 1),
+    for m in &net.meta {
+        let asn = m.asn;
+        let (bits, count) = match m.role {
+            AsRole::Cloud => (16, 4),
+            AsRole::Tier1 | AsRole::Tier2 => (16, 2),
+            AsRole::Transit => (16, 1),
+            AsRole::Edge => (20, 1),
         };
         let ps = alloc(bits, count);
         for &p in &ps {
@@ -178,9 +172,9 @@ pub fn build(cfg: &NetGenConfig, topo: &Topology) -> Addressing {
     // --- Cloud link addressing. ---
     let mut links = BTreeMap::new();
     let mut lan_next_host: Vec<u64> = vec![10; ixps.len()];
-    for cloud in &topo.clouds {
+    for cloud in &net.clouds {
         let cloud_prefix = prefixes[&cloud.asn.0][0];
-        for (li, &(peer, kind)) in cloud.peer_links.iter().enumerate() {
+        for (li, &CloudPeerLink { peer, kind }) in cloud.peer_links.iter().enumerate() {
             let addr = match kind {
                 PeerKind::Pni => {
                     // PNI subnet carved from the peer's space: low addresses
@@ -195,7 +189,7 @@ pub fn build(cfg: &NetGenConfig, topo: &Topology) -> Addressing {
                 }
                 PeerKind::BilateralIxp | PeerKind::RouteServer => {
                     // Pick an IXP in the peer's home region when possible.
-                    let region = topo.region.get(&peer.0).copied().unwrap_or(3);
+                    let region = net.truth.index_of(peer).map_or(3, |n| net.region[n.idx()] as usize);
                     let pool = if ixps_by_region[region].is_empty() {
                         (0..ixps.len()).collect::<Vec<_>>()
                     } else {
@@ -241,21 +235,19 @@ pub fn continent_index(c: Continent) -> usize {
 mod tests {
     use super::*;
     use crate::config::NetGenConfig;
-    use crate::topology;
+    use crate::internet::generate;
     use flatnet_prefixdb::ResolutionOrder;
 
-    fn setup() -> (NetGenConfig, Topology, Addressing) {
-        let cfg = NetGenConfig::tiny(42);
-        let topo = topology::build(&cfg);
-        let addr = build(&cfg, &topo);
-        (cfg, topo, addr)
+    fn net() -> SyntheticInternet {
+        generate(&NetGenConfig::tiny(42))
     }
 
     #[test]
     fn every_as_has_announced_space_resolving_to_it() {
-        let (_, topo, addr) = setup();
-        for n in topo.truth.nodes() {
-            let asn = topo.truth.asn(n);
+        let net = net();
+        let addr = net.addressing();
+        for n in net.truth.nodes() {
+            let asn = net.truth.asn(n);
             let ps = &addr.prefixes[&asn.0];
             assert!(!ps.is_empty(), "{asn} has no prefixes");
             let host = addr.host_of(asn, 7).unwrap();
@@ -266,7 +258,8 @@ mod tests {
 
     #[test]
     fn prefixes_do_not_overlap_across_ases() {
-        let (_, _, addr) = setup();
+        let net = net();
+        let addr = net.addressing();
         let mut all: Vec<(Ipv4Prefix, u32)> = Vec::new();
         for (&asn, ps) in &addr.prefixes {
             for &p in ps {
@@ -289,8 +282,9 @@ mod tests {
 
     #[test]
     fn ixp_lans_follow_the_announcement_split() {
-        let (cfg, _, addr) = setup();
-        assert_eq!(addr.ixps.len(), cfg.n_ixps);
+        let net = net();
+        let addr = net.addressing();
+        assert_eq!(addr.ixps.len(), net.config.n_ixps);
         let announced = addr.ixps.iter().filter(|ix| ix.announced).count();
         assert!(announced > 0 && announced < addr.ixps.len());
         for ix in &addr.ixps {
@@ -309,10 +303,11 @@ mod tests {
 
     #[test]
     fn ixp_member_addresses_prefer_peeringdb_resolution() {
-        let (_, topo, addr) = setup();
+        let net = net();
+        let addr = net.addressing();
         let mut checked = 0;
-        for cloud in &topo.clouds {
-            for &(peer, kind) in &cloud.peer_links {
+        for cloud in &net.clouds {
+            for &CloudPeerLink { peer, kind } in &cloud.peer_links {
                 if kind == PeerKind::Pni {
                     continue;
                 }
@@ -332,10 +327,11 @@ mod tests {
 
     #[test]
     fn pni_addresses_resolve_to_the_peer_via_cymru() {
-        let (_, topo, addr) = setup();
+        let net = net();
+        let addr = net.addressing();
         let mut checked = 0;
-        for cloud in &topo.clouds {
-            for &(peer, kind) in &cloud.peer_links {
+        for cloud in &net.clouds {
+            for &CloudPeerLink { peer, kind } in &cloud.peer_links {
                 if kind != PeerKind::Pni {
                     continue;
                 }
@@ -353,8 +349,9 @@ mod tests {
 
     #[test]
     fn host_of_is_deterministic_and_varies_with_salt() {
-        let (_, topo, addr) = setup();
-        let asn = topo.edge[0].0;
+        let net = net();
+        let addr = net.addressing();
+        let asn = net.meta.iter().find(|m| m.role == AsRole::Edge).unwrap().asn;
         assert_eq!(addr.host_of(asn, 1), addr.host_of(asn, 1));
         assert_ne!(addr.host_of(asn, 1), addr.host_of(asn, 2));
         assert_eq!(addr.host_of(AsId(4_294_000_000), 1), None);

@@ -56,14 +56,14 @@ pub fn write_dataset(net: &SyntheticInternet, dir: &Path) -> Result<(), String> 
     let write = |name: &str, contents: String| -> Result<(), String> {
         fs::write(dir.join(name), contents).map_err(|e| format!("{name}: {e}"))
     };
-    write("as-rel.txt", caida::write_serial2(&net.public))?;
+    write("as-rel.txt", caida::write_serial2(net.public()))?;
     write("as-rel-truth.txt", caida::write_serial2(&net.truth))?;
     let mut types = AsTypeDb::new();
     for m in &net.meta {
         types.insert(m.asn, m.class);
     }
     write("as2types.txt", types.write())?;
-    write("prefixes.txt", net.addressing.resolver.announced.write())?;
+    write("prefixes.txt", net.addressing().resolver.announced.write())?;
     let mut users = String::from("# asn|estimated users (APNIC-style)\n");
     for m in &net.meta {
         if m.users > 0 {
@@ -189,7 +189,7 @@ mod tests {
         let dir = tmpdir();
         write_dataset(&net, &dir).unwrap();
         let loaded = load_dataset(&dir).unwrap();
-        assert!(loaded.public.edges().eq(net.public.edges()));
+        assert!(loaded.public.edges().eq(net.public().edges()));
         assert!(loaded.truth.as_ref().unwrap().edges().eq(net.truth.edges()));
         assert_eq!(loaded.tier1, net.tier1);
         assert_eq!(loaded.tier2, net.tier2);
@@ -203,7 +203,7 @@ mod tests {
         }
         assert_eq!(
             loaded.announced.iter().collect::<Vec<_>>(),
-            net.addressing.resolver.announced.iter().collect::<Vec<_>>()
+            net.addressing().resolver.announced.iter().collect::<Vec<_>>()
         );
         // Tiers bind.
         let tiers = loaded.tiers_for(&loaded.public);

@@ -15,10 +15,11 @@ use std::collections::BTreeMap;
 /// Geographic assignment results.
 #[derive(Debug, Clone)]
 pub struct GeoAssign {
-    /// Home metro (index into [`CITIES`]) per AS.
-    pub home_city: BTreeMap<u32, usize>,
-    /// APNIC-style estimated users per AS (0 for non-eyeball networks).
-    pub users: BTreeMap<u32, u64>,
+    /// Home metro (index into [`CITIES`]) per AS, by node index.
+    pub home_city: Vec<usize>,
+    /// APNIC-style estimated users per AS (0 for non-eyeball networks),
+    /// by node index.
+    pub users: Vec<u64>,
     /// PoP footprints for the named networks (clouds + Tier-1s + Tier-2s).
     pub footprints: BTreeMap<u32, Footprint>,
     /// rDNS naming conventions for networks that maintain reverse DNS.
@@ -98,46 +99,35 @@ pub fn build(cfg: &NetGenConfig, topo: &Topology) -> GeoAssign {
         }
     }
 
-    let edge_class: BTreeMap<u32, CaidaClass> =
-        topo.edge.iter().map(|&(a, c)| (a.0, c)).collect();
-    let tier2_set: std::collections::BTreeSet<u32> = topo.tier2.iter().map(|a| a.0).collect();
-    let tier1_set: std::collections::BTreeSet<u32> = topo.tier1.iter().map(|a| a.0).collect();
-    let transit_set: std::collections::BTreeSet<u32> = topo.transit.iter().map(|a| a.0).collect();
-    let mut home_city = BTreeMap::new();
-    let mut users = BTreeMap::new();
+    // A Tier-2 may also be numbered as a mid-tier transit (AS22652 once
+    // there are 2 653 or more of them); the role table calls it a transit,
+    // and it still draws users as the Tier-2 incumbent it is.
+    let mut incumbent = vec![false; topo.truth.len()];
+    for n in topo.tier2.iter().filter_map(|&a| topo.truth.index_of(a)) {
+        incumbent[n.idx()] = true;
+    }
+    let mut home_city = Vec::with_capacity(topo.truth.len());
+    let mut users = Vec::with_capacity(topo.truth.len());
     for n in topo.truth.nodes() {
-        let asn = topo.truth.asn(n);
-        let r = topo.region.get(&asn.0).copied().unwrap_or(3);
+        let r = topo.region[n.idx()] as usize;
         let pool = if by_region[r].is_empty() { &all_cities } else { &by_region[r] };
         let city = weighted_city(pool, &mut rng);
-        home_city.insert(asn.0, city);
+        home_city.push(city);
 
         // APNIC-style users: heavy-tailed, only for access-class edges and
         // a few Tier-2s (national incumbents).
-        let role = if tier1_set.contains(&asn.0) {
-            AsRole::Tier1
-        } else if tier2_set.contains(&asn.0) {
-            AsRole::Tier2
-        } else if transit_set.contains(&asn.0) {
-            AsRole::Transit
-        } else if edge_class.contains_key(&asn.0) {
-            AsRole::Edge
-        } else {
-            AsRole::Cloud
-        };
-        let class = edge_class.get(&asn.0).copied();
-        let u = match (role, class) {
-            (AsRole::Edge, Some(CaidaClass::TransitAccess)) => {
+        let u = match topo.roles[n.idx()] {
+            (AsRole::Edge, CaidaClass::TransitAccess) => {
                 // log-uniform 10^3 .. 10^7, scaled by metro size.
                 let exp = 3.0 + 4.0 * rng.gen::<f64>() * rng.gen::<f64>();
                 (10f64.powf(exp) * (0.5 + CITIES[city].population_m / 20.0)) as u64
             }
-            (AsRole::Tier2, _) if rng.gen::<f64>() < 0.4 => {
+            _ if incumbent[n.idx()] && rng.gen::<f64>() < 0.4 => {
                 (10f64.powf(5.0 + 2.0 * rng.gen::<f64>())) as u64
             }
             _ => 0,
         };
-        users.insert(asn.0, u);
+        users.push(u);
     }
 
     // --- Footprints and rDNS for the named networks. ---
@@ -183,7 +173,7 @@ pub fn build(cfg: &NetGenConfig, topo: &Topology) -> GeoAssign {
     }
     for &t2 in &topo.tier2 {
         let name = topo.names[&t2.0].clone();
-        let home = home_city[&t2.0];
+        let home = home_city[topo.truth.index_of(t2).expect("a Tier-2 is in the graph").idx()];
         let home_region = Continent::ALL
             .iter()
             .position(|&c| c == CITIES[home].continent)
@@ -264,11 +254,9 @@ mod tests {
     #[test]
     fn every_as_has_home_and_users_entry() {
         let (_, topo, geo) = setup();
-        for n in topo.truth.nodes() {
-            let asn = topo.truth.asn(n).0;
-            assert!(geo.home_city.contains_key(&asn));
-            assert!(geo.users.contains_key(&asn));
-        }
+        assert_eq!(geo.home_city.len(), topo.truth.len());
+        assert_eq!(geo.users.len(), topo.truth.len());
+        assert!(geo.home_city.iter().all(|&c| c < CITIES.len()));
     }
 
     #[test]
@@ -276,7 +264,7 @@ mod tests {
         let (_, topo, geo) = setup();
         let mut access_with_users = 0;
         for &(asn, class) in &topo.edge {
-            let u = geo.users[&asn.0];
+            let u = geo.users[topo.truth.index_of(asn).unwrap().idx()];
             match class {
                 CaidaClass::TransitAccess => {
                     if u > 0 {
@@ -289,7 +277,7 @@ mod tests {
         assert!(access_with_users > 50);
         // Clouds have no APNIC users.
         for c in &topo.clouds {
-            assert_eq!(geo.users[&c.asn.0], 0);
+            assert_eq!(geo.users[topo.truth.index_of(c.asn).unwrap().idx()], 0);
         }
     }
 

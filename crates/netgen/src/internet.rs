@@ -1,15 +1,23 @@
 //! Assembly of the full [`SyntheticInternet`].
+//!
+//! [`generate`] builds the truth graph, the role table and [`AsMeta`],
+//! the geography and the clouds. Two views are derived from those on
+//! first read and kept from then on: the BGP-feed graph
+//! ([`SyntheticInternet::public`]) and the address plan
+//! ([`SyntheticInternet::addressing`]). Each is a pure function of what
+//! `generate` kept — the address plan draws from a random stream of its
+//! own — so a view reads the same whenever, and whether, it is first read.
 
 use crate::addressing::{self, Addressing};
 use crate::config::{CloudSpec, NetGenConfig};
 use crate::geoassign::{self, GeoAssign};
-use crate::topology::{self, Topology};
-pub use crate::topology::{AsRole, PeerKind};
+use crate::topology;
+pub use crate::topology::{AsRole, CloudPeerLink, PeerKind};
 use flatnet_asgraph::astype::CaidaClass;
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
 use flatnet_geo::PopulationGrid;
 use std::collections::BTreeMap;
-use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 /// Per-AS metadata, indexed by the (shared) node index of the truth and
 /// public graphs.
@@ -25,19 +33,6 @@ pub struct AsMeta {
     pub users: u64,
     /// Home metro (index into [`flatnet_geo::cities::CITIES`]).
     pub home_city: usize,
-}
-
-/// One cloud peer link with its ground-truth realization.
-#[derive(Debug, Clone, Copy)]
-pub struct CloudPeerLink {
-    /// The neighbor AS.
-    pub peer: AsId,
-    /// PNI / bilateral IXP / route server.
-    pub kind: PeerKind,
-    /// Address of the peer's border interface on this link.
-    pub peer_ip: Ipv4Addr,
-    /// Whether PeeringDB has the peer's netixlan record for this address.
-    pub in_peeringdb: bool,
 }
 
 /// One synthesized cloud provider.
@@ -72,8 +67,6 @@ pub struct SyntheticInternet {
     pub config: NetGenConfig,
     /// Ground-truth AS graph.
     pub truth: AsGraph,
-    /// BGP-feed-visible AS graph (same node universe as `truth`).
-    pub public: AsGraph,
     /// Tier-1 ASNs.
     pub tier1: Vec<AsId>,
     /// Tier-2 ASNs.
@@ -84,17 +77,35 @@ pub struct SyntheticInternet {
     pub meta: Vec<AsMeta>,
     /// The synthesized clouds (order follows `config.clouds`).
     pub clouds: Vec<CloudInfo>,
-    /// Address plan and IP→ASN resolver.
-    pub addressing: Addressing,
     /// Geography (footprints, conventions, populations).
     pub geo: GeoAssign,
     /// Gridded world population.
     pub popgrid: PopulationGrid,
     /// Display names for named networks.
     pub names: BTreeMap<u32, String>,
+    /// Home region of each AS, by node index: where the address plan
+    /// places a peer's IXP links.
+    pub(crate) region: Vec<u8>,
+    /// The truth links BGP feeds miss, ascending `(low, high)` pairs.
+    hidden: Vec<(AsId, AsId)>,
+    public: OnceLock<AsGraph>,
+    addressing: OnceLock<Addressing>,
 }
 
 impl SyntheticInternet {
+    /// BGP-feed-visible AS graph (same node universe as `truth`): the
+    /// truth minus the links the feeds miss. Derived on first read.
+    pub fn public(&self) -> &AsGraph {
+        self.public.get_or_init(|| topology::public_view(&self.truth, &self.hidden))
+    }
+
+    /// Address plan and IP→ASN resolver, including each cloud peer link's
+    /// interconnect addresses ([`Addressing::links`]). Derived on first
+    /// read.
+    pub fn addressing(&self) -> &Addressing {
+        self.addressing.get_or_init(|| addressing::build(self))
+    }
+
     /// Node index of an ASN in both graphs (they share the universe).
     pub fn node(&self, asn: AsId) -> NodeId {
         self.truth.index_of(asn).expect("ASN generated by this internet")
@@ -126,87 +137,54 @@ impl SyntheticInternet {
 /// Generates a synthetic Internet from a configuration. Deterministic:
 /// equal configs yield byte-identical structures.
 pub fn generate(cfg: &NetGenConfig) -> SyntheticInternet {
-    let topo: Topology = topology::build(cfg);
-    let addr = addressing::build(cfg, &topo);
+    let topo = topology::build(cfg);
     let geo = geoassign::build(cfg, &topo);
     let popgrid = PopulationGrid::from_cities(0.5, 2);
 
-    // Role/class/users per node.
-    let mut role_map: BTreeMap<u32, AsRole> = BTreeMap::new();
-    for &a in &topo.tier1 {
-        role_map.insert(a.0, AsRole::Tier1);
-    }
-    for &a in &topo.tier2 {
-        role_map.insert(a.0, AsRole::Tier2);
-    }
-    for &a in &topo.transit {
-        role_map.insert(a.0, AsRole::Transit);
-    }
-    for c in &topo.clouds {
-        role_map.insert(c.asn.0, AsRole::Cloud);
-    }
-    let edge_class: BTreeMap<u32, CaidaClass> = topo.edge.iter().map(|&(a, c)| (a.0, c)).collect();
-
-    let mut meta = Vec::with_capacity(topo.truth.len());
-    for n in topo.truth.nodes() {
-        let asn = topo.truth.asn(n);
-        let role = role_map.get(&asn.0).copied().unwrap_or(AsRole::Edge);
-        let class = match role {
-            AsRole::Cloud => CaidaClass::Content,
-            AsRole::Tier1 | AsRole::Tier2 | AsRole::Transit => CaidaClass::TransitAccess,
-            AsRole::Edge => edge_class.get(&asn.0).copied().unwrap_or(CaidaClass::Enterprise),
-        };
-        meta.push(AsMeta {
-            asn,
-            role,
-            class,
-            users: geo.users.get(&asn.0).copied().unwrap_or(0),
-            home_city: geo.home_city.get(&asn.0).copied().unwrap_or(0),
-        });
-    }
-
-    let clouds: Vec<CloudInfo> = topo
-        .clouds
-        .iter()
-        .enumerate()
-        .map(|(ci, ct)| {
-            let spec = cfg.clouds[ct.spec_idx].clone();
-            let peer_links = ct
-                .peer_links
-                .iter()
-                .map(|&(peer, kind)| {
-                    let la = addr.links.get(&(ct.asn.0, peer.0));
-                    CloudPeerLink {
-                        peer,
-                        kind,
-                        peer_ip: la.map(|l| l.peer_ip).unwrap_or(Ipv4Addr::UNSPECIFIED),
-                        in_peeringdb: la.map(|l| l.in_peeringdb).unwrap_or(false),
-                    }
-                })
-                .collect();
-            CloudInfo {
-                spec,
-                asn: ct.asn,
-                providers: ct.providers.clone(),
-                peer_links,
-                vp_cities: geo.vp_cities[ci].clone(),
+    let meta = topo
+        .truth
+        .nodes()
+        .map(|n| {
+            let asn = topo.truth.asn(n);
+            let (role, class) = topo.roles[n.idx()];
+            AsMeta {
+                asn,
+                role,
+                class,
+                users: geo.users[n.idx()],
+                home_city: geo.home_city[n.idx()],
             }
+        })
+        .collect();
+
+    let clouds = topo
+        .clouds
+        .into_iter()
+        .zip(&geo.vp_cities)
+        .map(|(ct, vp_cities)| CloudInfo {
+            spec: cfg.clouds[ct.spec_idx].clone(),
+            asn: ct.asn,
+            providers: ct.providers,
+            peer_links: ct.peer_links,
+            vp_cities: vp_cities.clone(),
         })
         .collect();
 
     SyntheticInternet {
         config: cfg.clone(),
         truth: topo.truth,
-        public: topo.public,
         tier1: topo.tier1,
         tier2: topo.tier2,
         transit: topo.transit,
         meta,
         clouds,
-        addressing: addr,
         geo,
         popgrid,
         names: topo.names,
+        region: topo.region,
+        hidden: topo.hidden,
+        public: OnceLock::new(),
+        addressing: OnceLock::new(),
     }
 }
 
@@ -232,7 +210,7 @@ mod tests {
     fn tiers_bind_to_either_view() {
         let net = net();
         let tt = net.tiers_for(&net.truth);
-        let tp = net.tiers_for(&net.public);
+        let tp = net.tiers_for(net.public());
         assert_eq!(tt.tier1().len(), net.tier1.len());
         assert_eq!(tp.tier1().len(), net.tier1.len());
         // Same universe => same indices.
@@ -245,7 +223,7 @@ mod tests {
         for c in &net.clouds {
             let mut with_ip = 0;
             for l in &c.peer_links {
-                if l.peer_ip != Ipv4Addr::UNSPECIFIED {
+                if net.addressing().links.contains_key(&(c.asn.0, l.peer.0)) {
                     with_ip += 1;
                 }
             }
@@ -281,9 +259,19 @@ mod tests {
         let a = generate(&NetGenConfig::tiny(3));
         let b = generate(&NetGenConfig::tiny(3));
         assert!(a.truth.edges().eq(b.truth.edges()));
-        assert_eq!(
-            a.clouds[0].peer_links.iter().map(|l| (l.peer, l.peer_ip)).collect::<Vec<_>>(),
-            b.clouds[0].peer_links.iter().map(|l| (l.peer, l.peer_ip)).collect::<Vec<_>>()
-        );
+        assert_eq!(a.clouds[0].peer_links, b.clouds[0].peer_links);
+        let ips = |net: &SyntheticInternet| {
+            net.addressing().links.iter().map(|(&k, l)| (k, l.peer_ip)).collect::<Vec<_>>()
+        };
+        assert_eq!(ips(&a), ips(&b));
+    }
+
+    #[test]
+    fn derived_views_are_read_once_and_kept() {
+        let net = net();
+        assert!(net.public.get().is_none() && net.addressing.get().is_none());
+        assert!(std::ptr::eq(net.public(), net.public()));
+        assert!(std::ptr::eq(net.addressing(), net.addressing()));
+        assert_eq!(net.public().edge_count() + net.hidden.len(), net.truth.edge_count());
     }
 }

@@ -25,7 +25,12 @@
 //!   footprints for the big networks, and rDNS hostname conventions.
 //!
 //! Everything hangs off [`SyntheticInternet`], produced by
-//! [`generate`] from a [`NetGenConfig`].
+//! [`generate`] from a [`NetGenConfig`]. `generate` builds the truth
+//! graph, the per-AS roles and metadata, the geography and the clouds —
+//! what the serving daemon and the benchmark read. The BGP-feed view
+//! ([`SyntheticInternet::public`]) and the address plan
+//! ([`SyntheticInternet::addressing`]) are derived on first read and kept;
+//! both come out the same whenever they are first read.
 
 pub mod addressing;
 pub mod config;

@@ -161,7 +161,7 @@ mod tests {
         assert!(s.stub_fraction > 0.5, "stubs {}", s.stub_fraction);
         assert!(s.max_cone_fraction > 0.1, "max cone {}", s.max_cone_fraction);
         // The public view is strictly sparser but same shape.
-        let p = topology_stats(&net.public, 100);
+        let p = topology_stats(net.public(), 100);
         assert!(p.links < s.links);
         assert_eq!(p.nodes, s.nodes);
     }

@@ -33,6 +33,17 @@ impl PeerKind {
     }
 }
 
+/// One cloud peer link: the neighbor and how the link is realized. Its
+/// interconnect addresses are in the address plan
+/// ([`crate::addressing::Addressing::links`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CloudPeerLink {
+    /// The neighbor AS.
+    pub peer: AsId,
+    /// PNI / bilateral IXP / route server.
+    pub kind: PeerKind,
+}
+
 /// Ground-truth role of an AS in the synthetic hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AsRole {
@@ -119,7 +130,7 @@ pub struct CloudTopo {
     /// Transit providers (c2p with the cloud as customer).
     pub providers: Vec<AsId>,
     /// Ground-truth peer links with their realization kind.
-    pub peer_links: Vec<(AsId, PeerKind)>,
+    pub peer_links: Vec<CloudPeerLink>,
 }
 
 /// The synthesized relationship topology.
@@ -127,9 +138,14 @@ pub struct CloudTopo {
 pub struct Topology {
     /// Ground-truth graph (every link that really exists).
     pub truth: AsGraph,
-    /// BGP-feed view: all c2p links, transit peering, but most cloud edge
-    /// peering hidden.
-    pub public: AsGraph,
+    /// The truth links BGP feeds miss (most cloud edge peering), as
+    /// ascending `(low, high)` pairs; [`public_view`] removes them.
+    pub hidden: Vec<(AsId, AsId)>,
+    /// Ground-truth role and CAIDA class of every AS, by node index of
+    /// `truth`: the one role table. An AS on two of the lists below takes
+    /// the role of the later one (clouds last); edge ASes carry their
+    /// class, the transit roles `TransitAccess`, clouds `Content`.
+    pub roles: Vec<(AsRole, CaidaClass)>,
     /// Tier-1 ASNs in clique order.
     pub tier1: Vec<AsId>,
     /// Tier-2 ASNs.
@@ -140,40 +156,31 @@ pub struct Topology {
     pub edge: Vec<(AsId, CaidaClass)>,
     /// Per-cloud attachment.
     pub clouds: Vec<CloudTopo>,
-    /// Home region per AS (index into the region-weight table); big networks are
-    /// global and get region of their headquarters.
-    pub region: BTreeMap<u32, usize>,
+    /// Home region per AS, by node index (index into the region-weight
+    /// table); big networks are global and get the region of their
+    /// headquarters.
+    pub region: Vec<u8>,
     /// Display names for the named networks.
     pub names: BTreeMap<u32, String>,
 }
 
 impl Topology {
-    /// Ground-truth role of an AS.
+    /// Ground-truth role of an AS (`Edge` for one not in the graph).
     pub fn role(&self, asn: AsId) -> AsRole {
-        if self.tier1.contains(&asn) {
-            AsRole::Tier1
-        } else if self.tier2.contains(&asn) {
-            AsRole::Tier2
-        } else if self.transit.contains(&asn) {
-            AsRole::Transit
-        } else if self.clouds.iter().any(|c| c.asn == asn) {
-            AsRole::Cloud
-        } else {
-            AsRole::Edge
-        }
+        self.truth.index_of(asn).map_or(AsRole::Edge, |n| self.roles[n.idx()].0)
     }
 }
 
-fn pick_region(rng: &mut SmallRng) -> usize {
+fn pick_region(rng: &mut SmallRng) -> u8 {
     let x: f64 = rng.gen();
     let mut acc = 0.0;
     for (i, w) in REGION_WEIGHTS.iter().enumerate() {
         acc += w;
         if x < acc {
-            return i;
+            return i as u8;
         }
     }
-    N_REGIONS - 1
+    N_REGIONS as u8 - 1
 }
 
 /// Builds the topology. Deterministic in `cfg.seed`.
@@ -184,14 +191,16 @@ pub fn build(cfg: &NetGenConfig) -> Topology {
     // public view (so both views share the exact same link set decisions).
     let mut hidden: Vec<(AsId, AsId)> = Vec::new();
     let mut names = BTreeMap::new();
-    let mut region = BTreeMap::new();
+    // Home regions as assigned, in order; a later assignment to the same
+    // AS wins.
+    let mut region: Vec<(AsId, u8)> = Vec::with_capacity(cfg.n_ases);
 
     // --- Tier-1 clique ---
     let n_t1 = cfg.n_tier1.min(TIER1_NAMES.len());
     let tier1: Vec<AsId> = TIER1_NAMES[..n_t1].iter().map(|&(_, a)| AsId(a)).collect();
     for (name, asn) in &TIER1_NAMES[..n_t1] {
         names.insert(*asn, name.to_string());
-        region.insert(*asn, pick_region(&mut rng));
+        region.push((AsId(*asn), pick_region(&mut rng)));
     }
     for i in 0..tier1.len() {
         for j in (i + 1)..tier1.len() {
@@ -204,7 +213,7 @@ pub fn build(cfg: &NetGenConfig) -> Topology {
     let tier2: Vec<AsId> = TIER2_NAMES[..n_t2].iter().map(|&(_, a)| AsId(a)).collect();
     for (name, asn) in &TIER2_NAMES[..n_t2] {
         names.insert(*asn, name.to_string());
-        region.insert(*asn, pick_region(&mut rng));
+        region.push((AsId(*asn), pick_region(&mut rng)));
     }
     for (i, &t2) in tier2.iter().enumerate() {
         // 2-3 Tier-1 providers.
@@ -236,7 +245,7 @@ pub fn build(cfg: &NetGenConfig) -> Topology {
     let mut transit_region = Vec::with_capacity(transit.len());
     for &m in &transit {
         let r = pick_region(&mut rng);
-        region.insert(m.0, r);
+        region.push((m, r));
         transit_region.push(r);
     }
     for (i, &m) in transit.iter().enumerate() {
@@ -290,7 +299,7 @@ pub fn build(cfg: &NetGenConfig) -> Topology {
         };
         edge.push((asn, class));
         let r = pick_region(&mut rng);
-        region.insert(asn.0, r);
+        region.push((asn, r));
 
         // Providers: usually regional mids, sometimes Tier-2/Tier-1, and a
         // small chance of buying from an earlier edge AS (small cones).
@@ -374,7 +383,7 @@ pub fn build(cfg: &NetGenConfig) -> Topology {
     for (spec_idx, spec) in cfg.clouds.iter().enumerate() {
         let asn = AsId(spec.asn);
         names.insert(spec.asn, spec.name.clone());
-        region.insert(spec.asn, 3); // all five are US-headquartered
+        region.push((asn, 3)); // all five are US-headquartered
         let mut providers = Vec::new();
         // Providers: mostly Tier-1s, with the tail drawn from Tier-2/mid
         // (Google's third provider in the Sep 2020 data is a small Brazilian
@@ -396,11 +405,11 @@ pub fn build(cfg: &NetGenConfig) -> Topology {
             }
         }
 
-        let mut peer_links: Vec<(AsId, PeerKind)> = Vec::new();
+        let mut peer_links: Vec<CloudPeerLink> = Vec::new();
         let add_peer = |target: AsId,
                             truth: &mut AsGraphBuilder,
                             rng: &mut SmallRng,
-                            peer_links: &mut Vec<(AsId, PeerKind)>,
+                            peer_links: &mut Vec<CloudPeerLink>,
                             hidden: &mut Vec<(AsId, AsId)>,
                             visible: bool| {
             if target == asn || providers.contains(&target) {
@@ -415,7 +424,7 @@ pub fn build(cfg: &NetGenConfig) -> Topology {
                 } else {
                     PeerKind::BilateralIxp
                 };
-                peer_links.push((target, kind));
+                peer_links.push(CloudPeerLink { peer: target, kind });
                 if !visible {
                     hidden.push((asn, target));
                 }
@@ -470,46 +479,66 @@ pub fn build(cfg: &NetGenConfig) -> Topology {
         for j in (i + 1)..clouds.len() {
             let (a, b) = (clouds[i].asn, clouds[j].asn);
             if truth.add_link(a, b, Relationship::P2p) {
-                clouds[i].peer_links.push((b, PeerKind::Pni));
-                clouds[j].peer_links.push((a, PeerKind::Pni));
+                clouds[i].peer_links.push(CloudPeerLink { peer: b, kind: PeerKind::Pni });
+                clouds[j].peer_links.push(CloudPeerLink { peer: a, kind: PeerKind::Pni });
             }
         }
     }
 
-    let truth_graph = truth.build();
-    // Public view: the truth's canonical edges minus the hidden set, over
-    // the same node universe so indices line up across views. Node ids
-    // ascend with ASNs, so the sorted hidden pairs meet the edges in order.
-    let mut hidden: Vec<(AsId, AsId)> =
-        hidden.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+    let truth = truth.build();
+    let mut hidden: Vec<(AsId, AsId)> = hidden.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
     hidden.sort_unstable();
-    let mut hidden = hidden.iter().peekable();
-    let public_edges = truth_graph
-        .edges()
-        .filter(|&(x, y, _)| {
-            let (a, b) = (truth_graph.asn(x), truth_graph.asn(y));
-            let pair = (a.min(b), a.max(b));
-            while hidden.next_if(|&&h| h < pair).is_some() {}
-            hidden.peek() != Some(&&pair)
-        })
-        .collect();
-    let public = AsGraph::from_canonical_edges(
-        truth_graph.asns().map(|a| a.0).collect(),
-        public_edges,
-    )
-    .expect("a subset of a graph's canonical edges is canonical");
+
+    // The role table and the regions, by node index.
+    let mut roles = vec![(AsRole::Edge, CaidaClass::Enterprise); truth.len()];
+    let mut set_role = |asn: AsId, role: AsRole, class: CaidaClass| {
+        if let Some(n) = truth.index_of(asn) {
+            roles[n.idx()] = (role, class);
+        }
+    };
+    edge.iter().for_each(|&(a, class)| set_role(a, AsRole::Edge, class));
+    tier1.iter().for_each(|&a| set_role(a, AsRole::Tier1, CaidaClass::TransitAccess));
+    tier2.iter().for_each(|&a| set_role(a, AsRole::Tier2, CaidaClass::TransitAccess));
+    transit.iter().for_each(|&a| set_role(a, AsRole::Transit, CaidaClass::TransitAccess));
+    clouds.iter().for_each(|c| set_role(c.asn, AsRole::Cloud, CaidaClass::Content));
+    let mut by_node = vec![3u8; truth.len()];
+    for (asn, r) in region {
+        if let Some(n) = truth.index_of(asn) {
+            by_node[n.idx()] = r;
+        }
+    }
 
     Topology {
-        truth: truth_graph,
-        public,
+        truth,
+        hidden,
+        roles,
         tier1,
         tier2,
         transit,
         edge,
         clouds,
-        region,
+        region: by_node,
         names,
     }
+}
+
+/// The BGP-feed view of `truth`: its canonical edges minus the `hidden`
+/// pairs (ascending, as [`Topology::hidden`] holds them), over the same
+/// node universe so indices line up across views. Node ids ascend with
+/// ASNs, so the hidden pairs meet the edges in order, in one merge walk.
+pub fn public_view(truth: &AsGraph, hidden: &[(AsId, AsId)]) -> AsGraph {
+    let mut hidden = hidden.iter().peekable();
+    let public_edges = truth
+        .edges()
+        .filter(|&(x, y, _)| {
+            let (a, b) = (truth.asn(x), truth.asn(y));
+            let pair = (a.min(b), a.max(b));
+            while hidden.next_if(|&&h| h < pair).is_some() {}
+            hidden.peek() != Some(&&pair)
+        })
+        .collect();
+    AsGraph::from_canonical_edges(truth.asns().map(|a| a.0).collect(), public_edges)
+        .expect("a subset of a graph's canonical edges is canonical")
 }
 
 /// Fisher-Yates shuffle (avoids pulling in rand's slice extension trait).
@@ -532,9 +561,10 @@ mod tests {
     #[test]
     fn node_universes_match_between_views() {
         let t = topo();
-        assert_eq!(t.truth.len(), t.public.len());
+        let public = public_view(&t.truth, &t.hidden);
+        assert_eq!(t.truth.len(), public.len());
         for n in t.truth.nodes() {
-            assert_eq!(t.truth.asn(n), t.public.asn(n));
+            assert_eq!(t.truth.asn(n), public.asn(n));
         }
         assert_eq!(t.truth.len(), 400);
     }
@@ -542,10 +572,11 @@ mod tests {
     #[test]
     fn public_view_is_a_subset_of_truth() {
         let t = topo();
-        assert!(t.public.edge_count() < t.truth.edge_count());
-        for (x, y, rel) in t.public.edges() {
-            let a = t.truth.index_of(t.public.asn(x)).unwrap();
-            let b = t.truth.index_of(t.public.asn(y)).unwrap();
+        let public = public_view(&t.truth, &t.hidden);
+        assert_eq!(public.edge_count() + t.hidden.len(), t.truth.edge_count());
+        for (x, y, rel) in public.edges() {
+            let a = t.truth.index_of(public.asn(x)).unwrap();
+            let b = t.truth.index_of(public.asn(y)).unwrap();
             let kind = t.truth.kind_between(a, b);
             assert!(kind.is_some(), "public link missing from truth");
             // Relationship type matches.
@@ -633,11 +664,12 @@ mod tests {
     #[test]
     fn cloud_edge_peering_mostly_hidden_from_public_view() {
         let t = topo();
+        let public = public_view(&t.truth, &t.hidden);
         let google = &t.clouds[0];
         let gn_truth = t.truth.index_of(google.asn).unwrap();
-        let gn_public = t.public.index_of(google.asn).unwrap();
+        let gn_public = public.index_of(google.asn).unwrap();
         let truth_peers = t.truth.peers(gn_truth).len();
-        let public_peers = t.public.peers(gn_public).len();
+        let public_peers = public.peers(gn_public).len();
         assert!(
             (public_peers as f64) < 0.5 * truth_peers as f64,
             "public {public_peers} vs truth {truth_peers}"
@@ -645,7 +677,7 @@ mod tests {
         // IBM is mostly visible.
         let ibm = &t.clouds[2];
         let in_truth = t.truth.peers(t.truth.index_of(ibm.asn).unwrap()).len();
-        let in_public = t.public.peers(t.public.index_of(ibm.asn).unwrap()).len();
+        let in_public = public.peers(public.index_of(ibm.asn).unwrap()).len();
         assert!(in_public as f64 > 0.55 * in_truth as f64, "ibm public {in_public} / truth {in_truth}");
     }
 
@@ -654,7 +686,7 @@ mod tests {
         let a = build(&NetGenConfig::tiny(7));
         let b = build(&NetGenConfig::tiny(7));
         assert!(a.truth.edges().eq(b.truth.edges()));
-        assert!(a.public.edges().eq(b.public.edges()));
+        assert_eq!(a.hidden, b.hidden);
         let c = build(&NetGenConfig::tiny(8));
         assert!(a.truth.edges().ne(c.truth.edges()));
     }
@@ -667,16 +699,14 @@ mod tests {
         assert_eq!(t.role(t.transit[0]), AsRole::Transit);
         assert_eq!(t.role(t.clouds[0].asn), AsRole::Cloud);
         assert_eq!(t.role(t.edge[0].0), AsRole::Edge);
+        assert_eq!(t.roles.len(), t.truth.len());
     }
 
     #[test]
     fn regions_cover_all_ases() {
         let t = topo();
-        for n in t.truth.nodes() {
-            let asn = t.truth.asn(n);
-            assert!(t.region.contains_key(&asn.0), "{asn} missing region");
-            assert!(t.region[&asn.0] < N_REGIONS);
-        }
+        assert_eq!(t.region.len(), t.truth.len());
+        assert!(t.region.iter().all(|&r| (r as usize) < N_REGIONS));
     }
 }
 
@@ -717,9 +747,10 @@ mod prop_tests {
             let mut cfg = NetGenConfig::tiny(seed);
             cfg.n_ases = 250;
             let t = build(&cfg);
+            let public = public_view(&t.truth, &t.hidden);
             prop_assert!(p2c_acyclic(&t.truth), "p2c cycle at seed {seed}");
-            prop_assert!(p2c_acyclic(&t.public));
-            prop_assert_eq!(t.truth.len(), t.public.len());
+            prop_assert!(p2c_acyclic(&public));
+            prop_assert_eq!(t.truth.len(), public.len());
             // Clique members never buy transit and mutually peer.
             for &a in &t.tier1 {
                 let n = t.truth.index_of(a).unwrap();

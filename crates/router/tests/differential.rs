@@ -2,7 +2,8 @@
 //! query corpus — singles, `origins=` batches, `detail=full`,
 //! `exclude=` — every router-mediated response is **byte-identical in
 //! `data`** to a single-process `flatnet serve` answering the same
-//! corpus in the same order.
+//! corpus in the same order. Seeded random batches hold the merge to the
+//! same standard beyond the fixed corpus.
 
 use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_router::{merge, HashRing, Router, RouterConfig};
@@ -128,6 +129,64 @@ fn router_responses_are_bit_identical_to_single_process() {
         // A clean (non-partial) merge must not leave router residue in
         // the envelope.
         assert!(!rb.contains("\"router\""), "query {i}: unexpected partial marker: {rb}");
+    }
+
+    router.shutdown();
+    for s in shards {
+        s.shutdown();
+    }
+    reference.shutdown();
+}
+
+/// Seeded random batches: 1–64 origins drawn with repeats from the whole
+/// topology, a random `exclude=` subset, `detail=full` on some, half of
+/// them reachability and half reliance (with a random `top=`), through a
+/// 3-shard router and to one lone daemon. Every `data` must match byte
+/// for byte, `cached` flags included.
+#[test]
+fn random_batches_merge_to_the_lone_daemons_bytes() {
+    let shards: Vec<Server> = (0..3).map(|i| start_shard(i, 3)).collect();
+    let reference = start_shard(0, 1);
+    let router = Router::start(RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        shard_addrs: shards.iter().map(|s| s.addr().to_string()).collect(),
+        probe_interval_ms: 100,
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+
+    let asns = known_origins(ASES);
+    let mut state = 0x5EED_F1A7_0000_0001u64;
+    let mut next = |below: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % below as u64) as usize
+    };
+    let mut via_router = connect(router.addr());
+    let mut via_single = connect(reference.addr());
+    for i in 0..48 {
+        let origins: Vec<String> = (0..1 + next(64)).map(|_| asns[next(asns.len())].to_string()).collect();
+        let mut target = if i % 2 == 0 {
+            format!("/v1/reachability?origins={}", origins.join(","))
+        } else {
+            format!("/v1/reliance?origins={}&top={}", origins.join(","), 1 + next(30))
+        };
+        let exclude: Vec<&str> =
+            ["providers", "tier1", "tier2"].into_iter().filter(|_| next(2) == 1).collect();
+        if !exclude.is_empty() {
+            target.push_str(&format!("&exclude={}", exclude.join(",")));
+        }
+        if next(3) == 0 {
+            target.push_str("&detail=full");
+        }
+        let (rs, rb) = exchange(&mut via_router, "GET", &target, None);
+        let (ss, sb) = exchange(&mut via_single, "GET", &target, None);
+        assert_eq!((rs, ss), (200, 200), "batch {i} ({target})\nrouter: {rb}\nsingle: {sb}");
+        let rd = merge::envelope_data(&rb).unwrap_or_else(|| panic!("batch {i}: no data: {rb}"));
+        let sd = merge::envelope_data(&sb).unwrap_or_else(|| panic!("batch {i}: no data: {sb}"));
+        assert_eq!(rd, sd, "batch {i} ({target}): data diverged");
+        assert!(!rb.contains("\"router\""), "batch {i}: unexpected partial marker: {rb}");
     }
 
     router.shutdown();

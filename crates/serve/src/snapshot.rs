@@ -452,7 +452,7 @@ fn load(
             (graph, tiers, conflicts)
         }
         TopologySource::Generated { ases, seed } => {
-            let net = clock.time("build", || generate(&NetGenConfig::paper_2020(*ases, *seed)));
+            let net = clock.time("generate", || generate(&NetGenConfig::paper_2020(*ases, *seed)));
             let tiers = clock.time("tiers", || net.tiers_for(&net.truth));
             (net.truth, tiers, Vec::new())
         }

@@ -157,7 +157,7 @@ fn corrupted_store_recompiles_and_heals_the_file() {
     std::fs::write(&store, &bytes[..bytes.len() / 2]).unwrap();
 
     let rejected_before = counter("serve.store_rejected");
-    let builds_before = phase("build");
+    let generated_before = phase("generate");
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         store: Some(store.clone()),
@@ -166,7 +166,7 @@ fn corrupted_store_recompiles_and_heals_the_file() {
     })
     .expect("corruption must not prevent startup");
     assert_eq!(counter("serve.store_rejected"), rejected_before + 1);
-    assert!(phase("build") > builds_before, "the fallback builds from the source");
+    assert!(phase("generate") > generated_before, "the fallback generates from the source");
     let (status, health) = fetch(server.addr(), "GET", "/healthz");
     assert_eq!(status, 200);
     assert_eq!(health.get("warm_start").and_then(Json::as_bool), Some(false));

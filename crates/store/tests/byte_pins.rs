@@ -22,7 +22,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 fn generator_writer_and_store_bytes_are_pinned() {
     let net = generate(&NetGenConfig::paper_2020(4000, 1));
     let truth = write_serial2(&net.truth);
-    let public = write_serial2(&net.public);
+    let public = write_serial2(net.public());
     let graph = net.truth;
     let (n, m) = (graph.len(), graph.edge_count());
     let tiers = infer_tiers(&graph, 32, 28);

@@ -112,7 +112,7 @@ struct CloudCtx<'a> {
 pub fn run_campaign(net: &SyntheticInternet, opts: &CampaignOptions) -> Campaign {
     // Map IXP id -> city for link geolocation.
     let ixp_city: BTreeMap<u32, usize> =
-        net.addressing.ixps.iter().map(|ix| (ix.id.0, ix.city)).collect();
+        net.addressing().ixps.iter().map(|ix| (ix.id.0, ix.city)).collect();
 
     let clouds: Vec<CloudCtx> = net
         .clouds
@@ -123,7 +123,7 @@ pub fn run_campaign(net: &SyntheticInternet, opts: &CampaignOptions) -> Campaign
                 .iter()
                 .map(|l| {
                     let city = net
-                        .addressing
+                        .addressing()
                         .links
                         .get(&(info.asn.0, l.peer.0))
                         .and_then(|la| la.ixp)
@@ -154,7 +154,7 @@ pub fn run_campaign(net: &SyntheticInternet, opts: &CampaignOptions) -> Campaign
         if unit(mix(&[opts.seed, 0xD0, dst_asn.0 as u64])) >= opts.dest_sample {
             continue;
         }
-        let Some(dst_prefix) = net.addressing.origin_prefix(dst_asn) else {
+        let Some(dst_prefix) = net.addressing().origin_prefix(dst_asn) else {
             continue;
         };
         let dst_ip = dst_prefix.addr(80);
@@ -288,7 +288,7 @@ fn synthesize(
     let n_internal = 1 + (mix(&[seed, 4, vp.city as u64, dst_asn.0 as u64]) % 2) as usize;
     for k in 0..n_internal {
         let salt = mix(&[seed, 5, vp.city as u64, dst_asn.0 as u64, k as u64]);
-        let addr = net.addressing.host_of(ctx.info.asn, salt);
+        let addr = net.addressing().host_of(ctx.info.asn, salt);
         let lost = lossy(10 + k as u64, 0.0);
         let rtt = rtt_of(cum_km, ttl + 1, 50 + k as u64);
         push(if lost { None } else { addr }, Some(rtt), &mut hops, &mut ttl);
@@ -311,13 +311,13 @@ fn synthesize(
         let mut addr: Option<Ipv4Addr> = if is_border_from_cloud {
             // Border into the first non-cloud AS: the link's interconnect
             // address when this is a peer link, else the neighbor's space.
-            net.addressing
+            net.addressing()
                 .links
                 .get(&(ctx.info.asn.0, asn.0))
                 .map(|la| la.peer_ip)
-                .or_else(|| net.addressing.host_of(asn, mix(&[seed, 6, asn.0 as u64])))
+                .or_else(|| net.addressing().host_of(asn, mix(&[seed, 6, asn.0 as u64])))
         } else {
-            net.addressing.host_of(asn, mix(&[seed, 7, vp.city as u64, dst_asn.0 as u64, asn.0 as u64]))
+            net.addressing().host_of(asn, mix(&[seed, 7, vp.city as u64, dst_asn.0 as u64, asn.0 as u64]))
         };
         // Third-party address injection at the cloud border. Real
         // third-party responses come from a handful of multi-homed routers
@@ -332,7 +332,7 @@ fn synthesize(
             let victim = net.truth.asn(NodeId(
                 (mix(&[seed, 9, ctx.info.asn.0 as u64, pool_slot]) % net.truth.len() as u64) as u32,
             ));
-            addr = net.addressing.host_of(victim, mix(&[seed, 10, victim.0 as u64])).or(addr);
+            addr = net.addressing().host_of(victim, mix(&[seed, 10, victim.0 as u64])).or(addr);
         }
         let extra = if is_border_from_cloud { opts.border_loss_prob } else { 0.0 };
         let lost = lossy(20 + i as u64, extra);
@@ -509,7 +509,7 @@ mod rtt_and_failure_tests {
         let google = net.clouds[0].asn;
         let inferred = crate::inference::infer_neighbors(
             c.for_cloud(google),
-            &net.addressing.resolver,
+            &net.addressing().resolver,
             &crate::inference::Methodology::final_methodology(),
             google,
         );
@@ -536,7 +536,7 @@ mod rtt_and_failure_tests {
             .collect();
         let score = |c: &Campaign| {
             let inferred =
-                crate::inference::infer_neighbors(c.for_cloud(google), &net.addressing.resolver, &m, google);
+                crate::inference::infer_neighbors(c.for_cloud(google), &net.addressing().resolver, &m, google);
             crate::validate::validate_neighbors(&inferred, &truth).fdr()
         };
         let fdr_clean = score(&clean);

@@ -89,7 +89,7 @@ mod tests {
         let opts = CampaignOptions { dest_sample: 0.3, max_vps: 2, ..Default::default() };
         let a = run_campaign(&net, &opts);
         let b = run_campaign(&net, &opts);
-        let stats = path_changes(&a, &b, &net.addressing.resolver);
+        let stats = path_changes(&a, &b, &net.addressing().resolver);
         let total: usize = stats.values().map(|s| s.compared).sum();
         assert!(total > 100);
         for (asn, s) in &stats {
@@ -111,7 +111,7 @@ mod tests {
             &net,
             &CampaignOptions { seed: 2, dest_sample: 1.0, max_vps: 3, ..Default::default() },
         );
-        let stats = path_changes(&a, &b, &net.addressing.resolver);
+        let stats = path_changes(&a, &b, &net.addressing().resolver);
         let compared: usize = stats.values().map(|s| s.compared).sum();
         let changed: usize = stats.values().map(|s| s.changed).sum();
         assert!(compared > 500);
@@ -128,7 +128,7 @@ mod tests {
     fn empty_campaigns() {
         let net = generate(&NetGenConfig::tiny(1));
         let empty = Campaign { traces: vec![] };
-        let stats = path_changes(&empty, &empty, &net.addressing.resolver);
+        let stats = path_changes(&empty, &empty, &net.addressing().resolver);
         assert!(stats.is_empty());
     }
 }

@@ -29,7 +29,7 @@ fn main() {
     println!("collected {} RIB entries from {} monitors", ribs.len(), monitors.len());
 
     // Round-trip through the MRT binary format.
-    let mrt = from_rib_entries(&ribs, |o| net.addressing.origin_prefix(o));
+    let mrt = from_rib_entries(&ribs, |o| net.addressing().origin_prefix(o));
     let bytes = write_mrt(&mrt, 1_600_000_000);
     println!("MRT dump: {} bytes ({} routes)", bytes.len(), mrt.routes.len());
     let recovered = to_rib_entries(&parse_mrt(&bytes).expect("own MRT parses"));

@@ -25,7 +25,7 @@ fn net() -> SyntheticInternet {
 #[test]
 fn generated_topologies_roundtrip_through_caida_formats() {
     let net = net();
-    for g in [&net.truth, &net.public] {
+    for g in [&net.truth, net.public()] {
         let text1 = write_serial1(g);
         let back1 = parse_serial1(text1.as_bytes()).unwrap().build();
         assert_eq!(back1.edge_count(), g.edge_count());
@@ -70,7 +70,7 @@ fn appendix_a_agreement_band() {
         &CampaignOptions { dest_sample: 0.5, max_vps: 3, ..Default::default() },
     );
     let clouds: Vec<_> = net.clouds.iter().map(|c| c.asn).collect();
-    let agreement = validate_paths(&net.truth, &net.addressing.resolver, &campaign, &clouds);
+    let agreement = validate_paths(&net.truth, &net.addressing().resolver, &campaign, &clouds);
     // The paper saw 73-92% agreement; on the ground-truth graph (which
     // generated the traffic) only resolution noise should miss.
     for cloud in &net.clouds {

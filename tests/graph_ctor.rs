@@ -4,10 +4,14 @@
 //! ASes; netgen's public view straight from `from_canonical_edges`; a
 //! `to_builder().build()` round trip — it must equal a naive reference
 //! that knows nothing about CSR arrays, in its ASN table, its canonical
-//! edge list and every `providers`/`customers`/`peers` slice. And the
+//! edge list and every `providers`/`customers`/`peers` slice. The CAIDA
+//! reader, which appends and settles in bulk instead of asking per link,
+//! must give the same graph and the same conflicts, in order. And the
 //! constructor must refuse each malformed input it documents.
 
-use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, GraphError, NodeId, Relationship};
+use flatnet_asgraph::caida::{parse_serial1_with, parse_serial2_with};
+use flatnet_asgraph::graph::RelConflict;
+use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, GraphError, NodeId, ParseOptions, Relationship};
 use flatnet_netgen::{generate, NetGenConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -99,7 +103,7 @@ fn generated_topologies_equal_the_naive_reference_in_both_views() {
         let mut cfg = NetGenConfig::tiny(seed);
         cfg.n_ases = 120 + (seed as usize % 4) * 10;
         let net = generate(&cfg);
-        for (view, g) in [("truth", &net.truth), ("public", &net.public)] {
+        for (view, g) in [("truth", &net.truth), ("public", net.public())] {
             let what = format!("seed {seed} {view}");
             // The view's own links, shuffled, every seventh declared a
             // second time with the relationship flipped (a conflict the
@@ -154,6 +158,83 @@ proptest! {
         prop_assert_eq!(seen_conflicts, conflicts);
         assert_graph_is(&g, &asns, &edges, "built");
         assert_graph_is(&g.to_builder().build(), &asns, &edges, "reopened");
+    }
+}
+
+/// The conflicts the CAIDA reader must report for these declarations:
+/// one per later declaration of a known pair that contradicts the first,
+/// in declaration order, named as `RelConflict` names them.
+fn naive_conflicts(links: &[Link]) -> Vec<RelConflict> {
+    let describe = |&(a, b, rel): &Link| match rel {
+        P2p => "p2p",
+        P2c if a < b => "p2c (lower AS provides)",
+        P2c => "p2c (higher AS provides)",
+    };
+    let mut first: Vec<Link> = Vec::new();
+    let mut conflicts = Vec::new();
+    for link in links.iter().filter(|l| l.0 != l.1) {
+        let (a, b) = pair(link.0, link.1);
+        match first.iter().find(|k| pair(k.0, k.1) == (a, b)) {
+            Some(kept) if describe(kept) != describe(link) => conflicts.push(RelConflict {
+                a: AsId(a),
+                b: AsId(b),
+                kept: describe(kept),
+                dropped: describe(link),
+            }),
+            Some(_) => {}
+            None => first.push(*link),
+        }
+    }
+    conflicts
+}
+
+/// The declarations as as-rel text of either serial, one line each in
+/// the order given (`P2c` provider first); self-loops are written only
+/// when asked, for the lenient reader to drop.
+fn as_rel_text(links: &[Link], serial2: bool, self_loops: bool) -> String {
+    let mut text = String::from("# as1|as2|rel\n");
+    for &(a, b, rel) in links.iter().filter(|l| self_loops || l.0 != l.1) {
+        let code = if rel == P2c { "-1" } else { "0" };
+        text.push_str(&format!("{a}|{b}|{code}{}\n", if serial2 { "|bgp" } else { "" }));
+    }
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The reader appends what it reads and settles in bulk (when its
+    /// vector would grow, and at the end); lists up to ten times its
+    /// first capacity make it settle mid-file. Whatever the density of
+    /// duplicates, contradicting re-declarations and reversed `p2c`
+    /// lines, both serials, strict and lenient, must give the naive
+    /// first-wins graph and exactly its conflicts, in declaration order.
+    #[test]
+    fn the_reader_keeps_first_declarations_like_the_naive_reference(
+        (space, raw) in (2u32..400).prop_flat_map(|space| {
+            (Just(space), vec((0..space, 0..space, any::<bool>()), 0..2600))
+        }),
+    ) {
+        let asn = |i: u32| (i ^ 0x155) * 7 + 3;
+        let links: Vec<Link> =
+            raw.iter().map(|&(a, b, peer)| (asn(a), asn(b), if peer { P2p } else { P2c })).collect();
+        let self_loops = links.iter().filter(|l| l.0 == l.1).count();
+        let (asns, edges, _) = naive(&links, &[]);
+        let conflicts = naive_conflicts(&links);
+        for serial2 in [false, true] {
+            let read = |text: &str, opts: &ParseOptions| {
+                if serial2 { parse_serial2_with(text.as_bytes(), opts) } else { parse_serial1_with(text.as_bytes(), opts) }
+            };
+            let lenient = ParseOptions::lenient().with_max_errors(usize::MAX);
+            for (opts, with_loops) in [(ParseOptions::strict(), false), (lenient, true)] {
+                let what = format!("space {space}, serial-{}, {}", 1 + serial2 as u8, if opts.strict { "strict" } else { "lenient" });
+                let (b, diag) = read(&as_rel_text(&links, serial2, with_loops), &opts).expect(&what);
+                prop_assert_eq!(diag.dropped(), if with_loops { self_loops } else { 0 }, "{}", what);
+                prop_assert_eq!(b.link_count(), edges.len(), "{}", what);
+                prop_assert_eq!(b.conflicts(), &conflicts[..], "{}", what);
+                assert_graph_is(&b.build(), &asns, &edges, &what);
+            }
+        }
     }
 }
 

@@ -117,7 +117,7 @@ fn build_bases() -> Bases {
     }
     let slice = links.build();
 
-    let announced = &net.addressing.resolver.announced;
+    let announced = &net.addressing().resolver.announced;
     let monitors = [NodeId(0), NodeId(20)];
     let origins: Vec<NodeId> = g.nodes().step_by(5).collect();
     let ribs = flatnet_bgpsim::collect_ribs(g, &monitors, &origins);

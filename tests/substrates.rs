@@ -39,13 +39,13 @@ fn dataset_bundle_supports_the_full_analysis_loop() {
 #[test]
 fn generated_announcements_survive_aggregation() {
     let net = net();
-    let announced = &net.addressing.resolver.announced;
+    let announced = &net.addressing().resolver.announced;
     let agg = aggregate(announced);
     assert!(agg.len() <= announced.len());
     // Spot-check resolution preservation over every AS's origin prefix.
     for n in net.truth.nodes() {
         let asn = net.truth.asn(n);
-        if let Some(p) = net.addressing.origin_prefix(asn) {
+        if let Some(p) = net.addressing().origin_prefix(asn) {
             let probe = p.addr(p.size() / 2);
             assert_eq!(agg.resolve(probe), announced.resolve(probe), "{asn}");
         }
@@ -84,7 +84,7 @@ fn path_change_rates_are_moderate_between_days() {
         &net,
         &CampaignOptions { seed: 11, dest_sample: 0.5, max_vps: 3, ..Default::default() },
     );
-    let stats = path_changes(&day1, &day2, &net.addressing.resolver);
+    let stats = path_changes(&day1, &day2, &net.addressing().resolver);
     let compared: usize = stats.values().map(|s| s.compared).sum();
     let changed: usize = stats.values().map(|s| s.changed).sum();
     assert!(compared > 1000);

@@ -97,8 +97,8 @@ fn shipped_walks_match_the_dag_reference() {
     let opts = CampaignOptions { dest_sample: 0.4, max_vps: 2, ..Default::default() };
     let campaign = run_campaign(&net, &opts);
     let clouds: Vec<AsId> = net.clouds.iter().map(|c| c.asn).collect();
-    let resolver = &net.addressing.resolver;
-    for (view, g) in [("truth", &net.truth), ("public", &net.public)] {
+    let resolver = &net.addressing().resolver;
+    for (view, g) in [("truth", &net.truth), ("public", net.public())] {
         let got = validate_paths(g, resolver, &campaign, &clouds);
         assert_eq!(got, dag_validate_paths(g, resolver, &campaign, &clouds), "{view}");
         let scored: usize = got.values().map(|a| a.scored).sum();
