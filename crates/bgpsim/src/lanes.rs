@@ -62,7 +62,8 @@
 //!   is the origin) for lane `k`'s origin — the only class the peer
 //!   phase may export;
 //! * `r[i]` — a route of *any* class (customer, peer, or provider): the
-//!   reach set the kernel outputs.
+//!   reach set the kernel outputs — plus, until the block's output is
+//!   read, the lanes node `i` is excluded for (below).
 //!
 //! The scalar engine's separate peer/provider distance arrays have no
 //! lane counterpart: existence-wise, a peer- or provider-learned route
@@ -70,20 +71,35 @@
 //! itself, so any class split finer than "customer vs any" carries no
 //! information the kernel needs.
 //!
-//! Two more vectors encode the per-lane policy environment:
+//! Both live in one [`NodeWords`] struct of 16·W bytes, aligned to its
+//! size (16, 32 and 64 bytes at `W = 1, 2, 4`; compile-time asserted),
+//! so a node never straddles a cache line and a receiver visit loads
+//! one line at every width.
 //!
-//! * `iso[i]` — lane `k` set ⟺ node `i` *is* lane `k`'s origin. Every
-//!   origin-relative policy rule (`OnlyDirectFromOrigin`,
-//!   `RejectDirectFromOrigin`, origin-export masks, "receiver ≠ origin")
-//!   becomes one AND with this vector or its complement.
-//! * `blocked[i]` — lane `k` set ⟺ node `i` is excluded for lane `k`
-//!   (the shared exclusion mask broadcast to all lanes, plus any
-//!   per-lane exclusions installed through [`LaneExcluder`]).
+//! The per-lane policy environment is sparse — a block's exclusions and
+//! origins sit on a few hundred nodes of tens of thousands — so it
+//! lives beside the node words, not in them:
 //!
-//! All four live in one [`NodeWords`] struct, cache-line aligned
-//! (32 bytes at `W = 1`, one line at `W = 2`, exactly two lines at
-//! `W = 4`; compile-time asserted) so a frontier edge inspects one or
-//! two lines per receiver instead of four scattered arrays.
+//! * **Exclusions are pre-filled into `r`.** Before seeding, a lane
+//!   excluded at node `i` gets its `r` bit set: the shared exclusion
+//!   mask sets every lane, [`LaneExcluder::exclude`] its own lane, and
+//!   [`LaneExcluder::allow`] clears it again. A receiver then needs only
+//!   `send & !r` in every phase, an excluded origin's lane stays empty,
+//!   and a node is saturated once `r` covers every active lane.
+//! * **A side table keyed by node** holds, for each *flagged* node (one
+//!   excluded for some lane or some lane's origin), its excluded lanes
+//!   `blocked` and its origin marks `iso` (lane `k` set ⟺ node `i` *is*
+//!   lane `k`'s origin), sorted by node and found by binary search.
+//!   Three places read it: a provider-phase sender, whose `send` is
+//!   `r & !blocked`; the block's output, which clears `r & blocked` on
+//!   the flagged nodes before counts or transposition; and the `POL =
+//!   true` senders, where every origin-relative rule
+//!   (`OnlyDirectFromOrigin`, `RejectDirectFromOrigin`, origin-export
+//!   masks) is one AND with `iso` or its complement.
+//! * **One flag byte per node** says queued, saturated, reached,
+//!   excluded for some lane and origin of some lane. *Reached* decides a
+//!   node's first touch, not `r != 0` — pre-filled exclusions make `r`
+//!   non-zero on nodes no route reached.
 //!
 //! ## Reach-set-only contract
 //!
@@ -101,19 +117,20 @@
 //! ## Phase equivalence (vs the scalar engine)
 //!
 //! 1. **Customer phase** — BFS up provider edges on `c`. The scalar
-//!    guard `dist_c[p] == UNREACHED` becomes `& !c[p]`; the origin's own
-//!    seeded bit blocks re-entry exactly like its `dist_c = 0`.
+//!    guard `dist_c[p] == UNREACHED` becomes `& !r[p]`: until the peer
+//!    phase, `r` is exactly `c` plus the excluded lanes; the origin's
+//!    own seeded bit blocks re-entry exactly like its `dist_c = 0`.
 //! 2. **Peer phase** — one relaxation over the customer-reached set:
-//!    `r[peer] |= c[v]` masked by policy and `!iso[peer]` (the scalar
-//!    `u != origin` test), received where no route exists yet (`!r` — a
-//!    node that already holds a customer route gains nothing reach-wise
-//!    from a peer route).
+//!    `r[peer] |= c[v]` masked by policy, received where `!r` — where no
+//!    route exists yet (a node that already holds a customer route gains
+//!    nothing reach-wise from a peer route) and the lane is not
+//!    excluded. The scalar `u != origin` test is implied: an origin
+//!    already holds its own lane's `r` bit, seeded or pre-filled.
 //! 3. **Provider phase** — closure down customer edges seeded from every
-//!    routed node: `out = r & !blocked`, received into `r` where no
-//!    route exists yet. The scalar engine's distance ordering (bucket
-//!    queue) only affects *which* provider route wins, never *whether* a
-//!    node is reached, so the unordered fixpoint reaches the identical
-//!    set.
+//!    routed node: `out = r & !blocked`, received into `r` where `!r`.
+//!    The scalar engine's distance ordering (bucket queue) only affects
+//!    *which* provider route wins, never *whether* a node is reached, so
+//!    the unordered fixpoint reaches the identical set.
 //!
 //! All phases only ever OR bits in, so the fixpoint is unique and the
 //! result is deterministic regardless of frontier order, thread count,
@@ -248,6 +265,11 @@ pub fn cpu_features() -> Vec<&'static str> {
     f
 }
 
+/// Zero-sized 16-byte-alignment marker (see [`LaneArity`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[repr(align(16))]
+pub struct Align16;
+
 /// Zero-sized 32-byte-alignment marker (see [`LaneArity`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[repr(align(32))]
@@ -258,11 +280,11 @@ pub struct Align32;
 #[repr(align(64))]
 pub struct Align64;
 
-/// Ties a supported lane width to its [`NodeWords`] alignment: 32 bytes
-/// at `W = 1` (two nodes per cache line, never straddling one) and a
-/// full cache line at `W = 2` and `W = 4` (one and exactly two lines per
-/// node). Implemented for [`Lanes<1>`], [`Lanes<2>`], and [`Lanes<4>`]
-/// only — the width set the kernel supports.
+/// Ties a supported lane width to its [`NodeWords`] alignment, which is
+/// the node's own size — 16, 32 and 64 bytes at `W = 1, 2, 4` — so a
+/// node never straddles a cache line (four, two and one per line).
+/// Implemented for [`Lanes<1>`], [`Lanes<2>`], and [`Lanes<4>`] only —
+/// the width set the kernel supports.
 pub trait LaneArity {
     /// Zero-sized alignment marker embedded in [`NodeWords`].
     type Align: Copy + Clone + std::fmt::Debug + Default + PartialEq + Eq + Send + Sync;
@@ -275,19 +297,18 @@ pub trait LaneArity {
 pub struct Lanes<const W: usize>;
 
 impl LaneArity for Lanes<1> {
-    type Align = Align32;
+    type Align = Align16;
 }
 impl LaneArity for Lanes<2> {
-    type Align = Align64;
+    type Align = Align32;
 }
 impl LaneArity for Lanes<4> {
     type Align = Align64;
 }
 
-/// One node's lane vectors, kept together (and cache-line aligned, see
-/// [`LaneArity`]) so a frontier edge inspects one or two cache lines per
-/// receiver (`blocked`, `iso`, both route classes) instead of four
-/// scattered arrays.
+/// One node's route lanes, kept together (and aligned to their size, see
+/// [`LaneArity`]) so a frontier edge inspects one cache line per
+/// receiver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[doc(hidden)]
 pub struct NodeWords<const W: usize>
@@ -298,12 +319,9 @@ where
     /// Customer-route lanes (origin seed included) — the only class the
     /// peer phase exports.
     c: [u64; W],
-    /// Any-class route lanes — the reach set the kernel outputs.
+    /// Any-class route lanes — the reach set the kernel outputs — with
+    /// the node's excluded lanes pre-filled until the output is read.
     r: [u64; W],
-    /// Per-lane exclusion lanes.
-    blocked: [u64; W],
-    /// Origin-membership lanes.
-    iso: [u64; W],
 }
 
 impl<const W: usize> Default for NodeWords<W>
@@ -311,23 +329,57 @@ where
     Lanes<W>: LaneArity,
 {
     fn default() -> Self {
-        NodeWords { _align: [], c: [0; W], r: [0; W], blocked: [0; W], iso: [0; W] }
+        NodeWords { _align: [], c: [0; W], r: [0; W] }
     }
 }
 
-// A node's lane vectors must never straddle cache lines: 32-byte nodes
-// are 32-aligned (two per line), 64-byte nodes fill one line, 128-byte
-// nodes fill exactly two. Checked at compile time so a field reorder or
+// A node's lane vectors must never straddle cache lines: each width's
+// node is as large as its alignment (16, 32, 64 bytes), so four, two or
+// one fill a line exactly. Checked at compile time so a field reorder or
 // width addition cannot silently regress the kernel's memory layout.
 const _: () = {
-    assert!(std::mem::size_of::<NodeWords<1>>() == 32);
-    assert!(std::mem::align_of::<NodeWords<1>>() == 32);
-    assert!(std::mem::size_of::<NodeWords<2>>() == 64);
-    assert!(std::mem::align_of::<NodeWords<2>>() == 64);
-    assert!(std::mem::size_of::<NodeWords<4>>() == 128);
+    assert!(std::mem::size_of::<NodeWords<1>>() == 16);
+    assert!(std::mem::align_of::<NodeWords<1>>() == 16);
+    assert!(std::mem::size_of::<NodeWords<2>>() == 32);
+    assert!(std::mem::align_of::<NodeWords<2>>() == 32);
+    assert!(std::mem::size_of::<NodeWords<4>>() == 64);
     assert!(std::mem::align_of::<NodeWords<4>>() == 64);
-    assert!(std::mem::size_of::<NodeWords<4>>().is_multiple_of(std::mem::align_of::<NodeWords<4>>()));
 };
+
+/// A flagged node's policy lanes, in the side table beside the node
+/// words (see the [module docs](self)).
+#[derive(Clone, Copy, Debug)]
+struct Side<const W: usize> {
+    /// The lanes the node is excluded for.
+    blocked: [u64; W],
+    /// The lanes the node is the origin of.
+    iso: [u64; W],
+}
+
+/// Node flag: on the current or the next frontier.
+const QUEUED: u8 = 1;
+/// Node flag: `r` covers every active lane, so no receiver check can
+/// add a bit. Receiver visits in the peer and provider phases skip the
+/// node on a one-byte read instead of loading its `NodeWords` — in
+/// dense sweeps most late-round edge visits hit saturated receivers.
+const SAT: u8 = 2;
+/// Node flag: holds a real route bit, so it is on the `touched` list.
+const REACHED: u8 = 4;
+/// Node flag: excluded for some lane (a side-table entry).
+const EXCLUDED: u8 = 8;
+/// Node flag: some lane's origin (a side-table entry).
+const ORIGIN: u8 = 16;
+
+/// Sets `bit` in node `i`'s flags, entering `i` on the side table's
+/// key list the first time it is flagged excluded or origin.
+#[inline]
+fn flag(flags: &mut [u8], flagged: &mut Vec<u32>, i: u32, bit: u8) {
+    let f = &mut flags[i as usize];
+    if *f & (EXCLUDED | ORIGIN) == 0 {
+        flagged.push(i);
+    }
+    *f |= bit;
+}
 
 /// OR-reduction of a lane vector — zero iff no lane is set.
 #[inline(always)]
@@ -339,10 +391,10 @@ fn or_all<const W: usize>(a: &[u64; W]) -> u64 {
     x
 }
 
-/// Width-erased view of the per-node `blocked` lanes, so one
-/// [`LaneExcluder`] type (and every fill closure written against it)
-/// works for every lane width. An implementation detail of
-/// [`LaneExcluder`]; not constructible outside the crate.
+/// Width-erased view of the per-node route lanes that exclusions are
+/// pre-filled into, so one [`LaneExcluder`] type (and every fill closure
+/// written against it) works for every lane width. An implementation
+/// detail of [`LaneExcluder`]; not constructible outside the crate.
 #[derive(Debug)]
 #[doc(hidden)]
 pub enum ExclusionLanes<'w> {
@@ -389,7 +441,8 @@ impl AsExclusionLanes for [NodeWords<4>] {
 #[derive(Debug)]
 pub struct LaneExcluder<'w> {
     lanes: ExclusionLanes<'w>,
-    blocked_touched: &'w mut Vec<u32>,
+    flags: &'w mut [u8],
+    flagged: &'w mut Vec<u32>,
     /// Lane word holding this origin's bit.
     word: usize,
     /// This origin's bit within that word.
@@ -397,14 +450,15 @@ pub struct LaneExcluder<'w> {
 }
 
 impl LaneExcluder<'_> {
-    /// `node`'s `blocked` lane words, whatever the block's width.
+    /// `node`'s route lanes, whatever the block's width: before seeding
+    /// they hold exactly the node's excluded lanes.
     #[inline]
-    fn blocked(&mut self, node: NodeId) -> &mut [u64] {
+    fn route(&mut self, node: NodeId) -> &mut [u64] {
         let i = node.idx();
         match &mut self.lanes {
-            ExclusionLanes::W1(w) => &mut w[i].blocked,
-            ExclusionLanes::W2(w) => &mut w[i].blocked,
-            ExclusionLanes::W4(w) => &mut w[i].blocked,
+            ExclusionLanes::W1(w) => &mut w[i].r,
+            ExclusionLanes::W2(w) => &mut w[i].r,
+            ExclusionLanes::W4(w) => &mut w[i].r,
         }
     }
 
@@ -415,13 +469,9 @@ impl LaneExcluder<'_> {
     /// blanket exclusion.
     #[inline]
     pub fn exclude(&mut self, node: NodeId) {
+        flag(self.flags, self.flagged, node.0, EXCLUDED);
         let (word, bit) = (self.word, self.bit);
-        let blocked = self.blocked(node);
-        let first = blocked.iter().all(|&w| w == 0);
-        blocked[word] |= bit;
-        if first {
-            self.blocked_touched.push(node.0);
-        }
+        self.route(node)[word] |= bit;
     }
 
     /// Clears `node`'s exclusion for this lane (the mirror of the scalar
@@ -429,41 +479,37 @@ impl LaneExcluder<'_> {
     #[inline]
     pub fn allow(&mut self, node: NodeId) {
         let (word, bit) = (self.word, self.bit);
-        self.blocked(node)[word] &= !bit;
+        self.route(node)[word] &= !bit;
     }
 }
 
 /// Reusable state for the bit-parallel kernel at lane width `W` words
-/// (64·W origins per block): the per-node lane vectors, frontier queues,
-/// and the transposed output. Create once per worker (or via
-/// [`LaneWorkspace::for_snapshot`]) and run many blocks through it —
-/// after the first block a run performs no heap allocation. The default
-/// width parameter keeps plain `LaneWorkspace` meaning the one-word
-/// 64-lane kernel.
+/// (64·W origins per block): the per-node route lanes and flags, the
+/// side table, frontier queues, and the transposed output. Create once
+/// per worker (or via [`LaneWorkspace::for_snapshot`]) and run many
+/// blocks through it — after the first block of a shape a run performs
+/// no heap allocation. The default width parameter keeps plain
+/// `LaneWorkspace` meaning the one-word 64-lane kernel.
 #[derive(Debug)]
 pub struct LaneWorkspace<const W: usize = 1>
 where
     Lanes<W>: LaneArity,
 {
-    /// Per-node lane vectors (route classes + policy environment).
+    /// Per-node route lanes.
     words: Vec<NodeWords<W>>,
-    /// Nodes with any route bit — the undo list for O(reached) resets.
+    /// Per-node flag bits: `QUEUED`, `SAT`, `REACHED`, `EXCLUDED`,
+    /// `ORIGIN`.
+    flags: Vec<u8>,
+    /// Nodes with a real route bit: the undo list for O(reached)
+    /// resets, the peer phase's senders and the provider phase's seed.
     touched: Vec<u32>,
-    /// Nodes with any blocked bit (undo list).
-    blocked_touched: Vec<u32>,
-    /// Nodes with any iso bit (undo list).
-    origin_touched: Vec<u32>,
+    /// Nodes flagged `EXCLUDED` or `ORIGIN`, sorted once the fills are
+    /// in: the side table's keys, and its undo list.
+    flagged: Vec<u32>,
+    /// `flagged[t]`'s policy lanes at `side[t]`.
+    side: Vec<Side<W>>,
     frontier: Vec<u32>,
     next: Vec<u32>,
-    queued: Vec<bool>,
-    /// Per-node "no further adds possible" flags: set once `r | blocked`
-    /// covers every active lane. Receiver visits in the peer and
-    /// customer phases then skip the node on a one-byte read instead of
-    /// loading its `NodeWords` (two cache lines at the widest width) —
-    /// in dense sweeps most late-round edge visits hit saturated
-    /// receivers, so this is where the wide widths win their memory
-    /// traffic back.
-    sat: Vec<u8>,
     /// Bitmask of the current block's active lanes (lane `k` set iff
     /// `k < block_len`), the saturation reference.
     lane_mask: [u64; W],
@@ -486,13 +532,12 @@ where
     fn default() -> Self {
         LaneWorkspace {
             words: Vec::new(),
+            flags: Vec::new(),
             touched: Vec::new(),
-            blocked_touched: Vec::new(),
-            origin_touched: Vec::new(),
+            flagged: Vec::new(),
+            side: Vec::new(),
             frontier: Vec::new(),
             next: Vec::new(),
-            queued: Vec::new(),
-            sat: Vec::new(),
             lane_mask: [0; W],
             out: Vec::new(),
             counts: [0; MAX_LANES],
@@ -531,49 +576,33 @@ where
     }
 
     /// Sizes the buffers for `n` nodes and clears the previous block's
-    /// writes. Same-size resets undo via the touched lists, so for a
-    /// fixed topology a reset is O(previously reached), not O(n).
+    /// writes. Same-size resets undo via the touched and flagged lists,
+    /// so for a fixed topology a reset is O(previously reached), not
+    /// O(n).
     fn begin(&mut self, n: usize, materialize: bool) {
         if self.words.len() == n {
-            // `sat` implies `r | blocked` is non-zero, so every saturated
-            // node sits on one of these two undo lists and the reset
+            // Every node with a lane bit or a flag set sits on one of
+            // these two lists — queued and saturated nodes are reached,
+            // even when a panic cut the last block short — so the reset
             // stays O(reached).
-            for t in 0..self.touched.len() {
-                let i = self.touched[t] as usize;
-                self.words[i].c = [0; W];
-                self.words[i].r = [0; W];
-                self.sat[i] = 0;
-            }
-            for t in 0..self.blocked_touched.len() {
-                let i = self.blocked_touched[t] as usize;
-                self.words[i].blocked = [0; W];
-                self.sat[i] = 0;
-            }
-            for t in 0..self.origin_touched.len() {
-                self.words[self.origin_touched[t] as usize].iso = [0; W];
-            }
-            // A panic mid-block (a fill callback indexing out of bounds)
-            // can leave entries queued; drain the flags so a reused
-            // worker workspace starts clean.
-            for q in self.frontier.drain(..).chain(self.next.drain(..)) {
-                self.queued[q as usize] = false;
+            for &i in self.touched.iter().chain(&self.flagged) {
+                self.words[i as usize] = NodeWords::default();
+                self.flags[i as usize] = 0;
             }
         } else {
             self.words.clear();
             self.words.resize(n, NodeWords::default());
-            self.queued.clear();
-            self.queued.resize(n, false);
-            self.sat.clear();
-            self.sat.resize(n, 0);
+            self.flags.clear();
+            self.flags.resize(n, 0);
             // A node enters each of these lists at most once per block, so
             // sized to the graph here they never grow during a run.
             for list in [&mut self.touched, &mut self.frontier, &mut self.next] {
                 *list = Vec::with_capacity(n);
             }
         }
-        self.touched.clear();
-        self.blocked_touched.clear();
-        self.origin_touched.clear();
+        for list in [&mut self.touched, &mut self.flagged, &mut self.frontier, &mut self.next] {
+            list.clear();
+        }
         self.n = n;
         if materialize {
             let need = Self::BLOCK_LANES * self.words_per();
@@ -585,12 +614,12 @@ where
         self.counts = [0; MAX_LANES];
     }
 
-    /// First-touch bookkeeping for the undo list; call before OR-ing the
-    /// first route bit into node `i`.
+    /// Index of flagged node `i`'s side-table entry.
     #[inline]
-    fn touch(&mut self, i: u32) {
-        if or_all(&self.words[i as usize].r) == 0 {
-            self.touched.push(i);
+    fn side_index(&self, i: u32) -> usize {
+        match self.flagged.binary_search(&i) {
+            Ok(t) => t,
+            Err(_) => unreachable!("node {i} is flagged but has no side entry"),
         }
     }
 
@@ -601,11 +630,11 @@ where
 
     /// Heap bytes this workspace holds, every buffer at capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
-        let lists = [&self.touched, &self.blocked_touched, &self.origin_touched, &self.frontier];
-        lists.into_iter().chain([&self.next]).map(cap_bytes).sum::<usize>()
+        let lists = [&self.touched, &self.flagged, &self.frontier, &self.next];
+        lists.into_iter().map(cap_bytes).sum::<usize>()
             + cap_bytes(&self.words)
-            + cap_bytes(&self.queued)
-            + cap_bytes(&self.sat)
+            + cap_bytes(&self.flags)
+            + cap_bytes(&self.side)
             + cap_bytes(&self.out)
     }
 
@@ -662,49 +691,56 @@ where
         }
         let pol = cfg.view();
 
-        // Broadcast the shared exclusion mask to all lanes.
+        // Pre-fill the exclusions into `r`: the shared mask's for every
+        // lane, then each origin's own.
         if let Some(mask) = pol.excluded {
             for (i, &ex) in mask.iter().enumerate() {
                 if ex {
-                    if or_all(&self.words[i].blocked) == 0 {
-                        self.blocked_touched.push(i as u32);
-                    }
-                    self.words[i].blocked = [!0u64; W];
+                    flag(&mut self.flags, &mut self.flagged, i as u32, EXCLUDED);
+                    self.words[i].r = self.lane_mask;
                 }
             }
         }
-        // Per-lane exclusions + origin membership.
         for (k, &o) in origins.iter().enumerate() {
-            let (word, bit) = (k >> 6, 1u64 << (k & 63));
-            let oi = o.idx();
-            if or_all(&self.words[oi].iso) == 0 {
-                self.origin_touched.push(o.0);
-            }
-            self.words[oi].iso[word] |= bit;
+            flag(&mut self.flags, &mut self.flagged, o.0, ORIGIN);
             let mut ex = LaneExcluder {
                 lanes: self.words.as_mut_slice().as_exclusion_lanes(),
-                blocked_touched: &mut self.blocked_touched,
-                word,
-                bit,
+                flags: &mut self.flags,
+                flagged: &mut self.flagged,
+                word: k >> 6,
+                bit: 1u64 << (k & 63),
             };
             fill(o, &mut ex);
         }
-        // Seed: each non-excluded origin gets its customer-class bit
-        // (the scalar engine's `dist_c[origin] = 0`); an excluded origin
-        // leaves its lane empty, matching the scalar empty outcome.
+        // The side table: until seeding, a node's `r` is exactly its
+        // excluded lanes.
+        self.flagged.sort_unstable();
+        self.side.clear();
+        self.side.reserve_exact(self.flagged.len());
+        for &i in &self.flagged {
+            self.side.push(Side { blocked: self.words[i as usize].r, iso: [0; W] });
+        }
+        // Seed: each origin gets its customer-class bit (the scalar
+        // engine's `dist_c[origin] = 0`) unless its own lane is excluded
+        // there, which leaves the lane empty — the scalar empty outcome.
         for (k, &o) in origins.iter().enumerate() {
             let (word, bit) = (k >> 6, 1u64 << (k & 63));
+            let t = self.side_index(o.0);
+            self.side[t].iso[word] |= bit;
             let oi = o.idx();
-            if self.words[oi].blocked[word] & bit != 0 {
+            if self.words[oi].r[word] & bit != 0 {
                 continue;
             }
-            self.touch(o.0);
             self.words[oi].c[word] |= bit;
             self.words[oi].r[word] |= bit;
-            if !self.queued[oi] {
-                self.queued[oi] = true;
+            let f = self.flags[oi];
+            if f & REACHED == 0 {
+                self.touched.push(o.0);
+            }
+            if f & QUEUED == 0 {
                 self.frontier.push(o.0);
             }
+            self.flags[oi] = f | REACHED | QUEUED;
         }
 
         // Sweep workloads (mask-only policies) take the specialized path
@@ -715,6 +751,15 @@ where
             self.dispatch_phases::<true>(snap, pol.import, pol.origin_export)
         };
         obs.kernel_rounds.add(rounds);
+
+        // The excluded lanes leave `r`, so what follows reads reach sets.
+        for (t, &i) in self.flagged.iter().enumerate() {
+            let blocked = self.side[t].blocked;
+            let r = &mut self.words[i as usize].r;
+            for (w, b) in r.iter_mut().zip(blocked) {
+                *w &= !b;
+            }
+        }
 
         // Counts-only blocks with sparse reach sets skip the transpose:
         // iterating the set bits of the touched nodes costs one step per
@@ -828,12 +873,13 @@ where
     /// The three Gao-Rexford phases, lane-vector-wise. Monomorphized
     /// twice per width: `POL = false` is the fast path for mask-only
     /// sweeps (`imp` and `oe` must be `None`) where every per-edge
-    /// policy branch compiles out; `POL = true` keeps the full
-    /// per-receiver policy algebra. Every mask op is a straight-line
-    /// `for j in 0..W` loop over fixed-size arrays — the shape LLVM
-    /// autovectorizes — and the whole function is additionally compiled
-    /// under the AVX2 target feature (see [`Self::dispatch_phases`]).
-    /// Returns the number of BFS rounds for the kernel-rounds counter.
+    /// policy branch, and with it every origin-mark lookup, compiles
+    /// out; `POL = true` keeps the full per-receiver policy algebra.
+    /// Every mask op is a straight-line `for j in 0..W` loop over
+    /// fixed-size arrays — the shape LLVM autovectorizes — and the whole
+    /// function is additionally compiled under the AVX2 target feature
+    /// (see [`Self::dispatch_phases`]). Returns the number of BFS rounds
+    /// for the kernel-rounds counter.
     // The indexed `for j in 0..W` loops are the point: every lane array
     // is walked in lockstep by one counter, the exact shape LLVM turns
     // into single vector ops. Iterator zips obscure that contract.
@@ -848,32 +894,28 @@ where
         let mut rounds = 0u64;
 
         // Phase 1: customer routes spread up provider edges (word BFS).
+        // A queued node's `c` is all route and non-zero: excluded lanes
+        // never enter `c`, and a node is queued only on gaining a bit.
         while !self.frontier.is_empty() {
             rounds += 1;
             self.next.clear();
             for f in 0..self.frontier.len() {
                 let u = self.frontier[f];
                 let ui = u as usize;
-                self.queued[ui] = false;
-                let wu = &self.words[ui];
-                let mut send = [0u64; W];
-                for j in 0..W {
-                    send[j] = wu.c[j] & !wu.blocked[j];
-                }
-                let iso_u = wu.iso;
-                if or_all(&send) == 0 {
-                    continue;
-                }
+                let fu = self.flags[ui] & !QUEUED;
+                self.flags[ui] = fu;
+                let send = self.words[ui].c;
+                let iso_u = if POL && fu & ORIGIN != 0 { self.side[self.side_index(u)].iso } else { [0; W] };
                 for &NodeId(pi) in snap.providers(u) {
                     let pu = pi as usize;
                     // Borrow the receiver in place: a by-value copy here
-                    // would move 32*W bytes per edge visit (128 B at the
-                    // widest width), which at wide widths costs more than
-                    // the mask algebra itself.
+                    // would move 16*W bytes per edge visit, which at wide
+                    // widths costs more than the mask algebra itself.
                     let wp = &mut self.words[pu];
+                    // Until phase 2, `r` is `c` plus the excluded lanes.
                     let mut add = [0u64; W];
                     for j in 0..W {
-                        add[j] = send[j] & !wp.blocked[j] & !wp.c[j];
+                        add[j] = send[j] & !wp.r[j];
                     }
                     if or_all(&add) == 0 {
                         continue;
@@ -906,22 +948,23 @@ where
                             continue;
                         }
                     }
-                    if or_all(&wp.r) == 0 {
-                        self.touched.push(pi);
-                    }
                     // No saturation bookkeeping here: phase-1 receivers
-                    // are guarded by `c`, not `r`, so they never consult
-                    // `sat`, and phases 2/3 refresh the flag on their own
-                    // updates. Keeping phase 1 lean matters for sparse
+                    // are guarded by `r` without consulting `SAT`, and
+                    // phases 2/3 refresh the flag on their own updates.
+                    // Keeping phase 1 lean matters for sparse
                     // exclusion-heavy sweeps where it does most adds.
                     for j in 0..W {
                         wp.c[j] |= add[j];
                         wp.r[j] |= add[j];
                     }
-                    if !self.queued[pu] {
-                        self.queued[pu] = true;
+                    let fp = self.flags[pu];
+                    if fp & REACHED == 0 {
+                        self.touched.push(pi);
+                    }
+                    if fp & QUEUED == 0 {
                         self.next.push(pi);
                     }
+                    self.flags[pu] = fp | REACHED | QUEUED;
                 }
             }
             std::mem::swap(&mut self.frontier, &mut self.next);
@@ -934,26 +977,23 @@ where
         for t in 0..customer_reached {
             let v = self.touched[t];
             let vi = v as usize;
-            let wv = &self.words[vi];
-            let mut send = [0u64; W];
-            for j in 0..W {
-                send[j] = wv.c[j] & !wv.blocked[j];
-            }
-            let iso_v = wv.iso;
-            if or_all(&send) == 0 {
-                continue;
-            }
+            let send = self.words[vi].c;
+            let iso_v =
+                if POL && self.flags[vi] & ORIGIN != 0 { self.side[self.side_index(v)].iso } else { [0; W] };
             for &NodeId(ui) in snap.peers(v) {
                 let uu = ui as usize;
                 // Saturated receivers can never take another bit; the
-                // one-byte flag spares the two-cache-line struct load.
-                if self.sat[uu] != 0 {
+                // one-byte flag spares the struct load.
+                let fu = self.flags[uu];
+                if fu & SAT != 0 {
                     continue;
                 }
+                // `!r` also refuses an origin its own lane: it holds
+                // that bit, seeded or pre-filled.
                 let wu = &mut self.words[uu];
                 let mut add = [0u64; W];
                 for j in 0..W {
-                    add[j] = send[j] & !wu.blocked[j] & !wu.iso[j] & !wu.r[j];
+                    add[j] = send[j] & !wu.r[j];
                 }
                 if or_all(&add) == 0 {
                     continue;
@@ -986,17 +1026,15 @@ where
                         continue;
                     }
                 }
-                if or_all(&wu.r) == 0 {
+                if fu & REACHED == 0 {
                     self.touched.push(ui);
                 }
                 let mut full = true;
                 for j in 0..W {
                     wu.r[j] |= add[j];
-                    full &= (wu.r[j] | wu.blocked[j]) & self.lane_mask[j] == self.lane_mask[j];
+                    full &= wu.r[j] & self.lane_mask[j] == self.lane_mask[j];
                 }
-                if full {
-                    self.sat[uu] = 1;
-                }
+                self.flags[uu] = fu | REACHED | if full { SAT } else { 0 };
             }
         }
 
@@ -1006,7 +1044,7 @@ where
         self.frontier.clear();
         for t in 0..self.touched.len() {
             let u = self.touched[t];
-            self.queued[u as usize] = true;
+            self.flags[u as usize] |= QUEUED;
             self.frontier.push(u);
         }
         while !self.frontier.is_empty() {
@@ -1015,28 +1053,33 @@ where
             for f in 0..self.frontier.len() {
                 let u = self.frontier[f];
                 let ui = u as usize;
-                self.queued[ui] = false;
-                let wu = &self.words[ui];
-                let mut send = [0u64; W];
-                for j in 0..W {
-                    send[j] = wu.r[j] & !wu.blocked[j];
-                }
-                let iso_u = wu.iso;
-                if or_all(&send) == 0 {
-                    continue;
+                let fu = self.flags[ui] & !QUEUED;
+                self.flags[ui] = fu;
+                // A sender's route lanes, minus the lanes it is excluded
+                // for (pre-filled in `r`, kept in its side entry). Never
+                // empty: the node holds a real route bit.
+                let mut send = self.words[ui].r;
+                let mut iso_u = [0u64; W];
+                if fu & EXCLUDED != 0 || (POL && fu & ORIGIN != 0) {
+                    let side = self.side[self.side_index(u)];
+                    for j in 0..W {
+                        send[j] &= !side.blocked[j];
+                    }
+                    iso_u = side.iso;
                 }
                 for &NodeId(xi) in snap.customers(u) {
                     let xu = xi as usize;
                     // Same one-byte skip as the peer phase: in dense
                     // sweeps most late-round visits land on saturated
                     // nodes.
-                    if self.sat[xu] != 0 {
+                    let fx = self.flags[xu];
+                    if fx & SAT != 0 {
                         continue;
                     }
                     let wx = &mut self.words[xu];
                     let mut add = [0u64; W];
                     for j in 0..W {
-                        add[j] = send[j] & !wx.blocked[j] & !wx.iso[j] & !wx.r[j];
+                        add[j] = send[j] & !wx.r[j];
                     }
                     if or_all(&add) == 0 {
                         continue;
@@ -1069,21 +1112,18 @@ where
                             continue;
                         }
                     }
-                    if or_all(&wx.r) == 0 {
+                    if fx & REACHED == 0 {
                         self.touched.push(xi);
+                    }
+                    if fx & QUEUED == 0 {
+                        self.next.push(xi);
                     }
                     let mut full = true;
                     for j in 0..W {
                         wx.r[j] |= add[j];
-                        full &= (wx.r[j] | wx.blocked[j]) & self.lane_mask[j] == self.lane_mask[j];
+                        full &= wx.r[j] & self.lane_mask[j] == self.lane_mask[j];
                     }
-                    if full {
-                        self.sat[xu] = 1;
-                    }
-                    if !self.queued[xu] {
-                        self.queued[xu] = true;
-                        self.next.push(xi);
-                    }
+                    self.flags[xu] = fx | REACHED | QUEUED | if full { SAT } else { 0 };
                 }
             }
             std::mem::swap(&mut self.frontier, &mut self.next);
@@ -1263,13 +1303,13 @@ mod tests {
     #[test]
     fn node_words_never_straddle_cache_lines() {
         // Mirrors the compile-time asserts, visible in test output: a
-        // node's lane vectors fit 32/64/128 bytes at width-appropriate
-        // alignment, so no vector crosses a 64-byte line boundary.
-        assert_eq!(std::mem::size_of::<NodeWords<1>>(), 32);
-        assert_eq!(std::mem::align_of::<NodeWords<1>>(), 32);
-        assert_eq!(std::mem::size_of::<NodeWords<2>>(), 64);
-        assert_eq!(std::mem::align_of::<NodeWords<2>>(), 64);
-        assert_eq!(std::mem::size_of::<NodeWords<4>>(), 128);
+        // node's lane vectors fit 16/32/64 bytes aligned to their size,
+        // so no vector crosses a 64-byte line boundary.
+        assert_eq!(std::mem::size_of::<NodeWords<1>>(), 16);
+        assert_eq!(std::mem::align_of::<NodeWords<1>>(), 16);
+        assert_eq!(std::mem::size_of::<NodeWords<2>>(), 32);
+        assert_eq!(std::mem::align_of::<NodeWords<2>>(), 32);
+        assert_eq!(std::mem::size_of::<NodeWords<4>>(), 64);
         assert_eq!(std::mem::align_of::<NodeWords<4>>(), 64);
     }
 
@@ -1642,5 +1682,151 @@ mod tests {
                 assert!(runners_agree(&mut w4, &snap, cfg, &mut rng), "W = 4, {n} ASes");
             }
         }
+    }
+
+    /// A lane's exclusion rule: `(lane, origin, set)` calls `set(node,
+    /// excluded)` for every node it excludes or allows back, in order.
+    type LaneFill<'a> = dyn Fn(usize, NodeId, &mut dyn FnMut(NodeId, bool)) + 'a;
+
+    /// Every lane of `origins` through `lanes` under `cfg` and a fill
+    /// that runs `lane_fill(lane, origin, excluder)`, materialising and
+    /// counts-only, held by bits against a per-origin scalar run under
+    /// the lane's whole rule: `cfg`'s shared mask, what the fill
+    /// excluded, minus what it allowed back (replayed on a mask).
+    fn lanes_match_scalar<const W: usize>(
+        lanes: &mut LaneWorkspace<W>,
+        snap: &TopologySnapshot,
+        cfg: &PropagationConfig,
+        origins: &[NodeId],
+        lane_fill: &LaneFill<'_>,
+    ) where
+        Lanes<W>: LaneArity,
+        [NodeWords<W>]: AsExclusionLanes,
+    {
+        let n = snap.len();
+        for materialize in [true, false] {
+            let mut k = 0;
+            let fill = |o: NodeId, ex: &mut LaneExcluder<'_>| {
+                lane_fill(k, o, &mut |node, excluded| if excluded { ex.exclude(node) } else { ex.allow(node) });
+                k += 1;
+            };
+            lanes.run_block_inner(snap, origins, cfg, fill, materialize);
+            let mut ws = Workspace::for_snapshot(snap);
+            for (k, &o) in origins.iter().enumerate() {
+                let mut mask = cfg.view().excluded.map_or_else(|| vec![false; n], <[bool]>::to_vec);
+                lane_fill(k, o, &mut |node, excluded| mask[node.idx()] = excluded);
+                let lane_cfg = cfg.clone().with_excluded(mask);
+                ws.run(snap, o, &lane_cfg);
+                let what = format!("W = {W}, lane {k}, origin {o:?}, {n} ASes, materialize {materialize}");
+                if materialize {
+                    assert_eq!(lanes.lane_reach_words(k), ws.reach_words(), "{what}");
+                }
+                assert_eq!(lanes.lane_reachable_count(k), ws.reachable_count(), "{what}");
+            }
+        }
+    }
+
+    /// Exclusions pre-filled into `r` and read back from the side table,
+    /// and origin marks read from it: lane kernel against per-origin
+    /// scalar runs, by bits, at every width, mask-only
+    /// (`POL = false`) and under import and origin-export policies
+    /// (`POL = true`). Every block has duplicate origins (64·W lanes
+    /// drawn from under 96 ASes); each lane excludes a dense random
+    /// 3/8 of the nodes and the next lane's origin, one lane in five
+    /// excludes its own origin, and the shared mask covers a quarter of
+    /// the origins, which three lanes in five `allow` back.
+    #[test]
+    fn exclusions_and_origin_marks_match_scalar_runs() {
+        let mut rng = 0xB10C_u64;
+        let (mut w1, mut w2) = (LaneWorkspace::<1>::new(), LaneWorkspace::<2>::new());
+        let mut w4 = LaneWorkspace::<4>::new();
+        for _ in 0..12 {
+            let g = random_graph(&mut rng);
+            let snap = TopologySnapshot::compile(&g);
+            let n = g.len();
+            let origins: Vec<NodeId> =
+                (0..MAX_LANES).map(|_| NodeId((next(&mut rng) % n as u64) as u32)).collect();
+            let mut shared = vec![false; n];
+            for &o in origins.iter().step_by(4) {
+                shared[o.idx()] = true;
+            }
+            let policies = [
+                ImportPolicy::Normal,
+                ImportPolicy::OnlyDirectFromOrigin,
+                ImportPolicy::RejectDirectFromOrigin,
+                ImportPolicy::Never,
+            ];
+            let mask_only = PropagationConfig::new().with_excluded(shared.clone());
+            let with_policies = mask_only
+                .clone()
+                .with_import((0..n).map(|_| policies[(next(&mut rng) % 8).saturating_sub(4) as usize]).collect())
+                .with_origin_export((0..n).map(|_| !next(&mut rng).is_multiple_of(4)).collect());
+            let salt = next(&mut rng);
+            let lane_fill = |k: usize, o: NodeId, set: &mut dyn FnMut(NodeId, bool)| {
+                let mut lane_rng = salt ^ (k as u64).wrapping_mul(0x9E37_79B9);
+                for node in 0..n as u32 {
+                    if next(&mut lane_rng) % 8 < 3 {
+                        set(NodeId(node), true);
+                    }
+                }
+                set(origins[(k + 1) % origins.len()], true);
+                match k % 5 {
+                    0 => set(o, true),
+                    1 => {}
+                    _ => set(o, false),
+                }
+            };
+            for cfg in [&mask_only, &with_policies] {
+                lanes_match_scalar(&mut w1, &snap, cfg, &origins[..64], &lane_fill);
+                lanes_match_scalar(&mut w2, &snap, cfg, &origins[..128], &lane_fill);
+                lanes_match_scalar(&mut w4, &snap, cfg, &origins, &lane_fill);
+                // A partial block: lanes past the last origin stay empty.
+                lanes_match_scalar(&mut w4, &snap, cfg, &origins[..150], &lane_fill);
+            }
+        }
+    }
+
+    /// A block's memory as a rule, at paper-like shape: on a generated
+    /// 20 000-AS topology, one block with per-lane provider exclusions
+    /// holds at most (16·W + 16) B a node counts-only and (24·W + 16) B
+    /// materialising — route words, the flag byte, three node lists and
+    /// the transposed output — plus 64 B per flagged node (an origin or
+    /// an excluded provider) for the side table.
+    #[test]
+    fn a_block_holds_route_words_and_a_sparse_side_table() {
+        fn check<const W: usize>(g: &AsGraph, snap: &TopologySnapshot)
+        where
+            Lanes<W>: LaneArity,
+            [NodeWords<W>]: AsExclusionLanes,
+        {
+            let n = g.len();
+            let origins: Vec<NodeId> = (0..64 * W).map(|k| NodeId((k * n / (64 * W)) as u32)).collect();
+            let mut flagged: Vec<NodeId> = origins.iter().flat_map(|&o| g.providers(o).iter().copied()).collect();
+            flagged.extend(&origins);
+            flagged.sort_unstable();
+            flagged.dedup();
+            let cfg = PropagationConfig::default();
+            for materialize in [false, true] {
+                let mut ws = LaneWorkspace::<W>::new();
+                let fill = |o: NodeId, ex: &mut LaneExcluder<'_>| {
+                    g.providers(o).iter().for_each(|&p| ex.exclude(p));
+                    ex.allow(o);
+                };
+                ws.run_block_inner(snap, &origins, &cfg, fill, materialize);
+                let per_node = if materialize { 24 * W + 16 } else { 16 * W + 16 };
+                let cap = n * per_node + 64 * flagged.len();
+                let held = ws.heap_bytes();
+                assert!(
+                    held <= cap,
+                    "W = {W}, materialize {materialize}: {held} B over {cap} ({n} nodes, {} flagged)",
+                    flagged.len()
+                );
+            }
+        }
+        let net = flatnet_netgen::generate(&flatnet_netgen::NetGenConfig::paper_2020(20_000, 1));
+        let snap = TopologySnapshot::compile(&net.truth);
+        check::<1>(&net.truth, &snap);
+        check::<2>(&net.truth, &snap);
+        check::<4>(&net.truth, &snap);
     }
 }
