@@ -11,11 +11,12 @@
 //!   once per topology and shared (it is `Sync`) by every worker of a
 //!   sweep.
 //! * [`Workspace`] — the mutable per-run state: the
-//!   [`RoutingOutcome`] a run fills in place (distance arrays, reach
-//!   bitset) and the queues that fill it. Checked out of the snapshot's
-//!   pool once per worker and reused for every origin; after the first
-//!   few runs a sweep performs no heap allocation at all, and a finished
-//!   run is read through the workspace, not copied out of it.
+//!   [`RoutingOutcome`] a run fills in place (one selection word per
+//!   node, the reach bitset) and the queues that fill it. Checked out of
+//!   the snapshot's pool once per worker and reused for every origin;
+//!   after the first few runs a sweep performs no heap allocation at
+//!   all, and a finished run is read through the workspace, not copied
+//!   out of it.
 //! * [`Simulation`] — a builder tying the two together:
 //!   `Simulation::over(&snap).run(origin)` for one origin,
 //!   [`Simulation::run_sweep_map`] for batches (fanned out over
@@ -68,7 +69,9 @@ use crate::lanes::{
     PooledLaneWs, SweepReach,
 };
 use crate::parallel::{self, SweepError};
-use crate::propagate::{metrics, PolicyView, PropagationConfig, RoutingOutcome, UNREACHED};
+use crate::propagate::{
+    metrics, pack, sel_len, PolicyView, PropagationConfig, RouteClass, RoutingOutcome, UNREACHED,
+};
 use crate::reachset::ReachSet;
 use crate::reliance::RelianceWorkspace;
 use crate::scratch::{cap_bytes, Checkout, Scratch};
@@ -171,8 +174,8 @@ impl TopologySnapshot {
 #[derive(Debug, Default)]
 pub struct Workspace {
     out: RoutingOutcome,
-    /// Nodes with any distance entry set this run, in the order they were
-    /// reached: customer-routed, then peer-routed, then provider-routed.
+    /// Nodes given a route this run, in the order they were reached:
+    /// customer-routed, then peer-routed, then provider-routed.
     /// The undo list that keeps [`Workspace::reset`] O(reached) after a
     /// small run, and the iteration domain for the phases that only care
     /// about routed nodes.
@@ -213,29 +216,23 @@ impl Workspace {
     /// filling the arrays, which beats that many scattered writes.
     fn reset(&mut self, n: usize, origin: NodeId) {
         let out = &mut self.out;
-        if out.dist_c.len() != n {
-            for dist in [&mut out.dist_c, &mut out.dist_p, &mut out.dist_d] {
-                dist.clear();
-                dist.resize(n, UNREACHED);
-            }
+        if out.sel.len() != n {
+            out.sel.clear();
+            out.sel.resize(n, UNREACHED);
             out.reach.clear();
             out.reach.resize(n.div_ceil(64), 0);
             // A node is touched at most once per run: sized to the graph
             // here, the list never grows during one.
             self.touched = Vec::with_capacity(n);
         } else if self.touched.len() >= n / 8 {
-            out.dist_c.fill(UNREACHED);
-            out.dist_p.fill(UNREACHED);
-            out.dist_d.fill(UNREACHED);
+            out.sel.fill(UNREACHED);
             out.reach.fill(0);
         } else {
             // Every set reach bit belongs to a touched node, so clearing
             // whole words per touched node clears the bitset exactly.
             for &t in &self.touched {
                 let i = t as usize;
-                out.dist_c[i] = UNREACHED;
-                out.dist_p[i] = UNREACHED;
-                out.dist_d[i] = UNREACHED;
+                out.sel[i] = UNREACHED;
                 out.reach[i >> 6] = 0;
             }
         }
@@ -292,7 +289,8 @@ impl Workspace {
     /// Heap bytes this workspace holds, every buffer at capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
         let out = &self.out;
-        [&out.dist_c, &out.dist_p, &out.dist_d, &self.touched].map(cap_bytes).iter().sum::<usize>()
+        cap_bytes(&out.sel)
+            + cap_bytes(&self.touched)
             + self.buckets.iter().map(cap_bytes).sum::<usize>()
             + cap_bytes(&out.reach)
             + cap_bytes(&self.buckets)
@@ -327,19 +325,22 @@ pub(crate) fn run_into(
     let mut export_checks = 0u64;
     let mut dijkstra_pops = 0u64;
 
+    // One rule for all three phases: a route enters a node only where its
+    // packed word is smaller than the node's, so no phase overwrites a
+    // route the node prefers and the origin (word 0) takes nothing.
+
     // Phase 1: customer routes spread up provider edges (plain BFS, all
     // edges weight 1). The origin's own route behaves like a customer route.
-    ws.out.dist_c[origin.idx()] = 0;
+    ws.out.sel[origin.idx()] = pack(RouteClass::Customer, 0);
     ws.mark(origin.0);
     ws.queue.push_back(origin.0);
     while let Some(ui) = ws.queue.pop_front() {
-        let du = ws.out.dist_c[ui as usize];
+        let offer = pack(RouteClass::Customer, sel_len(ws.out.sel[ui as usize]) + 1);
         for &NodeId(pi) in snap.providers(ui) {
             export_checks += 1;
-            if ws.out.dist_c[pi as usize] == UNREACHED
-                && pol.import_ok(origin, NodeId(pi), NodeId(ui))
+            if ws.out.sel[pi as usize] == UNREACHED && pol.import_ok(origin, NodeId(pi), NodeId(ui))
             {
-                ws.out.dist_c[pi as usize] = du + 1;
+                ws.out.sel[pi as usize] = offer;
                 ws.mark(pi);
                 ws.queue.push_back(pi);
             }
@@ -354,14 +355,11 @@ pub(crate) fn run_into(
     // pairs a receiver-side scan would find routes on.
     for t in 0..customer_reached {
         let vi = ws.touched[t];
-        let dv = ws.out.dist_c[vi as usize] + 1;
+        let offer = pack(RouteClass::Peer, sel_len(ws.out.sel[vi as usize]) + 1);
         for &NodeId(ui) in snap.peers(vi) {
             export_checks += 1;
-            if ui != origin.0
-                && pol.import_ok(origin, NodeId(ui), NodeId(vi))
-                && dv < ws.out.dist_p[ui as usize]
-            {
-                ws.out.dist_p[ui as usize] = dv;
+            if offer < ws.out.sel[ui as usize] && pol.import_ok(origin, NodeId(ui), NodeId(vi)) {
+                ws.out.sel[ui as usize] = offer;
                 ws.mark(ui);
             }
         }
@@ -375,25 +373,21 @@ pub(crate) fn run_into(
     // touched list and seeds in the order it was reached: that order
     // shapes the push/pop sequence (which entries go stale), never a
     // distance — the relaxation is a strict `<` and a bucket holds one
-    // distance. A node without customers gets its distance, reach bit and
-    // touched entry like any other; `push_bucket` leaves it unqueued.
+    // distance. A provider route enters only nodes without a customer or
+    // peer route, so only provider-routed nodes are filed; one without
+    // customers gets its word, reach bit and touched entry like any
+    // other, and `push_bucket` leaves it unqueued.
     let seeds = ws.touched.len();
     for t in 0..seeds {
         let i = ws.touched[t];
-        let w = NodeId(i);
-        let (dc, dp) = (ws.out.dist_c[i as usize], ws.out.dist_p[i as usize]);
-        let s = if dc != UNREACHED { dc } else { dp };
+        let d = sel_len(ws.out.sel[i as usize]) + 1;
+        let offer = pack(RouteClass::Provider, d);
         for &NodeId(uj) in snap.customers(i) {
             export_checks += 1;
-            let u = NodeId(uj);
-            // A node with a customer/peer route already prefers it over
-            // any provider route; still record dist_d for completeness
-            // of tie information at equal class only — the selection
-            // function ignores dist_d when a better class exists.
-            if pol.import_ok(origin, u, w) && u != origin && s + 1 < ws.out.dist_d[uj as usize] {
-                ws.out.dist_d[uj as usize] = s + 1;
+            if offer < ws.out.sel[uj as usize] && pol.import_ok(origin, NodeId(uj), NodeId(i)) {
+                ws.out.sel[uj as usize] = offer;
                 ws.mark(uj);
-                ws.push_bucket(snap, (s + 1) as usize, uj);
+                ws.push_bucket(snap, d as usize, uj);
             }
         }
     }
@@ -404,23 +398,15 @@ pub(crate) fn run_into(
     while d < ws.buckets.len() {
         while let Some(ui) = ws.buckets[d].pop() {
             dijkstra_pops += 1;
-            let iu = ui as usize;
-            if d as u32 != ws.out.dist_d[iu] {
-                continue; // stale entry
+            if ws.out.sel[ui as usize] != pack(RouteClass::Provider, d as u32) {
+                continue; // stale entry: a shorter provider route came later
             }
-            // `ui` only *exports* its provider route if that is its selection.
-            if ws.out.dist_c[iu] != UNREACHED || ws.out.dist_p[iu] != UNREACHED {
-                continue;
-            }
-            let nd = d as u32 + 1;
+            let offer = pack(RouteClass::Provider, d as u32 + 1);
             for &NodeId(xi) in snap.customers(ui) {
                 export_checks += 1;
                 let x = NodeId(xi);
-                if x == origin {
-                    continue;
-                }
-                if pol.import_ok(origin, x, NodeId(ui)) && nd < ws.out.dist_d[xi as usize] {
-                    ws.out.dist_d[xi as usize] = nd;
+                if offer < ws.out.sel[xi as usize] && pol.import_ok(origin, x, NodeId(ui)) {
+                    ws.out.sel[xi as usize] = offer;
                     ws.mark(xi);
                     ws.push_bucket(snap, d + 1, xi);
                 }
@@ -429,16 +415,9 @@ pub(crate) fn run_into(
         d += 1;
     }
 
-    // A node that selects a customer or peer route never uses its provider
-    // route; clear dist_d there so `selection` and `next_hops` agree and
-    // downstream consumers (DAG, reliance) see only selected routes. Those
-    // nodes are the first `seeds` entries of the touched list — phase 1
-    // marked the customer-routed ones, phase 2 the peer-routed rest — and
-    // everything phase 3 marked after them selects its provider route, so
-    // the three class counts are lengths and only the prefix is walked.
-    for &t in &ws.touched[..seeds] {
-        ws.out.dist_d[t as usize] = UNREACHED;
-    }
+    // Phase 1 marked the customer-routed nodes, phase 2 the peer-routed
+    // rest of the first `seeds`, phase 3 the provider-routed ones after
+    // them: the three class counts are lengths of the touched list.
     let sel_c = customer_reached as u64;
     let sel_p = (seeds - customer_reached) as u64;
     let sel_d = (ws.touched.len() - seeds) as u64;
@@ -970,6 +949,32 @@ mod tests {
         let clean = ctx.run(origin).reachable_count();
         assert_eq!(clean, sim.run(origin).reachable_count());
         assert!(with_excl < clean);
+    }
+
+    /// A scalar run's footprint as a rule: one selection word, one touched
+    /// entry and a reach bit a node, plus the queues — at most 12 B a node
+    /// however far the runs reached. The reliance kernel reads that
+    /// selection in place: beside its per-node scores, path counts and
+    /// offer slots (20 B a node) it holds only lists of receivers, hops
+    /// and offers (about 20 B a node at full reach on this graph), so a
+    /// per-node copy of the selection (4 B more) crosses its 42 B cap.
+    #[test]
+    fn a_run_holds_one_selection_word_a_node() {
+        let net = flatnet_netgen::generate(&flatnet_netgen::NetGenConfig::paper_2020(20_000, 1));
+        let snap = TopologySnapshot::compile(&net.truth);
+        let n = snap.len();
+        let cfg = PropagationConfig::default();
+        let mut ws = Workspace::new();
+        let mut rely = RelianceWorkspace::new();
+        let (mut worst_run, mut worst_rely) = (0, 0);
+        for o in (0..n as u32).step_by(97).map(NodeId) {
+            ws.run(&snap, o, &cfg);
+            rely.score(&snap, &ws, &cfg);
+            worst_run = worst_run.max(ws.heap_bytes());
+            worst_rely = worst_rely.max(rely.heap_bytes());
+        }
+        assert!(worst_run <= 12 * n, "a workspace held {worst_run} B over {n} nodes");
+        assert!(worst_rely <= 42 * n, "a reliance kernel held {worst_rely} B over {n} nodes");
     }
 
     /// The lane driver isolates a panicking `fill` to its own origin at

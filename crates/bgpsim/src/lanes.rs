@@ -65,8 +65,8 @@
 //!   reach set the kernel outputs — plus, until the block's output is
 //!   read, the lanes node `i` is excluded for (below).
 //!
-//! The scalar engine's separate peer/provider distance arrays have no
-//! lane counterpart: existence-wise, a peer- or provider-learned route
+//! The scalar engine's selected class and length have no lane
+//! counterpart: existence-wise, a peer- or provider-learned route
 //! only ever feeds the provider phase, and that phase spreads `r`
 //! itself, so any class split finer than "customer vs any" carries no
 //! information the kernel needs.
@@ -117,15 +117,16 @@
 //! ## Phase equivalence (vs the scalar engine)
 //!
 //! 1. **Customer phase** — BFS up provider edges on `c`. The scalar
-//!    guard `dist_c[p] == UNREACHED` becomes `& !r[p]`: until the peer
+//!    guard `sel[p] == UNREACHED` becomes `& !r[p]`: until the peer
 //!    phase, `r` is exactly `c` plus the excluded lanes; the origin's
-//!    own seeded bit blocks re-entry exactly like its `dist_c = 0`.
+//!    own seeded bit blocks re-entry exactly like its selection word 0.
 //! 2. **Peer phase** — one relaxation over the customer-reached set:
 //!    `r[peer] |= c[v]` masked by policy, received where `!r` — where no
 //!    route exists yet (a node that already holds a customer route gains
 //!    nothing reach-wise from a peer route) and the lane is not
-//!    excluded. The scalar `u != origin` test is implied: an origin
-//!    already holds its own lane's `r` bit, seeded or pre-filled.
+//!    excluded. The origin takes nothing, as in the scalar engine
+//!    (where its word 0 refuses every offer): it already holds its own
+//!    lane's `r` bit, seeded or pre-filled.
 //! 3. **Provider phase** — closure down customer edges seeded from every
 //!    routed node: `out = r & !blocked`, received into `r` where `!r`.
 //!    The scalar engine's distance ordering (bucket queue) only affects
@@ -721,7 +722,7 @@ where
             self.side.push(Side { blocked: self.words[i as usize].r, iso: [0; W] });
         }
         // Seed: each origin gets its customer-class bit (the scalar
-        // engine's `dist_c[origin] = 0`) unless its own lane is excluded
+        // engine's `sel[origin] = pack(Customer, 0)`) unless its own lane is excluded
         // there, which leaves the lane empty — the scalar empty outcome.
         for (k, &o) in origins.iter().enumerate() {
             let (word, bit) = (k >> 6, 1u64 << (k & 63));

@@ -27,7 +27,7 @@
 //! steady-state allocation.
 
 use crate::engine::{Simulation, SweepCtx, TopologySnapshot, Workspace};
-use crate::propagate::{ImportPolicy, PropagationConfig};
+use crate::propagate::{ImportPolicy, PropagationConfig, UNREACHED};
 use flatnet_asgraph::NodeId;
 
 /// How one AS routes the contested prefix.
@@ -251,19 +251,16 @@ impl LeakerSide<'_> {
         if t == leaker {
             return DetourState::Detoured;
         }
-        match (self.victim.ctx.workspace().selection(t), self.ctx.workspace().selection(t)) {
-            (None, None) => DetourState::NoRoute,
-            (Some(_), None) => DetourState::Legit,
-            (None, Some(_)) => DetourState::Detoured,
-            // Lexicographic (class, length); the leaked route wins ties in
-            // the worst-case analysis.
-            (Some(l), Some(m)) => {
-                if m <= l {
-                    DetourState::Detoured
-                } else {
-                    DetourState::Legit
-                }
-            }
+        // Packed selections compare as routes, no route losing to every
+        // route; the leaked route wins ties in the worst-case analysis.
+        let legit = self.victim.ctx.workspace().sel[t.idx()];
+        let leaked = self.ctx.workspace().sel[t.idx()];
+        if legit == UNREACHED && leaked == UNREACHED {
+            DetourState::NoRoute
+        } else if leaked <= legit {
+            DetourState::Detoured
+        } else {
+            DetourState::Legit
         }
     }
 

@@ -9,7 +9,7 @@
 //! for the provider phase. CI fails the build if a non-test line under
 //! `crates/*/src` or `examples/` names this module.
 
-use crate::propagate::{metrics, PropagationConfig, RoutingOutcome, UNREACHED};
+use crate::propagate::{metrics, pack, PropagationConfig, RouteClass, RoutingOutcome, UNREACHED};
 use flatnet_asgraph::{AsGraph, NodeId};
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -34,10 +34,11 @@ pub fn propagate_legacy(g: &AsGraph, origin: NodeId, cfg: &PropagationConfig) ->
     let mut dist_c = vec![UNREACHED; n];
     let mut dist_p = vec![UNREACHED; n];
     let mut dist_d = vec![UNREACHED; n];
+    let mut sel = vec![UNREACHED; n];
     let mut reach = vec![0u64; n.div_ceil(64)];
     let mut reached = 0u32;
     if n == 0 || pol.is_excluded(origin) {
-        return RoutingOutcome { origin, dist_c, dist_p, dist_d, reach, reached };
+        return RoutingOutcome { origin, sel, reach, reached };
     }
 
     // Phase 1: customer routes spread up provider edges (plain BFS, all
@@ -115,22 +116,22 @@ pub fn propagate_legacy(g: &AsGraph, origin: NodeId, cfg: &PropagationConfig) ->
         }
     }
 
-    // A node that selects a customer or peer route never uses its provider
-    // route; clear dist_d there so `selection` and `next_hops` agree and
-    // downstream consumers (DAG, reliance) see only selected routes.
+    // Selection: local preference first, then length. A node that holds
+    // a customer or peer route never uses its provider route.
     let (mut sel_c, mut sel_p, mut sel_d) = (0u64, 0u64, 0u64);
     for i in 0..n {
-        if dist_c[i] != UNREACHED {
+        sel[i] = if dist_c[i] != UNREACHED {
             sel_c += 1;
-            dist_d[i] = UNREACHED;
+            pack(RouteClass::Customer, dist_c[i])
         } else if dist_p[i] != UNREACHED {
             sel_p += 1;
-            dist_d[i] = UNREACHED;
+            pack(RouteClass::Peer, dist_p[i])
         } else if dist_d[i] == UNREACHED {
             continue;
         } else {
             sel_d += 1;
-        }
+            pack(RouteClass::Provider, dist_d[i])
+        };
         reach[i >> 6] |= 1u64 << (i & 63);
         reached += 1;
     }
@@ -139,5 +140,5 @@ pub fn propagate_legacy(g: &AsGraph, origin: NodeId, cfg: &PropagationConfig) ->
     obs.routes_provider.add(sel_d);
     obs.export_checks.add(export_checks);
     obs.dijkstra_pops.add(dijkstra_pops);
-    RoutingOutcome { origin, dist_c, dist_p, dist_d, reach, reached }
+    RoutingOutcome { origin, sel, reach, reached }
 }

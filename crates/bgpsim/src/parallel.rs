@@ -17,6 +17,7 @@
 //! allocation. The context never crosses threads, so it needs neither
 //! `Send` nor `Sync`; stateless callers pass `|| ()`.
 
+use crate::scratch::cores;
 use flatnet_obs::{Counter, Gauge, Histogram};
 use std::any::Any;
 use std::fmt;
@@ -96,10 +97,12 @@ where
 /// and reuses it for all of its items. A panic in `f` becomes a per-item
 /// `Err` instead of tearing down the sweep.
 ///
-/// Uses `threads` workers, or the available parallelism when
-/// `threads == 0`. The per-item results and error layout are identical
-/// for any thread count (the context only affects performance — callers
-/// must not let results depend on which items share a context).
+/// Uses `threads` workers, or, when `threads == 0`, the available
+/// parallelism as read once for the scratch pools' bounds, so a sweep
+/// never fans out over more workers than those pools keep. The per-item
+/// results and error layout are identical for any thread count (the
+/// context only affects performance — callers must not let results
+/// depend on which items share a context).
 pub fn try_parallel_map_ctx<T, C, R, M, F>(
     items: &[T],
     threads: usize,
@@ -112,11 +115,7 @@ where
     M: Fn() -> C + Sync,
     F: Fn(&mut C, &T) -> R + Sync,
 {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        threads
-    };
+    let threads = if threads == 0 { cores() } else { threads };
     let threads = threads.min(items.len()).max(1);
     let obs = metrics();
     obs.items.add(items.len() as u64);

@@ -1,22 +1,29 @@
 //! Three-phase valley-free route propagation keeping all tied-best routes.
 //!
 //! For an origin `o`, the set of best routes every other AS holds toward `o`
-//! is fully characterized by three per-node shortest distances:
+//! is fully characterized by one word per node: its *selection*, the class
+//! its best route was learned over packed above that route's AS-path
+//! length (`pack`), so that a smaller word is a preferred route and
+//! [`UNREACHED`] loses to every route. The three phases fill it in
+//! preference order, and each follows one rule — a route enters a node
+//! only where its word is smaller than the node's:
 //!
-//! 1. **customer phase** — `dist_c[u]`: shortest route `u` learned from a
-//!    *customer* (or `u == o`). An AS exports such routes to everyone, so
-//!    these spread upward along c2p edges like a plain BFS from `o`.
-//! 2. **peer phase** — `dist_p[u]`: shortest route learned from a *peer*.
-//!    Peers only export customer/origin routes, so
-//!    `dist_p[u] = min over peers v of dist_c[v] + 1` — one relaxation pass.
-//! 3. **provider phase** — `dist_d[u]`: shortest route learned from a
-//!    *provider*. Providers export their *selected best* (customer, else
-//!    peer, else provider class) to customers, so these distances chain and
-//!    are computed with a shortest-path pass over p2c-down edges.
+//! 1. **customer phase** — routes `u` learns from a *customer* (or
+//!    `u == o`, which selects `pack(Customer, 0) == 0`). An AS exports
+//!    such routes to everyone, so they spread upward along c2p edges like
+//!    a plain BFS from `o`.
+//! 2. **peer phase** — routes learned from a *peer*. Peers only export
+//!    customer/origin routes, so one relaxation pass offers
+//!    `pack(Peer, len + 1)` from every customer-routed node to its peers;
+//!    the offer never displaces a customer route.
+//! 3. **provider phase** — routes learned from a *provider*. Providers
+//!    export their *selected best* (whatever its class) to customers, so
+//!    these lengths chain and are computed with a shortest-path pass over
+//!    p2c-down edges; the offer `pack(Provider, d)` enters only nodes
+//!    holding no customer or peer route.
 //!
-//! Selection applies local preference first (customer > peer > provider)
-//! and path length second; every neighbor achieving the selected class and
-//! length is a tied-best next hop.
+//! Every neighbor whose offer equals a node's selected word is one of its
+//! tied-best next hops.
 //!
 //! The same machinery supports the paper's constrained scenarios through
 //! [`PropagationConfig`]: node exclusion (reachability subgraphs), origin
@@ -72,12 +79,32 @@ pub(crate) fn metrics() -> &'static PropagateMetrics {
     })
 }
 
-/// Sentinel distance for "no route of this class".
+/// The selection word of a node that received no route: larger than
+/// every packed route ([`RoutingOutcome::selection`] reads it as `None`).
 pub const UNREACHED: u32 = u32::MAX;
+
+/// Bits of a selection word below its class: the AS-path length.
+const LEN_BITS: u32 = 30;
+
+/// A selected route as one word: `class` above `len`, so that the integer
+/// order of two words is the routing preference of their routes — class
+/// first (`RouteClass`'s declared order), then the shorter path. `len`
+/// must be below 2³⁰; every packed route is below [`UNREACHED`].
+#[inline]
+pub(crate) const fn pack(class: RouteClass, len: u32) -> u32 {
+    (class as u32) << LEN_BITS | len
+}
+
+/// The AS-path length of a packed selection word.
+#[inline]
+pub(crate) const fn sel_len(word: u32) -> u32 {
+    word & ((1 << LEN_BITS) - 1)
+}
 
 /// Which relationship class the selected best route was learned over.
 ///
-/// Order encodes local preference: lower is preferred.
+/// Order encodes local preference: lower is preferred. The discriminants
+/// (0, 1, 2) are the class bits of a packed selection word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RouteClass {
     /// Learned from a customer (or the AS's own origin route).
@@ -285,19 +312,16 @@ fn present<T>(mask: &[T]) -> Option<&[T]> {
 
 /// The result of propagating one origin's announcement.
 ///
-/// Holds, for every node, the shortest distance per route class plus a
-/// word-packed reachability bitset; selection and tied-best next hops are
-/// derived views.
+/// Holds, for every node, its selected route as one packed word plus a
+/// word-packed reachability bitset; the selection's class and length and
+/// the tied-best next hops are derived views.
 #[derive(Debug, Clone, Default)]
 pub struct RoutingOutcome {
     pub(crate) origin: NodeId,
-    /// The per-class distance arrays, `UNREACHED` where no such route
-    /// exists. A peer distance may sit beside a customer one (selection
-    /// prefers the customer route); a provider distance only where it is
-    /// selected.
-    pub(crate) dist_c: Vec<u32>,
-    pub(crate) dist_p: Vec<u32>,
-    pub(crate) dist_d: Vec<u32>,
+    /// Each node's selected route, packed (`pack`); `UNREACHED` where
+    /// the node received none. Comparing two words compares the routes'
+    /// preference.
+    pub(crate) sel: Vec<u32>,
     /// Bit `i` set iff node `i` received the announcement (origin included).
     pub(crate) reach: Vec<u64>,
     /// Popcount of `reach`, maintained as the bitset is filled.
@@ -312,12 +336,12 @@ impl RoutingOutcome {
 
     /// Number of nodes in the underlying graph.
     pub fn len(&self) -> usize {
-        self.dist_c.len()
+        self.sel.len()
     }
 
     /// Whether the outcome covers an empty graph.
     pub fn is_empty(&self) -> bool {
-        self.dist_c.is_empty()
+        self.sel.is_empty()
     }
 
     /// The selected best route of `n`: class and AS-path length (number of
@@ -325,16 +349,14 @@ impl RoutingOutcome {
     /// The origin itself selects `(Customer, 0)`.
     #[inline]
     pub fn selection(&self, n: NodeId) -> Option<(RouteClass, u32)> {
-        let i = n.idx();
-        if self.dist_c[i] != UNREACHED {
-            Some((RouteClass::Customer, self.dist_c[i]))
-        } else if self.dist_p[i] != UNREACHED {
-            Some((RouteClass::Peer, self.dist_p[i]))
-        } else if self.dist_d[i] != UNREACHED {
-            Some((RouteClass::Provider, self.dist_d[i]))
-        } else {
-            None
-        }
+        let word = self.sel[n.idx()];
+        let class = match word >> LEN_BITS {
+            0 => RouteClass::Customer,
+            1 => RouteClass::Peer,
+            2 => RouteClass::Provider,
+            _ => return None,
+        };
+        Some((class, sel_len(word)))
     }
 
     /// Whether `n` received the announcement.
@@ -351,7 +373,7 @@ impl RoutingOutcome {
     ///
     /// O(1): backed by the popcount cached when the bitset was filled.
     pub fn reachable_count(&self) -> usize {
-        (self.reached as usize).saturating_sub(1) // origin always has dist_c == 0
+        (self.reached as usize).saturating_sub(1) // the origin always holds its own route
     }
 
     /// The word-packed reachability bitset (bit = node index, origin bit
@@ -393,23 +415,20 @@ impl RoutingOutcome {
         let Some((class, len)) = self.selection(n) else {
             return out;
         };
+        // A customer or peer route is learned from a neighbour's customer
+        // route one hop shorter.
+        let sender = pack(RouteClass::Customer, len - 1);
         match class {
             RouteClass::Customer => {
                 for &c in g.customers(n) {
-                    if pol.import_ok(self.origin, n, c)
-                        && self.dist_c[c.idx()] != UNREACHED
-                        && self.dist_c[c.idx()] + 1 == len
-                    {
+                    if pol.import_ok(self.origin, n, c) && self.sel[c.idx()] == sender {
                         out.push(c);
                     }
                 }
             }
             RouteClass::Peer => {
                 for &v in g.peers(n) {
-                    if pol.import_ok(self.origin, n, v)
-                        && self.dist_c[v.idx()] != UNREACHED
-                        && self.dist_c[v.idx()] + 1 == len
-                    {
+                    if pol.import_ok(self.origin, n, v) && self.sel[v.idx()] == sender {
                         out.push(v);
                     }
                 }
@@ -479,6 +498,41 @@ mod tests {
         b.add_link(AsId(10), AsId(40), Relationship::P2p);
         b.add_link(AsId(10), AsId(50), Relationship::P2p);
         b.build()
+    }
+
+    /// The integer order of packed words is the routing preference:
+    /// class first, then length, with no route behind every route.
+    #[test]
+    fn packed_order_is_the_preference_order() {
+        let classes = [RouteClass::Customer, RouteClass::Peer, RouteClass::Provider];
+        let lens = [0, 1, 2, 3, 1 << 20, (1 << 30) - 2, (1 << 30) - 1];
+        for a in classes {
+            for x in lens {
+                assert_eq!(sel_len(pack(a, x)), x);
+                assert!(pack(a, x) < UNREACHED, "{a:?} {x}");
+                for b in classes {
+                    for y in lens {
+                        let (p, q) = (pack(a, x), pack(b, y));
+                        assert_eq!(p < q, (a, x) < (b, y), "{a:?} {x} vs {b:?} {y}");
+                    }
+                }
+            }
+        }
+        // `selection()` reads back what was packed; the origin's word is 0.
+        let g = fig1();
+        let cloud = node(&g, 10);
+        let mut out = propagate(&g, cloud, &PropagationConfig::default());
+        assert_eq!(out.sel[cloud.idx()], 0);
+        assert_eq!(out.selection(cloud), Some((RouteClass::Customer, 0)));
+        let probe = node(&g, 60);
+        for a in classes {
+            for x in lens {
+                out.sel[probe.idx()] = pack(a, x);
+                assert_eq!(out.selection(probe), Some((a, x)));
+            }
+        }
+        out.sel[probe.idx()] = UNREACHED;
+        assert_eq!(out.selection(probe), None);
     }
 
     #[test]

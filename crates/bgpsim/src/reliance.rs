@@ -36,7 +36,7 @@
 
 use crate::dag::NextHopDag;
 use crate::engine::{TopologySnapshot, Workspace};
-use crate::propagate::{PropagationConfig, UNREACHED};
+use crate::propagate::{pack, sel_len, PropagationConfig, RouteClass, UNREACHED};
 use crate::scratch::cap_bytes;
 use flatnet_asgraph::NodeId;
 use flatnet_obs::{Counter, Histogram};
@@ -106,8 +106,6 @@ pub fn reliance(dag: &NextHopDag) -> Vec<f64> {
 /// [`RoutingOutcome::next_hops`]: crate::propagate::RoutingOutcome::next_hops
 #[derive(Debug, Default)]
 pub struct RelianceWorkspace {
-    /// Selected path length per node, `UNREACHED` for unreached nodes.
-    sel: Vec<u32>,
     /// Tied-best path count per node; only entries of reached nodes are
     /// meaningful (each is written before any later node reads it).
     counts: Vec<f64>,
@@ -155,15 +153,13 @@ impl RelianceWorkspace {
         obs.runs.inc();
         let started = std::time::Instant::now();
         let mut hop_checks = 0u64;
-        let (dist_c, dist_p, dist_d) = (&ws.dist_c[..], &ws.dist_p[..], &ws.dist_d[..]);
+        let sel = &ws.sel[..];
         let pol = cfg.view();
         let origin = ws.origin();
 
         // Same rule as `Workspace::reset`: undo a small previous run
         // write by write, fill after one that reached much of the graph.
-        if self.sel.len() != n {
-            self.sel.clear();
-            self.sel.resize(n, UNREACHED);
+        if self.scores.len() != n {
             self.scores.clear();
             self.scores.resize(n, 0.0);
             self.counts.clear();
@@ -171,12 +167,10 @@ impl RelianceWorkspace {
             self.slot.clear();
             self.slot.resize(n, 0);
         } else if self.topo.len() >= n / 8 {
-            self.sel.fill(UNREACHED);
             self.scores.fill(0.0);
             self.slot.fill(0);
         } else {
             for &u in &self.topo {
-                self.sel[u as usize] = UNREACHED;
                 self.scores[u as usize] = 0.0;
                 self.slot[u as usize] = 0;
             }
@@ -189,16 +183,10 @@ impl RelianceWorkspace {
         self.starts.push(0);
         self.senders.clear();
         for_each_set_bit(ws.reach_words(), |i| {
-            let d = if dist_c[i] != UNREACHED {
+            if sel[i] < pack(RouteClass::Peer, 0) {
                 self.senders.push(i as u32);
-                dist_c[i]
-            } else if dist_p[i] != UNREACHED {
-                dist_p[i]
-            } else {
-                dist_d[i]
-            };
-            self.sel[i] = d;
-            let bucket = d as usize + 1;
+            }
+            let bucket = sel_len(sel[i]) as usize + 1;
             if bucket >= self.starts.len() {
                 self.starts.resize(bucket + 1, 0);
             }
@@ -211,7 +199,7 @@ impl RelianceWorkspace {
         self.topo.clear();
         self.topo.resize(reached, 0);
         for_each_set_bit(ws.reach_words(), |i| {
-            let cursor = &mut self.starts[self.sel[i] as usize];
+            let cursor = &mut self.starts[sel_len(sel[i]) as usize];
             self.topo[*cursor as usize] = i as u32;
             *cursor += 1;
         });
@@ -221,22 +209,21 @@ impl RelianceWorkspace {
         // sender's own path count is final once every sender one level
         // below it has been visited, and each receiver's count is summed
         // in its hop order (the first offer assigns: `0.0 + c == c`).
-        self.senders.sort_unstable_by_key(|&v| (dist_c[v as usize], v));
+        self.senders.sort_unstable_by_key(|&v| (sel[v as usize], v));
         self.offers.clear();
         if reached > 0 {
             self.counts[origin.idx()] = 1.0;
         }
         for &v in &self.senders {
-            let len = dist_c[v as usize] + 1;
+            let len = sel_len(sel[v as usize]) + 1;
             let paths = self.counts[v as usize];
             let (providers, peers) = (snap.providers(v), snap.peers(v));
             hop_checks += (providers.len() + peers.len()) as u64;
+            let (customer, peer) = (pack(RouteClass::Customer, len), pack(RouteClass::Peer, len));
             let takers = providers
                 .iter()
-                .filter(|u| dist_c[u.idx()] == len)
-                .chain(peers.iter().filter(|u| {
-                    dist_c[u.idx()] == UNREACHED && dist_p[u.idx()] == len
-                }));
+                .filter(|u| sel[u.idx()] == customer)
+                .chain(peers.iter().filter(|u| sel[u.idx()] == peer));
             for &NodeId(u) in takers {
                 let offered = &mut self.slot[u as usize];
                 if !pol.import_ok(origin, NodeId(u), NodeId(v)) {
@@ -265,19 +252,19 @@ impl RelianceWorkspace {
             let ui = u as usize;
             self.scores[ui] = 1.0;
             let first = self.hops.len();
-            if dist_d[ui] == UNREACHED {
+            if sel[ui] < pack(RouteClass::Provider, 0) {
                 // The origin reserves nothing: it has no offers. Every
                 // other such node learned its route from a sender, so it
                 // has at least one and its count is set.
                 self.hops.resize(first + self.slot[ui] as usize, 0);
                 self.slot[ui] = first as u32;
             } else {
-                let len = self.sel[ui];
+                let len = sel_len(sel[ui]);
                 for &NodeId(v) in snap.providers(u) {
                     hop_checks += 1;
-                    let dv = self.sel[v as usize];
-                    if dv != UNREACHED
-                        && dv + 1 == len
+                    let sv = sel[v as usize];
+                    if sv != UNREACHED
+                        && sel_len(sv) + 1 == len
                         && pol.import_ok(origin, NodeId(u), NodeId(v))
                     {
                         self.hops.push(v);
@@ -340,7 +327,7 @@ impl RelianceWorkspace {
 
     /// Heap bytes this workspace holds, every buffer at capacity.
     pub(crate) fn heap_bytes(&self) -> usize {
-        let u32s = [&self.sel, &self.topo, &self.starts, &self.hop_off, &self.hops, &self.senders];
+        let u32s = [&self.topo, &self.starts, &self.hop_off, &self.hops, &self.senders];
         u32s.into_iter().chain([&self.slot]).map(cap_bytes).sum::<usize>()
             + cap_bytes(&self.counts)
             + cap_bytes(&self.scores)

@@ -1294,11 +1294,11 @@ mod tests {
         let asns: Vec<String> = snap.graph.asns().take(72).map(|a| a.0.to_string()).collect();
         let n = snap.graph.len() as u64;
         drop(snap);
-        // A single reach miss leaves its scalar context: three distance
-        // arrays alone are 12 B a node.
+        // A single reach miss leaves its scalar context: the selection
+        // and the touched list alone are 8 B a node.
         call(&shared, Method::Get, "/v1/reachability", &format!("origin={}", asns[0]), "");
         let single = health();
-        assert!(single >= 12 * n, "a scalar context is at least 12 B a node, got {single}");
+        assert!(single >= 8 * n, "a scalar context is at least 8 B a node, got {single}");
         // A reliance miss reuses that context and adds its kernel.
         call(&shared, Method::Get, "/v1/reliance", &format!("origin={}", asns[1]), "");
         let rely = health();
@@ -1314,7 +1314,7 @@ mod tests {
         let leak = format!("{{\"victim\":{},\"leakers\":3}}", asns[0]);
         call(&shared, Method::Post, "/v1/whatif/leak", "", &leak);
         let all = health();
-        assert!(all >= lanes + 12 * n, "a victim side and a leaker side, got {all} after {lanes}");
+        assert!(all >= lanes + 8 * n, "a victim side and a leaker side, got {all} after {lanes}");
         let queue = call(&shared, Method::Get, "/debug/queue", "", "").0;
         assert_eq!(scratch_bytes_of(&queue), all);
         assert_eq!(shared.mgr.current().topo.scratch_bytes() as u64, all);

@@ -418,7 +418,7 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
     // run still allocates nothing with a DAG built from the borrowed
     // outcome after each one, and that DAG costs exactly its own
     // allocations — what building it from an owned copy costs, without
-    // the copy's four arrays.
+    // the copy's two arrays.
     let dag_cfg = {
         ctx.config_mut().excluded_mask_mut(n).fill(false);
         ctx.config().clone()
@@ -443,7 +443,7 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
     }
     assert_eq!(run, 0, "runs allocated with borrowed DAG builds between them");
     assert_eq!(borrowed, from_copy, "the borrowed form allocated beyond the DAG's own buffers");
-    assert_eq!(copy, 4 * origins.len() as u64, "a copy is three distance arrays and the bitset");
+    assert_eq!(copy, 2 * origins.len() as u64, "a copy is the selection and the bitset");
 
     // ---- Part 2b: the lane workspace is allocation-free once warm,
     // including the per-lane exclusion refills — the property that makes
