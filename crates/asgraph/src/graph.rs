@@ -138,6 +138,8 @@ impl CanonRel {
 /// and a tag whose low two bits are the [`CanonRel`] and whose high bits
 /// are the declaration's sequence number while the CAIDA reader has not
 /// settled it yet (0 once settled, and always for `add_link`).
+/// [`AsGraphBuilder::build`] rewrites the pair to node ids in place, the
+/// last thing a link holds before the graph is filled from it.
 #[derive(Debug, Clone, Copy)]
 struct Link {
     lo: u32,
@@ -420,55 +422,57 @@ impl AsGraphBuilder {
         self.links.shrink_to_fit();
     }
 
-    /// Finalizes the builder into an immutable [`AsGraph`].
-    pub fn build(&self) -> AsGraph {
-        // Sorted by pair: as the reader leaves the links, or a sorted copy
-        // of the ones `add_link` appended.
-        let sorted;
-        let links = if self.links.is_sorted_by_key(Link::pair) {
-            &self.links
-        } else {
-            let mut copy = self.links.clone();
-            copy.sort_unstable_by_key(Link::pair);
-            sorted = copy;
-            &sorted
-        };
+    /// Finalizes the builder into an immutable [`AsGraph`]. The links are
+    /// sorted, turned into node ids and streamed into the graph where
+    /// they lie, so no second copy of them exists at any point; read
+    /// [`AsGraphBuilder::conflicts`] before.
+    pub fn build(self) -> AsGraph {
+        let AsGraphBuilder { mut links, index, isolated, conflicts } = self;
+        // What the graph does not need goes before its block is filled.
+        drop((index, conflicts));
+        // Sorted by pair, in place: the reader's and `to_builder`'s links
+        // already are, which costs the sort one linear scan.
+        links.sort_unstable_by_key(Link::pair);
 
         // The node universe: every AS mentioned by a link plus explicitly
         // declared isolated ASes, in ascending ASN order. Low endpoints
         // arrive in runs, and each run is entered once.
-        let mut asns: Vec<u32> = Vec::with_capacity(links.len() + self.isolated.len());
+        let mut asns: Vec<u32> = Vec::with_capacity(links.len() + isolated.len());
         let mut run = None;
-        for l in links {
+        for l in &links {
             if run != Some(l.lo) {
                 run = Some(l.lo);
                 asns.push(l.lo);
             }
             asns.push(l.hi);
         }
-        asns.extend_from_slice(&self.isolated);
+        asns.extend_from_slice(&isolated);
+        drop(isolated);
         asns.sort_unstable();
         asns.dedup();
         asns.shrink_to_fit();
 
-        // Map each link's endpoints to node ids once. The low endpoint
-        // advances monotonically with the pairs; the high endpoint lies
-        // above it and is the one search per link.
-        let mut edges = Vec::with_capacity(links.len());
+        // Rewrite each link's endpoints to node ids, once and in place.
+        // Node ids ascend with ASNs, so the links stay sorted by pair. The
+        // low endpoint advances monotonically with the pairs; the high
+        // endpoint lies above it and is the one search per link.
         let mut li = 0usize;
-        for l in links {
+        for l in &mut links {
             while asns[li] < l.lo {
                 li += 1;
             }
             let above = li + 1;
             let hi_i = above + asns[above..].binary_search(&l.hi).expect("asn collected above");
-            let (li, hi_i) = (NodeId(li as u32), NodeId(hi_i as u32));
-            edges.push(match l.rel() {
-                CanonRel::Peer => (li, hi_i, Relationship::P2p),
-                CanonRel::LowProvidesHigh => (li, hi_i, Relationship::P2c),
-                CanonRel::HighProvidesLow => (hi_i, li, Relationship::P2c),
-            });
+            (l.lo, l.hi) = (li as u32, hi_i as u32);
         }
+        let edges = links.iter().map(|l| {
+            let (lo, hi) = (NodeId(l.lo), NodeId(l.hi));
+            match l.rel() {
+                CanonRel::Peer => (lo, hi, Relationship::P2p),
+                CanonRel::LowProvidesHigh => (lo, hi, Relationship::P2c),
+                CanonRel::HighProvidesLow => (hi, lo, Relationship::P2c),
+            }
+        });
         AsGraph::from_canonical_edges(asns, edges)
             .expect("distinct (low, high) pairs, sorted, yield canonical edges")
     }
@@ -513,15 +517,17 @@ pub struct AsGraph {
 impl AsGraph {
     /// An empty graph.
     pub fn empty() -> Self {
-        Self::from_canonical_edges(Vec::new(), Vec::new()).expect("no input to reject")
+        Self::from_canonical_edges(Vec::new(), std::iter::empty()).expect("no input to reject")
     }
 
     /// Builds the graph from its canonical form: the ASN table and the
-    /// edge list exactly as [`AsGraph::edges`] reports it. This is the one
+    /// edges exactly as [`AsGraph::edges`] reports them. This is the one
     /// place the arrays are filled — [`AsGraphBuilder::build`], the
     /// snapshot store's decoder and netgen's public view all end here —
-    /// in one counting pass and one fill pass, `O(V + E)`. The list itself
-    /// is not kept.
+    /// in one counting pass and one fill pass, `O(V + E)`. The edges
+    /// come as a stream walked twice (its iterator is cloned for the
+    /// counting pass), so a caller hands in its own records, mapped,
+    /// rather than a list collected for the purpose.
     ///
     /// The form is checked, once and here, because the store decoder hands
     /// in bytes from outside the program. `Err`
@@ -534,10 +540,12 @@ impl AsGraph {
     ///   also what rules out a duplicate link;
     /// * a `P2p` edge is stored low endpoint first (a `P2c` edge is
     ///   provider first, whichever end that is).
-    pub fn from_canonical_edges(
-        asns: Vec<u32>,
-        edges: Vec<(NodeId, NodeId, Relationship)>,
-    ) -> Result<AsGraph, GraphError> {
+    pub fn from_canonical_edges<E>(asns: Vec<u32>, edges: E) -> Result<AsGraph, GraphError>
+    where
+        E: IntoIterator<Item = (NodeId, NodeId, Relationship)>,
+        E::IntoIter: Clone,
+    {
+        let edges = edges.into_iter();
         let not_canonical = |detail: String| GraphError::NotCanonical { detail };
         if let Some(w) = asns.windows(2).find(|w| w[0] >= w[1]) {
             return Err(not_canonical(format!(
@@ -546,12 +554,12 @@ impl AsGraph {
             )));
         }
         let n = asns.len();
-        // Node ids and offsets are u32; a link takes two entries.
-        if n > u32::MAX as usize || edges.len() > (u32::MAX / 2) as usize {
-            return Err(not_canonical(format!(
-                "{n} nodes / {} edges exceed the 32-bit index space",
-                edges.len()
-            )));
+        // Node ids and offsets are u32; a link takes two entries. The edge
+        // count is known after the counting pass, which the node count
+        // must fit before.
+        let too_big = |m: usize| not_canonical(format!("{n} nodes / {m} edges exceed the 32-bit index space"));
+        if n > u32::MAX as usize {
+            return Err(too_big(edges.clone().count()));
         }
 
         // Counting pass, validating as it goes: `cust_end[v]`, `peer_end[v]`
@@ -561,7 +569,9 @@ impl AsGraph {
         let mut cust_end = vec![0u32; n];
         let mut peer_end = vec![0u32; n];
         let mut prev: Option<(NodeId, NodeId)> = None;
-        for (i, &(a, b, rel)) in edges.iter().enumerate() {
+        let mut m = 0usize;
+        for (i, (a, b, rel)) in edges.clone().enumerate() {
+            m = i + 1;
             if a.idx() >= n || b.idx() >= n {
                 return Err(not_canonical(format!(
                     "edge {i}: endpoints ({}, {}) out of range for {n} nodes",
@@ -596,6 +606,9 @@ impl AsGraph {
                 }
             }
         }
+        if m > (u32::MAX / 2) as usize {
+            return Err(too_big(m));
+        }
         // Prefix sum: each count becomes where its class starts. That is
         // the cursor the fill pass advances, and it comes to rest where
         // the class ends — the value each array is named for.
@@ -615,7 +628,7 @@ impl AsGraph {
             adj[cursor[at.idx()] as usize] = neighbor;
             cursor[at.idx()] += 1;
         };
-        for &(a, b, rel) in &edges {
+        for (a, b, rel) in edges {
             match rel {
                 Relationship::P2p => {
                     put(&mut peer_end, a, b);
@@ -659,7 +672,7 @@ impl AsGraph {
     }
 
     /// Iterates all node indices in ascending order.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + Clone + '_ {
         (0..self.t.asns.len() as u32).map(NodeId)
     }
 
@@ -719,8 +732,9 @@ impl AsGraph {
     /// The canonical edge list — `(provider, customer, P2c)` or
     /// `(low, high, P2p)`, ascending by `(min, max)` endpoint pair — read
     /// off the adjacency: node by node, a three-way merge of the
-    /// neighbors above it.
-    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, Relationship)> + '_ {
+    /// neighbors above it. Cloning the iterator is cheap, so it can be
+    /// walked twice, as the constructor does.
+    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId, Relationship)> + Clone + '_ {
         fn above(class: &[NodeId], u: NodeId) -> &[NodeId] {
             &class[class.partition_point(|&v| v < u)..]
         }
@@ -728,18 +742,22 @@ impl AsGraph {
             let mut customers = above(self.customers(u), u);
             let mut peers = above(self.peers(u), u);
             let mut providers = above(self.providers(u), u);
+            // The classes are disjoint, so two heads tie only when both
+            // are exhausted (`u32::MAX`, above every node id).
+            let head = |class: &[NodeId]| class.first().map_or(u32::MAX, |v| v.0);
             std::iter::from_fn(move || {
-                let heads = [customers.first(), peers.first(), providers.first()];
-                let &v = heads.into_iter().flatten().min()?;
-                Some(if customers.first() == Some(&v) {
+                let (c, p, q) = (head(customers), head(peers), head(providers));
+                Some(if c < p && c < q {
                     customers = &customers[1..];
-                    (u, v, Relationship::P2c)
-                } else if peers.first() == Some(&v) {
+                    (u, NodeId(c), Relationship::P2c)
+                } else if p < q {
                     peers = &peers[1..];
-                    (u, v, Relationship::P2p)
-                } else {
+                    (u, NodeId(p), Relationship::P2p)
+                } else if q != u32::MAX {
                     providers = &providers[1..];
-                    (v, u, Relationship::P2c)
+                    (NodeId(q), u, Relationship::P2c)
+                } else {
+                    return None;
                 })
             })
         })

@@ -415,8 +415,9 @@ mod tests {
         let mut b = AsGraphBuilder::new();
         b.add_link(AsId(1), AsId(2), Relationship::P2c);
         b.add_link(AsId(1), AsId(2), Relationship::P2p); // conflict
+        let conflicts = b.conflicts().to_vec();
         let g = b.build();
-        let r = validate_topology(&g, &[], &[], b.conflicts(), &ValidateOptions::default());
+        let r = validate_topology(&g, &[], &[], &conflicts, &ValidateOptions::default());
         let c = r.checks.iter().find(|c| c.name == "relationship-conflicts").expect("flagged");
         assert_eq!(c.severity, Severity::Warning);
         assert!(c.message.contains("contradictory"), "{}", c.message);

@@ -561,11 +561,13 @@ where
         Self::default()
     }
 
-    /// A workspace pre-sized for `snap`, so the first block allocates
-    /// everything up front.
+    /// A workspace pre-sized for `snap`: the per-node lanes, flags and
+    /// lists are allocated up front. The transposed output is not — the
+    /// first block that materializes reach sets sizes it — so a workspace
+    /// that only ever counts never holds it.
     pub fn for_snapshot(snap: &TopologySnapshot) -> Self {
         let mut ws = Self::new();
-        ws.begin(snap.len(), true);
+        ws.begin(snap.len(), false);
         ws.block_len = 0;
         ws
     }

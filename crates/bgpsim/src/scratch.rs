@@ -7,7 +7,8 @@
 //! [`SweepCtx`](crate::engine::SweepCtx) and leak side runs on, and the
 //! [`RelianceWorkspace`]s are sized by the topology's node count and are
 //! expensive to create — about 111 B/node for a 256-lane workspace that
-//! keeps its reach sets, 79 B/node counts-only (at 20 000 ASes), all of
+//! keeps its reach sets, 79 B/node counts-only (at 20 000 ASes; the
+//! transposed output is sized by the first block that keeps sets), all of
 //! it first-touch page faults — but carry no result between runs. Owned by
 //! whoever ran the sweep (a `Simulation`, a `LeakSim`, a serve worker),
 //! they were paid for per request or kept past the topology they were
@@ -345,6 +346,28 @@ mod tests {
         assert_eq!(ctx_reach, Simulation::over(&fresh).run(node(10)).reach_words());
         assert_eq!(snap.scratch().scalar.idle(), 3.min(bound));
         assert_eq!(snap.scratch().reliance.idle(), 0, "no reliance kernel sized for a leak");
+    }
+
+    /// A counts-only sweep pools a workspace without the transposed
+    /// output: at most (16·W + 16) B a node — route words, the flag byte
+    /// and three node lists, the rest slack for the struct itself — plus
+    /// the side table, 64 B per origin of a block. One that kept the
+    /// output would hold 8·W B a node more.
+    #[test]
+    fn a_counts_only_sweep_pools_no_transposed_output() {
+        let net = flatnet_netgen::generate(&flatnet_netgen::NetGenConfig::paper_2020(20_000, 1));
+        let n = net.truth.len();
+        for width in [LaneWidth::W64, LaneWidth::W128, LaneWidth::W256] {
+            let w = width.words();
+            let block = 64 * w;
+            let origins: Vec<NodeId> = (0..2 * block).map(|k| NodeId((k * n / (2 * block)) as u32)).collect();
+            let snap = TopologySnapshot::compile(&net.truth);
+            let counts = Simulation::over(&snap).threads(1).lane_width(width).run_sweep_reach_counts(&origins);
+            assert_eq!(counts.len(), origins.len());
+            let cap = n * (16 * w + 16) + 64 * block;
+            let held = snap.scratch_bytes();
+            assert!(held <= cap, "W = {w}: {held} B over {cap} ({n} nodes)");
+        }
     }
 
     #[test]

@@ -526,17 +526,16 @@ pub fn build(cfg: &NetGenConfig) -> Topology {
 /// pairs (ascending, as [`Topology::hidden`] holds them), over the same
 /// node universe so indices line up across views. Node ids ascend with
 /// ASNs, so the hidden pairs meet the edges in order, in one merge walk.
+/// The filter owns its cursor into them, so the constructor's second walk
+/// of the stream starts the merge afresh.
 pub fn public_view(truth: &AsGraph, hidden: &[(AsId, AsId)]) -> AsGraph {
     let mut hidden = hidden.iter().peekable();
-    let public_edges = truth
-        .edges()
-        .filter(|&(x, y, _)| {
-            let (a, b) = (truth.asn(x), truth.asn(y));
-            let pair = (a.min(b), a.max(b));
-            while hidden.next_if(|&&h| h < pair).is_some() {}
-            hidden.peek() != Some(&&pair)
-        })
-        .collect();
+    let public_edges = truth.edges().filter(move |&(x, y, _)| {
+        let (a, b) = (truth.asn(x), truth.asn(y));
+        let pair = (a.min(b), a.max(b));
+        while hidden.next_if(|&&h| h < pair).is_some() {}
+        hidden.peek() != Some(&&pair)
+    });
     AsGraph::from_canonical_edges(truth.asns().map(|a| a.0).collect(), public_edges)
         .expect("a subset of a graph's canonical edges is canonical")
 }

@@ -510,8 +510,9 @@ fn load_caida(
     if !diag.is_clean() {
         flatnet_obs::warn!("{path}: {}", diag.summary());
     }
+    let conflicts = b.conflicts().to_vec();
     let graph = clock.time("build", || b.build());
-    Ok((graph, b.conflicts().to_vec()))
+    Ok((graph, conflicts))
 }
 
 #[cfg(test)]

@@ -5,8 +5,10 @@
 //! constructor every ingestion path ends in — which checks the canonical
 //! form instead of restoring it: an image whose edges are out of order
 //! is malformed, so whatever decodes re-encodes to the same bytes.
-//! The constructor fills the one adjacency block the process will hold
-//! for this topology and drops the decoded list. Nothing derived is
+//! The constructor reads the edge records straight out of the image
+//! (their tags checked first) and fills the one adjacency block the
+//! process will hold for this topology; no decoded list exists between
+//! the image and the block. Nothing derived is
 //! stored: [`decode`] ends in [`TopologySnapshot::compile`] of the graph
 //! it just validated, which keeps a handle on that block and copies no
 //! link, so the snapshot a warm start serves cannot disagree with its
@@ -122,22 +124,22 @@ fn decode_graph(payload: &[u8]) -> Result<AsGraph, StoreError> {
     let asns = c.u32s(n as usize, "asn table").map_err(malformed(section))?;
     let records = c.records(m as usize, EDGE_RECORD, "edge list").map_err(malformed(section))?;
     c.expect_end("graph").map_err(malformed(section))?;
-    let mut edges = Vec::with_capacity(m as usize);
-    for (i, r) in records.chunks_exact(EDGE_RECORD).enumerate() {
+    // Every tag is checked before the constructor sees a record, so the
+    // records can be streamed to it as they lie in the image — as
+    // fixed-size arrays, whose fields are read without bounds checks.
+    let (records, _) = records.as_chunks::<EDGE_RECORD>();
+    if let Some((i, r)) = records.iter().enumerate().find(|(_, r)| r[8] > 1) {
+        return Err(StoreError::Malformed {
+            section,
+            detail: format!("edge {i}: unknown relationship tag {}", r[8]),
+        });
+    }
+    let edges = records.iter().map(|r| {
         let a = u32::from_le_bytes([r[0], r[1], r[2], r[3]]);
         let z = u32::from_le_bytes([r[4], r[5], r[6], r[7]]);
-        let rel = match r[8] {
-            0 => Relationship::P2c,
-            1 => Relationship::P2p,
-            other => {
-                return Err(StoreError::Malformed {
-                    section,
-                    detail: format!("edge {i}: unknown relationship tag {other}"),
-                })
-            }
-        };
-        edges.push((NodeId(a), NodeId(z), rel));
-    }
+        let rel = if r[8] == 0 { Relationship::P2c } else { Relationship::P2p };
+        (NodeId(a), NodeId(z), rel)
+    });
     // Ascending ASNs, endpoints in range, no self-loop, no duplicate, and
     // the canonical order itself are the constructor's checks.
     AsGraph::from_canonical_edges(asns, edges)

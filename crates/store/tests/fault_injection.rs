@@ -162,6 +162,21 @@ fn checksum_valid_faults_are_refused_by_the_section_they_break() {
 }
 
 #[test]
+fn a_bad_tag_in_the_last_record_alone_is_refused() {
+    // The records stream into the graph only after one pass has checked
+    // every tag, so the last record's tag is checked like the first's.
+    let image = encode(&sample_snapshot(300, 11));
+    let mut payloads = payloads_of(&image);
+    let graph = &mut payloads[1];
+    let m = u32::from_le_bytes(graph[4..8].try_into().unwrap()) as usize;
+    *graph.last_mut().expect("a graph with edges") = 2;
+    let err = decode(&pack(2, &payloads)).expect_err("tag 2 is no relationship");
+    assert_eq!(err.kind(), "malformed-section", "{err}");
+    let detail = format!("edge {}: unknown relationship tag 2", m - 1);
+    assert!(err.to_string().ends_with(&detail), "{err}");
+}
+
+#[test]
 fn checked_in_tiny_store_still_decodes_and_survives_the_corpus() {
     // The committed fixture pins the on-disk format: if an encoder
     // change silently breaks compatibility with existing stores, this

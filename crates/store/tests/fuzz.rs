@@ -24,12 +24,13 @@ static ALLOC: Counting = Counting;
 /// The most heap `decode` may hold for `len` input bytes. A node is 4
 /// bytes of image and 16 of heap (the ASN table and the adjacency
 /// block's three per-node offsets, which double as its fill cursors); an
-/// edge is 9 bytes of image and 20 of heap at the peak (12 in the decoded
-/// edge list, dropped once the block is filled, and the two 4-byte
-/// entries the block keeps). The compiled topology adds a bit per node
-/// and no copy of either. Measured 4.0× the image on 5 000 nodes without
-/// edges, 2.3× on the 120-AS fixture, 2.8× on a 5 000-node chain. The
-/// constant covers the section list and the error strings.
+/// edge is 9 bytes of image and 8 of heap (the two 4-byte entries the
+/// block keeps: the records stream into it from the image). The compiled
+/// topology adds a bit per node and no copy of either. Measured 4.0× the
+/// image on 5 000 nodes without edges, 2.3× on the 120-AS fixture, 2.8×
+/// on a 5 000-node chain while a 12-byte decoded edge list stood between
+/// image and block. The constant covers the section list and the error
+/// strings. `load_peak.rs` holds a paper-shaped decode to its own bound.
 fn heap_cap(len: usize) -> usize {
     4096 + 5 * len
 }

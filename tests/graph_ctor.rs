@@ -87,7 +87,8 @@ fn build_from(links: &[Link], isolated: &[u32]) -> (AsGraph, usize) {
     }
     assert_eq!(b.link_count(), inserted, "add_link's verdicts and link_count disagree");
     isolated.iter().for_each(|&a| b.add_isolated(AsId(a)));
-    (b.build(), b.conflicts().len())
+    let conflicts = b.conflicts().len();
+    (b.build(), conflicts)
 }
 
 fn xorshift(state: &mut u64) -> u64 {
