@@ -436,8 +436,9 @@ impl AsGraphBuilder {
 
         // The node universe: every AS mentioned by a link plus explicitly
         // declared isolated ASes, in ascending ASN order. Low endpoints
-        // arrive in runs, and each run is entered once.
-        let mut asns: Vec<u32> = Vec::with_capacity(links.len() + isolated.len());
+        // arrive in runs, each entered once (counted first, to size it exactly).
+        let runs = links.chunk_by(|a, b| a.lo == b.lo).count();
+        let mut asns: Vec<u32> = Vec::with_capacity(links.len() + runs + isolated.len());
         let mut run = None;
         for l in &links {
             if run != Some(l.lo) {

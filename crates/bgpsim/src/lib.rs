@@ -64,14 +64,15 @@
 //! Reference code, which nothing shipped calls (CI refuses a non-test
 //! line under `crates/*/src` or `examples/` that names it):
 //!
-//! * [`oracle`] — the original per-call implementation, kept as the
-//!   differential reference for [`engine`]. Not re-exported.
 //! * [`dag`] — [`NextHopDag`], the tied-best next-hop DAG materialised
 //!   with exact/floating path counts, and [`reliance()`] over it: the
 //!   oracles of [`RelianceWorkspace`] and of the shipped walks that read
 //!   next hops off a run in place (`tests/engine_equiv.rs`). `paths`, the
 //!   exponential tied-best path enumeration, is compiled for the unit
 //!   tests alone.
+//!
+//! Every run's selections and tie sets are held to a reference outside
+//! this crate: the test kit's stable-paths fixpoint (`flatnet_testkit`).
 
 pub mod collectors;
 pub mod dag;
@@ -79,7 +80,6 @@ pub mod engine;
 pub mod exclusion;
 pub mod lanes;
 pub mod leak;
-pub mod oracle;
 pub mod parallel;
 #[cfg(test)]
 mod paths;

@@ -30,9 +30,10 @@
 //! export restriction, and per-node import policies (peer locking).
 //!
 //! Runs go through [`crate::engine`]: `Simulation::over(&snap).run(o)` for
-//! one origin, a [`crate::engine::Workspace`] read in place for many. The
-//! original per-call implementation lives on only as the test-only
-//! reference in [`crate::oracle`].
+//! one origin, a [`crate::engine::Workspace`] read in place for many;
+//! their selections and tie sets are held to the test kit's stable-paths
+//! fixpoint (`flatnet_testkit::stable_paths`), which solves the same
+//! rules without phases.
 
 use flatnet_asgraph::{AsGraph, NodeId};
 use flatnet_obs::Counter;
@@ -149,9 +150,11 @@ pub enum ImportPolicy {
     Never,
 }
 
-/// A borrowed view of the policy inputs of one propagation run; the single
-/// place the exclusion / origin-export / import rules are interpreted, so
-/// the engine, the test oracle, and `next_hops` cannot drift.
+/// A borrowed view of the policy inputs of one propagation run; the one
+/// place in this crate the exclusion / origin-export / import rules are
+/// interpreted, so the engine, the kernels and `next_hops` cannot drift.
+/// The test kit's stable-paths reference restates the rules on purpose: a
+/// reference sharing this reading could not catch a wrong one.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PolicyView<'a> {
     pub(crate) excluded: Option<&'a [bool]>,
@@ -295,7 +298,7 @@ impl PropagationConfig {
         cap_bytes(&self.excluded) + cap_bytes(&self.origin_export) + cap_bytes(&self.import)
     }
 
-    /// The borrowed policy view the engine and the test oracle interpret.
+    /// The borrowed policy view the engine interprets.
     pub(crate) fn view(&self) -> PolicyView<'_> {
         PolicyView {
             excluded: present(&self.excluded),
@@ -470,7 +473,6 @@ pub(crate) fn propagate(g: &AsGraph, origin: NodeId, cfg: &PropagationConfig) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::propagate_legacy;
     use flatnet_asgraph::{AsGraphBuilder, AsId, Relationship};
 
     fn node(g: &AsGraph, asn: u32) -> NodeId {
@@ -759,21 +761,6 @@ mod tests {
         assert_eq!(hops.len(), 2);
     }
 
-    #[test]
-    fn legacy_and_engine_share_one_config_type() {
-        let g = fig1();
-        let cloud = node(&g, 10);
-        let mut excl = vec![false; g.len()];
-        excl[node(&g, 1).idx()] = true;
-        let cfg = PropagationConfig::default().with_excluded(excl);
-        let via_engine = propagate(&g, cloud, &cfg);
-        let via_legacy = propagate_legacy(&g, cloud, &cfg);
-        assert_eq!(via_engine.reachable_count(), via_legacy.reachable_count());
-        for n in g.nodes() {
-            assert_eq!(via_engine.selection(n), via_legacy.selection(n));
-        }
-    }
-
     /// A pooled context takes on its caller's policy in place: every
     /// mask the source has is copied into the buffer already there, every
     /// one it lacks is switched off, and no buffer is freed.
@@ -802,63 +789,14 @@ mod tests {
         assert_eq!(cfg.excluded_mask_mut(2), &[false, false]);
     }
 
-    /// Exhaustive cross-check on random small graphs: the 3-phase result
-    /// must equal a fixpoint computation that literally simulates export
-    /// rules until stable.
+    /// Properties of runs on random small graphs. Their selections and
+    /// tie sets against the stable-paths fixpoint are
+    /// `crates/bgpsim/tests/scalar_prop.rs`'s: the reference lives in the
+    /// test kit, which depends on this crate, so only an integration test
+    /// shares its types.
     mod prop {
         use super::*;
         use proptest::prelude::*;
-
-        /// Reference implementation: Jacobi iteration of the raw export
-        /// rules, recomputing every node's full candidate set each round.
-        /// Converges on the Gao-Rexford domain (no provider-customer
-        /// cycles), which is what `arb_graph` generates.
-        fn reference(g: &AsGraph, origin: NodeId) -> Vec<Option<(RouteClass, u32)>> {
-            let n = g.len();
-            let mut best: Vec<Option<(RouteClass, u32)>> = vec![None; n];
-            best[origin.idx()] = Some((RouteClass::Customer, 0));
-            for _round in 0..=2 * n {
-                let mut next = best.clone();
-                let mut changed = false;
-                for u in g.nodes() {
-                    if u == origin {
-                        continue;
-                    }
-                    let mut cand: Option<(RouteClass, u32)> = None;
-                    let mut consider = |c: (RouteClass, u32)| {
-                        cand = Some(match cand {
-                            None => c,
-                            Some(b) => b.min(c),
-                        });
-                    };
-                    for &c in g.customers(u) {
-                        // c exports its selection iff it is customer-class.
-                        if let Some((RouteClass::Customer, l)) = best[c.idx()] {
-                            consider((RouteClass::Customer, l + 1));
-                        }
-                    }
-                    for &p in g.peers(u) {
-                        if let Some((RouteClass::Customer, l)) = best[p.idx()] {
-                            consider((RouteClass::Peer, l + 1));
-                        }
-                    }
-                    for &w in g.providers(u) {
-                        if let Some((_, l)) = best[w.idx()] {
-                            consider((RouteClass::Provider, l + 1));
-                        }
-                    }
-                    if cand != best[u.idx()] {
-                        next[u.idx()] = cand;
-                        changed = true;
-                    }
-                }
-                best = next;
-                if !changed {
-                    break;
-                }
-            }
-            best
-        }
 
         /// Random *acyclic* relationship graphs: in a p2c link the provider
         /// always has the smaller ASN, so provider-customer cycles (which
@@ -882,22 +820,6 @@ mod tests {
         }
 
         proptest! {
-            /// The *engine* path (a `Simulation` run) must equal the
-            /// Jacobi fixpoint of the raw export rules — and the legacy
-            /// implementation must agree node-for-node too.
-            #[test]
-            fn three_phase_equals_fixpoint(g in arb_graph(), seed in 0u32..10) {
-                let origin = NodeId(seed % g.len() as u32);
-                let out = propagate(&g, origin, &PropagationConfig::default());
-                let legacy = propagate_legacy(&g, origin, &PropagationConfig::default());
-                let reference = reference(&g, origin);
-                for n in g.nodes() {
-                    prop_assert_eq!(out.selection(n), reference[n.idx()], "node {} (origin {})", n, origin);
-                    prop_assert_eq!(out.selection(n), legacy.selection(n), "engine vs legacy at {}", n);
-                }
-                prop_assert_eq!(out.reachable_count(), legacy.reachable_count());
-            }
-
             /// Adding a settlement-free peer link can only grow the set of
             /// ASes that receive an announcement: customer routes are
             /// untouched, peer routes only gain options, and providers

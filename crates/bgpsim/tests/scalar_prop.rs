@@ -1,4 +1,7 @@
-//! The scalar miss path against its oracles on random small graphs.
+//! The scalar miss path against its references on random small graphs:
+//! every run's selections and tie sets against the stable-paths fixpoint
+//! ([`flatnet_testkit::stable_paths`]), its reliance scores against
+//! `reliance(&NextHopDag::build(..))`.
 //!
 //! `tests/engine_equiv.rs` walks a fixed corpus of generated Internets;
 //! this attacks the rules the engine and the reliance kernel lean on —
@@ -24,11 +27,11 @@
 //! the step's policy, each lane's reach set equal to a scalar run.
 
 use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, NodeId, Relationship};
-use flatnet_bgpsim::oracle::propagate_legacy;
 use flatnet_bgpsim::{
     reliance, ImportPolicy, LaneWidth, LockingSemantics, NextHopDag, PropagationConfig,
     RelianceWorkspace, Simulation, TopologySnapshot, VictimSide, Workspace,
 };
+use flatnet_testkit::{stable_paths, Rules};
 use proptest::prelude::*;
 
 /// SplitMix64, for the per-node draws of one step.
@@ -84,12 +87,12 @@ fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
     })
 }
 
-/// The config of step `k`. Odd steps reach next to nothing whatever their
+/// The policy of step `k`. Odd steps reach next to nothing whatever their
 /// knobs say — every other one excludes all but the origin, the rest
 /// seven of every eight ASes; even steps exclude at most a tenth.
-fn config_for(step: &Step, k: usize, n: usize, origin: NodeId) -> PropagationConfig {
+fn rules_for(step: &Step, k: usize, n: usize, origin: NodeId) -> Rules {
     let mut rng = step.seed;
-    let mut cfg = PropagationConfig::new();
+    let mut rules = Rules::default();
     let sparse = k % 2 == 1;
     if sparse || step.knobs & 1 != 0 {
         let excluded_in_8 = if k % 4 == 1 { 8 } else if sparse { 7 } else { 1 };
@@ -97,13 +100,13 @@ fn config_for(step: &Step, k: usize, n: usize, origin: NodeId) -> PropagationCon
         // An excluded origin is its own (empty) case: let it come up, but
         // not often.
         mask[origin.idx()] = next(&mut rng).is_multiple_of(16);
-        cfg = cfg.with_excluded(mask);
+        rules.excluded = mask;
     }
     if step.knobs & 2 != 0 {
-        cfg = cfg.with_origin_export((0..n).map(|_| !next(&mut rng).is_multiple_of(4)).collect());
+        rules.origin_export = (0..n).map(|_| !next(&mut rng).is_multiple_of(4)).collect();
     }
     if step.knobs & 4 != 0 {
-        let policies = (0..n)
+        rules.import = (0..n)
             .map(|_| match next(&mut rng) % 8 {
                 0 => ImportPolicy::OnlyDirectFromOrigin,
                 1 => ImportPolicy::RejectDirectFromOrigin,
@@ -111,9 +114,8 @@ fn config_for(step: &Step, k: usize, n: usize, origin: NodeId) -> PropagationCon
                 _ => ImportPolicy::Normal,
             })
             .collect();
-        cfg = cfg.with_import(policies);
     }
-    cfg
+    rules
 }
 
 /// A leak competition on `snap`'s pool with a random victim export and
@@ -167,27 +169,16 @@ proptest! {
             let mut last_was_wide = None;
             for (k, step) in steps.iter().enumerate() {
                 let origin = NodeId(step.origin % n as u32);
-                let cfg = config_for(step, k, n, origin);
+                let rules = rules_for(step, k, n, origin);
+                let cfg = rules.config();
                 let what = format!("world {w} ({n} ASes) step {k} ({step:?})");
 
                 ws.run(&snap, origin, &cfg);
-                let want = propagate_legacy(g, origin, &cfg);
-                prop_assert_eq!(ws.origin(), want.origin(), "{}: origin", what);
-                prop_assert_eq!(ws.len(), want.len(), "{}: len", what);
-                prop_assert_eq!(ws.reachable_count(), want.reachable_count(), "{}: count", what);
-                prop_assert_eq!(ws.reach_words(), want.reach_words(), "{}: reach bitset", what);
-                for v in g.nodes() {
-                    prop_assert_eq!(ws.reachable(v), want.reachable(v), "{}: reach bit of {}", what, v);
-                    prop_assert_eq!(ws.selection(v), want.selection(v), "{}: selection of {}", what, v);
-                    prop_assert_eq!(
-                        ws.next_hops(g, &cfg, v),
-                        want.next_hops(g, &cfg, v),
-                        "{}: next hops of {}", what, v
-                    );
-                }
+                let want = stable_paths(g, origin, &rules);
+                prop_assert_eq!(want.check(g, &cfg, &ws), Ok(()), "{}", what);
 
                 let scores = rely.score(&snap, &ws, &cfg);
-                let dag = NextHopDag::build(g, &cfg, &want);
+                let dag = NextHopDag::build(g, &cfg, &ws);
                 let oracle = reliance(&dag);
                 prop_assert_eq!(scores.len(), oracle.len(), "{}: scores", what);
                 for (i, (a, b)) in scores.iter().zip(&oracle).enumerate() {
@@ -206,11 +197,7 @@ proptest! {
                 }
                 let sim = Simulation::over(&snap).config(cfg.clone()).threads(1);
                 let mut ctx = sim.ctx();
-                let pooled = ctx.run(origin);
-                prop_assert_eq!(pooled.reach_words(), want.reach_words(), "{}: pooled reach", what);
-                for v in g.nodes() {
-                    prop_assert_eq!(pooled.selection(v), want.selection(v), "{}: pooled at {}", what, v);
-                }
+                prop_assert_eq!(want.check(g, &cfg, ctx.run(origin)), Ok(()), "{}: pooled", what);
                 let pooled = ctx.run_reliance(origin).scores();
                 for (i, (a, b)) in pooled.iter().zip(&oracle).enumerate() {
                     prop_assert_eq!(a.to_bits(), b.to_bits(), "{}: pooled rely of {}", what, i);
@@ -238,5 +225,92 @@ proptest! {
         }
         // The sequence really did mix the reset regimes.
         prop_assert!(wide >= 100 && narrow >= 100 && switches >= 100, "{wide} wide, {narrow} narrow, {switches} switches");
+    }
+}
+
+/// A graph of `(a, b, rel)` links; for `P2c`, `a` provides transit to `b`.
+fn graph(links: &[(u32, u32, Relationship)]) -> AsGraph {
+    let mut b = AsGraphBuilder::new();
+    for &(x, y, rel) in links {
+        b.add_link(AsId(x), AsId(y), rel);
+    }
+    b.build()
+}
+
+/// Every origin of a diamond with a peered-off branch, one workspace
+/// reused across them, under no policy.
+#[test]
+fn workspace_matches_stable_paths_on_every_origin() {
+    use Relationship::{P2c, P2p};
+    let g = graph(&[(2, 1, P2c), (3, 1, P2c), (4, 2, P2c), (4, 3, P2c), (4, 5, P2p), (5, 6, P2c)]);
+    let snap = TopologySnapshot::compile(&g);
+    let mut ws = Workspace::for_snapshot(&snap);
+    let cfg = PropagationConfig::default();
+    for origin in g.nodes() {
+        ws.run(&snap, origin, &cfg);
+        let want = stable_paths(&g, origin, &Rules::default());
+        assert_eq!(want.check(&g, &cfg, &ws), Ok(()), "origin {origin}");
+    }
+}
+
+/// A cloud (AS 10) peering with a Tier-1 (2), a Tier-2 (3) and two user
+/// ISPs (40, 50), with its transit provider (1) excluded: one mask drives
+/// the engine and the fixpoint, and both reach the peers and their
+/// customers alone.
+#[test]
+fn the_cloud_without_its_transit_matches_stable_paths() {
+    use Relationship::{P2c, P2p};
+    let g = graph(&[
+        (1, 10, P2c),
+        (1, 60, P2c),
+        (1, 2, P2p),
+        (2, 3, P2c),
+        (2, 20, P2c),
+        (3, 30, P2c),
+        (10, 2, P2p),
+        (10, 3, P2p),
+        (10, 40, P2p),
+        (10, 50, P2p),
+    ]);
+    let node = |asn: u32| g.index_of(AsId(asn)).unwrap();
+    let mut rules = Rules { excluded: vec![false; g.len()], ..Rules::default() };
+    rules.excluded[node(1).idx()] = true;
+    let cfg = rules.config();
+    let snap = TopologySnapshot::compile(&g);
+    let out = Simulation::over(&snap).config(cfg.clone()).run(node(10));
+    assert_eq!(stable_paths(&g, node(10), &rules).check(&g, &cfg, &out), Ok(()));
+    assert_eq!(out.reachable_count(), 6, "peers 2, 3, 40, 50 and customers 20, 30");
+}
+
+/// Random acyclic relationship graphs over ten ASes and an isolated one:
+/// any AS may provide transit, to ASes of larger number only.
+fn arb_dense_graph() -> impl Strategy<Value = AsGraph> {
+    proptest::collection::vec((0u32..10, 0u32..10, 0u8..2), 1..30).prop_map(|links| {
+        let mut b = AsGraphBuilder::new();
+        for (a, c, r) in links {
+            if a == c {
+                continue;
+            }
+            if r == 1 {
+                b.add_link(AsId(a), AsId(c), Relationship::P2p);
+            } else {
+                b.add_link(AsId(a.min(c)), AsId(a.max(c)), Relationship::P2c);
+            }
+        }
+        b.add_isolated(AsId(99));
+        b.build()
+    })
+}
+
+proptest! {
+    /// A `Simulation` run equals the stable-paths fixpoint on every AS,
+    /// selection and tie set alike.
+    #[test]
+    fn three_phase_equals_fixpoint(g in arb_dense_graph(), seed in 0u32..10) {
+        let origin = NodeId(seed % g.len() as u32);
+        let cfg = PropagationConfig::default();
+        let out = Simulation::over(&TopologySnapshot::compile(&g)).run(origin);
+        let want = stable_paths(&g, origin, &Rules::default());
+        prop_assert_eq!(want.check(&g, &cfg, &out), Ok(()), "origin {}", origin);
     }
 }

@@ -4,8 +4,8 @@
 //! # flatnet-testkit — what the workspace's tests attack with
 //!
 //! A dev-dependency only, never linked into a shipped binary. It holds
-//! the two things the allocation-budget and fuzz tests would otherwise
-//! each write for themselves.
+//! the three things the allocation-budget, fuzz and routing tests would
+//! otherwise each write for themselves.
 //!
 //! **One counting allocator**, [`Counting`]. Per thread it counts
 //! allocations, bytes, live heap and the peak of live heap; [`measure`]
@@ -45,8 +45,19 @@
 //! }
 //! ```
 
+//!
+//! **One routing reference**, [`stable_paths`]: the paper's route
+//! propagation (§6.1) solved as a Stable Paths Problem — every AS takes
+//! the best route its neighbours export to it until nothing changes —
+//! from the policy [`Rules`] a test draws, with no code of the engine it
+//! judges. [`StablePaths::check`] holds a finished engine run to it,
+//! selection and tie set of every AS; [`leak_states`] is §8's leak
+//! competition from two such fixpoints.
+
 mod alloc;
 mod attack;
+mod stable;
 
 pub use alloc::{measure, mute_this_thread, process, Counting, Totals, Usage};
 pub use attack::{edited, edits, soup, Dribble, Edit, Target};
+pub use stable::{leak_states, stable_paths, Route, Rules, StablePaths};

@@ -1,37 +1,41 @@
 //! Differential test: the batched propagation engine must be observably
-//! identical to the legacy three-phase implementation — selections, reach
-//! bitsets, counts, and tied-best next hops — across many seeded
-//! topologies, origins, and every policy knob; and the bit-parallel
-//! multi-origin kernel must produce reach sets bit-identical to
-//! per-origin [`Workspace`] runs over the same corpus; and the exclusion
-//! rule's lane rendering (shared tier mask + per-lane fill) must equal
-//! its scalar rendering for every origin and policy; and the reliance
-//! kernel ([`RelianceWorkspace`]) must score every one of those runs
-//! bit-identically (`f64::to_bits`) to `reliance(&NextHopDag::build(..))`
-//! while one workspace is reused across origins, policies and snapshots
-//! of different size; and a finished run read where it lies (the
-//! `RoutingOutcome` a [`Workspace`] dereferences to) must equal its
-//! `to_outcome()` clone and the oracle's outcome, down to the DAG built
-//! from it. Plus steady-state allocation smokes: once a sweep
-//! context (or lane workspace, or reliance workspace) is warm, further
-//! runs (with per-origin mask refills) must not allocate at all, and
-//! reading a run through the borrow allocates nothing of its own. And a
-//! byte budget on holding a topology twice: compiling a snapshot of a
-//! graph, or cloning the graph, allocates per node and nothing per link.
+//! identical to the stable-paths fixpoint of the same rules
+//! ([`flatnet_testkit::stable_paths`]) — selections, reach bits, counts,
+//! and tied-best next hops against the fixpoint's own tie sets — across
+//! many seeded topologies, origins, and every policy knob; and a leak
+//! competition ([`LeakerSide::run`](flatnet_bgpsim::LeakerSide::run))
+//! must give every AS the detour state two fixpoints give it, under both
+//! locking semantics, random locking sets and victim export lists; and
+//! the bit-parallel multi-origin kernel must produce reach sets
+//! bit-identical to per-origin [`Workspace`] runs over the same corpus;
+//! and the exclusion rule's lane rendering (shared tier mask + per-lane
+//! fill) must equal its scalar rendering for every origin and policy;
+//! and the reliance kernel ([`RelianceWorkspace`]) must score every one
+//! of those runs bit-identically (`f64::to_bits`) to
+//! `reliance(&NextHopDag::build(..))` while one workspace is reused
+//! across origins, policies and snapshots of different size; and a
+//! finished run read where it lies (the `RoutingOutcome` a [`Workspace`]
+//! dereferences to) must equal its `to_outcome()` clone and the
+//! fixpoint, down to the DAG built from it. Plus steady-state allocation
+//! smokes: once a sweep context (or lane workspace, or reliance
+//! workspace) is warm, further runs (with per-origin mask refills) must
+//! not allocate at all, and reading a run through the borrow allocates
+//! nothing of its own. And a byte budget on holding a topology twice:
+//! compiling a snapshot of a graph, or cloning the graph, allocates per
+//! node and nothing per link.
 //!
 //! Everything lives in ONE `#[test]` because the process hosts a global
 //! counting allocator, and interleaving other tests would make the
 //! allocation delta meaningless.
 
 use flatnet_asgraph::{AsId, NodeId, Tiers};
-use flatnet_bgpsim::oracle::propagate_legacy;
 use flatnet_bgpsim::{
-    reliance, Exclusion, ExclusionPolicy, ImportPolicy, LaneWidth, LaneWorkspace,
-    NextHopDag, PropagationConfig, RelianceWorkspace, RoutingOutcome, Simulation, SweepCtx,
-    TopologySnapshot, Workspace,
+    reliance, DetourState, Exclusion, ExclusionPolicy, ImportPolicy, LaneWidth, LaneWorkspace,
+    LockingSemantics, NextHopDag, PropagationConfig, RelianceWorkspace, RoutingOutcome,
+    Simulation, SweepCtx, TopologySnapshot, VictimSide, Workspace,
 };
 use flatnet_netgen::{generate, NetGenConfig};
-use flatnet_testkit::{process, Counting};
+use flatnet_testkit::{leak_states, process, stable_paths, Counting, Rules};
 
 #[global_allocator]
 static ALLOC: Counting = Counting;
@@ -107,9 +111,13 @@ fn assert_kernel_matches_oracle(
 }
 
 #[test]
-fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
+fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
     // ---- Part 1: differential equivalence over >= 50 topologies. ----
     let mut compared = 0usize;
+    // The most rounds a fixpoint took, and how often each detour state
+    // came out of a leak competition.
+    let mut rounds = 0usize;
+    let mut states = [0usize; 3];
     // One engine workspace and one reliance workspace for the whole
     // corpus: they are reused across origins, policy variants and
     // snapshots of different node counts (120..150).
@@ -133,56 +141,30 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
             // Variant 0: no restrictions. 1: exclusion mask. 2: origin
             // export restriction. 3: random import policies. 4: all three.
             for variant in 0..5u32 {
-                let excluded: Option<Vec<bool>> = (variant == 1 || variant == 4).then(|| {
-                    let mut m: Vec<bool> = (0..n).map(|_| next(&mut rng).is_multiple_of(10)).collect();
-                    m[origin.idx()] = false;
-                    m
-                });
-                let origin_export: Option<Vec<bool>> = (variant == 2 || variant == 4)
-                    .then(|| (0..n).map(|_| next(&mut rng).is_multiple_of(2)).collect());
-                let import: Option<Vec<ImportPolicy>> = (variant == 3 || variant == 4)
-                    .then(|| (0..n).map(|_| random_policy(&mut rng)).collect());
-
-                let mut cfg = PropagationConfig::new();
-                if let Some(m) = excluded {
-                    cfg = cfg.with_excluded(m);
+                let mut rules = Rules::default();
+                if variant == 1 || variant == 4 {
+                    rules.excluded = (0..n).map(|_| next(&mut rng).is_multiple_of(10)).collect();
+                    rules.excluded[origin.idx()] = false;
                 }
-                if let Some(m) = origin_export {
-                    cfg = cfg.with_origin_export(m);
+                if variant == 2 || variant == 4 {
+                    rules.origin_export = (0..n).map(|_| next(&mut rng).is_multiple_of(2)).collect();
                 }
-                if let Some(m) = import {
-                    cfg = cfg.with_import(m);
+                if variant == 3 || variant == 4 {
+                    rules.import = (0..n).map(|_| random_policy(&mut rng)).collect();
                 }
-
-                let legacy = propagate_legacy(g, origin, &cfg);
-                let engine = Simulation::over(&snap).config(cfg.clone()).run(origin);
-
-                assert_eq!(
-                    legacy.reachable_count(),
-                    engine.reachable_count(),
-                    "seed {seed} origin {origin:?} variant {variant}: reach count"
-                );
-                assert_eq!(legacy.reach_set(), engine.reach_set());
-                for v in g.nodes() {
-                    assert_eq!(
-                        legacy.selection(v),
-                        engine.selection(v),
-                        "seed {seed} origin {origin:?} variant {variant} node {v:?}: selection"
-                    );
-                    assert_eq!(legacy.reachable(v), engine.reachable(v));
-                    assert_eq!(
-                        legacy.next_hops(g, &cfg, v),
-                        engine.next_hops(g, &cfg, v),
-                        "seed {seed} origin {origin:?} variant {variant} node {v:?}: tie set"
-                    );
-                }
-
-                // The reliance kernel against its oracle on the same run.
-                rely_ws.run(&snap, origin, &cfg);
-                // The run read where it lies, its clone, and the oracle.
+                let cfg = rules.config();
                 let what = format!("seed {seed} origin {origin:?} variant {variant}");
-                assert_same_outcome(g, &cfg, &rely_ws, &legacy, &format!("{what}: borrowed vs oracle"));
-                assert_same_outcome(g, &cfg, &rely_ws.to_outcome(), &legacy, &format!("{what}: clone vs oracle"));
+
+                let want = stable_paths(g, origin, &rules);
+                rounds = rounds.max(want.rounds());
+                let engine = Simulation::over(&snap).config(cfg.clone()).run(origin);
+                assert_eq!(want.check(g, &cfg, &engine), Ok(()), "{what}: a simulation's run");
+
+                // The run read where it lies, its clone, and the fixpoint;
+                // the reliance kernel against its oracle on the same run.
+                rely_ws.run(&snap, origin, &cfg);
+                assert_eq!(want.check(g, &cfg, &rely_ws), Ok(()), "{what}: a workspace's run");
+                assert_same_outcome(g, &cfg, &rely_ws, &rely_ws.to_outcome(), &format!("{what}: borrowed vs clone"));
                 assert_kernel_matches_oracle(g, &snap, &rely_ws, &mut rely, &cfg, &what);
                 compared += 1;
             }
@@ -197,8 +179,48 @@ fn engine_matches_legacy_and_allocates_nothing_in_steady_state() {
             assert!(rely.scores().iter().all(|&s| s == 0.0), "{what}");
             assert_eq!(rely.receivers(), 0, "{what}");
         }
+
+        // ---- Part 1a: leak competitions against two fixpoints. Each
+        // origin is a victim with two leakers, a random half of its
+        // neighbours locking, and every other victim announcing to a
+        // random two thirds of its neighbours only.
+        for (k, &victim) in origins.iter().enumerate() {
+            let neighbors: Vec<NodeId> = g.neighbors(victim).map(|(x, _)| x).collect();
+            let locking: Vec<NodeId> =
+                neighbors.iter().copied().filter(|_| next(&mut rng).is_multiple_of(2)).collect();
+            let export: Option<Vec<NodeId>> = (k % 2 == 1)
+                .then(|| neighbors.iter().copied().filter(|_| !next(&mut rng).is_multiple_of(3)).collect());
+            let leakers: Vec<NodeId> = (0..2)
+                .map(|_| NodeId(((victim.0 as u64 + 1 + next(&mut rng) % (n as u64 - 1)) % n as u64) as u32))
+                .collect();
+            for semantics in [LockingSemantics::Corrected, LockingSemantics::PreErratum] {
+                let side = VictimSide::propagate(&snap, victim, export.as_deref(), &locking, semantics);
+                let mut leakers_side = side.leakers();
+                for &leaker in &leakers {
+                    let got = leakers_side.run(leaker);
+                    let want = leak_states(g, victim, leaker, export.as_deref(), &locking, semantics);
+                    let differ = g.nodes().find(|&t| got.state(t) != want[t.idx()]);
+                    assert_eq!(
+                        differ.map(|t| (t, got.state(t), want[t.idx()])),
+                        None,
+                        "seed {seed}: leak {victim:?}->{leaker:?} ({semantics:?}, locking {locking:?}, \
+                         export {export:?}): the first AS whose state differs (run, fixpoint)"
+                    );
+                    for s in want {
+                        states[match s {
+                            DetourState::Legit => 0,
+                            DetourState::Detoured => 1,
+                            DetourState::NoRoute => 2,
+                        }] += 1;
+                    }
+                }
+            }
+        }
     }
     assert!(compared >= 50 * 5, "only ran {compared} comparisons");
+    eprintln!("stable paths: {compared} runs, at most {rounds} rounds each");
+    let [legit, detoured, no_route] = states;
+    assert!(legit > 0 && detoured > 0 && no_route > 0, "leak states {states:?}: one never came up");
 
     // ---- Part 1b: the bit-parallel kernel is bit-identical to
     // per-origin Workspace runs over the same topology corpus, at every
