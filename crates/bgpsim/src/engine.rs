@@ -555,15 +555,15 @@ impl<'s> Simulation<'s> {
     where
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
-        let sweep = self.sweep_lanes(origins, fill, Some(|words, _| words.to_vec())).or_panic();
+        let sweep = self.sweep_lanes::<Words, F>(origins, fill).or_panic();
         SweepReach::from_parts(self.snap.len(), origins.to_vec(), sweep.sets, sweep.counts)
     }
 
     /// [`Self::run_sweep_reach_with`] for a caller that keeps the sets:
     /// one `(reach set, reachable count)` per origin (origin bit set,
     /// count origin excluded), each lane encoded as a [`ReachSet`]
-    /// straight off the lane workspace, so a block of full-reach origins
-    /// never exists as a block of bitsets.
+    /// straight off the block's route words, so a block of full-reach
+    /// origins never exists as a block of bitsets.
     pub fn run_sweep_reach_sets_with<F>(
         &self,
         origins: &[NodeId],
@@ -572,7 +572,7 @@ impl<'s> Simulation<'s> {
     where
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
-        let sweep = self.sweep_lanes(origins, fill, Some(ReachSet::from_words)).or_panic();
+        let sweep = self.sweep_lanes::<Sets, F>(origins, fill).or_panic();
         sweep.sets.into_iter().zip(sweep.counts.into_iter().map(|c| c as usize)).collect()
     }
 
@@ -590,7 +590,7 @@ impl<'s> Simulation<'s> {
     where
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
-        self.sweep_lanes(origins, fill, COUNTS_ONLY).or_panic().counts
+        self.sweep_lanes::<Counts, F>(origins, fill).or_panic().counts
     }
 
     /// Like [`Self::run_sweep_reach_counts_with`], but a panic in `fill`
@@ -604,7 +604,7 @@ impl<'s> Simulation<'s> {
     where
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
-        let sweep = self.sweep_lanes(origins, fill, COUNTS_ONLY);
+        let sweep = self.sweep_lanes::<Counts, F>(origins, fill);
         let mut out: Vec<Result<u32, SweepError>> = sweep.counts.into_iter().map(Ok).collect();
         for e in sweep.errors {
             let i = e.index;
@@ -615,39 +615,34 @@ impl<'s> Simulation<'s> {
 
     /// The one lane-sweep driver every `run_sweep_reach*` entry point
     /// reduces, and the only place the lane width is dispatched on.
-    fn sweep_lanes<S, F>(&self, origins: &[NodeId], fill: F, keep: Keep<S>) -> LaneSweep<S>
+    fn sweep_lanes<K, F>(&self, origins: &[NodeId], fill: F) -> LaneSweep<K::Set>
     where
-        S: Send,
+        K: Keep,
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
         match self.lane_width.words_for(origins.len()) {
-            1 => self.sweep_lanes_w::<1, S, F>(origins, fill, keep),
-            2 => self.sweep_lanes_w::<2, S, F>(origins, fill, keep),
-            _ => self.sweep_lanes_w::<4, S, F>(origins, fill, keep),
+            1 => self.sweep_lanes_w::<1, K, F>(origins, fill),
+            2 => self.sweep_lanes_w::<2, K, F>(origins, fill),
+            _ => self.sweep_lanes_w::<4, K, F>(origins, fill),
         }
     }
 
     /// [`Self::sweep_lanes`] at width `W`: chunk the origins into blocks,
     /// run each on a [`LaneWorkspace<W>`] checked out of the snapshot's
     /// pool with every lane's `fill` under its own `catch_unwind`, and
-    /// string the blocks' counts (and, when `keep` is given, what it
-    /// makes of each reach set) together in origin order. A reach set
-    /// leaves the workspace once, as the value the caller ends up
-    /// owning. A lane whose fill panicked is killed — an excluded origin
-    /// yields the empty outcome, so a half-run fill's exclusions cannot
-    /// leak into a result — and reported; a panic in the kernel itself
-    /// fails its whole block.
-    fn sweep_lanes_w<const W: usize, S, F>(
-        &self,
-        origins: &[NodeId],
-        fill: F,
-        keep: Keep<S>,
-    ) -> LaneSweep<S>
+    /// string the blocks' counts and what `K` keeps of them together in
+    /// origin order. A reach set leaves a block once, read by `K` off
+    /// the block's route words as the value the caller ends up owning;
+    /// no lane-major copy of a block exists. A lane whose fill panicked
+    /// is killed — an excluded origin yields the empty outcome, so a
+    /// half-run fill's exclusions cannot leak into a result — and
+    /// reported; a panic in the kernel itself fails its whole block.
+    fn sweep_lanes_w<const W: usize, K, F>(&self, origins: &[NodeId], fill: F) -> LaneSweep<K::Set>
     where
         Lanes<W>: LaneArity,
         [NodeWords<W>]: AsExclusionLanes,
         LaneWorkspace<W>: PooledLaneWs,
-        S: Send,
+        K: Keep,
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
         let n = self.snap.len();
@@ -660,7 +655,7 @@ impl<'s> Simulation<'s> {
                     .checkout(|| LaneWorkspace::for_snapshot(self.snap))
             },
             |ws, block| {
-                let mut part = LaneSweep::with_capacity(block.len(), keep.is_some());
+                let mut part = LaneSweep::with_capacity(block.len());
                 let mut lane = 0usize;
                 let guarded = |o: NodeId, ex: &mut LaneExcluder<'_>| {
                     let run = std::panic::AssertUnwindSafe(|| fill(o, &mut *ex));
@@ -671,13 +666,9 @@ impl<'s> Simulation<'s> {
                     }
                     lane += 1;
                 };
-                ws.run_block_inner(self.snap, block, &self.cfg, guarded, keep.is_some());
-                for k in 0..block.len() {
-                    if let Some(keep) = keep {
-                        part.sets.push(keep(ws.lane_reach_words(k), n));
-                    }
-                    part.counts.push(ws.lane_reachable_count(k) as u32);
-                }
+                ws.run_block(self.snap, block, &self.cfg, guarded);
+                K::block(ws, &mut part.sets);
+                part.counts.extend((0..block.len()).map(|k| ws.lane_reachable_count(k) as u32));
                 part
             },
         );
@@ -687,23 +678,90 @@ impl<'s> Simulation<'s> {
             Ok([failed]) => vec![failed],
             Err(parts) => parts,
         };
-        let mut out = LaneSweep::with_capacity(origins.len(), keep.is_some());
+        let mut out = LaneSweep::with_capacity(origins.len());
         for (block, part) in blocks.iter().zip(parts) {
-            out.append(block, part, keep, n);
+            out.append(block, part, || K::empty(n));
         }
         out
     }
 }
 
-/// What a lane sweep makes of one origin's reach bitset (its words and
-/// the node count) to keep it; `None` keeps counts only.
-type Keep<S> = Option<fn(&[u64], usize) -> S>;
+/// What a lane sweep keeps of each finished block beside its counts.
+trait Keep {
+    /// What is kept of one origin.
+    type Set: Send;
 
-const COUNTS_ONLY: Keep<()> = None;
+    /// Reads `ws`'s finished block out: appends what is kept of each
+    /// lane to `sets`, in lane order, and takes the block's counts.
+    fn block<const W: usize>(ws: &mut LaneWorkspace<W>, sets: &mut Vec<Self::Set>)
+    where
+        Lanes<W>: LaneArity,
+        [NodeWords<W>]: AsExclusionLanes;
+
+    /// What is kept of an origin whose block failed: the empty set over
+    /// `n` nodes.
+    fn empty(n: usize) -> Self::Set;
+}
+
+/// Counts only: nothing is kept (a `()` takes no memory).
+struct Counts;
+
+impl Keep for Counts {
+    type Set = ();
+
+    fn block<const W: usize>(ws: &mut LaneWorkspace<W>, sets: &mut Vec<()>)
+    where
+        Lanes<W>: LaneArity,
+        [NodeWords<W>]: AsExclusionLanes,
+    {
+        ws.count();
+        sets.resize(sets.len() + ws.block_len(), ());
+    }
+
+    fn empty(_: usize) {}
+}
+
+/// Each origin's reach bitset, for [`SweepReach`].
+struct Words;
+
+impl Keep for Words {
+    type Set = Vec<u64>;
+
+    fn block<const W: usize>(ws: &mut LaneWorkspace<W>, sets: &mut Vec<Vec<u64>>)
+    where
+        Lanes<W>: LaneArity,
+        [NodeWords<W>]: AsExclusionLanes,
+    {
+        ws.emit_words(sets);
+    }
+
+    fn empty(n: usize) -> Vec<u64> {
+        vec![0; n.div_ceil(64)]
+    }
+}
+
+/// Each origin's [`ReachSet`], kept by its shorter side.
+struct Sets;
+
+impl Keep for Sets {
+    type Set = ReachSet;
+
+    fn block<const W: usize>(ws: &mut LaneWorkspace<W>, sets: &mut Vec<ReachSet>)
+    where
+        Lanes<W>: LaneArity,
+        [NodeWords<W>]: AsExclusionLanes,
+    {
+        ws.emit_reach_sets(sets);
+    }
+
+    fn empty(n: usize) -> ReachSet {
+        ReachSet::from_words(&vec![0; n.div_ceil(64)], n)
+    }
+}
 
 /// A lane sweep (or one block of it) in origin order.
 struct LaneSweep<S> {
-    /// One kept reach set per origin; empty for counts-only sweeps.
+    /// What is kept of each origin (`()` for counts-only sweeps).
     sets: Vec<S>,
     /// Reachable counts, origin excluded; 0 where `errors` names the origin.
     counts: Vec<u32>,
@@ -712,24 +770,23 @@ struct LaneSweep<S> {
 }
 
 impl<S> LaneSweep<S> {
-    fn with_capacity(origins: usize, materialize: bool) -> Self {
+    fn with_capacity(origins: usize) -> Self {
         LaneSweep {
-            sets: Vec::with_capacity(if materialize { origins } else { 0 }),
+            sets: Vec::with_capacity(origins),
             counts: Vec::with_capacity(origins),
             errors: Vec::new(),
         }
     }
 
     /// Appends one block's outcome: its results moved in with its lane
-    /// errors re-indexed, or, for a block whose kernel run failed, empty
-    /// results (what `keep` makes of the empty set over `n` nodes) with
-    /// the failure reported for every origin of the block.
+    /// errors re-indexed, or, for a block whose kernel run failed, one
+    /// `empty()` set and a zero count per origin, with the failure
+    /// reported for every origin of the block.
     fn append(
         &mut self,
         block: &[NodeId],
         part: Result<LaneSweep<S>, SweepError>,
-        keep: Keep<S>,
-        n: usize,
+        empty: impl Fn() -> S,
     ) {
         let base = self.counts.len();
         match part {
@@ -741,10 +798,7 @@ impl<S> LaneSweep<S> {
                 );
             }
             Err(e) => {
-                if let Some(keep) = keep {
-                    let empty = vec![0; n.div_ceil(64)];
-                    self.sets.extend(block.iter().map(|_| keep(&empty, n)));
-                }
+                self.sets.extend(block.iter().map(|_| empty()));
                 self.counts.resize(base + block.len(), 0);
                 self.errors.extend((0..block.len()).map(|lane| SweepError {
                     index: base + lane,

@@ -62,8 +62,8 @@
 //!   is the origin) for lane `k`'s origin — the only class the peer
 //!   phase may export;
 //! * `r[i]` — a route of *any* class (customer, peer, or provider): the
-//!   reach set the kernel outputs — plus, until the block's output is
-//!   read, the lanes node `i` is excluded for (below).
+//!   reach set the kernel outputs — plus, until the block's end, the
+//!   lanes node `i` is excluded for (below).
 //!
 //! The scalar engine's selected class and length have no lane
 //! counterpart: existence-wise, a peer- or provider-learned route
@@ -91,8 +91,9 @@
 //!   `blocked` and its origin marks `iso` (lane `k` set ⟺ node `i` *is*
 //!   lane `k`'s origin), sorted by node and found by binary search.
 //!   Three places read it: a provider-phase sender, whose `send` is
-//!   `r & !blocked`; the block's output, which clears `r & blocked` on
-//!   the flagged nodes before counts or transposition; and the `POL =
+//!   `r & !blocked`; the block's end, which clears `r & blocked` on the
+//!   flagged nodes, so `r` is the reach sets that counts and every
+//!   read-out take; and the `POL =
 //!   true` senders, where every origin-relative rule
 //!   (`OnlyDirectFromOrigin`, `RejectDirectFromOrigin`, origin-export
 //!   masks) is one AND with `iso` or its complement.
@@ -143,10 +144,15 @@
 //! one [`LaneWorkspace`] per worker, checked out of the snapshot's
 //! per-width pool (`crate::scratch`), preserving the engine's zero
 //! steady-state allocation property (asserted by the counting-allocator
-//! smoke in `tests/engine_equiv.rs`).
+//! smoke in `tests/engine_equiv.rs`). A block's reach sets leave it
+//! straight from the node-major `r` words, into what the sweep's caller
+//! keeps — a [`SweepReach`] lane's own `Vec` through the 64×64
+//! transpose, a [`ReachSet`] in its final form through one pass over
+//! the nodes — so no workspace holds a lane-major copy of a block.
 
 use crate::engine::TopologySnapshot;
 use crate::propagate::{metrics, ImportPolicy, PropagationConfig};
+use crate::reachset::{ReachForm, ReachSet};
 use crate::scratch::{cap_bytes, Pool, Scratch};
 use flatnet_asgraph::NodeId;
 
@@ -486,8 +492,9 @@ impl LaneExcluder<'_> {
 
 /// Reusable state for the bit-parallel kernel at lane width `W` words
 /// (64·W origins per block): the per-node route lanes and flags, the
-/// side table, frontier queues, and the transposed output. Create once
-/// per worker (or via [`LaneWorkspace::for_snapshot`]) and run many
+/// side table and the frontier queues — nothing lane-major: a block's
+/// reach sets are read straight off its node-major route words. Create
+/// once per worker (or via [`LaneWorkspace::for_snapshot`]) and run many
 /// blocks through it — after the first block of a shape a run performs
 /// no heap allocation. The default width parameter keeps plain
 /// `LaneWorkspace` meaning the one-word 64-lane kernel.
@@ -514,9 +521,6 @@ where
     /// Bitmask of the current block's active lanes (lane `k` set iff
     /// `k < block_len`), the saturation reference.
     lane_mask: [u64; W],
-    /// Transposed reach sets, lane-major: lane `k`'s words at
-    /// `out[k * words_per .. (k + 1) * words_per]`.
-    out: Vec<u64>,
     /// Raw per-lane reach popcounts (origin bit included). Sized for the
     /// widest width so the array (1 KiB) needs no const-generic length
     /// arithmetic; only the first `64·W` entries are ever set.
@@ -540,7 +544,6 @@ where
             frontier: Vec::new(),
             next: Vec::new(),
             lane_mask: [0; W],
-            out: Vec::new(),
             counts: [0; MAX_LANES],
             block_len: 0,
             n: 0,
@@ -562,27 +565,31 @@ where
     }
 
     /// A workspace pre-sized for `snap`: the per-node lanes, flags and
-    /// lists are allocated up front. The transposed output is not — the
-    /// first block that materializes reach sets sizes it — so a workspace
-    /// that only ever counts never holds it.
+    /// lists are allocated up front.
     pub fn for_snapshot(snap: &TopologySnapshot) -> Self {
         let mut ws = Self::new();
-        ws.begin(snap.len(), false);
+        ws.begin(snap.len());
         ws.block_len = 0;
         ws
     }
 
-    /// Words per transposed lane row (`n.div_ceil(64)`).
+    /// Words in one lane's reach bitset (`n.div_ceil(64)`).
     #[inline]
     fn words_per(&self) -> usize {
         self.n.div_ceil(64)
+    }
+
+    /// Origins of the block in lane word `j`.
+    #[inline]
+    fn lanes_in(&self, j: usize) -> usize {
+        self.block_len.saturating_sub(j * 64).min(64)
     }
 
     /// Sizes the buffers for `n` nodes and clears the previous block's
     /// writes. Same-size resets undo via the touched and flagged lists,
     /// so for a fixed topology a reset is O(previously reached), not
     /// O(n).
-    fn begin(&mut self, n: usize, materialize: bool) {
+    fn begin(&mut self, n: usize) {
         if self.words.len() == n {
             // Every node with a lane bit or a flag set sits on one of
             // these two lists — queued and saturated nodes are reached,
@@ -607,13 +614,6 @@ where
             list.clear();
         }
         self.n = n;
-        if materialize {
-            let need = Self::BLOCK_LANES * self.words_per();
-            if self.out.len() != need {
-                self.out.clear();
-                self.out.resize(need, 0);
-            }
-        }
         self.counts = [0; MAX_LANES];
     }
 
@@ -638,15 +638,13 @@ where
             + cap_bytes(&self.words)
             + cap_bytes(&self.flags)
             + cap_bytes(&self.side)
-            + cap_bytes(&self.out)
     }
 
     /// Runs one block of up to `64·W` origins over `snap` under `cfg`
     /// with a per-origin exclusion fill: `fill` runs once per lane and
     /// installs that origin's exclusions through the [`LaneExcluder`]
     /// (on top of any shared `cfg` exclusion mask, which applies to every
-    /// lane). Results are read through
-    /// [`LaneWorkspace::lane_reach_words`] and
+    /// lane). Per-lane counts are read through
     /// [`LaneWorkspace::lane_reachable_count`].
     pub fn run_block_masked(
         &mut self,
@@ -655,18 +653,21 @@ where
         cfg: &PropagationConfig,
         fill: impl FnMut(NodeId, &mut LaneExcluder<'_>),
     ) {
-        self.run_block_inner(snap, origins, cfg, fill, true);
+        self.run_block(snap, origins, cfg, fill);
+        self.count();
     }
 
-    /// The block kernel. `materialize = false` skips the transposed
-    /// output (counts only), the form the count-only sweeps use.
-    pub(crate) fn run_block_inner(
+    /// The block kernel: afterwards the node-major `r` words hold
+    /// exactly the block's reach sets, and nothing else is left of it.
+    /// The counts are not taken yet — each read-out takes them on its
+    /// own pass over the words: [`Self::count`], [`Self::emit_words`]
+    /// or [`Self::emit_reach_sets`].
+    pub(crate) fn run_block(
         &mut self,
         snap: &TopologySnapshot,
         origins: &[NodeId],
         cfg: &PropagationConfig,
         mut fill: impl FnMut(NodeId, &mut LaneExcluder<'_>),
-        materialize: bool,
     ) {
         assert!(
             origins.len() <= Self::BLOCK_LANES,
@@ -679,7 +680,7 @@ where
         obs.runs.add(origins.len() as u64);
         obs.kernel_blocks.inc();
         let started = std::time::Instant::now();
-        self.begin(n, materialize);
+        self.begin(n);
         self.block_len = origins.len();
         if n == 0 || origins.is_empty() {
             return;
@@ -755,7 +756,8 @@ where
         };
         obs.kernel_rounds.add(rounds);
 
-        // The excluded lanes leave `r`, so what follows reads reach sets.
+        // The excluded lanes leave `r`: from here on it holds exactly
+        // the block's reach sets.
         for (t, &i) in self.flagged.iter().enumerate() {
             let blocked = self.side[t].blocked;
             let r = &mut self.words[i as usize].r;
@@ -763,76 +765,85 @@ where
                 *w &= !b;
             }
         }
+        obs.kernel_block_us.record_us(started.elapsed().as_micros() as u64);
+    }
 
-        // Counts-only blocks with sparse reach sets skip the transpose:
-        // iterating the set bits of the touched nodes costs one step per
-        // (origin, node) reach pair, which beats the fixed
-        // ~8-ops-per-word-per-node transpose until the block is about
-        // 1/8 full.
-        let words_per = self.words_per();
-        let sparse = !materialize && {
-            let mut bits = 0u64;
-            for t in 0..self.touched.len() {
-                let r = &self.words[self.touched[t] as usize].r;
-                for &w in r.iter() {
-                    bits += w.count_ones() as u64;
-                }
+    /// Takes the per-lane counts off the finished block's `r` words.
+    /// Sparse reach sets skip the transpose: iterating the set bits of
+    /// the touched nodes costs one step per (origin, node) reach pair,
+    /// which beats the fixed ~8-ops-per-word-per-node transpose until
+    /// the block is about 1/8 full.
+    pub(crate) fn count(&mut self) {
+        let mut counts = [0u32; MAX_LANES];
+        let mut bits = 0u64;
+        for &i in &self.touched {
+            for &w in self.words[i as usize].r.iter() {
+                bits += w.count_ones() as u64;
             }
-            (bits as usize) < 8 * n * W
-        };
-        if sparse {
-            for t in 0..self.touched.len() {
-                let r = self.words[self.touched[t] as usize].r;
-                for (j, &word) in r.iter().enumerate() {
+        }
+        if (bits as usize) < 8 * self.n * W {
+            for &i in &self.touched {
+                for (j, &word) in self.words[i as usize].r.iter().enumerate() {
                     let mut w = word;
                     while w != 0 {
-                        self.counts[j * 64 + w.trailing_zeros() as usize] += 1;
+                        counts[j * 64 + w.trailing_zeros() as usize] += 1;
                         w &= w - 1;
                     }
                 }
             }
         } else {
-            // Transpose node-major lane words into origin-major reach
-            // rows, accumulating per-lane popcounts: one 64×64 transpose
-            // per (64-node group, lane word). Nodes past `n` in the last
-            // group are zero-padded, so tail words mask themselves; lane
-            // words wholly past `block_len` are skipped.
             let mut buf = [0u64; 64];
-            for gb in 0..words_per {
-                let base = gb * 64;
-                let lim = (n - base).min(64);
-                for j in 0..W {
-                    let lanes_here = self.block_len.saturating_sub(j * 64).min(64);
-                    if lanes_here == 0 {
-                        break;
-                    }
-                    let mut any = 0u64;
-                    for (r, b) in buf.iter_mut().enumerate().take(lim) {
-                        *b = self.words[base + r].r[j];
-                        any |= *b;
-                    }
-                    for b in buf.iter_mut().take(64).skip(lim) {
-                        *b = 0;
-                    }
-                    if any == 0 {
-                        if materialize {
-                            for k in 0..lanes_here {
-                                self.out[(j * 64 + k) * words_per + gb] = 0;
-                            }
+            for nodes in self.groups() {
+                for j in (0..W).take_while(|&j| self.lanes_in(j) > 0) {
+                    if self.group_lanes(nodes, j, &mut buf) {
+                        for (k, &w) in buf[..self.lanes_in(j)].iter().enumerate() {
+                            counts[j * 64 + k] += w.count_ones();
                         }
-                        continue;
-                    }
-                    transpose64(&mut buf);
-                    for (k, &w) in buf.iter().enumerate().take(lanes_here) {
-                        if materialize {
-                            self.out[(j * 64 + k) * words_per + gb] = w;
-                        }
-                        self.counts[j * 64 + k] += w.count_ones();
                     }
                 }
             }
         }
-        obs.kernel_block_us.record_us(started.elapsed().as_micros() as u64);
+        self.counts = counts;
+    }
+
+    /// The route words of the block's nodes in groups of 64 (group `gb`
+    /// holds nodes `64·gb ..`; the last may be short).
+    #[inline]
+    fn groups(&self) -> std::slice::Chunks<'_, NodeWords<W>> {
+        self.words[..self.n].chunks(64)
+    }
+
+    /// Copies lane word `j` of a group's `nodes` into `buf`, node-major,
+    /// zero past the last node, and says whether the group's reach words
+    /// in that lane word are uniform.
+    #[inline]
+    fn load_group(&self, nodes: &[NodeWords<W>], j: usize, buf: &mut [u64; 64]) -> Group {
+        let (mut any, mut all) = (0, !0);
+        for (b, w) in buf.iter_mut().zip(nodes) {
+            *b = w.r[j];
+            any |= *b;
+            all &= *b;
+        }
+        buf[nodes.len()..].fill(0);
+        if any == 0 {
+            Group::Empty
+        } else if all & self.lane_mask[j] == self.lane_mask[j] {
+            Group::Full(u64::MAX >> (64 - nodes.len()))
+        } else {
+            Group::Mixed
+        }
+    }
+
+    /// Lane word `j` of a group's reach words, lane-major: afterwards
+    /// `buf[k]` is lane `64·j + k`'s word for the group's `nodes` (bit
+    /// = node − 64·gb, zero past the last node) — one 64×64 transpose,
+    /// unless the group is uniform in that word. Returns whether any
+    /// lane reaches any node of the group.
+    #[inline]
+    fn group_lanes(&self, nodes: &[NodeWords<W>], j: usize, buf: &mut [u64; 64]) -> bool {
+        let group = self.load_group(nodes, j, buf);
+        group.to_lanes(buf);
+        group != Group::Empty
     }
 
     /// Routes a block to the widest phase runner the CPU supports: on
@@ -1134,14 +1145,109 @@ where
         rounds
     }
 
-    /// Lane `k`'s reach bitset from the most recent **materializing**
-    /// block run, in the same word-packed layout as
+    /// Appends each lane's reach bitset of the block [`Self::run_block`]
+    /// left to `sets`, in lane order, in the layout of
     /// [`RoutingOutcome::reach_words`](crate::RoutingOutcome::reach_words)
-    /// (bit = node index, origin bit set, tail bits zero).
-    pub fn lane_reach_words(&self, lane: usize) -> &[u64] {
-        assert!(lane < self.block_len, "lane {lane} out of block (len {})", self.block_len);
-        let wp = self.words_per();
-        &self.out[lane * wp..(lane + 1) * wp]
+    /// (bit = node index, origin bit set, tail bits zero), and takes the
+    /// counts off the same transposes: each lane's words go straight
+    /// into that lane's own `Vec`.
+    pub(crate) fn emit_words(&mut self, sets: &mut Vec<Vec<u64>>) {
+        let mut counts = [0u32; MAX_LANES];
+        let start = sets.len();
+        sets.extend((0..self.block_len).map(|_| vec![0; self.words_per()]));
+        let lanes = &mut sets[start..];
+        let mut buf = [0u64; 64];
+        for (gb, nodes) in self.groups().enumerate() {
+            for j in (0..W).take_while(|&j| self.lanes_in(j) > 0) {
+                if self.group_lanes(nodes, j, &mut buf) {
+                    let word = j * 64..j * 64 + self.lanes_in(j);
+                    for ((lane, count), w) in lanes[word.clone()].iter_mut().zip(&mut counts[word]).zip(buf) {
+                        lane[gb] = w;
+                        *count += w.count_ones();
+                    }
+                }
+            }
+        }
+        self.counts = counts;
+    }
+
+    /// Appends each lane's reach set of the block [`Self::run_block`]
+    /// left to `sets`, in lane order, encoded as [`ReachSet::from_words`]
+    /// would encode its bitset. The counts are taken first
+    /// ([`Self::count`]), each lane's form is decided from its count
+    /// ([`ReachForm::of`]) and its storage allocated at exactly its
+    /// length; then one ascending pass over the nodes pushes each node
+    /// onto the index lists that name it — an `Except` lane's through a
+    /// flip of its bit, so a node it misses is pushed — and transposes
+    /// the node groups that `Bits` lanes need.
+    pub(crate) fn emit_reach_sets(&mut self, sets: &mut Vec<ReachSet>) {
+        self.count();
+        let (n, words_per) = (self.n, self.words_per());
+        let forms: Vec<ReachForm> =
+            self.counts[..self.block_len].iter().map(|&c| ReachForm::of(c as usize, n)).collect();
+        // Per lane word: the lanes kept by index list, those of them
+        // that list missing nodes, and the lanes kept as bits.
+        let (mut listed, mut flip, mut bitsets) = ([0u64; W], [0u64; W], [0u64; W]);
+        let mut lists: Vec<Vec<u32>> = Vec::with_capacity(forms.len());
+        let mut bits: Vec<Vec<u64>> = Vec::with_capacity(forms.len());
+        for (k, &form) in forms.iter().enumerate() {
+            let (j, bit, present) = (k >> 6, 1u64 << (k & 63), self.counts[k] as usize);
+            let (list_len, bits_len) = match form {
+                ReachForm::Bits => {
+                    bitsets[j] |= bit;
+                    (0, words_per)
+                }
+                ReachForm::Except => {
+                    (listed[j], flip[j]) = (listed[j] | bit, flip[j] | bit);
+                    (n - present, 0)
+                }
+                ReachForm::Only => {
+                    listed[j] |= bit;
+                    (present, 0)
+                }
+            };
+            lists.push(Vec::with_capacity(list_len));
+            bits.push(vec![0; bits_len]);
+        }
+        let mut buf = [0u64; 64];
+        for (gb, nodes) in self.groups().enumerate() {
+            for j in (0..W).take_while(|&j| self.lanes_in(j) > 0) {
+                let group = self.load_group(nodes, j, &mut buf);
+                // The lists a node of the group can land on: in a
+                // uniform group, only the lanes that miss every node
+                // (`Except`, empty group) or reach every one (`Only`,
+                // full group) have any.
+                let pushes = match group {
+                    Group::Empty => listed[j] & flip[j],
+                    Group::Full(_) => listed[j] & !flip[j],
+                    Group::Mixed => listed[j],
+                };
+                if pushes != 0 {
+                    for (i, &word) in (gb as u32 * 64..).zip(&buf[..nodes.len()]) {
+                        let mut w = (word ^ flip[j]) & pushes;
+                        while w != 0 {
+                            lists[j * 64 + w.trailing_zeros() as usize].push(i);
+                            w &= w - 1;
+                        }
+                    }
+                }
+                if bitsets[j] != 0 && group != Group::Empty {
+                    group.to_lanes(&mut buf);
+                    let mut w = bitsets[j];
+                    while w != 0 {
+                        let k = w.trailing_zeros() as usize;
+                        bits[j * 64 + k][gb] = buf[k];
+                        w &= w - 1;
+                    }
+                }
+            }
+        }
+        sets.extend(forms.into_iter().zip(lists.into_iter().zip(bits)).map(|(form, (list, bits))| {
+            match form {
+                ReachForm::Bits => ReachSet::bits(n, bits.into_boxed_slice()),
+                _ => ReachSet::listed(n, form, list.into_boxed_slice()),
+            }
+        }));
     }
 
     /// Number of ASes reached in lane `k`, origin excluded — the kernel
@@ -1150,6 +1256,33 @@ where
     pub fn lane_reachable_count(&self, lane: usize) -> usize {
         assert!(lane < self.block_len, "lane {lane} out of block (len {})", self.block_len);
         (self.counts[lane] as usize).saturating_sub(1)
+    }
+}
+
+/// One lane word of a 64-node group of a finished block, as
+/// [`LaneWorkspace::load_group`] finds it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Group {
+    /// No lane reaches any node of the group.
+    Empty,
+    /// Every lane of the block in the word reaches every node of the
+    /// group: each lane's reach word is this mask of the group's nodes.
+    Full(u64),
+    /// Anything else: the lanes' words take a transpose.
+    Mixed,
+}
+
+impl Group {
+    /// Turns the group's node-major words in `buf`, as
+    /// [`LaneWorkspace::load_group`] left them, lane-major: `buf[k]`
+    /// becomes lane `k`'s word (an empty group's are already zero).
+    #[inline]
+    fn to_lanes(self, buf: &mut [u64; 64]) {
+        match self {
+            Group::Empty => {}
+            Group::Full(live) => buf.fill(live),
+            Group::Mixed => transpose64(buf),
+        }
     }
 }
 
@@ -1331,6 +1464,17 @@ mod tests {
         // Auto resolves to whatever the CPU supports, and clamps too.
         assert_eq!(LaneWidth::Auto.words(), detected_lane_words());
         assert_eq!(LaneWidth::Auto.words_for(1), 1);
+    }
+
+    /// Each lane's reach words of the most recent block of `lanes`.
+    fn lane_words<const W: usize>(lanes: &mut LaneWorkspace<W>) -> Vec<Vec<u64>>
+    where
+        Lanes<W>: LaneArity,
+        [NodeWords<W>]: AsExclusionLanes,
+    {
+        let mut words = Vec::new();
+        lanes.emit_words(&mut words);
+        words
     }
 
     fn diamond() -> AsGraph {
@@ -1539,10 +1683,11 @@ mod tests {
                 let mut ws = Workspace::for_snapshot(snap);
                 for block in origins.chunks(LANES * W) {
                     lanes.run_block_masked(snap, block, &cfg, |_, _| {});
+                    let words = lane_words(&mut lanes);
                     for (k, &o) in block.iter().enumerate() {
                         ws.run(snap, o, &cfg);
                         assert_eq!(
-                            lanes.lane_reach_words(k),
+                            words[k],
                             ws.reach_words(),
                             "W={W} n={} origin {o:?}",
                             g.len()
@@ -1643,9 +1788,8 @@ mod tests {
                 ex.allow(o);
             });
             PORTABLE_ONLY.set(false);
-            (0..origins.len())
-                .map(|k| (lanes.lane_reach_words(k).to_vec(), lanes.lane_reachable_count(k)))
-                .collect::<Vec<_>>()
+            let counts: Vec<usize> = (0..origins.len()).map(|k| lanes.lane_reachable_count(k)).collect();
+            (lane_words(lanes), counts)
         };
         reach(false) == reach(true)
     }
@@ -1692,10 +1836,11 @@ mod tests {
     type LaneFill<'a> = dyn Fn(usize, NodeId, &mut dyn FnMut(NodeId, bool)) + 'a;
 
     /// Every lane of `origins` through `lanes` under `cfg` and a fill
-    /// that runs `lane_fill(lane, origin, excluder)`, materialising and
-    /// counts-only, held by bits against a per-origin scalar run under
-    /// the lane's whole rule: `cfg`'s shared mask, what the fill
-    /// excluded, minus what it allowed back (replayed on a mask).
+    /// that runs `lane_fill(lane, origin, excluder)` — its words, its
+    /// kept set and the count each read-out takes — held by bits against
+    /// a per-origin scalar run under the lane's whole rule: `cfg`'s
+    /// shared mask, what the fill excluded, minus what it allowed back
+    /// (replayed on a mask).
     fn lanes_match_scalar<const W: usize>(
         lanes: &mut LaneWorkspace<W>,
         snap: &TopologySnapshot,
@@ -1707,25 +1852,29 @@ mod tests {
         [NodeWords<W>]: AsExclusionLanes,
     {
         let n = snap.len();
-        for materialize in [true, false] {
-            let mut k = 0;
-            let fill = |o: NodeId, ex: &mut LaneExcluder<'_>| {
-                lane_fill(k, o, &mut |node, excluded| if excluded { ex.exclude(node) } else { ex.allow(node) });
-                k += 1;
-            };
-            lanes.run_block_inner(snap, origins, cfg, fill, materialize);
-            let mut ws = Workspace::for_snapshot(snap);
-            for (k, &o) in origins.iter().enumerate() {
-                let mut mask = cfg.view().excluded.map_or_else(|| vec![false; n], <[bool]>::to_vec);
-                lane_fill(k, o, &mut |node, excluded| mask[node.idx()] = excluded);
-                let lane_cfg = cfg.clone().with_excluded(mask);
-                ws.run(snap, o, &lane_cfg);
-                let what = format!("W = {W}, lane {k}, origin {o:?}, {n} ASes, materialize {materialize}");
-                if materialize {
-                    assert_eq!(lanes.lane_reach_words(k), ws.reach_words(), "{what}");
-                }
-                assert_eq!(lanes.lane_reachable_count(k), ws.reachable_count(), "{what}");
-            }
+        let mut k = 0;
+        let fill = |o: NodeId, ex: &mut LaneExcluder<'_>| {
+            lane_fill(k, o, &mut |node, excluded| if excluded { ex.exclude(node) } else { ex.allow(node) });
+            k += 1;
+        };
+        lanes.run_block(snap, origins, cfg, fill);
+        let words = lane_words(lanes);
+        let counted_with_words: Vec<usize> = (0..origins.len()).map(|k| lanes.lane_reachable_count(k)).collect();
+        let mut sets = Vec::new();
+        lanes.emit_reach_sets(&mut sets);
+        assert_eq!((words.len(), sets.len()), (origins.len(), origins.len()));
+        let mut ws = Workspace::for_snapshot(snap);
+        for (k, &o) in origins.iter().enumerate() {
+            let mut mask = cfg.view().excluded.map_or_else(|| vec![false; n], <[bool]>::to_vec);
+            lane_fill(k, o, &mut |node, excluded| mask[node.idx()] = excluded);
+            let lane_cfg = cfg.clone().with_excluded(mask);
+            ws.run(snap, o, &lane_cfg);
+            let what = format!("W = {W}, lane {k}, origin {o:?}, {n} ASes");
+            assert_eq!(words[k], ws.reach_words(), "{what}");
+            let want = ReachSet::from_words(ws.reach_words(), n);
+            assert_eq!((sets[k].form(), &sets[k]), (want.form(), &want), "{what}");
+            assert_eq!(counted_with_words[k], ws.reachable_count(), "{what}");
+            assert_eq!(lanes.lane_reachable_count(k), ws.reachable_count(), "{what}");
         }
     }
 
@@ -1789,12 +1938,116 @@ mod tests {
         }
     }
 
+    /// What a sweep hands out of its blocks — kept [`ReachSet`]s (value
+    /// and form), [`SweepReach`] words and counts — against per-origin
+    /// scalar runs under each origin's own exclusions, at every width:
+    /// random graphs, sweeps of two full blocks and a partial tail block
+    /// spread over two workers, and per-origin exclusions from none to
+    /// seven nodes in eight (one origin in six left excluded itself), so
+    /// that every form is kept somewhere.
+    #[test]
+    fn every_block_emitter_matches_scalar_runs() {
+        let mut rng = 0xE417_u64;
+        let mut forms_seen = [false; 3];
+        for _ in 0..6 {
+            let g = random_graph(&mut rng);
+            let snap = TopologySnapshot::compile(&g);
+            let n = g.len();
+            let salt = next(&mut rng);
+            let rule = |o: NodeId, set: &mut dyn FnMut(NodeId, bool)| {
+                let mut lane_rng = salt ^ u64::from(o.0).wrapping_mul(0x9E37_79B9);
+                let eighths = [0, 1, 4, 7][(next(&mut lane_rng) % 4) as usize];
+                for node in 0..n as u32 {
+                    if next(&mut lane_rng) % 8 < eighths {
+                        set(NodeId(node), true);
+                    }
+                }
+                if !next(&mut lane_rng).is_multiple_of(6) {
+                    set(o, false);
+                }
+            };
+            let fill = |o: NodeId, ex: &mut LaneExcluder<'_>| {
+                rule(o, &mut |node, excluded| if excluded { ex.exclude(node) } else { ex.allow(node) });
+            };
+            let mut ws = Workspace::for_snapshot(&snap);
+            for width in [LaneWidth::W64, LaneWidth::W128, LaneWidth::W256] {
+                let lanes = width.lanes();
+                let count = 2 * lanes + 1 + next(&mut rng) as usize % (lanes - 1);
+                let origins: Vec<NodeId> = (0..count).map(|_| NodeId((next(&mut rng) % n as u64) as u32)).collect();
+                let sim = Simulation::over(&snap).threads(2).lane_width(width);
+                let words = sim.run_sweep_reach_with(&origins, fill);
+                let kept = sim.run_sweep_reach_sets_with(&origins, fill);
+                let counts = sim.run_sweep_reach_counts_with(&origins, fill);
+                assert_eq!((words.len(), kept.len(), counts.len()), (count, count, count));
+                for (i, &o) in origins.iter().enumerate() {
+                    let mut mask = vec![false; n];
+                    rule(o, &mut |node, excluded| mask[node.idx()] = excluded);
+                    ws.run(&snap, o, &PropagationConfig::new().with_excluded(mask));
+                    let what = format!("{width:?}, origin #{i} {o:?}, {n} ASes");
+                    let want = ReachSet::from_words(ws.reach_words(), n);
+                    assert_eq!(words.reach_words(i), ws.reach_words(), "{what}");
+                    assert_eq!(words.reachable_count(i), ws.reachable_count(), "{what}");
+                    assert_eq!(kept[i].0.form(), want.form(), "{what}");
+                    assert_eq!(kept[i], (want, ws.reachable_count()), "{what}");
+                    assert_eq!(counts[i] as usize, ws.reachable_count(), "{what}");
+                    forms_seen[kept[i].0.form() as usize] = true;
+                }
+            }
+        }
+        assert_eq!(forms_seen, [true; 3], "some form was never kept (bits, except, only)");
+    }
+
+    /// The reach-set read-out's uniform groups, which it fills without
+    /// reading their words: a one-node tail group no lane reaches,
+    /// beside lanes that miss only it (`Except`), and a one-node tail
+    /// group every lane reaches, beside lanes that reach only it and
+    /// their origin (`Only`) or it and half the graph (`Bits`). 127 ASes
+    /// under two providers: AS 500, and AS 1000, the last node.
+    #[test]
+    fn uniform_tail_groups_keep_their_sets() {
+        let mut b = AsGraphBuilder::new();
+        for c in 1..=127 {
+            b.add_link(AsId(500), AsId(c), Relationship::P2c);
+            b.add_link(AsId(1000), AsId(c), Relationship::P2c);
+        }
+        let g = b.build();
+        let n = g.len();
+        let (top, backup) = (g.index_of(AsId(1000)).unwrap(), g.index_of(AsId(500)).unwrap());
+        assert_eq!((n, top.idx()), (129, 128), "AS 1000 is the tail group's one node");
+        let snap = TopologySnapshot::compile(&g);
+        let origins: Vec<NodeId> = (1..=127).map(|c| g.index_of(AsId(c)).unwrap()).collect();
+        // Whether `(origin, node)` excludes `node` for `origin`'s lane.
+        type Excluded<'a> = &'a (dyn Fn(NodeId, NodeId) -> bool + Sync);
+        let rules: [(Excluded<'_>, ReachForm); 3] = [
+            (&|_, node| node == top, ReachForm::Except),
+            (&|o, node| node != o && node != top, ReachForm::Only),
+            (&|o, node| node != o && (node == backup || node.0 % 2 == 1), ReachForm::Bits),
+        ];
+        let mut ws = Workspace::for_snapshot(&snap);
+        for (excluded, form) in rules {
+            for width in [LaneWidth::W64, LaneWidth::W128] {
+                let sim = Simulation::over(&snap).threads(1).lane_width(width);
+                let kept = sim.run_sweep_reach_sets_with(&origins, |o, ex| {
+                    g.nodes().filter(|&node| excluded(o, node)).for_each(|node| ex.exclude(node));
+                });
+                for (&o, (set, count)) in origins.iter().zip(&kept) {
+                    let mask = g.nodes().map(|node| excluded(o, node)).collect();
+                    ws.run(&snap, o, &PropagationConfig::new().with_excluded(mask));
+                    let want = ReachSet::from_words(ws.reach_words(), n);
+                    assert_eq!((set.form(), want.form()), (form, form), "{width:?} origin {o:?}");
+                    assert_eq!((set, *count), (&want, ws.reachable_count()), "{width:?} origin {o:?}");
+                }
+            }
+        }
+    }
+
     /// A block's memory as a rule, at paper-like shape: on a generated
     /// 20 000-AS topology, one block with per-lane provider exclusions
-    /// holds at most (16·W + 16) B a node counts-only and (24·W + 16) B
-    /// materialising — route words, the flag byte, three node lists and
-    /// the transposed output — plus 64 B per flagged node (an origin or
-    /// an excluded provider) for the side table.
+    /// holds at most (16·W + 16) B a node — route words, the flag byte
+    /// and three node lists — plus 64 B per flagged node (an origin or
+    /// an excluded provider) for the side table, whatever its lanes are
+    /// read out as. A lane-major copy of its reach sets would be 8·W B a
+    /// node more.
     #[test]
     fn a_block_holds_route_words_and_a_sparse_side_table() {
         fn check<const W: usize>(g: &AsGraph, snap: &TopologySnapshot)
@@ -1808,23 +2061,17 @@ mod tests {
             flagged.extend(&origins);
             flagged.sort_unstable();
             flagged.dedup();
-            let cfg = PropagationConfig::default();
-            for materialize in [false, true] {
-                let mut ws = LaneWorkspace::<W>::new();
-                let fill = |o: NodeId, ex: &mut LaneExcluder<'_>| {
-                    g.providers(o).iter().for_each(|&p| ex.exclude(p));
-                    ex.allow(o);
-                };
-                ws.run_block_inner(snap, &origins, &cfg, fill, materialize);
-                let per_node = if materialize { 24 * W + 16 } else { 16 * W + 16 };
-                let cap = n * per_node + 64 * flagged.len();
-                let held = ws.heap_bytes();
-                assert!(
-                    held <= cap,
-                    "W = {W}, materialize {materialize}: {held} B over {cap} ({n} nodes, {} flagged)",
-                    flagged.len()
-                );
-            }
+            let mut ws = LaneWorkspace::<W>::new();
+            ws.run_block_masked(snap, &origins, &PropagationConfig::default(), |o, ex| {
+                g.providers(o).iter().for_each(|&p| ex.exclude(p));
+                ex.allow(o);
+            });
+            let (words, mut sets) = (lane_words(&mut ws), Vec::new());
+            ws.emit_reach_sets(&mut sets);
+            assert_eq!((words.len(), sets.len()), (origins.len(), origins.len()));
+            let cap = n * (16 * W + 16) + 64 * flagged.len();
+            let held = ws.heap_bytes();
+            assert!(held <= cap, "W = {W}: {held} B over {cap} ({n} nodes, {} flagged)", flagged.len());
         }
         let net = flatnet_netgen::generate(&flatnet_netgen::NetGenConfig::paper_2020(20_000, 1));
         let snap = TopologySnapshot::compile(&net.truth);

@@ -27,6 +27,22 @@ impl ReachForm {
     /// Every form, indexed by `form as usize`.
     pub const ALL: [ReachForm; 3] = [ReachForm::Bits, ReachForm::Except, ReachForm::Only];
 
+    /// The form a set of `present` nodes out of `0..n` is kept in: of
+    /// `4·missing`, `4·present` and `8·⌈n/64⌉` heap bytes the least, a
+    /// tie going to `Bits`, else to `Except`. Decided from the count
+    /// alone, so a set can be allocated in its form before its nodes are
+    /// read.
+    pub fn of(present: usize, n: usize) -> ReachForm {
+        let missing = n - present;
+        if 8 * n.div_ceil(64) <= 4 * missing.min(present) {
+            ReachForm::Bits
+        } else if missing <= present {
+            ReachForm::Except
+        } else {
+            ReachForm::Only
+        }
+    }
+
     /// Lower-case label (`bits`, `except`, `only`), for metric names.
     pub fn name(self) -> &'static str {
         match self {
@@ -50,11 +66,9 @@ enum Repr {
 
 /// A set of node indices out of `0..n`, immutable once encoded.
 ///
-/// Of `4·missing`, `4·present` and `8·⌈n/64⌉` heap bytes the form with the
-/// least is chosen from the set's own popcount ([`ReachForm::Except`],
-/// [`ReachForm::Only`], [`ReachForm::Bits`]; a tie goes to `Bits`, else to
-/// `Except`), allocated at exactly its length. Equal sets over equal `n`
-/// encode equally, so `==` compares the sets.
+/// The form is chosen from the set's own popcount by [`ReachForm::of`]
+/// and allocated at exactly its length. Equal sets over equal `n` encode
+/// equally, so `==` compares the sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReachSet {
     n: usize,
@@ -64,19 +78,37 @@ pub struct ReachSet {
 impl ReachSet {
     /// Encodes the set whose bits are `words` (bit = node index, tail
     /// bits past `n` zero), as [`RoutingOutcome::reach_words`](crate::RoutingOutcome::reach_words)
-    /// and [`LaneWorkspace::lane_reach_words`](crate::LaneWorkspace::lane_reach_words)
+    /// and [`SweepReach::reach_words`](crate::SweepReach::reach_words)
     /// show it.
     pub fn from_words(words: &[u64], n: usize) -> ReachSet {
         assert_eq!(words.len(), n.div_ceil(64), "{} words cannot hold {n} nodes", words.len());
         debug_assert!(n.is_multiple_of(64) || words[n / 64] >> (n % 64) == 0, "tail bits set");
         let present: usize = words.chunks(RUN).map(count_ones).sum();
-        let missing = n - present;
-        let repr = if std::mem::size_of_val(words) <= 4 * missing.min(present) {
-            Repr::Bits(words.into())
-        } else if missing <= present {
-            Repr::Except(indices(words, n, u64::MAX, missing))
-        } else {
-            Repr::Only(indices(words, n, 0, present))
+        let repr = match ReachForm::of(present, n) {
+            ReachForm::Bits => Repr::Bits(words.into()),
+            ReachForm::Except => Repr::Except(indices(words, n, u64::MAX, n - present)),
+            ReachForm::Only => Repr::Only(indices(words, n, 0, present)),
+        };
+        ReachSet { n, repr }
+    }
+
+    /// The set over `n` nodes whose bits are `words`, kept as they are:
+    /// for a caller that built them because [`ReachForm::of`] chose
+    /// [`ReachForm::Bits`].
+    pub(crate) fn bits(n: usize, words: Box<[u64]>) -> ReachSet {
+        debug_assert_eq!(words.len(), n.div_ceil(64));
+        ReachSet { n, repr: Repr::Bits(words) }
+    }
+
+    /// The set over `n` nodes that `form`'s ascending index list
+    /// `indices` names: its missing nodes for [`ReachForm::Except`], its
+    /// nodes for [`ReachForm::Only`].
+    pub(crate) fn listed(n: usize, form: ReachForm, indices: Box<[u32]>) -> ReachSet {
+        debug_assert!(indices.windows(2).all(|p| p[0] < p[1]));
+        let repr = match form {
+            ReachForm::Except => Repr::Except(indices),
+            ReachForm::Only => Repr::Only(indices),
+            ReachForm::Bits => unreachable!("a bitset is no index list"),
         };
         ReachSet { n, repr }
     }
@@ -222,6 +254,34 @@ impl Iterator for ReachIter<'_> {
                 Some(NodeId((*next - 1) as u32))
             }
             Walk::Only(present) => present.next().map(|&i| NodeId(i)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The form rule at its edges: 8 heap bytes of bits against 4 a
+    /// listed node. At 128 nodes the bitset is 16 B, so four nodes on
+    /// the shorter side tie it and the tie goes to `Bits`; at 2 nodes
+    /// one reached node ties the lists, and `missing == present` goes to
+    /// `Except`.
+    #[test]
+    fn the_form_rule_breaks_ties_to_bits_then_to_except() {
+        assert_eq!(ReachForm::of(3, 128), ReachForm::Only);
+        assert_eq!(ReachForm::of(4, 128), ReachForm::Bits);
+        assert_eq!(ReachForm::of(124, 128), ReachForm::Bits);
+        assert_eq!(ReachForm::of(125, 128), ReachForm::Except);
+        assert_eq!(ReachForm::of(1, 2), ReachForm::Except);
+        assert_eq!(ReachForm::of(0, 2), ReachForm::Only);
+        assert_eq!(ReachForm::of(2, 2), ReachForm::Except);
+        // Four nodes, two reached: 8 B of bits ties 8 B of either list.
+        assert_eq!(ReachForm::of(2, 4), ReachForm::Bits);
+        // What `from_words` keeps is what the rule says.
+        for (words, n) in [(vec![0b1u64], 2), (vec![0b0011], 4), (vec![!0, 0b1111], 128)] {
+            let present = words.iter().map(|w| w.count_ones() as usize).sum();
+            assert_eq!(ReachSet::from_words(&words, n).form(), ReachForm::of(present, n));
         }
     }
 }

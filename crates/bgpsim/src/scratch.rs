@@ -6,9 +6,9 @@
 //! [`ScalarCtx`]s (a workspace and its config) every
 //! [`SweepCtx`](crate::engine::SweepCtx) and leak side runs on, and the
 //! [`RelianceWorkspace`]s are sized by the topology's node count and are
-//! expensive to create — about 111 B/node for a 256-lane workspace that
-//! keeps its reach sets, 79 B/node counts-only (at 20 000 ASes; the
-//! transposed output is sized by the first block that keeps sets), all of
+//! expensive to create — about 79 B/node for a 256-lane workspace (at
+//! 20 000 ASes; its route words and lists — a block's reach sets are
+//! read straight off the words, never staged in the workspace), all of
 //! it first-touch page faults — but carry no result between runs. Owned by
 //! whoever ran the sweep (a `Simulation`, a `LeakSim`, a serve worker),
 //! they were paid for per request or kept past the topology they were
@@ -348,25 +348,33 @@ mod tests {
         assert_eq!(snap.scratch().reliance.idle(), 0, "no reliance kernel sized for a leak");
     }
 
-    /// A counts-only sweep pools a workspace without the transposed
-    /// output: at most (16·W + 16) B a node — route words, the flag byte
-    /// and three node lists, the rest slack for the struct itself — plus
-    /// the side table, 64 B per origin of a block. One that kept the
-    /// output would hold 8·W B a node more.
+    /// No sweep pools a workspace with a transposed output, whether it
+    /// counts, keeps [`ReachSet`](crate::ReachSet)s or hands out words:
+    /// at most (16·W + 16) B a node — route words, the flag byte and
+    /// three node lists, the rest slack for the struct itself — plus the
+    /// side table, 64 B per origin of a block. One that kept a lane-major
+    /// copy of its reach sets would hold 8·W B a node more.
     #[test]
-    fn a_counts_only_sweep_pools_no_transposed_output() {
+    fn no_sweep_pools_a_transposed_output() {
         let net = flatnet_netgen::generate(&flatnet_netgen::NetGenConfig::paper_2020(20_000, 1));
         let n = net.truth.len();
         for width in [LaneWidth::W64, LaneWidth::W128, LaneWidth::W256] {
             let w = width.words();
             let block = 64 * w;
             let origins: Vec<NodeId> = (0..2 * block).map(|k| NodeId((k * n / (2 * block)) as u32)).collect();
-            let snap = TopologySnapshot::compile(&net.truth);
-            let counts = Simulation::over(&snap).threads(1).lane_width(width).run_sweep_reach_counts(&origins);
-            assert_eq!(counts.len(), origins.len());
             let cap = n * (16 * w + 16) + 64 * block;
-            let held = snap.scratch_bytes();
-            assert!(held <= cap, "W = {w}: {held} B over {cap} ({n} nodes)");
+            for kind in ["counts", "sets", "words"] {
+                let snap = TopologySnapshot::compile(&net.truth);
+                let sim = Simulation::over(&snap).threads(1).lane_width(width);
+                let swept = match kind {
+                    "counts" => sim.run_sweep_reach_counts(&origins).len(),
+                    "sets" => sim.run_sweep_reach_sets_with(&origins, |_, _| {}).len(),
+                    _ => sim.run_sweep_reach(&origins).len(),
+                };
+                assert_eq!(swept, origins.len());
+                let held = snap.scratch_bytes();
+                assert!(held <= cap, "W = {w}, {kind}: {held} B over {cap} ({n} nodes)");
+            }
         }
     }
 

@@ -1304,13 +1304,13 @@ mod tests {
         let rely = health();
         assert!(rely >= single + 28 * n, "a reliance kernel is 28 B a node or more: {single} → {rely}");
         // A batch of misses sizes a lane workspace (at 128 lanes, 32 B
-        // of route words and 16 B of transposed output a node), a leak
-        // query the simulators' contexts beyond the one idle; all stay
-        // with the snapshot.
+        // of route words a node: its reach sets are read straight off
+        // them), a leak query the simulators' contexts beyond the one
+        // idle; all stay with the snapshot.
         let query = format!("origins={}", asns[2..].join(","));
         call(&shared, Method::Get, "/v1/reachability", &query, "");
         let lanes = health();
-        assert!(lanes >= rely + 48 * n, "a 128-lane workspace is 48 B a node or more: {rely} → {lanes}");
+        assert!(lanes >= rely + 32 * n, "a 128-lane workspace is 32 B a node or more: {rely} → {lanes}");
         let leak = format!("{{\"victim\":{},\"leakers\":3}}", asns[0]);
         call(&shared, Method::Post, "/v1/whatif/leak", "", &leak);
         let all = health();
