@@ -56,23 +56,28 @@
 //!
 //! ## Bit-sliced representation
 //!
-//! Per node `i`, two lane vectors track route *existence*, not distance:
+//! Per node `i`, one lane vector tracks route *existence*, not distance:
+//! `r[i]`, lane `k` set ⟺ node `i` holds a route of *any* class
+//! (customer, peer, or provider) for lane `k`'s origin — the reach set
+//! the kernel outputs — plus, until the block's end, the lanes node `i`
+//! is excluded for (below).
 //!
-//! * `c[i]` — lane `k` set ⟺ node `i` has a customer-learned route (or
-//!   is the origin) for lane `k`'s origin — the only class the peer
-//!   phase may export;
-//! * `r[i]` — a route of *any* class (customer, peer, or provider): the
-//!   reach set the kernel outputs — plus, until the block's end, the
-//!   lanes node `i` is excluded for (below).
+//! The peer phase needs one class more: it may export only
+//! customer-learned routes (the origin's own included). Those need no
+//! vector of their own. Until the peer phase, `r` is exactly the
+//! customer lanes plus the excluded ones, so the customer phase runs
+//! on `r` itself, and before the peer phase the customer lanes of the
+//! nodes it reached (`r & !blocked`) are copied into a compact list,
+//! one entry per customer-reached node — a block origin or a node with
+//! a customer, at most a few hundred of tens of thousands. The scalar
+//! engine's selected class and length have no lane counterpart:
+//! existence-wise, a peer- or provider-learned route only ever feeds
+//! the provider phase, and that phase spreads `r` itself, so any class
+//! split finer than "customer vs any" carries no information the
+//! kernel needs.
 //!
-//! The scalar engine's selected class and length have no lane
-//! counterpart: existence-wise, a peer- or provider-learned route
-//! only ever feeds the provider phase, and that phase spreads `r`
-//! itself, so any class split finer than "customer vs any" carries no
-//! information the kernel needs.
-//!
-//! Both live in one [`NodeWords`] struct of 16·W bytes, aligned to its
-//! size (16, 32 and 64 bytes at `W = 1, 2, 4`; compile-time asserted),
+//! `r` is a node's whole [`NodeWords`] struct, 8·W bytes aligned to its
+//! size (8, 16 and 32 bytes at `W = 1, 2, 4`; compile-time asserted),
 //! so a node never straddles a cache line and a receiver visit loads
 //! one line at every width.
 //!
@@ -90,13 +95,14 @@
 //!   excluded for some lane or some lane's origin), its excluded lanes
 //!   `blocked` and its origin marks `iso` (lane `k` set ⟺ node `i` *is*
 //!   lane `k`'s origin), sorted by node and found by binary search.
-//!   Three places read it: a provider-phase sender, whose `send` is
+//!   Three kinds of reader take it: an excluded node's sends in the
+//!   customer and provider phases and its copied customer lanes, all
 //!   `r & !blocked`; the block's end, which clears `r & blocked` on the
 //!   flagged nodes, so `r` is the reach sets that counts and every
-//!   read-out take; and the `POL =
-//!   true` senders, where every origin-relative rule
-//!   (`OnlyDirectFromOrigin`, `RejectDirectFromOrigin`, origin-export
-//!   masks) is one AND with `iso` or its complement.
+//!   read-out take; and the `POL = true` senders, where every
+//!   origin-relative rule (`OnlyDirectFromOrigin`,
+//!   `RejectDirectFromOrigin`, origin-export masks) is one AND with
+//!   `iso` or its complement.
 //! * **One flag byte per node** says queued, saturated, reached,
 //!   excluded for some lane and origin of some lane. *Reached* decides a
 //!   node's first touch, not `r != 0` — pre-filled exclusions make `r`
@@ -117,14 +123,18 @@
 //!
 //! ## Phase equivalence (vs the scalar engine)
 //!
-//! 1. **Customer phase** — BFS up provider edges on `c`. The scalar
-//!    guard `sel[p] == UNREACHED` becomes `& !r[p]`: until the peer
-//!    phase, `r` is exactly `c` plus the excluded lanes; the origin's
-//!    own seeded bit blocks re-entry exactly like its selection word 0.
-//! 2. **Peer phase** — one relaxation over the customer-reached set:
-//!    `r[peer] |= c[v]` masked by policy, received where `!r` — where no
-//!    route exists yet (a node that already holds a customer route gains
-//!    nothing reach-wise from a peer route) and the lane is not
+//! 1. **Customer phase** — BFS up provider edges on `r`: a sender
+//!    sends `r & !blocked`, its customer lanes, since until the peer
+//!    phase `r` is exactly those plus the excluded lanes. The scalar
+//!    guard `sel[p] == UNREACHED` becomes `& !r[p]`; the origin's own
+//!    seeded bit blocks re-entry exactly like its selection word 0.
+//! 2. **Peer phase** — the customer lanes of the customer-reached nodes
+//!    are copied out first (`r & !blocked`, in reach order), since a
+//!    peer route this phase adds to a sender's `r` must not be exported
+//!    to its other peers. Then one relaxation over that list:
+//!    `r[peer] |= cust[v]` masked by policy, received where `!r` — where
+//!    no route exists yet (a node that already holds a customer route
+//!    gains nothing reach-wise from a peer route) and the lane is not
 //!    excluded. The origin takes nothing, as in the scalar engine
 //!    (where its word 0 refuses every offer): it already holds its own
 //!    lane's `r` bit, seeded or pre-filled.
@@ -282,14 +292,10 @@ pub struct Align16;
 #[repr(align(32))]
 pub struct Align32;
 
-/// Zero-sized cache-line-alignment marker (see [`LaneArity`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[repr(align(64))]
-pub struct Align64;
-
 /// Ties a supported lane width to its [`NodeWords`] alignment, which is
-/// the node's own size — 16, 32 and 64 bytes at `W = 1, 2, 4` — so a
-/// node never straddles a cache line (four, two and one per line).
+/// the node's own size — 8, 16 and 32 bytes at `W = 1, 2, 4` — so a
+/// node never straddles a cache line (eight, four and two per line).
+/// One `u64` is 8-byte aligned already; the wider widths take a marker.
 /// Implemented for [`Lanes<1>`], [`Lanes<2>`], and [`Lanes<4>`] only —
 /// the width set the kernel supports.
 pub trait LaneArity {
@@ -304,18 +310,17 @@ pub trait LaneArity {
 pub struct Lanes<const W: usize>;
 
 impl LaneArity for Lanes<1> {
-    type Align = Align16;
+    type Align = u64;
 }
 impl LaneArity for Lanes<2> {
-    type Align = Align32;
+    type Align = Align16;
 }
 impl LaneArity for Lanes<4> {
-    type Align = Align64;
+    type Align = Align32;
 }
 
-/// One node's route lanes, kept together (and aligned to their size, see
-/// [`LaneArity`]) so a frontier edge inspects one cache line per
-/// receiver.
+/// One node's route lanes, aligned to their size (see [`LaneArity`]) so
+/// a frontier edge inspects one cache line per receiver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[doc(hidden)]
 pub struct NodeWords<const W: usize>
@@ -323,9 +328,6 @@ where
     Lanes<W>: LaneArity,
 {
     _align: [<Lanes<W> as LaneArity>::Align; 0],
-    /// Customer-route lanes (origin seed included) — the only class the
-    /// peer phase exports.
-    c: [u64; W],
     /// Any-class route lanes — the reach set the kernel outputs — with
     /// the node's excluded lanes pre-filled until the output is read.
     r: [u64; W],
@@ -336,21 +338,21 @@ where
     Lanes<W>: LaneArity,
 {
     fn default() -> Self {
-        NodeWords { _align: [], c: [0; W], r: [0; W] }
+        NodeWords { _align: [], r: [0; W] }
     }
 }
 
-// A node's lane vectors must never straddle cache lines: each width's
-// node is as large as its alignment (16, 32, 64 bytes), so four, two or
-// one fill a line exactly. Checked at compile time so a field reorder or
-// width addition cannot silently regress the kernel's memory layout.
+// A node's lane vector must never straddle cache lines: each width's
+// node is as large as its alignment (8, 16, 32 bytes), so eight, four or
+// two fill a line exactly. Checked at compile time so a field addition
+// or width addition cannot silently regress the kernel's memory layout.
 const _: () = {
-    assert!(std::mem::size_of::<NodeWords<1>>() == 16);
-    assert!(std::mem::align_of::<NodeWords<1>>() == 16);
-    assert!(std::mem::size_of::<NodeWords<2>>() == 32);
-    assert!(std::mem::align_of::<NodeWords<2>>() == 32);
-    assert!(std::mem::size_of::<NodeWords<4>>() == 64);
-    assert!(std::mem::align_of::<NodeWords<4>>() == 64);
+    assert!(std::mem::size_of::<NodeWords<1>>() == 8);
+    assert!(std::mem::align_of::<NodeWords<1>>() == 8);
+    assert!(std::mem::size_of::<NodeWords<2>>() == 16);
+    assert!(std::mem::align_of::<NodeWords<2>>() == 16);
+    assert!(std::mem::size_of::<NodeWords<4>>() == 32);
+    assert!(std::mem::align_of::<NodeWords<4>>() == 32);
 };
 
 /// A flagged node's policy lanes, in the side table beside the node
@@ -492,7 +494,8 @@ impl LaneExcluder<'_> {
 
 /// Reusable state for the bit-parallel kernel at lane width `W` words
 /// (64·W origins per block): the per-node route lanes and flags, the
-/// side table and the frontier queues — nothing lane-major: a block's
+/// side table, the customer-lane list and the frontier queues — nothing
+/// lane-major: a block's
 /// reach sets are read straight off its node-major route words. Create
 /// once per worker (or via [`LaneWorkspace::for_snapshot`]) and run many
 /// blocks through it — after the first block of a shape a run performs
@@ -516,6 +519,13 @@ where
     flagged: Vec<u32>,
     /// `flagged[t]`'s policy lanes at `side[t]`.
     side: Vec<Side<W>>,
+    /// As the customer phase left them, `touched[t]`'s customer lanes at
+    /// `cust[t]`, for every customer-reached node: what the peer phase
+    /// sends. Each is a
+    /// block origin or has a customer, so the capacity set when the
+    /// workspace is sized, (nodes with a customer) + 64·W, is never
+    /// outgrown on that topology.
+    cust: Vec<[u64; W]>,
     frontier: Vec<u32>,
     next: Vec<u32>,
     /// Bitmask of the current block's active lanes (lane `k` set iff
@@ -541,6 +551,7 @@ where
             touched: Vec::new(),
             flagged: Vec::new(),
             side: Vec::new(),
+            cust: Vec::new(),
             frontier: Vec::new(),
             next: Vec::new(),
             lane_mask: [0; W],
@@ -568,7 +579,7 @@ where
     /// lists are allocated up front.
     pub fn for_snapshot(snap: &TopologySnapshot) -> Self {
         let mut ws = Self::new();
-        ws.begin(snap.len());
+        ws.begin(snap);
         ws.block_len = 0;
         ws
     }
@@ -585,11 +596,12 @@ where
         self.block_len.saturating_sub(j * 64).min(64)
     }
 
-    /// Sizes the buffers for `n` nodes and clears the previous block's
+    /// Sizes the buffers for `snap` and clears the previous block's
     /// writes. Same-size resets undo via the touched and flagged lists,
     /// so for a fixed topology a reset is O(previously reached), not
     /// O(n).
-    fn begin(&mut self, n: usize) {
+    fn begin(&mut self, snap: &TopologySnapshot) {
+        let n = snap.len();
         if self.words.len() == n {
             // Every node with a lane bit or a flag set sits on one of
             // these two lists — queued and saturated nodes are reached,
@@ -609,10 +621,13 @@ where
             for list in [&mut self.touched, &mut self.frontier, &mut self.next] {
                 *list = Vec::with_capacity(n);
             }
+            let providers = (0..n as u32).filter(|&u| snap.has_customers(u)).count();
+            self.cust = Vec::with_capacity(providers + Self::BLOCK_LANES);
         }
         for list in [&mut self.touched, &mut self.flagged, &mut self.frontier, &mut self.next] {
             list.clear();
         }
+        self.cust.clear();
         self.n = n;
         self.counts = [0; MAX_LANES];
     }
@@ -638,6 +653,7 @@ where
             + cap_bytes(&self.words)
             + cap_bytes(&self.flags)
             + cap_bytes(&self.side)
+            + cap_bytes(&self.cust)
     }
 
     /// Runs one block of up to `64·W` origins over `snap` under `cfg`
@@ -680,7 +696,7 @@ where
         obs.runs.add(origins.len() as u64);
         obs.kernel_blocks.inc();
         let started = std::time::Instant::now();
-        self.begin(n);
+        self.begin(snap);
         self.block_len = origins.len();
         if n == 0 || origins.is_empty() {
             return;
@@ -735,7 +751,6 @@ where
             if self.words[oi].r[word] & bit != 0 {
                 continue;
             }
-            self.words[oi].c[word] |= bit;
             self.words[oi].r[word] |= bit;
             let f = self.flags[oi];
             if f & REACHED == 0 {
@@ -908,8 +923,9 @@ where
         let mut rounds = 0u64;
 
         // Phase 1: customer routes spread up provider edges (word BFS).
-        // A queued node's `c` is all route and non-zero: excluded lanes
-        // never enter `c`, and a node is queued only on gaining a bit.
+        // Until phase 2, `r` is exactly the customer lanes plus the
+        // excluded ones, so a sender's customer lanes are `r & !blocked`:
+        // non-zero, since a node is queued only on gaining a route bit.
         while !self.frontier.is_empty() {
             rounds += 1;
             self.next.clear();
@@ -918,15 +934,13 @@ where
                 let ui = u as usize;
                 let fu = self.flags[ui] & !QUEUED;
                 self.flags[ui] = fu;
-                let send = self.words[ui].c;
-                let iso_u = if POL && fu & ORIGIN != 0 { self.side[self.side_index(u)].iso } else { [0; W] };
+                let (send, iso_u) = self.sends::<POL>(u, fu);
                 for &NodeId(pi) in snap.providers(u) {
                     let pu = pi as usize;
                     // Borrow the receiver in place: a by-value copy here
-                    // would move 16*W bytes per edge visit, which at wide
+                    // would move 8*W bytes per edge visit, which at wide
                     // widths costs more than the mask algebra itself.
                     let wp = &mut self.words[pu];
-                    // Until phase 2, `r` is `c` plus the excluded lanes.
                     let mut add = [0u64; W];
                     for j in 0..W {
                         add[j] = send[j] & !wp.r[j];
@@ -968,7 +982,6 @@ where
                     // Keeping phase 1 lean matters for sparse
                     // exclusion-heavy sweeps where it does most adds.
                     for j in 0..W {
-                        wp.c[j] |= add[j];
                         wp.r[j] |= add[j];
                     }
                     let fp = self.flags[pu];
@@ -985,15 +998,23 @@ where
         }
         let customer_reached = self.touched.len();
 
+        // The customer lanes of every customer-reached node, copied out
+        // before phase 2 adds peer routes to `r`: those must not reach
+        // the sender's other peers.
+        for t in 0..customer_reached {
+            let v = self.touched[t];
+            let send = self.sends::<false>(v, self.flags[v as usize]).0;
+            self.cust.push(send);
+        }
+
         // Phase 2: peers export customer routes — a single relaxation
         // over the customer-reached set (p2p adjacency is symmetric, so
         // sender→peers visits every pair the receiver scan would).
         for t in 0..customer_reached {
             let v = self.touched[t];
-            let vi = v as usize;
-            let send = self.words[vi].c;
+            let send = self.cust[t];
             let iso_v =
-                if POL && self.flags[vi] & ORIGIN != 0 { self.side[self.side_index(v)].iso } else { [0; W] };
+                if POL && self.flags[v as usize] & ORIGIN != 0 { self.side[self.side_index(v)].iso } else { [0; W] };
             for &NodeId(ui) in snap.peers(v) {
                 let uu = ui as usize;
                 // Saturated receivers can never take another bit; the
@@ -1069,18 +1090,8 @@ where
                 let ui = u as usize;
                 let fu = self.flags[ui] & !QUEUED;
                 self.flags[ui] = fu;
-                // A sender's route lanes, minus the lanes it is excluded
-                // for (pre-filled in `r`, kept in its side entry). Never
-                // empty: the node holds a real route bit.
-                let mut send = self.words[ui].r;
-                let mut iso_u = [0u64; W];
-                if fu & EXCLUDED != 0 || (POL && fu & ORIGIN != 0) {
-                    let side = self.side[self.side_index(u)];
-                    for j in 0..W {
-                        send[j] &= !side.blocked[j];
-                    }
-                    iso_u = side.iso;
-                }
+                // Never empty: the node holds a real route bit.
+                let (send, iso_u) = self.sends::<POL>(u, fu);
                 for &NodeId(xi) in snap.customers(u) {
                     let xu = xi as usize;
                     // Same one-byte skip as the peer phase: in dense
@@ -1143,6 +1154,26 @@ where
             std::mem::swap(&mut self.frontier, &mut self.next);
         }
         rounds
+    }
+
+    /// What node `u`, flagged `fu`, sends: its route lanes minus the
+    /// lanes it is excluded for (pre-filled in `r`, kept in its side
+    /// entry), and under `POL` its origin marks. Only a flagged sender
+    /// looks its side entry up, and under `POL = false` only an excluded
+    /// one.
+    #[allow(clippy::needless_range_loop)]
+    #[inline(always)]
+    fn sends<const POL: bool>(&self, u: u32, fu: u8) -> ([u64; W], [u64; W]) {
+        let mut send = self.words[u as usize].r;
+        let mut iso = [0u64; W];
+        if fu & EXCLUDED != 0 || (POL && fu & ORIGIN != 0) {
+            let side = self.side[self.side_index(u)];
+            for j in 0..W {
+                send[j] &= !side.blocked[j];
+            }
+            iso = side.iso;
+        }
+        (send, iso)
     }
 
     /// Appends each lane's reach bitset of the block [`Self::run_block`]
@@ -1439,14 +1470,14 @@ mod tests {
     #[test]
     fn node_words_never_straddle_cache_lines() {
         // Mirrors the compile-time asserts, visible in test output: a
-        // node's lane vectors fit 16/32/64 bytes aligned to their size,
-        // so no vector crosses a 64-byte line boundary.
-        assert_eq!(std::mem::size_of::<NodeWords<1>>(), 16);
-        assert_eq!(std::mem::align_of::<NodeWords<1>>(), 16);
-        assert_eq!(std::mem::size_of::<NodeWords<2>>(), 32);
-        assert_eq!(std::mem::align_of::<NodeWords<2>>(), 32);
-        assert_eq!(std::mem::size_of::<NodeWords<4>>(), 64);
-        assert_eq!(std::mem::align_of::<NodeWords<4>>(), 64);
+        // node's lane vector fits 8/16/32 bytes aligned to its size, so
+        // no vector crosses a 64-byte line boundary.
+        assert_eq!(std::mem::size_of::<NodeWords<1>>(), 8);
+        assert_eq!(std::mem::align_of::<NodeWords<1>>(), 8);
+        assert_eq!(std::mem::size_of::<NodeWords<2>>(), 16);
+        assert_eq!(std::mem::align_of::<NodeWords<2>>(), 16);
+        assert_eq!(std::mem::size_of::<NodeWords<4>>(), 32);
+        assert_eq!(std::mem::align_of::<NodeWords<4>>(), 32);
     }
 
     #[test]
@@ -1938,6 +1969,53 @@ mod tests {
         }
     }
 
+    /// A node's customer lanes are derived, not stored: `r & !blocked`,
+    /// read live in the customer phase and copied out for the peer
+    /// phase before it adds peer routes to `r`. AS 1 is excluded for
+    /// lane A (origin AS 12, its customer) and holds lane B's customer
+    /// route (origin AS 11, its other customer); it has a provider,
+    /// AS 2, and two peers: AS 3, the provider of lane C's origin AS 31,
+    /// from which it takes lane C as a peer route, and AS 4. So neither
+    /// AS 2 nor AS 4 may take lane A, nor AS 4 lane C. Both origin
+    /// orders run — AS 3 reached ahead of AS 1, and behind — at every
+    /// width, without policies (`POL = false`) and under import and
+    /// origin-export policies that leave those routes alone
+    /// (`POL = true`).
+    #[test]
+    fn derived_customer_lanes_match_scalar_runs() {
+        let mut b = AsGraphBuilder::new();
+        for (provider, customer) in [(1, 11), (1, 12), (2, 1), (3, 31), (4, 41)] {
+            b.add_link(AsId(provider), AsId(customer), Relationship::P2c);
+        }
+        b.add_link(AsId(1), AsId(3), Relationship::P2p);
+        b.add_link(AsId(1), AsId(4), Relationship::P2p);
+        let g = b.build();
+        let snap = TopologySnapshot::compile(&g);
+        let n = g.len();
+        let node = |asn| g.index_of(AsId(asn)).unwrap();
+        let (excluded, lane_a) = (node(1), node(12));
+        let lane_fill = |_: usize, o: NodeId, set: &mut dyn FnMut(NodeId, bool)| {
+            if o == lane_a {
+                set(excluded, true);
+            }
+        };
+        let mut import = vec![ImportPolicy::Normal; n];
+        import[node(41).idx()] = ImportPolicy::RejectDirectFromOrigin;
+        let mut origin_export = vec![true; n];
+        origin_export[node(4).idx()] = false;
+        let plain = PropagationConfig::new();
+        let with_policies = PropagationConfig::new().with_import(import).with_origin_export(origin_export);
+        let (mut w1, mut w2) = (LaneWorkspace::<1>::new(), LaneWorkspace::<2>::new());
+        let mut w4 = LaneWorkspace::<4>::new();
+        for origins in [[node(31), lane_a, node(11)], [node(11), lane_a, node(31)]] {
+            for cfg in [&plain, &with_policies] {
+                lanes_match_scalar(&mut w1, &snap, cfg, &origins, &lane_fill);
+                lanes_match_scalar(&mut w2, &snap, cfg, &origins, &lane_fill);
+                lanes_match_scalar(&mut w4, &snap, cfg, &origins, &lane_fill);
+            }
+        }
+    }
+
     /// What a sweep hands out of its blocks — kept [`ReachSet`]s (value
     /// and form), [`SweepReach`] words and counts — against per-origin
     /// scalar runs under each origin's own exclusions, at every width:
@@ -2043,10 +2121,12 @@ mod tests {
 
     /// A block's memory as a rule, at paper-like shape: on a generated
     /// 20 000-AS topology, one block with per-lane provider exclusions
-    /// holds at most (16·W + 16) B a node — route words, the flag byte
+    /// holds at most (8·W + 16) B a node — route words, the flag byte
     /// and three node lists — plus 64 B per flagged node (an origin or
-    /// an excluded provider) for the side table, whatever its lanes are
-    /// read out as. A lane-major copy of its reach sets would be 8·W B a
+    /// an excluded provider) for the side table and 8·W B per slot of
+    /// the customer-lane list's bound (nodes with a customer, plus
+    /// 64·W), whatever its lanes are read out as. A second route word a
+    /// node, or a lane-major copy of its reach sets, would be 8·W B a
     /// node more.
     #[test]
     fn a_block_holds_route_words_and_a_sparse_side_table() {
@@ -2069,7 +2149,8 @@ mod tests {
             let (words, mut sets) = (lane_words(&mut ws), Vec::new());
             ws.emit_reach_sets(&mut sets);
             assert_eq!((words.len(), sets.len()), (origins.len(), origins.len()));
-            let cap = n * (16 * W + 16) + 64 * flagged.len();
+            let providers = g.nodes().filter(|&u| !g.customers(u).is_empty()).count();
+            let cap = n * (8 * W + 16) + 64 * flagged.len() + 8 * W * (providers + 64 * W);
             let held = ws.heap_bytes();
             assert!(held <= cap, "W = {W}: {held} B over {cap} ({n} nodes, {} flagged)", flagged.len());
         }

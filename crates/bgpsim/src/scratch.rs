@@ -6,8 +6,9 @@
 //! [`ScalarCtx`]s (a workspace and its config) every
 //! [`SweepCtx`](crate::engine::SweepCtx) and leak side runs on, and the
 //! [`RelianceWorkspace`]s are sized by the topology's node count and are
-//! expensive to create — about 79 B/node for a 256-lane workspace (at
-//! 20 000 ASes; its route words and lists — a block's reach sets are
+//! expensive to create — about 50 B/node for a 256-lane workspace (at
+//! 20 000 ASes; one route word a node, its lists and a customer-lane
+//! list bounded by the nodes with a customer — a block's reach sets are
 //! read straight off the words, never staged in the workspace), all of
 //! it first-touch page faults — but carry no result between runs. Owned by
 //! whoever ran the sweep (a `Simulation`, a `LeakSim`, a serve worker),
@@ -350,19 +351,22 @@ mod tests {
 
     /// No sweep pools a workspace with a transposed output, whether it
     /// counts, keeps [`ReachSet`](crate::ReachSet)s or hands out words:
-    /// at most (16·W + 16) B a node — route words, the flag byte and
+    /// at most (8·W + 16) B a node — one route word, the flag byte and
     /// three node lists, the rest slack for the struct itself — plus the
-    /// side table, 64 B per origin of a block. One that kept a lane-major
-    /// copy of its reach sets would hold 8·W B a node more.
+    /// side table, 64 B per origin of a block, and 8·W B per slot of the
+    /// customer-lane list's bound (nodes with a customer, plus 64·W).
+    /// One that kept a lane-major copy of its reach sets, or a second
+    /// route word a node, would hold 8·W B a node more.
     #[test]
     fn no_sweep_pools_a_transposed_output() {
         let net = flatnet_netgen::generate(&flatnet_netgen::NetGenConfig::paper_2020(20_000, 1));
         let n = net.truth.len();
+        let providers = net.truth.nodes().filter(|&u| !net.truth.customers(u).is_empty()).count();
         for width in [LaneWidth::W64, LaneWidth::W128, LaneWidth::W256] {
             let w = width.words();
             let block = 64 * w;
             let origins: Vec<NodeId> = (0..2 * block).map(|k| NodeId((k * n / (2 * block)) as u32)).collect();
-            let cap = n * (16 * w + 16) + 64 * block;
+            let cap = n * (8 * w + 16) + 64 * block + 8 * w * (providers + block);
             for kind in ["counts", "sets", "words"] {
                 let snap = TopologySnapshot::compile(&net.truth);
                 let sim = Simulation::over(&snap).threads(1).lane_width(width);

@@ -1303,14 +1303,14 @@ mod tests {
         call(&shared, Method::Get, "/v1/reliance", &format!("origin={}", asns[1]), "");
         let rely = health();
         assert!(rely >= single + 28 * n, "a reliance kernel is 28 B a node or more: {single} → {rely}");
-        // A batch of misses sizes a lane workspace (at 128 lanes, 32 B
-        // of route words a node: its reach sets are read straight off
+        // A batch of misses sizes a lane workspace (at 128 lanes, one
+        // 16 B route word a node: its reach sets are read straight off
         // them), a leak query the simulators' contexts beyond the one
         // idle; all stay with the snapshot.
         let query = format!("origins={}", asns[2..].join(","));
         call(&shared, Method::Get, "/v1/reachability", &query, "");
         let lanes = health();
-        assert!(lanes >= rely + 32 * n, "a 128-lane workspace is 32 B a node or more: {rely} → {lanes}");
+        assert!(lanes >= rely + 16 * n, "a 128-lane workspace is 16 B a node or more: {rely} → {lanes}");
         let leak = format!("{{\"victim\":{},\"leakers\":3}}", asns[0]);
         call(&shared, Method::Post, "/v1/whatif/leak", "", &leak);
         let all = health();
