@@ -20,9 +20,9 @@
 //! * [`Simulation`] — a builder tying the two together:
 //!   `Simulation::over(&snap).run(origin)` for one origin,
 //!   [`Simulation::run_sweep_map`] for batches (fanned out over
-//!   [`crate::parallel`], one workspace per worker), and the
-//!   `run_sweep_reach*` family for reach-set-only sweeps through the
-//!   lane kernel ([`crate::lanes`]).
+//!   [`crate::parallel`], one workspace per worker), and
+//!   [`Simulation::sweep`] for reach-set-only sweeps through the lane
+//!   kernel ([`crate::lanes`]), read out by a [`Keep`].
 //!
 //! ## Snapshot layout
 //!
@@ -65,7 +65,7 @@
 
 use crate::lanes::{
     AsExclusionLanes, LaneArity, LaneExcluder, LaneWidth, LaneWorkspace, Lanes, NodeWords,
-    PooledLaneWs, SweepReach,
+    PooledLaneWs,
 };
 use crate::parallel::{self, SweepError};
 use crate::propagate::{
@@ -447,7 +447,7 @@ pub struct Simulation<'s> {
     snap: &'s TopologySnapshot,
     cfg: PropagationConfig,
     threads: usize,
-    /// Kernel lane width for the `run_sweep_reach*` family; `Auto`
+    /// Kernel lane width for [`Self::sweep`]; `Auto`
     /// (default) picks the widest width the CPU runs well and clamps to
     /// the sweep's origin count (see [`LaneWidth`]).
     lane_width: LaneWidth,
@@ -478,21 +478,20 @@ impl<'s> Simulation<'s> {
         self
     }
 
-    /// Worker threads for [`Self::run_sweep_map`] and the lane sweeps;
+    /// Worker threads for [`Self::run_sweep_map`] and [`Self::sweep`];
     /// `0` (default) uses the available parallelism.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
     }
 
-    /// Pins the kernel lane width for [`Self::run_sweep_reach`] and
-    /// friends (origins per bit-parallel block: 64/128/256) — for
-    /// benchmarks and differential tests that compare widths. Everything
-    /// shipped leaves the default [`LaneWidth::Auto`], which derives the
-    /// width from detected CPU features. The width never changes
-    /// results, only throughput; whatever is selected is clamped down
-    /// for sweeps whose origin count fits a narrower block
-    /// ([`LaneWidth::words_for`]).
+    /// Pins the kernel lane width for [`Self::sweep`] (origins per
+    /// bit-parallel block: 64/128/256) — for benchmarks and differential
+    /// tests that compare widths. Everything shipped leaves the default
+    /// [`LaneWidth::Auto`], which derives the width from detected CPU
+    /// features. The width never changes what a sweep keeps, only its
+    /// throughput; whatever is selected is clamped down for sweeps whose
+    /// origin count fits a narrower block ([`LaneWidth::words_for`]).
     pub fn lane_width(mut self, width: LaneWidth) -> Self {
         self.lane_width = width;
         self
@@ -530,114 +529,76 @@ impl<'s> Simulation<'s> {
     }
 
     /// Sweeps `origins` through the bit-parallel kernel
-    /// ([`crate::lanes`]): origins are chunked into 64/128/256-lane
-    /// blocks (per the configured [`Self::lane_width`]), each block
-    /// advances all its origins in one lane-vector frontier expansion,
-    /// and blocks fan out over [`crate::parallel`] (one [`LaneWorkspace`]
-    /// per worker). Returns the materialized reach bitsets, bit-identical
-    /// to per-origin [`Workspace`] runs under the same config at every
-    /// width.
+    /// ([`crate::lanes`]) and keeps what `keep` reads off each finished
+    /// block: [`Counts`] (the counts alone), [`Words`] (each origin's
+    /// reach bitset) or [`Sets`] (each origin's [`ReachSet`]). Origins
+    /// are chunked into 64/128/256-lane blocks (per
+    /// [`Self::lane_width`]), each block advances all its origins in one
+    /// lane-vector frontier expansion, and the blocks fan out over
+    /// [`crate::parallel`], one pooled lane workspace per worker. What is
+    /// kept, and every count, is bit-identical to per-origin
+    /// [`Workspace`] runs under the same config at every width. Reach
+    /// sets only: [`Self::run`] and [`Self::run_sweep_map`] have the
+    /// distances, selections and tie paths.
     ///
-    /// Reach sets only — no distances, selections, or tie paths; use
-    /// [`Self::run`] / [`Self::run_sweep_map`] when those are needed.
-    pub fn run_sweep_reach(&self, origins: &[NodeId]) -> SweepReach {
-        self.run_sweep_reach_with(origins, |_, _| {})
-    }
-
-    /// Like [`Self::run_sweep_reach`], with a per-origin exclusion fill:
     /// `fill` runs once per origin and installs that origin's exclusions
-    /// through a [`LaneExcluder`] (on top of the shared config mask) —
+    /// through a [`LaneExcluder`], on top of the config's shared mask —
     /// the word-parallel analogue of refilling
-    /// [`PropagationConfig::excluded_mask_mut`] per origin. A panic in
-    /// `fill` aborts the sweep (after every block has run) naming the
-    /// offending origin's index.
-    pub fn run_sweep_reach_with<F>(&self, origins: &[NodeId], fill: F) -> SweepReach
-    where
-        F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
-    {
-        let sweep = self.sweep_lanes::<Words, F>(origins, fill).or_panic();
-        SweepReach::from_parts(self.snap.len(), origins.to_vec(), sweep.sets, sweep.counts)
-    }
-
-    /// [`Self::run_sweep_reach_with`] for a caller that keeps the sets:
-    /// one `(reach set, reachable count)` per origin (origin bit set,
-    /// count origin excluded), each lane encoded as a [`ReachSet`]
-    /// straight off the block's route words, so a block of full-reach
-    /// origins never exists as a block of bitsets.
-    pub fn run_sweep_reach_sets_with<F>(
+    /// [`PropagationConfig::excluded_mask_mut`] per origin; `|_, _| {}`
+    /// installs none. A panic in `fill` kills only its own lane; the
+    /// sweep then returns the lowest-index failure, indexed into
+    /// `origins`.
+    ///
+    /// ```
+    /// use flatnet_asgraph::{AsGraphBuilder, AsId, Relationship};
+    /// use flatnet_bgpsim::{Counts, Simulation, TopologySnapshot};
+    ///
+    /// let mut b = AsGraphBuilder::new();
+    /// b.add_link(AsId(1), AsId(2), Relationship::P2c);
+    /// b.add_link(AsId(1), AsId(3), Relationship::P2c);
+    /// let g = b.build();
+    /// let snap = TopologySnapshot::compile(&g);
+    /// let origins: Vec<_> = g.nodes().collect();
+    /// let top = g.index_of(AsId(1)).unwrap();
+    /// // Every origin but AS 1 loses AS 1, and with it every other AS.
+    /// let sim = Simulation::over(&snap);
+    /// let swept = sim.sweep(&origins, |o, ex| if o != top { ex.exclude(top) }, Counts).unwrap();
+    /// assert_eq!(swept.counts, [2, 0, 0]);
+    /// ```
+    pub fn sweep<K, F>(
         &self,
         origins: &[NodeId],
         fill: F,
-    ) -> Vec<(ReachSet, usize)>
-    where
-        F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
-    {
-        let sweep = self.sweep_lanes::<Sets, F>(origins, fill).or_panic();
-        sweep.sets.into_iter().zip(sweep.counts.into_iter().map(|c| c as usize)).collect()
-    }
-
-    /// The counts-only form of [`Self::run_sweep_reach`]: per-origin
-    /// reachable counts (origin excluded) without materializing the
-    /// reach bitsets — what all-origin profile sweeps want, where the
-    /// full transposed bitset would be O(origins × nodes) memory.
-    pub fn run_sweep_reach_counts(&self, origins: &[NodeId]) -> Vec<u32> {
-        self.run_sweep_reach_counts_with(origins, |_, _| {})
-    }
-
-    /// [`Self::run_sweep_reach_counts`] with a per-origin exclusion fill
-    /// (see [`Self::run_sweep_reach_with`]).
-    pub fn run_sweep_reach_counts_with<F>(&self, origins: &[NodeId], fill: F) -> Vec<u32>
-    where
-        F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
-    {
-        self.sweep_lanes::<Counts, F>(origins, fill).or_panic().counts
-    }
-
-    /// Like [`Self::run_sweep_reach_counts_with`], but a panic in `fill`
-    /// becomes a per-origin [`SweepError`] (indexed into `origins`)
-    /// while every other lane of the block still completes.
-    pub fn try_run_sweep_reach_counts_with<F>(
-        &self,
-        origins: &[NodeId],
-        fill: F,
-    ) -> Vec<Result<u32, SweepError>>
-    where
-        F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
-    {
-        let sweep = self.sweep_lanes::<Counts, F>(origins, fill);
-        let mut out: Vec<Result<u32, SweepError>> = sweep.counts.into_iter().map(Ok).collect();
-        for e in sweep.errors {
-            let i = e.index;
-            out[i] = Err(e);
-        }
-        out
-    }
-
-    /// The one lane-sweep driver every `run_sweep_reach*` entry point
-    /// reduces, and the only place the lane width is dispatched on.
-    fn sweep_lanes<K, F>(&self, origins: &[NodeId], fill: F) -> LaneSweep<K::Set>
+        keep: K,
+    ) -> Result<Sweep<K::Set>, SweepError>
     where
         K: Keep,
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
         match self.lane_width.words_for(origins.len()) {
-            1 => self.sweep_lanes_w::<1, K, F>(origins, fill),
-            2 => self.sweep_lanes_w::<2, K, F>(origins, fill),
-            _ => self.sweep_lanes_w::<4, K, F>(origins, fill),
+            1 => self.sweep_w::<1, K, F>(origins, fill, keep),
+            2 => self.sweep_w::<2, K, F>(origins, fill, keep),
+            _ => self.sweep_w::<4, K, F>(origins, fill, keep),
         }
     }
 
-    /// [`Self::sweep_lanes`] at width `W`: chunk the origins into blocks,
-    /// run each on a [`LaneWorkspace<W>`] checked out of the snapshot's
-    /// pool with every lane's `fill` under its own `catch_unwind`, and
-    /// string the blocks' counts and what `K` keeps of them together in
-    /// origin order. A reach set leaves a block once, read by `K` off
-    /// the block's route words as the value the caller ends up owning;
-    /// no lane-major copy of a block exists. A lane whose fill panicked
-    /// is killed — an excluded origin yields the empty outcome, so a
-    /// half-run fill's exclusions cannot leak into a result — and
-    /// reported; a panic in the kernel itself fails its whole block.
-    fn sweep_lanes_w<const W: usize, K, F>(&self, origins: &[NodeId], fill: F) -> LaneSweep<K::Set>
+    /// [`Self::sweep`] at width `W`: chunk the origins into blocks, run
+    /// each on a [`LaneWorkspace<W>`] checked out of the snapshot's pool
+    /// with every lane's `fill` under its own `catch_unwind`, and string
+    /// the blocks' counts and what `keep` reads off them together in
+    /// origin order. A reach set leaves a block once, read off the
+    /// block's route words as the value the caller ends up owning; no
+    /// lane-major copy of a block exists. A lane whose fill panicked is
+    /// killed — an excluded origin yields the empty outcome, so a
+    /// half-run fill's exclusions cannot leak into a result — and its
+    /// block reports the first such lane; a panic in the kernel itself
+    /// fails its block from the block's first lane.
+    fn sweep_w<const W: usize, K, F>(
+        &self,
+        origins: &[NodeId],
+        fill: F,
+        keep: K,
+    ) -> Result<Sweep<K::Set>, SweepError>
     where
         Lanes<W>: LaneArity,
         [NodeWords<W>]: AsExclusionLanes,
@@ -645,7 +606,6 @@ impl<'s> Simulation<'s> {
         K: Keep,
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
-        let n = self.snap.len();
         let blocks: Vec<&[NodeId]> = origins.chunks(LaneWorkspace::<W>::BLOCK_LANES).collect();
         let parts = parallel::try_parallel_map_ctx(
             &blocks,
@@ -655,165 +615,228 @@ impl<'s> Simulation<'s> {
                     .checkout(|| LaneWorkspace::for_snapshot(self.snap))
             },
             |ws, block| {
-                let mut part = LaneSweep::with_capacity(block.len());
-                let mut lane = 0usize;
+                let (mut lane, mut failed) = (0usize, None);
                 let guarded = |o: NodeId, ex: &mut LaneExcluder<'_>| {
                     let run = std::panic::AssertUnwindSafe(|| fill(o, &mut *ex));
                     if let Err(payload) = std::panic::catch_unwind(run) {
                         let message = parallel::panic_message(payload.as_ref());
-                        part.errors.push(SweepError { index: lane, message });
+                        failed.get_or_insert(SweepError { index: lane, message });
                         ex.exclude(o);
                     }
                     lane += 1;
                 };
                 ws.run_block(self.snap, block, &self.cfg, guarded);
-                K::block(ws, &mut part.sets);
+                if let Some(e) = failed {
+                    return Err(e);
+                }
+                let mut part = Sweep::with_capacity(block.len());
+                keep.block(ws, &mut part.kept);
                 part.counts.extend((0..block.len()).map(|k| ws.lane_reachable_count(k) as u32));
-                part
+                Ok(part)
             },
         );
-        // The common sweep is one block (a serve batch): it is the result.
-        let parts = match <[_; 1]>::try_from(parts) {
-            Ok([Ok(only)]) => return only,
-            Ok([failed]) => vec![failed],
-            Err(parts) => parts,
-        };
-        let mut out = LaneSweep::with_capacity(origins.len());
+        let mut out = Sweep::with_capacity(if blocks.len() > 1 { origins.len() } else { 0 });
+        let mut base = 0;
         for (block, part) in blocks.iter().zip(parts) {
-            out.append(block, part, || K::empty(n));
+            let part = part
+                .map_err(|kernel| SweepError { index: 0, ..kernel })
+                .and_then(|lanes| lanes)
+                .map_err(|e| SweepError { index: base + e.index, ..e })?;
+            // The common sweep is one block (a serve batch): it is the result.
+            if blocks.len() == 1 {
+                return Ok(part);
+            }
+            out.kept.extend(part.kept);
+            out.counts.extend(part.counts);
+            base += block.len();
         }
-        out
+        Ok(out)
+    }
+
+    /// [`Self::sweep`] keeping [`Words`], as a [`SweepReach`]; panics
+    /// with the sweep's failure. A one-expression wrapper kept only
+    /// because the `benchmark/` package calls it.
+    pub fn run_sweep_reach(&self, origins: &[NodeId]) -> SweepReach {
+        SweepReach::new(
+            origins,
+            self.sweep(origins, |_, _| {}, Words).unwrap_or_else(|e| panic!("{e}")).kept,
+        )
+    }
+
+    /// [`Self::sweep`] keeping [`Words`] under `fill`, as a
+    /// [`SweepReach`]; panics with the sweep's failure. A one-expression
+    /// wrapper kept only because the `benchmark/` package calls it.
+    pub fn run_sweep_reach_with<F>(&self, origins: &[NodeId], fill: F) -> SweepReach
+    where
+        F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
+    {
+        SweepReach::new(
+            origins,
+            self.sweep(origins, fill, Words).unwrap_or_else(|e| panic!("{e}")).kept,
+        )
+    }
+
+    /// [`Self::sweep`]'s counts under [`Counts`]; panics with the sweep's
+    /// failure. A one-expression wrapper kept only because the
+    /// `benchmark/` package calls it.
+    pub fn run_sweep_reach_counts(&self, origins: &[NodeId]) -> Vec<u32> {
+        self.sweep(origins, |_, _| {}, Counts).unwrap_or_else(|e| panic!("{e}")).counts
+    }
+
+    /// [`Self::sweep`]'s counts under [`Counts`] and `fill`; panics with
+    /// the sweep's failure. A one-expression wrapper kept only because
+    /// the `benchmark/` package calls it.
+    pub fn run_sweep_reach_counts_with<F>(&self, origins: &[NodeId], fill: F) -> Vec<u32>
+    where
+        F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
+    {
+        self.sweep(origins, fill, Counts).unwrap_or_else(|e| panic!("{e}")).counts
     }
 }
 
-/// What a lane sweep keeps of each finished block beside its counts.
-trait Keep {
-    /// What is kept of one origin.
-    type Set: Send;
+/// What a lane sweep keeps of each origin beside its reachable count:
+/// the argument that picks [`Simulation::sweep`]'s read-out — [`Counts`],
+/// [`Words`] or [`Sets`]. Each reads a finished block straight off its
+/// route words. Sealed: the read-outs are this crate's.
+pub trait Keep: sealed::ReadOut {}
 
-    /// Reads `ws`'s finished block out: appends what is kept of each
-    /// lane to `sets`, in lane order, and takes the block's counts.
-    fn block<const W: usize>(ws: &mut LaneWorkspace<W>, sets: &mut Vec<Self::Set>)
-    where
-        Lanes<W>: LaneArity,
-        [NodeWords<W>]: AsExclusionLanes;
+impl<K: sealed::ReadOut> Keep for K {}
 
-    /// What is kept of an origin whose block failed: the empty set over
-    /// `n` nodes.
-    fn empty(n: usize) -> Self::Set;
+mod sealed {
+    use super::*;
+
+    /// The block read-out behind a [`Keep`].
+    pub trait ReadOut: Sync {
+        /// What is kept of one origin.
+        type Set: Send;
+
+        /// Reads `ws`'s finished block out: appends what is kept of each
+        /// lane to `kept`, in lane order, and takes the block's counts.
+        fn block<const W: usize>(&self, ws: &mut LaneWorkspace<W>, kept: &mut Vec<Self::Set>)
+        where
+            Lanes<W>: LaneArity;
+    }
 }
 
-/// Counts only: nothing is kept (a `()` takes no memory).
-struct Counts;
+use sealed::ReadOut;
 
-impl Keep for Counts {
+/// What [`Simulation::sweep`] keeps, in origin order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sweep<S> {
+    /// What the [`Keep`] read-out kept of each origin.
+    pub kept: Vec<S>,
+    /// Each origin's reachable count, origin excluded.
+    pub counts: Vec<u32>,
+}
+
+impl<S> Sweep<S> {
+    fn with_capacity(origins: usize) -> Self {
+        Sweep { kept: Vec::with_capacity(origins), counts: Vec::with_capacity(origins) }
+    }
+}
+
+/// Keeps the counts alone: a `Sweep<()>`, whose `kept` takes no memory.
+#[derive(Debug, Clone, Copy)]
+pub struct Counts;
+
+impl ReadOut for Counts {
     type Set = ();
 
-    fn block<const W: usize>(ws: &mut LaneWorkspace<W>, sets: &mut Vec<()>)
+    fn block<const W: usize>(&self, ws: &mut LaneWorkspace<W>, kept: &mut Vec<()>)
     where
         Lanes<W>: LaneArity,
-        [NodeWords<W>]: AsExclusionLanes,
     {
         ws.count();
-        sets.resize(sets.len() + ws.block_len(), ());
+        kept.resize(kept.len() + ws.block_len(), ());
     }
-
-    fn empty(_: usize) {}
 }
 
-/// Each origin's reach bitset, for [`SweepReach`].
-struct Words;
+/// Keeps each origin's reach bitset, in the layout of
+/// [`RoutingOutcome::reach_words`] (bit = node index, origin bit set,
+/// tail bits zero): a `Sweep<Vec<u64>>`.
+#[derive(Debug, Clone, Copy)]
+pub struct Words;
 
-impl Keep for Words {
+impl ReadOut for Words {
     type Set = Vec<u64>;
 
-    fn block<const W: usize>(ws: &mut LaneWorkspace<W>, sets: &mut Vec<Vec<u64>>)
+    fn block<const W: usize>(&self, ws: &mut LaneWorkspace<W>, kept: &mut Vec<Vec<u64>>)
     where
         Lanes<W>: LaneArity,
-        [NodeWords<W>]: AsExclusionLanes,
     {
-        ws.emit_words(sets);
-    }
-
-    fn empty(n: usize) -> Vec<u64> {
-        vec![0; n.div_ceil(64)]
+        ws.emit_words(kept);
     }
 }
 
-/// Each origin's [`ReachSet`], kept by its shorter side.
-struct Sets;
+/// Keeps each origin's [`ReachSet`] by its shorter side, encoded straight
+/// off the block's route words, so a block of full-reach origins never
+/// exists as a block of bitsets: a `Sweep<ReachSet>`.
+#[derive(Debug, Clone, Copy)]
+pub struct Sets;
 
-impl Keep for Sets {
+impl ReadOut for Sets {
     type Set = ReachSet;
 
-    fn block<const W: usize>(ws: &mut LaneWorkspace<W>, sets: &mut Vec<ReachSet>)
+    fn block<const W: usize>(&self, ws: &mut LaneWorkspace<W>, kept: &mut Vec<ReachSet>)
     where
         Lanes<W>: LaneArity,
-        [NodeWords<W>]: AsExclusionLanes,
     {
-        ws.emit_reach_sets(sets);
-    }
-
-    fn empty(n: usize) -> ReachSet {
-        ReachSet::from_words(&vec![0; n.div_ceil(64)], n)
+        ws.emit_reach_sets(kept);
     }
 }
 
-/// A lane sweep (or one block of it) in origin order.
-struct LaneSweep<S> {
-    /// What is kept of each origin (`()` for counts-only sweeps).
-    sets: Vec<S>,
-    /// Reachable counts, origin excluded; 0 where `errors` names the origin.
-    counts: Vec<u32>,
-    /// Origins whose lane failed, ascending by index.
-    errors: Vec<SweepError>,
+/// Keeps each origin's reached share of the topology, as
+/// [`crate::leak::subprefix_detour_fractions`] scores a hijack: its
+/// reach count over the node count, or with `weights` its weight mass
+/// over theirs, summed in ascending node order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fractions<'w> {
+    pub(crate) weights: Option<&'w [f64]>,
 }
 
-impl<S> LaneSweep<S> {
-    fn with_capacity(origins: usize) -> Self {
-        LaneSweep {
-            sets: Vec::with_capacity(origins),
-            counts: Vec::with_capacity(origins),
-            errors: Vec::new(),
-        }
+impl ReadOut for Fractions<'_> {
+    type Set = f64;
+
+    fn block<const W: usize>(&self, ws: &mut LaneWorkspace<W>, kept: &mut Vec<f64>)
+    where
+        Lanes<W>: LaneArity,
+    {
+        ws.emit_fractions(self.weights, kept);
+    }
+}
+
+/// The reach bitsets of a [`Words`] sweep beside its origins, for the
+/// two wrappers over [`Simulation::sweep`] that return it — kept only
+/// because the `benchmark/` package reads them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepReach {
+    origins: Vec<NodeId>,
+    sets: Vec<Vec<u64>>,
+}
+
+impl SweepReach {
+    fn new(origins: &[NodeId], sets: Vec<Vec<u64>>) -> Self {
+        SweepReach { origins: origins.to_vec(), sets }
     }
 
-    /// Appends one block's outcome: its results moved in with its lane
-    /// errors re-indexed, or, for a block whose kernel run failed, one
-    /// `empty()` set and a zero count per origin, with the failure
-    /// reported for every origin of the block.
-    fn append(
-        &mut self,
-        block: &[NodeId],
-        part: Result<LaneSweep<S>, SweepError>,
-        empty: impl Fn() -> S,
-    ) {
-        let base = self.counts.len();
-        match part {
-            Ok(part) => {
-                self.sets.extend(part.sets);
-                self.counts.extend(part.counts);
-                self.errors.extend(
-                    part.errors.into_iter().map(|e| SweepError { index: base + e.index, ..e }),
-                );
-            }
-            Err(e) => {
-                self.sets.extend(block.iter().map(|_| empty()));
-                self.counts.resize(base + block.len(), 0);
-                self.errors.extend((0..block.len()).map(|lane| SweepError {
-                    index: base + lane,
-                    message: e.message.clone(),
-                }));
-            }
-        }
+    /// Number of origins swept.
+    pub fn len(&self) -> usize {
+        self.origins.len()
     }
 
-    /// The plain entry points' contract: re-raise the first failure.
-    fn or_panic(self) -> Self {
-        if let Some(e) = self.errors.first() {
-            panic!("{e}");
-        }
-        self
+    /// Whether the sweep covered no origins.
+    pub fn is_empty(&self) -> bool {
+        self.origins.is_empty()
+    }
+
+    /// The `i`-th swept origin.
+    pub fn origin(&self, i: usize) -> NodeId {
+        self.origins[i]
+    }
+
+    /// Origin `i`'s reach bitset, as [`Words`] keeps it.
+    pub fn reach_words(&self, i: usize) -> &[u64] {
+        &self.sets[i]
     }
 }
 
@@ -1012,43 +1035,52 @@ mod tests {
         assert!(worst_rely <= 42 * n, "a reliance kernel held {worst_rely} B over {n} nodes");
     }
 
-    /// The lane driver isolates a panicking `fill` to its own origin at
-    /// every width: `try_` reports it per origin while every other lane
-    /// completes untouched by the half-run fill; the plain entry points
-    /// re-raise the first one, naming the origin's index in the sweep.
+    /// A panicking `fill` kills only its own lane, at every width: with
+    /// the lanes of origins #3 and #69 both panicking — one block apart
+    /// at 64 lanes, in one block wider — the sweep returns the
+    /// lowest-index failure and its message, and the same sweep without
+    /// the panics, run again on the workspaces the failed one returned,
+    /// is unchanged and equal to per-origin scalar runs. The plain
+    /// wrappers re-raise the failure, naming the origin's index.
     #[test]
     fn lane_sweep_attributes_fill_panics_to_their_origin() {
         let g = diamond();
         let snap = TopologySnapshot::compile(&g);
-        // 70 origins: a full 64-lane block plus a tail at the narrowest
-        // width, one partial block at the wider ones.
-        let origins: Vec<NodeId> = (0..70).map(|i| NodeId(i % 6)).collect();
+        // 70 origins, AS 3 (node 2) only at #3 and #69.
+        let origins: Vec<NodeId> =
+            (0..70).map(|i| NodeId(if i == 3 || i == 69 { 2 } else { [0, 1, 3, 4, 5][i % 5] })).collect();
         let fill = |panics: bool| {
             move |o: NodeId, ex: &mut LaneExcluder<'_>| {
                 ex.exclude(NodeId((o.0 + 1) % 6));
-                assert!(!(panics && o.0 == 3), "bad origin {o}");
+                assert!(!(panics && o.0 == 2), "bad origin {o}");
                 ex.allow(o);
             }
         };
+        let mut ws = Workspace::for_snapshot(&snap);
+        let scalar: Vec<u32> = origins
+            .iter()
+            .map(|&o| {
+                let mut mask = vec![false; g.len()];
+                mask[(o.idx() + 1) % 6] = true;
+                ws.run(&snap, o, &PropagationConfig::new().with_excluded(mask));
+                ws.reachable_count() as u32
+            })
+            .collect();
         for width in [LaneWidth::W64, LaneWidth::W128, LaneWidth::W256] {
             let sim = Simulation::over(&snap).threads(2).lane_width(width);
-            let want = sim.run_sweep_reach_counts_with(&origins, fill(false));
-            let got = sim.try_run_sweep_reach_counts_with(&origins, fill(true));
-            for (i, r) in got.iter().enumerate() {
-                match r {
-                    Ok(count) => assert_eq!((*count, origins[i].0 != 3), (want[i], true), "{width:?} #{i}"),
-                    Err(e) => {
-                        assert_eq!((e.index, origins[i].0), (i, 3), "{width:?}");
-                        assert!(e.message.contains("bad origin"), "{width:?}: {e}");
-                    }
-                }
+            let before = sim.sweep(&origins, fill(false), Counts).unwrap();
+            assert_eq!(before.counts, scalar, "{width:?}");
+            let failed = sim.sweep(&origins, fill(true), Counts).unwrap_err();
+            assert_eq!(failed.index, 3, "{width:?}");
+            assert!(failed.message.contains("bad origin"), "{width:?}: {failed}");
+            assert_eq!(sim.sweep(&origins, fill(false), Counts), Ok(before), "{width:?}");
+            let words = || drop(sim.run_sweep_reach_with(&origins, fill(true)));
+            let counts = || drop(sim.run_sweep_reach_counts_with(&origins, fill(true)));
+            for wrapper in [&words as &dyn Fn(), &counts] {
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(wrapper));
+                let msg = parallel::panic_message(caught.unwrap_err().as_ref());
+                assert!(msg.contains("sweep item 3 panicked: bad origin"), "{width:?}: {msg}");
             }
-            assert!(got[3].is_err() && got[69].is_err(), "{width:?}");
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                sim.run_sweep_reach_with(&origins, fill(true));
-            }));
-            let msg = parallel::panic_message(caught.unwrap_err().as_ref());
-            assert!(msg.contains("sweep item 3 panicked: bad origin"), "{width:?}: {msg}");
         }
     }
 }

@@ -148,17 +148,17 @@
 //! result is deterministic regardless of frontier order, thread count,
 //! or lane width.
 //!
-//! The sweep front ends live on [`Simulation`](crate::engine::Simulation)
-//! (`run_sweep_reach` & friends): origins are chunked into
-//! `64 × W`-lane blocks and the blocks fan out over [`crate::parallel`],
-//! one [`LaneWorkspace`] per worker, checked out of the snapshot's
-//! per-width pool (`crate::scratch`), preserving the engine's zero
-//! steady-state allocation property (asserted by the counting-allocator
-//! smoke in `tests/engine_equiv.rs`). A block's reach sets leave it
-//! straight from the node-major `r` words, into what the sweep's caller
-//! keeps — a [`SweepReach`] lane's own `Vec` through the 64×64
-//! transpose, a [`ReachSet`] in its final form through one pass over
-//! the nodes — so no workspace holds a lane-major copy of a block.
+//! The one way in is [`Simulation::sweep`](crate::engine::Simulation::sweep):
+//! origins are chunked into `64 × W`-lane blocks and the blocks fan out
+//! over [`crate::parallel`], one [`LaneWorkspace`] per worker, checked
+//! out of the snapshot's per-width pool (`crate::scratch`), so a warm
+//! sweep allocates only its own bookkeeping (pinned by the
+//! counting-allocator smoke in `tests/engine_equiv.rs`). A block's reach
+//! sets leave it straight from the node-major `r` words, into what the
+//! sweep's [`Keep`](crate::engine::Keep) read-out keeps — a reach
+//! bitset's own `Vec` through the 64×64 transpose, a [`ReachSet`] in its
+//! final form or a lane's reached share through one pass over the nodes
+//! — so no workspace holds a lane-major copy of a block.
 
 use crate::engine::TopologySnapshot;
 use crate::propagate::{metrics, ImportPolicy, PropagationConfig};
@@ -441,8 +441,8 @@ impl AsExclusionLanes for [NodeWords<4>] {
     }
 }
 
-/// Per-lane exclusion writer handed to the fill callbacks of
-/// [`Simulation::run_sweep_reach_with`](crate::engine::Simulation::run_sweep_reach_with):
+/// Per-lane exclusion writer handed to the fill callback of
+/// [`Simulation::sweep`](crate::engine::Simulation::sweep):
 /// marks nodes as excluded *for the current origin's lane only*, the
 /// word-parallel replacement for refilling a `Vec<bool>` mask per
 /// origin. Width-erased: the same fill closure drives 64-, 128-, and
@@ -495,14 +495,14 @@ impl LaneExcluder<'_> {
 /// Reusable state for the bit-parallel kernel at lane width `W` words
 /// (64·W origins per block): the per-node route lanes and flags, the
 /// side table, the customer-lane list and the frontier queues — nothing
-/// lane-major: a block's
-/// reach sets are read straight off its node-major route words. Create
-/// once per worker (or via [`LaneWorkspace::for_snapshot`]) and run many
-/// blocks through it — after the first block of a shape a run performs
-/// no heap allocation. The default width parameter keeps plain
-/// `LaneWorkspace` meaning the one-word 64-lane kernel.
+/// lane-major: a block's reach sets are read straight off its
+/// node-major route words. Pooled on the snapshot, one per sweep
+/// worker, and run through [`Simulation::sweep`](crate::engine::Simulation::sweep)
+/// alone: after the first block of a shape a run performs no heap
+/// allocation. Named in the [`Keep`](crate::engine::Keep) read-outs'
+/// signatures, not constructible outside the crate.
 #[derive(Debug)]
-pub struct LaneWorkspace<const W: usize = 1>
+pub struct LaneWorkspace<const W: usize>
 where
     Lanes<W>: LaneArity,
 {
@@ -540,11 +540,15 @@ where
     n: usize,
 }
 
-impl<const W: usize> Default for LaneWorkspace<W>
+impl<const W: usize> LaneWorkspace<W>
 where
     Lanes<W>: LaneArity,
 {
-    fn default() -> Self {
+    /// Origins per kernel block at this workspace's width.
+    pub(crate) const BLOCK_LANES: usize = LANES * W;
+
+    /// An empty workspace; buffers are sized on first use.
+    pub(crate) fn new() -> Self {
         LaneWorkspace {
             words: Vec::new(),
             flags: Vec::new(),
@@ -560,24 +564,10 @@ where
             n: 0,
         }
     }
-}
-
-impl<const W: usize> LaneWorkspace<W>
-where
-    Lanes<W>: LaneArity,
-    [NodeWords<W>]: AsExclusionLanes,
-{
-    /// Origins per kernel block at this workspace's width.
-    pub const BLOCK_LANES: usize = LANES * W;
-
-    /// An empty workspace; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
 
     /// A workspace pre-sized for `snap`: the per-node lanes, flags and
     /// lists are allocated up front.
-    pub fn for_snapshot(snap: &TopologySnapshot) -> Self {
+    pub(crate) fn for_snapshot(snap: &TopologySnapshot) -> Self {
         let mut ws = Self::new();
         ws.begin(snap);
         ws.block_len = 0;
@@ -642,7 +632,7 @@ where
     }
 
     /// Number of origins in the most recent block.
-    pub fn block_len(&self) -> usize {
+    pub(crate) fn block_len(&self) -> usize {
         self.block_len
     }
 
@@ -656,35 +646,23 @@ where
             + cap_bytes(&self.cust)
     }
 
-    /// Runs one block of up to `64·W` origins over `snap` under `cfg`
-    /// with a per-origin exclusion fill: `fill` runs once per lane and
-    /// installs that origin's exclusions through the [`LaneExcluder`]
-    /// (on top of any shared `cfg` exclusion mask, which applies to every
-    /// lane). Per-lane counts are read through
-    /// [`LaneWorkspace::lane_reachable_count`].
-    pub fn run_block_masked(
-        &mut self,
-        snap: &TopologySnapshot,
-        origins: &[NodeId],
-        cfg: &PropagationConfig,
-        fill: impl FnMut(NodeId, &mut LaneExcluder<'_>),
-    ) {
-        self.run_block(snap, origins, cfg, fill);
-        self.count();
-    }
-
-    /// The block kernel: afterwards the node-major `r` words hold
-    /// exactly the block's reach sets, and nothing else is left of it.
-    /// The counts are not taken yet — each read-out takes them on its
-    /// own pass over the words: [`Self::count`], [`Self::emit_words`]
-    /// or [`Self::emit_reach_sets`].
+    /// The block kernel: runs up to `64·W` origins over `snap` under
+    /// `cfg`, `fill` installing each lane's exclusions through the
+    /// [`LaneExcluder`] on top of `cfg`'s shared mask. Afterwards the
+    /// node-major `r` words hold exactly the block's reach sets, and
+    /// nothing else is left of it. The counts are not taken yet — each
+    /// read-out takes them on its own pass over the words:
+    /// [`Self::count`], [`Self::emit_words`], [`Self::emit_reach_sets`]
+    /// or [`Self::emit_fractions`].
     pub(crate) fn run_block(
         &mut self,
         snap: &TopologySnapshot,
         origins: &[NodeId],
         cfg: &PropagationConfig,
         mut fill: impl FnMut(NodeId, &mut LaneExcluder<'_>),
-    ) {
+    ) where
+        [NodeWords<W>]: AsExclusionLanes,
+    {
         assert!(
             origins.len() <= Self::BLOCK_LANES,
             "a {}-lane kernel block holds at most {} origins",
@@ -1281,10 +1259,39 @@ where
         }));
     }
 
+    /// Appends each lane's reached share of the topology to `kept`, in
+    /// lane order, after taking the counts: its count over `n`, or with
+    /// `weights` the weight mass of its reach set over the total weight
+    /// (zero for an empty topology or a zero total). A lane's mass is
+    /// summed node by node in ascending order, from the empty sum, so it
+    /// is the very fold `leak::detour_fraction` runs over the same set.
+    pub(crate) fn emit_fractions(&mut self, weights: Option<&[f64]>, kept: &mut Vec<f64>) {
+        self.count();
+        let (n, lanes) = (self.n, self.block_len);
+        let Some(w) = weights else {
+            let share = |&c: &u32| if n == 0 { 0.0 } else { c as f64 / n as f64 };
+            kept.extend(self.counts[..lanes].iter().map(share));
+            return;
+        };
+        let total: f64 = w.iter().sum();
+        debug_assert_eq!(w.len(), n, "weights must cover every node");
+        let mut mass = [std::iter::empty::<f64>().sum::<f64>(); MAX_LANES];
+        for (node, &weight) in self.words[..n].iter().zip(w) {
+            for (j, &word) in node.r.iter().enumerate() {
+                let mut b = word;
+                while b != 0 {
+                    mass[j * 64 + b.trailing_zeros() as usize] += weight;
+                    b &= b - 1;
+                }
+            }
+        }
+        kept.extend(mass[..lanes].iter().map(|&m| if total == 0.0 { 0.0 } else { m / total }));
+    }
+
     /// Number of ASes reached in lane `k`, origin excluded — the kernel
     /// analogue of
     /// [`RoutingOutcome::reachable_count`](crate::RoutingOutcome::reachable_count).
-    pub fn lane_reachable_count(&self, lane: usize) -> usize {
+    pub(crate) fn lane_reachable_count(&self, lane: usize) -> usize {
         assert!(lane < self.block_len, "lane {lane} out of block (len {})", self.block_len);
         (self.counts[lane] as usize).saturating_sub(1)
     }
@@ -1360,72 +1367,11 @@ pub(crate) fn transpose64(a: &mut [u64; 64]) {
     }
 }
 
-/// The materialized result of a multi-origin reach sweep
-/// ([`Simulation::run_sweep_reach`](crate::engine::Simulation::run_sweep_reach)):
-/// one word-packed reach bitset per origin, in input order, bit-identical
-/// to what a per-origin [`Workspace`](crate::engine::Workspace) run
-/// would produce — regardless of the lane width that computed it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepReach {
-    origins: Vec<NodeId>,
-    /// One reach bitset per origin, as the sweep's blocks produced them.
-    sets: Vec<Vec<u64>>,
-    /// Per-origin reachable counts, origin excluded.
-    counts: Vec<u32>,
-}
-
-impl SweepReach {
-    pub(crate) fn from_parts(
-        n: usize,
-        origins: Vec<NodeId>,
-        sets: Vec<Vec<u64>>,
-        counts: Vec<u32>,
-    ) -> Self {
-        debug_assert_eq!(sets.len(), origins.len());
-        debug_assert!(sets.iter().all(|s| s.len() == n.div_ceil(64)));
-        debug_assert_eq!(counts.len(), origins.len());
-        SweepReach { origins, sets, counts }
-    }
-
-    /// Number of origins swept.
-    pub fn len(&self) -> usize {
-        self.origins.len()
-    }
-
-    /// Whether the sweep covered no origins.
-    pub fn is_empty(&self) -> bool {
-        self.origins.is_empty()
-    }
-
-    /// The `i`-th swept origin.
-    pub fn origin(&self, i: usize) -> NodeId {
-        self.origins[i]
-    }
-
-    /// Origin `i`'s word-packed reach bitset (bit = node index, origin
-    /// bit set, tail bits zero) — same layout as
-    /// [`RoutingOutcome::reach_words`](crate::RoutingOutcome::reach_words).
-    pub fn reach_words(&self, i: usize) -> &[u64] {
-        assert!(i < self.origins.len(), "origin index {i} out of sweep (len {})", self.origins.len());
-        &self.sets[i]
-    }
-
-    /// Whether `node` received origin `i`'s announcement.
-    pub fn reachable(&self, i: usize, node: NodeId) -> bool {
-        let w = self.reach_words(i);
-        (w[node.idx() >> 6] >> (node.idx() & 63)) & 1 == 1
-    }
-
-    /// Number of ASes reached by origin `i`, origin excluded.
-    pub fn reachable_count(&self, i: usize) -> usize {
-        self.counts[i] as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Simulation, Workspace};
+    use crate::engine::{Counts, Fractions, Sets, Simulation, Words, Workspace};
+    use crate::leak::{fill_leak_import, LeakScenario, LeakSim, LockingSemantics};
     use crate::reachset::ReachSet;
     use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, Relationship};
 
@@ -1501,7 +1447,6 @@ mod tests {
     fn lane_words<const W: usize>(lanes: &mut LaneWorkspace<W>) -> Vec<Vec<u64>>
     where
         Lanes<W>: LaneArity,
-        [NodeWords<W>]: AsExclusionLanes,
     {
         let mut words = Vec::new();
         lanes.emit_words(&mut words);
@@ -1524,13 +1469,13 @@ mod tests {
         let g = diamond();
         let snap = TopologySnapshot::compile(&g);
         let origins: Vec<NodeId> = g.nodes().collect();
-        let reach = Simulation::over(&snap).threads(1).run_sweep_reach(&origins);
+        let reach = Simulation::over(&snap).threads(1).sweep(&origins, |_, _| {}, Words).unwrap();
         let mut ws = Workspace::for_snapshot(&snap);
         let cfg = PropagationConfig::default();
         for (i, &o) in origins.iter().enumerate() {
             ws.run(&snap, o, &cfg);
-            assert_eq!(reach.reach_words(i), ws.reach_words(), "origin {o}");
-            assert_eq!(reach.reachable_count(i), ws.reachable_count(), "origin {o}");
+            assert_eq!(reach.kept[i], ws.reach_words(), "origin {o}");
+            assert_eq!(reach.counts[i] as usize, ws.reachable_count(), "origin {o}");
         }
     }
 
@@ -1540,11 +1485,11 @@ mod tests {
         let snap = TopologySnapshot::compile(&g);
         let o = g.index_of(AsId(4)).unwrap();
         let origins = vec![o, o, o];
-        let reach = Simulation::over(&snap).threads(1).run_sweep_reach(&origins);
-        assert_eq!(reach.reach_words(0), reach.reach_words(1));
-        assert_eq!(reach.reach_words(0), reach.reach_words(2));
+        let reach = Simulation::over(&snap).threads(1).sweep(&origins, |_, _| {}, Words).unwrap();
+        assert_eq!(reach.kept[0], reach.kept[1]);
+        assert_eq!(reach.kept[0], reach.kept[2]);
         let single = Simulation::over(&snap).run(o);
-        assert_eq!(reach.reach_words(0), single.reach_words());
+        assert_eq!(reach.kept[0], single.reach_words());
     }
 
     #[test]
@@ -1555,10 +1500,11 @@ mod tests {
         // Each lane excludes a different node: origin's index + 1 mod n.
         let excl_for = |o: NodeId| NodeId((o.0 + 1) % g.len() as u32);
         let sim = Simulation::over(&snap).threads(1);
-        let reach = sim.run_sweep_reach_with(&origins, |o, ex| {
+        let fill = |o, ex: &mut LaneExcluder<'_>| {
             ex.exclude(excl_for(o));
             ex.allow(o);
-        });
+        };
+        let reach = sim.sweep(&origins, fill, Words).unwrap();
         for (i, &o) in origins.iter().enumerate() {
             let banned = excl_for(o);
             let mut mask = vec![false; g.len()];
@@ -1566,8 +1512,8 @@ mod tests {
             mask[o.idx()] = false;
             let out =
                 Simulation::over(&snap).config(PropagationConfig::new().with_excluded(mask)).run(o);
-            assert_eq!(reach.reach_words(i), out.reach_words(), "origin {o}");
-            assert_eq!(reach.reachable_count(i), out.reachable_count(), "origin {o}");
+            assert_eq!(reach.kept[i], out.reach_words(), "origin {o}");
+            assert_eq!(reach.counts[i] as usize, out.reachable_count(), "origin {o}");
         }
     }
 
@@ -1581,20 +1527,21 @@ mod tests {
         let reach = Simulation::over(&snap)
             .config(PropagationConfig::new().with_excluded(mask))
             .threads(1)
-            .run_sweep_reach(&[o]);
-        assert_eq!(reach.reachable_count(0), 0);
-        assert!(reach.reach_words(0).iter().all(|&w| w == 0));
+            .sweep(&[o], |_, _| {}, Words)
+            .unwrap();
+        assert_eq!(reach.counts, [0]);
+        assert!(reach.kept[0].iter().all(|&w| w == 0));
     }
 
     #[test]
     fn empty_origin_list_and_empty_graph() {
         let g = diamond();
         let snap = TopologySnapshot::compile(&g);
-        let reach = Simulation::over(&snap).run_sweep_reach(&[]);
-        assert!(reach.is_empty());
+        let reach = Simulation::over(&snap).sweep(&[], |_, _| {}, Words).unwrap();
+        assert!(reach.kept.is_empty() && reach.counts.is_empty());
         let empty = TopologySnapshot::compile(&AsGraphBuilder::new().build());
-        let r2 = Simulation::over(&empty).run_sweep_reach(&[]);
-        assert_eq!(r2.len(), 0);
+        let r2 = Simulation::over(&empty).sweep(&[], |_, _| {}, Sets).unwrap();
+        assert!(r2.kept.is_empty());
     }
 
     /// A deterministic mixed-relationship graph with exactly `n` nodes:
@@ -1623,15 +1570,15 @@ mod tests {
             assert_eq!(g.len(), n as usize);
             let snap = TopologySnapshot::compile(&g);
             let origins: Vec<NodeId> = g.nodes().collect();
-            let reach = Simulation::over(&snap).threads(1).run_sweep_reach(&origins);
+            let reach = Simulation::over(&snap).threads(1).sweep(&origins, |_, _| {}, Words).unwrap();
             let mut ws = Workspace::for_snapshot(&snap);
             let cfg = PropagationConfig::default();
             let valid = n as usize & 63;
             for (i, &o) in origins.iter().enumerate() {
                 ws.run(&snap, o, &cfg);
-                assert_eq!(reach.reach_words(i), ws.reach_words(), "n={n} origin {o:?}");
-                assert_eq!(reach.reachable_count(i), ws.reachable_count(), "n={n} origin {o:?}");
-                let tail = *reach.reach_words(i).last().unwrap();
+                assert_eq!(reach.kept[i], ws.reach_words(), "n={n} origin {o:?}");
+                assert_eq!(reach.counts[i] as usize, ws.reachable_count(), "n={n} origin {o:?}");
+                let tail = *reach.kept[i].last().unwrap();
                 assert_eq!(tail & !((1u64 << valid) - 1), 0, "n={n} origin {o:?}: tail bits");
             }
         }
@@ -1650,16 +1597,16 @@ mod tests {
         let cfg = PropagationConfig::default();
         for width in [LaneWidth::W64, LaneWidth::W128, LaneWidth::W256] {
             let sim = Simulation::over(&snap).threads(1).lane_width(width);
-            let reach = sim.run_sweep_reach(&origins);
-            let counts = sim.run_sweep_reach_counts(&origins);
-            let kept = sim.run_sweep_reach_sets_with(&origins, |_, _| {});
+            let reach = sim.sweep(&origins, |_, _| {}, Words).unwrap();
+            let counts = sim.sweep(&origins, |_, _| {}, Counts).unwrap().counts;
+            let kept = sim.sweep(&origins, |_, _| {}, Sets).unwrap();
+            assert_eq!((&reach.counts, &kept.counts), (&counts, &counts), "{width:?}");
             for (i, &o) in origins.iter().enumerate() {
                 ws.run(&snap, o, &cfg);
-                assert_eq!(reach.reach_words(i), ws.reach_words(), "{width:?} origin {o:?}");
-                assert_eq!(reach.reachable_count(i), ws.reachable_count(), "{width:?} origin {o:?}");
+                assert_eq!(reach.kept[i], ws.reach_words(), "{width:?} origin {o:?}");
                 assert_eq!(counts[i] as usize, ws.reachable_count(), "{width:?} origin {o:?}");
                 let encoded = ReachSet::from_words(ws.reach_words(), g.len());
-                assert_eq!(kept[i], (encoded, ws.reachable_count()), "{width:?} origin {o:?}");
+                assert_eq!(kept.kept[i], encoded, "{width:?} origin {o:?}");
             }
         }
     }
@@ -1675,10 +1622,11 @@ mod tests {
         let origins: Vec<NodeId> = g.nodes().collect();
         let excl_for = |o: NodeId| NodeId((o.0 + 7) % g.len() as u32);
         let sim = Simulation::over(&snap).threads(1).lane_width(LaneWidth::W256);
-        let reach = sim.run_sweep_reach_with(&origins, |o, ex| {
+        let fill = |o, ex: &mut LaneExcluder<'_>| {
             ex.exclude(excl_for(o));
             ex.allow(o);
-        });
+        };
+        let reach = sim.sweep(&origins, fill, Words).unwrap();
         let mut ws = Workspace::for_snapshot(&snap);
         for (i, &o) in origins.iter().enumerate() {
             let mut cfg = PropagationConfig::new();
@@ -1686,8 +1634,8 @@ mod tests {
             mask[excl_for(o).idx()] = true;
             mask[o.idx()] = false;
             ws.run(&snap, o, &cfg);
-            assert_eq!(reach.reach_words(i), ws.reach_words(), "lane {i} origin {o:?}");
-            assert_eq!(reach.reachable_count(i), ws.reachable_count(), "lane {i} origin {o:?}");
+            assert_eq!(reach.kept[i], ws.reach_words(), "lane {i} origin {o:?}");
+            assert_eq!(reach.counts[i] as usize, ws.reachable_count(), "lane {i} origin {o:?}");
         }
     }
 
@@ -1713,7 +1661,7 @@ mod tests {
                 let origins: Vec<NodeId> = g.nodes().collect();
                 let mut ws = Workspace::for_snapshot(snap);
                 for block in origins.chunks(LANES * W) {
-                    lanes.run_block_masked(snap, block, &cfg, |_, _| {});
+                    lanes.run_block(snap, block, &cfg, |_, _| {});
                     let words = lane_words(&mut lanes);
                     for (k, &o) in block.iter().enumerate() {
                         ws.run(snap, o, &cfg);
@@ -1745,16 +1693,16 @@ mod tests {
         let cfg = PropagationConfig::default();
         // Auto → widest: warms one pool; the narrow sweep of 40 origins
         // clamps to one-word lanes (a different pool); then back wide.
-        let wide = sim.run_sweep_reach(&origins);
+        let wide = sim.sweep(&origins, |_, _| {}, Words).unwrap();
         let narrow: Vec<NodeId> = origins.iter().copied().take(40).collect();
-        let small = sim.run_sweep_reach(&narrow);
-        let wide2 = sim.run_sweep_reach(&origins);
+        let small = sim.sweep(&narrow, |_, _| {}, Words).unwrap();
+        let wide2 = sim.sweep(&origins, |_, _| {}, Words).unwrap();
         assert_eq!(wide, wide2, "width round-trip changed a sweep result");
         for (i, &o) in origins.iter().enumerate() {
             ws.run(&snap, o, &cfg);
-            assert_eq!(wide.reach_words(i), ws.reach_words(), "origin {o:?}");
+            assert_eq!(wide.kept[i], ws.reach_words(), "origin {o:?}");
             if i < narrow.len() {
-                assert_eq!(small.reach_words(i), ws.reach_words(), "narrow origin {o:?}");
+                assert_eq!(small.kept[i], ws.reach_words(), "narrow origin {o:?}");
             }
         }
     }
@@ -1765,12 +1713,9 @@ mod tests {
         let snap = TopologySnapshot::compile(&g);
         let origins: Vec<NodeId> = g.nodes().collect();
         let sim = Simulation::over(&snap).threads(2);
-        let reach = sim.run_sweep_reach(&origins);
-        let counts = sim.run_sweep_reach_counts(&origins);
-        for (i, &count) in counts.iter().enumerate() {
-            assert_eq!(count as usize, reach.reachable_count(i));
-        }
-        assert_eq!(counts.len(), origins.len());
+        let reach = sim.sweep(&origins, |_, _| {}, Words).unwrap();
+        let counts = sim.sweep(&origins, |_, _| {}, Counts).unwrap();
+        assert_eq!((counts.kept.len(), counts.counts), (origins.len(), reach.counts));
     }
 
     /// SplitMix64, for the random graphs, policies and blocks below.
@@ -1814,13 +1759,14 @@ mod tests {
         let salt = next(rng);
         let mut reach = |portable: bool| {
             PORTABLE_ONLY.set(portable);
-            lanes.run_block_masked(snap, &origins, cfg, |o, ex| {
+            lanes.run_block(snap, &origins, cfg, |o, ex| {
                 ex.exclude(NodeId(((o.0 as u64 ^ salt) % n) as u32));
                 ex.allow(o);
             });
             PORTABLE_ONLY.set(false);
+            let words = lane_words(lanes);
             let counts: Vec<usize> = (0..origins.len()).map(|k| lanes.lane_reachable_count(k)).collect();
-            (lane_words(lanes), counts)
+            (words, counts)
         };
         reach(false) == reach(true)
     }
@@ -2017,12 +1963,16 @@ mod tests {
     }
 
     /// What a sweep hands out of its blocks — kept [`ReachSet`]s (value
-    /// and form), [`SweepReach`] words and counts — against per-origin
-    /// scalar runs under each origin's own exclusions, at every width:
+    /// and form), [`Words`] bitsets, [`Counts`] and sub-prefix
+    /// [`Fractions`] — against per-origin scalar runs, at every width:
     /// random graphs, sweeps of two full blocks and a partial tail block
-    /// spread over two workers, and per-origin exclusions from none to
-    /// seven nodes in eight (one origin in six left excluded itself), so
-    /// that every form is kept somewhere.
+    /// spread over two workers. The first three run under per-origin
+    /// exclusions from none to seven nodes in eight (one origin in six
+    /// left excluded itself), so that every form is kept somewhere; the
+    /// same origins then hijack one victim's sub-prefix under a random
+    /// locking set, and each lane's detour share, unweighted and under
+    /// weights of wide-ranging magnitude, must equal
+    /// [`LeakSim::subprefix_fraction`]'s bit for bit.
     #[test]
     fn every_block_emitter_matches_scalar_runs() {
         let mut rng = 0xE417_u64;
@@ -2047,28 +1997,50 @@ mod tests {
             let fill = |o: NodeId, ex: &mut LaneExcluder<'_>| {
                 rule(o, &mut |node, excluded| if excluded { ex.exclude(node) } else { ex.allow(node) });
             };
+            let weights: Vec<f64> =
+                (0..n).map(|_| (next(&mut rng) >> 11) as f64 * 2f64.powi((next(&mut rng) % 40) as i32 - 53)).collect();
             let mut ws = Workspace::for_snapshot(&snap);
+            let mut leak = LeakSim::new(&snap);
             for width in [LaneWidth::W64, LaneWidth::W128, LaneWidth::W256] {
                 let lanes = width.lanes();
                 let count = 2 * lanes + 1 + next(&mut rng) as usize % (lanes - 1);
                 let origins: Vec<NodeId> = (0..count).map(|_| NodeId((next(&mut rng) % n as u64) as u32)).collect();
                 let sim = Simulation::over(&snap).threads(2).lane_width(width);
-                let words = sim.run_sweep_reach_with(&origins, fill);
-                let kept = sim.run_sweep_reach_sets_with(&origins, fill);
-                let counts = sim.run_sweep_reach_counts_with(&origins, fill);
-                assert_eq!((words.len(), kept.len(), counts.len()), (count, count, count));
+                let words = sim.sweep(&origins, fill, Words).unwrap();
+                let kept = sim.sweep(&origins, fill, Sets).unwrap();
+                let counts = sim.sweep(&origins, fill, Counts).unwrap().counts;
+                assert_eq!((&words.counts, &kept.counts, counts.len()), (&counts, &counts, count));
                 for (i, &o) in origins.iter().enumerate() {
                     let mut mask = vec![false; n];
                     rule(o, &mut |node, excluded| mask[node.idx()] = excluded);
                     ws.run(&snap, o, &PropagationConfig::new().with_excluded(mask));
                     let what = format!("{width:?}, origin #{i} {o:?}, {n} ASes");
                     let want = ReachSet::from_words(ws.reach_words(), n);
-                    assert_eq!(words.reach_words(i), ws.reach_words(), "{what}");
-                    assert_eq!(words.reachable_count(i), ws.reachable_count(), "{what}");
-                    assert_eq!(kept[i].0.form(), want.form(), "{what}");
-                    assert_eq!(kept[i], (want, ws.reachable_count()), "{what}");
+                    assert_eq!(words.kept[i], ws.reach_words(), "{what}");
+                    assert_eq!(kept.kept[i].form(), want.form(), "{what}");
+                    assert_eq!(kept.kept[i], want, "{what}");
                     assert_eq!(counts[i] as usize, ws.reachable_count(), "{what}");
-                    forms_seen[kept[i].0.form() as usize] = true;
+                    forms_seen[kept.kept[i].form() as usize] = true;
+                }
+
+                let victim = NodeId((next(&mut rng) % n as u64) as u32);
+                let leakers: Vec<NodeId> = origins.iter().copied().filter(|&o| o != victim).collect();
+                let locking: Vec<NodeId> = g.nodes().filter(|_| next(&mut rng).is_multiple_of(8)).collect();
+                let semantics =
+                    if next(&mut rng).is_multiple_of(2) { LockingSemantics::Corrected } else { LockingSemantics::PreErratum };
+                let mut import = vec![ImportPolicy::Normal; n];
+                fill_leak_import(&mut import, victim, &locking, semantics);
+                let hijacks = sim.clone().config(PropagationConfig::new().with_import(import));
+                for weights in [None, Some(&weights[..])] {
+                    let shares = hijacks.sweep(&leakers, |_, _| {}, Fractions { weights }).unwrap();
+                    assert_eq!(shares.kept.len(), leakers.len());
+                    for (i, &leaker) in leakers.iter().enumerate() {
+                        let locking = locking.clone();
+                        let scenario = LeakScenario { victim, leaker, victim_export: None, locking, semantics };
+                        let want = leak.subprefix_fraction(&scenario, weights);
+                        let what = format!("{width:?}, leaker #{i} {leaker:?}, {semantics:?}, weighted {}", weights.is_some());
+                        assert_eq!(shares.kept[i].to_bits(), want.to_bits(), "{what}: {} vs {want}", shares.kept[i]);
+                    }
                 }
             }
         }
@@ -2105,15 +2077,16 @@ mod tests {
         for (excluded, form) in rules {
             for width in [LaneWidth::W64, LaneWidth::W128] {
                 let sim = Simulation::over(&snap).threads(1).lane_width(width);
-                let kept = sim.run_sweep_reach_sets_with(&origins, |o, ex| {
+                let fill = |o, ex: &mut LaneExcluder<'_>| {
                     g.nodes().filter(|&node| excluded(o, node)).for_each(|node| ex.exclude(node));
-                });
-                for (&o, (set, count)) in origins.iter().zip(&kept) {
+                };
+                let kept = sim.sweep(&origins, fill, Sets).unwrap();
+                for (&o, (set, count)) in origins.iter().zip(kept.kept.iter().zip(&kept.counts)) {
                     let mask = g.nodes().map(|node| excluded(o, node)).collect();
                     ws.run(&snap, o, &PropagationConfig::new().with_excluded(mask));
                     let want = ReachSet::from_words(ws.reach_words(), n);
                     assert_eq!((set.form(), want.form()), (form, form), "{width:?} origin {o:?}");
-                    assert_eq!((set, *count), (&want, ws.reachable_count()), "{width:?} origin {o:?}");
+                    assert_eq!((set, *count as usize), (&want, ws.reachable_count()), "{width:?} origin {o:?}");
                 }
             }
         }
@@ -2142,7 +2115,7 @@ mod tests {
             flagged.sort_unstable();
             flagged.dedup();
             let mut ws = LaneWorkspace::<W>::new();
-            ws.run_block_masked(snap, &origins, &PropagationConfig::default(), |o, ex| {
+            ws.run_block(snap, &origins, &PropagationConfig::default(), |o, ex| {
                 g.providers(o).iter().for_each(|&p| ex.exclude(p));
                 ex.allow(o);
             });

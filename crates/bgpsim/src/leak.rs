@@ -26,7 +26,7 @@
 //! (the serve daemon) still runs on warm buffers and a sweep does no
 //! steady-state allocation.
 
-use crate::engine::{Simulation, SweepCtx, TopologySnapshot, Workspace};
+use crate::engine::{Fractions, Simulation, SweepCtx, TopologySnapshot, Workspace};
 use crate::propagate::{ImportPolicy, PropagationConfig, UNREACHED};
 use flatnet_asgraph::NodeId;
 
@@ -138,7 +138,7 @@ impl LeakOutcome {
 
 /// Fills `import` with the policy any leaker's announcement of `victim`'s
 /// prefix meets — it depends on the victim and the locking set only.
-fn fill_leak_import(
+pub(crate) fn fill_leak_import(
     import: &mut [ImportPolicy],
     victim: NodeId,
     locking: &[NodeId],
@@ -425,9 +425,11 @@ fn detour_fraction(
 /// so there is no route competition), and the leaker propagation's
 /// import policy depends only on the victim and the locking set — shared
 /// by every leaker. That makes the whole CDF one multi-origin sweep:
-/// leakers are packed 64 per block through
-/// [`Simulation::run_sweep_reach`], each word-wise frontier expansion
-/// advancing 64 hijacks at once. Note the per-lane policy semantics:
+/// leakers are packed 64, 128 or 256 per block ([`LaneWidth::Auto`](crate::LaneWidth::Auto))
+/// through [`Simulation::sweep`], each lane-vector frontier expansion
+/// advancing a block of hijacks at once, and each lane's detour share is
+/// summed straight off the block's route words, in the node order
+/// [`LeakSim::subprefix_fraction`] sums it. Note the per-lane policy semantics:
 /// under [`LockingSemantics::PreErratum`] a locking AS rejects routes
 /// *directly from the origin*, and "the origin" differs per lane — the
 /// kernel's origin-membership words resolve that per bit.
@@ -444,19 +446,20 @@ pub fn subprefix_detour_fractions(
         assert_ne!(victim, l, "victim cannot leak its own prefix");
     }
     let n = snap.len();
-    if n == 0 {
-        return vec![0.0; leakers.len()];
+    if let Some(w) = weights {
+        assert_eq!(w.len(), n, "weights must cover every node");
     }
     let mut import = vec![ImportPolicy::Normal; n];
     fill_leak_import(&mut import, victim, locking, semantics);
-    let sim = Simulation::over(snap)
-        .config(PropagationConfig::new().with_import(import))
-        .threads(threads);
-    let reach = sim.run_sweep_reach(leakers);
     // Every AS holding the sub-prefix is detoured; the leaker's own
     // origin bit is set (its traffic terminates locally), and the
     // victim's import policy keeps its bit clear.
-    (0..leakers.len()).map(|i| detour_fraction(n, weights, |t| reach.reachable(i, t))).collect()
+    Simulation::over(snap)
+        .config(PropagationConfig::new().with_import(import))
+        .threads(threads)
+        .sweep(leakers, |_, _| {}, Fractions { weights })
+        .unwrap_or_else(|e| panic!("{e}"))
+        .kept
 }
 
 #[cfg(test)]
@@ -750,36 +753,53 @@ mod tests {
 
     #[test]
     fn batch_subprefix_matches_per_leaker_sim() {
-        let g = topology();
-        let snap = TopologySnapshot::compile(&g);
-        let victim = node(&g, 10);
-        let leakers: Vec<NodeId> = g.nodes().filter(|&t| t != victim).collect();
-        let mut w = vec![1.0; g.len()];
-        w[node(&g, 1).idx()] = 5.0;
-        w[node(&g, 20).idx()] = 0.25;
-        for semantics in [LockingSemantics::Corrected, LockingSemantics::PreErratum] {
-            for locking in [vec![], vec![node(&g, 1)], vec![node(&g, 1), node(&g, 40)]] {
-                for weights in [None, Some(w.as_slice())] {
-                    let batch = subprefix_detour_fractions(
-                        &snap, victim, &leakers, &locking, semantics, weights, 1,
-                    );
-                    let mut sim = LeakSim::new(&snap);
-                    for (i, &leaker) in leakers.iter().enumerate() {
-                        let scenario = LeakScenario {
-                            victim,
-                            leaker,
-                            victim_export: None,
-                            locking: locking.clone(),
-                            semantics,
-                        };
-                        let want = sim.subprefix_fraction(&scenario, weights);
-                        assert!(
-                            (batch[i] - want).abs() < 1e-12,
-                            "leaker {leaker}, {semantics:?}, locking {locking:?}, \
-                             weighted={}: batch {} != scalar {want}",
-                            weights.is_some(),
-                            batch[i],
+        // The hand-built topology, and a generated one of 300 ASes whose
+        // 299 leakers fill whole blocks and leave a tail block at every
+        // width, under weights whose magnitudes span twelve decades, so
+        // that summing a lane's mass in any order but the scalar's shows.
+        let small = topology();
+        let net = flatnet_netgen::generate(&flatnet_netgen::NetGenConfig {
+            n_ases: 300,
+            ..flatnet_netgen::NetGenConfig::tiny(3)
+        });
+        let mut w = vec![1.0; small.len()];
+        w[node(&small, 1).idx()] = 5.0;
+        w[node(&small, 20).idx()] = 0.25;
+        let wide: Vec<f64> =
+            (0..300).map(|i: i32| f64::from((i * 7919) % 1013) * 10f64.powi(i % 13 - 6)).collect();
+        let cases = [
+            (&small, node(&small, 10), [node(&small, 1), node(&small, 40)], w),
+            (&net.truth, NodeId(0), [NodeId(7), NodeId(150)], wide),
+        ];
+        for (g, victim, locked, w) in cases {
+            let snap = TopologySnapshot::compile(g);
+            let leakers: Vec<NodeId> = g.nodes().filter(|&t| t != victim).collect();
+            for semantics in [LockingSemantics::Corrected, LockingSemantics::PreErratum] {
+                for locking in [vec![], locked[..1].to_vec(), locked.to_vec()] {
+                    for weights in [None, Some(w.as_slice())] {
+                        let batch = subprefix_detour_fractions(
+                            &snap, victim, &leakers, &locking, semantics, weights, 2,
                         );
+                        let mut sim = LeakSim::new(&snap);
+                        for (i, &leaker) in leakers.iter().enumerate() {
+                            let scenario = LeakScenario {
+                                victim,
+                                leaker,
+                                victim_export: None,
+                                locking: locking.clone(),
+                                semantics,
+                            };
+                            let want = sim.subprefix_fraction(&scenario, weights);
+                            assert_eq!(
+                                batch[i].to_bits(),
+                                want.to_bits(),
+                                "{} ASes, leaker {leaker}, {semantics:?}, locking {locking:?}, \
+                                 weighted={}: batch {} != scalar {want}",
+                                g.len(),
+                                weights.is_some(),
+                                batch[i],
+                            );
+                        }
                     }
                 }
             }

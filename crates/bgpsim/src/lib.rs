@@ -29,11 +29,13 @@
 //! * [`engine`] — the batched propagation engine: a compiled
 //!   [`TopologySnapshot`], reusable [`Workspace`]s, and the
 //!   builder-style [`Simulation`] sweep API every whole-Internet
-//!   experiment runs on, including the one lane-sweep driver in front of
-//!   the kernel below. The snapshot holds no links of its own: it is a
-//!   handle on the graph, whose adjacency is already in the layout the
-//!   kernels walk, plus a who-has-customers bitset and the pooled scratch
-//!   sized for the topology (lane workspaces, the scalar contexts a
+//!   experiment runs on, including [`Simulation::sweep`], the one call
+//!   in front of the kernel below, whose [`Keep`] argument picks what is
+//!   read off each block: [`Counts`], [`Words`] or [`Sets`]. The
+//!   snapshot holds no links of its own: it is a handle on the graph,
+//!   whose adjacency is already in the layout the kernels walk, plus a
+//!   who-has-customers bitset and the pooled scratch sized for the
+//!   topology (lane workspaces, the scalar contexts a
 //!   [`SweepCtx`] or leak side checks out, reliance kernels), so
 //!   repeated sweeps over one topology reuse warm buffers whoever runs
 //!   them.
@@ -44,11 +46,10 @@
 //!   origins per block (one to four `u64` lane words per node, width
 //!   picked at runtime from CPU features via [`LaneWidth`], AVX2 path
 //!   included), one frontier expansion advancing all of them, reach
-//!   sets bit-identical to per-origin [`Workspace`] runs at every width
-//!   (the `Simulation::run_sweep_reach` family).
+//!   sets bit-identical to per-origin [`Workspace`] runs at every width.
 //! * [`reachset`] — [`ReachSet`], a reach set kept by its shorter side
 //!   (missing nodes, reached nodes or the bitset) for consumers that hold
-//!   many of them (`Simulation::run_sweep_reach_sets_with`).
+//!   many of them (a [`Sets`] sweep).
 //! * [`parallel`] — panic-isolated parallel sweeps with per-worker
 //!   contexts.
 //! * [`mod@reliance`] — `rely(o, a)` (§7.1) in O(E) via a topological DP:
@@ -90,11 +91,12 @@ mod scratch;
 
 pub use collectors::{collect_ribs, visible_links, RibEntry};
 pub use dag::NextHopDag;
-pub use engine::{Simulation, SweepCtx, TopologySnapshot, Workspace};
+pub use engine::{
+    Counts, Keep, Sets, Simulation, Sweep, SweepCtx, SweepReach, TopologySnapshot, Words, Workspace,
+};
 pub use exclusion::{Exclusion, ExclusionError, ExclusionPolicy};
 pub use lanes::{
-    cpu_features, detected_lane_words, LaneExcluder, LaneWidth, LaneWorkspace, SweepReach, LANES,
-    MAX_LANES, MAX_LANE_WORDS,
+    cpu_features, detected_lane_words, LaneExcluder, LaneWidth, LANES, MAX_LANES, MAX_LANE_WORDS,
 };
 pub use leak::{
     subprefix_detour_fractions, DetourState, LeakOutcome, LeakScenario, LeakSim, LeakerSide,

@@ -7,7 +7,7 @@
 //! node for each: [`ReachSet`] stores the missing nodes, the reached
 //! nodes, or the bitset, whichever takes the fewest heap bytes, and reads
 //! the same through every form. Sweeps that read their sets once and drop
-//! them ([`crate::lanes::SweepReach`]) keep the engine's words as they
+//! them (a [`Words`](crate::Words) sweep) keep the engine's words as they
 //! are.
 
 use flatnet_asgraph::NodeId;
@@ -78,8 +78,7 @@ pub struct ReachSet {
 impl ReachSet {
     /// Encodes the set whose bits are `words` (bit = node index, tail
     /// bits past `n` zero), as [`RoutingOutcome::reach_words`](crate::RoutingOutcome::reach_words)
-    /// and [`SweepReach::reach_words`](crate::SweepReach::reach_words)
-    /// show it.
+    /// and a [`Words`](crate::Words) sweep show it.
     pub fn from_words(words: &[u64], n: usize) -> ReachSet {
         assert_eq!(words.len(), n.div_ceil(64), "{} words cannot hold {n} nodes", words.len());
         debug_assert!(n.is_multiple_of(64) || words[n / 64] >> (n % 64) == 0, "tail bits set");

@@ -179,7 +179,7 @@ impl Scratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Simulation, TopologySnapshot};
+    use crate::engine::{Counts, Sets, Simulation, TopologySnapshot, Words};
     use crate::lanes::{LaneExcluder, LaneWidth};
     use crate::leak::{LeakScenario, LeakSim};
     use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, NodeId, Relationship};
@@ -251,11 +251,8 @@ mod tests {
                 let (snap, all_hold_one) = (&snap, &all_hold_one);
                 s.spawn(move || {
                     let sim = Simulation::over(snap).threads(1).lane_width(LaneWidth::W64);
-                    let counts = sim
-                        .run_sweep_reach_counts_with(&[NodeId(i as u32 % 24)], |_, _| {
-                            all_hold_one.wait();
-                        });
-                    assert_eq!(counts, [23]);
+                    let swept = sim.sweep(&[NodeId(i as u32 % 24)], |_, _| _ = all_hold_one.wait(), Counts);
+                    assert_eq!(swept.unwrap().counts, [23]);
                 });
             }
         });
@@ -275,18 +272,18 @@ mod tests {
         let mut mask = vec![false; g.len()];
         mask[0] = true;
         let masked = Simulation::over(&snap).threads(1).excluded(mask);
-        let first = plain.run_sweep_reach(&origins);
+        let first = plain.sweep(&origins, |_, _| {}, Words).unwrap();
         assert_eq!(snap.scratch().lanes1.idle(), 1);
         let bytes = snap.scratch_bytes();
-        let second = masked.run_sweep_reach(&origins);
+        let second = masked.sweep(&origins, |_, _| {}, Words).unwrap();
         assert_ne!(first, second);
         assert_eq!(snap.scratch().lanes1.idle(), 1, "the second simulation took the first's");
         assert!(snap.scratch_bytes() < 2 * bytes, "and sized no workspace of its own");
         // What the shared workspace computed is what a fresh one does.
         let fresh = snap.clone();
-        assert_eq!(second, masked.clone().run_sweep_reach(&origins));
+        assert_eq!(Ok(&second), masked.clone().sweep(&origins, |_, _| {}, Words).as_ref());
         let masked_fresh = Simulation::over(&fresh).config(masked.cfg().clone()).threads(1);
-        assert_eq!(second, masked_fresh.run_sweep_reach(&origins));
+        assert_eq!(Ok(second), masked_fresh.sweep(&origins, |_, _| {}, Words));
     }
 
     #[test]
@@ -299,15 +296,15 @@ mod tests {
             ex.exclude(NodeId((o.0 + 1) % 24));
             assert!(o.0 % 5 != 3, "bad origin {o}");
         };
-        let failed = sim.try_run_sweep_reach_counts_with(&origins, fill);
-        assert_eq!(failed.iter().filter(|r| r.is_err()).count(), 5);
+        let failed = sim.sweep(&origins, fill, Counts).unwrap_err();
+        assert_eq!(failed.index, 3, "the first of the five failures");
         assert_eq!(snap.scratch().lanes1.idle(), 1, "the workspace came back");
         // The next sweep runs on that workspace, half-installed
         // exclusions and all, and must not see any of it.
-        let reused = sim.run_sweep_reach(&origins);
+        let reused = sim.sweep(&origins, |_, _| {}, Words);
         assert_eq!(snap.scratch().lanes1.idle(), 1);
         let fresh = snap.clone();
-        assert_eq!(reused, Simulation::over(&fresh).threads(1).run_sweep_reach(&origins));
+        assert_eq!(reused, Simulation::over(&fresh).threads(1).sweep(&origins, |_, _| {}, Words));
     }
 
     #[test]
@@ -371,9 +368,9 @@ mod tests {
                 let snap = TopologySnapshot::compile(&net.truth);
                 let sim = Simulation::over(&snap).threads(1).lane_width(width);
                 let swept = match kind {
-                    "counts" => sim.run_sweep_reach_counts(&origins).len(),
-                    "sets" => sim.run_sweep_reach_sets_with(&origins, |_, _| {}).len(),
-                    _ => sim.run_sweep_reach(&origins).len(),
+                    "counts" => sim.sweep(&origins, |_, _| {}, Counts).unwrap().kept.len(),
+                    "sets" => sim.sweep(&origins, |_, _| {}, Sets).unwrap().kept.len(),
+                    _ => sim.sweep(&origins, |_, _| {}, Words).unwrap().kept.len(),
                 };
                 assert_eq!(swept, origins.len());
                 let held = snap.scratch_bytes();

@@ -29,7 +29,7 @@
 use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, NodeId, Relationship};
 use flatnet_bgpsim::{
     reliance, ImportPolicy, LaneWidth, LockingSemantics, NextHopDag, PropagationConfig,
-    RelianceWorkspace, Simulation, TopologySnapshot, VictimSide, Workspace,
+    RelianceWorkspace, Simulation, TopologySnapshot, VictimSide, Words, Workspace,
 };
 use flatnet_testkit::{stable_paths, Rules};
 use proptest::prelude::*;
@@ -210,10 +210,10 @@ proptest! {
                 let block: Vec<NodeId> = std::iter::once(origin)
                     .chain((0..others).map(|_| NodeId((next(&mut lane_rng) % n as u64) as u32)))
                     .collect();
-                let lanes = sim.clone().lane_width(LaneWidth::W64).run_sweep_reach(&block);
+                let lanes = sim.clone().lane_width(LaneWidth::W64).sweep(&block, |_, _| {}, Words).unwrap();
                 for (i, &o) in block.iter().enumerate() {
                     let scalar = ctx.run(o).reach_words();
-                    prop_assert_eq!(lanes.reach_words(i), scalar, "{}: lane {} ({})", what, i, o);
+                    prop_assert_eq!(&lanes.kept[i][..], scalar, "{}: lane {} ({})", what, i, o);
                 }
 
                 let is_wide = dag.reachable_len() >= n / 8;

@@ -247,7 +247,8 @@ pub fn subprefix_hijack_cdf(
     let snap = TopologySnapshot::compile(g);
     // The hijacker's more-specific prefix wins regardless of the victim's
     // announcements, and the locking set is leaker-independent — so all
-    // leakers batch through the bit-parallel kernel, 64 per block.
+    // leakers batch through the bit-parallel kernel, 64, 128 or 256 per
+    // block (`LaneWidth::Auto`).
     let locking_set = locking_set_for(g, tiers, v, locking);
     let mut fractions = subprefix_detour_fractions(
         &snap,

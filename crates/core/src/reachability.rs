@@ -3,7 +3,7 @@
 
 use crate::error::FlatnetError;
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
-use flatnet_bgpsim::{Exclusion, ExclusionPolicy, Simulation, TopologySnapshot};
+use flatnet_bgpsim::{Counts, Exclusion, ExclusionPolicy, Simulation, TopologySnapshot};
 use flatnet_obs::PhaseTimer;
 
 /// The three reachability levels of one origin (Fig. 2's stacked bars).
@@ -53,13 +53,11 @@ fn counts_under(
     threads: usize,
 ) -> Result<Vec<u32>, FlatnetError> {
     let excl = Exclusion::new(g, tiers, policy)?;
-    Simulation::over(snap)
+    let swept = Simulation::over(snap)
         .threads(threads)
         .config(excl.shared_config())
-        .try_run_sweep_reach_counts_with(sweep, |o, ex| excl.fill_lane(o, ex))
-        .into_iter()
-        .map(|r| r.map_err(FlatnetError::from))
-        .collect()
+        .sweep(sweep, |o, ex| excl.fill_lane(o, ex), Counts)?;
+    Ok(swept.counts)
 }
 
 /// Computes the full three-level profile for a list of origins

@@ -7,7 +7,7 @@
 
 use flatnet_asgraph::astype::AsType;
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
-use flatnet_bgpsim::{Exclusion, ExclusionPolicy, Simulation, TopologySnapshot};
+use flatnet_bgpsim::{Exclusion, ExclusionPolicy, Simulation, TopologySnapshot, Words};
 
 /// Fig. 4: one provider's unreachable-AS breakdown.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,19 +65,22 @@ pub fn unreachable_breakdowns(
     let reach = Simulation::over(&snap)
         .threads(threads)
         .config(excl.shared_config())
-        .run_sweep_reach_with(&sweep, |o, ex| excl.fill_lane(o, ex));
+        .sweep(&sweep, |o, ex| excl.fill_lane(o, ex), Words)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .kept;
 
     let mut excluded = vec![false; g.len()];
     let mut out: Vec<Option<UnreachableBreakdown>> = vec![None; origins.len()];
-    for (i, &(slot, asn, o)) in known.iter().enumerate() {
+    for (&(slot, asn, o), words) in known.iter().zip(&reach) {
         excl.fill_scalar(o, &mut excluded);
+        let reached = |n: NodeId| (words[n.idx() >> 6] >> (n.idx() & 63)) & 1 == 1;
         let mut by_type = [0usize; 4];
         let mut total = 0usize;
         for n in g.nodes() {
             // The excluded hierarchy itself isn't "unreachable"; the
-            // origin's own reach bit is always set, so `reachable` also
+            // origin's own reach bit is always set, so `reached` also
             // skips the origin.
-            if reach.reachable(i, n) || excluded[n.idx()] {
+            if reached(n) || excluded[n.idx()] {
                 continue;
             }
             let ty = type_of(n);

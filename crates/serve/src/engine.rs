@@ -38,7 +38,7 @@ use crate::server::ServeConfig;
 use crate::snapshot::{ServeSnapshot, SnapshotManager};
 use flatnet_asgraph::{AsId, NodeId};
 use flatnet_bgpsim::{
-    Exclusion, ExclusionPolicy, LaneWidth, LockingSemantics, ReachForm, ReachSet, Simulation,
+    Exclusion, ExclusionPolicy, LaneWidth, LockingSemantics, ReachForm, ReachSet, Sets, Simulation,
 };
 use flatnet_core::leaks::{leak_cdf_on, Announce, Locking};
 use flatnet_obs::trace::{Stage, TraceCtx};
@@ -592,14 +592,15 @@ fn resolve(
             }
             (Endpoint::Reachability, _) => {
                 let nodes: Vec<NodeId> = misses.iter().map(|&(_, node)| node).collect();
-                let sets = Simulation::over(&snap.topo)
+                let swept = Simulation::over(&snap.topo)
                     .threads(1)
                     .config(excl.shared_config())
-                    .run_sweep_reach_sets_with(&nodes, |o, ex| excl.fill_lane(o, ex));
+                    .sweep(&nodes, |o, ex| excl.fill_lane(o, ex), Sets)
+                    .map_err(|e| ApiError::new(500, "internal", e.to_string()))?;
                 // The sweep's per-origin sets become the answers as they are.
-                solved.extend(
-                    sets.into_iter().map(|(set, reached)| Arc::new(Answer::Reach { set, reached })),
-                );
+                solved.extend(swept.kept.into_iter().zip(swept.counts).map(|(set, reached)| {
+                    Arc::new(Answer::Reach { set, reached: reached as usize })
+                }));
             }
             (Endpoint::Reliance, _) => {
                 let mut ctx = Simulation::over(&snap.topo).ctx();

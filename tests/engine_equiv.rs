@@ -30,9 +30,9 @@
 
 use flatnet_asgraph::{AsId, NodeId, Tiers};
 use flatnet_bgpsim::{
-    reliance, DetourState, Exclusion, ExclusionPolicy, ImportPolicy, LaneWidth, LaneWorkspace,
+    reliance, Counts, DetourState, Exclusion, ExclusionPolicy, ImportPolicy, LaneWidth,
     LockingSemantics, NextHopDag, PropagationConfig, RelianceWorkspace, RoutingOutcome,
-    Simulation, SweepCtx, TopologySnapshot, VictimSide, Workspace,
+    Simulation, SweepCtx, TopologySnapshot, VictimSide, Words, Workspace,
 };
 use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_testkit::{leak_states, process, stable_paths, Counting, Rules};
@@ -274,12 +274,13 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
                 ex.allow(o);
             };
             let widths = [LaneWidth::W64, LaneWidth::W128, LaneWidth::W256];
-            let per_width: Vec<(flatnet_bgpsim::SweepReach, Vec<u32>)> = widths
+            let per_width: Vec<_> = widths
                 .iter()
                 .map(|&w| {
                     let sim =
                         Simulation::over(&snap).config(cfg.clone()).threads(1).lane_width(w);
-                    (sim.run_sweep_reach_with(&origins, fill), sim.run_sweep_reach_counts_with(&origins, fill))
+                    let words = sim.sweep(&origins, fill, Words).expect("no fill panics");
+                    (words, sim.sweep(&origins, fill, Counts).expect("no fill panics").counts)
                 })
                 .collect();
 
@@ -296,12 +297,12 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
                 ws.run(&snap, o, &scalar_cfg);
                 for (w, (reach, counts)) in widths.iter().zip(&per_width) {
                     assert_eq!(
-                        reach.reach_words(i),
+                        reach.kept[i],
                         ws.reach_words(),
                         "seed {seed} variant {variant} origin {o:?} width {w:?}: kernel reach words"
                     );
                     assert_eq!(
-                        reach.reachable_count(i),
+                        reach.counts[i] as usize,
                         ws.reachable_count(),
                         "seed {seed} variant {variant} origin {o:?} width {w:?}: kernel reach count"
                     );
@@ -341,16 +342,18 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
             let reach = Simulation::over(&snap)
                 .threads(1)
                 .config(excl.shared_config())
-                .run_sweep_reach_with(&origins, |o, ex| excl.fill_lane(o, ex));
+                .sweep(&origins, |o, ex| excl.fill_lane(o, ex), Words)
+                .expect("no fill panics");
             for (i, &o) in origins.iter().enumerate() {
                 excl.fill_scalar(o, scalar_cfg.excluded_mask_mut(g.len()));
                 ws.run(&snap, o, &scalar_cfg);
                 assert_eq!(
-                    reach.reach_words(i),
+                    reach.kept[i],
                     ws.reach_words(),
                     "seed {seed} policy {policy:?} origin {o:?}: lane vs scalar exclusion"
                 );
-                assert!(reach.reachable(i, o), "seed {seed} policy {policy:?}: origin {o:?} excluded itself");
+                let origin_bit = (reach.kept[i][o.idx() >> 6] >> (o.idx() & 63)) & 1;
+                assert_eq!(origin_bit, 1, "seed {seed} policy {policy:?}: origin {o:?} excluded itself");
             }
             exclusion_compared += 1;
         }
@@ -467,32 +470,31 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
     assert_eq!(borrowed, from_copy, "the borrowed form allocated beyond the DAG's own buffers");
     assert_eq!(copy, 2 * origins.len() as u64, "a copy is the selection and the bitset");
 
-    // ---- Part 2b: the lane workspace is allocation-free once warm,
-    // including the per-lane exclusion refills — the property that makes
-    // the pooled workspaces in `Simulation` worth keeping.
+    // ---- Part 2b: a warm lane sweep allocates its own bookkeeping and
+    // nothing else, per-lane exclusion refills included — the property
+    // that makes the pooled workspaces in `Simulation` worth keeping.
+    // One 64-origin block on one thread takes exactly three allocations:
+    // the block list, the part list the parallel map returns, and the
+    // block's counts, which a one-block sweep hands back as its own.
+    // `Counts` keeps `()`, which takes no memory, and the workspace comes
+    // warm out of the snapshot's pool, so a fourth is the kernel's.
     let origins: Vec<NodeId> = g.nodes().take(64).collect();
-    let mut lanes = LaneWorkspace::for_snapshot(&snap);
-    let cfg = PropagationConfig::new();
-    let lane_pass = |lanes: &mut LaneWorkspace| -> usize {
-        lanes.run_block_masked(&snap, &origins, &cfg, |o, ex| {
+    let sim = Simulation::over(&snap).threads(1);
+    let lane_pass = || -> u32 {
+        let fill = |o: NodeId, ex: &mut flatnet_bgpsim::LaneExcluder<'_>| {
             for &p in g.providers(o) {
                 ex.exclude(p);
             }
             ex.allow(o);
-        });
-        (0..origins.len()).map(|k| lanes.lane_reachable_count(k)).sum()
+        };
+        sim.sweep(&origins, fill, Counts).expect("no fill panics").counts.iter().sum()
     };
-    let warm = lane_pass(&mut lanes);
+    let warm = lane_pass();
     let before = process().allocations;
-    let again = lane_pass(&mut lanes);
+    let again = lane_pass();
     let after = process().allocations;
     assert_eq!(warm, again, "warm lane pass changed results");
-    assert_eq!(
-        after - before,
-        0,
-        "lane kernel allocated {} time(s) during a warm block",
-        after - before
-    );
+    assert_eq!(after - before, 3, "a warm one-block lane sweep allocated {} time(s), not 3", after - before);
 
     // ---- Part 3: a topology's links are held once. Compiling a snapshot
     // of a graph, or cloning the graph, shares the adjacency the graph
