@@ -63,10 +63,7 @@
 //! the same rules (`tests/engine_equiv.rs`,
 //! `crates/bgpsim/tests/scalar_prop.rs`).
 
-use crate::lanes::{
-    AsExclusionLanes, LaneArity, LaneExcluder, LaneWidth, LaneWorkspace, Lanes, NodeWords,
-    PooledLaneWs,
-};
+use crate::lanes::{LaneArity, LaneExcluder, LaneWidth, LaneWorkspace, Lanes, PooledLaneWs};
 use crate::parallel::{self, SweepError};
 use crate::propagate::{
     metrics, pack, sel_len, PolicyView, PropagationConfig, RouteClass, RoutingOutcome, UNREACHED,
@@ -601,7 +598,6 @@ impl<'s> Simulation<'s> {
     ) -> Result<Sweep<K::Set>, SweepError>
     where
         Lanes<W>: LaneArity,
-        [NodeWords<W>]: AsExclusionLanes,
         LaneWorkspace<W>: PooledLaneWs,
         K: Keep,
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,

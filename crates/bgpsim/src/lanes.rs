@@ -27,23 +27,14 @@
 //!   width is clamped so a 40-origin sweep uses one-word lanes and a
 //!   100-origin sweep two-word lanes even when 256-bit lanes are
 //!   selected ([`LaneWidth::words_for`]) — upper words would only add
-//!   per-node memory traffic for permanently-empty lanes. Measured at
-//!   69 487 ASes on a 100-origin dense sweep (five alternating runs,
-//!   the clamp lifted on a scratch copy for the 256-lane side): one
-//!   128-lane block 4.9–5.4 ms, one 256-lane block 5.4–6.4 ms, two
-//!   64-lane blocks 6.3–7.3 ms — each width wins its regime.
+//!   per-node memory traffic for permanently-empty lanes.
 //!
-//! What widening buys depends on the workload's *reach density*. Wide
-//! blocks win by sharing node visits between lanes: a full-reach sweep
-//! (the serve batch and cache-warm paths) walks the whole graph once
-//! per block instead of once per 64 origins, and measures ~2x faster at
-//! 256 lanes than at 64 on AVX2 (the benchmark's `sweep` workload:
-//! `bgpsim.kernel_dense64_ns_per_origin` over
-//! `bgpsim.kernel_dense_ns_per_origin`). Exclusion-heavy sweeps whose
-//! per-origin reach sets are small and nearly disjoint (the
-//! hierarchy-free workload) have almost no visits to share — every
-//! width does essentially the same traversal work, and the wider
-//! per-node state only adds memory traffic. Lane width never changes
+//! Wide blocks win by sharing node visits between lanes: a full-reach
+//! sweep walks the graph once per block instead of once per 64 origins
+//! (the benchmark's `sweep` workload times both:
+//! `bgpsim.kernel_dense64_ns_per_origin` and
+//! `bgpsim.kernel_dense_ns_per_origin`), while sparse exclusion-heavy
+//! sweeps have almost no visits to share. Lane width never changes
 //! answers, so `Auto` stays the right default.
 //!
 //! The hot loops are straight-line word-parallel code (`for j in 0..W`
@@ -52,7 +43,9 @@
 //! compiled a second time with the AVX2 target feature enabled and
 //! dispatched at runtime ([`cpu_features`] reports what was detected),
 //! so `[u64; 4]` mask ops run as single 256-bit instructions without
-//! requiring `-C target-cpu=native` builds.
+//! requiring `-C target-cpu=native` builds. That dispatch is the
+//! crate's one `unsafe`, kept because it measures faster than the
+//! portable runner (DESIGN.md § `LaneWorkspace<W>`).
 //!
 //! ## Bit-sliced representation
 //!
@@ -76,7 +69,7 @@
 //! split finer than "customer vs any" carries no information the
 //! kernel needs.
 //!
-//! `r` is a node's whole [`NodeWords`] struct, 8·W bytes aligned to its
+//! `r` is a node's whole `NodeWords` struct, 8·W bytes aligned to its
 //! size (8, 16 and 32 bytes at `W = 1, 2, 4`; compile-time asserted),
 //! so a node never straddles a cache line and a receiver visit loads
 //! one line at every width.
@@ -88,9 +81,11 @@
 //! * **Exclusions are pre-filled into `r`.** Before seeding, a lane
 //!   excluded at node `i` gets its `r` bit set: the shared exclusion
 //!   mask sets every lane, [`LaneExcluder::exclude`] its own lane, and
-//!   [`LaneExcluder::allow`] clears it again. A receiver then needs only
-//!   `send & !r` in every phase, an excluded origin's lane stays empty,
-//!   and a node is saturated once `r` covers every active lane.
+//!   [`LaneExcluder::allow`] clears it again. The excluder reaches the
+//!   route words through one width-free `dyn` method, so one fill
+//!   closure serves every width. A receiver then needs only `send & !r`
+//!   in every phase, an excluded origin's lane stays empty, and a node
+//!   is saturated once `r` covers every active lane.
 //! * **A side table keyed by node** holds, for each *flagged* node (one
 //!   excluded for some lane or some lane's origin), its excluded lanes
 //!   `blocked` and its origin marks `iso` (lane `k` set ⟺ node `i` *is*
@@ -123,26 +118,30 @@
 //!
 //! ## Phase equivalence (vs the scalar engine)
 //!
+//! Every phase admits a route through one receiver rule, the lane
+//! counterpart of the scalar engine's import check: a lane enters a
+//! receiver where `send & !r` — where it holds no route yet (a route
+//! of any class makes a later one add nothing reach-wise) and the lane
+//! is not excluded; the scalar guard `sel[p] == UNREACHED` becomes
+//! `& !r[p]`, and an origin's own bit refuses re-entry like its
+//! selection word 0 — then, under `POL = true`, where the receiver's
+//! import policy and the origin-export mask allow it, each one AND
+//! with the sender's origin marks `iso` or their complement. The phases
+//! differ only in whom they send to and what they record after a
+//! receiver takes a bit.
+//!
 //! 1. **Customer phase** — BFS up provider edges on `r`: a sender
 //!    sends `r & !blocked`, its customer lanes, since until the peer
-//!    phase `r` is exactly those plus the excluded lanes. The scalar
-//!    guard `sel[p] == UNREACHED` becomes `& !r[p]`; the origin's own
-//!    seeded bit blocks re-entry exactly like its selection word 0.
+//!    phase `r` is exactly those plus the excluded lanes.
 //! 2. **Peer phase** — the customer lanes of the customer-reached nodes
 //!    are copied out first (`r & !blocked`, in reach order), since a
 //!    peer route this phase adds to a sender's `r` must not be exported
-//!    to its other peers. Then one relaxation over that list:
-//!    `r[peer] |= cust[v]` masked by policy, received where `!r` — where
-//!    no route exists yet (a node that already holds a customer route
-//!    gains nothing reach-wise from a peer route) and the lane is not
-//!    excluded. The origin takes nothing, as in the scalar engine
-//!    (where its word 0 refuses every offer): it already holds its own
-//!    lane's `r` bit, seeded or pre-filled.
+//!    to its other peers. Then one relaxation over that list.
 //! 3. **Provider phase** — closure down customer edges seeded from every
-//!    routed node: `out = r & !blocked`, received into `r` where `!r`.
-//!    The scalar engine's distance ordering (bucket queue) only affects
-//!    *which* provider route wins, never *whether* a node is reached, so
-//!    the unordered fixpoint reaches the identical set.
+//!    routed node, each sending `r & !blocked`. The scalar engine's
+//!    distance ordering (bucket queue) only affects *which* provider
+//!    route wins, never *whether* a node is reached, so the unordered
+//!    fixpoint reaches the identical set.
 //!
 //! All phases only ever OR bits in, so the fixpoint is unique and the
 //! result is deterministic regardless of frontier order, thread count,
@@ -292,14 +291,14 @@ pub struct Align16;
 #[repr(align(32))]
 pub struct Align32;
 
-/// Ties a supported lane width to its [`NodeWords`] alignment, which is
+/// Ties a supported lane width to its node words' alignment, which is
 /// the node's own size — 8, 16 and 32 bytes at `W = 1, 2, 4` — so a
 /// node never straddles a cache line (eight, four and two per line).
 /// One `u64` is 8-byte aligned already; the wider widths take a marker.
 /// Implemented for [`Lanes<1>`], [`Lanes<2>`], and [`Lanes<4>`] only —
 /// the width set the kernel supports.
 pub trait LaneArity {
-    /// Zero-sized alignment marker embedded in [`NodeWords`].
+    /// Zero-sized alignment marker embedded in a node's route words.
     type Align: Copy + Clone + std::fmt::Debug + Default + PartialEq + Eq + Send + Sync;
 }
 
@@ -322,8 +321,7 @@ impl LaneArity for Lanes<4> {
 /// One node's route lanes, aligned to their size (see [`LaneArity`]) so
 /// a frontier edge inspects one cache line per receiver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[doc(hidden)]
-pub struct NodeWords<const W: usize>
+struct NodeWords<const W: usize>
 where
     Lanes<W>: LaneArity,
 {
@@ -400,44 +398,21 @@ fn or_all<const W: usize>(a: &[u64; W]) -> u64 {
     x
 }
 
-/// Width-erased view of the per-node route lanes that exclusions are
-/// pre-filled into, so one [`LaneExcluder`] type (and every fill closure
-/// written against it) works for every lane width. An implementation
-/// detail of [`LaneExcluder`]; not constructible outside the crate.
-#[derive(Debug)]
-#[doc(hidden)]
-pub enum ExclusionLanes<'w> {
-    #[doc(hidden)]
-    W1(&'w mut [NodeWords<1>]),
-    #[doc(hidden)]
-    W2(&'w mut [NodeWords<2>]),
-    #[doc(hidden)]
-    W4(&'w mut [NodeWords<4>]),
+/// A block's route words behind one width-free method, so one
+/// [`LaneExcluder`] type (and every fill closure written against it)
+/// drives every lane width.
+trait LaneWords: std::fmt::Debug {
+    /// Lane word `word` of node `node`'s route lanes.
+    fn lane_word(&mut self, node: usize, word: usize) -> &mut u64;
 }
 
-/// Wraps a node-words slice into the width-erased [`ExclusionLanes`]
-/// view; implemented per supported width so width-generic kernel code
-/// can construct a [`LaneExcluder`] without naming its own `W`.
-/// An implementation detail of [`LaneWorkspace`].
-#[doc(hidden)]
-pub trait AsExclusionLanes {
-    #[doc(hidden)]
-    fn as_exclusion_lanes(&mut self) -> ExclusionLanes<'_>;
-}
-
-impl AsExclusionLanes for [NodeWords<1>] {
-    fn as_exclusion_lanes(&mut self) -> ExclusionLanes<'_> {
-        ExclusionLanes::W1(self)
-    }
-}
-impl AsExclusionLanes for [NodeWords<2>] {
-    fn as_exclusion_lanes(&mut self) -> ExclusionLanes<'_> {
-        ExclusionLanes::W2(self)
-    }
-}
-impl AsExclusionLanes for [NodeWords<4>] {
-    fn as_exclusion_lanes(&mut self) -> ExclusionLanes<'_> {
-        ExclusionLanes::W4(self)
+impl<const W: usize> LaneWords for Vec<NodeWords<W>>
+where
+    Lanes<W>: LaneArity,
+{
+    #[inline]
+    fn lane_word(&mut self, node: usize, word: usize) -> &mut u64 {
+        &mut self[node].r[word]
     }
 }
 
@@ -445,11 +420,13 @@ impl AsExclusionLanes for [NodeWords<4>] {
 /// [`Simulation::sweep`](crate::engine::Simulation::sweep):
 /// marks nodes as excluded *for the current origin's lane only*, the
 /// word-parallel replacement for refilling a `Vec<bool>` mask per
-/// origin. Width-erased: the same fill closure drives 64-, 128-, and
-/// 256-lane blocks.
+/// origin. Width-erased: it writes the block's route words through a
+/// `dyn` reference — a few calls a lane, against a block's whole
+/// propagation — so the same fill closure drives 64-, 128-, and 256-lane
+/// blocks.
 #[derive(Debug)]
 pub struct LaneExcluder<'w> {
-    lanes: ExclusionLanes<'w>,
+    words: &'w mut dyn LaneWords,
     flags: &'w mut [u8],
     flagged: &'w mut Vec<u32>,
     /// Lane word holding this origin's bit.
@@ -459,18 +436,6 @@ pub struct LaneExcluder<'w> {
 }
 
 impl LaneExcluder<'_> {
-    /// `node`'s route lanes, whatever the block's width: before seeding
-    /// they hold exactly the node's excluded lanes.
-    #[inline]
-    fn route(&mut self, node: NodeId) -> &mut [u64] {
-        let i = node.idx();
-        match &mut self.lanes {
-            ExclusionLanes::W1(w) => &mut w[i].r,
-            ExclusionLanes::W2(w) => &mut w[i].r,
-            ExclusionLanes::W4(w) => &mut w[i].r,
-        }
-    }
-
     /// Excludes `node` for this lane's origin (like setting its bit in a
     /// scalar exclusion mask). Excluding the origin itself makes the
     /// lane empty, matching the scalar engine's excluded-origin outcome;
@@ -479,22 +444,21 @@ impl LaneExcluder<'_> {
     #[inline]
     pub fn exclude(&mut self, node: NodeId) {
         flag(self.flags, self.flagged, node.0, EXCLUDED);
-        let (word, bit) = (self.word, self.bit);
-        self.route(node)[word] |= bit;
+        *self.words.lane_word(node.idx(), self.word) |= self.bit;
     }
 
     /// Clears `node`'s exclusion for this lane (the mirror of the scalar
     /// sweeps' `mask[origin] = false` after a blanket tier fill).
     #[inline]
     pub fn allow(&mut self, node: NodeId) {
-        let (word, bit) = (self.word, self.bit);
-        self.route(node)[word] &= !bit;
+        *self.words.lane_word(node.idx(), self.word) &= !self.bit;
     }
 }
 
 /// Reusable state for the bit-parallel kernel at lane width `W` words
-/// (64·W origins per block): the per-node route lanes and flags, the
-/// side table, the customer-lane list and the frontier queues — nothing
+/// (64·W origins per block): the per-node route lanes, which a
+/// [`LaneExcluder`] pre-fills whatever `W`, and flags, the side table,
+/// the customer-lane list and the frontier queues. Nothing is
 /// lane-major: a block's reach sets are read straight off its
 /// node-major route words. Pooled on the snapshot, one per sweep
 /// worker, and run through [`Simulation::sweep`](crate::engine::Simulation::sweep)
@@ -660,9 +624,7 @@ where
         origins: &[NodeId],
         cfg: &PropagationConfig,
         mut fill: impl FnMut(NodeId, &mut LaneExcluder<'_>),
-    ) where
-        [NodeWords<W>]: AsExclusionLanes,
-    {
+    ) {
         assert!(
             origins.len() <= Self::BLOCK_LANES,
             "a {}-lane kernel block holds at most {} origins",
@@ -702,7 +664,7 @@ where
         for (k, &o) in origins.iter().enumerate() {
             flag(&mut self.flags, &mut self.flagged, o.0, ORIGIN);
             let mut ex = LaneExcluder {
-                lanes: self.words.as_mut_slice().as_exclusion_lanes(),
+                words: &mut self.words,
                 flags: &mut self.flags,
                 flagged: &mut self.flagged,
                 word: k >> 6,
@@ -855,17 +817,17 @@ where
             // SAFETY: `takes_avx2` is true only where the CPU reports
             // AVX2 at runtime; the callee is the portable function
             // recompiled, so the target feature is all that calling it
-            // requires.
+            // requires. The portable runner measures 7–8 % slower, so
+            // the block stays (DESIGN.md § `LaneWorkspace<W>`).
             #[allow(unsafe_code)] // the crate's one `unsafe`
             return unsafe { self.run_phases_avx2::<POL>(snap, imp, oe) };
         }
         self.run_phases::<POL>(snap, imp, oe)
     }
 
-    /// [`Self::run_phases`] compiled with the AVX2 target feature, so
-    /// the `[u64; W]` mask ops in the phase loops become 256-bit vector
-    /// instructions without a `-C target-cpu` build flag. Correctness is
-    /// untouched — it is the same portable code, recompiled.
+    /// [`Self::run_phases`] compiled with the AVX2 target feature: the
+    /// same portable code, its `[u64; W]` mask ops 256-bit vector
+    /// instructions without a `-C target-cpu` build flag.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     fn run_phases_avx2<const POL: bool>(
@@ -881,7 +843,7 @@ where
     /// twice per width: `POL = false` is the fast path for mask-only
     /// sweeps (`imp` and `oe` must be `None`) where every per-edge
     /// policy branch, and with it every origin-mark lookup, compiles
-    /// out; `POL = true` keeps the full per-receiver policy algebra.
+    /// out; `POL = true` keeps [`Self::admitted`]'s policy half.
     /// Every mask op is a straight-line `for j in 0..W` loop over
     /// fixed-size arrays — the shape LLVM autovectorizes — and the whole
     /// function is additionally compiled under the AVX2 target feature
@@ -919,40 +881,9 @@ where
                     // would move 8*W bytes per edge visit, which at wide
                     // widths costs more than the mask algebra itself.
                     let wp = &mut self.words[pu];
-                    let mut add = [0u64; W];
-                    for j in 0..W {
-                        add[j] = send[j] & !wp.r[j];
-                    }
+                    let add = Self::admitted::<POL>(&send, &iso_u, &wp.r, pu, imp, oe);
                     if or_all(&add) == 0 {
                         continue;
-                    }
-                    if POL {
-                        if let Some(imp) = imp {
-                            match imp[pu] {
-                                ImportPolicy::Normal => {}
-                                ImportPolicy::Never => continue,
-                                ImportPolicy::OnlyDirectFromOrigin => {
-                                    for j in 0..W {
-                                        add[j] &= iso_u[j];
-                                    }
-                                }
-                                ImportPolicy::RejectDirectFromOrigin => {
-                                    for j in 0..W {
-                                        add[j] &= !iso_u[j];
-                                    }
-                                }
-                            }
-                        }
-                        if let Some(m) = oe {
-                            if !m[pu] {
-                                for j in 0..W {
-                                    add[j] &= !iso_u[j];
-                                }
-                            }
-                        }
-                        if or_all(&add) == 0 {
-                            continue;
-                        }
                     }
                     // No saturation bookkeeping here: phase-1 receivers
                     // are guarded by `r` without consulting `SAT`, and
@@ -1004,40 +935,9 @@ where
                 // `!r` also refuses an origin its own lane: it holds
                 // that bit, seeded or pre-filled.
                 let wu = &mut self.words[uu];
-                let mut add = [0u64; W];
-                for j in 0..W {
-                    add[j] = send[j] & !wu.r[j];
-                }
+                let add = Self::admitted::<POL>(&send, &iso_v, &wu.r, uu, imp, oe);
                 if or_all(&add) == 0 {
                     continue;
-                }
-                if POL {
-                    if let Some(imp) = imp {
-                        match imp[uu] {
-                            ImportPolicy::Normal => {}
-                            ImportPolicy::Never => continue,
-                            ImportPolicy::OnlyDirectFromOrigin => {
-                                for j in 0..W {
-                                    add[j] &= iso_v[j];
-                                }
-                            }
-                            ImportPolicy::RejectDirectFromOrigin => {
-                                for j in 0..W {
-                                    add[j] &= !iso_v[j];
-                                }
-                            }
-                        }
-                    }
-                    if let Some(m) = oe {
-                        if !m[uu] {
-                            for j in 0..W {
-                                add[j] &= !iso_v[j];
-                            }
-                        }
-                    }
-                    if or_all(&add) == 0 {
-                        continue;
-                    }
                 }
                 if fu & REACHED == 0 {
                     self.touched.push(ui);
@@ -1080,40 +980,9 @@ where
                         continue;
                     }
                     let wx = &mut self.words[xu];
-                    let mut add = [0u64; W];
-                    for j in 0..W {
-                        add[j] = send[j] & !wx.r[j];
-                    }
+                    let add = Self::admitted::<POL>(&send, &iso_u, &wx.r, xu, imp, oe);
                     if or_all(&add) == 0 {
                         continue;
-                    }
-                    if POL {
-                        if let Some(imp) = imp {
-                            match imp[xu] {
-                                ImportPolicy::Normal => {}
-                                ImportPolicy::Never => continue,
-                                ImportPolicy::OnlyDirectFromOrigin => {
-                                    for j in 0..W {
-                                        add[j] &= iso_u[j];
-                                    }
-                                }
-                                ImportPolicy::RejectDirectFromOrigin => {
-                                    for j in 0..W {
-                                        add[j] &= !iso_u[j];
-                                    }
-                                }
-                            }
-                        }
-                        if let Some(m) = oe {
-                            if !m[xu] {
-                                for j in 0..W {
-                                    add[j] &= !iso_u[j];
-                                }
-                            }
-                        }
-                        if or_all(&add) == 0 {
-                            continue;
-                        }
                     }
                     if fx & REACHED == 0 {
                         self.touched.push(xi);
@@ -1132,6 +1001,59 @@ where
             std::mem::swap(&mut self.frontier, &mut self.next);
         }
         rounds
+    }
+
+    /// The lanes `receiver`, holding `r`, takes from a sender that sends
+    /// `send` and is the origin of the lanes `iso`: the lane counterpart
+    /// of the scalar engine's `PolicyView::import_ok`, the one receiver
+    /// rule of all three phases. A lane enters only where the receiver
+    /// holds no bit yet — `!r` also refuses an excluded lane, pre-filled
+    /// there, and an origin its own lane — and, under `POL`, where the
+    /// receiver's import policy and the origin-export mask let a route
+    /// in: both are origin-relative, so each is one AND with `iso` or its
+    /// complement. The empty test comes before any policy lookup, and
+    /// under `POL = false` the policy code compiles out.
+    #[allow(clippy::needless_range_loop)]
+    #[inline(always)]
+    fn admitted<const POL: bool>(
+        send: &[u64; W],
+        iso: &[u64; W],
+        r: &[u64; W],
+        receiver: usize,
+        imp: Option<&[ImportPolicy]>,
+        oe: Option<&[bool]>,
+    ) -> [u64; W] {
+        let mut add = [0u64; W];
+        for j in 0..W {
+            add[j] = send[j] & !r[j];
+        }
+        if !POL || or_all(&add) == 0 {
+            return add;
+        }
+        if let Some(imp) = imp {
+            match imp[receiver] {
+                ImportPolicy::Normal => {}
+                ImportPolicy::Never => return [0; W],
+                ImportPolicy::OnlyDirectFromOrigin => {
+                    for j in 0..W {
+                        add[j] &= iso[j];
+                    }
+                }
+                ImportPolicy::RejectDirectFromOrigin => {
+                    for j in 0..W {
+                        add[j] &= !iso[j];
+                    }
+                }
+            }
+        }
+        if let Some(m) = oe {
+            if !m[receiver] {
+                for j in 0..W {
+                    add[j] &= !iso[j];
+                }
+            }
+        }
+        add
     }
 
     /// What node `u`, flagged `fu`, sends: its route lanes minus the
@@ -1649,7 +1571,6 @@ mod tests {
         fn check<const W: usize>()
         where
             Lanes<W>: LaneArity,
-            [NodeWords<W>]: AsExclusionLanes,
         {
             let g65 = mixed(65);
             let g127 = mixed(127);
@@ -1752,7 +1673,6 @@ mod tests {
     ) -> bool
     where
         Lanes<W>: LaneArity,
-        [NodeWords<W>]: AsExclusionLanes,
     {
         let n = snap.len() as u64;
         let origins: Vec<NodeId> = (0..64 * W).map(|_| NodeId((next(rng) % n) as u32)).collect();
@@ -1826,7 +1746,6 @@ mod tests {
         lane_fill: &LaneFill<'_>,
     ) where
         Lanes<W>: LaneArity,
-        [NodeWords<W>]: AsExclusionLanes,
     {
         let n = snap.len();
         let mut k = 0;
@@ -2106,7 +2025,6 @@ mod tests {
         fn check<const W: usize>(g: &AsGraph, snap: &TopologySnapshot)
         where
             Lanes<W>: LaneArity,
-            [NodeWords<W>]: AsExclusionLanes,
         {
             let n = g.len();
             let origins: Vec<NodeId> = (0..64 * W).map(|k| NodeId((k * n / (64 * W)) as u32)).collect();

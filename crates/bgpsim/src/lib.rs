@@ -43,10 +43,10 @@
 //!   an [`ExclusionPolicy`] and its three renderings (shared tier mask,
 //!   per-lane fill, scalar mask) for every constrained analysis.
 //! * [`lanes`] — the bit-parallel multi-origin kernel: 64/128/256
-//!   origins per block (one to four `u64` lane words per node, width
-//!   picked at runtime from CPU features via [`LaneWidth`], AVX2 path
-//!   included), one frontier expansion advancing all of them, reach
-//!   sets bit-identical to per-origin [`Workspace`] runs at every width.
+//!   origins per block (width picked at runtime via [`LaneWidth`], AVX2
+//!   runner included), one receiver rule for all three phases, one
+//!   [`LaneExcluder`] for every width, reach sets bit-identical to
+//!   per-origin [`Workspace`] runs at every width.
 //! * [`reachset`] — [`ReachSet`], a reach set kept by its shorter side
 //!   (missing nodes, reached nodes or the bitset) for consumers that hold
 //!   many of them (a [`Sets`] sweep).
