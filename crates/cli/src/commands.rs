@@ -237,13 +237,9 @@ pub fn leak(args: &[String]) -> Result<(), String> {
         .ok_or("missing required flag --victim")?;
     let leakers: usize = opts.num_or("leakers", 200)?;
     let seed: u64 = opts.num_or("seed", 1)?;
-    let locking = match opts.get("lock").unwrap_or("none") {
-        "none" => Locking::None,
-        "t1" => Locking::Tier1,
-        "t12" => Locking::Tier12,
-        "global" => Locking::Global,
-        other => return Err(format!("--lock must be none|t1|t12|global, got {other:?}")),
-    };
+    let lock = opts.get("lock").unwrap_or("none");
+    let locking = Locking::from_token(lock)
+        .ok_or_else(|| format!("--lock must be none|t1|t12|global, got {lock:?}"))?;
     let tiers = tiers_for(&g, &opts)?;
     if opts.switch("validate") {
         run_validation(&g, &tiers, &conflicts)?;

@@ -6,10 +6,7 @@
 
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
 use flatnet_bgpsim::parallel::parallel_map_ctx;
-use flatnet_bgpsim::{
-    subprefix_detour_fractions, LeakScenario, LeakSim, LockingSemantics, TopologySnapshot,
-    VictimSide,
-};
+use flatnet_bgpsim::{subprefix_detour_fractions, LockingSemantics, TopologySnapshot, VictimSide};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,7 +34,40 @@ pub enum Locking {
     Global,
 }
 
+impl Announce {
+    /// The configuration's name in queries: `all` or `t12p`.
+    pub fn token(self) -> &'static str {
+        match self {
+            Announce::ToAll => "all",
+            Announce::ToTier12AndProviders => "t12p",
+        }
+    }
+
+    /// The configuration [`Announce::token`] names, if any.
+    pub fn from_token(token: &str) -> Option<Self> {
+        [Announce::ToAll, Announce::ToTier12AndProviders].into_iter().find(|a| a.token() == token)
+    }
+}
+
 impl Locking {
+    /// The deployment's name in queries and flags: `none`, `t1`, `t12`
+    /// or `global`.
+    pub fn token(self) -> &'static str {
+        match self {
+            Locking::None => "none",
+            Locking::Tier1 => "t1",
+            Locking::Tier12 => "t12",
+            Locking::Global => "global",
+        }
+    }
+
+    /// The deployment [`Locking::token`] names, if any.
+    pub fn from_token(token: &str) -> Option<Self> {
+        [Locking::None, Locking::Tier1, Locking::Tier12, Locking::Global]
+            .into_iter()
+            .find(|l| l.token() == token)
+    }
+
     /// Report label (matching the figures' legends).
     pub fn name(self) -> &'static str {
         match self {
@@ -289,18 +319,21 @@ pub fn average_resilience_cdf_on(
 ) -> LeakCdf {
     assert_eq!(snap.len(), g.len(), "snapshot was not compiled from this graph");
     let leakers = sample_leakers(g, None, n_leakers, seed);
+    // Each (victim, leaker) pair is its own plain scenario: the victim
+    // announces to all, nobody locks, and its side serves one leaker.
     let mut fractions = parallel_map_ctx(
         &leakers,
         0,
-        || LeakSim::new(snap),
-        |sim, &m| {
+        || (),
+        |(), &m| {
             let victims = sample_leakers(g, Some(m), n_victims, seed ^ m.0 as u64 ^ 0xF00D);
             if victims.is_empty() {
                 return 0.0;
             }
             let mut acc = 0.0;
             for &v in &victims {
-                acc += sim.fraction(&LeakScenario::simple(v, m), user_weights);
+                let side = VictimSide::propagate(snap, v, None, &[], LockingSemantics::Corrected);
+                acc += side.leakers().fraction(m, user_weights);
             }
             acc / victims.len() as f64
         },
@@ -313,6 +346,7 @@ pub fn average_resilience_cdf_on(
 mod tests {
     use super::*;
     use flatnet_asgraph::{AsGraphBuilder, Relationship};
+    use flatnet_bgpsim::{LeakScenario, LeakSim};
 
     /// Victim 10 peers with Tier-1 1 (which serves customers 20..24) and
     /// with edge ASes 40, 50; leakers live among 1's customers.
@@ -346,6 +380,18 @@ mod tests {
             locking: locking_set_for(g, tiers, victim, locking),
             semantics,
         }
+    }
+
+    #[test]
+    fn tokens_name_each_configuration_once() {
+        for l in [Locking::None, Locking::Tier1, Locking::Tier12, Locking::Global] {
+            assert_eq!(Locking::from_token(l.token()), Some(l));
+        }
+        for a in [Announce::ToAll, Announce::ToTier12AndProviders] {
+            assert_eq!(Announce::from_token(a.token()), Some(a));
+        }
+        assert_eq!(Locking::from_token("T1"), None);
+        assert_eq!(Announce::from_token("none"), None);
     }
 
     #[test]
@@ -471,7 +517,9 @@ mod tests {
     /// unweighted — with ONE snapshot per topology, so each configuration
     /// runs on sides the previous one left its policies in. Ties are in:
     /// the generated topologies are full of equal-length competing routes,
-    /// and the worst-case tie rule is part of what must match.
+    /// and the worst-case tie rule is part of what must match. The
+    /// average-resilience CDF, a fresh victim side per (victim, leaker)
+    /// pair, equals [`LeakSim::fraction`] of the pair's plain scenario.
     ///
     /// A victim side built for scenario A cannot be asked about scenario
     /// B: that does not compile. A leaker run takes a leaker and nothing
@@ -527,6 +575,22 @@ mod tests {
             let want = average_resilience_cdf(g, 6, 4, seed, None);
             let got = average_resilience_cdf_on(&snap, g, 6, 4, seed, None);
             assert_eq!(bits(&got), bits(&want), "seed {seed} average resilience");
+            for weights in [None, Some(user_weights.as_slice())] {
+                let mut want: Vec<f64> = sample_leakers(g, None, 6, seed)
+                    .into_iter()
+                    .map(|m| {
+                        let victims = sample_leakers(g, Some(m), 4, seed ^ m.0 as u64 ^ 0xF00D);
+                        let total = victims.iter().fold(0.0, |acc, &v| {
+                            acc + sim.fraction(&LeakScenario::simple(v, m), weights)
+                        });
+                        if victims.is_empty() { 0.0 } else { total / victims.len() as f64 }
+                    })
+                    .collect();
+                want.sort_by(f64::total_cmp);
+                let got = average_resilience_cdf_on(&snap, g, 6, 4, seed, weights);
+                let what = format!("seed {seed} average resilience vs LeakSim");
+                assert_eq!(bits(&got), bits(&LeakCdf { fractions: want }), "{what}");
+            }
             assert!(snap.scratch_bytes() > 0, "the simulators' buffers stayed with the snapshot");
         }
     }

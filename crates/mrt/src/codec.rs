@@ -19,12 +19,15 @@
 //!                           ASNs u32 each } — 4-byte ASes per RFC 6396
 //!   NEXT_HOP (3): 4 bytes
 //! ```
+//!
+//! The reader is [`flatnet_asgraph::ingest::read_framed`] over this
+//! header, with [`ByteReader`]s over each body: every [`MrtError`] names
+//! the byte it failed at, counted from the start of the dump.
 
 use crate::model::{MrtPeer, MrtRib, MrtRoute};
-use flatnet_asgraph::ingest::{ParseDiagnostics, ParseOptions, RecordLocation};
+use flatnet_asgraph::ingest::{read_framed, ByteError, ByteReader, ParseDiagnostics, ParseOptions};
 use flatnet_asgraph::AsId;
 use flatnet_prefixdb::Ipv4Prefix;
-use std::fmt;
 use std::net::Ipv4Addr;
 
 const MRT_TYPE_TABLE_DUMP_V2: u16 = 13;
@@ -38,22 +41,8 @@ const FLAG_TRANSITIVE: u8 = 0x40;
 const FLAG_EXTENDED_LEN: u8 = 0x10;
 const SEG_AS_SEQUENCE: u8 = 2;
 
-/// Decode errors with byte offsets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MrtError {
-    /// Byte offset the error was detected at.
-    pub offset: usize,
-    /// Description.
-    pub message: String,
-}
-
-impl fmt::Display for MrtError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "MRT parse error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for MrtError {}
+/// A decode error, at the absolute byte offset it was detected at.
+pub type MrtError = ByteError;
 
 // ---------------------------------------------------------------- writer
 
@@ -144,127 +133,77 @@ pub fn write_mrt(rib: &MrtRib, timestamp: u32) -> Vec<u8> {
 
 // ---------------------------------------------------------------- reader
 
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn err(&self, message: impl Into<String>) -> MrtError {
-        MrtError { offset: self.pos, message: message.into() }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], MrtError> {
-        if self.pos + n > self.data.len() {
-            return Err(self.err(format!("truncated: wanted {n} bytes")));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, MrtError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, MrtError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, MrtError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn done(&self) -> bool {
-        self.pos >= self.data.len()
-    }
-}
-
 /// Minimum encoded size of one peer entry (type + BGP id + addr + ASN).
 const PEER_ENTRY_BYTES: usize = 13;
 /// Minimum encoded size of one RIB entry (peer index + originated + attr len).
 const RIB_ENTRY_MIN_BYTES: usize = 8;
 
-fn parse_peer_table(body: &mut Cursor<'_>, rib: &mut MrtRib) -> Result<(), MrtError> {
-    rib.collector_id = body.u32()?;
-    let name_len = body.u16()? as usize;
-    rib.view_name = String::from_utf8_lossy(body.take(name_len)?).into_owned();
-    let count = body.u16()?;
-    let remaining = body.data.len() - body.pos;
-    if count as usize * PEER_ENTRY_BYTES > remaining {
-        return Err(body.err(format!(
-            "peer count {count} needs {} bytes but only {remaining} remain",
-            count as usize * PEER_ENTRY_BYTES
-        )));
-    }
+fn parse_peer_table(body: &mut ByteReader<'_>, rib: &mut MrtRib) -> Result<(), MrtError> {
+    rib.collector_id = body.u32_be("collector id")?;
+    let name_len = body.u16_be("view name length")? as usize;
+    rib.view_name = String::from_utf8_lossy(body.take(name_len, "view name")?).into_owned();
+    let count = body.u16_be("peer count")?;
+    body.expect_room(count as usize, PEER_ENTRY_BYTES, "peer count")?;
     rib.peers.reserve(count as usize);
     for _ in 0..count {
-        let ptype = body.u8()?;
+        let ptype = body.u8("peer type")?;
         if ptype != PEER_TYPE_IPV4_AS4 {
-            return Err(body.err(format!("unsupported peer type {ptype:#x} (IPv4+AS4 only)")));
+            let message = format!("unsupported peer type {ptype:#x} (IPv4+AS4 only)");
+            return Err(body.err_last(1, message));
         }
-        let bgp_id = body.u32()?;
-        let addr: [u8; 4] = body.take(4)?.try_into().unwrap();
-        let asn = body.u32()?;
-        rib.peers.push(MrtPeer { bgp_id, addr: Ipv4Addr::from(addr), asn: AsId(asn) });
+        let bgp_id = body.u32_be("peer BGP id")?;
+        let addr = Ipv4Addr::from(body.u32_be("peer address")?);
+        let asn = AsId(body.u32_be("peer ASN")?);
+        rib.peers.push(MrtPeer { bgp_id, addr, asn });
     }
     Ok(())
 }
 
-fn parse_as_path(data: &[u8], base: usize) -> Result<Vec<AsId>, MrtError> {
-    let mut c = Cursor { data, pos: 0 };
+fn parse_as_path(mut seg: ByteReader<'_>) -> Result<Vec<AsId>, MrtError> {
     let mut path = Vec::new();
-    while !c.done() {
-        let seg_type = c.u8()?;
+    while !seg.is_empty() {
+        let seg_type = seg.u8("AS_PATH segment type")?;
         if seg_type != SEG_AS_SEQUENCE {
-            return Err(MrtError {
-                offset: base + c.pos,
-                message: format!("unsupported AS_PATH segment type {seg_type}"),
-            });
+            return Err(seg.err_last(1, format!("unsupported AS_PATH segment type {seg_type}")));
         }
-        let count = c.u8()? as usize;
+        let count = seg.u8("AS_PATH segment length")? as usize;
         for _ in 0..count {
-            path.push(AsId(c.u32()?));
+            path.push(AsId(seg.u32_be("AS_PATH ASN")?));
         }
     }
     Ok(path)
 }
 
-fn parse_rib_record(body: &mut Cursor<'_>, rib: &mut MrtRib) -> Result<(), MrtError> {
-    let _seq = body.u32()?;
-    let plen = body.u8()?;
+fn parse_rib_record(body: &mut ByteReader<'_>, rib: &mut MrtRib) -> Result<(), MrtError> {
+    let _seq = body.u32_be("sequence number")?;
+    let plen = body.u8("prefix length")?;
     if plen > 32 {
-        return Err(body.err(format!("bad prefix length {plen}")));
+        return Err(body.err_last(1, format!("bad prefix length {plen}")));
     }
     let nbytes = plen.div_ceil(8) as usize;
-    let raw = body.take(nbytes)?;
     let mut bits = [0u8; 4];
-    bits[..nbytes].copy_from_slice(raw);
+    bits[..nbytes].copy_from_slice(body.take(nbytes, "prefix")?);
     let prefix = Ipv4Prefix::new(Ipv4Addr::from(bits), plen);
-    let count = body.u16()?;
-    let remaining = body.data.len() - body.pos;
-    if count as usize * RIB_ENTRY_MIN_BYTES > remaining {
-        return Err(body.err(format!(
-            "entry count {count} needs at least {} bytes but only {remaining} remain",
-            count as usize * RIB_ENTRY_MIN_BYTES
-        )));
-    }
+    let count = body.u16_be("entry count")?;
+    body.expect_room(count as usize, RIB_ENTRY_MIN_BYTES, "entry count")?;
     let mut entries = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        let peer_idx = body.u16()?;
-        let _originated = body.u32()?;
-        let attr_len = body.u16()? as usize;
-        let attr_base = body.pos;
-        let attrs = body.take(attr_len)?;
-        let mut a = Cursor { data: attrs, pos: 0 };
+        let peer_idx = body.u16_be("peer index")?;
+        let _originated = body.u32_be("originated time")?;
+        let attr_len = body.u16_be("attribute length")? as usize;
+        let mut attrs = body.sub(attr_len, "attributes")?;
         let mut path = Vec::new();
-        while !a.done() {
-            let flags = a.u8()?;
-            let ty = a.u8()?;
+        while !attrs.is_empty() {
+            let flags = attrs.u8("attribute flags")?;
+            let ty = attrs.u8("attribute type")?;
             let len = if flags & FLAG_EXTENDED_LEN != 0 {
-                a.u16()? as usize
+                attrs.u16_be("attribute length")? as usize
             } else {
-                a.u8()? as usize
+                attrs.u8("attribute length")? as usize
             };
-            let data_pos = a.pos;
-            let data = a.take(len)?;
+            let data = attrs.sub(len, "attribute data")?;
             if ty == ATTR_AS_PATH {
-                path = parse_as_path(data, attr_base + data_pos)?;
+                path = parse_as_path(data)?;
             }
         }
         entries.push((peer_idx, path));
@@ -273,51 +212,28 @@ fn parse_rib_record(body: &mut Cursor<'_>, rib: &mut MrtRib) -> Result<(), MrtEr
     Ok(())
 }
 
-/// Parses one record body. Mutations to `rib` are rolled back by the caller
-/// if this returns an error, so lenient mode can skip the record cleanly.
+/// Parses one record body.
 fn parse_record_body(
-    ty: u16,
-    subtype: u16,
-    body: &[u8],
-    body_start: usize,
+    (ty, subtype): (u16, u16),
+    mut body: ByteReader<'_>,
     rib: &mut MrtRib,
     saw_peer_table: &mut bool,
 ) -> Result<(), MrtError> {
     if ty != MRT_TYPE_TABLE_DUMP_V2 {
-        return Err(MrtError {
-            offset: body_start,
-            message: format!("unsupported MRT type {ty} (TABLE_DUMP_V2 only)"),
-        });
+        return Err(body.err(format!("unsupported MRT type {ty} (TABLE_DUMP_V2 only)")));
     }
-    let mut bc = Cursor { data: body, pos: 0 };
     match subtype {
         SUBTYPE_PEER_INDEX_TABLE => {
-            parse_peer_table(&mut bc, rib)?;
+            parse_peer_table(&mut body, rib)?;
             *saw_peer_table = true;
         }
-        SUBTYPE_RIB_IPV4_UNICAST => {
-            if !*saw_peer_table {
-                return Err(MrtError {
-                    offset: body_start,
-                    message: "RIB record before PEER_INDEX_TABLE".into(),
-                });
-            }
-            parse_rib_record(&mut bc, rib)?;
+        SUBTYPE_RIB_IPV4_UNICAST if !*saw_peer_table => {
+            return Err(body.err("RIB record before PEER_INDEX_TABLE"));
         }
-        other => {
-            return Err(MrtError {
-                offset: body_start,
-                message: format!("unsupported TABLE_DUMP_V2 subtype {other}"),
-            })
-        }
+        SUBTYPE_RIB_IPV4_UNICAST => parse_rib_record(&mut body, rib)?,
+        other => return Err(body.err(format!("unsupported TABLE_DUMP_V2 subtype {other}"))),
     }
-    if !bc.done() {
-        return Err(MrtError {
-            offset: body_start + bc.pos,
-            message: "trailing bytes in record body".into(),
-        });
-    }
-    Ok(())
+    body.expect_end("record body")
 }
 
 /// Parses MRT bytes produced by [`write_mrt`] (or any TABLE_DUMP_V2 dump
@@ -340,61 +256,32 @@ pub fn parse_mrt_with(
     bytes: &[u8],
     opts: &ParseOptions,
 ) -> Result<(MrtRib, ParseDiagnostics), MrtError> {
-    let mut c = Cursor { data: bytes, pos: 0 };
     let mut rib = MrtRib::default();
     let mut saw_peer_table = false;
-    let mut diag = ParseDiagnostics::new();
-    let mut record_no = 0usize;
-    while !c.done() {
-        let _timestamp = c.u32()?;
-        let ty = c.u16()?;
-        let subtype = c.u16()?;
-        let len_field_at = c.pos;
-        let len = c.u32()? as usize;
-        // Satellite check: validate the record length against the remaining
-        // buffer *before* slicing, so a corrupt/oversized length field gets a
-        // dedicated error naming both sizes instead of a generic failure.
-        let remaining = c.data.len() - c.pos;
-        if len > remaining {
-            return Err(MrtError {
-                offset: len_field_at,
-                message: format!(
-                    "record length {len} exceeds the {remaining} bytes remaining \
-                     (truncated dump or corrupt length field)"
-                ),
-            });
-        }
-        let body_start = c.pos;
-        let body = c.take(len)?;
-        // Snapshot so a failed record can be rolled back and skipped.
-        let peers_before = rib.peers.len();
-        let routes_before = rib.routes.len();
-        let collector_before = rib.collector_id;
-        let view_before = (subtype == SUBTYPE_PEER_INDEX_TABLE).then(|| rib.view_name.clone());
-        match parse_record_body(ty, subtype, body, body_start, &mut rib, &mut saw_peer_table) {
-            Ok(()) => diag.record_ok(),
-            Err(e) => {
-                rib.peers.truncate(peers_before);
-                rib.routes.truncate(routes_before);
-                rib.collector_id = collector_before;
-                if let Some(v) = view_before {
-                    rib.view_name = v;
-                }
-                diag.malformed(opts, RecordLocation::Record(record_no), e, |message| MrtError {
-                    offset: body_start,
-                    message,
-                })?;
+    let header = |r: &mut ByteReader<'_>| {
+        let _timestamp = r.u32_be("timestamp")?;
+        Ok((r.u16_be("MRT type")?, r.u16_be("MRT subtype")?))
+    };
+    let diag = read_framed(bytes, opts, "MRT", header, |fields, body| {
+        // A failed record is rolled back, so lenient mode skips it whole.
+        let (peers, routes, collector) = (rib.peers.len(), rib.routes.len(), rib.collector_id);
+        let view = (fields.1 == SUBTYPE_PEER_INDEX_TABLE).then(|| rib.view_name.clone());
+        parse_record_body(fields, body, &mut rib, &mut saw_peer_table).inspect_err(|_| {
+            rib.peers.truncate(peers);
+            rib.routes.truncate(routes);
+            rib.collector_id = collector;
+            if let Some(v) = view {
+                rib.view_name = v;
             }
-        }
-        record_no += 1;
-    }
-    diag.publish("mrt");
+        })
+    })?;
     Ok((rib, diag))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flatnet_asgraph::ingest::RecordLocation;
 
     fn sample() -> MrtRib {
         MrtRib {
@@ -508,6 +395,57 @@ mod tests {
         assert_eq!(err.offset, 8, "{err}");
         assert!(err.message.contains("corrupt length field"), "{err}");
         assert!(err.message.contains(&format!("{}", u32::MAX)), "{err}");
+    }
+
+    /// Where each record's body starts and ends.
+    fn body_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
+        let mut spans = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            let len = u32::from_be_bytes(bytes[at + 8..at + 12].try_into().unwrap()) as usize;
+            spans.push((at + 12, at + 12 + len));
+            at += 12 + len;
+        }
+        spans
+    }
+
+    #[test]
+    fn body_errors_name_the_absolute_byte_that_failed() {
+        let peer = MrtPeer { bgp_id: 1, addr: Ipv4Addr::new(10, 0, 0, 1), asn: AsId(64500) };
+        let route = |prefix: &str| MrtRoute {
+            prefix: prefix.parse().unwrap(),
+            entries: vec![(0, vec![AsId(64500), AsId(64501)])],
+        };
+        let rib = MrtRib {
+            collector_id: 9,
+            view_name: "v".into(),
+            peers: vec![peer],
+            routes: vec![route("192.0.2.0/24"), route("198.51.100.0/24")],
+        };
+        let bytes = write_mrt(&rib, 1);
+        let spans = body_spans(&bytes);
+        assert_eq!(spans, [(12, 34), (46, 89), (101, 144)]);
+        // The peer table's body: collector id u32, view name length u16,
+        // the 1-byte name, peer count u16, then the peer's type byte. A
+        // RIB body: sequence u32, prefix length, 3 prefix bytes, entry
+        // count u16, then the entry: peer index u16, originated u32,
+        // attribute length u16, ORIGIN (4 bytes), AS_PATH's flags, type and
+        // u16 length, and its first segment's type byte.
+        let (peer_type, prefix_len, segment_type) = (9, 4, 4 + 1 + 3 + 2 + 8 + 4 + 4);
+        for (record, field, value, wants) in [
+            (0, peer_type, 7, "unsupported peer type"),
+            (1, prefix_len, 40, "bad prefix length 40"),
+            (2, prefix_len, 40, "bad prefix length 40"),
+            (2, segment_type, 9, "unsupported AS_PATH segment type 9"),
+        ] {
+            let (start, end) = spans[record];
+            let mut bad = bytes.clone();
+            bad[start + field] = value;
+            let err = parse_mrt(&bad).unwrap_err();
+            assert!(err.message.contains(wants), "{err}");
+            assert_eq!(err.offset, start + field, "record {record}: {err}");
+            assert!((start..end).contains(&err.offset));
+        }
     }
 
     #[test]

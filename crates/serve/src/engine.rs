@@ -801,9 +801,7 @@ struct LeakQuery {
     victim: u32,
     leakers: usize,
     seed: u64,
-    lock_name: String,
     locking: Locking,
-    announce_name: String,
     announce: Announce,
 }
 
@@ -820,27 +818,15 @@ fn parse_leak_query(doc: &Json) -> Result<LeakQuery, ApiError> {
     };
     let leakers = doc.get("leakers").and_then(Json::as_u64).unwrap_or(50).min(5000) as usize;
     let seed = doc.get("seed").and_then(Json::as_u64).unwrap_or(1);
-    let lock_name = doc.get("lock").and_then(Json::as_str).unwrap_or("none").to_string();
-    let locking = match lock_name.as_str() {
-        "none" => Locking::None,
-        "t1" => Locking::Tier1,
-        "t12" => Locking::Tier12,
-        "global" => Locking::Global,
-        other => {
-            return Err(ApiError::unprocessable(format!(
-                "bad lock {other:?} (want none|t1|t12|global)"
-            )))
-        }
+    let lock = doc.get("lock").and_then(Json::as_str).unwrap_or("none");
+    let Some(locking) = Locking::from_token(lock) else {
+        return Err(ApiError::unprocessable(format!("bad lock {lock:?} (want none|t1|t12|global)")));
     };
-    let announce_name = doc.get("announce").and_then(Json::as_str).unwrap_or("all").to_string();
-    let announce = match announce_name.as_str() {
-        "all" => Announce::ToAll,
-        "t12p" => Announce::ToTier12AndProviders,
-        other => {
-            return Err(ApiError::unprocessable(format!("bad announce {other:?} (want all|t12p)")))
-        }
+    let announce = doc.get("announce").and_then(Json::as_str).unwrap_or("all");
+    let Some(announce) = Announce::from_token(announce) else {
+        return Err(ApiError::unprocessable(format!("bad announce {announce:?} (want all|t12p)")));
     };
-    Ok(LeakQuery { victim, leakers, seed, lock_name, locking, announce_name, announce })
+    Ok(LeakQuery { victim, leakers, seed, locking, announce })
 }
 
 /// Runs one leak query on the snapshot's compiled topology — nothing is
@@ -867,8 +853,8 @@ fn run_leak_query(snap: &ServeSnapshot, q: &LeakQuery) -> Result<String, ApiErro
          \"seed\":{},\"detour_fraction\":{{\"median\":{},\"p90\":{},\"max\":{}}}}}",
         q.victim,
         cdf.fractions.len(),
-        escape(&q.lock_name),
-        escape(&q.announce_name),
+        q.locking.token(),
+        q.announce.token(),
         q.seed,
         fmt_f64(cdf.median()),
         fmt_f64(cdf.percentile(90.0)),

@@ -15,7 +15,8 @@
 //! graph — they read the same arrays.
 
 use crate::error::{SectionId, StoreError};
-use crate::format::{unpack, Cursor, Enc, REQUIRED_SECTIONS};
+use crate::format::{unpack, Enc, REQUIRED_SECTIONS};
+use flatnet_asgraph::ingest::{ByteError, ByteReader};
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Relationship, Tiers};
 use flatnet_bgpsim::TopologySnapshot;
 
@@ -46,8 +47,15 @@ const MAX_NODES: u32 = 16_000_000;
 /// Cap on the edge count, same rationale.
 const MAX_ENTRIES: u32 = 512_000_000;
 
-fn malformed(section: SectionId) -> impl FnOnce(String) -> StoreError {
-    move |detail| StoreError::Malformed { section, detail }
+/// A payload read's error; its offset counts from the payload's first byte.
+fn malformed(section: SectionId) -> impl FnOnce(ByteError) -> StoreError {
+    move |e| StoreError::Malformed { section, detail: e.to_string() }
+}
+
+/// `count` little-endian `u32`s, bounds-checked before the allocation.
+fn u32s(c: &mut ByteReader<'_>, count: usize, what: &str) -> Result<Vec<u32>, ByteError> {
+    let (words, _) = c.records(count, 4, what)?.as_chunks::<4>();
+    Ok(words.iter().map(|&w| u32::from_le_bytes(w)).collect())
 }
 
 /// Bytes of one stored edge: two `u32` node ids and the relationship tag.
@@ -98,17 +106,17 @@ pub fn encode(snap: &StoredSnapshot) -> Vec<u8> {
 
 fn decode_meta(payload: &[u8]) -> Result<u64, StoreError> {
     let section = SectionId::Meta;
-    let mut c = Cursor::new(payload);
-    let version = c.u64("snapshot_version").map_err(malformed(section))?;
+    let mut c = ByteReader::new("payload", payload);
+    let version = c.u64_le("snapshot_version").map_err(malformed(section))?;
     c.expect_end("meta").map_err(malformed(section))?;
     Ok(version)
 }
 
 fn decode_graph(payload: &[u8]) -> Result<AsGraph, StoreError> {
     let section = SectionId::Graph;
-    let mut c = Cursor::new(payload);
-    let n = c.u32("node count").map_err(malformed(section))?;
-    let m = c.u32("edge count").map_err(malformed(section))?;
+    let mut c = ByteReader::new("payload", payload);
+    let n = c.u32_le("node count").map_err(malformed(section))?;
+    let m = c.u32_le("edge count").map_err(malformed(section))?;
     if n > MAX_NODES {
         return Err(StoreError::Malformed {
             section,
@@ -121,7 +129,7 @@ fn decode_graph(payload: &[u8]) -> Result<AsGraph, StoreError> {
             detail: format!("edge count {m} exceeds the sanity cap {MAX_ENTRIES}"),
         });
     }
-    let asns = c.u32s(n as usize, "asn table").map_err(malformed(section))?;
+    let asns = u32s(&mut c, n as usize, "asn table").map_err(malformed(section))?;
     let records = c.records(m as usize, EDGE_RECORD, "edge list").map_err(malformed(section))?;
     c.expect_end("graph").map_err(malformed(section))?;
     // Every tag is checked before the constructor sees a record, so the
@@ -149,17 +157,17 @@ fn decode_graph(payload: &[u8]) -> Result<AsGraph, StoreError> {
 fn decode_tiers(payload: &[u8], graph: &AsGraph) -> Result<Tiers, StoreError> {
     let section = SectionId::Tiers;
     let n = graph.len() as u32;
-    let mut c = Cursor::new(payload);
-    let t1_count = c.u32("tier1 count").map_err(malformed(section))?;
-    let t2_count = c.u32("tier2 count").map_err(malformed(section))?;
+    let mut c = ByteReader::new("payload", payload);
+    let t1_count = c.u32_le("tier1 count").map_err(malformed(section))?;
+    let t2_count = c.u32_le("tier2 count").map_err(malformed(section))?;
     if t1_count > n || t2_count > n {
         return Err(StoreError::Malformed {
             section,
             detail: format!("tier counts {t1_count}/{t2_count} exceed {n} nodes"),
         });
     }
-    let read_set = |c: &mut Cursor, count: u32, what: &str| -> Result<Vec<u32>, StoreError> {
-        let ids = c.u32s(count as usize, what).map_err(malformed(section))?;
+    let read_set = |c: &mut ByteReader, count: u32, what: &str| -> Result<Vec<u32>, StoreError> {
+        let ids = u32s(c, count as usize, what).map_err(malformed(section))?;
         if let Some(&bad) = ids.iter().find(|&&v| v >= n) {
             return Err(StoreError::Malformed {
                 section,

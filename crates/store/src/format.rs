@@ -16,7 +16,10 @@
 //! requires the table to list exactly the known sections, ascending, with
 //! payloads packed contiguously — so a truncation, a reordering, or any
 //! trailing garbage is a typed error, never an out-of-bounds read and
-//! never a silently-ignored region.
+//! never a silently-ignored region. Inside a payload, [`crate::codec`]
+//! reads through `flatnet_asgraph::ingest::ByteReader`, the one
+//! bounds-checked reader every binary input shares; this module has
+//! none of its own.
 
 use crate::crc32::crc32;
 use crate::error::{SectionId, StoreError};
@@ -144,7 +147,8 @@ pub fn unpack(bytes: &[u8]) -> Result<Vec<(SectionId, &[u8])>, StoreError> {
 }
 
 // ---------------------------------------------------------------------
-// The image writer and a bounds-checked payload reader.
+// The image writer. Payloads are read back through
+// `flatnet_asgraph::ingest::ByteReader`, as every binary input is.
 // ---------------------------------------------------------------------
 
 /// Writes a container image into one buffer. The header and the section
@@ -214,82 +218,10 @@ impl Enc {
     }
 }
 
-/// Reads little-endian fields from a section payload; every read is
-/// bounds-checked and a short payload yields `Err` with what was
-/// missing, never a panic.
-pub struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    /// A reader over one section payload.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or_else(|| format!("{what}: length overflows"))?;
-        if end > self.bytes.len() {
-            return Err(format!(
-                "{what}: need {n} bytes at offset {}, payload has {}",
-                self.pos,
-                self.bytes.len()
-            ));
-        }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// Reads a `u8`.
-    pub fn u8(&mut self, what: &str) -> Result<u8, String> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    /// Reads a `u32` LE.
-    pub fn u32(&mut self, what: &str) -> Result<u32, String> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Reads a `u64` LE.
-    pub fn u64(&mut self, what: &str) -> Result<u64, String> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    /// Reads `count` `u32`s. The count has already been validated
-    /// against the payload length by the time the allocation happens.
-    pub fn u32s(&mut self, count: usize, what: &str) -> Result<Vec<u32>, String> {
-        let b = self.records(count, 4, what)?;
-        Ok(b.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
-    }
-
-    /// Reads `count` fixed-size records of `size` bytes each, as one
-    /// slice: the bounds check happens once, before the caller allocates
-    /// anything for them.
-    pub fn records(&mut self, count: usize, size: usize, what: &str) -> Result<&'a [u8], String> {
-        let n = count.checked_mul(size).ok_or_else(|| format!("{what}: count overflows"))?;
-        self.take(n, what)
-    }
-
-    /// Fails unless the whole payload was consumed (catches payloads
-    /// padded by corruption that still pass their checksum-free checks).
-    pub fn expect_end(&self, what: &str) -> Result<(), String> {
-        if self.pos != self.bytes.len() {
-            return Err(format!(
-                "{what}: {} unconsumed bytes after the last field",
-                self.bytes.len() - self.pos
-            ));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flatnet_asgraph::ingest::ByteReader;
 
     fn tiny() -> Vec<u8> {
         let payloads: [(SectionId, &[u8]); 3] = [
@@ -314,7 +246,9 @@ mod tests {
         let bytes = enc.finish();
         let last = unpack(&bytes).unwrap()[2].1;
         assert_eq!(last, [1, 0, 0, 0, 1, 2, 3, 4, 255, 255, 255, 255]);
-        assert_eq!(Cursor::new(last).u32s(3, "words").unwrap(), words);
+        let mut r = ByteReader::new("payload", last);
+        assert_eq!(words.map(|_| r.u32_le("word").unwrap()), words);
+        assert!(r.expect_end("payload").is_ok());
     }
 
     #[test]
@@ -342,16 +276,5 @@ mod tests {
         let mut bytes = tiny();
         bytes.push(0);
         assert!(matches!(unpack(&bytes), Err(StoreError::TrailingBytes { extra: 1 })));
-    }
-
-    #[test]
-    fn cursor_reads_are_bounds_checked() {
-        let mut c = Cursor::new(&[1, 0, 0]);
-        assert!(c.u32("field").is_err());
-        let mut c = Cursor::new(&[1, 0, 0, 0, 9]);
-        assert_eq!(c.u32("field").unwrap(), 1);
-        assert!(c.expect_end("payload").is_err());
-        assert_eq!(c.u8("tail").unwrap(), 9);
-        assert!(c.expect_end("payload").is_ok());
     }
 }

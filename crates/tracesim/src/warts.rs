@@ -14,12 +14,13 @@
 //!          [addr u32] [rtt u32 microseconds]
 //! ```
 //!
-//! All integers are big-endian, as in the real format.
+//! All integers are big-endian, as in the real format. The reader is
+//! [`flatnet_asgraph::ingest::read_framed`], as MRT's is: every
+//! [`WartsError`] names the byte it failed at, counted from the start.
 
 use crate::model::{Hop, Traceroute, VantagePoint};
-use flatnet_asgraph::ingest::{ParseDiagnostics, ParseOptions, RecordLocation};
+use flatnet_asgraph::ingest::{read_framed, ByteError, ByteReader, ParseDiagnostics, ParseOptions};
 use flatnet_asgraph::AsId;
-use std::fmt;
 use std::net::Ipv4Addr;
 
 const MAGIC: u16 = 0x1205;
@@ -28,22 +29,8 @@ const FLAG_COMPLETED: u8 = 0x01;
 const HOP_HAS_ADDR: u8 = 0x01;
 const HOP_HAS_RTT: u8 = 0x02;
 
-/// Decode errors with byte offsets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WartsError {
-    /// Byte offset the error was detected at.
-    pub offset: usize,
-    /// Description.
-    pub message: String,
-}
-
-impl fmt::Display for WartsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "warts parse error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for WartsError {}
+/// A decode error, at the absolute byte offset it was detected at.
+pub type WartsError = ByteError;
 
 /// Serializes traceroutes as warts-style bytes.
 pub fn write_warts(traces: &[Traceroute]) -> Vec<u8> {
@@ -82,77 +69,27 @@ pub fn write_warts(traces: &[Traceroute]) -> Vec<u8> {
     out
 }
 
-struct Cur<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn err(&self, m: impl Into<String>) -> WartsError {
-        WartsError { offset: self.pos, message: m.into() }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WartsError> {
-        if self.pos + n > self.data.len() {
-            return Err(self.err(format!("truncated: wanted {n} bytes")));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, WartsError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> Result<u16, WartsError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> Result<u32, WartsError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-    }
-}
-
 /// Minimum encoded size of one hop (ttl + flags).
 const HOP_MIN_BYTES: usize = 2;
 
-fn parse_trace_body(body: &[u8], body_start: usize) -> Result<Traceroute, WartsError> {
-    let mut b = Cur { data: body, pos: 0 };
-    let cloud = AsId(b.u32().map_err(|e| off(e, body_start))?);
-    let city = b.u32().map_err(|e| off(e, body_start))? as usize;
-    let dst = Ipv4Addr::from(b.u32().map_err(|e| off(e, body_start))?);
-    let dst_asn = AsId(b.u32().map_err(|e| off(e, body_start))?);
-    let flags = b.u8().map_err(|e| off(e, body_start))?;
-    let n_hops = b.u16().map_err(|e| off(e, body_start))?;
-    let remaining = body.len() - b.pos;
-    if n_hops as usize * HOP_MIN_BYTES > remaining {
-        return Err(WartsError {
-            offset: body_start + b.pos,
-            message: format!(
-                "hop count {n_hops} needs at least {} bytes but only {remaining} remain",
-                n_hops as usize * HOP_MIN_BYTES
-            ),
-        });
-    }
+fn parse_trace_body(mut b: ByteReader<'_>) -> Result<Traceroute, WartsError> {
+    let cloud = AsId(b.u32_be("cloud ASN")?);
+    let city = b.u32_be("vantage point city")? as usize;
+    let dst = Ipv4Addr::from(b.u32_be("destination")?);
+    let dst_asn = AsId(b.u32_be("destination ASN")?);
+    let flags = b.u8("trace flags")?;
+    let n_hops = b.u16_be("hop count")?;
+    b.expect_room(n_hops as usize, HOP_MIN_BYTES, "hop count")?;
     let mut hops = Vec::with_capacity(n_hops as usize);
     for _ in 0..n_hops {
-        let ttl = b.u8().map_err(|e| off(e, body_start))?;
-        let hflags = b.u8().map_err(|e| off(e, body_start))?;
-        let addr = if hflags & HOP_HAS_ADDR != 0 {
-            Some(Ipv4Addr::from(b.u32().map_err(|e| off(e, body_start))?))
-        } else {
-            None
-        };
-        let rtt_ms = if hflags & HOP_HAS_RTT != 0 {
-            Some(b.u32().map_err(|e| off(e, body_start))? as f64 / 1000.0)
-        } else {
-            None
-        };
-        hops.push(Hop { ttl, addr, rtt_ms });
+        let ttl = b.u8("hop ttl")?;
+        let hflags = b.u8("hop flags")?;
+        let addr = (hflags & HOP_HAS_ADDR != 0).then(|| b.u32_be("hop address")).transpose()?;
+        let rtt_us = (hflags & HOP_HAS_RTT != 0).then(|| b.u32_be("hop rtt")).transpose()?;
+        let rtt_ms = rtt_us.map(|us| us as f64 / 1000.0);
+        hops.push(Hop { ttl, addr: addr.map(Ipv4Addr::from), rtt_ms });
     }
-    if b.pos != body.len() {
-        return Err(WartsError {
-            offset: body_start + b.pos,
-            message: "trailing bytes in trace record".into(),
-        });
-    }
+    b.expect_end("trace record")?;
     Ok(Traceroute {
         vp: VantagePoint { cloud, city },
         dst,
@@ -179,59 +116,29 @@ pub fn parse_warts_with(
     bytes: &[u8],
     opts: &ParseOptions,
 ) -> Result<(Vec<Traceroute>, ParseDiagnostics), WartsError> {
-    let mut c = Cur { data: bytes, pos: 0 };
     let mut out = Vec::new();
-    let mut diag = ParseDiagnostics::new();
-    let mut record_no = 0usize;
-    while c.pos < bytes.len() {
-        let magic = c.u16()?;
+    let header = |r: &mut ByteReader<'_>| {
+        let magic = r.u16_be("magic")?;
         if magic != MAGIC {
-            return Err(WartsError {
-                offset: c.pos - 2,
-                message: format!("bad magic {magic:#06x}"),
-            });
+            return Err(r.err_last(2, format!("bad magic {magic:#06x}")));
         }
-        let ty = c.u16()?;
+        let ty = r.u16_be("record type")?;
         if ty != TYPE_TRACE {
-            return Err(c.err(format!("unsupported record type {ty:#06x}")));
+            return Err(r.err_last(2, format!("unsupported record type {ty:#06x}")));
         }
-        let len_field_at = c.pos;
-        let len = c.u32()? as usize;
-        let remaining = bytes.len() - c.pos;
-        if len > remaining {
-            return Err(WartsError {
-                offset: len_field_at,
-                message: format!(
-                    "record length {len} exceeds the {remaining} bytes remaining \
-                     (truncated dump or corrupt length field)"
-                ),
-            });
-        }
-        let body_start = c.pos;
-        let body = c.take(len)?;
-        match parse_trace_body(body, body_start) {
-            Ok(t) => {
-                out.push(t);
-                diag.record_ok();
-            }
-            Err(e) => diag.malformed(opts, RecordLocation::Record(record_no), e, |message| {
-                WartsError { offset: body_start, message }
-            })?,
-        }
-        record_no += 1;
-    }
-    diag.publish("warts");
+        Ok(())
+    };
+    let diag = read_framed(bytes, opts, "warts", header, |(), body| {
+        out.push(parse_trace_body(body)?);
+        Ok(())
+    })?;
     Ok((out, diag))
-}
-
-fn off(mut e: WartsError, base: usize) -> WartsError {
-    e.offset += base;
-    e
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flatnet_asgraph::ingest::RecordLocation;
 
     fn sample() -> Vec<Traceroute> {
         vec![
@@ -303,6 +210,25 @@ mod tests {
         let err = parse_warts(&bytes).unwrap_err();
         assert_eq!(err.offset, 4, "{err}");
         assert!(err.message.contains("corrupt length field"), "{err}");
+    }
+
+    #[test]
+    fn body_errors_name_the_absolute_byte_that_failed() {
+        let bytes = write_warts(&sample());
+        // The first record: an 8-byte header, 19 bytes of fixed fields and
+        // hop count, then 3 hops of 10, 2 and 10 bytes.
+        let second = 8 + 19 + 22;
+        let len = u32::from_be_bytes(bytes[second + 4..second + 8].try_into().unwrap()) as usize;
+        let (start, end) = (second + 8, second + 8 + len);
+        assert_eq!(end, bytes.len());
+        // Its hop count claims more hops than its body holds: the refusal
+        // is at the byte where the hops would begin.
+        let mut bad = bytes.clone();
+        bad[start + 17..start + 19].copy_from_slice(&u16::MAX.to_be_bytes());
+        let err = parse_warts(&bad).unwrap_err();
+        assert!(err.message.contains("hop count 65535"), "{err}");
+        assert_eq!(err.offset, start + 19, "{err}");
+        assert!((start..end).contains(&err.offset));
     }
 
     #[test]
