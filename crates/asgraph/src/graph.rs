@@ -8,13 +8,17 @@
 //! block is the process's only copy of the links: an [`AsGraph`] is an
 //! `Arc` on it, so the graph's clones — the one inside `flatnet-bgpsim`'s
 //! compiled snapshot among them — share it, and the canonical edge list
-//! ([`AsGraph::edges`]) is read off it rather than stored beside it.
+//! ([`AsGraph::edges`]) is read off it rather than stored beside it. It
+//! also carries one value made for it ([`AsGraph::attachment`]): that
+//! snapshot's per-topology state and scratch pools, so they live exactly
+//! as long as the topology.
 
 use crate::error::GraphError;
+use std::any::Any;
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An Autonomous System number.
 ///
@@ -503,6 +507,8 @@ struct Topology {
     /// End (exclusive) of node `u`'s peers within its run.
     peer_end: Vec<u32>,
     adj: Vec<NodeId>,
+    /// What [`AsGraph::attachment`] keeps beside the links.
+    attached: OnceLock<Arc<dyn Any + Send + Sync>>,
 }
 
 /// An immutable AS-level topology with relationship-classed adjacency.
@@ -642,7 +648,25 @@ impl AsGraph {
             }
         }
 
-        Ok(AsGraph { t: Arc::new(Topology { asns, off, cust_end, peer_end, adj }) })
+        let attached = OnceLock::new();
+        Ok(AsGraph { t: Arc::new(Topology { asns, off, cust_end, peer_end, adj, attached }) })
+    }
+
+    /// The one value kept beside this topology's links: built by `init`
+    /// on the first call through any handle, then shared by every clone
+    /// of the graph and freed with the last of them. A graph built again
+    /// from the same edges is another topology and starts without one.
+    ///
+    /// It has one user: `flatnet-bgpsim`'s compiled snapshot keeps its
+    /// per-topology state and scratch pools here, so every compile of
+    /// one graph runs on the same warm buffers.
+    ///
+    /// # Panics
+    ///
+    /// If the topology already holds a value of another type.
+    pub fn attachment<T: Send + Sync + 'static>(&self, init: impl FnOnce() -> T) -> Arc<T> {
+        let held = self.t.attached.get_or_init(|| Arc::new(init()));
+        Arc::clone(held).downcast().expect("a topology's attachment has one type")
     }
 
     /// Number of ASes.
@@ -813,6 +837,20 @@ mod tests {
         assert_eq!(g.kind_between(n1, n3), Some(NeighborKind::Customer));
         assert_eq!(g.kind_between(n3, n4), Some(NeighborKind::Peer));
         assert_eq!(g.kind_between(n3, n3), None);
+    }
+
+    /// One value per topology: made once, seen through every clone, not
+    /// through a graph rebuilt from the same edges, and of one type.
+    #[test]
+    fn a_topology_carries_one_attachment() {
+        let g = diamond();
+        let made = g.attachment(|| vec![7u8]);
+        let seen = g.clone().attachment::<Vec<u8>>(|| unreachable!("the clone shares the topology"));
+        assert!(Arc::ptr_eq(&made, &seen));
+        let again = AsGraph::from_canonical_edges(g.asns().map(|a| a.0).collect(), g.edges()).unwrap();
+        assert!(again.attachment(Vec::<u8>::new).is_empty(), "a rebuilt graph is another topology");
+        let other = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| g.attachment(|| 0u32)));
+        assert!(other.is_err(), "a second type finds the first one's value");
     }
 
     #[test]

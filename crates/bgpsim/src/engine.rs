@@ -7,13 +7,13 @@
 //! profile. This module splits the work into three pieces:
 //!
 //! * [`TopologySnapshot`] — a handle on the [`AsGraph`] (its links are
-//!   shared, not copied) plus the per-topology state a run needs; made
-//!   once per topology and shared (it is `Sync`) by every worker of a
-//!   sweep.
+//!   shared, not copied) plus the per-topology state a run needs, made
+//!   once per topology however often the graph is compiled; shared (it
+//!   is `Sync`) by every worker of a sweep.
 //! * [`Workspace`] — the mutable per-run state: the
 //!   [`RoutingOutcome`] a run fills in place (one selection word per
 //!   node, the reach bitset) and the queues that fill it. Checked out of
-//!   the snapshot's pool once per worker and reused for every origin;
+//!   the topology's pool once per worker and reused for every origin;
 //!   after the first few runs a sweep performs no heap allocation at
 //!   all, and a finished run is read through the workspace, not copied
 //!   out of it.
@@ -41,8 +41,12 @@
 //! mask: an AS exports customer-learned routes to its whole range, but
 //! peer/provider-learned routes only to the customer prefix
 //! `adj[off[u]..cust_end[u]]` — exactly the slices the three phases walk.
-//! [`TopologySnapshot::compile`] therefore does nothing per link: it
-//! clones the handle and marks, one bit per node, who has a customer.
+//! [`TopologySnapshot::compile`] therefore does nothing per link, and
+//! little per call: the first compile of a topology marks, one bit per
+//! node, who has a customer and attaches that, with the topology's empty
+//! scratch pools, to the graph's block ([`AsGraph::attachment`]); every
+//! later compile of the graph or of a clone clones two handles and finds
+//! both, pools warm from whatever ran before.
 //!
 //! The provider phase drains a bucket queue (`Vec<Vec<u32>>` indexed by
 //! distance) rather than a binary heap: edges all have weight 1, so
@@ -73,23 +77,34 @@ use crate::reliance::RelianceWorkspace;
 use crate::scratch::{cap_bytes, Checkout, Scratch};
 use flatnet_asgraph::{AsGraph, NodeId};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// An [`AsGraph`] made ready for propagation: a handle on the graph
 /// itself — the same arrays, not a copy — plus what only a run needs.
 ///
-/// Compile once per topology with [`TopologySnapshot::compile`], the
-/// only constructor (so every snapshot walks some graph's adjacency, the
-/// very arrays that graph reads); the snapshot is cheap to share across
-/// threads and its topology is never mutated. It also owns the scratch
-/// sized for it (`crate::scratch`): lane-kernel workspaces, scalar
-/// contexts and reliance kernels that sweeps check out and return, so
-/// every [`Simulation`] and [`LeakSim`](crate::leak::LeakSim) over one
-/// snapshot runs on warm buffers, and the buffers are freed with the
-/// snapshot. A clone starts with none.
+/// Compile with [`TopologySnapshot::compile`], the only constructor (so
+/// every snapshot walks some graph's adjacency, the very arrays that
+/// graph reads); the snapshot is cheap to share across threads and its
+/// topology is never mutated. What a run needs beyond the links — who
+/// has customers, and the scratch sized for the topology
+/// (`crate::scratch`): lane-kernel workspaces, scalar contexts and
+/// reliance kernels that sweeps check out and return — is kept on the
+/// graph's own block ([`AsGraph::attachment`]). So every compile and
+/// every clone of one graph finds the same warm buffers, every
+/// [`Simulation`] and [`LeakSim`](crate::leak::LeakSim) over any of them
+/// runs on them, and they are freed with the last handle on the
+/// topology, graph or snapshot.
 #[derive(Debug, Clone)]
 pub struct TopologySnapshot {
     /// The graph: its links lie in the layout the module docs draw.
     graph: AsGraph,
+    /// The graph's attachment: one per topology, however often compiled.
+    compiled: Arc<Compiled>,
+}
+
+/// What a run needs beyond the graph's links, made once per topology.
+#[derive(Debug)]
+struct Compiled {
     /// Bit `u` set iff node `u` has a customer — the only nodes phase 3
     /// can ever export from, so the only ones it queues.
     has_customers: Vec<u64>,
@@ -98,14 +113,19 @@ pub struct TopologySnapshot {
 }
 
 impl TopologySnapshot {
-    /// Takes a handle on `g` and marks who has customers: O(V), nothing
-    /// per link.
+    /// Takes a handle on `g` and its attachment. The first compile of a
+    /// topology marks who has customers, O(V) and nothing per link; every
+    /// later one, and every compile of a clone of `g`, only clones two
+    /// handles.
     pub fn compile(g: &AsGraph) -> Self {
-        let mut has_customers = vec![0u64; g.len().div_ceil(64)];
-        for u in g.nodes().filter(|&u| !g.customers(u).is_empty()) {
-            has_customers[u.idx() >> 6] |= 1 << (u.idx() & 63);
-        }
-        TopologySnapshot { graph: g.clone(), has_customers, scratch: Scratch::default() }
+        let compiled = g.attachment(|| {
+            let mut has_customers = vec![0u64; g.len().div_ceil(64)];
+            for u in g.nodes().filter(|&u| !g.customers(u).is_empty()) {
+                has_customers[u.idx() >> 6] |= 1 << (u.idx() & 63);
+            }
+            Compiled { has_customers, scratch: Scratch::default() }
+        });
+        TopologySnapshot { graph: g.clone(), compiled }
     }
 
     /// Number of nodes.
@@ -125,14 +145,15 @@ impl TopologySnapshot {
 
     /// The pooled buffers sized for this topology.
     pub(crate) fn scratch(&self) -> &Scratch {
-        &self.scratch
+        &self.compiled.scratch
     }
 
-    /// Bytes of idle pooled scratch this snapshot currently holds (lane
-    /// workspaces, scalar contexts and reliance kernels, at capacity) —
-    /// what dropping the snapshot frees beyond the topology itself.
+    /// Bytes of idle pooled scratch this snapshot's topology currently
+    /// holds (lane workspaces, scalar contexts and reliance kernels, at
+    /// capacity) — shared with every other compile and clone of the
+    /// graph, and freed with the last handle on it.
     pub fn scratch_bytes(&self) -> usize {
-        self.scratch.bytes()
+        self.compiled.scratch.bytes()
     }
 
     #[inline]
@@ -153,8 +174,24 @@ impl TopologySnapshot {
     /// Whether `u` has any customer to export to.
     #[inline]
     pub(crate) fn has_customers(&self, u: u32) -> bool {
-        (self.has_customers[(u >> 6) as usize] >> (u & 63)) & 1 == 1
+        (self.compiled.has_customers[(u >> 6) as usize] >> (u & 63)) & 1 == 1
     }
+
+    /// A weak handle on what the topology attached, scratch pools and
+    /// all: it upgrades while any graph or snapshot handle is alive.
+    #[cfg(test)]
+    pub(crate) fn attached(&self) -> std::sync::Weak<impl Sized> {
+        Arc::downgrade(&self.compiled)
+    }
+}
+
+/// `g` built again from its canonical edges: the same graph as another
+/// topology, so a snapshot of it starts with empty scratch pools — the
+/// fresh leg a test compares a pooled run with.
+#[cfg(test)]
+pub(crate) fn rebuilt(g: &AsGraph) -> AsGraph {
+    AsGraph::from_canonical_edges(g.asns().map(|a| a.0).collect(), g.edges())
+        .expect("a graph's own edges are canonical")
 }
 
 /// Reusable per-run propagation state: the [`RoutingOutcome`] a run

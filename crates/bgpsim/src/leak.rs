@@ -709,7 +709,7 @@ mod tests {
         let _ = sim.run(&locked);
         let plain = LeakScenario::simple(node(&g, 10), node(&g, 30));
         let reused = sim.run(&plain);
-        let fresh = simulate(&g, &plain);
+        let fresh = simulate(&crate::engine::rebuilt(&g), &plain);
         assert_eq!(reused.states(), fresh.states());
     }
 

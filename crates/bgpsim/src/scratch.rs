@@ -1,6 +1,7 @@
-//! Snapshot-scoped scratch: every per-run buffer that outlives a request
-//! has one owner, the [`TopologySnapshot`](crate::engine::TopologySnapshot)
-//! it was sized for.
+//! Topology-scoped scratch: every per-run buffer that outlives a request
+//! has one owner, the topology it was sized for — the graph's shared
+//! block, which every [`TopologySnapshot`](crate::engine::TopologySnapshot)
+//! compiled from the graph or a clone of it reaches.
 //!
 //! The lane kernel's [`LaneWorkspace`]s (one pool per width), the
 //! [`ScalarCtx`]s (a workspace and its config) every
@@ -13,10 +14,16 @@
 //! it first-touch page faults — but carry no result between runs. Owned by
 //! whoever ran the sweep (a `Simulation`, a `LeakSim`, a serve worker),
 //! they were paid for per request or kept past the topology they were
-//! sized for. Hung off the compiled topology, they live exactly as long
-//! as what they are sized for: every sweep, leak simulation and serve
-//! request over one snapshot shares them, and they are freed with it (on
-//! a serve hot-reload, when the last in-flight query drops the old `Arc`).
+//! sized for. Owned by one compiled handle, they were paid for again by
+//! every entry point that compiles the graph it is handed (a reliance
+//! profile or a leak CDF per call), and each call's freed buffers stayed
+//! resident as allocator slack. Attached to the topology
+//! ([`AsGraph::attachment`](flatnet_asgraph::AsGraph::attachment)), they
+//! live exactly as long as what they are sized for: every compile and
+//! clone of one graph, and every sweep, leak simulation and serve request
+//! over any of them, shares them, and they are freed with the last handle
+//! on the topology (on a serve hot-reload that builds a new graph, when
+//! the last in-flight query drops the old `Arc`).
 //!
 //! Each pool keeps a bounded number of idle items, so a burst of
 //! concurrent sweeps cannot pin more scratch than steady parallel use
@@ -133,9 +140,9 @@ impl<T> Drop for Checkout<'_, T> {
     }
 }
 
-/// The scratch one compiled topology owns. Starts empty — after
-/// `compile` and `clone` alike — and fills as sweeps return what they
-/// sized.
+/// The scratch one topology owns. Starts empty when the graph is first
+/// compiled and fills as sweeps return what they sized; every later
+/// compile or clone of the graph finds what is idle.
 #[derive(Debug)]
 pub(crate) struct Scratch {
     pub(crate) lanes1: Pool<LaneWorkspace<1>>,
@@ -157,14 +164,6 @@ impl Default for Scratch {
     }
 }
 
-impl Clone for Scratch {
-    /// Scratch is transient and holds no result; a cloned topology
-    /// starts with none.
-    fn clone(&self) -> Self {
-        Scratch::default()
-    }
-}
-
 impl Scratch {
     /// Bytes the idle items hold, buffers at capacity.
     pub(crate) fn bytes(&self) -> usize {
@@ -179,7 +178,7 @@ impl Scratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Counts, Sets, Simulation, TopologySnapshot, Words};
+    use crate::engine::{rebuilt, Counts, Sets, Simulation, TopologySnapshot, Words};
     use crate::lanes::{LaneExcluder, LaneWidth};
     use crate::leak::{LeakScenario, LeakSim};
     use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, NodeId, Relationship};
@@ -259,8 +258,36 @@ mod tests {
         assert_eq!(snap.scratch().lanes1.idle(), cores(), "one per core is kept, the rest dropped");
         assert_eq!((snap.scratch().lanes2.idle(), snap.scratch().lanes4.idle()), (0, 0));
         assert!(snap.scratch_bytes() > 0);
-        // Nothing follows a clone.
-        assert_eq!(snap.clone().scratch_bytes(), 0);
+        // Nothing follows a rebuild.
+        assert_eq!(TopologySnapshot::compile(&rebuilt(&g)).scratch_bytes(), 0);
+    }
+
+    /// The pools follow the topology, not the handle: two compiles and a
+    /// clone of one graph share one set — a workspace returned through
+    /// one is idle in the others, and the next sweep through another
+    /// sizes none — a graph rebuilt from the same edges starts with none,
+    /// and the last handle on the topology, graph or snapshot, frees it.
+    #[test]
+    fn compiles_and_clones_of_one_graph_share_one_pool() {
+        let g = graph();
+        let (first, second) = (TopologySnapshot::compile(&g), TopologySnapshot::compile(&g.clone()));
+        let cloned = first.clone();
+        let origins: Vec<NodeId> = g.nodes().collect();
+        let swept = Simulation::over(&first).threads(1).sweep(&origins, |_, _| {}, Words).unwrap();
+        let bytes = first.scratch_bytes();
+        for snap in [&second, &cloned] {
+            assert_eq!((snap.scratch().lanes1.idle(), snap.scratch_bytes()), (1, bytes));
+        }
+        let again = Simulation::over(&second).threads(1).sweep(&origins, |_, _| {}, Words);
+        assert_eq!(again, Ok(swept));
+        assert_eq!((cloned.scratch().lanes1.idle(), cloned.scratch_bytes()), (1, bytes), "none was sized");
+        assert_eq!(TopologySnapshot::compile(&rebuilt(&g)).scratch_bytes(), 0);
+
+        let pools = first.attached();
+        drop((first, second, cloned));
+        assert!(pools.upgrade().is_some(), "the graph still holds its topology's pools");
+        drop(g);
+        assert!(pools.upgrade().is_none(), "the pools outlived the last handle on their topology");
     }
 
     #[test]
@@ -280,7 +307,7 @@ mod tests {
         assert_eq!(snap.scratch().lanes1.idle(), 1, "the second simulation took the first's");
         assert!(snap.scratch_bytes() < 2 * bytes, "and sized no workspace of its own");
         // What the shared workspace computed is what a fresh one does.
-        let fresh = snap.clone();
+        let fresh = TopologySnapshot::compile(&rebuilt(&g));
         assert_eq!(Ok(&second), masked.clone().sweep(&origins, |_, _| {}, Words).as_ref());
         let masked_fresh = Simulation::over(&fresh).config(masked.cfg().clone()).threads(1);
         assert_eq!(Ok(second), masked_fresh.sweep(&origins, |_, _| {}, Words));
@@ -303,7 +330,7 @@ mod tests {
         // exclusions and all, and must not see any of it.
         let reused = sim.sweep(&origins, |_, _| {}, Words);
         assert_eq!(snap.scratch().lanes1.idle(), 1);
-        let fresh = snap.clone();
+        let fresh = TopologySnapshot::compile(&rebuilt(&g));
         assert_eq!(reused, Simulation::over(&fresh).threads(1).sweep(&origins, |_, _| {}, Words));
     }
 
@@ -335,7 +362,7 @@ mod tests {
         // A simulator on returned sides — the locked scenario's
         // policies still in them — equals one on fresh buffers.
         let reused = LeakSim::new(&snap).run(&plain);
-        let fresh = snap.clone();
+        let fresh = TopologySnapshot::compile(&rebuilt(&g));
         assert_eq!(reused.states(), LeakSim::new(&fresh).run(&plain).states());
         assert_eq!(snap.scratch().scalar.idle(), 3.min(bound));
         assert!(snap.scratch_bytes() < bytes + bytes / 4, "no fourth side was sized");
@@ -365,7 +392,8 @@ mod tests {
             let origins: Vec<NodeId> = (0..2 * block).map(|k| NodeId((k * n / (2 * block)) as u32)).collect();
             let cap = n * (8 * w + 16) + 64 * block + 8 * w * (providers + block);
             for kind in ["counts", "sets", "words"] {
-                let snap = TopologySnapshot::compile(&net.truth);
+                let g = rebuilt(&net.truth);
+                let snap = TopologySnapshot::compile(&g);
                 let sim = Simulation::over(&snap).threads(1).lane_width(width);
                 let swept = match kind {
                     "counts" => sim.sweep(&origins, |_, _| {}, Counts).unwrap().kept.len(),

@@ -120,7 +120,9 @@ fn rules_for(step: &Step, k: usize, n: usize, origin: NodeId) -> Rules {
 
 /// A leak competition on `snap`'s pool with a random victim export and
 /// locking set drawn from `rng`; its outcome must equal the same
-/// competition on a fresh snapshot, whose pools are empty.
+/// competition on a fresh snapshot, whose pools are empty: one of `g`
+/// built again from its edges, since every compile and clone of `g`
+/// itself shares `snap`'s pools.
 fn leak_on_the_pool(snap: &TopologySnapshot, g: &AsGraph, rng: &mut u64, what: &str) {
     let n = g.len() as u64;
     let victim = NodeId((next(rng) % n) as u32);
@@ -136,7 +138,8 @@ fn leak_on_the_pool(snap: &TopologySnapshot, g: &AsGraph, rng: &mut u64, what: &
     } else {
         LockingSemantics::Corrected
     };
-    let fresh = snap.clone();
+    let asns = g.asns().map(|a| a.0).collect();
+    let fresh = TopologySnapshot::compile(&AsGraph::from_canonical_edges(asns, g.edges()).unwrap());
     let run = |snap: &TopologySnapshot| {
         let side = VictimSide::propagate(snap, victim, export.as_deref(), &locking, semantics);
         let outcome = side.leakers().run(leaker);
