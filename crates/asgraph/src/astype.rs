@@ -8,8 +8,8 @@
 
 use crate::error::GraphError;
 use crate::graph::AsId;
+use crate::ingest::{read_lines, ParseOptions};
 use std::collections::BTreeMap;
-use std::io::BufRead;
 
 /// The raw three-way class from CAIDA's `as2types` dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,33 +109,23 @@ impl AsTypeDb {
 
     /// Parses a CAIDA `as2types` file: `asn|source|type` lines where type is
     /// `Content`, `Enterprise`, or `Transit/Access`; `#` comments allowed.
-    pub fn parse<R: BufRead>(reader: R) -> Result<Self, GraphError> {
+    /// Strict: the first malformed line is the error.
+    pub fn parse(bytes: &[u8]) -> Result<Self, GraphError> {
         let mut db = Self::new();
-        for (i, line) in reader.lines().enumerate() {
-            let lineno = i + 1;
-            let line = line.map_err(|e| GraphError::Parse { line: lineno, message: e.to_string() })?;
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split('|');
-            let err = |message: String| GraphError::Parse { line: lineno, message };
-            let asn: u32 = parts
-                .next()
-                .ok_or_else(|| err("missing ASN".into()))?
-                .trim()
-                .parse()
-                .map_err(|e| err(format!("bad ASN: {e}")))?;
-            let _source = parts.next().ok_or_else(|| err("missing source field".into()))?;
-            let ty = parts.next().ok_or_else(|| err("missing type field".into()))?.trim();
-            let class = match ty {
+        read_lines(bytes, &ParseOptions::strict(), "as2types", |line| {
+            let mut parts = line?.split('|');
+            let asn = parts.next().ok_or("missing ASN")?.trim();
+            let asn: u32 = asn.parse().map_err(|e| format!("bad ASN: {e}"))?;
+            let _source = parts.next().ok_or("missing source field")?;
+            let class = match parts.next().ok_or("missing type field")?.trim() {
                 "Content" => CaidaClass::Content,
                 "Enterprise" => CaidaClass::Enterprise,
                 "Transit/Access" => CaidaClass::TransitAccess,
-                other => return Err(err(format!("unknown AS type {other:?}"))),
+                other => return Err(format!("unknown AS type {other:?}").into()),
             };
             db.insert(AsId(asn), class);
-        }
+            Ok(())
+        })?;
         Ok(db)
     }
 

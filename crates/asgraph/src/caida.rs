@@ -10,13 +10,14 @@
 //!   `<as1>|<as2>|<rel>|<source>`. The September 2020 snapshot the paper
 //!   uses also incorporates Ark traceroute data through the `mlp` source.
 //!
-//! Both parsers are tolerant of blank lines and comments, strict about
-//! everything else, and report 1-based line numbers on error.
+//! Both serials are read by [`crate::ingest::read_lines`], the one text
+//! line loop: blank lines and `#` comments are skipped, a line that is
+//! not UTF-8 is a malformed record like any other, and errors name the
+//! 1-based line.
 
 use crate::error::GraphError;
 use crate::graph::{AsGraph, AsGraphBuilder, AsId, Relationship};
-use crate::ingest::{ParseDiagnostics, ParseOptions, RecordLocation};
-use std::io::BufRead;
+use crate::ingest::{read_lines, BadLine, ParseDiagnostics, ParseOptions};
 
 /// One parsed relationship record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,68 +31,64 @@ pub struct RelRecord {
 }
 
 /// Parses one data line: already trimmed, neither empty nor a comment.
-fn parse_rel_line(line: &str, lineno: usize, fields: usize) -> Result<RelRecord, GraphError> {
+fn parse_rel_line(line: &str, fields: usize) -> Result<RelRecord, String> {
     let mut parts = line.split('|');
-    let err = |message: String| GraphError::Parse { line: lineno, message };
     let a: u32 = parts
         .next()
-        .ok_or_else(|| err("missing first AS field".into()))?
+        .ok_or("missing first AS field")?
         .trim()
         .parse()
-        .map_err(|e| err(format!("bad first ASN: {e}")))?;
+        .map_err(|e| format!("bad first ASN: {e}"))?;
     let b: u32 = parts
         .next()
-        .ok_or_else(|| err("missing second AS field".into()))?
+        .ok_or("missing second AS field")?
         .trim()
         .parse()
-        .map_err(|e| err(format!("bad second ASN: {e}")))?;
-    let rel_field = parts.next().ok_or_else(|| err("missing relationship field".into()))?.trim();
+        .map_err(|e| format!("bad second ASN: {e}"))?;
+    let rel_field = parts.next().ok_or("missing relationship field")?.trim();
     let rel = match rel_field {
         "-1" => Relationship::P2c,
         "0" => Relationship::P2p,
-        other => return Err(err(format!("unknown relationship code {other:?}"))),
+        other => return Err(format!("unknown relationship code {other:?}")),
     };
     // serial-2 carries a trailing source field; serial-1 must not.
     let extra = parts.count();
     let expected_extra = fields - 3;
     if extra != expected_extra {
-        return Err(err(format!(
-            "expected {fields} fields, got {}",
-            3 + extra
-        )));
+        return Err(format!("expected {fields} fields, got {}", 3 + extra));
     }
     if a == b {
-        return Err(err(format!("self-loop on AS{a}")));
+        return Err(format!("self-loop on AS{a}"));
     }
     Ok(RelRecord { a: AsId(a), b: AsId(b), rel })
 }
 
 /// Parses a CAIDA **serial-1** AS-relationship file (3 fields per line).
-pub fn parse_serial1<R: BufRead>(reader: R) -> Result<AsGraphBuilder, GraphError> {
-    parse_with_fields(reader, Some(3), &ParseOptions::strict()).map(|(b, _)| b)
+pub fn parse_serial1(bytes: &[u8]) -> Result<AsGraphBuilder, GraphError> {
+    parse_with_fields(bytes, Some(3), &ParseOptions::strict()).map(|(b, _)| b)
 }
 
 /// Parses a CAIDA **serial-2** AS-relationship file (4 fields per line).
-pub fn parse_serial2<R: BufRead>(reader: R) -> Result<AsGraphBuilder, GraphError> {
-    parse_with_fields(reader, Some(4), &ParseOptions::strict()).map(|(b, _)| b)
+pub fn parse_serial2(bytes: &[u8]) -> Result<AsGraphBuilder, GraphError> {
+    parse_with_fields(bytes, Some(4), &ParseOptions::strict()).map(|(b, _)| b)
 }
 
 /// [`parse_serial1`] with explicit strictness; lenient mode skips
 /// malformed lines (up to the error budget) and reports them in the
 /// returned [`ParseDiagnostics`].
-pub fn parse_serial1_with<R: BufRead>(
-    reader: R,
+pub fn parse_serial1_with(
+    bytes: &[u8],
     opts: &ParseOptions,
 ) -> Result<(AsGraphBuilder, ParseDiagnostics), GraphError> {
-    parse_with_fields(reader, Some(3), opts)
+    parse_with_fields(bytes, Some(3), opts)
 }
 
 /// [`parse_serial2`] with explicit strictness (see [`parse_serial1_with`]).
-pub fn parse_serial2_with<R: BufRead>(
-    reader: R,
+pub fn parse_serial2_with(
+    bytes: &[u8],
     opts: &ParseOptions,
 ) -> Result<(AsGraphBuilder, ParseDiagnostics), GraphError> {
-    parse_with_fields(reader, Some(4), opts)
+    parse_with_fields(bytes, Some(4), opts)
 }
 
 /// Parses an as-rel file of either serial, told apart by the field count
@@ -107,51 +104,25 @@ pub fn parse_auto(
 }
 
 /// The one as-rel reader. `fields` is the serial's field count, or `None`
-/// to take it from the first data line ([`parse_auto`]). Lines are read
-/// into one reused buffer, so a clean parse allocates for the builder's
-/// links and nothing else. Records are appended to the builder as they
-/// are read and settled into distinct, first-declared links in bulk (see
-/// `AsGraphBuilder::settle`), so [`AsGraphBuilder::conflicts`] is complete
-/// when this returns.
-fn parse_with_fields<R: BufRead>(
-    mut reader: R,
+/// to take it from the first data line ([`parse_auto`]). Records are
+/// appended to the builder as they are read and settled into distinct,
+/// first-declared links in bulk (see `AsGraphBuilder::settle`), so
+/// [`AsGraphBuilder::conflicts`] is complete when this returns. The
+/// builder's link cap is fatal in both modes.
+fn parse_with_fields(
+    bytes: &[u8],
     mut fields: Option<usize>,
     opts: &ParseOptions,
 ) -> Result<(AsGraphBuilder, ParseDiagnostics), GraphError> {
     let mut b = AsGraphBuilder::new();
-    let mut diag = ParseDiagnostics::new();
-    let mut buf = String::new();
-    let mut lineno = 0usize;
-    loop {
-        buf.clear();
-        lineno += 1;
-        // I/O errors (a line that is not UTF-8 among them) are not
-        // per-record problems; always fatal.
-        let read = reader
-            .read_line(&mut buf)
-            .map_err(|e| GraphError::Parse { line: lineno, message: e.to_string() })?;
-        if read == 0 {
-            break;
-        }
-        let line = buf.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
+    let diag = read_lines(bytes, opts, "caida", |line| {
+        let line = line?;
         let fields =
             *fields.get_or_insert_with(|| if line.split('|').count() == 4 { 4 } else { 3 });
-        match parse_rel_line(line, lineno, fields) {
-            Ok(rec) => {
-                diag.record_ok();
-                b.append(rec.a, rec.b, rec.rel)
-                    .map_err(|message| GraphError::Parse { line: lineno, message })?;
-            }
-            Err(e) => diag.malformed(opts, RecordLocation::Line(lineno), e, |message| {
-                GraphError::Parse { line: lineno, message }
-            })?,
-        }
-    }
+        let rec = parse_rel_line(line, fields)?;
+        b.append(rec.a, rec.b, rec.rel).map_err(BadLine::Fatal)
+    })?;
     b.finish_reading();
-    diag.publish("caida");
     Ok((b, diag))
 }
 
@@ -211,6 +182,7 @@ fn push_decimal(out: &mut String, mut v: u32) {
 mod tests {
     use super::*;
     use crate::graph::NeighborKind;
+    use crate::ingest::RecordLocation;
 
     const SERIAL1: &str = "\
 # inferred AS relationships
@@ -355,6 +327,29 @@ garbage line
         let (b, diag) = parse_serial1_with(DIRTY.as_bytes(), &opts).unwrap();
         assert_eq!(diag.dropped(), 3);
         assert_eq!(b.build().edge_count(), 3);
+    }
+
+    #[test]
+    fn a_lenient_tally_names_its_line_once() {
+        let opts = ParseOptions::lenient().with_max_errors(1);
+        let (_, diag) = parse_serial1_with(b"1|2|0\n3|4|x\n", &opts).unwrap();
+        assert_eq!(diag.issues[0].to_string(), "line 2: unknown relationship code \"x\"");
+        let err = parse_serial1_with(b"1|2|0\n3|4|x\n5|5|0\n", &opts).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error on line 3: error budget exhausted after 2 malformed records (max 1); \
+             last: line 3: self-loop on AS5"
+        );
+    }
+
+    #[test]
+    fn a_non_utf_8_line_is_one_malformed_record() {
+        let input = b"1|2|0\n\xff|3|0\n5|6|0\n";
+        let err = parse_serial1(input).unwrap_err();
+        assert_eq!(err, GraphError::Parse { line: 2, message: "not valid UTF-8".into() });
+        let (b, diag) = parse_serial1_with(input, &ParseOptions::lenient()).unwrap();
+        assert_eq!((b.link_count(), diag.records_ok, diag.dropped()), (2, 2, 1));
+        assert_eq!(diag.issues[0].to_string(), "line 2: not valid UTF-8");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Error types for topology construction and dataset parsing.
 
+use crate::ingest::LineError;
 use std::fmt;
 
 /// Errors produced while building or parsing an AS-level topology.
@@ -60,6 +61,12 @@ impl fmt::Display for GraphError {
 }
 
 impl std::error::Error for GraphError {}
+
+impl From<LineError> for GraphError {
+    fn from(LineError { line, message }: LineError) -> Self {
+        GraphError::Parse { line, message }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -23,6 +23,9 @@
 //! was detected at, however deep in a record it was. The framed formats
 //! share one record loop, [`read_framed`], which makes the one
 //! length-against-remaining check and applies the lenient rule above.
+//!
+//! Every text input is read by its twin, [`read_lines`]: one rule for
+//! what a line is and which lines are data, for every text format.
 
 use std::fmt;
 
@@ -387,6 +390,97 @@ pub fn read_framed<'a, H>(
     Ok(diag)
 }
 
+/// A located error in a text input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LineError {
+    /// 1-based line number.
+    pub line: usize,
+    /// Description.
+    pub message: String,
+}
+
+impl fmt::Display for LineError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.message)
+    }
+}
+
+impl std::error::Error for LineError {}
+
+/// Why a [`read_lines`] record closure did not keep its line.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BadLine {
+    /// The line is malformed: strict mode stops at it, lenient mode
+    /// skips and tallies it against the budget.
+    Malformed(String),
+    /// The line falls with a record already dropped (a hop line under a
+    /// dropped trace header): tallied neither as a record nor as a drop.
+    Collateral,
+    /// The input cannot be read on, in either mode (a reader's size cap).
+    Fatal(String),
+}
+
+impl From<String> for BadLine {
+    fn from(message: String) -> Self {
+        BadLine::Malformed(message)
+    }
+}
+
+impl From<&str> for BadLine {
+    fn from(message: &str) -> Self {
+        BadLine::Malformed(message.to_owned())
+    }
+}
+
+/// A line that is not UTF-8, as [`read_lines`] hands it over: `?` on it
+/// makes it one malformed record. It holds the line's valid UTF-8 head,
+/// start-trimmed, so a reader can still see what kind of line it opens.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NotUtf8<'a>(pub &'a str);
+
+impl From<NotUtf8<'_>> for BadLine {
+    fn from(_: NotUtf8<'_>) -> Self {
+        BadLine::from("not valid UTF-8")
+    }
+}
+
+/// The line loop of every text format: `bytes` is split on `\n`, lines
+/// are numbered from 1, and each is `str::trim`med, or handed to `record`
+/// as a [`NotUtf8`] if it is not UTF-8. Blank and `#` lines are skipped;
+/// `record` keeps every other line or says why not. A malformed line goes
+/// through [`ParseDiagnostics::malformed`] with its bare message, so the
+/// tally names its line once; only a returned [`LineError`] adds it.
+/// Nothing is allocated per line. Publishes `parse.<format>.*`.
+pub fn read_lines(
+    bytes: &[u8],
+    opts: &ParseOptions,
+    format: &str,
+    mut record: impl FnMut(Result<&str, NotUtf8<'_>>) -> Result<(), BadLine>,
+) -> Result<ParseDiagnostics, LineError> {
+    let mut diag = ParseDiagnostics::new();
+    for (i, raw) in bytes.split(|&b| b == b'\n').enumerate() {
+        let line = i + 1;
+        let text = std::str::from_utf8(raw).map(str::trim).map_err(|e| {
+            NotUtf8(std::str::from_utf8(&raw[..e.valid_up_to()]).unwrap_or_default().trim_start())
+        });
+        let kept = match text {
+            Ok("") => continue,
+            Ok(text) if text.starts_with('#') => continue,
+            text => record(text),
+        };
+        match kept {
+            Ok(()) => diag.record_ok(),
+            Err(BadLine::Malformed(message)) => diag
+                .malformed(opts, RecordLocation::Line(line), message, |budget| budget)
+                .map_err(|message| LineError { line, message })?,
+            Err(BadLine::Collateral) => {}
+            Err(BadLine::Fatal(message)) => return Err(LineError { line, message }),
+        }
+    }
+    diag.publish(format);
+    Ok(diag)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -544,6 +638,53 @@ mod tests {
             e.message,
             "record length 9 exceeds the 6 bytes remaining (truncated dump or corrupt length field)"
         );
+    }
+
+    /// Reads `text` with a record closure that keeps digits, refuses
+    /// anything else, drops `-` lines as collateral and stops at `!`.
+    fn digits(text: &[u8], opts: ParseOptions) -> Result<(Vec<u32>, ParseDiagnostics), LineError> {
+        let mut kept = Vec::new();
+        let diag = read_lines(text, &opts, "test", |line| match line? {
+            "-" => Err(BadLine::Collateral),
+            "!" => Err(BadLine::Fatal("stop".into())),
+            text => {
+                kept.push(text.parse().map_err(|_| format!("not a number: {text:?}"))?);
+                Ok(())
+            }
+        })?;
+        Ok((kept, diag))
+    }
+
+    #[test]
+    fn read_lines_numbers_trims_and_skips_by_one_rule() {
+        let text = b"1\r\n  # note\n\n\t2  \n#3\n 4";
+        let (kept, diag) = digits(text, ParseOptions::strict()).unwrap();
+        assert_eq!((kept, diag.records_ok, diag.dropped()), (vec![1, 2, 4], 3, 0));
+        let e = digits(b"1\n\n x \n", ParseOptions::strict()).unwrap_err();
+        assert_eq!(e.to_string(), "line 3: not a number: \"x\"");
+    }
+
+    #[test]
+    fn read_lines_tallies_bare_messages_and_locates_only_its_errors() {
+        let text = b"1\nx\n\xff\xfe\n-\n2\n";
+        let (kept, diag) = digits(text, ParseOptions::lenient()).unwrap();
+        assert_eq!((kept, diag.records_ok), (vec![1, 2], 2));
+        let issues: Vec<String> = diag.issues.iter().map(|i| i.to_string()).collect();
+        assert_eq!(issues, ["line 2: not a number: \"x\"", "line 3: not valid UTF-8"]);
+        let e = digits(text, ParseOptions::lenient().with_max_errors(1)).unwrap_err();
+        let last = "last: line 3: not valid UTF-8";
+        assert_eq!(e.line, 3);
+        assert_eq!(e.message, format!("error budget exhausted after 2 malformed records (max 1); {last}"));
+        let e = digits(text, ParseOptions::strict()).unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (2, "not a number: \"x\""));
+    }
+
+    #[test]
+    fn read_lines_stops_at_a_fatal_line_in_both_modes() {
+        for opts in [ParseOptions::strict(), ParseOptions::lenient()] {
+            let e = digits(b"1\n!\n2\n", opts).unwrap_err();
+            assert_eq!(e, LineError { line: 2, message: "stop".into() });
+        }
     }
 
     #[test]

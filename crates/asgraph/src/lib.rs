@@ -22,8 +22,10 @@
 //! The central type is [`AsGraph`]: an immutable, index-compressed adjacency
 //! structure with neighbors split by relationship class, which is exactly the
 //! access pattern valley-free route propagation needs. Build one with
-//! [`AsGraphBuilder`], from a CAIDA file via [`caida::parse_serial2`] /
-//! [`caida::parse_serial1`], or synthetically with the `flatnet-netgen` crate.
+//! [`AsGraphBuilder`], from a CAIDA file's bytes via [`caida::parse_auto`]
+//! (either serial; [`caida::parse_serial2`] / [`caida::parse_serial1`] for
+//! one), or synthetically with the `flatnet-netgen` crate. Every text
+//! input is read by one line loop, [`ingest::read_lines`].
 //!
 //! ```
 //! use flatnet_asgraph::{AsGraphBuilder, AsId, Relationship};

@@ -46,8 +46,8 @@ fn load_graph_full(
     path: &str,
     mode: &ParseOptions,
 ) -> Result<(AsGraph, Vec<RelConflict>), String> {
-    let data = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let (b, diag) = caida::parse_auto(data.as_bytes(), mode)
+    let data = fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let (b, diag) = caida::parse_auto(&data, mode)
         .map_err(|e| format!("{path}: not a CAIDA as-rel file: {e}"))?;
     note_diag(path, &diag);
     let conflicts = b.conflicts().to_vec();
@@ -282,14 +282,12 @@ pub fn infer(args: &[String]) -> Result<(), String> {
         note_diag(traces_path, &diag);
         traces
     } else {
-        let text = String::from_utf8(raw).map_err(|_| format!("{traces_path}: not UTF-8"))?;
-        let (traces, diag) = scamper::parse_traces_with(&text, &mode)?;
+        let (traces, diag) = scamper::parse_traces_with(&raw, &mode)?;
         note_diag(traces_path, &diag);
         traces
     };
-    let prefix_text =
-        fs::read_to_string(prefixes_path).map_err(|e| format!("{prefixes_path}: {e}"))?;
-    let (announced, diag) = AnnouncedDb::parse_with(&prefix_text, &mode)?;
+    let prefix_bytes = fs::read(prefixes_path).map_err(|e| format!("{prefixes_path}: {e}"))?;
+    let (announced, diag) = AnnouncedDb::parse_with(&prefix_bytes, &mode)?;
     note_diag(prefixes_path, &diag);
     let resolver = Resolver::new(PeeringDb::new(), announced, WhoisDb::new());
     let methodology = if opts.switch("initial") {
@@ -394,6 +392,20 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("\"lots\""), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_lenient_load_drops_a_non_utf_8_line_and_keeps_the_rest() {
+        let dir = tmpdir("utf8");
+        let f = dir.join("rel.txt");
+        fs::write(&f, b"1|2|-1|bgp\n2|\xff3|-1|bgp\n3|4|0|bgp\n4|5|-1|bgp\n").unwrap();
+        let path = f.to_str().unwrap();
+        let err = load_graph(path, &ParseOptions::strict()).unwrap_err();
+        assert!(err.ends_with("parse error on line 2: not valid UTF-8"), "{err}");
+        let g = load_graph(path, &ParseOptions::lenient()).unwrap();
+        assert_eq!((g.len(), g.edge_count()), (5, 3));
+        assert!(g.index_of(AsId(2)).is_some() && g.index_of(AsId(3)).is_some());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -18,10 +18,11 @@
 use crate::internet::SyntheticInternet;
 use flatnet_asgraph::astype::AsTypeDb;
 use flatnet_asgraph::{caida, AsGraph, AsId, Tiers};
+use flatnet_asgraph::ingest::{read_lines, ParseOptions};
 use flatnet_prefixdb::AnnouncedDb;
 use std::collections::BTreeMap;
-use std::fs;
 use std::path::Path;
+use std::{fmt, fs, io};
 
 /// A dataset bundle loaded from disk.
 #[derive(Debug, Clone)]
@@ -64,105 +65,98 @@ pub fn write_dataset(net: &SyntheticInternet, dir: &Path) -> Result<(), String> 
     }
     write("as2types.txt", types.write())?;
     write("prefixes.txt", net.addressing().resolver.announced.write())?;
-    let mut users = String::from("# asn|estimated users (APNIC-style)\n");
-    for m in &net.meta {
-        if m.users > 0 {
-            users.push_str(&format!("{}|{}\n", m.asn.0, m.users));
-        }
-    }
-    write("users.txt", users)?;
-    let mut tiers = String::from("# ground-truth tier lists\n");
-    tiers.push_str(&format!("tier1={}\n", join_asns(&net.tier1)));
-    tiers.push_str(&format!("tier2={}\n", join_asns(&net.tier2)));
-    write("tiers.txt", tiers)?;
+    let users = net.meta.iter().filter(|m| m.users > 0).map(|m| (m.asn.0, m.users));
+    write("users.txt", write_users(users))?;
+    write("tiers.txt", write_tiers(&net.tier1, &net.tier2))?;
     Ok(())
 }
 
-fn join_asns(asns: &[AsId]) -> String {
-    asns.iter().map(|a| a.0.to_string()).collect::<Vec<_>>().join(",")
+/// Serializes `asn|users` pairs as a `users.txt` body, in the order given
+/// (round-trips through [`parse_users`]).
+pub fn write_users(users: impl IntoIterator<Item = (u32, u64)>) -> String {
+    let mut out = String::from("# asn|estimated users (APNIC-style)\n");
+    for (asn, count) in users {
+        out.push_str(&format!("{asn}|{count}\n"));
+    }
+    out
 }
 
-/// Parses a `users.txt` body.
-pub fn parse_users(text: &str) -> Result<BTreeMap<u32, u64>, String> {
+/// Serializes the tier lists as a `tiers.txt` body (round-trips through
+/// [`parse_tiers`]).
+pub fn write_tiers(tier1: &[AsId], tier2: &[AsId]) -> String {
+    let join = |asns: &[AsId]| asns.iter().map(|a| a.0.to_string()).collect::<Vec<_>>().join(",");
+    format!("# ground-truth tier lists\ntier1={}\ntier2={}\n", join(tier1), join(tier2))
+}
+
+/// Parses a `users.txt` body: `asn|users` lines, `#` comments allowed.
+pub fn parse_users(bytes: &[u8]) -> Result<BTreeMap<u32, u64>, String> {
     let mut out = BTreeMap::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (asn, users) = line
-            .split_once('|')
-            .ok_or_else(|| format!("users.txt line {}: expected asn|users", i + 1))?;
-        let asn: u32 = asn.trim().parse().map_err(|_| format!("users.txt line {}: bad ASN", i + 1))?;
-        let users: u64 =
-            users.trim().parse().map_err(|_| format!("users.txt line {}: bad count", i + 1))?;
+    read_lines(bytes, &ParseOptions::strict(), "users", |line| {
+        let (asn, users) = line?.split_once('|').ok_or("expected asn|users")?;
+        let asn: u32 = asn.trim().parse().map_err(|_| "bad ASN")?;
+        let users: u64 = users.trim().parse().map_err(|_| "bad count")?;
         out.insert(asn, users);
-    }
+        Ok(())
+    })
+    .map_err(|e| e.to_string())?;
     Ok(out)
 }
 
-/// Parses a `tiers.txt` body into (tier1, tier2).
-pub fn parse_tiers(text: &str) -> Result<(Vec<AsId>, Vec<AsId>), String> {
+/// Parses a `tiers.txt` body into (tier1, tier2): `tier1=` and `tier2=`
+/// lines of comma-separated ASNs, `#` comments allowed.
+pub fn parse_tiers(bytes: &[u8]) -> Result<(Vec<AsId>, Vec<AsId>), String> {
     let mut tier1 = Vec::new();
     let mut tier2 = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (key, list) = line
-            .split_once('=')
-            .ok_or_else(|| format!("tiers.txt line {}: expected key=list", i + 1))?;
+    read_lines(bytes, &ParseOptions::strict(), "tiers", |line| {
+        let (key, list) = line?.split_once('=').ok_or("expected key=list")?;
         let target = match key.trim() {
             "tier1" => &mut tier1,
             "tier2" => &mut tier2,
-            other => return Err(format!("tiers.txt line {}: unknown key {other:?}", i + 1)),
+            other => return Err(format!("unknown key {other:?}").into()),
         };
-        for part in list.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let asn: u32 =
-                part.parse().map_err(|_| format!("tiers.txt line {}: bad ASN {part:?}", i + 1))?;
+        for part in list.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+            let asn: u32 = part.parse().map_err(|_| format!("bad ASN {part:?}"))?;
             target.push(AsId(asn));
         }
-    }
+        Ok(())
+    })
+    .map_err(|e| e.to_string())?;
     Ok((tier1, tier2))
 }
 
 /// Loads a bundle directory. `as-rel-truth.txt`, `users.txt`, and
 /// `tiers.txt` are optional (a bundle assembled from real datasets may
-/// lack them); everything else is required.
+/// lack them); everything else is required. An optional file is absent
+/// only when it does not exist: any other failure to read it is an error.
+/// Every error names its file.
 pub fn load_dataset(dir: &Path) -> Result<LoadedDataset, String> {
-    let read = |name: &str| -> Result<String, String> {
-        fs::read_to_string(dir.join(name)).map_err(|e| format!("{name}: {e}"))
+    let read = |name: &str| fs::read(dir.join(name)).map_err(in_file(name));
+    let read_opt = |name: &str| match fs::read(dir.join(name)) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+        bytes => bytes.map(Some).map_err(in_file(name)),
     };
-    let read_opt = |name: &str| -> Option<String> { fs::read_to_string(dir.join(name)).ok() };
 
-    let public = caida::parse_serial2(read("as-rel.txt")?.as_bytes())
-        .map_err(|e| format!("as-rel.txt: {e}"))?
-        .build();
-    let truth = match read_opt("as-rel-truth.txt") {
-        Some(text) => Some(
-            caida::parse_serial2(text.as_bytes())
-                .map_err(|e| format!("as-rel-truth.txt: {e}"))?
-                .build(),
-        ),
+    let public = caida::parse_serial2(&read("as-rel.txt")?).map_err(in_file("as-rel.txt"))?.build();
+    let truth = match read_opt("as-rel-truth.txt")? {
+        Some(bytes) => Some(caida::parse_serial2(&bytes).map_err(in_file("as-rel-truth.txt"))?.build()),
         None => None,
     };
-    let types = AsTypeDb::parse(read("as2types.txt")?.as_bytes())
-        .map_err(|e| format!("as2types.txt: {e}"))?;
-    let announced = AnnouncedDb::parse(&read("prefixes.txt")?)?;
-    let users = match read_opt("users.txt") {
-        Some(text) => parse_users(&text)?,
+    let types = AsTypeDb::parse(&read("as2types.txt")?).map_err(in_file("as2types.txt"))?;
+    let announced = AnnouncedDb::parse(&read("prefixes.txt")?).map_err(in_file("prefixes.txt"))?;
+    let users = match read_opt("users.txt")? {
+        Some(bytes) => parse_users(&bytes).map_err(in_file("users.txt"))?,
         None => BTreeMap::new(),
     };
-    let (tier1, tier2) = match read_opt("tiers.txt") {
-        Some(text) => parse_tiers(&text)?,
+    let (tier1, tier2) = match read_opt("tiers.txt")? {
+        Some(bytes) => parse_tiers(&bytes).map_err(in_file("tiers.txt"))?,
         None => (Vec::new(), Vec::new()),
     };
     Ok(LoadedDataset { public, truth, types, announced, users, tier1, tier2 })
+}
+
+/// Prefixes an error with the bundle file it came from.
+fn in_file<E: fmt::Display>(name: &str) -> impl Fn(E) -> String + '_ {
+    move |e| format!("{name}: {e}")
 }
 
 #[cfg(test)]
@@ -231,15 +225,36 @@ mod tests {
 
     #[test]
     fn parser_errors() {
-        assert!(parse_users("x|1\n").is_err());
-        assert!(parse_users("1,2\n").is_err());
-        assert!(parse_users("1|x\n").is_err());
-        assert_eq!(parse_users("# c\n\n5|10\n").unwrap()[&5], 10);
-        assert!(parse_tiers("bogus=1\n").is_err());
-        assert!(parse_tiers("tier1=x\n").is_err());
-        assert!(parse_tiers("tier1 1,2\n").is_err());
-        let (t1, t2) = parse_tiers("tier1=1, 2\ntier2=\n").unwrap();
+        assert!(parse_users(b"x|1\n").is_err());
+        assert!(parse_users(b"1,2\n").is_err());
+        assert!(parse_users(b"1|x\n").is_err());
+        assert_eq!(parse_users(b"# c\n\n5|10\n").unwrap()[&5], 10);
+        assert!(parse_tiers(b"bogus=1\n").is_err());
+        assert!(parse_tiers(b"tier1=x\n").is_err());
+        assert!(parse_tiers(b"tier1 1,2\n").is_err());
+        let (t1, t2) = parse_tiers(b"tier1=1, 2\ntier2=\n").unwrap();
         assert_eq!(t1, vec![AsId(1), AsId(2)]);
         assert!(t2.is_empty());
+        assert_eq!(parse_tiers(b"# t\ntier1=1,x\n").unwrap_err(), "line 2: bad ASN \"x\"");
+    }
+
+    #[test]
+    fn an_unreadable_optional_file_fails_the_load_and_names_itself() {
+        let net = generate(&NetGenConfig::tiny(11));
+        let dir = tmpdir();
+        write_dataset(&net, &dir).unwrap();
+        let mut users = fs::read(dir.join("users.txt")).unwrap();
+        users.extend_from_slice(b"12|\xff\n");
+        let bad_line = users.iter().filter(|&&b| b == b'\n').count();
+        fs::write(dir.join("users.txt"), &users).unwrap();
+        let err = load_dataset(&dir).unwrap_err();
+        assert_eq!(err, format!("users.txt: line {bad_line}: not valid UTF-8"));
+
+        write_dataset(&net, &dir).unwrap();
+        fs::remove_file(dir.join("tiers.txt")).unwrap();
+        fs::create_dir(dir.join("tiers.txt")).unwrap();
+        let err = load_dataset(&dir).unwrap_err();
+        assert!(err.starts_with("tiers.txt: "), "{err}");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

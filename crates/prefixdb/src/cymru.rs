@@ -12,7 +12,7 @@
 
 use crate::ipv4::Ipv4Prefix;
 use crate::trie::PrefixTrie;
-use flatnet_asgraph::ingest::{ParseDiagnostics, ParseOptions, RecordLocation};
+use flatnet_asgraph::ingest::{read_lines, ParseDiagnostics, ParseOptions};
 use flatnet_asgraph::AsId;
 use std::net::Ipv4Addr;
 
@@ -65,50 +65,31 @@ impl AnnouncedDb {
     }
 
     /// Parses a `prefix|asn` text dump (one per line, `#` comments).
-    pub fn parse(text: &str) -> Result<Self, String> {
-        Self::parse_with(text, &ParseOptions::strict()).map(|(db, _)| db)
+    pub fn parse(bytes: &[u8]) -> Result<Self, String> {
+        Self::parse_with(bytes, &ParseOptions::strict()).map(|(db, _)| db)
     }
 
     /// [`AnnouncedDb::parse`] with explicit strictness; lenient mode skips
     /// malformed lines (up to the error budget) and tallies them in the
     /// returned [`ParseDiagnostics`].
     pub fn parse_with(
-        text: &str,
+        bytes: &[u8],
         opts: &ParseOptions,
     ) -> Result<(Self, ParseDiagnostics), String> {
         let mut db = Self::new();
-        let mut diag = ParseDiagnostics::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            match Self::parse_line(line, i + 1) {
-                Ok((prefix, origin)) => {
-                    diag.record_ok();
-                    db.announce(prefix, origin);
-                }
-                Err(e) => diag.malformed(opts, RecordLocation::Line(i + 1), e, |message| {
-                    format!("line {}: {message}", i + 1)
-                })?,
-            }
-        }
-        diag.publish("prefixdb");
+        let diag = read_lines(bytes, opts, "prefixdb", |line| {
+            let (prefix, origin) = Self::parse_line(line?)?;
+            db.announce(prefix, origin);
+            Ok(())
+        })
+        .map_err(|e| e.to_string())?;
         Ok((db, diag))
     }
 
-    fn parse_line(line: &str, lineno: usize) -> Result<(Ipv4Prefix, AsId), String> {
-        let (pfx, asn) = line
-            .split_once('|')
-            .ok_or_else(|| format!("line {lineno}: expected prefix|asn"))?;
-        let prefix: Ipv4Prefix = pfx
-            .trim()
-            .parse()
-            .map_err(|e| format!("line {lineno}: {e}"))?;
-        let asn: u32 = asn
-            .trim()
-            .parse()
-            .map_err(|e| format!("line {lineno}: bad ASN: {e}"))?;
+    fn parse_line(line: &str) -> Result<(Ipv4Prefix, AsId), String> {
+        let (pfx, asn) = line.split_once('|').ok_or("expected prefix|asn")?;
+        let prefix = pfx.trim().parse::<Ipv4Prefix>().map_err(|e| e.to_string())?;
+        let asn: u32 = asn.trim().parse().map_err(|e| format!("bad ASN: {e}"))?;
         Ok((prefix, AsId(asn)))
     }
 
@@ -125,6 +106,7 @@ impl AnnouncedDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flatnet_asgraph::ingest::RecordLocation;
 
     fn ip(s: &str) -> Ipv4Addr {
         s.parse().unwrap()
@@ -166,22 +148,22 @@ mod tests {
     #[test]
     fn parse_and_write_roundtrip() {
         let text = "# dump\n10.0.0.0/8|100\n192.0.2.0/24|65000\n";
-        let db = AnnouncedDb::parse(text).unwrap();
+        let db = AnnouncedDb::parse(text.as_bytes()).unwrap();
         assert_eq!(db.len(), 2);
-        let db2 = AnnouncedDb::parse(&db.write()).unwrap();
+        let db2 = AnnouncedDb::parse(db.write().as_bytes()).unwrap();
         assert_eq!(db.iter().collect::<Vec<_>>(), db2.iter().collect::<Vec<_>>());
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(AnnouncedDb::parse("10.0.0.0/8\n").is_err());
-        assert!(AnnouncedDb::parse("10.0.0.0/99|1\n").is_err());
-        assert!(AnnouncedDb::parse("10.0.0.0/8|asn\n").is_err());
+        assert!(AnnouncedDb::parse(b"10.0.0.0/8\n").is_err());
+        assert!(AnnouncedDb::parse(b"10.0.0.0/99|1\n").is_err());
+        assert!(AnnouncedDb::parse(b"10.0.0.0/8|asn\n").is_err());
     }
 
     #[test]
     fn lenient_parse_skips_and_counts_bad_lines() {
-        let text = "10.0.0.0/8|100\nnot-a-line\n10.0.0.0/99|1\n192.0.2.0/24|65000\n";
+        let text = b"10.0.0.0/8|100\nnot-a-line\n10.0.0.0/99|1\n192.0.2.0/24|65000\n";
         let (db, diag) = AnnouncedDb::parse_with(text, &ParseOptions::lenient()).unwrap();
         assert_eq!(diag.dropped(), 2, "{:?}", diag.issues);
         assert_eq!(diag.records_ok, 2);
@@ -195,6 +177,20 @@ mod tests {
         let err = AnnouncedDb::parse_with(text, &ParseOptions::lenient().with_max_errors(1))
             .unwrap_err();
         assert!(err.contains("error budget exhausted"), "{err}");
+    }
+
+    #[test]
+    fn a_lenient_tally_names_its_line_once() {
+        let opts = ParseOptions::lenient().with_max_errors(1);
+        let (_, diag) = AnnouncedDb::parse_with(b"10.0.0.0/8|1\nbogus\n", &opts).unwrap();
+        assert_eq!(diag.issues[0].to_string(), "line 2: expected prefix|asn");
+        let text = b"10.0.0.0/8|1\nbogus\n10.0.0.0/16|x\n";
+        let err = AnnouncedDb::parse_with(text, &opts).unwrap_err();
+        assert_eq!(
+            err,
+            "line 3: error budget exhausted after 2 malformed records (max 1); \
+             last: line 3: bad ASN: invalid digit found in string"
+        );
     }
 
     #[test]

@@ -496,11 +496,11 @@ fn load_caida(
     lenient: bool,
     clock: &mut PhaseClock,
 ) -> Result<(AsGraph, Vec<RelConflict>), ServeError> {
-    let data = clock.time("read", || std::fs::read_to_string(path)).map_err(|e| {
+    let data = clock.time("read", || std::fs::read(path)).map_err(|e| {
         ServeError::Ingest(FlatnetError::Io { path: path.into(), message: e.to_string() })
     })?;
     let mode = if lenient { ParseOptions::lenient() } else { ParseOptions::strict() };
-    let (b, diag) = clock.time("parse", || caida::parse_auto(data.as_bytes(), &mode)).map_err(|e| {
+    let (b, diag) = clock.time("parse", || caida::parse_auto(&data, &mode)).map_err(|e| {
         ServeError::Ingest(FlatnetError::Invalid(format!(
             "{path}: not a CAIDA as-rel file: {e}"
         )))

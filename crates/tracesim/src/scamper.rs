@@ -10,9 +10,13 @@
 //!  2 *
 //!  3 10.0.0.1 12.250 ms
 //! ```
+//!
+//! The reader goes through `flatnet_asgraph::ingest::read_lines`, so it
+//! takes the same lines as every other text format: leading white space
+//! and `#` lines are skipped, and a non-UTF-8 line is one malformed record.
 
 use crate::model::{Hop, Traceroute, VantagePoint};
-use flatnet_asgraph::ingest::{ParseDiagnostics, ParseOptions, RecordLocation};
+use flatnet_asgraph::ingest::{read_lines, BadLine, NotUtf8, ParseDiagnostics, ParseOptions};
 use flatnet_asgraph::AsId;
 
 /// Serializes one traceroute.
@@ -40,42 +44,33 @@ pub fn write_traces(traces: &[Traceroute]) -> String {
     traces.iter().map(write_trace).collect()
 }
 
-fn parse_header(rest: &str, lineno: usize) -> Result<Traceroute, String> {
+fn parse_header(rest: &str) -> Result<Traceroute, &'static str> {
     // AS15169/city3 to 10.0.0.1 asn 64512 complete
-    let err = |m: &str| format!("line {lineno}: {m}");
     let mut parts = rest.split_whitespace();
-    let vp = parts.next().ok_or_else(|| err("missing vp"))?;
-    let (asn_s, city_s) = vp.split_once('/').ok_or_else(|| err("bad vp"))?;
+    let vp = parts.next().ok_or("missing vp")?;
+    let (asn_s, city_s) = vp.split_once('/').ok_or("bad vp")?;
     let cloud: u32 = asn_s
         .strip_prefix("AS")
-        .ok_or_else(|| err("bad vp asn"))?
+        .ok_or("bad vp asn")?
         .parse()
-        .map_err(|_| err("bad vp asn"))?;
+        .map_err(|_| "bad vp asn")?;
     let city: usize = city_s
         .strip_prefix("city")
-        .ok_or_else(|| err("bad vp city"))?
+        .ok_or("bad vp city")?
         .parse()
-        .map_err(|_| err("bad vp city"))?;
+        .map_err(|_| "bad vp city")?;
     if parts.next() != Some("to") {
-        return Err(err("expected 'to'"));
+        return Err("expected 'to'");
     }
-    let dst = parts
-        .next()
-        .ok_or_else(|| err("missing dst"))?
-        .parse()
-        .map_err(|_| err("bad dst"))?;
+    let dst = parts.next().ok_or("missing dst")?.parse().map_err(|_| "bad dst")?;
     if parts.next() != Some("asn") {
-        return Err(err("expected 'asn'"));
+        return Err("expected 'asn'");
     }
-    let dst_asn: u32 = parts
-        .next()
-        .ok_or_else(|| err("missing asn"))?
-        .parse()
-        .map_err(|_| err("bad asn"))?;
+    let dst_asn: u32 = parts.next().ok_or("missing asn")?.parse().map_err(|_| "bad asn")?;
     let completed = match parts.next() {
         Some("complete") => true,
         Some("incomplete") => false,
-        _ => return Err(err("missing completion flag")),
+        _ => return Err("missing completion flag"),
     };
     Ok(Traceroute {
         vp: VantagePoint { cloud: AsId(cloud), city },
@@ -86,95 +81,68 @@ fn parse_header(rest: &str, lineno: usize) -> Result<Traceroute, String> {
     })
 }
 
-fn parse_hop_line(line: &str, lineno: usize) -> Result<Hop, String> {
-    let err = |m: &str| format!("line {lineno}: {m}");
+fn parse_hop_line(line: &str) -> Result<Hop, &'static str> {
     let mut parts = line.split_whitespace();
-    let ttl: u8 = parts
-        .next()
-        .ok_or_else(|| err("missing ttl"))?
-        .parse()
-        .map_err(|_| err("bad ttl"))?;
-    let addr = match parts.next().ok_or_else(|| err("missing addr"))? {
+    let ttl: u8 = parts.next().ok_or("missing ttl")?.parse().map_err(|_| "bad ttl")?;
+    let addr = match parts.next().ok_or("missing addr")? {
         "*" => None,
-        a => Some(a.parse().map_err(|_| err("bad addr"))?),
+        a => Some(a.parse().map_err(|_| "bad addr")?),
     };
     let rtt_ms = match parts.next() {
         None => None,
         Some(v) => {
             if parts.next() != Some("ms") {
-                return Err(err("expected 'ms' after RTT"));
+                return Err("expected 'ms' after RTT");
             }
-            Some(v.parse().map_err(|_| err("bad RTT"))?)
+            Some(v.parse().map_err(|_| "bad RTT")?)
         }
     };
     Ok(Hop { ttl, addr, rtt_ms })
 }
 
-/// Parses the output of [`write_traces`].
-pub fn parse_traces(text: &str) -> Result<Vec<Traceroute>, String> {
+/// Parses the output of [`write_traces`]: the file's bytes, or its text.
+pub fn parse_traces(text: impl AsRef<[u8]>) -> Result<Vec<Traceroute>, String> {
     parse_traces_with(text, &ParseOptions::strict()).map(|(t, _)| t)
 }
 
 /// [`parse_traces`] with explicit strictness.
 ///
 /// In lenient mode an unparsable hop line is dropped (and tallied), and a
-/// bad trace header drops the whole trace — including its following hop
-/// lines, which have nothing valid to attach to — until the next header.
+/// bad trace header, one that is not UTF-8 too, drops the whole trace —
+/// including its following hop lines, which have nothing valid to attach
+/// to — until the next header.
 pub fn parse_traces_with(
-    text: &str,
+    text: impl AsRef<[u8]>,
     opts: &ParseOptions,
 ) -> Result<(Vec<Traceroute>, ParseDiagnostics), String> {
     let mut out: Vec<Traceroute> = Vec::new();
-    let mut diag = ParseDiagnostics::new();
     // True while inside a trace whose header was dropped: its hop lines are
     // collateral, discarded without counting against the error budget.
     let mut skipping_trace = false;
-    for (i, line) in text.lines().enumerate() {
-        let lineno = i + 1;
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        let result: Result<(), String> = if let Some(rest) = line.strip_prefix("trace from ") {
-            match parse_header(rest, lineno) {
-                Ok(t) => {
-                    out.push(t);
-                    skipping_trace = false;
-                    Ok(())
-                }
-                Err(e) => {
-                    skipping_trace = true;
-                    Err(e)
-                }
-            }
+    let diag = read_lines(text.as_ref(), opts, "scamper", |line| {
+        // A header that is not UTF-8 still opens a trace, and drops it.
+        let head = line.unwrap_or_else(|NotUtf8(head)| head);
+        if let Some(rest) = head.strip_prefix("trace from ") {
+            skipping_trace = true;
+            line?;
+            out.push(parse_header(rest)?);
+            skipping_trace = false;
         } else if skipping_trace {
-            continue;
+            return Err(BadLine::Collateral);
         } else {
-            match parse_hop_line(line, lineno) {
-                Ok(h) => match out.last_mut() {
-                    Some(t) => {
-                        t.hops.push(h);
-                        Ok(())
-                    }
-                    None => Err(format!("line {lineno}: hop before any trace header")),
-                },
-                Err(e) => Err(e),
-            }
-        };
-        match result {
-            Ok(()) => diag.record_ok(),
-            Err(e) => diag.malformed(opts, RecordLocation::Line(lineno), e, |message| {
-                format!("line {lineno}: {message}")
-            })?,
+            let hop = parse_hop_line(line?)?;
+            out.last_mut().ok_or("hop before any trace header")?.hops.push(hop);
         }
-    }
-    diag.publish("scamper");
+        Ok(())
+    })
+    .map_err(|e| e.to_string())?;
     Ok((out, diag))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flatnet_asgraph::ingest::RecordLocation;
 
     fn sample() -> Vec<Traceroute> {
         vec![
@@ -273,5 +241,46 @@ trace from AS2/city1 to 5.6.7.8 asn 9 incomplete
         let err =
             parse_traces_with(DIRTY, &ParseOptions::lenient().with_max_errors(1)).unwrap_err();
         assert!(err.contains("error budget exhausted"), "{err}");
+    }
+
+    #[test]
+    fn a_lenient_tally_names_its_line_once() {
+        let (_, diag) = parse_traces_with(DIRTY, &ParseOptions::lenient()).unwrap();
+        let issues: Vec<String> = diag.issues.iter().map(|i| i.to_string()).collect();
+        assert_eq!(issues, ["line 3: bad ttl", "line 5: bad vp"]);
+        let err =
+            parse_traces_with(DIRTY, &ParseOptions::lenient().with_max_errors(1)).unwrap_err();
+        assert_eq!(
+            err,
+            "line 5: error budget exhausted after 2 malformed records (max 1); last: line 5: bad vp"
+        );
+    }
+
+    #[test]
+    fn comments_and_indentation_follow_the_one_text_rule() {
+        let text = "# campaign 1\n  trace from AS1/city0 to 1.2.3.4 asn 5 complete\n# hop\n 1 *\n";
+        let traces = parse_traces(text).unwrap();
+        assert_eq!((traces.len(), traces[0].hops.len()), (1, 1));
+        let (traces, diag) = parse_traces_with(b"\xff\n", &ParseOptions::lenient()).unwrap();
+        assert!(traces.is_empty());
+        assert_eq!(diag.issues[0].to_string(), "line 1: not valid UTF-8");
+    }
+
+    #[test]
+    fn a_header_that_is_not_utf8_drops_its_trace_and_hops() {
+        let text: &[u8] = b"trace from AS1/city0 to 1.2.3.4 asn 5 complete\n 1 *\n\
+trace from AS2/city\xff1 to 5.6.7.8 asn 9 complete\n 1 10.0.0.1 1.0 ms\n 2 \xfe\n\
+trace from AS3/city0 to 9.9.9.9 asn 7 incomplete\n 1 *\n 2 *\n";
+        let (traces, diag) = parse_traces_with(text, &ParseOptions::lenient()).unwrap();
+        let hops: Vec<(u32, usize)> = traces.iter().map(|t| (t.vp.cloud.0, t.hops.len())).collect();
+        assert_eq!(hops, [(1, 1), (3, 2)]);
+        // Only the header is tallied: both hop lines under it, the one
+        // that is not UTF-8 too, fall with it.
+        let issues: Vec<String> = diag.issues.iter().map(|i| i.to_string()).collect();
+        assert_eq!(issues, ["line 3: not valid UTF-8"]);
+        // A hop line that is not UTF-8 under a good header is its own drop.
+        let text: &[u8] = b"trace from AS1/city0 to 1.2.3.4 asn 5 complete\n 1 \xff\n 2 *\n";
+        let (traces, diag) = parse_traces_with(text, &ParseOptions::lenient()).unwrap();
+        assert_eq!((traces[0].hops.len(), diag.dropped()), (1, 1));
     }
 }

@@ -1,7 +1,8 @@
 //! The real-data readers under attack: the CAIDA as-rel reader (either
 //! serial), MRT TABLE_DUMP_V2, the warts-style and scamper-style
-//! traceroute readers, and the Cymru-style prefix dump with the CIDR
-//! parser under it — the files a user with real data supplies. Each is a
+//! traceroute readers, the Cymru-style prefix dump with the CIDR parser
+//! under it, and a dataset bundle's `as2types`, `users.txt` and
+//! `tiers.txt` — the files a user with real data supplies. Each is a
 //! `flatnet-testkit` target, run strict and lenient on bases its own
 //! crate's writer made from a 150-AS synthetic Internet: every truncation
 //! of every base, then random splices, overwrites and cuts. Whatever
@@ -12,9 +13,11 @@
 //! Generation is the vendored fixed-seed `proptest`, so every run
 //! explores the same inputs and a failure reproduces.
 
+use flatnet_asgraph::astype::AsTypeDb;
 use flatnet_asgraph::caida::{parse_auto, write_serial1, write_serial2};
-use flatnet_asgraph::{AsGraph, AsGraphBuilder, GraphError, NodeId, ParseOptions};
+use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, GraphError, NodeId, ParseOptions};
 use flatnet_mrt::{from_rib_entries, parse_mrt_with, write_mrt, MrtError, MrtRib};
+use flatnet_netgen::dataset::{parse_tiers, parse_users, write_tiers, write_users};
 use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_prefixdb::{AnnouncedDb, Ipv4Prefix};
 use flatnet_testkit::{edited, edits, Counting, Edit, Target};
@@ -22,6 +25,7 @@ use flatnet_tracesim::scamper::{parse_traces_with, write_traces};
 use flatnet_tracesim::warts::{parse_warts_with, write_warts, WartsError};
 use flatnet_tracesim::{run_campaign, CampaignOptions, Traceroute};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::fmt::Display;
 
 #[global_allocator]
@@ -42,11 +46,6 @@ static ALLOC: Counting = Counting;
 
 fn modes() -> [ParseOptions; 2] {
     [ParseOptions::strict(), ParseOptions::lenient()]
-}
-
-/// The text readers take `&str`; `edited_input` hands them lossy UTF-8.
-fn text(bytes: &[u8]) -> Result<&str, String> {
-    std::str::from_utf8(bytes).map_err(|e| e.to_string())
 }
 
 fn text_cap(len: usize) -> usize {
@@ -73,18 +72,34 @@ fn warts(opts: ParseOptions) -> Target<'static, Vec<Traceroute>, WartsError> {
 }
 
 fn scamper(opts: ParseOptions) -> Target<'static, Vec<Traceroute>, String> {
-    Target::new(text_cap, move |b| parse_traces_with(text(b)?, &opts).map(|(traces, _)| traces))
+    Target::new(text_cap, move |b| parse_traces_with(b, &opts).map(|(traces, _)| traces))
         .rewritten(|traces| write_traces(traces).into_bytes())
 }
 
 fn prefixes(opts: ParseOptions) -> Target<'static, AnnouncedDb, String> {
-    Target::new(text_cap, move |b| AnnouncedDb::parse_with(text(b)?, &opts).map(|(db, _)| db))
+    Target::new(text_cap, move |b| AnnouncedDb::parse_with(b, &opts).map(|(db, _)| db))
         .rewritten(|db| db.write().into_bytes())
+}
+
+/// The three strict-only text readers: one target each.
+fn as2types() -> Target<'static, AsTypeDb, GraphError> {
+    Target::new(text_cap, AsTypeDb::parse).rewritten(|db| db.write().into_bytes())
+}
+
+fn users() -> Target<'static, BTreeMap<u32, u64>, String> {
+    Target::new(text_cap, parse_users).rewritten(|users| write_users(users.iter().map(|(&asn, &n)| (asn, n))).into_bytes())
+}
+
+fn tiers() -> Target<'static, (Vec<AsId>, Vec<AsId>), String> {
+    Target::new(text_cap, parse_tiers).rewritten(|(t1, t2)| write_tiers(t1, t2).into_bytes())
 }
 
 /// One prefix: its error quotes the input, escaped.
 fn cidr() -> Target<'static, Ipv4Prefix, String> {
-    let parse = |b: &[u8]| text(b)?.parse::<Ipv4Prefix>().map_err(|e| e.to_string());
+    let parse = |b: &[u8]| {
+        let text = std::str::from_utf8(b).map_err(|e| e.to_string())?;
+        text.parse::<Ipv4Prefix>().map_err(|e| e.to_string())
+    };
     Target::new(|len| 1024 + 16 * len, parse).rewritten(|p| p.to_string().into_bytes())
 }
 
@@ -99,6 +114,9 @@ struct Bases {
     scamper: Vec<Vec<u8>>,
     prefixes: Vec<Vec<u8>>,
     cidrs: Vec<Vec<u8>>,
+    as2types: Vec<Vec<u8>>,
+    users: Vec<Vec<u8>>,
+    tiers: Vec<Vec<u8>>,
 }
 
 fn bases() -> &'static Bases {
@@ -135,6 +153,12 @@ fn build_bases() -> Bases {
     let mut cidrs: Vec<String> = db.iter().take(4).map(|(p, _)| p.to_string()).collect();
     cidrs.extend(["10.1.2.3/16", " 0.0.0.0/0"].map(String::from));
 
+    let mut types = AsTypeDb::new();
+    for m in &net.meta {
+        types.insert(m.asn, m.class);
+    }
+    let users = net.meta.iter().filter(|m| m.users > 0).map(|m| (m.asn.0, m.users));
+
     Bases {
         caida: vec![write_serial1(&slice).into_bytes(), write_serial2(&slice).into_bytes()],
         mrt: vec![write_mrt(&rib, 1_600_000_000)],
@@ -142,6 +166,9 @@ fn build_bases() -> Bases {
         scamper: vec![write_traces(traces).into_bytes()],
         prefixes: vec![db.write().into_bytes()],
         cidrs: cidrs.into_iter().map(String::into_bytes).collect(),
+        as2types: vec![types.write().into_bytes()],
+        users: vec![write_users(users).into_bytes()],
+        tiers: vec![write_tiers(&net.tier1, &net.tier2).into_bytes()],
     }
 }
 
@@ -162,16 +189,9 @@ fn every_truncation<T, E: Display>(targets: &[Target<'static, T, E>], bases: &[V
     }
 }
 
-/// `edits` of `base` through each target; a text reader gets the result
-/// as lossy UTF-8, as a caller holding a `&str` would.
-fn edited_input<T, E: Display>(
-    targets: &[Target<'static, T, E>],
-    base: &[u8],
-    edits: &[(Edit, u16)],
-    text: bool,
-) {
+/// `edits` of `base` through each target.
+fn edited_input<T, E: Display>(targets: &[Target<'static, T, E>], base: &[u8], edits: &[(Edit, u16)]) {
     let input = edited(base, edits);
-    let input = if text { String::from_utf8_lossy(&input).into_owned().into_bytes() } else { input };
     for target in targets {
         let _ = target.check(&input);
     }
@@ -203,32 +223,62 @@ fn prefix_dump_and_cidr_survive_every_truncation() {
     every_truncation(&[cidr()], &bases().cidrs);
 }
 
+#[test]
+fn as2types_survives_every_truncation() {
+    every_truncation(&[as2types()], &bases().as2types);
+}
+
+#[test]
+fn users_survive_every_truncation() {
+    every_truncation(&[users()], &bases().users);
+}
+
+#[test]
+fn tiers_survive_every_truncation() {
+    every_truncation(&[tiers()], &bases().tiers);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
     fn caida_survives_random_edits(base in 0..2usize, edits in edits(1..4)) {
-        edited_input(&modes().map(caida), &bases().caida[base], &edits, false);
+        edited_input(&modes().map(caida), &bases().caida[base], &edits);
     }
 
     #[test]
     fn mrt_survives_random_edits(edits in edits(1..4)) {
-        edited_input(&modes().map(mrt), &bases().mrt[0], &edits, false);
+        edited_input(&modes().map(mrt), &bases().mrt[0], &edits);
     }
 
     #[test]
     fn warts_survives_random_edits(edits in edits(1..4)) {
-        edited_input(&modes().map(warts), &bases().warts[0], &edits, false);
+        edited_input(&modes().map(warts), &bases().warts[0], &edits);
     }
 
     #[test]
     fn scamper_survives_random_edits(edits in edits(1..4)) {
-        edited_input(&modes().map(scamper), &bases().scamper[0], &edits, true);
+        edited_input(&modes().map(scamper), &bases().scamper[0], &edits);
     }
 
     #[test]
     fn prefix_dump_and_cidr_survive_random_edits(base in 0..6usize, edits in edits(1..4)) {
-        edited_input(&modes().map(prefixes), &bases().prefixes[0], &edits, true);
-        edited_input(&[cidr()], &bases().cidrs[base], &edits, true);
+        edited_input(&modes().map(prefixes), &bases().prefixes[0], &edits);
+        edited_input(&[cidr()], &bases().cidrs[base], &edits);
+    }
+
+    #[test]
+    fn as2types_survives_random_edits(edits in edits(1..4)) {
+        edited_input(&[as2types()], &bases().as2types[0], &edits);
+    }
+
+    #[test]
+    fn users_survive_random_edits(edits in edits(1..4)) {
+        edited_input(&[users()], &bases().users[0], &edits);
+    }
+
+    #[test]
+    fn tiers_survive_random_edits(edits in edits(1..4)) {
+        edited_input(&[tiers()], &bases().tiers[0], &edits);
     }
 }
