@@ -34,8 +34,6 @@ use std::fmt;
 pub enum RecordLocation {
     /// 1-based line number (text formats).
     Line(usize),
-    /// Byte offset (binary formats).
-    Byte(usize),
     /// 0-based record ordinal (framed formats).
     Record(usize),
 }
@@ -44,7 +42,6 @@ impl fmt::Display for RecordLocation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RecordLocation::Line(n) => write!(f, "line {n}"),
-            RecordLocation::Byte(n) => write!(f, "byte {n}"),
             RecordLocation::Record(n) => write!(f, "record {n}"),
         }
     }
@@ -690,7 +687,6 @@ mod tests {
     #[test]
     fn locations_render() {
         assert_eq!(RecordLocation::Line(3).to_string(), "line 3");
-        assert_eq!(RecordLocation::Byte(12).to_string(), "byte 12");
         assert_eq!(RecordLocation::Record(0).to_string(), "record 0");
     }
 }

@@ -14,7 +14,7 @@
 //! customer cones, so edge peering (cloud peering in particular) is
 //! invisible to feeds built this way.
 
-use crate::engine::{TopologySnapshot, Workspace};
+use crate::engine::Simulation;
 use crate::propagate::PropagationConfig;
 use flatnet_asgraph::{AsGraph, AsId, NodeId};
 
@@ -38,11 +38,10 @@ pub struct RibEntry {
 /// path costs only its own hops.
 pub fn collect_ribs(g: &AsGraph, monitors: &[NodeId], origins: &[NodeId]) -> Vec<RibEntry> {
     let cfg = PropagationConfig::default();
-    let snap = TopologySnapshot::compile(g);
-    let mut ws = Workspace::for_snapshot(&snap);
+    let mut ctx = Simulation::over(g).ctx();
     let mut out = Vec::new();
     for &o in origins {
-        ws.run(&snap, o, &cfg);
+        let ws = ctx.run(o);
         for &m in monitors {
             if m == o || !ws.reachable(m) {
                 continue;

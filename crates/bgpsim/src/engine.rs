@@ -6,10 +6,13 @@
 //! reachability, leak CDFs), so those allocations would dominate the
 //! profile. This module splits the work into three pieces:
 //!
-//! * [`TopologySnapshot`] — a handle on the [`AsGraph`] (its links are
-//!   shared, not copied) plus the per-topology state a run needs, made
-//!   once per topology however often the graph is compiled; shared (it
-//!   is `Sync`) by every worker of a sweep.
+//! * [`TopologySnapshot`] — the engine's view of an [`AsGraph`]: a
+//!   handle on the graph (its links are shared, not copied) plus the
+//!   per-topology state a run needs, made once per topology and found on
+//!   the graph's own block by every later look. Every entry point takes
+//!   the graph and looks the view up once per call; outside this crate
+//!   the type is only a handle the `benchmark/` package holds, which
+//!   dereferences to the graph.
 //! * [`Workspace`] — the mutable per-run state: the
 //!   [`RoutingOutcome`] a run fills in place (one selection word per
 //!   node, the reach bitset) and the queues that fill it. Checked out of
@@ -17,8 +20,8 @@
 //!   after the first few runs a sweep performs no heap allocation at
 //!   all, and a finished run is read through the workspace, not copied
 //!   out of it.
-//! * [`Simulation`] — a builder tying the two together:
-//!   `Simulation::over(&snap).run(origin)` for one origin,
+//! * [`Simulation`] — a builder over a borrowed graph:
+//!   `Simulation::over(&g).run(origin)` for one origin,
 //!   [`Simulation::run_sweep_map`] for batches (fanned out over
 //!   [`crate::parallel`], one workspace per worker), and
 //!   [`Simulation::sweep`] for reach-set-only sweeps through the lane
@@ -41,12 +44,15 @@
 //! mask: an AS exports customer-learned routes to its whole range, but
 //! peer/provider-learned routes only to the customer prefix
 //! `adj[off[u]..cust_end[u]]` — exactly the slices the three phases walk.
-//! [`TopologySnapshot::compile`] therefore does nothing per link, and
-//! little per call: the first compile of a topology marks, one bit per
-//! node, who has a customer and attaches that, with the topology's empty
-//! scratch pools, to the graph's block ([`AsGraph::attachment`]); every
-//! later compile of the graph or of a clone clones two handles and finds
-//! both, pools warm from whatever ran before.
+//! Taking the view ([`TopologySnapshot::compile`]) therefore does nothing
+//! per link, and little per call: the first look at a topology marks, one
+//! bit per node, who has a customer and attaches that, with the
+//! topology's empty scratch pools, to the graph's block
+//! ([`AsGraph::attachment`]); every later look, through the graph or a
+//! clone, is an atomic load and two handle clones, and finds both, pools
+//! warm from whatever ran before. So an entry point that is handed the
+//! graph takes the view once per call, and a sweep once, never once per
+//! run.
 //!
 //! The provider phase drains a bucket queue (`Vec<Vec<u32>>` indexed by
 //! distance) rather than a binary heap: edges all have weight 1, so
@@ -74,26 +80,27 @@ use crate::propagate::{
 };
 use crate::reachset::ReachSet;
 use crate::reliance::RelianceWorkspace;
-use crate::scratch::{cap_bytes, Checkout, Scratch};
+use crate::scratch::{cap_bytes, Scratch};
 use flatnet_asgraph::{AsGraph, NodeId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// An [`AsGraph`] made ready for propagation: a handle on the graph
-/// itself — the same arrays, not a copy — plus what only a run needs.
+/// The engine's view of an [`AsGraph`]: a handle on the graph itself —
+/// the same arrays, not a copy — plus what only a run needs. It
+/// dereferences to the graph.
 ///
-/// Compile with [`TopologySnapshot::compile`], the only constructor (so
-/// every snapshot walks some graph's adjacency, the very arrays that
-/// graph reads); the snapshot is cheap to share across threads and its
-/// topology is never mutated. What a run needs beyond the links — who
-/// has customers, and the scratch sized for the topology
-/// (`crate::scratch`): lane-kernel workspaces, scalar contexts and
-/// reliance kernels that sweeps check out and return — is kept on the
-/// graph's own block ([`AsGraph::attachment`]). So every compile and
-/// every clone of one graph finds the same warm buffers, every
-/// [`Simulation`] and [`LeakSim`](crate::leak::LeakSim) over any of them
-/// runs on them, and they are freed with the last handle on the
-/// topology, graph or snapshot.
+/// Every public entry point of this crate takes `&AsGraph` and takes
+/// this view once per call ([`TopologySnapshot::compile`]). What a run
+/// needs beyond the links — who has customers, and the scratch sized for
+/// the topology (`crate::scratch`): lane-kernel workspaces, scalar
+/// contexts and reliance kernels that sweeps check out and return — is
+/// kept on the graph's own block ([`AsGraph::attachment`]), so every
+/// look at one graph or a clone of it finds the same warm buffers, and
+/// they are freed with the last handle on the topology.
+///
+/// Outside this crate the type is a handle and nothing more: the
+/// `benchmark/` package compiles one and passes it where a graph is
+/// taken, which deref coercion allows.
 #[derive(Debug, Clone)]
 pub struct TopologySnapshot {
     /// The graph: its links lie in the layout the module docs draw.
@@ -112,6 +119,15 @@ struct Compiled {
     scratch: Scratch,
 }
 
+impl std::ops::Deref for TopologySnapshot {
+    type Target = AsGraph;
+
+    /// The graph this view was taken of.
+    fn deref(&self) -> &AsGraph {
+        &self.graph
+    }
+}
+
 impl TopologySnapshot {
     /// Takes a handle on `g` and its attachment. The first compile of a
     /// topology marks who has customers, O(V) and nothing per link; every
@@ -128,16 +144,6 @@ impl TopologySnapshot {
         TopologySnapshot { graph: g.clone(), compiled }
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.graph.len()
-    }
-
-    /// Whether the snapshot covers an empty graph.
-    pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
-    }
-
     /// Number of directed adjacency entries (2× the undirected link count).
     pub fn edge_entries(&self) -> usize {
         2 * self.graph.edge_count()
@@ -148,27 +154,10 @@ impl TopologySnapshot {
         &self.compiled.scratch
     }
 
-    /// Bytes of idle pooled scratch this snapshot's topology currently
-    /// holds (lane workspaces, scalar contexts and reliance kernels, at
-    /// capacity) — shared with every other compile and clone of the
-    /// graph, and freed with the last handle on it.
-    pub fn scratch_bytes(&self) -> usize {
+    /// Bytes of idle pooled scratch the topology currently holds (see
+    /// [`scratch_bytes`]).
+    pub(crate) fn scratch_bytes(&self) -> usize {
         self.compiled.scratch.bytes()
-    }
-
-    #[inline]
-    pub(crate) fn customers(&self, u: u32) -> &[NodeId] {
-        self.graph.customers(NodeId(u))
-    }
-
-    #[inline]
-    pub(crate) fn peers(&self, u: u32) -> &[NodeId] {
-        self.graph.peers(NodeId(u))
-    }
-
-    #[inline]
-    pub(crate) fn providers(&self, u: u32) -> &[NodeId] {
-        self.graph.providers(NodeId(u))
     }
 
     /// Whether `u` has any customer to export to.
@@ -185,6 +174,15 @@ impl TopologySnapshot {
     }
 }
 
+/// Bytes of idle pooled scratch `g`'s topology currently holds (lane
+/// workspaces, scalar contexts and reliance kernels, at capacity) —
+/// shared by every clone of the graph, and freed with the last handle on
+/// it. A graph rebuilt from the same edges is another topology and holds
+/// none.
+pub fn scratch_bytes(g: &AsGraph) -> usize {
+    TopologySnapshot::compile(g).scratch_bytes()
+}
+
 /// `g` built again from its canonical edges: the same graph as another
 /// topology, so a snapshot of it starts with empty scratch pools — the
 /// fresh leg a test compares a pooled run with.
@@ -197,7 +195,7 @@ pub(crate) fn rebuilt(g: &AsGraph) -> AsGraph {
 /// Reusable per-run propagation state: the [`RoutingOutcome`] a run
 /// fills in place, plus the scratch that fills it (the touched list, the
 /// BFS frontier, the provider-phase bucket queue). Create once, run many
-/// origins through it; the snapshot pools the ones its
+/// origins through it; the topology pools the ones its
 /// [`SweepCtx`]s run on.
 ///
 /// After a run the workspace dereferences to the finished outcome, so a
@@ -232,11 +230,11 @@ impl Workspace {
         Self::default()
     }
 
-    /// A workspace pre-sized for `snap`, so the first run allocates
+    /// A workspace pre-sized for `g`, so the first run allocates
     /// everything up front.
-    pub fn for_snapshot(snap: &TopologySnapshot) -> Self {
+    pub fn for_snapshot(g: &AsGraph) -> Self {
         let mut ws = Self::new();
-        ws.reset(snap.len(), NodeId(0));
+        ws.reset(g.len(), NodeId(0));
         ws
     }
 
@@ -306,17 +304,17 @@ impl Workspace {
         self.buckets[d].push(i);
     }
 
-    /// Runs one origin over `snap` under `cfg`, leaving the result in the
-    /// workspace — the long-lived-reuse entry point for callers
-    /// that hold a workspace across many runs (and possibly across
-    /// *different* snapshots: the buffers resize automatically when the
-    /// snapshot's node count changes, as during a hot-reload).
+    /// Runs one origin over `g` under `cfg`, leaving the result in the
+    /// workspace — the entry point for callers that hold a workspace of
+    /// their own across runs (and possibly across *different* graphs:
+    /// the buffers resize automatically when the node count changes, as
+    /// during a hot-reload).
     ///
-    /// Unlike [`Simulation`], which borrows its snapshot, this takes the
-    /// snapshot per call, so one workspace can serve snapshots that come
-    /// and go behind an `Arc` swap.
-    pub fn run(&mut self, snap: &TopologySnapshot, origin: NodeId, cfg: &PropagationConfig) {
-        run_into(snap, origin, &cfg.view(), self)
+    /// It takes the engine's view of `g` once per call; a loop over many
+    /// origins of one graph runs on a [`SweepCtx`]
+    /// ([`Simulation::ctx`]), which takes it once.
+    pub fn run(&mut self, g: &AsGraph, origin: NodeId, cfg: &PropagationConfig) {
+        run_into(&TopologySnapshot::compile(g), origin, &cfg.view(), self)
     }
 
     /// Heap bytes this workspace holds, every buffer at capacity.
@@ -369,7 +367,7 @@ pub(crate) fn run_into(
     ws.queue.push_back(origin.0);
     while let Some(ui) = ws.queue.pop_front() {
         let offer = pack(RouteClass::Customer, sel_len(ws.out.sel[ui as usize]) + 1);
-        for &NodeId(pi) in snap.providers(ui) {
+        for &NodeId(pi) in snap.providers(NodeId(ui)) {
             export_checks += 1;
             if ws.out.sel[pi as usize] == UNREACHED && pol.import_ok(origin, NodeId(pi), NodeId(ui))
             {
@@ -389,7 +387,7 @@ pub(crate) fn run_into(
     for t in 0..customer_reached {
         let vi = ws.touched[t];
         let offer = pack(RouteClass::Peer, sel_len(ws.out.sel[vi as usize]) + 1);
-        for &NodeId(ui) in snap.peers(vi) {
+        for &NodeId(ui) in snap.peers(NodeId(vi)) {
             export_checks += 1;
             if offer < ws.out.sel[ui as usize] && pol.import_ok(origin, NodeId(ui), NodeId(vi)) {
                 ws.out.sel[ui as usize] = offer;
@@ -415,7 +413,7 @@ pub(crate) fn run_into(
         let i = ws.touched[t];
         let d = sel_len(ws.out.sel[i as usize]) + 1;
         let offer = pack(RouteClass::Provider, d);
-        for &NodeId(uj) in snap.customers(i) {
+        for &NodeId(uj) in snap.customers(NodeId(i)) {
             export_checks += 1;
             if offer < ws.out.sel[uj as usize] && pol.import_ok(origin, NodeId(uj), NodeId(i)) {
                 ws.out.sel[uj as usize] = offer;
@@ -435,7 +433,7 @@ pub(crate) fn run_into(
                 continue; // stale entry: a shorter provider route came later
             }
             let offer = pack(RouteClass::Provider, d as u32 + 1);
-            for &NodeId(xi) in snap.customers(ui) {
+            for &NodeId(xi) in snap.customers(NodeId(ui)) {
                 export_checks += 1;
                 let x = NodeId(xi);
                 if offer < ws.out.sel[xi as usize] && pol.import_ok(origin, x, NodeId(ui)) {
@@ -462,23 +460,25 @@ pub(crate) fn run_into(
     obs.run_us.record_us(started.elapsed().as_micros() as u64);
 }
 
-/// Builder-style front end over a compiled [`TopologySnapshot`].
+/// Builder-style front end over a borrowed [`AsGraph`]. Each call takes
+/// the engine's view of the graph once ([`TopologySnapshot`]), so every
+/// run, sweep and context of it computes on the topology's pooled
+/// scratch.
 ///
 /// ```
 /// use flatnet_asgraph::{AsGraphBuilder, AsId, Relationship};
-/// use flatnet_bgpsim::engine::{Simulation, TopologySnapshot};
+/// use flatnet_bgpsim::engine::Simulation;
 ///
 /// let mut b = AsGraphBuilder::new();
 /// b.add_link(AsId(1), AsId(2), Relationship::P2c);
 /// let g = b.build();
-/// let snap = TopologySnapshot::compile(&g);
 /// let origin = g.index_of(AsId(2)).unwrap();
-/// let out = Simulation::over(&snap).run(origin);
+/// let out = Simulation::over(&g).run(origin);
 /// assert_eq!(out.reachable_count(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Simulation<'s> {
-    snap: &'s TopologySnapshot,
+    graph: &'s AsGraph,
     cfg: PropagationConfig,
     threads: usize,
     /// Kernel lane width for [`Self::sweep`]; `Auto`
@@ -488,12 +488,11 @@ pub struct Simulation<'s> {
 }
 
 impl<'s> Simulation<'s> {
-    /// Starts a simulation over a compiled snapshot with default config
-    /// (no restrictions, auto thread count for sweeps,
-    /// auto lane width).
-    pub fn over(snap: &'s TopologySnapshot) -> Self {
+    /// Starts a simulation over `g` with default config (no
+    /// restrictions, auto thread count for sweeps, auto lane width).
+    pub fn over(g: &'s AsGraph) -> Self {
         Simulation {
-            snap,
+            graph: g,
             cfg: PropagationConfig::default(),
             threads: 0,
             lane_width: LaneWidth::Auto,
@@ -537,10 +536,10 @@ impl<'s> Simulation<'s> {
     }
 
     /// A worker context for manual batching, checked out of the
-    /// snapshot's pool with this simulation's config copied in;
+    /// topology's pool with this simulation's config copied in;
     /// [`Self::run_sweep_map`] checks out one per worker itself.
-    pub fn ctx(&self) -> SweepCtx<'s> {
-        SweepCtx::lend(self.snap, &self.cfg)
+    pub fn ctx(&self) -> SweepCtx {
+        SweepCtx::lend(TopologySnapshot::compile(self.graph), &self.cfg)
     }
 
     /// Propagates a single origin on a pooled context, returning an
@@ -557,9 +556,11 @@ impl<'s> Simulation<'s> {
     pub fn run_sweep_map<R, F>(&self, origins: &[NodeId], f: F) -> Vec<R>
     where
         R: Send,
-        F: Fn(&mut SweepCtx<'s>, NodeId) -> R + Sync,
+        F: Fn(&mut SweepCtx, NodeId) -> R + Sync,
     {
-        parallel::parallel_map_ctx(origins, self.threads, || self.ctx(), |ctx, &o| f(ctx, o))
+        let snap = TopologySnapshot::compile(self.graph);
+        let lend = || SweepCtx::lend(snap.clone(), &self.cfg);
+        parallel::parallel_map_ctx(origins, self.threads, lend, |ctx, &o| f(ctx, o))
     }
 
     /// Sweeps `origins` through the bit-parallel kernel
@@ -585,17 +586,16 @@ impl<'s> Simulation<'s> {
     ///
     /// ```
     /// use flatnet_asgraph::{AsGraphBuilder, AsId, Relationship};
-    /// use flatnet_bgpsim::{Counts, Simulation, TopologySnapshot};
+    /// use flatnet_bgpsim::{Counts, Simulation};
     ///
     /// let mut b = AsGraphBuilder::new();
     /// b.add_link(AsId(1), AsId(2), Relationship::P2c);
     /// b.add_link(AsId(1), AsId(3), Relationship::P2c);
     /// let g = b.build();
-    /// let snap = TopologySnapshot::compile(&g);
     /// let origins: Vec<_> = g.nodes().collect();
     /// let top = g.index_of(AsId(1)).unwrap();
     /// // Every origin but AS 1 loses AS 1, and with it every other AS.
-    /// let sim = Simulation::over(&snap);
+    /// let sim = Simulation::over(&g);
     /// let swept = sim.sweep(&origins, |o, ex| if o != top { ex.exclude(top) }, Counts).unwrap();
     /// assert_eq!(swept.counts, [2, 0, 0]);
     /// ```
@@ -617,7 +617,7 @@ impl<'s> Simulation<'s> {
     }
 
     /// [`Self::sweep`] at width `W`: chunk the origins into blocks, run
-    /// each on a [`LaneWorkspace<W>`] checked out of the snapshot's pool
+    /// each on a [`LaneWorkspace<W>`] checked out of the topology's pool
     /// with every lane's `fill` under its own `catch_unwind`, and string
     /// the blocks' counts and what `keep` reads off them together in
     /// origin order. A reach set leaves a block once, read off the
@@ -639,14 +639,12 @@ impl<'s> Simulation<'s> {
         K: Keep,
         F: Fn(NodeId, &mut LaneExcluder<'_>) + Sync,
     {
+        let snap = TopologySnapshot::compile(self.graph);
         let blocks: Vec<&[NodeId]> = origins.chunks(LaneWorkspace::<W>::BLOCK_LANES).collect();
         let parts = parallel::try_parallel_map_ctx(
             &blocks,
             self.threads,
-            || {
-                LaneWorkspace::<W>::pool(self.snap.scratch())
-                    .checkout(|| LaneWorkspace::for_snapshot(self.snap))
-            },
+            || LaneWorkspace::<W>::pool(snap.scratch()).checkout(|| LaneWorkspace::for_snapshot(&snap)),
             |ws, block| {
                 let (mut lane, mut failed) = (0usize, None);
                 let guarded = |o: NodeId, ex: &mut LaneExcluder<'_>| {
@@ -658,7 +656,7 @@ impl<'s> Simulation<'s> {
                     }
                     lane += 1;
                 };
-                ws.run_block(self.snap, block, &self.cfg, guarded);
+                ws.run_block(&snap, block, &self.cfg, guarded);
                 if let Some(e) = failed {
                     return Err(e);
                 }
@@ -873,43 +871,43 @@ impl SweepReach {
     }
 }
 
-/// What one scalar run computes on, pooled on the snapshot: a workspace
+/// What one scalar run computes on, pooled on the topology: a workspace
 /// and the config it runs under.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ScalarCtx {
     pub(crate) ws: Workspace,
     pub(crate) cfg: PropagationConfig,
 }
 
-/// One worker's state for a sweep: the shared snapshot and a scalar
-/// context checked out of its pool — a private config (whose masks may
-/// be refilled per origin via [`PropagationConfig::excluded_mask_mut`])
-/// and a private workspace — plus a reliance kernel, checked out of its
-/// own pool on the first [`Self::run_reliance`]. Both go back to the
-/// snapshot on drop.
+/// One worker's state for a sweep: the engine's view of the graph and a
+/// scalar context taken from the topology's pool — a private config
+/// (whose masks may be refilled per origin via
+/// [`PropagationConfig::excluded_mask_mut`]) and a private workspace —
+/// plus a reliance kernel, taken from its own pool on the first
+/// [`Self::run_reliance`]. Both go back to the topology's pools on drop.
 #[derive(Debug)]
-pub struct SweepCtx<'s> {
-    snap: &'s TopologySnapshot,
-    scalar: Checkout<'s, ScalarCtx>,
-    rely: Option<Checkout<'s, RelianceWorkspace>>,
+pub struct SweepCtx {
+    snap: TopologySnapshot,
+    scalar: ScalarCtx,
+    rely: Option<RelianceWorkspace>,
 }
 
-impl<'s> SweepCtx<'s> {
-    /// Checks a context out of `snap`'s pool with exactly `cfg`'s policy:
+impl SweepCtx {
+    /// Takes a context from `snap`'s pool with exactly `cfg`'s policy:
     /// copied into the lent config's buffers, so nothing an earlier
     /// holder installed survives and, once warm, nothing is allocated.
-    pub(crate) fn lend(snap: &'s TopologySnapshot, cfg: &PropagationConfig) -> Self {
-        let mut scalar = snap.scratch().scalar.checkout(|| ScalarCtx {
-            ws: Workspace::for_snapshot(snap),
+    pub(crate) fn lend(snap: TopologySnapshot, cfg: &PropagationConfig) -> Self {
+        let mut scalar = snap.scratch().scalar.take(|| ScalarCtx {
+            ws: Workspace::for_snapshot(&snap),
             cfg: PropagationConfig::default(),
         });
         scalar.cfg.clone_from(cfg);
         SweepCtx { snap, scalar, rely: None }
     }
 
-    /// The shared compiled topology.
-    pub fn snapshot(&self) -> &'s TopologySnapshot {
-        self.snap
+    /// The graph this context runs over.
+    pub fn graph(&self) -> &AsGraph {
+        &self.snap
     }
 
     /// This worker's propagation config.
@@ -928,11 +926,16 @@ impl<'s> SweepCtx<'s> {
         &self.scalar.ws
     }
 
+    /// The engine's view this context runs over.
+    pub(crate) fn snapshot(&self) -> &TopologySnapshot {
+        &self.snap
+    }
+
     /// Propagates `origin` under the current config, reusing this
     /// worker's buffers; returns the workspace holding the result.
     pub fn run(&mut self, origin: NodeId) -> &Workspace {
-        let ScalarCtx { ws, cfg } = &mut *self.scalar;
-        run_into(self.snap, origin, &cfg.view(), ws);
+        let ScalarCtx { ws, cfg } = &mut self.scalar;
+        run_into(&self.snap, origin, &cfg.view(), ws);
         ws
     }
 
@@ -941,13 +944,23 @@ impl<'s> SweepCtx<'s> {
     /// returns the kernel holding the scores, the receiver count and the
     /// ranking buffer ([`RelianceWorkspace::top`]).
     pub fn run_reliance(&mut self, origin: NodeId) -> &mut RelianceWorkspace {
-        let snap = self.snap;
         self.run(origin);
-        let rely = self
-            .rely
-            .get_or_insert_with(|| snap.scratch().reliance.checkout(RelianceWorkspace::new));
-        rely.score(snap, &self.scalar.ws, &self.scalar.cfg);
+        let SweepCtx { snap, scalar, rely } = self;
+        let rely = rely.get_or_insert_with(|| snap.scratch().reliance.take(RelianceWorkspace::new));
+        rely.score(snap, &scalar.ws, &scalar.cfg);
         rely
+    }
+}
+
+impl Drop for SweepCtx {
+    /// Returns the scalar context and the reliance kernel to the
+    /// topology's pools.
+    fn drop(&mut self) {
+        let scratch = self.snap.scratch();
+        scratch.scalar.put(std::mem::take(&mut self.scalar));
+        if let Some(rely) = self.rely.take() {
+            scratch.reliance.put(rely);
+        }
     }
 }
 
@@ -974,7 +987,7 @@ mod tests {
         b.build()
     }
 
-    /// The snapshot's ranges are the graph's: one block, not two copies
+    /// The view's ranges are the graph's: one block, not two copies
     /// that agree.
     #[test]
     fn snapshot_ranges_match_graph_adjacency() {
@@ -999,22 +1012,21 @@ mod tests {
                 Relationship::P2p if b == u => Some(a),
                 _ => None,
             });
-            assert_eq!(snap.customers(u.0), custs, "customers of {u}");
-            assert_eq!(snap.peers(u.0), peers, "peers of {u}");
-            assert_eq!(snap.providers(u.0), provs, "providers of {u}");
+            assert_eq!(snap.customers(u), custs, "customers of {u}");
+            assert_eq!(snap.peers(u), peers, "peers of {u}");
+            assert_eq!(snap.providers(u), provs, "providers of {u}");
             assert_eq!(snap.has_customers(u.0), !custs.is_empty(), "customer bit of {u}");
-            // One block: the snapshot's slices, the graph's and their
+            // One block: the view's slices, the graph's and their
             // clones' are the same memory.
-            assert!(same(snap.customers(u.0), g.customers(u)) && same(snap2.peers(u.0), g2.peers(u)));
-            assert!(same(snap.providers(u.0), g2.providers(u)), "providers of {u}");
+            assert!(same(snap.customers(u), g.customers(u)) && same(snap2.peers(u), g2.peers(u)));
+            assert!(same(snap.providers(u), g2.providers(u)), "providers of {u}");
         }
     }
 
     #[test]
     fn sweep_reuses_buffers_and_matches_single_runs() {
         let g = diamond();
-        let snap = TopologySnapshot::compile(&g);
-        let sim = Simulation::over(&snap).threads(2);
+        let sim = Simulation::over(&g).threads(2);
         let origins: Vec<NodeId> = g.nodes().collect();
         let counts = sim.run_sweep_map(&origins, |ctx, o| ctx.run(o).reachable_count());
         for (o, &c) in origins.iter().zip(&counts) {
@@ -1025,8 +1037,7 @@ mod tests {
     #[test]
     fn ctx_mask_refill_equals_fresh_configs() {
         let g = diamond();
-        let snap = TopologySnapshot::compile(&g);
-        let sim = Simulation::over(&snap);
+        let sim = Simulation::over(&g);
         let mut ctx = sim.ctx();
         let origin = g.index_of(AsId(1)).unwrap();
         let banned = g.index_of(AsId(2)).unwrap();
@@ -1052,15 +1063,14 @@ mod tests {
     #[test]
     fn a_run_holds_one_selection_word_a_node() {
         let net = flatnet_netgen::generate(&flatnet_netgen::NetGenConfig::paper_2020(20_000, 1));
-        let snap = TopologySnapshot::compile(&net.truth);
-        let n = snap.len();
+        let n = net.truth.len();
         let cfg = PropagationConfig::default();
         let mut ws = Workspace::new();
         let mut rely = RelianceWorkspace::new();
         let (mut worst_run, mut worst_rely) = (0, 0);
         for o in (0..n as u32).step_by(97).map(NodeId) {
-            ws.run(&snap, o, &cfg);
-            rely.score(&snap, &ws, &cfg);
+            ws.run(&net.truth, o, &cfg);
+            rely.score(&net.truth, &ws, &cfg);
             worst_run = worst_run.max(ws.heap_bytes());
             worst_rely = worst_rely.max(rely.heap_bytes());
         }
@@ -1078,7 +1088,6 @@ mod tests {
     #[test]
     fn lane_sweep_attributes_fill_panics_to_their_origin() {
         let g = diamond();
-        let snap = TopologySnapshot::compile(&g);
         // 70 origins, AS 3 (node 2) only at #3 and #69.
         let origins: Vec<NodeId> =
             (0..70).map(|i| NodeId(if i == 3 || i == 69 { 2 } else { [0, 1, 3, 4, 5][i % 5] })).collect();
@@ -1089,18 +1098,18 @@ mod tests {
                 ex.allow(o);
             }
         };
-        let mut ws = Workspace::for_snapshot(&snap);
+        let mut ws = Workspace::for_snapshot(&g);
         let scalar: Vec<u32> = origins
             .iter()
             .map(|&o| {
                 let mut mask = vec![false; g.len()];
                 mask[(o.idx() + 1) % 6] = true;
-                ws.run(&snap, o, &PropagationConfig::new().with_excluded(mask));
+                ws.run(&g, o, &PropagationConfig::new().with_excluded(mask));
                 ws.reachable_count() as u32
             })
             .collect();
         for width in [LaneWidth::W64, LaneWidth::W128, LaneWidth::W256] {
-            let sim = Simulation::over(&snap).threads(2).lane_width(width);
+            let sim = Simulation::over(&g).threads(2).lane_width(width);
             let before = sim.sweep(&origins, fill(false), Counts).unwrap();
             assert_eq!(before.counts, scalar, "{width:?}");
             let failed = sim.sweep(&origins, fill(true), Counts).unwrap_err();

@@ -3,7 +3,7 @@
 //!
 //! Sweeps dominate every headline experiment — the same valley-free
 //! propagation repeated over hundreds or thousands of origins on one
-//! immutable [`TopologySnapshot`]. The scalar engine
+//! immutable [`AsGraph`]. The scalar engine
 //! ([`crate::engine::Workspace`]) already amortizes allocation, but it
 //! still walks the adjacency once *per origin*. This module packs one
 //! origin per bit of a **lane vector** — `W ∈ {1, 2, 4}` `u64` words per
@@ -150,7 +150,7 @@
 //! The one way in is [`Simulation::sweep`](crate::engine::Simulation::sweep):
 //! origins are chunked into `64 × W`-lane blocks and the blocks fan out
 //! over [`crate::parallel`], one [`LaneWorkspace`] per worker, checked
-//! out of the snapshot's per-width pool (`crate::scratch`), so a warm
+//! out of the topology's per-width pool (`crate::scratch`), so a warm
 //! sweep allocates only its own bookkeeping (pinned by the
 //! counting-allocator smoke in `tests/engine_equiv.rs`). A block's reach
 //! sets leave it straight from the node-major `r` words, into what the
@@ -159,11 +159,10 @@
 //! final form or a lane's reached share through one pass over the nodes
 //! — so no workspace holds a lane-major copy of a block.
 
-use crate::engine::TopologySnapshot;
 use crate::propagate::{metrics, ImportPolicy, PropagationConfig};
 use crate::reachset::{ReachForm, ReachSet};
 use crate::scratch::{cap_bytes, Pool, Scratch};
-use flatnet_asgraph::NodeId;
+use flatnet_asgraph::{AsGraph, NodeId};
 
 /// Origins per lane *word*: one bit lane per origin per `u64`.
 pub const LANES: usize = 64;
@@ -460,7 +459,7 @@ impl LaneExcluder<'_> {
 /// [`LaneExcluder`] pre-fills whatever `W`, and flags, the side table,
 /// the customer-lane list and the frontier queues. Nothing is
 /// lane-major: a block's reach sets are read straight off its
-/// node-major route words. Pooled on the snapshot, one per sweep
+/// node-major route words. Pooled on the topology, one per sweep
 /// worker, and run through [`Simulation::sweep`](crate::engine::Simulation::sweep)
 /// alone: after the first block of a shape a run performs no heap
 /// allocation. Named in the [`Keep`](crate::engine::Keep) read-outs'
@@ -529,11 +528,11 @@ where
         }
     }
 
-    /// A workspace pre-sized for `snap`: the per-node lanes, flags and
+    /// A workspace pre-sized for `g`: the per-node lanes, flags and
     /// lists are allocated up front.
-    pub(crate) fn for_snapshot(snap: &TopologySnapshot) -> Self {
+    pub(crate) fn for_snapshot(g: &AsGraph) -> Self {
         let mut ws = Self::new();
-        ws.begin(snap);
+        ws.begin(g);
         ws.block_len = 0;
         ws
     }
@@ -550,12 +549,12 @@ where
         self.block_len.saturating_sub(j * 64).min(64)
     }
 
-    /// Sizes the buffers for `snap` and clears the previous block's
+    /// Sizes the buffers for `g` and clears the previous block's
     /// writes. Same-size resets undo via the touched and flagged lists,
     /// so for a fixed topology a reset is O(previously reached), not
     /// O(n).
-    fn begin(&mut self, snap: &TopologySnapshot) {
-        let n = snap.len();
+    fn begin(&mut self, g: &AsGraph) {
+        let n = g.len();
         if self.words.len() == n {
             // Every node with a lane bit or a flag set sits on one of
             // these two lists — queued and saturated nodes are reached,
@@ -575,7 +574,7 @@ where
             for list in [&mut self.touched, &mut self.frontier, &mut self.next] {
                 *list = Vec::with_capacity(n);
             }
-            let providers = (0..n as u32).filter(|&u| snap.has_customers(u)).count();
+            let providers = g.nodes().filter(|&u| !g.customers(u).is_empty()).count();
             self.cust = Vec::with_capacity(providers + Self::BLOCK_LANES);
         }
         for list in [&mut self.touched, &mut self.flagged, &mut self.frontier, &mut self.next] {
@@ -610,7 +609,7 @@ where
             + cap_bytes(&self.cust)
     }
 
-    /// The block kernel: runs up to `64·W` origins over `snap` under
+    /// The block kernel: runs up to `64·W` origins over `g` under
     /// `cfg`, `fill` installing each lane's exclusions through the
     /// [`LaneExcluder`] on top of `cfg`'s shared mask. Afterwards the
     /// node-major `r` words hold exactly the block's reach sets, and
@@ -620,7 +619,7 @@ where
     /// or [`Self::emit_fractions`].
     pub(crate) fn run_block(
         &mut self,
-        snap: &TopologySnapshot,
+        g: &AsGraph,
         origins: &[NodeId],
         cfg: &PropagationConfig,
         mut fill: impl FnMut(NodeId, &mut LaneExcluder<'_>),
@@ -631,12 +630,12 @@ where
             Self::BLOCK_LANES,
             Self::BLOCK_LANES
         );
-        let n = snap.len();
+        let n = g.len();
         let obs = metrics();
         obs.runs.add(origins.len() as u64);
         obs.kernel_blocks.inc();
         let started = std::time::Instant::now();
-        self.begin(snap);
+        self.begin(g);
         self.block_len = origins.len();
         if n == 0 || origins.is_empty() {
             return;
@@ -705,9 +704,9 @@ where
         // Sweep workloads (mask-only policies) take the specialized path
         // where the per-edge policy checks compile out entirely.
         let rounds = if pol.import.is_none() && pol.origin_export.is_none() {
-            self.dispatch_phases::<false>(snap, None, None)
+            self.dispatch_phases::<false>(g, None, None)
         } else {
-            self.dispatch_phases::<true>(snap, pol.import, pol.origin_export)
+            self.dispatch_phases::<true>(g, pol.import, pol.origin_export)
         };
         obs.kernel_rounds.add(rounds);
 
@@ -808,7 +807,7 @@ where
     #[inline]
     fn dispatch_phases<const POL: bool>(
         &mut self,
-        snap: &TopologySnapshot,
+        g: &AsGraph,
         imp: Option<&[ImportPolicy]>,
         oe: Option<&[bool]>,
     ) -> u64 {
@@ -820,9 +819,9 @@ where
             // requires. The portable runner measures 7–8 % slower, so
             // the block stays (DESIGN.md § `LaneWorkspace<W>`).
             #[allow(unsafe_code)] // the crate's one `unsafe`
-            return unsafe { self.run_phases_avx2::<POL>(snap, imp, oe) };
+            return unsafe { self.run_phases_avx2::<POL>(g, imp, oe) };
         }
-        self.run_phases::<POL>(snap, imp, oe)
+        self.run_phases::<POL>(g, imp, oe)
     }
 
     /// [`Self::run_phases`] compiled with the AVX2 target feature: the
@@ -832,11 +831,11 @@ where
     #[target_feature(enable = "avx2")]
     fn run_phases_avx2<const POL: bool>(
         &mut self,
-        snap: &TopologySnapshot,
+        g: &AsGraph,
         imp: Option<&[ImportPolicy]>,
         oe: Option<&[bool]>,
     ) -> u64 {
-        self.run_phases::<POL>(snap, imp, oe)
+        self.run_phases::<POL>(g, imp, oe)
     }
 
     /// The three Gao-Rexford phases, lane-vector-wise. Monomorphized
@@ -856,7 +855,7 @@ where
     #[inline(always)]
     fn run_phases<const POL: bool>(
         &mut self,
-        snap: &TopologySnapshot,
+        g: &AsGraph,
         imp: Option<&[ImportPolicy]>,
         oe: Option<&[bool]>,
     ) -> u64 {
@@ -875,7 +874,7 @@ where
                 let fu = self.flags[ui] & !QUEUED;
                 self.flags[ui] = fu;
                 let (send, iso_u) = self.sends::<POL>(u, fu);
-                for &NodeId(pi) in snap.providers(u) {
+                for &NodeId(pi) in g.providers(NodeId(u)) {
                     let pu = pi as usize;
                     // Borrow the receiver in place: a by-value copy here
                     // would move 8*W bytes per edge visit, which at wide
@@ -924,7 +923,7 @@ where
             let send = self.cust[t];
             let iso_v =
                 if POL && self.flags[v as usize] & ORIGIN != 0 { self.side[self.side_index(v)].iso } else { [0; W] };
-            for &NodeId(ui) in snap.peers(v) {
+            for &NodeId(ui) in g.peers(NodeId(v)) {
                 let uu = ui as usize;
                 // Saturated receivers can never take another bit; the
                 // one-byte flag spares the struct load.
@@ -970,7 +969,7 @@ where
                 self.flags[ui] = fu;
                 // Never empty: the node holds a real route bit.
                 let (send, iso_u) = self.sends::<POL>(u, fu);
-                for &NodeId(xi) in snap.customers(u) {
+                for &NodeId(xi) in g.customers(NodeId(u)) {
                     let xu = xi as usize;
                     // Same one-byte skip as the peer phase: in dense
                     // sweeps most late-round visits land on saturated
@@ -1246,7 +1245,7 @@ impl Group {
     }
 }
 
-/// Selects a width's pool in a snapshot's [`Scratch`], implemented per
+/// Selects a width's pool in a topology's [`Scratch`], implemented per
 /// supported width so the width-generic sweep driver can check a
 /// workspace out without naming its own `W`.
 pub(crate) trait PooledLaneWs: Sized {
@@ -1389,13 +1388,12 @@ mod tests {
     #[test]
     fn kernel_matches_workspace_on_diamond() {
         let g = diamond();
-        let snap = TopologySnapshot::compile(&g);
         let origins: Vec<NodeId> = g.nodes().collect();
-        let reach = Simulation::over(&snap).threads(1).sweep(&origins, |_, _| {}, Words).unwrap();
-        let mut ws = Workspace::for_snapshot(&snap);
+        let reach = Simulation::over(&g).threads(1).sweep(&origins, |_, _| {}, Words).unwrap();
+        let mut ws = Workspace::for_snapshot(&g);
         let cfg = PropagationConfig::default();
         for (i, &o) in origins.iter().enumerate() {
-            ws.run(&snap, o, &cfg);
+            ws.run(&g, o, &cfg);
             assert_eq!(reach.kept[i], ws.reach_words(), "origin {o}");
             assert_eq!(reach.counts[i] as usize, ws.reachable_count(), "origin {o}");
         }
@@ -1404,24 +1402,22 @@ mod tests {
     #[test]
     fn duplicate_origins_in_one_block_are_independent() {
         let g = diamond();
-        let snap = TopologySnapshot::compile(&g);
         let o = g.index_of(AsId(4)).unwrap();
         let origins = vec![o, o, o];
-        let reach = Simulation::over(&snap).threads(1).sweep(&origins, |_, _| {}, Words).unwrap();
+        let reach = Simulation::over(&g).threads(1).sweep(&origins, |_, _| {}, Words).unwrap();
         assert_eq!(reach.kept[0], reach.kept[1]);
         assert_eq!(reach.kept[0], reach.kept[2]);
-        let single = Simulation::over(&snap).run(o);
+        let single = Simulation::over(&g).run(o);
         assert_eq!(reach.kept[0], single.reach_words());
     }
 
     #[test]
     fn per_lane_exclusions_match_scalar_masks() {
         let g = diamond();
-        let snap = TopologySnapshot::compile(&g);
         let origins: Vec<NodeId> = g.nodes().collect();
         // Each lane excludes a different node: origin's index + 1 mod n.
         let excl_for = |o: NodeId| NodeId((o.0 + 1) % g.len() as u32);
-        let sim = Simulation::over(&snap).threads(1);
+        let sim = Simulation::over(&g).threads(1);
         let fill = |o, ex: &mut LaneExcluder<'_>| {
             ex.exclude(excl_for(o));
             ex.allow(o);
@@ -1433,7 +1429,7 @@ mod tests {
             mask[banned.idx()] = true;
             mask[o.idx()] = false;
             let out =
-                Simulation::over(&snap).config(PropagationConfig::new().with_excluded(mask)).run(o);
+                Simulation::over(&g).config(PropagationConfig::new().with_excluded(mask)).run(o);
             assert_eq!(reach.kept[i], out.reach_words(), "origin {o}");
             assert_eq!(reach.counts[i] as usize, out.reachable_count(), "origin {o}");
         }
@@ -1442,11 +1438,10 @@ mod tests {
     #[test]
     fn excluded_origin_lane_is_empty() {
         let g = diamond();
-        let snap = TopologySnapshot::compile(&g);
         let o = g.index_of(AsId(4)).unwrap();
         let mut mask = vec![false; g.len()];
         mask[o.idx()] = true;
-        let reach = Simulation::over(&snap)
+        let reach = Simulation::over(&g)
             .config(PropagationConfig::new().with_excluded(mask))
             .threads(1)
             .sweep(&[o], |_, _| {}, Words)
@@ -1458,10 +1453,9 @@ mod tests {
     #[test]
     fn empty_origin_list_and_empty_graph() {
         let g = diamond();
-        let snap = TopologySnapshot::compile(&g);
-        let reach = Simulation::over(&snap).sweep(&[], |_, _| {}, Words).unwrap();
+        let reach = Simulation::over(&g).sweep(&[], |_, _| {}, Words).unwrap();
         assert!(reach.kept.is_empty() && reach.counts.is_empty());
-        let empty = TopologySnapshot::compile(&AsGraphBuilder::new().build());
+        let empty = AsGraphBuilder::new().build();
         let r2 = Simulation::over(&empty).sweep(&[], |_, _| {}, Sets).unwrap();
         assert!(r2.kept.is_empty());
     }
@@ -1490,14 +1484,13 @@ mod tests {
         for n in [65u32, 127] {
             let g = mixed(n);
             assert_eq!(g.len(), n as usize);
-            let snap = TopologySnapshot::compile(&g);
             let origins: Vec<NodeId> = g.nodes().collect();
-            let reach = Simulation::over(&snap).threads(1).sweep(&origins, |_, _| {}, Words).unwrap();
-            let mut ws = Workspace::for_snapshot(&snap);
+            let reach = Simulation::over(&g).threads(1).sweep(&origins, |_, _| {}, Words).unwrap();
+            let mut ws = Workspace::for_snapshot(&g);
             let cfg = PropagationConfig::default();
             let valid = n as usize & 63;
             for (i, &o) in origins.iter().enumerate() {
-                ws.run(&snap, o, &cfg);
+                ws.run(&g, o, &cfg);
                 assert_eq!(reach.kept[i], ws.reach_words(), "n={n} origin {o:?}");
                 assert_eq!(reach.counts[i] as usize, ws.reachable_count(), "n={n} origin {o:?}");
                 let tail = *reach.kept[i].last().unwrap();
@@ -1513,18 +1506,17 @@ mod tests {
     #[test]
     fn widths_agree_bit_identically_on_tail_blocks() {
         let g = mixed(200);
-        let snap = TopologySnapshot::compile(&g);
         let origins: Vec<NodeId> = g.nodes().collect();
-        let mut ws = Workspace::for_snapshot(&snap);
+        let mut ws = Workspace::for_snapshot(&g);
         let cfg = PropagationConfig::default();
         for width in [LaneWidth::W64, LaneWidth::W128, LaneWidth::W256] {
-            let sim = Simulation::over(&snap).threads(1).lane_width(width);
+            let sim = Simulation::over(&g).threads(1).lane_width(width);
             let reach = sim.sweep(&origins, |_, _| {}, Words).unwrap();
             let counts = sim.sweep(&origins, |_, _| {}, Counts).unwrap().counts;
             let kept = sim.sweep(&origins, |_, _| {}, Sets).unwrap();
             assert_eq!((&reach.counts, &kept.counts), (&counts, &counts), "{width:?}");
             for (i, &o) in origins.iter().enumerate() {
-                ws.run(&snap, o, &cfg);
+                ws.run(&g, o, &cfg);
                 assert_eq!(reach.kept[i], ws.reach_words(), "{width:?} origin {o:?}");
                 assert_eq!(counts[i] as usize, ws.reachable_count(), "{width:?} origin {o:?}");
                 let encoded = ReachSet::from_words(ws.reach_words(), g.len());
@@ -1540,22 +1532,21 @@ mod tests {
     #[test]
     fn per_lane_exclusions_beyond_lane_63_match_scalar_masks() {
         let g = mixed(200);
-        let snap = TopologySnapshot::compile(&g);
         let origins: Vec<NodeId> = g.nodes().collect();
         let excl_for = |o: NodeId| NodeId((o.0 + 7) % g.len() as u32);
-        let sim = Simulation::over(&snap).threads(1).lane_width(LaneWidth::W256);
+        let sim = Simulation::over(&g).threads(1).lane_width(LaneWidth::W256);
         let fill = |o, ex: &mut LaneExcluder<'_>| {
             ex.exclude(excl_for(o));
             ex.allow(o);
         };
         let reach = sim.sweep(&origins, fill, Words).unwrap();
-        let mut ws = Workspace::for_snapshot(&snap);
+        let mut ws = Workspace::for_snapshot(&g);
         for (i, &o) in origins.iter().enumerate() {
             let mut cfg = PropagationConfig::new();
             let mask = cfg.excluded_mask_mut(g.len());
             mask[excl_for(o).idx()] = true;
             mask[o.idx()] = false;
-            ws.run(&snap, o, &cfg);
+            ws.run(&g, o, &cfg);
             assert_eq!(reach.kept[i], ws.reach_words(), "lane {i} origin {o:?}");
             assert_eq!(reach.counts[i] as usize, ws.reachable_count(), "lane {i} origin {o:?}");
         }
@@ -1574,18 +1565,16 @@ mod tests {
         {
             let g65 = mixed(65);
             let g127 = mixed(127);
-            let s65 = TopologySnapshot::compile(&g65);
-            let s127 = TopologySnapshot::compile(&g127);
             let mut lanes = LaneWorkspace::<W>::new();
             let cfg = PropagationConfig::default();
-            for (snap, g) in [(&s127, &g127), (&s65, &g65), (&s127, &g127)] {
+            for g in [&g127, &g65, &g127] {
                 let origins: Vec<NodeId> = g.nodes().collect();
-                let mut ws = Workspace::for_snapshot(snap);
+                let mut ws = Workspace::for_snapshot(g);
                 for block in origins.chunks(LANES * W) {
-                    lanes.run_block(snap, block, &cfg, |_, _| {});
+                    lanes.run_block(g, block, &cfg, |_, _| {});
                     let words = lane_words(&mut lanes);
                     for (k, &o) in block.iter().enumerate() {
-                        ws.run(snap, o, &cfg);
+                        ws.run(g, o, &cfg);
                         assert_eq!(
                             words[k],
                             ws.reach_words(),
@@ -1607,10 +1596,9 @@ mod tests {
     #[test]
     fn pooled_workspaces_survive_width_changes() {
         let g = mixed(200);
-        let snap = TopologySnapshot::compile(&g);
         let origins: Vec<NodeId> = g.nodes().collect();
-        let sim = Simulation::over(&snap).threads(1);
-        let mut ws = Workspace::for_snapshot(&snap);
+        let sim = Simulation::over(&g).threads(1);
+        let mut ws = Workspace::for_snapshot(&g);
         let cfg = PropagationConfig::default();
         // Auto → widest: warms one pool; the narrow sweep of 40 origins
         // clamps to one-word lanes (a different pool); then back wide.
@@ -1620,7 +1608,7 @@ mod tests {
         let wide2 = sim.sweep(&origins, |_, _| {}, Words).unwrap();
         assert_eq!(wide, wide2, "width round-trip changed a sweep result");
         for (i, &o) in origins.iter().enumerate() {
-            ws.run(&snap, o, &cfg);
+            ws.run(&g, o, &cfg);
             assert_eq!(wide.kept[i], ws.reach_words(), "origin {o:?}");
             if i < narrow.len() {
                 assert_eq!(small.kept[i], ws.reach_words(), "narrow origin {o:?}");
@@ -1631,9 +1619,8 @@ mod tests {
     #[test]
     fn counts_only_sweep_matches_materialized() {
         let g = diamond();
-        let snap = TopologySnapshot::compile(&g);
         let origins: Vec<NodeId> = g.nodes().collect();
-        let sim = Simulation::over(&snap).threads(2);
+        let sim = Simulation::over(&g).threads(2);
         let reach = sim.sweep(&origins, |_, _| {}, Words).unwrap();
         let counts = sim.sweep(&origins, |_, _| {}, Counts).unwrap();
         assert_eq!((counts.kept.len(), counts.counts), (origins.len(), reach.counts));
@@ -1667,19 +1654,19 @@ mod tests {
     /// random node of its own. Returns whether the two agree by bits.
     fn runners_agree<const W: usize>(
         lanes: &mut LaneWorkspace<W>,
-        snap: &TopologySnapshot,
+        g: &AsGraph,
         cfg: &PropagationConfig,
         rng: &mut u64,
     ) -> bool
     where
         Lanes<W>: LaneArity,
     {
-        let n = snap.len() as u64;
+        let n = g.len() as u64;
         let origins: Vec<NodeId> = (0..64 * W).map(|_| NodeId((next(rng) % n) as u32)).collect();
         let salt = next(rng);
         let mut reach = |portable: bool| {
             PORTABLE_ONLY.set(portable);
-            lanes.run_block(snap, &origins, cfg, |o, ex| {
+            lanes.run_block(g, &origins, cfg, |o, ex| {
                 ex.exclude(NodeId(((o.0 as u64 ^ salt) % n) as u32));
                 ex.allow(o);
             });
@@ -1708,7 +1695,6 @@ mod tests {
         let (mut w2, mut w4) = (LaneWorkspace::<2>::new(), LaneWorkspace::<4>::new());
         for _ in 0..40 {
             let g = random_graph(&mut rng);
-            let snap = TopologySnapshot::compile(&g);
             let n = g.len();
             let mask_only = PropagationConfig::new()
                 .with_excluded((0..n).map(|_| next(&mut rng).is_multiple_of(8)).collect());
@@ -1722,8 +1708,8 @@ mod tests {
                 .with_import((0..n).map(|_| policies[(next(&mut rng) % 8).saturating_sub(4) as usize]).collect())
                 .with_origin_export((0..n).map(|_| !next(&mut rng).is_multiple_of(4)).collect());
             for cfg in [&mask_only, &with_policies] {
-                assert!(runners_agree(&mut w2, &snap, cfg, &mut rng), "W = 2, {n} ASes");
-                assert!(runners_agree(&mut w4, &snap, cfg, &mut rng), "W = 4, {n} ASes");
+                assert!(runners_agree(&mut w2, &g, cfg, &mut rng), "W = 2, {n} ASes");
+                assert!(runners_agree(&mut w4, &g, cfg, &mut rng), "W = 4, {n} ASes");
             }
         }
     }
@@ -1740,31 +1726,31 @@ mod tests {
     /// (replayed on a mask).
     fn lanes_match_scalar<const W: usize>(
         lanes: &mut LaneWorkspace<W>,
-        snap: &TopologySnapshot,
+        g: &AsGraph,
         cfg: &PropagationConfig,
         origins: &[NodeId],
         lane_fill: &LaneFill<'_>,
     ) where
         Lanes<W>: LaneArity,
     {
-        let n = snap.len();
+        let n = g.len();
         let mut k = 0;
         let fill = |o: NodeId, ex: &mut LaneExcluder<'_>| {
             lane_fill(k, o, &mut |node, excluded| if excluded { ex.exclude(node) } else { ex.allow(node) });
             k += 1;
         };
-        lanes.run_block(snap, origins, cfg, fill);
+        lanes.run_block(g, origins, cfg, fill);
         let words = lane_words(lanes);
         let counted_with_words: Vec<usize> = (0..origins.len()).map(|k| lanes.lane_reachable_count(k)).collect();
         let mut sets = Vec::new();
         lanes.emit_reach_sets(&mut sets);
         assert_eq!((words.len(), sets.len()), (origins.len(), origins.len()));
-        let mut ws = Workspace::for_snapshot(snap);
+        let mut ws = Workspace::for_snapshot(g);
         for (k, &o) in origins.iter().enumerate() {
             let mut mask = cfg.view().excluded.map_or_else(|| vec![false; n], <[bool]>::to_vec);
             lane_fill(k, o, &mut |node, excluded| mask[node.idx()] = excluded);
             let lane_cfg = cfg.clone().with_excluded(mask);
-            ws.run(snap, o, &lane_cfg);
+            ws.run(g, o, &lane_cfg);
             let what = format!("W = {W}, lane {k}, origin {o:?}, {n} ASes");
             assert_eq!(words[k], ws.reach_words(), "{what}");
             let want = ReachSet::from_words(ws.reach_words(), n);
@@ -1790,7 +1776,6 @@ mod tests {
         let mut w4 = LaneWorkspace::<4>::new();
         for _ in 0..12 {
             let g = random_graph(&mut rng);
-            let snap = TopologySnapshot::compile(&g);
             let n = g.len();
             let origins: Vec<NodeId> =
                 (0..MAX_LANES).map(|_| NodeId((next(&mut rng) % n as u64) as u32)).collect();
@@ -1825,11 +1810,11 @@ mod tests {
                 }
             };
             for cfg in [&mask_only, &with_policies] {
-                lanes_match_scalar(&mut w1, &snap, cfg, &origins[..64], &lane_fill);
-                lanes_match_scalar(&mut w2, &snap, cfg, &origins[..128], &lane_fill);
-                lanes_match_scalar(&mut w4, &snap, cfg, &origins, &lane_fill);
+                lanes_match_scalar(&mut w1, &g, cfg, &origins[..64], &lane_fill);
+                lanes_match_scalar(&mut w2, &g, cfg, &origins[..128], &lane_fill);
+                lanes_match_scalar(&mut w4, &g, cfg, &origins, &lane_fill);
                 // A partial block: lanes past the last origin stay empty.
-                lanes_match_scalar(&mut w4, &snap, cfg, &origins[..150], &lane_fill);
+                lanes_match_scalar(&mut w4, &g, cfg, &origins[..150], &lane_fill);
             }
         }
     }
@@ -1855,7 +1840,6 @@ mod tests {
         b.add_link(AsId(1), AsId(3), Relationship::P2p);
         b.add_link(AsId(1), AsId(4), Relationship::P2p);
         let g = b.build();
-        let snap = TopologySnapshot::compile(&g);
         let n = g.len();
         let node = |asn| g.index_of(AsId(asn)).unwrap();
         let (excluded, lane_a) = (node(1), node(12));
@@ -1874,9 +1858,9 @@ mod tests {
         let mut w4 = LaneWorkspace::<4>::new();
         for origins in [[node(31), lane_a, node(11)], [node(11), lane_a, node(31)]] {
             for cfg in [&plain, &with_policies] {
-                lanes_match_scalar(&mut w1, &snap, cfg, &origins, &lane_fill);
-                lanes_match_scalar(&mut w2, &snap, cfg, &origins, &lane_fill);
-                lanes_match_scalar(&mut w4, &snap, cfg, &origins, &lane_fill);
+                lanes_match_scalar(&mut w1, &g, cfg, &origins, &lane_fill);
+                lanes_match_scalar(&mut w2, &g, cfg, &origins, &lane_fill);
+                lanes_match_scalar(&mut w4, &g, cfg, &origins, &lane_fill);
             }
         }
     }
@@ -1898,7 +1882,6 @@ mod tests {
         let mut forms_seen = [false; 3];
         for _ in 0..6 {
             let g = random_graph(&mut rng);
-            let snap = TopologySnapshot::compile(&g);
             let n = g.len();
             let salt = next(&mut rng);
             let rule = |o: NodeId, set: &mut dyn FnMut(NodeId, bool)| {
@@ -1918,13 +1901,13 @@ mod tests {
             };
             let weights: Vec<f64> =
                 (0..n).map(|_| (next(&mut rng) >> 11) as f64 * 2f64.powi((next(&mut rng) % 40) as i32 - 53)).collect();
-            let mut ws = Workspace::for_snapshot(&snap);
-            let mut leak = LeakSim::new(&snap);
+            let mut ws = Workspace::for_snapshot(&g);
+            let mut leak = LeakSim::new(&g);
             for width in [LaneWidth::W64, LaneWidth::W128, LaneWidth::W256] {
                 let lanes = width.lanes();
                 let count = 2 * lanes + 1 + next(&mut rng) as usize % (lanes - 1);
                 let origins: Vec<NodeId> = (0..count).map(|_| NodeId((next(&mut rng) % n as u64) as u32)).collect();
-                let sim = Simulation::over(&snap).threads(2).lane_width(width);
+                let sim = Simulation::over(&g).threads(2).lane_width(width);
                 let words = sim.sweep(&origins, fill, Words).unwrap();
                 let kept = sim.sweep(&origins, fill, Sets).unwrap();
                 let counts = sim.sweep(&origins, fill, Counts).unwrap().counts;
@@ -1932,7 +1915,7 @@ mod tests {
                 for (i, &o) in origins.iter().enumerate() {
                     let mut mask = vec![false; n];
                     rule(o, &mut |node, excluded| mask[node.idx()] = excluded);
-                    ws.run(&snap, o, &PropagationConfig::new().with_excluded(mask));
+                    ws.run(&g, o, &PropagationConfig::new().with_excluded(mask));
                     let what = format!("{width:?}, origin #{i} {o:?}, {n} ASes");
                     let want = ReachSet::from_words(ws.reach_words(), n);
                     assert_eq!(words.kept[i], ws.reach_words(), "{what}");
@@ -1983,7 +1966,6 @@ mod tests {
         let n = g.len();
         let (top, backup) = (g.index_of(AsId(1000)).unwrap(), g.index_of(AsId(500)).unwrap());
         assert_eq!((n, top.idx()), (129, 128), "AS 1000 is the tail group's one node");
-        let snap = TopologySnapshot::compile(&g);
         let origins: Vec<NodeId> = (1..=127).map(|c| g.index_of(AsId(c)).unwrap()).collect();
         // Whether `(origin, node)` excludes `node` for `origin`'s lane.
         type Excluded<'a> = &'a (dyn Fn(NodeId, NodeId) -> bool + Sync);
@@ -1992,17 +1974,17 @@ mod tests {
             (&|o, node| node != o && node != top, ReachForm::Only),
             (&|o, node| node != o && (node == backup || node.0 % 2 == 1), ReachForm::Bits),
         ];
-        let mut ws = Workspace::for_snapshot(&snap);
+        let mut ws = Workspace::for_snapshot(&g);
         for (excluded, form) in rules {
             for width in [LaneWidth::W64, LaneWidth::W128] {
-                let sim = Simulation::over(&snap).threads(1).lane_width(width);
+                let sim = Simulation::over(&g).threads(1).lane_width(width);
                 let fill = |o, ex: &mut LaneExcluder<'_>| {
                     g.nodes().filter(|&node| excluded(o, node)).for_each(|node| ex.exclude(node));
                 };
                 let kept = sim.sweep(&origins, fill, Sets).unwrap();
                 for (&o, (set, count)) in origins.iter().zip(kept.kept.iter().zip(&kept.counts)) {
                     let mask = g.nodes().map(|node| excluded(o, node)).collect();
-                    ws.run(&snap, o, &PropagationConfig::new().with_excluded(mask));
+                    ws.run(&g, o, &PropagationConfig::new().with_excluded(mask));
                     let want = ReachSet::from_words(ws.reach_words(), n);
                     assert_eq!((set.form(), want.form()), (form, form), "{width:?} origin {o:?}");
                     assert_eq!((set, *count as usize), (&want, ws.reachable_count()), "{width:?} origin {o:?}");
@@ -2022,7 +2004,7 @@ mod tests {
     /// node more.
     #[test]
     fn a_block_holds_route_words_and_a_sparse_side_table() {
-        fn check<const W: usize>(g: &AsGraph, snap: &TopologySnapshot)
+        fn check<const W: usize>(g: &AsGraph)
         where
             Lanes<W>: LaneArity,
         {
@@ -2033,7 +2015,7 @@ mod tests {
             flagged.sort_unstable();
             flagged.dedup();
             let mut ws = LaneWorkspace::<W>::new();
-            ws.run_block(snap, &origins, &PropagationConfig::default(), |o, ex| {
+            ws.run_block(g, &origins, &PropagationConfig::default(), |o, ex| {
                 g.providers(o).iter().for_each(|&p| ex.exclude(p));
                 ex.allow(o);
             });
@@ -2046,9 +2028,8 @@ mod tests {
             assert!(held <= cap, "W = {W}: {held} B over {cap} ({n} nodes, {} flagged)", flagged.len());
         }
         let net = flatnet_netgen::generate(&flatnet_netgen::NetGenConfig::paper_2020(20_000, 1));
-        let snap = TopologySnapshot::compile(&net.truth);
-        check::<1>(&net.truth, &snap);
-        check::<2>(&net.truth, &snap);
-        check::<4>(&net.truth, &snap);
+        check::<1>(&net.truth);
+        check::<2>(&net.truth);
+        check::<4>(&net.truth);
     }
 }

@@ -21,14 +21,14 @@
 //! CDF over `k` leakers is `k + 1` propagations, its workers sharing the
 //! victim side by reference. [`LeakSim`] is the two steps in sequence for
 //! one scenario at a time. Every side computes on a [`SweepCtx`] — a
-//! workspace and the config it runs under, checked out of the snapshot's
+//! workspace and the config it runs under, taken from the topology's
 //! scratch and returned on drop — so a caller that simulates per query
 //! (the serve daemon) still runs on warm buffers and a sweep does no
 //! steady-state allocation.
 
-use crate::engine::{Fractions, Simulation, SweepCtx, TopologySnapshot, Workspace};
+use crate::engine::{Fractions, Simulation, SweepCtx, Workspace};
 use crate::propagate::{ImportPolicy, PropagationConfig, UNREACHED};
-use flatnet_asgraph::NodeId;
+use flatnet_asgraph::{AsGraph, NodeId};
 
 /// How one AS routes the contested prefix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -170,25 +170,25 @@ pub(crate) fn fill_leak_import(
 /// compared with a stale victim run or another scenario's: there is
 /// nothing to pass one through.
 #[derive(Debug)]
-pub struct VictimSide<'s> {
+pub struct VictimSide {
     victim: NodeId,
     /// The victim's run, and in its config the leakers' policy.
-    ctx: SweepCtx<'s>,
+    ctx: SweepCtx,
 }
 
-impl<'s> VictimSide<'s> {
-    /// Propagates `victim`'s announcement over `snap`: to the neighbors
+impl VictimSide {
+    /// Propagates `victim`'s announcement over `g`: to the neighbors
     /// in `victim_export` (`None` = all of them), with the ASes of
     /// `locking` deploying peer locking under `semantics`.
     pub fn propagate(
-        snap: &'s TopologySnapshot,
+        g: &AsGraph,
         victim: NodeId,
         victim_export: Option<&[NodeId]>,
         locking: &[NodeId],
         semantics: LockingSemantics,
     ) -> Self {
-        let n = snap.len();
-        let mut ctx = SweepCtx::lend(snap, &PropagationConfig::default());
+        let n = g.len();
+        let mut ctx = Simulation::over(g).ctx();
         let cfg = ctx.config_mut();
         // Under corrected semantics, locking neighbors accept only the
         // direct route. Under the pre-erratum semantics the legitimate
@@ -223,7 +223,7 @@ impl<'s> VictimSide<'s> {
     /// own under the leakers' policy: one per worker thread of a sweep,
     /// each reading the shared side.
     pub fn leakers(&self) -> LeakerSide<'_> {
-        let ctx = SweepCtx::lend(self.ctx.snapshot(), self.ctx.config());
+        let ctx = SweepCtx::lend(self.ctx.snapshot().clone(), self.ctx.config());
         LeakerSide { victim: self, ctx }
     }
 }
@@ -232,8 +232,8 @@ impl<'s> VictimSide<'s> {
 /// against the [`VictimSide`] it was drawn from.
 #[derive(Debug)]
 pub struct LeakerSide<'v> {
-    victim: &'v VictimSide<'v>,
-    ctx: SweepCtx<'v>,
+    victim: &'v VictimSide,
+    ctx: SweepCtx,
 }
 
 impl LeakerSide<'_> {
@@ -271,7 +271,7 @@ impl LeakerSide<'_> {
     /// callers are expected to avoid when sampling misconfigured ASes).
     pub fn run(&mut self, leaker: NodeId) -> LeakOutcome {
         self.propagate(leaker);
-        let n = self.ctx.snapshot().len();
+        let n = self.ctx.graph().len();
         let states = (0..n as u32).map(|i| self.state_of(leaker, NodeId(i))).collect();
         LeakOutcome { victim: self.victim.victim, leaker, states }
     }
@@ -285,34 +285,34 @@ impl LeakerSide<'_> {
     /// `Some(w)` is [`LeakOutcome::weighted_fraction_detoured`].
     pub fn fraction(&mut self, leaker: NodeId, weights: Option<&[f64]>) -> f64 {
         self.propagate(leaker);
-        detour_fraction(self.ctx.snapshot().len(), weights, |t| {
+        detour_fraction(self.ctx.graph().len(), weights, |t| {
             self.state_of(leaker, t) == DetourState::Detoured
         })
     }
 }
 
 impl LeakScenario {
-    /// Propagates this scenario's victim side over `snap` (its `leaker`
+    /// Propagates this scenario's victim side over `g` (its `leaker`
     /// is not read).
-    pub fn victim_side<'s>(&self, snap: &'s TopologySnapshot) -> VictimSide<'s> {
+    pub fn victim_side(&self, g: &AsGraph) -> VictimSide {
         let export = self.victim_export.as_deref();
-        VictimSide::propagate(snap, self.victim, export, &self.locking, self.semantics)
+        VictimSide::propagate(g, self.victim, export, &self.locking, self.semantics)
     }
 }
 
-/// A leak simulator over a compiled topology snapshot for one scenario
-/// at a time: each call is a [`VictimSide`] and one leaker run against
-/// it. Sweeps over many leakers of one scenario hold the victim side
-/// themselves and pay for it once.
+/// A leak simulator over a graph for one scenario at a time: each call
+/// is a [`VictimSide`] and one leaker run against it. Sweeps over many
+/// leakers of one scenario hold the victim side themselves and pay for
+/// it once.
 #[derive(Debug)]
 pub struct LeakSim<'s> {
-    snap: &'s TopologySnapshot,
+    graph: &'s AsGraph,
 }
 
 impl<'s> LeakSim<'s> {
-    /// A simulator over `snap`, on the snapshot's pooled buffers.
-    pub fn new(snap: &'s TopologySnapshot) -> Self {
-        LeakSim { snap }
+    /// A simulator over `g`, on the topology's pooled buffers.
+    pub fn new(g: &'s AsGraph) -> Self {
+        LeakSim { graph: g }
     }
 
     /// Runs one scenario, returning the full per-node outcome.
@@ -320,21 +320,21 @@ impl<'s> LeakSim<'s> {
     /// Panics if `victim == leaker` (a meaningless configuration callers
     /// are expected to avoid when sampling misconfigured ASes).
     pub fn run(&mut self, scenario: &LeakScenario) -> LeakOutcome {
-        scenario.victim_side(self.snap).leakers().run(scenario.leaker)
+        scenario.victim_side(self.graph).leakers().run(scenario.leaker)
     }
 
     /// Runs one scenario and returns only the (optionally weighted) detour
     /// fraction (see [`LeakerSide::fraction`]).
     pub fn fraction(&mut self, scenario: &LeakScenario, weights: Option<&[f64]>) -> f64 {
-        scenario.victim_side(self.snap).leakers().fraction(scenario.leaker, weights)
+        scenario.victim_side(self.graph).leakers().fraction(scenario.leaker, weights)
     }
 
     /// Propagates the scenario's leaker alone, as a sub-prefix hijack
     /// needs: no route competes with a more specific prefix.
-    fn subprefix_side(&self, scenario: &LeakScenario) -> SweepCtx<'s> {
-        let mut ctx = SweepCtx::lend(self.snap, &PropagationConfig::default());
+    fn subprefix_side(&self, scenario: &LeakScenario) -> SweepCtx {
+        let mut ctx = Simulation::over(self.graph).ctx();
         let LeakScenario { victim, leaker, locking, semantics, .. } = scenario;
-        let import = ctx.config_mut().import_mut(self.snap.len());
+        let import = ctx.config_mut().import_mut(self.graph.len());
         fill_leak_import(import, *victim, locking, *semantics);
         assert_ne!(victim, leaker, "victim cannot leak its own prefix");
         ctx.run(*leaker);
@@ -353,7 +353,7 @@ impl<'s> LeakSim<'s> {
     /// drop the sub-prefix entirely, so it cannot spread through them.
     pub fn run_subprefix(&mut self, scenario: &LeakScenario) -> LeakOutcome {
         let side = self.subprefix_side(scenario);
-        let n = self.snap.len();
+        let n = self.graph.len();
         let ws = side.workspace();
         let states = (0..n as u32).map(|i| subprefix_state_of(ws, scenario, NodeId(i))).collect();
         LeakOutcome { victim: scenario.victim, leaker: scenario.leaker, states }
@@ -366,7 +366,7 @@ impl<'s> LeakSim<'s> {
         weights: Option<&[f64]>,
     ) -> f64 {
         let side = self.subprefix_side(scenario);
-        detour_fraction(self.snap.len(), weights, |t| {
+        detour_fraction(self.graph.len(), weights, |t| {
             subprefix_state_of(side.workspace(), scenario, t) == DetourState::Detoured
         })
     }
@@ -434,7 +434,7 @@ fn detour_fraction(
 /// *directly from the origin*, and "the origin" differs per lane — the
 /// kernel's origin-membership words resolve that per bit.
 pub fn subprefix_detour_fractions(
-    snap: &TopologySnapshot,
+    g: &AsGraph,
     victim: NodeId,
     leakers: &[NodeId],
     locking: &[NodeId],
@@ -445,7 +445,7 @@ pub fn subprefix_detour_fractions(
     for &l in leakers {
         assert_ne!(victim, l, "victim cannot leak its own prefix");
     }
-    let n = snap.len();
+    let n = g.len();
     if let Some(w) = weights {
         assert_eq!(w.len(), n, "weights must cover every node");
     }
@@ -454,7 +454,7 @@ pub fn subprefix_detour_fractions(
     // Every AS holding the sub-prefix is detoured; the leaker's own
     // origin bit is set (its traffic terminates locally), and the
     // victim's import policy keeps its bit clear.
-    Simulation::over(snap)
+    Simulation::over(g)
         .config(PropagationConfig::new().with_import(import))
         .threads(threads)
         .sweep(leakers, |_, _| {}, Fractions { weights })
@@ -467,9 +467,9 @@ mod tests {
     use super::*;
     use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, Relationship};
 
-    /// One scenario on a fresh compile of `g`.
+    /// One scenario on a fresh simulator over `g`.
     fn simulate(g: &AsGraph, scenario: &LeakScenario) -> LeakOutcome {
-        LeakSim::new(&TopologySnapshot::compile(g)).run(scenario)
+        LeakSim::new(g).run(scenario)
     }
 
     #[test]
@@ -486,9 +486,7 @@ mod tests {
         let g = b.build();
         let same = simulate(&g, &LeakScenario::simple(node(&g, 10), node(&g, 30)));
         assert_eq!(same.state(node(&g, 40)), DetourState::Legit);
-        let snap = TopologySnapshot::compile(&g);
-        let out = LeakSim::new(&snap)
-            .run_subprefix(&LeakScenario::simple(node(&g, 10), node(&g, 30)));
+        let out = LeakSim::new(&g).run_subprefix(&LeakScenario::simple(node(&g, 10), node(&g, 30)));
         assert_eq!(out.state(node(&g, 1)), DetourState::Detoured);
         assert_eq!(out.state(node(&g, 20)), DetourState::Detoured);
         assert_eq!(out.state(node(&g, 40)), DetourState::Detoured);
@@ -507,8 +505,7 @@ mod tests {
             locking: g.neighbors(victim).map(|(n, _)| n).collect(),
             semantics: LockingSemantics::Corrected,
         };
-        let snap = TopologySnapshot::compile(&g);
-        let out = LeakSim::new(&snap).run_subprefix(&scenario);
+        let out = LeakSim::new(&g).run_subprefix(&scenario);
         // The locking transit drops the sub-prefix: only the leaker
         // itself is detoured.
         assert_eq!(out.detoured_count(), 1);
@@ -554,8 +551,7 @@ mod tests {
     #[test]
     fn leaksim_fraction_matches_full_outcome() {
         let g = topology();
-        let snap = TopologySnapshot::compile(&g);
-        let mut sim = LeakSim::new(&snap);
+        let mut sim = LeakSim::new(&g);
         let scenario = LeakScenario::simple(node(&g, 10), node(&g, 30));
         let out = sim.run(&scenario);
         assert_eq!(sim.fraction(&scenario, None), out.fraction_detoured());
@@ -697,8 +693,7 @@ mod tests {
         // Run a locking scenario, then a plain one on the same LeakSim:
         // the second run must behave exactly like a fresh simulator.
         let g = topology();
-        let snap = TopologySnapshot::compile(&g);
-        let mut sim = LeakSim::new(&snap);
+        let mut sim = LeakSim::new(&g);
         let locked = LeakScenario {
             victim: node(&g, 10),
             leaker: node(&g, 30),
@@ -772,15 +767,14 @@ mod tests {
             (&net.truth, NodeId(0), [NodeId(7), NodeId(150)], wide),
         ];
         for (g, victim, locked, w) in cases {
-            let snap = TopologySnapshot::compile(g);
             let leakers: Vec<NodeId> = g.nodes().filter(|&t| t != victim).collect();
             for semantics in [LockingSemantics::Corrected, LockingSemantics::PreErratum] {
                 for locking in [vec![], locked[..1].to_vec(), locked.to_vec()] {
                     for weights in [None, Some(w.as_slice())] {
                         let batch = subprefix_detour_fractions(
-                            &snap, victim, &leakers, &locking, semantics, weights, 2,
+                            g, victim, &leakers, &locking, semantics, weights, 2,
                         );
-                        let mut sim = LeakSim::new(&snap);
+                        let mut sim = LeakSim::new(g);
                         for (i, &leaker) in leakers.iter().enumerate() {
                             let scenario = LeakScenario {
                                 victim,
@@ -809,9 +803,8 @@ mod tests {
     #[test]
     fn batch_subprefix_empty_inputs() {
         let g = topology();
-        let snap = TopologySnapshot::compile(&g);
         let out = subprefix_detour_fractions(
-            &snap,
+            &g,
             node(&g, 10),
             &[],
             &[],

@@ -26,19 +26,22 @@
 //!   behind hierarchy-free reachability), *origin export restriction*
 //!   (§8's "announce to Tier-1/Tier-2/providers only"), and *import
 //!   policies* (§8's peer locking).
-//! * [`engine`] — the batched propagation engine: a compiled
-//!   [`TopologySnapshot`], reusable [`Workspace`]s, and the
-//!   builder-style [`Simulation`] sweep API every whole-Internet
-//!   experiment runs on, including [`Simulation::sweep`], the one call
-//!   in front of the kernel below, whose [`Keep`] argument picks what is
-//!   read off each block: [`Counts`], [`Words`] or [`Sets`]. The
-//!   snapshot holds no links of its own: it is a handle on the graph,
-//!   whose adjacency is already in the layout the kernels walk, plus a
-//!   who-has-customers bitset and the pooled scratch sized for the
-//!   topology (lane workspaces, the scalar contexts a
-//!   [`SweepCtx`] or leak side checks out, reliance kernels), so
-//!   repeated sweeps over one topology reuse warm buffers whoever runs
-//!   them.
+//! * [`engine`] — the batched propagation engine: reusable
+//!   [`Workspace`]s and the builder-style [`Simulation`] sweep API every
+//!   whole-Internet experiment runs on, including [`Simulation::sweep`],
+//!   the one call in front of the kernel below, whose [`Keep`] argument
+//!   picks what is read off each block: [`Counts`], [`Words`] or
+//!   [`Sets`]. Every entry point takes the [`AsGraph`](flatnet_asgraph::AsGraph)
+//!   itself, whose adjacency is already in the layout the kernels walk,
+//!   and looks up once per call what the graph's block keeps for this
+//!   crate: a who-has-customers bitset and the pooled scratch sized for
+//!   the topology (lane workspaces, the scalar contexts a [`SweepCtx`]
+//!   or leak side checks out, reliance kernels), so repeated sweeps over
+//!   one topology reuse warm buffers whoever runs them;
+//!   [`scratch_bytes`] reports what is idle. That lookup is the
+//!   engine's own view, [`TopologySnapshot`]; outside this crate it is
+//!   only a handle the `benchmark/` package holds, which dereferences to
+//!   the graph.
 //! * [`exclusion`] — the paper's `I \ P_o \ T1 \ T2` rule, spelled once:
 //!   an [`ExclusionPolicy`] and its three renderings (shared tier mask,
 //!   per-lane fill, scalar mask) for every constrained analysis.
@@ -92,7 +95,8 @@ mod scratch;
 pub use collectors::{collect_ribs, visible_links, RibEntry};
 pub use dag::NextHopDag;
 pub use engine::{
-    Counts, Keep, Sets, Simulation, Sweep, SweepCtx, SweepReach, TopologySnapshot, Words, Workspace,
+    scratch_bytes, Counts, Keep, Sets, Simulation, Sweep, SweepCtx, SweepReach, TopologySnapshot,
+    Words, Workspace,
 };
 pub use exclusion::{Exclusion, ExclusionError, ExclusionPolicy};
 pub use lanes::{

@@ -29,7 +29,7 @@
 //! [`PropagationConfig`]: node exclusion (reachability subgraphs), origin
 //! export restriction, and per-node import policies (peer locking).
 //!
-//! Runs go through [`crate::engine`]: `Simulation::over(&snap).run(o)` for
+//! Runs go through [`crate::engine`]: `Simulation::over(&g).run(o)` for
 //! one origin, a [`crate::engine::Workspace`] read in place for many;
 //! their selections and tie sets are held to the test kit's stable-paths
 //! fixpoint (`flatnet_testkit::stable_paths`), which solves the same
@@ -462,12 +462,11 @@ impl RoutingOutcome {
     }
 }
 
-/// One origin on a fresh snapshot: the unit tests' shorthand for
-/// `Simulation::over(&snap).config(cfg).run(origin)`.
+/// One origin: the unit tests' shorthand for
+/// `Simulation::over(g).config(cfg).run(origin)`.
 #[cfg(test)]
 pub(crate) fn propagate(g: &AsGraph, origin: NodeId, cfg: &PropagationConfig) -> RoutingOutcome {
-    let snap = crate::engine::TopologySnapshot::compile(g);
-    crate::engine::Simulation::over(&snap).config(cfg.clone()).run(origin)
+    crate::engine::Simulation::over(g).config(cfg.clone()).run(origin)
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! Two implementations share that recurrence. [`reliance`] scores a
 //! materialized [`NextHopDag`] and is the oracle; [`RelianceWorkspace`]
 //! is the production kernel: it derives the same DAG straight from a
-//! finished [`Workspace`] and its [`TopologySnapshot`] into reused
+//! finished [`Workspace`] and its graph into reused
 //! buffers, visiting nodes and hops in the oracle's order and summing in
 //! the oracle's order, so every score is bit-identical
 //! (`tests/engine_equiv.rs`). Nothing shipped builds a [`NextHopDag`]:
@@ -35,10 +35,10 @@
 //! [`RoutingOutcome::next_hops`]: crate::RoutingOutcome::next_hops
 
 use crate::dag::NextHopDag;
-use crate::engine::{TopologySnapshot, Workspace};
+use crate::engine::Workspace;
 use crate::propagate::{pack, sel_len, PropagationConfig, RouteClass, UNREACHED};
 use crate::scratch::cap_bytes;
-use flatnet_asgraph::NodeId;
+use flatnet_asgraph::{AsGraph, NodeId};
 use flatnet_obs::{Counter, Histogram};
 use std::sync::{Arc, OnceLock};
 
@@ -71,10 +71,10 @@ pub fn reliance(dag: &NextHopDag) -> Vec<f64> {
 
 /// Reusable reliance kernel: scores `rely(origin, ·)` for the run a
 /// [`Workspace`] holds, without building a [`RoutingOutcome`] or a
-/// [`NextHopDag`]. The snapshot pools them for
+/// [`NextHopDag`]. The topology pools them for
 /// [`SweepCtx::run_reliance`](crate::SweepCtx::run_reliance); buffers
 /// are sized on the first [`score`](Self::score) call, resize when the
-/// snapshot's node count changes, and are reused afterwards — a run on a
+/// graph's node count changes, and are reused afterwards — a run on a
 /// warm workspace does not allocate.
 ///
 /// Scores are bit-identical to `reliance(&NextHopDag::build(..))` over
@@ -137,18 +137,13 @@ impl RelianceWorkspace {
         Self::default()
     }
 
-    /// Scores the run `ws` holds — `ws` must have been run over `snap`
+    /// Scores the run `ws` holds — `ws` must have been run over `g`
     /// under `cfg` — and returns the per-node reliance vector, exactly
     /// as [`reliance`] would: `0.0` for unreached nodes, and at the
     /// origin the number of ASes holding routes.
-    pub fn score(
-        &mut self,
-        snap: &TopologySnapshot,
-        ws: &Workspace,
-        cfg: &PropagationConfig,
-    ) -> &[f64] {
-        let n = snap.len();
-        assert_eq!(ws.len(), n, "workspace was not run over this snapshot");
+    pub fn score(&mut self, g: &AsGraph, ws: &Workspace, cfg: &PropagationConfig) -> &[f64] {
+        let n = g.len();
+        assert_eq!(ws.len(), n, "workspace was not run over this graph");
         let obs = metrics();
         obs.runs.inc();
         let started = std::time::Instant::now();
@@ -217,7 +212,7 @@ impl RelianceWorkspace {
         for &v in &self.senders {
             let len = sel_len(sel[v as usize]) + 1;
             let paths = self.counts[v as usize];
-            let (providers, peers) = (snap.providers(v), snap.peers(v));
+            let (providers, peers) = (g.providers(NodeId(v)), g.peers(NodeId(v)));
             hop_checks += (providers.len() + peers.len()) as u64;
             let (customer, peer) = (pack(RouteClass::Customer, len), pack(RouteClass::Peer, len));
             let takers = providers
@@ -260,7 +255,7 @@ impl RelianceWorkspace {
                 self.slot[ui] = first as u32;
             } else {
                 let len = sel_len(sel[ui]);
-                for &NodeId(v) in snap.providers(u) {
+                for &NodeId(v) in g.providers(NodeId(u)) {
                     hop_checks += 1;
                     let sv = sel[v as usize];
                     if sv != UNREACHED
@@ -550,8 +545,7 @@ mod tests {
     #[test]
     fn top_skips_the_origin_of_the_latest_run() {
         let (g, w) = rely_of(&fig5(), 1);
-        let snap = crate::engine::TopologySnapshot::compile(&g);
-        let mut ctx = crate::engine::Simulation::over(&snap).ctx();
+        let mut ctx = crate::engine::Simulation::over(&g).ctx();
         let origin = node(&g, 1);
         let top = ctx.run_reliance(origin).top(3).to_vec();
         let ranked = |asn| (node(&g, asn).0, w[node(&g, asn).idx()]);

@@ -1,7 +1,8 @@
 //! Topology-scoped scratch: every per-run buffer that outlives a request
 //! has one owner, the topology it was sized for — the graph's shared
-//! block, which every [`TopologySnapshot`](crate::engine::TopologySnapshot)
-//! compiled from the graph or a clone of it reaches.
+//! block, which the engine's view
+//! ([`TopologySnapshot`](crate::engine::TopologySnapshot)) of the graph
+//! or of any clone of it reaches.
 //!
 //! The lane kernel's [`LaneWorkspace`]s (one pool per width), the
 //! [`ScalarCtx`]s (a workspace and its config) every
@@ -87,11 +88,26 @@ impl<T> Pool<T> {
     /// Takes an idle item, or builds one with `make` when none is idle;
     /// the guard returns it when dropped.
     pub(crate) fn checkout(&self, make: impl FnOnce() -> T) -> Checkout<'_, T> {
-        let idle = self.lock().pop();
-        Checkout { item: Some(idle.unwrap_or_else(make)), pool: self }
+        Checkout { item: Some(self.take(make)), pool: self }
     }
 
-    fn put(&self, item: T) {
+    /// Takes an idle item, or builds one with `make` when none is idle,
+    /// for a holder that owns the topology's handle and [`Self::put`]s
+    /// the item back itself (a [`SweepCtx`](crate::engine::SweepCtx)).
+    pub(crate) fn take(&self, make: impl FnOnce() -> T) -> T {
+        let idle = self.lock().pop();
+        idle.unwrap_or_else(make)
+    }
+
+    /// Returns `item` as idle — unless the thread is panicking, when the
+    /// item is dropped instead, or the pool already keeps its bound.
+    /// Items reset themselves at the start of their next run, so one
+    /// returned after a caught panic inside a run is still clean to
+    /// reuse.
+    pub(crate) fn put(&self, item: T) {
+        if std::thread::panicking() {
+            return;
+        }
         let mut idle = self.lock();
         if idle.len() < self.bound {
             idle.push(item);
@@ -108,11 +124,8 @@ impl<T> Pool<T> {
     }
 }
 
-/// An item checked out of a [`Pool`]; dereferences to it and returns it
-/// on drop — unless the thread is panicking, when the item is dropped
-/// with it. Items reset themselves at the start of their next run, so
-/// one returned after a caught panic inside a run is still clean to
-/// reuse.
+/// An item checked out of a [`Pool`]; dereferences to it and
+/// [`Pool::put`]s it back on drop.
 #[derive(Debug)]
 pub(crate) struct Checkout<'p, T> {
     item: Option<T>,
@@ -134,7 +147,7 @@ impl<T> DerefMut for Checkout<'_, T> {
 
 impl<T> Drop for Checkout<'_, T> {
     fn drop(&mut self) {
-        if let Some(item) = self.item.take().filter(|_| !std::thread::panicking()) {
+        if let Some(item) = self.item.take() {
             self.pool.put(item);
         }
     }

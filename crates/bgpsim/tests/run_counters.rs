@@ -1,5 +1,5 @@
 //! The scalar engine's work counters describe the engine's own run: they
-//! are a function of (snapshot, origin, config) — not of what the
+//! are a function of (graph, origin, config) — not of what the
 //! workspace ran before — and they count work the run did, so a run that
 //! reaches a corner of the topology is not billed for the rest of it.
 //!
@@ -11,7 +11,7 @@
 //! record into the same `propagate.*` and `reliance.*` counters.
 
 use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, NodeId, Relationship};
-use flatnet_bgpsim::{PropagationConfig, RelianceWorkspace, RouteClass, TopologySnapshot, Workspace};
+use flatnet_bgpsim::{PropagationConfig, RelianceWorkspace, RouteClass, Workspace};
 use std::collections::BTreeMap;
 
 /// A small hierarchy (origin 1 under providers 2 and 3, which peer with
@@ -46,11 +46,11 @@ fn counters_during(work: impl FnOnce()) -> BTreeMap<String, u64> {
 /// The counter deltas of one `ws.run(..)`.
 fn run_counters(
     ws: &mut Workspace,
-    snap: &TopologySnapshot,
+    g: &AsGraph,
     origin: NodeId,
     cfg: &PropagationConfig,
 ) -> BTreeMap<String, u64> {
-    counters_during(|| ws.run(snap, origin, cfg))
+    counters_during(|| ws.run(g, origin, cfg))
 }
 
 /// Origin 1 under hub 2 under hub 3. Each hub peers with 2 000 ASes of
@@ -82,7 +82,6 @@ const EXPORT_CHECKS: [[u64; 4]; 2] = [[17, 14, 11, 29], [12, 12, 9, 29]];
 #[test]
 fn a_runs_counters_are_a_function_of_its_inputs_and_count_its_own_work() {
     let g = graph();
-    let snap = TopologySnapshot::compile(&g);
     let node = |asn| g.index_of(AsId(asn)).expect("AS exists");
     let mut masked = vec![false; g.len()];
     masked[node(3).idx()] = true;
@@ -92,12 +91,12 @@ fn a_runs_counters_are_a_function_of_its_inputs_and_count_its_own_work() {
         for (o, origin) in [node(1), node(9), node(4), node(100)].into_iter().enumerate() {
             // The same run on a used workspace, on the same workspace after
             // a different (deeper or shallower) run, and on a fresh one.
-            let mut used = Workspace::for_snapshot(&snap);
-            let first = run_counters(&mut used, &snap, origin, cfg);
-            used.run(&snap, node(5), cfg);
-            used.run(&snap, node(110), cfg);
-            let second = run_counters(&mut used, &snap, origin, cfg);
-            let fresh = run_counters(&mut Workspace::new(), &snap, origin, cfg);
+            let mut used = Workspace::for_snapshot(&g);
+            let first = run_counters(&mut used, &g, origin, cfg);
+            used.run(&g, node(5), cfg);
+            used.run(&g, node(110), cfg);
+            let second = run_counters(&mut used, &g, origin, cfg);
+            let fresh = run_counters(&mut Workspace::new(), &g, origin, cfg);
             assert_eq!(first, second, "config {c}, origin {origin}: history changed the counters");
             assert_eq!(first, fresh, "config {c}, origin {origin}: a fresh workspace counts differently");
             assert_eq!(first["propagate.runs"], 1);
@@ -127,8 +126,8 @@ fn a_runs_counters_are_a_function_of_its_inputs_and_count_its_own_work() {
     // From the hierarchy the mesh is out of reach, and its 870 peer
     // entries — which a receiver-side scan of every AS would bill to this
     // run — are more than everything the run could have examined.
-    let mut ws = Workspace::for_snapshot(&snap);
-    let counters = run_counters(&mut ws, &snap, node(1), &configs[0]);
+    let mut ws = Workspace::for_snapshot(&g);
+    let counters = run_counters(&mut ws, &g, node(1), &configs[0]);
     assert!(!ws.reachable(node(100)));
     assert_eq!(ws.reachable_count(), 8);
     assert!(counters["propagate.export_checks"] < 870, "{counters:?}");
@@ -146,9 +145,8 @@ fn a_runs_counters_are_a_function_of_its_inputs_and_count_its_own_work() {
         b.add_link(AsId(2), AsId(stub), Relationship::P2c);
     }
     let g = b.build();
-    let snap = TopologySnapshot::compile(&g);
     let origin = g.index_of(AsId(1)).expect("AS exists");
-    let counters = run_counters(&mut ws, &snap, origin, &configs[0]);
+    let counters = run_counters(&mut ws, &g, origin, &configs[0]);
     assert_eq!(ws.reachable_count(), 43);
     assert_eq!(counters["propagate.dijkstra_pops"], 1, "{counters:?}");
     // 1's provider entry, 2's forty-two customers, 3's one.
@@ -160,12 +158,11 @@ fn a_runs_counters_are_a_function_of_its_inputs_and_count_its_own_work() {
     // examined), not off every receiver's own class slice — hub 3's 1 501
     // customers, the 40 000 entries of the peer ring.
     let g = hub_heavy();
-    let snap = TopologySnapshot::compile(&g);
     let origin = g.index_of(AsId(1)).expect("AS exists");
     let mut rely = RelianceWorkspace::new();
     let counters = counters_during(|| {
-        ws.run(&snap, origin, &configs[0]);
-        rely.score(&snap, &ws, &configs[0]);
+        ws.run(&g, origin, &configs[0]);
+        rely.score(&g, &ws, &configs[0]);
     });
     assert_eq!(ws.reachable_count(), g.len() - 1);
     assert_eq!(counters["reliance.runs"], 1);

@@ -18,18 +18,19 @@
 //! (resize, fill, undo) and the switches between them are taken with
 //! stale state to trip over.
 //!
-//! Every step also runs through the snapshot's pooled contexts, which
+//! Every step also runs through the topology's pooled contexts, which
 //! one world's steps and leak competitions under random lockings share:
 //! a [`SweepCtx`](flatnet_bgpsim::SweepCtx) must start with exactly its
 //! caller's policy, however the previous holder left the lent masks, and
-//! a [`VictimSide`] must equal one on a fresh snapshot. And every step
+//! a [`VictimSide`] must equal one on a rebuilt graph, whose pools are
+//! empty. And every step
 //! runs a lane block holding its origin and at least eight others under
 //! the step's policy, each lane's reach set equal to a scalar run.
 
 use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, NodeId, Relationship};
 use flatnet_bgpsim::{
     reliance, ImportPolicy, LaneWidth, LockingSemantics, NextHopDag, PropagationConfig,
-    RelianceWorkspace, Simulation, TopologySnapshot, VictimSide, Words, Workspace,
+    RelianceWorkspace, Simulation, VictimSide, Words, Workspace,
 };
 use flatnet_testkit::{stable_paths, Rules};
 use proptest::prelude::*;
@@ -118,12 +119,11 @@ fn rules_for(step: &Step, k: usize, n: usize, origin: NodeId) -> Rules {
     rules
 }
 
-/// A leak competition on `snap`'s pool with a random victim export and
+/// A leak competition on `g`'s pools with a random victim export and
 /// locking set drawn from `rng`; its outcome must equal the same
-/// competition on a fresh snapshot, whose pools are empty: one of `g`
-/// built again from its edges, since every compile and clone of `g`
-/// itself shares `snap`'s pools.
-fn leak_on_the_pool(snap: &TopologySnapshot, g: &AsGraph, rng: &mut u64, what: &str) {
+/// competition on `g` built again from its edges, whose pools are empty
+/// (every clone of `g` itself shares them).
+fn leak_on_the_pool(g: &AsGraph, rng: &mut u64, what: &str) {
     let n = g.len() as u64;
     let victim = NodeId((next(rng) % n) as u32);
     let leaker = NodeId(((victim.0 as u64 + 1 + next(rng) % (n - 1)) % n) as u32);
@@ -139,14 +139,14 @@ fn leak_on_the_pool(snap: &TopologySnapshot, g: &AsGraph, rng: &mut u64, what: &
         LockingSemantics::Corrected
     };
     let asns = g.asns().map(|a| a.0).collect();
-    let fresh = TopologySnapshot::compile(&AsGraph::from_canonical_edges(asns, g.edges()).unwrap());
-    let run = |snap: &TopologySnapshot| {
-        let side = VictimSide::propagate(snap, victim, export.as_deref(), &locking, semantics);
+    let fresh = AsGraph::from_canonical_edges(asns, g.edges()).unwrap();
+    let run = |g: &AsGraph| {
+        let side = VictimSide::propagate(g, victim, export.as_deref(), &locking, semantics);
         let outcome = side.leakers().run(leaker);
         outcome.states().to_vec()
     };
     prop_assert_eq!(
-        run(snap),
+        run(g),
         run(&fresh),
         "{}: leak {}->{} (locking {:?}, export {:?}, {:?}), pooled vs fresh",
         what, victim, leaker, locking, export, semantics
@@ -168,7 +168,6 @@ proptest! {
         let (mut wide, mut narrow, mut switches) = (0, 0, 0);
         for (w, (g, steps)) in worlds.iter().enumerate() {
             let n = g.len();
-            let snap = TopologySnapshot::compile(g);
             let mut last_was_wide = None;
             for (k, step) in steps.iter().enumerate() {
                 let origin = NodeId(step.origin % n as u32);
@@ -176,11 +175,11 @@ proptest! {
                 let cfg = rules.config();
                 let what = format!("world {w} ({n} ASes) step {k} ({step:?})");
 
-                ws.run(&snap, origin, &cfg);
+                ws.run(g, origin, &cfg);
                 let want = stable_paths(g, origin, &rules);
                 prop_assert_eq!(want.check(g, &cfg, &ws), Ok(()), "{}", what);
 
-                let scores = rely.score(&snap, &ws, &cfg);
+                let scores = rely.score(g, &ws, &cfg);
                 let dag = NextHopDag::build(g, &cfg, &ws);
                 let oracle = reliance(&dag);
                 prop_assert_eq!(scores.len(), oracle.len(), "{}: scores", what);
@@ -196,9 +195,9 @@ proptest! {
                 // holder (a step, a leak side) left in the lent config,
                 // this one runs under `cfg` alone.
                 if step.knobs & 8 != 0 {
-                    leak_on_the_pool(&snap, g, &mut (step.seed ^ 0x5EED), &what);
+                    leak_on_the_pool(g, &mut (step.seed ^ 0x5EED), &what);
                 }
-                let sim = Simulation::over(&snap).config(cfg.clone()).threads(1);
+                let sim = Simulation::over(g).config(cfg.clone()).threads(1);
                 let mut ctx = sim.ctx();
                 prop_assert_eq!(want.check(g, &cfg, ctx.run(origin)), Ok(()), "{}: pooled", what);
                 let pooled = ctx.run_reliance(origin).scores();
@@ -246,11 +245,10 @@ fn graph(links: &[(u32, u32, Relationship)]) -> AsGraph {
 fn workspace_matches_stable_paths_on_every_origin() {
     use Relationship::{P2c, P2p};
     let g = graph(&[(2, 1, P2c), (3, 1, P2c), (4, 2, P2c), (4, 3, P2c), (4, 5, P2p), (5, 6, P2c)]);
-    let snap = TopologySnapshot::compile(&g);
-    let mut ws = Workspace::for_snapshot(&snap);
+    let mut ws = Workspace::for_snapshot(&g);
     let cfg = PropagationConfig::default();
     for origin in g.nodes() {
-        ws.run(&snap, origin, &cfg);
+        ws.run(&g, origin, &cfg);
         let want = stable_paths(&g, origin, &Rules::default());
         assert_eq!(want.check(&g, &cfg, &ws), Ok(()), "origin {origin}");
     }
@@ -279,8 +277,7 @@ fn the_cloud_without_its_transit_matches_stable_paths() {
     let mut rules = Rules { excluded: vec![false; g.len()], ..Rules::default() };
     rules.excluded[node(1).idx()] = true;
     let cfg = rules.config();
-    let snap = TopologySnapshot::compile(&g);
-    let out = Simulation::over(&snap).config(cfg.clone()).run(node(10));
+    let out = Simulation::over(&g).config(cfg.clone()).run(node(10));
     assert_eq!(stable_paths(&g, node(10), &rules).check(&g, &cfg, &out), Ok(()));
     assert_eq!(out.reachable_count(), 6, "peers 2, 3, 40, 50 and customers 20, 30");
 }
@@ -312,7 +309,7 @@ proptest! {
     fn three_phase_equals_fixpoint(g in arb_dense_graph(), seed in 0u32..10) {
         let origin = NodeId(seed % g.len() as u32);
         let cfg = PropagationConfig::default();
-        let out = Simulation::over(&TopologySnapshot::compile(&g)).run(origin);
+        let out = Simulation::over(&g).run(origin);
         let want = stable_paths(&g, origin, &Rules::default());
         prop_assert_eq!(want.check(&g, &cfg, &out), Ok(()), "origin {}", origin);
     }

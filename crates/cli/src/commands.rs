@@ -276,18 +276,16 @@ pub fn infer(args: &[String]) -> Result<(), String> {
         .ok_or("missing required flag --cloud")?;
     // Sniff the format: warts records start with the 0x1205 magic.
     let raw = fs::read(traces_path).map_err(|e| format!("{traces_path}: {e}"))?;
-    let traces = if raw.starts_with(&[0x12, 0x05]) {
-        let (traces, diag) =
-            flatnet_tracesim::warts::parse_warts_with(&raw, &mode).map_err(|e| e.to_string())?;
-        note_diag(traces_path, &diag);
-        traces
+    let (traces, diag) = if raw.starts_with(&[0x12, 0x05]) {
+        flatnet_tracesim::warts::parse_warts_with(&raw, &mode).map_err(|e| e.to_string())
     } else {
-        let (traces, diag) = scamper::parse_traces_with(&raw, &mode)?;
-        note_diag(traces_path, &diag);
-        traces
-    };
+        scamper::parse_traces_with(&raw, &mode)
+    }
+    .map_err(|e| format!("{traces_path}: {e}"))?;
+    note_diag(traces_path, &diag);
     let prefix_bytes = fs::read(prefixes_path).map_err(|e| format!("{prefixes_path}: {e}"))?;
-    let (announced, diag) = AnnouncedDb::parse_with(&prefix_bytes, &mode)?;
+    let (announced, diag) =
+        AnnouncedDb::parse_with(&prefix_bytes, &mode).map_err(|e| format!("{prefixes_path}: {e}"))?;
     note_diag(prefixes_path, &diag);
     let resolver = Resolver::new(PeeringDb::new(), announced, WhoisDb::new());
     let methodology = if opts.switch("initial") {
@@ -406,6 +404,31 @@ mod tests {
         let g = load_graph(path, &ParseOptions::lenient()).unwrap();
         assert_eq!((g.len(), g.edge_count()), (5, 3));
         assert!(g.index_of(AsId(2)).is_some() && g.index_of(AsId(3)).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A reader's error names the file it came from, whichever of
+    /// `--traces` and `--prefixes` is the bad one.
+    #[test]
+    fn infer_errors_name_the_file_that_failed() {
+        let dir = tmpdir("infer-names");
+        let write = |name: &str, text: &str| {
+            let f = dir.join(name);
+            fs::write(&f, text).unwrap();
+            f.to_str().unwrap().to_string()
+        };
+        let header = "trace from AS1/city0 to 1.2.3.4 asn 5 complete\n";
+        let good_traces = write("good-traces.txt", &format!("{header} 1 1.2.3.4 1.000 ms\n"));
+        let bad_traces = write("bad-traces.txt", &format!("{header} x 1.2.3.4\n"));
+        let good_prefixes = write("good-prefixes.txt", "1.2.3.0/24|5\n");
+        let bad_prefixes = write("bad-prefixes.txt", "1.2.3.0/24|5\nnot-a-line\n");
+        let infer_err = |traces: &str, prefixes: &str| {
+            infer(&argv(&["--traces", traces, "--prefixes", prefixes, "--cloud", "1"])).unwrap_err()
+        };
+        let err = infer_err(&bad_traces, &good_prefixes);
+        assert!(err.starts_with(&format!("{bad_traces}: line 2: ")), "{err}");
+        let err = infer_err(&good_traces, &bad_prefixes);
+        assert!(err.starts_with(&format!("{bad_prefixes}: line 2: ")), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

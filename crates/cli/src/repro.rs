@@ -27,10 +27,10 @@ use crate::lab::{Lab, Scale};
 use flatnet_asgraph::astype::{refine, AsType};
 use flatnet_asgraph::AsId;
 use flatnet_core::cone_compare::{cone_vs_hfr, correlation_other, summarize};
-use flatnet_bgpsim::{LockingSemantics, TopologySnapshot};
+use flatnet_bgpsim::LockingSemantics;
 use flatnet_core::leaks::{
-    average_resilience_cdf_on, leak_cdf, leak_cdf_on, subprefix_hijack_cdf, Announce, LeakCdf,
-    Locking,
+    average_resilience_cdf, leak_cdf, leak_cdf_with_semantics, subprefix_hijack_cdf, Announce,
+    LeakCdf, Locking,
 };
 use flatnet_core::path_validation::validate_paths;
 use flatnet_core::pathlen::path_length_profile;
@@ -486,16 +486,10 @@ fn leak_configs() -> [(&'static str, Announce, Locking); 5] {
     ]
 }
 
-/// One victim's leak figure over `snap`, the caller's compile of the 2020
-/// graph: every announce × lock configuration and the average-resilience
-/// baseline run on it.
-fn leak_figure(
-    lab: &Lab,
-    snap: &TopologySnapshot,
-    victim: AsId,
-    weights: Option<&[f64]>,
-    label: &str,
-) {
+/// One victim's leak figure over the 2020 graph: every announce × lock
+/// configuration and the average-resilience baseline, all on the
+/// topology's pooled buffers.
+fn leak_figure(lab: &Lab, victim: AsId, weights: Option<&[f64]>, label: &str) {
     let g = lab.graph2020();
     let tiers = lab.tiers2020();
     let (n_leakers, n_avg, seed) = (lab.scale.n_leakers, lab.scale.n_avg, lab.scale.seed);
@@ -504,12 +498,12 @@ fn leak_figure(
     for (name, a, l) in leak_configs() {
         let corrected = LockingSemantics::Corrected;
         if let Some(cdf) =
-            leak_cdf_on(snap, g, &tiers, victim, a, l, corrected, n_leakers, seed, weights)
+            leak_cdf_with_semantics(g, &tiers, victim, a, l, corrected, n_leakers, seed, weights)
         {
             print_leak_line(name, &cdf);
         }
     }
-    let avg = average_resilience_cdf_on(snap, g, n_avg, n_avg, seed, weights);
+    let avg = average_resilience_cdf(g, n_avg, n_avg, seed, weights);
     print_leak_line("average resilience", &avg);
 }
 
@@ -527,7 +521,6 @@ fn print_leak_line(name: &str, cdf: &LeakCdf) {
 /// Fig. 7a-d: Microsoft, Amazon, IBM, Facebook.
 fn fig7(lab: &Lab) {
     println!("## Fig. 7 — route-leak resilience: Microsoft / Amazon / IBM / Facebook\n");
-    let snap = TopologySnapshot::compile(lab.graph2020());
     for name in ["Microsoft", "Amazon", "IBM", "Facebook"] {
         let asn = lab
             .net2020()
@@ -536,7 +529,7 @@ fn fig7(lab: &Lab) {
             .find(|c| c.spec.name == name)
             .map(|c| c.asn)
             .expect("provider exists");
-        leak_figure(lab, &snap, asn, None, "% of ASes detoured");
+        leak_figure(lab, asn, None, "% of ASes detoured");
         println!();
     }
 }
@@ -545,8 +538,7 @@ fn fig7(lab: &Lab) {
 fn fig8(lab: &Lab) {
     println!("## Fig. 8 — route-leak resilience: Google\n");
     let google = lab.net2020().clouds[0].asn;
-    let snap = TopologySnapshot::compile(lab.graph2020());
-    leak_figure(lab, &snap, google, None, "% of ASes detoured");
+    leak_figure(lab, google, None, "% of ASes detoured");
     println!("\nextension — more-specific (sub-prefix) hijacks, where LPM always prefers the hijacker:");
     let g = lab.graph2020();
     let tiers = lab.tiers2020();
@@ -563,9 +555,8 @@ fn fig8(lab: &Lab) {
 fn fig9(lab: &Lab) {
     println!("## Fig. 9 — route-leak resilience: Google, weighted by user population\n");
     let weights = lab.user_weights_2020();
-    let snap = TopologySnapshot::compile(lab.graph2020());
     let google = lab.net2020().clouds[0].asn;
-    leak_figure(lab, &snap, google, Some(&weights), "% of users detoured");
+    leak_figure(lab, google, Some(&weights), "% of users detoured");
 }
 
 /// Fig. 10: Google 2015 vs 2020.
@@ -852,14 +843,12 @@ fn erratum(lab: &Lab) {
     let g = lab.graph2020();
     let tiers = lab.tiers2020();
     let google = lab.net2020().clouds[0].asn;
-    let snap = TopologySnapshot::compile(g);
     for locking in [Locking::Tier1, Locking::Tier12, Locking::Global] {
         for (label, semantics) in [
             ("pre-erratum", LockingSemantics::PreErratum),
             ("corrected  ", LockingSemantics::Corrected),
         ] {
-            if let Some(cdf) = leak_cdf_on(
-                &snap,
+            if let Some(cdf) = leak_cdf_with_semantics(
                 g,
                 &tiers,
                 google,

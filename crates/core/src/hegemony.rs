@@ -12,7 +12,7 @@
 //! monitored prefixes.
 
 use flatnet_asgraph::{AsGraph, NodeId};
-use flatnet_bgpsim::{Simulation, SweepCtx, TopologySnapshot};
+use flatnet_bgpsim::{Simulation, SweepCtx};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 /// trivially lies on every path toward itself; hegemony measures *other*
 /// networks' dependence on it, as in Fontugne et al.). Unreachable ASes
 /// score 0.
-fn hegemony_of(ctx: &mut SweepCtx<'_>, origin: NodeId) -> Vec<f64> {
+fn hegemony_of(ctx: &mut SweepCtx, origin: NodeId) -> Vec<f64> {
     let scored = ctx.run_reliance(origin);
     let receivers = scored.receivers().max(1) as f64;
     let mut h: Vec<f64> = scored.scores().iter().map(|w| w / receivers).collect();
@@ -48,8 +48,7 @@ pub fn global_hegemony(g: &AsGraph, sample_size: usize, seed: u64) -> Vec<f64> {
     if origins.is_empty() {
         return vec![0.0; g.len()];
     }
-    let snap = TopologySnapshot::compile(g);
-    let per_origin = Simulation::over(&snap).run_sweep_map(&origins, hegemony_of);
+    let per_origin = Simulation::over(g).run_sweep_map(&origins, hegemony_of);
     let mut acc = vec![0.0f64; g.len()];
     for h in &per_origin {
         for (a, v) in acc.iter_mut().zip(h) {
@@ -69,8 +68,7 @@ mod tests {
     use flatnet_asgraph::{AsGraphBuilder, AsId, Relationship};
 
     fn hegemony_for_origin(g: &AsGraph, origin: NodeId) -> Vec<f64> {
-        let snap = TopologySnapshot::compile(g);
-        let mut ctx = Simulation::over(&snap).ctx();
+        let mut ctx = Simulation::over(g).ctx();
         hegemony_of(&mut ctx, origin)
     }
 

@@ -6,7 +6,7 @@
 
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
 use flatnet_bgpsim::parallel::parallel_map_ctx;
-use flatnet_bgpsim::{subprefix_detour_fractions, LockingSemantics, TopologySnapshot, VictimSide};
+use flatnet_bgpsim::{subprefix_detour_fractions, LockingSemantics, VictimSide};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -176,8 +176,9 @@ fn victim_export_for(
 /// random misconfigured ASes. Set `user_weights` to weight detoured ASes
 /// by estimated users (Fig. 9) instead of counting ASes (Figs. 7/8/10).
 ///
-/// Compiles `g` for the call; a caller with several configurations or
-/// victims on one topology compiles once and uses [`leak_cdf_on`].
+/// The victim side and the leaker sides run on `g`'s pooled buffers, so
+/// repeated queries against one topology (the figures' announce × lock
+/// loops, the serve daemon) allocate nothing topology-sized once warm.
 #[allow(clippy::too_many_arguments)] // mirrors the paper's experiment knobs
 pub fn leak_cdf(
     g: &AsGraph,
@@ -217,38 +218,13 @@ pub fn leak_cdf_with_semantics(
     seed: u64,
     user_weights: Option<&[f64]>,
 ) -> Option<LeakCdf> {
-    let snap = TopologySnapshot::compile(g);
-    leak_cdf_on(&snap, g, tiers, victim, announce, locking, semantics, n_leakers, seed, user_weights)
-}
-
-/// [`leak_cdf_with_semantics`] on a snapshot the caller already compiled
-/// from `g` — the form for repeated queries against one topology (the
-/// figures' announce × lock loops, the serve daemon): nothing is
-/// compiled, and the simulators run on the snapshot's pooled buffers.
-/// Bit-identical to the compiling forms.
-///
-/// Panics if `snap` does not cover `g`'s nodes.
-#[allow(clippy::too_many_arguments)]
-pub fn leak_cdf_on(
-    snap: &TopologySnapshot,
-    g: &AsGraph,
-    tiers: &Tiers,
-    victim: AsId,
-    announce: Announce,
-    locking: Locking,
-    semantics: LockingSemantics,
-    n_leakers: usize,
-    seed: u64,
-    user_weights: Option<&[f64]>,
-) -> Option<LeakCdf> {
-    assert_eq!(snap.len(), g.len(), "snapshot was not compiled from this graph");
     let v = g.index_of(victim)?;
     let leakers = sample_leakers(g, Some(v), n_leakers, seed);
     // Everything but the leaker is the same for the whole CDF: the victim
     // side is propagated once, here, and the workers only read it.
     let export = victim_export_for(g, tiers, v, announce);
     let locking_set = locking_set_for(g, tiers, v, locking);
-    let victim = VictimSide::propagate(snap, v, export.as_deref(), &locking_set, semantics);
+    let victim = VictimSide::propagate(g, v, export.as_deref(), &locking_set, semantics);
     let mut fractions = parallel_map_ctx(
         &leakers,
         0,
@@ -274,14 +250,13 @@ pub fn subprefix_hijack_cdf(
 ) -> Option<LeakCdf> {
     let v = g.index_of(victim)?;
     let leakers = sample_leakers(g, Some(v), n_leakers, seed);
-    let snap = TopologySnapshot::compile(g);
     // The hijacker's more-specific prefix wins regardless of the victim's
     // announcements, and the locking set is leaker-independent — so all
     // leakers batch through the bit-parallel kernel, 64, 128 or 256 per
     // block (`LaneWidth::Auto`).
     let locking_set = locking_set_for(g, tiers, v, locking);
     let mut fractions = subprefix_detour_fractions(
-        &snap,
+        g,
         v,
         &leakers,
         &locking_set,
@@ -303,21 +278,6 @@ pub fn average_resilience_cdf(
     seed: u64,
     user_weights: Option<&[f64]>,
 ) -> LeakCdf {
-    let snap = TopologySnapshot::compile(g);
-    average_resilience_cdf_on(&snap, g, n_leakers, n_victims, seed, user_weights)
-}
-
-/// [`average_resilience_cdf`] on a snapshot the caller already compiled
-/// from `g` (see [`leak_cdf_on`]).
-pub fn average_resilience_cdf_on(
-    snap: &TopologySnapshot,
-    g: &AsGraph,
-    n_leakers: usize,
-    n_victims: usize,
-    seed: u64,
-    user_weights: Option<&[f64]>,
-) -> LeakCdf {
-    assert_eq!(snap.len(), g.len(), "snapshot was not compiled from this graph");
     let leakers = sample_leakers(g, None, n_leakers, seed);
     // Each (victim, leaker) pair is its own plain scenario: the victim
     // announces to all, nobody locks, and its side serves one leaker.
@@ -332,7 +292,7 @@ pub fn average_resilience_cdf_on(
             }
             let mut acc = 0.0;
             for &v in &victims {
-                let side = VictimSide::propagate(snap, v, None, &[], LockingSemantics::Corrected);
+                let side = VictimSide::propagate(g, v, None, &[], LockingSemantics::Corrected);
                 acc += side.leakers().fraction(m, user_weights);
             }
             acc / victims.len() as f64
@@ -346,11 +306,11 @@ pub fn average_resilience_cdf_on(
 mod tests {
     use super::*;
     use flatnet_asgraph::{AsGraphBuilder, Relationship};
-    use flatnet_bgpsim::{LeakScenario, LeakSim};
+    use flatnet_bgpsim::{DetourState, LeakScenario, LeakSim};
 
     /// `g` built again from its canonical edges: the same graph as
-    /// another topology, so a compiling form run on it starts with empty
-    /// scratch pools rather than the ones every compile of `g` shares.
+    /// another topology, so a CDF run on it starts with empty scratch
+    /// pools rather than the ones every clone of `g` shares.
     fn rebuilt(g: &AsGraph) -> AsGraph {
         AsGraph::from_canonical_edges(g.asns().map(|a| a.0).collect(), g.edges())
             .expect("a graph's own edges are canonical")
@@ -494,8 +454,7 @@ mod tests {
                     subprefix_hijack_cdf(&g, &tiers, AsId(10), locking, 8, 5, weights).unwrap();
                 let v = g.index_of(AsId(10)).unwrap();
                 let leakers = sample_leakers(&g, Some(v), 8, 5);
-                let snap = TopologySnapshot::compile(&g);
-                let mut sim = LeakSim::new(&snap);
+                let mut sim = LeakSim::new(&g);
                 let mut expect: Vec<f64> = leakers
                     .iter()
                     .map(|&m| {
@@ -517,90 +476,122 @@ mod tests {
         }
     }
 
-    /// The victim-once CDF (`leak_cdf_on`: one victim side per CDF, shared
-    /// by its workers) equals a per-leaker [`LeakSim::fraction`] over full
-    /// scenarios bit for bit, and so do the compiling forms, over the
-    /// differential corpus (`tests/engine_equiv.rs`' 52 topologies) ×
-    /// every locking × both announcements × both semantics, weighted and
-    /// unweighted — with ONE snapshot per topology, so each configuration
-    /// runs on sides the previous one left its policies in, and each
-    /// compiling form on a rebuilt graph, whose pools start empty. Ties are in:
-    /// the generated topologies are full of equal-length competing routes,
-    /// and the worst-case tie rule is part of what must match. The
-    /// average-resilience CDF, a fresh victim side per (victim, leaker)
-    /// pair, equals [`LeakSim::fraction`] of the pair's plain scenario.
+    /// §8's detour share of one leak, read off the test kit's fixpoint
+    /// states: the detoured count over all ASes, or with `weights` the
+    /// detoured mass over the total, summed in ascending node order (as
+    /// the simulator sums it; zero for a zero total).
+    fn fixpoint_fraction(states: &[DetourState], weights: Option<&[f64]>) -> f64 {
+        let hit = states.iter().enumerate().filter(|(_, &s)| s == DetourState::Detoured);
+        match weights {
+            None => hit.count() as f64 / states.len() as f64,
+            Some(w) => {
+                let total: f64 = w.iter().sum();
+                if total == 0.0 {
+                    return 0.0;
+                }
+                hit.map(|(i, _)| w[i]).sum::<f64>() / total
+            }
+        }
+    }
+
+    /// Every leak CDF equals the one read off the test kit's
+    /// stable-paths fixpoint ([`leak_states`]) bit for bit, and so does a
+    /// per-scenario [`LeakSim`], over the differential corpus
+    /// (`tests/engine_equiv.rs`' 52 topologies) × every locking × both
+    /// announcements × both semantics, weighted and unweighted. Each
+    /// configuration runs twice: on `g`, whose pools are warm from the
+    /// previous configuration — sides that held its policies — and on
+    /// `g` rebuilt from its edges, whose pools start empty; the two agree
+    /// bit for bit. Ties are in: the generated topologies are full of
+    /// equal-length competing routes, and the worst-case tie rule is part
+    /// of what must match. The average-resilience CDF, a fresh victim
+    /// side per (victim, leaker) pair, is held to the same three
+    /// references.
     ///
     /// A victim side built for scenario A cannot be asked about scenario
     /// B: that does not compile. A leaker run takes a leaker and nothing
     /// else, and the side owns its run and its leakers' policy, with no
     /// `&mut` method to change either.
     #[test]
-    fn compiled_snapshot_forms_match_the_compiling_forms_bit_for_bit() {
+    fn leak_cdfs_match_the_fixpoint_on_warm_and_fresh_pools() {
         use flatnet_netgen::{generate, NetGenConfig};
-        let bits = |cdf: &LeakCdf| cdf.fractions.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        use flatnet_testkit::leak_states;
+        let bits = |fractions: &[f64]| fractions.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let sorted = |mut fractions: Vec<f64>| {
+            fractions.sort_by(f64::total_cmp);
+            bits(&fractions)
+        };
         for seed in 0..52u64 {
             let mut cfg = NetGenConfig::tiny(seed);
             cfg.n_ases = 120 + (seed as usize % 4) * 10;
             let net = generate(&cfg);
-            let (g, tiers) = (&net.truth, net.tiers_for(&net.truth));
+            let tiers = net.tiers_for(&net.truth);
+            let (g, tiers) = (&net.truth, &tiers);
             let victim = net.clouds[seed as usize % net.clouds.len()].asn;
             let v = g.index_of(victim).expect("victim exists");
             let user_weights = net.user_weights();
-            let snap = TopologySnapshot::compile(g);
-            let mut sim = LeakSim::new(&snap);
+            let leakers = sample_leakers(g, Some(v), 12, seed);
+            let mut sim = LeakSim::new(g);
             for locking in [Locking::None, Locking::Tier1, Locking::Tier12, Locking::Global] {
                 for announce in [Announce::ToAll, Announce::ToTier12AndProviders] {
                     for semantics in [LockingSemantics::Corrected, LockingSemantics::PreErratum] {
+                        let export = victim_export_for(g, tiers, v, announce);
+                        let locking_set = locking_set_for(g, tiers, v, locking);
+                        let states: Vec<Vec<DetourState>> = leakers
+                            .iter()
+                            .map(|&m| leak_states(g, v, m, export.as_deref(), &locking_set, semantics))
+                            .collect();
                         for weights in [None, Some(user_weights.as_slice())] {
                             let what = format!(
                                 "seed {seed} {locking:?} {announce:?} {semantics:?} weighted={}",
                                 weights.is_some()
                             );
-                            let got = leak_cdf_on(
-                                &snap, g, &tiers, victim, announce, locking, semantics, 12, seed,
-                                weights,
-                            )
-                            .expect("victim exists");
-                            assert_eq!(got.fractions.len(), 12);
-                            let mut want: Vec<f64> = sample_leakers(g, Some(v), 12, seed)
-                                .into_iter()
-                                .map(|m| {
-                                    let sc =
-                                        scenario_for(g, &tiers, v, m, announce, locking, semantics);
+                            let cdf = |g: &AsGraph| {
+                                leak_cdf_with_semantics(
+                                    g, tiers, victim, announce, locking, semantics, 12, seed, weights,
+                                )
+                                .expect("victim exists")
+                                .fractions
+                            };
+                            let warm = cdf(g);
+                            assert_eq!(warm.len(), 12);
+                            let fixpoint = states.iter().map(|s| fixpoint_fraction(s, weights)).collect();
+                            assert_eq!(bits(&warm), sorted(fixpoint), "{what} (warm pools vs fixpoint)");
+                            assert_eq!(bits(&warm), bits(&cdf(&rebuilt(g))), "{what} (warm vs fresh pools)");
+                            let simulated = leakers
+                                .iter()
+                                .map(|&m| {
+                                    let sc = scenario_for(g, tiers, v, m, announce, locking, semantics);
                                     sim.fraction(&sc, weights)
                                 })
                                 .collect();
-                            want.sort_by(f64::total_cmp);
-                            assert_eq!(bits(&got), bits(&LeakCdf { fractions: want }), "{what}");
-                            let compiling = leak_cdf_with_semantics(
-                                &rebuilt(g), &tiers, victim, announce, locking, semantics, 12, seed, weights,
-                            )
-                            .expect("victim exists");
-                            assert_eq!(bits(&got), bits(&compiling), "{what} (compiling form)");
+                            assert_eq!(bits(&warm), sorted(simulated), "{what} (warm pools vs LeakSim)");
                         }
                     }
                 }
             }
-            let want = average_resilience_cdf(&rebuilt(g), 6, 4, seed, None);
-            let got = average_resilience_cdf_on(&snap, g, 6, 4, seed, None);
-            assert_eq!(bits(&got), bits(&want), "seed {seed} average resilience");
             for weights in [None, Some(user_weights.as_slice())] {
-                let mut want: Vec<f64> = sample_leakers(g, None, 6, seed)
-                    .into_iter()
-                    .map(|m| {
+                let what = format!("seed {seed} average resilience weighted={}", weights.is_some());
+                let warm = average_resilience_cdf(g, 6, 4, seed, weights).fractions;
+                let fresh = average_resilience_cdf(&rebuilt(g), 6, 4, seed, weights).fractions;
+                assert_eq!(bits(&warm), bits(&fresh), "{what} (warm vs fresh pools)");
+                let mean_of = |fraction: &mut dyn FnMut(NodeId, NodeId) -> f64| {
+                    let means = sample_leakers(g, None, 6, seed).into_iter().map(|m| {
                         let victims = sample_leakers(g, Some(m), 4, seed ^ m.0 as u64 ^ 0xF00D);
-                        let total = victims.iter().fold(0.0, |acc, &v| {
-                            acc + sim.fraction(&LeakScenario::simple(v, m), weights)
-                        });
+                        let total = victims.iter().fold(0.0, |acc, &v| acc + fraction(v, m));
                         if victims.is_empty() { 0.0 } else { total / victims.len() as f64 }
-                    })
-                    .collect();
-                want.sort_by(f64::total_cmp);
-                let got = average_resilience_cdf_on(&snap, g, 6, 4, seed, weights);
-                let what = format!("seed {seed} average resilience vs LeakSim");
-                assert_eq!(bits(&got), bits(&LeakCdf { fractions: want }), "{what}");
+                    });
+                    sorted(means.collect())
+                };
+                let fixpoint = mean_of(&mut |v, m| {
+                    let states = leak_states(g, v, m, None, &[], LockingSemantics::Corrected);
+                    fixpoint_fraction(&states, weights)
+                });
+                assert_eq!(bits(&warm), fixpoint, "{what} (warm pools vs fixpoint)");
+                let simulated = mean_of(&mut |v, m| sim.fraction(&LeakScenario::simple(v, m), weights));
+                assert_eq!(bits(&warm), simulated, "{what} (warm pools vs LeakSim)");
             }
-            assert!(snap.scratch_bytes() > 0, "the simulators' buffers stayed with the snapshot");
+            assert!(flatnet_bgpsim::scratch_bytes(g) > 0, "the simulators' buffers stayed with the topology");
         }
     }
 

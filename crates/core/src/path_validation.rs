@@ -6,7 +6,7 @@
 //! paper reports 73.3% (Amazon) to 91.9% (Google) agreement.
 
 use flatnet_asgraph::{AsGraph, AsId, NodeId};
-use flatnet_bgpsim::{PropagationConfig, TopologySnapshot, Workspace};
+use flatnet_bgpsim::{PropagationConfig, Simulation};
 use flatnet_prefixdb::{ResolutionOrder, Resolver};
 use flatnet_tracesim::{traceroute_as_path, Campaign};
 use std::collections::BTreeMap;
@@ -46,15 +46,14 @@ pub fn validate_paths(
     let mut per_cloud: BTreeMap<u32, PathAgreement> =
         clouds.iter().map(|c| (c.0, PathAgreement { scored: 0, matching: 0 })).collect();
     let cfg = PropagationConfig::default();
-    let snap = TopologySnapshot::compile(g);
-    let mut ws = Workspace::for_snapshot(&snap);
+    let mut ctx = Simulation::over(g).ctx();
     let traces = &campaign.traces;
     let mut order: Vec<usize> = (0..traces.len()).collect();
     order.sort_by_key(|&i| traces[i].dst_asn);
 
     for group in order.chunk_by(|&a, &b| traces[a].dst_asn == traces[b].dst_asn) {
         let Some(d) = g.index_of(traces[group[0]].dst_asn) else { continue };
-        ws.run(&snap, d, &cfg);
+        let ws = ctx.run(d);
         for t in group.iter().map(|&i| &traces[i]) {
             let Some(stats) = per_cloud.get_mut(&t.vp.cloud.0) else { continue };
             let Some(as_path) = traceroute_as_path(t, resolver, ResolutionOrder::PeeringDbFirst)

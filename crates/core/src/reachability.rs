@@ -3,7 +3,7 @@
 
 use crate::error::FlatnetError;
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
-use flatnet_bgpsim::{Counts, Exclusion, ExclusionPolicy, Simulation, TopologySnapshot};
+use flatnet_bgpsim::{Counts, Exclusion, ExclusionPolicy, Simulation};
 use flatnet_obs::PhaseTimer;
 
 /// The three reachability levels of one origin (Fig. 2's stacked bars).
@@ -47,13 +47,12 @@ impl ReachabilityResult {
 fn counts_under(
     g: &AsGraph,
     tiers: &Tiers,
-    snap: &TopologySnapshot,
     sweep: &[NodeId],
     policy: ExclusionPolicy,
     threads: usize,
 ) -> Result<Vec<u32>, FlatnetError> {
     let excl = Exclusion::new(g, tiers, policy)?;
-    let swept = Simulation::over(snap)
+    let swept = Simulation::over(g)
         .threads(threads)
         .config(excl.shared_config())
         .sweep(sweep, |o, ex| excl.fill_lane(o, ex), Counts)?;
@@ -86,11 +85,10 @@ pub fn try_reachability_profile_t(
             .filter_map(|&a| g.index_of(a).map(|n| (a, n)))
             .collect();
         let sweep: Vec<NodeId> = nodes.iter().map(|&(_, n)| n).collect();
-        let snap = TopologySnapshot::compile(g);
         // One bit-parallel counts sweep per constraint level; the kernel
         // packs up to 256 origins per block, so this is three passes
         // instead of 3·|origins|.
-        let level = |policy| counts_under(g, tiers, &snap, &sweep, policy, threads);
+        let level = |policy| counts_under(g, tiers, &sweep, policy, threads);
         let pf = level(ExclusionPolicy::PROVIDER_FREE)?;
         let t1 = level(ExclusionPolicy::TIER1_FREE)?;
         let hf = level(ExclusionPolicy::HIERARCHY_FREE)?;
@@ -131,8 +129,7 @@ pub fn try_hierarchy_free_all_t(
 ) -> Result<Vec<u32>, FlatnetError> {
     PhaseTimer::PIPELINE.time("propagate", || {
         let nodes: Vec<NodeId> = g.nodes().collect();
-        let snap = TopologySnapshot::compile(g);
-        counts_under(g, tiers, &snap, &nodes, ExclusionPolicy::HIERARCHY_FREE, threads)
+        counts_under(g, tiers, &nodes, ExclusionPolicy::HIERARCHY_FREE, threads)
     })
 }
 
@@ -177,7 +174,7 @@ mod tests {
     /// one origin through the per-origin engine. Kept as the reference the
     /// bit-parallel sweep must agree with.
     fn scalar_reach(
-        ctx: &mut SweepCtx<'_>,
+        ctx: &mut SweepCtx,
         g: &AsGraph,
         origin: NodeId,
         tiers: Option<&Tiers>,
@@ -206,8 +203,7 @@ mod tests {
         let nodes: Vec<(AsId, NodeId)> =
             origins.iter().filter_map(|&a| g.index_of(a).map(|n| (a, n))).collect();
         let sweep: Vec<NodeId> = nodes.iter().map(|&(_, n)| n).collect();
-        let snap = TopologySnapshot::compile(g);
-        Simulation::over(&snap).run_sweep_map(&sweep, |ctx, n| ReachabilityResult {
+        Simulation::over(g).run_sweep_map(&sweep, |ctx, n| ReachabilityResult {
             asn: g.asn(n),
             provider_free: scalar_reach(ctx, g, n, None, false),
             tier1_free: scalar_reach(ctx, g, n, Some(tiers), false),

@@ -1,7 +1,7 @@
 //! Reachability reliance experiments (§7, Table 2, Figure 6, Appendix B).
 
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
-use flatnet_bgpsim::{Exclusion, ExclusionPolicy, Simulation, TopologySnapshot};
+use flatnet_bgpsim::{Exclusion, ExclusionPolicy, Simulation};
 
 /// One AS's reliance value from an origin's perspective.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,8 +73,7 @@ fn reliance_excluding(
 ) -> Option<RelianceProfile> {
     let o = g.index_of(origin)?;
     let mask = scalar_mask(g, tiers, o, policy);
-    let snap = TopologySnapshot::compile(g);
-    let mut ctx = Simulation::over(&snap).excluded(mask).ctx();
+    let mut ctx = Simulation::over(g).excluded(mask).ctx();
     let scored = ctx.run_reliance(o);
     let w = scored.scores();
     let mut entries: Vec<RelianceEntry> = g
@@ -105,8 +104,7 @@ pub fn tier1_free_reach_also_excluding(
             }
         }
     }
-    let snap = TopologySnapshot::compile(g);
-    Some(Simulation::over(&snap).excluded(mask).run(o).reachable_count())
+    Some(Simulation::over(g).excluded(mask).run(o).reachable_count())
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 
 use flatnet_asgraph::astype::AsType;
 use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
-use flatnet_bgpsim::{Exclusion, ExclusionPolicy, Simulation, TopologySnapshot, Words};
+use flatnet_bgpsim::{Exclusion, ExclusionPolicy, Simulation, Words};
 
 /// Fig. 4: one provider's unreachable-AS breakdown.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,10 +59,9 @@ pub fn unreachable_breakdowns(
         .filter_map(|(slot, &a)| g.index_of(a).map(|n| (slot, a, n)))
         .collect();
     let sweep: Vec<NodeId> = known.iter().map(|&(_, _, n)| n).collect();
-    let snap = TopologySnapshot::compile(g);
     let excl = Exclusion::new(g, tiers, ExclusionPolicy::HIERARCHY_FREE)
         .unwrap_or_else(|e| panic!("{e}"));
-    let reach = Simulation::over(&snap)
+    let reach = Simulation::over(g)
         .threads(threads)
         .config(excl.shared_config())
         .sweep(&sweep, |o, ex| excl.fill_lane(o, ex), Words)
@@ -128,7 +127,7 @@ mod tests {
     /// for every origin (including `None` slots for unknowns).
     #[test]
     fn batch_matches_scalar_propagate() {
-        use flatnet_bgpsim::{Simulation, TopologySnapshot};
+        use flatnet_bgpsim::Simulation;
         let mut b = AsGraphBuilder::new();
         b.add_link(AsId(1), AsId(10), Relationship::P2c);
         b.add_link(AsId(1), AsId(2), Relationship::P2p);
@@ -139,7 +138,6 @@ mod tests {
         let g = b.build();
         let tiers = Tiers::from_lists(&g, &[AsId(1), AsId(2)], &[AsId(3)]);
         let type_of = |n: NodeId| AsType::ALL[n.idx() % 4];
-        let snap = TopologySnapshot::compile(&g);
 
         let mut origins: Vec<AsId> = g.asns().collect();
         origins.push(AsId(777)); // unknown
@@ -160,7 +158,7 @@ mod tests {
                 mask[n.idx()] = true;
             }
             mask[o.idx()] = false;
-            let out = Simulation::over(&snap).excluded(mask.clone()).run(o);
+            let out = Simulation::over(&g).excluded(mask.clone()).run(o);
             let mut by_type = [0usize; 4];
             let mut total = 0usize;
             for n in g.nodes() {

@@ -7,7 +7,7 @@
 //! reliance kernel and its ranking buffer, the lane workspaces of an
 //! `origins=` batch, the leak simulators' contexts of
 //! `/v1/whatif/leak` — is checked out of the pools on the snapshot's
-//! compiled topology (DESIGN.md § Scratch ownership) for the request and
+//! graph (DESIGN.md § Scratch ownership) for the request and
 //! returned after it, so a steady-state miss of any kind allocates its
 //! answer and its response and nothing else, `scratch_bytes` counts all
 //! of it, and a hot-reload frees the old snapshot's scratch with it.
@@ -40,7 +40,7 @@ use flatnet_asgraph::{AsId, NodeId};
 use flatnet_bgpsim::{
     Exclusion, ExclusionPolicy, LaneWidth, LockingSemantics, ReachForm, ReachSet, Sets, Simulation,
 };
-use flatnet_core::leaks::{leak_cdf_on, Announce, Locking};
+use flatnet_core::leaks::{leak_cdf_with_semantics, Announce, Locking};
 use flatnet_obs::trace::{Stage, TraceCtx};
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
@@ -185,7 +185,7 @@ impl Shared {
     /// Reads the current snapshot's pooled scratch (every buffer a solve
     /// computes on, at capacity) into the `serve.scratch_bytes` gauge.
     fn refresh_scratch_bytes(&self) -> usize {
-        let bytes = self.mgr.current().topo.scratch_bytes();
+        let bytes = flatnet_bgpsim::scratch_bytes(&self.mgr.current().graph);
         self.scratch_bytes.set(bytes as i64);
         bytes
     }
@@ -584,7 +584,7 @@ fn resolve(
         let n = snap.graph.len();
         match (endpoint, misses.as_slice()) {
             (Endpoint::Reachability, &[(_, node)]) => {
-                let mut ctx = Simulation::over(&snap.topo).ctx();
+                let mut ctx = Simulation::over(&snap.graph).ctx();
                 excl.fill_scalar(node, ctx.config_mut().excluded_mask_mut(n));
                 let ws = ctx.run(node);
                 let set = ReachSet::from_words(ws.reach_words(), n);
@@ -592,7 +592,7 @@ fn resolve(
             }
             (Endpoint::Reachability, _) => {
                 let nodes: Vec<NodeId> = misses.iter().map(|&(_, node)| node).collect();
-                let swept = Simulation::over(&snap.topo)
+                let swept = Simulation::over(&snap.graph)
                     .threads(1)
                     .config(excl.shared_config())
                     .sweep(&nodes, |o, ex| excl.fill_lane(o, ex), Sets)
@@ -603,7 +603,7 @@ fn resolve(
                 }));
             }
             (Endpoint::Reliance, _) => {
-                let mut ctx = Simulation::over(&snap.topo).ctx();
+                let mut ctx = Simulation::over(&snap.graph).ctx();
                 for &(_, node) in &misses {
                     excl.fill_scalar(node, ctx.config_mut().excluded_mask_mut(n));
                     let rely = ctx.run_reliance(node);
@@ -829,13 +829,11 @@ fn parse_leak_query(doc: &Json) -> Result<LeakQuery, ApiError> {
     Ok(LeakQuery { victim, leakers, seed, locking, announce })
 }
 
-/// Runs one leak query on the snapshot's compiled topology — nothing is
-/// compiled per request, and the simulators run on its pooled buffers —
-/// and renders the result object (shared by the flat single shape and
-/// batch entries).
+/// Runs one leak query on the snapshot's graph — the simulators run on
+/// its topology's pooled buffers — and renders the result object (shared
+/// by the flat single shape and batch entries).
 fn run_leak_query(snap: &ServeSnapshot, q: &LeakQuery) -> Result<String, ApiError> {
-    let Some(cdf) = leak_cdf_on(
-        &snap.topo,
+    let Some(cdf) = leak_cdf_with_semantics(
         &snap.graph,
         &snap.tiers,
         AsId(q.victim),
@@ -867,8 +865,8 @@ fn run_leak_query(snap: &ServeSnapshot, q: &LeakQuery) -> Result<String, ApiErro
 /// "seed": S, "announce": "all|t12p"}` (victim required), or a batch
 /// `{"queries": [{…}, …]}` (at most [`MAX_LEAK_QUERIES`]). Every query
 /// of the list runs on the one snapshot this request grabbed, on its
-/// compiled topology and pooled simulator buffers, so a batch pays for
-/// snapshot access and scratch once.
+/// graph and the topology's pooled simulator buffers, so a batch pays
+/// for snapshot access and scratch once.
 fn whatif_leak(
     shared: &Arc<Shared>,
     req: &Request,
@@ -1100,7 +1098,7 @@ mod tests {
         let mut mask = vec![false; g.len()];
         Exclusion::new(g, &snap.tiers, policy).unwrap().fill_scalar(node, &mut mask);
         let cfg = PropagationConfig::new().with_excluded(mask);
-        let out = Simulation::over(&snap.topo).config(cfg.clone()).run(node);
+        let out = Simulation::over(&snap.graph).config(cfg.clone()).run(node);
         let scores = reliance(&NextHopDag::build(g, &cfg, &out));
         let mut top: Vec<(u32, f64)> = scores
             .iter()
@@ -1304,7 +1302,7 @@ mod tests {
         assert!(all >= lanes + 8 * n, "a victim side and a leaker side, got {all} after {lanes}");
         let queue = call(&shared, Method::Get, "/debug/queue", "", "").0;
         assert_eq!(scratch_bytes_of(&queue), all);
-        assert_eq!(shared.mgr.current().topo.scratch_bytes() as u64, all);
+        assert_eq!(flatnet_bgpsim::scratch_bytes(&shared.mgr.current().graph) as u64, all);
 
         call(&shared, Method::Post, "/admin/reload", "", "");
         assert!(old.upgrade().is_none(), "the old snapshot outlived its reload");

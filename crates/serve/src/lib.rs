@@ -1,11 +1,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-//! # flatnet-serve — a std-only query daemon over compiled snapshots
+//! # flatnet-serve — a std-only query daemon over versioned topology snapshots
 //!
 //! The batched propagation engine made per-origin queries cheap enough
 //! to answer interactively; this crate turns that into a long-running
-//! HTTP daemon (`flatnet serve`) that compiles a topology **once** and
+//! HTTP daemon (`flatnet serve`) that builds a topology **once** and
 //! answers **many** reachability / reliance / what-if queries from it.
 //! Everything is hand-rolled over `std::net` — the workspace has no
 //! crates.io access, and an HTTP/1.1 subset is small enough to own.
@@ -13,10 +13,10 @@
 //! Three layers (see `DESIGN.md` § Serving for the full picture):
 //!
 //! * [`snapshot`] — ingestion (CAIDA file, netgen config, or a
-//!   pre-built graph), the PR-1 health gate, compilation to a
-//!   [`flatnet_bgpsim::TopologySnapshot`], and versioned hot-reload
+//!   pre-built graph), the PR-1 health gate, and versioned hot-reload
 //!   behind an `Arc` swap so in-flight queries finish on the snapshot
-//!   they started with.
+//!   they started with. Every solve runs on the snapshot's graph; its
+//!   `topo` handle is filled for the `benchmark/` package and unread.
 //! * [`mod@engine`] — a fixed pool of stateless workers whose solves
 //!   check their buffers out of the snapshot's pools (zero steady-state
 //!   allocation), a bounded queue with 503-backpressure, per-request

@@ -1,10 +1,13 @@
 //! The snapshot manager: topology ingestion, the health gate, versioned
 //! hot-reload, and the crash-safe store integration.
 //!
-//! A [`ServeSnapshot`] bundles everything a query needs — the graph, the
-//! tier sets, and the compiled [`TopologySnapshot`], which walks the
-//! graph's own adjacency block rather than a copy — under one version
-//! number; it is the store's [`flatnet_store::StoredSnapshot`], so what
+//! A [`ServeSnapshot`] bundles everything a query needs — the graph and
+//! the tier sets — under one version number; every solve runs on the
+//! graph, whose topology keeps the simulator's pooled scratch. Its
+//! `topo` field, a [`TopologySnapshot`] handle on the same graph, is
+//! still filled here (the `compile` phase) because the `benchmark/`
+//! package builds the struct literally; nothing in the daemon reads it.
+//! It is the store's [`flatnet_store::StoredSnapshot`], so what
 //! the store loads is what the daemon serves and what the daemon serves
 //! is what it persists. The manager holds the current snapshot behind
 //! `RwLock<Arc<..>>`: a query grabs the `Arc` once (one refcount bump)
@@ -94,8 +97,8 @@ pub enum TopologySource {
     },
 }
 
-/// One immutable, health-gated, compiled topology version: the struct
-/// the store loads and saves.
+/// One immutable, health-gated topology version: the struct the store
+/// loads and saves.
 pub use flatnet_store::StoredSnapshot as ServeSnapshot;
 
 /// The phases of one snapshot's way into service, each timed into its

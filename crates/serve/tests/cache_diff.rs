@@ -9,7 +9,7 @@
 //! cached endpoints under every `exclude=` mask, and a repeated origin
 //! must report one `cached` value.
 
-use flatnet_bgpsim::{PropagationConfig, Simulation, TopologySnapshot};
+use flatnet_bgpsim::{PropagationConfig, Simulation};
 use flatnet_netgen::{generate, NetGenConfig};
 use flatnet_serve::json::{parse, Json};
 use flatnet_serve::{ServeConfig, Server, TopologySource};
@@ -37,7 +37,6 @@ fn data_of(doc: &Json) -> &Json {
 /// builds (providers of origin / Tier-1s / Tier-2s, origin kept).
 fn direct_reach(
     net: &flatnet_netgen::SyntheticInternet,
-    snap: &TopologySnapshot,
     tiers: &flatnet_asgraph::Tiers,
     origin_asn: u32,
     exclude: &str,
@@ -67,7 +66,7 @@ fn direct_reach(
     }
     mask[origin.idx()] = false;
     let cfg = PropagationConfig::default().with_excluded(mask);
-    let out = Simulation::over(snap).config(cfg).run(origin);
+    let out = Simulation::over(g).config(cfg).run(origin);
     let mut asns: Vec<u32> = out.reach_set().iter().map(|&n| g.asn(n).0).collect();
     asns.sort_unstable();
     (out.reachable_count(), asns)
@@ -128,7 +127,6 @@ fn warmup_prefills_cache_with_bit_identical_answers() {
     let (_one_at_a_time, warmed_before) = warming();
     let net = generate(&NetGenConfig::paper_2020(400, 7));
     let tiers = net.tiers_for(&net.truth);
-    let snap = TopologySnapshot::compile(&net.truth);
     // warm > 64 so the warm thread crosses a kernel block boundary.
     let warm = 80usize;
     let server = Server::start(ServeConfig {
@@ -152,7 +150,7 @@ fn warmup_prefills_cache_with_bit_identical_answers() {
     // must be bit-identical to a direct per-origin Simulation run.
     for &n in [order[0], order[63], order[warm - 1]].iter() {
         let origin = g.asn(n).0;
-        let (want_count, want_asns) = direct_reach(&net, &snap, &tiers, origin, "");
+        let (want_count, want_asns) = direct_reach(&net, &tiers, origin, "");
         let path = format!("/v1/reachability?origin={origin}&detail=full");
         let (status, doc) = fetch(addr, "GET", &path);
         assert_eq!(status, 200, "{path}: {doc:?}");
@@ -189,7 +187,6 @@ fn warmup_prefills_cache_with_bit_identical_answers() {
 fn cached_answers_are_bit_identical_and_reload_invalidates() {
     let net = generate(&NetGenConfig::paper_2020(600, 42));
     let tiers = net.tiers_for(&net.truth);
-    let snap = TopologySnapshot::compile(&net.truth);
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 3,
@@ -211,7 +208,7 @@ fn cached_answers_are_bit_identical_and_reload_invalidates() {
     // ---- Differential pass: miss then hit, both bit-identical. ----
     for &origin in &origins {
         for variant in variants {
-            let (want_count, want_asns) = direct_reach(&net, &snap, &tiers, origin, variant);
+            let (want_count, want_asns) = direct_reach(&net, &tiers, origin, variant);
             let path = format!("/v1/reachability?origin={origin}&exclude={variant}&detail=full");
             let (status, first) = fetch(addr, "GET", &path);
             assert_eq!(status, 200, "{path}: {first:?}");
@@ -246,7 +243,7 @@ fn cached_answers_are_bit_identical_and_reload_invalidates() {
     assert_eq!(status, 200, "{reloaded:?}");
     assert_eq!(reloaded.get("snapshot_version").and_then(Json::as_u64), Some(2));
 
-    let (want_count, want_asns) = direct_reach(&net, &snap, &tiers, origins[0], "providers");
+    let (want_count, want_asns) = direct_reach(&net, &tiers, origins[0], "providers");
     let (status, after) = fetch(addr, "GET", &probe);
     assert_eq!(status, 200);
     let (count, asns, cached, version) = reach_of(&after);
@@ -274,7 +271,7 @@ fn cached_answers_are_bit_identical_and_reload_invalidates() {
         let (status, _) = fetch(addr, "POST", "/admin/reload");
         assert_eq!(status, 200);
     }
-    let (want_count, _) = direct_reach(&net, &snap, &tiers, origins[1], "");
+    let (want_count, _) = direct_reach(&net, &tiers, origins[1], "");
     for (status, count) in worker.join().expect("query thread") {
         assert_eq!(status, 200, "query failed during reload");
         assert_eq!(count as usize, want_count, "answer drifted during reload");
@@ -515,7 +512,6 @@ fn full_detail_bodies_are_the_parents_bytes_in_every_form() {
     use flatnet_bgpsim::{Exclusion, ExclusionPolicy, ReachForm, ReachSet, Workspace};
     let net = generate(&NetGenConfig::paper_2020(1500, 23));
     let tiers = net.tiers_for(&net.truth);
-    let snap = TopologySnapshot::compile(&net.truth);
     let g = &net.truth;
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -539,11 +535,11 @@ fn full_detail_bodies_are_the_parents_bytes_in_every_form() {
         (cloud, hfree, ExclusionPolicy::HIERARCHY_FREE, ReachForm::Bits),
         (stub, hfree, ExclusionPolicy::HIERARCHY_FREE, ReachForm::Only),
     ];
-    let mut ws = Workspace::for_snapshot(&snap);
+    let mut ws = Workspace::for_snapshot(&net.truth);
     for (origin, (exclude, names), policy, form) in cases {
         let mut mask = vec![false; g.len()];
         Exclusion::new(g, &tiers, policy).unwrap().fill_scalar(origin, &mut mask);
-        ws.run(&snap, origin, &PropagationConfig::default().with_excluded(mask));
+        ws.run(&net.truth, origin, &PropagationConfig::default().with_excluded(mask));
         let kept = ReachSet::from_words(ws.reach_words(), g.len());
         assert_eq!(kept.form(), form, "{} exclude={exclude}: the topology drifted", g.asn(origin));
 

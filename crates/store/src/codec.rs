@@ -10,9 +10,9 @@
 //! process will hold for this topology; no decoded list exists between
 //! the image and the block. Nothing derived is
 //! stored: [`decode`] ends in [`TopologySnapshot::compile`] of the graph
-//! it just validated, which keeps a handle on that block and copies no
-//! link, so the snapshot a warm start serves cannot disagree with its
-//! graph — they read the same arrays.
+//! it just validated, for the `topo` field the `benchmark/` package pins,
+//! which keeps a handle on that block and copies no link, so it cannot
+//! disagree with the graph — they read the same arrays.
 
 use crate::error::{SectionId, StoreError};
 use crate::format::{unpack, Enc, REQUIRED_SECTIONS};
@@ -21,11 +21,12 @@ use flatnet_asgraph::{AsGraph, AsId, NodeId, Relationship, Tiers};
 use flatnet_bgpsim::TopologySnapshot;
 
 /// One topology version with everything a query needs: the graph, the
-/// tier sets, the propagation snapshot compiled from the graph, and the
-/// snapshot version the daemon had reached (so versions stay monotonic
-/// across restarts). The store persists `version`, `graph` and `tiers`;
-/// `topo` is recompiled on load. `graph` and `topo` share one adjacency
-/// block: `topo` adds a bit per node and its scratch pools, no links.
+/// tier sets, and the snapshot version the daemon had reached (so
+/// versions stay monotonic across restarts). The store persists
+/// `version`, `graph` and `tiers`; `topo`, a handle on `graph`, is
+/// recompiled on load and read by nothing: the `benchmark/` package
+/// builds this struct literally, so the field stays until that package
+/// moves to the graph.
 #[derive(Debug, Clone)]
 pub struct StoredSnapshot {
     /// Monotonic serve-side version, starting at 1; part of every cache key.
@@ -35,8 +36,9 @@ pub struct StoredSnapshot {
     /// Tier-1/Tier-2 sets over `graph`'s node ids, for exclusion masks and
     /// leak locking.
     pub tiers: Tiers,
-    /// `TopologySnapshot::compile(&graph)`, which the engine runs on:
-    /// `graph`'s links by handle, never a second copy of them.
+    /// `TopologySnapshot::compile(&graph)`: `graph`'s links by handle,
+    /// never a second copy of them. Every solve runs on `graph`; this
+    /// field is filled for the `benchmark/` package and read by nothing.
     pub topo: TopologySnapshot,
 }
 

@@ -6,10 +6,9 @@
 //! The serve daemon reads, parses, builds and tier-infers its topology
 //! from raw CAIDA/netgen input on every start; this crate gives the
 //! result — the graph and the tier sets, nothing derived from them — a
-//! durable, integrity-checked home, so a restart costs a file read and a
-//! [`flatnet_bgpsim::TopologySnapshot::compile`] instead of a re-ingest,
-//! and a corrupted file costs a rebuild from the source instead of a
-//! wrong answer.
+//! durable, integrity-checked home, so a restart costs a file read and
+//! one graph build instead of a re-ingest, and a corrupted file costs a
+//! rebuild from the source instead of a wrong answer.
 //!
 //! Two guarantees, one per layer:
 //!
@@ -19,9 +18,11 @@
 //!   the AS graph and the tier sets. Every length and offset is
 //!   bounds-checked with checked arithmetic; [`decode`] never panics on
 //!   any input (`tests/fuzz.rs` attacks it with arbitrary bytes, and
-//!   `tests/fault_injection.rs` with one fault per error kind), and the
-//!   compiled topology it returns shares the links of the graph it just
-//!   validated.
+//!   `tests/fault_injection.rs` with one fault per error kind). The
+//!   snapshot's `topo` field, a [`flatnet_bgpsim::TopologySnapshot`]
+//!   handle on the graph it just validated, is filled because the
+//!   `benchmark/` package builds the struct literally; nothing else
+//!   reads it, and it shares the graph's links.
 //! * **Durability** ([`store`]) — [`save_atomic`] writes temp file →
 //!   fsync → rename → directory fsync, so a crash mid-write can never
 //!   leave a half-valid store under the real name; [`load`] verifies

@@ -70,7 +70,7 @@ pub fn save_atomic(path: impl AsRef<Path>, snap: &StoredSnapshot) -> Result<(), 
 
 /// Reads and fully verifies a store file: size cap, header and section
 /// checksums, and structural validation of every section. Returns the
-/// decoded snapshot, its topology compiled and ready to serve. Never
+/// decoded snapshot, ready to serve. Never
 /// panics on any input.
 pub fn load(path: impl AsRef<Path>) -> Result<StoredSnapshot, StoreError> {
     let path = path.as_ref();

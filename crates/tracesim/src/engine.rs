@@ -15,7 +15,7 @@
 
 use crate::model::{Hop, Traceroute, VantagePoint};
 use flatnet_asgraph::{AsId, NodeId};
-use flatnet_bgpsim::{PropagationConfig, RoutingOutcome, TopologySnapshot, Workspace};
+use flatnet_bgpsim::{PropagationConfig, RoutingOutcome, Simulation};
 use flatnet_geo::cities::CITIES;
 use flatnet_geo::haversine_km;
 use flatnet_geo::GeoPoint;
@@ -145,8 +145,7 @@ pub fn run_campaign(net: &SyntheticInternet, opts: &CampaignOptions) -> Campaign
         .collect();
 
     let popts = PropagationConfig::default();
-    let snap = TopologySnapshot::compile(&net.truth);
-    let mut ws = Workspace::for_snapshot(&snap);
+    let mut runs = Simulation::over(&net.truth).ctx();
     let mut traces = Vec::new();
     for d in net.truth.nodes() {
         let dst_asn = net.truth.asn(d);
@@ -158,14 +157,14 @@ pub fn run_campaign(net: &SyntheticInternet, opts: &CampaignOptions) -> Campaign
             continue;
         };
         let dst_ip = dst_prefix.addr(80);
-        ws.run(&snap, d, &popts);
+        let ws = runs.run(d);
         for ctx in &clouds {
             if ctx.node == d || !ws.reachable(ctx.node) {
                 continue;
             }
             for &vp_city in &ctx.vps {
                 let vp = VantagePoint { cloud: ctx.info.asn, city: vp_city };
-                let path = select_path(net, ctx, &popts, &ws, vp_city, dst_asn, opts.seed);
+                let path = select_path(net, ctx, &popts, ws, vp_city, dst_asn, opts.seed);
                 traces.push(synthesize(net, ctx, vp, dst_ip, dst_asn, &path, opts));
             }
         }

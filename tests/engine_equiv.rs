@@ -13,7 +13,7 @@
 //! and the reliance kernel ([`RelianceWorkspace`]) must score every one
 //! of those runs bit-identically (`f64::to_bits`) to
 //! `reliance(&NextHopDag::build(..))` while one workspace is reused
-//! across origins, policies and snapshots of different size; and a
+//! across origins, policies and graphs of different size; and a
 //! finished run read where it lies (the `RoutingOutcome` a [`Workspace`]
 //! dereferences to) must equal its `to_outcome()` clone and the
 //! fixpoint, down to the DAG built from it. Plus steady-state allocation
@@ -93,7 +93,6 @@ fn assert_same_dag(g: &flatnet_asgraph::AsGraph, a: &NextHopDag, b: &NextHopDag,
 /// score to agree bit for bit, and the receiver counts to agree.
 fn assert_kernel_matches_oracle(
     g: &flatnet_asgraph::AsGraph,
-    snap: &TopologySnapshot,
     ws: &Workspace,
     rely: &mut RelianceWorkspace,
     cfg: &PropagationConfig,
@@ -102,7 +101,7 @@ fn assert_kernel_matches_oracle(
     let dag = NextHopDag::build(g, cfg, &ws.to_outcome());
     assert_same_dag(g, &NextHopDag::build(g, cfg, ws), &dag, what);
     let want = reliance(&dag);
-    let got = rely.score(snap, ws, cfg);
+    let got = rely.score(g, ws, cfg);
     assert_eq!(got.len(), want.len(), "{what}: score vector length");
     for (i, (a, b)) in got.iter().zip(&want).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "{what} node {i}: kernel {a} vs oracle {b}");
@@ -120,7 +119,7 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
     let mut states = [0usize; 3];
     // One engine workspace and one reliance workspace for the whole
     // corpus: they are reused across origins, policy variants and
-    // snapshots of different node counts (120..150).
+    // graphs of different node counts (120..150).
     let mut rely_ws = Workspace::new();
     let mut rely = RelianceWorkspace::new();
     for seed in 0..52u64 {
@@ -129,7 +128,6 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
         let net = generate(&gen_cfg);
         let g = &net.truth;
         let n = g.len();
-        let snap = TopologySnapshot::compile(g);
         let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
 
         let mut origins = Vec::new();
@@ -157,15 +155,15 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
 
                 let want = stable_paths(g, origin, &rules);
                 rounds = rounds.max(want.rounds());
-                let engine = Simulation::over(&snap).config(cfg.clone()).run(origin);
+                let engine = Simulation::over(g).config(cfg.clone()).run(origin);
                 assert_eq!(want.check(g, &cfg, &engine), Ok(()), "{what}: a simulation's run");
 
                 // The run read where it lies, its clone, and the fixpoint;
                 // the reliance kernel against its oracle on the same run.
-                rely_ws.run(&snap, origin, &cfg);
+                rely_ws.run(g, origin, &cfg);
                 assert_eq!(want.check(g, &cfg, &rely_ws), Ok(()), "{what}: a workspace's run");
                 assert_same_outcome(g, &cfg, &rely_ws, &rely_ws.to_outcome(), &format!("{what}: borrowed vs clone"));
-                assert_kernel_matches_oracle(g, &snap, &rely_ws, &mut rely, &cfg, &what);
+                assert_kernel_matches_oracle(g, &rely_ws, &mut rely, &cfg, &what);
                 compared += 1;
             }
             // An excluded origin announces nothing: every score is zero,
@@ -173,9 +171,9 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
             let mut mask = vec![false; n];
             mask[origin.idx()] = true;
             let cfg = PropagationConfig::new().with_excluded(mask);
-            rely_ws.run(&snap, origin, &cfg);
+            rely_ws.run(g, origin, &cfg);
             let what = format!("seed {seed} origin {origin:?} excluded");
-            assert_kernel_matches_oracle(g, &snap, &rely_ws, &mut rely, &cfg, &what);
+            assert_kernel_matches_oracle(g, &rely_ws, &mut rely, &cfg, &what);
             assert!(rely.scores().iter().all(|&s| s == 0.0), "{what}");
             assert_eq!(rely.receivers(), 0, "{what}");
         }
@@ -194,7 +192,7 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
                 .map(|_| NodeId(((victim.0 as u64 + 1 + next(&mut rng) % (n as u64 - 1)) % n as u64) as u32))
                 .collect();
             for semantics in [LockingSemantics::Corrected, LockingSemantics::PreErratum] {
-                let side = VictimSide::propagate(&snap, victim, export.as_deref(), &locking, semantics);
+                let side = VictimSide::propagate(g, victim, export.as_deref(), &locking, semantics);
                 let mut leakers_side = side.leakers();
                 for &leaker in &leakers {
                     let got = leakers_side.run(leaker);
@@ -235,7 +233,6 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
         let net = generate(&gen_cfg);
         let g = &net.truth;
         let n = g.len();
-        let snap = TopologySnapshot::compile(g);
         let mut rng = seed.wrapping_mul(0x517C_C1B7_2722_0A95) | 1;
         let origins: Vec<NodeId> = g.nodes().collect();
 
@@ -278,13 +275,13 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
                 .iter()
                 .map(|&w| {
                     let sim =
-                        Simulation::over(&snap).config(cfg.clone()).threads(1).lane_width(w);
+                        Simulation::over(g).config(cfg.clone()).threads(1).lane_width(w);
                     let words = sim.sweep(&origins, fill, Words).expect("no fill panics");
                     (words, sim.sweep(&origins, fill, Counts).expect("no fill panics").counts)
                 })
                 .collect();
 
-            let mut ws = Workspace::for_snapshot(&snap);
+            let mut ws = Workspace::for_snapshot(g);
             for (i, &o) in origins.iter().enumerate() {
                 let mut scalar_cfg = cfg.clone();
                 let mask = scalar_cfg.excluded_mask_mut(n);
@@ -294,7 +291,7 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
                     }
                 }
                 mask[o.idx()] = false;
-                ws.run(&snap, o, &scalar_cfg);
+                ws.run(g, o, &scalar_cfg);
                 for (w, (reach, counts)) in widths.iter().zip(&per_width) {
                     assert_eq!(
                         reach.kept[i],
@@ -331,22 +328,21 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
         let net = generate(&gen_cfg);
         let g = &net.truth;
         let tiers = net.tiers_for(g);
-        let snap = TopologySnapshot::compile(g);
         let origins: Vec<NodeId> = g.nodes().collect();
-        let mut ws = Workspace::for_snapshot(&snap);
+        let mut ws = Workspace::for_snapshot(g);
         let mut scalar_cfg = PropagationConfig::new();
         for bits in 0..8u64 {
             let policy = ExclusionPolicy::from_bits(bits);
             assert_eq!(policy.bits(), bits);
             let excl = Exclusion::new(g, &tiers, policy).expect("generator tiers match the graph");
-            let reach = Simulation::over(&snap)
+            let reach = Simulation::over(g)
                 .threads(1)
                 .config(excl.shared_config())
                 .sweep(&origins, |o, ex| excl.fill_lane(o, ex), Words)
                 .expect("no fill panics");
             for (i, &o) in origins.iter().enumerate() {
                 excl.fill_scalar(o, scalar_cfg.excluded_mask_mut(g.len()));
-                ws.run(&snap, o, &scalar_cfg);
+                ws.run(g, o, &scalar_cfg);
                 assert_eq!(
                     reach.kept[i],
                     ws.reach_words(),
@@ -380,12 +376,11 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
     let net = generate(&gen_cfg);
     let g = &net.truth;
     let n = g.len();
-    let snap = TopologySnapshot::compile(g);
-    let sim = Simulation::over(&snap);
+    let sim = Simulation::over(g);
     let mut ctx = sim.ctx();
     let origins: Vec<NodeId> = g.nodes().take(40).collect();
 
-    let pass = |ctx: &mut SweepCtx<'_>| -> usize {
+    let pass = |ctx: &mut SweepCtx| -> usize {
         let mut acc = 0usize;
         for &o in &origins {
             // Refill the exclusion mask per origin, like the reachability
@@ -415,7 +410,7 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
     // ---- Part 2a: the reliance kernel is allocation-free once warm —
     // propagation, DAG derivation and scoring, with the same per-origin
     // mask refills.
-    let rely_pass = |ctx: &mut SweepCtx<'_>| -> f64 {
+    let rely_pass = |ctx: &mut SweepCtx| -> f64 {
         let mut acc = 0.0;
         for &o in &origins {
             let mask = ctx.config_mut().excluded_mask_mut(n);
@@ -477,9 +472,9 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
     // the block list, the part list the parallel map returns, and the
     // block's counts, which a one-block sweep hands back as its own.
     // `Counts` keeps `()`, which takes no memory, and the workspace comes
-    // warm out of the snapshot's pool, so a fourth is the kernel's.
+    // warm out of the topology's pool, so a fourth is the kernel's.
     let origins: Vec<NodeId> = g.nodes().take(64).collect();
-    let sim = Simulation::over(&snap).threads(1);
+    let sim = Simulation::over(g).threads(1);
     let lane_pass = || -> u32 {
         let fill = |o: NodeId, ex: &mut flatnet_bgpsim::LaneExcluder<'_>| {
             for &p in g.providers(o) {
@@ -514,5 +509,5 @@ fn engine_matches_stable_paths_and_allocates_nothing_in_steady_state() {
     let cloned = bytes();
     assert!(compiled - start < 8 * nodes, "compile allocated {} bytes", compiled - start);
     assert!(cloned - compiled < 8 * nodes, "AsGraph::clone allocated {} bytes", cloned - compiled);
-    assert_eq!((snap.len(), snap.edge_entries()), (twin.len(), 2 * twin.edge_count()));
+    assert_eq!((g.len(), snap.edge_entries()), (twin.len(), 2 * twin.edge_count()));
 }

@@ -7,7 +7,7 @@
 
 use flatnet_asgraph::{AsGraph, AsId, NodeId};
 use flatnet_bgpsim::{
-    collect_ribs, NextHopDag, PropagationConfig, RibEntry, Simulation, TopologySnapshot,
+    collect_ribs, NextHopDag, PropagationConfig, RibEntry, Simulation,
 };
 use flatnet_core::path_validation::{validate_paths, PathAgreement};
 use flatnet_netgen::{generate, NetGenConfig};
@@ -18,8 +18,7 @@ use std::collections::BTreeMap;
 /// `collect_ribs` over a DAG per origin: smallest next hop at every step.
 fn dag_collect_ribs(g: &AsGraph, monitors: &[NodeId], origins: &[NodeId]) -> Vec<RibEntry> {
     let cfg = PropagationConfig::default();
-    let snap = TopologySnapshot::compile(g);
-    let mut ctx = Simulation::over(&snap).ctx();
+    let mut ctx = Simulation::over(g).ctx();
     let mut out = Vec::new();
     for &o in origins {
         let dag = NextHopDag::build(g, &cfg, ctx.run(o));
@@ -50,8 +49,7 @@ fn dag_validate_paths(
     let mut per_cloud: BTreeMap<u32, PathAgreement> =
         clouds.iter().map(|c| (c.0, PathAgreement { scored: 0, matching: 0 })).collect();
     let cfg = PropagationConfig::default();
-    let snap = TopologySnapshot::compile(g);
-    let mut ctx = Simulation::over(&snap).ctx();
+    let mut ctx = Simulation::over(g).ctx();
     let mut dags: BTreeMap<u32, Option<NextHopDag>> = BTreeMap::new();
     for t in &campaign.traces {
         let Some(stats) = per_cloud.get_mut(&t.vp.cloud.0) else { continue };
