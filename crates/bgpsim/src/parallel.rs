@@ -14,8 +14,11 @@
 //! Every worker thread gets a private mutable context built by a factory
 //! closure — the hook the batched engine uses to hand each worker its
 //! own [`crate::engine::Workspace`] so a sweep does zero steady-state
-//! allocation. The context never crosses threads, so it needs neither
-//! `Send` nor `Sync`; stateless callers pass `|| ()`.
+//! allocation. The calling thread builds every worker's context before
+//! any worker starts, so a sweep of `k` workers always holds `k` at once
+//! and a pooled context is never handed back mid-call; each is then
+//! moved to its worker (`Send`) and never shared. Stateless callers pass
+//! `|| ()`.
 
 use crate::scratch::cores;
 use flatnet_obs::{Counter, Gauge, Histogram};
@@ -93,8 +96,9 @@ where
 }
 
 /// Applies `f(&mut ctx, item)` to every item, in parallel, preserving
-/// order; each worker thread builds one private context with `mk_ctx`
-/// and reuses it for all of its items. A panic in `f` becomes a per-item
+/// order; each worker thread gets one private context, built with
+/// `mk_ctx` on the calling thread before the workers start, and reuses
+/// it for all of its items. A panic in `f` becomes a per-item
 /// `Err` instead of tearing down the sweep.
 ///
 /// Uses `threads` workers, or, when `threads == 0`, the available
@@ -111,8 +115,9 @@ pub fn try_parallel_map_ctx<T, C, R, M, F>(
 ) -> Vec<Result<R, SweepError>>
 where
     T: Sync,
+    C: Send,
     R: Send,
-    M: Fn() -> C + Sync,
+    M: Fn() -> C,
     F: Fn(&mut C, &T) -> R + Sync,
 {
     let threads = if threads == 0 { cores() } else { threads };
@@ -132,25 +137,21 @@ where
     let mut results: Vec<Option<Result<R, SweepError>>> = Vec::with_capacity(items.len());
     results.resize_with(items.len(), || None);
     let chunk = items.len().div_ceil(threads);
+    // Every worker's context is built before any worker starts. Built
+    // inside the workers, a context could be one a finished sibling had
+    // already handed back to its pool, and how many a call checks out
+    // would depend on how the threads happened to be scheduled.
+    let ctxs: Vec<C> = (0..items.len().div_ceil(chunk)).map(|_| mk_ctx()).collect();
 
     std::thread::scope(|s| {
-        let mut rest: &mut [Option<Result<R, SweepError>>] = &mut results;
-        let mut offset = 0usize;
-        let fref = &f;
-        let mkref = &mk_ctx;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let slice = &items[offset..offset + take];
-            let base = offset;
+        let f = &f;
+        let parts = results.chunks_mut(chunk).zip(items.chunks(chunk)).zip(ctxs);
+        for (w, ((out, slice), mut ctx)) in parts.enumerate() {
             s.spawn(move || {
-                let mut ctx = mkref();
-                for (i, (out, item)) in head.iter_mut().zip(slice).enumerate() {
-                    *out = Some(run_guarded(fref, &mut ctx, item, base + i));
+                for (i, (out, item)) in out.iter_mut().zip(slice).enumerate() {
+                    *out = Some(run_guarded(f, &mut ctx, item, w * chunk + i));
                 }
             });
-            rest = tail;
-            offset += take;
         }
     });
 
@@ -165,8 +166,9 @@ where
 pub fn parallel_map_ctx<T, C, R, M, F>(items: &[T], threads: usize, mk_ctx: M, f: F) -> Vec<R>
 where
     T: Sync,
+    C: Send,
     R: Send,
-    M: Fn() -> C + Sync,
+    M: Fn() -> C,
     F: Fn(&mut C, &T) -> R + Sync,
 {
     try_parallel_map_ctx(items, threads, mk_ctx, f)

@@ -74,10 +74,11 @@ USAGE:
       /v1/whatif/leak, /healthz, /metrics (add ?format=prom for
       Prometheus text), /debug/trace/recent, /debug/trace/slow?ms=N,
       /debug/queue, /admin/reload, /admin/shutdown. Every /v1 body is
-      wrapped in the flatnet-serve/v1 envelope; responses carry an
-      X-Flatnet-Trace-Id header. Connections are keep-alive by default:
-      --keepalive-max (1024) bounds requests per connection,
-      --keepalive-idle-ms (5000) closes quiet ones.
+      wrapped in one envelope (schema, snapshot_version, trace_id, then
+      data or error); responses carry an X-Flatnet-Trace-Id header.
+      Connections are keep-alive by default: --keepalive-max (1024)
+      bounds requests per connection, --keepalive-idle-ms (5000) closes
+      quiet ones.
       --warm N pre-fills the reachability cache for the N highest-degree
       origins after startup and every reload (default 0 = off).
       Without --as-rel, serves a synthetic topology.

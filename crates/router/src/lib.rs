@@ -22,9 +22,10 @@
 //! * [`merge`] — text-level JSON surgery that merges shard envelopes
 //!   into one response **byte-identical in `data`** to a single
 //!   process's answer (nothing a shard rendered is ever re-rendered).
-//! * [`server`] — the router itself: single-origin forwarding,
-//!   parallel scatter-gather for `origins=` batches, slice-scoped
-//!   `503 shard-unavailable` with partial batch envelopes, rolling
+//! * [`server`] — the router itself: one route for every owned `/v1`
+//!   request (forwarded whole when one shard owns all its origins or
+//!   leak victims, scattered and merged when they span shards),
+//!   slice-scoped `503 shard-unavailable` with partial batch envelopes, rolling
 //!   `/admin/reload` behind per-shard health gates, and aggregated
 //!   `/healthz`, `/metrics`, `/debug/shards`, behind the shards' own
 //!   connection loop ([`flatnet_serve::front`]).

@@ -2,18 +2,24 @@
 //! control plane, as the [`Handler`] of the HTTP front the shards run
 //! ([`flatnet_serve::front`]), so a client cannot tell a router from a
 //! shard by protocol behaviour; the one difference is that each client
-//! connection gets a thread of its own. Routing is origin-hash ownership
-//! over [`crate::ring::HashRing`]:
+//! connection gets a thread of its own. Routing is key-hash ownership
+//! over [`crate::ring::HashRing`]: every owned `/v1` request —
+//! reachability and reliance keyed by their origins, what-if leaks by
+//! their victims — takes one route, `owned_route`:
 //!
-//! * single-origin `/v1/*` → forwarded verbatim to the owner shard; the
-//!   shard's envelope passes through byte-for-byte (the router's trace
-//!   id was propagated via `X-Flatnet-Trace-Id`, so even `trace_id`
-//!   matches).
-//! * `origins=` batches → split by owner, fanned out in parallel over
-//!   pooled persistent connections (all sub-requests written before any
+//! * every key owned by one shard (a lone origin or leak query among
+//!   them) → forwarded verbatim to it; the shard's envelope passes
+//!   through byte-for-byte (the router's trace id was propagated via
+//!   `X-Flatnet-Trace-Id`, so even `trace_id` matches).
+//! * keys spanning shards (an `origins=` list, a `{"queries":[…]}`
+//!   body) → split by owner, fanned out in parallel over pooled
+//!   persistent connections (all sub-requests written before any
 //!   response is read), and merged back in request order from verbatim
 //!   text slices — `data` is byte-identical to a single process's
 //!   answer.
+//!
+//! `router.scatter` counts every batch-shaped request once, whether it
+//! fans out or forwards whole.
 //!
 //! A shard whose circuit is open (see [`crate::shard`]) answers `503`
 //! with the stable kind `shard-unavailable` for its slice only; in a
@@ -31,7 +37,7 @@ use flatnet_obs::trace::{Stage, TraceCtx};
 use flatnet_serve::engine::MAX_BATCH_ORIGINS;
 use flatnet_serve::front::{error_response, Front, Handler, Limits};
 use flatnet_serve::http::{parse_asn, Method, Request, Response};
-use flatnet_serve::json::{envelope, escape};
+use flatnet_serve::json::{envelope, envelope_head, escape};
 use flatnet_wire::{Call, Conn};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -383,7 +389,7 @@ fn rebuild_target(req: &Request, origins_override: Option<&str>) -> String {
     out
 }
 
-/// `GET /v1/reachability` / `GET /v1/reliance`: origin-hash routing.
+/// `GET /v1/reachability` / `GET /v1/reliance`: routed by origin.
 fn query_route(inner: &Inner, req: &Request, trace_id: u64) -> Response {
     // Anything the router cannot interpret — no origins, a bad token,
     // an oversized batch — is forwarded untouched so the *shard's*
@@ -397,11 +403,10 @@ fn query_route(inner: &Inner, req: &Request, trace_id: u64) -> Response {
         return forward_any(inner, req, trace_id);
     };
     let batch = plural || asns.len() > 1;
-    if !batch {
-        let owner = inner.ring.owner(asns[0]) as usize;
-        return forward(inner, owner, req, &rebuild_target(req, None), trace_id);
-    }
-    scatter(inner, req, &asns, trace_id)
+    owned_route(inner, req, "origin", &asns, batch, trace_id, |positions| {
+        let list = positions.iter().map(|&p| asns[p].to_string()).collect::<Vec<_>>().join(",");
+        (rebuild_target(req, Some(&list)), None)
+    })
 }
 
 /// Forwards `req` verbatim to shard `owner`, passing the shard's
@@ -425,11 +430,7 @@ fn forward(
         );
     }
     let body = std::str::from_utf8(&req.body).ok().filter(|b| !b.is_empty());
-    let method = match req.method {
-        Method::Get => "GET",
-        Method::Post => "POST",
-    };
-    match shard.upstream.request(method, target, body, trace_id) {
+    match shard.upstream.request(method_name(req.method), target, body, trace_id) {
         Ok(up) => {
             shard.record_ok();
             inner.forwarded.inc();
@@ -446,6 +447,14 @@ fn forward(
                 trace_id,
             )
         }
+    }
+}
+
+/// The method token a request to a shard carries.
+fn method_name(method: Method) -> &'static str {
+    match method {
+        Method::Get => "GET",
+        Method::Post => "POST",
     }
 }
 
@@ -542,36 +551,40 @@ fn group_by_owner(ring: &HashRing, asns: &[u32]) -> Vec<(usize, Vec<usize>)> {
     groups
 }
 
-/// Splits a batch by owner, fans out, and merges the shard envelopes
-/// into one response whose `data` is byte-identical to a single
-/// process's answer.
-fn scatter(inner: &Inner, req: &Request, asns: &[u32], trace_id: u64) -> Response {
-    inner.scatters.inc();
-    let groups = group_by_owner(&inner.ring, asns);
-    // Single-owner batches skip the merge entirely: the whole request
-    // forwards verbatim and the shard's batch envelope passes through.
-    if groups.len() == 1 {
-        return forward(inner, groups[0].0, req, &rebuild_target(req, None), trace_id);
+/// The one route of every owned `/v1` request: `ids` are its owner keys
+/// (origins, or leak victims), one per entry of the answer, and `key`
+/// names them in a synthesized error entry. When one shard owns every
+/// key — a lone origin or leak query among them — the request forwards
+/// verbatim and the owner's envelope passes through. Otherwise `split`
+/// builds each owner's sub-request (target and body) from the positions
+/// it owns, the sub-requests fan out, and their entries merge back in
+/// request order. `router.scatter` counts every `batch`-shaped request
+/// once, whichever way it goes.
+fn owned_route(
+    inner: &Inner,
+    req: &Request,
+    key: &str,
+    ids: &[u32],
+    batch: bool,
+    trace_id: u64,
+    split: impl Fn(&[usize]) -> (String, Option<String>),
+) -> Response {
+    if batch {
+        inner.scatters.inc();
+    }
+    let groups = group_by_owner(&inner.ring, ids);
+    if let [(owner, _)] = groups[..] {
+        return forward(inner, owner, req, &rebuild_target(req, None), trace_id);
     }
     let subs: Vec<SubReq> = groups
-        .iter()
+        .into_iter()
         .map(|(shard, positions)| {
-            let list = positions
-                .iter()
-                .map(|&p| asns[p].to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            SubReq {
-                shard: *shard,
-                positions: positions.clone(),
-                method: "GET",
-                target: rebuild_target(req, Some(&list)),
-                body: None,
-            }
+            let (target, body) = split(&positions);
+            SubReq { shard, positions, method: method_name(req.method), target, body }
         })
         .collect();
     let results = fan_out(inner, &subs, trace_id);
-    merge_batch(inner, &subs, results, asns.len(), "origin", asns, trace_id)
+    merge_batch(inner, &subs, results, key, ids, trace_id)
 }
 
 /// Gathers fan-out results into the merged batch envelope. `key` names
@@ -582,7 +595,6 @@ fn merge_batch(
     inner: &Inner,
     subs: &[SubReq],
     results: Vec<SubResult>,
-    total: usize,
     key: &str,
     ids: &[u32],
     trace_id: u64,
@@ -644,7 +656,7 @@ fn merge_batch(
         }
     };
     // Re-slot every shard's entries back to their request positions.
-    let mut slots: Vec<Option<&str>> = vec![None; total];
+    let mut slots: Vec<Option<&str>> = vec![None; ids.len()];
     for (sub, body) in subs.iter().zip(bodies.iter()) {
         let Some(body) = body else { continue };
         let entries = merge::envelope_data(body)
@@ -685,7 +697,7 @@ fn merge_batch(
             )),
         }
     }
-    let data = match merge::rebuild_batch_data(&template_data, &merged, total) {
+    let data = match merge::rebuild_batch_data(&template_data, &merged, ids.len()) {
         Ok(d) => d,
         Err(e) => {
             return error_resp(
@@ -709,10 +721,9 @@ fn merge_batch(
         Response::json(
             200,
             format!(
-                "{{\"schema\":\"flatnet-serve/v1\",\"snapshot_version\":{version},\
-                 \"trace_id\":\"{trace_id:016x}\",\"router\":{{\"partial\":true,\
-                 \"failed_shards\":[{shards_list}],\"kind\":\"{SHARD_UNAVAILABLE}\"}},\
-                 \"data\":{data}}}\n"
+                "{}\"router\":{{\"partial\":true,\"failed_shards\":[{shards_list}],\
+                 \"kind\":\"{SHARD_UNAVAILABLE}\"}},\"data\":{data}}}\n",
+                envelope_head(version, trace_id)
             ),
         )
     }
@@ -723,61 +734,28 @@ fn leak_victim(query: &str) -> Option<u32> {
     merge::member_u64(query, "victim").and_then(|v| u32::try_from(v).ok())
 }
 
-/// `POST /v1/whatif/leak`: routed by victim; batch bodies split by
-/// victim owner. A body no owner can be read from — unparsable, or a
-/// victim that is missing or out of range — goes to any shard for its
-/// authoritative 4xx.
+/// `POST /v1/whatif/leak`: routed by victim, a `{"queries":[…]}` batch
+/// by each query's victim. A body no owner can be read from —
+/// unparsable, or a victim that is missing or out of range — goes to any
+/// shard for its authoritative 4xx.
 fn leak_route(inner: &Inner, req: &Request, trace_id: u64) -> Response {
     let Ok(body) = std::str::from_utf8(&req.body) else {
         return forward_any(inner, req, trace_id);
     };
-    let queries = merge::member(body, "queries");
-    let Some(queries) = queries else {
-        // Single query: route by its victim.
-        return match leak_victim(body) {
-            Some(victim) => {
-                let owner = inner.ring.owner(victim) as usize;
-                forward(inner, owner, req, &rebuild_target(req, None), trace_id)
-            }
-            None => forward_any(inner, req, trace_id),
-        };
+    let (items, batch) = match merge::member(body, "queries") {
+        Some(queries) => match merge::array_items(queries) {
+            Ok(items) if !items.is_empty() => (items, true),
+            _ => return forward_any(inner, req, trace_id),
+        },
+        None => (vec![body], false),
     };
-    let Ok(items) = merge::array_items(queries) else {
+    let Some(victims) = items.iter().map(|q| leak_victim(q)).collect::<Option<Vec<u32>>>() else {
         return forward_any(inner, req, trace_id);
     };
-    let mut victims = Vec::with_capacity(items.len());
-    for item in &items {
-        match leak_victim(item) {
-            Some(v) => victims.push(v),
-            None => return forward_any(inner, req, trace_id),
-        }
-    }
-    if victims.is_empty() {
-        return forward_any(inner, req, trace_id);
-    }
-    let groups = group_by_owner(&inner.ring, &victims);
-    if groups.len() == 1 {
-        return forward(inner, groups[0].0, req, &rebuild_target(req, None), trace_id);
-    }
-    inner.scatters.inc();
-    let subs: Vec<SubReq> = groups
-        .iter()
-        .map(|(shard, positions)| {
-            let sub_body = format!(
-                "{{\"queries\":[{}]}}",
-                positions.iter().map(|&p| items[p]).collect::<Vec<_>>().join(",")
-            );
-            SubReq {
-                shard: *shard,
-                positions: positions.clone(),
-                method: "POST",
-                target: rebuild_target(req, None),
-                body: Some(sub_body),
-            }
-        })
-        .collect();
-    let results = fan_out(inner, &subs, trace_id);
-    merge_batch(inner, &subs, results, victims.len(), "victim", &victims, trace_id)
+    owned_route(inner, req, "victim", &victims, batch, trace_id, |positions| {
+        let queries = positions.iter().map(|&p| items[p]).collect::<Vec<_>>().join(",");
+        (rebuild_target(req, None), Some(format!("{{\"queries\":[{queries}]}}")))
+    })
 }
 
 // ---------------------------------------------------------------------

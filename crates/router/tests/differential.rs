@@ -5,36 +5,15 @@
 //! corpus in the same order. Seeded random batches hold the merge to the
 //! same standard beyond the fixed corpus.
 
-use flatnet_netgen::{generate, NetGenConfig};
+mod common;
+
+use common::{known_origins, start_shard, ASES};
 use flatnet_router::{merge, HashRing, Router, RouterConfig};
-use flatnet_serve::{ServeConfig, Server, TopologySource};
+use flatnet_serve::Server;
 use flatnet_wire::{Client, Conn};
 use std::io::Write;
 use std::net::SocketAddr;
 use std::time::Duration;
-
-const ASES: usize = 300;
-const SEED: u64 = 17;
-
-fn start_shard(id: u32, count: u32) -> Server {
-    let net = generate(&NetGenConfig::paper_2020(ASES, SEED));
-    let tiers = net.tiers_for(&net.truth);
-    Server::start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        shard: Some((id, count)),
-        source: TopologySource::Preloaded { graph: net.truth, tiers },
-        ..ServeConfig::default()
-    })
-    .expect("shard starts")
-}
-
-fn known_origins(n: usize) -> Vec<u32> {
-    let net = generate(&NetGenConfig::paper_2020(ASES, SEED));
-    let total = net.truth.len();
-    let step = (total / n).max(1);
-    net.truth.asns().step_by(step).take(n).map(|a| a.0).collect()
-}
 
 /// One HTTP exchange on a persistent connection.
 fn exchange(conn: &mut Conn, method: &str, target: &str, body: Option<&str>) -> (u16, String) {

@@ -5,33 +5,15 @@
 //! slice-scoped 503 with the stable `shard-unavailable` kind while
 //! other slices keep answering.
 
-use flatnet_netgen::{generate, NetGenConfig};
+mod common;
+
+use common::{known_origins, start_shard};
 use flatnet_router::{merge, HashRing, Router, RouterConfig, SHARD_UNAVAILABLE};
-use flatnet_serve::{ServeConfig, Server, TopologySource};
+use flatnet_serve::Server;
 use flatnet_wire::Client;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
-
-fn start_shard(id: u32, count: u32) -> Server {
-    let net = generate(&NetGenConfig::paper_2020(300, 17));
-    let tiers = net.tiers_for(&net.truth);
-    Server::start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        shard: Some((id, count)),
-        source: TopologySource::Preloaded { graph: net.truth, tiers },
-        ..ServeConfig::default()
-    })
-    .expect("shard starts")
-}
-
-fn known_origins(n: usize) -> Vec<u32> {
-    let net = generate(&NetGenConfig::paper_2020(300, 17));
-    let total = net.truth.len();
-    let step = (total / n).max(1);
-    net.truth.asns().step_by(step).take(n).map(|a| a.0).collect()
-}
 
 /// The hang guard: every read on the client side times out after 30s,
 /// so a wedged scatter fails the test instead of stalling CI.
@@ -316,4 +298,74 @@ fn lying_shards_fail_their_slice_only_and_never_kill_the_router() {
 
     router.shutdown();
     real.shutdown();
+}
+
+/// A `{"queries":[…]}` leak batch whose victims span a killed shard
+/// answers like an `origins=` batch: 200, the `router` partial marker,
+/// each of the dead slice's queries a `shard-unavailable` entry naming
+/// its victim, and every other entry the bytes a lone daemon answers.
+#[test]
+fn leak_batch_through_a_killed_shard_is_partial_and_keeps_the_healthy_bytes() {
+    let mut shards: Vec<Server> = (0..3).map(|i| start_shard(i, 3)).collect();
+    let reference = start_shard(0, 1);
+    let router = Router::start(RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        shard_addrs: shards.iter().map(|s| s.addr().to_string()).collect(),
+        probe_interval_ms: 0,
+        upstream_timeout_ms: 5_000,
+        ..RouterConfig::default()
+    })
+    .expect("router starts");
+
+    let pool = known_origins(12);
+    let ring = HashRing::new(3);
+    const DEAD: u32 = 1;
+    split_by_owner(&pool, &ring, DEAD);
+    shards.remove(DEAD as usize).shutdown();
+
+    let queries = pool
+        .iter()
+        .map(|v| format!("{{\"victim\":{v},\"leakers\":2,\"seed\":3}}"))
+        .collect::<Vec<_>>()
+        .join(",");
+    let body = format!("{{\"queries\":[{queries}]}}");
+    let post = |addr: SocketAddr| {
+        let reply = Client::new(addr.to_string(), Duration::from_secs(30))
+            .request("POST", "/v1/whatif/leak", Some(&body), 0)
+            .expect("round trip");
+        (reply.status, reply.body)
+    };
+    let (status, routed) = post(router.addr());
+    let (lone_status, lone) = post(reference.addr());
+    assert_eq!((status, lone_status), (200, 200), "router: {routed}\nlone: {lone}");
+
+    let router_member = merge::member(&routed, "router")
+        .unwrap_or_else(|| panic!("missing router partial marker: {routed}"));
+    assert_eq!(merge::member(router_member, "partial"), Some("true"), "{routed}");
+    assert_eq!(merge::member_str(router_member, "kind"), Some(SHARD_UNAVAILABLE), "{routed}");
+    assert_eq!(merge::member(router_member, "failed_shards"), Some("[1]"), "{routed}");
+
+    fn entries(doc: &str, batch: usize) -> Vec<&str> {
+        let data = merge::envelope_data(doc).expect("data");
+        assert_eq!(merge::member_u64(data, "batch"), Some(batch as u64), "{data}");
+        let results = merge::array_items(merge::member(data, "results").expect("results"));
+        let results = results.expect("results parse");
+        assert_eq!(results.len(), batch, "{data}");
+        results
+    }
+    let (routed_entries, lone_entries) = (entries(&routed, pool.len()), entries(&lone, pool.len()));
+    for ((&victim, got), want) in pool.iter().zip(&routed_entries).zip(&lone_entries) {
+        if ring.owner(victim) == DEAD {
+            let lost = format!("{{\"victim\":{victim},\"error\":{{\"kind\":\"{SHARD_UNAVAILABLE}\"}}}}");
+            assert_eq!(*got, lost, "victim {victim} lost its shard");
+        } else {
+            assert_eq!(got, want, "victim {victim} is on a healthy shard");
+        }
+    }
+
+    router.shutdown();
+    for s in shards {
+        s.shutdown();
+    }
+    reference.shutdown();
 }

@@ -4,27 +4,14 @@
 //! a 5xx. A dead shard is skipped and reported, not retried into a
 //! hang.
 
-use flatnet_netgen::{generate, NetGenConfig};
+mod common;
+
+use common::start_shard;
 use flatnet_router::{merge, Router, RouterConfig};
-use flatnet_serve::{ServeConfig, Server, TopologySource};
+use flatnet_serve::Server;
 use flatnet_wire::Client;
 use std::net::SocketAddr;
 use std::time::Duration;
-
-fn start_shard(id: u32, count: u32) -> Server {
-    let net = generate(&NetGenConfig::paper_2020(300, 17));
-    let tiers = net.tiers_for(&net.truth);
-    Server::start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        // `flatnet router`'s floor for a spawned shard: pooled data-plane
-        // connections, a probe and a reload each hold a worker at once.
-        workers: 8,
-        shard: Some((id, count)),
-        source: TopologySource::Preloaded { graph: net.truth, tiers },
-        ..ServeConfig::default()
-    })
-    .expect("shard starts")
-}
 
 fn roundtrip(addr: SocketAddr, method: &str, target: &str) -> (u16, String) {
     let reply = Client::new(addr.to_string(), Duration::from_secs(30))

@@ -27,23 +27,26 @@
 //! success and `…,"error":{"kind":…,"message":…}}` on failure (error
 //! envelopes are shared by every endpoint); `kind` strings mirror
 //! [`crate::error::ServeError::kind`] labels where the failure is the
-//! server's, and name the request defect otherwise.
+//! server's, and name the request defect otherwise. The three `/v1`
+//! handlers solve first, then hand their answers to one emitter,
+//! `emit_data`, which writes the `data` object — a single answer's
+//! fields flat, a batch as `"batch":N,"results":[…]` — while each
+//! handler writes only its own entry's fields; `respond` wraps it in
+//! the envelope, streamed for `detail=full`.
 
 use crate::answer::{Answer, RELIANCE_TOP_MAX};
 use crate::cache::{policy_fingerprint, CacheKey, ResultCache};
 use crate::front::{error_response, Front, Handler, Limits};
 use crate::http::{parse_asn, Method, Request, Response};
-use crate::json::{envelope, envelope_prefix, escape, fmt_f64, push_f64, Json};
+use crate::json::{envelope_prefix, escape, Json, Num, SCHEMA};
 use crate::server::ServeConfig;
 use crate::snapshot::{ServeSnapshot, SnapshotManager};
 use flatnet_asgraph::{AsId, NodeId};
-use flatnet_bgpsim::{
-    Exclusion, ExclusionPolicy, LaneWidth, LockingSemantics, ReachForm, ReachSet, Sets, Simulation,
-};
-use flatnet_core::leaks::{leak_cdf_with_semantics, Announce, Locking};
+use flatnet_bgpsim::{Exclusion, ExclusionPolicy, LaneWidth, ReachForm, ReachSet, Sets, Simulation};
+use flatnet_core::leaks::{leak_cdf, Announce, Locking};
 use flatnet_obs::trace::{Stage, TraceCtx};
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -422,7 +425,7 @@ fn debug_queue(shared: &Arc<Shared>) -> Response {
     let wait = &front.stage_us[Stage::QueueWait as usize];
     let pct = |p: f64| wait.percentile_us(p).unwrap_or(0);
     let mut body = format!(
-        "{{\"schema\":\"flatnet-serve/v1\",\"endpoint\":\"queue\",\"depth\":{},\
+        "{{\"schema\":\"{SCHEMA}\",\"endpoint\":\"queue\",\"depth\":{},\
          \"capacity\":{},\"rejected\":{},\"workers\":{},\
          \"cache_entries\":{},\"cache_bytes\":{},\"scratch_bytes\":{},\
          \"connections\":{},\"keepalive_reuse\":{},\"keepalive_idle_closed\":{},\
@@ -635,77 +638,110 @@ fn resolve(
         .collect())
 }
 
-/// Renders one origin's reachability summary fields (shared by the flat
-/// single shape and each batch result entry).
-fn reach_summary_fields(asn: u32, reached: usize, max_possible: usize, cached: bool) -> String {
-    let pct = if max_possible > 0 { 100.0 * reached as f64 / max_possible as f64 } else { 0.0 };
-    format!(
-        "\"origin\":{asn},\"reachable\":{reached},\"max_possible\":{max_possible},\
-         \"pct\":{},\"cached\":{cached}",
-        fmt_f64((pct * 1e4).round() / 1e4),
+/// Where rendered response text goes: the response `String`, or a
+/// chunked stream through `Chunks`.
+type Emit<'a> = &'a mut dyn fmt::Write;
+
+/// A chunked response body as a [`fmt::Write`] target; keeps the
+/// socket error a write met, which `fmt::Error` cannot carry.
+struct Chunks<'a, 'b> {
+    sink: &'a mut crate::http::ChunkSink<'b>,
+    failed: Option<std::io::Error>,
+}
+
+impl fmt::Write for Chunks<'_, '_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.sink.push(s).map_err(|e| {
+            self.failed = Some(e);
+            fmt::Error
+        })
+    }
+}
+
+/// Wraps the `data` object `render` writes in the success envelope: one
+/// `String`, or with `stream` chunked frames, so a large graph never
+/// materializes a multi-MB `detail=full` body.
+fn respond(
+    version: u64,
+    trace_id: u64,
+    stream: bool,
+    render: impl FnOnce(Emit<'_>) -> fmt::Result + Send + 'static,
+) -> Response {
+    let mut body = envelope_prefix(version, trace_id);
+    if !stream {
+        render(&mut body).expect("writing to a String cannot fail");
+        body.push_str("}\n");
+        return Response::json(200, body);
+    }
+    Response::stream(
+        200,
+        Box::new(move |sink| {
+            sink.push(&body)?;
+            let mut out = Chunks { sink, failed: None };
+            render(&mut out).map_err(|_| {
+                out.failed.take().unwrap_or_else(|| std::io::Error::other("render failed"))
+            })?;
+            out.sink.push("}\n")
+        }),
     )
 }
 
-/// Where rendered response text goes: a chunked stream or a `String`.
-type Emit<'a> = &'a mut dyn FnMut(&str) -> std::io::Result<()>;
+/// The one writer of a `/v1` endpoint's `data` object: `{"endpoint":E`,
+/// the `exclude` list when the endpoint takes one, then for a batch
+/// `"batch":N,"results":[{…},…]}` with one object per item, or for a
+/// single answer that item's fields spliced flat. `entry` writes one
+/// item's fields (no braces) to `out`.
+fn emit_data<T>(
+    endpoint: &str,
+    exclude: Option<ExclusionPolicy>,
+    items: &[T],
+    batch: bool,
+    out: Emit<'_>,
+    mut entry: impl FnMut(&T, Emit<'_>) -> fmt::Result,
+) -> fmt::Result {
+    write!(out, "{{\"endpoint\":\"{endpoint}\",")?;
+    if let Some(policy) = exclude {
+        write!(out, "\"exclude\":[{}],", exclude_names(policy))?;
+    }
+    if batch {
+        write!(out, "\"batch\":{},\"results\":[", items.len())?;
+    }
+    for (i, item) in items.iter().enumerate() {
+        if batch {
+            out.write_str(if i > 0 { ",{" } else { "{" })?;
+        }
+        entry(item, &mut *out)?;
+        if batch {
+            out.write_str("}")?;
+        }
+    }
+    out.write_str(if batch { "]}" } else { "}" })
+}
 
-/// Emits one origin's sorted reach-set ASNs as a JSON array body (no
+/// Writes one origin's sorted reach-set ASNs as a JSON array body (no
 /// brackets), straight off the set: an [`flatnet_asgraph::AsGraph`]
 /// numbers its nodes in ascending ASN order (`index_of` is a binary search
 /// over that table), so walking the set upwards already is the sorted
-/// order, and neither the list nor its text is ever materialized.
+/// order, and neither the list nor its text is ever materialized. Each
+/// number is formatted into a local buffer and handed to `out` in one
+/// write: a stream pays per write, and a full answer is one per AS.
 fn emit_reach_asns(
     snap: &ServeSnapshot,
     node: NodeId,
     set: &ReachSet,
-    emit: Emit<'_>,
-) -> std::io::Result<()> {
-    let mut numbuf = String::with_capacity(16);
+    out: Emit<'_>,
+) -> fmt::Result {
+    let mut num = String::with_capacity(16);
     let mut first = true;
     for reached in set.iter().filter(|&reached| reached != node) {
-        numbuf.clear();
+        num.clear();
         if !std::mem::take(&mut first) {
-            numbuf.push(',');
+            num.push(',');
         }
-        let _ = write!(numbuf, "{}", snap.graph.asn(reached).0);
-        emit(&numbuf)?;
+        write!(num, "{}", snap.graph.asn(reached).0)?;
+        out.write_str(&num)?;
     }
     Ok(())
-}
-
-/// Emits the reachability `data` object: the batch shape, or for a
-/// single the entry's fields spliced flat into the object; `full` adds
-/// each origin's sorted reach set.
-fn emit_reachability(
-    snap: &ServeSnapshot,
-    policy: ExclusionPolicy,
-    origins: &[(u32, NodeId)],
-    answers: &[(Arc<Answer>, bool)],
-    batch: bool,
-    full: bool,
-    emit: Emit<'_>,
-) -> std::io::Result<()> {
-    let max_possible = snap.graph.len().saturating_sub(1);
-    emit(&format!("{{\"endpoint\":\"reachability\",\"exclude\":[{}],", exclude_names(policy)))?;
-    if batch {
-        emit(&format!("\"batch\":{},\"results\":[", answers.len()))?;
-    }
-    for (i, (&(asn, node), (answer, cached))) in origins.iter().zip(answers).enumerate() {
-        let Answer::Reach { set, reached } = &**answer else { continue };
-        if batch {
-            emit(if i > 0 { ",{" } else { "{" })?;
-        }
-        emit(&reach_summary_fields(asn, *reached, max_possible, *cached))?;
-        if full {
-            emit(",\"reach\":[")?;
-            emit_reach_asns(snap, node, set, emit)?;
-            emit("]")?;
-        }
-        if batch {
-            emit("}")?;
-        }
-    }
-    emit(if batch { "]}" } else { "}" })
 }
 
 /// `GET /v1/reachability?origins=a,b,c[&exclude=…][&detail=full]`
@@ -713,9 +749,9 @@ fn emit_reachability(
 ///
 /// Every origin resolves through [`resolve`] under the same cache key a
 /// single-origin query would use, so batch and single answers are the
-/// same `Answer` values, bit for bit; this handler only renders —
-/// `detail=full` as chunked frames, so a large graph never materializes
-/// a multi-MB body.
+/// same `Answer` values, bit for bit; this handler only renders — an
+/// entry is the origin's summary, and `detail=full` adds its sorted
+/// reach set and streams the body.
 fn reachability(
     shared: &Arc<Shared>,
     req: &Request,
@@ -727,25 +763,27 @@ fn reachability(
     let policy = parse_exclude(req)?;
     let full = parse_detail(req)?;
     let answers = resolve(shared, &snap, Endpoint::Reachability, policy, &origins, trace)?;
-    let prefix = envelope_prefix(snap.version, trace.id());
-    if full {
-        let producer: crate::http::BodyProducer = Box::new(move |sink| {
-            sink.push(&prefix)?;
-            let emit: Emit<'_> = &mut |s| sink.push(s);
-            emit_reachability(&snap, policy, &origins, &answers, batch, true, emit)?;
-            sink.push("}\n")
-        });
-        return Ok(Response::stream(200, producer));
-    }
-    let mut body = prefix;
-    let emit: Emit<'_> = &mut |s| {
-        body.push_str(s);
-        Ok(())
-    };
-    emit_reachability(&snap, policy, &origins, &answers, batch, false, emit)
-        .expect("writing to a String cannot fail");
-    body.push_str("}\n");
-    Ok(Response::json(200, body))
+    let items: Vec<_> = origins.into_iter().zip(answers).collect();
+    Ok(respond(snap.version, trace.id(), full, move |out| {
+        let max_possible = snap.graph.len().saturating_sub(1);
+        emit_data("reachability", Some(policy), &items, batch, out, |item, out| {
+            let ((asn, node), (answer, cached)) = item;
+            let Answer::Reach { set, reached } = &**answer else { unreachable!("a reach key") };
+            let pct = 100.0 * *reached as f64 / max_possible.max(1) as f64;
+            write!(
+                out,
+                "\"origin\":{asn},\"reachable\":{reached},\"max_possible\":{max_possible},\
+                 \"pct\":{},\"cached\":{cached}",
+                Num((pct * 1e4).round() / 1e4),
+            )?;
+            if full {
+                out.write_str(",\"reach\":[")?;
+                emit_reach_asns(&snap, *node, set, out)?;
+                out.write_str("]")?;
+            }
+            Ok(())
+        })
+    }))
 }
 
 /// `GET /v1/reliance?origins=a,b[&exclude=…][&top=K]` (single-origin
@@ -766,34 +804,19 @@ fn reliance_endpoint(
         Err(_) => return Err(ApiError::bad_request("bad 'top' (want a count)")),
     };
     let answers = resolve(shared, &snap, Endpoint::Reliance, policy, &origins, trace)?;
-
-    // One output string: envelope prefix, data object, envelope close.
-    // The single shape is the batch entry's fields spliced flat into the
-    // data object. Writing to a `String` cannot fail.
-    let mut body = envelope_prefix(snap.version, trace.id());
-    let _ = write!(body, "{{\"endpoint\":\"reliance\",\"exclude\":[{}],", exclude_names(policy));
-    if batch {
-        let _ = write!(body, "\"batch\":{},\"results\":[", answers.len());
-    }
-    for (i, (&(asn, _), (answer, cached))) in origins.iter().zip(&answers).enumerate() {
-        let Answer::Reliance { receivers, top } = &**answer else {
-            return Err(ApiError::new(500, "internal", "cache type confusion"));
-        };
-        if batch {
-            body.push_str(if i > 0 { ",{" } else { "{" });
-        }
-        let _ = write!(body, "\"origin\":{asn},\"receivers\":");
-        push_f64(&mut body, *receivers);
-        let _ = write!(body, ",\"cached\":{cached},\"top\":[");
-        for (j, (a, s)) in top.iter().take(top_k).enumerate() {
-            let _ = write!(body, "{}{{\"asn\":{a},\"rely\":", if j > 0 { "," } else { "" });
-            push_f64(&mut body, *s);
-            body.push('}');
-        }
-        body.push_str(if batch { "]}" } else { "]" });
-    }
-    body.push_str(if batch { "]}}\n" } else { "}}\n" });
-    Ok(Response::json(200, body))
+    let items: Vec<_> = origins.into_iter().zip(answers).collect();
+    Ok(respond(snap.version, trace.id(), false, move |out| {
+        emit_data("reliance", Some(policy), &items, batch, out, |item, out| {
+            let ((asn, _), (answer, cached)) = item;
+            let Answer::Reliance { receivers, top } = &**answer else { unreachable!("a reliance key") };
+            let receivers = Num(*receivers);
+            write!(out, "\"origin\":{asn},\"receivers\":{receivers},\"cached\":{cached},\"top\":[")?;
+            for (j, &(a, s)) in top.iter().take(top_k).enumerate() {
+                write!(out, "{}{{\"asn\":{a},\"rely\":{}}}", if j > 0 { "," } else { "" }, Num(s))?;
+            }
+            out.write_str("]")
+        })
+    }))
 }
 
 /// One parsed what-if leak query.
@@ -829,37 +852,6 @@ fn parse_leak_query(doc: &Json) -> Result<LeakQuery, ApiError> {
     Ok(LeakQuery { victim, leakers, seed, locking, announce })
 }
 
-/// Runs one leak query on the snapshot's graph — the simulators run on
-/// its topology's pooled buffers — and renders the result object (shared
-/// by the flat single shape and batch entries).
-fn run_leak_query(snap: &ServeSnapshot, q: &LeakQuery) -> Result<String, ApiError> {
-    let Some(cdf) = leak_cdf_with_semantics(
-        &snap.graph,
-        &snap.tiers,
-        AsId(q.victim),
-        q.announce,
-        q.locking,
-        LockingSemantics::Corrected,
-        q.leakers,
-        q.seed,
-        None,
-    ) else {
-        return Err(ApiError::not_found(format!("AS{} is not in the topology", q.victim)));
-    };
-    Ok(format!(
-        "{{\"victim\":{},\"leakers\":{},\"lock\":\"{}\",\"announce\":\"{}\",\
-         \"seed\":{},\"detour_fraction\":{{\"median\":{},\"p90\":{},\"max\":{}}}}}",
-        q.victim,
-        cdf.fractions.len(),
-        q.locking.token(),
-        q.announce.token(),
-        q.seed,
-        fmt_f64(cdf.median()),
-        fmt_f64(cdf.percentile(90.0)),
-        fmt_f64(cdf.max()),
-    ))
-}
-
 /// `POST /v1/whatif/leak` with a JSON body — either one query object
 /// `{"victim": ASN, "leakers": K, "lock": "none|t1|t12|global",
 /// "seed": S, "announce": "all|t12p"}` (victim required), or a batch
@@ -878,41 +870,45 @@ fn whatif_leak(
     let doc = crate::json::parse(text)
         .map_err(|e| ApiError::bad_request(format!("bad JSON body: {e}")))?;
 
-    let data = match doc.get("queries") {
-        Some(queries) => {
-            let Some(list) = queries.as_array() else {
-                return Err(ApiError::unprocessable("'queries' must be an array"));
-            };
-            if list.is_empty() {
-                return Err(ApiError::unprocessable("'queries' must not be empty"));
-            }
-            if list.len() > MAX_LEAK_QUERIES {
+    let (queries, batch) = match doc.get("queries") {
+        Some(queries) => match queries.as_array() {
+            None => return Err(ApiError::unprocessable("'queries' must be an array")),
+            Some([]) => return Err(ApiError::unprocessable("'queries' must not be empty")),
+            Some(list) if list.len() > MAX_LEAK_QUERIES => {
+                let n = list.len();
                 return Err(ApiError::unprocessable(format!(
-                    "too many queries ({} > {MAX_LEAK_QUERIES})",
-                    list.len()
+                    "too many queries ({n} > {MAX_LEAK_QUERIES})"
                 )));
             }
-            let mut entries = Vec::with_capacity(list.len());
-            for q in list {
-                let parsed = parse_leak_query(q)?;
-                entries.push(run_leak_query(&snap, &parsed)?);
-            }
-            format!(
-                "{{\"endpoint\":\"whatif_leak\",\"batch\":{},\"results\":[{}]}}",
-                entries.len(),
-                entries.join(","),
-            )
-        }
-        None => {
-            let q = parse_leak_query(&doc)?;
-            let entry = run_leak_query(&snap, &q)?;
-            format!(
-                "{{\"endpoint\":\"whatif_leak\",{}",
-                entry.strip_prefix('{').unwrap_or(&entry),
-            )
-        }
+            Some(list) => (list.iter().collect(), true),
+        },
+        None => (vec![&doc], false),
     };
-    Ok(Response::json(200, envelope(snap.version, trace.id(), &data)))
+    let mut items = Vec::with_capacity(queries.len());
+    for q in queries {
+        let q = parse_leak_query(q)?;
+        let (g, tiers, victim) = (&snap.graph, &snap.tiers, AsId(q.victim));
+        let cdf = leak_cdf(g, tiers, victim, q.announce, q.locking, q.leakers, q.seed, None)
+            .ok_or_else(|| ApiError::not_found(format!("AS{} is not in the topology", q.victim)))?;
+        items.push((cdf, q));
+    }
+    Ok(respond(snap.version, trace.id(), false, move |out| {
+        emit_data("whatif_leak", None, &items, batch, out, |(cdf, q), out| {
+            write!(
+                out,
+                "\"victim\":{},\"leakers\":{},\"lock\":\"{}\",\"announce\":\"{}\",\"seed\":{},\
+                 \"detour_fraction\":{{\"median\":{},\"p90\":{},\"max\":{}}}",
+                q.victim,
+                cdf.fractions.len(),
+                q.locking.token(),
+                q.announce.token(),
+                q.seed,
+                Num(cdf.median()),
+                Num(cdf.percentile(90.0)),
+                Num(cdf.max()),
+            )
+        })
+    }))
 }
 
 fn healthz(shared: &Arc<Shared>) -> Response {
@@ -1012,6 +1008,7 @@ fn admin_shutdown(shared: &Arc<Shared>) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{envelope, fmt_f64};
     use crate::http::Body;
     use crate::snapshot::TopologySource;
     use flatnet_bgpsim::{reliance, NextHopDag, PropagationConfig};

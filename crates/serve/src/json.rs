@@ -10,32 +10,44 @@ pub use flatnet_wire::json::{escape, parse, Json};
 /// fraction, everything else with six significant decimals — enough for
 /// fractions of an AS population, and deterministic across platforms.
 pub fn fmt_f64(x: f64) -> String {
-    let mut out = String::new();
-    push_f64(&mut out, x);
-    out
+    Num(x).to_string()
 }
 
-/// Appends `x` to `out` in [`fmt_f64`]'s format, without the
-/// intermediate `String` — for renderers that emit many numbers.
-pub fn push_f64(out: &mut String, x: f64) {
-    use std::fmt::Write as _;
-    // Writing to a `String` cannot fail.
-    let _ = if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
-        write!(out, "{}", x as i64)
-    } else {
-        write!(out, "{x:.6}")
-    };
+/// A float in [`fmt_f64`]'s format, written straight into a `write!`
+/// target — for renderers that emit many numbers.
+pub struct Num(pub f64);
+
+impl std::fmt::Display for Num {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let x = self.0;
+        if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
+            write!(f, "{}", x as i64)
+        } else {
+            write!(f, "{x:.6}")
+        }
+    }
 }
 
-/// The shared prefix of every `/v1` envelope: schema tag, the snapshot
-/// version the answer was computed against, and the request's trace id
-/// (hex, correlating with `/debug/trace/*`), up to and including the
+/// The schema tag every `/v1` envelope carries, and `/debug/queue`'s
+/// bare document too.
+pub const SCHEMA: &str = "flatnet-serve/v1";
+
+/// The framing every `/v1` envelope opens with — schema tag, the
+/// snapshot version the answer was computed against, and the request's
+/// trace id (hex, correlating with `/debug/trace/*`) — up to and
+/// including the comma after it. Success and error envelopes append
+/// their `data` or `error` member; the router's partial envelope puts a
+/// `router` member before its `data`.
+pub fn envelope_head(version: u64, trace_id: u64) -> String {
+    format!("{{\"schema\":\"{SCHEMA}\",\"snapshot_version\":{version},\"trace_id\":\"{trace_id:016x}\",")
+}
+
+/// The success envelope's [`envelope_head`] up to and including the
 /// `"data":` key. Callers append the data object and the closing `}`.
 pub fn envelope_prefix(version: u64, trace_id: u64) -> String {
-    format!(
-        "{{\"schema\":\"flatnet-serve/v1\",\"snapshot_version\":{version},\
-         \"trace_id\":\"{trace_id:016x}\",\"data\":"
-    )
+    let mut out = envelope_head(version, trace_id);
+    out.push_str("\"data\":");
+    out
 }
 
 /// Wraps a rendered data object in the success envelope:
@@ -49,8 +61,8 @@ pub fn envelope(version: u64, trace_id: u64, data: &str) -> String {
 /// instead of `data`.
 pub fn error_envelope(version: u64, trace_id: u64, kind: &str, message: &str) -> String {
     format!(
-        "{{\"schema\":\"flatnet-serve/v1\",\"snapshot_version\":{version},\
-         \"trace_id\":\"{trace_id:016x}\",\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}\n",
+        "{}\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}\n",
+        envelope_head(version, trace_id),
         escape(kind),
         escape(message),
     )
