@@ -67,6 +67,39 @@ impl Tiers {
             TierAssignment::Other
         }
     }
+
+    /// The Tier-1 and Tier-2 members as ASNs of `g`.
+    pub fn asns(&self, g: &AsGraph) -> TierLists {
+        let asns = |ns: &[NodeId]| ns.iter().map(|&n| g.asn(n)).collect();
+        (asns(&self.tier1), asns(&self.tier2))
+    }
+}
+
+/// Tier-1 and Tier-2 ASN lists.
+pub type TierLists = (Vec<AsId>, Vec<AsId>);
+
+/// The tier rule every command that takes `--tier1`/`--tier2` and the
+/// serving daemon share: the declared lists when a Tier-1 list is declared
+/// (non-empty), [`infer_tiers`]`(g, 32, 28)` otherwise.
+///
+/// The second value is what the health gate
+/// ([`validate_topology`](crate::validate::validate_topology)) checks: the
+/// declared lists as given, so a member the graph lacks is reported (the
+/// resolved [`Tiers`] have dropped it), or the inferred sets. Inferring
+/// logs how many Tier-1s and Tier-2s it found.
+pub fn declared_or_inferred(g: &AsGraph, tier1: &[AsId], tier2: &[AsId]) -> (Tiers, TierLists) {
+    if tier1.is_empty() {
+        let tiers = infer_tiers(g, 32, 28);
+        flatnet_obs::info!(
+            "inferred {} Tier-1s and {} Tier-2s (pass --tier1/--tier2 to override)",
+            tiers.tier1().len(),
+            tiers.tier2().len()
+        );
+        let lists = tiers.asns(g);
+        (tiers, lists)
+    } else {
+        (Tiers::from_lists(g, tier1, tier2), (tier1.to_vec(), tier2.to_vec()))
+    }
 }
 
 /// Where an AS sits relative to the transit hierarchy's top.

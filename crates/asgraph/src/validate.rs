@@ -16,8 +16,6 @@
 //!   depends on them.
 //! * **tier-membership** — tier-list members that don't exist in the
 //!   graph (warning: the lists and the topology disagree).
-//! * **self-loops** — an AS linked to itself (critical; should be
-//!   impossible after parsing, so its presence means corruption).
 //! * **relationship-conflicts** — links declared with contradictory
 //!   relationships during construction (warning; first declaration won).
 //! * **orphaned-ases** — degree-0 ASes (info; they can't route at all).
@@ -176,12 +174,15 @@ pub fn validate_topology(
     }
 
     // tier-membership: declared tier members missing from the graph.
-    let missing_members: Vec<AsId> = tier1
+    // A member listed twice is one member, here and in the clique.
+    let mut missing_members: Vec<AsId> = tier1
         .iter()
         .chain(tier2)
         .copied()
         .filter(|&a| g.index_of(a).is_none())
         .collect();
+    missing_members.sort_unstable();
+    missing_members.dedup();
     if !missing_members.is_empty() {
         report.push(
             "tier-membership",
@@ -195,7 +196,9 @@ pub fn validate_topology(
     }
 
     // tier1-clique: every present pair must peer.
-    let t1_nodes: Vec<_> = tier1.iter().filter_map(|&a| g.index_of(a)).collect();
+    let mut t1_nodes: Vec<_> = tier1.iter().filter_map(|&a| g.index_of(a)).collect();
+    t1_nodes.sort_unstable();
+    t1_nodes.dedup();
     let mut broken_pairs = 0usize;
     let mut broken_examples: Vec<AsId> = Vec::new();
     for (i, &a) in t1_nodes.iter().enumerate() {
@@ -218,19 +221,6 @@ pub fn validate_topology(
             Severity::Critical,
             format!("{broken_pairs} of {total} Tier-1 pairs do not peer; the clique is broken"),
             cap(broken_examples),
-        );
-    }
-
-    // self-loops: impossible after parsing, so finding one means memory
-    // corruption or a hand-built graph gone wrong.
-    let loops: Vec<AsId> =
-        g.edges().filter(|(x, y, _)| x == y).map(|(x, _, _)| g.asn(x)).collect();
-    if !loops.is_empty() {
-        report.push(
-            "self-loops",
-            Severity::Critical,
-            format!("{} self-loop link(s) present", loops.len()),
-            cap(loops),
         );
     }
 
@@ -396,6 +386,17 @@ mod tests {
         assert_eq!(clique.severity, Severity::Critical);
         assert!(clique.message.contains("2 of 3"), "{}", clique.message);
         assert!(!r.is_usable());
+    }
+
+    #[test]
+    fn repeated_tier_members_count_once() {
+        let (g, t1, t2) = healthy();
+        let twice = |v: &[AsId]| [v, v].concat();
+        let r = validate_topology(&g, &twice(&t1), &t2, &[], &ValidateOptions::default());
+        assert!(r.is_clean(), "{}", r.render());
+        let r = validate_topology(&g, &[AsId(999), AsId(999)], &[], &[], &ValidateOptions::default());
+        let m = r.checks.iter().find(|c| c.name == "tier-membership").expect("flagged");
+        assert_eq!(m.affected, vec![AsId(999)]);
     }
 
     #[test]

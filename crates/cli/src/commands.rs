@@ -4,6 +4,7 @@ use crate::opts::Opts;
 use flatnet_asgraph::caida;
 use flatnet_asgraph::graph::RelConflict;
 use flatnet_asgraph::ingest::{ParseDiagnostics, ParseOptions};
+use flatnet_asgraph::tiers::{declared_or_inferred, TierLists};
 use flatnet_asgraph::{validate_topology, AsGraph, AsId, Tiers, ValidateOptions};
 use flatnet_core::leaks::{leak_cdf, Announce, Locking};
 use flatnet_core::reachability::{hierarchy_free_all, rank_by_hierarchy_free, reachability_profile};
@@ -54,12 +55,10 @@ fn load_graph_full(
     Ok((b.build(), conflicts))
 }
 
-/// `--validate`: pre-flight topology health checks; critical findings
-/// abort the command.
-fn run_validation(g: &AsGraph, tiers: &Tiers, conflicts: &[RelConflict]) -> Result<(), String> {
-    let t1: Vec<AsId> = tiers.tier1().iter().map(|&n| g.asn(n)).collect();
-    let t2: Vec<AsId> = tiers.tier2().iter().map(|&n| g.asn(n)).collect();
-    let report = validate_topology(g, &t1, &t2, conflicts, &ValidateOptions::default());
+/// `--validate`: pre-flight topology health checks on the tier lists
+/// [`tiers_for`] returns; critical findings abort the command.
+fn run_validation(g: &AsGraph, (t1, t2): &TierLists, conflicts: &[RelConflict]) -> Result<(), String> {
+    let report = validate_topology(g, t1, t2, conflicts, &ValidateOptions::default());
     flatnet_obs::info!("{}", report.render());
     if !report.is_usable() {
         return Err("topology failed pre-flight health checks (critical findings above)".into());
@@ -67,35 +66,25 @@ fn run_validation(g: &AsGraph, tiers: &Tiers, conflicts: &[RelConflict]) -> Resu
     Ok(())
 }
 
-/// Explicit Tier-1 and Tier-2 ASNs.
-type TierLists = (Vec<AsId>, Vec<AsId>);
-
-/// The explicit `--tier1`/`--tier2` lists, `None` when tiers are to be
-/// inferred. `--tier2` alone is a usage error in every command that takes
-/// the pair: an explicit Tier-2 list means nothing beside inferred Tier-1s.
-fn tier_flags(opts: &Opts) -> Result<Option<TierLists>, String> {
-    match (opts.as_list("tier1")?, opts.as_list("tier2")?) {
-        (Some(t1), t2) => Ok(Some((t1, t2.unwrap_or_default()))),
-        (None, Some(_)) => Err("--tier2 requires --tier1".into()),
-        (None, None) => Ok(None),
+/// The declared `--tier1`/`--tier2` lists, empty when not given (an empty
+/// Tier-1 list means infer, see [`declared_or_inferred`]). A non-empty
+/// `--tier2` without a non-empty `--tier1` is a usage error in every
+/// command that takes the pair: an explicit Tier-2 list means nothing
+/// beside inferred Tier-1s.
+fn tier_flags(opts: &Opts) -> Result<TierLists, String> {
+    let t1 = opts.as_list("tier1")?.unwrap_or_default();
+    let t2 = opts.as_list("tier2")?.unwrap_or_default();
+    if t1.is_empty() && !t2.is_empty() {
+        return Err("--tier2 requires --tier1".into());
     }
+    Ok((t1, t2))
 }
 
-/// Resolves tier sets: explicit lists when given, AS-Rank-style inference
-/// otherwise.
-fn tiers_for(g: &AsGraph, opts: &Opts) -> Result<Tiers, String> {
-    match tier_flags(opts)? {
-        Some((t1, t2)) => Ok(Tiers::from_lists(g, &t1, &t2)),
-        None => {
-            let tiers = flatnet_asgraph::tiers::infer_tiers(g, 32, 28);
-            flatnet_obs::info!(
-                "inferred {} Tier-1s and {} Tier-2s (pass --tier1/--tier2 to override)",
-                tiers.tier1().len(),
-                tiers.tier2().len()
-            );
-            Ok(tiers)
-        }
-    }
+/// Resolves tier sets by the rule the daemon shares
+/// ([`declared_or_inferred`]), with the lists `--validate` checks.
+fn tiers_for(g: &AsGraph, opts: &Opts) -> Result<(Tiers, TierLists), String> {
+    let (t1, t2) = tier_flags(opts)?;
+    Ok(declared_or_inferred(g, &t1, &t2))
 }
 
 /// `flatnet gen` — write a full synthetic dataset to a directory.
@@ -148,9 +137,9 @@ pub fn reach(args: &[String]) -> Result<(), String> {
     let origins = opts
         .as_list("origin")?
         .ok_or("missing required flag --origin")?;
-    let tiers = tiers_for(&g, &opts)?;
+    let (tiers, checked) = tiers_for(&g, &opts)?;
     if opts.switch("validate") {
-        run_validation(&g, &tiers, &conflicts)?;
+        run_validation(&g, &checked, &conflicts)?;
     }
     let profile = reachability_profile(&g, &tiers, &origins);
     if profile.is_empty() {
@@ -180,9 +169,9 @@ pub fn rank(args: &[String]) -> Result<(), String> {
     let mode = parse_mode(&opts)?;
     let (g, conflicts) = load_graph_full(opts.required("as-rel")?, &mode)?;
     let top: usize = opts.num_or("top", 20)?;
-    let tiers = tiers_for(&g, &opts)?;
+    let (tiers, checked) = tiers_for(&g, &opts)?;
     if opts.switch("validate") {
-        run_validation(&g, &tiers, &conflicts)?;
+        run_validation(&g, &checked, &conflicts)?;
     }
     let hfr = hierarchy_free_all(&g, &tiers);
     let ranked = rank_by_hierarchy_free(&g, &hfr);
@@ -240,9 +229,9 @@ pub fn leak(args: &[String]) -> Result<(), String> {
     let lock = opts.get("lock").unwrap_or("none");
     let locking = Locking::from_token(lock)
         .ok_or_else(|| format!("--lock must be none|t1|t12|global, got {lock:?}"))?;
-    let tiers = tiers_for(&g, &opts)?;
+    let (tiers, checked) = tiers_for(&g, &opts)?;
     if opts.switch("validate") {
-        run_validation(&g, &tiers, &conflicts)?;
+        run_validation(&g, &checked, &conflicts)?;
     }
     let cdf = leak_cdf(&g, &tiers, victim, Announce::ToAll, locking, leakers, seed, None)
         .ok_or_else(|| format!("{victim} is not in the topology"))?;
@@ -443,6 +432,10 @@ mod tests {
             "--as-rel", fs_, "--origin", "3", "--tier1", "1,2", "--validate",
         ]))
         .unwrap();
+        // A Tier-1 listed twice is one Tier-1, not a pair that fails to peer.
+        for t1 in ["1,1,2", "1,AS1,2"] {
+            reach(&argv(&["--as-rel", fs_, "--origin", "3", "--tier1", t1, "--validate"])).unwrap();
+        }
         // Declaring the customer a Tier-1 breaks the clique: 3 does not peer
         // with anyone, so --validate must refuse to run the measurement.
         let err = reach(&argv(&[
@@ -465,6 +458,9 @@ mod tests {
         reach(&argv(&["--as-rel", fs_, "--origin", "3", "--tier1", "1", "--tier2", "2"])).unwrap();
         // tier2 without tier1 is an error.
         assert!(reach(&argv(&["--as-rel", fs_, "--origin", "3", "--tier2", "2"])).is_err());
+        // So is tier2 beside an empty tier1.
+        let err = reach(&argv(&["--as-rel", fs_, "--origin", "3", "--tier1", ",", "--tier2", "2"]));
+        assert_eq!(err.unwrap_err(), "--tier2 requires --tier1");
         // Unknown origin.
         assert!(reach(&argv(&["--as-rel", fs_, "--origin", "99"])).is_err());
         let _ = fs::remove_dir_all(&dir);
@@ -719,7 +715,7 @@ pub fn dot(args: &[String]) -> Result<(), String> {
 /// share: `--as-rel FILE [--tier1 .. --tier2 ..] [--lenient]`, or the
 /// generator's `--ases N --seed S`.
 fn topology_source(opts: &Opts) -> Result<flatnet_serve::TopologySource, String> {
-    let (tier1, tier2) = tier_flags(opts)?.unwrap_or_default();
+    let (tier1, tier2) = tier_flags(opts)?;
     Ok(match opts.get("as-rel") {
         Some(path) => flatnet_serve::TopologySource::CaidaFile {
             path: path.to_string(),

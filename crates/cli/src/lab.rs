@@ -147,11 +147,9 @@ impl Lab {
         self.net2020().name_of(asn)
     }
 
-    /// Per-node user weights on the augmented 2020 graph (nodes added by
-    /// augmentation — IXP ASes — get weight 0).
-    pub fn user_weights_2020(&self) -> Vec<f64> {
-        let net = self.net2020();
-        let g = self.graph2020();
+    /// Per-node user weights on `g`, an augmented graph of `net`'s epoch
+    /// (nodes added by augmentation — IXP ASes — get weight 0).
+    pub fn user_weights(net: &SyntheticInternet, g: &AsGraph) -> Vec<f64> {
         g.nodes()
             .map(|n| {
                 net.truth
@@ -175,6 +173,6 @@ mod tests {
         assert!(lab.graph2020().edge_count() > 0);
         assert_eq!(lab.hfr2020().len(), lab.graph2020().len());
         assert_eq!(lab.name(AsId(15169)), "Google");
-        assert_eq!(lab.user_weights_2020().len(), lab.graph2020().len());
+        assert_eq!(Lab::user_weights(lab.net2020(), lab.graph2020()).len(), lab.graph2020().len());
     }
 }

@@ -83,11 +83,8 @@ impl Opts {
             if part.is_empty() {
                 continue;
             }
-            let asn: u32 = part
-                .strip_prefix("AS")
-                .unwrap_or(part)
-                .parse()
-                .map_err(|_| format!("--{name}: bad ASN {part:?}"))?;
+            let asn = flatnet_wire::http::parse_asn(part)
+                .ok_or_else(|| format!("--{name}: bad ASN {part:?}"))?;
             out.push(AsId(asn));
         }
         Ok(Some(out))
@@ -125,6 +122,14 @@ mod tests {
         assert_eq!(o.as_list("tier2").unwrap(), None);
         let bad = Opts::parse(&argv(&["--tier1", "x"]), &[], &["tier1"]).unwrap();
         assert!(bad.as_list("tier1").is_err());
+    }
+
+    #[test]
+    fn as_list_reads_asn_tokens_as_the_daemon_does() {
+        let o = Opts::parse(&argv(&["--origin", "as10,AS10,10"]), &[], &["origin"]).unwrap();
+        assert_eq!(o.as_list("origin").unwrap().unwrap(), vec![AsId(10); 3]);
+        let bad = Opts::parse(&argv(&["--origin", "x10"]), &[], &["origin"]).unwrap();
+        assert_eq!(bad.as_list("origin").unwrap_err(), "--origin: bad ASN \"x10\"");
     }
 
     #[test]

@@ -496,10 +496,7 @@ fn leak_figure(lab: &Lab, victim: AsId, weights: Option<&[f64]>, label: &str) {
     println!("victim: {} — {label}", lab.name(victim));
     println!("{:<38} {:>7} {:>7} {:>7}  cdf 0..100%", "configuration", "median", "p90", "worst");
     for (name, a, l) in leak_configs() {
-        let corrected = LockingSemantics::Corrected;
-        if let Some(cdf) =
-            leak_cdf_with_semantics(g, &tiers, victim, a, l, corrected, n_leakers, seed, weights)
-        {
+        if let Some(cdf) = leak_cdf(g, &tiers, victim, a, l, n_leakers, seed, weights) {
             print_leak_line(name, &cdf);
         }
     }
@@ -554,7 +551,7 @@ fn fig8(lab: &Lab) {
 /// Fig. 9: Google, weighted by users.
 fn fig9(lab: &Lab) {
     println!("## Fig. 9 — route-leak resilience: Google, weighted by user population\n");
-    let weights = lab.user_weights_2020();
+    let weights = Lab::user_weights(lab.net2020(), lab.graph2020());
     let google = lab.net2020().clouds[0].asn;
     leak_figure(lab, google, Some(&weights), "% of users detoured");
 }
@@ -686,15 +683,7 @@ fn fig13(lab: &Lab) {
         ("2015", lab.graph2015(), lab.net2015()),
         ("2020", lab.graph2020(), lab.net2020()),
     ] {
-        let users: Vec<f64> = g
-            .nodes()
-            .map(|n| {
-                net.truth
-                    .index_of(g.asn(n))
-                    .map(|tn| net.meta[tn.idx()].users as f64)
-                    .unwrap_or(0.0)
-            })
-            .collect();
+        let users = Lab::user_weights(net, g);
         for cloud in net.cloud_providers() {
             if year == "2015" && cloud.spec.name == "Microsoft" {
                 // The 2015 traceroute dataset had no Microsoft traces.
@@ -799,7 +788,7 @@ fn appendix_b(lab: &Lab) {
     println!("(paper: six Tier-2s cover almost the entire decline for Sprint and Deutsche Telekom)");
 }
 
-/// Appendix D: facility-candidate + RTT geolocation.
+/// Appendix D: RTT geolocation over candidates taken from the PoP footprints.
 fn appendix_d(lab: &Lab) {
     println!("## Appendix D — PeeringDB-candidate + RTT-verified geolocation\n");
     let net = lab.net2020();

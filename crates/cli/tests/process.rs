@@ -215,6 +215,29 @@ fn snapshot_verify_refuses_format_v1_and_retired_commands_are_unknown() {
     assert_eq!(run(&["bench", "propagate"]).0, 1);
 }
 
+/// A declared Tier-1 the graph lacks reaches the health gate on both
+/// shipped paths: a command's `--validate`, and the daemon's snapshot build
+/// (`snapshot save` runs it). Tier resolution drops the unknown AS, so a
+/// gate that read the resolved sets would call this topology healthy.
+#[test]
+fn the_health_gate_reads_the_declared_tier_lists() {
+    let dir = scratch("tiers");
+    let rel = dir.join("as-rel.txt");
+    std::fs::write(&rel, "1|2|0\n1|10|-1\n2|11|-1\n").unwrap();
+    let rel = rel.to_str().unwrap();
+    let store = dir.join("snap.store");
+    let tiers = ["--tier1", "1,2,99999"];
+    for args in [
+        &[&["reach", "--as-rel", rel, "--origin", "10", "--validate"], &tiers[..]].concat(),
+        &[&["snapshot", "save", "--out", store.to_str().unwrap(), "--as-rel", rel], &tiers[..]].concat(),
+    ] {
+        let (code, _, err) = run(args);
+        assert_eq!(code, 0, "{args:?}: {err}");
+        assert!(err.contains("tier-membership") && err.contains("99999"), "{args:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Starts `flatnet router --shards 2 ARGS` on `base` (router) and the
 /// two ports above it (shards); returns once the router answers.
 fn fleet(base: u16, args: &[&str]) -> (Proc, Client) {

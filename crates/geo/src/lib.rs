@@ -7,8 +7,9 @@
 //! cloud and transit providers' Point-of-Presence deployments against world
 //! population: which networks put PoPs near people, and what share of the
 //! population lives within 500/700/1000 km of each network's PoPs
-//! (Figures 11 and 12), cross-checked against router hostnames in reverse
-//! DNS (Table 3) and PeeringDB facility data (Appendix D geolocation).
+//! (Figures 11 and 12), with each PoP's confirmations by published maps,
+//! PeeringDB and router hostnames in reverse DNS (Table 3), and an
+//! RTT-constrained geolocation over candidate cities (Appendix D).
 //!
 //! This crate provides those building blocks from scratch:
 //!
@@ -20,8 +21,6 @@
 //!   population-within-radius queries;
 //! * [`pops`] — network PoP footprints consolidated from multiple sources
 //!   (published maps, PeeringDB-like facility lists, rDNS confirmations);
-//! * [`rdns`] — router-hostname naming conventions: generation, hoiho-style
-//!   convention learning, and location-code extraction;
 //! * [`mod@geolocate`] — the paper's Appendix-D active-geolocation procedure
 //!   (candidate facilities + RTT-constrained verification).
 
@@ -30,11 +29,9 @@ pub mod coords;
 pub mod geolocate;
 pub mod popgrid;
 pub mod pops;
-pub mod rdns;
 
 pub use cities::{City, CITIES};
 pub use coords::{haversine_km, Continent, GeoPoint};
 pub use geolocate::{geolocate, GeolocationResult};
 pub use popgrid::PopulationGrid;
 pub use pops::{Footprint, PopSite, SiteSource};
-pub use rdns::{HostnameConvention, LearnedConvention};

@@ -144,13 +144,6 @@ pub(crate) fn build(net: &SyntheticInternet) -> Addressing {
             Some(asn),
             vec![lan],
         );
-        let fac = pdb.add_facility(
-            format!("{}-IX Colo", CITIES[city].code.to_uppercase()),
-            CITIES[city].name,
-            CITIES[city].lat,
-            CITIES[city].lon,
-        );
-        let _ = fac;
         if announced_lan {
             announced.announce(lan, asn);
         }

@@ -1,12 +1,11 @@
-//! Geography: home metros, user populations, PoP footprints, and rDNS
-//! conventions for the synthetic Internet.
+//! Geography: home metros, user populations and PoP footprints (with their
+//! rDNS-confirmed sites) for the synthetic Internet.
 
 use crate::config::NetGenConfig;
 use crate::topology::{AsRole, Topology, N_REGIONS};
 use flatnet_asgraph::astype::CaidaClass;
 use flatnet_geo::cities::CITIES;
 use flatnet_geo::pops::{Footprint, SiteSource};
-use flatnet_geo::rdns::HostnameConvention;
 use flatnet_geo::Continent;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -21,12 +20,10 @@ pub struct GeoAssign {
     /// by node index.
     pub users: Vec<u64>,
     /// PoP footprints for the named networks (clouds + Tier-1s + Tier-2s).
+    /// A site confirmed by reverse DNS carries [`SiteSource::Rdns`]; each
+    /// network draws its own rDNS coverage (Amazon's is 0), and Table 3
+    /// counts those sites.
     pub footprints: BTreeMap<u32, Footprint>,
-    /// rDNS naming conventions for networks that maintain reverse DNS.
-    pub conventions: BTreeMap<u32, HostnameConvention>,
-    /// Fraction of each network's PoPs that have rDNS entries (drives
-    /// Table 3; Amazon famously has none).
-    pub rdns_coverage: BTreeMap<u32, f64>,
     /// VM datacenter metros per cloud (indices into `CITIES`), aligned
     /// with `config.clouds`.
     pub vp_cities: Vec<Vec<usize>>,
@@ -132,8 +129,6 @@ pub fn build(cfg: &NetGenConfig, topo: &Topology) -> GeoAssign {
 
     // --- Footprints and rDNS for the named networks. ---
     let mut footprints = BTreeMap::new();
-    let mut conventions = BTreeMap::new();
-    let mut rdns_coverage = BTreeMap::new();
     let mut vp_cities = Vec::new();
 
     let make_footprint = |asn: u32,
@@ -168,8 +163,6 @@ pub fn build(cfg: &NetGenConfig, topo: &Topology) -> GeoAssign {
             _ => 0.25 + 0.6 * rng.gen::<f64>(),
         };
         footprints.insert(t1.0, make_footprint(t1.0, &name, sites, coverage, &mut rng));
-        conventions.insert(t1.0, HostnameConvention::new(format!("{}.net", name.to_lowercase()), 1));
-        rdns_coverage.insert(t1.0, coverage);
     }
     for &t2 in &topo.tier2 {
         let name = topo.names[&t2.0].clone();
@@ -195,8 +188,6 @@ pub fn build(cfg: &NetGenConfig, topo: &Topology) -> GeoAssign {
         }
         let coverage = 0.3 + 0.7 * rng.gen::<f64>();
         footprints.insert(t2.0, make_footprint(t2.0, &name, sites, coverage, &mut rng));
-        conventions.insert(t2.0, HostnameConvention::new(format!("{}.net", name.to_lowercase()), 1));
-        rdns_coverage.insert(t2.0, coverage);
     }
     for (ci, cloud) in topo.clouds.iter().enumerate() {
         let spec = &cfg.clouds[cloud.spec_idx];
@@ -220,13 +211,6 @@ pub fn build(cfg: &NetGenConfig, topo: &Topology) -> GeoAssign {
             spec.asn,
             make_footprint(spec.asn, &spec.name, sites.clone(), coverage, &mut rng),
         );
-        if coverage > 0.0 {
-            conventions.insert(
-                spec.asn,
-                HostnameConvention::new(format!("{}.net", spec.name.to_lowercase()), 1),
-            );
-        }
-        rdns_coverage.insert(spec.asn, coverage);
         // VM datacenters: a subset of the footprint metros.
         let mut vps: Vec<usize> = sites.iter().copied().take(spec.n_datacenters).collect();
         vps.sort_unstable();
@@ -235,7 +219,7 @@ pub fn build(cfg: &NetGenConfig, topo: &Topology) -> GeoAssign {
         debug_assert_eq!(ci, vp_cities.len() - 1);
     }
 
-    GeoAssign { home_city, users, footprints, conventions, rdns_coverage, vp_cities }
+    GeoAssign { home_city, users, footprints, vp_cities }
 }
 
 #[cfg(test)]
@@ -301,7 +285,6 @@ mod tests {
         let amazon = &geo.footprints[&16509];
         assert_eq!(amazon.router_hostnames, 0);
         assert_eq!(amazon.rdns_percent(), 0.0);
-        assert!(!geo.conventions.contains_key(&16509));
         let ms = &geo.footprints[&8075];
         assert!(ms.rdns_percent() < 70.0);
         let google = &geo.footprints[&15169];

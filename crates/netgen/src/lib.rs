@@ -19,10 +19,11 @@
 //!   — the gap the paper's traceroute campaign exists to close);
 //! * **addressing** ([`addressing`]): per-AS announced prefixes, IXP
 //!   peering LANs (some unannounced, the §5 resolution trap), PeeringDB
-//!   netixlan/facility records, and a whois registry;
+//!   IXP and netixlan records, and a whois registry;
 //! * **geography and populations** ([`geoassign`]): per-AS home metros,
-//!   user populations for eyeball networks (APNIC substitute), PoP
-//!   footprints for the big networks, and rDNS hostname conventions.
+//!   user populations for eyeball networks (APNIC substitute), and PoP
+//!   footprints for the big networks, each site labelled with the sources
+//!   that confirm it (network map, PeeringDB, rDNS).
 //!
 //! Everything hangs off [`SyntheticInternet`], produced by
 //! [`generate`] from a [`NetGenConfig`]. `generate` builds the truth

@@ -187,17 +187,6 @@ impl TraceCtx {
         }
     }
 
-    /// Adds externally measured time to `stage` without moving the
-    /// boundary — for durations timed by other clocks (e.g. queue wait
-    /// computed from the accept timestamp a different thread took).
-    pub fn add_stage_us(&mut self, stage: Stage, us: u64) {
-        self.ev.stages_us[stage as usize] += us;
-        self.ev.stage_mask |= 1 << stage as usize;
-        if stage == Stage::Panic {
-            self.ev.panicked = true;
-        }
-    }
-
     /// Sets the origin AS the request queried.
     pub fn set_origin(&mut self, origin: u32) {
         self.ev.origin = origin;
@@ -553,7 +542,6 @@ mod tests {
     fn ctx_attributes_intervals_to_stages() {
         let mut ctx = TraceCtx::new(42);
         ctx.mark(Stage::Parse);
-        ctx.add_stage_us(Stage::QueueWait, 150);
         ctx.set_origin(64500);
         ctx.set_cached(true);
         ctx.set_tag("reachability");
@@ -562,7 +550,6 @@ mod tests {
         assert_eq!(ev.status, 200);
         assert_eq!(ev.origin, 64500);
         assert!(ev.cached && !ev.panicked);
-        assert_eq!(ev.stage_us(Stage::QueueWait), Some(150));
         assert!(ev.stage_us(Stage::Parse).is_some());
         assert_eq!(ev.stage_us(Stage::Propagate), None, "never entered");
         assert_eq!(ev.tag_str(), "reachability");

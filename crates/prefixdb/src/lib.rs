@@ -36,7 +36,7 @@ pub mod whois;
 pub use aggregate::aggregate;
 pub use cymru::AnnouncedDb;
 pub use ipv4::{Ipv4Prefix, PrefixParseError};
-pub use peeringdb::{FacilityId, IxpId, PeeringDb};
+pub use peeringdb::{IxpId, PeeringDb};
 pub use resolver::{Resolution, ResolutionOrder, ResolutionSource, Resolver};
 pub use trie::PrefixTrie;
 pub use whois::WhoisDb;

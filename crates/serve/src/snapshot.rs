@@ -54,7 +54,7 @@
 use crate::error::ServeError;
 use flatnet_asgraph::graph::RelConflict;
 use flatnet_asgraph::ingest::ParseOptions;
-use flatnet_asgraph::tiers::infer_tiers;
+use flatnet_asgraph::tiers::declared_or_inferred;
 use flatnet_asgraph::{caida, validate_topology, AsGraph, AsId, Tiers, ValidateOptions};
 use flatnet_bgpsim::TopologySnapshot;
 use flatnet_core::error::FlatnetError;
@@ -71,7 +71,8 @@ pub enum TopologySource {
     CaidaFile {
         /// Path to the file; re-read on every reload.
         path: String,
-        /// Explicit Tier-1 ASNs (empty = infer AS-Rank style).
+        /// Explicit Tier-1 ASNs (empty = infer AS-Rank style; the rule is
+        /// [`declared_or_inferred`], which the CLI's commands share).
         tier1: Vec<AsId>,
         /// Explicit Tier-2 ASNs (used only with an explicit `tier1`).
         tier2: Vec<AsId>,
@@ -404,13 +405,8 @@ fn try_warm_start(
 ) -> Result<ServeSnapshot, flatnet_store::StoreError> {
     let mut stored = clock.time("store_load", || flatnet_store::load(path))?;
     let report = clock.time("validate", || {
-        validate_topology(
-            &stored.graph,
-            &tier_asns(&stored.graph, stored.tiers.tier1()),
-            &tier_asns(&stored.graph, stored.tiers.tier2()),
-            &[],
-            &ValidateOptions::default(),
-        )
+        let (t1, t2) = stored.tiers.asns(&stored.graph);
+        validate_topology(&stored.graph, &t1, &t2, &[], &ValidateOptions::default())
     });
     if !report.is_usable() {
         return Err(flatnet_store::StoreError::Malformed {
@@ -420,10 +416,6 @@ fn try_warm_start(
     }
     stored.version = stored.version.max(1);
     Ok(stored)
-}
-
-fn tier_asns(g: &AsGraph, nodes: &[flatnet_asgraph::NodeId]) -> Vec<AsId> {
-    nodes.iter().map(|&n| g.asn(n)).collect()
 }
 
 impl TopologySource {
@@ -442,37 +434,32 @@ fn load(
     version: u64,
     clock: &mut PhaseClock,
 ) -> Result<ServeSnapshot, ServeError> {
-    let (graph, tiers, conflicts) = match source {
+    // `checked` is what the health gate sees: a source's declared tier
+    // lists as given (a member the graph lacks is a finding), else the
+    // resolved sets.
+    let (graph, tiers, checked, conflicts) = match source {
         TopologySource::CaidaFile { path, tier1, tier2, lenient } => {
             let (graph, conflicts) = load_caida(path, *lenient, clock)?;
-            let tiers = clock.time("tiers", || {
-                if tier1.is_empty() {
-                    infer_tiers(&graph, 32, 28)
-                } else {
-                    Tiers::from_lists(&graph, tier1, tier2)
-                }
-            });
-            (graph, tiers, conflicts)
+            let (tiers, checked) =
+                clock.time("tiers", || declared_or_inferred(&graph, tier1, tier2));
+            (graph, tiers, checked, conflicts)
         }
         TopologySource::Generated { ases, seed } => {
             let net = clock.time("generate", || generate(&NetGenConfig::paper_2020(*ases, *seed)));
             let tiers = clock.time("tiers", || net.tiers_for(&net.truth));
-            (net.truth, tiers, Vec::new())
+            let checked = tiers.asns(&net.truth);
+            (net.truth, tiers, checked, Vec::new())
         }
-        TopologySource::Preloaded { graph, tiers } => (graph.clone(), tiers.clone(), Vec::new()),
+        TopologySource::Preloaded { graph, tiers } => {
+            (graph.clone(), tiers.clone(), tiers.asns(graph), Vec::new())
+        }
     };
 
     // The PR-1 health gate: a daemon serving answers from a topology with
     // a broken Tier-1 clique or an empty graph would be confidently wrong
     // for every query, so critical findings refuse the snapshot.
     let report = clock.time("validate", || {
-        validate_topology(
-            &graph,
-            &tier_asns(&graph, tiers.tier1()),
-            &tier_asns(&graph, tiers.tier2()),
-            &conflicts,
-            &ValidateOptions::default(),
-        )
+        validate_topology(&graph, &checked.0, &checked.1, &conflicts, &ValidateOptions::default())
     });
     if !report.is_usable() {
         return Err(ServeError::HealthGate { report: report.render() });

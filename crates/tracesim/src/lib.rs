@@ -23,17 +23,11 @@
 //!   *methodology iterations* as explicit configurations (assume-direct vs
 //!   discard-on-unresponsive, Cymru-first vs PeeringDB-first resolution);
 //! * [`validate`] — FDR/FNR scoring against the generator's ground truth,
-//!   reproducing §5's validation tables;
-//! * [`pathchange`] — §4.1's supplemental path-change analysis across
-//!   repeated campaigns;
-//! * [`budget`] — probe accounting under the paper's 1000 pps rate limit
-//!   (§4.4's "measurement budgets" constraint, made computable).
+//!   reproducing §5's validation tables.
 
-pub mod budget;
 pub mod engine;
 pub mod inference;
 pub mod model;
-pub mod pathchange;
 pub mod scamper;
 pub mod validate;
 pub mod warts;

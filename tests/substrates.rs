@@ -1,11 +1,9 @@
 //! Cross-crate integration for the supporting substrates: dataset bundles,
-//! route aggregation, probe budgets, warts archives, path changes, and the
-//! generator's structural statistics.
+//! route aggregation, warts archives, and the generator's structural
+//! statistics.
 
 use flatnet_netgen::{generate, stats, NetGenConfig, SyntheticInternet};
 use flatnet_prefixdb::aggregate;
-use flatnet_tracesim::budget::{full_sweep_duration, probe_budget, PAPER_PPS};
-use flatnet_tracesim::pathchange::path_changes;
 use flatnet_tracesim::warts::{parse_warts, write_warts};
 use flatnet_tracesim::{run_campaign, CampaignOptions};
 
@@ -59,11 +57,6 @@ fn campaign_budget_and_warts_roundtrip() {
         &net,
         &CampaignOptions { dest_sample: 0.3, max_vps: 2, ..Default::default() },
     );
-    // Budget accounting is self-consistent and a paper-scale sweep is slow.
-    let b = probe_budget(&campaign, 2);
-    assert!(b.probes > campaign.len() as u64); // >1 hop per trace on average
-    assert!(b.duration_at(PAPER_PPS) > b.duration_at(10 * PAPER_PPS));
-    assert!(full_sweep_duration(11_700_000, 16.0, 2, PAPER_PPS).as_secs() > 3 * 86_400);
     // Binary archive round-trip of the whole campaign.
     let bytes = write_warts(&campaign.traces);
     let back = parse_warts(&bytes).unwrap();
@@ -71,26 +64,6 @@ fn campaign_budget_and_warts_roundtrip() {
     // Binary is more compact than the text serialization.
     let text = flatnet_tracesim::scamper::write_traces(&campaign.traces);
     assert!(bytes.len() < text.len());
-}
-
-#[test]
-fn path_change_rates_are_moderate_between_days() {
-    let net = net();
-    let day1 = run_campaign(
-        &net,
-        &CampaignOptions { seed: 10, dest_sample: 0.5, max_vps: 3, ..Default::default() },
-    );
-    let day2 = run_campaign(
-        &net,
-        &CampaignOptions { seed: 11, dest_sample: 0.5, max_vps: 3, ..Default::default() },
-    );
-    let stats = path_changes(&day1, &day2, &net.addressing().resolver);
-    let compared: usize = stats.values().map(|s| s.compared).sum();
-    let changed: usize = stats.values().map(|s| s.changed).sum();
-    assert!(compared > 1000);
-    let rate = changed as f64 / compared as f64;
-    // Some churn (tied-best diversity), nowhere near total instability.
-    assert!(rate > 0.0 && rate < 0.6, "change rate {rate:.3}");
 }
 
 #[test]
