@@ -85,8 +85,11 @@ pub type TierLists = (Vec<AsId>, Vec<AsId>);
 /// The second value is what the health gate
 /// ([`validate_topology`](crate::validate::validate_topology)) checks: the
 /// declared lists as given, so a member the graph lacks is reported (the
-/// resolved [`Tiers`] have dropped it), or the inferred sets. Inferring
-/// logs how many Tier-1s and Tier-2s it found.
+/// resolved [`Tiers`] have dropped it), or empty lists for inferred sets,
+/// which skip the tier checks: [`infer_clique`] admits only an AS that
+/// peers with every member already admitted, and only ASes of the graph,
+/// so neither check could find anything. Inferring logs how many Tier-1s
+/// and Tier-2s it found.
 pub fn declared_or_inferred(g: &AsGraph, tier1: &[AsId], tier2: &[AsId]) -> (Tiers, TierLists) {
     if tier1.is_empty() {
         let tiers = infer_tiers(g, 32, 28);
@@ -95,8 +98,7 @@ pub fn declared_or_inferred(g: &AsGraph, tier1: &[AsId], tier2: &[AsId]) -> (Tie
             tiers.tier1().len(),
             tiers.tier2().len()
         );
-        let lists = tiers.asns(g);
-        (tiers, lists)
+        (tiers, TierLists::default())
     } else {
         (Tiers::from_lists(g, tier1, tier2), (tier1.to_vec(), tier2.to_vec()))
     }
@@ -229,6 +231,22 @@ mod tests {
         let n1 = g.index_of(AsId(1)).unwrap();
         assert!(tiers.is_tier1(n1));
         assert!(!tiers.is_tier2(n1));
+    }
+
+    /// With no Tier-1 list declared the health gate gets no lists, and
+    /// renders what it renders with the inferred sets' ASNs: an inferred
+    /// clique peers pairwise and its members are the graph's.
+    #[test]
+    fn inferred_tiers_hand_the_gate_no_lists() {
+        use crate::validate::{validate_topology, ValidateOptions};
+        let g = hierarchy();
+        let (tiers, lists) = declared_or_inferred(&g, &[], &[]);
+        assert_eq!(tiers, infer_tiers(&g, 32, 28));
+        assert_eq!(lists, TierLists::default());
+        let gate = |(t1, t2): &TierLists| {
+            validate_topology(&g, t1, t2, &[], &ValidateOptions::default()).render()
+        };
+        assert_eq!(gate(&lists), gate(&tiers.asns(&g)));
     }
 
     #[test]

@@ -183,15 +183,6 @@ pub fn scratch_bytes(g: &AsGraph) -> usize {
     TopologySnapshot::compile(g).scratch_bytes()
 }
 
-/// `g` built again from its canonical edges: the same graph as another
-/// topology, so a snapshot of it starts with empty scratch pools — the
-/// fresh leg a test compares a pooled run with.
-#[cfg(test)]
-pub(crate) fn rebuilt(g: &AsGraph) -> AsGraph {
-    AsGraph::from_canonical_edges(g.asns().map(|a| a.0).collect(), g.edges())
-        .expect("a graph's own edges are canonical")
-}
-
 /// Reusable per-run propagation state: the [`RoutingOutcome`] a run
 /// fills in place, plus the scratch that fills it (the touched list, the
 /// BFS frontier, the provider-phase bucket queue). Create once, run many
@@ -962,6 +953,15 @@ impl Drop for SweepCtx {
             scratch.reliance.put(rely);
         }
     }
+}
+
+/// `g` built again from its canonical edges: the same graph as another
+/// topology, so a snapshot of it starts with empty scratch pools — the
+/// fresh leg a test compares a pooled run with.
+#[cfg(test)]
+pub(crate) fn rebuilt(g: &AsGraph) -> AsGraph {
+    AsGraph::from_canonical_edges(g.asns().map(|a| a.0).collect(), g.edges())
+        .expect("a graph's own edges are canonical")
 }
 
 #[cfg(test)]

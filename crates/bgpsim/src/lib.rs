@@ -85,8 +85,6 @@ pub mod exclusion;
 pub mod lanes;
 pub mod leak;
 pub mod parallel;
-#[cfg(test)]
-mod paths;
 pub mod propagate;
 pub mod reachset;
 pub mod reliance;
@@ -110,3 +108,6 @@ pub use parallel::{parallel_map_ctx, try_parallel_map_ctx, SweepError};
 pub use propagate::{ImportPolicy, PropagationConfig, RouteClass, RoutingOutcome, UNREACHED};
 pub use reachset::{ReachForm, ReachIter, ReachSet};
 pub use reliance::{reliance, RelianceWorkspace};
+
+#[cfg(test)]
+mod paths;

@@ -290,237 +290,6 @@ pub fn infer(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn argv(s: &[&str]) -> Vec<String> {
-        s.iter().map(|x| x.to_string()).collect()
-    }
-
-    /// A unique temp directory per test.
-    fn tmpdir(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("flatnet-cli-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        fs::create_dir_all(&d).unwrap();
-        d
-    }
-
-    #[test]
-    fn gen_then_analyze_roundtrip() {
-        let dir = tmpdir("gen");
-        let out = dir.to_str().unwrap().to_string();
-        gen(&argv(&["--out", &out, "--ases", "300", "--seed", "7", "--trace-sample", "0.3"]))
-            .unwrap();
-        for f in ["as-rel.txt", "as-rel-truth.txt", "as2types.txt", "prefixes.txt", "users.txt", "traces.txt", "traces.warts", "tiers.txt"] {
-            assert!(dir.join(f).exists(), "{f} missing");
-        }
-        let rel = dir.join("as-rel-truth.txt");
-        let rel_s = rel.to_str().unwrap();
-        // reach over the generated truth file for Google.
-        reach(&argv(&["--as-rel", rel_s, "--origin", "15169"])).unwrap();
-        // rank and cone run end to end.
-        rank(&argv(&["--as-rel", rel_s, "--top", "5"])).unwrap();
-        cone(&argv(&["--as-rel", rel_s, "--top", "5"])).unwrap();
-        // leak with explicit tiny leaker count.
-        leak(&argv(&["--as-rel", rel_s, "--victim", "15169", "--leakers", "5", "--lock", "t1"]))
-            .unwrap();
-        // infer against the generated traces + prefixes.
-        let prefixes = dir.join("prefixes.txt");
-        for traces in ["traces.txt", "traces.warts"] {
-            infer(&argv(&[
-                "--traces",
-                dir.join(traces).to_str().unwrap(),
-                "--prefixes",
-                prefixes.to_str().unwrap(),
-                "--cloud",
-                "15169",
-            ]))
-            .unwrap();
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn errors_are_reported() {
-        let strict = ParseOptions::strict();
-        assert!(load_graph("/nonexistent/file", &strict).is_err());
-        assert!(reach(&argv(&["--as-rel", "/nonexistent"])).is_err());
-        assert!(gen(&argv(&["--ases", "10"])).is_err()); // missing --out
-        assert!(leak(&argv(&["--as-rel", "/nonexistent", "--victim", "1"])).is_err());
-        let dir = tmpdir("err");
-        let f = dir.join("bad.txt");
-        fs::write(&f, "not a caida file\n").unwrap();
-        assert!(load_graph(f.to_str().unwrap(), &strict).is_err());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lenient_flag_tolerates_bad_lines() {
-        let dir = tmpdir("lenient");
-        let f = dir.join("rel.txt");
-        // One garbage line amid valid serial-2 records.
-        fs::write(&f, "1|2|-1|bgp\ngarbage line here\n2|3|-1|bgp\n3|4|0|bgp\n").unwrap();
-        let fs_ = f.to_str().unwrap();
-        // Strict load fails...
-        assert!(reach(&argv(&["--as-rel", fs_, "--origin", "4", "--tier1", "1"])).is_err());
-        // ...lenient succeeds and still finds the origin.
-        reach(&argv(&["--as-rel", fs_, "--origin", "4", "--tier1", "1", "--lenient"])).unwrap();
-        // --max-errors implies lenient; a zero budget still aborts.
-        assert!(reach(&argv(&[
-            "--as-rel", fs_, "--origin", "4", "--tier1", "1", "--max-errors", "0"
-        ]))
-        .is_err());
-        reach(&argv(&["--as-rel", fs_, "--origin", "4", "--tier1", "1", "--max-errors", "5"]))
-            .unwrap();
-        // Bad flag values name the offending value.
-        let err = reach(&argv(&[
-            "--as-rel", fs_, "--origin", "4", "--tier1", "1", "--max-errors", "lots"
-        ]))
-        .unwrap_err();
-        assert!(err.contains("\"lots\""), "{err}");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_lenient_load_drops_a_non_utf_8_line_and_keeps_the_rest() {
-        let dir = tmpdir("utf8");
-        let f = dir.join("rel.txt");
-        fs::write(&f, b"1|2|-1|bgp\n2|\xff3|-1|bgp\n3|4|0|bgp\n4|5|-1|bgp\n").unwrap();
-        let path = f.to_str().unwrap();
-        let err = load_graph(path, &ParseOptions::strict()).unwrap_err();
-        assert!(err.ends_with("parse error on line 2: not valid UTF-8"), "{err}");
-        let g = load_graph(path, &ParseOptions::lenient()).unwrap();
-        assert_eq!((g.len(), g.edge_count()), (5, 3));
-        assert!(g.index_of(AsId(2)).is_some() && g.index_of(AsId(3)).is_some());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// A reader's error names the file it came from, whichever of
-    /// `--traces` and `--prefixes` is the bad one.
-    #[test]
-    fn infer_errors_name_the_file_that_failed() {
-        let dir = tmpdir("infer-names");
-        let write = |name: &str, text: &str| {
-            let f = dir.join(name);
-            fs::write(&f, text).unwrap();
-            f.to_str().unwrap().to_string()
-        };
-        let header = "trace from AS1/city0 to 1.2.3.4 asn 5 complete\n";
-        let good_traces = write("good-traces.txt", &format!("{header} 1 1.2.3.4 1.000 ms\n"));
-        let bad_traces = write("bad-traces.txt", &format!("{header} x 1.2.3.4\n"));
-        let good_prefixes = write("good-prefixes.txt", "1.2.3.0/24|5\n");
-        let bad_prefixes = write("bad-prefixes.txt", "1.2.3.0/24|5\nnot-a-line\n");
-        let infer_err = |traces: &str, prefixes: &str| {
-            infer(&argv(&["--traces", traces, "--prefixes", prefixes, "--cloud", "1"])).unwrap_err()
-        };
-        let err = infer_err(&bad_traces, &good_prefixes);
-        assert!(err.starts_with(&format!("{bad_traces}: line 2: ")), "{err}");
-        let err = infer_err(&good_traces, &bad_prefixes);
-        assert!(err.starts_with(&format!("{bad_prefixes}: line 2: ")), "{err}");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn validate_flag_gates_on_health() {
-        let dir = tmpdir("validate");
-        let f = dir.join("rel.txt");
-        // 1 and 2 are a peered Tier-1 clique; 3 is their customer.
-        fs::write(&f, "1|2|0|bgp\n1|3|-1|bgp\n2|3|-1|bgp\n").unwrap();
-        let fs_ = f.to_str().unwrap();
-        reach(&argv(&[
-            "--as-rel", fs_, "--origin", "3", "--tier1", "1,2", "--validate",
-        ]))
-        .unwrap();
-        // A Tier-1 listed twice is one Tier-1, not a pair that fails to peer.
-        for t1 in ["1,1,2", "1,AS1,2"] {
-            reach(&argv(&["--as-rel", fs_, "--origin", "3", "--tier1", t1, "--validate"])).unwrap();
-        }
-        // Declaring the customer a Tier-1 breaks the clique: 3 does not peer
-        // with anyone, so --validate must refuse to run the measurement.
-        let err = reach(&argv(&[
-            "--as-rel", fs_, "--origin", "3", "--tier1", "1,2,3", "--validate",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("health"), "{err}");
-        // Same topology without --validate still runs.
-        reach(&argv(&["--as-rel", fs_, "--origin", "3", "--tier1", "1,2,3"])).unwrap();
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tiers_flags() {
-        let dir = tmpdir("tiers");
-        let f = dir.join("rel.txt");
-        fs::write(&f, "1|2|-1|bgp\n2|3|-1|bgp\n").unwrap();
-        let fs_ = f.to_str().unwrap();
-        // Explicit tiers.
-        reach(&argv(&["--as-rel", fs_, "--origin", "3", "--tier1", "1", "--tier2", "2"])).unwrap();
-        // tier2 without tier1 is an error.
-        assert!(reach(&argv(&["--as-rel", fs_, "--origin", "3", "--tier2", "2"])).is_err());
-        // So is tier2 beside an empty tier1.
-        let err = reach(&argv(&["--as-rel", fs_, "--origin", "3", "--tier1", ",", "--tier2", "2"]));
-        assert_eq!(err.unwrap_err(), "--tier2 requires --tier1");
-        // Unknown origin.
-        assert!(reach(&argv(&["--as-rel", fs_, "--origin", "99"])).is_err());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tier2_without_tier1_is_refused_before_a_daemon_loads_or_spawns_anything() {
-        // The address cannot be bound, so a command that gets as far as
-        // building its topology fails on that instead.
-        let err = serve(&argv(&["--tier2", "174", "--ases", "200", "--addr", "not-an-address"]))
-            .unwrap_err();
-        assert_eq!(err, "--tier2 requires --tier1");
-        for fleet in [&["--shards", "2"][..], &["--shard-addrs", "127.0.0.1:1"]] {
-            let mut args = argv(&["--tier2", "174", "--ases", "200", "--addr", "not-an-address"]);
-            args.extend(argv(fleet));
-            assert_eq!(router(&args).unwrap_err(), "--tier2 requires --tier1");
-        }
-    }
-
-    #[test]
-    fn snapshot_save_holds_the_topology_to_the_daemons_health_gate() {
-        let dir = tmpdir("save-gate");
-        let rel = dir.join("rel.txt");
-        let out = dir.join("snap.store");
-        let (rel_s, out_s) = (rel.to_str().unwrap(), out.to_str().unwrap());
-        let nothing_written = || {
-            assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "only the as-rel file");
-        };
-        // No data lines: an empty graph, which the daemon refuses to serve.
-        fs::write(&rel, "# as1|as2|rel\n").unwrap();
-        let err = snapshot(&argv(&["save", "--out", out_s, "--as-rel", rel_s])).unwrap_err();
-        assert!(err.contains("health"), "{err}");
-        nothing_written();
-        // A Tier-1 "clique" whose third member peers with nobody.
-        fs::write(&rel, "1|2|0|bgp\n1|3|-1|bgp\n2|3|-1|bgp\n").unwrap();
-        let broken = ["save", "--out", out_s, "--as-rel", rel_s, "--tier1", "1,2,3"];
-        let err = snapshot(&argv(&broken)).unwrap_err();
-        assert!(err.contains("health"), "{err}");
-        nothing_written();
-        // The same file with the real clique is written, and verifies.
-        snapshot(&argv(&["save", "--out", out_s, "--as-rel", rel_s, "--tier1", "1,2"])).unwrap();
-        snapshot(&argv(&["verify", "--store", out_s])).unwrap();
-        let stored = flatnet_store::load(out_s).unwrap();
-        assert_eq!((stored.graph.len(), stored.tiers.tier1().len()), (3, 2));
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 2, "the store and no temp file");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn leak_lock_validation() {
-        let dir = tmpdir("lock");
-        let f = dir.join("rel.txt");
-        fs::write(&f, "1|2|-1|bgp\n1|3|-1|bgp\n").unwrap();
-        let fs_ = f.to_str().unwrap();
-        assert!(leak(&argv(&["--as-rel", fs_, "--victim", "2", "--lock", "bogus"])).is_err());
-        leak(&argv(&["--as-rel", fs_, "--victim", "2", "--leakers", "2"])).unwrap();
-        let _ = fs::remove_dir_all(&dir);
-    }
-}
-
 /// `flatnet collect` — simulate route collectors and write MRT.
 pub fn collect(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
@@ -614,70 +383,6 @@ pub fn relinfer(args: &[String]) -> Result<(), String> {
         println!("wrote inferred topology to {out}");
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod mrt_tests {
-    use super::*;
-
-    fn argv(s: &[&str]) -> Vec<String> {
-        s.iter().map(|x| x.to_string()).collect()
-    }
-
-    #[test]
-    fn collect_then_relinfer_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("flatnet-cli-mrt-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let out = dir.to_str().unwrap().to_string();
-        gen(&argv(&["--out", &out, "--ases", "250", "--seed", "9", "--trace-sample", "0.1"])).unwrap();
-        let rel = dir.join("as-rel-truth.txt");
-        let mrt = dir.join("ribs.mrt");
-        collect(&argv(&[
-            "--as-rel",
-            rel.to_str().unwrap(),
-            "--out",
-            mrt.to_str().unwrap(),
-            "--origins",
-            "120",
-        ]))
-        .unwrap();
-        assert!(mrt.exists());
-        let inferred = dir.join("inferred.txt");
-        relinfer(&argv(&[
-            "--mrt",
-            mrt.to_str().unwrap(),
-            "--truth",
-            rel.to_str().unwrap(),
-            "--out",
-            inferred.to_str().unwrap(),
-        ]))
-        .unwrap();
-        // The inferred file is a loadable serial-1 topology.
-        let g = load_graph(inferred.to_str().unwrap(), &ParseOptions::strict()).unwrap();
-        assert!(g.edge_count() > 100);
-        // Explicit monitor list and error paths.
-        collect(&argv(&[
-            "--as-rel",
-            rel.to_str().unwrap(),
-            "--out",
-            mrt.to_str().unwrap(),
-            "--monitors",
-            "3356,174",
-        ]))
-        .unwrap();
-        assert!(collect(&argv(&[
-            "--as-rel",
-            rel.to_str().unwrap(),
-            "--out",
-            mrt.to_str().unwrap(),
-            "--monitors",
-            "999999",
-        ]))
-        .is_err());
-        assert!(relinfer(&argv(&["--mrt", "/nonexistent"])).is_err());
-        let _ = fs::remove_dir_all(&dir);
-    }
 }
 
 /// `flatnet dot` — Graphviz export of an AS neighborhood.
@@ -1048,6 +753,301 @@ pub fn trace(args: &[String]) -> Result<(), String> {
     let dump = flatnet_obs::TraceDump::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
     print!("{}", dump.render_top(opts.num_or("top", 10usize)?));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(s: &[&str]) -> Vec<String> {
+        s.iter().map(|x| x.to_string()).collect()
+    }
+
+    /// A unique temp directory per test.
+    fn tmpdir(tag: &str) -> std::path::PathBuf {
+        let d = std::env::temp_dir().join(format!("flatnet-cli-test-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&d);
+        fs::create_dir_all(&d).unwrap();
+        d
+    }
+
+    #[test]
+    fn gen_then_analyze_roundtrip() {
+        let dir = tmpdir("gen");
+        let out = dir.to_str().unwrap().to_string();
+        gen(&argv(&["--out", &out, "--ases", "300", "--seed", "7", "--trace-sample", "0.3"]))
+            .unwrap();
+        for f in ["as-rel.txt", "as-rel-truth.txt", "as2types.txt", "prefixes.txt", "users.txt", "traces.txt", "traces.warts", "tiers.txt"] {
+            assert!(dir.join(f).exists(), "{f} missing");
+        }
+        let rel = dir.join("as-rel-truth.txt");
+        let rel_s = rel.to_str().unwrap();
+        // reach over the generated truth file for Google.
+        reach(&argv(&["--as-rel", rel_s, "--origin", "15169"])).unwrap();
+        // rank and cone run end to end.
+        rank(&argv(&["--as-rel", rel_s, "--top", "5"])).unwrap();
+        cone(&argv(&["--as-rel", rel_s, "--top", "5"])).unwrap();
+        // leak with explicit tiny leaker count.
+        leak(&argv(&["--as-rel", rel_s, "--victim", "15169", "--leakers", "5", "--lock", "t1"]))
+            .unwrap();
+        // infer against the generated traces + prefixes.
+        let prefixes = dir.join("prefixes.txt");
+        for traces in ["traces.txt", "traces.warts"] {
+            infer(&argv(&[
+                "--traces",
+                dir.join(traces).to_str().unwrap(),
+                "--prefixes",
+                prefixes.to_str().unwrap(),
+                "--cloud",
+                "15169",
+            ]))
+            .unwrap();
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn errors_are_reported() {
+        let strict = ParseOptions::strict();
+        assert!(load_graph("/nonexistent/file", &strict).is_err());
+        assert!(reach(&argv(&["--as-rel", "/nonexistent"])).is_err());
+        assert!(gen(&argv(&["--ases", "10"])).is_err()); // missing --out
+        assert!(leak(&argv(&["--as-rel", "/nonexistent", "--victim", "1"])).is_err());
+        let dir = tmpdir("err");
+        let f = dir.join("bad.txt");
+        fs::write(&f, "not a caida file\n").unwrap();
+        assert!(load_graph(f.to_str().unwrap(), &strict).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lenient_flag_tolerates_bad_lines() {
+        let dir = tmpdir("lenient");
+        let f = dir.join("rel.txt");
+        // One garbage line amid valid serial-2 records.
+        fs::write(&f, "1|2|-1|bgp\ngarbage line here\n2|3|-1|bgp\n3|4|0|bgp\n").unwrap();
+        let fs_ = f.to_str().unwrap();
+        // Strict load fails...
+        assert!(reach(&argv(&["--as-rel", fs_, "--origin", "4", "--tier1", "1"])).is_err());
+        // ...lenient succeeds and still finds the origin.
+        reach(&argv(&["--as-rel", fs_, "--origin", "4", "--tier1", "1", "--lenient"])).unwrap();
+        // --max-errors implies lenient; a zero budget still aborts.
+        assert!(reach(&argv(&[
+            "--as-rel", fs_, "--origin", "4", "--tier1", "1", "--max-errors", "0"
+        ]))
+        .is_err());
+        reach(&argv(&["--as-rel", fs_, "--origin", "4", "--tier1", "1", "--max-errors", "5"]))
+            .unwrap();
+        // Bad flag values name the offending value.
+        let err = reach(&argv(&[
+            "--as-rel", fs_, "--origin", "4", "--tier1", "1", "--max-errors", "lots"
+        ]))
+        .unwrap_err();
+        assert!(err.contains("\"lots\""), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_lenient_load_drops_a_non_utf_8_line_and_keeps_the_rest() {
+        let dir = tmpdir("utf8");
+        let f = dir.join("rel.txt");
+        fs::write(&f, b"1|2|-1|bgp\n2|\xff3|-1|bgp\n3|4|0|bgp\n4|5|-1|bgp\n").unwrap();
+        let path = f.to_str().unwrap();
+        let err = load_graph(path, &ParseOptions::strict()).unwrap_err();
+        assert!(err.ends_with("parse error on line 2: not valid UTF-8"), "{err}");
+        let g = load_graph(path, &ParseOptions::lenient()).unwrap();
+        assert_eq!((g.len(), g.edge_count()), (5, 3));
+        assert!(g.index_of(AsId(2)).is_some() && g.index_of(AsId(3)).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A reader's error names the file it came from, whichever of
+    /// `--traces` and `--prefixes` is the bad one.
+    #[test]
+    fn infer_errors_name_the_file_that_failed() {
+        let dir = tmpdir("infer-names");
+        let write = |name: &str, text: &str| {
+            let f = dir.join(name);
+            fs::write(&f, text).unwrap();
+            f.to_str().unwrap().to_string()
+        };
+        let header = "trace from AS1/city0 to 1.2.3.4 asn 5 complete\n";
+        let good_traces = write("good-traces.txt", &format!("{header} 1 1.2.3.4 1.000 ms\n"));
+        let bad_traces = write("bad-traces.txt", &format!("{header} x 1.2.3.4\n"));
+        let good_prefixes = write("good-prefixes.txt", "1.2.3.0/24|5\n");
+        let bad_prefixes = write("bad-prefixes.txt", "1.2.3.0/24|5\nnot-a-line\n");
+        let infer_err = |traces: &str, prefixes: &str| {
+            infer(&argv(&["--traces", traces, "--prefixes", prefixes, "--cloud", "1"])).unwrap_err()
+        };
+        let err = infer_err(&bad_traces, &good_prefixes);
+        assert!(err.starts_with(&format!("{bad_traces}: line 2: ")), "{err}");
+        let err = infer_err(&good_traces, &bad_prefixes);
+        assert!(err.starts_with(&format!("{bad_prefixes}: line 2: ")), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn validate_flag_gates_on_health() {
+        let dir = tmpdir("validate");
+        let f = dir.join("rel.txt");
+        // 1 and 2 are a peered Tier-1 clique; 3 is their customer.
+        fs::write(&f, "1|2|0|bgp\n1|3|-1|bgp\n2|3|-1|bgp\n").unwrap();
+        let fs_ = f.to_str().unwrap();
+        reach(&argv(&[
+            "--as-rel", fs_, "--origin", "3", "--tier1", "1,2", "--validate",
+        ]))
+        .unwrap();
+        // A Tier-1 listed twice is one Tier-1, not a pair that fails to peer.
+        for t1 in ["1,1,2", "1,AS1,2"] {
+            reach(&argv(&["--as-rel", fs_, "--origin", "3", "--tier1", t1, "--validate"])).unwrap();
+        }
+        // Declaring the customer a Tier-1 breaks the clique: 3 does not peer
+        // with anyone, so --validate must refuse to run the measurement.
+        let err = reach(&argv(&[
+            "--as-rel", fs_, "--origin", "3", "--tier1", "1,2,3", "--validate",
+        ]))
+        .unwrap_err();
+        assert!(err.contains("health"), "{err}");
+        // Same topology without --validate still runs.
+        reach(&argv(&["--as-rel", fs_, "--origin", "3", "--tier1", "1,2,3"])).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tiers_flags() {
+        let dir = tmpdir("tiers");
+        let f = dir.join("rel.txt");
+        fs::write(&f, "1|2|-1|bgp\n2|3|-1|bgp\n").unwrap();
+        let fs_ = f.to_str().unwrap();
+        // Explicit tiers.
+        reach(&argv(&["--as-rel", fs_, "--origin", "3", "--tier1", "1", "--tier2", "2"])).unwrap();
+        // tier2 without tier1 is an error.
+        assert!(reach(&argv(&["--as-rel", fs_, "--origin", "3", "--tier2", "2"])).is_err());
+        // So is tier2 beside an empty tier1.
+        let err = reach(&argv(&["--as-rel", fs_, "--origin", "3", "--tier1", ",", "--tier2", "2"]));
+        assert_eq!(err.unwrap_err(), "--tier2 requires --tier1");
+        // Unknown origin.
+        assert!(reach(&argv(&["--as-rel", fs_, "--origin", "99"])).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tier2_without_tier1_is_refused_before_a_daemon_loads_or_spawns_anything() {
+        // The address cannot be bound, so a command that gets as far as
+        // building its topology fails on that instead.
+        let err = serve(&argv(&["--tier2", "174", "--ases", "200", "--addr", "not-an-address"]))
+            .unwrap_err();
+        assert_eq!(err, "--tier2 requires --tier1");
+        for fleet in [&["--shards", "2"][..], &["--shard-addrs", "127.0.0.1:1"]] {
+            let mut args = argv(&["--tier2", "174", "--ases", "200", "--addr", "not-an-address"]);
+            args.extend(argv(fleet));
+            assert_eq!(router(&args).unwrap_err(), "--tier2 requires --tier1");
+        }
+    }
+
+    #[test]
+    fn snapshot_save_holds_the_topology_to_the_daemons_health_gate() {
+        let dir = tmpdir("save-gate");
+        let rel = dir.join("rel.txt");
+        let out = dir.join("snap.store");
+        let (rel_s, out_s) = (rel.to_str().unwrap(), out.to_str().unwrap());
+        let nothing_written = || {
+            assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "only the as-rel file");
+        };
+        // No data lines: an empty graph, which the daemon refuses to serve.
+        fs::write(&rel, "# as1|as2|rel\n").unwrap();
+        let err = snapshot(&argv(&["save", "--out", out_s, "--as-rel", rel_s])).unwrap_err();
+        assert!(err.contains("health"), "{err}");
+        nothing_written();
+        // A Tier-1 "clique" whose third member peers with nobody.
+        fs::write(&rel, "1|2|0|bgp\n1|3|-1|bgp\n2|3|-1|bgp\n").unwrap();
+        let broken = ["save", "--out", out_s, "--as-rel", rel_s, "--tier1", "1,2,3"];
+        let err = snapshot(&argv(&broken)).unwrap_err();
+        assert!(err.contains("health"), "{err}");
+        nothing_written();
+        // The same file with the real clique is written, and verifies.
+        snapshot(&argv(&["save", "--out", out_s, "--as-rel", rel_s, "--tier1", "1,2"])).unwrap();
+        snapshot(&argv(&["verify", "--store", out_s])).unwrap();
+        let stored = flatnet_store::load(out_s).unwrap();
+        assert_eq!((stored.graph.len(), stored.tiers.tier1().len()), (3, 2));
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 2, "the store and no temp file");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn leak_lock_validation() {
+        let dir = tmpdir("lock");
+        let f = dir.join("rel.txt");
+        fs::write(&f, "1|2|-1|bgp\n1|3|-1|bgp\n").unwrap();
+        let fs_ = f.to_str().unwrap();
+        assert!(leak(&argv(&["--as-rel", fs_, "--victim", "2", "--lock", "bogus"])).is_err());
+        leak(&argv(&["--as-rel", fs_, "--victim", "2", "--leakers", "2"])).unwrap();
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[cfg(test)]
+mod mrt_tests {
+    use super::*;
+
+    fn argv(s: &[&str]) -> Vec<String> {
+        s.iter().map(|x| x.to_string()).collect()
+    }
+
+    #[test]
+    fn collect_then_relinfer_roundtrip() {
+        let dir = std::env::temp_dir().join(format!("flatnet-cli-mrt-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let out = dir.to_str().unwrap().to_string();
+        gen(&argv(&["--out", &out, "--ases", "250", "--seed", "9", "--trace-sample", "0.1"])).unwrap();
+        let rel = dir.join("as-rel-truth.txt");
+        let mrt = dir.join("ribs.mrt");
+        collect(&argv(&[
+            "--as-rel",
+            rel.to_str().unwrap(),
+            "--out",
+            mrt.to_str().unwrap(),
+            "--origins",
+            "120",
+        ]))
+        .unwrap();
+        assert!(mrt.exists());
+        let inferred = dir.join("inferred.txt");
+        relinfer(&argv(&[
+            "--mrt",
+            mrt.to_str().unwrap(),
+            "--truth",
+            rel.to_str().unwrap(),
+            "--out",
+            inferred.to_str().unwrap(),
+        ]))
+        .unwrap();
+        // The inferred file is a loadable serial-1 topology.
+        let g = load_graph(inferred.to_str().unwrap(), &ParseOptions::strict()).unwrap();
+        assert!(g.edge_count() > 100);
+        // Explicit monitor list and error paths.
+        collect(&argv(&[
+            "--as-rel",
+            rel.to_str().unwrap(),
+            "--out",
+            mrt.to_str().unwrap(),
+            "--monitors",
+            "3356,174",
+        ]))
+        .unwrap();
+        assert!(collect(&argv(&[
+            "--as-rel",
+            rel.to_str().unwrap(),
+            "--out",
+            mrt.to_str().unwrap(),
+            "--monitors",
+            "999999",
+        ]))
+        .is_err());
+        assert!(relinfer(&argv(&["--mrt", "/nonexistent"])).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 #[cfg(test)]

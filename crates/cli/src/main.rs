@@ -73,7 +73,7 @@ USAGE:
       /v1/reliance (origin= or a comma-separated origins= batch),
       /v1/whatif/leak, /healthz, /metrics (add ?format=prom for
       Prometheus text), /debug/trace/recent, /debug/trace/slow?ms=N,
-      /debug/queue, /admin/reload, /admin/shutdown. Every /v1 body is
+      /admin/reload, /admin/shutdown. Every /v1 body is
       wrapped in one envelope (schema, snapshot_version, trace_id, then
       data or error); responses carry an X-Flatnet-Trace-Id header.
       Connections are keep-alive by default: --keepalive-max (1024)
@@ -105,7 +105,7 @@ USAGE:
       bit-identically. A dead shard 503s only its slice (error kind
       \"shard-unavailable\"; batches return a partial envelope flagged
       with a router.partial marker). POST /admin/reload rolls the fleet
-      one shard at a time behind a health gate; /healthz, /metrics, and
+      one shard at a time, each behind its own health gate; /healthz, /metrics, and
       /debug/shards aggregate across shards, /debug/trace/recent and
       /debug/trace/slow serve the router's own trace ring. Trace ids
       propagate to shards via X-Flatnet-Trace-Id.

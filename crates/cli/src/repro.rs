@@ -790,7 +790,7 @@ fn appendix_b(lab: &Lab) {
 
 /// Appendix D: RTT geolocation over candidates taken from the PoP footprints.
 fn appendix_d(lab: &Lab) {
-    println!("## Appendix D — PeeringDB-candidate + RTT-verified geolocation\n");
+    println!("## Appendix D — footprint-site candidates + RTT-verified geolocation\n");
     let net = lab.net2020();
     let mut total = 0usize;
     let mut placed = 0usize;
@@ -820,7 +820,7 @@ fn appendix_d(lab: &Lab) {
         100.0 * placed as f64 / total.max(1) as f64,
         100.0 * correct as f64 / placed.max(1) as f64
     );
-    println!("(1 ms RTT bound ≈ 100 km; rDNS hints restrict candidate facilities)");
+    println!("(1 ms RTT bound ≈ 100 km; an rDNS hint narrows the candidate sites)");
 }
 
 /// Erratum ablation: the paper's original peer-locking simulation flaw vs

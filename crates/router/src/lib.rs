@@ -26,7 +26,7 @@
 //!   request (forwarded whole when one shard owns all its origins or
 //!   leak victims, scattered and merged when they span shards),
 //!   slice-scoped `503 shard-unavailable` with partial batch envelopes, rolling
-//!   `/admin/reload` behind per-shard health gates, and aggregated
+//!   `/admin/reload` one synchronous shard reload at a time, and aggregated
 //!   `/healthz`, `/metrics`, `/debug/shards`, behind the shards' own
 //!   connection loop ([`flatnet_serve::front`]).
 //!

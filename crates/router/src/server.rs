@@ -25,9 +25,9 @@
 //! with the stable kind `shard-unavailable` for its slice only; in a
 //! batch the healthy slices still answer and the envelope carries a
 //! `router` member flagging the partial result. `/admin/reload` rolls
-//! the shards one at a time, waiting for each to pass its health gate
-//! before touching the next, so a healthy fleet never has two shards
-//! reloading at once.
+//! the shards one at a time: a shard's reload answers only after its
+//! new snapshot passed the shard's own health gate and serves, so a
+//! healthy fleet never has two shards reloading at once.
 
 use crate::merge;
 use crate::ring::HashRing;
@@ -86,10 +86,6 @@ const FRONT_LIMITS: Limits = Limits {
 
 /// Concurrent client connections beyond which new ones are bounced.
 const MAX_CONNS: usize = 256;
-
-/// How long a rolling reload waits for a shard to pass its health gate
-/// before aborting the roll.
-const RELOAD_HEALTH_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Events the router's trace ring keeps.
 const TRACE_RING_CAP: usize = 1024;
@@ -331,9 +327,8 @@ fn route(inner: &Inner, req: &Request, trace_id: u64) -> Response {
             inner.front.stop();
             Response::json(200, "{\"status\":\"shutting-down\"}\n".to_string())
         }
-        // Anything else (`/debug/queue`, say) is answered by a healthy
-        // shard: that state is per-process, and forwarding beats a
-        // router-side 404 for operator muscle memory.
+        // Any other path goes to a healthy shard, which answers it or
+        // refuses it (`404 not-found`) like any path it does not know.
         _ => forward_any(inner, req, trace_id),
     }
 }
@@ -838,42 +833,31 @@ fn debug_shards(inner: &Inner, trace_id: u64) -> Response {
     Response::json(200, envelope(fleet_version(inner), trace_id, &data))
 }
 
-/// `POST /admin/reload` — rolls the fleet one shard at a time: reload,
-/// then wait for that shard's health gate (healthz 200 at the new
-/// version) before touching the next. A shard that fails its gate
-/// aborts the roll (the rest keep serving the old snapshot); a shard
-/// that refuses the reload (backoff) is recorded and skipped.
+/// `POST /admin/reload` — rolls the fleet one shard at a time. A
+/// shard's reload is synchronous: its `200` comes only after the new
+/// snapshot passed the shard's own health gate and was swapped in, so
+/// the version it names is the one the shard now serves, and the next
+/// shard is reloaded only then. A shard that refuses the reload
+/// (backoff) or cannot be reached is recorded and skipped.
 fn rolling_reload(inner: &Inner, trace_id: u64) -> Response {
     let _guard = inner.reload_lock.lock().unwrap_or_else(|e| e.into_inner());
     let mut entries: Vec<String> = Vec::new();
     let mut reloaded = 0usize;
-    let mut aborted = false;
     for shard in &inner.shards {
-        if aborted {
-            entries.push(format!("{{\"id\":{},\"status\":\"not-attempted\"}}", shard.id));
-            continue;
-        }
         if !shard.healthy() {
             entries.push(format!("{{\"id\":{},\"status\":\"skipped-unhealthy\"}}", shard.id));
             continue;
         }
         match shard.upstream.request("POST", "/admin/reload", None, trace_id) {
             Ok(up) if up.status == 200 => {
-                let new_version = merge::member_u64(&up.body, "snapshot_version");
-                if wait_health_gate(shard, new_version, trace_id) {
-                    reloaded += 1;
-                    entries.push(format!(
-                        "{{\"id\":{},\"status\":\"reloaded\",\"snapshot_version\":{}}}",
-                        shard.id,
-                        new_version.unwrap_or(0),
-                    ));
-                } else {
-                    aborted = true;
-                    entries.push(format!(
-                        "{{\"id\":{},\"status\":\"health-gate-timeout\"}}",
-                        shard.id
-                    ));
-                }
+                let version = merge::member_u64(&up.body, "snapshot_version").unwrap_or(0);
+                shard.set_snapshot_version(version);
+                shard.record_ok();
+                reloaded += 1;
+                entries.push(format!(
+                    "{{\"id\":{},\"status\":\"reloaded\",\"snapshot_version\":{version}}}",
+                    shard.id
+                ));
             }
             Ok(up) => {
                 let kind = merge::envelope_error_kind(&up.body).unwrap_or("unavailable");
@@ -912,26 +896,4 @@ fn rolling_reload(inner: &Inner, trace_id: u64) -> Response {
             entries.join(",")
         ),
     )
-}
-
-/// Polls one shard's `/healthz` until it answers 200 at (or past) the
-/// expected snapshot version, or the reload health budget runs out.
-fn wait_health_gate(shard: &Shard, expect_version: Option<u64>, trace_id: u64) -> bool {
-    let deadline = Instant::now() + RELOAD_HEALTH_TIMEOUT;
-    loop {
-        if let Ok(up) = shard.upstream.request("GET", "/healthz", None, trace_id) {
-            if up.status == 200 {
-                let v = merge::member_u64(&up.body, "snapshot_version").unwrap_or(0);
-                if expect_version.map(|e| v >= e).unwrap_or(true) {
-                    shard.set_snapshot_version(v);
-                    shard.record_ok();
-                    return true;
-                }
-            }
-        }
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
 }

@@ -38,7 +38,7 @@ use crate::answer::{Answer, RELIANCE_TOP_MAX};
 use crate::cache::{policy_fingerprint, CacheKey, ResultCache};
 use crate::front::{error_response, Front, Handler, Limits};
 use crate::http::{parse_asn, Method, Request, Response};
-use crate::json::{envelope_prefix, escape, Json, Num, SCHEMA};
+use crate::json::{envelope_prefix, escape, Json, Num};
 use crate::server::ServeConfig;
 use crate::snapshot::{ServeSnapshot, SnapshotManager};
 use flatnet_asgraph::{AsId, NodeId};
@@ -128,11 +128,10 @@ pub(crate) struct Shared {
     cache_put_form: [flatnet_obs::Counter; 3],
     queue_depth: flatnet_obs::Gauge,
     /// Idle pooled scratch of the current snapshot, read when one of the
-    /// endpoints that report it is asked (`/healthz`, `/debug/queue`,
-    /// `/metrics`).
+    /// endpoints that report it is asked (`/healthz`, `/metrics`).
     scratch_bytes: flatnet_obs::Gauge,
-    /// Per-worker busy-time counters (µs handling requests), for the
-    /// `/debug/queue` utilization view.
+    /// Per-worker busy-time counters (µs handling requests): each
+    /// worker's utilization, read off `/metrics`.
     busy_us: Vec<flatnet_obs::Counter>,
     /// How many top-degree origins to pre-warm after load/reload; 0 = off.
     warm: usize,
@@ -371,10 +370,6 @@ fn route(shared: &Arc<Shared>, req: &Request, trace: &mut TraceCtx) -> Result<Re
             trace.set_tag(if path.ends_with("slow") { "trace_slow" } else { "trace_recent" });
             shared.front.trace_dump(req).map_err(ApiError::bad_request)
         }
-        (Method::Get, "/debug/queue") => {
-            trace.set_tag("queue");
-            Ok(debug_queue(shared))
-        }
         (Method::Get, "/debug/panic") => {
             // Deliberate: exercises the worker panic-isolation path
             // end-to-end (tests, drills). The front's connection loop
@@ -395,8 +390,8 @@ fn route(shared: &Arc<Shared>, req: &Request, trace: &mut TraceCtx) -> Result<Re
         (
             _,
             "/v1/reachability" | "/v1/reliance" | "/v1/whatif/leak" | "/healthz" | "/metrics"
-            | "/debug/trace/recent" | "/debug/trace/slow" | "/debug/queue" | "/debug/panic"
-            | "/admin/reload" | "/admin/shutdown",
+            | "/debug/trace/recent" | "/debug/trace/slow" | "/debug/panic" | "/admin/reload"
+            | "/admin/shutdown",
         ) => Err(ApiError::new(405, "method", "method not allowed for this path")),
         _ => Err(ApiError::not_found("no such endpoint")),
     }
@@ -414,47 +409,6 @@ fn metrics(req: &Request) -> Result<Response, ApiError> {
         Some("json") | None => Ok(Response::json(200, flatnet_obs::snapshot().to_json())),
         Some(other) => Err(ApiError::bad_request(format!("bad format {other:?} (want json|prom)"))),
     }
-}
-
-/// `GET /debug/queue` — queue depth, capacity, the result cache's
-/// footprint, the current snapshot's pooled scratch, queue-wait
-/// percentiles, per-worker busy time, connection-reuse counters, and
-/// trace-collection counters.
-fn debug_queue(shared: &Arc<Shared>) -> Response {
-    let front = &shared.front;
-    let wait = &front.stage_us[Stage::QueueWait as usize];
-    let pct = |p: f64| wait.percentile_us(p).unwrap_or(0);
-    let mut body = format!(
-        "{{\"schema\":\"{SCHEMA}\",\"endpoint\":\"queue\",\"depth\":{},\
-         \"capacity\":{},\"rejected\":{},\"workers\":{},\
-         \"cache_entries\":{},\"cache_bytes\":{},\"scratch_bytes\":{},\
-         \"connections\":{},\"keepalive_reuse\":{},\"keepalive_idle_closed\":{},\
-         \"queue_wait_us\":{{\"count\":{},\"p50\":{},\"p90\":{},\"p99\":{}}},\
-         \"traces_recorded\":{},\"worker_busy_us\":[",
-        shared.queue_depth.get(),
-        shared.queue_cap,
-        shared.rejected.get(),
-        shared.workers,
-        shared.cache.len(),
-        shared.cache.bytes(),
-        shared.refresh_scratch_bytes(),
-        front.connections.get(),
-        front.keepalive_reuse.get(),
-        front.keepalive_idle_closed.get(),
-        wait.count(),
-        pct(50.0),
-        pct(90.0),
-        pct(99.0),
-        front.tracer.recorded(),
-    );
-    for (i, busy) in shared.busy_us.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&busy.get().to_string());
-    }
-    body.push_str("]}\n");
-    Response::json(200, body)
 }
 
 /// Collects the query's origin list: `origins=a,b,c` (canonical batch
@@ -1253,7 +1207,7 @@ mod tests {
         }
     }
 
-    /// The `scratch_bytes` member of a `/healthz` or `/debug/queue` body.
+    /// The `scratch_bytes` member of a `/healthz` body.
     fn scratch_bytes_of(body: &str) -> u64 {
         let doc = crate::json::parse(body).expect("a JSON body");
         doc.get("scratch_bytes").and_then(Json::as_u64).expect("a scratch_bytes member")
@@ -1262,7 +1216,8 @@ mod tests {
     /// Every solve pools its scratch on the snapshot's compiled topology —
     /// a single's scalar context and a reliance kernel as much as a
     /// batch's lane workspace and a leak query's simulators — `/healthz`
-    /// and `/debug/queue` report all of it beside `cache_bytes`, and
+    /// reports all of it beside `cache_bytes`, `/metrics` as the
+    /// `serve.scratch_bytes` gauge, and
     /// `/admin/reload` frees it with the old snapshot: the successor
     /// starts with none.
     #[test]
@@ -1297,8 +1252,10 @@ mod tests {
         call(&shared, Method::Post, "/v1/whatif/leak", "", &leak);
         let all = health();
         assert!(all >= lanes + 8 * n, "a victim side and a leaker side, got {all} after {lanes}");
-        let queue = call(&shared, Method::Get, "/debug/queue", "", "").0;
-        assert_eq!(scratch_bytes_of(&queue), all);
+        let metrics = call(&shared, Method::Get, "/metrics", "", "").0;
+        let metrics = crate::json::parse(&metrics).expect("a JSON body");
+        let gauge = metrics.get("gauges").and_then(|g| g.get("serve.scratch_bytes"));
+        assert_eq!(gauge.and_then(Json::as_u64), Some(all));
         assert_eq!(flatnet_bgpsim::scratch_bytes(&shared.mgr.current().graph) as u64, all);
 
         call(&shared, Method::Post, "/admin/reload", "", "");

@@ -28,8 +28,7 @@ impl std::fmt::Display for Num {
     }
 }
 
-/// The schema tag every `/v1` envelope carries, and `/debug/queue`'s
-/// bare document too.
+/// The schema tag every `/v1` envelope carries.
 pub const SCHEMA: &str = "flatnet-serve/v1";
 
 /// The framing every `/v1` envelope opens with — schema tag, the

@@ -34,8 +34,8 @@
 //! `origin=` or a comma-separated `origins=` batch fed to the lane
 //! kernel), `POST /v1/whatif/leak` (single or `{"queries":[…]}`),
 //! `GET /healthz`, `GET /metrics` (flatnet-obs/v2, `?format=prom`),
-//! `GET /debug/queue`, `GET /debug/trace/{recent,slow}`,
-//! `POST /admin/reload`, `POST /admin/shutdown`. Every `/v1` body is
+//! `GET /debug/trace/{recent,slow}`, `POST /admin/reload`,
+//! `POST /admin/shutdown`. Every `/v1` body is
 //! wrapped in the `{"schema":"flatnet-serve/v1","snapshot_version":…,
 //! "trace_id":…,"data"|"error":…}` envelope — see DESIGN.md § API
 //! reference.

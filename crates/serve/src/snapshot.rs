@@ -275,11 +275,6 @@ impl SnapshotManager {
         }
     }
 
-    /// Where the store lives, if configured.
-    pub fn store_path(&self) -> Option<&str> {
-        self.store_path.as_deref()
-    }
-
     /// Reload/store health for `/healthz`.
     pub fn status(&self) -> ManagerStatus {
         let state = self.lock_state();
@@ -435,8 +430,8 @@ fn load(
     clock: &mut PhaseClock,
 ) -> Result<ServeSnapshot, ServeError> {
     // `checked` is what the health gate sees: a source's declared tier
-    // lists as given (a member the graph lacks is a finding), else the
-    // resolved sets.
+    // lists as given (a member the graph lacks is a finding), none for
+    // inferred sets (`declared_or_inferred`), else the resolved sets.
     let (graph, tiers, checked, conflicts) = match source {
         TopologySource::CaidaFile { path, tier1, tier2, lenient } => {
             let (graph, conflicts) = load_caida(path, *lenient, clock)?;

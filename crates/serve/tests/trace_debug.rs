@@ -1,7 +1,7 @@
 //! Request-scoped tracing, end to end over real TCP: every response
-//! carries an `X-Flatnet-Trace-Id` header, the `/debug/trace/*` and
-//! `/debug/queue` endpoints expose the recorded events, `/metrics`
-//! speaks Prometheus text when asked, a panicking worker still emits a
+//! carries an `X-Flatnet-Trace-Id` header, the `/debug/trace/*`
+//! endpoints expose the recorded events, `/metrics` carries the queue
+//! and worker series and speaks Prometheus text when asked, a panicking worker still emits a
 //! terminal trace event (stage `panic`) without wedging the server, and
 //! the `Connection` header follows per-connection keep-alive
 //! negotiation.
@@ -106,21 +106,22 @@ fn responses_carry_trace_ids_and_debug_endpoints_expose_them() {
         assert!(pair[0].total_us >= pair[1].total_us, "slow dump not sorted");
     }
 
-    // /debug/queue: depth/capacity/percentiles/worker utilization.
-    let (status, _, body) = fetch_raw(addr, "GET", "/debug/queue");
+    // /metrics: queue depth, queue-wait percentiles, worker utilization
+    // and the answered-request count are registry series.
+    let (status, _, body) = fetch_raw(addr, "GET", "/metrics");
     assert_eq!(status, 200);
-    let q = parse(&body).expect("queue json");
-    assert_eq!(q.get("schema").and_then(Json::as_str), Some("flatnet-serve/v1"));
-    assert!(q.get("capacity").and_then(Json::as_u64).unwrap() > 0);
-    assert_eq!(q.get("workers").and_then(Json::as_u64), Some(2));
-    let wait = q.get("queue_wait_us").expect("queue_wait_us block");
+    let m = parse(&body).expect("metrics json");
+    let series = |section: &str, name: &str| m.get(section).and_then(|s| s.get(name));
+    assert!(series("gauges", "serve.queue_depth").is_some(), "no queue depth gauge");
+    let wait = series("histograms", "serve.stage_us{stage=\"queue_wait\"}").expect("queue_wait");
     assert!(wait.get("count").and_then(Json::as_u64).unwrap() >= 1);
-    for pct in ["p50", "p90", "p99"] {
+    for pct in ["p50_us", "p90_us", "p99_us"] {
         assert!(wait.get(pct).and_then(Json::as_u64).is_some(), "missing {pct}");
     }
-    let busy = q.get("worker_busy_us").and_then(Json::as_array).expect("worker_busy_us");
-    assert_eq!(busy.len(), 2);
-    assert!(q.get("traces_recorded").and_then(Json::as_u64).unwrap() >= 1);
+    let counters = m.get("counters").and_then(Json::as_object).expect("counters");
+    let busy = counters.iter().filter(|(k, _)| k.starts_with("serve.worker_busy_us{worker="));
+    assert_eq!(busy.count(), 2);
+    assert!(series("counters", "serve.http_2xx").and_then(Json::as_u64).unwrap() >= 1);
 
     server.shutdown();
 }
