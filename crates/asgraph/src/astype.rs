@@ -36,16 +36,6 @@ pub enum AsType {
 }
 
 impl AsType {
-    /// Report label.
-    pub fn name(self) -> &'static str {
-        match self {
-            AsType::Content => "content",
-            AsType::Transit => "transit",
-            AsType::Access => "access",
-            AsType::Enterprise => "enterprise",
-        }
-    }
-
     /// All four types in the order the paper's Fig. 4 stacks them.
     pub const ALL: [AsType; 4] = [AsType::Content, AsType::Transit, AsType::Access, AsType::Enterprise];
 }
@@ -81,16 +71,6 @@ impl AsTypeDb {
         Self::default()
     }
 
-    /// Number of classified ASes.
-    pub fn len(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// Whether the database is empty.
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
-    }
-
     /// Sets (or overwrites) the class for an AS.
     pub fn insert(&mut self, asn: AsId, class: CaidaClass) {
         self.classes.insert(asn.0, class);
@@ -99,12 +79,6 @@ impl AsTypeDb {
     /// Raw CAIDA class of an AS.
     pub fn class(&self, asn: AsId) -> Option<CaidaClass> {
         self.classes.get(&asn.0).copied()
-    }
-
-    /// The paper's refined type for an AS. Unclassified ASes default to
-    /// `Enterprise` (CAIDA's catch-all for small, invisible networks).
-    pub fn refined(&self, asn: AsId, users: u64) -> AsType {
-        refine(self.class(asn).unwrap_or(CaidaClass::Enterprise), users)
     }
 
     /// Parses a CAIDA `as2types` file: `asn|source|type` lines where type is
@@ -161,18 +135,10 @@ mod tests {
     fn parses_as2types() {
         let text = "# comment\n1|CAIDA_class|Content\n2|CAIDA_class|Transit/Access\n3|CAIDA_class|Enterprise\n";
         let db = AsTypeDb::parse(text.as_bytes()).unwrap();
-        assert_eq!(db.len(), 3);
+        assert_eq!(db.classes.len(), 3);
         assert_eq!(db.class(AsId(1)), Some(CaidaClass::Content));
         assert_eq!(db.class(AsId(2)), Some(CaidaClass::TransitAccess));
-        assert_eq!(db.refined(AsId(2), 500), AsType::Access);
-        assert_eq!(db.refined(AsId(2), 0), AsType::Transit);
-    }
-
-    #[test]
-    fn unknown_as_defaults_to_enterprise() {
-        let db = AsTypeDb::new();
-        assert_eq!(db.refined(AsId(77), 0), AsType::Enterprise);
-        assert!(db.is_empty());
+        assert_eq!(db.class(AsId(3)), Some(CaidaClass::Enterprise));
     }
 
     #[test]
@@ -200,7 +166,7 @@ mod tests {
 
     #[test]
     fn all_types_ordered_for_reports() {
-        let names: Vec<&str> = AsType::ALL.iter().map(|t| t.name()).collect();
-        assert_eq!(names, vec!["content", "transit", "access", "enterprise"]);
+        use AsType::*;
+        assert_eq!(AsType::ALL, [Content, Transit, Access, Enterprise]);
     }
 }

@@ -31,7 +31,11 @@ pub struct AugmentReport {
 /// Returns the augmented graph and a report. Neighbor entries equal to the
 /// cloud itself are ignored. The input graph is not required to contain the
 /// cloud AS already (it will after augmentation, if `peers` is non-empty).
-pub fn augment_with_peers(g: &AsGraph, cloud: AsId, peers: &[AsId]) -> (AsGraph, AugmentReport) {
+pub(crate) fn augment_with_peers(
+    g: &AsGraph,
+    cloud: AsId,
+    peers: &[AsId],
+) -> (AsGraph, AugmentReport) {
     let mut b = g.to_builder();
     let mut report = AugmentReport {
         neighbors_before: g.index_of(cloud).map(|n| g.degree(n)).unwrap_or(0),
@@ -58,7 +62,7 @@ pub fn augment_with_peers(g: &AsGraph, cloud: AsId, peers: &[AsId]) -> (AsGraph,
 
 /// Augments one graph with several clouds' inferred peer sets in one pass.
 ///
-/// Equivalent to chaining [`augment_with_peers`] once per cloud; returns the
+/// Equivalent to chaining `augment_with_peers` once per cloud; returns the
 /// final graph and per-cloud reports in input order.
 pub fn augment_many(g: &AsGraph, sets: &[(AsId, Vec<AsId>)]) -> (AsGraph, Vec<AugmentReport>) {
     let mut current = g.clone();

@@ -21,7 +21,7 @@ use crate::ingest::{read_lines, BadLine, ParseDiagnostics, ParseOptions};
 
 /// One parsed relationship record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RelRecord {
+pub(crate) struct RelRecord {
     /// For `P2c`, the provider; otherwise just the first AS on the line.
     pub a: AsId,
     /// For `P2c`, the customer; otherwise the second AS on the line.

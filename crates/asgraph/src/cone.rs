@@ -1,4 +1,4 @@
-//! Classic AS influence metrics: customer cone, transit degree, node degree.
+//! Classic AS influence metrics: customer cone sizes and transit degree.
 //!
 //! The paper (§6.6) contrasts its new *hierarchy-free reachability* metric
 //! with **customer cone** — "the set of ASes that X can reach using only p2c
@@ -7,27 +7,6 @@
 //! implemented here directly on [`AsGraph`].
 
 use crate::graph::{AsGraph, NodeId};
-
-/// The customer cone of `n`: every AS reachable from `n` by repeatedly
-/// following provider-to-customer links, **including `n` itself** (AS-Rank's
-/// convention). Returned sorted by node index.
-pub fn customer_cone(g: &AsGraph, n: NodeId) -> Vec<NodeId> {
-    let mut visited = vec![false; g.len()];
-    let mut stack = vec![n];
-    let mut cone = Vec::new();
-    visited[n.idx()] = true;
-    while let Some(u) = stack.pop() {
-        cone.push(u);
-        for &c in g.customers(u) {
-            if !visited[c.idx()] {
-                visited[c.idx()] = true;
-                stack.push(c);
-            }
-        }
-    }
-    cone.sort_unstable();
-    cone
-}
 
 /// Customer cone **sizes** for every AS in the graph, indexed by node index.
 ///
@@ -81,15 +60,32 @@ pub fn transit_degree(g: &AsGraph, n: NodeId) -> usize {
     }
 }
 
-/// Plain node degree (number of unique neighbors of any relationship class).
-pub fn node_degree(g: &AsGraph, n: NodeId) -> usize {
-    g.degree(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::{AsGraphBuilder, AsId, Relationship};
+
+    /// The customer cone of `n`: every AS reachable from `n` by repeatedly
+    /// following provider-to-customer links, **including `n` itself** (AS-Rank's
+    /// convention). Returned sorted by node index: the reference
+    /// [`customer_cone_sizes`] is checked against.
+    fn customer_cone(g: &AsGraph, n: NodeId) -> Vec<NodeId> {
+        let mut visited = vec![false; g.len()];
+        let mut stack = vec![n];
+        let mut cone = Vec::new();
+        visited[n.idx()] = true;
+        while let Some(u) = stack.pop() {
+            cone.push(u);
+            for &c in g.customers(u) {
+                if !visited[c.idx()] {
+                    visited[c.idx()] = true;
+                    stack.push(c);
+                }
+            }
+        }
+        cone.sort_unstable();
+        cone
+    }
 
     /// 1 -> 2 -> {3, 4}; 3 peers 5; 5 is a stub customer of 4.
     fn chain() -> AsGraph {
@@ -162,6 +158,6 @@ mod tests {
     fn node_degree_counts_all_classes() {
         let g = chain();
         let n3 = g.index_of(AsId(3)).unwrap();
-        assert_eq!(node_degree(&g, n3), 2); // provider 2 + peer 5
+        assert_eq!(g.degree(n3), 2); // provider 2 + peer 5
     }
 }

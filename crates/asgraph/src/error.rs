@@ -13,17 +13,6 @@ pub enum GraphError {
         /// What went wrong.
         message: String,
     },
-    /// The same AS pair was declared with two contradictory relationships.
-    ConflictingRelationship {
-        /// Lower-numbered AS of the pair.
-        a: u32,
-        /// Higher-numbered AS of the pair.
-        b: u32,
-        /// Relationship seen first.
-        first: &'static str,
-        /// Conflicting relationship seen later.
-        second: &'static str,
-    },
     /// A link connects an AS to itself, which the AS-level model forbids.
     SelfLoop {
         /// The offending AS.
@@ -49,10 +38,6 @@ impl fmt::Display for GraphError {
             GraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
             }
-            GraphError::ConflictingRelationship { a, b, first, second } => write!(
-                f,
-                "conflicting relationship for AS{a}-AS{b}: declared both {first} and {second}"
-            ),
             GraphError::SelfLoop { asn } => write!(f, "self-loop on AS{asn}"),
             GraphError::UnknownAs { asn } => write!(f, "AS{asn} is not in the graph"),
             GraphError::NotCanonical { detail } => write!(f, "graph not in canonical form: {detail}"),
@@ -76,8 +61,6 @@ mod tests {
     fn display_is_informative() {
         let e = GraphError::Parse { line: 7, message: "bad field".into() };
         assert_eq!(e.to_string(), "parse error on line 7: bad field");
-        let e = GraphError::ConflictingRelationship { a: 1, b: 2, first: "p2c", second: "p2p" };
-        assert!(e.to_string().contains("AS1-AS2"));
         let e = GraphError::SelfLoop { asn: 5 };
         assert!(e.to_string().contains("AS5"));
         let e = GraphError::UnknownAs { asn: 9 };

@@ -68,16 +68,6 @@ pub enum Relationship {
     P2p,
 }
 
-impl Relationship {
-    /// Human-readable name matching CAIDA's documentation.
-    pub fn name(self) -> &'static str {
-        match self {
-            Relationship::P2c => "p2c",
-            Relationship::P2p => "p2p",
-        }
-    }
-}
-
 /// How one AS sees a specific neighbor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NeighborKind {
@@ -87,17 +77,6 @@ pub enum NeighborKind {
     Customer,
     /// Settlement-free peer.
     Peer,
-}
-
-impl NeighborKind {
-    /// Name used in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            NeighborKind::Provider => "provider",
-            NeighborKind::Customer => "customer",
-            NeighborKind::Peer => "peer",
-        }
-    }
 }
 
 /// A link's relationship relative to its `(low ASN, high ASN)` pair.
@@ -117,13 +96,6 @@ impl CanonRel {
             Relationship::P2p => CanonRel::Peer,
             Relationship::P2c if a < b => CanonRel::LowProvidesHigh,
             Relationship::P2c => CanonRel::HighProvidesLow,
-        }
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            CanonRel::Peer => "p2p",
-            _ => "p2c",
         }
     }
 
@@ -258,8 +230,7 @@ const MAX_UNSETTLED: usize = 1 << 30;
 /// paper's augmentation rule: "we do not modify the previously identified
 /// link type"). Conflicts are recorded and available from
 /// [`AsGraphBuilder::conflicts`] so topology health checks can surface
-/// them. Use [`AsGraphBuilder::add_link_strict`] to treat conflicts as
-/// errors instead.
+/// them.
 ///
 /// The links are one vector of distinct pairs. Until the first `add_link`
 /// it is sorted by pair (as the CAIDA reader and
@@ -334,27 +305,6 @@ impl AsGraphBuilder {
     /// order they were declared.
     pub fn conflicts(&self) -> &[RelConflict] {
         &self.conflicts
-    }
-
-    /// Adds a link, erroring on self-loops and conflicting re-declarations.
-    pub fn add_link_strict(&mut self, a: AsId, b: AsId, rel: Relationship) -> Result<(), GraphError> {
-        if a == b {
-            return Err(GraphError::SelfLoop { asn: a.0 });
-        }
-        let link = Link::new(a.0, b.0, rel, 0);
-        match self.find(&link) {
-            Err(slot) => {
-                self.insert(slot, link);
-                Ok(())
-            }
-            Ok(at) if self.links[at].rel() == link.rel() => Ok(()),
-            Ok(at) => Err(GraphError::ConflictingRelationship {
-                a: link.lo,
-                b: link.hi,
-                first: self.links[at].rel().name(),
-                second: link.rel().name(),
-            }),
-        }
     }
 
     /// Returns whether a link between the two ASes has been declared.
@@ -879,21 +829,6 @@ mod tests {
     }
 
     #[test]
-    fn strict_add_detects_conflicts() {
-        let mut b = AsGraphBuilder::new();
-        b.add_link_strict(AsId(1), AsId(2), Relationship::P2c).unwrap();
-        // Same declaration again is fine.
-        b.add_link_strict(AsId(1), AsId(2), Relationship::P2c).unwrap();
-        let err = b.add_link_strict(AsId(1), AsId(2), Relationship::P2p).unwrap_err();
-        assert!(matches!(err, GraphError::ConflictingRelationship { .. }));
-        // Reversed p2c orientation is a conflict too.
-        let err = b.add_link_strict(AsId(2), AsId(1), Relationship::P2c).unwrap_err();
-        assert!(matches!(err, GraphError::ConflictingRelationship { .. }));
-        let err = b.add_link_strict(AsId(3), AsId(3), Relationship::P2p).unwrap_err();
-        assert!(matches!(err, GraphError::SelfLoop { asn: 3 }));
-    }
-
-    #[test]
     fn self_loops_silently_dropped_by_lenient_add() {
         let mut b = AsGraphBuilder::new();
         assert!(!b.add_link(AsId(7), AsId(7), Relationship::P2p));
@@ -948,12 +883,10 @@ mod tests {
     fn neighbors_iterator_covers_all_classes() {
         let g = diamond();
         let n3 = g.index_of(AsId(3)).unwrap();
-        let mut kinds: Vec<(u32, &str)> = g
-            .neighbors(n3)
-            .map(|(n, k)| (g.asn(n).0, k.name()))
-            .collect();
-        kinds.sort();
-        assert_eq!(kinds, vec![(1, "provider"), (2, "provider"), (4, "peer")]);
+        let mut kinds: Vec<(u32, NeighborKind)> = g.neighbors(n3).map(|(n, k)| (g.asn(n).0, k)).collect();
+        kinds.sort_by_key(|&(asn, _)| asn);
+        use NeighborKind::*;
+        assert_eq!(kinds, vec![(1, Provider), (2, Provider), (4, Peer)]);
         assert_eq!(g.degree(n3), 3);
     }
 }

@@ -123,17 +123,17 @@ pub struct ParseDiagnostics {
 
 impl ParseDiagnostics {
     /// A clean slate.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ParseDiagnostics::default()
     }
 
     /// Notes one good record.
-    pub fn record_ok(&mut self) {
+    pub(crate) fn record_ok(&mut self) {
         self.records_ok += 1;
     }
 
     /// Notes one skipped record.
-    pub fn record_dropped(&mut self, location: RecordLocation, message: impl Into<String>) {
+    pub(crate) fn record_dropped(&mut self, location: RecordLocation, message: impl Into<String>) {
         self.issues.push(ParseIssue { location, message: message.into() });
     }
 
@@ -144,7 +144,7 @@ impl ParseDiagnostics {
     /// this record is the one that exhausts the budget, with the budget
     /// text (the record tallied all the same) wrapped into the loader's
     /// error type by `exhausted`.
-    pub fn malformed<E: fmt::Display>(
+    pub(crate) fn malformed<E: fmt::Display>(
         &mut self,
         opts: &ParseOptions,
         location: RecordLocation,
@@ -176,7 +176,7 @@ impl ParseDiagnostics {
     /// Publishes this tally to the global metric registry under the shared
     /// `parse.<format>.records_ok` / `parse.<format>.records_dropped`
     /// counter names. Parsers call this once per completed parse.
-    pub fn publish(&self, format: &str) {
+    pub(crate) fn publish(&self, format: &str) {
         flatnet_obs::record_parse(format, self.records_ok as u64, self.dropped() as u64);
     }
 
@@ -346,7 +346,7 @@ impl<'a> ByteReader<'a> {
 ///
 /// A header error, or a length past the end of the input, ends the read
 /// (framing corruption: no later record boundary can be trusted). A body
-/// error goes through [`ParseDiagnostics::malformed`] as record *n*: in
+/// error goes through `ParseDiagnostics::malformed` as record *n*: in
 /// lenient mode the record is skipped and the loop resynchronises at the
 /// next one. Publishes the tally under `format` in lower case, as the
 /// parse counters name formats (`parse.mrt.*`).
@@ -445,7 +445,7 @@ impl From<NotUtf8<'_>> for BadLine {
 /// are numbered from 1, and each is `str::trim`med, or handed to `record`
 /// as a [`NotUtf8`] if it is not UTF-8. Blank and `#` lines are skipped;
 /// `record` keeps every other line or says why not. A malformed line goes
-/// through [`ParseDiagnostics::malformed`] with its bare message, so the
+/// through `ParseDiagnostics::malformed` with its bare message, so the
 /// tally names its line once; only a returned [`LineError`] adds it.
 /// Nothing is allocated per line. Publishes `parse.<format>.*`.
 pub fn read_lines(

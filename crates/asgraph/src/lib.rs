@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 //! # flatnet-asgraph — AS-level Internet topology substrate
@@ -14,9 +15,9 @@
 //!   ([`caida`] parses both the `serial-1` and `serial-2` formats used for the
 //!   paper's September 2015 and September 2020 snapshots) and then *augmented*
 //!   with peer links discovered by traceroutes from inside cloud networks
-//!   ([`augment`]).
-//! * Classic AS metrics are provided: customer cone, transit degree, node
-//!   degree ([`cone`]), plus Tier-1 clique inference and tier assignment
+//!   (`augment`).
+//! * Classic AS metrics are provided: customer-cone sizes and transit
+//!   degree ([`cone`]), plus Tier-1 clique inference and the tier sets
 //!   ([`tiers`]), and CAIDA-style AS type classification ([`astype`]).
 //!
 //! The central type is [`AsGraph`]: an immutable, index-compressed adjacency
@@ -42,24 +43,22 @@
 //! ```
 
 pub mod astype;
-pub mod augment;
+mod augment;
 pub mod caida;
 pub mod cone;
 pub mod dot;
-pub mod error;
+mod error;
 pub mod graph;
 pub mod ingest;
 pub mod problink;
 pub mod relinfer;
 pub mod tiers;
-pub mod validate;
+mod validate;
 
-pub use astype::AsType;
-pub use augment::{augment_many, augment_with_peers, AugmentReport};
+pub use augment::{augment_many, AugmentReport};
 pub use error::GraphError;
 pub use graph::{AsGraph, AsGraphBuilder, AsId, NodeId, Relationship};
-pub use ingest::{ParseDiagnostics, ParseIssue, ParseOptions, RecordLocation};
-pub use problink::{refine_relationships, RefinedRelationships};
-pub use relinfer::{infer_relationships, score_inference, InferredRelationships, RelAccuracy};
-pub use tiers::{infer_clique, TierAssignment, Tiers};
+pub use ingest::{ParseDiagnostics, ParseOptions};
+pub use relinfer::{infer_relationships, score_inference};
+pub use tiers::Tiers;
 pub use validate::{validate_topology, HealthCheck, HealthReport, Severity, ValidateOptions};

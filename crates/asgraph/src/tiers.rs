@@ -57,17 +57,6 @@ impl Tiers {
         self.tier2.binary_search(&n).is_ok()
     }
 
-    /// Tier assignment of `n`.
-    pub fn assignment(&self, n: NodeId) -> TierAssignment {
-        if self.is_tier1(n) {
-            TierAssignment::Tier1
-        } else if self.is_tier2(n) {
-            TierAssignment::Tier2
-        } else {
-            TierAssignment::Other
-        }
-    }
-
     /// The Tier-1 and Tier-2 members as ASNs of `g`.
     pub fn asns(&self, g: &AsGraph) -> TierLists {
         let asns = |ns: &[NodeId]| ns.iter().map(|&n| g.asn(n)).collect();
@@ -86,7 +75,7 @@ pub type TierLists = (Vec<AsId>, Vec<AsId>);
 /// ([`validate_topology`](crate::validate::validate_topology)) checks: the
 /// declared lists as given, so a member the graph lacks is reported (the
 /// resolved [`Tiers`] have dropped it), or empty lists for inferred sets,
-/// which skip the tier checks: [`infer_clique`] admits only an AS that
+/// which skip the tier checks: `infer_clique` admits only an AS that
 /// peers with every member already admitted, and only ASes of the graph,
 /// so neither check could find anything. Inferring logs how many Tier-1s
 /// and Tier-2s it found.
@@ -104,17 +93,6 @@ pub fn declared_or_inferred(g: &AsGraph, tier1: &[AsId], tier2: &[AsId]) -> (Tie
     }
 }
 
-/// Where an AS sits relative to the transit hierarchy's top.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TierAssignment {
-    /// Member of the Tier-1 clique.
-    Tier1,
-    /// Large transit provider below the clique.
-    Tier2,
-    /// Everything else (clouds, content, access, enterprise, stubs, ...).
-    Other,
-}
-
 /// Infers the Tier-1 clique AS-Rank style.
 ///
 /// Candidates are the ASes with the highest transit degree; the clique is
@@ -123,7 +101,7 @@ pub enum TierAssignment {
 /// peering) with every AS already admitted and has no transit providers
 /// itself. `max_candidates` bounds the search (AS-Rank uses a similar
 /// cutoff); the returned clique is sorted by node index.
-pub fn infer_clique(g: &AsGraph, max_candidates: usize) -> Vec<NodeId> {
+pub(crate) fn infer_clique(g: &AsGraph, max_candidates: usize) -> Vec<NodeId> {
     let mut candidates: Vec<NodeId> = g.nodes().collect();
     // Highest transit degree first; ties broken by ASN for determinism.
     candidates.sort_by_key(|&n| (std::cmp::Reverse(transit_degree(g, n)), g.asn(n)));
@@ -146,7 +124,7 @@ pub fn infer_clique(g: &AsGraph, max_candidates: usize) -> Vec<NodeId> {
 }
 
 /// Infers a full [`Tiers`] assignment: the Tier-1 clique via
-/// [`infer_clique`], then the `tier2_count` largest remaining ASes by
+/// `infer_clique`, then the `tier2_count` largest remaining ASes by
 /// customer cone size (the paper's Tier-2s are exactly the big transit
 /// sellers below the clique).
 pub fn infer_tiers(g: &AsGraph, max_candidates: usize, tier2_count: usize) -> Tiers {
@@ -211,11 +189,11 @@ mod tests {
         let tiers = infer_tiers(&g, 16, 1);
         let n10 = g.index_of(AsId(10)).unwrap();
         assert_eq!(tiers.tier2(), &[n10]);
-        assert_eq!(tiers.assignment(n10), TierAssignment::Tier2);
+        assert!(tiers.is_tier2(n10) && !tiers.is_tier1(n10));
         let n1 = g.index_of(AsId(1)).unwrap();
-        assert_eq!(tiers.assignment(n1), TierAssignment::Tier1);
+        assert!(tiers.is_tier1(n1) && !tiers.is_tier2(n1));
         let n100 = g.index_of(AsId(100)).unwrap();
-        assert_eq!(tiers.assignment(n100), TierAssignment::Other);
+        assert!(!tiers.is_tier1(n100) && !tiers.is_tier2(n100));
     }
 
     #[test]

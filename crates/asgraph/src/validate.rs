@@ -79,7 +79,7 @@ pub struct HealthReport {
 
 impl HealthReport {
     /// The worst severity present, if any finding exists.
-    pub fn worst(&self) -> Option<Severity> {
+    pub(crate) fn worst(&self) -> Option<Severity> {
         self.checks.iter().map(|c| c.severity).max()
     }
 
@@ -91,11 +91,6 @@ impl HealthReport {
     /// True when nothing at all was found.
     pub fn is_clean(&self) -> bool {
         self.checks.is_empty()
-    }
-
-    /// Findings at exactly `severity`.
-    pub fn at(&self, severity: Severity) -> impl Iterator<Item = &HealthCheck> {
-        self.checks.iter().filter(move |c| c.severity == severity)
     }
 
     /// Multi-line human summary.

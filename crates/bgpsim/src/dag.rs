@@ -78,36 +78,11 @@ impl NextHopDag {
         &self.hops[self.offsets[u.idx()] as usize..self.offsets[u.idx() + 1] as usize]
     }
 
-    /// Selected path length of `u` (`None` if unreachable).
-    #[inline]
-    pub fn dist(&self, u: NodeId) -> Option<u32> {
-        let d = self.dist[u.idx()];
-        (d != u32::MAX).then_some(d)
-    }
-
     /// Number of tied-best paths from `u` to the origin (0.0 when
     /// unreachable, 1.0 for the origin itself).
     #[inline]
     pub fn path_count(&self, u: NodeId) -> f64 {
         self.counts[u.idx()]
-    }
-
-    /// Exact tied-best path count, saturating at `u128::MAX` (for tests and
-    /// small topologies).
-    pub fn path_count_exact(&self, u: NodeId) -> u128 {
-        let mut counts = vec![0u128; self.dist.len()];
-        for &v in &self.topo {
-            if v == self.origin {
-                counts[v.idx()] = 1;
-                continue;
-            }
-            let mut total = 0u128;
-            for &h in self.next_hops(v) {
-                total = total.saturating_add(counts[h.idx()]);
-            }
-            counts[v.idx()] = total;
-        }
-        counts[u.idx()]
     }
 
     /// Reachable nodes in topological (origin-outward) order.
@@ -116,13 +91,8 @@ impl NextHopDag {
     }
 
     /// Number of nodes in the underlying graph (reachable or not).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.dist.len()
-    }
-
-    /// Whether the underlying graph was empty.
-    pub fn is_empty(&self) -> bool {
-        self.dist.is_empty()
     }
 
     /// Number of reachable nodes (including the origin).
@@ -139,6 +109,25 @@ mod tests {
 
     fn node(g: &AsGraph, asn: u32) -> NodeId {
         g.index_of(AsId(asn)).unwrap()
+    }
+
+    /// Exact tied-best path count from `u` to the origin, saturating at
+    /// `u128::MAX`: the reference the `f64` [`NextHopDag::path_count`] is
+    /// checked against.
+    fn path_count_exact(dag: &NextHopDag, u: NodeId) -> u128 {
+        let mut counts = vec![0u128; dag.dist.len()];
+        for &v in &dag.topo {
+            if v == dag.origin {
+                counts[v.idx()] = 1;
+                continue;
+            }
+            let mut total = 0u128;
+            for &h in dag.next_hops(v) {
+                total = total.saturating_add(counts[h.idx()]);
+            }
+            counts[v.idx()] = total;
+        }
+        counts[u.idx()]
     }
 
     /// Figure-5-style topology: origin 1; 2, 3, 4 its providers; 5 provider
@@ -166,7 +155,7 @@ mod tests {
         assert_eq!(dag.path_count(node(&g, 5)), 2.0); // via 2 or 3
         assert_eq!(dag.path_count(node(&g, 6)), 1.0); // via 4
         assert_eq!(dag.path_count(node(&g, 7)), 3.0); // 2 via 5 + 1 via 6
-        assert_eq!(dag.path_count_exact(node(&g, 7)), 3);
+        assert_eq!(path_count_exact(&dag, node(&g, 7)), 3);
         assert_eq!(dag.reachable_len(), 7);
     }
 
@@ -198,8 +187,8 @@ mod tests {
         let out = propagate(&g, node(&g, 1), &opts);
         let dag = NextHopDag::build(&g, &opts, &out);
         assert_eq!(dag.path_count(node(&g, 9)), 0.0);
-        assert_eq!(dag.dist(node(&g, 9)), None);
-        assert_eq!(dag.dist(node(&g, 2)), Some(1));
+        assert_eq!(dag.dist[node(&g, 9).idx()], u32::MAX, "unreachable");
+        assert_eq!(dag.dist[node(&g, 2).idx()], 1);
         assert_eq!(dag.reachable_len(), 2);
     }
 
@@ -224,7 +213,7 @@ mod tests {
         let out = propagate(&g, node(&g, 1), &opts);
         let dag = NextHopDag::build(&g, &opts, &out);
         let top = node(&g, 100 * k);
-        assert_eq!(dag.path_count_exact(top), 1u128 << k);
+        assert_eq!(path_count_exact(&dag, top), 1u128 << k);
         assert!((dag.path_count(top) - (1u128 << k) as f64).abs() < 1e-6);
     }
 }

@@ -458,7 +458,7 @@ pub(crate) fn run_into(
 ///
 /// ```
 /// use flatnet_asgraph::{AsGraphBuilder, AsId, Relationship};
-/// use flatnet_bgpsim::engine::Simulation;
+/// use flatnet_bgpsim::Simulation;
 ///
 /// let mut b = AsGraphBuilder::new();
 /// b.add_link(AsId(1), AsId(2), Relationship::P2c);
@@ -515,15 +515,10 @@ impl<'s> Simulation<'s> {
     /// [`LaneWidth::Auto`], which derives the width from detected CPU
     /// features. The width never changes what a sweep keeps, only its
     /// throughput; whatever is selected is clamped down for sweeps whose
-    /// origin count fits a narrower block ([`LaneWidth::words_for`]).
+    /// origin count fits a narrower block (`LaneWidth::words_for`).
     pub fn lane_width(mut self, width: LaneWidth) -> Self {
         self.lane_width = width;
         self
-    }
-
-    /// The simulation's propagation config.
-    pub fn cfg(&self) -> &PropagationConfig {
-        &self.cfg
     }
 
     /// A worker context for manual batching, checked out of the
@@ -555,7 +550,7 @@ impl<'s> Simulation<'s> {
     }
 
     /// Sweeps `origins` through the bit-parallel kernel
-    /// ([`crate::lanes`]) and keeps what `keep` reads off each finished
+    /// (`crate::lanes`) and keeps what `keep` reads off each finished
     /// block: [`Counts`] (the counts alone), [`Words`] (each origin's
     /// reach bitset) or [`Sets`] (each origin's [`ReachSet`]). Origins
     /// are chunked into 64/128/256-lane blocks (per
@@ -897,7 +892,7 @@ impl SweepCtx {
     }
 
     /// The graph this context runs over.
-    pub fn graph(&self) -> &AsGraph {
+    pub(crate) fn graph(&self) -> &AsGraph {
         &self.snap
     }
 

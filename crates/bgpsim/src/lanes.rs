@@ -165,18 +165,18 @@ use crate::scratch::{cap_bytes, Pool, Scratch};
 use flatnet_asgraph::{AsGraph, NodeId};
 
 /// Origins per lane *word*: one bit lane per origin per `u64`.
-pub const LANES: usize = 64;
+pub(crate) const LANES: usize = 64;
 
 /// Widest supported lane vector, in `u64` words (256 lanes).
-pub const MAX_LANE_WORDS: usize = 4;
+pub(crate) const MAX_LANE_WORDS: usize = 4;
 
 /// Origins per kernel block at the widest supported lane width.
-pub const MAX_LANES: usize = LANES * MAX_LANE_WORDS;
+pub(crate) const MAX_LANES: usize = LANES * MAX_LANE_WORDS;
 
 /// Runtime-selectable kernel lane width (origins per kernel block).
 ///
 /// What [`Simulation::lane_width`](crate::engine::Simulation::lane_width)
-/// accepts; see the [module docs](self) for the selection policy.
+/// accepts; the lane kernel's module docs give the selection policy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LaneWidth {
     /// Pick the widest width the CPU runs well: 256 lanes when AVX2 is
@@ -194,7 +194,7 @@ pub enum LaneWidth {
 impl LaneWidth {
     /// Lane words per node at this width; `Auto` resolves via
     /// [`detected_lane_words`].
-    pub fn words(self) -> usize {
+    pub(crate) fn words(self) -> usize {
         match self {
             LaneWidth::Auto => detected_lane_words(),
             LaneWidth::W64 => 1,
@@ -212,7 +212,7 @@ impl LaneWidth {
     /// (or detected) width, clamped down when a narrower width already
     /// fits every origin in one block — upper words would only add
     /// per-node memory traffic for permanently-empty lanes.
-    pub fn words_for(self, n_origins: usize) -> usize {
+    pub(crate) fn words_for(self, n_origins: usize) -> usize {
         let need = match n_origins.div_ceil(LANES) {
             0 | 1 => 1,
             2 => 2,
@@ -225,7 +225,7 @@ impl LaneWidth {
 /// Lane words per node that [`LaneWidth::Auto`] resolves to on this CPU:
 /// 4 (256-bit lanes) when AVX2 is available, else 2 (one SSE2/NEON
 /// vector).
-pub fn detected_lane_words() -> usize {
+pub(crate) fn detected_lane_words() -> usize {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {

@@ -88,8 +88,6 @@ impl LeakScenario {
 /// Outcome of a leak simulation.
 #[derive(Debug, Clone)]
 pub struct LeakOutcome {
-    victim: NodeId,
-    leaker: NodeId,
     states: Vec<DetourState>,
 }
 
@@ -102,37 +100,6 @@ impl LeakOutcome {
     /// State of one node.
     pub fn state(&self, n: NodeId) -> DetourState {
         self.states[n.idx()]
-    }
-
-    /// The legitimate origin.
-    pub fn victim(&self) -> NodeId {
-        self.victim
-    }
-
-    /// The leaker.
-    pub fn leaker(&self) -> NodeId {
-        self.leaker
-    }
-
-    /// Number of detoured ASes (the leaker itself counts: its traffic to
-    /// the prefix terminates locally).
-    pub fn detoured_count(&self) -> usize {
-        self.states.iter().filter(|&&s| s == DetourState::Detoured).count()
-    }
-
-    /// Fraction of all ASes in the topology that are detoured — the
-    /// quantity on the x-axis of Figures 7, 8, and 10.
-    pub fn fraction_detoured(&self) -> f64 {
-        detour_fraction(self.states.len(), None, |t| self.state(t) == DetourState::Detoured)
-    }
-
-    /// Weighted detour fraction: share of `weights` mass (e.g. estimated
-    /// user population per AS, Fig. 9) sitting in detoured ASes. Zero when
-    /// the total weight is zero.
-    pub fn weighted_fraction_detoured(&self, weights: &[f64]) -> f64 {
-        detour_fraction(self.states.len(), Some(weights), |t| {
-            self.state(t) == DetourState::Detoured
-        })
     }
 }
 
@@ -273,16 +240,13 @@ impl LeakerSide<'_> {
         self.propagate(leaker);
         let n = self.ctx.graph().len();
         let states = (0..n as u32).map(|i| self.state_of(leaker, NodeId(i))).collect();
-        LeakOutcome { victim: self.victim.victim, leaker, states }
+        LeakOutcome { states }
     }
 
     /// Runs `leaker` against the victim side and returns only the
     /// (optionally weighted) detour fraction, without materializing the
     /// per-node state vector — the zero-allocation form the CDF sweeps
     /// use.
-    ///
-    /// `weights: None` is [`LeakOutcome::fraction_detoured`];
-    /// `Some(w)` is [`LeakOutcome::weighted_fraction_detoured`].
     pub fn fraction(&mut self, leaker: NodeId, weights: Option<&[f64]>) -> f64 {
         self.propagate(leaker);
         detour_fraction(self.ctx.graph().len(), weights, |t| {
@@ -294,7 +258,7 @@ impl LeakerSide<'_> {
 impl LeakScenario {
     /// Propagates this scenario's victim side over `g` (its `leaker`
     /// is not read).
-    pub fn victim_side(&self, g: &AsGraph) -> VictimSide {
+    pub(crate) fn victim_side(&self, g: &AsGraph) -> VictimSide {
         let export = self.victim_export.as_deref();
         VictimSide::propagate(g, self.victim, export, &self.locking, self.semantics)
     }
@@ -315,14 +279,6 @@ impl<'s> LeakSim<'s> {
         LeakSim { graph: g }
     }
 
-    /// Runs one scenario, returning the full per-node outcome.
-    ///
-    /// Panics if `victim == leaker` (a meaningless configuration callers
-    /// are expected to avoid when sampling misconfigured ASes).
-    pub fn run(&mut self, scenario: &LeakScenario) -> LeakOutcome {
-        scenario.victim_side(self.graph).leakers().run(scenario.leaker)
-    }
-
     /// Runs one scenario and returns only the (optionally weighted) detour
     /// fraction (see [`LeakerSide::fraction`]).
     pub fn fraction(&mut self, scenario: &LeakScenario, weights: Option<&[f64]>) -> f64 {
@@ -339,24 +295,6 @@ impl<'s> LeakSim<'s> {
         assert_ne!(victim, leaker, "victim cannot leak its own prefix");
         ctx.run(*leaker);
         ctx
-    }
-
-    /// Runs a **more-specific (sub-prefix) hijack**: the leaker announces
-    /// a longer prefix inside the victim's space, so longest-prefix-match
-    /// — not BGP preference — decides, and *every* AS holding the leaked
-    /// route is detoured regardless of its legitimate route.
-    ///
-    /// §8 deliberately studies same-length leaks ("the leaked routes have
-    /// the same prefix length as the legitimate routes"); this extension
-    /// quantifies the nastier variant. Peer locking is the only defence
-    /// the model offers: under [`LockingSemantics::Corrected`], deployers
-    /// drop the sub-prefix entirely, so it cannot spread through them.
-    pub fn run_subprefix(&mut self, scenario: &LeakScenario) -> LeakOutcome {
-        let side = self.subprefix_side(scenario);
-        let n = self.graph.len();
-        let ws = side.workspace();
-        let states = (0..n as u32).map(|i| subprefix_state_of(ws, scenario, NodeId(i))).collect();
-        LeakOutcome { victim: scenario.victim, leaker: scenario.leaker, states }
     }
 
     /// Sub-prefix hijack detour fraction without the per-node state vector.
@@ -391,10 +329,8 @@ fn subprefix_state_of(leak_ws: &Workspace, scenario: &LeakScenario, t: NodeId) -
 
 /// The (optionally weighted) share of an `n`-node topology whose nodes
 /// satisfy `detoured`, scanned in ascending node order: the node count
-/// over `n` without weights ([`LeakOutcome::fraction_detoured`]), the
-/// weight mass over the total with them
-/// ([`LeakOutcome::weighted_fraction_detoured`]). Zero for an empty
-/// topology or zero total weight.
+/// over `n` without weights, the weight mass over the total with them.
+/// Zero for an empty topology or zero total weight.
 fn detour_fraction(
     n: usize,
     weights: Option<&[f64]>,
@@ -466,6 +402,60 @@ pub fn subprefix_detour_fractions(
 mod tests {
     use super::*;
     use flatnet_asgraph::{AsGraph, AsGraphBuilder, AsId, Relationship};
+
+    /// The per-node forms of the detour fractions, the reference the
+    /// fused [`LeakerSide::fraction`] and [`LeakSim::subprefix_fraction`]
+    /// are checked against.
+    impl LeakOutcome {
+        /// Number of detoured ASes (the leaker itself counts: its traffic to
+        /// the prefix terminates locally).
+        fn detoured_count(&self) -> usize {
+            self.states.iter().filter(|&&s| s == DetourState::Detoured).count()
+        }
+
+        /// Fraction of all ASes in the topology that are detoured — the
+        /// quantity on the x-axis of Figures 7, 8, and 10.
+        fn fraction_detoured(&self) -> f64 {
+            detour_fraction(self.states.len(), None, |t| self.state(t) == DetourState::Detoured)
+        }
+
+        /// Weighted detour fraction: share of `weights` mass (e.g. estimated
+        /// user population per AS, Fig. 9) sitting in detoured ASes. Zero when
+        /// the total weight is zero.
+        fn weighted_fraction_detoured(&self, weights: &[f64]) -> f64 {
+            detour_fraction(self.states.len(), Some(weights), |t| {
+                self.state(t) == DetourState::Detoured
+            })
+        }
+    }
+
+    impl LeakSim<'_> {
+        /// Runs one scenario, returning the full per-node outcome.
+        ///
+        /// Panics if `victim == leaker` (a meaningless configuration callers
+        /// are expected to avoid when sampling misconfigured ASes).
+        pub(crate) fn run(&mut self, scenario: &LeakScenario) -> LeakOutcome {
+            scenario.victim_side(self.graph).leakers().run(scenario.leaker)
+        }
+
+        /// Runs a **more-specific (sub-prefix) hijack**: the leaker announces
+        /// a longer prefix inside the victim's space, so longest-prefix-match
+        /// — not BGP preference — decides, and *every* AS holding the leaked
+        /// route is detoured regardless of its legitimate route.
+        ///
+        /// §8 deliberately studies same-length leaks ("the leaked routes have
+        /// the same prefix length as the legitimate routes"); this extension
+        /// quantifies the nastier variant. Peer locking is the only defence
+        /// the model offers: under [`LockingSemantics::Corrected`], deployers
+        /// drop the sub-prefix entirely, so it cannot spread through them.
+        pub(crate) fn run_subprefix(&mut self, scenario: &LeakScenario) -> LeakOutcome {
+            let side = self.subprefix_side(scenario);
+            let n = self.graph.len();
+            let ws = side.workspace();
+            let states = (0..n as u32).map(|i| subprefix_state_of(ws, scenario, NodeId(i))).collect();
+            LeakOutcome { states }
+        }
+    }
 
     /// One scenario on a fresh simulator over `g`.
     fn simulate(g: &AsGraph, scenario: &LeakScenario) -> LeakOutcome {
@@ -825,7 +815,5 @@ mod tests {
         let g = b.build();
         let out = simulate(&g, &LeakScenario::simple(node(&g, 10), node(&g, 30)));
         assert_eq!(out.state(node(&g, 10)), DetourState::Legit);
-        assert_eq!(out.victim(), node(&g, 10));
-        assert_eq!(out.leaker(), node(&g, 30));
     }
 }

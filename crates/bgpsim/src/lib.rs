@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
 //! # flatnet-bgpsim — valley-free BGP route propagation, all ties kept
@@ -19,14 +20,14 @@
 //!
 //! The module map follows the paper's analyses:
 //!
-//! * [`propagate`] — the three-phase propagation semantics, the owned
+//! * `propagate` — the three-phase propagation semantics, the owned
 //!   [`PropagationConfig`] and the [`RoutingOutcome`] a run leaves (its
 //!   selections, tied-best next hops and path membership, read in place),
 //!   with support for *node exclusion* (the `I \ P_o \ T1 \ T2` subgraphs
 //!   behind hierarchy-free reachability), *origin export restriction*
 //!   (§8's "announce to Tier-1/Tier-2/providers only"), and *import
 //!   policies* (§8's peer locking).
-//! * [`engine`] — the batched propagation engine: reusable
+//! * `engine` — the batched propagation engine: reusable
 //!   [`Workspace`]s and the builder-style [`Simulation`] sweep API every
 //!   whole-Internet experiment runs on, including [`Simulation::sweep`],
 //!   the one call in front of the kernel below, whose [`Keep`] argument
@@ -42,15 +43,15 @@
 //!   engine's own view, [`TopologySnapshot`]; outside this crate it is
 //!   only a handle the `benchmark/` package holds, which dereferences to
 //!   the graph.
-//! * [`exclusion`] — the paper's `I \ P_o \ T1 \ T2` rule, spelled once:
+//! * `exclusion` — the paper's `I \ P_o \ T1 \ T2` rule, spelled once:
 //!   an [`ExclusionPolicy`] and its three renderings (shared tier mask,
 //!   per-lane fill, scalar mask) for every constrained analysis.
-//! * [`lanes`] — the bit-parallel multi-origin kernel: 64/128/256
+//! * `lanes` — the bit-parallel multi-origin kernel: 64/128/256
 //!   origins per block (width picked at runtime via [`LaneWidth`], AVX2
 //!   runner included), one receiver rule for all three phases, one
 //!   [`LaneExcluder`] for every width, reach sets bit-identical to
 //!   per-origin [`Workspace`] runs at every width.
-//! * [`reachset`] — [`ReachSet`], a reach set kept by its shorter side
+//! * `reachset` — [`ReachSet`], a reach set kept by its shorter side
 //!   (missing nodes, reached nodes or the bitset) for consumers that hold
 //!   many of them (a [`Sets`] sweep).
 //! * [`parallel`] — panic-isolated parallel sweeps with per-worker
@@ -58,7 +59,7 @@
 //! * [`mod@reliance`] — `rely(o, a)` (§7.1) in O(E) via a topological DP:
 //!   the [`RelianceWorkspace`] kernel scores straight off a finished
 //!   [`Workspace`].
-//! * [`leak`] — route-leak competition between a legitimate origin and a
+//! * `leak` — route-leak competition between a legitimate origin and a
 //!   misconfigured AS (§8), with the erratum-corrected peer-locking rule:
 //!   a [`VictimSide`] propagated once, any number of leakers run against
 //!   it.
@@ -68,7 +69,7 @@
 //! Reference code, which nothing shipped calls (CI refuses a non-test
 //! line under `crates/*/src` or `examples/` that names it):
 //!
-//! * [`dag`] — [`NextHopDag`], the tied-best next-hop DAG materialised
+//! * `dag` — [`NextHopDag`], the tied-best next-hop DAG materialised
 //!   with exact/floating path counts, and [`reliance()`] over it: the
 //!   oracles of [`RelianceWorkspace`] and of the shipped walks that read
 //!   next hops off a run in place (`tests/engine_equiv.rs`). `paths`, the
@@ -79,14 +80,14 @@
 //! this crate: the test kit's stable-paths fixpoint (`flatnet_testkit`).
 
 pub mod collectors;
-pub mod dag;
-pub mod engine;
-pub mod exclusion;
-pub mod lanes;
-pub mod leak;
+mod dag;
+mod engine;
+mod exclusion;
+mod lanes;
+mod leak;
 pub mod parallel;
-pub mod propagate;
-pub mod reachset;
+mod propagate;
+mod reachset;
 pub mod reliance;
 mod scratch;
 
@@ -97,15 +98,12 @@ pub use engine::{
     Words, Workspace,
 };
 pub use exclusion::{Exclusion, ExclusionError, ExclusionPolicy};
-pub use lanes::{
-    cpu_features, detected_lane_words, LaneExcluder, LaneWidth, LANES, MAX_LANES, MAX_LANE_WORDS,
-};
+pub use lanes::{cpu_features, LaneExcluder, LaneWidth};
 pub use leak::{
     subprefix_detour_fractions, DetourState, LeakOutcome, LeakScenario, LeakSim, LeakerSide,
     LockingSemantics, VictimSide,
 };
-pub use parallel::{parallel_map_ctx, try_parallel_map_ctx, SweepError};
-pub use propagate::{ImportPolicy, PropagationConfig, RouteClass, RoutingOutcome, UNREACHED};
+pub use propagate::{ImportPolicy, PropagationConfig, RouteClass, RoutingOutcome};
 pub use reachset::{ReachForm, ReachIter, ReachSet};
 pub use reliance::{reliance, RelianceWorkspace};
 

@@ -5,7 +5,7 @@
 //! fans the map out over scoped threads with a static partition, so the
 //! result is deterministic regardless of thread count.
 //!
-//! [`try_parallel_map_ctx`] isolates panics: a closure that panics on
+//! `try_parallel_map_ctx` isolates panics: a closure that panics on
 //! one item produces a per-item [`SweepError`] carrying the panic
 //! message, while every other item still completes. The error layout is
 //! identical for any thread count, including the sequential fast path.
@@ -107,7 +107,7 @@ where
 /// results and error layout are identical for any thread count (the
 /// context only affects performance — callers must not let results
 /// depend on which items share a context).
-pub fn try_parallel_map_ctx<T, C, R, M, F>(
+pub(crate) fn try_parallel_map_ctx<T, C, R, M, F>(
     items: &[T],
     threads: usize,
     mk_ctx: M,
@@ -160,7 +160,7 @@ where
 
 /// Applies `f(&mut ctx, item)` to every item, in parallel, preserving
 /// order, with one context per worker thread (see
-/// [`try_parallel_map_ctx`]). A panic in `f` aborts the whole sweep
+/// `try_parallel_map_ctx`). A panic in `f` aborts the whole sweep
 /// (after all items have run) with a message naming the first offending
 /// item.
 pub fn parallel_map_ctx<T, C, R, M, F>(items: &[T], threads: usize, mk_ctx: M, f: F) -> Vec<R>

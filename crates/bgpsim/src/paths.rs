@@ -11,7 +11,7 @@ use flatnet_asgraph::NodeId;
 
 /// Error from a bounded enumeration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TooManyPaths {
+pub(crate) struct TooManyPaths {
     /// The limit that was exceeded.
     pub limit: usize,
 }
@@ -25,7 +25,7 @@ impl std::fmt::Display for TooManyPaths {
 /// Enumerates every tied-best path from `t` to the origin, each written
 /// `[t, ..., origin]`. Fails once more than `limit` paths accumulate (tie
 /// counts can be exponential). An unreachable `t` yields an empty vector.
-pub fn enumerate_paths(
+pub(crate) fn enumerate_paths(
     dag: &NextHopDag,
     t: NodeId,
     limit: usize,

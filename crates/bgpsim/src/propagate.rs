@@ -82,7 +82,7 @@ pub(crate) fn metrics() -> &'static PropagateMetrics {
 
 /// The selection word of a node that received no route: larger than
 /// every packed route ([`RoutingOutcome::selection`] reads it as `None`).
-pub const UNREACHED: u32 = u32::MAX;
+pub(crate) const UNREACHED: u32 = u32::MAX;
 
 /// Bits of a selection word below its class: the AS-path length.
 const LEN_BITS: u32 = 30;
@@ -114,17 +114,6 @@ pub enum RouteClass {
     Peer,
     /// Learned from a transit provider.
     Provider,
-}
-
-impl RouteClass {
-    /// Report label.
-    pub fn name(self) -> &'static str {
-        match self {
-            RouteClass::Customer => "customer",
-            RouteClass::Peer => "peer",
-            RouteClass::Provider => "provider",
-        }
-    }
 }
 
 /// Per-node route import behaviour, used to model §8's peer locking.

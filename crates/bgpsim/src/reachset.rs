@@ -32,7 +32,7 @@ impl ReachForm {
     /// tie going to `Bits`, else to `Except`. Decided from the count
     /// alone, so a set can be allocated in its form before its nodes are
     /// read.
-    pub fn of(present: usize, n: usize) -> ReachForm {
+    pub(crate) fn of(present: usize, n: usize) -> ReachForm {
         let missing = n - present;
         if 8 * n.div_ceil(64) <= 4 * missing.min(present) {
             ReachForm::Bits
@@ -66,7 +66,7 @@ enum Repr {
 
 /// A set of node indices out of `0..n`, immutable once encoded.
 ///
-/// The form is chosen from the set's own popcount by [`ReachForm::of`]
+/// The form is chosen from the set's own popcount by `ReachForm::of`
 /// and allocated at exactly its length. Equal sets over equal `n` encode
 /// equally, so `==` compares the sets.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -503,7 +503,7 @@ mod tests {
         let expected: f64 = dag
             .topo_order()
             .iter()
-            .map(|&u| (dag.dist(u).unwrap() + 1) as f64)
+            .map(|&u| (out.selection(u).unwrap().1 + 1) as f64)
             .sum();
         assert!((total_w - expected).abs() < 1e-9, "{total_w} vs {expected}");
     }

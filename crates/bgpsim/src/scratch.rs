@@ -311,7 +311,7 @@ mod tests {
         let plain = Simulation::over(&snap).threads(1);
         let mut mask = vec![false; g.len()];
         mask[0] = true;
-        let masked = Simulation::over(&snap).threads(1).excluded(mask);
+        let masked = Simulation::over(&snap).threads(1).excluded(mask.clone());
         let first = plain.sweep(&origins, |_, _| {}, Words).unwrap();
         assert_eq!(snap.scratch().lanes1.idle(), 1);
         let bytes = snap.scratch_bytes();
@@ -322,7 +322,7 @@ mod tests {
         // What the shared workspace computed is what a fresh one does.
         let fresh = TopologySnapshot::compile(&rebuilt(&g));
         assert_eq!(Ok(&second), masked.clone().sweep(&origins, |_, _| {}, Words).as_ref());
-        let masked_fresh = Simulation::over(&fresh).config(masked.cfg().clone()).threads(1);
+        let masked_fresh = Simulation::over(&fresh).threads(1).excluded(mask);
         assert_eq!(Ok(second), masked_fresh.sweep(&origins, |_, _| {}, Words));
     }
 

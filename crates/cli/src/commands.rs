@@ -88,7 +88,7 @@ fn tiers_for(g: &AsGraph, opts: &Opts) -> Result<(Tiers, TierLists), String> {
 }
 
 /// `flatnet gen` — write a full synthetic dataset to a directory.
-pub fn gen(args: &[String]) -> Result<(), String> {
+pub(crate) fn gen(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(args, &[], &["out", "ases", "seed", "trace-sample", "epoch"])?;
     let out = opts.required("out")?.to_string();
     let n_ases: usize = opts.num_or("ases", 2000)?;
@@ -126,7 +126,7 @@ pub fn gen(args: &[String]) -> Result<(), String> {
 }
 
 /// `flatnet reach` — reachability profile for given origins.
-pub fn reach(args: &[String]) -> Result<(), String> {
+pub(crate) fn reach(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
         &["lenient", "validate"],
@@ -160,7 +160,7 @@ pub fn reach(args: &[String]) -> Result<(), String> {
 }
 
 /// `flatnet rank` — Table-1-style ranking.
-pub fn rank(args: &[String]) -> Result<(), String> {
+pub(crate) fn rank(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
         &["lenient", "validate"],
@@ -189,7 +189,7 @@ pub fn rank(args: &[String]) -> Result<(), String> {
 }
 
 /// `flatnet cone` — customer-cone / transit-degree ranking.
-pub fn cone(args: &[String]) -> Result<(), String> {
+pub(crate) fn cone(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(args, &["lenient"], &["as-rel", "top", "max-errors"])?;
     let mode = parse_mode(&opts)?;
     let g = load_graph(opts.required("as-rel")?, &mode)?;
@@ -212,7 +212,7 @@ pub fn cone(args: &[String]) -> Result<(), String> {
 }
 
 /// `flatnet leak` — §8 resilience CDF.
-pub fn leak(args: &[String]) -> Result<(), String> {
+pub(crate) fn leak(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
         &["lenient", "validate"],
@@ -250,7 +250,7 @@ pub fn leak(args: &[String]) -> Result<(), String> {
 }
 
 /// `flatnet infer` — §4.1 neighbor inference from a trace file.
-pub fn infer(args: &[String]) -> Result<(), String> {
+pub(crate) fn infer(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
         &["initial", "lenient"],
@@ -291,7 +291,7 @@ pub fn infer(args: &[String]) -> Result<(), String> {
 }
 
 /// `flatnet collect` — simulate route collectors and write MRT.
-pub fn collect(args: &[String]) -> Result<(), String> {
+pub(crate) fn collect(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
         &["lenient"],
@@ -348,7 +348,7 @@ pub fn collect(args: &[String]) -> Result<(), String> {
 }
 
 /// `flatnet relinfer` — Gao inference from an MRT dump.
-pub fn relinfer(args: &[String]) -> Result<(), String> {
+pub(crate) fn relinfer(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(args, &["lenient"], &["mrt", "truth", "out", "max-errors"])?;
     let mode = parse_mode(&opts)?;
     let path = opts.required("mrt")?;
@@ -386,7 +386,7 @@ pub fn relinfer(args: &[String]) -> Result<(), String> {
 }
 
 /// `flatnet dot` — Graphviz export of an AS neighborhood.
-pub fn dot(args: &[String]) -> Result<(), String> {
+pub(crate) fn dot(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(args, &["lenient"], &["as-rel", "focus", "out", "max-errors"])?;
     let mode = parse_mode(&opts)?;
     let g = load_graph(opts.required("as-rel")?, &mode)?;
@@ -436,7 +436,7 @@ fn topology_source(opts: &Opts) -> Result<flatnet_serve::TopologySource, String>
 }
 
 /// `flatnet serve`: run the query daemon until `/admin/shutdown`.
-pub fn serve(args: &[String]) -> Result<(), String> {
+pub(crate) fn serve(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
         &["lenient"],
@@ -521,7 +521,7 @@ fn wait_shard_ready(addr: &str, budget: std::time::Duration) -> Result<(), Strin
 /// from the same topology flags) or adopts externally managed shards via
 /// `--shard-addrs`, then fronts them with the origin-hash scatter-gather
 /// router until `POST /admin/shutdown`.
-pub fn router(args: &[String]) -> Result<(), String> {
+pub(crate) fn router(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(
         args,
         &["lenient"],
@@ -659,7 +659,7 @@ impl Drop for SpawnedShards {
 }
 
 /// `flatnet snapshot save|verify`: the crash-safe snapshot store.
-pub fn snapshot(args: &[String]) -> Result<(), String> {
+pub(crate) fn snapshot(args: &[String]) -> Result<(), String> {
     let Some((sub, rest)) = args.split_first() else {
         return Err("snapshot requires a subcommand (save|verify)".into());
     };
@@ -718,7 +718,7 @@ fn snapshot_verify(args: &[String]) -> Result<(), String> {
 /// `flatnet-obs/v2` JSON file, or the live in-process registry when
 /// `--in` is omitted) as the summary table or the Prometheus text
 /// exposition.
-pub fn metrics(args: &[String]) -> Result<(), String> {
+pub(crate) fn metrics(args: &[String]) -> Result<(), String> {
     let opts = Opts::parse(args, &["prom"], &["in"])?;
     let snap = match opts.get("in") {
         Some(path) => {
@@ -740,7 +740,7 @@ pub fn metrics(args: &[String]) -> Result<(), String> {
 /// dump (a `flatnet-trace/v1` document from `/debug/trace/recent` or
 /// `/debug/trace/slow`): stage breakdown, slowest origins, slowest
 /// requests.
-pub fn trace(args: &[String]) -> Result<(), String> {
+pub(crate) fn trace(args: &[String]) -> Result<(), String> {
     let Some((sub, rest)) = args.split_first() else {
         return Err("trace requires a subcommand (try `trace top --in DUMP.json`)".into());
     };

@@ -15,7 +15,7 @@ use std::cell::OnceCell;
 
 /// Experiment scale knobs (see `repro --help`).
 #[derive(Debug, Clone, Copy)]
-pub struct Scale {
+pub(crate) struct Scale {
     /// Number of ASes in the 2020 synthetic Internet.
     pub n_ases: usize,
     /// Master seed.
@@ -31,18 +31,18 @@ pub struct Scale {
 
 impl Scale {
     /// The default repro scale (a few minutes on a laptop).
-    pub fn default_scale() -> Self {
+    pub(crate) fn default_scale() -> Self {
         Scale { n_ases: 4000, seed: 2020, n_leakers: 200, n_avg: 60, threads: 0 }
     }
 
     /// A fast scale for smoke runs and benches.
-    pub fn fast() -> Self {
+    pub(crate) fn fast() -> Self {
         Scale { n_ases: 800, seed: 2020, n_leakers: 60, n_avg: 25, threads: 0 }
     }
 }
 
 /// Lazily-built shared experiment state.
-pub struct Lab {
+pub(crate) struct Lab {
     /// The scale everything is built at.
     pub scale: Scale,
     net2020: OnceCell<SyntheticInternet>,
@@ -55,7 +55,7 @@ pub struct Lab {
 
 impl Lab {
     /// A lab at the given scale. Nothing is computed until asked for.
-    pub fn new(scale: Scale) -> Self {
+    pub(crate) fn new(scale: Scale) -> Self {
         Lab {
             scale,
             net2020: OnceCell::new(),
@@ -68,13 +68,13 @@ impl Lab {
     }
 
     /// The September-2020-like synthetic Internet.
-    pub fn net2020(&self) -> &SyntheticInternet {
+    pub(crate) fn net2020(&self) -> &SyntheticInternet {
         self.net2020
             .get_or_init(|| generate(&NetGenConfig::paper_2020(self.scale.n_ases, self.scale.seed)))
     }
 
     /// The September-2015-like synthetic Internet.
-    pub fn net2015(&self) -> &SyntheticInternet {
+    pub(crate) fn net2015(&self) -> &SyntheticInternet {
         self.net2015
             .get_or_init(|| generate(&NetGenConfig::paper_2015(self.scale.n_ases, self.scale.seed)))
     }
@@ -99,57 +99,57 @@ impl Lab {
 
     /// The 2020 measurement pipeline output (campaign + inference +
     /// augmented topology).
-    pub fn measured2020(&self) -> &Measured {
+    pub(crate) fn measured2020(&self) -> &Measured {
         self.measured2020.get_or_init(|| Self::measure_warned(self.net2020()))
     }
 
     /// The 2015 pipeline output (the paper reused a 2015 traceroute
     /// dataset with its own noisier mapping; we run the same pipeline on
     /// the 2015 topology).
-    pub fn measured2015(&self) -> &Measured {
+    pub(crate) fn measured2015(&self) -> &Measured {
         self.measured2015.get_or_init(|| Self::measure_warned(self.net2015()))
     }
 
     /// The augmented 2020 graph (what §6-§8 run on).
-    pub fn graph2020(&self) -> &AsGraph {
+    pub(crate) fn graph2020(&self) -> &AsGraph {
         &self.measured2020().augmented
     }
 
     /// The augmented 2015 graph.
-    pub fn graph2015(&self) -> &AsGraph {
+    pub(crate) fn graph2015(&self) -> &AsGraph {
         &self.measured2015().augmented
     }
 
     /// Tier sets bound to the augmented 2020 graph.
-    pub fn tiers2020(&self) -> Tiers {
+    pub(crate) fn tiers2020(&self) -> Tiers {
         self.net2020().tiers_for(self.graph2020())
     }
 
     /// Tier sets bound to the augmented 2015 graph.
-    pub fn tiers2015(&self) -> Tiers {
+    pub(crate) fn tiers2015(&self) -> Tiers {
         self.net2015().tiers_for(self.graph2015())
     }
 
     /// Hierarchy-free reachability of every AS, 2020 augmented graph.
-    pub fn hfr2020(&self) -> &[u32] {
+    pub(crate) fn hfr2020(&self) -> &[u32] {
         self.hfr2020
             .get_or_init(|| hierarchy_free_all_t(self.graph2020(), &self.tiers2020(), self.scale.threads))
     }
 
     /// Hierarchy-free reachability of every AS, 2015 augmented graph.
-    pub fn hfr2015(&self) -> &[u32] {
+    pub(crate) fn hfr2015(&self) -> &[u32] {
         self.hfr2015
             .get_or_init(|| hierarchy_free_all_t(self.graph2015(), &self.tiers2015(), self.scale.threads))
     }
 
     /// Display name helper against the 2020 Internet.
-    pub fn name(&self, asn: AsId) -> String {
+    pub(crate) fn name(&self, asn: AsId) -> String {
         self.net2020().name_of(asn)
     }
 
     /// Per-node user weights on `g`, an augmented graph of `net`'s epoch
     /// (nodes added by augmentation — IXP ASes — get weight 0).
-    pub fn user_weights(net: &SyntheticInternet, g: &AsGraph) -> Vec<f64> {
+    pub(crate) fn user_weights(net: &SyntheticInternet, g: &AsGraph) -> Vec<f64> {
         g.nodes()
             .map(|n| {
                 net.truth

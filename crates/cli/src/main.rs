@@ -3,6 +3,7 @@
 //! Works on real CAIDA AS-relationship files or on datasets produced by
 //! `flatnet gen`. See `flatnet help` for the full command set.
 
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 mod commands;

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 /// Parsed `--flag value` pairs plus boolean switches.
 #[derive(Debug, Default)]
-pub struct Opts {
+pub(crate) struct Opts {
     values: BTreeMap<String, String>,
     switches: Vec<String>,
 }
@@ -16,7 +16,7 @@ impl Opts {
     /// everything else must be in `known_values` and take a value.
     /// Positional arguments and unknown flags are rejected — a typo'd
     /// `--lenient` or `--validate` must not silently degrade to defaults.
-    pub fn parse(
+    pub(crate) fn parse(
         args: &[String],
         known_switches: &[&str],
         known_values: &[&str],
@@ -49,7 +49,7 @@ impl Opts {
     }
 
     /// A required string value.
-    pub fn required(&self, name: &str) -> Result<&str, String> {
+    pub(crate) fn required(&self, name: &str) -> Result<&str, String> {
         self.values
             .get(name)
             .map(String::as_str)
@@ -57,12 +57,12 @@ impl Opts {
     }
 
     /// An optional string value.
-    pub fn get(&self, name: &str) -> Option<&str> {
+    pub(crate) fn get(&self, name: &str) -> Option<&str> {
         self.values.get(name).map(String::as_str)
     }
 
     /// An optional parsed number with a default.
-    pub fn num_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+    pub(crate) fn num_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.values.get(name) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{name}: bad number {v:?}")),
@@ -70,12 +70,12 @@ impl Opts {
     }
 
     /// Whether a boolean switch was given.
-    pub fn switch(&self, name: &str) -> bool {
+    pub(crate) fn switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
     }
 
     /// A comma-separated AS list, if present.
-    pub fn as_list(&self, name: &str) -> Result<Option<Vec<AsId>>, String> {
+    pub(crate) fn as_list(&self, name: &str) -> Result<Option<Vec<AsId>>, String> {
         let Some(v) = self.values.get(name) else { return Ok(None) };
         let mut out = Vec::new();
         for part in v.split(',') {

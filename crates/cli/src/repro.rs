@@ -126,7 +126,7 @@ fn select(wanted: &[String]) -> Result<Vec<Experiment>, String> {
 /// Runs the repro harness with CLI-style `args` (flags + experiment
 /// names, `flatnet repro` already stripped). Fails on unusable arguments
 /// before running anything, and after the run if any experiment panicked.
-pub fn run(args: &[String]) -> Result<(), String> {
+pub(crate) fn run(args: &[String]) -> Result<(), String> {
     // `--fast` picks the base scale; the other scale flags apply on top of
     // it wherever they stand.
     let (mut fast, mut ases, mut seed, mut leakers) = (false, None, None, None);

@@ -36,18 +36,6 @@ pub enum ConeCategory {
     Other,
 }
 
-impl ConeCategory {
-    /// Report label.
-    pub fn name(self) -> &'static str {
-        match self {
-            ConeCategory::Cloud => "cloud",
-            ConeCategory::Tier1 => "tier1",
-            ConeCategory::Tier2 => "tier2",
-            ConeCategory::Other => "other",
-        }
-    }
-}
-
 /// Summary statistics contrasting the two metrics (§6.6's "8,374 networks
 /// with hierarchy-free reachability ≥ 1,000, but only 51 with a customer
 /// cone ≥ 1,000" claim, at our scale).

@@ -34,7 +34,7 @@ fn hegemony_of(ctx: &mut SweepCtx, origin: NodeId) -> Vec<f64> {
 
 /// Global hegemony: the mean per-destination hegemony over `sample_size`
 /// deterministic random destination origins. O(sample × E); parallel.
-pub fn global_hegemony(g: &AsGraph, sample_size: usize, seed: u64) -> Vec<f64> {
+pub(crate) fn global_hegemony(g: &AsGraph, sample_size: usize, seed: u64) -> Vec<f64> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x4E60_4E60_4E60_4E60);
     let mut origins: Vec<NodeId> = Vec::new();
     let mut guard = 0usize;

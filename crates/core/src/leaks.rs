@@ -99,16 +99,6 @@ impl LeakCdf {
         percentile_sorted(&self.fractions, p)
     }
 
-    /// Fraction of simulations whose detour fraction is ≤ `x` (the CDF
-    /// evaluated at `x`).
-    pub fn cdf_at(&self, x: f64) -> f64 {
-        if self.fractions.is_empty() {
-            return 0.0;
-        }
-        let below = self.fractions.iter().filter(|&&f| f <= x).count();
-        below as f64 / self.fractions.len() as f64
-    }
-
     /// Worst case across all simulations.
     pub fn max(&self) -> f64 {
         self.fractions.last().copied().unwrap_or(0.0)
@@ -383,10 +373,8 @@ mod tests {
         assert!((cdf.median() - 0.2).abs() < 1e-12);
         assert!((cdf.percentile(100.0) - 0.4).abs() < 1e-12);
         assert_eq!(cdf.max(), 0.4);
-        assert!((cdf.cdf_at(0.25) - 0.5).abs() < 1e-12);
         let empty = LeakCdf { fractions: vec![] };
         assert_eq!(empty.median(), 0.0);
-        assert_eq!(empty.cdf_at(0.5), 0.0);
         assert_eq!(empty.max(), 0.0);
     }
 

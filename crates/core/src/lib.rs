@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 //! # flatnet-core — hierarchy-free reachability and the IMC 2020 "Flat
@@ -36,14 +37,12 @@
 //! | [`pipeline`] | §4.1/§5 measurement-to-topology pipeline |
 //! | [`path_validation`] | Appendix A |
 //! | [`feeds`] | §2.3/§4.1: collector RIBs → MRT → relationship inference |
-//! | [`hegemony`] | §10's inbetweenness / AS-hegemony metric family |
+//! | `hegemony` | §10's inbetweenness / AS-hegemony metric family |
 //! | [`rankings`] | cross-metric rank correlations (extends §6.6) |
 //!
 //! ## Quick start
 //!
 //! ```
-//! use flatnet_core::prelude::*;
-//!
 //! // A small synthetic Internet (deterministic in the seed).
 //! let net = flatnet_netgen::generate(&flatnet_netgen::NetGenConfig::tiny(7));
 //! let tiers = net.tiers_for(&net.truth);
@@ -61,7 +60,7 @@
 pub mod cone_compare;
 pub mod error;
 pub mod feeds;
-pub mod hegemony;
+mod hegemony;
 pub mod leaks;
 pub mod path_validation;
 pub mod pathlen;
@@ -72,14 +71,3 @@ pub mod reachability;
 pub mod reliance_exp;
 pub mod report;
 pub mod unreachable;
-
-pub use error::FlatnetError;
-
-/// Convenient re-exports for downstream code and examples.
-pub mod prelude {
-    pub use crate::error::FlatnetError;
-    pub use crate::reachability::{hierarchy_free_all, reachability_profile, ReachabilityResult};
-    pub use crate::reliance_exp::{reliance_under_hierarchy_free, RelianceEntry};
-    pub use flatnet_asgraph::{AsGraph, AsId, NodeId, Tiers};
-    pub use flatnet_bgpsim::{PropagationConfig, RouteClass, Simulation};
-}

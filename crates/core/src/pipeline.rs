@@ -48,7 +48,7 @@ pub struct Measured {
 }
 
 /// Ground-truth neighbor set of a cloud (peers + providers).
-pub fn true_neighbors(net: &SyntheticInternet, cloud_idx: usize) -> BTreeSet<AsId> {
+pub(crate) fn true_neighbors(net: &SyntheticInternet, cloud_idx: usize) -> BTreeSet<AsId> {
     let c = &net.clouds[cloud_idx];
     let mut set: BTreeSet<AsId> = c.true_peers().into_iter().collect();
     set.extend(c.providers.iter().copied());

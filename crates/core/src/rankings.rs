@@ -79,7 +79,7 @@ pub fn compare_metrics(
 /// tens of thousands of ASes these analyses run on when sampled, and for
 /// the few thousands they typically use directly. Returns 0 for degenerate
 /// inputs (all ties or fewer than two points).
-pub fn kendall_tau(xs: &[f64], ys: &[f64]) -> f64 {
+pub(crate) fn kendall_tau(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len(), "paired samples required");
     let n = xs.len();
     if n < 2 {

@@ -27,16 +27,6 @@ impl ReachabilityResult {
     pub fn hierarchy_free_pct(&self) -> f64 {
         100.0 * self.hierarchy_free as f64 / self.max_possible.max(1) as f64
     }
-
-    /// Provider-free reachability as a percentage.
-    pub fn provider_free_pct(&self) -> f64 {
-        100.0 * self.provider_free as f64 / self.max_possible.max(1) as f64
-    }
-
-    /// Tier-1-free reachability as a percentage.
-    pub fn tier1_free_pct(&self) -> f64 {
-        100.0 * self.tier1_free as f64 / self.max_possible.max(1) as f64
-    }
 }
 
 /// One bit-parallel counts sweep of `sweep` under `policy`: the tier
@@ -62,7 +52,7 @@ fn counts_under(
 /// Computes the full three-level profile for a list of origins
 /// (regenerates Figure 2 when given the clouds + Tier-1s + Tier-2s).
 /// Unknown ASNs are skipped. Runs origins in parallel over the available
-/// cores. Panics where [`try_reachability_profile_t`] returns an error.
+/// cores. Panics where `try_reachability_profile_t` returns an error.
 pub fn reachability_profile(g: &AsGraph, tiers: &Tiers, origins: &[AsId]) -> Vec<ReachabilityResult> {
     try_reachability_profile_t(g, tiers, origins, 0).unwrap_or_else(|e| panic!("{e}"))
 }
@@ -73,7 +63,7 @@ pub fn reachability_profile(g: &AsGraph, tiers: &Tiers, origins: &[AsId]) -> Vec
 /// typed [`FlatnetError::Exclusion`], and a worker panic is a
 /// [`FlatnetError::Sweep`] naming the offending origin's index among the
 /// known `origins`, instead of tearing down the process.
-pub fn try_reachability_profile_t(
+pub(crate) fn try_reachability_profile_t(
     g: &AsGraph,
     tiers: &Tiers,
     origins: &[AsId],
@@ -115,14 +105,14 @@ pub fn hierarchy_free_all(g: &AsGraph, tiers: &Tiers) -> Vec<u32> {
 
 /// [`hierarchy_free_all`] with an explicit worker-thread count
 /// (`0` = available parallelism). Results are identical for any count.
-/// Panics where [`try_hierarchy_free_all_t`] returns an error.
+/// Panics where `try_hierarchy_free_all_t` returns an error.
 pub fn hierarchy_free_all_t(g: &AsGraph, tiers: &Tiers, threads: usize) -> Vec<u32> {
     try_hierarchy_free_all_t(g, tiers, threads).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`hierarchy_free_all_t`] with failures as values (see
 /// [`try_reachability_profile_t`]).
-pub fn try_hierarchy_free_all_t(
+pub(crate) fn try_hierarchy_free_all_t(
     g: &AsGraph,
     tiers: &Tiers,
     threads: usize,
@@ -253,7 +243,6 @@ mod tests {
         assert_eq!(r.hierarchy_free, 2);
         assert_eq!(r.max_possible, 8);
         assert!((r.hierarchy_free_pct() - 25.0).abs() < 1e-9);
-        assert!(r.provider_free_pct() > r.tier1_free_pct());
     }
 
     #[test]

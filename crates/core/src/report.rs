@@ -22,16 +22,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with aligned columns.
     pub fn render(&self) -> String {
         let cols = self
@@ -174,8 +164,7 @@ mod tests {
         assert!(lines[0].starts_with("net"));
         assert!(lines[2].starts_with("Google  12345"));
         assert!(lines[3].starts_with("HE"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
     }
 
     #[test]

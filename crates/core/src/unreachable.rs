@@ -46,7 +46,7 @@ pub fn unreachable_breakdown(
 
 /// Computes Fig. 4 for many origins in one bit-parallel sweep (up to 256
 /// origins per kernel block). Unknown ASNs yield `None` at their slot.
-pub fn unreachable_breakdowns(
+pub(crate) fn unreachable_breakdowns(
     g: &AsGraph,
     tiers: &Tiers,
     origins: &[AsId],

@@ -194,16 +194,6 @@ pub fn by_code(code: &str) -> Option<&'static City> {
     CITIES.iter().find(|c| c.code == code)
 }
 
-/// Total population of the table (millions).
-pub fn total_population_m() -> f64 {
-    CITIES.iter().map(|c| c.population_m).sum()
-}
-
-/// Cities on a continent, in table order.
-pub fn on_continent(cont: Continent) -> impl Iterator<Item = &'static City> {
-    CITIES.iter().filter(move |c| c.continent == cont)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,7 +223,8 @@ mod tests {
     #[test]
     fn has_all_continents_and_reasonable_size() {
         for cont in Continent::ALL {
-            assert!(on_continent(cont).count() >= 5, "{}", cont.name());
+            let n = CITIES.iter().filter(|c| c.continent == cont).count();
+            assert!(n >= 5, "{}", cont.name());
         }
         assert!(CITIES.len() >= 110, "table has {} cities", CITIES.len());
     }
@@ -246,7 +237,7 @@ mod tests {
 
     #[test]
     fn total_population_plausible() {
-        let t = total_population_m();
+        let t: f64 = CITIES.iter().map(|c| c.population_m).sum();
         // Order of magnitude: hundreds of millions up to ~1B in metros.
         assert!(t > 500.0 && t < 2000.0, "total {t}");
     }

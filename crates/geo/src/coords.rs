@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Mean Earth radius in kilometres (WGS-84 mean).
-pub const EARTH_RADIUS_KM: f64 = 6371.0;
+pub(crate) const EARTH_RADIUS_KM: f64 = 6371.0;
 
 /// A latitude/longitude point in degrees.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,7 +21,7 @@ impl GeoPoint {
     }
 
     /// Great-circle distance to another point in km.
-    pub fn distance_km(&self, other: &GeoPoint) -> f64 {
+    pub(crate) fn distance_km(&self, other: &GeoPoint) -> f64 {
         haversine_km(*self, *other)
     }
 }

@@ -10,7 +10,7 @@
 use crate::coords::GeoPoint;
 
 /// Speed-of-light-in-fibre distance bound for a 1 ms RTT, in km.
-pub const RTT_1MS_DISTANCE_KM: f64 = 100.0;
+pub(crate) const RTT_1MS_DISTANCE_KM: f64 = 100.0;
 
 /// A successful geolocation.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 //! # flatnet-geo — geographic substrate for PoP deployment analysis
@@ -13,11 +14,11 @@
 //!
 //! This crate provides those building blocks from scratch:
 //!
-//! * [`coords`] — latitude/longitude points, haversine distance, continents;
+//! * `coords` — latitude/longitude points, haversine distance, continents;
 //! * [`cities`] — a built-in table of ~120 real metro areas (public
 //!   coordinates and rough metro populations) that seeds the synthetic
 //!   population grid and PoP deployments;
-//! * [`popgrid`] — a GPWv4-like gridded population model with
+//! * `popgrid` — a GPWv4-like gridded population model with
 //!   population-within-radius queries;
 //! * [`pops`] — network PoP footprints consolidated from multiple sources
 //!   (published maps, PeeringDB-like facility lists, rDNS confirmations);
@@ -25,13 +26,10 @@
 //!   (candidate facilities + RTT-constrained verification).
 
 pub mod cities;
-pub mod coords;
+mod coords;
 pub mod geolocate;
-pub mod popgrid;
+mod popgrid;
 pub mod pops;
 
-pub use cities::{City, CITIES};
 pub use coords::{haversine_km, Continent, GeoPoint};
-pub use geolocate::{geolocate, GeolocationResult};
 pub use popgrid::PopulationGrid;
-pub use pops::{Footprint, PopSite, SiteSource};

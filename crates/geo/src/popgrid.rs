@@ -37,7 +37,7 @@ impl PopulationGrid {
     }
 
     /// As [`PopulationGrid::from_cities`] over an explicit city list.
-    pub fn from_city_list(cities: &[City], spacing_deg: f64, patch_radius: i32) -> Self {
+    pub(crate) fn from_city_list(cities: &[City], spacing_deg: f64, patch_radius: i32) -> Self {
         let mut cells = Vec::new();
         for city in cities {
             let mut weights = Vec::new();
@@ -74,7 +74,7 @@ impl PopulationGrid {
     }
 
     /// Total population of the grid.
-    pub fn total_population(&self) -> f64 {
+    pub(crate) fn total_population(&self) -> f64 {
         self.cells.iter().map(|c| c.population).sum()
     }
 
@@ -89,7 +89,7 @@ impl PopulationGrid {
     }
 
     /// Population living within `radius_km` of **any** of `sites`.
-    pub fn population_within(&self, sites: &[GeoPoint], radius_km: f64) -> f64 {
+    pub(crate) fn population_within(&self, sites: &[GeoPoint], radius_km: f64) -> f64 {
         self.cells
             .iter()
             .filter(|cell| sites.iter().any(|s| haversine_km(cell.center, *s) <= radius_km))
@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn conserves_total_population() {
         let g = grid();
-        let want = crate::cities::total_population_m() * 1.0e6;
+        let want = crate::cities::CITIES.iter().map(|c| c.population_m).sum::<f64>() * 1.0e6;
         let got = g.total_population();
         assert!((got - want).abs() / want < 1e-9, "{got} vs {want}");
     }

@@ -23,18 +23,6 @@ pub enum SiteSource {
     Rdns,
 }
 
-impl SiteSource {
-    /// Report label.
-    pub fn name(self) -> &'static str {
-        match self {
-            SiteSource::NetworkMap => "map",
-            SiteSource::LookingGlass => "looking-glass",
-            SiteSource::PeeringDb => "peeringdb",
-            SiteSource::Rdns => "rdns",
-        }
-    }
-}
-
 /// One city-level PoP site.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PopSite {
@@ -100,7 +88,7 @@ impl Footprint {
     }
 
     /// Sites confirmed by rDNS hostnames.
-    pub fn rdns_confirmed(&self) -> usize {
+    pub(crate) fn rdns_confirmed(&self) -> usize {
         self.sites.iter().filter(|s| s.sources.contains(&SiteSource::Rdns)).count()
     }
 
@@ -118,17 +106,6 @@ impl Footprint {
     pub fn has_city(&self, city: &str) -> bool {
         self.sites.iter().any(|s| s.city == city)
     }
-}
-
-/// Cities where at least one of `a`'s sites exists but none of `b`'s —
-/// Fig. 11's "cloud only" / "transit only" site classification, computed
-/// over cohorts by unioning footprints first.
-pub fn cities_only_in(a: &Footprint, b: &Footprint) -> Vec<String> {
-    a.sites()
-        .iter()
-        .filter(|s| !b.has_city(&s.city))
-        .map(|s| s.city.clone())
-        .collect()
 }
 
 /// Unions several footprints into a cohort footprint (e.g. "all cloud
@@ -190,8 +167,12 @@ mod tests {
         let mut transit = Footprint::new("transit", 0);
         transit.add_site("ams", site("ams"), SiteSource::NetworkMap);
         transit.add_site("lim", site("lim"), SiteSource::NetworkMap);
-        assert_eq!(cities_only_in(&cloud, &transit), vec!["sha".to_string()]);
-        assert_eq!(cities_only_in(&transit, &cloud), vec!["lim".to_string()]);
+        // Fig. 11's "cloud only" / "transit only" sites.
+        let only_in = |a: &Footprint, b: &Footprint| -> Vec<String> {
+            a.sites().iter().filter(|s| !b.has_city(&s.city)).map(|s| s.city.clone()).collect()
+        };
+        assert_eq!(only_in(&cloud, &transit), vec!["sha".to_string()]);
+        assert_eq!(only_in(&transit, &cloud), vec!["lim".to_string()]);
     }
 
     #[test]

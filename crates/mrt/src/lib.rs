@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 //! # flatnet-mrt — MRT TABLE_DUMP_V2 RIB dumps, from scratch

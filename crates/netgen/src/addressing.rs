@@ -220,7 +220,7 @@ pub(crate) fn build(net: &SyntheticInternet) -> Addressing {
 
 /// Continent → region index (matches `topology::N_REGIONS` ordering, which
 /// follows [`Continent::ALL`]).
-pub fn continent_index(c: Continent) -> usize {
+pub(crate) fn continent_index(c: Continent) -> usize {
     Continent::ALL.iter().position(|&x| x == c).unwrap()
 }
 

@@ -12,16 +12,6 @@ pub enum Epoch {
     Y2020,
 }
 
-impl Epoch {
-    /// Report label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Epoch::Y2015 => "2015",
-            Epoch::Y2020 => "2020",
-        }
-    }
-}
-
 /// A cloud (or cloud-like content) provider's peering stance, governing
 /// how much of the edge it peers with (§4.1 lists Google as open, Amazon /
 /// IBM / Microsoft as selective).
@@ -140,7 +130,7 @@ impl NetGenConfig {
     }
 
     /// Effective edge-peering fraction of a cloud for this epoch.
-    pub fn edge_peering(&self, spec: &CloudSpec) -> f64 {
+    pub(crate) fn edge_peering(&self, spec: &CloudSpec) -> f64 {
         match self.epoch {
             Epoch::Y2015 => spec.edge_peering_2015,
             Epoch::Y2020 => spec.edge_peering_2020,
@@ -148,7 +138,7 @@ impl NetGenConfig {
     }
 
     /// Effective transit-peering fraction of a cloud for this epoch.
-    pub fn transit_peering(&self, spec: &CloudSpec) -> f64 {
+    pub(crate) fn transit_peering(&self, spec: &CloudSpec) -> f64 {
         match self.epoch {
             Epoch::Y2015 => spec.transit_peering_2015,
             Epoch::Y2020 => spec.transit_peering_2020,
@@ -158,7 +148,7 @@ impl NetGenConfig {
 
 /// The five built-in providers, with real-world ASNs and peering shapes
 /// calibrated to §4.1's measured neighbor counts and §6's outcomes.
-pub fn default_clouds() -> Vec<CloudSpec> {
+pub(crate) fn default_clouds() -> Vec<CloudSpec> {
     vec![
         CloudSpec {
             name: "Google".to_string(),
@@ -278,11 +268,5 @@ mod tests {
         assert!(get("Google") > get("Microsoft"));
         assert!(get("Microsoft") > get("Amazon"));
         assert!(get("IBM") > get("Amazon"));
-    }
-
-    #[test]
-    fn epoch_names() {
-        assert_eq!(Epoch::Y2015.name(), "2015");
-        assert_eq!(Epoch::Y2020.name(), "2020");
     }
 }

@@ -66,7 +66,7 @@ fn sample_cities(pool: &[usize], count: usize, rng: &mut SmallRng) -> Vec<usize>
 }
 
 /// Builds the geographic assignment.
-pub fn build(cfg: &NetGenConfig, topo: &Topology) -> GeoAssign {
+pub(crate) fn build(cfg: &NetGenConfig, topo: &Topology) -> GeoAssign {
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x6E0A_551E_6E0A_551E);
     let by_region = cities_by_region();
     let all_cities: Vec<usize> = (0..CITIES.len()).collect();
@@ -247,15 +247,18 @@ mod tests {
     fn only_eyeballish_networks_have_users() {
         let (_, topo, geo) = setup();
         let mut access_with_users = 0;
-        for &(asn, class) in &topo.edge {
-            let u = geo.users[topo.truth.index_of(asn).unwrap().idx()];
+        for (n, &(role, class)) in topo.roles.iter().enumerate() {
+            if role != AsRole::Edge {
+                continue;
+            }
+            let u = geo.users[n];
             match class {
                 CaidaClass::TransitAccess => {
                     if u > 0 {
                         access_with_users += 1;
                     }
                 }
-                _ => assert_eq!(u, 0, "non-access edge {asn} has users"),
+                _ => assert_eq!(u, 0, "non-access edge node {n} has users"),
             }
         }
         assert!(access_with_users > 50);

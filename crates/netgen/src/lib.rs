@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 //! # flatnet-netgen — a deterministic synthetic Internet
@@ -9,7 +10,7 @@
 //! *synthetic Internet* with the structural properties those experiments
 //! actually depend on, fully deterministically from a seed:
 //!
-//! * a **tiered AS topology** ([`topology`]): a Tier-1 clique, Tier-2
+//! * a **tiered AS topology** (`topology`): a Tier-1 clique, Tier-2
 //!   transit providers, regional mid-tier transit, and a large edge of
 //!   access/content/enterprise ASes with realistic multihoming — plus four
 //!   cloud providers (and a Facebook-like content giant) whose edge-peering
@@ -17,10 +18,10 @@
 //! * **two views** of that topology: the ground truth, and a BGP-feed view
 //!   that hides most cloud edge peerings (BGP feeds miss up to 90% of them
 //!   — the gap the paper's traceroute campaign exists to close);
-//! * **addressing** ([`addressing`]): per-AS announced prefixes, IXP
+//! * **addressing** (`addressing`): per-AS announced prefixes, IXP
 //!   peering LANs (some unannounced, the §5 resolution trap), PeeringDB
 //!   IXP and netixlan records, and a whois registry;
-//! * **geography and populations** ([`geoassign`]): per-AS home metros,
+//! * **geography and populations** (`geoassign`): per-AS home metros,
 //!   user populations for eyeball networks (APNIC substitute), and PoP
 //!   footprints for the big networks, each site labelled with the sources
 //!   that confirm it (network map, PeeringDB, rDNS).
@@ -33,14 +34,15 @@
 //! ([`SyntheticInternet::addressing`]) are derived on first read and kept;
 //! both come out the same whenever they are first read.
 
-pub mod addressing;
-pub mod config;
+mod addressing;
+mod config;
 pub mod dataset;
-pub mod geoassign;
-pub mod internet;
+mod geoassign;
+mod internet;
 pub mod stats;
-pub mod topology;
+mod topology;
 
 pub use config::{CloudSpec, Epoch, NetGenConfig, PeeringPolicy};
-pub use dataset::{load_dataset, write_dataset, LoadedDataset};
-pub use internet::{generate, AsMeta, AsRole, CloudInfo, CloudPeerLink, PeerKind, SyntheticInternet};
+pub use dataset::{load_dataset, write_dataset};
+pub use internet::{generate, AsMeta, CloudInfo, SyntheticInternet};
+pub use topology::{AsRole, CloudPeerLink, PeerKind};

@@ -6,7 +6,8 @@
 //! estimate, and per-role summaries — and the tests pin them, so a
 //! generator regression that flattens the structure fails loudly.
 
-use crate::internet::{AsRole, SyntheticInternet};
+use crate::internet::SyntheticInternet;
+use crate::topology::AsRole;
 use flatnet_asgraph::cone::customer_cone_sizes;
 use flatnet_asgraph::AsGraph;
 

@@ -35,7 +35,7 @@ impl PeerKind {
 
 /// One cloud peer link: the neighbor and how the link is realized. Its
 /// interconnect addresses are in the address plan
-/// ([`crate::addressing::Addressing::links`]).
+/// (`crate::addressing::Addressing::links`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CloudPeerLink {
     /// The neighbor AS.
@@ -60,7 +60,7 @@ pub enum AsRole {
 }
 
 /// Real Tier-1 names/ASNs used for familiarity in reports.
-pub const TIER1_NAMES: &[(&str, u32)] = &[
+pub(crate) const TIER1_NAMES: &[(&str, u32)] = &[
     ("Level3", 3356),
     ("Cogent", 174),
     ("Telia", 1299),
@@ -76,7 +76,7 @@ pub const TIER1_NAMES: &[(&str, u32)] = &[
 ];
 
 /// Real Tier-2 names/ASNs (the paper takes its Tier-2 list from ProbLink).
-pub const TIER2_NAMES: &[(&str, u32)] = &[
+pub(crate) const TIER2_NAMES: &[(&str, u32)] = &[
     ("HE", 6939),
     ("Vocus", 4826),
     ("RETN", 9002),
@@ -112,17 +112,17 @@ pub const TIER2_NAMES: &[(&str, u32)] = &[
 /// Tier-1s (Level3 at the top of Fig. 2 with 90% hierarchy-free
 /// reachability) from *hierarchical* ones (Sprint, Deutsche Telekom —
 /// Appendix B's case studies, which crash once the Tier-2s are removed).
-pub const T1_MID_PEERING: [f64; 12] =
+pub(crate) const T1_MID_PEERING: [f64; 12] =
     [0.85, 0.70, 0.68, 0.62, 0.60, 0.55, 0.02, 0.02, 0.70, 0.02, 0.02, 0.02];
 
 /// Regions (continent indices into [`flatnet_geo::Continent::ALL`]):
 /// 0 Africa, 1 Asia, 2 Europe, 3 North America, 4 South America, 5 Oceania.
-pub const N_REGIONS: usize = 6;
+pub(crate) const N_REGIONS: usize = 6;
 const REGION_WEIGHTS: [f64; N_REGIONS] = [0.08, 0.36, 0.22, 0.20, 0.09, 0.05];
 
 /// One synthesized cloud's topology attachment.
 #[derive(Debug, Clone)]
-pub struct CloudTopo {
+pub(crate) struct CloudTopo {
     /// Index into `config.clouds`.
     pub spec_idx: usize,
     /// The cloud's ASN.
@@ -135,7 +135,7 @@ pub struct CloudTopo {
 
 /// The synthesized relationship topology.
 #[derive(Debug, Clone)]
-pub struct Topology {
+pub(crate) struct Topology {
     /// Ground-truth graph (every link that really exists).
     pub truth: AsGraph,
     /// The truth links BGP feeds miss (most cloud edge peering), as
@@ -152,8 +152,6 @@ pub struct Topology {
     pub tier2: Vec<AsId>,
     /// Mid-tier transit ASNs.
     pub transit: Vec<AsId>,
-    /// Edge ASes with their CAIDA class.
-    pub edge: Vec<(AsId, CaidaClass)>,
     /// Per-cloud attachment.
     pub clouds: Vec<CloudTopo>,
     /// Home region per AS, by node index (index into the region-weight
@@ -162,13 +160,6 @@ pub struct Topology {
     pub region: Vec<u8>,
     /// Display names for the named networks.
     pub names: BTreeMap<u32, String>,
-}
-
-impl Topology {
-    /// Ground-truth role of an AS (`Edge` for one not in the graph).
-    pub fn role(&self, asn: AsId) -> AsRole {
-        self.truth.index_of(asn).map_or(AsRole::Edge, |n| self.roles[n.idx()].0)
-    }
 }
 
 fn pick_region(rng: &mut SmallRng) -> u8 {
@@ -184,7 +175,7 @@ fn pick_region(rng: &mut SmallRng) -> u8 {
 }
 
 /// Builds the topology. Deterministic in `cfg.seed`.
-pub fn build(cfg: &NetGenConfig) -> Topology {
+pub(crate) fn build(cfg: &NetGenConfig) -> Topology {
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x7060_5040_3020_1001);
     let mut truth = AsGraphBuilder::new();
     // Edge visibility decisions are collected, then replayed to build the
@@ -515,7 +506,6 @@ pub fn build(cfg: &NetGenConfig) -> Topology {
         tier1,
         tier2,
         transit,
-        edge,
         clouds,
         region: by_node,
         names,
@@ -528,7 +518,7 @@ pub fn build(cfg: &NetGenConfig) -> Topology {
 /// ASNs, so the hidden pairs meet the edges in order, in one merge walk.
 /// The filter owns its cursor into them, so the constructor's second walk
 /// of the stream starts the merge afresh.
-pub fn public_view(truth: &AsGraph, hidden: &[(AsId, AsId)]) -> AsGraph {
+pub(crate) fn public_view(truth: &AsGraph, hidden: &[(AsId, AsId)]) -> AsGraph {
     let mut hidden = hidden.iter().peekable();
     let public_edges = truth.edges().filter(move |&(x, y, _)| {
         let (a, b) = (truth.asn(x), truth.asn(y));
@@ -693,11 +683,12 @@ mod tests {
     #[test]
     fn roles_are_consistent() {
         let t = topo();
-        assert_eq!(t.role(t.tier1[0]), AsRole::Tier1);
-        assert_eq!(t.role(t.tier2[0]), AsRole::Tier2);
-        assert_eq!(t.role(t.transit[0]), AsRole::Transit);
-        assert_eq!(t.role(t.clouds[0].asn), AsRole::Cloud);
-        assert_eq!(t.role(t.edge[0].0), AsRole::Edge);
+        let role = |asn: AsId| t.roles[t.truth.index_of(asn).unwrap().idx()].0;
+        assert_eq!(role(t.tier1[0]), AsRole::Tier1);
+        assert_eq!(role(t.tier2[0]), AsRole::Tier2);
+        assert_eq!(role(t.transit[0]), AsRole::Transit);
+        assert_eq!(role(t.clouds[0].asn), AsRole::Cloud);
+        assert!(t.roles.iter().any(|&(r, _)| r == AsRole::Edge));
         assert_eq!(t.roles.len(), t.truth.len());
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Three primitives, one registry, two exporters:
 //!
-//! - **Counters** ([`counter`]) and **gauges** ([`gauge`]) are atomic and
+//! - **Counters** ([`counter`]) and **gauges** ([`Registry::gauge`]) are atomic and
 //!   commute, so totals are bit-identical across thread counts.
 //! - **Histograms** ([`histogram`]) bucket microsecond latencies into
 //!   powers of two and report p50/p90/p99.
@@ -23,32 +23,28 @@
 //! Everything here is plain `std` — no crates.io dependencies — so the
 //! crate is safe to pull into every workspace member.
 
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod log;
-pub mod metrics;
+mod metrics;
 pub mod prom;
-pub mod registry;
-pub mod snapshot;
+mod registry;
+mod snapshot;
 pub mod trace;
 
 pub use log::Level;
-pub use metrics::{bucket_bound_us, Counter, Exemplar, Gauge, Histogram, HISTOGRAM_BUCKETS};
+pub use metrics::{Counter, Exemplar, Gauge, Histogram};
 pub use prom::to_prometheus;
 pub use registry::{global, Registry};
-pub use snapshot::{HistogramSnapshot, Snapshot, SCHEMA};
-pub use trace::{Stage, TraceCtx, TraceDump, TraceEvent, Tracer};
+pub use snapshot::{HistogramSnapshot, Snapshot};
+pub use trace::{Stage, TraceDump, TraceEvent};
 
 use std::time::{Duration, Instant};
 
 /// The counter named `name` in the global registry.
 pub fn counter(name: &str) -> Counter {
     global().counter(name)
-}
-
-/// The gauge named `name` in the global registry.
-pub fn gauge(name: &str) -> Gauge {
-    global().gauge(name)
 }
 
 /// The histogram named `name` in the global registry.

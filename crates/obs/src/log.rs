@@ -30,7 +30,7 @@ pub enum Level {
 
 impl Level {
     /// The label printed in front of each message.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Level::Error => "error",
             Level::Warn => "warn",
@@ -53,19 +53,9 @@ pub fn set_level(level: Level) {
     LEVEL.store(level as u8, Ordering::Relaxed);
 }
 
-/// The current process-wide level.
-pub fn level() -> Level {
-    match LEVEL.load(Ordering::Relaxed) {
-        0 => Level::Error,
-        1 => Level::Warn,
-        2 => Level::Info,
-        _ => Level::Debug,
-    }
-}
-
 /// Whether a message at `l` would currently be printed.
 #[inline]
-pub fn enabled(l: Level) -> bool {
+pub(crate) fn enabled(l: Level) -> bool {
     (l as u8) <= LEVEL.load(Ordering::Relaxed)
 }
 
@@ -146,12 +136,12 @@ mod tests {
     #[test]
     fn filter_respects_the_level() {
         // Tests share the process-wide level; restore it on exit.
-        let before = level();
+        let before = LEVEL.load(Ordering::Relaxed);
         set_level(Level::Warn);
         assert!(enabled(Level::Error));
         assert!(enabled(Level::Warn));
         assert!(!enabled(Level::Info));
         assert!(!enabled(Level::Debug));
-        set_level(before);
+        LEVEL.store(before, Ordering::Relaxed);
     }
 }

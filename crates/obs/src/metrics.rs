@@ -61,24 +61,24 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
 
 /// Number of histogram buckets: powers of two from 1 µs up to ~67 s,
 /// plus a final overflow bucket.
-pub const HISTOGRAM_BUCKETS: usize = 28;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 28;
 
 /// Exact observations kept per histogram: while a histogram holds at most
 /// this many samples, its percentiles are computed from the raw values
 /// and are exact (a p99 over 60 samples is the 60th sample, not the
 /// upper bound of its power-of-two bucket).
-pub const RAW_SAMPLES: usize = 128;
+pub(crate) const RAW_SAMPLES: usize = 128;
 
 /// Upper bound (inclusive) of bucket `i` in microseconds; the last bucket
 /// is unbounded and reports `u64::MAX`.
-pub fn bucket_bound_us(i: usize) -> u64 {
+pub(crate) fn bucket_bound_us(i: usize) -> u64 {
     if i + 1 >= HISTOGRAM_BUCKETS {
         u64::MAX
     } else {
@@ -104,7 +104,7 @@ pub struct Exemplar {
 /// Buckets are powers of two, so recording is a `leading_zeros` plus a
 /// handful of relaxed atomic stores — no allocation, no locks.
 /// Percentiles are exact while the population fits the raw reservoir
-/// (see [`RAW_SAMPLES`]), and linearly interpolated within the target
+/// (see `RAW_SAMPLES`), and linearly interpolated within the target
 /// bucket (clamped by the recorded maximum) beyond that.
 #[derive(Debug)]
 pub struct Histogram {
@@ -195,12 +195,12 @@ impl Histogram {
     }
 
     /// Sum of all observations, microseconds.
-    pub fn sum_us(&self) -> u64 {
+    pub(crate) fn sum_us(&self) -> u64 {
         self.sum_us.load(Ordering::Relaxed)
     }
 
     /// Largest observation so far, microseconds (0 when empty).
-    pub fn max_us(&self) -> u64 {
+    pub(crate) fn max_us(&self) -> u64 {
         self.max_us.load(Ordering::Relaxed)
     }
 
@@ -219,7 +219,7 @@ impl Histogram {
     }
 
     /// The current exemplar of bucket `i`, if one was ever installed.
-    pub fn exemplar(&self, i: usize) -> Option<Exemplar> {
+    pub(crate) fn exemplar(&self, i: usize) -> Option<Exemplar> {
         let id = self.ex_id[i].load(Ordering::Relaxed);
         if id == 0 {
             return None;
@@ -229,27 +229,6 @@ impl Histogram {
             origin: self.ex_origin[i].load(Ordering::Relaxed),
             value_us: self.ex_value[i].load(Ordering::Relaxed),
         })
-    }
-
-    /// The `p`-th percentile (0 < p <= 100) in microseconds; `None` when
-    /// empty. Exact while the population fits the raw reservoir,
-    /// bucket-interpolated (clamped by the observed maximum) beyond.
-    pub fn percentile_us(&self, p: f64) -> Option<u64> {
-        let n = self.count();
-        if n == 0 {
-            return None;
-        }
-        if n <= RAW_SAMPLES as u64 {
-            let raw = self.raw_sorted();
-            if raw.len() as u64 == n {
-                return Some(percentile_exact(&raw, p));
-            }
-            // A concurrent writer bumped `count` before its raw slot
-            // became visible; fall through to the bucket estimate.
-        }
-        let counts: Vec<u64> =
-            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
-        percentile_from_buckets(&counts, p, Some(self.max_us()))
     }
 }
 
@@ -261,7 +240,7 @@ pub(crate) fn percentile_exact(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.min(n) - 1]
 }
 
-/// Percentile estimation shared by live histograms and snapshots: finds
+/// Percentile estimation for a snapshot's buckets: finds
 /// the bucket holding the target rank and interpolates linearly within
 /// it. `max_us`, when known, clamps the top occupied bucket (so a p99
 /// that lands in the maximum's bucket can never exceed the maximum —
@@ -310,6 +289,7 @@ pub(crate) fn percentile_from_buckets(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Registry;
 
     #[test]
     fn counter_and_gauge_basics() {
@@ -334,9 +314,21 @@ mod tests {
         assert_eq!(Histogram::bucket_of(u64::MAX), HISTOGRAM_BUCKETS - 1);
     }
 
+    /// A histogram recording into a registry of its own, and its
+    /// percentiles as `/metrics` reads them: off the registry's snapshot.
+    fn fresh() -> (Registry, Arc<Histogram>) {
+        let reg = Registry::new();
+        let h = reg.histogram("h");
+        (reg, h)
+    }
+
+    fn percentile(reg: &Registry, p: f64) -> Option<u64> {
+        reg.snapshot().histograms["h"].percentile_us(p)
+    }
+
     #[test]
     fn small_populations_report_exact_percentiles() {
-        let h = Histogram::new();
+        let (reg, h) = fresh();
         // 90 fast observations and 10 slow ones — under RAW_SAMPLES, so
         // every percentile is the exact nearest-rank sample, not the
         // bucket's upper bound.
@@ -349,31 +341,31 @@ mod tests {
         assert_eq!(h.count(), 100);
         assert_eq!(h.sum_us(), 90 * 3 + 10 * 5000);
         assert_eq!(h.max_us(), 5000);
-        assert_eq!(h.percentile_us(50.0), Some(3));
-        assert_eq!(h.percentile_us(90.0), Some(3));
-        assert_eq!(h.percentile_us(99.0), Some(5000), "p99 must be exact, not 8192");
-        assert_eq!(h.percentile_us(99.9), Some(5000));
-        assert_eq!(h.percentile_us(100.0), Some(5000));
-        assert_eq!(Histogram::new().percentile_us(50.0), None);
+        assert_eq!(percentile(&reg, 50.0), Some(3));
+        assert_eq!(percentile(&reg, 90.0), Some(3));
+        assert_eq!(percentile(&reg, 99.0), Some(5000), "p99 must be exact, not 8192");
+        assert_eq!(percentile(&reg, 99.9), Some(5000));
+        assert_eq!(percentile(&reg, 100.0), Some(5000));
+        assert_eq!(percentile(&fresh().0, 50.0), None);
     }
 
     #[test]
     fn zero_valued_samples_are_exact_too() {
-        let h = Histogram::new();
+        let (reg, h) = fresh();
         for _ in 0..5 {
             h.record_us(0);
         }
-        assert_eq!(h.percentile_us(99.0), Some(0));
+        assert_eq!(percentile(&reg, 99.0), Some(0));
     }
 
     #[test]
     fn large_populations_interpolate_and_clamp_to_max() {
-        let h = Histogram::new();
+        let (reg, h) = fresh();
         // Overflow the reservoir so the bucket estimator takes over.
         for _ in 0..(RAW_SAMPLES as u64 * 4) {
             h.record_us(3000); // bucket (2048, 4096]
         }
-        let p99 = h.percentile_us(99.0).unwrap();
+        let p99 = percentile(&reg, 99.0).unwrap();
         assert!(p99 <= 3000, "interpolation must clamp to the observed max, got {p99}");
         assert!(p99 > 2048, "interpolation must stay above the bucket floor, got {p99}");
     }

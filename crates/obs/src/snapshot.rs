@@ -44,7 +44,7 @@ use std::fmt::Write as _;
 /// Frozen state of one histogram.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
-    /// Per-bucket observation counts (see [`bucket_bound_us`]).
+    /// Per-bucket observation counts (see `bucket_bound_us`).
     pub buckets: [u64; HISTOGRAM_BUCKETS],
     /// Sum of observations, microseconds.
     pub sum_us: u64,
@@ -68,7 +68,7 @@ impl HistogramSnapshot {
     /// The `p`-th percentile in microseconds: exact when the raw sample
     /// set is complete, bucket-interpolated (clamped by `max_us`)
     /// otherwise.
-    pub fn percentile_us(&self, p: f64) -> Option<u64> {
+    pub(crate) fn percentile_us(&self, p: f64) -> Option<u64> {
         let n = self.count();
         if n == 0 {
             return None;
@@ -93,7 +93,7 @@ pub struct Snapshot {
 
 /// Schema identifier emitted in every JSON document, and the only one
 /// [`Snapshot::from_json`] accepts.
-pub const SCHEMA: &str = "flatnet-obs/v2";
+pub(crate) const SCHEMA: &str = "flatnet-obs/v2";
 
 impl Snapshot {
     /// The change from `earlier` to `self`: counters and histogram
@@ -403,7 +403,7 @@ pub(crate) mod doc {
 
     /// Parses `text`, then rejects floats, booleans and null anywhere in
     /// the tree — the schemas have none, so one is a corrupt document.
-    pub fn parse(text: &str) -> Result<Json, String> {
+    pub(crate) fn parse(text: &str) -> Result<Json, String> {
         fn check(v: &Json) -> Result<(), String> {
             match v {
                 Json::Int(_) | Json::Str(_) => Ok(()),
@@ -421,23 +421,23 @@ pub(crate) mod doc {
         got.ok_or_else(|| format!("{what}: expected {kind}, got {v:?}"))
     }
 
-    pub fn object<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
+    pub(crate) fn object<'a>(v: &'a Json, what: &str) -> Result<&'a [(String, Json)], String> {
         expected(v.as_object(), v, what, "object")
     }
 
-    pub fn array<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], String> {
+    pub(crate) fn array<'a>(v: &'a Json, what: &str) -> Result<&'a [Json], String> {
         expected(v.as_array(), v, what, "array")
     }
 
-    pub fn string<'a>(v: &'a Json, what: &str) -> Result<&'a str, String> {
+    pub(crate) fn string<'a>(v: &'a Json, what: &str) -> Result<&'a str, String> {
         expected(v.as_str(), v, what, "string")
     }
 
-    pub fn uint(v: &Json, what: &str) -> Result<u64, String> {
+    pub(crate) fn uint(v: &Json, what: &str) -> Result<u64, String> {
         expected(v.as_u64(), v, what, "unsigned integer")
     }
 
-    pub fn int(v: &Json, what: &str) -> Result<i64, String> {
+    pub(crate) fn int(v: &Json, what: &str) -> Result<i64, String> {
         expected(v.as_i64(), v, what, "integer")
     }
 }

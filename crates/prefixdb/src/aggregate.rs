@@ -99,6 +99,11 @@ mod tests {
     use super::*;
     use std::net::Ipv4Addr;
 
+    /// Whether exactly `prefix` is announced in `db`.
+    fn announced(db: &AnnouncedDb, prefix: &str) -> bool {
+        db.iter().any(|(p, _)| p == prefix.parse().unwrap())
+    }
+
     fn db(entries: &[(&str, u32)]) -> AnnouncedDb {
         let mut d = AnnouncedDb::new();
         for (p, a) in entries {
@@ -113,7 +118,7 @@ mod tests {
         let agg = aggregate(&d);
         assert_eq!(agg.len(), 1);
         assert_eq!(agg.resolve("10.200.0.1".parse().unwrap()), Some(AsId(1)));
-        assert!(agg.is_announced("10.0.0.0/8".parse().unwrap()));
+        assert!(announced(&agg, "10.0.0.0/8"));
     }
 
     #[test]
@@ -125,7 +130,7 @@ mod tests {
         ]);
         let agg = aggregate(&d);
         assert_eq!(agg.len(), 1);
-        assert!(agg.is_announced("10.0.0.0/8".parse().unwrap()));
+        assert!(announced(&agg, "10.0.0.0/8"));
     }
 
     #[test]
@@ -141,7 +146,7 @@ mod tests {
         let agg = aggregate(&d);
         // 10.1/16 is covered by the same origin's /8; 10.2/16 is not.
         assert_eq!(agg.len(), 2);
-        assert!(!agg.is_announced("10.1.0.0/16".parse().unwrap()));
+        assert!(!announced(&agg, "10.1.0.0/16"));
         assert_eq!(agg.resolve("10.2.0.0".parse().unwrap()), Some(AsId(2)));
         assert_eq!(agg.resolve("10.1.0.0".parse().unwrap()), Some(AsId(1)));
     }

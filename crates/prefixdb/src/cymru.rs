@@ -35,7 +35,7 @@ impl AnnouncedDb {
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.trie.is_empty()
+        self.trie.len() == 0
     }
 
     /// Registers an announcement. Re-announcing the same prefix overwrites
@@ -47,16 +47,6 @@ impl AnnouncedDb {
     /// The origin AS of the most specific announced prefix covering `ip`.
     pub fn resolve(&self, ip: Ipv4Addr) -> Option<AsId> {
         self.trie.lookup(ip).map(|(_, &asn)| asn)
-    }
-
-    /// As [`AnnouncedDb::resolve`], also reporting the matched prefix.
-    pub fn resolve_with_prefix(&self, ip: Ipv4Addr) -> Option<(Ipv4Prefix, AsId)> {
-        self.trie.lookup(ip).map(|(p, &asn)| (p, asn))
-    }
-
-    /// Whether this exact prefix is announced.
-    pub fn is_announced(&self, prefix: Ipv4Prefix) -> bool {
-        self.trie.get(prefix).is_some()
     }
 
     /// Iterates announcements in prefix order.
@@ -191,16 +181,5 @@ mod tests {
             "line 3: error budget exhausted after 2 malformed records (max 1); \
              last: line 3: bad ASN: invalid digit found in string"
         );
-    }
-
-    #[test]
-    fn resolve_with_prefix_reports_match() {
-        let mut db = AnnouncedDb::new();
-        db.announce("10.1.0.0/16".parse().unwrap(), AsId(9));
-        let (p, asn) = db.resolve_with_prefix(ip("10.1.2.3")).unwrap();
-        assert_eq!(p, "10.1.0.0/16".parse().unwrap());
-        assert_eq!(asn, AsId(9));
-        assert!(db.is_announced("10.1.0.0/16".parse().unwrap()));
-        assert!(!db.is_announced("10.0.0.0/8".parse().unwrap()));
     }
 }

@@ -53,12 +53,6 @@ impl Ipv4Prefix {
         Ipv4Prefix { network: bits & Self::mask(len), len }
     }
 
-    /// The all-addresses prefix `0.0.0.0/0`.
-    pub fn default_route() -> Self {
-        Ipv4Prefix { network: 0, len: 0 }
-    }
-
-    #[inline]
     fn mask(len: u8) -> u32 {
         if len == 0 {
             0
@@ -68,7 +62,7 @@ impl Ipv4Prefix {
     }
 
     /// The network address.
-    pub fn network(&self) -> Ipv4Addr {
+    pub(crate) fn network(&self) -> Ipv4Addr {
         Ipv4Addr::from(self.network)
     }
 
@@ -109,7 +103,7 @@ impl Ipv4Prefix {
     }
 
     /// Splits into the two `len+1` halves; `None` for a `/32`.
-    pub fn split(&self) -> Option<(Ipv4Prefix, Ipv4Prefix)> {
+    pub(crate) fn split(&self) -> Option<(Ipv4Prefix, Ipv4Prefix)> {
         if self.len >= 32 {
             return None;
         }
@@ -117,22 +111,6 @@ impl Ipv4Prefix {
         let lo = Ipv4Prefix { network: self.network, len };
         let hi = Ipv4Prefix { network: self.network | (1u32 << (32 - len)), len };
         Some((lo, hi))
-    }
-
-    /// Enumerates the `2^(target_len - len)` sub-prefixes of `target_len`.
-    /// Returns an empty vector if `target_len < len` or `target_len > 32`.
-    pub fn subnets(&self, target_len: u8) -> Vec<Ipv4Prefix> {
-        if target_len < self.len || target_len > 32 {
-            return Vec::new();
-        }
-        let count = 1u64 << (target_len - self.len);
-        let step = 1u64 << (32 - target_len);
-        (0..count)
-            .map(|i| Ipv4Prefix {
-                network: self.network.wrapping_add((i * step) as u32),
-                len: target_len,
-            })
-            .collect()
     }
 }
 
@@ -176,7 +154,7 @@ mod tests {
     fn canonicalizes_host_bits() {
         assert_eq!(p("10.1.2.3/16"), p("10.1.0.0/16"));
         assert_eq!(p("10.1.2.3/16").to_string(), "10.1.0.0/16");
-        assert_eq!(p("255.255.255.255/0"), Ipv4Prefix::default_route());
+        assert_eq!(p("255.255.255.255/0"), p("0.0.0.0/0"));
     }
 
     #[test]
@@ -188,14 +166,14 @@ mod tests {
         assert!(p("192.0.2.0/24").covers(&p("192.0.2.128/25")));
         assert!(p("192.0.2.0/24").covers(&p("192.0.2.0/24")));
         assert!(!p("192.0.2.128/25").covers(&p("192.0.2.0/24")));
-        assert!(Ipv4Prefix::default_route().covers(&p("8.8.8.0/24")));
+        assert!(p("0.0.0.0/0").covers(&p("8.8.8.0/24")));
     }
 
     #[test]
     fn sizes_and_addresses() {
         assert_eq!(p("10.0.0.0/8").size(), 1 << 24);
         assert_eq!(p("1.2.3.4/32").size(), 1);
-        assert_eq!(Ipv4Prefix::default_route().size(), 1u64 << 32);
+        assert_eq!(p("0.0.0.0/0").size(), 1u64 << 32);
         assert_eq!(p("192.0.2.0/24").addr(5), "192.0.2.5".parse::<Ipv4Addr>().unwrap());
     }
 
@@ -211,17 +189,6 @@ mod tests {
         assert_eq!(lo, p("10.0.0.0/9"));
         assert_eq!(hi, p("10.128.0.0/9"));
         assert!(p("1.1.1.1/32").split().is_none());
-    }
-
-    #[test]
-    fn subnets_enumeration() {
-        let subs = p("192.0.2.0/24").subnets(26);
-        assert_eq!(subs.len(), 4);
-        assert_eq!(subs[0], p("192.0.2.0/26"));
-        assert_eq!(subs[3], p("192.0.2.192/26"));
-        assert_eq!(p("192.0.2.0/24").subnets(24), vec![p("192.0.2.0/24")]);
-        assert!(p("192.0.2.0/24").subnets(23).is_empty());
-        assert!(p("192.0.2.0/24").subnets(33).is_empty());
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 //! # flatnet-prefixdb — IPv4 prefixes and the paper's IP→ASN resolution stack
@@ -8,13 +9,13 @@
 //! addresses to the AS that operates the router. The paper resolves
 //! iteratively through three sources:
 //!
-//! 1. **PeeringDB** ([`peeringdb`]) — preferred, because IXP peering LANs
+//! 1. **PeeringDB** (`peeringdb`) — preferred, because IXP peering LANs
 //!    often use address space that is *not announced in BGP* (e.g. the
 //!    NL-IX `193.238.116.0/22` example) or is announced by the IXP's own AS
 //!    while the individual addresses belong to members;
-//! 2. a **Team Cymru-style announced-prefix database** ([`cymru`]) — longest
+//! 2. a **Team Cymru-style announced-prefix database** (`cymru`) — longest
 //!    prefix match over globally announced prefixes and their origin ASes;
-//! 3. a **whois-style allocation registry** ([`whois`]) — covers allocated
+//! 3. a **whois-style allocation registry** (`whois`) — covers allocated
 //!    but unannounced space.
 //!
 //! [`resolver::Resolver`] chains the three in either the paper's *initial*
@@ -23,20 +24,19 @@
 //! reproduce the methodology iterations.
 //!
 //! Everything is built on two from-scratch primitives: [`ipv4::Ipv4Prefix`]
-//! and the binary longest-prefix-match trie [`trie::PrefixTrie`].
+//! and the binary longest-prefix-match trie `trie::PrefixTrie`.
 
 pub mod aggregate;
-pub mod cymru;
-pub mod ipv4;
-pub mod peeringdb;
-pub mod resolver;
-pub mod trie;
-pub mod whois;
+mod cymru;
+mod ipv4;
+mod peeringdb;
+mod resolver;
+mod trie;
+mod whois;
 
 pub use aggregate::aggregate;
 pub use cymru::AnnouncedDb;
 pub use ipv4::{Ipv4Prefix, PrefixParseError};
 pub use peeringdb::{IxpId, PeeringDb};
 pub use resolver::{Resolution, ResolutionOrder, ResolutionSource, Resolver};
-pub use trie::PrefixTrie;
 pub use whois::WhoisDb;

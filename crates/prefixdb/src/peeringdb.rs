@@ -22,7 +22,7 @@ pub struct IxpId(pub u32);
 
 /// An Internet eXchange Point with its peering LAN prefixes.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Ixp {
+pub(crate) struct Ixp {
     /// Display name, e.g. `"NL-IX"`.
     pub name: String,
     /// The AS number the IXP itself operates (route servers, mgmt), if any.
@@ -65,41 +65,8 @@ impl PeeringDb {
     }
 
     /// Resolves an IP to a member AS via an exact `netixlan` record.
-    pub fn resolve(&self, ip: Ipv4Addr) -> Option<AsId> {
+    pub(crate) fn resolve(&self, ip: Ipv4Addr) -> Option<AsId> {
         self.netixlan.get(&u32::from(ip)).map(|&(asn, _)| asn)
-    }
-
-    /// The IXP whose peering LAN contains `ip`, if any.
-    pub fn ixp_lan_of(&self, ip: Ipv4Addr) -> Option<IxpId> {
-        self.lan_trie.lookup(ip).map(|(_, &id)| id)
-    }
-
-    /// IXP record by id.
-    pub fn ixp(&self, id: IxpId) -> &Ixp {
-        &self.ixps[id.0 as usize]
-    }
-
-    /// All member ASes with addresses on the given IXP, ascending, deduped.
-    pub fn members_of(&self, ixp: IxpId) -> Vec<AsId> {
-        let mut members: Vec<AsId> = self
-            .netixlan
-            .values()
-            .filter(|&&(_, i)| i == ixp)
-            .map(|&(asn, _)| asn)
-            .collect();
-        members.sort_unstable();
-        members.dedup();
-        members
-    }
-
-    /// Number of IXPs.
-    pub fn ixp_count(&self) -> usize {
-        self.ixps.len()
-    }
-
-    /// Number of `netixlan` records.
-    pub fn netixlan_count(&self) -> usize {
-        self.netixlan.len()
     }
 }
 
@@ -129,32 +96,17 @@ mod tests {
     }
 
     #[test]
-    fn ixp_lan_containment() {
-        let (db, nlix) = sample();
-        assert_eq!(db.ixp_lan_of(ip("193.238.117.1")), Some(nlix));
-        assert_eq!(db.ixp_lan_of(ip("10.0.0.1")), None);
-        assert_eq!(db.ixp(nlix).name, "NL-IX");
-        assert_eq!(db.ixp(nlix).ixp_asn, Some(AsId(34307)));
-    }
-
-    #[test]
-    fn members_listing() {
-        let (db, nlix) = sample();
-        assert_eq!(db.members_of(nlix), vec![AsId(8075), AsId(15169)]);
-    }
-
-    #[test]
     fn netixlan_overwrite_keeps_latest() {
         let (mut db, nlix) = sample();
         db.add_netixlan(AsId(64512), nlix, ip("193.238.116.10"));
         assert_eq!(db.resolve(ip("193.238.116.10")), Some(AsId(64512)));
-        assert_eq!(db.netixlan_count(), 2);
+        assert_eq!(db.netixlan.len(), 2);
     }
 
     #[test]
     fn counts() {
         let (db, _) = sample();
-        assert_eq!(db.ixp_count(), 1);
-        assert_eq!(db.netixlan_count(), 2);
+        assert_eq!(db.ixps.len(), 1);
+        assert_eq!(db.netixlan.len(), 2);
     }
 }

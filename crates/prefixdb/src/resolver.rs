@@ -28,17 +28,6 @@ pub enum ResolutionSource {
     Whois,
 }
 
-impl ResolutionSource {
-    /// Report label.
-    pub fn name(self) -> &'static str {
-        match self {
-            ResolutionSource::PeeringDb => "peeringdb",
-            ResolutionSource::Cymru => "cymru",
-            ResolutionSource::Whois => "whois",
-        }
-    }
-}
-
 /// The order sources are consulted in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResolutionOrder {
@@ -158,12 +147,5 @@ mod tests {
     fn unknown_space_is_unresolved() {
         let r = resolver();
         assert!(r.resolve(ip("100.64.0.1"), ResolutionOrder::PeeringDbFirst).is_none());
-    }
-
-    #[test]
-    fn source_names() {
-        assert_eq!(ResolutionSource::PeeringDb.name(), "peeringdb");
-        assert_eq!(ResolutionSource::Cymru.name(), "cymru");
-        assert_eq!(ResolutionSource::Whois.name(), "whois");
     }
 }

@@ -22,21 +22,21 @@ impl<T> Node<T> {
     }
 }
 
-/// A map from IPv4 prefixes to values with longest-prefix-match lookup.
+/// A map from IPv4 prefixes to values with longest-prefix-match lookup,
+/// the match `AnnouncedDb::resolve` answers with:
 ///
 /// ```
-/// use flatnet_prefixdb::{PrefixTrie, Ipv4Prefix};
-/// let mut t = PrefixTrie::new();
-/// t.insert("10.0.0.0/8".parse().unwrap(), "coarse");
-/// t.insert("10.1.0.0/16".parse().unwrap(), "fine");
-/// let (pfx, v) = t.lookup("10.1.2.3".parse().unwrap()).unwrap();
-/// assert_eq!(*v, "fine");
-/// assert_eq!(pfx, "10.1.0.0/16".parse().unwrap());
-/// assert_eq!(t.lookup("10.9.9.9".parse().unwrap()).map(|(_, v)| *v), Some("coarse"));
-/// assert!(t.lookup("11.0.0.0".parse().unwrap()).is_none());
+/// use flatnet_asgraph::AsId;
+/// use flatnet_prefixdb::AnnouncedDb;
+/// let mut db = AnnouncedDb::new();
+/// db.announce("10.0.0.0/8".parse().unwrap(), AsId(8));
+/// db.announce("10.1.0.0/16".parse().unwrap(), AsId(16));
+/// assert_eq!(db.resolve("10.1.2.3".parse().unwrap()), Some(AsId(16)));
+/// assert_eq!(db.resolve("10.9.9.9".parse().unwrap()), Some(AsId(8)));
+/// assert!(db.resolve("11.0.0.0".parse().unwrap()).is_none());
 /// ```
 #[derive(Debug, Clone)]
-pub struct PrefixTrie<T> {
+pub(crate) struct PrefixTrie<T> {
     nodes: Vec<Node<T>>,
     len: usize,
 }
@@ -49,23 +49,18 @@ impl<T> Default for PrefixTrie<T> {
 
 impl<T> PrefixTrie<T> {
     /// Creates an empty trie.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PrefixTrie { nodes: vec![Node::new()], len: 0 }
     }
 
     /// Number of prefixes stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether no prefixes are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Inserts a value for a prefix, returning the previous value if the
     /// exact prefix was already present.
-    pub fn insert(&mut self, prefix: Ipv4Prefix, value: T) -> Option<T> {
+    pub(crate) fn insert(&mut self, prefix: Ipv4Prefix, value: T) -> Option<T> {
         let mut node = 0usize;
         let bits = prefix.network_bits();
         for i in 0..prefix.len() {
@@ -89,7 +84,7 @@ impl<T> PrefixTrie<T> {
 
     /// Longest-prefix-match lookup: the most specific stored prefix
     /// containing `ip`, with its value.
-    pub fn lookup(&self, ip: Ipv4Addr) -> Option<(Ipv4Prefix, &T)> {
+    pub(crate) fn lookup(&self, ip: Ipv4Addr) -> Option<(Ipv4Prefix, &T)> {
         let bits = u32::from(ip);
         let mut node = 0usize;
         let mut best: Option<(u8, &T)> = self.nodes[0].value.as_ref().map(|v| (0, v));
@@ -107,23 +102,8 @@ impl<T> PrefixTrie<T> {
         best.map(|(len, v)| (Ipv4Prefix::new(ip, len), v))
     }
 
-    /// Exact-match lookup of a stored prefix.
-    pub fn get(&self, prefix: Ipv4Prefix) -> Option<&T> {
-        let bits = prefix.network_bits();
-        let mut node = 0usize;
-        for i in 0..prefix.len() {
-            let bit = ((bits >> (31 - i)) & 1) as usize;
-            let child = self.nodes[node].children[bit];
-            if child == NO_CHILD {
-                return None;
-            }
-            node = child as usize;
-        }
-        self.nodes[node].value.as_ref()
-    }
-
     /// Iterates all `(prefix, value)` pairs in lexicographic prefix order.
-    pub fn iter(&self) -> impl Iterator<Item = (Ipv4Prefix, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Ipv4Prefix, &T)> {
         // Explicit stack DFS, visiting the 0-child before the 1-child.
         let mut out = Vec::with_capacity(self.len);
         let mut stack: Vec<(usize, u32, u8)> = vec![(0, 0, 0)];
@@ -148,6 +128,11 @@ impl<T> PrefixTrie<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The value stored for exactly `prefix`.
+    fn get<T>(t: &PrefixTrie<T>, prefix: Ipv4Prefix) -> Option<&T> {
+        t.iter().find(|&(q, _)| q == prefix).map(|(_, v)| v)
+    }
 
     fn p(s: &str) -> Ipv4Prefix {
         s.parse().unwrap()
@@ -182,16 +167,16 @@ mod tests {
         assert_eq!(t.insert(p("10.0.0.0/8"), 1), None);
         assert_eq!(t.insert(p("10.0.0.0/8"), 2), Some(1));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get(p("10.0.0.0/8")), Some(&2));
+        assert_eq!(get(&t, p("10.0.0.0/8")), Some(&2));
     }
 
     #[test]
     fn exact_get_does_not_aggregate() {
         let mut t = PrefixTrie::new();
         t.insert(p("10.0.0.0/8"), 8);
-        assert_eq!(t.get(p("10.0.0.0/8")), Some(&8));
-        assert_eq!(t.get(p("10.0.0.0/9")), None);
-        assert_eq!(t.get(p("10.0.0.0/7")), None);
+        assert_eq!(get(&t, p("10.0.0.0/8")), Some(&8));
+        assert_eq!(get(&t, p("10.0.0.0/9")), None);
+        assert_eq!(get(&t, p("10.0.0.0/7")), None);
     }
 
     #[test]
@@ -227,7 +212,7 @@ mod tests {
     #[test]
     fn default_route_matches_everything() {
         let mut t = PrefixTrie::new();
-        t.insert(Ipv4Prefix::default_route(), "any");
+        t.insert("0.0.0.0/0".parse().unwrap(), "any");
         assert_eq!(t.lookup(ip("255.255.255.255")).unwrap().1, &"any");
         assert_eq!(t.lookup(ip("0.0.0.0")).unwrap().1, &"any");
     }

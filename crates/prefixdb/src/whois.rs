@@ -14,7 +14,7 @@ use std::net::Ipv4Addr;
 
 /// One allocation record.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Allocation {
+pub(crate) struct Allocation {
     /// AS the block is registered to (IXPs register under their own AS).
     pub asn: AsId,
     /// Registry organization string, e.g. `"NL-IX B.V."`.
@@ -33,23 +33,13 @@ impl WhoisDb {
         Self::default()
     }
 
-    /// Number of allocation records.
-    pub fn len(&self) -> usize {
-        self.trie.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.trie.is_empty()
-    }
-
     /// Registers an allocation (most-specific lookup wins on overlap).
     pub fn allocate(&mut self, prefix: Ipv4Prefix, asn: AsId, org: impl Into<String>) {
         self.trie.insert(prefix, Allocation { asn, org: org.into() });
     }
 
     /// The allocation covering `ip`, if any.
-    pub fn lookup(&self, ip: Ipv4Addr) -> Option<&Allocation> {
+    pub(crate) fn lookup(&self, ip: Ipv4Addr) -> Option<&Allocation> {
         self.trie.lookup(ip).map(|(_, a)| a)
     }
 
@@ -84,13 +74,13 @@ mod tests {
         db.allocate("10.5.0.0/16".parse().unwrap(), AsId(2), "small");
         assert_eq!(db.resolve(ip("10.5.1.1")), Some(AsId(2)));
         assert_eq!(db.resolve(ip("10.6.1.1")), Some(AsId(1)));
-        assert_eq!(db.len(), 2);
+        assert_eq!(db.trie.len(), 2);
     }
 
     #[test]
     fn empty_registry() {
         let db = WhoisDb::new();
-        assert!(db.is_empty());
+        assert_eq!(db.trie.len(), 0);
         assert_eq!(db.resolve(ip("1.1.1.1")), None);
     }
 }

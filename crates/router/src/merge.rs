@@ -12,7 +12,8 @@
 //! malformed input instead of guessing; this module holds what is
 //! specific to the `/v1` envelope.
 
-pub use flatnet_wire::json::{array_items, member, member_str, member_u64, members, value_end};
+use flatnet_wire::json::members;
+pub use flatnet_wire::json::{array_items, member, member_str, member_u64};
 
 /// The `data` member of a `/v1` envelope body, verbatim.
 pub fn envelope_data(body: &str) -> Option<&str> {
@@ -63,6 +64,7 @@ pub fn rebuild_batch_data(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flatnet_wire::json::value_end;
 
     const ENVELOPE: &str = "{\"schema\":\"flatnet-serve/v1\",\"snapshot_version\":3,\
         \"trace_id\":\"00000000deadbeef\",\"data\":{\"endpoint\":\"reachability\",\

@@ -28,25 +28,24 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Default virtual points per shard; enough that a 3-shard layout's
 /// slices stay within a few percent of even.
-pub const DEFAULT_VNODES: u32 = 64;
+pub(crate) const DEFAULT_VNODES: u32 = 64;
 
 /// The shard-ownership ring. Cheap to build, immutable afterwards.
 #[derive(Debug, Clone)]
 pub struct HashRing {
     /// `(point hash, shard id)` sorted by hash.
     points: Vec<(u64, u32)>,
-    shards: u32,
 }
 
 impl HashRing {
-    /// A ring over `shards` shards with [`DEFAULT_VNODES`] points each.
+    /// A ring over `shards` shards with `DEFAULT_VNODES` points each.
     pub fn new(shards: u32) -> HashRing {
         HashRing::with_vnodes(shards, DEFAULT_VNODES)
     }
 
     /// A ring with an explicit virtual-point count (tests use small
     /// values to exercise skew).
-    pub fn with_vnodes(shards: u32, vnodes: u32) -> HashRing {
+    pub(crate) fn with_vnodes(shards: u32, vnodes: u32) -> HashRing {
         assert!(shards > 0, "a ring needs at least one shard");
         let mut points = Vec::with_capacity((shards * vnodes.max(1)) as usize);
         for shard in 0..shards {
@@ -58,12 +57,7 @@ impl HashRing {
             }
         }
         points.sort_unstable();
-        HashRing { points, shards }
-    }
-
-    /// How many shards the ring covers.
-    pub fn shards(&self) -> u32 {
-        self.shards
+        HashRing { points }
     }
 
     /// The shard owning `origin`: first ring point clockwise from the

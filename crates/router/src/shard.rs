@@ -15,10 +15,10 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 /// Consecutive failures (probe or data-path) that open the circuit.
-pub const FAILS_TO_OPEN: u32 = 3;
+pub(crate) const FAILS_TO_OPEN: u32 = 3;
 
 /// One shard as the router sees it.
-pub struct Shard {
+pub(crate) struct Shard {
     /// Shard slot on the hash ring.
     pub id: u32,
     /// Child process id when the router's CLI spawned this shard;
@@ -39,7 +39,7 @@ pub struct Shard {
 impl Shard {
     /// A shard handle for slot `id` at `addr`. Starts optimistically
     /// healthy so the first requests don't wait for a probe round.
-    pub fn new(id: u32, addr: String, pid: Option<u32>, timeout: Duration) -> Shard {
+    pub(crate) fn new(id: u32, addr: String, pid: Option<u32>, timeout: Duration) -> Shard {
         Shard {
             id,
             pid,
@@ -60,7 +60,7 @@ impl Shard {
     /// `router.upstream_reuse`. Called after every probe and before
     /// every client-facing response; `fetch_max` keeps concurrent
     /// callers from counting the same dial twice.
-    pub fn publish_upstream_stats(&self) {
+    pub(crate) fn publish_upstream_stats(&self) {
         let (connects, reuse) = self.upstream.stats();
         for (i, now) in [connects, reuse].into_iter().enumerate() {
             let before = self.published[i].fetch_max(now, Ordering::Relaxed);
@@ -71,17 +71,17 @@ impl Shard {
     }
 
     /// Whether the circuit is closed (requests may be routed here).
-    pub fn healthy(&self) -> bool {
+    pub(crate) fn healthy(&self) -> bool {
         self.healthy.load(Ordering::SeqCst)
     }
 
     /// Consecutive failures so far.
-    pub fn fails(&self) -> u32 {
+    pub(crate) fn fails(&self) -> u32 {
         self.fails.load(Ordering::SeqCst)
     }
 
     /// Last `/healthz`-reported snapshot version.
-    pub fn snapshot_version(&self) -> u64 {
+    pub(crate) fn snapshot_version(&self) -> u64 {
         self.version.load(Ordering::SeqCst)
     }
 
@@ -89,18 +89,18 @@ impl Shard {
     /// gate reads it straight off the shard's `/healthz`), so the fleet
     /// view is current the moment a roll finishes rather than one probe
     /// interval later.
-    pub fn set_snapshot_version(&self, version: u64) {
+    pub(crate) fn set_snapshot_version(&self, version: u64) {
         self.version.store(version, Ordering::SeqCst);
     }
 
     /// The most recent failure message (empty when none).
-    pub fn last_error(&self) -> String {
+    pub(crate) fn last_error(&self) -> String {
         self.last_error.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
     /// Records a successful round trip: resets the failure streak and
     /// closes the circuit.
-    pub fn record_ok(&self) {
+    pub(crate) fn record_ok(&self) {
         self.fails.store(0, Ordering::SeqCst);
         if !self.healthy.swap(true, Ordering::SeqCst) {
             flatnet_obs::info!("router: shard {} ({}) healthy again", self.id, self.upstream.addr());
@@ -110,7 +110,7 @@ impl Shard {
     /// Feeds one failure into the breaker; at [`FAILS_TO_OPEN`]
     /// consecutive failures the circuit opens and the connection pool is
     /// drained (its sockets are all suspect).
-    pub fn record_failure(&self, err: &str) {
+    pub(crate) fn record_failure(&self, err: &str) {
         self.failures_total.inc();
         *self.last_error.lock().unwrap_or_else(|e| e.into_inner()) = err.to_string();
         let fails = self.fails.fetch_add(1, Ordering::SeqCst) + 1;
@@ -127,7 +127,7 @@ impl Shard {
     /// One health probe: `GET /healthz`, feeding the breaker either way
     /// and refreshing the shard's snapshot version. Returns whether the
     /// probe succeeded.
-    pub fn probe(&self, trace_id: u64) -> bool {
+    pub(crate) fn probe(&self, trace_id: u64) -> bool {
         let reply = self.upstream.request("GET", "/healthz", None, trace_id);
         self.publish_upstream_stats();
         match reply {

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Number of independently locked shards.
-pub const SHARDS: usize = 8;
+pub(crate) const SHARDS: usize = 8;
 
 /// What uniquely identifies a cacheable answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,13 +81,13 @@ pub struct ResultCache<V> {
 impl<V> ResultCache<V> {
     /// A cache holding at most `capacity` entries (split across shards;
     /// tiny capacities are rounded up to one entry per shard) whose
-    /// values weigh nothing: [`Self::bytes`] stays 0.
+    /// values weigh nothing: `Self::bytes` stays 0.
     pub fn new(capacity: usize) -> Self {
         Self::weighted(capacity, |_| 0)
     }
 
     /// [`Self::new`] with the function that prices a value in bytes.
-    pub fn weighted(capacity: usize, weight: fn(&V) -> usize) -> Self {
+    pub(crate) fn weighted(capacity: usize, weight: fn(&V) -> usize) -> Self {
         let reg = flatnet_obs::global();
         ResultCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard { map: HashMap::new() })).collect(),
@@ -202,7 +202,7 @@ impl<V> ResultCache<V> {
     }
 
     /// Drops every entry (used by `/admin/reload`).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         for si in 0..SHARDS {
             let mut shard = self.lock(si);
             let bytes: usize = shard.map.values().map(|(v, _)| (self.weight)(v)).sum();
@@ -212,19 +212,14 @@ impl<V> ResultCache<V> {
     }
 
     /// Current number of cached entries (the running total).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.load(Ordering::Relaxed) as usize
     }
 
     /// Bytes the cached values keep alive, by the weight function (the
     /// running total).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed) as usize
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -313,7 +308,7 @@ mod tests {
         assert_eq!(cache.get(&kb).as_deref(), Some(&2));
         assert_eq!(cache.len(), 1);
         cache.clear();
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]
@@ -390,9 +385,9 @@ mod tests {
         for i in 0..32 {
             cache.put(key(i), Arc::new(i));
         }
-        assert!(!cache.is_empty());
+        assert_ne!(cache.len(), 0);
         cache.clear();
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         assert!(cache.get(&key(0)).is_none());
     }
 }

@@ -12,7 +12,7 @@
 //! answer and its response and nothing else, `scratch_bytes` counts all
 //! of it, and a hot-reload frees the old snapshot's scratch with it.
 //! Snapshots arrive per-request via `Arc` (see
-//! [`crate::snapshot::SnapshotManager`]); a worker keeps nothing across
+//! `crate::snapshot::SnapshotManager`); a worker keeps nothing across
 //! requests.
 //!
 //! A worker holds one connection at a time for that connection's whole
@@ -26,7 +26,7 @@
 //! `{"schema":…,"snapshot_version":…,"trace_id":…,"data":{…}}` on
 //! success and `…,"error":{"kind":…,"message":…}}` on failure (error
 //! envelopes are shared by every endpoint); `kind` strings mirror
-//! [`crate::error::ServeError::kind`] labels where the failure is the
+//! `crate::error::ServeError::kind` labels where the failure is the
 //! server's, and name the request defect otherwise. The three `/v1`
 //! handlers solve first, then hand their answers to one emitter,
 //! `emit_data`, which writes the `data` object — a single answer's
@@ -65,7 +65,7 @@ pub const MAX_BATCH_ORIGINS: usize = 1024;
 
 /// Cap on what-if leak queries per batch body (each one is a full
 /// leak-CDF sweep).
-pub const MAX_LEAK_QUERIES: usize = 64;
+pub(crate) const MAX_LEAK_QUERIES: usize = 64;
 
 /// One accepted connection waiting for a worker, carrying the trace
 /// context allocated at accept time (so queue wait is part of the
@@ -971,7 +971,7 @@ mod tests {
     /// a full-reach reliance answer has more than `RELIANCE_TOP_MAX`
     /// positive scores.
     fn shared() -> Arc<Shared> {
-        let mgr = SnapshotManager::new(TopologySource::Generated { ases: 1500, seed: 11 })
+        let mgr = SnapshotManager::with_store(TopologySource::Generated { ases: 1500, seed: 11 }, None)
             .expect("generated topology passes the health gate");
         let cfg = ServeConfig {
             cache_cap: 64,

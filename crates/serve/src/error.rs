@@ -52,7 +52,7 @@ pub enum ServeError {
 impl ServeError {
     /// A short machine-friendly label for logs and `/healthz`
     /// (`ingest`, `health-gate`, `store`, `bind`, `spawn`, `backoff`).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             ServeError::Ingest(_) => "ingest",
             ServeError::HealthGate { .. } => "health-gate",

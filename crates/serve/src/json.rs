@@ -15,7 +15,7 @@ pub fn fmt_f64(x: f64) -> String {
 
 /// A float in [`fmt_f64`]'s format, written straight into a `write!`
 /// target — for renderers that emit many numbers.
-pub struct Num(pub f64);
+pub(crate) struct Num(pub f64);
 
 impl std::fmt::Display for Num {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -29,7 +29,7 @@ impl std::fmt::Display for Num {
 }
 
 /// The schema tag every `/v1` envelope carries.
-pub const SCHEMA: &str = "flatnet-serve/v1";
+pub(crate) const SCHEMA: &str = "flatnet-serve/v1";
 
 /// The framing every `/v1` envelope opens with — schema tag, the
 /// snapshot version the answer was computed against, and the request's
@@ -58,7 +58,7 @@ pub fn envelope(version: u64, trace_id: u64, data: &str) -> String {
 /// The failure envelope: same framing fields, but an `error` member
 /// carrying a machine-readable `kind` and a human-readable `message`
 /// instead of `data`.
-pub fn error_envelope(version: u64, trace_id: u64, kind: &str, message: &str) -> String {
+pub(crate) fn error_envelope(version: u64, trace_id: u64, kind: &str, message: &str) -> String {
     format!(
         "{}\"error\":{{\"kind\":\"{}\",\"message\":\"{}\"}}}}\n",
         envelope_head(version, trace_id),

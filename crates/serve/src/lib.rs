@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 //! # flatnet-serve — a std-only query daemon over versioned topology snapshots
@@ -12,7 +13,7 @@
 //!
 //! Three layers (see `DESIGN.md` § Serving for the full picture):
 //!
-//! * [`snapshot`] — ingestion (CAIDA file, netgen config, or a
+//! * `snapshot` — ingestion (CAIDA file, netgen config, or a
 //!   pre-built graph), the PR-1 health gate, and versioned hot-reload
 //!   behind an `Arc` swap so in-flight queries finish on the snapshot
 //!   they started with. Every solve runs on the snapshot's graph; its
@@ -20,7 +21,7 @@
 //! * [`mod@engine`] — a fixed pool of stateless workers whose solves
 //!   check their buffers out of the snapshot's pools (zero steady-state
 //!   allocation), a bounded queue with 503-backpressure, per-request
-//!   deadlines, and a sharded LRU [`cache`] keyed by
+//!   deadlines, and a sharded LRU `cache` keyed by
 //!   `(snapshot version, origin, policy fingerprint)`.
 //! * [`front`] + [`http`] — the HTTP front this daemon and
 //!   `flatnet-router` both run (one accept loop, one keep-alive
@@ -28,7 +29,7 @@
 //!   over the strict, bounded codec (`flatnet-wire`'s, re-exported
 //!   here). Connections are keep-alive by default (pipelining works,
 //!   budgets and idle timeouts bound reuse) and large reach sets stream
-//!   as chunked responses; [`server`] is the daemon's lifecycle handle.
+//!   as chunked responses; `server` is the daemon's lifecycle handle.
 //!
 //! Endpoints: `GET /v1/reachability`, `GET /v1/reliance` (both take
 //! `origin=` or a comma-separated `origins=` batch fed to the lane
@@ -41,16 +42,16 @@
 //! reference.
 
 mod answer;
-pub mod cache;
+mod cache;
 pub mod engine;
-pub mod error;
+mod error;
 pub mod front;
 pub mod json;
-pub mod server;
-pub mod snapshot;
+mod server;
+mod snapshot;
 
 pub use cache::{policy_fingerprint, CacheKey, ResultCache};
 pub use error::ServeError;
 pub use flatnet_wire::http;
 pub use server::{serve, ServeConfig, Server};
-pub use snapshot::{ManagerStatus, ServeSnapshot, SnapshotManager, TopologySource};
+pub use snapshot::TopologySource;

@@ -74,7 +74,7 @@ impl Default for ServeConfig {
 
 /// A running daemon. Dropping the handle does *not* stop the server;
 /// call [`Server::shutdown`] (tests, bench) or let `/admin/shutdown`
-/// end [`Server::wait`] (CLI).
+/// end `Server::wait` (CLI).
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -130,7 +130,7 @@ impl Server {
 
     /// Blocks until the daemon stops (via `POST /admin/shutdown`),
     /// joining every thread. Queued requests are drained first.
-    pub fn wait(mut self) {
+    pub(crate) fn wait(mut self) {
         self.join_all();
     }
 

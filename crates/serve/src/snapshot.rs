@@ -100,7 +100,7 @@ pub enum TopologySource {
 
 /// One immutable, health-gated topology version: the struct the store
 /// loads and saves.
-pub use flatnet_store::StoredSnapshot as ServeSnapshot;
+pub(crate) use flatnet_store::StoredSnapshot as ServeSnapshot;
 
 /// The phases of one snapshot's way into service, each timed into its
 /// `serve.snapshot_us{phase="…"}` histogram, with the split kept for the
@@ -153,7 +153,7 @@ struct ReloadState {
 
 /// A point-in-time copy of the reload/store health for `/healthz`.
 #[derive(Debug, Clone)]
-pub struct ManagerStatus {
+pub(crate) struct ManagerStatus {
     /// Kind label of the last reload failure (`None` after a success).
     pub last_error_kind: Option<&'static str>,
     /// Message of the last reload failure.
@@ -172,7 +172,7 @@ pub struct ManagerStatus {
 }
 
 /// Holds the current [`ServeSnapshot`] and knows how to build the next.
-pub struct SnapshotManager {
+pub(crate) struct SnapshotManager {
     source: TopologySource,
     store_path: Option<String>,
     warm_start: bool,
@@ -189,16 +189,12 @@ pub struct SnapshotManager {
 }
 
 impl SnapshotManager {
-    /// Ingests, health-gates, and compiles the first snapshot (no store).
-    pub fn new(source: TopologySource) -> Result<Self, ServeError> {
-        Self::with_store(source, None)
-    }
-
-    /// As [`SnapshotManager::new`], with an optional snapshot-store path.
+    /// Ingests, health-gates, and compiles the first snapshot, with an
+    /// optional snapshot-store path.
     /// A valid store warm-starts without touching the source; any
     /// corruption, truncation, or version mismatch degrades to
     /// rebuild-and-rewrite (see the module docs for the full ladder).
-    pub fn with_store(
+    pub(crate) fn with_store(
         source: TopologySource,
         store_path: Option<String>,
     ) -> Result<Self, ServeError> {
@@ -265,7 +261,7 @@ impl SnapshotManager {
     /// Recovers from a poisoned lock — the data is an `Arc` swap, never
     /// left half-written, so a reloader that panicked mid-swap must not
     /// take down every subsequent query.
-    pub fn current(&self) -> Arc<ServeSnapshot> {
+    pub(crate) fn current(&self) -> Arc<ServeSnapshot> {
         match self.current.read() {
             Ok(g) => Arc::clone(&g),
             Err(poisoned) => {
@@ -276,7 +272,7 @@ impl SnapshotManager {
     }
 
     /// Reload/store health for `/healthz`.
-    pub fn status(&self) -> ManagerStatus {
+    pub(crate) fn status(&self) -> ManagerStatus {
         let state = self.lock_state();
         let backoff_remaining_ms = state
             .not_before
@@ -302,7 +298,7 @@ impl SnapshotManager {
     /// version is persisted to the store (best-effort) before the swap.
     /// Concurrent callers take turns, so no two snapshots ever share a
     /// version (the result cache keys on it).
-    pub fn reload(&self) -> Result<Arc<ServeSnapshot>, ServeError> {
+    pub(crate) fn reload(&self) -> Result<Arc<ServeSnapshot>, ServeError> {
         // The guard protects no data, so a poisoned turn is still a turn.
         let _turn = self.reload_turn.lock().unwrap_or_else(|e| e.into_inner());
         {
@@ -528,7 +524,7 @@ mod tests {
 
     #[test]
     fn first_snapshot_is_version_one() {
-        let mgr = SnapshotManager::new(tiny_source()).unwrap();
+        let mgr = SnapshotManager::with_store(tiny_source(), None).unwrap();
         let snap = mgr.current();
         assert_eq!(snap.version, 1);
         assert_eq!(snap.graph.len(), snap.topo.len());
@@ -541,7 +537,7 @@ mod tests {
 
     #[test]
     fn reload_bumps_version_and_old_arc_survives() {
-        let mgr = SnapshotManager::new(tiny_source()).unwrap();
+        let mgr = SnapshotManager::with_store(tiny_source(), None).unwrap();
         let old = mgr.current();
         let new = mgr.reload().unwrap();
         assert_eq!(old.version, 1);
@@ -553,12 +549,15 @@ mod tests {
 
     #[test]
     fn unreadable_file_is_an_error_not_a_panic() {
-        let result = SnapshotManager::new(TopologySource::CaidaFile {
-            path: "/nonexistent/as-rel.txt".into(),
-            tier1: vec![],
-            tier2: vec![],
-            lenient: false,
-        });
+        let result = SnapshotManager::with_store(
+            TopologySource::CaidaFile {
+                path: "/nonexistent/as-rel.txt".into(),
+                tier1: vec![],
+                tier2: vec![],
+                lenient: false,
+            },
+            None,
+        );
         let err = result.err().expect("expected an ingestion error");
         assert_eq!(err.kind(), "ingest");
         assert!(err.to_string().contains("/nonexistent"), "{err}");
@@ -574,12 +573,15 @@ mod tests {
         for (name, text) in [("empty.txt", ""), ("comments.txt", "# as1|as2|rel\n\n# nothing\n")] {
             let path = dir.join(name);
             std::fs::write(&path, text).unwrap();
-            let err = SnapshotManager::new(TopologySource::CaidaFile {
-                path: path.display().to_string(),
-                tier1: vec![],
-                tier2: vec![],
-                lenient: false,
-            })
+            let err = SnapshotManager::with_store(
+                TopologySource::CaidaFile {
+                    path: path.display().to_string(),
+                    tier1: vec![],
+                    tier2: vec![],
+                    lenient: false,
+                },
+                None,
+            )
             .err()
             .expect("an empty topology must not be served");
             assert_eq!(err.kind(), "health-gate", "{name}: {err}");
@@ -593,7 +595,7 @@ mod tests {
         // critical)…
         let empty = AsGraph::empty();
         let tiers = Tiers::from_lists(&empty, &[], &[]);
-        let err = SnapshotManager::new(TopologySource::Preloaded { graph: empty, tiers })
+        let err = SnapshotManager::with_store(TopologySource::Preloaded { graph: empty, tiers }, None)
             .err()
             .expect("health gate must refuse an empty graph");
         assert_eq!(err.kind(), "health-gate");
@@ -693,7 +695,7 @@ mod tests {
             tier2: vec![],
             lenient: false,
         };
-        let mgr = SnapshotManager::new(source).unwrap();
+        let mgr = SnapshotManager::with_store(source, None).unwrap();
 
         // Break the source; reload must fail, record the error, and arm
         // the backoff.

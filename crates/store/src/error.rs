@@ -21,7 +21,7 @@ pub enum SectionId {
 
 impl SectionId {
     /// Wire id (also the required table order, ascending).
-    pub fn wire(self) -> u32 {
+    pub(crate) fn wire(self) -> u32 {
         match self {
             SectionId::Meta => 1,
             SectionId::Graph => 2,
@@ -31,7 +31,7 @@ impl SectionId {
 
     /// Parses a wire id. Id 4 (format v1's compiled-adjacency section)
     /// stays unassigned.
-    pub fn from_wire(id: u32) -> Option<Self> {
+    pub(crate) fn from_wire(id: u32) -> Option<Self> {
         match id {
             1 => Some(SectionId::Meta),
             2 => Some(SectionId::Graph),
@@ -41,7 +41,7 @@ impl SectionId {
     }
 
     /// Human-readable name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SectionId::Meta => "meta",
             SectionId::Graph => "graph",

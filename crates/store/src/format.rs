@@ -25,16 +25,16 @@ use crate::crc32::crc32;
 use crate::error::{SectionId, StoreError};
 
 /// The 8-byte file magic.
-pub const MAGIC: &[u8; 8] = b"FNSNAP\r\n";
+pub(crate) const MAGIC: &[u8; 8] = b"FNSNAP\r\n";
 /// The format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub(crate) const FORMAT_VERSION: u32 = 2;
 /// Fixed header bytes before the section table.
-pub const FIXED_HEADER: usize = 16;
+pub(crate) const FIXED_HEADER: usize = 16;
 /// Bytes per section-table entry.
-pub const TABLE_ENTRY: usize = 24;
+pub(crate) const TABLE_ENTRY: usize = 24;
 
 /// The sections every store file must contain, in table order.
-pub const REQUIRED_SECTIONS: [SectionId; 3] =
+pub(crate) const REQUIRED_SECTIONS: [SectionId; 3] =
     [SectionId::Meta, SectionId::Graph, SectionId::Tiers];
 
 fn read_u32(b: &[u8], at: usize) -> u32 {
@@ -58,7 +58,7 @@ fn read_u64(b: &[u8], at: usize) -> u64 {
 /// [`REQUIRED_SECTIONS`] order. Every structural and checksum violation
 /// is a typed [`StoreError`]; no input can make this panic or read out
 /// of bounds.
-pub fn unpack(bytes: &[u8]) -> Result<Vec<(SectionId, &[u8])>, StoreError> {
+pub(crate) fn unpack(bytes: &[u8]) -> Result<Vec<(SectionId, &[u8])>, StoreError> {
     if bytes.len() < FIXED_HEADER {
         return Err(StoreError::TruncatedHeader { len: bytes.len(), need: FIXED_HEADER });
     }
@@ -155,7 +155,7 @@ pub fn unpack(bytes: &[u8]) -> Result<Vec<(SectionId, &[u8])>, StoreError> {
 /// table are laid out first and filled in by [`Enc::finish`]; each
 /// section's little-endian fields are appended straight behind them, so
 /// no payload is built somewhere else and copied in.
-pub struct Enc {
+pub(crate) struct Enc {
     buf: Vec<u8>,
     /// Table slots laid out in the header.
     slots: usize,
@@ -166,7 +166,7 @@ pub struct Enc {
 impl Enc {
     /// An image of `sections` sections whose payloads total
     /// `payload_bytes` (a reservation: the buffer grows if it was short).
-    pub fn new(sections: usize, payload_bytes: usize) -> Self {
+    pub(crate) fn new(sections: usize, payload_bytes: usize) -> Self {
         let header_end = FIXED_HEADER + sections * TABLE_ENTRY + 4;
         let mut buf = Vec::with_capacity(header_end + payload_bytes);
         buf.resize(header_end, 0);
@@ -174,29 +174,29 @@ impl Enc {
     }
 
     /// Ends the current section, if any, and begins section `id`.
-    pub fn section(&mut self, id: SectionId) {
+    pub(crate) fn section(&mut self, id: SectionId) {
         assert!(self.sections.len() < self.slots, "more sections than the table was laid out for");
         self.sections.push((id, self.buf.len()));
     }
 
     /// Appends a `u8`.
-    pub fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Appends a `u32` LE.
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u64` LE.
-    pub fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Fills in the header, the section table and the checksums, and
     /// returns the finished image.
-    pub fn finish(mut self) -> Vec<u8> {
+    pub(crate) fn finish(mut self) -> Vec<u8> {
         assert_eq!(self.sections.len(), self.slots, "fewer sections than the table was laid out for");
         let table_end = FIXED_HEADER + self.slots * TABLE_ENTRY;
         self.buf[..8].copy_from_slice(MAGIC);

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 //! # flatnet-store — crash-safe persistence for serve snapshots
@@ -12,7 +13,7 @@
 //!
 //! Two guarantees, one per layer:
 //!
-//! * **Format** ([`mod@format`], [`codec`]) — a versioned binary container
+//! * **Format** (`format`, `codec`) — a versioned binary container
 //!   (magic + format version + section table) with length-prefixed,
 //!   individually CRC-32-checksummed sections for the snapshot version,
 //!   the AS graph and the tier sets. Every length and offset is
@@ -23,7 +24,7 @@
 //!   handle on the graph it just validated, is filled because the
 //!   `benchmark/` package builds the struct literally; nothing else
 //!   reads it, and it shares the graph's links.
-//! * **Durability** ([`store`]) — [`save_atomic`] writes temp file →
+//! * **Durability** (`store`) — [`save_atomic`] writes temp file →
 //!   fsync → rename → directory fsync, so a crash mid-write can never
 //!   leave a half-valid store under the real name; [`load`] verifies
 //!   every checksum before constructing anything.
@@ -32,11 +33,11 @@
 //! `flatnet-serve`: warm-start from a valid store, rebuild from the source
 //! and rewrite on any [`StoreError`].
 
-pub mod codec;
+mod codec;
 pub mod crc32;
-pub mod error;
-pub mod format;
-pub mod store;
+mod error;
+mod format;
+mod store;
 
 pub use codec::{decode, encode, StoredSnapshot};
 pub use error::{SectionId, StoreError};

@@ -55,7 +55,7 @@ impl Methodology {
     }
 
     /// Resolves one address under this methodology.
-    pub fn resolve(&self, resolver: &Resolver, ip: Ipv4Addr) -> Option<AsId> {
+    pub(crate) fn resolve(&self, resolver: &Resolver, ip: Ipv4Addr) -> Option<AsId> {
         if self.cymru_only {
             resolver.announced.resolve(ip)
         } else {

@@ -39,47 +39,3 @@ pub struct Traceroute {
     /// Whether the probe reached the destination AS.
     pub completed: bool,
 }
-
-impl Traceroute {
-    /// Responding addresses in order (unresponsive hops skipped).
-    pub fn addresses(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
-        self.hops.iter().filter_map(|h| h.addr)
-    }
-
-    /// Number of unresponsive hops.
-    pub fn losses(&self) -> usize {
-        self.hops.iter().filter(|h| h.addr.is_none()).count()
-    }
-
-    /// RTT of the final responding hop, if any.
-    pub fn last_rtt_ms(&self) -> Option<f64> {
-        self.hops.iter().rev().find_map(|h| h.rtt_ms)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> Traceroute {
-        Traceroute {
-            vp: VantagePoint { cloud: AsId(15169), city: 3 },
-            dst: "10.0.0.1".parse().unwrap(),
-            dst_asn: AsId(64512),
-            hops: vec![
-                Hop { ttl: 1, addr: Some("1.0.0.1".parse().unwrap()), rtt_ms: Some(0.5) },
-                Hop { ttl: 2, addr: None, rtt_ms: None },
-                Hop { ttl: 3, addr: Some("10.0.0.1".parse().unwrap()), rtt_ms: Some(12.25) },
-            ],
-            completed: true,
-        }
-    }
-
-    #[test]
-    fn addresses_skip_losses() {
-        let t = sample();
-        assert_eq!(t.addresses().count(), 2);
-        assert_eq!(t.losses(), 1);
-        assert_eq!(t.last_rtt_ms(), Some(12.25));
-    }
-}

@@ -20,7 +20,7 @@ use flatnet_asgraph::ingest::{read_lines, BadLine, NotUtf8, ParseDiagnostics, Pa
 use flatnet_asgraph::AsId;
 
 /// Serializes one traceroute.
-pub fn write_trace(t: &Traceroute) -> String {
+pub(crate) fn write_trace(t: &Traceroute) -> String {
     let mut out = format!(
         "trace from AS{}/city{} to {} asn {} {}\n",
         t.vp.cloud.0,

@@ -35,12 +35,12 @@ pub const MAX_REQUEST_LINE: usize = 16 * 1024;
 /// lines).
 pub const MAX_HEADER_LINE: usize = 1024;
 /// Cap on the number of headers (and of chunked-body trailer lines).
-pub const MAX_HEADERS: usize = 64;
+pub(crate) const MAX_HEADERS: usize = 64;
 /// Cap on a declared request body.
 pub const MAX_BODY: usize = 64 * 1024;
 /// Cap on a response body as [`read_response`] accepts it, declared or
 /// accumulated. A `detail=full` batch at paper scale is a few MB.
-pub const MAX_RESPONSE_BODY: usize = 256 * 1024 * 1024;
+pub(crate) const MAX_RESPONSE_BODY: usize = 256 * 1024 * 1024;
 
 /// Request methods the daemon understands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +76,7 @@ impl Request {
     }
 
     /// First value of header `name` (case-insensitive).
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         let lower = name.to_ascii_lowercase();
         self.headers.iter().find(|(k, _)| *k == lower).map(|(_, v)| v.as_str())
     }
@@ -547,7 +547,7 @@ impl Response {
 }
 
 /// Reason phrase for the status codes this daemon emits.
-pub fn status_text(status: u16) -> &'static str {
+pub(crate) fn status_text(status: u16) -> &'static str {
     match status {
         200 => "OK",
         400 => "Bad Request",
@@ -626,8 +626,8 @@ fn response_line<R: BufRead>(r: &mut R, eof_means: &str) -> std::io::Result<Stri
 /// response's bytes, so pipelined responses behind it stay in `r`.
 ///
 /// Every line goes through the same length-capped reader as the request
-/// side, header and trailer counts are capped at [`MAX_HEADERS`], and
-/// the body at [`MAX_RESPONSE_BODY`]; a violation, like any malformed
+/// side, header and trailer counts are capped at `MAX_HEADERS`, and
+/// the body at `MAX_RESPONSE_BODY`; a violation, like any malformed
 /// framing, is an `InvalidData` error, and a peer that closes early an
 /// `UnexpectedEof` — never a short body.
 pub fn read_response<R: BufRead>(r: &mut R) -> std::io::Result<Reply> {

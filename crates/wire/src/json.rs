@@ -11,7 +11,7 @@
 //!
 //! Both views read through the same `Lexer`, so strings, escapes and
 //! nesting mean the same thing to both, and both refuse input nested
-//! deeper than [`MAX_DEPTH`]. The tree view checks the full grammar;
+//! deeper than `MAX_DEPTH`. The tree view checks the full grammar;
 //! the span view checks only what it walks past (the members or items
 //! of the one container it was asked to split) and balances the rest.
 
@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 
 /// Nesting cap for both views. The deepest document the workspace
 /// emits (a `detail=full` batch envelope) nests five levels.
-pub const MAX_DEPTH: usize = 32;
+pub(crate) const MAX_DEPTH: usize = 32;
 
 /// A parsed JSON value. Objects keep insertion order (handy for
 /// deterministic round-trips in tests).

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 //! # flatnet-wire — the two byte boundaries, once
@@ -11,7 +12,7 @@
 //! * [`http`] — the bounded HTTP/1.1 codec: the request parser and
 //!   response writer the daemons use, the response reader every client
 //!   uses, and the `/v1` query vocabulary both fronts share.
-//! * [`client`] — the pooled keep-alive client over that codec, with
+//! * `client` — the pooled keep-alive client over that codec, with
 //!   split send/recv halves for scatter-gather and the one
 //!   stale-pooled-socket replay.
 //! * [`json`] — one tokenizer under two views: an owned tree with
@@ -22,7 +23,7 @@
 //! read back through [`json`]), so it records no metrics itself; see
 //! `DESIGN.md` § Wire for the table of bounds.
 
-pub mod client;
+mod client;
 pub mod http;
 pub mod json;
 
